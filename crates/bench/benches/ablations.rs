@@ -1,5 +1,5 @@
-//! Ablation benches for the design choices DESIGN.md calls out: monitoring-interval length,
-//! number of sampled sets, and the Least-priority bypass ratio.
+//! Ablation benches for ADAPT's design parameters (`docs/policies.md`):
+//! monitoring-interval length, number of sampled sets, and the Least-priority bypass ratio.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;

@@ -1,84 +1,13 @@
-//! Shared helpers for the Criterion benchmark harness.
+//! Shared scale for the paper-artifact Criterion benches.
 //!
-//! Every paper table/figure has a corresponding benchmark in `benches/figures.rs` or
-//! `benches/tables.rs`; `benches/simulator_micro.rs` measures the substrate itself and
-//! `benches/ablations.rs` sweeps the design parameters DESIGN.md calls out. Benchmarks run
-//! the experiments at [`experiments::ExperimentScale::Smoke`] so `cargo bench` completes in
-//! minutes; the `repro` binary is the tool for full-fidelity regeneration.
+//! Every paper figure has a bench in `benches/figures.rs`, every table one in
+//! `benches/tables.rs`, and `benches/ablations.rs` sweeps ADAPT's design parameters
+//! (`docs/policies.md`). They run the experiments at
+//! [`experiments::ExperimentScale::Smoke`] so `cargo bench` completes in minutes; the
+//! `repro` binary is the tool for full-fidelity regeneration, and performance is
+//! measured by the repository's benchmark (`benchmark/README.md`), not here.
 
-use cache_sim::config::SystemConfig;
-use cache_sim::reference::reference_system;
-use cache_sim::system::MultiCoreSystem;
-use cache_sim::trace::TraceSource;
-use experiments::{ExperimentScale, PolicyKind};
-use workloads::{generate_mixes, StudyKind, WorkloadMix};
+use experiments::ExperimentScale;
 
 /// The scale every benchmark uses.
 pub const BENCH_SCALE: ExperimentScale = ExperimentScale::Smoke;
-
-/// A ready-to-run benchmark scenario: configuration plus one workload mix.
-pub struct BenchScenario {
-    pub config: SystemConfig,
-    pub mix: WorkloadMix,
-    pub instructions: u64,
-    pub seed: u64,
-}
-
-/// Build the standard 16-core smoke scenario used by most benches.
-pub fn smoke_scenario(study: StudyKind) -> BenchScenario {
-    let config = BENCH_SCALE.system_config(study);
-    let mix = generate_mixes(study, 1, BENCH_SCALE.seed()).remove(0);
-    BenchScenario {
-        config,
-        mix,
-        instructions: BENCH_SCALE.instructions_per_core(),
-        seed: BENCH_SCALE.seed(),
-    }
-}
-
-/// Run one (scenario, policy) pair to completion on the production (structure-of-arrays,
-/// enum-dispatched) hot path and return the total demand misses, so the benchmark body
-/// has a data dependency Criterion cannot optimize away.
-pub fn run_scenario(scenario: &BenchScenario, policy: PolicyKind) -> u64 {
-    let llc_sets = scenario.config.llc.geometry.num_sets();
-    let traces: Vec<Box<dyn TraceSource>> = scenario.mix.trace_sources(llc_sets, scenario.seed);
-    let built = policy.build_dispatch(&scenario.config, &scenario.mix.thrashing_slots());
-    let mut system = MultiCoreSystem::new(scenario.config.clone(), traces, built);
-    let results = system.run(scenario.instructions);
-    results.total_llc_demand_misses()
-}
-
-/// [`run_scenario`] on the frozen pre-refactor hot path (`cache_sim::reference`): the
-/// "before" engine `sim_perf` measures the data-oriented rewrite against.
-pub fn run_scenario_reference(scenario: &BenchScenario, policy: PolicyKind) -> u64 {
-    let llc_sets = scenario.config.llc.geometry.num_sets();
-    let traces: Vec<Box<dyn TraceSource>> = scenario.mix.trace_sources(llc_sets, scenario.seed);
-    let built = policy.build(&scenario.config, &scenario.mix.thrashing_slots());
-    let mut system = reference_system(scenario.config.clone(), traces, built);
-    let results = system.run(scenario.instructions);
-    results.total_llc_demand_misses()
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn smoke_scenario_runs_under_adapt_and_baseline() {
-        let scenario = smoke_scenario(StudyKind::Cores4);
-        assert!(run_scenario(&scenario, PolicyKind::TaDrrip) > 0);
-        assert!(run_scenario(&scenario, PolicyKind::AdaptBp32) > 0);
-    }
-
-    #[test]
-    fn reference_scenario_matches_fast_path() {
-        let scenario = smoke_scenario(StudyKind::Cores4);
-        for policy in [PolicyKind::TaDrrip, PolicyKind::AdaptBp32] {
-            assert_eq!(
-                run_scenario(&scenario, policy),
-                run_scenario_reference(&scenario, policy),
-                "{policy:?}: reference engine diverged"
-            );
-        }
-    }
-}

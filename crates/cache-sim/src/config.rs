@@ -321,7 +321,8 @@ pub struct CoreConfig {
     /// Memory-level-parallelism overlap factor applied to off-core miss latency.
     ///
     /// BADCO models a full OoO core where independent misses overlap inside the ROB; we
-    /// approximate this by dividing exposed miss latency by this factor. See DESIGN.md §4.
+    /// approximate this by dividing exposed miss latency by this factor (see
+    /// [`crate::core_model`]).
     pub mlp_overlap: f64,
     /// Latency of an L1 hit in cycles (effectively hidden by the pipeline when 1).
     pub l1_hit_cycles: u64,

@@ -11,8 +11,6 @@
 //! * latency beyond the L1 is charged as stall time divided by an MLP overlap factor that
 //!   approximates the miss overlap a 128-entry ROB extracts, and additionally bounded by
 //!   the work available in the ROB window.
-//!
-//! DESIGN.md §4 documents this substitution.
 
 use crate::config::CoreConfig;
 

@@ -8,7 +8,7 @@
 //! bounded per-bank queues); MSHR and write-back buffer occupancy is modeled with
 //! [`crate::mshr::OccupancyWindow`].
 //!
-//! Simplifications relative to BADCO (documented in DESIGN.md):
+//! Simplifications relative to BADCO:
 //! * prefetch misses do not allocate in the LLC (demand misses do); prefetch hits do not
 //!   update recency state — this directly implements the paper's rule that only demand
 //!   accesses update recency,

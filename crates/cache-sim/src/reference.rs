@@ -5,15 +5,12 @@
 //! packed valid/dirty bitmasks), precomputed set/tag shifts, lazily-built
 //! [`AccessContext`]s and (through [`crate::replacement::LlcReplacementPolicy`] generics)
 //! monomorphized policy dispatch. This module retains the pre-refactor array-of-structs
-//! implementations **unchanged in behaviour** so that
+//! implementations **unchanged in behaviour** so that the property tests and end-to-end
+//! tests (`tests/reference_identity.rs`) can assert the fast path is bit-identical to the
+//! original simulator (same hits, latencies, evictions, per-core and per-bank
+//! statistics, interval counts).
 //!
-//! 1. the property tests and end-to-end tests can assert the fast path is bit-identical
-//!    to the original simulator (same hits, latencies, evictions, per-core and per-bank
-//!    statistics, interval counts), and
-//! 2. the `sim_perf` benchmark can measure the hot-path rewrite's speedup against an
-//!    honest "before" baseline (recorded in `BENCH_sim.json`).
-//!
-//! Do not optimize this module: it is the oracle the optimized path is measured against.
+//! Do not optimize this module: it is the oracle the optimized path is compared against.
 //! The only intentional deviation from the seed code is `ReferenceLlc::bank_of`, which
 //! uses a modulo instead of the seed's `set & (banks - 1)` mask so that non-power-of-two
 //! bank counts map sets uniformly (the two are identical for the power-of-two bank

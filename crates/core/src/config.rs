@@ -3,8 +3,8 @@
 //! Defaults follow the paper exactly: 40 sampled sets per application, 16-entry sampler
 //! arrays storing 10-bit partial tags, an interval of 1M LLC misses (the interval itself is
 //! owned by the simulator configuration), the Table 1 priority ranges and the 1/16 and 1/32
-//! probabilistic-insertion throttles. Every knob the paper sweeps (or that DESIGN.md marks
-//! for ablation) is exposed.
+//! probabilistic-insertion throttles. Every knob the paper sweeps (or that
+//! `docs/policies.md` lists for ablation) is exposed.
 
 use serde::{Deserialize, Serialize};
 

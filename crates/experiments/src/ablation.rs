@@ -1,4 +1,4 @@
-//! Ablation sweeps over ADAPT's design parameters (DESIGN.md §6).
+//! Ablation sweeps over ADAPT's design parameters (`docs/policies.md`).
 //!
 //! The paper fixes several constants after internal sweeps: the monitoring interval (1M
 //! LLC misses, chosen from {0.25M..4M}), 40 sampled sets, the Table 1 priority ranges
@@ -70,7 +70,7 @@ fn sweep_adapt_variants(
             .par_iter()
             .map(|ov| {
                 let cfg = config_for(ov);
-                let built = PolicyKind::TaDrrip.build(&cfg, &mix.thrashing_slots());
+                let built = PolicyKind::TaDrrip.build_dispatch(&cfg, &mix.thrashing_slots());
                 let eval = evaluate_prepared(
                     &cfg,
                     &prepared,

@@ -19,8 +19,8 @@
 //! Absolute performance numbers differ from the paper (our substrate is an approximate
 //! trace-driven simulator fed with synthetic workloads, not BADCO running SPEC), so the
 //! reproduction target is the *shape* of every result: which policy wins, by roughly what
-//! factor, and where the crossovers lie. `EXPERIMENTS.md` records paper-vs-measured values
-//! for every experiment.
+//! factor, and where the crossovers lie. `docs/repro-guide.md` gives the recipe and an
+//! expected-output excerpt for every experiment.
 
 #![warn(missing_docs)]
 
@@ -42,8 +42,7 @@ pub mod table7;
 
 pub use policies::PolicyKind;
 pub use runner::{
-    evaluate_mix, evaluate_policies_on_corpus, evaluate_policies_on_mixes,
-    evaluate_policies_serial, sweep_policies_on_corpus, sweep_policies_on_sources, MixEvaluation,
-    MixSource, PerAppOutcome, SweepOutcome,
+    evaluate_mix, evaluate_policies_on_mixes, evaluate_policies_serial, MixEvaluation, MixSource,
+    PerAppOutcome, SweepOutcome,
 };
 pub use scale::{ExperimentScale, MemSystem};

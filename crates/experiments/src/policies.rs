@@ -7,10 +7,9 @@
 
 use adapt_core::{AdaptConfig, AdaptPolicy};
 use cache_sim::config::SystemConfig;
-use cache_sim::replacement::LlcReplacementPolicy;
 use llc_policies::{
-    build_baseline, build_baseline_any, AnyPolicy, BaselineKind, BypassDistant, EafPolicy,
-    ShipPolicy, TaDrripPolicy,
+    build_baseline_any, AnyPolicy, BaselineKind, BypassDistant, EafPolicy, ShipPolicy,
+    TaDrripPolicy,
 };
 use serde::{Deserialize, Serialize};
 
@@ -153,58 +152,12 @@ impl PolicyKind {
             }
         }
     }
-
-    /// Construct the policy boxed behind the trait object — the historical signature,
-    /// kept (constructing the concrete policy directly, not a boxed enum) so the
-    /// reference engine's dynamic dispatch is exactly what the pre-refactor simulator
-    /// paid, and for callers that need `dyn` flexibility.
-    pub fn build(
-        &self,
-        config: &SystemConfig,
-        thrashing_slots: &[usize],
-    ) -> Box<dyn LlcReplacementPolicy> {
-        let llc = &config.llc;
-        let sets = llc.geometry.num_sets();
-        let ways = llc.geometry.ways;
-        let cores = config.num_cores;
-        match self {
-            PolicyKind::Lru => build_baseline(BaselineKind::Lru, llc, cores),
-            PolicyKind::Srrip => build_baseline(BaselineKind::Srrip, llc, cores),
-            PolicyKind::Brrip => build_baseline(BaselineKind::Brrip, llc, cores),
-            PolicyKind::Drrip => build_baseline(BaselineKind::Drrip, llc, cores),
-            PolicyKind::TaDrrip => build_baseline(BaselineKind::TaDrrip, llc, cores),
-            PolicyKind::TaDrripSd(n) => {
-                Box::new(TaDrripPolicy::with_dueling_sets(sets, ways, cores, *n))
-            }
-            PolicyKind::TaDrripForced => {
-                let mut p = TaDrripPolicy::new(sets, ways, cores);
-                p.force_brrip_for(thrashing_slots);
-                Box::new(p)
-            }
-            PolicyKind::Ship => build_baseline(BaselineKind::Ship, llc, cores),
-            PolicyKind::Eaf => build_baseline(BaselineKind::Eaf, llc, cores),
-            PolicyKind::AdaptIns => Box::new(AdaptPolicy::new(
-                AdaptConfig::paper_insert_only(),
-                llc,
-                cores,
-            )),
-            PolicyKind::AdaptBp32 => Box::new(AdaptPolicy::new(AdaptConfig::paper(), llc, cores)),
-            PolicyKind::TaDrripBypass => Box::new(BypassDistant::new(Box::new(
-                TaDrripPolicy::new(sets, ways, cores),
-            ))),
-            PolicyKind::ShipBypass => Box::new(BypassDistant::new(Box::new(ShipPolicy::new(
-                sets, ways, cores,
-            )))),
-            PolicyKind::EafBypass => {
-                Box::new(BypassDistant::new(Box::new(EafPolicy::new(sets, ways))))
-            }
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cache_sim::replacement::LlcReplacementPolicy;
 
     #[test]
     fn every_kind_builds_and_labels() {
@@ -226,10 +179,8 @@ mod tests {
             PolicyKind::EafBypass,
         ];
         for k in kinds {
-            let p = k.build(&cfg, &[1, 3]);
+            let p = k.build_dispatch(&cfg, &[1, 3]);
             assert!(!p.name().is_empty());
-            let d = k.build_dispatch(&cfg, &[1, 3]);
-            assert_eq!(d.name(), p.name(), "{k:?}: dispatch form must agree");
             assert!(!k.label().is_empty());
             assert_eq!(
                 PolicyKind::parse(&k.label()),
@@ -248,7 +199,7 @@ mod tests {
     #[test]
     fn forced_variant_reports_forced_name() {
         let cfg = SystemConfig::tiny(4);
-        let p = PolicyKind::TaDrripForced.build(&cfg, &[0]);
+        let p = PolicyKind::TaDrripForced.build_dispatch(&cfg, &[0]);
         assert_eq!(p.name(), "TA-DRRIP(forced)");
     }
 

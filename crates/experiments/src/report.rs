@@ -2,7 +2,7 @@
 //!
 //! Every figure/table driver returns structured data; these helpers render the rows/series
 //! the paper reports as aligned text tables or CSV so the output of `repro` can be eyeballed
-//! against the paper and archived in EXPERIMENTS.md.
+//! against the paper (`docs/repro-guide.md` has the expected excerpts).
 
 /// Render a table with a header row; columns are padded to the widest cell.
 pub fn render_table(headers: &[&str], rows: &[Vec<String>]) -> String {

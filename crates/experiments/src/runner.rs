@@ -9,17 +9,18 @@
 //!
 //! A sweep evaluates P policies over M mixes. The naive path regenerates (or re-reads
 //! and re-decodes) every mix's access streams P times, so sweep cost grows as P × M in
-//! *stream production* as well as simulation. [`evaluate_policies_on_mixes`] instead
-//! materializes each mix's streams exactly once — captured from the live generators into
-//! shared in-memory buffers, or decoded once from a `.atrc` file — and fans the
-//! (policy × mix) grid out across rayon workers, every policy replaying the same
-//! [`SharedReplayTrace`] buffers zero-copy. Mixes are materialized in bounded windows so
-//! peak memory stays at a few mixes regardless of sweep size, and results are emitted in
-//! deterministic (mix, policy) order no matter how many workers run.
+//! *stream production* as well as simulation. The grid engine
+//! ([`sweep_policies_on_sources_with`], which [`evaluate_policies_on_mixes`] feeds with
+//! synthetic mixes) instead materializes each mix's streams exactly once — captured from
+//! the live generators into shared in-memory buffers, or decoded once from a `.atrc` file —
+//! and fans the (policy × mix) grid out across rayon workers, every policy replaying the
+//! same [`SharedReplayTrace`] buffers zero-copy. Mixes are materialized in bounded windows
+//! so peak memory stays at a few mixes regardless of sweep size, and results are emitted
+//! in deterministic (mix, policy) order no matter how many workers run.
 //!
 //! Workloads come from two provenances, unified by [`MixSource`]: live synthetic
 //! generators ([`MixSource::Synthetic`]) and captured binary traces replayed from disk
-//! ([`MixSource::Replayed`], backed by `trace-io`); [`evaluate_policies_on_corpus`]
+//! ([`MixSource::Replayed`], backed by `trace-io`); [`sweep_policies_on_corpus_with`]
 //! sweeps a whole materialized [`Corpus`]. Because capture is lossless and generators
 //! reset exactly, both provenances of the same mix produce bit-identical
 //! per-application IPC/MPKI — and the parallel grid produces bit-identical results to
@@ -40,7 +41,6 @@ use parking_lot::Mutex;
 use rayon::prelude::*;
 
 use cache_sim::config::SystemConfig;
-use cache_sim::reference::reference_system;
 use cache_sim::replacement::LlcReplacementPolicy;
 use cache_sim::single::run_alone;
 use cache_sim::stats::SystemResults;
@@ -691,25 +691,50 @@ fn sweep_window(num_policies: usize) -> usize {
     threads.div_ceil(num_policies.max(1)).clamp(1, 8)
 }
 
-type AloneKey = (String, u64, usize, u64);
-
-fn alone_cache() -> &'static Mutex<HashMap<AloneKey, f64>> {
-    static CACHE: OnceLock<Mutex<HashMap<AloneKey, f64>>> = OnceLock::new();
-    CACHE.get_or_init(|| Mutex::new(HashMap::new()))
+/// Everything an alone run depends on besides the benchmark: the single-core system
+/// `run_alone` simulates, the instruction target and the generator seed. Comparing the
+/// whole [`SystemConfig`] (rather than picking fields) means a field added to it later
+/// cannot be forgotten here.
+#[derive(Clone, PartialEq)]
+struct AloneScope {
+    config: SystemConfig,
+    instructions: u64,
+    seed: u64,
 }
 
-/// IPC of a benchmark running alone on `config`'s hierarchy (single core, whole LLC),
+impl AloneScope {
+    fn new(config: &SystemConfig, instructions: u64, seed: u64) -> Self {
+        AloneScope {
+            config: SystemConfig {
+                num_cores: 1,
+                ..config.clone()
+            },
+            instructions,
+            seed,
+        }
+    }
+}
+
+/// Alone IPCs by benchmark name, per scope. A process sees a handful of scopes (one per
+/// distinct configuration it evaluates), so they are searched linearly.
+type AloneCache = Vec<(AloneScope, HashMap<String, f64>)>;
+
+fn alone_cache() -> &'static Mutex<AloneCache> {
+    static CACHE: OnceLock<Mutex<AloneCache>> = OnceLock::new();
+    CACHE.get_or_init(|| Mutex::new(Vec::new()))
+}
+
+/// IPC of a benchmark running alone on `scope`'s hierarchy (single core, whole LLC),
 /// memoized process-wide. The paper uses the same single-run normalization for its
 /// weighted-speedup and fairness metrics.
-pub fn alone_ipc(config: &SystemConfig, benchmark: &str, instructions: u64, seed: u64) -> f64 {
-    let key: AloneKey = (
-        benchmark.to_string(),
-        config.llc.geometry.size_bytes,
-        config.llc.geometry.ways,
-        instructions,
-    );
-    if let Some(v) = alone_cache().lock().get(&key) {
-        return *v;
+fn alone_ipc(scope: &AloneScope, benchmark: &str) -> f64 {
+    let cached = alone_cache()
+        .lock()
+        .iter()
+        .find(|(s, _)| s == scope)
+        .and_then(|(_, ipcs)| ipcs.get(benchmark).copied());
+    if let Some(ipc) = cached {
+        return ipc;
     }
     let _ctx = if sim_obs::enabled() {
         Some(sim_obs::push_context(&format!("alone/{benchmark}")))
@@ -718,12 +743,20 @@ pub fn alone_ipc(config: &SystemConfig, benchmark: &str, instructions: u64, seed
     };
     let _span = sim_obs::span("sweep", "alone_run");
     let spec = benchmark_by_name(benchmark).expect("known benchmark");
-    let llc_sets = config.llc.geometry.num_sets();
-    let trace = Box::new(spec.trace(0, llc_sets, seed));
-    let policy = TaDrripPolicy::new(llc_sets, config.llc.geometry.ways, 1);
-    let stats = run_alone(config, trace, policy, instructions);
-    let ipc = stats.ipc();
-    alone_cache().lock().insert(key, ipc);
+    let geometry = &scope.config.llc.geometry;
+    let llc_sets = geometry.num_sets();
+    let trace = Box::new(spec.trace(0, llc_sets, scope.seed));
+    let policy = TaDrripPolicy::new(llc_sets, geometry.ways, 1);
+    let ipc = run_alone(&scope.config, trace, policy, scope.instructions).ipc();
+    let mut cache = alone_cache().lock();
+    let slot = cache
+        .iter()
+        .position(|(s, _)| s == scope)
+        .unwrap_or_else(|| {
+            cache.push((scope.clone(), HashMap::new()));
+            cache.len() - 1
+        });
+    cache[slot].1.insert(benchmark.to_string(), ipc);
     ipc
 }
 
@@ -737,8 +770,9 @@ pub fn warm_alone_cache(
     let mut names: Vec<String> = mixes.iter().flat_map(|m| m.benchmarks.clone()).collect();
     names.sort();
     names.dedup();
+    let scope = AloneScope::new(config, instructions, seed);
     names.par_iter().for_each(|name| {
-        let _ = alone_ipc(config, name, instructions, seed);
+        let _ = alone_ipc(&scope, name);
     });
 }
 
@@ -750,38 +784,9 @@ pub fn evaluate_mix(
     instructions: u64,
     seed: u64,
 ) -> MixEvaluation {
-    let thrashing = mix.thrashing_slots();
-    let built = policy.build_dispatch(config, &thrashing);
-    evaluate_mix_with(config, mix, policy, built, instructions, seed)
-}
-
-/// [`evaluate_mix`] on the frozen pre-refactor hot path (`cache_sim::reference`): the
-/// array-of-structs LLC and private caches with dynamic policy dispatch. Exists so the
-/// `sim_perf` benchmark can measure the data-oriented rewrite against an honest
-/// baseline and so tests can assert the two paths are bit-identical.
-pub fn evaluate_mix_reference(
-    config: &SystemConfig,
-    mix: &WorkloadMix,
-    policy: PolicyKind,
-    instructions: u64,
-    seed: u64,
-) -> MixEvaluation {
-    let thrashing = mix.thrashing_slots();
-    let built = policy.build(config, &thrashing);
-    let policy_label = built.name();
-    let llc_sets = config.llc.geometry.num_sets();
-    let traces = mix.trace_sources(llc_sets, seed);
-    let mut system = reference_system(config.clone(), traces, built);
-    let results = system.run(instructions);
-    summarize(
-        config,
-        mix,
-        policy,
-        policy_label,
-        results,
-        instructions,
-        seed,
-    )
+    let built = policy.build_dispatch(config, &mix.thrashing_slots());
+    let traces = mix.trace_sources(config.llc.geometry.num_sets(), seed);
+    evaluate_traces(config, mix, policy, built, traces, instructions, seed)
 }
 
 /// Run one policy on one [`MixSource`] (synthetic or replayed) and summarize.
@@ -809,22 +814,6 @@ pub fn evaluate_mix_source(
         instructions,
         seed,
     ))
-}
-
-/// Run an explicitly constructed policy on one mix (used by ablation sweeps that need
-/// non-standard policy configurations). Accepts any policy value — enum dispatched,
-/// concrete, or the historical `Box<dyn ...>`.
-pub fn evaluate_mix_with<P: LlcReplacementPolicy>(
-    config: &SystemConfig,
-    mix: &WorkloadMix,
-    policy: PolicyKind,
-    built: P,
-    instructions: u64,
-    seed: u64,
-) -> MixEvaluation {
-    let llc_sets = config.llc.geometry.num_sets();
-    let traces = mix.trace_sources(llc_sets, seed);
-    evaluate_traces(config, mix, policy, built, traces, instructions, seed)
 }
 
 /// Run an explicitly constructed policy over already-materialized streams — the
@@ -865,29 +854,9 @@ fn evaluate_traces<P: LlcReplacementPolicy>(
     let policy_label = built.name();
     let mut system = MultiCoreSystem::new(config.clone(), traces, built);
     let results: SystemResults = system.run(instructions);
-    summarize(
-        config,
-        mix,
-        policy,
-        policy_label,
-        results,
-        instructions,
-        seed,
-    )
-}
 
-/// Turn a finished simulation into a [`MixEvaluation`] by normalizing against the
-/// memoized alone runs (shared by the fast and reference engines).
-fn summarize(
-    config: &SystemConfig,
-    mix: &WorkloadMix,
-    policy: PolicyKind,
-    policy_label: String,
-    results: SystemResults,
-    instructions: u64,
-    seed: u64,
-) -> MixEvaluation {
     let specs = mix.specs();
+    let scope = AloneScope::new(config, instructions, seed);
     let per_app: Vec<PerAppOutcome> = results
         .per_core
         .iter()
@@ -896,7 +865,7 @@ fn summarize(
             name: spec.name.to_string(),
             core_id: core.core_id,
             ipc: core.ipc(),
-            ipc_alone: alone_ipc(config, spec.name, instructions, seed),
+            ipc_alone: alone_ipc(&scope, spec.name),
             l2_mpki: core.l2_mpki(),
             llc_mpki: core.llc_mpki(),
             is_thrashing: spec.is_thrashing(),
@@ -938,8 +907,16 @@ pub fn evaluate_policies_on_mixes(
         .iter()
         .map(|m| MixSource::Synthetic(m.clone()))
         .collect();
-    evaluate_policies_on_sources(config, &sources, policies, instructions, seed)
-        .expect("synthetic sweeps cannot fail to materialize")
+    sweep_policies_on_sources_with(
+        config,
+        &sources,
+        policies,
+        instructions,
+        seed,
+        &ReplayConfig::from_env(),
+    )
+    .expect("synthetic sweeps cannot fail to materialize")
+    .evaluations
 }
 
 /// Replay wraps observed for one mix during a sweep (see [`SweepOutcome::mix_wraps`]).
@@ -970,44 +947,13 @@ impl SweepOutcome {
     }
 }
 
-/// [`evaluate_policies_on_mixes`] over arbitrary [`MixSource`]s (the corpus engine's
-/// general form). Fails only when a replayed source cannot be decoded or its recorded
-/// geometry mismatches `config`.
-pub fn evaluate_policies_on_sources(
-    config: &SystemConfig,
-    sources: &[MixSource],
-    policies: &[PolicyKind],
-    instructions: u64,
-    seed: u64,
-) -> Result<Vec<MixEvaluation>, TraceError> {
-    sweep_policies_on_sources(config, sources, policies, instructions, seed)
-        .map(|outcome| outcome.evaluations)
-}
-
-/// The full corpus sweep engine: like [`evaluate_policies_on_sources`] but also
-/// returning the per-mix replay-wrap counts in the [`SweepOutcome`], so callers can put
-/// budget exhaustion into their structured reports (wraps are additionally echoed on
-/// stderr for interactive runs).
-pub fn sweep_policies_on_sources(
-    config: &SystemConfig,
-    sources: &[MixSource],
-    policies: &[PolicyKind],
-    instructions: u64,
-    seed: u64,
-) -> Result<SweepOutcome, TraceError> {
-    sweep_policies_on_sources_with(
-        config,
-        sources,
-        policies,
-        instructions,
-        seed,
-        &ReplayConfig::from_env(),
-    )
-}
-
-/// [`sweep_policies_on_sources`] with an explicit [`ReplayConfig`], so callers (and the
-/// constant-memory tests) control the arena budget, prefetching and spilling instead of
-/// inheriting the environment.
+/// The grid engine in its general form: [`evaluate_policies_on_mixes`] over arbitrary
+/// [`MixSource`]s, returning the per-mix replay-wrap counts next to the evaluations in
+/// the [`SweepOutcome`] so callers can put budget exhaustion into their structured
+/// reports (wraps are additionally echoed on stderr for interactive runs). Fails only
+/// when a replayed source cannot be decoded or its recorded geometry mismatches
+/// `config`. `replay` sets the arena budget, prefetching and spilling; pass
+/// [`ReplayConfig::from_env`] to honour the `REPLAY_*` environment knobs.
 pub fn sweep_policies_on_sources_with(
     config: &SystemConfig,
     sources: &[MixSource],
@@ -1083,41 +1029,12 @@ pub fn sweep_policies_on_sources_with(
 
 /// Sweep every policy over a materialized [`Corpus`]: validate the corpus geometry
 /// against `config`, open each entry as a replayed mix (preserving manifest mix ids),
-/// decode it once, and run the parallel grid.
+/// decode it once, and run [`sweep_policies_on_sources_with`] under `replay`.
 ///
 /// The seed is taken from the corpus manifest, not from the caller: the alone-run
 /// normalization must run the *same* generators the corpus was captured from, so a
 /// caller-supplied seed could silently normalize every result against the wrong alone
 /// IPCs.
-pub fn evaluate_policies_on_corpus(
-    config: &SystemConfig,
-    corpus: &Corpus,
-    policies: &[PolicyKind],
-    instructions: u64,
-) -> Result<Vec<MixEvaluation>, TraceError> {
-    sweep_policies_on_corpus(config, corpus, policies, instructions)
-        .map(|outcome| outcome.evaluations)
-}
-
-/// [`evaluate_policies_on_corpus`] returning the full [`SweepOutcome`], including the
-/// per-mix replay-wrap counts for structured reporting.
-pub fn sweep_policies_on_corpus(
-    config: &SystemConfig,
-    corpus: &Corpus,
-    policies: &[PolicyKind],
-    instructions: u64,
-) -> Result<SweepOutcome, TraceError> {
-    sweep_policies_on_corpus_with(
-        config,
-        corpus,
-        policies,
-        instructions,
-        &ReplayConfig::from_env(),
-    )
-}
-
-/// [`sweep_policies_on_corpus`] with an explicit [`ReplayConfig`] (arena budget,
-/// prefetching, spilling).
 pub fn sweep_policies_on_corpus_with(
     config: &SystemConfig,
     corpus: &Corpus,
@@ -1144,9 +1061,8 @@ pub fn sweep_policies_on_corpus_with(
 /// The serial reference sweep: regenerate every mix for every policy, one evaluation at
 /// a time, in (mix, policy) order.
 ///
-/// This is the seed behaviour the corpus engine is measured against (see the
-/// `policy_sweep` benchmark in `adapt-bench`) and the ground truth the parallel grid
-/// must reproduce bit-for-bit.
+/// This is the seed behaviour and the ground truth the parallel grid must reproduce
+/// bit-for-bit.
 pub fn evaluate_policies_serial(
     config: &SystemConfig,
     mixes: &[WorkloadMix],
@@ -1158,31 +1074,6 @@ pub fn evaluate_policies_serial(
     for mix in mixes {
         for &policy in policies {
             out.push(evaluate_mix(config, mix, policy, instructions, seed));
-        }
-    }
-    out
-}
-
-/// [`evaluate_policies_serial`] on the frozen pre-refactor hot path (see
-/// [`evaluate_mix_reference`]): the "before" engine the `sim_perf` benchmark times the
-/// data-oriented rewrite against, and the oracle the bit-identity tests compare with.
-pub fn evaluate_policies_serial_reference(
-    config: &SystemConfig,
-    mixes: &[WorkloadMix],
-    policies: &[PolicyKind],
-    instructions: u64,
-    seed: u64,
-) -> Vec<MixEvaluation> {
-    let mut out = Vec::with_capacity(mixes.len() * policies.len());
-    for mix in mixes {
-        for &policy in policies {
-            out.push(evaluate_mix_reference(
-                config,
-                mix,
-                policy,
-                instructions,
-                seed,
-            ));
         }
     }
     out
@@ -1233,6 +1124,7 @@ pub fn speedups_over_baseline(
 mod tests {
     use super::*;
     use crate::scale::ExperimentScale;
+    use cache_sim::reference::reference_system;
     use workloads::{generate_mixes, StudyKind};
 
     fn smoke_setup() -> (SystemConfig, Vec<WorkloadMix>) {
@@ -1290,8 +1182,9 @@ mod tests {
     fn alone_cache_is_memoized() {
         let (cfg, mixes) = smoke_setup();
         let name = &mixes[0].benchmarks[0];
-        let a = alone_ipc(&cfg, name, 10_000, 1);
-        let b = alone_ipc(&cfg, name, 10_000, 1);
+        let scope = AloneScope::new(&cfg, 10_000, 1);
+        let a = alone_ipc(&scope, name);
+        let b = alone_ipc(&scope, name);
         assert_eq!(a, b);
     }
 
@@ -1325,12 +1218,31 @@ mod tests {
             PolicyKind::Eaf,
             PolicyKind::Ship,
         ];
-        let reference = evaluate_policies_serial_reference(&cfg, &mixes, &policies, 20_000, 1);
-        let fast = evaluate_policies_serial(&cfg, &mixes, &policies, 20_000, 1);
-        assert_identical(&reference, &fast);
-        assert!(reference
-            .iter()
-            .all(|e| e.llc_global.intervals_completed > 0 || e.llc_global.total_demand_misses > 0));
+        let llc_sets = cfg.llc.geometry.num_sets();
+        for mix in &mixes {
+            for policy in policies {
+                let built = policy.build_dispatch(&cfg, &mix.thrashing_slots());
+                let reference =
+                    reference_system(cfg.clone(), mix.trace_sources(llc_sets, 1), Box::new(built))
+                        .run(20_000);
+                let fast = evaluate_mix(&cfg, mix, policy, 20_000, 1);
+                let what = format!("mix {} {policy:?}", mix.id);
+                assert_eq!(fast.policy_label, reference.policy, "{what}");
+                for (app, core) in fast.per_app.iter().zip(&reference.per_core) {
+                    assert_eq!(app.ipc, core.ipc(), "{what}: {} IPC", app.name);
+                    assert_eq!(app.l2_mpki, core.l2_mpki(), "{what}: {} L2 MPKI", app.name);
+                    assert_eq!(app.llc_mpki, core.llc_mpki(), "{what}: {} MPKI", app.name);
+                }
+                assert_eq!(fast.llc_global, reference.llc_global, "{what}");
+                assert_eq!(fast.llc_banks, reference.llc_banks, "{what}");
+                assert_eq!(fast.core_stalls, reference.core_stalls, "{what}");
+                assert_eq!(fast.final_cycle, reference.final_cycle, "{what}");
+                assert!(
+                    fast.llc_global.intervals_completed > 0
+                        || fast.llc_global.total_demand_misses > 0
+                );
+            }
+        }
     }
 
     #[test]
@@ -1370,9 +1282,15 @@ mod tests {
         .unwrap();
 
         let serial = evaluate_policies_serial(&cfg, &mixes, &policies, instructions, seed);
-        let from_corpus =
-            evaluate_policies_on_corpus(&cfg, &corpus, &policies, instructions).unwrap();
-        assert_identical(&serial, &from_corpus);
+        let from_corpus = sweep_policies_on_corpus_with(
+            &cfg,
+            &corpus,
+            &policies,
+            instructions,
+            &ReplayConfig::from_env(),
+        )
+        .unwrap();
+        assert_identical(&serial, &from_corpus.evaluations);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1390,7 +1308,7 @@ mod tests {
         let source = MixSource::replayed(&path).unwrap();
         let prepared = source.materialize(llc_sets, 1).unwrap();
         assert_eq!(prepared.replay_wraps(), 0);
-        let built = PolicyKind::TaDrrip.build(&cfg, &prepared.mix().thrashing_slots());
+        let built = PolicyKind::TaDrrip.build_dispatch(&cfg, &prepared.mix().thrashing_slots());
         let eval = evaluate_prepared(&cfg, &prepared, PolicyKind::TaDrrip, built, instructions, 1);
         assert!(
             eval.weighted_speedup() > 0.0,
@@ -1433,8 +1351,16 @@ mod tests {
         workloads::capture_to_file::<trace_io::TraceWriter>(&path, &mixes[0], llc_sets, 1, 64)
             .unwrap();
         let sources = vec![MixSource::replayed(&path).unwrap()];
-        let outcome =
-            sweep_policies_on_sources(&cfg, &sources, &[PolicyKind::TaDrrip], 20_000, 1).unwrap();
+        let replay = ReplayConfig::from_env();
+        let outcome = sweep_policies_on_sources_with(
+            &cfg,
+            &sources,
+            &[PolicyKind::TaDrrip],
+            20_000,
+            1,
+            &replay,
+        )
+        .unwrap();
         assert_eq!(outcome.mix_wraps.len(), 1);
         assert_eq!(outcome.mix_wraps[0].mix_id, 0);
         assert!(
@@ -1446,8 +1372,15 @@ mod tests {
         std::fs::remove_file(path).ok();
 
         let synthetic = vec![MixSource::synthetic(mixes[0].clone())];
-        let outcome =
-            sweep_policies_on_sources(&cfg, &synthetic, &[PolicyKind::TaDrrip], 20_000, 1).unwrap();
+        let outcome = sweep_policies_on_sources_with(
+            &cfg,
+            &synthetic,
+            &[PolicyKind::TaDrrip],
+            20_000,
+            1,
+            &replay,
+        )
+        .unwrap();
         assert_eq!(outcome.total_replay_wraps(), 0);
     }
 
@@ -1461,8 +1394,14 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
         // Captured for twice the set count the system has.
         let corpus = Corpus::materialize(&dir, "test", &mixes, llc_sets * 2, 1, 500).unwrap();
-        let err =
-            evaluate_policies_on_corpus(&cfg, &corpus, &[PolicyKind::TaDrrip], 10_000).unwrap_err();
+        let err = sweep_policies_on_corpus_with(
+            &cfg,
+            &corpus,
+            &[PolicyKind::TaDrrip],
+            10_000,
+            &ReplayConfig::from_env(),
+        )
+        .unwrap_err();
         assert!(err.to_string().contains("LLC sets"), "got: {err}");
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -46,7 +46,7 @@ impl MemSystem {
         ]
     }
 
-    /// Column label used in reports and `BENCH_sim.json`.
+    /// Column label used in reports.
     pub fn label(&self) -> &'static str {
         match self {
             MemSystem::Flat => "flat",

@@ -16,7 +16,7 @@
 //!   refused admission rather than in service ([`MixEvaluation::bank_stall_share`]).
 //!
 //! Runs go through the corpus-backed parallel sweep engine
-//! ([`runner::sweep_policies_on_sources`]) and are bit-identical to the serial
+//! ([`runner::sweep_policies_on_sources_with`]) and are bit-identical to the serial
 //! reference, which the tests enforce at 64 cores. `repro scale --cores 32,48,64`
 //! drives this from the command line; `--flat` re-runs the same geometry under the
 //! seed's latency-only banking for an A/B comparison.
@@ -26,7 +26,7 @@ use workloads::{generate_mixes, StudyKind};
 
 use crate::policies::PolicyKind;
 use crate::report::{amean, gmean, pct, render_table};
-use crate::runner::{self, MixEvaluation, MixSource};
+use crate::runner::{self, MixEvaluation, MixSource, ReplayConfig};
 use crate::scale::{ExperimentScale, MemSystem};
 
 /// One policy's scores at one core count.
@@ -146,12 +146,13 @@ pub fn run_point(
     let mixes = generate_mixes(study, count, scale.seed());
     let sources: Vec<MixSource> = mixes.iter().cloned().map(MixSource::synthetic).collect();
     let policies = scaling_lineup();
-    let outcome = runner::sweep_policies_on_sources(
+    let outcome = runner::sweep_policies_on_sources_with(
         &config,
         &sources,
         &policies,
         scale.instructions_per_core(),
         scale.seed(),
+        &ReplayConfig::from_env(),
     )
     .expect("synthetic sweeps cannot fail to materialize");
     build_point(&config, mixes.len(), &policies, &outcome)
@@ -450,12 +451,13 @@ pub fn run_memsys_point(
     let mut rows = Vec::new();
     for memsys in MemSystem::all() {
         let config = scale.scaling_config_memsys(study.num_cores(), memsys);
-        let outcome = runner::sweep_policies_on_sources(
+        let outcome = runner::sweep_policies_on_sources_with(
             &config,
             &sources,
             &policies,
             scale.instructions_per_core(),
             scale.seed(),
+            &ReplayConfig::from_env(),
         )
         .expect("synthetic sweeps cannot fail to materialize");
         let evals = &outcome.evaluations;

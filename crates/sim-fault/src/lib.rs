@@ -8,8 +8,9 @@
 //! to the fault-free reference.
 //!
 //! When no plan is installed the layer is a single relaxed atomic load and a
-//! predictable branch per site (the same fast-path discipline as `sim-obs`);
-//! `sim_perf` asserts the disabled overhead stays within 1%.
+//! predictable branch per site (the same fast-path discipline as `sim-obs`).
+//! The repository's benchmark (`benchmark/README.md`) runs with no plan installed,
+//! so that cost is part of every end-to-end number it reports.
 //!
 //! # Sites
 //!
@@ -27,7 +28,6 @@
 //! | `bank.schedule`  | DRAM bank scheduling, per access (stall keeps results   |
 //! |                  | bit-identical; any other kind panics → typed error)     |
 //! | `serve.conn.close` | sweepd connection, before writing a response          |
-//! | `bench.access`   | `sim_perf` only — measures the disabled-mode overhead   |
 //!
 //! # Plan specs
 //!

@@ -1,6 +1,6 @@
 //! Exporters draining the flight recorder into files: Chrome trace-event JSON
 //! (Perfetto-loadable), a CSV interval time-series, and a human-readable summary.
-//! All serialization is hand-rolled (same style as `BENCH_sim.json`).
+//! All serialization is hand-rolled.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;

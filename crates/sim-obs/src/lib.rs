@@ -14,15 +14,14 @@
 //! a branch. In the disabled state **nothing else happens**: no allocation, no
 //! formatting, no clock read, no thread-local initialization. Ring buffers are only
 //! allocated lazily, on the first event a thread records *while enabled*. The
-//! `sim_perf` bench asserts the disabled-mode cost stays within 2% of an uninstrumented
-//! loop at per-access density (far denser than any real call site in this workspace).
+//! repository's benchmark (`benchmark/README.md`) runs with the recorder off, so the
+//! disabled-mode cost is part of every end-to-end number it reports.
 //!
 //! ## Bit-identity
 //!
 //! Instrumentation only *reads* simulator state (timestamps, statistics counters); it
 //! never feeds anything back. Simulation results with instrumentation enabled are
-//! bit-identical to results with it disabled — enforced by `tests/observability.rs`
-//! and the `sim_perf` bench.
+//! bit-identical to results with it disabled — enforced by `tests/observability.rs`.
 //!
 //! ## Flight-recorder rings
 //!

@@ -1,7 +1,8 @@
-//! A minimal HTTP/1.1 client for `sweepctl`, the test walls, and the load harness.
+//! A minimal HTTP/1.1 client for `sweepctl`, the test walls, and the repository's
+//! benchmark (`benchmark/README.md`).
 //!
 //! Keep-alive by default ([`Client`] reuses one connection across requests — what the
-//! load harness runs thousands of concurrently); [`raw_roundtrip`] sends arbitrary
+//! benchmark's closed-loop clients hold open); [`raw_roundtrip`] sends arbitrary
 //! bytes for the protocol-robustness tests, including torn requests via half-close.
 
 use std::io::{self, BufRead, BufReader, Write};
@@ -166,7 +167,7 @@ impl Client {
     }
 
     /// [`Client::post_with_retry`] against `/eval` — the common cell-evaluation
-    /// request shape shared by `sweepctl` and the load harness.
+    /// request shape `sweepctl` sends.
     pub fn eval_with_retry(
         &mut self,
         body: &str,
@@ -202,17 +203,6 @@ impl Default for BackoffPolicy {
 }
 
 impl BackoffPolicy {
-    /// Policy tuned for in-process load tests: short waits, many retries (the
-    /// load harness hammers an intentionally saturated queue).
-    pub fn aggressive(max_retries: u32) -> BackoffPolicy {
-        BackoffPolicy {
-            max_retries,
-            base: Duration::from_millis(50),
-            cap: Duration::from_millis(100),
-            ..BackoffPolicy::default()
-        }
-    }
-
     /// The wait before retry `attempt` (0-based): exponential from `base`, raised
     /// to the server's `Retry-After` hint when larger, capped at `cap`, then
     /// jittered into the upper half `[w/2, w]` so synchronized clients spread out.

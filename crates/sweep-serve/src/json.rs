@@ -62,7 +62,7 @@ pub fn fmt_f64(v: f64) -> String {
 /// persisted into `sweep.progress` files.
 ///
 /// The byte layout is part of the serving contract (`docs/serving.md`): results are
-/// compared with raw `==` by the determinism tests and the load harness, so any change
+/// compared with raw `==` by the determinism tests and the benchmark, so any change
 /// here invalidates persisted progress files (bump
 /// [`crate::memo::PROGRESS_VERSION`] when changing it).
 pub fn evaluation_json(e: &MixEvaluation) -> String {

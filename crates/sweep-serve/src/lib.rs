@@ -17,19 +17,16 @@
 //!   resumable-sweep substrate;
 //! * [`registry`] — corpora resident for the daemon's lifetime;
 //! * [`server`] — the daemon itself (`sweepd`); [`client`] — the matching client
-//!   (`sweepctl`, tests, load harness);
-//! * [`json`] — the canonical (byte-deterministic) result serialization;
-//! * [`load`] — the `serve_load` harness behind `BENCH_serve.json`.
+//!   (`sweepctl`, tests, the repository's benchmark);
+//! * [`json`] — the canonical (byte-deterministic) result serialization.
 
 pub mod client;
 pub mod fairqueue;
 pub mod http;
 pub mod json;
-pub mod load;
 pub mod memo;
 pub mod registry;
 pub mod server;
 
 pub use client::{BackoffPolicy, Client, HttpResponse};
-pub use load::{run_load, LoadReport, LoadSpec};
 pub use server::{Server, ServerConfig, ServerHandle};

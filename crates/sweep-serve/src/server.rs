@@ -62,9 +62,9 @@ const READ_TIMEOUT: Duration = Duration::from_secs(30);
 /// pinning a connection thread forever.
 const WRITE_TIMEOUT: Duration = Duration::from_secs(30);
 
-/// Stack size for connection and client threads: they parse, route and block on
-/// channels — no simulation — so small stacks let thousands coexist.
-pub const CONNECTION_STACK_BYTES: usize = 256 * 1024;
+/// Stack size for connection threads: they parse, route and block on channels — no
+/// simulation — so small stacks let thousands coexist.
+const CONNECTION_STACK_BYTES: usize = 256 * 1024;
 
 /// Everything `sweepd` needs to start serving.
 pub struct ServerConfig {

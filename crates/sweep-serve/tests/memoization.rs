@@ -81,6 +81,55 @@ fn hits_are_bit_identical_and_stats_count_exactly_what_clients_observed() {
     handle.stop();
 }
 
+#[test]
+fn connection_storm_of_memo_hits_is_exact() {
+    // 256 keep-alive connections, all open before any of them asks, each asking for the
+    // same memoized cell three times: every answer is a 200 carrying the cold body, and
+    // the daemon's ledger moves by exactly the hits the clients observed.
+    const CONNECTIONS: usize = 256;
+    const REQUESTS: usize = 3;
+    let dir = common::test_dir("memoization_storm");
+    common::materialize_corpus(&dir, "storm corpus", 1);
+    let handle = common::spawn_server(vec![("c".to_string(), dir)], 1);
+    let addr = handle.addr();
+    let body = eval_body("c", "LRU", 0);
+
+    let mut seed = Client::connect(addr, Some("seed")).expect("connect");
+    let cold = seed.post("/eval", &body).unwrap();
+    assert_eq!(cold.status, 200, "{}", cold.body);
+    assert_eq!(cold.header("x-memo"), Some("miss"));
+    let before = JsonValue::parse(&seed.get("/stats").unwrap().body).expect("stats JSON");
+
+    let all_connected = std::sync::Barrier::new(CONNECTIONS);
+    std::thread::scope(|scope| {
+        for t in 0..CONNECTIONS {
+            let (body, cold, all_connected) = (&body, &cold, &all_connected);
+            scope.spawn(move || {
+                let client = Client::connect(addr, Some(&format!("storm-{}", t % 8)));
+                all_connected.wait();
+                let mut client = client.expect("connect");
+                for _ in 0..REQUESTS {
+                    let hit = client.post("/eval", body).expect("keep-alive /eval");
+                    assert_eq!(hit.status, 200, "{}", hit.body);
+                    assert_eq!(hit.header("x-memo"), Some("hit"));
+                    assert_eq!(hit.body, cold.body, "hit differs from the cold body");
+                }
+            });
+        }
+    });
+
+    let after = JsonValue::parse(&seed.get("/stats").unwrap().body).expect("stats JSON");
+    assert_eq!(
+        stat(&after, "memo", "hits") - stat(&before, "memo", "hits"),
+        (CONNECTIONS * REQUESTS) as u64
+    );
+    assert_eq!(
+        stat(&after, "memo", "misses"),
+        stat(&before, "memo", "misses")
+    );
+    handle.stop();
+}
+
 /// Rewrite the corpus manifest's free-text label: the corpus hash changes while every
 /// evaluation result stays identical — the sharpest possible invalidation probe.
 fn edit_manifest_label(dir: &Path, new_label: &str) {

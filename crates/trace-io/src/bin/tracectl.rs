@@ -14,7 +14,7 @@
 //! tracectl stats FILE [--json]     decode everything: per-core stats + decode throughput
 //! ```
 //!
-//! `--json` prints machine-readable output (same hand-rolled style as `BENCH_sim.json`).
+//! `--json` prints machine-readable output (hand-rolled, like the sim-obs exporters).
 //! A global `--log-level error|warn|info|debug|trace|off` (or the `REPRO_LOG` environment
 //! variable) filters the structured diagnostics; the tool default is `info` so import
 //! progress lines stay visible.

@@ -5,7 +5,7 @@
 //! that set durable: each mix is captured exactly once
 //! (`workloads::materialize_corpus`), and the manifest records the capture parameters
 //! (LLC geometry, seed, accesses per core) so a sweep can refuse a corpus that was
-//! captured for a different system. `experiments::runner::evaluate_policies_on_corpus`
+//! captured for a different system. `experiments::runner::sweep_policies_on_corpus_with`
 //! decodes each file once and fans the (policy × mix) grid out in parallel.
 //!
 //! # Manifest format (`corpus.manifest`)

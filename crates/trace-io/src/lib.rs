@@ -19,7 +19,7 @@
 //!   repeated replays (a policy sweep) pay for integrity exactly once. [`open_all`] is the
 //!   drop-in replacement for `WorkloadMix::trace_sources`.
 //! * [`Corpus`] groups one `.atrc` per workload mix under a manifest recording the capture
-//!   geometry and seed — the unit `experiments::runner::evaluate_policies_on_corpus`
+//!   geometry and seed — the unit `experiments::runner::sweep_policies_on_corpus_with`
 //!   sweeps, decoding each file once and fanning the (policy × mix) grid out in parallel.
 //! * The `tracectl` binary captures, inspects, and sanity-checks corpus files from the
 //!   command line.

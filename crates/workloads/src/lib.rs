@@ -5,7 +5,7 @@
 //!
 //! The paper drives its simulator with 300M-instruction slices of 36 SPEC CPU 2000/2006,
 //! PARSEC and STREAM benchmarks (its Table 4). Those traces are not redistributable, so this
-//! crate provides the closest synthetic equivalent (DESIGN.md §2, S5): every benchmark in
+//! crate provides the closest synthetic equivalent: every benchmark in
 //! Table 4 becomes a parameterized address-stream generator whose
 //!
 //! * **per-set LLC footprint** matches the benchmark's published Footprint-number, and

@@ -14,8 +14,8 @@
 //!   replayable anywhere the simulator accepts a live generator.
 //! * [`experiments`] — drivers that regenerate every figure and table of the paper.
 //!
-//! See `examples/` for runnable entry points and `DESIGN.md` / `EXPERIMENTS.md` for the
-//! system inventory and the reproduction record.
+//! See `examples/` for runnable entry points, `docs/architecture.md` for the system
+//! inventory and `docs/repro-guide.md` for the per-figure reproduction recipes.
 
 pub use adapt_core as adapt;
 pub use cache_sim as sim;

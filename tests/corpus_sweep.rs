@@ -8,8 +8,8 @@ use std::sync::{Mutex, OnceLock};
 
 use cache_sim::trace::{arena_peak_bytes, reset_arena_peak};
 use experiments::runner::{
-    evaluate_policies_on_corpus, evaluate_policies_on_mixes, evaluate_policies_serial,
-    sweep_policies_on_corpus_with, synthetic_capture_budget, MixEvaluation, ReplayConfig,
+    evaluate_policies_on_mixes, evaluate_policies_serial, sweep_policies_on_corpus_with,
+    synthetic_capture_budget, MixEvaluation, ReplayConfig,
 };
 use experiments::{ExperimentScale, PolicyKind};
 use sim_obs::{Drained, EventKind};
@@ -70,7 +70,15 @@ fn corpus_sweep_reproduces_the_serial_synthetic_path_bit_for_bit() {
 
     let serial = evaluate_policies_serial(&cfg, &mixes, &policies, INSTRUCTIONS, SEED);
     let grid = evaluate_policies_on_mixes(&cfg, &mixes, &policies, INSTRUCTIONS, SEED);
-    let from_disk = evaluate_policies_on_corpus(&cfg, &corpus, &policies, INSTRUCTIONS).unwrap();
+    let from_disk = sweep_policies_on_corpus_with(
+        &cfg,
+        &corpus,
+        &policies,
+        INSTRUCTIONS,
+        &ReplayConfig::from_env(),
+    )
+    .unwrap()
+    .evaluations;
 
     assert_eq!(serial.len(), mixes.len() * policies.len());
     assert_eq!(grid.len(), serial.len());
@@ -267,7 +275,14 @@ fn corpus_sweep_rejects_wrong_geometry_and_tampered_manifests() {
     let dir = std::env::temp_dir().join("e2e_corpus_geometry");
     std::fs::remove_dir_all(&dir).ok();
     let corpus = Corpus::materialize(&dir, "e2e", &mixes, llc_sets * 2, SEED, 500).unwrap();
-    let err = evaluate_policies_on_corpus(&cfg, &corpus, &policies(), INSTRUCTIONS).unwrap_err();
+    let err = sweep_policies_on_corpus_with(
+        &cfg,
+        &corpus,
+        &policies(),
+        INSTRUCTIONS,
+        &ReplayConfig::from_env(),
+    )
+    .unwrap_err();
     assert!(
         matches!(err, TraceError::Manifest(_)),
         "geometry mismatch must surface as a manifest error, got {err}"

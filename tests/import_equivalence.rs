@@ -11,8 +11,8 @@ use std::path::PathBuf;
 
 use adapt_llc::sim::trace::MemAccess;
 use experiments::runner::{
-    evaluate_mix, evaluate_mix_source, evaluate_policies_serial, sweep_policies_on_corpus,
-    MixSource,
+    evaluate_mix, evaluate_mix_source, evaluate_policies_serial, sweep_policies_on_corpus_with,
+    MixSource, ReplayConfig,
 };
 use experiments::{ExperimentScale, PolicyKind};
 use trace_io::import::{export_champsim, import_to_file, ImportFormat, ImportOptions};
@@ -272,8 +272,11 @@ fn compressed_corpus_sweeps_bit_identical_to_uncompressed_twin_serial_and_parall
     // Serial reference (regenerates every mix per policy) vs both corpora through the
     // parallel grid engine.
     let serial = evaluate_policies_serial(&cfg, &mixes, &policies, INSTRUCTIONS, SEED);
-    let from_plain = sweep_policies_on_corpus(&cfg, &plain, &policies, INSTRUCTIONS).unwrap();
-    let from_packed = sweep_policies_on_corpus(&cfg, &packed, &policies, INSTRUCTIONS).unwrap();
+    let replay = ReplayConfig::from_env();
+    let from_plain =
+        sweep_policies_on_corpus_with(&cfg, &plain, &policies, INSTRUCTIONS, &replay).unwrap();
+    let from_packed =
+        sweep_policies_on_corpus_with(&cfg, &packed, &policies, INSTRUCTIONS, &replay).unwrap();
     assert_eq!(
         from_plain.total_replay_wraps(),
         0,

@@ -2,15 +2,16 @@
 //! contention model: a 64-core run completes through the corpus sweep engine with
 //! per-bank occupancy/stall metrics, serial and parallel engines stay bit-identical
 //! under contention, per-core stall attribution sums exactly to the global
-//! accounting (serial and parallel, at 4 and 128 cores), and zero-contention
-//! configurations reproduce the seed's flat-latency banking exactly.
+//! accounting (serial and parallel, at 4 and 128 cores), zero-contention
+//! configurations reproduce the seed's flat-latency banking exactly, and the alone-run
+//! normalization follows the memory system and seed actually evaluated.
 
 use cache_sim::addr::BlockAddr;
 use cache_sim::config::SystemConfig;
 use cache_sim::llc::SharedLlc;
 use cache_sim::system::DefaultSrripPolicy;
-use experiments::runner::{evaluate_policies_on_mixes, evaluate_policies_serial};
-use experiments::{scaling, ExperimentScale, PolicyKind};
+use experiments::runner::{evaluate_mix, evaluate_policies_on_mixes, evaluate_policies_serial};
+use experiments::{scaling, ExperimentScale, MemSystem, PolicyKind};
 use workloads::{generate_mixes, StudyKind};
 
 const INSTRUCTIONS: u64 = 20_000;
@@ -232,4 +233,46 @@ fn zero_contention_config_reproduces_the_flat_model_latencies_exactly() {
         .bank_stats()
         .iter()
         .all(|b| b.admission_stall_cycles == 0));
+}
+
+#[test]
+fn alone_normalization_follows_the_memory_system_and_the_seed() {
+    // The alone-run memo is process-wide, so what ran earlier must not leak into a later
+    // evaluation: the same mix under a different memory system, or a different seed, is
+    // normalized against alone runs on exactly that configuration and seed. Mix 1 holds
+    // `art`, whose generator draws on the seed, so the seed leg is not vacuous.
+    let scale = ExperimentScale::Smoke;
+    let study = StudyKind::Cores16;
+    let mix = &generate_mixes(study, 2, scale.seed())[1];
+    let legs = [
+        (MemSystem::Flat, scale.seed()),
+        (MemSystem::FrFcfsNuca, scale.seed()),
+        (MemSystem::FrFcfsNuca, scale.seed() + 1),
+    ];
+    let alone: Vec<Vec<f64>> = legs
+        .iter()
+        .map(|&(memsys, seed)| {
+            let cfg = scale.scaling_config_memsys(study.num_cores(), memsys);
+            let geometry = cfg.llc.geometry;
+            let eval = evaluate_mix(&cfg, mix, PolicyKind::TaDrrip, INSTRUCTIONS, seed);
+            for (app, spec) in eval.per_app.iter().zip(mix.specs()) {
+                let direct = cache_sim::single::run_alone(
+                    &cfg,
+                    Box::new(spec.trace(0, geometry.num_sets(), seed)),
+                    llc_policies::TaDrripPolicy::new(geometry.num_sets(), geometry.ways, 1),
+                    INSTRUCTIONS,
+                );
+                assert_eq!(
+                    app.ipc_alone,
+                    direct.ipc(),
+                    "{} under {} with seed {seed}",
+                    app.name,
+                    memsys.label()
+                );
+            }
+            eval.per_app.iter().map(|app| app.ipc_alone).collect()
+        })
+        .collect();
+    assert_ne!(alone[0], alone[1], "the memory system must matter");
+    assert_ne!(alone[1], alone[2], "the seed must matter");
 }
