@@ -147,10 +147,10 @@ pub trait LlcModel {
 /// and a compact `u32` owner array. A lookup therefore scans a single cache-line-sized
 /// slice of tags with a branch-free match mask instead of striding over 32-byte line
 /// structs, and set/tag extraction uses shifts precomputed from the power-of-two
-/// geometry. The policy type parameter defaults to the boxed trait object for
-/// compatibility, but the experiment drivers instantiate it with the monomorphized
-/// `llc_policies` dispatch enum so per-access policy callbacks compile to direct calls.
-pub struct SharedLlc<P: LlcReplacementPolicy = Box<dyn LlcReplacementPolicy>> {
+/// geometry. Generic over the replacement policy: the experiment drivers instantiate it
+/// with the `experiments::policies::AnyPolicy` dispatch enum, so per-access policy
+/// callbacks compile to direct calls.
+pub struct SharedLlc<P: LlcReplacementPolicy> {
     config: LlcConfig,
     num_sets: usize,
     ways: usize,
@@ -756,11 +756,11 @@ mod tests {
         }
     }
 
-    fn make_llc() -> SharedLlc {
+    fn make_llc() -> SharedLlc<TestSrrip> {
         let cfg = llc_config();
         let sets = cfg.geometry.num_sets();
         let ways = cfg.geometry.ways;
-        SharedLlc::new(cfg, 2, 100, Box::new(TestSrrip::new(sets, ways)))
+        SharedLlc::new(cfg, 2, 100, TestSrrip::new(sets, ways))
     }
 
     #[test]
@@ -906,7 +906,7 @@ mod tests {
         cfg.contention = crate::config::BankContentionConfig::contended(2, 4);
         let sets = cfg.geometry.num_sets();
         let ways = cfg.geometry.ways;
-        let mut llc = SharedLlc::new(cfg, 2, 100, Box::new(TestSrrip::new(sets, ways)));
+        let mut llc = SharedLlc::new(cfg, 2, 100, TestSrrip::new(sets, ways));
         let b = BlockAddr(0x42);
         llc.access(0, 0, b, true, false, 0);
         llc.fill(0, 0, b, false, 0);
@@ -968,7 +968,7 @@ mod tests {
         cfg.banks = 3;
         let sets = cfg.geometry.num_sets();
         let ways = cfg.geometry.ways;
-        let mut llc = SharedLlc::new(cfg, 1, 100, Box::new(TestSrrip::new(sets, ways)));
+        let mut llc = SharedLlc::new(cfg, 1, 100, TestSrrip::new(sets, ways));
         for s in 0..sets as u64 {
             llc.access(0, 0, BlockAddr(s), true, false, 0);
         }
@@ -1014,7 +1014,7 @@ mod tests {
         cfg.geometry = CacheGeometry::new(1024 * 1024, 16);
         let sets = cfg.geometry.num_sets();
         let ways = cfg.geometry.ways;
-        let mut llc = SharedLlc::new(cfg, 1, 100, Box::new(TestSrrip::new(sets, ways)));
+        let mut llc = SharedLlc::new(cfg, 1, 100, TestSrrip::new(sets, ways));
         for pass in 0..3u64 {
             for s in 0..sets as u64 {
                 llc.access(0, 0, BlockAddr(s), true, false, pass * 100_000);
@@ -1045,7 +1045,7 @@ mod tests {
         let sets = cfg.geometry.num_sets();
         let ways = cfg.geometry.ways;
         let cores = 16;
-        let mut llc = SharedLlc::new(cfg, cores, 100, Box::new(TestSrrip::new(sets, ways)));
+        let mut llc = SharedLlc::new(cfg, cores, 100, TestSrrip::new(sets, ways));
         let mut flat = make_llc();
         // Single isolated access per (core, set): latency differs from the flat model
         // by exactly hop_cycles * mesh_hops, and bank queue accounting is untouched.

@@ -110,8 +110,10 @@ pub trait LlcReplacementPolicy: Send {
 }
 
 /// Boxed policies are policies too, so code generic over `P: LlcReplacementPolicy` can be
-/// instantiated with `Box<dyn LlcReplacementPolicy>` (the dynamic-dispatch path retained
-/// for tests and extensions) as well as with concrete or enum-dispatched policy types.
+/// instantiated with `Box<dyn LlcReplacementPolicy>` as well as with concrete or
+/// enum-dispatched policy types. The frozen [`crate::reference`] engine takes its policy
+/// this way, and tests and the benchmark box what they need themselves; no production
+/// path does.
 impl<P: LlcReplacementPolicy + ?Sized> LlcReplacementPolicy for Box<P> {
     fn name(&self) -> String {
         (**self).name()

@@ -16,7 +16,7 @@ use crate::trace::TraceSource;
 ///
 /// The configuration's LLC, L2 and DRAM parameters are preserved; only the core count is
 /// forced to one. The policy may be any [`LlcReplacementPolicy`] value — concrete, enum
-/// dispatched, or boxed (the historical `Box<dyn ...>` signature still works).
+/// dispatched, or boxed.
 pub fn run_alone<P: LlcReplacementPolicy>(
     config: &SystemConfig,
     trace: Box<dyn TraceSource>,

@@ -58,10 +58,9 @@ struct CoreNode {
 /// The simulated multi-core system.
 ///
 /// Generic over the LLC replacement policy so the per-access policy callbacks
-/// monomorphize (the experiment drivers instantiate it with the `llc_policies` dispatch
-/// enum); the boxed default keeps the historical `Box<dyn ...>` call sites compiling
-/// unchanged.
-pub struct MultiCoreSystem<P: LlcReplacementPolicy = Box<dyn LlcReplacementPolicy>> {
+/// monomorphize (the experiment drivers instantiate it with the
+/// `experiments::policies::AnyPolicy` dispatch enum).
+pub struct MultiCoreSystem<P: LlcReplacementPolicy> {
     config: SystemConfig,
     cores: Vec<CoreNode>,
     llc: SharedLlc<P>,
@@ -117,8 +116,8 @@ impl<P: LlcReplacementPolicy> MultiCoreSystem<P> {
     /// Build a system with an explicit LLC replacement policy.
     ///
     /// The policy may be any [`LlcReplacementPolicy`] value — a concrete policy type, the
-    /// `llc_policies` dispatch enum, or a `Box<dyn LlcReplacementPolicy>` (the historical
-    /// signature, still accepted through the boxed blanket impl).
+    /// `experiments::policies::AnyPolicy` dispatch enum, or a boxed policy (through the
+    /// blanket impl in [`crate::replacement`]).
     pub fn new(config: SystemConfig, traces: Vec<Box<dyn TraceSource>>, policy: P) -> Self {
         config.validate().expect("invalid system configuration");
         assert_eq!(
@@ -801,10 +800,7 @@ mod tests {
         let mut sys = MultiCoreSystem::new(
             cfg.clone(),
             traces,
-            Box::new(DefaultSrripPolicy::new(
-                cfg.llc.geometry.num_sets(),
-                cfg.llc.geometry.ways,
-            )),
+            DefaultSrripPolicy::new(cfg.llc.geometry.num_sets(), cfg.llc.geometry.ways),
         );
         let res = sys.run(30_000);
         assert!(res.dram.writes > 0, "dirty evictions must reach memory");

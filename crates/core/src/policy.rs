@@ -263,7 +263,7 @@ mod tests {
             Box::new(StridedTrace::new(0x3000_0000, 64, 16 * 1024 * 1024, 4)),
         ];
         let policy = AdaptPolicy::new(AdaptConfig::paper(), &cfg.llc, 4);
-        let mut sys = MultiCoreSystem::new(cfg, traces, Box::new(policy));
+        let mut sys = MultiCoreSystem::new(cfg, traces, policy);
         let res = sys.run(60_000);
         assert_eq!(res.policy, "ADAPT_bp32");
         assert!(

@@ -20,9 +20,9 @@ use workloads::{generate_mixes, StudyKind, WorkloadMix};
 
 use cache_sim::config::SystemConfig;
 
-use crate::policies::PolicyKind;
+use crate::policies::{AnyPolicy, PolicyKind};
 use crate::report::render_table;
-use crate::runner::{evaluate_prepared, warm_alone_cache, MixSource};
+use crate::runner::{evaluate_prepared, warm_alone_cache, MixSource, ReplayConfig};
 use crate::scale::ExperimentScale;
 
 /// One ablation data point: a configuration label and its mean speedup over TA-DRRIP.
@@ -56,10 +56,11 @@ fn sweep_adapt_variants(
         }
         cfg
     };
+    let replay = ReplayConfig::from_env();
     let mut ratio_sums = vec![0.0f64; variants.len()];
     for mix in mixes {
         let prepared = MixSource::synthetic(mix.clone())
-            .materialize(llc_sets, seed)
+            .materialize_with(llc_sets, seed, &replay)
             .expect("synthetic mixes always materialize");
         // One baseline per distinct override: TA-DRRIP's result depends on the system
         // configuration, not on the ADAPT knobs, so identical overrides share it.
@@ -86,7 +87,8 @@ fn sweep_adapt_variants(
             .par_iter()
             .map(|(_, adapt_cfg, interval_override)| {
                 let cfg = config_for(interval_override);
-                let policy = Box::new(AdaptPolicy::new(*adapt_cfg, &cfg.llc, cfg.num_cores));
+                let policy =
+                    AnyPolicy::Adapt(AdaptPolicy::new(*adapt_cfg, &cfg.llc, cfg.num_cores));
                 let adapt = evaluate_prepared(
                     &cfg,
                     &prepared,

@@ -10,6 +10,10 @@
 //! reports. The `repro` binary (in `src/bin/repro.rs`) wires them to a command-line
 //! interface; the `adapt-bench` crate wraps them in Criterion benchmarks.
 //!
+//! [`policies`] is the single home of policy naming, construction and dispatch:
+//! [`PolicyKind`] names a policy and `PolicyKind::build_dispatch` builds it as the
+//! [`policies::AnyPolicy`] variant of its concrete type.
+//!
 //! Every sweep runs on the corpus-backed engine in [`runner`]: each workload mix's access
 //! streams are materialized exactly once (shared in-memory capture, or an on-disk
 //! [`trace_io::Corpus`] via `repro corpus` / `repro sweep`) and the (policy × mix) grid

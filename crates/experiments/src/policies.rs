@@ -1,17 +1,107 @@
-//! Unified policy naming and construction for the experiment drivers.
+//! Policy naming, construction and dispatch for the experiment drivers — the one place
+//! all three live.
 //!
-//! [`PolicyKind`] spans the baselines (`llc-policies`), ADAPT (`adapt-core`), the bypass
-//! ablation variants of Figure 6 and the forced-BRRIP TA-DRRIP variants of Figure 1, so
+//! [`PolicyKind`] names a policy: the baselines (`llc-policies`), ADAPT (`adapt-core`),
+//! the bypass ablation variants of Figure 6 and the TA-DRRIP variants of Figure 1, so
 //! every experiment can be expressed as "run this list of [`PolicyKind`]s over these
-//! workload mixes".
+//! workload mixes". [`PolicyKind::build_dispatch`] is the only constructor, and it returns
+//! [`AnyPolicy`], an enum with one variant per concrete policy type. Instantiating
+//! `cache_sim::llc::SharedLlc<AnyPolicy>` with it turns every per-access policy callback
+//! (`on_access`, `on_hit`, `insertion_decision`, ...) into a direct, inlinable match;
+//! ADAPT and the baselines take the same path, and nothing on it is boxed.
 
 use adapt_core::{AdaptConfig, AdaptPolicy};
 use cache_sim::config::SystemConfig;
+use cache_sim::replacement::{AccessContext, InsertionDecision, LineView, LlcReplacementPolicy};
 use llc_policies::{
-    build_baseline_any, AnyPolicy, BaselineKind, BypassDistant, EafPolicy, ShipPolicy,
+    BrripPolicy, BypassDistant, DrripPolicy, EafPolicy, LruPolicy, ShipPolicy, SrripPolicy,
     TaDrripPolicy,
 };
 use serde::{Deserialize, Serialize};
+
+/// Largest `SD=` operand [`PolicyKind::parse`] accepts. The paper sweeps 32/64/128, and
+/// with half the sets kept as followers no shipped `SystemConfig` can host more than 256
+/// dueling sets per thread.
+const MAX_DUELING_SETS: usize = 4096;
+
+/// Enum dispatch over every policy a [`PolicyKind`] can name: one variant per concrete
+/// type, none boxed. Built by [`PolicyKind::build_dispatch`].
+pub enum AnyPolicy {
+    /// Classic least-recently-used replacement.
+    Lru(LruPolicy),
+    /// Static RRIP.
+    Srrip(SrripPolicy),
+    /// Bimodal RRIP.
+    Brrip(BrripPolicy),
+    /// Set-dueling DRRIP.
+    Drrip(DrripPolicy),
+    /// Thread-aware DRRIP (the paper's baseline; also the SD and forced variants).
+    TaDrrip(TaDrripPolicy),
+    /// SHiP-PC signature-based hit prediction.
+    Ship(ShipPolicy),
+    /// Evicted-address-filter insertion.
+    Eaf(EafPolicy),
+    /// ADAPT (the paper's policy), under any [`AdaptConfig`].
+    Adapt(AdaptPolicy),
+    /// Figure 6: TA-DRRIP with distant insertions converted to bypasses.
+    TaDrripBypass(BypassDistant<TaDrripPolicy>),
+    /// Figure 6: SHiP with distant insertions converted to bypasses.
+    ShipBypass(BypassDistant<ShipPolicy>),
+    /// Figure 6: EAF with distant insertions converted to bypasses.
+    EafBypass(BypassDistant<EafPolicy>),
+}
+
+macro_rules! each_variant {
+    ($self:expr, $p:ident => $body:expr) => {
+        match $self {
+            AnyPolicy::Lru($p) => $body,
+            AnyPolicy::Srrip($p) => $body,
+            AnyPolicy::Brrip($p) => $body,
+            AnyPolicy::Drrip($p) => $body,
+            AnyPolicy::TaDrrip($p) => $body,
+            AnyPolicy::Ship($p) => $body,
+            AnyPolicy::Eaf($p) => $body,
+            AnyPolicy::Adapt($p) => $body,
+            AnyPolicy::TaDrripBypass($p) => $body,
+            AnyPolicy::ShipBypass($p) => $body,
+            AnyPolicy::EafBypass($p) => $body,
+        }
+    };
+}
+
+impl LlcReplacementPolicy for AnyPolicy {
+    fn name(&self) -> String {
+        each_variant!(self, p => p.name())
+    }
+
+    fn on_access(&mut self, ctx: &AccessContext) {
+        each_variant!(self, p => p.on_access(ctx))
+    }
+
+    fn on_hit(&mut self, ctx: &AccessContext, way: usize) {
+        each_variant!(self, p => p.on_hit(ctx, way))
+    }
+
+    fn insertion_decision(&mut self, ctx: &AccessContext) -> InsertionDecision {
+        each_variant!(self, p => p.insertion_decision(ctx))
+    }
+
+    fn choose_victim(&mut self, ctx: &AccessContext, lines: &[LineView]) -> usize {
+        each_variant!(self, p => p.choose_victim(ctx, lines))
+    }
+
+    fn on_evict(&mut self, ctx: &AccessContext, evicted_block: u64, owner: usize) {
+        each_variant!(self, p => p.on_evict(ctx, evicted_block, owner))
+    }
+
+    fn on_fill(&mut self, ctx: &AccessContext, way: usize, decision: &InsertionDecision) {
+        each_variant!(self, p => p.on_fill(ctx, way, decision))
+    }
+
+    fn on_interval(&mut self) {
+        each_variant!(self, p => p.on_interval())
+    }
+}
 
 /// A policy an experiment can ask for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -68,9 +158,10 @@ impl PolicyKind {
     }
 
     /// Parse a figure-legend label back into its policy — the exact inverse of
-    /// [`PolicyKind::label`] (`parse(kind.label()) == Some(kind)` for every variant),
-    /// so external callers (the `sweepd` API, CLI flags) can name policies by the
-    /// strings the reports print.
+    /// [`PolicyKind::label`] (`parse(kind.label()) == Some(kind)` for every variant
+    /// `parse` can return), so external callers (the `sweepd` API, CLI flags) can name
+    /// policies by the strings the reports print. Labels arrive from the wire, so the
+    /// `SD=` operand is bounded: zero and anything above 4096 are rejected.
     pub fn parse(label: &str) -> Option<PolicyKind> {
         Some(match label {
             "LRU" => PolicyKind::Lru,
@@ -88,7 +179,11 @@ impl PolicyKind {
             "EAF+bypass" => PolicyKind::EafBypass,
             other => {
                 let n = other.strip_prefix("TA-DRRIP(SD=")?.strip_suffix(')')?;
-                PolicyKind::TaDrripSd(n.parse().ok()?)
+                let n: usize = n.parse().ok()?;
+                if !(1..=MAX_DUELING_SETS).contains(&n) {
+                    return None;
+                }
+                PolicyKind::TaDrripSd(n)
             }
         })
     }
@@ -104,25 +199,20 @@ impl PolicyKind {
         ]
     }
 
-    /// Construct the policy for a system in the monomorphized enum-dispatched form the
-    /// simulator hot path is instantiated with. `thrashing_slots` lists the cores running
-    /// applications with Footprint-number >= 16 (needed only by `TaDrripForced`).
-    ///
-    /// Baselines map to dedicated [`AnyPolicy`] variants (direct calls in the LLC);
-    /// ADAPT — which lives in `adapt-core`, outside the baseline crate — rides the
-    /// retained [`AnyPolicy::Custom`] dynamic path, costing exactly what the old
-    /// all-boxed design cost.
+    /// Construct the policy for a system, as the [`AnyPolicy`] variant of its concrete
+    /// type. `thrashing_slots` lists the cores running applications with
+    /// Footprint-number >= 16 (needed only by `TaDrripForced`).
     pub fn build_dispatch(&self, config: &SystemConfig, thrashing_slots: &[usize]) -> AnyPolicy {
         let llc = &config.llc;
         let sets = llc.geometry.num_sets();
         let ways = llc.geometry.ways;
         let cores = config.num_cores;
         match self {
-            PolicyKind::Lru => build_baseline_any(BaselineKind::Lru, llc, cores),
-            PolicyKind::Srrip => build_baseline_any(BaselineKind::Srrip, llc, cores),
-            PolicyKind::Brrip => build_baseline_any(BaselineKind::Brrip, llc, cores),
-            PolicyKind::Drrip => build_baseline_any(BaselineKind::Drrip, llc, cores),
-            PolicyKind::TaDrrip => build_baseline_any(BaselineKind::TaDrrip, llc, cores),
+            PolicyKind::Lru => AnyPolicy::Lru(LruPolicy::new(sets, ways)),
+            PolicyKind::Srrip => AnyPolicy::Srrip(SrripPolicy::new(sets, ways)),
+            PolicyKind::Brrip => AnyPolicy::Brrip(BrripPolicy::new(sets, ways)),
+            PolicyKind::Drrip => AnyPolicy::Drrip(DrripPolicy::new(sets, ways)),
+            PolicyKind::TaDrrip => AnyPolicy::TaDrrip(TaDrripPolicy::new(sets, ways, cores)),
             PolicyKind::TaDrripSd(n) => {
                 AnyPolicy::TaDrrip(TaDrripPolicy::with_dueling_sets(sets, ways, cores, *n))
             }
@@ -131,54 +221,59 @@ impl PolicyKind {
                 p.force_brrip_for(thrashing_slots);
                 AnyPolicy::TaDrrip(p)
             }
-            PolicyKind::Ship => build_baseline_any(BaselineKind::Ship, llc, cores),
-            PolicyKind::Eaf => build_baseline_any(BaselineKind::Eaf, llc, cores),
-            PolicyKind::AdaptIns => AnyPolicy::custom(Box::new(AdaptPolicy::new(
+            PolicyKind::Ship => AnyPolicy::Ship(ShipPolicy::new(sets, ways, cores)),
+            PolicyKind::Eaf => AnyPolicy::Eaf(EafPolicy::new(sets, ways)),
+            PolicyKind::AdaptIns => AnyPolicy::Adapt(AdaptPolicy::new(
                 AdaptConfig::paper_insert_only(),
                 llc,
                 cores,
-            ))),
+            )),
             PolicyKind::AdaptBp32 => {
-                AnyPolicy::custom(Box::new(AdaptPolicy::new(AdaptConfig::paper(), llc, cores)))
+                AnyPolicy::Adapt(AdaptPolicy::new(AdaptConfig::paper(), llc, cores))
             }
-            PolicyKind::TaDrripBypass => AnyPolicy::BypassDistant(BypassDistant::new(Box::new(
-                TaDrripPolicy::new(sets, ways, cores),
-            ))),
-            PolicyKind::ShipBypass => AnyPolicy::BypassDistant(BypassDistant::new(Box::new(
-                ShipPolicy::new(sets, ways, cores),
-            ))),
+            PolicyKind::TaDrripBypass => {
+                AnyPolicy::TaDrripBypass(BypassDistant::new(TaDrripPolicy::new(sets, ways, cores)))
+            }
+            PolicyKind::ShipBypass => {
+                AnyPolicy::ShipBypass(BypassDistant::new(ShipPolicy::new(sets, ways, cores)))
+            }
             PolicyKind::EafBypass => {
-                AnyPolicy::BypassDistant(BypassDistant::new(Box::new(EafPolicy::new(sets, ways))))
+                AnyPolicy::EafBypass(BypassDistant::new(EafPolicy::new(sets, ways)))
             }
         }
     }
 }
 
+/// Every [`PolicyKind`] (with one representative `SD=` count), for tests that must
+/// cover the whole set.
+#[cfg(test)]
+pub(crate) fn all_kinds() -> [PolicyKind; 14] {
+    [
+        PolicyKind::Lru,
+        PolicyKind::Srrip,
+        PolicyKind::Brrip,
+        PolicyKind::Drrip,
+        PolicyKind::TaDrrip,
+        PolicyKind::TaDrripSd(64),
+        PolicyKind::TaDrripForced,
+        PolicyKind::Ship,
+        PolicyKind::Eaf,
+        PolicyKind::AdaptIns,
+        PolicyKind::AdaptBp32,
+        PolicyKind::TaDrripBypass,
+        PolicyKind::ShipBypass,
+        PolicyKind::EafBypass,
+    ]
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cache_sim::replacement::LlcReplacementPolicy;
 
     #[test]
     fn every_kind_builds_and_labels() {
         let cfg = SystemConfig::tiny(4);
-        let kinds = [
-            PolicyKind::Lru,
-            PolicyKind::Srrip,
-            PolicyKind::Brrip,
-            PolicyKind::Drrip,
-            PolicyKind::TaDrrip,
-            PolicyKind::TaDrripSd(64),
-            PolicyKind::TaDrripForced,
-            PolicyKind::Ship,
-            PolicyKind::Eaf,
-            PolicyKind::AdaptIns,
-            PolicyKind::AdaptBp32,
-            PolicyKind::TaDrripBypass,
-            PolicyKind::ShipBypass,
-            PolicyKind::EafBypass,
-        ];
-        for k in kinds {
+        for k in all_kinds() {
             let p = k.build_dispatch(&cfg, &[1, 3]);
             assert!(!p.name().is_empty());
             assert!(!k.label().is_empty());
@@ -194,6 +289,14 @@ mod tests {
         );
         assert_eq!(PolicyKind::parse("NOPE"), None);
         assert_eq!(PolicyKind::parse("TA-DRRIP(SD=x)"), None);
+        // The operand comes off the wire: out-of-range counts are not policies.
+        assert_eq!(PolicyKind::parse("TA-DRRIP(SD=0)"), None);
+        assert_eq!(
+            PolicyKind::parse("TA-DRRIP(SD=4096)"),
+            Some(PolicyKind::TaDrripSd(4096))
+        );
+        assert_eq!(PolicyKind::parse("TA-DRRIP(SD=4097)"), None);
+        assert_eq!(PolicyKind::parse("TA-DRRIP(SD=18446744073709551615)"), None);
     }
 
     #[test]

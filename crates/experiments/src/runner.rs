@@ -21,7 +21,10 @@
 //! Workloads come from two provenances, unified by [`MixSource`]: live synthetic
 //! generators ([`MixSource::Synthetic`]) and captured binary traces replayed from disk
 //! ([`MixSource::Replayed`], backed by `trace-io`); [`sweep_policies_on_corpus_with`]
-//! sweeps a whole materialized [`Corpus`]. Because capture is lossless and generators
+//! sweeps a whole materialized [`Corpus`]. A replayed mix reaches the simulator one way
+//! only — [`MixSource::materialize_with`] decodes it from the memory mapping, once, and
+//! [`evaluate_prepared`] runs a policy over the shared streams — so no file I/O sits
+//! inside the simulator loop. Because capture is lossless and generators
 //! reset exactly, both provenances of the same mix produce bit-identical
 //! per-application IPC/MPKI — and the parallel grid produces bit-identical results to
 //! the serial reference path [`evaluate_policies_serial`], which the runner's tests
@@ -50,7 +53,9 @@ use cache_sim::trace::{
 };
 use llc_policies::TaDrripPolicy;
 use mc_metrics::MulticoreMetrics;
-use trace_io::{Corpus, MappedStreamDecoder, MappedTrace, PrefetchingSource, TraceError};
+use trace_io::{
+    Corpus, MappedStreamDecoder, MappedTrace, PrefetchingSource, TraceError, TraceHeader,
+};
 use workloads::{benchmark_by_name, StudyKind, WorkloadMix};
 
 use crate::policies::PolicyKind;
@@ -92,7 +97,8 @@ pub struct MixEvaluation {
     pub mix_id: usize,
     /// Policy that was evaluated.
     pub policy: PolicyKind,
-    /// Display name reported by the constructed policy instance.
+    /// Figure-legend label of `policy` ([`PolicyKind::label`], which
+    /// [`PolicyKind::parse`] inverts) — the name every report and served body prints.
     pub policy_label: String,
     /// One outcome per application, in core order.
     pub per_app: Vec<PerAppOutcome>,
@@ -233,9 +239,9 @@ impl ReplayConfig {
 
 /// Where a mix's per-core access streams come from.
 ///
-/// The runner itself is provenance-agnostic: [`MixSource::trace_sources`] yields one boxed
-/// [`TraceSource`] per core either way, and everything downstream (system construction,
-/// stats, metrics) is shared.
+/// The runner itself is provenance-agnostic: [`MixSource::materialize_with`] yields
+/// [`MaterializedMixStreams`] either way, and everything downstream (system
+/// construction, stats, metrics) is shared.
 #[derive(Debug, Clone)]
 pub enum MixSource {
     /// Live in-process generators, constructed per run (the seed behaviour).
@@ -309,53 +315,6 @@ impl MixSource {
         }
     }
 
-    /// Build one trace source per core.
-    ///
-    /// For a replayed corpus this also validates the geometry recorded at capture time:
-    /// a trace whose generators were sized for a different LLC set count would quietly
-    /// realize a different workload, so a mismatch is an error rather than a footgun.
-    pub fn trace_sources(
-        &self,
-        llc_sets: usize,
-        seed: u64,
-    ) -> Result<Vec<Box<dyn TraceSource>>, TraceError> {
-        match self {
-            MixSource::Synthetic(mix) => Ok(mix.trace_sources(llc_sets, seed)),
-            MixSource::Replayed { path, .. } => {
-                self.check_geometry(path, llc_sets)?;
-                Ok(trace_io::open_all(path)?
-                    .into_iter()
-                    .map(|r| Box::new(r) as Box<dyn TraceSource>)
-                    .collect())
-            }
-        }
-    }
-
-    fn check_geometry(&self, path: &Path, llc_sets: usize) -> Result<(), TraceError> {
-        let header = trace_io::read_header(path)?;
-        if header.llc_sets != 0 && header.llc_sets as usize != llc_sets {
-            return Err(TraceError::Corrupt(format!(
-                "corpus {} was captured for {} LLC sets but the system has {}",
-                path.display(),
-                header.llc_sets,
-                llc_sets
-            )));
-        }
-        Ok(())
-    }
-
-    /// Produce this mix's streams exactly once, shared across any number of policies.
-    ///
-    /// [`materialize_with`](MixSource::materialize_with) under the environment-derived
-    /// [`ReplayConfig`].
-    pub fn materialize(
-        &self,
-        llc_sets: usize,
-        seed: u64,
-    ) -> Result<MaterializedMixStreams, TraceError> {
-        self.materialize_with(llc_sets, seed, &ReplayConfig::from_env())
-    }
-
     /// Produce this mix's streams exactly once, shared across any number of policies.
     ///
     /// Synthetic mixes become [`LazySharedTrace`]s: accesses are generated on demand and
@@ -364,7 +323,10 @@ impl MixSource {
     /// captured to disk and streamed back zero-copy. Replayed mixes that fit the arena
     /// budget are batch-decoded from the mapping in one pass into shared buffers;
     /// larger ones stream in fixed-size batches so memory stays constant however big
-    /// the corpus is.
+    /// the corpus is. Pass [`ReplayConfig::from_env`] to honour the `REPLAY_*` knobs.
+    ///
+    /// A replayed file whose generators were sized for a different LLC set count would
+    /// quietly realize a different workload, so a geometry mismatch is an error.
     pub fn materialize_with(
         &self,
         llc_sets: usize,
@@ -397,8 +359,8 @@ impl MixSource {
                 }
             }
             MixSource::Replayed { path, mix } => {
-                self.check_geometry(path, llc_sets)?;
                 let header = trace_io::read_header(path)?;
+                check_geometry(path, &header, llc_sets)?;
                 let decoded_bytes =
                     header.total_records() * std::mem::size_of::<MemAccess>() as u64;
                 if replay.fits_budget(decoded_bytes) {
@@ -425,6 +387,19 @@ impl MixSource {
             streams,
         })
     }
+}
+
+/// Reject a trace captured for a different LLC set count than the system has (0 in the
+/// header means the capture recorded no geometry).
+fn check_geometry(path: &Path, header: &TraceHeader, llc_sets: usize) -> Result<(), TraceError> {
+    if header.llc_sets != 0 && header.llc_sets as usize != llc_sets {
+        return Err(TraceError::Corrupt(format!(
+            "corpus {} was captured for {} LLC sets but the system has {llc_sets}",
+            path.display(),
+            header.llc_sets,
+        )));
+    }
+    Ok(())
 }
 
 /// Capture `mix` to a spill file under `dir` (reproducibly named by mix id, seed and
@@ -465,13 +440,7 @@ fn streamed_streams(
     replay: &ReplayConfig,
 ) -> Result<Vec<MaterializedStream>, TraceError> {
     let trace = Arc::new(MappedTrace::open(path)?);
-    if trace.header().llc_sets != 0 && trace.header().llc_sets as usize != llc_sets {
-        return Err(TraceError::Corrupt(format!(
-            "corpus {} was captured for {} LLC sets but the system has {llc_sets}",
-            path.display(),
-            trace.header().llc_sets,
-        )));
-    }
+    check_geometry(path, trace.header(), llc_sets)?;
     let batch_records = replay.batch_records(benchmarks.len());
     benchmarks
         .iter()
@@ -492,7 +461,7 @@ fn streamed_streams(
         .collect()
 }
 
-/// One core's materialized stream (see [`MixSource::materialize`]).
+/// One core's materialized stream (see [`MixSource::materialize_with`]).
 enum MaterializedStream {
     /// Generated on demand and memoized (synthetic provenance; never wraps).
     Lazy(LazySharedTrace),
@@ -583,7 +552,7 @@ impl TraceSource for ArenaWrapReporting {
 }
 
 /// One mix's access streams, produced exactly once and shared across every policy of a
-/// sweep (see [`MixSource::materialize`]).
+/// sweep (see [`MixSource::materialize_with`]).
 pub struct MaterializedMixStreams {
     mix: WorkloadMix,
     streams: Vec<MaterializedStream>,
@@ -789,33 +758,6 @@ pub fn evaluate_mix(
     evaluate_traces(config, mix, policy, built, traces, instructions, seed)
 }
 
-/// Run one policy on one [`MixSource`] (synthetic or replayed) and summarize.
-///
-/// The only fallible step is opening a replayed corpus; the simulation itself is shared
-/// with [`evaluate_mix`].
-pub fn evaluate_mix_source(
-    config: &SystemConfig,
-    source: &MixSource,
-    policy: PolicyKind,
-    instructions: u64,
-    seed: u64,
-) -> Result<MixEvaluation, TraceError> {
-    let mix = source.mix();
-    let thrashing = mix.thrashing_slots();
-    let built = policy.build_dispatch(config, &thrashing);
-    let llc_sets = config.llc.geometry.num_sets();
-    let traces = source.trace_sources(llc_sets, seed)?;
-    Ok(evaluate_traces(
-        config,
-        mix,
-        policy,
-        built,
-        traces,
-        instructions,
-        seed,
-    ))
-}
-
 /// Run an explicitly constructed policy over already-materialized streams — the
 /// inner step of the corpus sweep engine, also used by the ablation sweeps so every
 /// configuration variant shares one capture of each mix.
@@ -851,7 +793,6 @@ fn evaluate_traces<P: LlcReplacementPolicy>(
     instructions: u64,
     seed: u64,
 ) -> MixEvaluation {
-    let policy_label = built.name();
     let mut system = MultiCoreSystem::new(config.clone(), traces, built);
     let results: SystemResults = system.run(instructions);
 
@@ -879,7 +820,7 @@ fn evaluate_traces<P: LlcReplacementPolicy>(
     MixEvaluation {
         mix_id: mix.id,
         policy,
-        policy_label,
+        policy_label: policy.label(),
         per_app,
         metrics,
         llc_global: results.llc_global,
@@ -1179,6 +1120,25 @@ mod tests {
     }
 
     #[test]
+    fn policy_label_is_the_kind_label_and_parses_back() {
+        // A mix with no thrashing slot: `TaDrripForced` forces nothing, and the policy
+        // instance cannot tell `TaDrripSd(64)` from plain TA-DRRIP, so only the kind
+        // knows the right name.
+        let cfg = ExperimentScale::Smoke.system_config(StudyKind::Cores4);
+        let mix = WorkloadMix {
+            id: 0,
+            study: StudyKind::Cores4,
+            benchmarks: vec!["gcc".to_string(); 4],
+        };
+        assert!(mix.thrashing_slots().is_empty());
+        for kind in crate::policies::all_kinds() {
+            let eval = evaluate_mix(&cfg, &mix, kind, 2_000, 1);
+            assert_eq!(eval.policy_label, kind.label());
+            assert_eq!(PolicyKind::parse(&eval.policy_label), Some(kind));
+        }
+    }
+
+    #[test]
     fn alone_cache_is_memoized() {
         let (cfg, mixes) = smoke_setup();
         let name = &mixes[0].benchmarks[0];
@@ -1227,7 +1187,6 @@ mod tests {
                         .run(20_000);
                 let fast = evaluate_mix(&cfg, mix, policy, 20_000, 1);
                 let what = format!("mix {} {policy:?}", mix.id);
-                assert_eq!(fast.policy_label, reference.policy, "{what}");
                 for (app, core) in fast.per_app.iter().zip(&reference.per_core) {
                     assert_eq!(app.ipc, core.ipc(), "{what}: {} IPC", app.name);
                     assert_eq!(app.l2_mpki, core.l2_mpki(), "{what}: {} L2 MPKI", app.name);
@@ -1306,7 +1265,9 @@ mod tests {
         workloads::capture_to_file::<trace_io::TraceWriter>(&path, &mixes[0], llc_sets, 1, 64)
             .unwrap();
         let source = MixSource::replayed(&path).unwrap();
-        let prepared = source.materialize(llc_sets, 1).unwrap();
+        let prepared = source
+            .materialize_with(llc_sets, 1, &ReplayConfig::from_env())
+            .unwrap();
         assert_eq!(prepared.replay_wraps(), 0);
         let built = PolicyKind::TaDrrip.build_dispatch(&cfg, &prepared.mix().thrashing_slots());
         let eval = evaluate_prepared(&cfg, &prepared, PolicyKind::TaDrrip, built, instructions, 1);
@@ -1429,8 +1390,18 @@ mod tests {
         let live = evaluate_mix(&cfg, &mix, PolicyKind::TaDrrip, instructions, seed);
         let source = MixSource::replayed(&path).unwrap();
         assert_eq!(source.mix().benchmarks, mix.benchmarks);
-        let replayed =
-            evaluate_mix_source(&cfg, &source, PolicyKind::TaDrrip, instructions, seed).unwrap();
+        let prepared = source
+            .materialize_with(llc_sets, seed, &ReplayConfig::from_env())
+            .unwrap();
+        let built = PolicyKind::TaDrrip.build_dispatch(&cfg, &mix.thrashing_slots());
+        let replayed = evaluate_prepared(
+            &cfg,
+            &prepared,
+            PolicyKind::TaDrrip,
+            built,
+            instructions,
+            seed,
+        );
 
         for (a, b) in live.per_app.iter().zip(&replayed.per_app) {
             assert_eq!(a.name, b.name);
@@ -1446,7 +1417,9 @@ mod tests {
         let (cfg, mixes) = smoke_setup();
         let llc_sets = cfg.llc.geometry.num_sets();
         let source = MixSource::synthetic(mixes[0].clone());
-        let prepared = source.materialize(llc_sets, 7).unwrap();
+        let prepared = source
+            .materialize_with(llc_sets, 7, &ReplayConfig::from_env())
+            .unwrap();
         // Two cursor sets over the same materialization: generation happens once.
         for sources in [prepared.sources(), prepared.sources()] {
             let mut fresh = mixes[0].trace_sources(llc_sets, 7);
@@ -1472,13 +1445,19 @@ mod tests {
         workloads::capture_to_file::<trace_io::TraceWriter>(&path, &mixes[0], llc_sets * 2, 1, 100)
             .unwrap();
         let source = MixSource::replayed(&path).unwrap();
-        let err = match source.trace_sources(llc_sets, 1) {
-            Err(e) => e,
-            Ok(_) => panic!("geometry mismatch must be rejected"),
+        // Both materialization modes (decoded up front, streamed from the mapping)
+        // enforce the check.
+        let streamed = ReplayConfig {
+            arena_budget_bytes: 0,
+            ..ReplayConfig::default()
         };
-        assert!(err.to_string().contains("LLC sets"), "got: {err}");
-        // materialize() enforces the same check.
-        assert!(source.materialize(llc_sets, 1).is_err());
+        for replay in [ReplayConfig::default(), streamed] {
+            let err = match source.materialize_with(llc_sets, 1, &replay) {
+                Err(e) => e,
+                Ok(_) => panic!("geometry mismatch must be rejected"),
+            };
+            assert!(err.to_string().contains("LLC sets"), "got: {err}");
+        }
         std::fs::remove_file(path).ok();
     }
 

@@ -12,30 +12,28 @@ use cache_sim::replacement::{
 };
 
 /// Wraps an inner policy and bypasses its distant-priority insertions.
-pub struct BypassDistant {
-    inner: Box<dyn LlcReplacementPolicy>,
+///
+/// Generic over the wrapped policy, so the Figure 6 variants call straight into
+/// `TaDrripPolicy` / `ShipPolicy` / `EafPolicy` instead of through a vtable.
+pub struct BypassDistant<P> {
+    inner: P,
     /// Number of insertions converted into bypasses.
     pub bypassed: u64,
     /// Number of insertions passed through unchanged.
     pub passed_through: u64,
 }
 
-impl BypassDistant {
-    pub fn new(inner: Box<dyn LlcReplacementPolicy>) -> Self {
+impl<P: LlcReplacementPolicy> BypassDistant<P> {
+    pub fn new(inner: P) -> Self {
         BypassDistant {
             inner,
             bypassed: 0,
             passed_through: 0,
         }
     }
-
-    /// Access the wrapped policy.
-    pub fn inner(&self) -> &dyn LlcReplacementPolicy {
-        self.inner.as_ref()
-    }
 }
 
-impl LlcReplacementPolicy for BypassDistant {
+impl<P: LlcReplacementPolicy> LlcReplacementPolicy for BypassDistant<P> {
     fn name(&self) -> String {
         format!("{}+bypass", self.inner.name())
     }
@@ -96,7 +94,7 @@ mod tests {
 
     #[test]
     fn srrip_insertions_pass_through() {
-        let mut p = BypassDistant::new(Box::new(SrripPolicy::new(4, 4)));
+        let mut p = BypassDistant::new(SrripPolicy::new(4, 4));
         assert_eq!(
             p.insertion_decision(&ctx(0)),
             InsertionDecision::Insert { rrpv: 2 }
@@ -107,7 +105,7 @@ mod tests {
 
     #[test]
     fn brrip_distant_insertions_become_bypasses() {
-        let mut p = BypassDistant::new(Box::new(BrripPolicy::new(4, 4)));
+        let mut p = BypassDistant::new(BrripPolicy::new(4, 4));
         let mut bypasses = 0;
         for _ in 0..32 {
             if p.insertion_decision(&ctx(0)).is_bypass() {
@@ -121,7 +119,7 @@ mod tests {
 
     #[test]
     fn name_reflects_wrapping() {
-        let p = BypassDistant::new(Box::new(SrripPolicy::new(2, 2)));
+        let p = BypassDistant::new(SrripPolicy::new(2, 2));
         assert_eq!(p.name(), "SRRIP+bypass");
     }
 }

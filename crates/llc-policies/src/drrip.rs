@@ -50,7 +50,9 @@ struct LeaderMap {
 
 impl LeaderMap {
     fn new(num_sets: usize, num_threads: usize, requested_per_policy: usize) -> Self {
-        let mut per_policy = requested_per_policy.max(1);
+        // A request can never use more than every set; clamping first also keeps the
+        // products below from overflowing on a request straight off the wire.
+        let mut per_policy = requested_per_policy.clamp(1, num_sets.max(1));
         // Keep at least half of the sets as followers.
         while per_policy > 1 && num_threads * 2 * per_policy > num_sets / 2 {
             per_policy /= 2;
@@ -367,6 +369,13 @@ mod tests {
         assert!(map.sets_per_policy() >= 1);
         let leaders = (0..64).filter(|&s| map.leader(s) != Leader::None).count();
         assert!(leaders <= 32);
+    }
+
+    #[test]
+    fn absurd_dueling_set_request_is_fitted_not_overflowed() {
+        let p = TaDrripPolicy::with_dueling_sets(1024, 16, 16, usize::MAX);
+        // 16 threads x 2 policies x 16 sets = 512 leaders: exactly half the cache.
+        assert_eq!(p.effective_dueling_sets(), 16);
     }
 
     #[test]

@@ -12,18 +12,19 @@
 //!   configurable number of dueling sets (SD=64/128 in Figure 1a).
 //! * [`ShipPolicy`] — SHiP-PC, signature-based hit prediction (Wu et al., MICRO 2011).
 //! * [`EafPolicy`] — the Evicted-Address Filter (Seshadri et al., PACT 2012).
-//! * [`BypassDistant`] — a wrapper that converts distant-priority insertions of any inner
-//!   policy into LLC bypasses, reproducing the bypass ablation of the paper's Figure 6.
-//! * [`AnyPolicy`] — monomorphized enum dispatch over the set above (with a
-//!   `Custom(Box<dyn ...>)` escape hatch), the form the simulator hot path is
-//!   instantiated with; see [`dispatch`].
+//! * [`BypassDistant`] — a wrapper, generic over its inner policy, that converts
+//!   distant-priority insertions into LLC bypasses, reproducing the bypass ablation of
+//!   the paper's Figure 6.
+//!
+//! This crate holds the concrete policy types only. Naming a policy, constructing it for
+//! a system and dispatching over the set (together with ADAPT from `adapt-core`) is the
+//! job of `experiments::policies` (`PolicyKind` and its `AnyPolicy` enum).
 //!
 //! All policies are deterministic: "probabilistic" insertions (1/32 bimodal throttles and
 //! the like) are realized with small hardware-style counters exactly as the original papers
 //! describe, so simulations are exactly reproducible.
 
 pub mod bypass;
-pub mod dispatch;
 pub mod drrip;
 pub mod eaf;
 pub mod lru;
@@ -31,114 +32,8 @@ pub mod rrip;
 pub mod ship;
 
 pub use bypass::BypassDistant;
-pub use dispatch::{build_baseline_any, AnyPolicy};
 pub use drrip::{DrripPolicy, TaDrripPolicy};
 pub use eaf::EafPolicy;
 pub use lru::LruPolicy;
 pub use rrip::{BrripPolicy, SrripPolicy};
 pub use ship::ShipPolicy;
-
-use cache_sim::config::LlcConfig;
-use cache_sim::replacement::LlcReplacementPolicy;
-
-/// Identifier for one of the baseline policies; used by experiment drivers and examples to
-/// construct policies by name.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum BaselineKind {
-    Lru,
-    Srrip,
-    Brrip,
-    Drrip,
-    TaDrrip,
-    Ship,
-    Eaf,
-}
-
-impl BaselineKind {
-    /// All baselines evaluated by the paper's main figures.
-    pub fn paper_set() -> Vec<BaselineKind> {
-        vec![
-            BaselineKind::Lru,
-            BaselineKind::TaDrrip,
-            BaselineKind::Ship,
-            BaselineKind::Eaf,
-        ]
-    }
-
-    /// Display name matching the paper's figures.
-    pub fn label(&self) -> &'static str {
-        match self {
-            BaselineKind::Lru => "LRU",
-            BaselineKind::Srrip => "SRRIP",
-            BaselineKind::Brrip => "BRRIP",
-            BaselineKind::Drrip => "DRRIP",
-            BaselineKind::TaDrrip => "TA-DRRIP",
-            BaselineKind::Ship => "SHiP",
-            BaselineKind::Eaf => "EAF",
-        }
-    }
-}
-
-/// Construct a baseline policy for an LLC with the given configuration and core count.
-pub fn build_baseline(
-    kind: BaselineKind,
-    llc: &LlcConfig,
-    num_cores: usize,
-) -> Box<dyn LlcReplacementPolicy> {
-    let sets = llc.geometry.num_sets();
-    let ways = llc.geometry.ways;
-    match kind {
-        BaselineKind::Lru => Box::new(LruPolicy::new(sets, ways)),
-        BaselineKind::Srrip => Box::new(SrripPolicy::new(sets, ways)),
-        BaselineKind::Brrip => Box::new(BrripPolicy::new(sets, ways)),
-        BaselineKind::Drrip => Box::new(DrripPolicy::new(sets, ways)),
-        BaselineKind::TaDrrip => Box::new(TaDrripPolicy::new(sets, ways, num_cores)),
-        BaselineKind::Ship => Box::new(ShipPolicy::new(sets, ways, num_cores)),
-        BaselineKind::Eaf => Box::new(EafPolicy::new(sets, ways)),
-    }
-}
-
-/// Construct a baseline policy wrapped so that distant-priority insertions bypass the LLC
-/// (the paper's Figure 6 ablation). LRU has no distant insertions, so wrapping it is a
-/// no-op by construction.
-pub fn build_baseline_with_bypass(
-    kind: BaselineKind,
-    llc: &LlcConfig,
-    num_cores: usize,
-) -> Box<dyn LlcReplacementPolicy> {
-    Box::new(BypassDistant::new(build_baseline(kind, llc, num_cores)))
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use cache_sim::config::SystemConfig;
-
-    #[test]
-    fn factory_builds_every_baseline() {
-        let cfg = SystemConfig::tiny(4);
-        for kind in [
-            BaselineKind::Lru,
-            BaselineKind::Srrip,
-            BaselineKind::Brrip,
-            BaselineKind::Drrip,
-            BaselineKind::TaDrrip,
-            BaselineKind::Ship,
-            BaselineKind::Eaf,
-        ] {
-            let p = build_baseline(kind, &cfg.llc, 4);
-            assert!(!p.name().is_empty());
-            let wrapped = build_baseline_with_bypass(kind, &cfg.llc, 4);
-            assert!(wrapped.name().contains(&p.name()));
-        }
-    }
-
-    #[test]
-    fn paper_set_matches_figure3_lineup() {
-        let labels: Vec<&str> = BaselineKind::paper_set()
-            .iter()
-            .map(|k| k.label())
-            .collect();
-        assert_eq!(labels, vec!["LRU", "TA-DRRIP", "SHiP", "EAF"]);
-    }
-}

@@ -9,7 +9,11 @@ use std::path::Path;
 
 use crate::{drain, Drained, Event, EventKind, Level};
 
-fn json_escape(out: &mut String, text: &str) {
+/// Escape `text` for embedding inside a JSON string literal (quotes not included), per
+/// RFC 8259: quote, backslash and every control character. Every hand-rolled JSON
+/// writer in the workspace goes through this one escaper.
+pub fn json_escape(text: &str) -> String {
+    let mut out = String::with_capacity(text.len() + 2);
     for ch in text.chars() {
         match ch {
             '"' => out.push_str("\\\""),
@@ -23,6 +27,7 @@ fn json_escape(out: &mut String, text: &str) {
             c => out.push(c),
         }
     }
+    out
 }
 
 fn us(ns: u64) -> f64 {
@@ -39,8 +44,7 @@ pub fn chrome_trace(drained: &Drained) -> String {
     let mut lines: Vec<String> = Vec::with_capacity(drained.total_events() + drained.threads.len());
     for thread in &drained.threads {
         if !thread.name.is_empty() {
-            let mut name = String::new();
-            json_escape(&mut name, &thread.name);
+            let name = json_escape(&thread.name);
             lines.push(format!(
                 r#"{{"ph":"M","pid":0,"tid":{},"name":"thread_name","args":{{"name":"{name}"}}}}"#,
                 thread.tid
@@ -48,8 +52,7 @@ pub fn chrome_trace(drained: &Drained) -> String {
         }
         for event in &thread.events {
             let tid = thread.tid;
-            let mut ctx = String::new();
-            json_escape(&mut ctx, drained.context(event.ctx));
+            let ctx = json_escape(drained.context(event.ctx));
             let line = match event.kind {
                 EventKind::Span => format!(
                     r#"{{"ph":"X","pid":0,"tid":{tid},"name":"{}","cat":"{}","ts":{:.3},"dur":{:.3},"args":{{"ctx":"{ctx}"}}}}"#,

@@ -53,7 +53,7 @@ mod json;
 pub mod log;
 
 pub use export::{
-    chrome_trace, export_profile, intervals_csv, summary_text, ProfileReport, SpanStat,
+    chrome_trace, export_profile, intervals_csv, json_escape, summary_text, ProfileReport, SpanStat,
 };
 pub use json::{validate_chrome_trace, JsonValue};
 pub use log::{set_log_level, Level};

@@ -21,6 +21,7 @@ use std::net::{SocketAddr, ToSocketAddrs};
 use std::process::ExitCode;
 
 use sweep_serve::client;
+use sweep_serve::json::json_str;
 use sweep_serve::{BackoffPolicy, Client, HttpResponse};
 
 fn usage() -> String {
@@ -28,12 +29,6 @@ fn usage() -> String {
      sweepctl [--addr HOST:PORT] eval --corpus C --policy P --mix N\n       \
      sweepctl [--addr HOST:PORT] sweep --corpus C [--policies a,b,c] [--mixes 0,1]"
         .to_string()
-}
-
-fn json_str(s: &str) -> String {
-    // Command-line operands are plain labels; escape the two characters that could
-    // break a JSON literal.
-    format!("\"{}\"", s.replace('\\', "\\\\").replace('"', "\\\""))
 }
 
 fn run(addr: SocketAddr, command: &str, opts: &Opts) -> Result<HttpResponse, String> {

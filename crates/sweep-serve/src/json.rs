@@ -10,29 +10,14 @@
 //!   bytes. The determinism and memoization test walls compare served bodies with `==`
 //!   on the raw bytes.
 //! * **Strict escaping.** Benchmark names and corpus labels are caller-controlled; they
-//!   are escaped per RFC 8259 so no input can break out of a string literal.
+//!   are escaped per RFC 8259 ([`sim_obs::json_escape`], the workspace's one escaper) so
+//!   no input can break out of a string literal.
 //!
 //! Parsing of request bodies reuses [`sim_obs::JsonValue`], the same strict
 //! recursive-descent parser that validates exported Chrome traces.
 
 use experiments::runner::MixEvaluation;
-
-/// Escape a string for embedding inside a JSON string literal (quotes not included).
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
+use sim_obs::json_escape;
 
 /// A quoted, escaped JSON string literal.
 pub fn json_str(s: &str) -> String {

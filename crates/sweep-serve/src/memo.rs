@@ -41,7 +41,7 @@ use std::sync::{Arc, Mutex};
 
 /// Version tag of the progress-file format (bump when [`crate::json::evaluation_json`]
 /// or the line layout changes — old files are then discarded, never misread).
-pub const PROGRESS_VERSION: u32 = 1;
+pub const PROGRESS_VERSION: u32 = 2;
 
 /// File name of the persisted sweep progress, next to `corpus.manifest`.
 pub const PROGRESS_FILE: &str = "sweep.progress";

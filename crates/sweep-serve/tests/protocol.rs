@@ -150,6 +150,14 @@ fn hostile_payloads_get_clean_errors_and_never_wedge_the_daemon() {
             400,
         ),
         case(
+            "dueling-set count no cache could host",
+            post(
+                "/eval",
+                "{\"corpus\":\"c\",\"policy\":\"TA-DRRIP(SD=18446744073709551615)\",\"mix_id\":0}",
+            ),
+            400,
+        ),
+        case(
             "fractional mix id",
             post(
                 "/eval",
@@ -213,16 +221,23 @@ fn hostile_payloads_get_clean_errors_and_never_wedge_the_daemon() {
         assert_eq!(health.status, 200, "case {:?} broke /healthz", c.name);
     }
 
-    // The worker pool survived the gauntlet: a real evaluation still completes.
+    // The worker pool survived the gauntlet: a real evaluation still completes, and
+    // the body names the policy that was asked for (the instance's own name would say
+    // plain "TA-DRRIP" here).
     let resp = client::post(
         addr,
         "/eval",
-        "{\"corpus\":\"c\",\"policy\":\"LRU\",\"mix_id\":0}",
+        "{\"corpus\":\"c\",\"policy\":\"TA-DRRIP(SD=64)\",\"mix_id\":0}",
         Some("prober"),
     )
     .expect("post-gauntlet /eval");
     assert_eq!(resp.status, 200, "workers wedged: {}", resp.body);
     assert_eq!(resp.header("x-memo"), Some("miss"));
+    let body = sim_obs::JsonValue::parse(&resp.body).expect("result body is JSON");
+    assert_eq!(
+        body.get("policy").and_then(|p| p.as_str()),
+        Some("TA-DRRIP(SD=64)")
+    );
     handle.stop();
 }
 

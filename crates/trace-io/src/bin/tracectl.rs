@@ -39,6 +39,7 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::time::Instant;
 
+use sim_obs::json_escape;
 use trace_io::import::{self, ImportFormat, ImportOptions};
 use trace_io::{compression_stats, read_header, TraceCaptureOptions, TraceReader, TraceWriter};
 use workloads::{generate_mixes, StudyKind};
@@ -360,23 +361,6 @@ fn import_cmd(args: ImportArgs) -> Result<(), String> {
         );
     }
     Ok(())
-}
-
-/// Minimal JSON string escaping for the hand-rolled `--json` emitters.
-fn json_escape(text: &str) -> String {
-    let mut out = String::with_capacity(text.len() + 2);
-    for c in text.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Decode every core once with sim-obs recording on and report where the time went.

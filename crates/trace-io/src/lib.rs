@@ -16,8 +16,13 @@
 //! * [`TraceReader`] replays one core's stream as a [`cache_sim::trace::TraceSource`],
 //!   buffered block-at-a-time, rewinding on EOF exactly like the paper's re-execution
 //!   methodology. Checksums are validated once per block and skipped on later passes, so
-//!   repeated replays (a policy sweep) pay for integrity exactly once. [`open_all`] is the
-//!   drop-in replacement for `WorkloadMix::trace_sources`.
+//!   repeated replays pay for integrity exactly once. [`open_all`] opens one per core.
+//!   It is the small, independent decoder the fuzz, round-trip and conformance suites
+//!   check the format against — not the experiment runner's replay path.
+//! * [`MappedTrace`] memory-maps a file once and decodes from the mapping
+//!   ([`decode_all_mapped`] up front, [`MappedStreamDecoder`] in bounded batches). This is
+//!   the one replay entry point of `experiments::runner`
+//!   (`MixSource::materialize_with`), so no file I/O runs inside the simulator loop.
 //! * [`Corpus`] groups one `.atrc` per workload mix under a manifest recording the capture
 //!   geometry and seed — the unit `experiments::runner::sweep_policies_on_corpus_with`
 //!   sweeps, decoding each file once and fanning the (policy × mix) grid out in parallel.

@@ -6,7 +6,7 @@
 //! cargo run --release --example capture_replay
 //! ```
 
-use adapt_llc::experiments::runner::{evaluate_mix, evaluate_mix_source, MixSource};
+use adapt_llc::experiments::runner::{evaluate_mix, evaluate_prepared, MixSource, ReplayConfig};
 use adapt_llc::experiments::{ExperimentScale, PolicyKind};
 use adapt_llc::traces::{read_header, TraceWriter};
 use adapt_llc::workloads::{capture_to_file, generate_mixes, StudyKind};
@@ -38,15 +38,20 @@ fn main() {
         instructions,
         scale.seed(),
     );
-    let replayed = MixSource::replayed(&path).expect("open corpus");
-    let replay = evaluate_mix_source(
+    // The replayed side takes the path every sweep takes: decode the file once into
+    // shared streams, then run the policy over them.
+    let prepared = MixSource::replayed(&path)
+        .expect("open corpus")
+        .materialize_with(llc_sets, scale.seed(), &ReplayConfig::from_env())
+        .expect("materialize corpus");
+    let replay = evaluate_prepared(
         &config,
-        &replayed,
+        &prepared,
         PolicyKind::AdaptBp32,
+        PolicyKind::AdaptBp32.build_dispatch(&config, &mix.thrashing_slots()),
         instructions,
         scale.seed(),
-    )
-    .expect("replay evaluation");
+    );
 
     println!(
         "\n{:<8} {:>10} {:>10} {:>12} {:>12}",

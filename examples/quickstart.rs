@@ -36,7 +36,7 @@ fn main() {
 
     // ADAPT_bp32 — the paper's best variant — manages the shared LLC.
     let policy = AdaptPolicy::new(AdaptConfig::paper(), &config.llc, config.num_cores);
-    let mut system = MultiCoreSystem::new(config.clone(), traces, Box::new(policy));
+    let mut system = MultiCoreSystem::new(config.clone(), traces, policy);
     let results = system.run(instructions);
 
     println!(
@@ -65,11 +65,7 @@ fn main() {
         let stats = run_alone(
             &config,
             Box::new(spec.trace(slot, llc_sets, 42)),
-            Box::new(adapt_llc::policies::TaDrripPolicy::new(
-                llc_sets,
-                config.llc.geometry.ways,
-                1,
-            )),
+            adapt_llc::policies::TaDrripPolicy::new(llc_sets, config.llc.geometry.ways, 1),
             instructions,
         );
         alone.push(stats.ipc());

@@ -9,7 +9,7 @@ use std::sync::{Mutex, OnceLock};
 use cache_sim::trace::{arena_peak_bytes, reset_arena_peak};
 use experiments::runner::{
     evaluate_policies_on_mixes, evaluate_policies_serial, sweep_policies_on_corpus_with,
-    synthetic_capture_budget, MixEvaluation, ReplayConfig,
+    synthetic_capture_budget, warm_alone_cache, MixEvaluation, ReplayConfig,
 };
 use experiments::{ExperimentScale, PolicyKind};
 use sim_obs::{Drained, EventKind};
@@ -23,9 +23,9 @@ fn policies() -> [PolicyKind; 3] {
     [PolicyKind::TaDrrip, PolicyKind::AdaptBp32, PolicyKind::Eaf]
 }
 
-/// Arena accounting and the sim-obs recorder are process-global; the tests that touch
-/// either serialize on this lock so concurrent test threads cannot pollute peaks or
-/// profiles.
+/// Arena accounting and the sim-obs recorder are process-global, and every sweep feeds
+/// both; each test that runs one serializes on this lock so concurrent test threads
+/// cannot pollute another test's peaks or profile.
 fn global_state_lock() -> std::sync::MutexGuard<'static, ()> {
     static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
     match LOCK.get_or_init(|| Mutex::new(())).lock() {
@@ -51,6 +51,7 @@ fn assert_evaluations_identical(a: &[MixEvaluation], b: &[MixEvaluation]) {
 
 #[test]
 fn corpus_sweep_reproduces_the_serial_synthetic_path_bit_for_bit() {
+    let _guard = global_state_lock();
     let scale = ExperimentScale::Smoke;
     let cfg = scale.system_config(StudyKind::Cores4);
     let mixes = generate_mixes(StudyKind::Cores4, 3, scale.seed());
@@ -208,6 +209,9 @@ fn double_buffered_replay_is_deterministic_across_prefetch_and_worker_count() {
     )
     .unwrap();
     let policies = [PolicyKind::TaDrrip, PolicyKind::AdaptBp32];
+    // The alone-run memo is process-wide: warm it before recording, or the first
+    // configuration alone carries `alone_run` spans unless another test got there first.
+    warm_alone_cache(&cfg, &mixes, INSTRUCTIONS, SEED);
 
     let mut results = Vec::new();
     for prefetch in [true, false] {
@@ -252,6 +256,7 @@ fn double_buffered_replay_is_deterministic_across_prefetch_and_worker_count() {
 
 #[test]
 fn corpus_sweep_is_deterministic_across_runs() {
+    let _guard = global_state_lock();
     let scale = ExperimentScale::Smoke;
     let cfg = scale.system_config(StudyKind::Cores4);
     let mixes = generate_mixes(StudyKind::Cores4, 2, scale.seed());

@@ -7,7 +7,6 @@ use adapt_llc::adapt::{AdaptConfig, AdaptPolicy, PriorityLevel};
 use adapt_llc::experiments::{
     evaluate_mix, evaluate_policies_on_mixes, ExperimentScale, PolicyKind,
 };
-use adapt_llc::policies::{build_baseline, BaselineKind};
 use adapt_llc::sim::config::SystemConfig;
 use adapt_llc::sim::system::MultiCoreSystem;
 use adapt_llc::workloads::{generate_mixes, StudyKind};
@@ -59,7 +58,7 @@ fn adapt_bypasses_thrashing_applications_but_not_friendly_ones() {
         Box::new(thrasher.trace(1, llc_sets, 1)),
     ];
     let policy = AdaptPolicy::new(AdaptConfig::paper(), &config.llc, 2);
-    let mut system = MultiCoreSystem::new(config, traces, Box::new(policy));
+    let mut system = MultiCoreSystem::new(config, traces, policy);
     let results = system.run(150_000);
     assert!(
         results.llc_global.intervals_completed > 0,
@@ -100,7 +99,7 @@ fn adapt_policy_classifies_streaming_apps_as_least_priority_in_situ() {
         PriorityLevel::Low,
         "pre-interval default is SRRIP-like"
     );
-    let mut system = MultiCoreSystem::new(config, traces, Box::new(policy));
+    let mut system = MultiCoreSystem::new(config, traces, policy);
     let results = system.run(150_000);
     // The streaming apps (cores 2 and 3) must have been bypassed at least once.
     assert!(results.per_core[2].llc.bypassed_fills + results.per_core[3].llc.bypassed_fills > 0);
@@ -111,13 +110,13 @@ fn baseline_factory_policies_run_in_the_full_system() {
     let (config, mix) = smoke_mix(StudyKind::Cores4);
     let llc_sets = config.llc.geometry.num_sets();
     for kind in [
-        BaselineKind::Lru,
-        BaselineKind::TaDrrip,
-        BaselineKind::Ship,
-        BaselineKind::Eaf,
+        PolicyKind::Lru,
+        PolicyKind::TaDrrip,
+        PolicyKind::Ship,
+        PolicyKind::Eaf,
     ] {
         let traces = mix.trace_sources(llc_sets, 9);
-        let policy = build_baseline(kind, &config.llc, config.num_cores);
+        let policy = kind.build_dispatch(&config, &mix.thrashing_slots());
         let mut system = MultiCoreSystem::new(config.clone(), traces, policy);
         let results = system.run(20_000);
         assert_eq!(results.per_core.len(), 4);
@@ -147,7 +146,7 @@ fn two_core_mix_replayed_from_a_trace_file_matches_the_live_run() {
 
     let run = |traces: Vec<Box<dyn adapt_llc::sim::trace::TraceSource>>| {
         let policy = AdaptPolicy::new(AdaptConfig::paper(), &config.llc, 2);
-        let mut system = MultiCoreSystem::new(config.clone(), traces, Box::new(policy));
+        let mut system = MultiCoreSystem::new(config.clone(), traces, policy);
         system.run(instructions)
     };
 

@@ -11,7 +11,7 @@ use std::path::PathBuf;
 
 use adapt_llc::sim::trace::MemAccess;
 use experiments::runner::{
-    evaluate_mix, evaluate_mix_source, evaluate_policies_serial, sweep_policies_on_corpus_with,
+    evaluate_mix, evaluate_policies_serial, evaluate_prepared, sweep_policies_on_corpus_with,
     MixSource, ReplayConfig,
 };
 use experiments::{ExperimentScale, PolicyKind};
@@ -178,10 +178,14 @@ fn champsim_import_sweeps_bit_identical_to_the_direct_path() {
     );
 
     // Sweep: per-core IPC/MPKI bit-identical to evaluating the live generators.
-    let source = MixSource::replayed_with_id(&out, mix.id).unwrap();
+    let prepared = MixSource::replayed_with_id(&out, mix.id)
+        .unwrap()
+        .materialize_with(llc_sets, SEED, &ReplayConfig::from_env())
+        .unwrap();
     for policy in policies() {
         let direct = evaluate_mix(&cfg, &mix, policy, INSTRUCTIONS, SEED);
-        let imported = evaluate_mix_source(&cfg, &source, policy, INSTRUCTIONS, SEED).unwrap();
+        let built = policy.build_dispatch(&cfg, &mix.thrashing_slots());
+        let imported = evaluate_prepared(&cfg, &prepared, policy, built, INSTRUCTIONS, SEED);
         assert_bit_identical("champsim", &direct, &imported);
     }
     std::fs::remove_dir_all(&dir).ok();
@@ -228,10 +232,14 @@ fn csv_import_sweeps_bit_identical_to_the_direct_path() {
     import_to_file(&[input], ImportFormat::Csv, &out, &opts).unwrap();
     assert_eq!(trace_io::decode_all(&out).unwrap(), streams);
 
-    let source = MixSource::replayed_with_id(&out, mix.id).unwrap();
+    let prepared = MixSource::replayed_with_id(&out, mix.id)
+        .unwrap()
+        .materialize_with(llc_sets, SEED, &ReplayConfig::from_env())
+        .unwrap();
     for policy in policies() {
         let direct = evaluate_mix(&cfg, &mix, policy, INSTRUCTIONS, SEED);
-        let imported = evaluate_mix_source(&cfg, &source, policy, INSTRUCTIONS, SEED).unwrap();
+        let built = policy.build_dispatch(&cfg, &mix.thrashing_slots());
+        let imported = evaluate_prepared(&cfg, &prepared, policy, built, INSTRUCTIONS, SEED);
         assert_bit_identical("csv", &direct, &imported);
     }
     std::fs::remove_dir_all(&dir).ok();

@@ -2,14 +2,19 @@
 
 use proptest::prelude::*;
 
-use adapt_llc::adapt::{AdaptConfig, FootprintMonitor, InsertionPriorityPredictor, PriorityLevel};
+use adapt_llc::adapt::{
+    AdaptConfig, AdaptPolicy, FootprintMonitor, InsertionPriorityPredictor, PriorityLevel,
+};
+use adapt_llc::experiments::PolicyKind;
 use adapt_llc::metrics as mc;
 use adapt_llc::policies::{
-    build_baseline, build_baseline_any, AnyPolicy, BaselineKind, LruPolicy, SrripPolicy,
+    BrripPolicy, BypassDistant, DrripPolicy, EafPolicy, LruPolicy, ShipPolicy, SrripPolicy,
+    TaDrripPolicy,
 };
 use adapt_llc::sim::addr::BlockAddr;
 use adapt_llc::sim::config::{
     BankContentionConfig, CacheGeometry, LlcConfig, PrivateCacheConfig, PrivatePolicyKind,
+    SystemConfig,
 };
 use adapt_llc::sim::llc::{LlcModel, SharedLlc};
 use adapt_llc::sim::private_cache::{Lookup, PrivateCache, PrivateCacheModel};
@@ -18,6 +23,64 @@ use adapt_llc::sim::replacement::{
     AccessContext, InsertionDecision, LineView, LlcReplacementPolicy, RrpvArray,
 };
 use adapt_llc::workloads::{classify, generate_mixes, MemIntensity, StudyKind};
+
+/// Every [`PolicyKind`], with one representative `SD=` count.
+const ALL_POLICY_KINDS: [PolicyKind; 14] = [
+    PolicyKind::Lru,
+    PolicyKind::Srrip,
+    PolicyKind::Brrip,
+    PolicyKind::Drrip,
+    PolicyKind::TaDrrip,
+    PolicyKind::TaDrripSd(64),
+    PolicyKind::TaDrripForced,
+    PolicyKind::Ship,
+    PolicyKind::Eaf,
+    PolicyKind::AdaptIns,
+    PolicyKind::AdaptBp32,
+    PolicyKind::TaDrripBypass,
+    PolicyKind::ShipBypass,
+    PolicyKind::EafBypass,
+];
+
+/// The policy `kind` names, constructed from its concrete type without going through
+/// `PolicyKind::build_dispatch`, and boxed the way the reference engine takes it.
+fn policy_by_hand(
+    kind: PolicyKind,
+    llc: &LlcConfig,
+    cores: usize,
+    thrashing_slots: &[usize],
+) -> Box<dyn LlcReplacementPolicy> {
+    let sets = llc.geometry.num_sets();
+    let ways = llc.geometry.ways;
+    match kind {
+        PolicyKind::Lru => Box::new(LruPolicy::new(sets, ways)),
+        PolicyKind::Srrip => Box::new(SrripPolicy::new(sets, ways)),
+        PolicyKind::Brrip => Box::new(BrripPolicy::new(sets, ways)),
+        PolicyKind::Drrip => Box::new(DrripPolicy::new(sets, ways)),
+        PolicyKind::TaDrrip => Box::new(TaDrripPolicy::new(sets, ways, cores)),
+        PolicyKind::TaDrripSd(n) => {
+            Box::new(TaDrripPolicy::with_dueling_sets(sets, ways, cores, n))
+        }
+        PolicyKind::TaDrripForced => {
+            let mut p = TaDrripPolicy::new(sets, ways, cores);
+            p.force_brrip_for(thrashing_slots);
+            Box::new(p)
+        }
+        PolicyKind::Ship => Box::new(ShipPolicy::new(sets, ways, cores)),
+        PolicyKind::Eaf => Box::new(EafPolicy::new(sets, ways)),
+        PolicyKind::AdaptIns => Box::new(AdaptPolicy::new(
+            AdaptConfig::paper_insert_only(),
+            llc,
+            cores,
+        )),
+        PolicyKind::AdaptBp32 => Box::new(AdaptPolicy::new(AdaptConfig::paper(), llc, cores)),
+        PolicyKind::TaDrripBypass => {
+            Box::new(BypassDistant::new(TaDrripPolicy::new(sets, ways, cores)))
+        }
+        PolicyKind::ShipBypass => Box::new(BypassDistant::new(ShipPolicy::new(sets, ways, cores))),
+        PolicyKind::EafBypass => Box::new(BypassDistant::new(EafPolicy::new(sets, ways))),
+    }
+}
 
 fn ctx(core: usize, set: usize, block: u64) -> AccessContext {
     AccessContext {
@@ -200,7 +263,8 @@ proptest! {
 
     /// The structure-of-arrays fast-path LLC is bit-identical to the retained
     /// pre-refactor reference across random geometries (including non-power-of-two bank
-    /// counts), policies (enum-dispatched and the boxed `Custom` path), and access
+    /// counts), every `PolicyKind` (the enum `build_dispatch` returns on the fast side,
+    /// the same policy built by hand and boxed on the reference side), and access
     /// streams mixing demand/prefetch reads, writes (dirty lines), L2 write-backs and
     /// interval rollovers: every lookup outcome, fill outcome, per-core/global/bank
     /// statistic and the occupancy map must agree.
@@ -209,7 +273,6 @@ proptest! {
         set_exp in 3u32..7,
         ways in 1usize..17,
         banks in 1usize..6,
-        policy_idx in 0usize..8,
         cores_minus_one in 0usize..4,
         contended in any::<bool>(),
         ops in proptest::collection::vec(
@@ -234,72 +297,64 @@ proptest! {
             },
             nuca: cache_sim::config::NucaConfig::disabled(),
         };
-        let kinds = [
-            BaselineKind::Lru,
-            BaselineKind::Srrip,
-            BaselineKind::Brrip,
-            BaselineKind::Drrip,
-            BaselineKind::TaDrrip,
-            BaselineKind::Ship,
-            BaselineKind::Eaf,
-        ];
         // Small interval so the interval hook rolls over many times inside one case.
         let interval_misses = 8;
-        let (fast_policy, ref_policy) = if policy_idx < kinds.len() {
-            (
-                build_baseline_any(kinds[policy_idx], &cfg, num_cores),
-                build_baseline(kinds[policy_idx], &cfg, num_cores),
-            )
-        } else {
-            // The retained dynamic path inside the enum must also track the oracle.
-            (
-                AnyPolicy::custom(build_baseline(BaselineKind::TaDrrip, &cfg, num_cores)),
-                build_baseline(BaselineKind::TaDrrip, &cfg, num_cores),
-            )
+        // Core 0 exists in every case, so the forced variant does force something.
+        let thrashing_slots = [0];
+        let system = SystemConfig {
+            num_cores,
+            llc: cfg,
+            ..SystemConfig::tiny(num_cores)
         };
-        let mut fast = SharedLlc::new(cfg, num_cores, interval_misses, fast_policy);
-        let mut reference = ReferenceLlc::new(cfg, num_cores, interval_misses, ref_policy);
+        // Every kind sees every generated case, so none is left to the luck of the draw.
+        for kind in ALL_POLICY_KINDS {
+            let fast_policy = kind.build_dispatch(&system, &thrashing_slots);
+            let ref_policy = policy_by_hand(kind, &cfg, num_cores, &thrashing_slots);
+            prop_assert_eq!(fast_policy.name(), ref_policy.name());
+            let mut fast = SharedLlc::new(cfg, num_cores, interval_misses, fast_policy);
+            let mut reference = ReferenceLlc::new(cfg, num_cores, interval_misses, ref_policy);
 
-        for (i, &(addr, pc_sel, is_write, op_sel)) in ops.iter().enumerate() {
-            let block = BlockAddr(addr);
-            let core = i % num_cores;
-            let pc = 0x400 + pc_sel as u64 * 8;
-            let now = (i as u64) * 3;
-            match op_sel {
-                // L2 write-back arriving at the LLC.
-                0 => {
-                    prop_assert_eq!(
-                        fast.writeback(core, block, now),
-                        LlcModel::writeback(&mut reference, core, block, now)
-                    );
-                }
-                // Prefetch lookup (never fills).
-                1 => {
-                    let a = fast.access(core, pc, block, false, false, now);
-                    let b = LlcModel::access(&mut reference, core, pc, block, false, false, now);
-                    prop_assert_eq!(a, b);
-                }
-                // Demand access; fill on miss like the system driver does.
-                _ => {
-                    let a = fast.access(core, pc, block, true, is_write, now);
-                    let b = LlcModel::access(&mut reference, core, pc, block, true, is_write, now);
-                    prop_assert_eq!(a, b, "lookup diverged at op {}", i);
-                    if !a.hit {
-                        let fa = fast.fill(core, pc, block, is_write, now);
-                        let fb = LlcModel::fill(&mut reference, core, pc, block, is_write, now);
-                        prop_assert_eq!(fa, fb, "fill diverged at op {}", i);
+            for (i, &(addr, pc_sel, is_write, op_sel)) in ops.iter().enumerate() {
+                let block = BlockAddr(addr);
+                let core = i % num_cores;
+                let pc = 0x400 + pc_sel as u64 * 8;
+                let now = (i as u64) * 3;
+                match op_sel {
+                    // L2 write-back arriving at the LLC.
+                    0 => {
+                        prop_assert_eq!(
+                            fast.writeback(core, block, now),
+                            LlcModel::writeback(&mut reference, core, block, now)
+                        );
+                    }
+                    // Prefetch lookup (never fills).
+                    1 => {
+                        let a = fast.access(core, pc, block, false, false, now);
+                        let b = LlcModel::access(&mut reference, core, pc, block, false, false, now);
+                        prop_assert_eq!(a, b);
+                    }
+                    // Demand access; fill on miss like the system driver does.
+                    _ => {
+                        let a = fast.access(core, pc, block, true, is_write, now);
+                        let b = LlcModel::access(&mut reference, core, pc, block, true, is_write, now);
+                        prop_assert_eq!(a, b, "{:?}: lookup diverged at op {}", kind, i);
+                        if !a.hit {
+                            let fa = fast.fill(core, pc, block, is_write, now);
+                            let fb = LlcModel::fill(&mut reference, core, pc, block, is_write, now);
+                            prop_assert_eq!(fa, fb, "{:?}: fill diverged at op {}", kind, i);
+                        }
                     }
                 }
             }
-        }
 
-        prop_assert_eq!(fast.global_stats(), reference.global_stats());
-        for core in 0..num_cores {
-            prop_assert_eq!(fast.core_stats(core), LlcModel::core_stats(&reference, core));
+            prop_assert_eq!(fast.global_stats(), reference.global_stats());
+            for core in 0..num_cores {
+                prop_assert_eq!(fast.core_stats(core), LlcModel::core_stats(&reference, core));
+            }
+            prop_assert_eq!(fast.bank_stats(), LlcModel::bank_stats(&reference));
+            prop_assert_eq!(fast.occupancy(), reference.occupancy());
+            prop_assert_eq!(fast.occupancy_by_core(), reference.occupancy_by_core());
         }
-        prop_assert_eq!(fast.bank_stats(), LlcModel::bank_stats(&reference));
-        prop_assert_eq!(fast.occupancy(), reference.occupancy());
-        prop_assert_eq!(fast.occupancy_by_core(), reference.occupancy_by_core());
     }
 
     /// The structure-of-arrays private cache is bit-identical to the retained reference

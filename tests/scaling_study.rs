@@ -197,12 +197,7 @@ fn zero_contention_config_reproduces_the_flat_model_latencies_exactly() {
     let banks = cfg.llc.banks;
     let hit_latency = cfg.llc.latency;
     let busy = cfg.llc.bank_busy_cycles;
-    let mut llc = SharedLlc::new(
-        cfg.llc,
-        4,
-        1_000_000,
-        Box::new(DefaultSrripPolicy::new(sets, ways)),
-    );
+    let mut llc = SharedLlc::new(cfg.llc, 4, 1_000_000, DefaultSrripPolicy::new(sets, ways));
 
     let mut busy_until = vec![0u64; banks];
     let mut x = 0x2545f4914f6cdd1du64;
