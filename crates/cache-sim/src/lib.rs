@@ -58,6 +58,7 @@ pub mod prefetch;
 pub mod private_cache;
 pub mod reference;
 pub mod replacement;
+mod sched;
 pub mod single;
 pub mod stats;
 pub mod system;

@@ -1,15 +1,43 @@
 //! Multi-core system driver.
 //!
 //! Each core owns a private L1D + L2, a next-line prefetcher and an approximate OoO timing
-//! model; all cores share one banked LLC and the DRAM. Cores are advanced in global time
-//! order — always the core with the smallest (cycle, core id) — so the interleaving of LLC
-//! accesses — and therefore the contention the replacement policy sees — follows the same
-//! relative order a cycle-accurate simulator would produce. The earliest core is found
-//! with a linear scan over a dense per-core cycle array rather than the seed's binary
-//! heap: at the paper's core counts (4–64) scanning a few cache-resident `u64`s per step
-//! is cheaper than heap sift operations, and the pop order (and therefore every result)
-//! is identical. The seed driver is retained verbatim in [`crate::reference`] as the
-//! bit-identity oracle.
+//! model; all cores share one banked LLC and the DRAM. Everything that touches shared
+//! state happens in global time order — always on the core with the smallest
+//! (cycle, core id) — so the interleaving of LLC accesses, and therefore the contention
+//! the replacement policy sees, follows the same relative order a cycle-accurate
+//! simulator would produce. The seed driver (a binary heap popped once per trace record)
+//! is retained verbatim in [`crate::reference`] as the bit-identity oracle.
+//!
+//! The scheduler is consulted once per *shared-state event*, not once per record:
+//!
+//! * **Winner tree.** The earliest core is the root of a tournament tree over the
+//!   per-core next-cycle keys (`crate::sched`); re-keying a core replays one
+//!   leaf-to-root path (log₂ cores compares), and ties go to the lower core id, so the
+//!   pop order is exactly the reference heap's `(cycle, core id)` order at every core
+//!   count.
+//! * **Private run-ahead.** Most records are L1 hits, and an L1 hit mutates only its own
+//!   core's `PrivateCache`, `CoreModel` and trace cursor — nothing another core, the
+//!   LLC or the DRAM can observe. After a core's in-order step the driver therefore
+//!   keeps fetching that core's next records and retires them on the spot while they
+//!   hit the L1. It stops, parking the fetched record and its L1 lookup in the core
+//!   node for the next in-order step, at the first record that
+//!   (a) misses the L1 — it may reach the LLC/DRAM, whose `now`-ordered interleaving
+//!   must not change;
+//!   (b) would take an unfinished core to its instruction target — the snapshot reads
+//!   `llc.core_stats`, which other cores mutate through evictions, and the run must
+//!   end in global order; or
+//!   (c) follows [`RUN_AHEAD`] consecutive retired hits, which bounds how far any
+//!   core's trace cursor can lead the global clock.
+//!
+//! Why this is exact: every core's keys are non-decreasing, so per-record scheduling is
+//! a k-way merge of the cores' record sequences by `(cycle, core id)`. Retiring a
+//! core's private-only records early removes them from the merge without reordering
+//! the records that remain, each of which still executes at the same core cycle against
+//! the same private state. Only the trace sources can tell: by the time `run` returns a
+//! source may have been asked for up to `RUN_AHEAD + 1` more records than the
+//! reference engine would have consumed. Interval sampling reads *every* core's clock
+//! at each LLC interval rollover, so a sampled run keeps the run-ahead bound at 0 and
+//! observes exactly the per-record order.
 //!
 //! Each core runs until it retires its per-core instruction target; cores that reach the
 //! target keep executing (their statistics are snapshotted at the target) so that the
@@ -27,8 +55,9 @@ use crate::private_cache::{Lookup, PrivateCache};
 use crate::replacement::{
     AccessContext, InsertionDecision, LineView, LlcReplacementPolicy, RrpvArray,
 };
+use crate::sched::WinnerTree;
 use crate::stats::{CoreStats, SystemResults};
-use crate::trace::TraceSource;
+use crate::trace::{MemAccess, TraceSource};
 
 /// Consecutive zero-cycle-advance steps after which an already-finished (snapshotted)
 /// core is retired from the scheduler instead of being re-executed further.
@@ -44,6 +73,11 @@ use crate::trace::TraceSource;
 /// and `reference`) apply the identical rule, so their bit-identity is preserved.
 pub const LIVELOCK_STEPS: u64 = 1 << 22;
 
+/// Most consecutive L1-hit records a core retires out of global order after one in-order
+/// step (stop condition (c) of the module docs). Any small constant bounds how far a
+/// trace cursor leads the global clock; 8, 64 and 256 measured the same.
+pub const RUN_AHEAD: u64 = 64;
+
 /// One core plus its private hierarchy and trace.
 struct CoreNode {
     model: CoreModel,
@@ -53,6 +87,49 @@ struct CoreNode {
     trace: Box<dyn TraceSource>,
     dram_reads: u64,
     snapshot: Option<CoreStats>,
+    /// Record the run-ahead loop fetched and looked up in the L1 but must not retire
+    /// out of order; the next in-order step resumes from it.
+    parked: Option<(MemAccess, Lookup)>,
+    /// Consecutive zero-cycle-advance steps since this core finished (see
+    /// [`LIVELOCK_STEPS`]).
+    frozen_steps: u64,
+}
+
+impl CoreNode {
+    /// Livelock accounting for one step of an already-finished core that advanced its
+    /// clock by `advanced` cycles; true once the core must be retired from scheduling.
+    fn frozen_after(&mut self, advanced: u64) -> bool {
+        if advanced > 0 {
+            self.frozen_steps = 0;
+        } else {
+            self.frozen_steps += 1;
+        }
+        self.frozen_steps >= LIVELOCK_STEPS
+    }
+
+    /// Retire this core's next records while they are private to it (module docs,
+    /// "Private run-ahead"), at most `limit` of them; returns the core's next scheduler
+    /// key — its clock, or `u64::MAX` if it froze.
+    fn run_ahead(&mut self, instruction_target: u64, limit: u64) -> u64 {
+        let finished = self.snapshot.is_some();
+        let l1_hit_cycles = self.model.config().l1_hit_cycles;
+        for _ in 0..limit {
+            let access = self.trace.next_access();
+            let lookup = self.l1d.access(block_of(access.addr), access.is_write);
+            let non_mem = access.non_mem_instrs as u64;
+            let reaches_target =
+                !finished && self.model.instructions + non_mem + 1 >= instruction_target;
+            if lookup == Lookup::Miss || reaches_target {
+                self.parked = Some((access, lookup));
+                break;
+            }
+            let advanced = self.model.advance(non_mem, l1_hit_cycles);
+            if finished && self.frozen_after(advanced) {
+                return u64::MAX;
+            }
+        }
+        self.model.cycle
+    }
 }
 
 /// The simulated multi-core system.
@@ -137,6 +214,8 @@ impl<P: LlcReplacementPolicy> MultiCoreSystem<P> {
                 trace,
                 dram_reads: 0,
                 snapshot: None,
+                parked: None,
+                frozen_steps: 0,
             })
             .collect();
         MultiCoreSystem {
@@ -164,59 +243,59 @@ impl<P: LlcReplacementPolicy> MultiCoreSystem<P> {
 
     /// Run until every core has retired at least `instructions_per_core` instructions;
     /// returns statistics snapshotted at each core's target.
+    ///
+    /// `run` may be called once per system: the cores keep their snapshots (and their
+    /// warmed caches and advanced clocks), so a second call has nothing left to wait for
+    /// and panics instead of spinning.
     pub fn run(&mut self, instructions_per_core: u64) -> SystemResults {
         assert!(instructions_per_core > 0);
+        assert!(
+            self.cores.iter().all(|c| c.snapshot.is_none()),
+            "`run` may be called once per system"
+        );
         let n = self.cores.len();
-        // Dense next-cycle array scanned linearly for the earliest (cycle, core id) —
-        // the same pop order as the seed's binary heap (ties break toward the lower
-        // core id), without per-step sift work. See the module docs.
-        let mut next_cycle: Vec<u64> = vec![0; n];
-        let mut frozen_steps: Vec<u64> = vec![0; n];
+        let mut sched = WinnerTree::new(n);
         let mut remaining = n;
         // Opt-in per-interval sampling, keyed off the LLC's existing interval rollover
         // (`intervals_completed`) so it only ever *reads* statistics the simulation
         // already maintains — results are bit-identical with sampling on or off. The
         // enabled check is latched once per run; in the disabled state the per-step
-        // cost is a branch on a local `Option`.
+        // cost is a branch on a local `Option`. A sample reads every core's clock, so
+        // sampled runs keep all cores in per-record order (no run-ahead).
         let mut sampler = if sim_obs::enabled() {
             Some(IntervalSampler::new(&self.cores, &self.llc))
         } else {
             None
         };
+        let run_ahead = if sampler.is_some() { 0 } else { RUN_AHEAD };
 
         while remaining > 0 {
-            let mut core_id = 0;
-            let mut earliest = u64::MAX;
-            for (i, &cycle) in next_cycle.iter().enumerate() {
-                if cycle < earliest {
-                    earliest = cycle;
-                    core_id = i;
-                }
-            }
-            let cycle_before = self.cores[core_id].model.cycle;
-            self.step_core(core_id);
+            let core_id = sched.min();
+            let advanced = self.step_core(core_id);
             let core = &mut self.cores[core_id];
-            next_cycle[core_id] = core.model.cycle;
-            if core.snapshot.is_none() && core.model.instructions >= instructions_per_core {
-                let snap = Self::snapshot_core(core_id, core, &self.llc);
-                core.snapshot = Some(snap);
-                remaining -= 1;
-            } else if core.snapshot.is_some() {
-                // Livelock breaker for re-executed cores (see LIVELOCK_STEPS): a
-                // finished core whose stream has become entirely cache-resident and
-                // gapless advances zero cycles per step, stays the earliest core
-                // forever, and would starve every unfinished core. Once it exceeds the
-                // threshold, retire it from scheduling — its remaining "contribution"
-                // would be infinitely many accesses on one frozen cycle.
-                if core.model.cycle > cycle_before {
-                    frozen_steps[core_id] = 0;
-                } else {
-                    frozen_steps[core_id] += 1;
-                    if frozen_steps[core_id] >= LIVELOCK_STEPS {
-                        next_cycle[core_id] = u64::MAX;
-                    }
+            // Livelock breaker for re-executed cores (see LIVELOCK_STEPS): a finished
+            // core whose stream has become entirely cache-resident and gapless advances
+            // zero cycles per step, stays the earliest core forever, and would starve
+            // every unfinished core. Once it exceeds the threshold, retire it from
+            // scheduling — its remaining "contribution" would be infinitely many
+            // accesses on one frozen cycle. The step that takes the snapshot itself is
+            // not counted.
+            let frozen = if core.snapshot.is_some() {
+                core.frozen_after(advanced)
+            } else {
+                if core.model.instructions >= instructions_per_core {
+                    let snap = Self::snapshot_core(core_id, core, &self.llc);
+                    core.snapshot = Some(snap);
+                    remaining -= 1;
                 }
-            }
+                false
+            };
+            let key = if frozen {
+                u64::MAX
+            } else {
+                core.run_ahead(instructions_per_core, run_ahead)
+            };
+            sched.update(core_id, key);
             if let Some(sampler) = sampler.as_mut() {
                 sampler.observe(&self.cores, &self.llc);
             }
@@ -265,12 +344,13 @@ impl<P: LlcReplacementPolicy> MultiCoreSystem<P> {
         }
     }
 
-    /// Process one trace entry for `core_id`.
+    /// Process one trace entry for `core_id` in global order — the record the run-ahead
+    /// loop parked, if any — and return the cycles the core advanced.
     ///
     /// The node, LLC and DRAM are borrowed once (disjoint fields) and threaded through
     /// the access resolution, so the hot path carries no repeated `cores[core_id]`
     /// bounds-checked indexing.
-    fn step_core(&mut self, core_id: usize) {
+    fn step_core(&mut self, core_id: usize) -> u64 {
         let MultiCoreSystem {
             config,
             cores,
@@ -278,17 +358,24 @@ impl<P: LlcReplacementPolicy> MultiCoreSystem<P> {
             dram,
         } = self;
         let core = &mut cores[core_id];
-        let access = core.trace.next_access();
-        let block = block_of(access.addr);
+        let (access, l1_lookup) = core.parked.take().unwrap_or_else(|| {
+            let access = core.trace.next_access();
+            let lookup = core.l1d.access(block_of(access.addr), access.is_write);
+            (access, lookup)
+        });
+        let non_mem = access.non_mem_instrs as u64;
+        if l1_lookup == Lookup::Hit {
+            return core.model.advance(non_mem, config.core.l1_hit_cycles);
+        }
         let now = core.model.cycle;
 
-        let (mem_latency, prefetch_candidate) = demand_access(
+        let (mem_latency, prefetch_candidate) = l1_miss_access(
             config,
             core,
             llc,
             dram,
             core_id,
-            block,
+            block_of(access.addr),
             access.pc,
             access.is_write,
             now,
@@ -298,8 +385,7 @@ impl<P: LlcReplacementPolicy> MultiCoreSystem<P> {
             prefetch_access(core, llc, dram, core_id, pf_block, access.pc, now);
         }
 
-        core.model
-            .advance(access.non_mem_instrs as u64, mem_latency);
+        core.model.advance(non_mem, mem_latency)
     }
 }
 
@@ -446,9 +532,11 @@ impl IntervalSampler {
     }
 }
 
-/// Resolve a demand access through the hierarchy; returns (latency, prefetch candidate).
+/// Resolve a demand access that missed the L1 (the lookup itself is the caller's: it
+/// may have happened during run-ahead) through the rest of the hierarchy; returns
+/// (latency, prefetch candidate).
 #[allow(clippy::too_many_arguments)]
-fn demand_access<P: LlcReplacementPolicy>(
+fn l1_miss_access<P: LlcReplacementPolicy>(
     config: &SystemConfig,
     core: &mut CoreNode,
     llc: &mut SharedLlc<P>,
@@ -461,12 +549,7 @@ fn demand_access<P: LlcReplacementPolicy>(
 ) -> (u64, Option<BlockAddr>) {
     let l1_latency = config.core.l1_hit_cycles;
 
-    // L1 lookup.
-    if core.l1d.access(block, is_write) == Lookup::Hit {
-        return (l1_latency, None);
-    }
-
-    // L1 miss: consult the next-line prefetcher.
+    // Consult the next-line prefetcher.
     let l1 = &core.l1d;
     let prefetch_candidate = core.prefetcher.on_demand_miss(block, |b| l1.probe(b));
 
@@ -590,50 +673,104 @@ mod tests {
             .collect()
     }
 
+    /// Four L1-resident blocks, `gapped` records with 3 non-memory instructions each,
+    /// then gapless forever: a stream that can freeze its core's clock only after
+    /// `4 * gapped` instructions have retired.
+    struct GapsThenNone {
+        gapped: u64,
+        served: u64,
+    }
+
+    impl TraceSource for GapsThenNone {
+        fn next_access(&mut self) -> MemAccess {
+            let i = self.served;
+            self.served += 1;
+            MemAccess {
+                addr: 0x1000 + (i % 4) * 64,
+                pc: 0x400,
+                is_write: false,
+                non_mem_instrs: if i < self.gapped { 3 } else { 0 },
+            }
+        }
+        fn reset(&mut self) {
+            self.served = 0;
+        }
+    }
+
     /// Regression for the re-execution livelock: a core whose (replayed) stream is
     /// entirely L1-resident with zero instruction gaps advances zero cycles per step
     /// once warmed up; after it reaches its instruction target it used to remain the
     /// scheduler's earliest core forever and starve the unfinished cores — `run` never
     /// returned. Imported trace files make such streams trivial to construct. Both
-    /// engines must terminate and stay bit-identical to each other.
+    /// engines must terminate and stay bit-identical to each other — with the frozen
+    /// core on either side of the tie-break, and when the stream turns gapless only
+    /// after its core has finished, so the whole 2^22-step count happens inside the
+    /// run-ahead loop.
     #[test]
     fn finished_cache_resident_core_cannot_livelock_the_run() {
         let cfg = SystemConfig::tiny(2);
-        let make_traces = || -> Vec<Box<dyn TraceSource>> {
-            vec![
-                // 4 gapless blocks: fully L1-resident after warmup, zero-cycle steps.
-                Box::new(ReplayTrace::from_addrs(
-                    "frozen",
-                    &[0x1000, 0x1040, 0x1080, 0x10c0],
-                    0,
-                )),
-                // A big sweep that misses constantly, so it finishes far later than
-                // the frozen core (which pre-fix starved it forever).
-                Box::new(StridedTrace::new(1 << 32, 64, 1 << 20, 2)),
-            ]
-        };
         let target = 30_000;
+        // 4 gapless blocks: fully L1-resident after warmup, zero-cycle steps.
+        let frozen = || -> Box<dyn TraceSource> {
+            Box::new(ReplayTrace::from_addrs(
+                "frozen",
+                &[0x1000, 0x1040, 0x1080, 0x10c0],
+                0,
+            ))
+        };
+        // Finishes at record 7_500 with a moving clock, freezes from record 8_000 on.
+        let freezes_late = || -> Box<dyn TraceSource> {
+            Box::new(GapsThenNone {
+                gapped: 8_000,
+                served: 0,
+            })
+        };
+        // A big sweep that misses constantly, so it finishes far later than the
+        // frozen core (which pre-fix starved it forever).
+        let sweep =
+            || -> Box<dyn TraceSource> { Box::new(StridedTrace::new(1 << 32, 64, 1 << 20, 2)) };
+        type MakeTraces<'a> = &'a dyn Fn() -> Vec<Box<dyn TraceSource>>;
+        let cases: [(&str, MakeTraces); 3] = [
+            ("frozen core 0", &|| vec![frozen(), sweep()]),
+            ("frozen core 1", &|| vec![sweep(), frozen()]),
+            ("freezes after finishing", &|| vec![sweep(), freezes_late()]),
+        ];
         let policy = |cfg: &SystemConfig| {
             DefaultSrripPolicy::new(cfg.llc.geometry.num_sets(), cfg.llc.geometry.ways)
         };
-        let mut fast = MultiCoreSystem::new(cfg.clone(), make_traces(), policy(&cfg));
-        let fast_res = fast.run(target);
-        let mut reference = crate::reference::ReferenceSystem::new(
-            cfg.clone(),
-            make_traces(),
-            Box::new(policy(&cfg)),
-        );
-        let ref_res = reference.run(target);
-        for (a, b) in fast_res.per_core.iter().zip(&ref_res.per_core) {
-            assert!(a.instructions >= target);
-            assert_eq!(a.instructions, b.instructions, "core {}", a.core_id);
-            assert_eq!(a.cycles, b.cycles, "core {}", a.core_id);
-            assert_eq!(
-                a.llc.demand_misses, b.llc.demand_misses,
-                "core {}",
-                a.core_id
+        for (what, make_traces) in cases {
+            let mut fast = MultiCoreSystem::new(cfg.clone(), make_traces(), policy(&cfg));
+            let fast_res = fast.run(target);
+            let mut reference = crate::reference::ReferenceSystem::new(
+                cfg.clone(),
+                make_traces(),
+                Box::new(policy(&cfg)),
             );
+            let ref_res = reference.run(target);
+            for (a, b) in fast_res.per_core.iter().zip(&ref_res.per_core) {
+                assert!(a.instructions >= target);
+                assert_eq!(a.instructions, b.instructions, "{what}: core {}", a.core_id);
+                assert_eq!(a.cycles, b.cycles, "{what}: core {}", a.core_id);
+                assert_eq!(
+                    a.llc.demand_misses, b.llc.demand_misses,
+                    "{what}: core {}",
+                    a.core_id
+                );
+            }
+            assert_eq!(fast_res.llc_global, ref_res.llc_global, "{what}");
+            assert_eq!(fast_res.dram, ref_res.dram, "{what}");
         }
+    }
+
+    /// A second `run` on the same system used to spin forever (every core already
+    /// holds its snapshot, so nothing is left to finish); it is a typed failure now.
+    #[test]
+    #[should_panic(expected = "`run` may be called once per system")]
+    fn running_a_system_twice_panics() {
+        let mut sys =
+            MultiCoreSystem::with_default_policy(SystemConfig::tiny(2), strided_traces(2, 4096));
+        sys.run(1_000);
+        sys.run(1_000);
     }
 
     #[test]

@@ -8,6 +8,7 @@
 use std::collections::BTreeMap;
 use std::sync::{Mutex, OnceLock};
 
+use cache_sim::MultiCoreSystem;
 use experiments::runner::{evaluate_policies_on_mixes, warm_alone_cache};
 use experiments::{ExperimentScale, PolicyKind};
 use sim_obs::{Drained, EventKind};
@@ -139,6 +140,51 @@ fn serial_and_parallel_profiled_sweeps_tell_the_same_story() {
         "serial and parallel sweeps must record the same logical span/sample multiset \
          (modulo worker ids and timestamps)"
     );
+}
+
+/// A sample reads every core's clock at each LLC interval rollover, so a sampled run
+/// keeps all cores in per-record order (the driver's run-ahead is off while the sampler
+/// is latched on; `tests/reference_identity.rs` holds its record fetches to the
+/// reference engine's). Two sampled runs of the same system emit the same
+/// `interval.core` rows, value for value, with the results of an unsampled run.
+#[test]
+fn sampled_runs_of_one_system_emit_identical_interval_core_rows() {
+    let _guard = obs_lock();
+    let scale = ExperimentScale::Smoke;
+    let cfg = scale.system_config(StudyKind::Cores4);
+    let mix = &generate_mixes(StudyKind::Cores4, 1, scale.seed())[0];
+    let run = || {
+        let policy = PolicyKind::TaDrrip.build_dispatch(&cfg, &mix.thrashing_slots());
+        let sources = mix.trace_sources(cfg.llc.geometry.num_sets(), SEED);
+        let results = MultiCoreSystem::new(cfg.clone(), sources, policy).run(INSTRUCTIONS);
+        format!("{results:?}")
+    };
+    let sampled = || {
+        sim_obs::reset();
+        sim_obs::enable();
+        let results = run();
+        sim_obs::disable();
+        let rows: Vec<Vec<f64>> = sim_obs::drain()
+            .threads
+            .iter()
+            .flat_map(|t| &t.events)
+            .filter(|e| e.kind == EventKind::Sample && e.name == "interval.core")
+            .map(|e| e.vals[..e.n_vals as usize].to_vec())
+            .collect();
+        (results, rows)
+    };
+
+    sim_obs::reset();
+    let plain = run();
+    let (first, first_rows) = sampled();
+    let (second, second_rows) = sampled();
+    assert!(
+        first_rows.len() >= cfg.num_cores,
+        "the run must complete an interval"
+    );
+    assert_eq!(first_rows, second_rows);
+    assert_eq!(plain, first);
+    assert_eq!(plain, second);
 }
 
 #[test]
