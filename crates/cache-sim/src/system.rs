@@ -663,7 +663,7 @@ fn prefetch_access<P: LlcReplacementPolicy>(
 mod tests {
     use super::*;
     use crate::config::SystemConfig;
-    use crate::trace::{ReplayTrace, StridedTrace};
+    use crate::trace::{SharedReplayTrace, StridedTrace};
 
     fn strided_traces(n: usize, region: u64) -> Vec<Box<dyn TraceSource>> {
         (0..n)
@@ -712,7 +712,7 @@ mod tests {
         let target = 30_000;
         // 4 gapless blocks: fully L1-resident after warmup, zero-cycle steps.
         let frozen = || -> Box<dyn TraceSource> {
-            Box::new(ReplayTrace::from_addrs(
+            Box::new(SharedReplayTrace::from_addrs(
                 "frozen",
                 &[0x1000, 0x1040, 0x1080, 0x10c0],
                 0,
@@ -932,8 +932,11 @@ mod tests {
                 non_mem_instrs: 2,
             });
         }
-        let traces: Vec<Box<dyn TraceSource>> =
-            vec![Box::new(ReplayTrace::new("writes", accesses))];
+        let traces: Vec<Box<dyn TraceSource>> = vec![Box::new(SharedReplayTrace::new(
+            "writes",
+            std::sync::Arc::new(accesses),
+            Default::default(),
+        ))];
         let mut sys = MultiCoreSystem::new(
             cfg.clone(),
             traces,

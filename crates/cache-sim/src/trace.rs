@@ -8,6 +8,9 @@
 //! The `workloads` crate provides the synthetic SPEC/PARSEC-like generators; this module
 //! only defines the interface plus a few simple sources used by tests and examples.
 
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+
 /// One memory instruction plus the count of non-memory instructions preceding it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MemAccess {
@@ -146,29 +149,56 @@ impl TraceSource for StridedTrace {
 /// Replays a shared, immutable access buffer in a loop, wrapping at the end exactly like
 /// `trace_io::TraceReader` wraps at EOF (the paper's re-execution methodology).
 ///
-/// The buffer is behind an [`Arc`](std::sync::Arc), so one decoded trace can back many
+/// The buffer is behind an [`Arc`], so one decoded trace can back many
 /// concurrently running simulations without copying — the corpus sweep engine in
 /// `experiments::runner` materializes each workload mix once and hands every policy its
 /// own cursor over the same records.
 #[derive(Debug, Clone)]
 pub struct SharedReplayTrace {
-    records: std::sync::Arc<Vec<MemAccess>>,
+    records: Arc<Vec<MemAccess>>,
     pos: usize,
     wraps: u64,
+    stream_wraps: Arc<AtomicU64>,
     name: String,
 }
 
 impl SharedReplayTrace {
-    /// Wrap a shared record buffer. Panics on an empty buffer: a [`TraceSource`] must
-    /// never terminate, and an empty loop cannot produce anything.
-    pub fn new(name: impl Into<String>, records: std::sync::Arc<Vec<MemAccess>>) -> Self {
+    /// Wrap a shared record buffer. Every wrap of this cursor is also added to
+    /// `stream_wraps`, the counter shared by all cursors over the same stream (never
+    /// decremented, not even by [`reset`](TraceSource::reset)), which is how the sweep
+    /// engine sees that some simulation outran the captured budget. Panics on an empty
+    /// buffer: a [`TraceSource`] must never terminate, and an empty loop cannot produce
+    /// anything.
+    pub fn new(
+        name: impl Into<String>,
+        records: Arc<Vec<MemAccess>>,
+        stream_wraps: Arc<AtomicU64>,
+    ) -> Self {
         assert!(!records.is_empty(), "shared replay trace must not be empty");
         SharedReplayTrace {
             records,
             pos: 0,
             wraps: 0,
+            stream_wraps,
             name: name.into(),
         }
+    }
+
+    /// Test convenience: read-only accesses over the given byte addresses with a fixed
+    /// gap of non-memory instructions between them, counting wraps on its own.
+    #[cfg(test)]
+    pub(crate) fn from_addrs(name: &str, addrs: &[u64], non_mem_instrs: u32) -> Self {
+        let accesses = addrs
+            .iter()
+            .enumerate()
+            .map(|(i, &addr)| MemAccess {
+                addr,
+                pc: 0x1000 + (i as u64 % 17) * 4,
+                is_write: false,
+                non_mem_instrs,
+            })
+            .collect();
+        Self::new(name, Arc::new(accesses), Arc::default())
     }
 
     /// How many times the cursor wrapped past the end of the buffer. Zero means the
@@ -176,16 +206,6 @@ impl SharedReplayTrace {
     /// infinite source over the same prefix.
     pub fn wraps(&self) -> u64 {
         self.wraps
-    }
-
-    /// Number of records in the shared buffer.
-    pub fn len(&self) -> usize {
-        self.records.len()
-    }
-
-    /// Always false (empty buffers are rejected at construction).
-    pub fn is_empty(&self) -> bool {
-        false
     }
 }
 
@@ -196,6 +216,7 @@ impl TraceSource for SharedReplayTrace {
         if self.pos == self.records.len() {
             self.pos = 0;
             self.wraps += 1;
+            self.stream_wraps.fetch_add(1, Ordering::Relaxed);
         }
         a
     }
@@ -319,7 +340,6 @@ impl ArenaTracker {
 
     /// Update this tracker's contribution to the live total (and the peak).
     pub fn set_bytes(&mut self, bytes: u64) {
-        use std::sync::atomic::Ordering;
         if bytes == self.registered {
             return;
         }
@@ -355,18 +375,21 @@ pub struct ArenaReplayTrace {
     /// The current arena contents end a full pass (wrap fires on its last record).
     end_of_pass: bool,
     wraps: u64,
+    stream_wraps: Arc<AtomicU64>,
     tracker: ArenaTracker,
 }
 
 impl ArenaReplayTrace {
-    /// Wrap `source`; no records are pulled until the first `next_access`.
-    pub fn new(source: Box<dyn BatchSource>) -> Self {
+    /// Wrap `source`; no records are pulled until the first `next_access`. Wraps are
+    /// also added to `stream_wraps`, exactly as [`SharedReplayTrace::new`] describes.
+    pub fn new(source: Box<dyn BatchSource>, stream_wraps: Arc<AtomicU64>) -> Self {
         ArenaReplayTrace {
             source,
             arena: Vec::new(),
             pos: 0,
             end_of_pass: false,
             wraps: 0,
+            stream_wraps,
             tracker: ArenaTracker::new(),
         }
     }
@@ -394,6 +417,7 @@ impl TraceSource for ArenaReplayTrace {
         self.pos += 1;
         if self.end_of_pass && self.pos == self.arena.len() {
             self.wraps += 1;
+            self.stream_wraps.fetch_add(1, Ordering::Relaxed);
         }
         a
     }
@@ -526,57 +550,6 @@ impl TraceSource for LazySharedCursor {
     }
 }
 
-/// Replays a fixed vector of accesses in a loop; handy for unit tests.
-#[derive(Debug, Clone)]
-pub struct ReplayTrace {
-    accesses: Vec<MemAccess>,
-    pos: usize,
-    name: String,
-}
-
-impl ReplayTrace {
-    pub fn new(name: impl Into<String>, accesses: Vec<MemAccess>) -> Self {
-        assert!(!accesses.is_empty(), "replay trace must not be empty");
-        ReplayTrace {
-            accesses,
-            pos: 0,
-            name: name.into(),
-        }
-    }
-
-    /// Convenience: read-only accesses over the given byte addresses with a fixed gap of
-    /// non-memory instructions between them.
-    pub fn from_addrs(name: impl Into<String>, addrs: &[u64], non_mem_instrs: u32) -> Self {
-        let accesses = addrs
-            .iter()
-            .enumerate()
-            .map(|(i, &addr)| MemAccess {
-                addr,
-                pc: 0x1000 + (i as u64 % 17) * 4,
-                is_write: false,
-                non_mem_instrs,
-            })
-            .collect();
-        Self::new(name, accesses)
-    }
-}
-
-impl TraceSource for ReplayTrace {
-    fn next_access(&mut self) -> MemAccess {
-        let a = self.accesses[self.pos];
-        self.pos = (self.pos + 1) % self.accesses.len();
-        a
-    }
-
-    fn reset(&mut self) {
-        self.pos = 0;
-    }
-
-    fn label(&self) -> String {
-        self.name.clone()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -629,19 +602,10 @@ mod tests {
 
     #[test]
     fn shared_replay_trace_wraps_and_counts() {
-        let records = std::sync::Arc::new(
-            [1u64, 2, 3]
-                .iter()
-                .map(|&addr| MemAccess {
-                    addr,
-                    pc: 0,
-                    is_write: false,
-                    non_mem_instrs: 0,
-                })
-                .collect::<Vec<_>>(),
-        );
-        let mut a = SharedReplayTrace::new("a", records.clone());
-        let mut b = SharedReplayTrace::new("b", records);
+        let mut a = SharedReplayTrace::from_addrs("a", &[1, 2, 3], 0);
+        // A second cursor over the same buffer, reporting to the same stream counter.
+        let stream_wraps = a.stream_wraps.clone();
+        let mut b = SharedReplayTrace::new("b", a.records.clone(), stream_wraps.clone());
         let seq: Vec<u64> = (0..7).map(|_| a.next_access().addr).collect();
         assert_eq!(seq, vec![1, 2, 3, 1, 2, 3, 1]);
         assert_eq!(a.wraps(), 2);
@@ -651,12 +615,18 @@ mod tests {
         a.reset();
         assert_eq!(a.wraps(), 0);
         assert_eq!(a.next_access().addr, 1);
+        // The stream counter sums every cursor's wraps and survives a reset.
+        for _ in 0..3 {
+            b.next_access();
+        }
+        assert_eq!(b.wraps(), 1);
+        assert_eq!(stream_wraps.load(Ordering::Relaxed), 3);
     }
 
     #[test]
     #[should_panic]
     fn empty_shared_replay_trace_panics() {
-        let _ = SharedReplayTrace::new("empty", std::sync::Arc::new(Vec::new()));
+        let _ = SharedReplayTrace::new("empty", Arc::new(Vec::new()), Arc::default());
     }
 
     /// Test double: serves a fixed record vector in batches of `batch` records.
@@ -701,13 +671,16 @@ mod tests {
                 non_mem_instrs: (i % 5) as u32,
             })
             .collect();
-        let arena = ArenaReplayTrace::new(Box::new(VecBatchSource {
-            records: records.clone(),
-            batch,
-            pos: 0,
-            fills: Default::default(),
-        }));
-        let shared = SharedReplayTrace::new("vec-batch", std::sync::Arc::new(records));
+        let arena = ArenaReplayTrace::new(
+            Box::new(VecBatchSource {
+                records: records.clone(),
+                batch,
+                pos: 0,
+                fills: Default::default(),
+            }),
+            Arc::default(),
+        );
+        let shared = SharedReplayTrace::new("vec-batch", Arc::new(records), Arc::default());
         (arena, shared)
     }
 
@@ -767,19 +740,6 @@ mod tests {
         drop(arena);
     }
 
-    #[test]
-    fn replay_trace_loops_forever() {
-        let mut t = ReplayTrace::from_addrs("x", &[1, 2, 3], 0);
-        let seq: Vec<u64> = (0..7).map(|_| t.next_access().addr).collect();
-        assert_eq!(seq, vec![1, 2, 3, 1, 2, 3, 1]);
-    }
-
-    #[test]
-    #[should_panic]
-    fn empty_replay_trace_panics() {
-        let _ = ReplayTrace::new("empty", vec![]);
-    }
-
     /// Sink that records everything in memory, for testing the capture plumbing.
     struct VecSink {
         labels: Vec<String>,
@@ -800,7 +760,7 @@ mod tests {
 
     #[test]
     fn capture_into_resets_then_drains_the_source() {
-        let mut src = ReplayTrace::from_addrs("app", &[1, 2, 3], 2);
+        let mut src = SharedReplayTrace::from_addrs("app", &[1, 2, 3], 2);
         src.next_access(); // capture must not start mid-stream
         let mut sink = VecSink {
             labels: vec![String::new()],
@@ -815,7 +775,7 @@ mod tests {
 
     #[test]
     fn boxed_trace_source_dispatches() {
-        let mut boxed: Box<dyn TraceSource> = Box::new(ReplayTrace::from_addrs("b", &[9], 1));
+        let mut boxed: Box<dyn TraceSource> = Box::new(SharedReplayTrace::from_addrs("b", &[9], 1));
         assert_eq!(boxed.next_access().addr, 9);
         assert_eq!(boxed.label(), "b");
         boxed.reset();

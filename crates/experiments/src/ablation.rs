@@ -56,7 +56,7 @@ fn sweep_adapt_variants(
         }
         cfg
     };
-    let replay = ReplayConfig::from_env();
+    let replay = ReplayConfig::default();
     let mut ratio_sums = vec![0.0f64; variants.len()];
     for mix in mixes {
         let prepared = MixSource::synthetic(mix.clone())

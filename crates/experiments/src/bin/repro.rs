@@ -24,11 +24,13 @@
 //!            mix (captured exactly once) plus a manifest recording geometry and seed.
 //!            --compress writes .atrc v3 with LZ4-compressed blocks (smaller on disk,
 //!            bit-identical sweep results; `tracectl inspect` reports the ratio).
-//!   sweep  --dir DIR
+//!   sweep  --dir DIR [--arena-bytes N]
 //!            Run the Figure 3 policy lineup over a materialized corpus: each trace is
-//!            decoded once and the (policy x mix) grid fans out in parallel. The report
-//!            includes the replay-wrap count (non-zero when the capture budget was
-//!            smaller than the run).
+//!            mapped once and the (policy x mix) grid fans out in parallel. A mix whose
+//!            decoded records fit the arena budget (default 256 MiB) is decoded once;
+//!            a larger one is streamed from the mapping in prefetched batches, with
+//!            identical results. The report includes the replay-wrap count (non-zero
+//!            when the capture budget was smaller than the run).
 //!
 //! scaling study:
 //!   scale  [--cores 32,48,64,128,256] [--mixes N] [--flat] [--memsys]
@@ -68,15 +70,13 @@ fn usage() -> String {
     "usage: repro <fig1|fig3|fig45|fig6|fig7|fig8|table2|table4|table7|ablation|mixes|diag|all> \
      [--paper-scale|--smoke]\n       repro corpus --dir DIR [--study 4|8|...|64] [--mixes N] \
      [--compress] [--paper-scale|--smoke]\n       repro sweep --dir DIR [--paper-scale|--smoke]\n         \
-     [--arena-bytes N] [--prefetch on|off] [--spill-dir DIR] [--spill-accesses N]\n       \
+     [--arena-bytes N]\n       \
      repro scale [--cores 32,48,64,128,256] [--mixes N] [--flat] [--memsys] \
      [--paper-scale|--smoke]\n\n\
-     sweep replay knobs (flags win over the REPLAY_ARENA_BYTES / REPLAY_PREFETCH /\n\
-     REPLAY_SPILL_DIR / REPLAY_SPILL_ACCESSES environment variables):\n\
-       --arena-bytes N     replay arena budget per mix in bytes (default 256 MiB)\n\
-       --prefetch on|off   background batch decode during replay (default on)\n\
-       --spill-dir DIR     spill oversized synthetic mixes to .atrc files under DIR\n\
-       --spill-accesses N  per-core accesses to capture when spilling (0 disables)\n\n\
+     sweep: --arena-bytes N  replay arena budget per mix in bytes (default 256 MiB): a\n\
+                             mix that decodes to more is streamed from the mapping in\n\
+                             prefetched batches instead of decoded up front; results\n\
+                             are identical either way\n\n\
      scale: many-core scaling study under the cycle-accounted bank contention model\n\
      (throughput / fairness / bank-stall share / per-core stall attribution per policy;\n\
      --flat reruns the same geometry with the latency-only seed banking; --memsys runs\n\
@@ -407,9 +407,7 @@ fn main() -> ExitCode {
     let mut flat = false;
     let mut memsys = false;
     let mut compress = false;
-    // Replay knobs: environment first (the documented REPLAY_* variables), explicit
-    // flags win.
-    let mut replay = ReplayConfig::from_env();
+    let mut replay = ReplayConfig::default();
     let mut it = args.iter();
     while let Some(a) = it.next() {
         let mut value = |flag: &str| {
@@ -454,25 +452,6 @@ fn main() -> ExitCode {
                 v.parse::<u64>()
                     .map(|n| replay.arena_budget_bytes = n)
                     .map_err(|e| format!("--arena-bytes: {e}"))
-            }),
-            "--prefetch" => value("--prefetch").and_then(|v| match v {
-                "on" | "1" | "true" => {
-                    replay.prefetch = true;
-                    Ok(())
-                }
-                "off" | "0" | "false" => {
-                    replay.prefetch = false;
-                    Ok(())
-                }
-                other => Err(format!("--prefetch must be on|off, got {other:?}")),
-            }),
-            "--spill-dir" => {
-                value("--spill-dir").map(|v| replay.spill_dir = Some(PathBuf::from(v)))
-            }
-            "--spill-accesses" => value("--spill-accesses").and_then(|v| {
-                v.parse::<u64>()
-                    .map(|n| replay.spill_capture_accesses = n)
-                    .map_err(|e| format!("--spill-accesses: {e}"))
             }),
             "-h" | "--help" => {
                 println!("{}", usage());

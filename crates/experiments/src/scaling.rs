@@ -152,7 +152,7 @@ pub fn run_point(
         &policies,
         scale.instructions_per_core(),
         scale.seed(),
-        &ReplayConfig::from_env(),
+        &ReplayConfig::default(),
     )
     .expect("synthetic sweeps cannot fail to materialize");
     build_point(&config, mixes.len(), &policies, &outcome)
@@ -457,7 +457,7 @@ pub fn run_memsys_point(
             &policies,
             scale.instructions_per_core(),
             scale.seed(),
-            &ReplayConfig::from_env(),
+            &ReplayConfig::default(),
         )
         .expect("synthetic sweeps cannot fail to materialize");
         let evals = &outcome.evaluations;

@@ -10,23 +10,17 @@
 //!   --paper-scale|--scaled|--smoke
 //!                        experiment scale the corpora were materialized at
 //!                        (default scaled; sets geometry and run length)
-//!   --arena-bytes N      replay arena budget per mix (default 256 MiB;
-//!                        REPLAY_ARENA_BYTES)
-//!   --prefetch on|off    background batch decode during replay (default on;
-//!                        REPLAY_PREFETCH)
-//!   --spill-dir DIR      spill oversized synthetic mixes to .atrc files under DIR
-//!                        (REPLAY_SPILL_DIR)
-//!   --spill-accesses N   per-core accesses to capture when spilling (0 disables;
-//!                        REPLAY_SPILL_ACCESSES)
+//!   --arena-bytes N      replay arena budget per mix in bytes (default 256 MiB): a
+//!                        mix that decodes to more is streamed from the mapping in
+//!                        prefetched batches instead of staying decoded in memory;
+//!                        served results are identical either way
 //! ```
 //!
-//! Flags override the corresponding `REPLAY_*` environment variables. The daemon
-//! serves until `POST /shutdown` (see `sweepctl shutdown`).
+//! The daemon serves until `POST /shutdown` (see `sweepctl shutdown`).
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use experiments::runner::ReplayConfig;
 use experiments::ExperimentScale;
 use sweep_serve::{Server, ServerConfig};
 
@@ -34,18 +28,8 @@ fn usage() -> String {
     "usage: sweepd --corpus NAME=DIR [--corpus NAME=DIR ...]\n       \
      [--addr HOST:PORT] [--workers N] [--queue N]\n       \
      [--paper-scale|--scaled|--smoke]\n       \
-     [--arena-bytes N] [--prefetch on|off] [--spill-dir DIR] [--spill-accesses N]"
+     [--arena-bytes N]"
         .to_string()
-}
-
-/// Parse `--prefetch`'s operand (`on`/`off`, plus the truthy/falsy spellings the
-/// `REPLAY_PREFETCH` environment variable accepts).
-pub fn parse_prefetch(value: &str) -> Result<bool, String> {
-    match value {
-        "on" | "1" | "true" => Ok(true),
-        "off" | "0" | "false" => Ok(false),
-        other => Err(format!("--prefetch must be on|off, got {other:?}")),
-    }
 }
 
 fn parse_args(args: &[String]) -> Result<Option<ServerConfig>, String> {
@@ -54,7 +38,6 @@ fn parse_args(args: &[String]) -> Result<Option<ServerConfig>, String> {
         workers: std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(1),
-        replay: ReplayConfig::from_env(),
         ..ServerConfig::default()
     };
     let mut it = args.iter();
@@ -93,13 +76,6 @@ fn parse_args(args: &[String]) -> Result<Option<ServerConfig>, String> {
                 config.replay.arena_budget_bytes = value("--arena-bytes")?
                     .parse()
                     .map_err(|e| format!("--arena-bytes: {e}"))?
-            }
-            "--prefetch" => config.replay.prefetch = parse_prefetch(value("--prefetch")?)?,
-            "--spill-dir" => config.replay.spill_dir = Some(PathBuf::from(value("--spill-dir")?)),
-            "--spill-accesses" => {
-                config.replay.spill_capture_accesses = value("--spill-accesses")?
-                    .parse()
-                    .map_err(|e| format!("--spill-accesses: {e}"))?
             }
             "-h" | "--help" => {
                 println!("{}", usage());

@@ -79,7 +79,8 @@ pub struct ServerConfig {
     pub limits: Limits,
     /// Experiment scale the corpora were materialized at (geometry + run length).
     pub scale: ExperimentScale,
-    /// Replay knobs for corpus materialization (arena budget, prefetch, spill).
+    /// Arena budget for corpus materialization: a mix whose decoded records fit stays
+    /// resident decoded, a larger one is streamed from its mapping per evaluation.
     pub replay: ReplayConfig,
     /// `(name, directory)` pairs of corpora to load at startup.
     pub corpora: Vec<(String, PathBuf)>,

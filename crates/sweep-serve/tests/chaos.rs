@@ -34,7 +34,6 @@ use workloads::StudyKind;
 fn streamed_replay() -> ReplayConfig {
     ReplayConfig {
         arena_budget_bytes: 1,
-        ..ReplayConfig::default()
     }
 }
 

@@ -20,8 +20,8 @@
 //!   It is the small, independent decoder the fuzz, round-trip and conformance suites
 //!   check the format against — not the experiment runner's replay path.
 //! * [`MappedTrace`] memory-maps a file once and decodes from the mapping
-//!   ([`decode_all_mapped`] up front, [`MappedStreamDecoder`] in bounded batches). This is
-//!   the one replay entry point of `experiments::runner`
+//!   ([`MappedTrace::decode_core`] up front, [`MappedStreamDecoder`] in bounded
+//!   batches). This is the one replay entry point of `experiments::runner`
 //!   (`MixSource::materialize_with`), so no file I/O runs inside the simulator loop.
 //! * [`Corpus`] groups one `.atrc` per workload mix under a manifest recording the capture
 //!   geometry and seed — the unit `experiments::runner::sweep_policies_on_corpus_with`

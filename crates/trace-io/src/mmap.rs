@@ -587,7 +587,7 @@ mod tests {
         let reference = decode_all(&path).unwrap();
         for (core, core_reference) in reference.iter().enumerate() {
             let decoder = MappedStreamDecoder::new(trace.clone(), core, 12).unwrap();
-            let mut cursor = ArenaReplayTrace::new(Box::new(decoder));
+            let mut cursor = ArenaReplayTrace::new(Box::new(decoder), Arc::default());
             assert_eq!(cursor.label(), trace.header().cores[core].label);
             for pass in 0..3 {
                 for (i, want) in core_reference.iter().enumerate() {
@@ -616,9 +616,10 @@ mod tests {
             0,
             "open must not validate checksums (validation is lazy)"
         );
-        let mut a = ArenaReplayTrace::new(Box::new(
-            MappedStreamDecoder::new(trace.clone(), 0, 16).unwrap(),
-        ));
+        let mut a = ArenaReplayTrace::new(
+            Box::new(MappedStreamDecoder::new(trace.clone(), 0, 16).unwrap()),
+            Arc::default(),
+        );
         for _ in 0..64 {
             a.next_access();
         }
@@ -632,9 +633,10 @@ mod tests {
             "wraps must not re-validate"
         );
         // A second cursor over the same mapping inherits the validated state.
-        let mut b = ArenaReplayTrace::new(Box::new(
-            MappedStreamDecoder::new(trace.clone(), 0, 16).unwrap(),
-        ));
+        let mut b = ArenaReplayTrace::new(
+            Box::new(MappedStreamDecoder::new(trace.clone(), 0, 16).unwrap()),
+            Arc::default(),
+        );
         for _ in 0..64 {
             b.next_access();
         }
@@ -661,8 +663,8 @@ mod tests {
                 let prefetched = PrefetchingSource::new(
                     MappedStreamDecoder::new(trace.clone(), core, 24).unwrap(),
                 );
-                let mut direct = ArenaReplayTrace::new(Box::new(direct));
-                let mut prefetched = ArenaReplayTrace::new(Box::new(prefetched));
+                let mut direct = ArenaReplayTrace::new(Box::new(direct), Arc::default());
+                let mut prefetched = ArenaReplayTrace::new(Box::new(prefetched), Arc::default());
                 assert_eq!(direct.label(), prefetched.label());
                 for i in 0..300 {
                     assert_eq!(

@@ -42,7 +42,7 @@ fn main() {
     // shared streams, then run the policy over them.
     let prepared = MixSource::replayed(&path)
         .expect("open corpus")
-        .materialize_with(llc_sets, scale.seed(), &ReplayConfig::from_env())
+        .materialize_with(llc_sets, scale.seed(), &ReplayConfig::default())
         .expect("materialize corpus");
     let replay = evaluate_prepared(
         &config,

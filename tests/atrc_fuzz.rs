@@ -130,7 +130,7 @@ proptest! {
         let trace = Arc::new(MappedTrace::open(&path).unwrap());
         for (core, expected) in streams.iter().enumerate() {
             let decoder = MappedStreamDecoder::new(trace.clone(), core, batch_records).unwrap();
-            let mut cursor = ArenaReplayTrace::new(Box::new(decoder));
+            let mut cursor = ArenaReplayTrace::new(Box::new(decoder), Arc::default());
             for pass in 0..2u64 {
                 for (i, want) in expected.iter().enumerate() {
                     let got = cursor.next_access();

@@ -76,7 +76,7 @@ fn corpus_sweep_reproduces_the_serial_synthetic_path_bit_for_bit() {
         &corpus,
         &policies,
         INSTRUCTIONS,
-        &ReplayConfig::from_env(),
+        &ReplayConfig::default(),
     )
     .unwrap()
     .evaluations;
@@ -140,7 +140,6 @@ fn constant_memory_sweep_stays_under_the_arena_cap_and_matches_the_buffered_path
 
     let constant_memory = ReplayConfig {
         arena_budget_bytes: budget,
-        ..ReplayConfig::default()
     };
     reset_arena_peak();
     let streamed =
@@ -162,7 +161,7 @@ fn constant_memory_sweep_stays_under_the_arena_cap_and_matches_the_buffered_path
 
 /// The logical event multiset of a profiled sweep: sweep spans, zero-copy batch spans
 /// and simulator samples, keyed with context. Worker ids, timestamps and scheduling are
-/// excluded — they legitimately differ across worker counts and prefetch modes.
+/// excluded — they legitimately differ across worker counts.
 fn logical_events(
     drained: &Drained,
 ) -> BTreeMap<(String, &'static str, &'static str, String), usize> {
@@ -186,11 +185,12 @@ fn logical_events(
 }
 
 #[test]
-fn double_buffered_replay_is_deterministic_across_prefetch_and_worker_count() {
-    // Prefetch on/off and serial/parallel workers are pure scheduling choices: every
-    // combination must produce identical per-core IPC/MPKI and the identical logical
-    // span multiset — the consumption-side `zero_copy_batch` spans included, which
-    // pins down that batches are consumed in the same order and number everywhere.
+fn double_buffered_replay_is_deterministic_across_worker_count() {
+    // Serial or parallel workers (and with them, whether a prefetched batch is ready
+    // or awaited) is a pure scheduling choice: both must produce identical per-core
+    // IPC/MPKI and the identical logical span multiset — the consumption-side
+    // `zero_copy_batch` spans included, which pins down that batches are consumed in
+    // the same order and number everywhere.
     let _guard = global_state_lock();
     let scale = ExperimentScale::Smoke;
     let cfg = scale.system_config(StudyKind::Cores4);
@@ -213,44 +213,30 @@ fn double_buffered_replay_is_deterministic_across_prefetch_and_worker_count() {
     // configuration alone carries `alone_run` spans unless another test got there first.
     warm_alone_cache(&cfg, &mixes, INSTRUCTIONS, SEED);
 
-    let mut results = Vec::new();
-    for prefetch in [true, false] {
-        for workers in [1usize, 4] {
-            let replay = ReplayConfig {
-                arena_budget_bytes: 64 << 10, // force the streamed path
-                prefetch,
-                ..ReplayConfig::default()
-            };
-            sim_obs::reset();
-            sim_obs::enable();
-            let outcome = rayon::with_worker_limit(workers, || {
-                sweep_policies_on_corpus_with(&cfg, &corpus, &policies, INSTRUCTIONS, &replay)
-            })
-            .unwrap();
-            sim_obs::disable();
-            let events = logical_events(&sim_obs::drain());
-            results.push((prefetch, workers, outcome, events));
-        }
-    }
-
-    let (_, _, reference, reference_events) = &results[0];
+    let replay = ReplayConfig {
+        arena_budget_bytes: 64 << 10, // force the streamed path
+    };
+    let run = |workers: usize| {
+        sim_obs::reset();
+        sim_obs::enable();
+        let outcome = rayon::with_worker_limit(workers, || {
+            sweep_policies_on_corpus_with(&cfg, &corpus, &policies, INSTRUCTIONS, &replay)
+        })
+        .unwrap();
+        sim_obs::disable();
+        (outcome, logical_events(&sim_obs::drain()))
+    };
+    let (serial, serial_events) = run(1);
+    let (parallel, parallel_events) = run(4);
     assert!(
-        reference_events
+        serial_events
             .keys()
             .any(|(_, _, name, _)| *name == "zero_copy_batch"),
         "streamed replay must emit consumption-side batch spans"
     );
-    for (prefetch, workers, outcome, events) in &results[1..] {
-        assert_evaluations_identical(&reference.evaluations, &outcome.evaluations);
-        assert_eq!(
-            reference.mix_wraps, outcome.mix_wraps,
-            "wrap accounting diverged (prefetch={prefetch}, workers={workers})"
-        );
-        assert_eq!(
-            reference_events, events,
-            "logical span multiset diverged (prefetch={prefetch}, workers={workers})"
-        );
-    }
+    assert_evaluations_identical(&serial.evaluations, &parallel.evaluations);
+    assert_eq!(serial.mix_wraps, parallel.mix_wraps, "wrap accounting");
+    assert_eq!(serial_events, parallel_events, "logical span multiset");
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -285,7 +271,7 @@ fn corpus_sweep_rejects_wrong_geometry_and_tampered_manifests() {
         &corpus,
         &policies(),
         INSTRUCTIONS,
-        &ReplayConfig::from_env(),
+        &ReplayConfig::default(),
     )
     .unwrap_err();
     assert!(

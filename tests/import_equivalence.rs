@@ -180,7 +180,7 @@ fn champsim_import_sweeps_bit_identical_to_the_direct_path() {
     // Sweep: per-core IPC/MPKI bit-identical to evaluating the live generators.
     let prepared = MixSource::replayed_with_id(&out, mix.id)
         .unwrap()
-        .materialize_with(llc_sets, SEED, &ReplayConfig::from_env())
+        .materialize_with(llc_sets, SEED, &ReplayConfig::default())
         .unwrap();
     for policy in policies() {
         let direct = evaluate_mix(&cfg, &mix, policy, INSTRUCTIONS, SEED);
@@ -234,7 +234,7 @@ fn csv_import_sweeps_bit_identical_to_the_direct_path() {
 
     let prepared = MixSource::replayed_with_id(&out, mix.id)
         .unwrap()
-        .materialize_with(llc_sets, SEED, &ReplayConfig::from_env())
+        .materialize_with(llc_sets, SEED, &ReplayConfig::default())
         .unwrap();
     for policy in policies() {
         let direct = evaluate_mix(&cfg, &mix, policy, INSTRUCTIONS, SEED);
@@ -280,7 +280,7 @@ fn compressed_corpus_sweeps_bit_identical_to_uncompressed_twin_serial_and_parall
     // Serial reference (regenerates every mix per policy) vs both corpora through the
     // parallel grid engine.
     let serial = evaluate_policies_serial(&cfg, &mixes, &policies, INSTRUCTIONS, SEED);
-    let replay = ReplayConfig::from_env();
+    let replay = ReplayConfig::default();
     let from_plain =
         sweep_policies_on_corpus_with(&cfg, &plain, &policies, INSTRUCTIONS, &replay).unwrap();
     let from_packed =
