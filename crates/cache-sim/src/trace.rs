@@ -146,8 +146,8 @@ impl TraceSource for StridedTrace {
     }
 }
 
-/// Replays a shared, immutable access buffer in a loop, wrapping at the end exactly like
-/// `trace_io::TraceReader` wraps at EOF (the paper's re-execution methodology).
+/// Replays a shared, immutable access buffer in a loop, wrapping at the end (the paper's
+/// re-execution methodology) with the same eager wrap count as [`ArenaReplayTrace`].
 ///
 /// The buffer is behind an [`Arc`], so one decoded trace can back many
 /// concurrently running simulations without copying — the corpus sweep engine in

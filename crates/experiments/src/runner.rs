@@ -360,7 +360,7 @@ fn check_geometry(path: &Path, header: &TraceHeader, llc_sets: usize) -> Result<
 enum MaterializedStream {
     /// Generated on demand and memoized (synthetic provenance; never wraps).
     Lazy(LazySharedTrace),
-    /// Fully decoded from a corpus file (wraps at the end like `TraceReader`).
+    /// Fully decoded from a corpus file (wraps at the end, counted eagerly).
     Decoded {
         records: Arc<Vec<MemAccess>>,
         label: String,

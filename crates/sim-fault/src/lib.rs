@@ -18,9 +18,8 @@
 //! |------------------|---------------------------------------------------------|
 //! | `atrc.write`     | trace capture, per chunk (supports torn writes)         |
 //! | `atrc.sync`      | trace capture, before the final `sync_all`              |
-//! | `atrc.read`      | buffered trace decode, per block                        |
-//! | `mmap.open`      | opening a trace for zero-copy replay                    |
-//! | `replay.decode`  | zero-copy chunk decode (surfaces as corruption)         |
+//! | `mmap.open`      | mapping a trace file (`MappedTrace::open`), once each   |
+//! | `replay.decode`  | trace chunk decode (surfaces as corruption)             |
 //! | `progress.open`  | opening `sweep.progress` at corpus load                 |
 //! | `progress.write` | per-cell progress append (supports torn writes)         |
 //! | `progress.sync`  | per-cell progress `sync_all`                            |
@@ -415,7 +414,7 @@ mod tests {
         assert_eq!(fire("progress.write"), Some(FaultKind::TornWrite));
         assert_eq!(fire("progress.write"), Some(FaultKind::TornWrite));
         assert_eq!(fire("progress.write"), None, "max_fires caps the schedule");
-        assert_eq!(fire("atrc.read"), None, "unarmed sites never fire");
+        assert_eq!(fire("replay.decode"), None, "unarmed sites never fire");
         assert_eq!(fired_count("progress.write"), 2);
         assert_eq!(total_fired(), 2);
         drop(guard);
@@ -424,11 +423,11 @@ mod tests {
     #[test]
     fn probabilistic_schedules_are_deterministic_across_reinstalls() {
         let guard = exclusive();
-        let plan = FaultPlan::new(42).rule("atrc.read", FaultKind::Io, 300, 0);
+        let plan = FaultPlan::new(42).rule("replay.decode", FaultKind::Io, 300, 0);
         let run = |plan: &FaultPlan| {
             install(plan.clone());
-            let fires: Vec<bool> = (0..200).map(|_| fire("atrc.read").is_some()).collect();
-            let count = fired_count("atrc.read");
+            let fires: Vec<bool> = (0..200).map(|_| fire("replay.decode").is_some()).collect();
+            let count = fired_count("replay.decode");
             (fires, count)
         };
         let (a, count_a) = run(&plan);
@@ -439,7 +438,7 @@ mod tests {
             count_a > 20 && count_a < 120,
             "300 permille over 200 hits, got {count_a}"
         );
-        let other = FaultPlan::new(43).rule("atrc.read", FaultKind::Io, 300, 0);
+        let other = FaultPlan::new(43).rule("replay.decode", FaultKind::Io, 300, 0);
         let (c, _) = run(&other);
         assert_ne!(a, c, "a different seed must produce a different schedule");
         drop(guard);

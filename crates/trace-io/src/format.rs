@@ -128,7 +128,11 @@ pub fn encode_block_payload(records: &[MemAccess], out: &mut Vec<u8>) {
     }
 }
 
-/// Decode a block payload holding exactly `record_count` records.
+/// Decode a block payload holding exactly `record_count` records, replacing `out`'s
+/// contents: the bounds-checked, one-record-at-a-time *reference* decoder. Files are read
+/// through [`decode_block_payload_append`]; this one stays as the small independent
+/// implementation the `unsafe` fast path is held to (unit tests below, and the
+/// arbitrary-payload proptest in `tests/atrc_fuzz.rs`).
 pub fn decode_block_payload(
     payload: &[u8],
     record_count: usize,
@@ -167,12 +171,12 @@ pub fn decode_block_payload(
 
 /// Decode a block payload holding exactly `record_count` records, *appending* to `out`.
 ///
-/// This is the zero-copy reader's batch decoder: unlike [`decode_block_payload`] it does
-/// not clear `out` (several blocks accumulate into one arena), reserves exactly (so a
-/// reused arena's capacity tracks the configured batch size instead of doubling), and
-/// reads varints a word at a time. It accepts exactly the payloads
-/// [`decode_block_payload`] accepts and produces identical records — the fuzz wall in
-/// `tests/atrc_fuzz.rs` and the unit tests below hold the two decoders bit-identical.
+/// This is the reader's batch decoder: unlike [`decode_block_payload`] it does not clear
+/// `out` (several blocks accumulate into one arena), reserves exactly (so a reused
+/// arena's capacity tracks the configured batch size instead of doubling), and reads
+/// varints a word at a time. It accepts exactly the payloads [`decode_block_payload`]
+/// accepts and produces identical records — the fuzz wall in `tests/atrc_fuzz.rs` and the
+/// unit tests below hold the two decoders bit-identical, on corrupt payloads too.
 pub fn decode_block_payload_append(
     payload: &[u8],
     record_count: usize,
@@ -223,11 +227,11 @@ pub fn decode_block_payload_append(
         out.set_len(base + produced);
     }
     // Tail: the last few records, whose varints may touch the final payload bytes, go
-    // through the bounds-checked reader (which also supplies truncation errors).
+    // through the bounds-checked byte-loop reader (which also supplies truncation errors).
     for _ in produced..record_count {
-        let addr = prev_addr.wrapping_add(unzigzag(read_varint_fast(payload, &mut pos)?));
-        let pc = prev_pc.wrapping_add(unzigzag(read_varint_fast(payload, &mut pos)?));
-        let packed = read_varint_fast(payload, &mut pos)?;
+        let addr = prev_addr.wrapping_add(unzigzag(read_varint(payload, &mut pos)?));
+        let pc = prev_pc.wrapping_add(unzigzag(read_varint(payload, &mut pos)?));
+        let packed = read_varint(payload, &mut pos)?;
         let non_mem = packed >> 1;
         if non_mem > u64::from(u32::MAX) {
             return Err(TraceError::Corrupt("non_mem_instrs exceeds u32".into()));
@@ -250,11 +254,8 @@ pub fn decode_block_payload_append(
     Ok(())
 }
 
-/// Word-at-a-time LEB128 read: one bounds check and one 8-byte load cover varints up to
-/// 8 bytes (56 bits — every delta a real trace produces); the last 7 payload bytes and
-/// 9-10-byte varints fall back to the byte-loop [`read_varint`], which also supplies the
-/// truncation/overflow errors, keeping accept/reject behavior identical to the slow path.
-/// [`read_varint_fast`] without the window bounds check, for the bulk decode loop.
+/// Word-at-a-time LEB128 read for the bulk decode loop: one unchecked 8-byte load covers
+/// varints up to 8 bytes (56 bits — every delta a real trace produces).
 ///
 /// Accept/reject behavior is identical to [`read_varint`]: varints of 3–8 bytes are
 /// extracted branchlessly from the loaded word, and 9–10-byte encodings (which only
@@ -299,33 +300,6 @@ unsafe fn read_varint_unchecked(buf: &[u8], pos: &mut usize) -> Result<u64, Trac
     read_varint(buf, pos)
 }
 
-#[inline(always)]
-fn read_varint_fast(buf: &[u8], pos: &mut usize) -> Result<u64, TraceError> {
-    let p = *pos;
-    if let Some(window) = buf.get(p..p + 8) {
-        let word = u64::from_le_bytes(window.try_into().expect("8-byte window"));
-        if word & 0x80 == 0 {
-            *pos = p + 1;
-            return Ok(word & 0x7f);
-        }
-        if word & 0x8000 == 0 {
-            *pos = p + 2;
-            return Ok((word & 0x7f) | ((word >> 1) & 0x3f80));
-        }
-        let stops = !word & 0x8080_8080_8080_8080;
-        if stops != 0 {
-            let len = stops.trailing_zeros() as usize / 8 + 1;
-            let mut v = 0u64;
-            for (i, byte) in word.to_le_bytes()[..len].iter().enumerate() {
-                v |= u64::from(byte & 0x7f) << (7 * i);
-            }
-            *pos = p + len;
-            return Ok(v);
-        }
-    }
-    read_varint(buf, pos)
-}
-
 /// Compress a raw block payload for v3 storage.
 ///
 /// Returns the on-disk payload — `raw_len u32 LE` followed by the LZ4 block — but only
@@ -344,29 +318,12 @@ pub fn compress_payload(raw: &[u8]) -> Option<Vec<u8>> {
 }
 
 /// Inverse of [`compress_payload`]: expand a compressed on-disk payload back to the raw
-/// block-encoded bytes.
+/// block-encoded bytes, into a reusable scratch buffer (cleared and resized to the
+/// declared raw length, so decoding v3 blocks allocates nothing per block).
 ///
 /// The `raw_len` prefix is untrusted input, so it is bounded by [`MAX_BLOCK_PAYLOAD`]
 /// before any allocation, and the LZ4 decoder is required to produce exactly `raw_len`
 /// bytes — a block that under- or over-runs its declaration is corrupt.
-pub fn decompress_payload(disk: &[u8]) -> Result<Vec<u8>, TraceError> {
-    if disk.len() < 4 {
-        return Err(TraceError::Truncated("compressed block length prefix"));
-    }
-    let raw_len = u32::from_le_bytes([disk[0], disk[1], disk[2], disk[3]]) as usize;
-    if raw_len > MAX_BLOCK_PAYLOAD {
-        return Err(TraceError::Corrupt(format!(
-            "compressed block declares {raw_len} raw bytes (over the {MAX_BLOCK_PAYLOAD} bound)"
-        )));
-    }
-    lz4_flex::decompress(&disk[4..], raw_len)
-        .map_err(|e| TraceError::Corrupt(format!("block decompression failed: {e}")))
-}
-
-/// [`decompress_payload`] into a reusable scratch buffer (cleared and resized to the
-/// declared raw length). Accepts and rejects exactly the payloads
-/// [`decompress_payload`] does; the zero-copy reader uses this to decompress v3 blocks
-/// without a fresh allocation per block.
 pub fn decompress_payload_into(disk: &[u8], scratch: &mut Vec<u8>) -> Result<(), TraceError> {
     if disk.len() < 4 {
         return Err(TraceError::Truncated("compressed block length prefix"));
@@ -605,29 +562,6 @@ mod tests {
     }
 
     #[test]
-    fn decompress_payload_into_matches_the_allocating_path() {
-        let records = varint_stress_records();
-        let mut raw = Vec::new();
-        encode_block_payload(&records[..300], &mut raw);
-        // Make it compressible by repeating the encoding twice.
-        let doubled: Vec<u8> = raw.iter().chain(raw.iter()).copied().collect();
-        let disk = compress_payload(&doubled).expect("doubled payload compresses");
-        let mut scratch = vec![0u8; 3]; // deliberately wrong size: must be resized
-        decompress_payload_into(&disk, &mut scratch).unwrap();
-        assert_eq!(scratch, decompress_payload(&disk).unwrap());
-        // Reuse with a corrupt declared length: both paths must reject.
-        let mut wrong = disk.clone();
-        let bad_len = (doubled.len() as u32 - 1).to_le_bytes();
-        wrong[..4].copy_from_slice(&bad_len);
-        assert!(decompress_payload(&wrong).is_err());
-        assert!(decompress_payload_into(&wrong, &mut scratch).is_err());
-        assert!(matches!(
-            decompress_payload_into(&[1, 2, 3], &mut scratch),
-            Err(TraceError::Truncated(_))
-        ));
-    }
-
-    #[test]
     fn fnv_is_stable_and_input_sensitive() {
         assert_eq!(fnv1a32(b""), 0x811c_9dc5);
         assert_ne!(fnv1a32(b"abc"), fnv1a32(b"abd"));
@@ -648,7 +582,9 @@ mod tests {
         encode_block_payload(&records, &mut raw);
         let disk = compress_payload(&raw).expect("strided payload must compress");
         assert!(disk.len() < raw.len());
-        assert_eq!(decompress_payload(&disk).unwrap(), raw);
+        let mut scratch = vec![0u8; 3]; // deliberately wrong size: must be resized
+        decompress_payload_into(&disk, &mut scratch).unwrap();
+        assert_eq!(scratch, raw);
 
         // A near-random payload must be declined rather than stored bigger.
         let mut state = 7u64;
@@ -663,15 +599,16 @@ mod tests {
 
     #[test]
     fn decompress_payload_rejects_bad_prefixes() {
+        let mut scratch = Vec::new();
         assert!(matches!(
-            decompress_payload(&[1, 2, 3]),
+            decompress_payload_into(&[1, 2, 3], &mut scratch),
             Err(TraceError::Truncated(_))
         ));
         let mut oversized = Vec::new();
         put_u32(&mut oversized, (MAX_BLOCK_PAYLOAD + 1) as u32);
         oversized.extend_from_slice(&[0u8; 8]);
         assert!(matches!(
-            decompress_payload(&oversized),
+            decompress_payload_into(&oversized, &mut scratch),
             Err(TraceError::Corrupt(_))
         ));
         // Declared length mismatching the actual expansion is corruption.
@@ -680,7 +617,7 @@ mod tests {
         let wrong = (raw.len() as u32 - 1).to_le_bytes();
         disk[..4].copy_from_slice(&wrong);
         assert!(matches!(
-            decompress_payload(&disk),
+            decompress_payload_into(&disk, &mut scratch),
             Err(TraceError::Corrupt(_))
         ));
     }

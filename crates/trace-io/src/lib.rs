@@ -13,16 +13,17 @@
 //!   disk with bounded memory, with optional per-block FNV-1a checksums. The byte-level
 //!   layout is specified in `docs/atrc-format.md`; [`mod@format`] and [`header`]
 //!   implement it.
-//! * [`TraceReader`] replays one core's stream as a [`cache_sim::trace::TraceSource`],
-//!   buffered block-at-a-time, rewinding on EOF exactly like the paper's re-execution
-//!   methodology. Checksums are validated once per block and skipped on later passes, so
-//!   repeated replays pay for integrity exactly once. [`open_all`] opens one per core.
-//!   It is the small, independent decoder the fuzz, round-trip and conformance suites
-//!   check the format against — not the experiment runner's replay path.
-//! * [`MappedTrace`] memory-maps a file once and decodes from the mapping
-//!   ([`MappedTrace::decode_core`] up front, [`MappedStreamDecoder`] in bounded
-//!   batches). This is the one replay entry point of `experiments::runner`
-//!   (`MixSource::materialize_with`), so no file I/O runs inside the simulator loop.
+//! * [`MappedTrace`] is the one reader: it memory-maps a file once (plain read where
+//!   mapping is unavailable), rejects structural damage at `open`, and decodes from the
+//!   mapping ([`MappedTrace::decode_core`] up front, [`MappedStreamDecoder`] in bounded
+//!   batches). Checksums are validated once per block *per file* and skipped on later
+//!   passes and cursors, so repeated replays pay for integrity exactly once.
+//!   `experiments::runner` (`MixSource::materialize_with`), `sweepd` and `tracectl` all
+//!   read through it, so no file I/O runs inside the simulator loop.
+//! * [`open_all`] yields one [`cache_sim::trace::TraceSource`] per core over a shared
+//!   mapping, restarting each stream at its end exactly like the paper's re-execution
+//!   methodology; [`decode_all`], [`read_header`] and [`compression_stats`] are the other
+//!   file-level conveniences.
 //! * [`Corpus`] groups one `.atrc` per workload mix under a manifest recording the capture
 //!   geometry and seed — the unit `experiments::runner::sweep_policies_on_corpus_with`
 //!   sweeps, decoding each file once and fanning the (policy × mix) grid out in parallel.
@@ -62,6 +63,8 @@ pub mod header;
 pub mod import;
 pub mod mmap;
 pub mod reader;
+#[cfg(test)]
+mod testutil;
 pub mod writer;
 
 pub use corpus::{Corpus, CorpusEntry, CorpusMeta};
@@ -69,10 +72,7 @@ pub use error::TraceError;
 pub use header::{CoreStreamInfo, TraceHeader};
 pub use import::{import_into_corpus, import_to_file, ImportFormat, ImportOptions, ImportStats};
 pub use mmap::{
-    decode_all_mapped, MappedStreamDecoder, MappedTrace, PrefetchingSource, DEFAULT_BATCH_RECORDS,
+    DecodeTimings, MappedStreamDecoder, MappedTrace, PrefetchingSource, DEFAULT_BATCH_RECORDS,
 };
-pub use reader::{
-    compression_stats, decode_all, open_all, read_header, CompressionInfo, DecodeTimings,
-    TraceReader,
-};
+pub use reader::{compression_stats, decode_all, open_all, read_header, CompressionInfo};
 pub use writer::{CompressedTraceWriter, TraceCaptureOptions, TraceSummary, TraceWriter};

@@ -1,11 +1,13 @@
-//! Zero-copy mapped replay: the streaming counterpart of [`crate::TraceReader`].
+//! [`MappedTrace`]: the one reader of `.atrc` files.
 //!
 //! [`MappedTrace::open`] memory-maps a `.atrc` file (via the `memmap2` stand-in, which
 //! falls back to a plain read where mapping is unavailable), parses the header straight
 //! from the mapped bytes, and eagerly scans every core's chunk frames into an in-memory
-//! chunk index. The scan applies exactly the structural checks the buffered reader
-//! applies per block — implausible framing, payload overruns, directory byte accounting —
-//! so torn or truncated files are rejected at `open` before any records are surfaced.
+//! chunk index. The scan applies every structural check of `docs/atrc-format.md` —
+//! implausible framing, payload overruns, directory byte and record accounting — so torn
+//! or truncated files are rejected at `open` before any records are surfaced. It is the
+//! only code that parses a chunk frame; everything else (decode, compression accounting,
+//! `tracectl`) reads its index.
 //!
 //! Decoding then never copies payload bytes into an intermediate buffer:
 //! [`MappedStreamDecoder`] batch-decodes blocks directly from the mapping into a reusable
@@ -16,14 +18,13 @@
 //!
 //! # Integrity
 //!
-//! Checksums keep the buffered reader's semantics: FNV-1a over the *stored* bytes, so a
-//! corrupted compressed block is rejected before the decompressor runs, and each block is
-//! validated exactly once per file — the high-water mark is shared across every cursor of
-//! a [`MappedTrace`] (the buffered reader tracks it per reader), so a policy sweep with P
-//! cursors validates each block once, not P times. Every accept/reject decision is
-//! fuzz-locked against the buffered reader in `tests/atrc_fuzz.rs`; the mapped path is
-//! permitted to be stricter on corrupt files (its eager scan also cross-checks the
-//! directory record counts), never looser.
+//! Checksums are FNV-1a over the *stored* bytes, so a corrupted compressed block is
+//! rejected before the decompressor runs, and each block is validated exactly once per
+//! file — the high-water mark is shared across every cursor of a [`MappedTrace`], so a
+//! policy sweep with P cursors validates each block once, not P times. A fresh `open` is
+//! the explicit re-validation (`tracectl stats`). The accept/reject line is held by the
+//! golden fixtures, the round-trip and bit-flip fuzz wall in `tests/atrc_fuzz.rs` and the
+//! truncation suite.
 
 use std::fs::File;
 use std::io::Cursor;
@@ -57,11 +58,73 @@ struct ChunkRef {
     compressed: bool,
     /// Stored FNV-1a of the payload, when the file carries checksums.
     checksum: Option<u32>,
-    /// Stream-relative offset of the frame (checksum-mismatch reporting parity with the
-    /// buffered reader).
+    /// Stream-relative offset of the frame (checksum-mismatch reporting).
     stream_offset: u64,
     /// Stream-relative end of frame+payload (validate-once high-water coordinate).
     stream_end: u64,
+}
+
+/// Where one core's block-decode time went, accumulated across every cursor and pass of
+/// a [`MappedTrace`] — but only while `sim-obs` recording is enabled (`tracectl inspect
+/// --timings`, profiled sweeps). All fields are zero otherwise: the decode hot path never
+/// pays for the clock reads.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct DecodeTimings {
+    /// Blocks of this core's stream decoded.
+    pub blocks: u64,
+    /// Payload bytes processed (as stored on disk).
+    pub payload_bytes: u64,
+    /// Nanoseconds spent verifying FNV-1a checksums.
+    pub checksum_ns: u64,
+    /// Nanoseconds spent LZ4-decompressing v3 block payloads.
+    pub decompress_ns: u64,
+    /// Nanoseconds spent in delta+varint record decoding.
+    pub decode_ns: u64,
+}
+
+impl DecodeTimings {
+    /// Total accounted nanoseconds (checksum + decompress + decode).
+    pub fn total_ns(&self) -> u64 {
+        self.checksum_ns + self.decompress_ns + self.decode_ns
+    }
+
+    fn fields(&self) -> [u64; 5] {
+        [
+            self.blocks,
+            self.payload_bytes,
+            self.checksum_ns,
+            self.decompress_ns,
+            self.decode_ns,
+        ]
+    }
+
+    fn from_fields(fields: [u64; 5]) -> DecodeTimings {
+        let [blocks, payload_bytes, checksum_ns, decompress_ns, decode_ns] = fields;
+        DecodeTimings {
+            blocks,
+            payload_bytes,
+            checksum_ns,
+            decompress_ns,
+            decode_ns,
+        }
+    }
+
+    /// Record as the five `decode.*` sim-obs counters (category `trace-io`), tagged with
+    /// the current observation context. No-op when nothing was timed.
+    fn emit_counters(&self) {
+        if self.blocks == 0 {
+            return;
+        }
+        for (name, value) in [
+            ("decode.blocks", self.blocks as f64),
+            ("decode.payload_bytes", self.payload_bytes as f64),
+            ("decode.checksum_ms", self.checksum_ns as f64 / 1e6),
+            ("decode.decompress_ms", self.decompress_ns as f64 / 1e6),
+            ("decode.decode_ms", self.decode_ns as f64 / 1e6),
+        ] {
+            sim_obs::counter("trace-io", name, value);
+        }
+    }
 }
 
 /// A fully indexed, memory-mapped trace file shared by any number of decode cursors.
@@ -76,6 +139,9 @@ pub struct MappedTrace {
     validated: Vec<AtomicU64>,
     /// Total FNV validations performed (telemetry; tests of validate-once).
     validations: AtomicU64,
+    /// Per-core [`DecodeTimings`] fields beside `validated` (statistics only, so
+    /// `Relaxed` throughout).
+    timings: Vec<[AtomicU64; 5]>,
 }
 
 impl std::fmt::Debug for MappedTrace {
@@ -92,16 +158,16 @@ impl MappedTrace {
     /// Map and index the trace file at `path`.
     ///
     /// Structural corruption — torn final block, missing footer, truncated payloads,
-    /// chunk/directory disagreement — is rejected here, with the same [`TraceError`]
-    /// classes the buffered reader produces. Checksums are *not* verified here; they are
-    /// verified once, lazily, as blocks are first decoded.
+    /// chunk/directory disagreement — is rejected here with a typed [`TraceError`].
+    /// Checksums are *not* verified here; they are verified once, lazily, as blocks are
+    /// first decoded.
     pub fn open(path: impl AsRef<Path>) -> Result<MappedTrace, TraceError> {
         let path = path.as_ref().to_path_buf();
         sim_fault::fail_io("mmap.open").map_err(TraceError::Io)?;
         let file = File::open(&path).map_err(TraceError::Io)?;
         // SAFETY: trace corpora are immutable once written (`TraceWriter::finish` is the
         // last write); the repo-wide contract is that files are not mutated during
-        // replay, the same assumption the buffered reader's open/read sequence makes.
+        // replay.
         let bytes = unsafe { memmap2::Mmap::map(&file) }.map_err(TraceError::Io)?;
         drop(file);
         let header = TraceHeader::read(&mut Cursor::new(&bytes[..]))?;
@@ -112,6 +178,9 @@ impl MappedTrace {
             .map(|core| scan_core(&bytes, &header, core))
             .collect::<Result<Vec<_>, _>>()?;
         let validated = (0..header.cores.len()).map(|_| AtomicU64::new(0)).collect();
+        let timings = (0..header.cores.len())
+            .map(|_| Default::default())
+            .collect();
         Ok(MappedTrace {
             path,
             bytes,
@@ -119,6 +188,7 @@ impl MappedTrace {
             chunks,
             validated,
             validations: AtomicU64::new(0),
+            timings,
         })
     }
 
@@ -143,11 +213,52 @@ impl MappedTrace {
         self.validations.load(Ordering::Relaxed)
     }
 
-    /// Decode one chunk, appending its records to `arena`.
-    ///
-    /// Mirrors the buffered reader's per-block sequence exactly: validate-once FNV over
-    /// the stored bytes (so corruption is rejected *before* decompression), then
-    /// decompress if the block is compressed, then batch varint decode.
+    /// Where `core`'s decode time went so far, summed over every cursor of this mapping.
+    /// Only populated while `sim-obs` recording was enabled during the decodes; all-zero
+    /// otherwise (and for an out-of-range `core`).
+    pub fn decode_timings(&self, core: usize) -> DecodeTimings {
+        self.timings
+            .get(core)
+            .map_or_else(DecodeTimings::default, |cells| {
+                DecodeTimings::from_fields(std::array::from_fn(|i| {
+                    cells[i].load(Ordering::Relaxed)
+                }))
+            })
+    }
+
+    /// Every block of the file as `(stored payload, compressed?)`, core by core — the
+    /// view of the chunk index [`crate::compression_stats`] folds over.
+    pub(crate) fn stored_blocks(&self) -> impl Iterator<Item = (&[u8], bool)> + '_ {
+        self.chunks
+            .iter()
+            .flatten()
+            .map(|chunk| (self.payload(chunk), chunk.compressed))
+    }
+
+    /// `core`'s record count, or why its stream cannot be replayed: no such core, or
+    /// nothing in it.
+    fn replayable_records(&self, core: usize) -> Result<u64, TraceError> {
+        let info = self.header.cores.get(core).ok_or_else(|| {
+            TraceError::Corrupt(format!(
+                "core {core} out of range: file has {} streams",
+                self.header.cores.len()
+            ))
+        })?;
+        if info.records == 0 {
+            return Err(TraceError::Corrupt(format!(
+                "core {core} stream is empty; a TraceSource must never terminate"
+            )));
+        }
+        Ok(info.records)
+    }
+
+    fn payload(&self, chunk: &ChunkRef) -> &[u8] {
+        &self.bytes[chunk.payload_off..chunk.payload_off + chunk.payload_len as usize]
+    }
+
+    /// Decode one chunk, appending its records to `arena`: validate-once FNV over the
+    /// stored bytes (so corruption is rejected *before* decompression), then decompress
+    /// if the block is compressed, then batch varint decode.
     fn decode_chunk(
         &self,
         core: usize,
@@ -163,12 +274,24 @@ impl MappedTrace {
                 chunk.stream_offset
             )));
         }
-        let payload =
-            &self.bytes[chunk.payload_off..chunk.payload_off + chunk.payload_len as usize];
+        let payload = self.payload(chunk);
+        // Latched once per chunk: while profiling is on, attribute this chunk's time to
+        // checksum / decompress / decode. Off, that is one relaxed load per chunk and
+        // never a clock read.
+        let timed = sim_obs::enabled();
+        let now = || if timed { sim_obs::now_ns() } else { 0 };
+        let mut spent = DecodeTimings {
+            blocks: 1,
+            payload_bytes: u64::from(chunk.payload_len),
+            ..DecodeTimings::default()
+        };
         if let Some(stored) = chunk.checksum {
             if chunk.stream_end > self.validated[core].load(Ordering::Acquire) {
                 self.validations.fetch_add(1, Ordering::Relaxed);
-                if fnv1a32(payload) != stored {
+                let start = now();
+                let ok = fnv1a32(payload) == stored;
+                spent.checksum_ns = now().saturating_sub(start);
+                if !ok {
                     return Err(TraceError::ChecksumMismatch {
                         core,
                         stream_offset: chunk.stream_offset,
@@ -177,42 +300,47 @@ impl MappedTrace {
                 self.validated[core].fetch_max(chunk.stream_end, Ordering::Release);
             }
         }
-        if chunk.compressed {
+        let mut start = now();
+        let raw = if chunk.compressed {
             decompress_payload_into(payload, scratch)?;
-            decode_block_payload_append(scratch, chunk.records as usize, arena)
+            let decompressed = now();
+            spent.decompress_ns = decompressed.saturating_sub(start);
+            start = decompressed;
+            &scratch[..]
         } else {
-            decode_block_payload_append(payload, chunk.records as usize, arena)
+            payload
+        };
+        decode_block_payload_append(raw, chunk.records as usize, arena)?;
+        if timed {
+            spent.decode_ns = now().saturating_sub(start);
+            for (cell, value) in self.timings[core].iter().zip(spent.fields()) {
+                cell.fetch_add(value, Ordering::Relaxed);
+            }
         }
+        Ok(())
     }
 
-    /// Decode `core`'s complete stream once (the zero-copy counterpart of the per-core
-    /// loop in [`crate::decode_all`]).
+    /// Decode `core`'s complete stream once. While `sim-obs` is recording, the pass's
+    /// [`DecodeTimings`] are also emitted as the five `trace-io` `decode.*` counters.
     pub fn decode_core(&self, core: usize) -> Result<Vec<MemAccess>, TraceError> {
         let _span = sim_obs::span("trace-io", "decode_core");
-        let info = self.header.cores.get(core).ok_or_else(|| {
-            TraceError::Corrupt(format!(
-                "core {core} out of range: file has {} streams",
-                self.header.cores.len()
-            ))
-        })?;
-        if info.records == 0 {
-            return Err(TraceError::Corrupt(format!(
-                "core {core} stream is empty; a TraceSource must never terminate"
-            )));
-        }
+        let before = self.decode_timings(core).fields();
         let mut records = Vec::new();
-        records.reserve_exact(info.records as usize);
+        records.reserve_exact(self.replayable_records(core)? as usize);
         let mut scratch = Vec::new();
         for chunk in &self.chunks[core] {
             self.decode_chunk(core, chunk, &mut records, &mut scratch)?;
         }
+        // This pass's share of the per-core totals (all-zero unless recording).
+        let after = self.decode_timings(core).fields();
+        DecodeTimings::from_fields(std::array::from_fn(|i| after[i] - before[i])).emit_counters();
         Ok(records)
     }
 }
 
-/// Locate every chunk of `core`'s stream, reproducing the buffered reader's structural
-/// validation (see `TraceReader::load_next_block`) plus a directory record-count
-/// cross-check the lazy reader can only perform in `verify()`.
+/// Locate every chunk of `core`'s stream — the one place a chunk frame is parsed.
+/// Rejects implausible framing, payloads overrunning the data region or the core's
+/// directory byte count, and a framed record total that disagrees with the directory.
 fn scan_core(bytes: &[u8], header: &TraceHeader, core: usize) -> Result<Vec<ChunkRef>, TraceError> {
     let info = &header.cores[core];
     let frame_len: u64 =
@@ -299,21 +427,12 @@ fn read_u32_at(bytes: &[u8], pos: &mut usize) -> Result<u32, TraceError> {
     ))
 }
 
-/// Decode every core's complete stream from a mapping — the zero-copy drop-in for
-/// [`crate::decode_all`], proven bit-identical to it by the fuzz wall.
-pub fn decode_all_mapped(path: impl AsRef<Path>) -> Result<Vec<Vec<MemAccess>>, TraceError> {
-    let trace = MappedTrace::open(path)?;
-    (0..trace.header.cores.len())
-        .map(|core| trace.decode_core(core))
-        .collect()
-}
-
 /// A batch-decode cursor over one core of a [`MappedTrace`].
 ///
 /// Implements [`BatchSource`]: each [`fill`](BatchSource::fill) decodes whole blocks
 /// from the mapping into the caller's arena until `batch_records` is reached (never
 /// splitting a block, and never exceeding `max(batch_records, largest block)` records),
-/// wrapping at end of stream exactly like the buffered reader.
+/// wrapping to the first block at end of stream (the paper's re-execution methodology).
 pub struct MappedStreamDecoder {
     trace: Arc<MappedTrace>,
     core: usize,
@@ -332,17 +451,7 @@ impl MappedStreamDecoder {
         core: usize,
         batch_records: usize,
     ) -> Result<MappedStreamDecoder, TraceError> {
-        let info = trace.header.cores.get(core).ok_or_else(|| {
-            TraceError::Corrupt(format!(
-                "core {core} out of range: file has {} streams",
-                trace.header.cores.len()
-            ))
-        })?;
-        if info.records == 0 {
-            return Err(TraceError::Corrupt(format!(
-                "core {core} stream is empty; a TraceSource must never terminate"
-            )));
-        }
+        trace.replayable_records(core)?;
         Ok(MappedStreamDecoder {
             trace,
             core,
@@ -536,45 +645,16 @@ impl BatchSource for PrefetchingSource {
 mod tests {
     use super::*;
     use crate::reader::decode_all;
-    use crate::writer::{TraceCaptureOptions, TraceWriter};
+    use crate::testutil::{cursor, tmp, write_trace};
+    use crate::writer::TraceWriter;
     use cache_sim::trace::{ArenaReplayTrace, TraceSource};
-
-    fn tmp(name: &str) -> PathBuf {
-        std::env::temp_dir().join(format!("trace_io_mmap_{name}.atrc"))
-    }
-
-    fn write_trace(path: &Path, cores: usize, records: u64, compress: bool) {
-        let opts = TraceCaptureOptions {
-            records_per_block: 16,
-            compress,
-            ..Default::default()
-        };
-        let mut w = TraceWriter::with_options(path, cores, "t", opts).unwrap();
-        for i in 0..records {
-            for core in 0..cores {
-                w.push(
-                    core,
-                    MemAccess {
-                        addr: (core as u64) << 40 | (i * 64),
-                        pc: 0x400 + (i % 13) * 4,
-                        is_write: i % 4 == 0,
-                        non_mem_instrs: (i % 7) as u32,
-                    },
-                )
-                .unwrap();
-            }
-        }
-        w.finish().unwrap();
-    }
 
     #[test]
     fn mapped_decode_matches_buffered_decode() {
         for compress in [false, true] {
             let path = tmp(if compress { "match_v3" } else { "match_v2" });
-            write_trace(&path, 3, 100, compress);
-            let buffered = decode_all(&path).unwrap();
-            let mapped = decode_all_mapped(&path).unwrap();
-            assert_eq!(mapped, buffered);
+            let written = write_trace(&path, 3, 100, compress);
+            assert_eq!(decode_all(&path).unwrap(), written);
             std::fs::remove_file(path).ok();
         }
     }
@@ -582,15 +662,13 @@ mod tests {
     #[test]
     fn mapped_cursor_wraps_like_the_buffered_reader() {
         let path = tmp("wrap");
-        write_trace(&path, 2, 40, false);
+        let written = write_trace(&path, 2, 40, false);
         let trace = Arc::new(MappedTrace::open(&path).unwrap());
-        let reference = decode_all(&path).unwrap();
-        for (core, core_reference) in reference.iter().enumerate() {
-            let decoder = MappedStreamDecoder::new(trace.clone(), core, 12).unwrap();
-            let mut cursor = ArenaReplayTrace::new(Box::new(decoder), Arc::default());
+        for (core, pushed) in written.iter().enumerate() {
+            let mut cursor = cursor(&trace, core, 12);
             assert_eq!(cursor.label(), trace.header().cores[core].label);
             for pass in 0..3 {
-                for (i, want) in core_reference.iter().enumerate() {
+                for (i, want) in pushed.iter().enumerate() {
                     assert_eq!(
                         cursor.next_access(),
                         *want,
@@ -601,7 +679,7 @@ mod tests {
             }
             cursor.reset();
             assert_eq!(cursor.wraps(), 0);
-            assert_eq!(cursor.next_access(), core_reference[0]);
+            assert_eq!(cursor.next_access(), pushed[0]);
         }
         std::fs::remove_file(path).ok();
     }
@@ -616,10 +694,7 @@ mod tests {
             0,
             "open must not validate checksums (validation is lazy)"
         );
-        let mut a = ArenaReplayTrace::new(
-            Box::new(MappedStreamDecoder::new(trace.clone(), 0, 16).unwrap()),
-            Arc::default(),
-        );
+        let mut a = cursor(&trace, 0, 16);
         for _ in 0..64 {
             a.next_access();
         }
@@ -632,11 +707,17 @@ mod tests {
             4,
             "wraps must not re-validate"
         );
-        // A second cursor over the same mapping inherits the validated state.
-        let mut b = ArenaReplayTrace::new(
-            Box::new(MappedStreamDecoder::new(trace.clone(), 0, 16).unwrap()),
-            Arc::default(),
+        a.reset();
+        for _ in 0..64 {
+            a.next_access();
+        }
+        assert_eq!(
+            trace.checksum_validations(),
+            4,
+            "reset must not re-validate"
         );
+        // A second cursor over the same mapping inherits the validated state.
+        let mut b = cursor(&trace, 0, 16);
         for _ in 0..64 {
             b.next_access();
         }
@@ -645,6 +726,10 @@ mod tests {
             4,
             "validation is once per file, not once per cursor"
         );
+        // A fresh open is the explicit integrity check and re-validates everything.
+        let fresh = MappedTrace::open(&path).unwrap();
+        fresh.decode_core(0).unwrap();
+        assert_eq!(fresh.checksum_validations(), 4);
         std::fs::remove_file(path).ok();
     }
 
@@ -659,11 +744,10 @@ mod tests {
             write_trace(&path, 2, 90, compress);
             let trace = Arc::new(MappedTrace::open(&path).unwrap());
             for core in 0..2 {
-                let direct = MappedStreamDecoder::new(trace.clone(), core, 24).unwrap();
+                let mut direct = cursor(&trace, core, 24);
                 let prefetched = PrefetchingSource::new(
                     MappedStreamDecoder::new(trace.clone(), core, 24).unwrap(),
                 );
-                let mut direct = ArenaReplayTrace::new(Box::new(direct), Arc::default());
                 let mut prefetched = ArenaReplayTrace::new(Box::new(prefetched), Arc::default());
                 assert_eq!(direct.label(), prefetched.label());
                 for i in 0..300 {
@@ -690,32 +774,36 @@ mod tests {
 
     #[test]
     fn open_rejects_corrupt_framing_and_decode_rejects_payload_flips() {
-        let path = tmp("corrupt");
-        write_trace(&path, 1, 64, false);
-        let clean = std::fs::read(&path).unwrap();
-        let header = crate::read_header(&path).unwrap();
+        for compress in [false, true] {
+            let path = tmp(if compress { "corrupt_v3" } else { "corrupt_v2" });
+            let written = write_trace(&path, 1, 64, compress);
+            let clean = std::fs::read(&path).unwrap();
+            let header = crate::read_header(&path).unwrap();
+            assert_eq!(decode_all(&path).unwrap(), written);
 
-        // Flip a bit in a frame's record-count field: the eager scan must reject at
-        // open (directory cross-check), where the buffered reader misparses lazily.
-        let frame_records_at = header.preamble_len() as usize + 8;
-        let mut bytes = clean.clone();
-        bytes[frame_records_at] ^= 0x01;
-        std::fs::write(&path, &bytes).unwrap();
-        assert!(MappedTrace::open(&path).is_err());
+            // Flip a bit in a frame's record-count field: the eager scan must reject at
+            // open (directory cross-check).
+            let frame_records_at = header.preamble_len() as usize + 8;
+            let mut bytes = clean.clone();
+            bytes[frame_records_at] ^= 0x01;
+            std::fs::write(&path, &bytes).unwrap();
+            assert!(MappedTrace::open(&path).is_err());
 
-        // Flip a payload byte: open succeeds (checksums are lazy) and the first decode
-        // of that block reports a checksum mismatch.
-        let mut bytes = clean.clone();
-        let payload_at = header.data_end as usize - 3;
-        bytes[payload_at] ^= 0xff;
-        std::fs::write(&path, &bytes).unwrap();
-        let trace = MappedTrace::open(&path).unwrap();
-        let err = trace.decode_core(0).unwrap_err();
-        assert!(
-            matches!(err, TraceError::ChecksumMismatch { core: 0, .. }),
-            "payload flip must be caught by FNV, got {err:?}"
-        );
-        std::fs::remove_file(path).ok();
+            // Flip a payload byte: open succeeds (checksums are lazy) and the first
+            // decode of that block reports a checksum mismatch — over the stored bytes,
+            // so a compressed block is rejected before the decompressor ever runs.
+            let mut bytes = clean.clone();
+            let payload_at = header.data_end as usize - 3;
+            bytes[payload_at] ^= 0xff;
+            std::fs::write(&path, &bytes).unwrap();
+            let trace = MappedTrace::open(&path).unwrap();
+            let err = trace.decode_core(0).unwrap_err();
+            assert!(
+                matches!(err, TraceError::ChecksumMismatch { core: 0, .. }),
+                "payload flip must be caught by FNV, got {err:?}"
+            );
+            std::fs::remove_file(path).ok();
+        }
     }
 
     #[test]
@@ -723,10 +811,7 @@ mod tests {
         let path = tmp("empty");
         let w = TraceWriter::create(&path, 1, "empty").unwrap();
         w.finish().unwrap();
-        assert!(matches!(
-            decode_all_mapped(&path),
-            Err(TraceError::Corrupt(_))
-        ));
+        assert!(matches!(decode_all(&path), Err(TraceError::Corrupt(_))));
         let trace = Arc::new(MappedTrace::open(&path).unwrap());
         assert!(MappedStreamDecoder::new(trace, 0, 16).is_err());
         std::fs::remove_file(path).ok();
@@ -739,12 +824,12 @@ mod tests {
         // global, but the only effect on concurrent tests is that they too use the
         // fallback — which this very test asserts is equivalent.
         let path = tmp("fallback");
-        write_trace(&path, 2, 50, true);
-        let mapped = decode_all_mapped(&path).unwrap();
+        let written = write_trace(&path, 2, 50, true);
+        assert_eq!(decode_all(&path).unwrap(), written);
         std::env::set_var("MEMMAP2_FORCE_FALLBACK", "1");
-        let fallback = decode_all_mapped(&path);
+        let fallback = decode_all(&path);
         std::env::remove_var("MEMMAP2_FORCE_FALLBACK");
-        assert_eq!(fallback.unwrap(), mapped);
+        assert_eq!(fallback.unwrap(), written);
         std::fs::remove_file(path).ok();
     }
 }

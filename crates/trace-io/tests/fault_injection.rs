@@ -17,8 +17,8 @@ use std::sync::Arc;
 use cache_sim::trace::{replay_fault_from, BatchSource, MemAccess};
 use sim_fault::{FaultKind, FaultPlan};
 use trace_io::{
-    decode_all, decode_all_mapped, MappedStreamDecoder, MappedTrace, PrefetchingSource,
-    TraceCaptureOptions, TraceWriter,
+    decode_all, MappedStreamDecoder, MappedTrace, PrefetchingSource, TraceCaptureOptions,
+    TraceWriter,
 };
 
 const CORES: usize = 2;
@@ -120,27 +120,23 @@ fn faulted_reads_fail_typed_or_decode_identically() {
     for seed in 1u64..=10 {
         guard.install(
             FaultPlan::new(seed)
-                .rule("atrc.read", FaultKind::Io, 30, 0)
                 .rule("mmap.open", FaultKind::Io, 300, 0)
                 .rule("replay.decode", FaultKind::Io, 30, 0),
         );
-        let buffered = decode_all(&clean);
-        let mapped = decode_all_mapped(&clean);
+        let result = decode_all(&clean);
         guard.clear();
-        for (label, result) in [("buffered", buffered), ("mapped", mapped)] {
-            match result {
-                Ok(records) => assert_eq!(
-                    records, ref_records,
-                    "seed {seed}: {label} decode succeeded but differs from reference"
-                ),
-                Err(e) => {
-                    failed += 1;
-                    // Typed by construction (TraceError); the message names the site.
-                    assert!(
-                        e.to_string().contains("injected"),
-                        "seed {seed}: {label} decode failed for a non-injected reason: {e}"
-                    );
-                }
+        match result {
+            Ok(records) => assert_eq!(
+                records, ref_records,
+                "seed {seed}: decode succeeded but differs from reference"
+            ),
+            Err(e) => {
+                failed += 1;
+                // Typed by construction (TraceError); the message names the site.
+                assert!(
+                    e.to_string().contains("injected"),
+                    "seed {seed}: decode failed for a non-injected reason: {e}"
+                );
             }
         }
     }

@@ -1,7 +1,7 @@
 //! Truncated / interrupted-capture regression tests for v2 AND v3.
 //!
 //! An interrupted capture (no footer) and a torn tail (partial final block) must both
-//! surface as *detectably incomplete* — a typed error from `read_header`/`TraceReader`
+//! surface as *detectably incomplete* — a typed error from `read_header`/`MappedTrace`
 //! and a non-zero exit from `tracectl inspect` — never as a silently shorter stream.
 //! The v3 compression bump must not weaken any of this, so every scenario runs against
 //! both chunked versions.
@@ -10,9 +10,7 @@ use std::path::PathBuf;
 use std::process::Command;
 
 use cache_sim::trace::MemAccess;
-use trace_io::{
-    decode_all_mapped, read_header, MappedTrace, TraceCaptureOptions, TraceReader, TraceWriter,
-};
+use trace_io::{decode_all, read_header, MappedTrace, TraceCaptureOptions, TraceWriter};
 
 fn write_trace(path: &PathBuf, compress: bool, records: u64) {
     let opts = TraceCaptureOptions {
@@ -75,7 +73,7 @@ fn missing_footer_is_detected_in_both_versions() {
             read_header(&path).is_err(),
             "v{version}: a footer-less capture must not parse"
         );
-        assert!(TraceReader::open(&path, 0).is_err());
+        assert!(MappedTrace::open(&path).is_err());
         assert_inspect_rejects(&path);
         std::fs::remove_file(path).ok();
     }
@@ -109,8 +107,8 @@ fn partial_final_block_is_detected_in_both_versions() {
 #[test]
 fn arbitrary_tail_truncations_never_yield_a_short_stream() {
     // Sweep cut points across the file tail (footer, directory, trailing offset): each
-    // truncated file must either fail to open or fail verify() — a reader must never
-    // hand back fewer records than the capture claimed.
+    // truncated file must either fail to open or fail a full decode — a reader must
+    // never hand back fewer records than the capture claimed.
     for compress in [false, true] {
         let version = if compress { 3 } else { 2 };
         let path = tmp(&format!("tailsweep_v{version}"));
@@ -119,17 +117,12 @@ fn arbitrary_tail_truncations_never_yield_a_short_stream() {
         for cut in 1..70 {
             let truncated = &bytes[..bytes.len() - cut];
             std::fs::write(&path, truncated).unwrap();
-            match TraceReader::open(&path, 0) {
-                Err(_) => {}
-                Ok(mut reader) => {
-                    let verified = reader.verify();
-                    assert!(
-                        verified.is_err(),
-                        "v{version}: cutting {cut} tail bytes still verified \
-                         ({verified:?})"
-                    );
-                }
-            }
+            let decoded = MappedTrace::open(&path).and_then(|trace| trace.decode_core(0));
+            assert!(
+                decoded.is_err(),
+                "v{version}: cutting {cut} tail bytes still decoded {:?} records",
+                decoded.map(|records| records.len())
+            );
         }
         std::fs::remove_file(path).ok();
     }
@@ -137,8 +130,7 @@ fn arbitrary_tail_truncations_never_yield_a_short_stream() {
 
 #[test]
 fn mapped_reader_detects_missing_footer_and_torn_final_block() {
-    // The zero-copy path must hold the same line as the buffered reader: an
-    // interrupted capture (footer gone) and a torn final block (stale footer kept)
+    // An interrupted capture (footer gone) and a torn final block (stale footer kept)
     // both error cleanly from a mapped file — a typed error, no panic, no records.
     for compress in [false, true] {
         let version = if compress { 3 } else { 2 };
@@ -171,7 +163,7 @@ fn mapped_reader_detects_missing_footer_and_torn_final_block() {
 fn mapped_reader_survives_arbitrary_tail_cuts_without_partial_records() {
     // Tail-cut sweep on the mapped path, including cuts that land mid-batch inside the
     // data region: every truncated file must fail at open or decode with a typed error.
-    // `decode_all_mapped` returning Ok would mean partial records were surfaced.
+    // `decode_all` returning Ok would mean partial records were surfaced.
     for compress in [false, true] {
         let version = if compress { 3 } else { 2 };
         let path = tmp(&format!("mmap_tailsweep_v{version}"));
@@ -182,7 +174,7 @@ fn mapped_reader_survives_arbitrary_tail_cuts_without_partial_records() {
             let truncated = &bytes[..bytes.len() - cut];
             std::fs::write(&path, truncated).unwrap();
             assert!(
-                decode_all_mapped(&path).is_err(),
+                decode_all(&path).is_err(),
                 "v{version}: cutting {cut} tail bytes still decoded from the mapping"
             );
         }

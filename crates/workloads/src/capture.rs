@@ -13,7 +13,7 @@
 //! ```
 //!
 //! Because [`cache_sim::trace::capture_into`] resets every source before draining it, a
-//! captured file replayed through `trace_io::TraceReader` yields byte-for-byte the same
+//! captured file replayed through `trace_io::MappedTrace` yields byte-for-byte the same
 //! access stream as a freshly constructed generator — the property the round-trip tests
 //! and the runner's capture↔replay equivalence test assert.
 

@@ -27,7 +27,8 @@ use adapt_llc::traces::format::{
     FLAG_CHUNKED, FLAG_COMPRESSED,
 };
 use adapt_llc::traces::{
-    compression_stats, decode_all, read_header, TraceCaptureOptions, TraceReader, TraceWriter,
+    compression_stats, decode_all, open_all, read_header, MappedTrace, TraceCaptureOptions,
+    TraceWriter,
 };
 
 const SPEC: &str = "docs/atrc-format.md";
@@ -397,17 +398,18 @@ fn v3_fixture_layout_matches_the_spec() {
 #[test]
 fn v2_and_v3_fixtures_hold_identical_records() {
     // The compression bump changes bytes, never meaning: both chunked fixtures carry
-    // the same streams, and replay through TraceReader agrees record-for-record.
+    // the same streams, and wrapping replay cursors agree record-for-record.
     let v2 = decode_all(fixture_path("v2-chunked.atrc")).unwrap();
     let v3 = decode_all(fixture_path("v3-compressed.atrc")).unwrap();
     assert_eq!(v2, v3);
-    for core in 0..2 {
-        let mut a = TraceReader::open(fixture_path("v2-chunked.atrc"), core).unwrap();
-        let mut b = TraceReader::open(fixture_path("v3-compressed.atrc"), core).unwrap();
+    let v2_cursors = open_all(fixture_path("v2-chunked.atrc")).unwrap();
+    let v3_cursors = open_all(fixture_path("v3-compressed.atrc")).unwrap();
+    for (mut a, mut b) in v2_cursors.into_iter().zip(v3_cursors) {
         for _ in 0..100 {
             // across wraps
             assert_eq!(a.next_access(), b.next_access());
         }
+        assert_eq!((a.wraps(), b.wraps()), (2, 2), "40-record streams");
     }
     let v2_len = std::fs::metadata(fixture_path("v2-chunked.atrc"))
         .unwrap()
@@ -463,15 +465,25 @@ fn shipped_import_sample_transcodes_into_a_sweepable_corpus() {
 
 #[test]
 fn fixtures_verify_clean() {
-    for name in ["v1-legacy.atrc", "v2-chunked.atrc", "v3-compressed.atrc"] {
-        let header = read_header(fixture_path(name)).unwrap();
-        for core in 0..header.cores.len() {
-            let mut r = TraceReader::open(fixture_path(name), core).unwrap();
+    // A fresh mapping validates every block's checksum on its first full decode, and
+    // the open-time scan has already held the frames to the directory.
+    for (name, blocks) in [
+        ("v1-legacy.atrc", 2),
+        ("v2-chunked.atrc", 6),
+        ("v3-compressed.atrc", 6),
+    ] {
+        let trace = MappedTrace::open(fixture_path(name)).unwrap();
+        for (core, info) in trace.header().cores.iter().enumerate() {
             assert_eq!(
-                r.verify().unwrap(),
-                header.cores[core].records,
+                trace.decode_core(core).unwrap().len() as u64,
+                info.records,
                 "{name} core {core}"
             );
         }
+        assert_eq!(trace.checksum_validations(), blocks, "{name}");
+        assert_eq!(
+            compression_stats(fixture_path(name)).unwrap().blocks,
+            blocks
+        );
     }
 }

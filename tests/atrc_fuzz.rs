@@ -1,22 +1,26 @@
-//! Property/fuzz pass for the `.atrc` codec and reader.
+//! Property/fuzz pass for the `.atrc` codec and its one reader (`MappedTrace`). The
+//! oracles are the records pushed, the format spec, and the checked reference decoder —
+//! never a second file reader.
 //!
-//! Two families:
+//! Three families:
 //!
 //! * **Round-trip bit-identity** — random record streams × random block/chunk
 //!   boundaries × compressed/uncompressed files must decode back to exactly the pushed
-//!   records (and wrapped replay must repeat the identical stream). Runs under the
-//!   default proptest case count, which CI bumps via `PROPTEST_CASES`.
+//!   records, both decoded up front and batch-streamed at a random batch size (where
+//!   wrapped replay must repeat the identical stream). Runs under the default proptest
+//!   case count, which CI bumps via `PROPTEST_CASES`.
 //! * **Single-bit-flip corruption** — for small v2 and v3 files, every bit of every
 //!   byte (preamble, chunk frames, payloads, footer directory, trailing offset) is
 //!   flipped in turn; no flip may be silently absorbed. A flip must either be rejected
 //!   (checksum/flag/framing error) or change the decoded interpretation — a flipped
 //!   file that reads back bit-identically to the original would mean some byte region
-//!   carries no meaning and no protection.
-//!
-//! Both families also lock the zero-copy mapped pipeline (`MappedTrace`,
-//! `MappedStreamDecoder`) to the buffered reader: bit-identical on well-formed files
-//! across random batch sizes, never more permissive on corrupt ones, and rejecting
-//! corrupted compressed blocks on the stored-byte checksum *before* decompression.
+//!   carries no meaning and no protection. Corrupted compressed blocks must be rejected
+//!   on the stored-byte checksum *before* decompression.
+//! * **Decoder agreement on arbitrary payloads** — checksummed files never let a damaged
+//!   payload reach a record decoder, so the `unsafe` word-at-a-time
+//!   `decode_block_payload_append` is fed raw bytes directly (arbitrary, and valid
+//!   encodings that were truncated, extended or bit-flipped) and held to the
+//!   bounds-checked `decode_block_payload` on accept/reject and on every record.
 
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -24,9 +28,12 @@ use std::sync::Arc;
 use proptest::prelude::*;
 
 use adapt_llc::sim::trace::{ArenaReplayTrace, MemAccess, TraceSource};
+use adapt_llc::traces::format::{
+    decode_block_payload, decode_block_payload_append, encode_block_payload,
+};
 use adapt_llc::traces::{
-    decode_all, decode_all_mapped, read_header, MappedStreamDecoder, MappedTrace,
-    TraceCaptureOptions, TraceError, TraceHeader, TraceWriter,
+    decode_all, read_header, MappedStreamDecoder, MappedTrace, TraceCaptureOptions, TraceError,
+    TraceHeader, TraceWriter,
 };
 
 fn tmp(name: &str) -> PathBuf {
@@ -66,14 +73,29 @@ fn interpret(path: &PathBuf) -> Result<(TraceHeader, Vec<Vec<MemAccess>>), Strin
     Ok((header, streams))
 }
 
-/// [`interpret`] through the zero-copy mapped pipeline. The identity contract: on
-/// well-formed files this equals `interpret`; on corrupt files it may only be
-/// *stricter* (the eager scan also cross-checks the directory record counts), never
-/// accept something the buffered reader rejects, and never absorb a flip silently.
-fn interpret_mapped(path: &PathBuf) -> Result<(TraceHeader, Vec<Vec<MemAccess>>), String> {
-    let header = read_header(path).map_err(|e| e.to_string())?;
-    let streams = decode_all_mapped(path).map_err(|e| e.to_string())?;
-    Ok((header, streams))
+/// Hold the fast appending decoder to the checked reference on one payload: same
+/// accept/reject decision, and on accept the same records appended after whatever the
+/// arena already held.
+fn assert_decoders_agree(payload: &[u8], record_count: usize) {
+    let mut reference = Vec::new();
+    let checked = decode_block_payload(payload, record_count, &mut reference);
+    let sentinel = MemAccess {
+        addr: 0xdead_beef,
+        pc: 7,
+        is_write: true,
+        non_mem_instrs: 9,
+    };
+    let mut arena = vec![sentinel];
+    let fast = decode_block_payload_append(payload, record_count, &mut arena);
+    assert_eq!(
+        checked.is_ok(),
+        fast.is_ok(),
+        "decoders disagree on accept/reject (reference {checked:?}, fast {fast:?})"
+    );
+    if checked.is_ok() {
+        assert_eq!(arena[0], sentinel);
+        assert_eq!(&arena[1..], &reference[..]);
+    }
 }
 
 proptest! {
@@ -112,22 +134,10 @@ proptest! {
         prop_assert_eq!(header.version, if compress { 3 } else { 2 });
         prop_assert_eq!(&decoded, &streams);
 
-        // Wrapped replay repeats the identical stream.
-        let mut reader = adapt_llc::traces::TraceReader::open(&path, 0).unwrap();
-        let n = streams[0].len();
-        let first: Vec<MemAccess> = (0..n).map(|_| reader.next_access()).collect();
-        let second: Vec<MemAccess> = (0..n).map(|_| reader.next_access()).collect();
-        prop_assert_eq!(&first, &streams[0]);
-        prop_assert_eq!(first, second);
-
-        // Zero-copy identity: the mapped full decode and a batch-streamed cursor over
-        // the mapping (random batch size) must reproduce the buffered interpretation
-        // bit for bit, wraps included.
-        let (mapped_header, mapped) = interpret_mapped(&path)
-            .expect("the mapped reader must accept what the buffered reader accepts");
-        prop_assert_eq!(&mapped_header, &header);
-        prop_assert_eq!(&mapped, &streams);
+        // A batch-streamed cursor over the mapping (random batch size) must reproduce
+        // the pushed records too, and wrapped replay repeats the identical stream.
         let trace = Arc::new(MappedTrace::open(&path).unwrap());
+        prop_assert_eq!(trace.header(), &header);
         for (core, expected) in streams.iter().enumerate() {
             let decoder = MappedStreamDecoder::new(trace.clone(), core, batch_records).unwrap();
             let mut cursor = ArenaReplayTrace::new(Box::new(decoder), Arc::default());
@@ -136,7 +146,7 @@ proptest! {
                     let got = cursor.next_access();
                     prop_assert_eq!(
                         got, *want,
-                        "mapped cursor diverged: core {} pass {} record {}",
+                        "cursor diverged: core {} pass {} record {}",
                         core, pass, i
                     );
                 }
@@ -174,39 +184,69 @@ proptest! {
         let target = flip_position % corrupted.len();
         corrupted[target] ^= 1 << flip_bit;
         std::fs::write(&path, &corrupted).unwrap();
-        let buffered = interpret(&path);
-        if let Ok(interpretation) = &buffered {
+        if let Ok(interpretation) = interpret(&path) {
             prop_assert_ne!(
                 interpretation,
-                &baseline,
+                baseline,
                 "flipping bit {} of byte {} changed the file but not its decoded \
                  interpretation",
                 flip_bit,
                 target
             );
         }
-        // The mapped path must hold the same line: never absorb the flip, and never
-        // accept a file the buffered reader rejects.
-        match interpret_mapped(&path) {
-            Err(_) => {}
-            Ok(interpretation) => {
-                prop_assert_ne!(
-                    &interpretation,
-                    &baseline,
-                    "mapped: flipping bit {} of byte {} was silently absorbed",
-                    flip_bit,
-                    target
-                );
-                prop_assert!(
-                    buffered.is_ok(),
-                    "mapped reader accepted a flip (byte {} bit {}) the buffered \
-                     reader rejects",
-                    target,
-                    flip_bit
-                );
-            }
-        }
         std::fs::remove_file(path).ok();
+    }
+
+    #[test]
+    fn fast_and_reference_block_decoders_agree_on_arbitrary_payloads(
+        noise in collection::vec(0u16..256, 0..200),
+        noise_records in 0usize..24,
+        raw in collection::vec(
+            (
+                (0u64..u64::MAX, 0u32..64),
+                (0u64..u64::MAX, 0u32..64),
+                any::<bool>(),
+                (0u32..u32::MAX, 0u32..32),
+            ),
+            1..60,
+        ),
+        damage in 0usize..4,
+        at in 0usize..1 << 16,
+        bit in 0usize..8,
+        claimed_delta in 0usize..3,
+    ) {
+        // Arbitrary bytes: almost always rejected, by both or by neither.
+        let noise: Vec<u8> = noise.iter().map(|&b| b as u8).collect();
+        assert_decoders_agree(&noise, noise_records);
+
+        // A valid encoding whose fields are random bits shifted down by a random amount
+        // (so every varint length from 1 to 10 bytes occurs), then damaged: 0 = intact,
+        // 1 = truncated, 2 = trailing garbage, 3 = one bit flipped; and a claimed record
+        // count one under / equal to / one over the truth.
+        let records: Vec<MemAccess> = raw
+            .iter()
+            .map(|&((addr, addr_shift), (pc, pc_shift), is_write, (gap, gap_shift))| MemAccess {
+                addr: addr >> addr_shift,
+                pc: pc >> pc_shift,
+                is_write,
+                non_mem_instrs: gap >> gap_shift,
+            })
+            .collect();
+        let mut payload = Vec::new();
+        encode_block_payload(&records, &mut payload);
+        let at = at % payload.len();
+        match damage {
+            1 => payload.truncate(at),
+            2 => payload.extend_from_slice(&noise),
+            3 => payload[at] ^= 1 << bit,
+            _ => {}
+        }
+        assert_decoders_agree(&payload, records.len() + claimed_delta - 1);
+        if damage == 0 && claimed_delta == 1 {
+            let mut decoded = Vec::new();
+            decode_block_payload_append(&payload, records.len(), &mut decoded).unwrap();
+            prop_assert_eq!(decoded, records);
+        }
     }
 }
 
@@ -240,48 +280,23 @@ fn every_single_bit_flip_is_detected_or_changes_the_interpretation() {
                 let mut corrupted = original.clone();
                 corrupted[byte] ^= 1 << bit;
                 std::fs::write(&path, &corrupted).unwrap();
-                let buffered = interpret(&path);
-                match &buffered {
-                    Err(_) => {}
-                    Ok(interpretation) => {
-                        assert_ne!(
-                            interpretation, &baseline,
-                            "v{}: flipping bit {bit} of byte {byte} was silently \
-                             absorbed",
-                            header.version
-                        );
-                        // Inside the checksummed data region nothing may even decode
-                        // differently: every chunk flip must fail validation. (The
-                        // region includes frame fields; those fail structurally.)
-                        assert!(
-                            !payload_region.contains(&byte),
-                            "v{}: flip at data-region byte {byte} bit {bit} decoded \
-                             despite per-block checksums",
-                            header.version
-                        );
-                    }
+                if let Ok(interpretation) = interpret(&path) {
+                    assert_ne!(
+                        interpretation, baseline,
+                        "v{}: flipping bit {bit} of byte {byte} was silently absorbed",
+                        header.version
+                    );
+                    // Inside the checksummed data region nothing may even decode
+                    // differently: every chunk flip must fail validation. (The region
+                    // includes frame fields; those fail structurally.)
+                    assert!(
+                        !payload_region.contains(&byte),
+                        "v{}: flip at data-region byte {byte} bit {bit} decoded \
+                         despite per-block checksums",
+                        header.version
+                    );
                 }
-                // The mapped pipeline under the same exhaustive sweep: reject or
-                // visibly change, and never be more permissive than the buffered
-                // reader.
-                match interpret_mapped(&path) {
-                    Err(_) => {}
-                    Ok(interpretation) => {
-                        assert_ne!(
-                            interpretation, baseline,
-                            "v{}: mapped reader silently absorbed bit {bit} of byte \
-                             {byte}",
-                            header.version
-                        );
-                        assert!(
-                            buffered.is_ok() && !payload_region.contains(&byte),
-                            "v{}: mapped reader accepted a data-region flip (byte \
-                             {byte} bit {bit}) it must reject",
-                            header.version
-                        );
-                    }
-                }
-                // Checksum-before-decompression on the mmap path: a data-region flip
+                // Checksum-before-decompression: a data-region flip
                 // either damages a frame (caught structurally, at open or decode) or a
                 // payload (caught by the FNV over the *stored* bytes). Either way the
                 // decompressor must never run on garbage, so no flip anywhere may
@@ -306,7 +321,7 @@ fn every_single_bit_flip_is_detected_or_changes_the_interpretation() {
         // framing intact and are only distinguishable by checksum.
         assert!(
             checksum_rejections > 0,
-            "v{}: no flip was ever rejected by the mapped checksum gate",
+            "v{}: no flip was ever rejected by the checksum gate",
             header.version
         );
         std::fs::remove_file(path).ok();

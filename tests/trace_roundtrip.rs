@@ -7,7 +7,7 @@ use proptest::prelude::*;
 
 use adapt_llc::sim::trace::{MemAccess, TraceSource};
 use adapt_llc::traces::{
-    decode_all, read_header, TraceCaptureOptions, TraceError, TraceReader, TraceWriter,
+    decode_all, open_all, read_header, MappedTrace, TraceCaptureOptions, TraceError, TraceWriter,
 };
 use adapt_llc::workloads::{self, all_benchmarks, generate_mixes, StudyKind};
 
@@ -26,7 +26,7 @@ fn every_synthetic_pattern_roundtrips_exactly() {
         bench.capture(&mut writer, 0, 128, 7 + i as u64, N).unwrap();
         writer.finish().unwrap();
 
-        let mut replay = TraceReader::open(&path, 0).unwrap();
+        let mut replay = open_all(&path).unwrap().remove(0);
         assert_eq!(replay.label(), bench.name);
         let mut fresh = bench.trace(0, 128, 7 + i as u64);
         for k in 0..N {
@@ -145,24 +145,21 @@ fn header_error_paths_are_reported() {
         );
     }
 
-    // A flipped stream byte is caught by the per-block checksum during verify. The data
-    // region ends at the footer; the bytes just before it are the last chunk's payload.
+    // A flipped stream byte is caught by the per-block checksum on the first decode of
+    // its block. The data region ends at the footer; the bytes just before it are the
+    // last chunk's payload.
     std::fs::write(&path, &good).unwrap();
     let data_end = read_header(&path).unwrap().data_end as usize;
     let mut bad = good.clone();
     bad[data_end - 3] ^= 0x55;
     std::fs::write(&path, &bad).unwrap();
-    let header = read_header(&path).unwrap();
-    let mut failures = 0;
-    for core in 0..header.cores.len() {
-        let mut reader = TraceReader::open(&path, core).unwrap();
-        if reader.verify().is_err() {
-            failures += 1;
-        }
-    }
-    assert_eq!(
-        failures, 1,
-        "exactly the tampered core must fail verification"
+    let tampered = MappedTrace::open(&path).unwrap();
+    let failures: Vec<TraceError> = (0..tampered.header().cores.len())
+        .filter_map(|core| tampered.decode_core(core).err())
+        .collect();
+    assert!(
+        matches!(failures[..], [TraceError::ChecksumMismatch { .. }]),
+        "exactly the tampered core must fail, on its checksum: {failures:?}"
     );
 
     // Clobbering the trailing footer pointer (the last 8 bytes of a v2 file) is caught
@@ -187,12 +184,13 @@ fn replay_survives_many_wraps_without_drift() {
     bench.capture(&mut writer, 0, 64, 3, 257).unwrap();
     writer.finish().unwrap();
 
-    let mut replay = TraceReader::open(&path, 0).unwrap();
+    let mut replay = open_all(&path).unwrap().remove(0);
     let first: Vec<MemAccess> = (0..257).map(|_| replay.next_access()).collect();
     for wrap in 1..=4u64 {
+        // Wraps count eagerly: serving a pass's last record completes the wrap.
+        assert_eq!(replay.wraps(), wrap);
         let again: Vec<MemAccess> = (0..257).map(|_| replay.next_access()).collect();
         assert_eq!(again, first, "wrap {wrap} drifted");
-        assert_eq!(replay.wraps(), wrap);
     }
     std::fs::remove_file(path).ok();
 }
