@@ -270,16 +270,17 @@ pub struct LlcConfig {
     pub geometry: CacheGeometry,
     /// Access (hit) latency in cycles (paper: 24).
     pub latency: u64,
-    /// Number of banks (paper: 4, fixed latency, bank conflicts modeled).
+    /// Number of banks (paper: 4, fixed latency, bank conflicts modeled). Any count
+    /// > 0: sets are interleaved over banks by `set % banks`.
     pub banks: usize,
     /// Cycles a bank stays busy per access (serialization window for conflict modeling).
     pub bank_busy_cycles: u64,
     /// Number of MSHR entries (paper: 256).
     pub mshr_entries: usize,
-    /// Number of write-back buffer entries (paper: 128, retire-at-96).
+    /// Number of write-back buffer entries (paper: 128). Each dirty eviction holds one
+    /// for an LLC latency (see [`crate::mshr`]); the paper's retire-at-96 drain
+    /// threshold is not modelled.
     pub wb_entries: usize,
-    /// Write-back buffer retirement threshold.
-    pub wb_retire_at: usize,
     /// Cycle-accounted bank contention model (ports, queue depth, MSHR back-pressure).
     /// Defaults to [`BankContentionConfig::flat`], the seed's latency-only banking.
     pub contention: BankContentionConfig,
@@ -376,7 +377,6 @@ impl SystemConfig {
                 bank_busy_cycles: 4,
                 mshr_entries: 256,
                 wb_entries: 128,
-                wb_retire_at: 96,
                 contention: BankContentionConfig::flat(),
                 nuca: NucaConfig::disabled(),
             },
@@ -455,7 +455,6 @@ impl SystemConfig {
         self.llc.banks = Self::many_core_llc_banks(n);
         self.llc.mshr_entries = 16 * n;
         self.llc.wb_entries = 8 * n;
-        self.llc.wb_retire_at = 6 * n;
         self.llc.contention = BankContentionConfig::contended(2, 16);
         self.dram.banks = Self::many_core_dram_banks(n);
         self.dram.contention = BankContentionConfig::contended(2, 16);
@@ -512,9 +511,10 @@ impl SystemConfig {
         if self.num_cores == 0 {
             return Err("num_cores must be > 0".into());
         }
-        if self.llc.banks == 0 || !self.llc.banks.is_power_of_two() {
-            return Err("LLC bank count must be a power of two".into());
+        if self.llc.banks == 0 {
+            return Err("LLC bank count must be > 0".into());
         }
+        // The XOR bank mapping masks with `banks - 1`.
         if self.dram.banks == 0 || !self.dram.banks.is_power_of_two() {
             return Err("DRAM bank count must be a power of two".into());
         }
@@ -677,8 +677,14 @@ mod tests {
         cfg.core.mlp_overlap = 0.5;
         assert!(cfg.validate().is_err());
 
+        // Any positive LLC bank count is a machine the model runs (`set % banks`);
+        // the DRAM's XOR mapping still needs a power of two.
         let mut cfg = SystemConfig::tiny(2);
+        cfg.llc.banks = 0;
+        assert!(cfg.validate().is_err());
         cfg.llc.banks = 3;
+        cfg.validate().unwrap();
+        cfg.dram.banks = 3;
         assert!(cfg.validate().is_err());
     }
 

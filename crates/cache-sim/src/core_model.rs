@@ -152,7 +152,8 @@ mod tests {
     #[test]
     fn halved_overlap_fast_path_matches_float_rounding() {
         // The integer halving must reproduce the f64 divide-and-round exactly for any
-        // latency the hierarchy can produce (the reference engine keeps the float form).
+        // latency the hierarchy can produce (the oracle in the workspace's `tests/oracle/`
+        // keeps the float form, so whole runs check it too).
         for exposed in 0u64..10_000 {
             assert_eq!(
                 (exposed + 1) >> 1,

@@ -25,8 +25,9 @@
 //!
 //! The hot path (LLC, private caches, driver) is written data-oriented —
 //! structure-of-arrays tag storage, packed valid/dirty bitmasks, monomorphized policy
-//! dispatch; the pre-refactor implementation is retained frozen in the `reference`
-//! module as the bit-identity oracle and benchmark baseline.
+//! dispatch. This is the only engine in the crate: the oracle it is held to, bit for
+//! bit, is a naive model that lives with the workspace's tests (`tests/oracle/`) and
+//! sees only this crate's public API.
 //!
 //! ## Quick example
 //!
@@ -56,7 +57,6 @@ pub mod llc;
 pub mod mshr;
 pub mod prefetch;
 pub mod private_cache;
-pub mod reference;
 pub mod replacement;
 mod sched;
 pub mod single;

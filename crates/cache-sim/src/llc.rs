@@ -96,50 +96,6 @@ pub(crate) fn way_mask(ways: usize) -> u64 {
     }
 }
 
-/// Common interface over the production and reference shared-LLC implementations.
-///
-/// Implemented by the structure-of-arrays [`SharedLlc`] and by the frozen pre-refactor
-/// oracle [`crate::reference::ReferenceLlc`] so bit-identity property tests and
-/// benchmarks can drive either uniformly and compare results bit-for-bit (the
-/// multi-core driver itself uses the concrete types directly).
-pub trait LlcModel {
-    /// Demand or prefetch lookup (see [`SharedLlc::access`]).
-    fn access(
-        &mut self,
-        core_id: usize,
-        pc: u64,
-        block: BlockAddr,
-        is_demand: bool,
-        is_write: bool,
-        now: u64,
-    ) -> LlcLookup;
-    /// Fill a demand miss (see [`SharedLlc::fill`]).
-    fn fill(
-        &mut self,
-        core_id: usize,
-        pc: u64,
-        block: BlockAddr,
-        is_write: bool,
-        now: u64,
-    ) -> LlcFill;
-    /// A write-back arriving from a private L2 (see [`SharedLlc::writeback`]).
-    fn writeback(&mut self, core_id: usize, block: BlockAddr, now: u64) -> bool;
-    /// Reserve an MSHR entry for a miss from `core_id` (see [`SharedLlc::reserve_mshr`]).
-    fn reserve_mshr(&mut self, core_id: usize, now: u64, fill_latency: u64) -> u64;
-    /// Back-pressure MSHR acquire from `core_id` (see [`SharedLlc::begin_mshr`]).
-    fn begin_mshr(&mut self, core_id: usize, now: u64) -> u64;
-    /// Complete a back-pressure MSHR acquire (see [`SharedLlc::complete_mshr`]).
-    fn complete_mshr(&mut self, completion: u64);
-    /// Per-core statistics.
-    fn core_stats(&self, core_id: usize) -> &LlcCoreStats;
-    /// Whole-cache statistics.
-    fn global_stats(&self) -> &LlcGlobalStats;
-    /// Per-bank occupancy/stall statistics, indexed by bank.
-    fn bank_stats(&self) -> &[BankStats];
-    /// Name of the installed replacement policy.
-    fn policy_name(&self) -> String;
-}
-
 /// The shared last-level cache.
 ///
 /// Line metadata is stored structure-of-arrays: one contiguous `u64` tag array indexed by
@@ -628,63 +584,6 @@ impl<P: LlcReplacementPolicy> SharedLlc<P> {
     }
 }
 
-impl<P: LlcReplacementPolicy> LlcModel for SharedLlc<P> {
-    fn access(
-        &mut self,
-        core_id: usize,
-        pc: u64,
-        block: BlockAddr,
-        is_demand: bool,
-        is_write: bool,
-        now: u64,
-    ) -> LlcLookup {
-        SharedLlc::access(self, core_id, pc, block, is_demand, is_write, now)
-    }
-
-    fn fill(
-        &mut self,
-        core_id: usize,
-        pc: u64,
-        block: BlockAddr,
-        is_write: bool,
-        now: u64,
-    ) -> LlcFill {
-        SharedLlc::fill(self, core_id, pc, block, is_write, now)
-    }
-
-    fn writeback(&mut self, core_id: usize, block: BlockAddr, now: u64) -> bool {
-        SharedLlc::writeback(self, core_id, block, now)
-    }
-
-    fn reserve_mshr(&mut self, core_id: usize, now: u64, fill_latency: u64) -> u64 {
-        SharedLlc::reserve_mshr(self, core_id, now, fill_latency)
-    }
-
-    fn begin_mshr(&mut self, core_id: usize, now: u64) -> u64 {
-        SharedLlc::begin_mshr(self, core_id, now)
-    }
-
-    fn complete_mshr(&mut self, completion: u64) {
-        SharedLlc::complete_mshr(self, completion)
-    }
-
-    fn core_stats(&self, core_id: usize) -> &LlcCoreStats {
-        SharedLlc::core_stats(self, core_id)
-    }
-
-    fn global_stats(&self) -> &LlcGlobalStats {
-        SharedLlc::global_stats(self)
-    }
-
-    fn bank_stats(&self) -> &[BankStats] {
-        SharedLlc::bank_stats(self)
-    }
-
-    fn policy_name(&self) -> String {
-        SharedLlc::policy_name(self)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -750,7 +649,6 @@ mod tests {
             bank_busy_cycles: 4,
             mshr_entries: 8,
             wb_entries: 8,
-            wb_retire_at: 6,
             contention: crate::config::BankContentionConfig::flat(),
             nuca: crate::config::NucaConfig::disabled(),
         }

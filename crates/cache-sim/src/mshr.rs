@@ -3,10 +3,11 @@
 //! The paper's LLC has 256 MSHR entries and a 128-entry retire-at-96 write-back buffer
 //! (Table 3). We model these as occupancy windows: each outstanding miss occupies an entry
 //! until its fill completes; when all entries are occupied, a new miss stalls until the
-//! earliest outstanding fill retires. The write-back buffer absorbs dirty evictions and
-//! drains them to DRAM in the background once the retire threshold is crossed, so
-//! write-backs cost DRAM bandwidth but do not stall the requesting core unless the buffer
-//! is full.
+//! earliest outstanding fill retires. The write-back buffer is the same window: each
+//! dirty LLC eviction holds an entry for one LLC latency while its write drains to DRAM
+//! in the background, so write-backs cost DRAM bandwidth but do not stall the requesting
+//! core unless the buffer is full. The paper's retire-at-96 drain threshold is not
+//! modelled — an entry's lifetime is fixed, whatever the occupancy.
 
 /// Occupancy tracker used for both MSHRs and write-back buffers.
 ///

@@ -110,27 +110,6 @@ impl DuelState {
     }
 }
 
-/// Common interface over the production and reference private-cache implementations.
-///
-/// Implemented by the structure-of-arrays [`PrivateCache`] and the frozen pre-refactor
-/// [`crate::reference::ReferencePrivateCache`] so bit-identity property tests and
-/// benchmarks can drive either uniformly (the multi-core driver itself uses the
-/// concrete types directly).
-pub trait PrivateCacheModel {
-    /// Hit latency of this level in cycles.
-    fn latency(&self) -> u64;
-    /// Statistics accumulated so far.
-    fn stats(&self) -> &PrivateCacheStats;
-    /// Look up a block; on a hit, update recency and (for writes) the dirty bit.
-    fn access(&mut self, block: BlockAddr, is_write: bool) -> Lookup;
-    /// Probe without updating any state.
-    fn probe(&self, block: BlockAddr) -> bool;
-    /// Fill a block, possibly evicting a line.
-    fn fill(&mut self, block: BlockAddr, dirty: bool, prefetch: bool) -> Option<EvictedLine>;
-    /// A write-back arriving from the level above; true if absorbed.
-    fn writeback(&mut self, block: BlockAddr) -> bool;
-}
-
 /// A private, set-associative, write-back cache level.
 ///
 /// Like the shared LLC, line metadata is structure-of-arrays: a contiguous per-set tag
@@ -379,32 +358,6 @@ impl PrivateCache {
     /// Total capacity in lines.
     pub fn capacity_lines(&self) -> usize {
         self.num_sets * self.ways
-    }
-}
-
-impl PrivateCacheModel for PrivateCache {
-    fn latency(&self) -> u64 {
-        PrivateCache::latency(self)
-    }
-
-    fn stats(&self) -> &PrivateCacheStats {
-        PrivateCache::stats(self)
-    }
-
-    fn access(&mut self, block: BlockAddr, is_write: bool) -> Lookup {
-        PrivateCache::access(self, block, is_write)
-    }
-
-    fn probe(&self, block: BlockAddr) -> bool {
-        PrivateCache::probe(self, block)
-    }
-
-    fn fill(&mut self, block: BlockAddr, dirty: bool, prefetch: bool) -> Option<EvictedLine> {
-        PrivateCache::fill(self, block, dirty, prefetch)
-    }
-
-    fn writeback(&mut self, block: BlockAddr) -> bool {
-        PrivateCache::writeback(self, block)
     }
 }
 

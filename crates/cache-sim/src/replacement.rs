@@ -111,9 +111,9 @@ pub trait LlcReplacementPolicy: Send {
 
 /// Boxed policies are policies too, so code generic over `P: LlcReplacementPolicy` can be
 /// instantiated with `Box<dyn LlcReplacementPolicy>` as well as with concrete or
-/// enum-dispatched policy types. The frozen [`crate::reference`] engine takes its policy
-/// this way, and tests and the benchmark box what they need themselves; no production
-/// path does.
+/// enum-dispatched policy types. The oracle in the workspace's `tests/oracle/` takes its
+/// policy this way, and tests and the benchmark box what they need themselves; no
+/// production path does.
 impl<P: LlcReplacementPolicy + ?Sized> LlcReplacementPolicy for Box<P> {
     fn name(&self) -> String {
         (**self).name()

@@ -8,7 +8,8 @@
 //!
 //! Leaves are laid out in core-id order and every compare sends a tie to the *left*
 //! child, so among equal keys the lowest core id wins: the pop order is exactly the
-//! `(cycle, core id)` order of the frozen reference engine's binary heap. The leaf count
+//! `(cycle, core id)` order of a linear min-scan (what the oracle in the workspace's
+//! `tests/oracle/` does, and `naive_min` in the tests below). The leaf count
 //! is padded to a power of two with `u64::MAX` keys; padding sits to the right of every
 //! real core, so it can never beat one — not even a retired core that also holds
 //! `u64::MAX`.

@@ -5,15 +5,17 @@
 //! state happens in global time order — always on the core with the smallest
 //! (cycle, core id) — so the interleaving of LLC accesses, and therefore the contention
 //! the replacement policy sees, follows the same relative order a cycle-accurate
-//! simulator would produce. The seed driver (a binary heap popped once per trace record)
-//! is retained verbatim in [`crate::reference`] as the bit-identity oracle.
+//! simulator would produce. The bit-identity oracle is the workspace's
+//! `tests/oracle/`: a naive driver that scans for that core and steps it one trace
+//! record at a time, over naive caches, checked against this one field for field by
+//! `tests/reference_identity.rs`.
 //!
 //! The scheduler is consulted once per *shared-state event*, not once per record:
 //!
 //! * **Winner tree.** The earliest core is the root of a tournament tree over the
 //!   per-core next-cycle keys (`crate::sched`); re-keying a core replays one
 //!   leaf-to-root path (log₂ cores compares), and ties go to the lower core id, so the
-//!   pop order is exactly the reference heap's `(cycle, core id)` order at every core
+//!   pop order is exactly the oracle's min-scan `(cycle, core id)` order at every core
 //!   count.
 //! * **Private run-ahead.** Most records are L1 hits, and an L1 hit mutates only its own
 //!   core's `PrivateCache`, `CoreModel` and trace cursor — nothing another core, the
@@ -34,8 +36,8 @@
 //! core's private-only records early removes them from the merge without reordering
 //! the records that remain, each of which still executes at the same core cycle against
 //! the same private state. Only the trace sources can tell: by the time `run` returns a
-//! source may have been asked for up to `RUN_AHEAD + 1` more records than the
-//! reference engine would have consumed. Interval sampling reads *every* core's clock
+//! source may have been asked for up to `RUN_AHEAD + 1` more records than a
+//! per-record driver would have consumed. Interval sampling reads *every* core's clock
 //! at each LLC interval rollover, so a sampled run keeps the run-ahead bound at 0 and
 //! observes exactly the per-record order.
 //!
@@ -69,8 +71,9 @@ use crate::trace::{MemAccess, TraceSource};
 /// earliest-cycle core forever and starves every unfinished one — an infinite loop.
 /// Terminating workloads cannot reach this bound: 2^22 consecutive gapless L1 hits
 /// would require a multi-million-access window with no L1 miss, which no Table 4
-/// generator (footprints are sized far beyond the L1) produces. Both engines (this one
-/// and `reference`) apply the identical rule, so their bit-identity is preserved.
+/// generator (footprints are sized far beyond the L1) produces. The oracle in
+/// `tests/oracle/` applies the same rule with this constant, so bit-identity holds on
+/// the streams that do reach it (`tests/reference_identity.rs` runs three).
 pub const LIVELOCK_STEPS: u64 = 1 << 22;
 
 /// Most consecutive L1-hit records a core retires out of global order after one in-order
@@ -671,95 +674,6 @@ mod tests {
                 Box::new(StridedTrace::new((i as u64) << 32, 64, region, 4)) as Box<dyn TraceSource>
             })
             .collect()
-    }
-
-    /// Four L1-resident blocks, `gapped` records with 3 non-memory instructions each,
-    /// then gapless forever: a stream that can freeze its core's clock only after
-    /// `4 * gapped` instructions have retired.
-    struct GapsThenNone {
-        gapped: u64,
-        served: u64,
-    }
-
-    impl TraceSource for GapsThenNone {
-        fn next_access(&mut self) -> MemAccess {
-            let i = self.served;
-            self.served += 1;
-            MemAccess {
-                addr: 0x1000 + (i % 4) * 64,
-                pc: 0x400,
-                is_write: false,
-                non_mem_instrs: if i < self.gapped { 3 } else { 0 },
-            }
-        }
-        fn reset(&mut self) {
-            self.served = 0;
-        }
-    }
-
-    /// Regression for the re-execution livelock: a core whose (replayed) stream is
-    /// entirely L1-resident with zero instruction gaps advances zero cycles per step
-    /// once warmed up; after it reaches its instruction target it used to remain the
-    /// scheduler's earliest core forever and starve the unfinished cores — `run` never
-    /// returned. Imported trace files make such streams trivial to construct. Both
-    /// engines must terminate and stay bit-identical to each other — with the frozen
-    /// core on either side of the tie-break, and when the stream turns gapless only
-    /// after its core has finished, so the whole 2^22-step count happens inside the
-    /// run-ahead loop.
-    #[test]
-    fn finished_cache_resident_core_cannot_livelock_the_run() {
-        let cfg = SystemConfig::tiny(2);
-        let target = 30_000;
-        // 4 gapless blocks: fully L1-resident after warmup, zero-cycle steps.
-        let frozen = || -> Box<dyn TraceSource> {
-            Box::new(SharedReplayTrace::from_addrs(
-                "frozen",
-                &[0x1000, 0x1040, 0x1080, 0x10c0],
-                0,
-            ))
-        };
-        // Finishes at record 7_500 with a moving clock, freezes from record 8_000 on.
-        let freezes_late = || -> Box<dyn TraceSource> {
-            Box::new(GapsThenNone {
-                gapped: 8_000,
-                served: 0,
-            })
-        };
-        // A big sweep that misses constantly, so it finishes far later than the
-        // frozen core (which pre-fix starved it forever).
-        let sweep =
-            || -> Box<dyn TraceSource> { Box::new(StridedTrace::new(1 << 32, 64, 1 << 20, 2)) };
-        type MakeTraces<'a> = &'a dyn Fn() -> Vec<Box<dyn TraceSource>>;
-        let cases: [(&str, MakeTraces); 3] = [
-            ("frozen core 0", &|| vec![frozen(), sweep()]),
-            ("frozen core 1", &|| vec![sweep(), frozen()]),
-            ("freezes after finishing", &|| vec![sweep(), freezes_late()]),
-        ];
-        let policy = |cfg: &SystemConfig| {
-            DefaultSrripPolicy::new(cfg.llc.geometry.num_sets(), cfg.llc.geometry.ways)
-        };
-        for (what, make_traces) in cases {
-            let mut fast = MultiCoreSystem::new(cfg.clone(), make_traces(), policy(&cfg));
-            let fast_res = fast.run(target);
-            let mut reference = crate::reference::ReferenceSystem::new(
-                cfg.clone(),
-                make_traces(),
-                Box::new(policy(&cfg)),
-            );
-            let ref_res = reference.run(target);
-            for (a, b) in fast_res.per_core.iter().zip(&ref_res.per_core) {
-                assert!(a.instructions >= target);
-                assert_eq!(a.instructions, b.instructions, "{what}: core {}", a.core_id);
-                assert_eq!(a.cycles, b.cycles, "{what}: core {}", a.core_id);
-                assert_eq!(
-                    a.llc.demand_misses, b.llc.demand_misses,
-                    "{what}: core {}",
-                    a.core_id
-                );
-            }
-            assert_eq!(fast_res.llc_global, ref_res.llc_global, "{what}");
-            assert_eq!(fast_res.dram, ref_res.dram, "{what}");
-        }
     }
 
     /// A second `run` on the same system used to spin forever (every core already

@@ -888,7 +888,6 @@ pub fn speedups_over_baseline(
 mod tests {
     use super::*;
     use crate::scale::ExperimentScale;
-    use cache_sim::reference::reference_system;
     use workloads::{generate_mixes, StudyKind};
 
     fn smoke_setup() -> (SystemConfig, Vec<WorkloadMix>) {
@@ -984,47 +983,6 @@ mod tests {
         let speedups = speedups_over_baseline(&evals, PolicyKind::AdaptBp32, PolicyKind::TaDrrip);
         assert_eq!(speedups.len(), mixes.len());
         assert!(speedups[0] > 0.0);
-    }
-
-    #[test]
-    fn fast_path_is_bit_identical_to_the_reference_engine() {
-        // The acceptance bar for the data-oriented hot-path rewrite: the SoA LLC +
-        // private caches with enum policy dispatch must reproduce the retained
-        // pre-refactor engine exactly — per-app IPC/MPKI, LLC global stats (including
-        // interval counts), per-bank stats and final cycle.
-        let scale = ExperimentScale::Smoke;
-        let cfg = scale.system_config(StudyKind::Cores4);
-        let mixes = generate_mixes(StudyKind::Cores4, 2, scale.seed());
-        let policies = [
-            PolicyKind::TaDrrip,
-            PolicyKind::AdaptBp32,
-            PolicyKind::Eaf,
-            PolicyKind::Ship,
-        ];
-        let llc_sets = cfg.llc.geometry.num_sets();
-        for mix in &mixes {
-            for policy in policies {
-                let built = policy.build_dispatch(&cfg, &mix.thrashing_slots());
-                let reference =
-                    reference_system(cfg.clone(), mix.trace_sources(llc_sets, 1), Box::new(built))
-                        .run(20_000);
-                let fast = evaluate_mix(&cfg, mix, policy, 20_000, 1);
-                let what = format!("mix {} {policy:?}", mix.id);
-                for (app, core) in fast.per_app.iter().zip(&reference.per_core) {
-                    assert_eq!(app.ipc, core.ipc(), "{what}: {} IPC", app.name);
-                    assert_eq!(app.l2_mpki, core.l2_mpki(), "{what}: {} L2 MPKI", app.name);
-                    assert_eq!(app.llc_mpki, core.llc_mpki(), "{what}: {} MPKI", app.name);
-                }
-                assert_eq!(fast.llc_global, reference.llc_global, "{what}");
-                assert_eq!(fast.llc_banks, reference.llc_banks, "{what}");
-                assert_eq!(fast.core_stalls, reference.core_stalls, "{what}");
-                assert_eq!(fast.final_cycle, reference.final_cycle, "{what}");
-                assert!(
-                    fast.llc_global.intervals_completed > 0
-                        || fast.llc_global.total_demand_misses > 0
-                );
-            }
-        }
     }
 
     #[test]

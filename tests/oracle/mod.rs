@@ -1,0 +1,644 @@
+//! A naive model of the simulated machine: the oracle the production engine is held to,
+//! bit for bit, by `tests/reference_identity.rs` (whole systems) and
+//! `tests/property_based.rs` (one cache at a time).
+//!
+//! It is written against `adapt_llc::sim`'s public API only, and it is a different
+//! formulation of the same machine rather than a copy of the engine's code:
+//!
+//! * a cache is `Vec<Vec<Option<Line>>>` — one [`Line`] per way holding the *whole* block
+//!   address, found by linear search; the set is `block % sets`; a fill takes the lowest
+//!   free way. No tag/shift split, no bitmasks, no way prediction, no parallel arrays;
+//! * the RRIP victim is "age every line by `3 − max rrpv`, take the first at 3"; DRRIP's
+//!   leader sets and PSEL arithmetic are written out from the paper's constants;
+//! * NUCA wire delay is computed per request from `config::mesh_hops`;
+//! * core timing is the float form of the overlap rule on four plain `u64` counters;
+//! * the driver steps the unretired core with the smallest `(cycle, id)` one trace
+//!   record at a time: a linear min-scan, no scheduler structure, nothing retired out
+//!   of global order.
+//!
+//! What it shares with the product is only what has a wall of its own: the bank queue
+//! model (`bank.rs::FlatReference`, `frfcfs_properties.rs`), `OccupancyWindow` and `Dram`
+//! (their unit tests), the next-line prefetcher, `stats::assemble_core_stalls`, the
+//! `LIVELOCK_STEPS` constant, the configuration/statistics/result types and the
+//! `LlcReplacementPolicy` trait the policies under test implement.
+#![allow(dead_code)] // each test binary drives its own part of the model
+
+use adapt_llc::sim::addr::{block_of, BlockAddr};
+use adapt_llc::sim::bank::BankModel;
+use adapt_llc::sim::config::{
+    mesh_hops, LlcConfig, PrivateCacheConfig, PrivatePolicyKind, SystemConfig,
+};
+use adapt_llc::sim::dram::Dram;
+use adapt_llc::sim::llc::{LlcCoreStats, LlcEvicted, LlcFill, LlcGlobalStats, LlcLookup};
+use adapt_llc::sim::mshr::OccupancyWindow;
+use adapt_llc::sim::prefetch::NextLinePrefetcher;
+use adapt_llc::sim::private_cache::{EvictedLine, Lookup, PrivateCacheStats};
+use adapt_llc::sim::replacement::{AccessContext, LineView, LlcReplacementPolicy};
+use adapt_llc::sim::stats::{assemble_core_stalls, CoreStats, SystemResults};
+use adapt_llc::sim::system::LIVELOCK_STEPS;
+use adapt_llc::sim::trace::TraceSource;
+
+/// 2-bit re-reference predictions: 3 is "distant" (the eviction candidate), 2 "long".
+const DISTANT: u8 = 3;
+const LONG: u8 = 2;
+
+/// One cached block. `owner` is used by the LLC only, `stamp` and `rrpv` by the private
+/// levels only (the LLC's replacement state lives in its policy).
+#[derive(Debug, Clone, Copy, Default)]
+struct Line {
+    block: u64,
+    dirty: bool,
+    owner: usize,
+    stamp: u64,
+    rrpv: u8,
+}
+
+type Sets = Vec<Vec<Option<Line>>>;
+
+fn set_of(sets: &Sets, block: BlockAddr) -> usize {
+    (block.0 % sets.len() as u64) as usize
+}
+
+fn way_of(set: &[Option<Line>], block: BlockAddr) -> Option<usize> {
+    set.iter()
+        .position(|line| line.is_some_and(|l| l.block == block.0))
+}
+
+fn line_of(set: &mut [Option<Line>], block: BlockAddr) -> Option<&mut Line> {
+    set.iter_mut().flatten().find(|l| l.block == block.0)
+}
+
+/// A private L1D or L2: LRU by last-touch stamp, SRRIP, or single-PSEL DRRIP.
+pub struct NaivePrivateCache {
+    config: PrivateCacheConfig,
+    sets: Sets,
+    /// Touch counter the LRU stamps are drawn from.
+    touches: u64,
+    /// DRRIP's 10-bit selector, starting at its midpoint: below 512 followers insert
+    /// like SRRIP, from 512 up like BRRIP.
+    psel: u32,
+    /// BRRIP insertions so far; every 32nd is inserted "long" instead of "distant".
+    brrip_fills: u32,
+    pub stats: PrivateCacheStats,
+}
+
+impl NaivePrivateCache {
+    pub fn new(config: PrivateCacheConfig) -> Self {
+        let geometry = config.geometry;
+        NaivePrivateCache {
+            config,
+            sets: vec![vec![None; geometry.ways]; geometry.num_sets()],
+            touches: 0,
+            psel: 512,
+            brrip_fills: 0,
+            stats: PrivateCacheStats::default(),
+        }
+    }
+
+    /// DRRIP set dueling with 32 leader sets per policy: in every run of `sets / 32`
+    /// sets the first leads SRRIP (`Some(true)`) and the second BRRIP (`Some(false)`).
+    fn leader(&self, set: usize) -> Option<bool> {
+        match set % (self.sets.len() / 32).max(2) {
+            0 => Some(true),
+            1 => Some(false),
+            _ => None,
+        }
+    }
+
+    pub fn access(&mut self, block: BlockAddr, is_write: bool) -> Lookup {
+        self.stats.accesses += 1;
+        let set = set_of(&self.sets, block);
+        if let Some(line) = line_of(&mut self.sets[set], block) {
+            self.stats.hits += 1;
+            self.touches += 1;
+            line.stamp = self.touches;
+            line.rrpv = 0;
+            line.dirty |= is_write;
+            return Lookup::Hit;
+        }
+        self.stats.misses += 1;
+        if self.config.policy == PrivatePolicyKind::Drrip {
+            // A miss in a leader set is a vote against the policy it leads.
+            match self.leader(set) {
+                Some(true) => self.psel = (self.psel + 1).min(1023),
+                Some(false) => self.psel = self.psel.saturating_sub(1),
+                None => {}
+            }
+        }
+        Lookup::Miss
+    }
+
+    pub fn probe(&self, block: BlockAddr) -> bool {
+        way_of(&self.sets[set_of(&self.sets, block)], block).is_some()
+    }
+
+    pub fn fill(&mut self, block: BlockAddr, dirty: bool, prefetch: bool) -> Option<EvictedLine> {
+        let set = set_of(&self.sets, block);
+        if let Some(line) = line_of(&mut self.sets[set], block) {
+            line.dirty |= dirty;
+            return None;
+        }
+        if prefetch {
+            self.stats.prefetch_fills += 1;
+        }
+        let policy = self.config.policy;
+        let rrpv = match policy {
+            PrivatePolicyKind::Lru => 0,
+            _ if prefetch => DISTANT,
+            PrivatePolicyKind::Srrip => LONG,
+            PrivatePolicyKind::Drrip if self.leader(set).unwrap_or(self.psel < 512) => LONG,
+            PrivatePolicyKind::Drrip => {
+                self.brrip_fills = self.brrip_fills.wrapping_add(1);
+                if self.brrip_fills.is_multiple_of(32) {
+                    LONG
+                } else {
+                    DISTANT
+                }
+            }
+        };
+        let lines = &mut self.sets[set];
+        let free = lines.iter().position(Option::is_none);
+        // From a full set: the least recently touched line, or the first line to reach
+        // "distant" once every line has aged by what the oldest lacks.
+        let way = free.or_else(|| match policy {
+            PrivatePolicyKind::Lru => (0..lines.len()).min_by_key(|&w| lines[w].map(|l| l.stamp)),
+            PrivatePolicyKind::Srrip | PrivatePolicyKind::Drrip => {
+                let oldest = lines.iter().flatten().map(|l| l.rrpv).max()?;
+                for line in lines.iter_mut().flatten() {
+                    line.rrpv += DISTANT - oldest;
+                }
+                lines
+                    .iter()
+                    .position(|l| l.is_some_and(|l| l.rrpv == DISTANT))
+            }
+        });
+        let way = way.expect("a set has a way");
+        let evicted = lines[way].map(|victim| {
+            self.stats.evictions += 1;
+            self.stats.writebacks += u64::from(victim.dirty);
+            EvictedLine {
+                block: BlockAddr(victim.block),
+                dirty: victim.dirty,
+            }
+        });
+        self.touches += 1;
+        lines[way] = Some(Line {
+            block: block.0,
+            dirty,
+            stamp: self.touches,
+            rrpv,
+            ..Line::default()
+        });
+        evicted
+    }
+
+    pub fn writeback(&mut self, block: BlockAddr) -> bool {
+        let set = set_of(&self.sets, block);
+        line_of(&mut self.sets[set], block)
+            .map(|line| line.dirty = true)
+            .is_some()
+    }
+}
+
+/// The shared LLC: lines and statistics here, every replacement decision in `policy`.
+pub struct NaiveLlc {
+    config: LlcConfig,
+    sets: Sets,
+    policy: Box<dyn LlcReplacementPolicy>,
+    pub banks: BankModel,
+    mshr: OccupancyWindow,
+    wb_buffer: OccupancyWindow,
+    pub per_core: Vec<LlcCoreStats>,
+    pub global: LlcGlobalStats,
+    mshr_core_stalls: Vec<u64>,
+    interval_misses: u64,
+    misses_in_interval: u64,
+}
+
+impl NaiveLlc {
+    pub fn new(
+        config: LlcConfig,
+        num_cores: usize,
+        interval_misses: u64,
+        policy: Box<dyn LlcReplacementPolicy>,
+    ) -> Self {
+        NaiveLlc {
+            config,
+            sets: vec![vec![None; config.geometry.ways]; config.geometry.num_sets()],
+            policy,
+            banks: BankModel::new(config.banks, config.contention),
+            mshr: OccupancyWindow::new(config.mshr_entries),
+            wb_buffer: OccupancyWindow::new(config.wb_entries),
+            per_core: vec![LlcCoreStats::default(); num_cores],
+            global: LlcGlobalStats::default(),
+            mshr_core_stalls: vec![0; num_cores],
+            interval_misses,
+            misses_in_interval: 0,
+        }
+    }
+
+    fn ctx(
+        &self,
+        core: usize,
+        pc: u64,
+        block: BlockAddr,
+        is_demand: bool,
+        is_write: bool,
+    ) -> AccessContext {
+        AccessContext {
+            core_id: core,
+            pc,
+            block_addr: block.0,
+            set_index: set_of(&self.sets, block),
+            is_demand,
+            is_write,
+        }
+    }
+
+    /// Queue at the set's bank (sets are interleaved over banks) and cross the mesh to
+    /// it; the LLC's global queue/admission totals are whatever the bank says it added.
+    fn bank_delay(&mut self, core: usize, set: usize, now: u64) -> u64 {
+        let bank = set % self.config.banks;
+        let before = self.banks.stats()[bank];
+        let busy = self.config.bank_busy_cycles;
+        let queued = self.banks.request_from(bank, now, busy, core).delay;
+        let after = self.banks.stats()[bank];
+        self.global.bank_queue_cycles += after.queue_cycles - before.queue_cycles;
+        self.global.bank_admission_stall_cycles +=
+            after.admission_stall_cycles - before.admission_stall_cycles;
+        let wire = self.config.nuca.hop_cycles
+            * mesh_hops(core, self.per_core.len(), bank, self.config.banks);
+        self.global.nuca_cycles += wire;
+        queued + wire
+    }
+
+    /// Demand or prefetch lookup. Only demand accesses reach the policy or count towards
+    /// the interval; the first interval is a quarter of the configured length.
+    pub fn access(
+        &mut self,
+        core: usize,
+        pc: u64,
+        block: BlockAddr,
+        is_demand: bool,
+        is_write: bool,
+        now: u64,
+    ) -> LlcLookup {
+        let ctx = self.ctx(core, pc, block, is_demand, is_write);
+        if is_demand {
+            self.per_core[core].demand_accesses += 1;
+            self.policy.on_access(&ctx);
+        } else {
+            self.per_core[core].prefetch_accesses += 1;
+        }
+        let latency = self.config.latency + self.bank_delay(core, ctx.set_index, now);
+        let way = way_of(&self.sets[ctx.set_index], block);
+        let stats = &mut self.per_core[core];
+        match way {
+            Some(way) => {
+                if is_demand {
+                    stats.demand_hits += 1;
+                    self.policy.on_hit(&ctx, way);
+                } else {
+                    stats.prefetch_hits += 1;
+                }
+                if let Some(line) = &mut self.sets[ctx.set_index][way] {
+                    line.dirty |= is_write;
+                }
+            }
+            None if is_demand => {
+                stats.demand_misses += 1;
+                self.global.total_demand_misses += 1;
+                self.misses_in_interval += 1;
+                let length = match self.global.intervals_completed {
+                    0 => (self.interval_misses / 4).max(1),
+                    _ => self.interval_misses,
+                };
+                if self.misses_in_interval >= length {
+                    self.misses_in_interval = 0;
+                    self.global.intervals_completed += 1;
+                    self.policy.on_interval();
+                }
+            }
+            None => {}
+        }
+        LlcLookup {
+            hit: way.is_some(),
+            latency,
+        }
+    }
+
+    /// Fill a demand miss: the policy inserts or bypasses, and picks the victim of a
+    /// full set. A dirty victim takes a write-back buffer entry for one LLC latency.
+    pub fn fill(
+        &mut self,
+        core: usize,
+        pc: u64,
+        block: BlockAddr,
+        is_write: bool,
+        now: u64,
+    ) -> LlcFill {
+        let ctx = self.ctx(core, pc, block, true, is_write);
+        let set = ctx.set_index;
+        let mut outcome = LlcFill {
+            bypassed: false,
+            evicted: None,
+        };
+        if way_of(&self.sets[set], block).is_some() {
+            return outcome;
+        }
+        let decision = self.policy.insertion_decision(&ctx);
+        if decision.is_bypass() {
+            self.per_core[core].bypassed_fills += 1;
+            self.policy.on_fill(&ctx, usize::MAX, &decision);
+            outcome.bypassed = true;
+            return outcome;
+        }
+        let free = self.sets[set].iter().position(Option::is_none);
+        let way = free.unwrap_or_else(|| {
+            let views: Vec<LineView> = self.sets[set]
+                .iter()
+                .flatten()
+                .map(|l| LineView {
+                    valid: true,
+                    owner: l.owner,
+                    block_addr: l.block,
+                    dirty: l.dirty,
+                })
+                .collect();
+            self.policy.choose_victim(&ctx, &views)
+        });
+        if let Some(victim) = self.sets[set][way] {
+            self.policy.on_evict(&ctx, victim.block, victim.owner);
+            self.per_core[victim.owner].lines_evicted += 1;
+            if victim.dirty {
+                self.global.dirty_evictions += 1;
+                self.global.wb_stall_cycles += self.wb_buffer.reserve(now, self.config.latency).0;
+            }
+            outcome.evicted = Some(LlcEvicted {
+                block: BlockAddr(victim.block),
+                dirty: victim.dirty,
+                owner: victim.owner,
+            });
+        }
+        self.sets[set][way] = Some(Line {
+            block: block.0,
+            dirty: is_write,
+            owner: core,
+            ..Line::default()
+        });
+        self.policy.on_fill(&ctx, way, &decision);
+        outcome
+    }
+
+    /// A write-back from a private L2 marks a present line dirty and never allocates;
+    /// it occupies the bank either way. False: the caller sends it on to memory.
+    pub fn writeback(&mut self, core: usize, block: BlockAddr, now: u64) -> bool {
+        let set = set_of(&self.sets, block);
+        self.per_core[core].writebacks_in += 1;
+        self.bank_delay(core, set, now);
+        line_of(&mut self.sets[set], block)
+            .map(|line| line.dirty = true)
+            .is_some()
+    }
+
+    /// Valid lines per inserting core.
+    pub fn occupancy_by_core(&self) -> Vec<usize> {
+        let mut lines = vec![0; self.per_core.len()];
+        for line in self.sets.iter().flatten().flatten() {
+            lines[line.owner] += 1;
+        }
+        lines
+    }
+}
+
+/// One core: two private levels, a prefetcher, a trace and its counters.
+struct NaiveCore {
+    l1d: NaivePrivateCache,
+    l2: NaivePrivateCache,
+    prefetcher: NextLinePrefetcher,
+    trace: Box<dyn TraceSource>,
+    /// The core's own counters, live: `cycles` is its clock, and `instructions`,
+    /// `compute_cycles`, `mem_stall_cycles` and `dram_reads` count as it goes. The
+    /// cache, LLC and prefetcher fields are filled in only in the `snapshot`.
+    stats: CoreStats,
+    /// Statistics frozen when the core reached its instruction target; it keeps
+    /// executing afterwards so the others keep seeing its traffic.
+    snapshot: Option<CoreStats>,
+    /// Consecutive zero-cycle steps since then; at `LIVELOCK_STEPS` the core is retired:
+    /// the driver stops stepping it.
+    idle_steps: u64,
+}
+
+/// The whole machine, stepped one trace record at a time in `(cycle, core id)` order.
+pub struct NaiveSystem {
+    config: SystemConfig,
+    cores: Vec<NaiveCore>,
+    llc: NaiveLlc,
+    dram: Dram,
+}
+
+impl NaiveSystem {
+    pub fn new(
+        config: SystemConfig,
+        traces: Vec<Box<dyn TraceSource>>,
+        policy: Box<dyn LlcReplacementPolicy>,
+    ) -> Self {
+        assert_eq!(traces.len(), config.num_cores, "one trace per core");
+        let cores = traces
+            .into_iter()
+            .map(|trace| NaiveCore {
+                l1d: NaivePrivateCache::new(config.l1d),
+                l2: NaivePrivateCache::new(config.l2),
+                prefetcher: NextLinePrefetcher::new(config.l1_next_line_prefetch),
+                trace,
+                stats: CoreStats::default(),
+                snapshot: None,
+                idle_steps: 0,
+            })
+            .collect();
+        NaiveSystem {
+            llc: NaiveLlc::new(config.llc, config.num_cores, config.interval_misses, policy),
+            dram: Dram::new(config.dram),
+            cores,
+            config,
+        }
+    }
+
+    /// Run until every core has retired `target` instructions; statistics are those at
+    /// each core's own target.
+    pub fn run(&mut self, target: u64) -> SystemResults {
+        let n = self.cores.len();
+        let mut unfinished = n;
+        while unfinished > 0 {
+            let id = (0..n)
+                .filter(|&i| self.cores[i].idle_steps < LIVELOCK_STEPS)
+                .min_by_key(|&i| (self.cores[i].stats.cycles, i))
+                .expect("an unfinished core is never retired");
+            let before = self.cores[id].stats.cycles;
+            self.step(id);
+            let core = &mut self.cores[id];
+            if core.snapshot.is_some() {
+                // A finished core whose re-executed stream no longer moves its clock
+                // would stay the earliest forever and starve the rest.
+                let moved = core.stats.cycles > before;
+                core.idle_steps = if moved { 0 } else { core.idle_steps + 1 };
+            } else if core.stats.instructions >= target {
+                core.snapshot = Some(CoreStats {
+                    core_id: id,
+                    label: core.trace.label(),
+                    l1d: core.l1d.stats,
+                    l2: core.l2.stats,
+                    llc: self.llc.per_core[id],
+                    prefetch: *core.prefetcher.stats(),
+                    ..core.stats.clone()
+                });
+                unfinished -= 1;
+            }
+        }
+        let snapshots = self.cores.iter().filter_map(|c| c.snapshot.clone());
+        let per_core: Vec<CoreStats> = snapshots.collect();
+        SystemResults {
+            policy: self.llc.policy.name(),
+            final_cycle: per_core.iter().map(|c| c.cycles).max().unwrap_or(0),
+            per_core,
+            llc_global: self.llc.global,
+            llc_banks: self.llc.banks.stats().to_vec(),
+            dram: *self.dram.stats(),
+            core_stalls: assemble_core_stalls(
+                n,
+                self.llc.banks.core_stalls(),
+                &self.llc.mshr_core_stalls,
+                self.dram.core_stalls(),
+            ),
+        }
+    }
+
+    /// Execute one trace record of core `id`: resolve the access through the hierarchy
+    /// at the core's current cycle, issue the next-line prefetch it triggered, then
+    /// charge the core.
+    fn step(&mut self, id: usize) {
+        let access = self.cores[id].trace.next_access();
+        let block = block_of(access.addr);
+        let now = self.cores[id].stats.cycles;
+        let mut latency = self.config.core.l1_hit_cycles;
+        if self.cores[id].l1d.access(block, access.is_write) == Lookup::Miss {
+            let core = &mut self.cores[id];
+            let l1d = &core.l1d;
+            let next_line = core.prefetcher.on_demand_miss(block, |b| l1d.probe(b));
+            latency += core.l2.config.latency;
+            if core.l2.access(block, false) == Lookup::Miss {
+                latency += self.demand_below_l2(id, access.pc, block, access.is_write, now);
+                self.install_in_l2(id, block, false, now);
+            }
+            self.install_in_l1(id, block, access.is_write, false, now);
+            if let Some(next_line) = next_line {
+                self.prefetch(id, access.pc, next_line, now);
+            }
+        }
+
+        // Non-memory instructions retire `issue_width` a cycle. Latency beyond the L1's
+        // is exposed: the ROB overlaps it with other misses (the `mlp_overlap` divisor)
+        // but hides no more than the `rob_size / issue_width` cycles of work it holds.
+        let cfg = self.config.core;
+        let gap = u64::from(access.non_mem_instrs);
+        let compute = gap.div_ceil(cfg.issue_width);
+        let exposed = latency.saturating_sub(cfg.l1_hit_cycles);
+        let overlapped = (exposed as f64 / cfg.mlp_overlap).round() as u64;
+        let stall = overlapped.max(exposed.saturating_sub(cfg.rob_size / cfg.issue_width));
+        let counters = &mut self.cores[id].stats;
+        counters.cycles += compute + stall;
+        counters.compute_cycles += compute;
+        counters.mem_stall_cycles += stall;
+        counters.instructions += gap + 1;
+    }
+
+    /// A demand access that missed both private levels; returns the latency below the L2.
+    fn demand_below_l2(
+        &mut self,
+        id: usize,
+        pc: u64,
+        block: BlockAddr,
+        is_write: bool,
+        now: u64,
+    ) -> u64 {
+        let lookup = self.llc.access(id, pc, block, true, is_write, now);
+        if lookup.hit {
+            return lookup.latency;
+        }
+        // The miss holds an MSHR entry until memory answers. With back-pressure a full
+        // MSHR file delays the DRAM request itself; without it the request is timed
+        // first and the stall charged on top.
+        let llc = &mut self.llc;
+        let (stall, memory) = if llc.config.contention.mshr_backpressure {
+            let stall = llc.mshr.acquire(now);
+            let issue = now + lookup.latency + stall;
+            let memory = self.dram.access(block, issue, false, id).latency;
+            llc.mshr.insert(issue + memory);
+            (stall, memory)
+        } else {
+            let issue = now + lookup.latency;
+            let memory = self.dram.access(block, issue, false, id).latency;
+            (llc.mshr.reserve(now, lookup.latency + memory).0, memory)
+        };
+        llc.global.mshr_stall_cycles += stall;
+        llc.global.mshr_full_events += u64::from(stall > 0);
+        llc.mshr_core_stalls[id] += stall;
+        self.cores[id].stats.dram_reads += 1;
+        // The line comes back clean (the store dirties the L1 copy); a dirty victim
+        // drains to memory in the background, costing bandwidth only.
+        if let Some(victim) = self.llc.fill(id, pc, block, false, now).evicted {
+            if victim.dirty {
+                self.dram.access(victim.block, now, true, id);
+            }
+        }
+        lookup.latency + stall + memory
+    }
+
+    /// Bring the next line into L2 and L1 without charging the core; a prefetch that
+    /// misses the LLC goes to memory and does not allocate in the LLC.
+    fn prefetch(&mut self, id: usize, pc: u64, block: BlockAddr, now: u64) {
+        if self.cores[id].l1d.probe(block) {
+            return;
+        }
+        if !self.cores[id].l2.probe(block) {
+            let lookup = self.llc.access(id, pc, block, false, false, now);
+            if !lookup.hit {
+                self.dram.access(block, now + lookup.latency, false, id);
+                self.cores[id].stats.dram_reads += 1;
+            }
+            self.install_in_l2(id, block, true, now);
+        }
+        self.install_in_l1(id, block, false, true, now);
+    }
+
+    fn install_in_l1(
+        &mut self,
+        id: usize,
+        block: BlockAddr,
+        dirty: bool,
+        prefetch: bool,
+        now: u64,
+    ) {
+        let core = &mut self.cores[id];
+        if let Some(victim) = core.l1d.fill(block, dirty, prefetch) {
+            if victim.dirty && !core.l2.writeback(victim.block) {
+                self.writeback_below_l2(id, victim.block, now);
+            }
+        }
+    }
+
+    fn install_in_l2(&mut self, id: usize, block: BlockAddr, prefetch: bool, now: u64) {
+        if let Some(victim) = self.cores[id].l2.fill(block, false, prefetch) {
+            if victim.dirty {
+                self.writeback_below_l2(id, victim.block, now);
+            }
+        }
+    }
+
+    /// Dirty data leaving the private levels: the LLC if it holds the line, else memory.
+    fn writeback_below_l2(&mut self, id: usize, block: BlockAddr, now: u64) {
+        if !self.llc.writeback(id, block, now) {
+            self.dram.access(block, now, true, id);
+        }
+    }
+}

@@ -1,5 +1,7 @@
 //! Property-based tests (proptest) over the core data structures and invariants.
 
+mod oracle;
+
 use proptest::prelude::*;
 
 use adapt_llc::adapt::{
@@ -16,13 +18,13 @@ use adapt_llc::sim::config::{
     BankContentionConfig, CacheGeometry, LlcConfig, PrivateCacheConfig, PrivatePolicyKind,
     SystemConfig,
 };
-use adapt_llc::sim::llc::{LlcModel, SharedLlc};
-use adapt_llc::sim::private_cache::{Lookup, PrivateCache, PrivateCacheModel};
-use adapt_llc::sim::reference::{ReferenceLlc, ReferencePrivateCache};
+use adapt_llc::sim::llc::SharedLlc;
+use adapt_llc::sim::private_cache::{Lookup, PrivateCache};
 use adapt_llc::sim::replacement::{
     AccessContext, InsertionDecision, LineView, LlcReplacementPolicy, RrpvArray,
 };
 use adapt_llc::workloads::{classify, generate_mixes, MemIntensity, StudyKind};
+use oracle::{NaiveLlc, NaivePrivateCache};
 
 /// Every [`PolicyKind`], with one representative `SD=` count.
 const ALL_POLICY_KINDS: [PolicyKind; 14] = [
@@ -43,7 +45,7 @@ const ALL_POLICY_KINDS: [PolicyKind; 14] = [
 ];
 
 /// The policy `kind` names, constructed from its concrete type without going through
-/// `PolicyKind::build_dispatch`, and boxed the way the reference engine takes it.
+/// `PolicyKind::build_dispatch`, and boxed the way the oracle (`tests/oracle/`) takes it.
 fn policy_by_hand(
     kind: PolicyKind,
     llc: &LlcConfig,
@@ -258,13 +260,15 @@ proptest! {
     }
 }
 
+// The engine-vs-oracle properties run under the default case count (256), which CI's
+// "Engine identity fuzz pass" raises through `PROPTEST_CASES` — an explicit
+// `with_cases` would pin it.
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// The structure-of-arrays fast-path LLC is bit-identical to the retained
-    /// pre-refactor reference across random geometries (including non-power-of-two bank
+    /// The structure-of-arrays fast-path LLC is bit-identical to the oracle's naive LLC
+    /// (`tests/oracle/`) across random geometries (including non-power-of-two bank
     /// counts), every `PolicyKind` (the enum `build_dispatch` returns on the fast side,
-    /// the same policy built by hand and boxed on the reference side), and access
+    /// the same policy built by hand and boxed on the oracle's side), and access
     /// streams mixing demand/prefetch reads, writes (dirty lines), L2 write-backs and
     /// interval rollovers: every lookup outcome, fill outcome, per-core/global/bank
     /// statistic and the occupancy map must agree.
@@ -289,7 +293,6 @@ proptest! {
             bank_busy_cycles: 4,
             mshr_entries: 4,
             wb_entries: 4,
-            wb_retire_at: 3,
             contention: if contended {
                 BankContentionConfig::contended(2, 4)
             } else {
@@ -312,7 +315,7 @@ proptest! {
             let ref_policy = policy_by_hand(kind, &cfg, num_cores, &thrashing_slots);
             prop_assert_eq!(fast_policy.name(), ref_policy.name());
             let mut fast = SharedLlc::new(cfg, num_cores, interval_misses, fast_policy);
-            let mut reference = ReferenceLlc::new(cfg, num_cores, interval_misses, ref_policy);
+            let mut reference = NaiveLlc::new(cfg, num_cores, interval_misses, ref_policy);
 
             for (i, &(addr, pc_sel, is_write, op_sel)) in ops.iter().enumerate() {
                 let block = BlockAddr(addr);
@@ -324,40 +327,41 @@ proptest! {
                     0 => {
                         prop_assert_eq!(
                             fast.writeback(core, block, now),
-                            LlcModel::writeback(&mut reference, core, block, now)
+                            reference.writeback(core, block, now)
                         );
                     }
                     // Prefetch lookup (never fills).
                     1 => {
                         let a = fast.access(core, pc, block, false, false, now);
-                        let b = LlcModel::access(&mut reference, core, pc, block, false, false, now);
+                        let b = reference.access(core, pc, block, false, false, now);
                         prop_assert_eq!(a, b);
                     }
                     // Demand access; fill on miss like the system driver does.
                     _ => {
                         let a = fast.access(core, pc, block, true, is_write, now);
-                        let b = LlcModel::access(&mut reference, core, pc, block, true, is_write, now);
+                        let b = reference.access(core, pc, block, true, is_write, now);
                         prop_assert_eq!(a, b, "{:?}: lookup diverged at op {}", kind, i);
                         if !a.hit {
                             let fa = fast.fill(core, pc, block, is_write, now);
-                            let fb = LlcModel::fill(&mut reference, core, pc, block, is_write, now);
+                            let fb = reference.fill(core, pc, block, is_write, now);
                             prop_assert_eq!(fa, fb, "{:?}: fill diverged at op {}", kind, i);
                         }
                     }
                 }
             }
 
-            prop_assert_eq!(fast.global_stats(), reference.global_stats());
+            prop_assert_eq!(fast.global_stats(), &reference.global);
             for core in 0..num_cores {
-                prop_assert_eq!(fast.core_stats(core), LlcModel::core_stats(&reference, core));
+                prop_assert_eq!(fast.core_stats(core), &reference.per_core[core]);
             }
-            prop_assert_eq!(fast.bank_stats(), LlcModel::bank_stats(&reference));
-            prop_assert_eq!(fast.occupancy(), reference.occupancy());
-            prop_assert_eq!(fast.occupancy_by_core(), reference.occupancy_by_core());
+            prop_assert_eq!(fast.bank_stats(), reference.banks.stats());
+            let lines_by_core = reference.occupancy_by_core();
+            prop_assert_eq!(fast.occupancy(), lines_by_core.iter().sum::<usize>());
+            prop_assert_eq!(fast.occupancy_by_core(), lines_by_core);
         }
     }
 
-    /// The structure-of-arrays private cache is bit-identical to the retained reference
+    /// The structure-of-arrays private cache is bit-identical to the oracle's naive one
     /// across geometries, replacement policies and access/fill/write-back streams.
     #[test]
     fn soa_private_cache_is_bit_identical_to_reference(
@@ -377,7 +381,7 @@ proptest! {
             policy,
         };
         let mut fast = PrivateCache::new(cfg);
-        let mut reference = ReferencePrivateCache::new(cfg);
+        let mut reference = NaivePrivateCache::new(cfg);
 
         for &(addr, is_write, op_sel) in &ops {
             let block = BlockAddr(addr);
@@ -385,28 +389,28 @@ proptest! {
                 0 => {
                     prop_assert_eq!(
                         fast.writeback(block),
-                        PrivateCacheModel::writeback(&mut reference, block)
+                        reference.writeback(block)
                     );
                 }
                 1 => {
-                    prop_assert_eq!(fast.probe(block), PrivateCacheModel::probe(&reference, block));
+                    prop_assert_eq!(fast.probe(block), reference.probe(block));
                 }
                 _ => {
                     let a = fast.access(block, is_write);
-                    let b = PrivateCacheModel::access(&mut reference, block, is_write);
+                    let b = reference.access(block, is_write);
                     prop_assert_eq!(a, b);
                     if a == Lookup::Miss {
                         // Alternate demand and prefetch fills (prefetch inserts distant).
                         let prefetch = op_sel == 2;
                         prop_assert_eq!(
                             fast.fill(block, is_write, prefetch),
-                            PrivateCacheModel::fill(&mut reference, block, is_write, prefetch)
+                            reference.fill(block, is_write, prefetch)
                         );
                     }
                 }
             }
         }
 
-        prop_assert_eq!(fast.stats(), PrivateCacheModel::stats(&reference));
+        prop_assert_eq!(fast.stats(), &reference.stats);
     }
 }

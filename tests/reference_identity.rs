@@ -1,34 +1,56 @@
-//! End-to-end bit-identity of the data-oriented hot path against the frozen
-//! pre-refactor reference engine (`cache_sim::reference`).
+//! End-to-end bit-identity of the production engine against the naive oracle in
+//! `tests/oracle/` — an independent model of the same machine (per-way `Option<Line>`
+//! caches searched linearly, float-form core timing, a `(cycle, id)` min-scan driver
+//! that steps one trace record at a time), written against the facade's public API.
 //!
-//! The fast path differs from the seed in line layout (structure-of-arrays tags +
+//! The production path differs from it in line layout (structure-of-arrays tags +
 //! packed valid/dirty bitmasks), policy dispatch (monomorphized enum instead of
 //! `Box<dyn ...>`), way prediction, core scheduling (a winner tree consulted once per
-//! shared-state event, with L1 hits retired out of global order by private run-ahead,
-//! instead of a binary heap popped once per record) and core-timing arithmetic (integer
-//! halving instead of f64 rounding) — every one of which must be invisible in results.
-//! These tests run whole systems under every `PolicyKind`, in flat and contended bank
-//! configurations, at power-of-two and odd core counts up to 128, and require per-core
-//! IPC/MPKI, LLC global statistics (including interval counts), per-bank statistics and
-//! final cycles to agree exactly. The one thing run-ahead may change — how many records
-//! a trace source has been asked for when `run` returns — is bounded here too.
+//! shared-state event, with L1 hits retired out of global order by private run-ahead)
+//! and core-timing arithmetic (integer halving instead of f64 rounding) — every one of
+//! which must be invisible in results. These tests run whole systems under every
+//! `PolicyKind`, in flat and contended bank configurations, at power-of-two and odd
+//! core counts up to 128 and at non-power-of-two LLC bank counts, and require **every
+//! field** of `SystemResults` and of each core's `CoreStats` to agree exactly. The one
+//! thing run-ahead may change — how many records a trace source has been asked for
+//! when `run` returns — is bounded here too, and closed-form cases (a cyclic working
+//! set one block larger than a set under LRU; working sets that fit a level) tie both
+//! engines to answers that come from outside the repository.
+
+mod oracle;
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use adapt_llc::experiments::{ExperimentScale, MemSystem, PolicyKind};
-use adapt_llc::sim::config::{BankContentionConfig, SystemConfig};
-use adapt_llc::sim::reference::reference_system;
-use adapt_llc::sim::stats::SystemResults;
+use adapt_llc::experiments::{evaluate_mix, ExperimentScale, MemSystem, PolicyKind};
+use adapt_llc::sim::config::{BankContentionConfig, PrivatePolicyKind, SystemConfig};
+use adapt_llc::sim::stats::{CoreStats, SystemResults};
 use adapt_llc::sim::system::{MultiCoreSystem, RUN_AHEAD};
-use adapt_llc::sim::trace::{MemAccess, TraceSource};
+use adapt_llc::sim::trace::{MemAccess, StridedTrace, TraceSource};
 use adapt_llc::workloads::{generate_mixes, StudyKind, WorkloadMix};
+use oracle::NaiveSystem;
 
 const INSTRUCTIONS: u64 = 20_000;
 const SEED: u64 = 1;
 
-/// Run `mix` under `kind` on the production engine and on the frozen reference engine
-/// (which takes the same policy boxed), returning `(fast, reference)`.
+/// One fresh set of per-core sources per call: each engine consumes its own.
+type Sources<'a> = &'a dyn Fn() -> Vec<Box<dyn TraceSource>>;
+
+/// Run `sources` under `kind` on the production engine and on the oracle (which takes
+/// the same policy boxed), returning `(fast, reference)`.
+fn run_both_on(
+    cfg: &SystemConfig,
+    kind: PolicyKind,
+    thrashing_slots: &[usize],
+    sources: Sources,
+    instructions: u64,
+) -> (SystemResults, SystemResults) {
+    let build = || kind.build_dispatch(cfg, thrashing_slots);
+    let fast = MultiCoreSystem::new(cfg.clone(), sources(), build()).run(instructions);
+    let reference = NaiveSystem::new(cfg.clone(), sources(), Box::new(build())).run(instructions);
+    (fast, reference)
+}
+
 fn run_both(
     cfg: &SystemConfig,
     mix: &WorkloadMix,
@@ -44,16 +66,8 @@ fn run_both_for(
     instructions: u64,
 ) -> (SystemResults, SystemResults) {
     let llc_sets = cfg.llc.geometry.num_sets();
-    let build = || kind.build_dispatch(cfg, &mix.thrashing_slots());
-    let fast = MultiCoreSystem::new(cfg.clone(), mix.trace_sources(llc_sets, SEED), build())
-        .run(instructions);
-    let reference = reference_system(
-        cfg.clone(),
-        mix.trace_sources(llc_sets, SEED),
-        Box::new(build()),
-    )
-    .run(instructions);
-    (fast, reference)
+    let sources = || mix.trace_sources(llc_sets, SEED);
+    run_both_on(cfg, kind, &mix.thrashing_slots(), &sources, instructions)
 }
 
 /// The first `cores` applications of a generated `study` mix: a mix for a core count
@@ -84,20 +98,52 @@ fn all_policy_kinds() -> Vec<PolicyKind> {
     ]
 }
 
+/// Every field of both result types. The patterns are exhaustive on purpose: a field
+/// added to `SystemResults` or `CoreStats` stops this compiling until it is compared.
 fn assert_identical(a: &SystemResults, b: &SystemResults, what: &str) {
-    assert_eq!(a.policy, b.policy, "{what}: label");
-    assert_eq!(a.per_core.len(), b.per_core.len(), "{what}: core count");
-    for (x, y) in a.per_core.iter().zip(&b.per_core) {
-        assert_eq!(x.label, y.label, "{what}");
-        assert_eq!(x.ipc(), y.ipc(), "{what}: {} IPC", x.label);
-        assert_eq!(x.l2_mpki(), y.l2_mpki(), "{what}: {} L2 MPKI", x.label);
-        assert_eq!(x.llc_mpki(), y.llc_mpki(), "{what}: {} LLC MPKI", x.label);
-        assert_eq!(x.llc, y.llc, "{what}: {} LLC per-core stats", x.label);
+    let SystemResults {
+        policy,
+        per_core,
+        llc_global,
+        llc_banks,
+        dram,
+        core_stalls,
+        final_cycle,
+    } = a;
+    assert_eq!(policy, &b.policy, "{what}: label");
+    assert_eq!(per_core.len(), b.per_core.len(), "{what}: core count");
+    for (x, y) in per_core.iter().zip(&b.per_core) {
+        let CoreStats {
+            core_id,
+            label,
+            instructions,
+            cycles,
+            compute_cycles,
+            mem_stall_cycles,
+            l1d,
+            l2,
+            llc,
+            prefetch,
+            dram_reads,
+        } = x;
+        let who = format!("{what}: core {core_id} ({label})");
+        assert_eq!(core_id, &y.core_id, "{who}: core id");
+        assert_eq!(label, &y.label, "{who}: label");
+        assert_eq!(instructions, &y.instructions, "{who}: instructions");
+        assert_eq!(cycles, &y.cycles, "{who}: cycles");
+        assert_eq!(compute_cycles, &y.compute_cycles, "{who}: compute cycles");
+        assert_eq!(mem_stall_cycles, &y.mem_stall_cycles, "{who}: stall cycles");
+        assert_eq!(l1d, &y.l1d, "{who}: L1D stats");
+        assert_eq!(l2, &y.l2, "{who}: L2 stats");
+        assert_eq!(llc, &y.llc, "{who}: LLC per-core stats");
+        assert_eq!(prefetch, &y.prefetch, "{who}: prefetcher stats");
+        assert_eq!(dram_reads, &y.dram_reads, "{who}: DRAM reads");
     }
-    assert_eq!(a.llc_global, b.llc_global, "{what}: LLC global stats");
-    assert_eq!(a.llc_banks, b.llc_banks, "{what}: per-bank stats");
-    assert_eq!(a.core_stalls, b.core_stalls, "{what}: stall attribution");
-    assert_eq!(a.final_cycle, b.final_cycle, "{what}: final cycle");
+    assert_eq!(llc_global, &b.llc_global, "{what}: LLC global stats");
+    assert_eq!(llc_banks, &b.llc_banks, "{what}: per-bank stats");
+    assert_eq!(dram, &b.dram, "{what}: DRAM stats");
+    assert_eq!(core_stalls, &b.core_stalls, "{what}: stall attribution");
+    assert_eq!(final_cycle, &b.final_cycle, "{what}: final cycle");
 }
 
 #[test]
@@ -172,8 +218,30 @@ fn many128_memsys_is_bit_identical_to_the_reference_engine() {
     let mix = &generate_mixes(StudyKind::Cores128, 1, scale.seed())[0];
     let (fast, reference) = run_both_for(&cfg, mix, PolicyKind::TaDrrip, 4_000);
     assert_identical(&fast, &reference, "128-core FR-FCFS+NUCA TaDrrip");
-    assert_eq!(fast.dram, reference.dram, "128-core DRAM stats");
     assert_eq!(fast.per_core.len(), 128);
+}
+
+/// `SystemConfig::validate` used to reject the non-power-of-two LLC bank counts the LLC
+/// model maps with a modulo, so no whole system could run at one: every bank must
+/// serve requests, and the engines must agree there too.
+#[test]
+fn non_power_of_two_llc_bank_counts_are_bit_identical_to_the_reference_engine() {
+    let scale = ExperimentScale::Smoke;
+    let mix = truncated_mix(StudyKind::Cores32, 24);
+    for banks in [3, 6] {
+        let mut cfg = scale.scaling_config_memsys(24, MemSystem::FrFcfsNuca);
+        cfg.llc.banks = banks;
+        for kind in [PolicyKind::TaDrrip, PolicyKind::AdaptBp32] {
+            let (fast, reference) = run_both(&cfg, &mix, kind);
+            assert_identical(&fast, &reference, &format!("{banks}-bank {kind:?}"));
+            assert_eq!(fast.llc_banks.len(), banks);
+            assert!(
+                fast.llc_banks.iter().all(|b| b.requests > 0),
+                "{banks} banks: one served nothing: {:?}",
+                fast.llc_banks
+            );
+        }
+    }
 }
 
 /// Counts the records the simulator asks a source for.
@@ -211,9 +279,9 @@ fn counted(sources: Vec<Box<dyn TraceSource>>) -> (Vec<Box<dyn TraceSource>>, Ve
 }
 
 /// Run-ahead's only observable effect: when `run` returns, each source has been asked
-/// for at least the records the per-record reference engine consumed and at most
+/// for at least the records the per-record oracle consumed and at most
 /// `RUN_AHEAD` retired hits plus one parked record more — and for exactly the
-/// reference's while `sim_obs` sampling is on, which reads every core's clock and so
+/// oracle's while `sim_obs` sampling is on, which reads every core's clock and so
 /// turns run-ahead off. (Tests running beside the sampled leg merely get sampled too;
 /// results do not depend on it.)
 #[test]
@@ -238,7 +306,7 @@ fn run_ahead_overfetch_is_bounded_per_core() {
     sim_obs::disable();
     sim_obs::reset();
     let (sources, counts) = counted(mix.trace_sources(llc_sets, SEED));
-    let reference = reference_system(cfg.clone(), sources, Box::new(build())).run(INSTRUCTIONS);
+    let reference = NaiveSystem::new(cfg.clone(), sources, Box::new(build())).run(INSTRUCTIONS);
     let ref_fetched = fetched(counts);
     assert_identical(&fast, &reference, "counted 8-core TaDrrip");
     assert_identical(&sampled, &reference, "counted, sampled 8-core TaDrrip");
@@ -247,11 +315,186 @@ fn run_ahead_overfetch_is_bounded_per_core() {
     for (core, (&fast, &reference)) in fast_fetched.iter().zip(&ref_fetched).enumerate() {
         assert!(
             (reference..=reference + RUN_AHEAD + 1).contains(&fast),
-            "core {core}: fetched {fast} records, the reference engine {reference}"
+            "core {core}: fetched {fast} records, the oracle {reference}"
         );
     }
     assert!(
         fast_fetched.iter().sum::<u64>() > ref_fetched.iter().sum::<u64>(),
         "run-ahead never ran: the bound was not exercised"
     );
+}
+
+/// Gapless reads over `blocks`, round-robin, forever — after `gapped` records that
+/// carry 3 non-memory instructions each.
+struct Cyclic {
+    blocks: Vec<u64>,
+    gapped: u64,
+    served: u64,
+}
+
+impl TraceSource for Cyclic {
+    fn next_access(&mut self) -> MemAccess {
+        let i = self.served;
+        self.served += 1;
+        MemAccess {
+            addr: self.blocks[(i % self.blocks.len() as u64) as usize] * 64,
+            pc: 0x400,
+            is_write: false,
+            non_mem_instrs: if i < self.gapped { 3 } else { 0 },
+        }
+    }
+    fn reset(&mut self) {
+        self.served = 0;
+    }
+}
+
+/// Regression for the re-execution livelock: a core whose (replayed) stream is
+/// entirely L1-resident with zero instruction gaps advances zero cycles per step
+/// once warmed up; after it reaches its instruction target it used to remain the
+/// scheduler's earliest core forever and starve the unfinished cores — `run` never
+/// returned. Imported trace files make such streams trivial to construct. Both
+/// engines must terminate and stay bit-identical to each other — with the frozen
+/// core on either side of the tie-break, and when the stream turns gapless only
+/// after its core has finished, so the whole 2^22-step count happens inside the
+/// production engine's run-ahead loop.
+#[test]
+fn finished_cache_resident_core_cannot_livelock_the_run() {
+    let cfg = SystemConfig::tiny(2);
+    let target = 30_000;
+    // Four L1-resident blocks: a stream that freezes its core's clock once it is gapless
+    // and the L1 is warm, so only after `4 * gapped` instructions have retired.
+    let resident = |gapped| -> Box<dyn TraceSource> {
+        Box::new(Cyclic {
+            blocks: vec![0x40, 0x41, 0x42, 0x43],
+            gapped,
+            served: 0,
+        })
+    };
+    // Gapless from the first record: zero-cycle steps as soon as the L1 is warm.
+    let frozen = || resident(0);
+    // Finishes at record 7_500 with a moving clock, freezes from record 8_000 on.
+    let freezes_late = || resident(8_000);
+    // A big sweep that misses constantly, so it finishes far later than the
+    // frozen core (which pre-fix starved it forever).
+    let sweep = || -> Box<dyn TraceSource> { Box::new(StridedTrace::new(1 << 32, 64, 1 << 20, 2)) };
+    let cases: [(&str, Sources); 3] = [
+        ("frozen core 0", &|| vec![frozen(), sweep()]),
+        ("frozen core 1", &|| vec![sweep(), frozen()]),
+        ("freezes after finishing", &|| vec![sweep(), freezes_late()]),
+    ];
+    for (what, sources) in cases {
+        let (fast, reference) = run_both_on(&cfg, PolicyKind::Srrip, &[], sources, target);
+        assert_identical(&fast, &reference, what);
+        assert!(fast.per_core.iter().all(|c| c.instructions >= target));
+    }
+}
+
+/// The runner's entry point reports what the oracle computes: `evaluate_mix` builds the
+/// policy and the sources itself, so this also holds the path from a `PolicyKind` and
+/// a mix to a `MixEvaluation` to the independent model.
+#[test]
+fn evaluate_mix_is_bit_identical_to_the_reference_engine() {
+    let scale = ExperimentScale::Smoke;
+    let cfg = scale.system_config(StudyKind::Cores4);
+    let llc_sets = cfg.llc.geometry.num_sets();
+    for mix in &generate_mixes(StudyKind::Cores4, 2, scale.seed()) {
+        for kind in [
+            PolicyKind::TaDrrip,
+            PolicyKind::AdaptBp32,
+            PolicyKind::Eaf,
+            PolicyKind::Ship,
+        ] {
+            let built = kind.build_dispatch(&cfg, &mix.thrashing_slots());
+            let sources = mix.trace_sources(llc_sets, SEED);
+            let reference =
+                NaiveSystem::new(cfg.clone(), sources, Box::new(built)).run(INSTRUCTIONS);
+            let fast = evaluate_mix(&cfg, mix, kind, INSTRUCTIONS, SEED);
+            let what = format!("mix {} {kind:?}", mix.id);
+            assert_eq!(fast.per_app.len(), reference.per_core.len(), "{what}");
+            for (app, core) in fast.per_app.iter().zip(&reference.per_core) {
+                assert_eq!(app.name, core.label, "{what}");
+                assert_eq!(app.core_id, core.core_id, "{what}: {}", app.name);
+                assert_eq!(app.ipc, core.ipc(), "{what}: {} IPC", app.name);
+                assert_eq!(app.l2_mpki, core.l2_mpki(), "{what}: {} L2 MPKI", app.name);
+                assert_eq!(app.llc_mpki, core.llc_mpki(), "{what}: {} MPKI", app.name);
+            }
+            assert_eq!(fast.llc_global, reference.llc_global, "{what}");
+            assert_eq!(fast.llc_banks, reference.llc_banks, "{what}");
+            assert_eq!(fast.core_stalls, reference.core_stalls, "{what}");
+            assert_eq!(fast.final_cycle, reference.final_cycle, "{what}");
+            assert!(fast.llc_global.total_demand_misses > 0, "{what}: idle LLC");
+        }
+    }
+}
+
+/// Closed forms from the replacement literature (the analytic multi-level/LLC review in
+/// PAPERS.md) that bind *both* engines to something neither of them wrote. One core,
+/// LRU private levels, no prefetcher, and a cyclic stream of blocks that all map to
+/// set 0 of every level (multiples of the LLC set count), one instruction per access:
+///
+/// 1. `ways + 1` blocks under LRU: every access evicts the block needed furthest in
+///    the past — which is the next one needed. Miss rate 1.0 at every level.
+/// 2. `ways` blocks: the set holds them all, so a policy that does not bypass may miss
+///    each block once and never again, however it ranks them.
+/// 3. `l2.ways` blocks: the L2 holds them all, so the LLC sees each block exactly once.
+#[test]
+fn closed_form_anchors_hold_on_both_engines() {
+    const ACCESSES: u64 = 10_000;
+    let mut cfg = SystemConfig::tiny(1);
+    cfg.l1d.policy = PrivatePolicyKind::Lru;
+    cfg.l2.policy = PrivatePolicyKind::Lru;
+    cfg.l1_next_line_prefetch = false;
+    let llc_sets = cfg.llc.geometry.num_sets() as u64;
+    let llc_ways = cfg.llc.geometry.ways as u64;
+    let l2_ways = cfg.l2.geometry.ways as u64;
+    assert!(cfg.l1d.geometry.ways as u64 <= l2_ways && l2_ways < llc_ways);
+
+    // Run `kind` over a cycle of `blocks` blocks on both engines; core 0's statistics.
+    let run = |kind: PolicyKind, blocks: u64| -> CoreStats {
+        let source = || -> Vec<Box<dyn TraceSource>> {
+            vec![Box::new(Cyclic {
+                blocks: (0..blocks).map(|k| k * llc_sets).collect(),
+                gapped: 0,
+                served: 0,
+            })]
+        };
+        let (fast, reference) = run_both_on(&cfg, kind, &[], &source, ACCESSES);
+        assert_identical(
+            &fast,
+            &reference,
+            &format!("{kind:?}, {blocks} cyclic blocks"),
+        );
+        let core = fast.per_core[0].clone();
+        assert_eq!(core.instructions, ACCESSES);
+        assert_eq!(core.l1d.accesses, ACCESSES);
+        core
+    };
+
+    let thrash = run(PolicyKind::Lru, llc_ways + 1);
+    assert_eq!(thrash.llc.demand_hits, 0);
+    assert_eq!(thrash.llc.demand_misses, ACCESSES);
+    assert_eq!(thrash.llc.demand_accesses, thrash.l1d.accesses);
+
+    for kind in [
+        PolicyKind::Lru,
+        PolicyKind::Srrip,
+        PolicyKind::Drrip,
+        PolicyKind::TaDrrip,
+        PolicyKind::Ship,
+        PolicyKind::AdaptIns,
+    ] {
+        let fits = run(kind, llc_ways);
+        assert_eq!(
+            fits.llc.demand_accesses, ACCESSES,
+            "{kind:?}: L2 must thrash"
+        );
+        assert_eq!(
+            fits.llc.demand_misses, llc_ways,
+            "{kind:?}: compulsory misses only"
+        );
+    }
+
+    let private = run(PolicyKind::Lru, l2_ways);
+    assert_eq!(private.l2.misses, l2_ways);
+    assert_eq!(private.llc.demand_accesses, l2_ways);
 }
