@@ -10,7 +10,7 @@ pub const BLOCK_SHIFT: u32 = 6;
 pub const BLOCK_BYTES: u64 = 1 << BLOCK_SHIFT;
 
 /// A cache-line-granular address (byte address >> [`BLOCK_SHIFT`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct BlockAddr(pub u64);
 
 impl BlockAddr {

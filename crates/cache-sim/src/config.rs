@@ -552,6 +552,27 @@ impl SystemConfig {
             if g.ways == 0 || g.num_sets() == 0 {
                 return Err(format!("{name} geometry degenerate"));
             }
+            // What the cache constructors would otherwise die on: sets are selected by
+            // mask, and a set's valid/dirty state is one `u64`.
+            if !g.num_sets().is_power_of_two() {
+                return Err(format!("{name} set count must be a power of two"));
+            }
+            if g.ways > crate::llc::MAX_WAYS {
+                return Err(format!(
+                    "{name} associativity must be <= {}",
+                    crate::llc::MAX_WAYS
+                ));
+            }
+        }
+        // The private stage's livelock accounting counts only L1 hits as zero-advance
+        // steps; every L1 miss costs at least an L2 hit.
+        let l2_hit_latency = self.core.l1_hit_cycles + self.l2.latency;
+        if crate::core_model::CoreModel::new(self.core).advance(0, l2_hit_latency) == 0 {
+            return Err(
+                "an L1 miss that hits the L2 must advance the clock (l2.latency too small \
+                 for mlp_overlap)"
+                    .into(),
+            );
         }
         Ok(())
     }
@@ -686,6 +707,24 @@ mod tests {
         cfg.validate().unwrap();
         cfg.dram.banks = 3;
         assert!(cfg.validate().is_err());
+
+        // What `PrivateCache::new` would assert on, refused here instead.
+        let mut cfg = SystemConfig::tiny(2);
+        cfg.l1d.geometry.size_bytes = 3 * 1024; // 12 sets x 4 ways
+        assert!(cfg.validate().unwrap_err().contains("power of two"));
+
+        let mut cfg = SystemConfig::tiny(2);
+        cfg.l2.geometry = CacheGeometry::with_sets(1, 128);
+        assert!(cfg.validate().unwrap_err().contains("associativity"));
+
+        // An L1 miss that costs zero cycles would let a finished, L2-resident core
+        // freeze its clock without the stage's livelock count seeing it.
+        let mut cfg = SystemConfig::tiny(2);
+        cfg.l2.latency = 0;
+        assert!(cfg.validate().unwrap_err().contains("advance the clock"));
+        let mut cfg = SystemConfig::tiny(2);
+        cfg.core.mlp_overlap = 1e6;
+        assert!(cfg.validate().unwrap_err().contains("advance the clock"));
     }
 
     #[test]

@@ -75,6 +75,15 @@ impl CoreModel {
         compute + stall
     }
 
+    /// Retire a run of records whose timing the private stage already summed (a gap of
+    /// `crate::private`): equal to [`advance`](Self::advance) once per record.
+    pub fn retire_gap(&mut self, instructions: u64, compute: u64, stall: u64) {
+        self.cycle += compute + stall;
+        self.compute_cycles += compute;
+        self.mem_stall_cycles += stall;
+        self.instructions += instructions;
+    }
+
     /// Instructions per cycle retired so far.
     pub fn ipc(&self) -> f64 {
         if self.cycle == 0 {

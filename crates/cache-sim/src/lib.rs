@@ -56,6 +56,7 @@ pub mod dram;
 pub mod llc;
 pub mod mshr;
 pub mod prefetch;
+pub mod private;
 pub mod private_cache;
 pub mod replacement;
 mod sched;

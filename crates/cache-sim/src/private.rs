@@ -1,0 +1,743 @@
+//! The private stage: everything of a core that is a function of its trace alone.
+//!
+//! The hierarchy is non-inclusive and each core is in-order over its own stream, so a
+//! core's L1D/L2/prefetcher/write-back sequence does not depend on the LLC policy, on
+//! what the LLC or the DRAM answer, or on the other cores. A [`PrivateStage`] owns that
+//! half of a core — trace source, L1D, L2, next-line prefetcher and the private part of
+//! the core timing — and turns the trace into a stream of [`Event`]s for
+//! [`crate::system::MultiCoreSystem::run`], which owns the other half (LLC, DRAM, the
+//! cores' clocks). A sweep evaluates P policies on one mix: a [`SharedStage`] simulates
+//! the private half once and every policy's system replays its events.
+//!
+//! ```text
+//!   TraceSource ─► L1D ─► L2 ─► prefetcher          LLC ─► MSHR ─► DRAM ─► CoreModel
+//!   └────────────── PrivateStage ──────────────┘    └──── MultiCoreSystem::run ────┘
+//!                        │   Event: gap + one in-order record    ▲
+//!                        └───────────────────────────────────────┘
+//!            inline (one consumer)  or  SharedStage memo ─► StageCursor × P
+//! ```
+//!
+//! **Events.** An event is a coalesced run of *private-only* records — the **gap**: Σ
+//! instructions, Σ compute cycles, Σ stall cycles — followed by exactly one record the
+//! driver executes in global order. A record is private-only when it hits the L1, or
+//! misses the L1, hits the L2 and neither its prefetch candidate nor a dirty victim
+//! leaves the L2: nothing the LLC, the DRAM or another core can observe. The driver
+//! applies the gap when it fetches the event, so the core's scheduling key is the start
+//! cycle of the in-order record; this is exact for the reason given in
+//! [`crate::system`] (removing private-only records from the k-way merge does not
+//! reorder the rest).
+//!
+//! **Order inside a record.** The stage performs the private side in the order a
+//! per-record engine does: prefetcher consult (L1 probe of `block.next()`) → L2 access →
+//! L2 fill (miss only) → L1 fill → `l2.writeback` of the dirty L1 victim → prefetch: L1
+//! probe → L2 probe → L2 fill → L1 fill → `l2.writeback`. None of it reads a shared
+//! outcome. The event records what the shared side must do, in its own fixed order: LLC
+//! demand access (skipped on an L2 hit) → the demand's write-backs (L2 victim, then L1
+//! victim) → LLC prefetch access of `block.next()` → the prefetch's write-backs → the
+//! core's clock. Write-back blocks (0–4 per event) live in a side array next to the
+//! events.
+//!
+//! **The bound.** A gap ends after [`StageParams::bound`] private records and the next
+//! record executes in order whatever it is: a finished core whose stream is
+//! cache-resident *with* instruction gaps would otherwise never produce an event. The
+//! bound is latched when the stage is built — [`RUN_AHEAD`], or 0 while `sim_obs` is
+//! recording, because an interval sample reads every core's per-record clock — and the
+//! driver reads it from the stage. At bound 0 events are 1 : 1 with records. The gap
+//! counters are `u32`; a gap also ends early rather than overflow one.
+//!
+//! **Target and snapshot.** The record that takes a core to its instruction target is
+//! always in order and flagged ([`Event::reaches_target`]). The stage runs ahead of its
+//! consumers, so it captures the L1D/L2/prefetch statistics at that record
+//! ([`PrivateStage::target_stats`]) for the consumer's `CoreStats` snapshot; the LLC
+//! statistics are still read in global order. The target is therefore a stage parameter.
+//!
+//! **Livelock.** [`LIVELOCK_STEPS`] consecutive zero-advance steps of a finished core
+//! retire it. A zero-advance record is an L1 hit with no gap instructions —
+//! `SystemConfig::validate` guarantees an L1 miss always advances the clock — so the
+//! stage counts them itself and ends its stream with a flagged event
+//! ([`Event::frozen`]).
+//!
+//! **The memo.** A [`SharedStage`] generates events on demand in chunks (of
+//! [`CHUNK_EVENTS`] events or [`CHUNK_RECORDS`] records, whichever comes first) behind a
+//! mutex and keeps them; any number of [`StageCursor`]s replay
+//! them without regenerating. The stage owns the live generator, so records are not
+//! memoized a second time. Its key is exactly what the stage reads — [`StageParams`],
+//! compared whole. A consumer never sees the difference from an inline stage; the trace
+//! source does: a shared stage may have drawn up to one chunk of events more than its
+//! furthest consumer used, on top of the driver's own `RUN_AHEAD + 1` records (only an
+//! infinite synthetic generator is ever shared, so nothing wraps because of it).
+
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
+
+use crate::addr::{block_of, BlockAddr};
+use crate::config::{CoreConfig, PrivateCacheConfig, SystemConfig};
+use crate::core_model::CoreModel;
+use crate::prefetch::{NextLinePrefetcher, PrefetchStats};
+use crate::private_cache::{Lookup, PrivateCache, PrivateCacheStats};
+use crate::system::{LIVELOCK_STEPS, RUN_AHEAD};
+use crate::trace::TraceSource;
+
+/// Most events in one chunk of a [`SharedStage`]'s memo.
+pub const CHUNK_EVENTS: usize = 1024;
+
+/// Records after which a chunk ends even with fewer events: the events of a
+/// cache-resident core cover `bound + 1` records each, and a chunk is how far a shared
+/// stage may run ahead of its furthest consumer. The event that crosses the line is
+/// completed, so a chunk draws fewer than `CHUNK_RECORDS + bound + 1` records.
+pub const CHUNK_RECORDS: u64 = 4096;
+
+/// Everything a stage reads, and therefore the key of the [`SharedStage`] memo.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct StageParams {
+    pub l1d: PrivateCacheConfig,
+    pub l2: PrivateCacheConfig,
+    pub core: CoreConfig,
+    pub l1_next_line_prefetch: bool,
+    /// Instructions after which the core's statistics are snapshotted.
+    pub instruction_target: u64,
+    /// Most private records coalesced into one gap (module docs, "The bound").
+    pub bound: u64,
+}
+
+impl StageParams {
+    /// The parameters of a stage built now for `config`: the bound is [`RUN_AHEAD`], or
+    /// 0 while `sim_obs` is recording.
+    pub fn latch(config: &SystemConfig, instruction_target: u64) -> Self {
+        StageParams {
+            l1d: config.l1d,
+            l2: config.l2,
+            core: config.core,
+            l1_next_line_prefetch: config.l1_next_line_prefetch,
+            instruction_target,
+            bound: if sim_obs::enabled() { 0 } else { RUN_AHEAD },
+        }
+    }
+
+    /// Whether a stage with these parameters models the private hierarchy of `config`.
+    pub fn models(&self, config: &SystemConfig) -> bool {
+        *self
+            == StageParams {
+                instruction_target: self.instruction_target,
+                bound: self.bound,
+                ..Self::latch(config, 0)
+            }
+    }
+}
+
+const WRITE: u8 = 1;
+const L1_HIT: u8 = 1 << 1;
+const L2_HIT: u8 = 1 << 2;
+const PREFETCH_REACHES_LLC: u8 = 1 << 3;
+const REACHES_TARGET: u8 = 1 << 4;
+const FROZEN: u8 = 1 << 5;
+
+/// A gap of private-only records followed by one record to execute in global order
+/// (module docs, "Events").
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct Event {
+    /// Block the in-order record accesses.
+    pub block: BlockAddr,
+    /// Program counter of the in-order record.
+    pub pc: u64,
+    /// Instructions retired by the gap's records.
+    pub gap_instructions: u32,
+    /// Compute cycles of the gap's records.
+    pub gap_compute_cycles: u32,
+    /// Memory-stall cycles of the gap's records (L1 misses that hit the L2).
+    pub gap_stall_cycles: u32,
+    /// Non-memory instructions preceding the in-order record's access.
+    pub non_mem_instrs: u32,
+    flags: u8,
+    /// Write-backs the in-order record's demand access sent below the L2 (0–2).
+    pub demand_writebacks: u8,
+    /// Write-backs its prefetch sent below the L2 (0–2); they follow the demand's in the
+    /// side array.
+    pub prefetch_writebacks: u8,
+}
+
+impl Event {
+    /// The in-order record is a store.
+    pub fn is_write(&self) -> bool {
+        self.flags & WRITE != 0
+    }
+    /// The in-order record hit the L1: it touches no shared state at all.
+    pub fn l1_hit(&self) -> bool {
+        self.flags & L1_HIT != 0
+    }
+    /// The in-order record missed the L1 and hit the L2: no LLC demand access.
+    pub fn l2_hit(&self) -> bool {
+        self.flags & L2_HIT != 0
+    }
+    /// The record's prefetch of `block.next()` missed both private levels.
+    pub fn prefetch_reaches_llc(&self) -> bool {
+        self.flags & PREFETCH_REACHES_LLC != 0
+    }
+    /// The in-order record takes the core to its instruction target.
+    pub fn reaches_target(&self) -> bool {
+        self.flags & REACHES_TARGET != 0
+    }
+    /// The in-order record is the [`LIVELOCK_STEPS`]-th consecutive zero-advance step of
+    /// a finished core: the stream ends here and the core is retired from scheduling.
+    pub fn frozen(&self) -> bool {
+        self.flags & FROZEN != 0
+    }
+    /// Write-back blocks this event owns in the side array.
+    pub fn writebacks(&self) -> usize {
+        usize::from(self.demand_writebacks) + usize::from(self.prefetch_writebacks)
+    }
+}
+
+/// Statistics of the private levels, as a `CoreStats` snapshot needs them.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PrivateStats {
+    pub l1d: PrivateCacheStats,
+    pub l2: PrivateCacheStats,
+    pub prefetch: PrefetchStats,
+}
+
+/// One core's private half (module docs).
+pub struct PrivateStage {
+    params: StageParams,
+    trace: Box<dyn TraceSource>,
+    l1d: PrivateCache,
+    l2: PrivateCache,
+    prefetcher: NextLinePrefetcher,
+    /// Cycles the clock advances for an L1 miss that hits the L2, beyond its compute
+    /// cycles: what a private L2 hit adds to the gap.
+    l2_hit_stall: u64,
+    records: u64,
+    instructions: u64,
+    /// Statistics at the record that reached the target; `Some` means finished.
+    target_stats: Option<PrivateStats>,
+    /// Consecutive zero-advance records since the core finished.
+    frozen_steps: u64,
+    ended: bool,
+    /// The event last produced, and the write-back blocks that left the L2 for it.
+    event: Event,
+    writebacks: Vec<BlockAddr>,
+}
+
+impl PrivateStage {
+    /// A stage over `trace`, which is consumed from wherever it stands.
+    pub fn new(params: StageParams, trace: Box<dyn TraceSource>) -> Self {
+        let l2_hit_latency = params.core.l1_hit_cycles + params.l2.latency;
+        PrivateStage {
+            params,
+            trace,
+            l1d: PrivateCache::new(params.l1d),
+            l2: PrivateCache::new(params.l2),
+            prefetcher: NextLinePrefetcher::new(params.l1_next_line_prefetch),
+            l2_hit_stall: CoreModel::new(params.core).advance(0, l2_hit_latency),
+            records: 0,
+            instructions: 0,
+            target_stats: None,
+            frozen_steps: 0,
+            ended: false,
+            event: Event::default(),
+            writebacks: Vec::new(),
+        }
+    }
+
+    pub fn params(&self) -> &StageParams {
+        &self.params
+    }
+
+    /// Set the instruction target of a stage that has drawn no record yet: an inline
+    /// stage is built before `run` names the target.
+    pub fn set_target(&mut self, instruction_target: u64) {
+        assert_eq!(self.records, 0, "the stage has already started");
+        self.params.instruction_target = instruction_target;
+    }
+
+    /// Label of the trace source.
+    pub fn label(&self) -> String {
+        self.trace.label()
+    }
+
+    /// Records drawn from the trace source so far.
+    pub fn records(&self) -> u64 {
+        self.records
+    }
+
+    /// Statistics of the private levels now.
+    pub fn stats(&self) -> PrivateStats {
+        PrivateStats {
+            l1d: *self.l1d.stats(),
+            l2: *self.l2.stats(),
+            prefetch: *self.prefetcher.stats(),
+        }
+    }
+
+    /// [`stats`](Self::stats) as they stood right after the record that reached the
+    /// instruction target; `None` until the stage has produced that event.
+    pub fn target_stats(&self) -> Option<PrivateStats> {
+        self.target_stats
+    }
+
+    /// The event last produced (an empty one before the first).
+    pub fn event(&self) -> &Event {
+        &self.event
+    }
+
+    /// Write-back blocks of the event last produced: the demand's, then the prefetch's.
+    pub fn writebacks(&self) -> &[BlockAddr] {
+        &self.writebacks
+    }
+
+    /// Produce the next event; it and its [`writebacks`](Self::writebacks) stay readable
+    /// in place until the next call. Panics after a [frozen](Event::frozen) event.
+    pub fn next_event(&mut self) -> &Event {
+        assert!(!self.ended, "the stage ended with a frozen event");
+        self.writebacks.clear();
+        let StageParams {
+            core: CoreConfig { issue_width, .. },
+            instruction_target,
+            bound,
+            ..
+        } = self.params;
+        let (mut gap_instructions, mut gap_compute, mut gap_stall) = (0u64, 0u64, 0u64);
+        let mut coalesced = 0u64;
+        loop {
+            let access = self.trace.next_access();
+            self.records += 1;
+            let block = block_of(access.addr);
+            let non_mem = u64::from(access.non_mem_instrs);
+            let finished = self.target_stats.is_some();
+            self.instructions += non_mem + 1;
+            let reaches_target = !finished && self.instructions >= instruction_target;
+
+            // `stall` is what the record adds to a gap, should it turn out private.
+            let (outcome, stall) = if self.l1d.access(block, access.is_write) == Lookup::Hit {
+                (Outcome::L1_HIT, 0)
+            } else {
+                let outcome = self.resolve_l1_miss(block, access.is_write);
+                (outcome, self.l2_hit_stall)
+            };
+
+            // Livelock accounting; the record that takes the snapshot is not counted. An
+            // L1 hit advances the clock by its compute cycles alone.
+            let mut frozen = false;
+            if finished {
+                if outcome.flags == L1_HIT && non_mem == 0 {
+                    self.frozen_steps += 1;
+                    frozen = self.frozen_steps >= LIVELOCK_STEPS;
+                } else {
+                    self.frozen_steps = 0;
+                }
+            }
+
+            let fits = |sum: u64, add: u64| sum + add <= u64::from(u32::MAX);
+            if outcome.is_private()
+                && !reaches_target
+                && !frozen
+                && coalesced < bound
+                && fits(gap_instructions, non_mem + 1)
+                && fits(gap_stall, stall)
+            {
+                gap_instructions += non_mem + 1;
+                gap_compute += non_mem.div_ceil(issue_width);
+                gap_stall += stall;
+                coalesced += 1;
+                continue;
+            }
+
+            let mut flags = outcome.flags;
+            if access.is_write {
+                flags |= WRITE;
+            }
+            if reaches_target {
+                flags |= REACHES_TARGET;
+                self.target_stats = Some(self.stats());
+            }
+            if frozen {
+                flags |= FROZEN;
+                self.ended = true;
+            }
+            self.event = Event {
+                block,
+                pc: access.pc,
+                // `fits` bounded the sums; compute cycles never exceed instructions.
+                gap_instructions: gap_instructions as u32,
+                gap_compute_cycles: gap_compute as u32,
+                gap_stall_cycles: gap_stall as u32,
+                non_mem_instrs: access.non_mem_instrs,
+                flags,
+                demand_writebacks: outcome.demand_writebacks,
+                prefetch_writebacks: outcome.prefetch_writebacks,
+            };
+            return &self.event;
+        }
+    }
+
+    /// The private side of a record that missed the L1 (module docs, "Order inside a
+    /// record"); collects the write-backs that leave the L2.
+    #[inline]
+    fn resolve_l1_miss(&mut self, block: BlockAddr, is_write: bool) -> Outcome {
+        let mut outcome = Outcome::default();
+        let l1d = &self.l1d;
+        let candidate = self.prefetcher.on_demand_miss(block, |b| l1d.probe(b));
+
+        if self.l2.access(block, false) == Lookup::Hit {
+            outcome.flags |= L2_HIT;
+        } else {
+            outcome.demand_writebacks += self.fill_l2(block, false);
+        }
+        outcome.demand_writebacks += self.fill_l1(block, is_write, false);
+
+        // The prefetch brings the line into L2 and L1 without charging the core.
+        let Some(next) = candidate else {
+            return outcome;
+        };
+        if self.l1d.probe(next) {
+            return outcome;
+        }
+        if !self.l2.probe(next) {
+            outcome.flags |= PREFETCH_REACHES_LLC;
+            outcome.prefetch_writebacks += self.fill_l2(next, true);
+        }
+        outcome.prefetch_writebacks += self.fill_l1(next, false, true);
+        outcome
+    }
+
+    /// Fill the L2; a dirty victim leaves it. Returns the write-backs collected (0 or 1).
+    #[inline]
+    fn fill_l2(&mut self, block: BlockAddr, prefetch: bool) -> u8 {
+        match self.l2.fill(block, false, prefetch) {
+            Some(victim) if victim.dirty => {
+                self.writebacks.push(victim.block);
+                1
+            }
+            _ => 0,
+        }
+    }
+
+    /// Fill the L1; a dirty victim goes to the L2, and below it if the L2 no longer
+    /// holds the line. Returns the write-backs collected (0 or 1).
+    #[inline]
+    fn fill_l1(&mut self, block: BlockAddr, dirty: bool, prefetch: bool) -> u8 {
+        match self.l1d.fill(block, dirty, prefetch) {
+            Some(victim) if victim.dirty && !self.l2.writeback(victim.block) => {
+                self.writebacks.push(victim.block);
+                1
+            }
+            _ => 0,
+        }
+    }
+}
+
+/// What the private levels made of one record: its hit/prefetch flags and how many
+/// write-backs of its demand access and of its prefetch left the L2.
+#[derive(Clone, Copy, Default)]
+struct Outcome {
+    flags: u8,
+    demand_writebacks: u8,
+    prefetch_writebacks: u8,
+}
+
+impl Outcome {
+    const L1_HIT: Outcome = Outcome {
+        flags: L1_HIT,
+        demand_writebacks: 0,
+        prefetch_writebacks: 0,
+    };
+
+    /// Private-only: an L1 hit, or an L2 hit of which nothing — prefetch, write-back —
+    /// leaves the L2.
+    fn is_private(self) -> bool {
+        let writebacks = self.demand_writebacks + self.prefetch_writebacks;
+        self.flags == L1_HIT || (self.flags == L2_HIT && writebacks == 0)
+    }
+}
+
+/// One memoized run of events with their write-back side array.
+#[derive(Default)]
+struct Chunk {
+    events: Vec<Event>,
+    writebacks: Vec<BlockAddr>,
+}
+
+/// What a [`SharedStage`] and its cursors share.
+struct Shared {
+    params: StageParams,
+    label: String,
+    cursors: AtomicU64,
+    memo: Mutex<Memo>,
+}
+
+struct Memo {
+    stage: PrivateStage,
+    chunks: Vec<Arc<Chunk>>,
+}
+
+impl Shared {
+    fn memo(&self) -> std::sync::MutexGuard<'_, Memo> {
+        self.memo
+            .lock()
+            .expect("a thread panicked while generating this stage's events")
+    }
+}
+
+/// A [`PrivateStage`] whose events are generated on demand, memoized in shared chunks
+/// and replayed by any number of concurrent [`StageCursor`]s (module docs, "The memo").
+pub struct SharedStage(Arc<Shared>);
+
+/// What a [`SharedStage`] has cost so far.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SharedStageUsage {
+    /// Records drawn from the trace source (the high-water mark across all cursors,
+    /// rounded up to a chunk).
+    pub records: u64,
+    /// Events memoized.
+    pub events: u64,
+    /// Chunks memoized.
+    pub chunks: u64,
+    /// Bytes the memoized chunks hold.
+    pub memo_bytes: u64,
+    /// Cursors handed out.
+    pub cursors: u64,
+}
+
+impl SharedStage {
+    /// Share a stage over `trace`, which is reset first so the events describe the
+    /// initial stream.
+    pub fn new(params: StageParams, mut trace: Box<dyn TraceSource>) -> Self {
+        trace.reset();
+        SharedStage(Arc::new(Shared {
+            params,
+            label: trace.label(),
+            cursors: AtomicU64::new(0),
+            memo: Mutex::new(Memo {
+                stage: PrivateStage::new(params, trace),
+                chunks: Vec::new(),
+            }),
+        }))
+    }
+
+    pub fn params(&self) -> &StageParams {
+        &self.0.params
+    }
+
+    /// A new independent cursor positioned at the first event.
+    pub fn cursor(&self) -> StageCursor {
+        self.0.cursors.fetch_add(1, Ordering::Relaxed);
+        StageCursor {
+            shared: self.0.clone(),
+            chunk: Arc::default(),
+            chunks_taken: 0,
+            pos: 0,
+            writebacks: 0..0,
+        }
+    }
+
+    pub fn usage(&self) -> SharedStageUsage {
+        let memo = self.0.memo();
+        let chunk_bytes = |c: &Arc<Chunk>| {
+            c.events.capacity() * std::mem::size_of::<Event>()
+                + c.writebacks.capacity() * std::mem::size_of::<BlockAddr>()
+        };
+        SharedStageUsage {
+            records: memo.stage.records(),
+            events: memo.chunks.iter().map(|c| c.events.len() as u64).sum(),
+            chunks: memo.chunks.len() as u64,
+            memo_bytes: memo.chunks.iter().map(chunk_bytes).sum::<usize>() as u64,
+            cursors: self.0.cursors.load(Ordering::Relaxed),
+        }
+    }
+}
+
+/// One consumer's position over a [`SharedStage`].
+pub struct StageCursor {
+    shared: Arc<Shared>,
+    /// Local handle on the chunk being read (no lock between chunk boundaries).
+    chunk: Arc<Chunk>,
+    chunks_taken: usize,
+    /// The next event in `chunk`.
+    pos: usize,
+    /// The last event's blocks in the chunk's write-back side array.
+    writebacks: std::ops::Range<usize>,
+}
+
+impl StageCursor {
+    pub fn params(&self) -> &StageParams {
+        &self.shared.params
+    }
+
+    /// Label of the stage's trace source.
+    pub fn label(&self) -> &str {
+        &self.shared.label
+    }
+
+    /// Move to the next event; it and its [`writebacks`](Self::writebacks) are read in
+    /// place, from the memo. Panics past a [frozen](Event::frozen) event, like the stage.
+    pub fn next_event(&mut self) -> &Event {
+        if self.pos == self.chunk.events.len() {
+            self.chunk = self.take_chunk();
+            self.pos = 0;
+            self.writebacks = 0..0;
+        }
+        let event = &self.chunk.events[self.pos];
+        self.pos += 1;
+        self.writebacks = self.writebacks.end..self.writebacks.end + event.writebacks();
+        event
+    }
+
+    /// The event last moved to. Panics before the first [`next_event`](Self::next_event).
+    pub fn event(&self) -> &Event {
+        &self.chunk.events[self.pos - 1]
+    }
+
+    /// Write-back blocks of the event last moved to: the demand's, then the prefetch's.
+    pub fn writebacks(&self) -> &[BlockAddr] {
+        &self.chunk.writebacks[self.writebacks.clone()]
+    }
+
+    /// The stage's [`PrivateStage::target_stats`].
+    pub fn target_stats(&self) -> Option<PrivateStats> {
+        self.shared.memo().stage.target_stats()
+    }
+
+    /// The next chunk of the memo, generated now if no cursor needed it before.
+    fn take_chunk(&mut self) -> Arc<Chunk> {
+        let mut memo = self.shared.memo();
+        if memo.chunks.len() == self.chunks_taken {
+            let mut chunk = Chunk::default();
+            let stage = &mut memo.stage;
+            let record_limit = stage.records + CHUNK_RECORDS;
+            while chunk.events.len() < CHUNK_EVENTS && stage.records < record_limit && !stage.ended
+            {
+                chunk.events.push(*stage.next_event());
+                chunk.writebacks.extend_from_slice(&stage.writebacks);
+            }
+            assert!(
+                !chunk.events.is_empty(),
+                "the stage ended with a frozen event"
+            );
+            chunk.events.shrink_to_fit();
+            chunk.writebacks.shrink_to_fit();
+            memo.chunks.push(Arc::new(chunk));
+        }
+        self.chunks_taken += 1;
+        memo.chunks[self.chunks_taken - 1].clone()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::trace::{MemAccess, SharedReplayTrace};
+
+    fn params(bound: u64) -> StageParams {
+        StageParams {
+            bound,
+            ..StageParams::latch(&SystemConfig::tiny(1), 3_000)
+        }
+    }
+
+    /// Reads and writes scattered over 600 blocks (more than the tiny L2 holds), so
+    /// events carry every flag and dirty victims leave the L2.
+    fn source() -> Box<dyn TraceSource> {
+        let records = (0..5000u64)
+            .map(|i| MemAccess {
+                addr: (i * 7919 % 600) * 64,
+                pc: 0x400 + i % 13 * 4,
+                is_write: i % 3 == 0,
+                non_mem_instrs: (i % 4) as u32,
+            })
+            .collect();
+        Box::new(SharedReplayTrace::new(
+            "scatter",
+            Arc::new(records),
+            Arc::default(),
+        ))
+    }
+
+    #[test]
+    fn shared_stage_matches_an_inline_stage_and_generates_once() {
+        let shared = SharedStage::new(params(RUN_AHEAD), source());
+        let (mut a, mut b) = (shared.cursor(), shared.cursor());
+        assert_eq!(a.label(), source().label());
+        // Drive each cursor past two chunk boundaries, beside a stage of its own.
+        let n = 2 * CHUNK_EVENTS + 100;
+        let mut last_records = 0;
+        for cursor in [&mut a, &mut b] {
+            let mut inline = PrivateStage::new(params(RUN_AHEAD), source());
+            let mut seen_writebacks = 0;
+            for i in 0..n {
+                let want = *inline.next_event();
+                assert_eq!(*cursor.next_event(), want, "event {i}");
+                assert_eq!(cursor.writebacks(), inline.writebacks(), "event {i}");
+                seen_writebacks += cursor.writebacks().len();
+                if want.reaches_target() {
+                    assert_eq!(cursor.target_stats(), inline.target_stats());
+                    assert!(inline.target_stats().is_some());
+                }
+            }
+            assert!(seen_writebacks > 0, "no dirty victim left the L2");
+            assert!(inline.target_stats().is_some(), "target never reached");
+            last_records = inline.records();
+        }
+        // Both cursors consumed n events; the stage ran once, at most a chunk further.
+        let usage = shared.usage();
+        assert_eq!(usage.cursors, 2);
+        assert!((n as u64..n as u64 + CHUNK_EVENTS as u64).contains(&usage.events));
+        assert!(usage.chunks >= 3 && usage.chunks <= usage.events);
+        assert!(
+            (last_records..last_records + CHUNK_RECORDS + RUN_AHEAD + 1).contains(&usage.records),
+            "drew {} records for {last_records} consumed",
+            usage.records
+        );
+        let event_bytes = usage.events * std::mem::size_of::<Event>() as u64;
+        assert!(usage.memo_bytes >= event_bytes && usage.memo_bytes < 2 * event_bytes);
+        assert_eq!(std::mem::size_of::<Event>(), 40);
+    }
+
+    #[test]
+    fn stage_cursors_are_send() {
+        fn assert_send<T: Send>() {}
+        assert_send::<StageCursor>();
+        assert_send::<SharedStage>();
+    }
+
+    /// A stream that stays in the L1 forms no event of its own accord; a chunk still
+    /// ends after `CHUNK_RECORDS` records, however few events that is.
+    #[test]
+    fn chunks_of_a_cache_resident_core_are_bounded_in_records() {
+        let resident = Box::new(crate::trace::StridedTrace::new(0, 64, 1024, 3));
+        let shared = SharedStage::new(params(RUN_AHEAD), resident);
+        shared.cursor().next_event();
+        let usage = shared.usage();
+        assert_eq!(usage.chunks, 1);
+        assert!(usage.events < CHUNK_EVENTS as u64);
+        assert!((CHUNK_RECORDS..CHUNK_RECORDS + RUN_AHEAD + 1).contains(&usage.records));
+    }
+
+    #[test]
+    fn a_gap_ends_before_its_counters_overflow() {
+        // L1-resident after two records, u32::MAX non-memory instructions each: the
+        // second private record would overflow the gap's instruction count.
+        let records = vec![
+            MemAccess {
+                addr: 0,
+                pc: 0,
+                is_write: false,
+                non_mem_instrs: u32::MAX,
+            };
+            8
+        ];
+        let trace = SharedReplayTrace::new("wide", Arc::new(records), Arc::default());
+        let mut stage = PrivateStage::new(
+            StageParams {
+                instruction_target: u64::MAX,
+                ..params(RUN_AHEAD)
+            },
+            Box::new(trace),
+        );
+        let miss = *stage.next_event();
+        assert!(!miss.l1_hit() && miss.gap_instructions == 0);
+        let hit = *stage.next_event();
+        assert!(hit.l1_hit());
+        assert_eq!(hit.gap_instructions, 0, "one record fills the counter");
+        assert_eq!(stage.records(), 2);
+    }
+}

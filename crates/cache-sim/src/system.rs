@@ -10,26 +10,28 @@
 //! record at a time, over naive caches, checked against this one field for field by
 //! `tests/reference_identity.rs`.
 //!
-//! The scheduler is consulted once per *shared-state event*, not once per record:
+//! A core is split at the private/shared seam. Its private half — trace, L1D, L2,
+//! prefetcher — is a [`crate::private::PrivateStage`] that hands this driver
+//! [`Event`]s: a *gap* of records nothing outside the core can observe, already summed,
+//! followed by one record to execute in global order. The driver owns the shared half
+//! (LLC, DRAM, the cores' clocks) and consults its scheduler once per event, not once
+//! per record:
 //!
-//! * **Winner tree.** The earliest core is the root of a tournament tree over the
+//! * **Scheduler.** The earliest core is the root of a tournament tree over the
 //!   per-core next-cycle keys (`crate::sched`); re-keying a core replays one
 //!   leaf-to-root path (log₂ cores compares), and ties go to the lower core id, so the
 //!   pop order is exactly the oracle's min-scan `(cycle, core id)` order at every core
 //!   count.
-//! * **Private run-ahead.** Most records are L1 hits, and an L1 hit mutates only its own
-//!   core's `PrivateCache`, `CoreModel` and trace cursor — nothing another core, the
-//!   LLC or the DRAM can observe. After a core's in-order step the driver therefore
-//!   keeps fetching that core's next records and retires them on the spot while they
-//!   hit the L1. It stops, parking the fetched record and its L1 lookup in the core
-//!   node for the next in-order step, at the first record that
-//!   (a) misses the L1 — it may reach the LLC/DRAM, whose `now`-ordered interleaving
-//!   must not change;
-//!   (b) would take an unfinished core to its instruction target — the snapshot reads
-//!   `llc.core_stats`, which other cores mutate through evictions, and the run must
-//!   end in global order; or
-//!   (c) follows [`RUN_AHEAD`] consecutive retired hits, which bounds how far any
-//!   core's trace cursor can lead the global clock.
+//! * **Apply the gap.** After a core's in-order step the driver fetches that core's
+//!   next event and retires its gap on the spot, so the core's key is the start cycle of
+//!   the event's in-order record, which waits in the core node for its turn. The stage
+//!   ends a gap at the first record that (a) reaches the LLC or the DRAM — a demand that
+//!   misses the L2, a prefetch that does, a write-back that leaves it — whose
+//!   `now`-ordered interleaving must not change; (b) takes an unfinished core to its
+//!   instruction target — the snapshot reads `llc.core_stats`, which other cores mutate
+//!   through evictions, and the run must end in global order; or (c) follows
+//!   [`RUN_AHEAD`] coalesced records, which bounds how far any core's trace cursor can
+//!   lead the global clock and makes a cache-resident core produce events at all.
 //!
 //! Why this is exact: every core's keys are non-decreasing, so per-record scheduling is
 //! a k-way merge of the cores' record sequences by `(cycle, core id)`. Retiring a
@@ -38,28 +40,32 @@
 //! the same private state. Only the trace sources can tell: by the time `run` returns a
 //! source may have been asked for up to `RUN_AHEAD + 1` more records than a
 //! per-record driver would have consumed. Interval sampling reads *every* core's clock
-//! at each LLC interval rollover, so a sampled run keeps the run-ahead bound at 0 and
-//! observes exactly the per-record order.
+//! at each LLC interval rollover, so a stage built while `sim_obs` records has bound 0:
+//! every record is its own event, fetched when its turn comes, and the run observes
+//! exactly the per-record order.
+//!
+//! The stage of a core is driven inline ([`MultiCoreSystem::new`]) or is a cursor over
+//! a stage shared with other systems ([`MultiCoreSystem::with_stages`]: the policies of
+//! a sweep simulate a mix's private hierarchy once); `run` cannot tell them apart.
 //!
 //! Each core runs until it retires its per-core instruction target; cores that reach the
 //! target keep executing (their statistics are snapshotted at the target) so that the
 //! remaining cores continue to experience contention, exactly like the paper's methodology
 //! of re-executing finished applications.
 
-use crate::addr::{block_of, BlockAddr};
+use crate::addr::BlockAddr;
 use crate::bank::BankStats;
 use crate::config::SystemConfig;
 use crate::core_model::CoreModel;
 use crate::dram::Dram;
 use crate::llc::{LlcGlobalStats, SharedLlc};
-use crate::prefetch::NextLinePrefetcher;
-use crate::private_cache::{Lookup, PrivateCache};
+use crate::private::{Event, PrivateStage, PrivateStats, StageCursor, StageParams};
 use crate::replacement::{
     AccessContext, InsertionDecision, LineView, LlcReplacementPolicy, RrpvArray,
 };
 use crate::sched::WinnerTree;
 use crate::stats::{CoreStats, SystemResults};
-use crate::trace::{MemAccess, TraceSource};
+use crate::trace::TraceSource;
 
 /// Consecutive zero-cycle-advance steps after which an already-finished (snapshotted)
 /// core is retired from the scheduler instead of being re-executed further.
@@ -73,65 +79,101 @@ use crate::trace::{MemAccess, TraceSource};
 /// would require a multi-million-access window with no L1 miss, which no Table 4
 /// generator (footprints are sized far beyond the L1) produces. The oracle in
 /// `tests/oracle/` applies the same rule with this constant, so bit-identity holds on
-/// the streams that do reach it (`tests/reference_identity.rs` runs three).
+/// the streams that do reach it (`tests/reference_identity.rs` runs three). The count
+/// is kept by the private stage, which flags the event that reaches it.
 pub const LIVELOCK_STEPS: u64 = 1 << 22;
 
-/// Most consecutive L1-hit records a core retires out of global order after one in-order
-/// step (stop condition (c) of the module docs). Any small constant bounds how far a
-/// trace cursor leads the global clock; 8, 64 and 256 measured the same.
+/// Most private-only records a stage coalesces into one event's gap, i.e. retires out of
+/// global order after one in-order step (stop condition (c) of the module docs). Any
+/// small constant bounds how far a trace cursor leads the global clock; 8, 64 and 256
+/// measured the same. An inline stage therefore over-fetches at most `RUN_AHEAD + 1`
+/// records per core; a shared stage may additionally run ahead of its furthest consumer
+/// by one chunk of events (`crate::private::CHUNK_EVENTS`), which only an infinite
+/// synthetic generator ever sees.
 pub const RUN_AHEAD: u64 = 64;
 
-/// One core plus its private hierarchy and trace.
+/// Where a core's events come from: a stage of its own, or a cursor over a shared one.
+enum Feed {
+    Inline(Box<PrivateStage>),
+    Shared(StageCursor),
+}
+
+impl Feed {
+    fn params(&self) -> &StageParams {
+        match self {
+            Feed::Inline(stage) => stage.params(),
+            Feed::Shared(cursor) => cursor.params(),
+        }
+    }
+
+    fn label(&self) -> String {
+        match self {
+            Feed::Inline(stage) => stage.label(),
+            Feed::Shared(cursor) => cursor.label().to_string(),
+        }
+    }
+
+    /// Move to the next event.
+    #[inline]
+    fn next_event(&mut self) -> &Event {
+        match self {
+            Feed::Inline(stage) => stage.next_event(),
+            Feed::Shared(cursor) => cursor.next_event(),
+        }
+    }
+
+    /// The event last moved to, read in place, and its write-back blocks (the demand's,
+    /// then the prefetch's).
+    #[inline]
+    fn event(&self) -> (&Event, &[BlockAddr]) {
+        match self {
+            Feed::Inline(stage) => (stage.event(), stage.writebacks()),
+            Feed::Shared(cursor) => (cursor.event(), cursor.writebacks()),
+        }
+    }
+
+    /// Private statistics at the record that reached the instruction target.
+    fn target_stats(&self) -> PrivateStats {
+        match self {
+            Feed::Inline(stage) => stage.target_stats(),
+            Feed::Shared(cursor) => cursor.target_stats(),
+        }
+        .expect("the stage produced the event that reached the target")
+    }
+}
+
+/// One core: its clock and counters, and the feed of its private stage's events.
 struct CoreNode {
     model: CoreModel,
-    l1d: PrivateCache,
-    l2: PrivateCache,
-    prefetcher: NextLinePrefetcher,
-    trace: Box<dyn TraceSource>,
+    feed: Feed,
+    /// The feed stands at an event fetched after the previous in-order step: its gap is
+    /// retired and its in-order record waits for the core's turn. Never set at bound 0.
+    fetched: bool,
     dram_reads: u64,
     snapshot: Option<CoreStats>,
-    /// Record the run-ahead loop fetched and looked up in the L1 but must not retire
-    /// out of order; the next in-order step resumes from it.
-    parked: Option<(MemAccess, Lookup)>,
-    /// Consecutive zero-cycle-advance steps since this core finished (see
-    /// [`LIVELOCK_STEPS`]).
-    frozen_steps: u64,
 }
 
 impl CoreNode {
-    /// Livelock accounting for one step of an already-finished core that advanced its
-    /// clock by `advanced` cycles; true once the core must be retired from scheduling.
-    fn frozen_after(&mut self, advanced: u64) -> bool {
-        if advanced > 0 {
-            self.frozen_steps = 0;
-        } else {
-            self.frozen_steps += 1;
+    fn new(config: &SystemConfig, feed: Feed) -> Self {
+        CoreNode {
+            model: CoreModel::new(config.core),
+            feed,
+            fetched: false,
+            dram_reads: 0,
+            snapshot: None,
         }
-        self.frozen_steps >= LIVELOCK_STEPS
     }
 
-    /// Retire this core's next records while they are private to it (module docs,
-    /// "Private run-ahead"), at most `limit` of them; returns the core's next scheduler
-    /// key — its clock, or `u64::MAX` if it froze.
-    fn run_ahead(&mut self, instruction_target: u64, limit: u64) -> u64 {
-        let finished = self.snapshot.is_some();
-        let l1_hit_cycles = self.model.config().l1_hit_cycles;
-        for _ in 0..limit {
-            let access = self.trace.next_access();
-            let lookup = self.l1d.access(block_of(access.addr), access.is_write);
-            let non_mem = access.non_mem_instrs as u64;
-            let reaches_target =
-                !finished && self.model.instructions + non_mem + 1 >= instruction_target;
-            if lookup == Lookup::Miss || reaches_target {
-                self.parked = Some((access, lookup));
-                break;
-            }
-            let advanced = self.model.advance(non_mem, l1_hit_cycles);
-            if finished && self.frozen_after(advanced) {
-                return u64::MAX;
-            }
-        }
-        self.model.cycle
+    /// Fetch the next event and retire its gap: the clock then stands at the start of
+    /// the event's in-order record.
+    #[inline]
+    fn fetch(&mut self) {
+        let event = self.feed.next_event();
+        self.model.retire_gap(
+            u64::from(event.gap_instructions),
+            u64::from(event.gap_compute_cycles),
+            u64::from(event.gap_stall_cycles),
+        );
     }
 }
 
@@ -193,33 +235,50 @@ impl MultiCoreSystem<DefaultSrripPolicy> {
 }
 
 impl<P: LlcReplacementPolicy> MultiCoreSystem<P> {
-    /// Build a system with an explicit LLC replacement policy.
+    /// Build a system with an explicit LLC replacement policy; each core's private stage
+    /// is driven inline, over its trace.
     ///
     /// The policy may be any [`LlcReplacementPolicy`] value — a concrete policy type, the
     /// `experiments::policies::AnyPolicy` dispatch enum, or a boxed policy (through the
     /// blanket impl in [`crate::replacement`]).
     pub fn new(config: SystemConfig, traces: Vec<Box<dyn TraceSource>>, policy: P) -> Self {
         config.validate().expect("invalid system configuration");
+        // The instruction target is a stage parameter `run` supplies.
+        let params = StageParams::latch(&config, u64::MAX);
+        let feeds = traces
+            .into_iter()
+            .map(|trace| Feed::Inline(Box::new(PrivateStage::new(params, trace))));
+        Self::from_feeds(config, feeds.collect(), policy)
+    }
+
+    /// Build a system whose cores replay the events of shared private stages (one cursor
+    /// per core, in core order) instead of simulating their private hierarchies. The
+    /// stages must model `config`'s private hierarchy and carry the instruction target
+    /// `run` is then called with.
+    pub fn with_stages(config: SystemConfig, stages: Vec<StageCursor>, policy: P) -> Self {
+        config.validate().expect("invalid system configuration");
+        Self::from_feeds(
+            config,
+            stages.into_iter().map(Feed::Shared).collect(),
+            policy,
+        )
+    }
+
+    fn from_feeds(config: SystemConfig, feeds: Vec<Feed>, policy: P) -> Self {
         assert_eq!(
-            traces.len(),
+            feeds.len(),
             config.num_cores,
             "need exactly one trace source per core"
         );
+        assert!(
+            feeds.iter().all(|feed| feed.params().models(&config)),
+            "a private stage models another hierarchy than the configuration's"
+        );
         let llc = SharedLlc::new(config.llc, config.num_cores, config.interval_misses, policy);
         let dram = Dram::new(config.dram);
-        let cores = traces
+        let cores = feeds
             .into_iter()
-            .map(|trace| CoreNode {
-                model: CoreModel::new(config.core),
-                l1d: PrivateCache::new(config.l1d),
-                l2: PrivateCache::new(config.l2),
-                prefetcher: NextLinePrefetcher::new(config.l1_next_line_prefetch),
-                trace,
-                dram_reads: 0,
-                snapshot: None,
-                parked: None,
-                frozen_steps: 0,
-            })
+            .map(|feed| CoreNode::new(&config, feed))
             .collect();
         MultiCoreSystem {
             config,
@@ -256,6 +315,16 @@ impl<P: LlcReplacementPolicy> MultiCoreSystem<P> {
             self.cores.iter().all(|c| c.snapshot.is_none()),
             "`run` may be called once per system"
         );
+        for core in &mut self.cores {
+            if let Feed::Inline(stage) = &mut core.feed {
+                stage.set_target(instructions_per_core);
+            }
+            assert_eq!(
+                core.feed.params().instruction_target,
+                instructions_per_core,
+                "the private stage was built for another instruction target"
+            );
+        }
         let n = self.cores.len();
         let mut sched = WinnerTree::new(n);
         let mut remaining = n;
@@ -263,40 +332,51 @@ impl<P: LlcReplacementPolicy> MultiCoreSystem<P> {
         // (`intervals_completed`) so it only ever *reads* statistics the simulation
         // already maintains — results are bit-identical with sampling on or off. The
         // enabled check is latched once per run; in the disabled state the per-step
-        // cost is a branch on a local `Option`. A sample reads every core's clock, so
-        // sampled runs keep all cores in per-record order (no run-ahead).
+        // cost is a branch on a local `Option`. A sample reads every core's clock, which
+        // is its per-record clock only at bound 0 — what a stage built while `sim_obs`
+        // records has.
         let mut sampler = if sim_obs::enabled() {
             Some(IntervalSampler::new(&self.cores, &self.llc))
         } else {
             None
         };
-        let run_ahead = if sampler.is_some() { 0 } else { RUN_AHEAD };
 
         while remaining > 0 {
             let core_id = sched.min();
-            let advanced = self.step_core(core_id);
-            let core = &mut self.cores[core_id];
+            let MultiCoreSystem {
+                config,
+                cores,
+                llc,
+                dram,
+            } = self;
+            let core = &mut cores[core_id];
+            if !std::mem::take(&mut core.fetched) {
+                core.fetch();
+            }
+            let event = step_in_order(config, core, llc, dram, core_id);
+            let (reaches_target, frozen) = (event.reaches_target(), event.frozen());
+            if reaches_target {
+                debug_assert!(core.model.instructions >= instructions_per_core);
+                core.snapshot = Some(snapshot_core(core_id, core, llc));
+                remaining -= 1;
+            }
             // Livelock breaker for re-executed cores (see LIVELOCK_STEPS): a finished
             // core whose stream has become entirely cache-resident and gapless advances
             // zero cycles per step, stays the earliest core forever, and would starve
-            // every unfinished core. Once it exceeds the threshold, retire it from
-            // scheduling — its remaining "contribution" would be infinitely many
-            // accesses on one frozen cycle. The step that takes the snapshot itself is
-            // not counted.
-            let frozen = if core.snapshot.is_some() {
-                core.frozen_after(advanced)
-            } else {
-                if core.model.instructions >= instructions_per_core {
-                    let snap = Self::snapshot_core(core_id, core, &self.llc);
-                    core.snapshot = Some(snap);
-                    remaining -= 1;
-                }
-                false
-            };
+            // every unfinished core. Its stage ends the stream with a frozen event;
+            // retire the core from scheduling — its remaining "contribution" would be
+            // infinitely many accesses on one frozen cycle.
             let key = if frozen {
                 u64::MAX
             } else {
-                core.run_ahead(instructions_per_core, run_ahead)
+                // The bound is the stage's: with one, fetch now, so the key is the start
+                // of the next in-order record; at bound 0 the next record is fetched
+                // when its turn comes, and no source is asked for a record early.
+                if core.feed.params().bound > 0 {
+                    core.fetch();
+                    core.fetched = true;
+                }
+                core.model.cycle
             };
             sched.update(core_id, key);
             if let Some(sampler) = sampler.as_mut() {
@@ -329,66 +409,6 @@ impl<P: LlcReplacementPolicy> MultiCoreSystem<P> {
             ),
             final_cycle,
         }
-    }
-
-    fn snapshot_core(core_id: usize, core: &CoreNode, llc: &SharedLlc<P>) -> CoreStats {
-        CoreStats {
-            core_id,
-            label: core.trace.label(),
-            instructions: core.model.instructions,
-            cycles: core.model.cycle,
-            compute_cycles: core.model.compute_cycles,
-            mem_stall_cycles: core.model.mem_stall_cycles,
-            l1d: *core.l1d.stats(),
-            l2: *core.l2.stats(),
-            llc: *llc.core_stats(core_id),
-            prefetch: *core.prefetcher.stats(),
-            dram_reads: core.dram_reads,
-        }
-    }
-
-    /// Process one trace entry for `core_id` in global order — the record the run-ahead
-    /// loop parked, if any — and return the cycles the core advanced.
-    ///
-    /// The node, LLC and DRAM are borrowed once (disjoint fields) and threaded through
-    /// the access resolution, so the hot path carries no repeated `cores[core_id]`
-    /// bounds-checked indexing.
-    fn step_core(&mut self, core_id: usize) -> u64 {
-        let MultiCoreSystem {
-            config,
-            cores,
-            llc,
-            dram,
-        } = self;
-        let core = &mut cores[core_id];
-        let (access, l1_lookup) = core.parked.take().unwrap_or_else(|| {
-            let access = core.trace.next_access();
-            let lookup = core.l1d.access(block_of(access.addr), access.is_write);
-            (access, lookup)
-        });
-        let non_mem = access.non_mem_instrs as u64;
-        if l1_lookup == Lookup::Hit {
-            return core.model.advance(non_mem, config.core.l1_hit_cycles);
-        }
-        let now = core.model.cycle;
-
-        let (mem_latency, prefetch_candidate) = l1_miss_access(
-            config,
-            core,
-            llc,
-            dram,
-            core_id,
-            block_of(access.addr),
-            access.pc,
-            access.is_write,
-            now,
-        );
-
-        if let Some(pf_block) = prefetch_candidate {
-            prefetch_access(core, llc, dram, core_id, pf_block, access.pc, now);
-        }
-
-        core.model.advance(non_mem, mem_latency)
     }
 }
 
@@ -535,83 +555,120 @@ impl IntervalSampler {
     }
 }
 
-/// Resolve a demand access that missed the L1 (the lookup itself is the caller's: it
-/// may have happened during run-ahead) through the rest of the hierarchy; returns
-/// (latency, prefetch candidate).
-#[allow(clippy::too_many_arguments)]
-fn l1_miss_access<P: LlcReplacementPolicy>(
+/// Statistics of a core whose in-order step just reached the instruction target: the
+/// private levels' as the stage captured them at that record, the LLC's as they stand
+/// now, in global order.
+fn snapshot_core<P: LlcReplacementPolicy>(
+    core_id: usize,
+    core: &CoreNode,
+    llc: &SharedLlc<P>,
+) -> CoreStats {
+    let private = core.feed.target_stats();
+    CoreStats {
+        core_id,
+        label: core.feed.label(),
+        instructions: core.model.instructions,
+        cycles: core.model.cycle,
+        compute_cycles: core.model.compute_cycles,
+        mem_stall_cycles: core.model.mem_stall_cycles,
+        l1d: private.l1d,
+        l2: private.l2,
+        llc: *llc.core_stats(core_id),
+        prefetch: private.prefetch,
+        dram_reads: core.dram_reads,
+    }
+}
+
+/// Execute the in-order record of the event `core_id`'s feed stands at, at the core's
+/// current cycle: the shared side of the record, from the event alone and in the order
+/// `crate::private` fixes, then the core's clock. Returns the event.
+///
+/// The node, LLC and DRAM are borrowed once (disjoint fields) and threaded through, so
+/// the hot path carries no repeated `cores[core_id]` bounds-checked indexing.
+#[inline]
+fn step_in_order<'a, P: LlcReplacementPolicy>(
     config: &SystemConfig,
-    core: &mut CoreNode,
+    core: &'a mut CoreNode,
     llc: &mut SharedLlc<P>,
     dram: &mut Dram,
     core_id: usize,
-    block: BlockAddr,
-    pc: u64,
-    is_write: bool,
-    now: u64,
-) -> (u64, Option<BlockAddr>) {
+) -> &'a Event {
+    let (event, writebacks) = core.feed.event();
+    let non_mem = u64::from(event.non_mem_instrs);
     let l1_latency = config.core.l1_hit_cycles;
-
-    // Consult the next-line prefetcher.
-    let l1 = &core.l1d;
-    let prefetch_candidate = core.prefetcher.on_demand_miss(block, |b| l1.probe(b));
-
-    // L2 lookup.
-    let l2_latency = core.l2.latency();
-    let mut latency;
-    if core.l2.access(block, false) == Lookup::Hit {
-        latency = l2_latency;
-    } else {
-        // L2 miss: shared LLC.
-        let llc_lookup = llc.access(core_id, pc, block, true, is_write, now);
-        if llc_lookup.hit {
-            latency = l2_latency + llc_lookup.latency;
-        } else {
-            // LLC miss: DRAM, tracked by an MSHR entry. With back-pressure a full
-            // MSHR delays the DRAM issue itself, so the memory system sees the
-            // request at the cycle it could actually be tracked; the flat seed
-            // path times the DRAM access first and charges the stall afterwards.
-            let (mshr_stall, dram_latency) = if config.llc.contention.mshr_backpressure {
-                let stall = llc.begin_mshr(core_id, now);
-                let issue = now + llc_lookup.latency + stall;
-                let dram_out = dram.access(block, issue, false, core_id);
-                llc.complete_mshr(issue + dram_out.latency);
-                (stall, dram_out.latency)
-            } else {
-                let dram_out = dram.access(block, now + llc_lookup.latency, false, core_id);
-                let stall = llc.reserve_mshr(core_id, now, llc_lookup.latency + dram_out.latency);
-                (stall, dram_out.latency)
-            };
-            latency = l2_latency + llc_lookup.latency + mshr_stall + dram_latency;
+    if event.l1_hit() {
+        core.model.advance(non_mem, l1_latency);
+        return event;
+    }
+    let now = core.model.cycle;
+    let mut latency = l1_latency + config.l2.latency;
+    if !event.l2_hit() {
+        latency += demand_below_l2(config, &mut core.dram_reads, llc, dram, core_id, event, now);
+    }
+    let (demand_writebacks, prefetch_writebacks) =
+        writebacks.split_at(usize::from(event.demand_writebacks));
+    for &block in demand_writebacks {
+        writeback_from_l2(llc, dram, core_id, block, now);
+    }
+    if event.prefetch_reaches_llc() {
+        // The prefetch neither charges the core nor allocates in (or updates recency
+        // of) the shared LLC; a miss fetches from memory.
+        let block = event.block.next();
+        let llc_lookup = llc.access(core_id, event.pc, block, false, false, now);
+        if !llc_lookup.hit {
+            dram.access(block, now + llc_lookup.latency, false, core_id);
             core.dram_reads += 1;
-
-            // Fill the LLC (the policy may bypass).
-            let fill = llc.fill(core_id, pc, block, false, now);
-            if let Some(evicted) = fill.evicted {
-                if evicted.dirty {
-                    // Write-back drains in the background; costs DRAM bandwidth only.
-                    dram.access(evicted.block, now, true, core_id);
-                }
-            }
-        }
-        // Fill the private L2; its dirty victim (if any) is written back below.
-        if let Some(evicted) = core.l2.fill(block, false, false) {
-            if evicted.dirty {
-                writeback_from_l2(llc, dram, core_id, evicted.block, now);
-            }
         }
     }
+    for &block in prefetch_writebacks {
+        writeback_from_l2(llc, dram, core_id, block, now);
+    }
+    core.model.advance(non_mem, latency);
+    event
+}
 
-    // Fill the L1; handle its dirty victim.
-    if let Some(evicted) = core.l1d.fill(block, is_write, false) {
-        if evicted.dirty && !core.l2.writeback(evicted.block) {
-            writeback_from_l2(llc, dram, core_id, evicted.block, now);
+/// A demand access that missed both private levels: the shared LLC, then the DRAM;
+/// returns the latency below the L2.
+fn demand_below_l2<P: LlcReplacementPolicy>(
+    config: &SystemConfig,
+    dram_reads: &mut u64,
+    llc: &mut SharedLlc<P>,
+    dram: &mut Dram,
+    core_id: usize,
+    event: &Event,
+    now: u64,
+) -> u64 {
+    let (block, pc) = (event.block, event.pc);
+    let llc_lookup = llc.access(core_id, pc, block, true, event.is_write(), now);
+    if llc_lookup.hit {
+        return llc_lookup.latency;
+    }
+    // LLC miss: DRAM, tracked by an MSHR entry. With back-pressure a full MSHR delays
+    // the DRAM issue itself, so the memory system sees the request at the cycle it
+    // could actually be tracked; the flat seed path times the DRAM access first and
+    // charges the stall afterwards.
+    let (mshr_stall, dram_latency) = if config.llc.contention.mshr_backpressure {
+        let stall = llc.begin_mshr(core_id, now);
+        let issue = now + llc_lookup.latency + stall;
+        let dram_out = dram.access(block, issue, false, core_id);
+        llc.complete_mshr(issue + dram_out.latency);
+        (stall, dram_out.latency)
+    } else {
+        let dram_out = dram.access(block, now + llc_lookup.latency, false, core_id);
+        let stall = llc.reserve_mshr(core_id, now, llc_lookup.latency + dram_out.latency);
+        (stall, dram_out.latency)
+    };
+    *dram_reads += 1;
+
+    // Fill the LLC (the policy may bypass).
+    let fill = llc.fill(core_id, pc, block, false, now);
+    if let Some(evicted) = fill.evicted {
+        if evicted.dirty {
+            // Write-back drains in the background; costs DRAM bandwidth only.
+            dram.access(evicted.block, now, true, core_id);
         }
     }
-
-    // Account for the L1 miss detection itself.
-    latency += l1_latency;
-    (latency, prefetch_candidate)
+    llc_lookup.latency + mshr_stall + dram_latency
 }
 
 /// A dirty line leaving a private L2 (or falling through it): try the LLC, then DRAM.
@@ -624,41 +681,6 @@ fn writeback_from_l2<P: LlcReplacementPolicy>(
 ) {
     if !llc.writeback(core_id, block, now) {
         dram.access(block, now, true, core_id);
-    }
-}
-
-/// Resolve a prefetch: bring the line into L2 and L1 without charging the core and
-/// without allocating in (or updating recency of) the shared LLC.
-#[allow(clippy::too_many_arguments)]
-fn prefetch_access<P: LlcReplacementPolicy>(
-    core: &mut CoreNode,
-    llc: &mut SharedLlc<P>,
-    dram: &mut Dram,
-    core_id: usize,
-    block: BlockAddr,
-    pc: u64,
-    now: u64,
-) {
-    if core.l1d.probe(block) {
-        return;
-    }
-    if !core.l2.probe(block) {
-        let llc_lookup = llc.access(core_id, pc, block, false, false, now);
-        if !llc_lookup.hit {
-            // Fetch from memory; prefetches do not allocate in the LLC.
-            dram.access(block, now + llc_lookup.latency, false, core_id);
-            core.dram_reads += 1;
-        }
-        if let Some(evicted) = core.l2.fill(block, false, true) {
-            if evicted.dirty {
-                writeback_from_l2(llc, dram, core_id, evicted.block, now);
-            }
-        }
-    }
-    if let Some(evicted) = core.l1d.fill(block, false, true) {
-        if evicted.dirty && !core.l2.writeback(evicted.block) {
-            writeback_from_l2(llc, dram, core_id, evicted.block, now);
-        }
     }
 }
 

@@ -435,121 +435,6 @@ impl TraceSource for ArenaReplayTrace {
     }
 }
 
-/// Number of records generated per chunk by [`LazySharedTrace`].
-const LAZY_CHUNK_RECORDS: usize = 4096;
-
-/// A [`TraceSource`] whose output is generated on demand, memoized in shared chunks, and
-/// replayable by any number of concurrent cursors.
-///
-/// The corpus sweep engine evaluates P policies over one mix; wrapping the mix's live
-/// generator in a `LazySharedTrace` means each access is generated *exactly once across
-/// the whole sweep* — the first cursor to need a chunk generates it (under a mutex, once
-/// per `LAZY_CHUNK_RECORDS` = 4096 accesses), later cursors replay the cached records
-/// zero-copy. Unlike an eager capture, no budget has to be guessed: cursors never wrap,
-/// so their streams are indistinguishable from the underlying infinite generator.
-pub struct LazySharedTrace {
-    state: std::sync::Arc<std::sync::Mutex<LazyState>>,
-    label: String,
-}
-
-struct LazyState {
-    source: Box<dyn TraceSource>,
-    chunks: Vec<std::sync::Arc<Vec<MemAccess>>>,
-}
-
-impl LazySharedTrace {
-    /// Wrap `source` (which is reset first, so generation starts from the initial
-    /// stream) for shared, memoized consumption.
-    pub fn new(mut source: Box<dyn TraceSource>) -> Self {
-        source.reset();
-        let label = source.label();
-        LazySharedTrace {
-            state: std::sync::Arc::new(std::sync::Mutex::new(LazyState {
-                source,
-                chunks: Vec::new(),
-            })),
-            label,
-        }
-    }
-
-    /// A new independent cursor positioned at the start of the stream.
-    pub fn cursor(&self) -> LazySharedCursor {
-        LazySharedCursor {
-            state: self.state.clone(),
-            label: self.label.clone(),
-            chunk: None,
-            chunk_idx: 0,
-            pos: 0,
-        }
-    }
-
-    /// Records generated (and cached) so far — the high-water mark across all cursors.
-    pub fn records_generated(&self) -> usize {
-        let state = self.state.lock().expect("lazy trace lock");
-        state.chunks.iter().map(|c| c.len()).sum()
-    }
-
-    /// The wrapped generator's label.
-    pub fn label(&self) -> &str {
-        &self.label
-    }
-}
-
-/// One consumer's position over a [`LazySharedTrace`] (see
-/// [`LazySharedTrace::cursor`]). Implements [`TraceSource`]; [`reset`](TraceSource::reset)
-/// rewinds to the start without regenerating anything.
-pub struct LazySharedCursor {
-    state: std::sync::Arc<std::sync::Mutex<LazyState>>,
-    label: String,
-    /// Local handle on the chunk currently being read (no lock on the fast path).
-    chunk: Option<std::sync::Arc<Vec<MemAccess>>>,
-    chunk_idx: usize,
-    pos: usize,
-}
-
-impl LazySharedCursor {
-    fn fetch_chunk(&mut self, idx: usize) -> std::sync::Arc<Vec<MemAccess>> {
-        let mut state = self.state.lock().expect("lazy trace lock");
-        while state.chunks.len() <= idx {
-            let chunk: Vec<MemAccess> = (0..LAZY_CHUNK_RECORDS)
-                .map(|_| state.source.next_access())
-                .collect();
-            state.chunks.push(std::sync::Arc::new(chunk));
-        }
-        state.chunks[idx].clone()
-    }
-}
-
-impl TraceSource for LazySharedCursor {
-    fn next_access(&mut self) -> MemAccess {
-        let need_fetch = match &self.chunk {
-            Some(chunk) => self.pos >= chunk.len(),
-            None => true,
-        };
-        if need_fetch {
-            if self.chunk.is_some() {
-                self.chunk_idx += 1;
-            }
-            self.chunk = Some(self.fetch_chunk(self.chunk_idx));
-            self.pos = 0;
-        }
-        let chunk = self.chunk.as_ref().expect("chunk just fetched");
-        let a = chunk[self.pos];
-        self.pos += 1;
-        a
-    }
-
-    fn reset(&mut self) {
-        self.chunk = None;
-        self.chunk_idx = 0;
-        self.pos = 0;
-    }
-
-    fn label(&self) -> String {
-        self.label.clone()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -568,36 +453,6 @@ mod tests {
         t.next_access();
         t.reset();
         assert_eq!(t.next_access().addr, 0);
-    }
-
-    #[test]
-    fn lazy_shared_trace_matches_its_generator_and_generates_once() {
-        let source = || Box::new(StridedTrace::new(0x1000, 64, 1 << 16, 2));
-        let shared = LazySharedTrace::new(source());
-        assert_eq!(shared.label(), source().label());
-        let mut a = shared.cursor();
-        let mut b = shared.cursor();
-        let mut live = source();
-        live.reset();
-        // Drive cursor a past one chunk boundary; b must see the identical stream.
-        let n = super::LAZY_CHUNK_RECORDS + 100;
-        let from_a: Vec<MemAccess> = (0..n).map(|_| a.next_access()).collect();
-        let from_b: Vec<MemAccess> = (0..n).map(|_| b.next_access()).collect();
-        let from_live: Vec<MemAccess> = (0..n).map(|_| live.next_access()).collect();
-        assert_eq!(from_a, from_live);
-        assert_eq!(from_b, from_live);
-        // Both cursors consumed n records but only ceil(n/chunk) chunks were generated.
-        assert_eq!(shared.records_generated(), 2 * super::LAZY_CHUNK_RECORDS);
-        // Reset replays the cached prefix without regenerating.
-        a.reset();
-        assert_eq!(a.next_access(), from_live[0]);
-        assert_eq!(shared.records_generated(), 2 * super::LAZY_CHUNK_RECORDS);
-    }
-
-    #[test]
-    fn lazy_shared_cursors_are_send() {
-        fn assert_send<T: Send>() {}
-        assert_send::<LazySharedCursor>();
     }
 
     #[test]

@@ -108,6 +108,7 @@ fn sweep_adapt_variants(
         for (sum, r) in ratio_sums.iter_mut().zip(&ratios) {
             *sum += r;
         }
+        prepared.record_stage_counters();
     }
     variants
         .iter()

@@ -11,12 +11,17 @@
 //! and re-decodes) every mix's access streams P times, so sweep cost grows as P × M in
 //! *stream production* as well as simulation. The grid engine
 //! ([`sweep_policies_on_sources_with`], which [`evaluate_policies_on_mixes`] feeds with
-//! synthetic mixes) instead materializes each mix's streams exactly once — captured from
-//! the live generators into shared in-memory buffers, or decoded once from a `.atrc` file —
-//! and fans the (policy × mix) grid out across rayon workers, every policy replaying the
-//! same [`SharedReplayTrace`] buffers zero-copy. Mixes are materialized in bounded windows
-//! so peak memory stays at a few mixes regardless of sweep size, and results are emitted
-//! in deterministic (mix, policy) order no matter how many workers run.
+//! synthetic mixes) instead materializes each mix's streams exactly once and fans the
+//! (policy × mix) grid out across rayon workers. A mix decoded from a `.atrc` file is
+//! replayed by every policy from the same [`SharedReplayTrace`] buffers zero-copy. A
+//! synthetic mix goes one layer further: the policies of a sweep differ only at the
+//! shared LLC, and what a core's private hierarchy does is a function of its trace
+//! alone, so each core's generator feeds one shared private stage
+//! (`cache_sim::private`) — generation, L1, L2 and prefetcher run once per mix, M times
+//! per sweep instead of P × M — and every policy's system replays its memoized events.
+//! Mixes are materialized in bounded windows so peak memory stays at a few mixes
+//! regardless of sweep size, and results are emitted in deterministic (mix, policy)
+//! order no matter how many workers run.
 //!
 //! Workloads come from two provenances, unified by [`MixSource`]: live synthetic
 //! generators ([`MixSource::Synthetic`]) and captured binary traces replayed from disk
@@ -45,13 +50,12 @@ use parking_lot::Mutex;
 use rayon::prelude::*;
 
 use cache_sim::config::SystemConfig;
+use cache_sim::private::{SharedStage, SharedStageUsage, StageCursor, StageParams};
 use cache_sim::replacement::LlcReplacementPolicy;
 use cache_sim::single::run_alone;
 use cache_sim::stats::SystemResults;
 use cache_sim::system::MultiCoreSystem;
-use cache_sim::trace::{
-    ArenaReplayTrace, LazySharedTrace, MemAccess, SharedReplayTrace, TraceSource,
-};
+use cache_sim::trace::{ArenaReplayTrace, MemAccess, SharedReplayTrace, TraceSource};
 use llc_policies::TaDrripPolicy;
 use mc_metrics::MulticoreMetrics;
 use trace_io::{
@@ -155,7 +159,8 @@ impl MixEvaluation {
 ///
 /// A mix's streams come in three kinds, chosen from what the code observes — the
 /// source's provenance and the file's decoded size — never from an option: synthetic
-/// mixes are generated on demand and memoized (`Lazy`); a replayed mix whose decoded
+/// mixes are generated on demand inside the private stages that memoize their events
+/// (`Lazy`); a replayed mix whose decoded
 /// records fit the budget is decoded from the mapping once into shared buffers
 /// (`Decoded`); a larger one is streamed from the mapping in fixed-size batches, the
 /// next batch decoding on the background pool while the simulator consumes the current
@@ -272,8 +277,10 @@ impl MixSource {
 
     /// Produce this mix's streams exactly once, shared across any number of policies.
     ///
-    /// Synthetic mixes become [`LazySharedTrace`]s: accesses are generated on demand and
-    /// memoized, so each record is produced exactly once across the whole sweep. A
+    /// A synthetic mix materializes nothing yet: each core's stream becomes the memo of
+    /// its private stage ([`SharedStage`]), built by the first [`evaluate_prepared`] —
+    /// records are generated and the L1/L2/prefetcher simulated on demand, once across
+    /// the whole sweep, and every policy replays the resulting events. A
     /// replayed file is mapped once; if its decoded records fit `replay`'s arena budget
     /// they are batch-decoded in one pass into shared buffers, otherwise every cursor
     /// streams fixed-size batches from the mapping so memory stays constant however big
@@ -294,10 +301,12 @@ impl MixSource {
         };
         let _span = sim_obs::span("sweep", "materialize");
         let streams = match self {
-            MixSource::Synthetic(mix) => mix
-                .trace_sources(llc_sets, seed)
-                .into_iter()
-                .map(|source| MaterializedStream::Lazy(LazySharedTrace::new(source)))
+            MixSource::Synthetic(mix) => (0..mix.benchmarks.len())
+                .map(|_| MaterializedStream::Lazy {
+                    llc_sets,
+                    seed,
+                    stages: Mutex::default(),
+                })
                 .collect(),
             MixSource::Replayed { path, .. } => {
                 let trace = Arc::new(MappedTrace::open(path)?);
@@ -358,8 +367,17 @@ fn check_geometry(path: &Path, header: &TraceHeader, llc_sets: usize) -> Result<
 
 /// One core's materialized stream (see [`MixSource::materialize_with`]).
 enum MaterializedStream {
-    /// Generated on demand and memoized (synthetic provenance; never wraps).
-    Lazy(LazySharedTrace),
+    /// Synthetic provenance: the core's live generator is owned by the private stage
+    /// that consumes it, and what is memoized (and shared by every policy) is that
+    /// stage's events, not the records. One stage per distinct [`StageParams`] an
+    /// evaluation asked for: configurations that differ elsewhere (`interval_misses`,
+    /// the LLC, the DRAM) share one, and a second key builds a second stage instead of
+    /// evicting the first. Never wraps.
+    Lazy {
+        llc_sets: usize,
+        seed: u64,
+        stages: Mutex<Vec<SharedStage>>,
+    },
     /// Fully decoded from a corpus file (wraps at the end, counted eagerly).
     Decoded {
         records: Arc<Vec<MemAccess>>,
@@ -396,13 +414,17 @@ impl MaterializedMixStreams {
         &self.mix
     }
 
-    /// Records materialized per core so far: the decoded length for replayed streams,
-    /// the generated-and-memoized high-water mark for synthetic ones.
+    /// Records materialized per core so far: the decoded length for replayed streams;
+    /// for synthetic ones, the records the core's private stages have drawn from their
+    /// generators — the furthest consumer's high-water mark (rounded up to a chunk) per
+    /// stage, not the sum over consumers.
     pub fn records_per_core(&self) -> Vec<usize> {
         self.streams
             .iter()
             .map(|s| match s {
-                MaterializedStream::Lazy(t) => t.records_generated(),
+                MaterializedStream::Lazy { stages, .. } => {
+                    stages.lock().iter().map(|s| s.usage().records).sum::<u64>() as usize
+                }
                 MaterializedStream::Decoded { records, .. } => records.len(),
                 MaterializedStream::Streamed { trace, core, .. } => {
                     trace.header().cores[*core].records as usize
@@ -419,19 +441,24 @@ impl MaterializedMixStreams {
         self.streams
             .iter()
             .map(|s| match s {
-                MaterializedStream::Lazy(_) => 0,
+                MaterializedStream::Lazy { .. } => 0,
                 MaterializedStream::Decoded { wraps, .. }
                 | MaterializedStream::Streamed { wraps, .. } => wraps.load(Ordering::Relaxed),
             })
             .sum()
     }
 
-    /// Build a fresh cursor per core over the shared streams.
+    /// One trace source per core: a fresh cursor over the shared records of a replayed
+    /// mix, a fresh live generator for a synthetic one (whose memo holds events, not
+    /// records — [`evaluate_prepared`] does not come through here for it).
     pub fn sources(&self) -> Vec<Box<dyn TraceSource>> {
         self.streams
             .iter()
-            .map(|stream| match stream {
-                MaterializedStream::Lazy(t) => Box::new(t.cursor()) as Box<dyn TraceSource>,
+            .enumerate()
+            .map(|(core, stream)| match stream {
+                MaterializedStream::Lazy { llc_sets, seed, .. } => {
+                    self.mix.trace_source(core, *llc_sets, *seed)
+                }
                 MaterializedStream::Decoded {
                     records,
                     label,
@@ -456,6 +483,65 @@ impl MaterializedMixStreams {
                 }
             })
             .collect()
+    }
+
+    /// One cursor per core over the private stages shared by every evaluation of this
+    /// mix under `params`, building the stages on first use; `None` for a replayed mix,
+    /// whose stages are driven inline, per run.
+    fn stage_cursors(&self, params: &StageParams) -> Option<Vec<StageCursor>> {
+        self.streams
+            .iter()
+            .enumerate()
+            .map(|(core, stream)| match stream {
+                MaterializedStream::Lazy {
+                    llc_sets,
+                    seed,
+                    stages,
+                } => {
+                    let mut stages = stages.lock();
+                    let at = stages
+                        .iter()
+                        .position(|s| s.params() == params)
+                        .unwrap_or_else(|| {
+                            let source = self.mix.trace_source(core, *llc_sets, *seed);
+                            stages.push(SharedStage::new(*params, source));
+                            stages.len() - 1
+                        });
+                    Some(stages[at].cursor())
+                }
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// What sharing the private stages of a synthetic mix cost, as `stage.*` counters
+    /// under the `mix<id>` context (`docs/observability.md`); nothing unless `sim_obs`
+    /// is recording and the mix has stages.
+    pub(crate) fn record_stage_counters(&self) {
+        if !sim_obs::enabled() {
+            return;
+        }
+        let mut total = SharedStageUsage::default();
+        for stream in &self.streams {
+            if let MaterializedStream::Lazy { stages, .. } = stream {
+                for usage in stages.lock().iter().map(SharedStage::usage) {
+                    total.records += usage.records;
+                    total.events += usage.events;
+                    total.memo_bytes += usage.memo_bytes;
+                    total.cursors += usage.cursors;
+                }
+            }
+        }
+        if total.cursors == 0 {
+            return;
+        }
+        let _ctx = sim_obs::push_context(&format!("mix{}", self.mix.id));
+        sim_obs::counter("sweep", "stage.records", total.records as f64);
+        sim_obs::counter("sweep", "stage.events", total.events as f64);
+        sim_obs::counter("sweep", "stage.memo_bytes", total.memo_bytes as f64);
+        // Every evaluation takes one cursor per core.
+        let evaluations = total.cursors / self.streams.len() as u64;
+        sim_obs::counter("sweep", "stage.cursors", evaluations as f64);
     }
 }
 
@@ -578,12 +664,16 @@ pub fn evaluate_mix(
 ) -> MixEvaluation {
     let built = policy.build_dispatch(config, &mix.thrashing_slots());
     let traces = mix.trace_sources(config.llc.geometry.num_sets(), seed);
-    evaluate_traces(config, mix, policy, built, traces, instructions, seed)
+    let system = MultiCoreSystem::new(config.clone(), traces, built);
+    evaluate_system(config, mix, policy, system, instructions, seed)
 }
 
 /// Run an explicitly constructed policy over already-materialized streams — the
 /// inner step of the corpus sweep engine, also used by the ablation sweeps so every
-/// configuration variant shares one capture of each mix.
+/// configuration variant shares one materialization of each mix. A synthetic mix's
+/// private hierarchy (generation, L1, L2, prefetcher) is simulated once per distinct
+/// [`StageParams`] and shared by every call; a replayed mix's is driven inline, per call,
+/// over a fresh cursor, so its wrap counts and arena use are one run's each.
 pub fn evaluate_prepared<P: LlcReplacementPolicy>(
     config: &SystemConfig,
     prepared: &MaterializedMixStreams,
@@ -592,31 +682,25 @@ pub fn evaluate_prepared<P: LlcReplacementPolicy>(
     instructions: u64,
     seed: u64,
 ) -> MixEvaluation {
-    evaluate_traces(
-        config,
-        &prepared.mix,
-        policy,
-        built,
-        prepared.sources(),
-        instructions,
-        seed,
-    )
+    let system = match prepared.stage_cursors(&StageParams::latch(config, instructions)) {
+        Some(stages) => MultiCoreSystem::with_stages(config.clone(), stages, built),
+        None => MultiCoreSystem::new(config.clone(), prepared.sources(), built),
+    };
+    evaluate_system(config, &prepared.mix, policy, system, instructions, seed)
 }
 
-/// Shared tail of every evaluation: simulate `traces` under `built` and summarize against
-/// the alone-run cache. `traces` may come from live generators, replayed corpora, or
-/// shared in-memory buffers. Monomorphized per policy type, so enum-dispatched sweeps
-/// never touch a vtable on the per-access path.
-fn evaluate_traces<P: LlcReplacementPolicy>(
+/// Shared tail of every evaluation: run `system` and summarize against the alone-run
+/// cache. Its cores may be fed by live generators, replayed corpora or shared private
+/// stages. Monomorphized per policy type, so enum-dispatched sweeps never touch a vtable
+/// on the per-access path.
+fn evaluate_system<P: LlcReplacementPolicy>(
     config: &SystemConfig,
     mix: &WorkloadMix,
     policy: PolicyKind,
-    built: P,
-    traces: Vec<Box<dyn cache_sim::trace::TraceSource>>,
+    mut system: MultiCoreSystem<P>,
     instructions: u64,
     seed: u64,
 ) -> MixEvaluation {
-    let mut system = MultiCoreSystem::new(config.clone(), traces, built);
     let results: SystemResults = system.run(instructions);
 
     let specs = mix.specs();
@@ -769,6 +853,7 @@ pub fn sweep_policies_on_sources_with(
         // to live generators, so it goes into the structured outcome (and is echoed
         // loudly on stderr for interactive runs).
         for mat in &prepared {
+            mat.record_stage_counters();
             let wraps = mat.replay_wraps();
             mix_wraps.push(MixReplayWraps {
                 mix_id: mat.mix().id,
@@ -1193,15 +1278,34 @@ mod tests {
         std::fs::remove_file(path).ok();
     }
 
+    /// Counts the records a simulation draws from a source.
+    struct Counted(Box<dyn TraceSource>, Arc<AtomicU64>);
+
+    impl TraceSource for Counted {
+        fn next_access(&mut self) -> MemAccess {
+            self.1.fetch_add(1, Ordering::Relaxed);
+            self.0.next_access()
+        }
+        fn reset(&mut self) {
+            self.0.reset();
+        }
+        fn label(&self) -> String {
+            self.0.label()
+        }
+    }
+
     #[test]
     fn materialized_streams_match_live_generators() {
+        use cache_sim::private::CHUNK_RECORDS;
+        use cache_sim::system::RUN_AHEAD;
+
         let (cfg, mixes) = smoke_setup();
         let llc_sets = cfg.llc.geometry.num_sets();
         let source = MixSource::synthetic(mixes[0].clone());
         let prepared = source
             .materialize_with(llc_sets, 7, &ReplayConfig::default())
             .unwrap();
-        // Two cursor sets over the same materialization: generation happens once.
+        // Every set of sources is the mix's live generators, from their first record.
         for sources in [prepared.sources(), prepared.sources()] {
             let mut fresh = mixes[0].trace_sources(llc_sets, 7);
             for (mut shared, live) in sources.into_iter().zip(fresh.iter_mut()) {
@@ -1211,9 +1315,42 @@ mod tests {
                 }
             }
         }
-        // Nothing beyond the consumed prefix (rounded up to a chunk) was generated.
-        for records in prepared.records_per_core() {
-            assert!((250..=8192).contains(&records), "generated {records}");
+        // Handing out sources materializes nothing; the memo is the stages'.
+        assert!(prepared.records_per_core().iter().all(|&r| r == 0));
+
+        // What one evaluation consumes, counted on a system that drives its own stages.
+        let policy = PolicyKind::TaDrrip;
+        let build = || policy.build_dispatch(&cfg, &mixes[0].thrashing_slots());
+        let counters: Vec<Arc<AtomicU64>> = (0..cfg.num_cores).map(|_| Arc::default()).collect();
+        let counted = prepared
+            .sources()
+            .into_iter()
+            .zip(&counters)
+            .map(|(s, c)| Box::new(Counted(s, c.clone())) as Box<dyn TraceSource>)
+            .collect();
+        let inline = MultiCoreSystem::new(cfg.clone(), counted, build()).run(20_000);
+
+        // Evaluations share one stage per core: generation happens once, and nothing
+        // beyond the consumed prefix plus one chunk is drawn.
+        let first = evaluate_prepared(&cfg, &prepared, policy, build(), 20_000, 7);
+        let drawn = prepared.records_per_core();
+        for _ in 0..2 {
+            let again = evaluate_prepared(&cfg, &prepared, policy, build(), 20_000, 7);
+            assert_identical(std::slice::from_ref(&first), std::slice::from_ref(&again));
+        }
+        assert_eq!(
+            prepared.records_per_core(),
+            drawn,
+            "a later cursor generated"
+        );
+        assert_eq!(first.final_cycle, inline.final_cycle);
+        for (&drawn, consumed) in drawn.iter().zip(&counters) {
+            let consumed = consumed.load(Ordering::Relaxed);
+            let slack = RUN_AHEAD + 1;
+            assert!(
+                (consumed - slack..=consumed + CHUNK_RECORDS + slack).contains(&(drawn as u64)),
+                "drew {drawn} records for {consumed} consumed"
+            );
         }
     }
 

@@ -184,13 +184,16 @@ impl WorkloadMix {
 
     /// Build one trace source per core for a system whose LLC has `llc_sets` sets.
     pub fn trace_sources(&self, llc_sets: usize, seed: u64) -> Vec<Box<dyn TraceSource>> {
-        self.specs()
-            .iter()
-            .enumerate()
-            .map(|(slot, spec)| {
-                Box::new(spec.trace(slot, llc_sets, seed ^ self.id as u64)) as Box<dyn TraceSource>
-            })
+        (0..self.benchmarks.len())
+            .map(|slot| self.trace_source(slot, llc_sets, seed))
             .collect()
+    }
+
+    /// The trace source [`trace_sources`](Self::trace_sources) builds for core `slot`.
+    pub fn trace_source(&self, slot: usize, llc_sets: usize, seed: u64) -> Box<dyn TraceSource> {
+        let spec =
+            benchmark_by_name(&self.benchmarks[slot]).expect("mix references a known benchmark");
+        Box::new(spec.trace(slot, llc_sets, seed ^ self.id as u64))
     }
 
     /// Indices of the cores running thrashing applications (Footprint-number >= 16).

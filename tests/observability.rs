@@ -187,6 +187,51 @@ fn sampled_runs_of_one_system_emit_identical_interval_core_rows() {
     assert_eq!(plain, second);
 }
 
+/// "Was the private stage shared, and what did it cost?": every synthetic mix of a
+/// profiled sweep reports its stages once, under its own context: as many cursors as
+/// policies, over one generation.
+#[test]
+fn profiled_sweep_reports_each_mix_shared_stages_once() {
+    let _guard = obs_lock();
+    let scale = ExperimentScale::Smoke;
+    let cfg = scale.system_config(StudyKind::Cores4);
+    let mixes = generate_mixes(StudyKind::Cores4, 2, scale.seed());
+    let policies = policies();
+    warm_alone_cache(&cfg, &mixes, INSTRUCTIONS, SEED);
+
+    sim_obs::reset();
+    sim_obs::enable();
+    let _ = evaluate_policies_on_mixes(&cfg, &mixes, &policies, INSTRUCTIONS, SEED);
+    sim_obs::disable();
+    let drained = sim_obs::drain();
+
+    let mut counters: BTreeMap<(String, &'static str), Vec<f64>> = BTreeMap::new();
+    for event in drained.threads.iter().flat_map(|t| &t.events) {
+        if event.kind == EventKind::Counter && event.name.starts_with("stage.") {
+            assert_eq!(event.cat, "sweep");
+            let ctx = drained.context(event.ctx).to_string();
+            counters
+                .entry((ctx, event.name))
+                .or_default()
+                .push(event.value);
+        }
+    }
+    assert_eq!(counters.len(), 4 * mixes.len(), "{counters:?}");
+    for mix in &mixes {
+        let value = |name| match counters.get(&(format!("mix{}", mix.id), name)) {
+            Some(values) if values.len() == 1 => values[0],
+            other => panic!("mix {}: {name} recorded {other:?}", mix.id),
+        };
+        assert_eq!(value("stage.cursors"), policies.len() as f64);
+        // Stages built while the recorder is on have bound 0: every record an event.
+        let (records, events) = (value("stage.records"), value("stage.events"));
+        assert!(events > 0.0);
+        assert_eq!(events, records);
+        // 40 bytes an event, plus the write-back side arrays.
+        assert!(value("stage.memo_bytes") >= 40.0 * events);
+    }
+}
+
 #[test]
 fn exported_profile_is_perfetto_loadable_and_complete() {
     let _guard = obs_lock();

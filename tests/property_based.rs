@@ -19,10 +19,13 @@ use adapt_llc::sim::config::{
     SystemConfig,
 };
 use adapt_llc::sim::llc::SharedLlc;
+use adapt_llc::sim::private::{PrivateStage, PrivateStats, StageParams};
 use adapt_llc::sim::private_cache::{Lookup, PrivateCache};
 use adapt_llc::sim::replacement::{
     AccessContext, InsertionDecision, LineView, LlcReplacementPolicy, RrpvArray,
 };
+use adapt_llc::sim::system::RUN_AHEAD;
+use adapt_llc::sim::trace::{MemAccess, SharedReplayTrace};
 use adapt_llc::workloads::{classify, generate_mixes, MemIntensity, StudyKind};
 use oracle::{NaiveLlc, NaivePrivateCache};
 
@@ -81,6 +84,77 @@ fn policy_by_hand(
         }
         PolicyKind::ShipBypass => Box::new(BypassDistant::new(ShipPolicy::new(sets, ways, cores))),
         PolicyKind::EafBypass => Box::new(BypassDistant::new(EafPolicy::new(sets, ways))),
+    }
+}
+
+/// What a private stage hands the shared side while it consumes `records` once, up to
+/// the record that reaches the instruction target (always the last one, and in order
+/// under every bound, so every bound stops on the same record).
+#[derive(Debug, PartialEq)]
+struct StageOutput {
+    /// Everything the LLC or the DRAM is asked to do, in order: per record that leaves
+    /// the private levels `[block, pc, write, L2 hit, non-memory instructions]`, its
+    /// demand's write-back blocks, `[prefetched block]` if the prefetch leaves them too,
+    /// and the prefetch's write-back blocks.
+    shared_ops: Vec<Vec<u64>>,
+    /// Σ instructions, compute cycles, stall cycles of every record that does not.
+    private_timing: [u64; 3],
+    stats: PrivateStats,
+    events: usize,
+}
+
+fn drive_stage(params: StageParams, records: &[MemAccess]) -> StageOutput {
+    let trace = SharedReplayTrace::new("prop", records.to_vec().into(), Default::default());
+    let mut stage = PrivateStage::new(params, Box::new(trace));
+    // An L1 miss that hits the L2, in the float form of the core model's overlap rule.
+    let core = params.core;
+    let exposed = params.l2.latency;
+    let overlapped = (exposed as f64 / core.mlp_overlap).round() as u64;
+    let l2_hit_stall = overlapped.max(exposed.saturating_sub(core.rob_size / core.issue_width));
+
+    let mut out = StageOutput {
+        shared_ops: Vec::new(),
+        private_timing: [0; 3],
+        stats: PrivateStats::default(),
+        events: 0,
+    };
+    loop {
+        let event = *stage.next_event();
+        let writebacks = stage.writebacks();
+        out.events += 1;
+        out.private_timing[0] += u64::from(event.gap_instructions);
+        out.private_timing[1] += u64::from(event.gap_compute_cycles);
+        out.private_timing[2] += u64::from(event.gap_stall_cycles);
+        assert_eq!(writebacks.len(), event.writebacks());
+        let non_mem = u64::from(event.non_mem_instrs);
+        let leaves = !event.l1_hit()
+            && (!event.l2_hit() || event.prefetch_reaches_llc() || !writebacks.is_empty());
+        if leaves {
+            let (demand, prefetch) = writebacks.split_at(usize::from(event.demand_writebacks));
+            out.shared_ops.push(vec![
+                event.block.0,
+                event.pc,
+                u64::from(event.is_write()),
+                u64::from(event.l2_hit()),
+                non_mem,
+            ]);
+            out.shared_ops.push(demand.iter().map(|b| b.0).collect());
+            if event.prefetch_reaches_llc() {
+                out.shared_ops.push(vec![event.block.next().0]);
+            }
+            out.shared_ops.push(prefetch.iter().map(|b| b.0).collect());
+        } else {
+            out.private_timing[0] += non_mem + 1;
+            out.private_timing[1] += non_mem.div_ceil(core.issue_width);
+            out.private_timing[2] += if event.l1_hit() { 0 } else { l2_hit_stall };
+        }
+        assert!(!event.frozen(), "an unfinished core cannot freeze");
+        if event.reaches_target() {
+            assert_eq!(stage.records(), records.len() as u64);
+            assert_eq!(stage.target_stats(), Some(stage.stats()));
+            out.stats = stage.stats();
+            return out;
+        }
     }
 }
 
@@ -412,5 +486,70 @@ proptest! {
         }
 
         prop_assert_eq!(fast.stats(), &reference.stats);
+    }
+
+    /// The private stage's output does not depend on how many private-only records it
+    /// coalesces per event. Bound 0 is the per-record order the oracle implements (one
+    /// event per record; `tests/reference_identity.rs` holds it to `NaiveSystem` through
+    /// its sampled runs), so this pins every other bound to it: the same operations
+    /// reach the shared side in the same order, the records that do not reach it retire
+    /// the same instructions and cycles, and the private levels end in the same state —
+    /// over streams whose small address space makes both levels conflict and write
+    /// back, with runs of gapless records, prefetcher on and off, every private policy.
+    #[test]
+    fn private_stage_output_is_invariant_under_the_bound(
+        l1_policy in 0usize..3,
+        l2_policy in 0usize..3,
+        prefetch in any::<bool>(),
+        blocks in 8u64..96,
+        stream in proptest::collection::vec(
+            (0u64..96, any::<bool>(), 0u32..16, 0u64..4),
+            1..600,
+        ),
+    ) {
+        let policies = [
+            PrivatePolicyKind::Lru,
+            PrivatePolicyKind::Srrip,
+            PrivatePolicyKind::Drrip,
+        ];
+        let mut config = SystemConfig::tiny(1);
+        config.l1d.geometry = CacheGeometry::with_sets(4, 2);
+        config.l1d.policy = policies[l1_policy];
+        config.l2.geometry = CacheGeometry::with_sets(8, 2);
+        config.l2.policy = policies[l2_policy];
+        config.l1_next_line_prefetch = prefetch;
+        config.validate().unwrap();
+
+        // More than half the records are gapless, so runs of them occur.
+        let records: Vec<MemAccess> = stream
+            .iter()
+            .map(|&(block, is_write, gap, pc)| MemAccess {
+                addr: (block % blocks) * 64,
+                pc: 0x400 + pc * 4,
+                is_write,
+                non_mem_instrs: gap.saturating_sub(8),
+            })
+            .collect();
+        let instructions = records.iter().map(MemAccess::instructions).sum();
+        let drive = |bound| {
+            let params = StageParams {
+                bound,
+                ..StageParams::latch(&config, instructions)
+            };
+            drive_stage(params, &records)
+        };
+
+        let per_record = drive(0);
+        prop_assert_eq!(per_record.events, records.len());
+        prop_assert_eq!(per_record.stats.l1d.accesses, records.len() as u64);
+        for bound in [1, RUN_AHEAD, 4096] {
+            let coalesced = drive(bound);
+            prop_assert!(coalesced.events <= per_record.events);
+            prop_assert_eq!(
+                StageOutput { events: per_record.events, ..coalesced },
+                per_record,
+                "bound {}", bound
+            );
+        }
     }
 }

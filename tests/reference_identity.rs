@@ -6,24 +6,29 @@
 //! The production path differs from it in line layout (structure-of-arrays tags +
 //! packed valid/dirty bitmasks), policy dispatch (monomorphized enum instead of
 //! `Box<dyn ...>`), way prediction, core scheduling (a winner tree consulted once per
-//! shared-state event, with L1 hits retired out of global order by private run-ahead)
-//! and core-timing arithmetic (integer halving instead of f64 rounding) — every one of
+//! event of a core's private stage, whose private-only records are retired out of
+//! global order as one summed gap — and, in a sweep, simulated once and replayed by
+//! every policy's system) and core-timing arithmetic (integer halving instead of f64 rounding) — every one of
 //! which must be invisible in results. These tests run whole systems under every
 //! `PolicyKind`, in flat and contended bank configurations, at power-of-two and odd
 //! core counts up to 128 and at non-power-of-two LLC bank counts, and require **every
 //! field** of `SystemResults` and of each core's `CoreStats` to agree exactly. The one
-//! thing run-ahead may change — how many records a trace source has been asked for
-//! when `run` returns — is bounded here too, and closed-form cases (a cyclic working
+//! thing coalescing and sharing may change — how many records a trace source has been
+//! asked for when `run` returns — is bounded here too, and closed-form cases (a cyclic working
 //! set one block larger than a set under LRU; working sets that fit a level) tie both
 //! engines to answers that come from outside the repository.
 
 mod oracle;
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier, Mutex, MutexGuard};
 
+use adapt_llc::experiments::runner::{evaluate_prepared, MixEvaluation, MixSource, ReplayConfig};
 use adapt_llc::experiments::{evaluate_mix, ExperimentScale, MemSystem, PolicyKind};
-use adapt_llc::sim::config::{BankContentionConfig, PrivatePolicyKind, SystemConfig};
+use adapt_llc::sim::config::{
+    BankContentionConfig, CacheGeometry, PrivatePolicyKind, SystemConfig,
+};
+use adapt_llc::sim::private::{SharedStage, StageParams, CHUNK_RECORDS};
 use adapt_llc::sim::stats::{CoreStats, SystemResults};
 use adapt_llc::sim::system::{MultiCoreSystem, RUN_AHEAD};
 use adapt_llc::sim::trace::{MemAccess, StridedTrace, TraceSource};
@@ -278,14 +283,25 @@ fn counted(sources: Vec<Box<dyn TraceSource>>) -> (Vec<Box<dyn TraceSource>>, Ve
     (wrapped, counters)
 }
 
+/// The `sim_obs` recorder is process-global and decides the bound of every stage built
+/// while it is on; tests that turn it on, or count records drawn at the unsampled bound,
+/// take this lock.
+fn obs_lock() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
 /// Run-ahead's only observable effect: when `run` returns, each source has been asked
 /// for at least the records the per-record oracle consumed and at most
 /// `RUN_AHEAD` retired hits plus one parked record more — and for exactly the
 /// oracle's while `sim_obs` sampling is on, which reads every core's clock and so
 /// turns run-ahead off. (Tests running beside the sampled leg merely get sampled too;
-/// results do not depend on it.)
+/// results do not depend on it.) This is the contract of a system that drives its
+/// stages inline; a shared stage may additionally run ahead of its furthest consumer by
+/// one chunk (`shared_stages_under_concurrency_equal_inline_and_the_oracle`).
 #[test]
 fn run_ahead_overfetch_is_bounded_per_core() {
+    let _obs = obs_lock();
     let scale = ExperimentScale::Smoke;
     let cfg = scale.system_config(StudyKind::Cores8);
     let mix = &generate_mixes(StudyKind::Cores8, 1, scale.seed())[0];
@@ -389,6 +405,219 @@ fn finished_cache_resident_core_cannot_livelock_the_run() {
     }
 }
 
+/// What a `MixEvaluation` carries of a run, held to the oracle's `SystemResults`.
+fn assert_evaluation_matches(fast: &MixEvaluation, reference: &SystemResults, what: &str) {
+    assert_eq!(fast.per_app.len(), reference.per_core.len(), "{what}");
+    for (app, core) in fast.per_app.iter().zip(&reference.per_core) {
+        assert_eq!(app.name, core.label, "{what}");
+        assert_eq!(app.core_id, core.core_id, "{what}: {}", app.name);
+        assert_eq!(app.ipc, core.ipc(), "{what}: {} IPC", app.name);
+        assert_eq!(app.l2_mpki, core.l2_mpki(), "{what}: {} L2 MPKI", app.name);
+        assert_eq!(app.llc_mpki, core.llc_mpki(), "{what}: {} MPKI", app.name);
+    }
+    assert_eq!(fast.llc_global, reference.llc_global, "{what}");
+    assert_eq!(fast.llc_banks, reference.llc_banks, "{what}");
+    assert_eq!(fast.core_stalls, reference.core_stalls, "{what}");
+    assert_eq!(fast.final_cycle, reference.final_cycle, "{what}");
+}
+
+/// `run` every kind on a thread of its own, all released together.
+fn at_once<T: Send>(kinds: &[PolicyKind], run: &(dyn Fn(PolicyKind) -> T + Sync)) -> Vec<T> {
+    let start = Barrier::new(kinds.len());
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = kinds
+            .iter()
+            .map(|&kind| {
+                let start = &start;
+                scope.spawn(move || {
+                    start.wait();
+                    run(kind)
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    })
+}
+
+/// One mix's private stages simulated once and replayed by four policies on four
+/// threads at once: every system is the oracle's, field for field, and the generators
+/// were drawn from once — not once per policy.
+#[test]
+fn shared_stages_under_concurrency_equal_inline_and_the_oracle() {
+    let _obs = obs_lock();
+    // Long enough that most cores consume several chunks of their stage's memo.
+    let instructions = 5 * INSTRUCTIONS;
+    let scale = ExperimentScale::Smoke;
+    let cfg = scale.system_config(StudyKind::Cores8);
+    let mix = &generate_mixes(StudyKind::Cores8, 1, scale.seed())[0];
+    let llc_sets = cfg.llc.geometry.num_sets();
+    let slots = mix.thrashing_slots();
+    let kinds = [
+        PolicyKind::TaDrrip,
+        PolicyKind::AdaptBp32,
+        PolicyKind::Ship,
+        PolicyKind::Lru,
+    ];
+    // The oracle over fresh generators, and the records it drew from each.
+    let oracle = |cfg: &SystemConfig, kind: PolicyKind| {
+        let (sources, counts) = counted(mix.trace_sources(llc_sets, SEED));
+        let built = Box::new(kind.build_dispatch(cfg, &slots));
+        let results = NaiveSystem::new(cfg.clone(), sources, built).run(instructions);
+        let drawn: Vec<u64> = counts.iter().map(|c| c.load(Ordering::Relaxed)).collect();
+        (results, drawn)
+    };
+    let references: Vec<(SystemResults, Vec<u64>)> =
+        kinds.iter().map(|&kind| oracle(&cfg, kind)).collect();
+
+    // The simulator's own constructor over cursors, so every field can be compared.
+    let params = StageParams::latch(&cfg, instructions);
+    assert_eq!(params.bound, RUN_AHEAD);
+    let stages: Vec<SharedStage> = mix
+        .trace_sources(llc_sets, SEED)
+        .into_iter()
+        .map(|source| SharedStage::new(params, source))
+        .collect();
+    let run_shared = |kind: PolicyKind| {
+        let cursors = stages.iter().map(SharedStage::cursor).collect();
+        let built = kind.build_dispatch(&cfg, &slots);
+        MultiCoreSystem::with_stages(cfg.clone(), cursors, built).run(instructions)
+    };
+    let shared = at_once(&kinds, &run_shared);
+    for ((kind, shared), (reference, _)) in kinds.iter().zip(&shared).zip(&references) {
+        assert_identical(shared, reference, &format!("shared stages, {kind:?}"));
+    }
+    // The memo was built at `RUN_AHEAD`; a sampled run over it must still take the
+    // bound from the stage, not from its sampler.
+    sim_obs::enable();
+    let sampled = run_shared(kinds[0]);
+    sim_obs::disable();
+    sim_obs::reset();
+    assert_identical(
+        &sampled,
+        &references[0].0,
+        "sampled run over unsampled stages",
+    );
+
+    // The runner's path: one materialization, four concurrent `evaluate_prepared`.
+    let prepared = MixSource::synthetic(mix.clone())
+        .materialize_with(llc_sets, SEED, &ReplayConfig::default())
+        .unwrap();
+    let evaluate = |cfg: &SystemConfig, kind: PolicyKind| {
+        let built = kind.build_dispatch(cfg, &slots);
+        evaluate_prepared(cfg, &prepared, kind, built, instructions, SEED)
+    };
+    let evaluations = at_once(&kinds, &|kind| evaluate(&cfg, kind));
+    for ((kind, fast), (reference, _)) in kinds.iter().zip(&evaluations).zip(&references) {
+        assert_evaluation_matches(fast, reference, &format!("evaluate_prepared, {kind:?}"));
+    }
+
+    // (i) Sharing happened: each generator was drawn from as far as its furthest
+    // consumer went (a per-record consumer's count, plus the driver's run-ahead) and at
+    // most one chunk further — not once per policy.
+    let shared_bound = |furthest: u64| furthest + CHUNK_RECORDS + 2 * (RUN_AHEAD + 1);
+    let furthest = |references: &[(SystemResults, Vec<u64>)]| -> Vec<u64> {
+        (0..cfg.num_cores)
+            .map(|core| {
+                references
+                    .iter()
+                    .map(|(_, drawn)| drawn[core])
+                    .max()
+                    .unwrap()
+            })
+            .collect()
+    };
+    let drawn = prepared.records_per_core();
+    for (core, (&drawn, &furthest)) in drawn.iter().zip(&furthest(&references)).enumerate() {
+        assert!(
+            (furthest..=shared_bound(furthest)).contains(&(drawn as u64)),
+            "core {core}: drew {drawn} records, the furthest consumer used {furthest}"
+        );
+    }
+    let per_policy: u64 = references.iter().flat_map(|(_, drawn)| drawn).sum();
+    let bounds: u64 = furthest(&references).into_iter().map(shared_bound).sum();
+    assert!(
+        2 * bounds < per_policy,
+        "the bound ({bounds} records) does not tell sharing from drawing once per policy \
+         ({per_policy})"
+    );
+
+    // (ii) A configuration that differs only where the stage does not read shares the
+    // memo: the same bound holds with this consumer counted in.
+    let mut other_interval = cfg.clone();
+    other_interval.interval_misses /= 2;
+    let mut references = references;
+    references.push(oracle(&other_interval, kinds[0]));
+    let fast = evaluate(&other_interval, kinds[0]);
+    assert_evaluation_matches(&fast, &references[4].0, "other interval");
+    assert_ne!(fast.llc_global, evaluations[0].llc_global, "same interval");
+    let drawn = prepared.records_per_core();
+    for (&drawn, &furthest) in drawn.iter().zip(&furthest(&references)) {
+        assert!((furthest..=shared_bound(furthest)).contains(&(drawn as u64)));
+    }
+
+    // (iii) One that differs where it does read builds a second set of stages.
+    let mut other_l2 = cfg.clone();
+    other_l2.l2.geometry = CacheGeometry::new(cfg.l2.geometry.size_bytes / 2, 8);
+    let (reference, other_drawn) = oracle(&other_l2, kinds[0]);
+    let fast = evaluate(&other_l2, kinds[0]);
+    assert_evaluation_matches(&fast, &reference, "other L2");
+    for ((&after, &before), &second) in prepared
+        .records_per_core()
+        .iter()
+        .zip(&drawn)
+        .zip(&other_drawn)
+    {
+        assert!(
+            after as u64 >= before as u64 + second,
+            "the first memo was reused"
+        );
+    }
+}
+
+/// A closed form for the private stage itself. Core 0 cycles over as many conflicting
+/// blocks as the L2 has ways — more than the L1 holds, so every access misses it — with
+/// 3 instructions between accesses and no prefetcher: once each block has been fetched,
+/// nothing core 0 does reaches the LLC again, before or after it finishes, while core 1
+/// sweeps on. Its stage must keep forming events all the same (the bound on a gap), or a
+/// run whose other core is unfinished never ends.
+#[test]
+fn l2_resident_finished_core_reaches_the_llc_once_per_block_and_the_run_terminates() {
+    let mut cfg = SystemConfig::tiny(2);
+    cfg.l1d.policy = PrivatePolicyKind::Lru;
+    cfg.l2.policy = PrivatePolicyKind::Lru;
+    cfg.l1_next_line_prefetch = false;
+    let llc_sets = cfg.llc.geometry.num_sets() as u64;
+    let l2_ways = cfg.l2.geometry.ways as u64;
+    assert!((cfg.l1d.geometry.ways as u64) < l2_ways);
+    let target = 30_000;
+    let sources = || -> Vec<Box<dyn TraceSource>> {
+        vec![
+            Box::new(Cyclic {
+                blocks: (0..l2_ways).map(|k| k * llc_sets).collect(),
+                gapped: u64::MAX,
+                served: 0,
+            }),
+            Box::new(StridedTrace::new(1 << 32, 64, 1 << 20, 2)),
+        ]
+    };
+    let (fast, reference) = run_both_on(&cfg, PolicyKind::Lru, &[], &sources, target);
+    assert_identical(&fast, &reference, "L2-resident core beside a sweep");
+    let (resident, sweep) = (&fast.per_core[0], &fast.per_core[1]);
+    assert!(
+        resident.cycles < sweep.cycles,
+        "core 0 must finish first and be re-executed"
+    );
+    assert_eq!(resident.l1d.hits, 0);
+    assert_eq!(resident.l2.misses, l2_ways);
+    assert_eq!(resident.llc.demand_accesses, l2_ways);
+    // The whole run's LLC traffic of core 0 is still those accesses: it formed no
+    // shared event after warm-up, finished or not.
+    assert_eq!(
+        fast.llc_global.total_demand_misses,
+        sweep.llc.demand_misses + l2_ways
+    );
+}
+
 /// The runner's entry point reports what the oracle computes: `evaluate_mix` builds the
 /// policy and the sources itself, so this also holds the path from a `PolicyKind` and
 /// a mix to a `MixEvaluation` to the independent model.
@@ -410,18 +639,7 @@ fn evaluate_mix_is_bit_identical_to_the_reference_engine() {
                 NaiveSystem::new(cfg.clone(), sources, Box::new(built)).run(INSTRUCTIONS);
             let fast = evaluate_mix(&cfg, mix, kind, INSTRUCTIONS, SEED);
             let what = format!("mix {} {kind:?}", mix.id);
-            assert_eq!(fast.per_app.len(), reference.per_core.len(), "{what}");
-            for (app, core) in fast.per_app.iter().zip(&reference.per_core) {
-                assert_eq!(app.name, core.label, "{what}");
-                assert_eq!(app.core_id, core.core_id, "{what}: {}", app.name);
-                assert_eq!(app.ipc, core.ipc(), "{what}: {} IPC", app.name);
-                assert_eq!(app.l2_mpki, core.l2_mpki(), "{what}: {} L2 MPKI", app.name);
-                assert_eq!(app.llc_mpki, core.llc_mpki(), "{what}: {} MPKI", app.name);
-            }
-            assert_eq!(fast.llc_global, reference.llc_global, "{what}");
-            assert_eq!(fast.llc_banks, reference.llc_banks, "{what}");
-            assert_eq!(fast.core_stalls, reference.core_stalls, "{what}");
-            assert_eq!(fast.final_cycle, reference.final_cycle, "{what}");
+            assert_evaluation_matches(&fast, &reference, &what);
             assert!(fast.llc_global.total_demand_misses > 0, "{what}: idle LLC");
         }
     }
