@@ -19,11 +19,11 @@
 //!   all      Everything above, in order
 //!
 //! corpus mode:
-//!   corpus --dir DIR [--study 4|8|...|64] [--mixes N] [--compress]
+//!   corpus --dir DIR [--study 4|8|...|64] [--mixes N]
 //!            Materialize the study's workload mixes as a trace corpus: one .atrc per
-//!            mix (captured exactly once) plus a manifest recording geometry and seed.
-//!            --compress writes .atrc v3 with LZ4-compressed blocks (smaller on disk,
-//!            bit-identical sweep results; `tracectl inspect` reports the ratio).
+//!            mix (captured exactly once, written as checksummed v3 with LZ4-compressed
+//!            blocks) plus a manifest recording geometry and seed. Prints what the
+//!            capture cost on disk.
 //!   sweep  --dir DIR [--arena-bytes N]
 //!            Run the Figure 3 policy lineup over a materialized corpus: each trace is
 //!            mapped once and the (policy x mix) grid fans out in parallel. A mix whose
@@ -69,7 +69,7 @@ use workloads::{generate_mixes, StudyKind};
 fn usage() -> String {
     "usage: repro <fig1|fig3|fig45|fig6|fig7|fig8|table2|table4|table7|ablation|mixes|diag|all> \
      [--paper-scale|--smoke]\n       repro corpus --dir DIR [--study 4|8|...|64] [--mixes N] \
-     [--compress] [--paper-scale|--smoke]\n       repro sweep --dir DIR [--paper-scale|--smoke]\n         \
+     [--paper-scale|--smoke]\n       repro sweep --dir DIR [--paper-scale|--smoke]\n         \
      [--arena-bytes N]\n       \
      repro scale [--cores 32,48,64,128,256] [--mixes N] [--flat] [--memsys] \
      [--paper-scale|--smoke]\n\n\
@@ -114,7 +114,6 @@ fn corpus_cmd(
     dir: &PathBuf,
     study: StudyKind,
     mixes_override: Option<usize>,
-    compress: bool,
 ) -> Result<(), String> {
     let config = scale.system_config(study);
     let llc_sets = config.llc.geometry.num_sets();
@@ -124,20 +123,22 @@ fn corpus_cmd(
     let mixes = generate_mixes(study, count, scale.seed());
     let accesses = synthetic_capture_budget(scale.instructions_per_core());
     let label = format!("{}-core {} corpus", study.num_cores(), scale.label());
-    let corpus = if compress {
-        Corpus::materialize_compressed(dir, &label, &mixes, llc_sets, scale.seed(), accesses)
-    } else {
+    let (corpus, captures) =
         Corpus::materialize(dir, &label, &mixes, llc_sets, scale.seed(), accesses)
-    }
-    .map_err(|e| format!("materializing corpus: {e}"))?;
+            .map_err(|e| format!("materializing corpus: {e}"))?;
     println!(
-        "materialized {} mixes ({} cores, {} accesses/core, llc_sets {}{}) into {}",
+        "materialized {} mixes ({} cores, {} accesses/core, llc_sets {}) into {}",
         corpus.entries().len(),
         study.num_cores(),
         accesses,
         llc_sets,
-        if compress { ", compressed v3" } else { "" },
         dir.display()
+    );
+    let bytes: u64 = captures.iter().map(|c| c.file_bytes).sum();
+    let records: u64 = captures.iter().map(|c| c.total_records).sum();
+    println!(
+        "  {bytes} bytes on disk, {:.2} bytes/record (fixed layout would need 21)",
+        bytes as f64 / records.max(1) as f64
     );
     Ok(())
 }
@@ -406,7 +407,6 @@ fn main() -> ExitCode {
     let mut cores_list: Vec<usize> = vec![32, 48, 64];
     let mut flat = false;
     let mut memsys = false;
-    let mut compress = false;
     let mut replay = ReplayConfig::default();
     let mut it = args.iter();
     while let Some(a) = it.next() {
@@ -437,10 +437,6 @@ fn main() -> ExitCode {
             }
             "--memsys" => {
                 memsys = true;
-                Ok(())
-            }
-            "--compress" => {
-                compress = true;
                 Ok(())
             }
             "--mixes" => value("--mixes").and_then(|v| {
@@ -486,7 +482,7 @@ fn main() -> ExitCode {
                 return ExitCode::FAILURE;
             };
             if experiment == "corpus" {
-                corpus_cmd(scale, &dir, study, mixes_override, compress)
+                corpus_cmd(scale, &dir, study, mixes_override)
             } else {
                 sweep_cmd(scale, &dir, &replay)
             }

@@ -225,7 +225,7 @@ impl MixSource {
     /// Open a captured trace file as a mix source (mix id 0).
     ///
     /// The file's core labels must name Table 4 benchmarks (which `tracectl capture` and
-    /// `workloads::capture_to_file` guarantee) and the core count must match one of the
+    /// `trace_io::capture_mix` guarantee) and the core count must match one of the
     /// paper's studies, so that alone-run normalization has a generator to run.
     pub fn replayed(path: impl AsRef<Path>) -> Result<Self, TraceError> {
         Self::replayed_with_id(path, 0)
@@ -975,6 +975,11 @@ mod tests {
     use crate::scale::ExperimentScale;
     use workloads::{generate_mixes, StudyKind};
 
+    fn capture_mix_file(path: &Path, mix: &WorkloadMix, llc_sets: usize, seed: u64, accesses: u64) {
+        let opts = trace_io::TraceCaptureOptions::for_llc_sets(llc_sets);
+        trace_io::capture_mix(path, mix, seed, accesses, None, opts).unwrap();
+    }
+
     fn smoke_setup() -> (SystemConfig, Vec<WorkloadMix>) {
         let scale = ExperimentScale::Smoke;
         let cfg = scale.system_config(StudyKind::Cores4);
@@ -1096,7 +1101,7 @@ mod tests {
 
         let dir = std::env::temp_dir().join("runner_corpus_sweep");
         std::fs::remove_dir_all(&dir).ok();
-        let corpus = Corpus::materialize(
+        let (corpus, _) = Corpus::materialize(
             &dir,
             "test",
             &mixes,
@@ -1128,8 +1133,7 @@ mod tests {
         let instructions = 20_000u64;
         let path = std::env::temp_dir().join("runner_undersized_corpus.atrc");
         // Far fewer accesses than the run consumes.
-        workloads::capture_to_file::<trace_io::TraceWriter>(&path, &mixes[0], llc_sets, 1, 64)
-            .unwrap();
+        capture_mix_file(&path, &mixes[0], llc_sets, 1, 64);
         let source = MixSource::replayed(&path).unwrap();
         let prepared = source
             .materialize_with(llc_sets, 1, &ReplayConfig::default())
@@ -1175,8 +1179,7 @@ mod tests {
         let (cfg, mixes) = smoke_setup();
         let llc_sets = cfg.llc.geometry.num_sets();
         let path = std::env::temp_dir().join("runner_sweep_outcome_wraps.atrc");
-        workloads::capture_to_file::<trace_io::TraceWriter>(&path, &mixes[0], llc_sets, 1, 64)
-            .unwrap();
+        capture_mix_file(&path, &mixes[0], llc_sets, 1, 64);
         let sources = vec![MixSource::replayed(&path).unwrap()];
         let replay = ReplayConfig::default();
         let outcome = sweep_policies_on_sources_with(
@@ -1220,7 +1223,7 @@ mod tests {
         let dir = std::env::temp_dir().join("runner_corpus_geometry");
         std::fs::remove_dir_all(&dir).ok();
         // Captured for twice the set count the system has.
-        let corpus = Corpus::materialize(&dir, "test", &mixes, llc_sets * 2, 1, 500).unwrap();
+        let (corpus, _) = Corpus::materialize(&dir, "test", &mixes, llc_sets * 2, 1, 500).unwrap();
         let err = sweep_policies_on_corpus_with(
             &cfg,
             &corpus,
@@ -1244,14 +1247,7 @@ mod tests {
         // access is at least one instruction, so 2x the instruction budget is ample slack
         // for the simulator's end-of-run overshoot.
         let path = std::env::temp_dir().join("runner_replay_equivalence.atrc");
-        workloads::capture_to_file::<trace_io::TraceWriter>(
-            &path,
-            &mix,
-            llc_sets,
-            seed,
-            2 * instructions,
-        )
-        .unwrap();
+        capture_mix_file(&path, &mix, llc_sets, seed, 2 * instructions);
 
         let live = evaluate_mix(&cfg, &mix, PolicyKind::TaDrrip, instructions, seed);
         let source = MixSource::replayed(&path).unwrap();
@@ -1360,8 +1356,7 @@ mod tests {
         let llc_sets = cfg.llc.geometry.num_sets();
         let path = std::env::temp_dir().join("runner_replay_geometry.atrc");
         // Capture at a deliberately different set count than the system uses.
-        workloads::capture_to_file::<trace_io::TraceWriter>(&path, &mixes[0], llc_sets * 2, 1, 100)
-            .unwrap();
+        capture_mix_file(&path, &mixes[0], llc_sets * 2, 1, 100);
         let source = MixSource::replayed(&path).unwrap();
         // Both materialization modes (decoded up front, streamed from the mapping)
         // enforce the check.
@@ -1401,10 +1396,7 @@ mod tests {
         for (accesses, small_budget) in [(covering, 64 << 10), (64, 1 << 10)] {
             let path =
                 std::env::temp_dir().join(format!("runner_streamed_identity_{accesses}.atrc"));
-            workloads::capture_to_file::<trace_io::TraceWriter>(
-                &path, &mixes[0], llc_sets, 1, accesses,
-            )
-            .unwrap();
+            capture_mix_file(&path, &mixes[0], llc_sets, 1, accesses);
             let sources = vec![MixSource::replayed(&path).unwrap()];
             let sweep = |replay: &ReplayConfig, want_streamed: bool| {
                 let prepared = sources[0].materialize_with(llc_sets, 1, replay).unwrap();

@@ -1,7 +1,10 @@
-//! `repro` takes one replay flag, `--arena-bytes N`: the retired prefetch/spill flags are
-//! rejected like any unknown flag, and a malformed budget is a parse error.
+//! `repro` takes one replay flag, `--arena-bytes N`, and no format flag: the retired
+//! prefetch/spill/compress flags are rejected like any unknown flag, and a malformed
+//! budget is a parse error.
 
 use std::process::Command;
+
+use cache_sim::trace::TraceSource;
 
 #[test]
 fn removed_and_malformed_replay_flags_are_rejected() {
@@ -28,4 +31,75 @@ fn removed_and_malformed_replay_flags_are_rejected() {
             assert!(stderr.contains("usage: repro"), "{flag}: {stderr}");
         }
     }
+}
+
+/// `repro corpus` has no format to choose: the retired `--compress` is an unknown flag,
+/// and what it writes without it is checksummed `.atrc` v3 holding the live generators'
+/// records — the `experiments` leg of trace-io's "every door writes v3" wall.
+#[test]
+fn corpus_takes_no_format_flag_and_writes_checksummed_v3() {
+    let dir = std::env::temp_dir().join("experiments_cli_flags_corpus");
+    std::fs::remove_dir_all(&dir).ok();
+    let repro = |extra: &[&str]| {
+        Command::new(env!("CARGO_BIN_EXE_repro"))
+            .args(["corpus", "--study", "4", "--mixes", "2", "--smoke", "--dir"])
+            .arg(&dir)
+            .args(extra)
+            .env("REPRO_LOG", "off")
+            .output()
+            .expect("repro must run")
+    };
+
+    let refused = repro(&["--compress"]);
+    let stderr = String::from_utf8_lossy(&refused.stderr);
+    assert!(!refused.status.success(), "--compress was accepted");
+    assert!(
+        stderr.contains("--compress")
+            && stderr.contains("unknown flag")
+            && stderr.contains("usage: repro"),
+        "{stderr}"
+    );
+    assert!(!dir.exists(), "a refused command wrote a corpus");
+
+    let written = repro(&[]);
+    assert!(
+        written.status.success(),
+        "{}",
+        String::from_utf8_lossy(&written.stderr)
+    );
+    let stdout = String::from_utf8_lossy(&written.stdout);
+    assert!(
+        stdout.contains("bytes on disk") && stdout.contains("bytes/record"),
+        "the command that paid for the capture must print its cost: {stdout}"
+    );
+
+    let scale = experiments::ExperimentScale::Smoke;
+    let study = workloads::StudyKind::Cores4;
+    let llc_sets = scale.system_config(study).llc.geometry.num_sets();
+    let mixes = workloads::generate_mixes(study, 2, scale.seed());
+    let corpus = trace_io::Corpus::load(&dir).unwrap();
+    assert_eq!(corpus.entries().len(), 2);
+    let mut bytes = 0;
+    for (entry, mix) in corpus.entries().iter().zip(&mixes) {
+        let path = corpus.path_for(entry);
+        let header = trace_io::read_header(&path).unwrap();
+        assert!(
+            header.version == 3 && header.checksums && header.chunked && header.compressed,
+            "repro corpus wrote {header:?}"
+        );
+        bytes += std::fs::metadata(&path).unwrap().len();
+        let decoded = trace_io::decode_all(&path).unwrap();
+        for (stream, mut live) in decoded
+            .iter()
+            .zip(mix.trace_sources(llc_sets, scale.seed()))
+        {
+            assert_eq!(stream.len() as u64, corpus.meta().accesses_per_core);
+            assert!(stream.iter().all(|record| *record == live.next_access()));
+        }
+    }
+    assert!(
+        stdout.contains(&format!("{bytes} bytes on disk")),
+        "printed cost is not the directory's: {stdout}"
+    );
+    std::fs::remove_dir_all(&dir).ok();
 }

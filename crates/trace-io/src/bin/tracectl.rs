@@ -3,10 +3,10 @@
 //! ```text
 //! tracectl capture --out FILE (--benchmarks A,B,.. | --study CORES [--mix-id K])
 //!                  [--accesses N] [--llc-sets N] [--seed N] [--label S]
-//!                  [--block-records N] [--no-checksums] [--compress]
+//!                  [--block-records N]
 //! tracectl import  --format champsim|csv (--out FILE | --corpus DIR --mix-id K)
 //!                  [--benchmarks A,B,..] [--llc-sets N] [--seed N] [--label S]
-//!                  [--limit N] [--no-compress] [--no-checksums] IN [IN..]
+//!                  [--limit N] [--block-records N] IN [IN..]
 //! tracectl inspect FILE [--json] [--timings]
 //!                                  print the header, directory, and compression ratio;
 //!                                  --timings decodes everything and attributes time to
@@ -21,20 +21,21 @@
 //!
 //! `capture --benchmarks` records the named Table 4 synthetic models (one per core, in
 //! order); `capture --study` records a whole generated workload mix, so the resulting file
-//! replays through `experiments::runner::MixSource::replayed`. Captures are written in the
-//! chunked v2 format by default, or v3 with LZ4-compressed blocks under `--compress`
-//! (streaming either way, so they work at any size); `inspect` and `stats` read every
-//! format version through the one reader, `trace_io::MappedTrace`: a fresh mapping per
-//! file (so every checksum is verified), decoded in bounded batches — a capture larger
-//! than RAM can still be checked.
+//! replays through `experiments::runner::MixSource::replayed`. Both are the library's
+//! `trace_io::capture_benchmarks` / `trace_io::capture_mix`. Every capture and import is
+//! written as checksummed `.atrc` v3 (LZ4-compressed blocks, streamed, so it works at
+//! any size) and no flag changes that; `inspect` and `stats` read every format version
+//! through the one reader, `trace_io::MappedTrace`: a fresh mapping per file (so every
+//! checksum is verified), decoded in bounded batches — a capture larger than RAM can
+//! still be checked.
 //!
-//! `import` transcodes external traces into `.atrc` v3 (compressed unless
-//! `--no-compress`): ChampSim-style 64-byte binary records (one input file per core) or
-//! the documented `core,addr,pc,rw,non_mem` CSV (one file, core column inside). With
-//! `--corpus DIR --mix-id K --benchmarks ..` the import lands as `mixNNNN.atrc` inside a
-//! corpus directory and is registered in `corpus.manifest`, so `repro sweep --dir`
-//! consumes it unchanged. Whole corpus *directories* are materialized by `repro corpus`
-//! and swept by `repro sweep` (see `docs/atrc-format.md` for the format spec).
+//! `import` transcodes external traces: ChampSim-style 64-byte binary records (one input
+//! file per core) or the documented `core,addr,pc,rw,non_mem` CSV (one file, core
+//! column inside). With `--corpus DIR --mix-id K --benchmarks ..` the
+//! import lands as `mixNNNN.atrc` inside a corpus directory and is registered in
+//! `corpus.manifest`, so `repro sweep --dir` consumes it unchanged. Whole corpus
+//! *directories* are materialized by `repro corpus` and swept by `repro sweep` (see
+//! `docs/atrc-format.md` for the format spec).
 
 use std::env;
 use std::path::{Path, PathBuf};
@@ -46,18 +47,17 @@ use cache_sim::trace::MemAccess;
 use sim_obs::json_escape;
 use trace_io::import::{self, ImportFormat, ImportOptions};
 use trace_io::{
-    compression_stats, read_header, MappedStreamDecoder, MappedTrace, TraceCaptureOptions,
-    TraceWriter, DEFAULT_BATCH_RECORDS,
+    capture_benchmarks, capture_mix, compression_stats, read_header, MappedStreamDecoder,
+    MappedTrace, TraceCaptureOptions, DEFAULT_BATCH_RECORDS,
 };
 use workloads::{generate_mixes, StudyKind};
 
 fn usage() -> &'static str {
     "usage:\n  tracectl capture --out FILE (--benchmarks A,B,.. | --study CORES [--mix-id K])\n  \
-     [--accesses N] [--llc-sets N] [--seed N] [--label S] [--block-records N] [--no-checksums]\n  \
-     [--compress]\n  \
+     [--accesses N] [--llc-sets N] [--seed N] [--label S] [--block-records N]\n  \
      tracectl import --format champsim|csv (--out FILE | --corpus DIR --mix-id K)\n  \
      [--benchmarks A,B,..] [--llc-sets N] [--seed N] [--label S] [--limit N]\n  \
-     [--no-compress] [--no-checksums] IN [IN..]\n  \
+     [--block-records N] IN [IN..]\n  \
      tracectl inspect FILE [--json] [--timings]\n  tracectl stats FILE [--json]\n\
      global: --log-level error|warn|info|debug|trace|off (default info; REPRO_LOG)"
 }
@@ -68,7 +68,6 @@ struct CaptureArgs {
     study: Option<StudyKind>,
     mix_id: usize,
     accesses: u64,
-    llc_sets: usize,
     seed: u64,
     label: Option<String>,
     options: TraceCaptureOptions,
@@ -95,10 +94,12 @@ fn parse_capture(args: &[String]) -> Result<CaptureArgs, String> {
         study: None,
         mix_id: 0,
         accesses: 100_000,
-        llc_sets: 1024,
         seed: 1,
         label: None,
-        options: TraceCaptureOptions::default(),
+        options: TraceCaptureOptions {
+            llc_sets: 1024,
+            ..Default::default()
+        },
     };
     let mut it = args.iter();
     while let Some(flag) = it.next() {
@@ -129,7 +130,7 @@ fn parse_capture(args: &[String]) -> Result<CaptureArgs, String> {
                     .map_err(|e| format!("--accesses: {e}"))?
             }
             "--llc-sets" => {
-                parsed.llc_sets = value("--llc-sets")?
+                parsed.options.llc_sets = value("--llc-sets")?
                     .parse()
                     .map_err(|e| format!("--llc-sets: {e}"))?
             }
@@ -144,8 +145,6 @@ fn parse_capture(args: &[String]) -> Result<CaptureArgs, String> {
                     .parse()
                     .map_err(|e| format!("--block-records: {e}"))?
             }
-            "--no-checksums" => parsed.options.checksums = false,
-            "--compress" => parsed.options.compress = true,
             other => return Err(format!("unknown capture flag {other:?}")),
         }
     }
@@ -160,49 +159,16 @@ fn parse_capture(args: &[String]) -> Result<CaptureArgs, String> {
 }
 
 fn capture(args: CaptureArgs) -> Result<(), String> {
-    let mut options = args.options;
-    options.llc_sets = args.llc_sets.try_into().unwrap_or(u32::MAX);
-
-    let make_writer = |cores: usize, label: &str| {
-        TraceWriter::with_options(&args.out, cores, label, options)
-            .map_err(|e| format!("creating {}: {e}", args.out.display()))
-    };
-
+    let (out, label) = (&args.out, args.label.as_deref());
     let summary = if let Some(names) = &args.benchmarks {
-        // Resolve every name before creating the output file, so a typo cannot leave an
-        // empty/truncated corpus behind.
-        let specs: Vec<_> = names
-            .iter()
-            .map(|name| {
-                workloads::benchmark_by_name(name)
-                    .ok_or_else(|| format!("unknown benchmark {name:?}"))
-            })
-            .collect::<Result<_, String>>()?;
-        let label = args
-            .label
-            .clone()
-            .unwrap_or_else(|| format!("bench:{}:seed{}", names.join("+"), args.seed));
-        let mut writer = make_writer(names.len(), &label)?;
-        for (core, (name, spec)) in names.iter().zip(&specs).enumerate() {
-            spec.capture(&mut writer, core, args.llc_sets, args.seed, args.accesses)
-                .map_err(|e| format!("capturing {name}: {e}"))?;
-        }
-        writer.finish()
+        let names: Vec<&str> = names.iter().map(String::as_str).collect();
+        capture_benchmarks(out, &names, args.seed, args.accesses, label, args.options)
     } else {
         let study = args.study.expect("validated by parse_capture");
-        let mixes = generate_mixes(study, args.mix_id + 1, args.seed);
-        let mix = &mixes[args.mix_id];
-        let label = args.label.clone().unwrap_or_else(|| {
-            format!("mix{}:{}cores:seed{}", mix.id, study.num_cores(), args.seed)
-        });
-        let mut writer = make_writer(mix.benchmarks.len(), &label)?;
-        // Capture through WorkloadMix::capture so the per-core seeds match what a live
-        // `evaluate_mix` run would construct (trace_sources XORs the mix id in).
-        mix.capture(&mut writer, args.llc_sets, args.seed, args.accesses)
-            .map_err(|e| format!("capturing mix {}: {e}", mix.id))?;
-        writer.finish()
+        let mix = generate_mixes(study, args.mix_id + 1, args.seed).remove(args.mix_id);
+        capture_mix(out, &mix, args.seed, args.accesses, label, args.options)
     }
-    .map_err(|e| format!("finishing capture: {e}"))?;
+    .map_err(|e| format!("capturing to {}: {e}", out.display()))?;
 
     println!(
         "captured {} records ({} cores × {}) to {}",
@@ -227,7 +193,6 @@ struct ImportArgs {
     inputs: Vec<PathBuf>,
     seed: u64,
     options: ImportOptions,
-    capture: TraceCaptureOptions,
 }
 
 fn parse_import(args: &[String]) -> Result<ImportArgs, String> {
@@ -243,7 +208,6 @@ fn parse_import(args: &[String]) -> Result<ImportArgs, String> {
             progress_every: Some(1_000_000),
             ..Default::default()
         },
-        capture: trace_io::import::default_capture_options(),
     };
     let mut it = args.iter();
     while let Some(flag) = it.next() {
@@ -274,7 +238,7 @@ fn parse_import(args: &[String]) -> Result<ImportArgs, String> {
                     .collect()
             }
             "--llc-sets" => {
-                parsed.capture.llc_sets = value("--llc-sets")?
+                parsed.options.capture.llc_sets = value("--llc-sets")?
                     .parse()
                     .map_err(|e| format!("--llc-sets: {e}"))?
             }
@@ -292,12 +256,10 @@ fn parse_import(args: &[String]) -> Result<ImportArgs, String> {
                 )
             }
             "--block-records" => {
-                parsed.capture.records_per_block = value("--block-records")?
+                parsed.options.capture.records_per_block = value("--block-records")?
                     .parse()
                     .map_err(|e| format!("--block-records: {e}"))?
             }
-            "--no-compress" => parsed.capture.compress = false,
-            "--no-checksums" => parsed.capture.checksums = false,
             other if other.starts_with("--") => {
                 return Err(format!("unknown import flag {other:?}"))
             }
@@ -305,7 +267,6 @@ fn parse_import(args: &[String]) -> Result<ImportArgs, String> {
         }
     }
     parsed.format = format.ok_or("import requires --format champsim|csv")?;
-    parsed.options.capture = Some(parsed.capture);
     if parsed.inputs.is_empty() {
         return Err("import needs at least one input file".into());
     }

@@ -2,8 +2,8 @@
 //! consumes.
 //!
 //! The paper evaluates many policies over a *fixed* set of workload mixes; a corpus makes
-//! that set durable: each mix is captured exactly once
-//! (`workloads::materialize_corpus`), and the manifest records the capture parameters
+//! that set durable: each mix is captured exactly once ([`Corpus::materialize`], a loop
+//! over [`crate::capture_mix`]), and the manifest records the capture parameters
 //! (LLC geometry, seed, accesses per core) so a sweep can refuse a corpus that was
 //! captured for a different system. `experiments::runner::sweep_policies_on_corpus_with`
 //! decodes each file once and fans the (policy × mix) grid out in parallel.
@@ -27,14 +27,15 @@
 //! whitespace (they are Table 4 identifiers), so the encoding is unambiguous.
 
 use std::fs;
+use std::io;
 use std::path::{Path, PathBuf};
 
-use workloads::WorkloadMix;
+use workloads::{corpus_file_name, WorkloadMix};
 
+use crate::capture::capture_mix;
 use crate::error::TraceError;
 use crate::reader::read_header;
-use crate::writer::{CompressedTraceWriter, TraceWriter};
-use workloads::CaptureTarget;
+use crate::writer::{TraceCaptureOptions, TraceSummary};
 
 /// Name of the manifest file inside a corpus directory.
 pub const MANIFEST_FILE: &str = "corpus.manifest";
@@ -74,9 +75,14 @@ pub struct Corpus {
 }
 
 impl Corpus {
-    /// Capture `mixes` into `dir` (one `.atrc` per mix, each mix captured exactly once)
-    /// and write the manifest. The directory is created if needed; existing files are
-    /// overwritten so a corpus is always consistent with the parameters that named it.
+    /// Capture `mixes` into `dir` (one `.atrc` per mix named by
+    /// [`corpus_file_name`], each mix captured exactly once) and write the manifest.
+    /// Returns the corpus and, per mix, what its capture cost on disk.
+    ///
+    /// The directory is created if needed and existing files are overwritten. A previous
+    /// manifest is removed *before* the first capture and the new one lands last, by
+    /// rename: a re-materialization that dies half way leaves a directory
+    /// [`load`](Corpus::load) refuses, never the old manifest's seed over new records.
     pub fn materialize(
         dir: impl AsRef<Path>,
         label: &str,
@@ -84,13 +90,47 @@ impl Corpus {
         llc_sets: usize,
         seed: u64,
         accesses_per_core: u64,
-    ) -> Result<Corpus, TraceError> {
-        Self::materialize_as::<TraceWriter>(dir, label, mixes, llc_sets, seed, accesses_per_core)
+    ) -> Result<(Corpus, Vec<TraceSummary>), TraceError> {
+        let dir = dir.as_ref().to_path_buf();
+        if mixes.is_empty() {
+            return Err(TraceError::Io(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                "a corpus needs at least one mix",
+            )));
+        }
+        fs::create_dir_all(&dir).map_err(TraceError::Io)?;
+        match fs::remove_file(dir.join(MANIFEST_FILE)) {
+            Err(e) if e.kind() != io::ErrorKind::NotFound => return Err(TraceError::Io(e)),
+            _ => {}
+        }
+        let opts = TraceCaptureOptions::for_llc_sets(llc_sets);
+        let meta = CorpusMeta {
+            label: label.to_string(),
+            llc_sets: opts.llc_sets,
+            seed,
+            accesses_per_core,
+        };
+        let mut entries = Vec::with_capacity(mixes.len());
+        let mut summaries = Vec::with_capacity(mixes.len());
+        for mix in mixes {
+            let file = corpus_file_name(mix.id);
+            let summary = capture_mix(&dir.join(&file), mix, seed, accesses_per_core, None, opts)
+                .map_err(TraceError::Io)?;
+            summaries.push(summary);
+            entries.push(CorpusEntry {
+                mix_id: mix.id,
+                file,
+                benchmarks: mix.benchmarks.clone(),
+            });
+        }
+        write_manifest(&dir, &meta, &entries)?;
+        Ok((Corpus { dir, meta, entries }, summaries))
     }
 
-    /// [`materialize`](Corpus::materialize) writing `.atrc` v3 files with compressed
-    /// blocks. Replays bit-identically to the uncompressed corpus (the format carries
-    /// the same records) while taking less disk — `tracectl inspect` reports the ratio.
+    /// Forwards to [`materialize`](Corpus::materialize), which writes v3 itself. Kept
+    /// only because the CI-frozen `benchmark/` package calls this name; its next PR
+    /// renames the call and deletes this (ROADMAP, benchmark item (d)).
+    #[doc(hidden)]
     pub fn materialize_compressed(
         dir: impl AsRef<Path>,
         label: &str,
@@ -99,49 +139,7 @@ impl Corpus {
         seed: u64,
         accesses_per_core: u64,
     ) -> Result<Corpus, TraceError> {
-        Self::materialize_as::<CompressedTraceWriter>(
-            dir,
-            label,
-            mixes,
-            llc_sets,
-            seed,
-            accesses_per_core,
-        )
-    }
-
-    fn materialize_as<W: CaptureTarget>(
-        dir: impl AsRef<Path>,
-        label: &str,
-        mixes: &[WorkloadMix],
-        llc_sets: usize,
-        seed: u64,
-        accesses_per_core: u64,
-    ) -> Result<Corpus, TraceError> {
-        let dir = dir.as_ref();
-        let captured =
-            workloads::materialize_corpus::<W>(dir, mixes, llc_sets, seed, accesses_per_core)
-                .map_err(TraceError::Io)?;
-        let meta = CorpusMeta {
-            label: label.to_string(),
-            llc_sets: llc_sets.try_into().unwrap_or(u32::MAX),
-            seed,
-            accesses_per_core,
-        };
-        let entries: Vec<CorpusEntry> = captured
-            .into_iter()
-            .map(|m| CorpusEntry {
-                mix_id: m.mix_id,
-                file: m.file_name,
-                benchmarks: m.benchmarks,
-            })
-            .collect();
-        fs::write(dir.join(MANIFEST_FILE), render_manifest(&meta, &entries))
-            .map_err(TraceError::Io)?;
-        Ok(Corpus {
-            dir: dir.to_path_buf(),
-            meta,
-            entries,
-        })
+        Self::materialize(dir, label, mixes, llc_sets, seed, accesses_per_core).map(|(c, _)| c)
     }
 
     /// Open an existing corpus: parse the manifest and cross-check every trace file's
@@ -247,6 +245,22 @@ pub fn render_manifest(meta: &CorpusMeta, entries: &[CorpusEntry]) -> String {
         ));
     }
     out
+}
+
+/// Write `dir`'s manifest through a temp file and a rename, so a writer that dies mid-way
+/// leaves the previous manifest (or none) — never a truncated one over valid trace files.
+pub(crate) fn write_manifest(
+    dir: &Path,
+    meta: &CorpusMeta,
+    entries: &[CorpusEntry],
+) -> Result<(), TraceError> {
+    let tmp = dir.join(format!(".{MANIFEST_FILE}.tmp"));
+    fs::write(&tmp, render_manifest(meta, entries))
+        .and_then(|()| fs::rename(&tmp, dir.join(MANIFEST_FILE)))
+        .map_err(|e| {
+            fs::remove_file(&tmp).ok();
+            TraceError::Io(e)
+        })
 }
 
 /// Parse a manifest produced by [`render_manifest`].
@@ -384,8 +398,17 @@ mod tests {
         let dir = std::env::temp_dir().join("trace_io_corpus_roundtrip");
         std::fs::remove_dir_all(&dir).ok();
         let mixes = generate_mixes(StudyKind::Cores4, 2, 9);
-        let corpus = Corpus::materialize(&dir, "test corpus", &mixes, 64, 9, 300).unwrap();
+        let (corpus, summaries) =
+            Corpus::materialize(&dir, "test corpus", &mixes, 64, 9, 300).unwrap();
         assert_eq!(corpus.entries().len(), 2);
+        for (entry, summary) in corpus.entries().iter().zip(&summaries) {
+            assert_eq!(summary.path, corpus.path_for(entry));
+            assert_eq!(summary.total_records, 4 * 300);
+        }
+        assert!(
+            Corpus::materialize(&dir, "empty", &[], 64, 9, 300).is_err(),
+            "an empty corpus is rejected"
+        );
 
         let loaded = Corpus::load(&dir).unwrap();
         assert_eq!(loaded.meta(), corpus.meta());
@@ -408,48 +431,11 @@ mod tests {
     }
 
     #[test]
-    fn compressed_corpus_decodes_identically_and_is_smaller() {
-        let base = std::env::temp_dir().join("trace_io_corpus_compressed");
-        std::fs::remove_dir_all(&base).ok();
-        let plain_dir = base.join("plain");
-        let packed_dir = base.join("packed");
-        let mixes = generate_mixes(StudyKind::Cores4, 2, 11);
-        let plain = Corpus::materialize(&plain_dir, "twin", &mixes, 64, 11, 2000).unwrap();
-        let packed =
-            Corpus::materialize_compressed(&packed_dir, "twin", &mixes, 64, 11, 2000).unwrap();
-        assert_eq!(plain.meta(), packed.meta());
-        assert_eq!(plain.entries(), packed.entries());
-        let mut plain_bytes = 0u64;
-        let mut packed_bytes = 0u64;
-        for (a, b) in plain.entries().iter().zip(packed.entries()) {
-            let pa = plain.path_for(a);
-            let pb = packed.path_for(b);
-            assert_eq!(crate::reader::read_header(&pa).unwrap().version, 2);
-            assert_eq!(crate::reader::read_header(&pb).unwrap().version, 3);
-            assert_eq!(
-                crate::reader::decode_all(&pa).unwrap(),
-                crate::reader::decode_all(&pb).unwrap(),
-                "compressed twin must decode to the identical records"
-            );
-            plain_bytes += std::fs::metadata(&pa).unwrap().len();
-            packed_bytes += std::fs::metadata(&pb).unwrap().len();
-        }
-        assert!(
-            packed_bytes < plain_bytes,
-            "compressed corpus must be smaller: {packed_bytes} vs {plain_bytes} bytes"
-        );
-        // Both load cleanly: the manifest format is version-agnostic.
-        Corpus::load(&plain_dir).unwrap();
-        Corpus::load(&packed_dir).unwrap();
-        std::fs::remove_dir_all(&base).ok();
-    }
-
-    #[test]
     fn load_rejects_a_manifest_inconsistent_with_its_files() {
         let dir = std::env::temp_dir().join("trace_io_corpus_inconsistent");
         std::fs::remove_dir_all(&dir).ok();
         let mixes = generate_mixes(StudyKind::Cores4, 1, 3);
-        let corpus = Corpus::materialize(&dir, "c", &mixes, 64, 3, 200).unwrap();
+        let (corpus, _) = Corpus::materialize(&dir, "c", &mixes, 64, 3, 200).unwrap();
 
         // Claimed geometry differs from what the trace headers record.
         let mut meta = corpus.meta().clone();

@@ -28,11 +28,11 @@ pub const FOOTER_MAGIC: [u8; 4] = *b"ATRF";
 /// The original, non-chunked format: header + directory up front, one contiguous stream
 /// per core. Still fully readable; see `docs/atrc-format.md` for the compatibility policy.
 pub const FORMAT_VERSION_V1: u16 = 1;
-/// Chunked framing (streaming writes, footer-resident directory). The default emitted
-/// version: compression must be requested explicitly.
+/// Chunked framing (streaming writes, footer-resident directory), raw block payloads.
+/// Legacy like v1: readable forever, written by nothing in the product.
 pub const FORMAT_VERSION_V2: u16 = 2;
-/// Chunked framing plus optionally LZ4-compressed block payloads, signaled per block.
-/// Emitted only when [`crate::TraceCaptureOptions::compress`] is set.
+/// Chunked framing plus LZ4-compressed block payloads, signaled per block (a block that
+/// would not shrink is stored raw). The one version [`crate::TraceWriter`] emits.
 pub const FORMAT_VERSION_V3: u16 = 3;
 /// Newest format version this build can read; the strict reader gate.
 pub const MAX_FORMAT_VERSION: u16 = FORMAT_VERSION_V3;

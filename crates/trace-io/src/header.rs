@@ -1,6 +1,7 @@
 //! Versioned file header and per-core stream directory.
 //!
-//! Two layouts exist (`docs/atrc-format.md` is the normative spec):
+//! Two layouts exist (`docs/atrc-format.md` is the normative spec); the writer emits the
+//! chunked one at version 3, and the readers below parse every version:
 //!
 //! # Version 1 (legacy, read-only)
 //!
@@ -22,16 +23,18 @@
 //! streams      core 0's blocks, then core 1's, ...
 //! ```
 //!
-//! # Version 2 (current): chunked framing
+//! # Versions 2 (legacy, read-only) and 3 (written): chunked framing
 //!
 //! Writers stream chunks to disk as they fill, so a capture larger than RAM works; the
-//! directory moves to a footer because the counts are only known at the end:
+//! directory moves to a footer because the counts are only known at the end. Version 3
+//! adds per-block LZ4 compression (`format::BLOCK_COMPRESSED_BIT`) to the same framing:
 //!
 //! ```text
 //! preamble:
 //!     magic        4 B   "ATRC"
-//!     version      2 B   2
-//!     flags        2 B   bit 0: checksums, bit 1: chunked (mandatory in v2)
+//!     version      2 B   2 or 3
+//!     flags        2 B   bit 0: checksums, bit 1: chunked (mandatory from v2),
+//!                        bit 2: compressed (mandatory in v3, invalid below)
 //!     core_count   4 B
 //!     llc_sets     4 B
 //!     label        2 B length + UTF-8 bytes
@@ -46,15 +49,15 @@
 //! footer_offset    8 B   absolute offset of the footer magic (last 8 bytes of the file)
 //! ```
 //!
-//! [`TraceHeader::read`] parses either version into the same in-memory struct; for v2 it
-//! seeks to the footer via the trailing offset, which is why it requires [`Seek`].
+//! [`TraceHeader::read`] parses every version into the same in-memory struct; for chunked
+//! files it seeks to the footer via the trailing offset, which is why it requires [`Seek`].
 
 use std::io::{Read, Seek, SeekFrom};
 
 use crate::error::TraceError;
 use crate::format::{
     get_u16, get_u32, get_u64, put_u16, put_u32, put_u64, read_exact, FLAG_CHECKSUMS, FLAG_CHUNKED,
-    FLAG_COMPRESSED, FOOTER_MAGIC, FORMAT_VERSION_V1, MAGIC, MAX_FORMAT_VERSION,
+    FLAG_COMPRESSED, FOOTER_MAGIC, MAGIC, MAX_FORMAT_VERSION,
 };
 
 /// Maximum label length accepted on both the write and read side.
@@ -114,32 +117,6 @@ impl TraceHeader {
     pub fn v1_encoded_len(&self) -> u64 {
         let labels: usize = self.cores.iter().map(|c| 2 + c.label.len()).sum();
         self.preamble_len() + (labels + self.cores.len() * 32) as u64
-    }
-
-    /// Serialize as a v1 header, assuming each core's `offset`/`bytes`/counts are final.
-    /// Only used to construct legacy files for compatibility tests; writers emit v2.
-    pub fn encode_v1(&self) -> Vec<u8> {
-        assert!(!self.chunked, "v1 layout cannot carry chunked streams");
-        assert!(!self.compressed, "v1 layout cannot carry compressed blocks");
-        let mut out = Vec::with_capacity(self.v1_encoded_len() as usize);
-        out.extend_from_slice(&MAGIC);
-        put_u16(&mut out, FORMAT_VERSION_V1);
-        put_u16(&mut out, if self.checksums { FLAG_CHECKSUMS } else { 0 });
-        put_u32(&mut out, self.cores.len() as u32);
-        put_u32(&mut out, self.llc_sets);
-        put_u16(&mut out, self.label.len() as u16);
-        out.extend_from_slice(self.label.as_bytes());
-        for core in &self.cores {
-            put_u16(&mut out, core.label.len() as u16);
-            out.extend_from_slice(core.label.as_bytes());
-        }
-        for core in &self.cores {
-            put_u64(&mut out, core.offset);
-            put_u64(&mut out, core.bytes);
-            put_u64(&mut out, core.records);
-            put_u64(&mut out, core.instructions);
-        }
-        out
     }
 
     /// Serialize the v2 preamble (written eagerly when a capture starts).
@@ -415,8 +392,34 @@ fn read_label(r: &mut impl Read, what: &'static str) -> Result<String, TraceErro
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::format::FORMAT_VERSION_V2;
+    use crate::format::{FORMAT_VERSION_V1, FORMAT_VERSION_V2};
     use std::io::Cursor;
+
+    /// Serialize `h` as a v1 header (each core's `offset`/`bytes`/counts final). The
+    /// product writes one version; v1 bytes exist only to test that they still parse.
+    fn encode_v1(h: &TraceHeader) -> Vec<u8> {
+        assert!(!h.chunked, "v1 layout cannot carry chunked streams");
+        assert!(!h.compressed, "v1 layout cannot carry compressed blocks");
+        let mut out = Vec::with_capacity(h.v1_encoded_len() as usize);
+        out.extend_from_slice(&MAGIC);
+        put_u16(&mut out, FORMAT_VERSION_V1);
+        put_u16(&mut out, if h.checksums { FLAG_CHECKSUMS } else { 0 });
+        put_u32(&mut out, h.cores.len() as u32);
+        put_u32(&mut out, h.llc_sets);
+        put_u16(&mut out, h.label.len() as u16);
+        out.extend_from_slice(h.label.as_bytes());
+        for core in &h.cores {
+            put_u16(&mut out, core.label.len() as u16);
+            out.extend_from_slice(core.label.as_bytes());
+        }
+        for core in &h.cores {
+            put_u64(&mut out, core.offset);
+            put_u64(&mut out, core.bytes);
+            put_u64(&mut out, core.records);
+            put_u64(&mut out, core.instructions);
+        }
+        out
+    }
 
     fn sample_v1_header() -> TraceHeader {
         let mut h = TraceHeader {
@@ -490,7 +493,7 @@ mod tests {
     #[test]
     fn v1_header_roundtrips() {
         let h = sample_v1_header();
-        let mut bytes = h.encode_v1();
+        let mut bytes = encode_v1(&h);
         assert_eq!(bytes.len() as u64, h.v1_encoded_len());
         // The streams need not exist to parse the header, but data_end accounting does.
         bytes.resize(h.data_end as usize, 0);
@@ -512,7 +515,7 @@ mod tests {
 
     #[test]
     fn bad_magic_is_rejected() {
-        let mut bytes = sample_v1_header().encode_v1();
+        let mut bytes = encode_v1(&sample_v1_header());
         bytes[0] = b'X';
         assert!(matches!(
             TraceHeader::read(&mut Cursor::new(&bytes)),
@@ -522,7 +525,7 @@ mod tests {
 
     #[test]
     fn future_version_is_rejected() {
-        let mut bytes = sample_v1_header().encode_v1();
+        let mut bytes = encode_v1(&sample_v1_header());
         bytes[4] = 0xff;
         bytes[5] = 0xff;
         assert!(matches!(
@@ -540,7 +543,7 @@ mod tests {
             TraceHeader::read(&mut Cursor::new(&bytes)),
             Err(TraceError::Corrupt(_))
         ));
-        let mut v1 = sample_v1_header().encode_v1();
+        let mut v1 = encode_v1(&sample_v1_header());
         v1[6] |= FLAG_CHUNKED as u8;
         assert!(matches!(
             TraceHeader::read(&mut Cursor::new(&v1)),
@@ -550,7 +553,7 @@ mod tests {
 
     #[test]
     fn unknown_flag_bits_are_rejected() {
-        let mut bytes = sample_v1_header().encode_v1();
+        let mut bytes = encode_v1(&sample_v1_header());
         bytes[6] |= 0x08; // bit 3 is unassigned in every known version
         assert!(matches!(
             TraceHeader::read(&mut Cursor::new(&bytes)),
@@ -608,7 +611,7 @@ mod tests {
 
     #[test]
     fn truncated_header_is_rejected() {
-        let bytes = sample_v1_header().encode_v1();
+        let bytes = encode_v1(&sample_v1_header());
         for cut in [2, 7, 11, 14, bytes.len() - 1] {
             let err = TraceHeader::read(&mut Cursor::new(&bytes[..cut])).unwrap_err();
             assert!(
@@ -646,7 +649,7 @@ mod tests {
     fn inconsistent_v1_directory_is_rejected() {
         let mut h = sample_v1_header();
         h.cores[1].offset += 1;
-        let bytes = h.encode_v1();
+        let bytes = encode_v1(&h);
         assert!(matches!(
             TraceHeader::read(&mut Cursor::new(&bytes)),
             Err(TraceError::Corrupt(_))
@@ -659,7 +662,7 @@ mod tests {
         // at least three varint bytes) and must not reach readers' pre-allocations.
         let mut h = sample_v1_header();
         h.cores[0].records = 1 << 60;
-        let bytes = h.encode_v1();
+        let bytes = encode_v1(&h);
         assert!(matches!(
             TraceHeader::read(&mut Cursor::new(&bytes)),
             Err(TraceError::Corrupt(_))

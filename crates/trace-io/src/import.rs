@@ -2,9 +2,9 @@
 //!
 //! The paper's evaluation replays real benchmark address streams; everything upstream of
 //! this module only replays traces this workspace generated itself. `import` opens that
-//! frontier: foreign trace files are transcoded record-by-record into `.atrc` (v3 with
-//! compressed blocks by default), after which they inspect, verify, corpus-join, and
-//! sweep exactly like native captures — `experiments::runner` consumes them unchanged.
+//! frontier: foreign trace files are transcoded record-by-record into `.atrc` (v3, like
+//! every capture), after which they inspect, verify, corpus-join, and sweep exactly like
+//! native captures — `experiments::runner` consumes them unchanged.
 //!
 //! Two input formats are supported (byte-level specs in `docs/atrc-format.md`):
 //!
@@ -30,7 +30,7 @@ use std::path::{Path, PathBuf};
 use cache_sim::trace::MemAccess;
 use workloads::{benchmark_by_name, corpus_file_name, StudyKind};
 
-use crate::corpus::{parse_manifest, render_manifest, CorpusEntry, CorpusMeta, MANIFEST_FILE};
+use crate::corpus::{parse_manifest, write_manifest, CorpusEntry, CorpusMeta, MANIFEST_FILE};
 use crate::error::TraceError;
 use crate::header::MAX_LABEL_BYTES;
 use crate::writer::{TraceCaptureOptions, TraceSummary, TraceWriter};
@@ -150,13 +150,11 @@ impl ChampSimInstr {
     }
 }
 
-/// Knobs for an import. `capture` defaults to **compression on** — the point of
-/// importing is durable corpora, and v3 is strictly smaller — while everything else
-/// follows [`TraceCaptureOptions::default`].
+/// Knobs for an import.
 #[derive(Debug, Clone, Default)]
 pub struct ImportOptions {
-    /// On-disk options of the produced `.atrc` file; see [`default_capture_options`].
-    pub capture: Option<TraceCaptureOptions>,
+    /// Block size and recorded LLC geometry of the produced `.atrc` file.
+    pub capture: TraceCaptureOptions,
     /// Whole-file label (default: `import:<format>` plus the input names).
     pub label: Option<String>,
     /// Per-core labels. Required (as Table 4 benchmark names) for corpus imports so
@@ -169,15 +167,6 @@ pub struct ImportOptions {
     /// Print a progress line to stderr every this many records (imports can be long;
     /// `None` stays quiet for tests and scripting).
     pub progress_every: Option<u64>,
-}
-
-/// The capture options an import uses when none are supplied: `.atrc` v3, compressed,
-/// checksummed.
-pub fn default_capture_options() -> TraceCaptureOptions {
-    TraceCaptureOptions {
-        compress: true,
-        ..Default::default()
-    }
 }
 
 /// Per-core outcome of an import.
@@ -268,9 +257,8 @@ fn progress_tick(opts: &ImportOptions, total_records: u64) {
 /// Transcode `inputs` into one `.atrc` file at `out`.
 ///
 /// ChampSim input takes one file per core (in core order); CSV takes exactly one file
-/// whose `core` column fans records out. The output honours
-/// `opts.capture` (default: v3 compressed, checksummed) and is finished atomically —
-/// an import error leaves no valid trace behind (the file has no footer).
+/// whose `core` column fans records out. The output is finished atomically — an import
+/// error leaves no valid trace behind (the file has no footer).
 pub fn import_to_file(
     inputs: &[PathBuf],
     format: ImportFormat,
@@ -282,7 +270,6 @@ pub fn import_to_file(
             "import needs at least one input".into(),
         ));
     }
-    let capture = opts.capture.unwrap_or_else(default_capture_options);
     let (num_cores, default_labels): (usize, Vec<String>) = match format {
         ImportFormat::ChampSim => (
             inputs.len(),
@@ -330,7 +317,7 @@ pub fn import_to_file(
     });
 
     let mut writer =
-        TraceWriter::with_options(out, num_cores, &label, capture).map_err(TraceError::Io)?;
+        TraceWriter::with_options(out, num_cores, &label, opts.capture).map_err(TraceError::Io)?;
     for (core, core_label) in labels.iter().enumerate() {
         use cache_sim::trace::TraceSink;
         writer
@@ -661,7 +648,6 @@ pub fn import_into_corpus(
         )));
     }
     std::fs::create_dir_all(dir).map_err(TraceError::Io)?;
-    let capture = opts.capture.unwrap_or_else(default_capture_options);
 
     // Everything about the existing corpus is validated BEFORE any file is touched —
     // an import that is going to be rejected must not destroy a previously valid mix.
@@ -669,11 +655,11 @@ pub fn import_into_corpus(
     let (mut meta, mut entries) = if manifest_path.exists() {
         let text = std::fs::read_to_string(&manifest_path).map_err(TraceError::Io)?;
         let (meta, entries) = parse_manifest(&text)?;
-        if meta.llc_sets != capture.llc_sets {
+        if meta.llc_sets != opts.capture.llc_sets {
             return Err(TraceError::Manifest(format!(
                 "import would be captured for {} LLC sets but the corpus manifest says \
                  {}; pass a matching --llc-sets",
-                capture.llc_sets, meta.llc_sets
+                opts.capture.llc_sets, meta.llc_sets
             )));
         }
         (meta, entries)
@@ -684,7 +670,7 @@ pub fn import_into_corpus(
                     .label
                     .clone()
                     .unwrap_or_else(|| "imported corpus".to_string()),
-                llc_sets: capture.llc_sets,
+                llc_sets: opts.capture.llc_sets,
                 seed,
                 accesses_per_core: 0,
             },
@@ -718,7 +704,7 @@ pub fn import_into_corpus(
     entries.retain(|e| e.mix_id != mix_id);
     entries.push(entry);
     entries.sort_by_key(|e| e.mix_id);
-    std::fs::write(&manifest_path, render_manifest(&meta, &entries)).map_err(TraceError::Io)?;
+    write_manifest(dir, &meta, &entries)?;
     Ok(CorpusImportOutcome {
         path,
         mix_id,
@@ -802,7 +788,7 @@ mod tests {
                 .sum::<u64>()
         );
         let header = read_header(&out).unwrap();
-        assert_eq!(header.version, 3, "imports default to compressed v3");
+        assert_eq!(header.version, 3);
         assert_eq!(decode_all(&out).unwrap(), streams);
         std::fs::remove_dir_all(dir).ok();
     }
@@ -944,11 +930,10 @@ mod tests {
         }
         let corpus_dir = dir.join("corpus");
         let opts = ImportOptions {
-            capture: Some(TraceCaptureOptions {
+            capture: TraceCaptureOptions {
                 llc_sets: 64,
-                compress: true,
                 ..Default::default()
-            }),
+            },
             core_labels: benchmarks.iter().map(|s| s.to_string()).collect(),
             ..Default::default()
         };
@@ -1040,11 +1025,10 @@ mod tests {
             .collect();
         let corpus_dir = dir.join("corpus");
         let opts = |llc_sets: u32| ImportOptions {
-            capture: Some(TraceCaptureOptions {
+            capture: TraceCaptureOptions {
                 llc_sets,
-                compress: true,
                 ..Default::default()
-            }),
+            },
             core_labels: benchmarks.clone(),
             ..Default::default()
         };

@@ -10,9 +10,12 @@
 //!
 //! * [`TraceWriter`] captures any [`cache_sim::trace::TraceSource`] into a compact `.atrc`
 //!   file — per-core record streams, delta + varint encoded, chunked so captures stream to
-//!   disk with bounded memory, with optional per-block FNV-1a checksums. The byte-level
+//!   disk with bounded memory, every block FNV-1a checksummed and LZ4-compressed when
+//!   that shrinks it: one written format (version 3), nothing to choose. The byte-level
 //!   layout is specified in `docs/atrc-format.md`; [`mod@format`] and [`header`]
 //!   implement it.
+//! * [`capture_mix`] and [`capture_benchmarks`] put a file around the `workloads`
+//!   generators and return the [`TraceSummary`] of what the capture cost.
 //! * [`MappedTrace`] is the one reader: it memory-maps a file once (plain read where
 //!   mapping is unavailable), rejects structural damage at `open`, and decodes from the
 //!   mapping ([`MappedTrace::decode_core`] up front, [`MappedStreamDecoder`] in bounded
@@ -30,11 +33,11 @@
 //! * The `tracectl` binary captures, inspects, and sanity-checks corpus files from the
 //!   command line.
 //!
-//! Capture entry points live in `workloads` (`workloads::capture_to_file`,
-//! `workloads::materialize_corpus` and friends) and are generic over
-//! [`cache_sim::trace::TraceSink`]; `experiments::runner` accepts replayed mixes through
-//! its `MixSource` enum. Round-trips are lossless, so replaying a captured mix through the
-//! runner reproduces the live generators' per-app IPC/MPKI bit-for-bit.
+//! `workloads` only drains generators into a [`cache_sim::trace::TraceSink`]
+//! (`WorkloadMix::capture`, `BenchmarkSpec::capture`) and knows no file format;
+//! `experiments::runner` accepts replayed mixes through its `MixSource` enum. Round-trips
+//! are lossless, so replaying a captured mix through the runner reproduces the live
+//! generators' per-app IPC/MPKI bit-for-bit.
 //!
 //! ```
 //! use cache_sim::trace::{StridedTrace, TraceSource};
@@ -56,6 +59,11 @@
 
 #![warn(missing_docs)]
 
+// `tests/atrc_assembler` names this crate from outside; `testutil` includes it too.
+#[cfg(test)]
+extern crate self as trace_io;
+
+pub mod capture;
 pub mod corpus;
 pub mod error;
 pub mod format;
@@ -67,6 +75,7 @@ pub mod reader;
 mod testutil;
 pub mod writer;
 
+pub use capture::{capture_benchmarks, capture_mix};
 pub use corpus::{Corpus, CorpusEntry, CorpusMeta};
 pub use error::TraceError;
 pub use header::{CoreStreamInfo, TraceHeader};
@@ -75,4 +84,4 @@ pub use mmap::{
     DecodeTimings, MappedStreamDecoder, MappedTrace, PrefetchingSource, DEFAULT_BATCH_RECORDS,
 };
 pub use reader::{compression_stats, decode_all, open_all, read_header, CompressionInfo};
-pub use writer::{CompressedTraceWriter, TraceCaptureOptions, TraceSummary, TraceWriter};
+pub use writer::{TraceCaptureOptions, TraceSummary, TraceWriter};

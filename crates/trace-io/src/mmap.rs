@@ -645,15 +645,15 @@ impl BatchSource for PrefetchingSource {
 mod tests {
     use super::*;
     use crate::reader::decode_all;
-    use crate::testutil::{cursor, tmp, write_trace};
+    use crate::testutil::{cursor, tmp, write_layout, write_trace};
     use crate::writer::TraceWriter;
     use cache_sim::trace::{ArenaReplayTrace, TraceSource};
 
     #[test]
     fn mapped_decode_matches_buffered_decode() {
-        for compress in [false, true] {
-            let path = tmp(if compress { "match_v3" } else { "match_v2" });
-            let written = write_trace(&path, 3, 100, compress);
+        for version in [2, 3] {
+            let path = tmp(&format!("match_v{version}"));
+            let written = write_layout(&path, 3, 100, version, true);
             assert_eq!(decode_all(&path).unwrap(), written);
             std::fs::remove_file(path).ok();
         }
@@ -662,7 +662,7 @@ mod tests {
     #[test]
     fn mapped_cursor_wraps_like_the_buffered_reader() {
         let path = tmp("wrap");
-        let written = write_trace(&path, 2, 40, false);
+        let written = write_trace(&path, 2, 40);
         let trace = Arc::new(MappedTrace::open(&path).unwrap());
         for (core, pushed) in written.iter().enumerate() {
             let mut cursor = cursor(&trace, core, 12);
@@ -687,7 +687,7 @@ mod tests {
     #[test]
     fn checksums_validate_once_across_cursors_and_passes() {
         let path = tmp("validate_once");
-        write_trace(&path, 1, 64, false); // 4 blocks of 16
+        write_trace(&path, 1, 64); // 4 blocks of 16
         let trace = Arc::new(MappedTrace::open(&path).unwrap());
         assert_eq!(
             trace.checksum_validations(),
@@ -735,13 +735,9 @@ mod tests {
 
     #[test]
     fn prefetching_source_is_bit_identical_to_the_direct_decoder() {
-        for compress in [false, true] {
-            let path = tmp(if compress {
-                "prefetch_v3"
-            } else {
-                "prefetch_v2"
-            });
-            write_trace(&path, 2, 90, compress);
+        for version in [2, 3] {
+            let path = tmp(&format!("prefetch_v{version}"));
+            write_layout(&path, 2, 90, version, true);
             let trace = Arc::new(MappedTrace::open(&path).unwrap());
             for core in 0..2 {
                 let mut direct = cursor(&trace, core, 24);
@@ -754,7 +750,7 @@ mod tests {
                     assert_eq!(
                         direct.next_access(),
                         prefetched.next_access(),
-                        "diverged at record {i} (core {core}, compress {compress})"
+                        "diverged at record {i} (core {core}, v{version})"
                     );
                     assert_eq!(direct.wraps(), prefetched.wraps());
                 }
@@ -774,9 +770,9 @@ mod tests {
 
     #[test]
     fn open_rejects_corrupt_framing_and_decode_rejects_payload_flips() {
-        for compress in [false, true] {
-            let path = tmp(if compress { "corrupt_v3" } else { "corrupt_v2" });
-            let written = write_trace(&path, 1, 64, compress);
+        for version in [2, 3] {
+            let path = tmp(&format!("corrupt_v{version}"));
+            let written = write_layout(&path, 1, 64, version, true);
             let clean = std::fs::read(&path).unwrap();
             let header = crate::read_header(&path).unwrap();
             assert_eq!(decode_all(&path).unwrap(), written);
@@ -824,7 +820,7 @@ mod tests {
         // global, but the only effect on concurrent tests is that they too use the
         // fallback — which this very test asserts is equivalent.
         let path = tmp("fallback");
-        let written = write_trace(&path, 2, 50, true);
+        let written = write_trace(&path, 2, 50);
         assert_eq!(decode_all(&path).unwrap(), written);
         std::env::set_var("MEMMAP2_FORCE_FALLBACK", "1");
         let fallback = decode_all(&path);

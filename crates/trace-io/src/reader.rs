@@ -104,7 +104,7 @@ pub fn compression_stats(path: impl AsRef<Path>) -> Result<CompressionInfo, Trac
 mod tests {
     use super::*;
     use crate::mmap::DecodeTimings;
-    use crate::testutil::{cursor, tmp, write_trace, write_trace_with};
+    use crate::testutil::{cursor, tmp, write_layout, write_trace};
     use crate::writer::{TraceCaptureOptions, TraceWriter};
     use cache_sim::trace::TraceSource;
 
@@ -135,7 +135,7 @@ mod tests {
     #[test]
     fn partial_first_pass_still_validates_unseen_blocks() {
         let path = tmp("reader_partial_validate");
-        write_trace(&path, 1, 64, false); // 4 blocks of 16
+        write_trace(&path, 1, 64); // 4 blocks of 16
         let trace = Arc::new(MappedTrace::open(&path).unwrap());
         let mut a = cursor(&trace, 0, 16);
         for _ in 0..20 {
@@ -160,7 +160,7 @@ mod tests {
     #[test]
     fn reset_restores_the_initial_stream() {
         let path = tmp("reader_reset");
-        write_trace(&path, 1, 50, false);
+        write_trace(&path, 1, 50);
         let mut r = open_all(&path).unwrap().remove(0);
         let first: Vec<MemAccess> = (0..33).map(|_| r.next_access()).collect();
         r.reset();
@@ -173,24 +173,24 @@ mod tests {
     #[test]
     fn corruption_is_not_detected_without_checksums_unless_structural() {
         // Without checksums a flipped payload byte may decode to different records; only a
-        // broken varint structure catches it. This test documents that the checksummed
-        // mode is the safe default: nothing is validated on a checksum-less file.
-        let path = tmp("reader_nochecksum");
-        let opts = TraceCaptureOptions {
-            checksums: false,
-            ..Default::default()
-        };
-        let written = write_trace_with(&path, 1, 100, opts);
-        let trace = MappedTrace::open(&path).unwrap();
-        assert_eq!(trace.decode_core(0).unwrap(), written[0]);
-        assert_eq!(trace.checksum_validations(), 0);
-        std::fs::remove_file(path).ok();
+        // broken varint structure catches it. This test documents why the writer always
+        // checksums: nothing is validated on a checksum-less file, which old captures of
+        // either chunked version may be.
+        for version in [2, 3] {
+            let path = tmp(&format!("reader_nochecksum_v{version}"));
+            let written = write_layout(&path, 1, 100, version, false);
+            let trace = MappedTrace::open(&path).unwrap();
+            assert!(!trace.header().checksums);
+            assert_eq!(trace.decode_core(0).unwrap(), written[0]);
+            assert_eq!(trace.checksum_validations(), 0);
+            std::fs::remove_file(path).ok();
+        }
     }
 
     #[test]
     fn open_rejects_missing_core_and_empty_stream() {
         let path = tmp("reader_oob");
-        write_trace(&path, 1, 10, false);
+        write_trace(&path, 1, 10);
         let trace = Arc::new(MappedTrace::open(&path).unwrap());
         assert!(matches!(trace.decode_core(1), Err(TraceError::Corrupt(_))));
         assert!(matches!(
@@ -209,7 +209,7 @@ mod tests {
     #[test]
     fn truncated_stream_is_reported() {
         let path = tmp("reader_trunc");
-        write_trace(&path, 1, 100, false);
+        write_trace(&path, 1, 100);
         let bytes = std::fs::read(&path).unwrap();
         std::fs::write(&path, &bytes[..bytes.len() - 7]).unwrap();
         // The footer is now gone or misaligned: never a silent short stream.
@@ -221,7 +221,7 @@ mod tests {
     #[test]
     fn decode_all_and_open_all_cover_every_core() {
         let path = tmp("reader_all");
-        let written = write_trace(&path, 3, 20, false);
+        let written = write_trace(&path, 3, 20);
         assert_eq!(decode_all(&path).unwrap(), written);
         let labels: Vec<String> = open_all(&path).unwrap().iter().map(|r| r.label()).collect();
         let header = read_header(&path).unwrap();
@@ -232,15 +232,32 @@ mod tests {
 
     #[test]
     fn compressed_v3_replays_bit_identical_to_v2() {
-        let plain = tmp("reader_v3_plain");
+        // The golden v2 file (2 cores × 40 records, 16 to a block) against the writer's
+        // v3 of the same records.
+        let plain = concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../tests/data/v2-chunked.atrc"
+        );
         let packed = tmp("reader_v3_packed");
-        let written = write_trace(&plain, 1, 200, false);
-        write_trace(&packed, 1, 200, true);
+        let golden = read_header(plain).unwrap();
+        assert_eq!(golden.version, 2);
+        let written = decode_all(plain).unwrap();
+        let opts = TraceCaptureOptions {
+            records_per_block: 16,
+            llc_sets: golden.llc_sets,
+        };
+        let mut w = TraceWriter::with_options(&packed, 2, "t", opts).unwrap();
+        for (core, stream) in written.iter().enumerate() {
+            for record in stream {
+                w.push(core, *record).unwrap();
+            }
+        }
+        w.finish().unwrap();
 
         let header = read_header(&packed).unwrap();
         assert_eq!(header.version, 3);
         assert!(header.compressed);
-        let plain_bytes = std::fs::metadata(&plain).unwrap().len();
+        let plain_bytes = std::fs::metadata(plain).unwrap().len();
         let packed_bytes = std::fs::metadata(&packed).unwrap().len();
         assert!(
             packed_bytes < plain_bytes,
@@ -250,27 +267,30 @@ mod tests {
         assert!(info.compressed_blocks > 0);
         assert!(info.ratio() > 1.0);
         assert_eq!(
-            compression_stats(&plain).unwrap().compressed_blocks,
+            compression_stats(plain).unwrap().compressed_blocks,
             0,
             "v2 files report no compressed blocks"
         );
 
         assert_eq!(decode_all(&packed).unwrap(), written);
-        let mut a = open_all(&plain).unwrap().remove(0);
-        let mut b = open_all(&packed).unwrap().remove(0);
-        for _ in 0..450 {
-            // across wraps
-            assert_eq!(a.next_access(), b.next_access());
+        for (mut a, mut b) in open_all(plain)
+            .unwrap()
+            .into_iter()
+            .zip(open_all(&packed).unwrap())
+        {
+            for _ in 0..100 {
+                // across wraps
+                assert_eq!(a.next_access(), b.next_access());
+            }
+            assert_eq!((a.wraps(), b.wraps()), (2, 2));
         }
-        assert_eq!((a.wraps(), b.wraps()), (2, 2));
-        std::fs::remove_file(plain).ok();
         std::fs::remove_file(packed).ok();
     }
 
     #[test]
     fn decode_timings_populate_only_while_observing() {
         let path = tmp("reader_timings");
-        write_trace(&path, 1, 128, true);
+        write_trace(&path, 1, 128);
 
         let cold = MappedTrace::open(&path).unwrap();
         let cold_records = cold.decode_core(0).unwrap();
@@ -303,7 +323,7 @@ mod tests {
         // Round-robin pushes interleave the cores' chunks on disk; each cursor must see
         // only its own records.
         let path = tmp("reader_interleaved");
-        let written = write_trace(&path, 2, 40, false);
+        let written = write_trace(&path, 2, 40);
         let trace = MappedTrace::open(&path).unwrap();
         assert_eq!((trace.chunk_count(0), trace.chunk_count(1)), (3, 3));
         for (mut r, pushed) in open_all(&path).unwrap().into_iter().zip(&written) {

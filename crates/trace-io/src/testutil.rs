@@ -6,55 +6,53 @@ use std::sync::Arc;
 use cache_sim::trace::{ArenaReplayTrace, MemAccess};
 
 use crate::mmap::{MappedStreamDecoder, MappedTrace};
-use crate::writer::{TraceCaptureOptions, TraceWriter};
 
 pub(crate) fn tmp(name: &str) -> PathBuf {
     std::env::temp_dir().join(format!("trace_io_unit_{name}.atrc"))
 }
 
-/// Write `records` records per core — 16 to a block, pushed round-robin so the cores'
-/// chunks interleave on disk — and return the streams pushed: the reference every
-/// decode is held to.
-pub(crate) fn write_trace(
+/// The test-side assembler for the layouts the writer no longer emits (v2,
+/// checksum-less), shared with the workspace-level format tests.
+#[path = "../../../tests/atrc_assembler/mod.rs"]
+pub(crate) mod atrc_assembler;
+
+/// Write `records` strided (so compressible) records per core — 16 to a block, pushed
+/// round-robin so the cores' chunks interleave on disk — in the given layout: through
+/// the writer for checksummed v3, assembled for the layouts only old files have. Returns
+/// the streams pushed: the reference every decode is held to.
+pub(crate) fn write_layout(
     path: &Path,
     cores: usize,
     records: u64,
-    compress: bool,
+    version: u16,
+    checksums: bool,
 ) -> Vec<Vec<MemAccess>> {
-    let opts = TraceCaptureOptions {
-        compress,
-        ..Default::default()
+    let stream = |core: usize| {
+        (0..records).map(move |i| MemAccess {
+            addr: (core as u64) << 40 | (i * 64),
+            pc: 0x400 + (i % 13) * 4,
+            is_write: i % 4 == 0,
+            non_mem_instrs: (i % 7) as u32,
+        })
     };
-    write_trace_with(path, cores, records, opts)
+    let streams: Vec<Vec<MemAccess>> = (0..cores).map(|c| stream(c).collect()).collect();
+    let labels: Vec<String> = (0..cores).map(|c| format!("core{c}")).collect();
+    let labels: Vec<&str> = labels.iter().map(String::as_str).collect();
+    let layout = atrc_assembler::Layout {
+        version,
+        checksums,
+        records_per_block: 16,
+        llc_sets: 0,
+    };
+    let pushes =
+        (0..records as usize).flat_map(|i| streams.iter().enumerate().map(move |(c, s)| (c, s[i])));
+    atrc_assembler::write_file(path, layout, "t", &labels, pushes);
+    streams
 }
 
-/// [`write_trace`] with explicit capture options (the block size stays 16).
-pub(crate) fn write_trace_with(
-    path: &Path,
-    cores: usize,
-    records: u64,
-    opts: TraceCaptureOptions,
-) -> Vec<Vec<MemAccess>> {
-    let opts = TraceCaptureOptions {
-        records_per_block: 16,
-        ..opts
-    };
-    let mut w = TraceWriter::with_options(path, cores, "t", opts).unwrap();
-    let mut streams = vec![Vec::new(); cores];
-    for i in 0..records {
-        for (core, stream) in streams.iter_mut().enumerate() {
-            let access = MemAccess {
-                addr: (core as u64) << 40 | (i * 64),
-                pc: 0x400 + (i % 13) * 4,
-                is_write: i % 4 == 0,
-                non_mem_instrs: (i % 7) as u32,
-            };
-            w.push(core, access).unwrap();
-            stream.push(access);
-        }
-    }
-    w.finish().unwrap();
-    streams
+/// [`write_layout`] in the format the product writes.
+pub(crate) fn write_trace(path: &Path, cores: usize, records: u64) -> Vec<Vec<MemAccess>> {
+    write_layout(path, cores, records, 3, true)
 }
 
 /// A wrapping replay cursor over `core`, decoding `batch_records` at a time.

@@ -1,22 +1,26 @@
 //! [`TraceWriter`]: capture per-core access streams into a binary trace file.
 //!
-//! Since format version 2 the writer is *streaming*: a block is framed as a chunk
-//! (`core_id`, length, record count, optional checksum) and written to disk the moment it
-//! fills, so resident memory stays bounded by `records_per_block × num_cores` regardless
-//! of capture length — captures larger than RAM work. The per-core directory is written
-//! as a footer by [`finish`](TraceWriter::finish); a file without its footer is invalid
-//! by construction, which makes interrupted captures detectable.
+//! This module owns "which bytes does a capture write", and there is nothing to set:
+//! every file is `.atrc` version 3 — chunked, every chunk checksummed, each block
+//! LZ4-compressed when that shrinks it and stored raw otherwise. Older layouts stay
+//! readable (`docs/atrc-format.md` § Versioning); nothing in the product writes them.
+//!
+//! The writer is *streaming*: a block is framed as a chunk (`core_id`, length, record
+//! count, checksum) and written to disk the moment it fills, so resident memory stays
+//! bounded by `records_per_block × num_cores` regardless of capture length — captures
+//! larger than RAM work. The per-core directory is written as a footer by
+//! [`finish`](TraceWriter::finish); a file without its footer is invalid by construction,
+//! which makes interrupted captures detectable.
 
 use std::fs::File;
 use std::io::{self, BufWriter, Write};
 use std::path::{Path, PathBuf};
 
 use cache_sim::trace::{MemAccess, TraceSink, TraceSource};
-use workloads::CaptureTarget;
 
 use crate::format::{
     compress_payload, encode_block_payload, fnv1a32, put_u32, BLOCK_COMPRESSED_BIT,
-    DEFAULT_BLOCK_RECORDS, FORMAT_VERSION_V2, FORMAT_VERSION_V3, MAX_BLOCK_RECORDS,
+    DEFAULT_BLOCK_RECORDS, FORMAT_VERSION_V3, MAX_BLOCK_RECORDS,
 };
 use crate::header::{CoreStreamInfo, TraceHeader, MAX_CORES};
 
@@ -25,25 +29,26 @@ use crate::header::{CoreStreamInfo, TraceHeader, MAX_CORES};
 pub struct TraceCaptureOptions {
     /// Records buffered into one chunk before it is framed, encoded and written out.
     pub records_per_block: usize,
-    /// Whether each chunk carries an FNV-1a checksum of its payload.
-    pub checksums: bool,
     /// LLC set count the captured sources were parameterized with, recorded in the
     /// header so replay can refuse a geometry-mismatched system (0 = unknown).
     pub llc_sets: u32,
-    /// Compress block payloads with the LZ4 block codec, bumping the file to format
-    /// version 3. Each block is compressed independently and stored raw when compression
-    /// would not shrink it, so a v3 file is never larger than its v2 twin. Off by
-    /// default: v2 stays the emitted format unless compression is requested.
-    pub compress: bool,
 }
 
 impl Default for TraceCaptureOptions {
     fn default() -> Self {
         TraceCaptureOptions {
             records_per_block: DEFAULT_BLOCK_RECORDS,
-            checksums: true,
             llc_sets: 0,
-            compress: false,
+        }
+    }
+}
+
+impl TraceCaptureOptions {
+    /// The default block size, for sources parameterized with `llc_sets` LLC sets.
+    pub fn for_llc_sets(llc_sets: usize) -> Self {
+        TraceCaptureOptions {
+            llc_sets: llc_sets.try_into().unwrap_or(u32::MAX),
+            ..Default::default()
         }
     }
 }
@@ -83,7 +88,8 @@ impl TraceSummary {
     }
 }
 
-/// Captures any [`TraceSource`]s into the binary `.atrc` format (version 2, chunked).
+/// Captures any [`TraceSource`]s into the binary `.atrc` format (version 3: chunked,
+/// checksummed, blocks LZ4-compressed when that shrinks them).
 ///
 /// Chunks stream to disk as they fill, so memory use is O(`records_per_block` ×
 /// `num_cores`) — independent of how many records are captured.
@@ -167,14 +173,10 @@ impl TraceWriter {
     /// The in-memory header reflecting everything captured so far.
     fn header(&self) -> TraceHeader {
         TraceHeader {
-            version: if self.opts.compress {
-                FORMAT_VERSION_V3
-            } else {
-                FORMAT_VERSION_V2
-            },
-            checksums: self.opts.checksums,
+            version: FORMAT_VERSION_V3,
+            checksums: true,
             chunked: true,
-            compressed: self.opts.compress,
+            compressed: true,
             llc_sets: self.opts.llc_sets,
             label: self.label.clone(),
             cores: self
@@ -199,10 +201,10 @@ impl TraceWriter {
             .ok_or_else(|| core_out_of_range(core, n))
     }
 
-    /// Frame and write `core`'s pending records as one chunk. With compression enabled
-    /// the raw payload is swapped for `raw_len || LZ4(payload)` when that is smaller,
-    /// signaled by [`BLOCK_COMPRESSED_BIT`] in the record-count field; checksums always
-    /// cover the bytes as stored, so integrity is checked *before* decompression.
+    /// Frame and write `core`'s pending records as one chunk. The raw payload is swapped
+    /// for `raw_len || LZ4(payload)` when that is smaller, signaled by
+    /// [`BLOCK_COMPRESSED_BIT`] in the record-count field; the checksum covers the bytes
+    /// as stored, so integrity is checked *before* decompression.
     fn flush_chunk(&mut self, core: usize) -> io::Result<()> {
         if self.cores[core].pending.is_empty() {
             return Ok(());
@@ -211,18 +213,14 @@ impl TraceWriter {
         self.frame.clear();
         encode_block_payload(&self.cores[core].pending, &mut self.scratch);
         let mut record_field = self.cores[core].pending.len() as u32;
-        if self.opts.compress {
-            if let Some(disk) = compress_payload(&self.scratch) {
-                self.scratch = disk;
-                record_field |= BLOCK_COMPRESSED_BIT;
-            }
+        if let Some(disk) = compress_payload(&self.scratch) {
+            self.scratch = disk;
+            record_field |= BLOCK_COMPRESSED_BIT;
         }
         put_u32(&mut self.frame, core as u32);
         put_u32(&mut self.frame, self.scratch.len() as u32);
         put_u32(&mut self.frame, record_field);
-        if self.opts.checksums {
-            put_u32(&mut self.frame, fnv1a32(&self.scratch));
-        }
+        put_u32(&mut self.frame, fnv1a32(&self.scratch));
         match sim_fault::fire("atrc.write") {
             Some(sim_fault::FaultKind::TornWrite) => {
                 // A torn write reaches disk as a prefix of the chunk: the frame lands
@@ -331,59 +329,6 @@ impl TraceSink for TraceWriter {
     }
 }
 
-impl CaptureTarget for TraceWriter {
-    fn create(path: &Path, num_cores: usize, label: &str, llc_sets: usize) -> io::Result<Self> {
-        let opts = TraceCaptureOptions {
-            llc_sets: llc_sets.try_into().unwrap_or(u32::MAX),
-            ..Default::default()
-        };
-        TraceWriter::with_options(path, num_cores, label, opts)
-    }
-
-    fn finish(self) -> io::Result<()> {
-        TraceWriter::finish(self).map(drop)
-    }
-}
-
-/// A [`TraceWriter`] with block compression on: captures emit `.atrc` format v3.
-///
-/// Exists so capture entry points that are generic over [`CaptureTarget`] (which has no
-/// options parameter) — `workloads::capture_to_file`, `workloads::materialize_corpus`,
-/// [`crate::Corpus::materialize_compressed`] — can choose the compressed format by type.
-pub struct CompressedTraceWriter(TraceWriter);
-
-impl CompressedTraceWriter {
-    /// The wrapped writer (chunks already pushed stay pushed).
-    pub fn into_inner(self) -> TraceWriter {
-        self.0
-    }
-}
-
-impl TraceSink for CompressedTraceWriter {
-    fn begin_core(&mut self, core: usize, label: &str) -> io::Result<()> {
-        self.0.begin_core(core, label)
-    }
-
-    fn record(&mut self, core: usize, access: MemAccess) -> io::Result<()> {
-        self.0.record(core, access)
-    }
-}
-
-impl CaptureTarget for CompressedTraceWriter {
-    fn create(path: &Path, num_cores: usize, label: &str, llc_sets: usize) -> io::Result<Self> {
-        let opts = TraceCaptureOptions {
-            llc_sets: llc_sets.try_into().unwrap_or(u32::MAX),
-            compress: true,
-            ..Default::default()
-        };
-        TraceWriter::with_options(path, num_cores, label, opts).map(CompressedTraceWriter)
-    }
-
-    fn finish(self) -> io::Result<()> {
-        TraceWriter::finish(self.0).map(drop)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -394,7 +339,6 @@ mod tests {
         assert!(TraceWriter::create(dir.join("z.atrc"), 0, "x").is_err());
         let opts = TraceCaptureOptions {
             records_per_block: 0,
-            checksums: false,
             ..Default::default()
         };
         assert!(TraceWriter::with_options(dir.join("z.atrc"), 1, "x", opts).is_err());
@@ -454,7 +398,7 @@ mod tests {
 
     #[test]
     fn chunks_stream_to_disk_before_finish() {
-        // The point of the v2 chunked format: the file grows while the capture is still
+        // The point of chunked framing: the file grows while the capture is still
         // running, so resident memory does not scale with capture length.
         let path = std::env::temp_dir().join("trace_io_writer_streaming.atrc");
         let opts = TraceCaptureOptions {

@@ -17,9 +17,10 @@ use std::sync::Arc;
 use cache_sim::trace::{replay_fault_from, BatchSource, MemAccess};
 use sim_fault::{FaultKind, FaultPlan};
 use trace_io::{
-    decode_all, MappedStreamDecoder, MappedTrace, PrefetchingSource, TraceCaptureOptions,
-    TraceWriter,
+    decode_all, read_header, Corpus, MappedStreamDecoder, MappedTrace, PrefetchingSource,
+    TraceCaptureOptions, TraceError, TraceWriter,
 };
+use workloads::{generate_mixes, StudyKind};
 
 const CORES: usize = 2;
 const RECORDS: u64 = 200;
@@ -33,7 +34,6 @@ fn tmp(name: &str) -> PathBuf {
 fn capture(path: &Path) -> std::io::Result<()> {
     let opts = TraceCaptureOptions {
         records_per_block: 16,
-        compress: true,
         ..Default::default()
     };
     let mut w = TraceWriter::with_options(path, CORES, "fault-wall", opts)?;
@@ -201,4 +201,49 @@ fn identical_plans_replay_identical_fault_schedules() {
     );
     std::fs::remove_file(tmp("det_a")).ok();
     std::fs::remove_file(tmp("det_b")).ok();
+}
+
+#[test]
+fn interrupted_rematerialization_never_loads_under_the_old_manifest() {
+    // Re-materializing over an existing corpus rewrites `mixNNNN.atrc` in place. If that
+    // dies part way, the old manifest (seed 1) must not be left describing files that
+    // now hold seed-2 records: labels and geometry still match, so `load` would accept
+    // it and every sweep would normalize against alone runs of the wrong seed.
+    let guard = sim_fault::exclusive();
+    guard.clear();
+    let dir = std::env::temp_dir().join("trace_io_fault_rematerialize");
+    let mixes = generate_mixes(StudyKind::Cores4, 2, 1);
+    let mut failed = 0;
+    let mut overwritten_before_failing = 0;
+    for plan_seed in 1u64..=10 {
+        std::fs::remove_dir_all(&dir).ok();
+        Corpus::materialize(&dir, "c", &mixes, 64, 1, 300).expect("fault-free corpus");
+        guard.install(FaultPlan::new(plan_seed).rule("atrc.sync", FaultKind::Io, 500, 1));
+        let result = Corpus::materialize(&dir, "c", &mixes, 64, 2, 300);
+        guard.clear();
+        match result {
+            Ok(_) => assert_eq!(Corpus::load(&dir).unwrap().meta().seed, 2),
+            Err(e) => {
+                failed += 1;
+                assert!(e.to_string().contains("injected"), "seed {plan_seed}: {e}");
+                let first = read_header(dir.join("mix0000.atrc")).expect("synced or not, whole");
+                overwritten_before_failing += u32::from(first.label.ends_with("seed2"));
+                let loaded = Corpus::load(&dir);
+                assert!(
+                    matches!(loaded, Err(TraceError::Manifest(_))),
+                    "seed {plan_seed}: a half re-materialized corpus loaded as {:?}",
+                    loaded.map(|c| c.meta().clone())
+                );
+            }
+        }
+    }
+    assert!(failed > 0, "the schedule matrix never fired a sync fault");
+    assert!(
+        overwritten_before_failing > 0,
+        "no schedule failed after a trace file had already been replaced"
+    );
+    // A clean third run repairs the directory.
+    Corpus::materialize(&dir, "c", &mixes, 64, 2, 300).expect("fault-free corpus");
+    assert_eq!(Corpus::load(&dir).unwrap().meta().seed, 2);
+    std::fs::remove_dir_all(&dir).ok();
 }

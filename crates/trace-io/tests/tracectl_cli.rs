@@ -38,3 +38,40 @@ fn capture_study_accepts_many_core_studies_and_names_the_valid_counts() {
         "the refusal must list the valid core counts: {stderr}"
     );
 }
+
+/// Every capture and import is written as checksummed `.atrc` v3: the flags that used to
+/// choose the bytes (with opposite defaults on the two subcommands) are gone, and are
+/// refused like any unknown flag rather than silently ignored.
+#[test]
+fn retired_format_flags_are_rejected() {
+    let path = std::env::temp_dir().join("trace_io_tracectl_cli_retired.atrc");
+    let cases = [
+        (
+            "capture --study 4 --accesses 64 --compress --out",
+            "--compress",
+        ),
+        (
+            "capture --study 4 --accesses 64 --no-checksums --out",
+            "--no-checksums",
+        ),
+        (
+            "import --format csv --no-compress in.csv --out",
+            "--no-compress",
+        ),
+        (
+            "import --format csv --no-checksums in.csv --out",
+            "--no-checksums",
+        ),
+    ];
+    for (args, flag) in cases {
+        let refused = tracectl(args, &path);
+        let stderr = String::from_utf8_lossy(&refused.stderr);
+        assert!(!refused.status.success(), "{flag} was accepted");
+        let diagnostic = format!("unknown {} flag", args.split(' ').next().unwrap());
+        assert!(
+            stderr.contains(flag) && stderr.contains(&diagnostic),
+            "{flag}: {stderr}"
+        );
+        assert!(!path.exists(), "{flag}: a refused command wrote a file");
+    }
+}

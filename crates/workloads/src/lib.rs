@@ -26,10 +26,7 @@ pub mod mix;
 pub mod patterns;
 pub mod table4;
 
-pub use capture::{
-    capture_benchmarks_to_file, capture_to_file, corpus_file_name, materialize_corpus,
-    CaptureTarget, MaterializedMix,
-};
+pub use capture::corpus_file_name;
 pub use classify::{classify, MemIntensity};
 pub use mix::{generate_mixes, StudyKind, WorkloadMix};
 pub use patterns::{PatternSpec, SyntheticTrace};

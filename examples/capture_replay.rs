@@ -8,8 +8,8 @@
 
 use adapt_llc::experiments::runner::{evaluate_mix, evaluate_prepared, MixSource, ReplayConfig};
 use adapt_llc::experiments::{ExperimentScale, PolicyKind};
-use adapt_llc::traces::{read_header, TraceWriter};
-use adapt_llc::workloads::{capture_to_file, generate_mixes, StudyKind};
+use adapt_llc::traces::{capture_mix, TraceCaptureOptions};
+use adapt_llc::workloads::{generate_mixes, StudyKind};
 
 fn main() {
     let scale = ExperimentScale::Smoke;
@@ -20,14 +20,21 @@ fn main() {
 
     // 1. Capture the mix once (2x the instruction budget so replay never wraps early).
     let path = std::env::temp_dir().join("capture_replay_example.atrc");
-    capture_to_file::<TraceWriter>(&path, &mix, llc_sets, scale.seed(), 2 * instructions)
-        .expect("capture");
-    let header = read_header(&path).expect("header");
+    let captured = capture_mix(
+        &path,
+        &mix,
+        scale.seed(),
+        2 * instructions,
+        None,
+        TraceCaptureOptions::for_llc_sets(llc_sets),
+    )
+    .expect("capture");
     println!(
-        "captured {:?} -> {} ({} records)",
+        "captured {:?} -> {} ({} records, {:.2} bytes/record)",
         mix.benchmarks,
         path.display(),
-        header.total_records()
+        captured.total_records,
+        captured.bytes_per_record()
     );
 
     // 2. Evaluate the same mix from both provenances.

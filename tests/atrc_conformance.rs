@@ -8,10 +8,12 @@
 //! is enforced against checked-in bytes, not against bytes the current writer happens
 //! to produce.
 //!
-//! The v2/v3 fixtures are additionally compared against a fresh re-encode: the writer
-//! must stay byte-stable for a fixed input, because corpora are content-addressed by
-//! their bytes in CI artifacts and benchmarks. To regenerate after an *intentional*
-//! format change, run:
+//! Every fixture is additionally compared against a fresh re-encode of the same fixed
+//! input. For v3 that is the current writer, which must stay byte-stable because corpora
+//! are content-addressed by their bytes in CI artifacts and benchmarks. v1 and v2 are
+//! written by nothing in the product, so their bytes are assembled from the spec — v1
+//! below, v2 by `tests/atrc_assembler` — and the checked-in files must match that. To
+//! regenerate after an *intentional* format change, run:
 //!
 //! ```text
 //! ATRC_REGEN_FIXTURES=1 cargo test --test atrc_conformance
@@ -21,15 +23,16 @@
 
 use std::path::PathBuf;
 
-use adapt_llc::sim::trace::{MemAccess, TraceSink, TraceSource};
+use adapt_llc::sim::trace::{MemAccess, TraceSource};
 use adapt_llc::traces::format::{
     encode_block_payload, fnv1a32, put_u16, put_u32, put_u64, BLOCK_COMPRESSED_BIT, FLAG_CHECKSUMS,
     FLAG_CHUNKED, FLAG_COMPRESSED,
 };
 use adapt_llc::traces::{
     compression_stats, decode_all, open_all, read_header, MappedTrace, TraceCaptureOptions,
-    TraceWriter,
 };
+
+mod atrc_assembler;
 
 const SPEC: &str = "docs/atrc-format.md";
 
@@ -142,25 +145,41 @@ fn build_v1_fixture() -> Vec<u8> {
     out
 }
 
-/// Write a two-core capture through the current writer and return the file's bytes.
-fn build_chunked_fixture(label: &str, compress: bool) -> Vec<u8> {
-    let path = std::env::temp_dir().join(format!("atrc_conformance_build_{label}.atrc"));
-    let opts = TraceCaptureOptions {
-        records_per_block: 16,
+/// The two-core capture both chunked fixtures hold, in push order: core 0's strided
+/// records, then core 1's noise.
+fn chunked_fixture_pushes() -> impl Iterator<Item = (usize, MemAccess)> {
+    let gcc = strided_records(40).into_iter().map(|r| (0, r));
+    let lbm = noise_records(40).into_iter().map(|r| (1, r));
+    gcc.chain(lbm)
+}
+
+/// Layout of the chunked fixtures: 16 records to a block, checksummed, 64 LLC sets.
+fn chunked_layout(version: u16) -> atrc_assembler::Layout {
+    atrc_assembler::Layout {
+        version,
         checksums: true,
+        records_per_block: 16,
         llc_sets: 64,
-        compress,
-    };
-    let mut w = TraceWriter::with_options(&path, 2, label, opts).unwrap();
-    w.begin_core(0, "gcc").unwrap();
-    w.begin_core(1, "lbm").unwrap();
-    for r in strided_records(40) {
-        w.push(0, r).unwrap();
     }
-    for r in noise_records(40) {
-        w.push(1, r).unwrap();
-    }
-    w.finish().unwrap();
+}
+
+/// Assemble the v2 fixture from the spec (the current writer cannot emit v2 either).
+fn build_v2_fixture() -> Vec<u8> {
+    let pushes = chunked_fixture_pushes();
+    atrc_assembler::assemble(chunked_layout(2), "v2-fixture", &["gcc", "lbm"], pushes)
+}
+
+/// Write the v3 fixture through the current writer and return the file's bytes.
+fn build_v3_fixture() -> Vec<u8> {
+    let path = std::env::temp_dir().join("atrc_conformance_build_v3-fixture.atrc");
+    let pushes = chunked_fixture_pushes();
+    atrc_assembler::write_file(
+        &path,
+        chunked_layout(3),
+        "v3-fixture",
+        &["gcc", "lbm"],
+        pushes,
+    );
     let bytes = std::fs::read(&path).unwrap();
     std::fs::remove_file(path).ok();
     bytes
@@ -169,20 +188,14 @@ fn build_chunked_fixture(label: &str, compress: bool) -> Vec<u8> {
 fn fixture_specs() -> Vec<(&'static str, Vec<u8>)> {
     vec![
         ("v1-legacy.atrc", build_v1_fixture()),
-        (
-            "v2-chunked.atrc",
-            build_chunked_fixture("v2-fixture", false),
-        ),
-        (
-            "v3-compressed.atrc",
-            build_chunked_fixture("v3-fixture", true),
-        ),
+        ("v2-chunked.atrc", build_v2_fixture()),
+        ("v3-compressed.atrc", build_v3_fixture()),
     ]
 }
 
 /// With `ATRC_REGEN_FIXTURES=1`, (re)write the golden files; otherwise assert they
 /// exist and match what the current code produces for the same fixed input — the
-/// writer byte-stability lock.
+/// writer byte-stability lock for v3, the spec-assembly lock for v1 and v2.
 #[test]
 fn fixtures_match_current_writer_byte_for_byte() {
     let regen = std::env::var("ATRC_REGEN_FIXTURES").is_ok();
@@ -254,7 +267,7 @@ fn v1_fixture_layout_matches_the_spec() {
 #[test]
 fn v2_fixture_layout_matches_the_spec() {
     let bytes = std::fs::read(fixture_path("v2-chunked.atrc")).unwrap();
-    let s = "§Version 2 (default): chunked layout";
+    let s = "§Version 2 (legacy, read-only): chunked layout";
     expect_bytes(&bytes, 0, b"ATRC", "magic", s);
     expect_bytes(&bytes, 4, &le16(2), "version", s);
     expect_bytes(
@@ -322,7 +335,7 @@ fn v2_fixture_layout_matches_the_spec() {
 #[test]
 fn v3_fixture_layout_matches_the_spec() {
     let bytes = std::fs::read(fixture_path("v3-compressed.atrc")).unwrap();
-    let s = "§Version 3 (current, opt-in): compressed blocks";
+    let s = "§Version 3 (current): compressed blocks";
     expect_bytes(&bytes, 0, b"ATRC", "magic", s);
     expect_bytes(&bytes, 4, &le16(3), "version", s);
     expect_bytes(
@@ -432,11 +445,7 @@ fn shipped_import_sample_transcodes_into_a_sweepable_corpus() {
     let dir = std::env::temp_dir().join("atrc_conformance_sample_import");
     std::fs::remove_dir_all(&dir).ok();
     let opts = ImportOptions {
-        capture: Some(TraceCaptureOptions {
-            llc_sets: 64,
-            compress: true,
-            ..Default::default()
-        }),
+        capture: TraceCaptureOptions::for_llc_sets(64),
         core_labels: ["gcc", "lbm", "mcf", "calc"]
             .iter()
             .map(|s| s.to_string())

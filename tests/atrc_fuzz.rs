@@ -5,7 +5,9 @@
 //! Three families:
 //!
 //! * **Round-trip bit-identity** — random record streams × random block/chunk
-//!   boundaries × compressed/uncompressed files must decode back to exactly the pushed
+//!   boundaries × every layout the readers accept (v2 and v3, with and without
+//!   checksums: the writer's own v3 for the checksummed v3 leg, `atrc_assembler` for the
+//!   three it cannot write) must decode back to exactly the pushed
 //!   records, both decoded up front and batch-streamed at a random batch size (where
 //!   wrapped replay must repeat the identical stream). Runs under the default proptest
 //!   case count, which CI bumps via `PROPTEST_CASES`.
@@ -22,7 +24,7 @@
 //!   encodings that were truncated, extended or bit-flipped) and held to the
 //!   bounds-checked `decode_block_payload` on accept/reject and on every record.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use proptest::prelude::*;
@@ -32,38 +34,41 @@ use adapt_llc::traces::format::{
     decode_block_payload, decode_block_payload_append, encode_block_payload,
 };
 use adapt_llc::traces::{
-    decode_all, read_header, MappedStreamDecoder, MappedTrace, TraceCaptureOptions, TraceError,
-    TraceHeader, TraceWriter,
+    decode_all, read_header, MappedStreamDecoder, MappedTrace, TraceError, TraceHeader,
 };
+
+mod atrc_assembler;
 
 fn tmp(name: &str) -> PathBuf {
     std::env::temp_dir().join(format!("adapt_atrc_fuzz_{name}.atrc"))
 }
 
+/// Put `streams` on disk at format `version`, with or without checksums: through the
+/// writer where it can produce that layout (v3, checksummed), assembled otherwise.
 fn write_file(
-    path: &PathBuf,
+    path: &Path,
     streams: &[Vec<MemAccess>],
     records_per_block: usize,
-    compress: bool,
+    version: u16,
     checksums: bool,
 ) {
-    let opts = TraceCaptureOptions {
-        records_per_block,
+    let layout = atrc_assembler::Layout {
+        version,
         checksums,
+        records_per_block,
         llc_sets: 64,
-        compress,
     };
-    let mut w = TraceWriter::with_options(path, streams.len(), "fuzz", opts).unwrap();
+    let labels: Vec<String> = (0..streams.len()).map(|c| format!("core{c}")).collect();
+    let labels: Vec<&str> = labels.iter().map(String::as_str).collect();
     // Interleave pushes round-robin so chunk boundaries of different cores mix.
     let longest = streams.iter().map(Vec::len).max().unwrap_or(0);
-    for i in 0..longest {
-        for (core, records) in streams.iter().enumerate() {
-            if let Some(r) = records.get(i) {
-                w.push(core, *r).unwrap();
-            }
-        }
-    }
-    w.finish().unwrap();
+    let pushes = (0..longest).flat_map(|i| {
+        streams
+            .iter()
+            .enumerate()
+            .filter_map(move |(core, records)| records.get(i).map(|r| (core, *r)))
+    });
+    atrc_assembler::write_file(path, layout, "fuzz", &labels, pushes);
 }
 
 /// Full interpretation of a trace file: everything a consumer can observe.
@@ -107,7 +112,7 @@ proptest! {
         ),
         records_per_block in 1usize..64,
         split in 0usize..7,
-        compress in any::<bool>(),
+        version in 2u16..4,
         checksums in any::<bool>(),
         batch_records in 1usize..96,
     ) {
@@ -128,10 +133,10 @@ proptest! {
             vec![records[..cut].to_vec(), records[cut..].to_vec()]
         };
         let path = tmp("roundtrip");
-        write_file(&path, &streams, records_per_block, compress, checksums);
+        write_file(&path, &streams, records_per_block, version, checksums);
 
         let (header, decoded) = interpret(&path).expect("well-formed file must decode");
-        prop_assert_eq!(header.version, if compress { 3 } else { 2 });
+        prop_assert_eq!((header.version, header.checksums), (version, checksums));
         prop_assert_eq!(&decoded, &streams);
 
         // A batch-streamed cursor over the mapping (random batch size) must reproduce
@@ -163,7 +168,7 @@ proptest! {
             4..120,
         ),
         records_per_block in 1usize..32,
-        compress in any::<bool>(),
+        version in 2u16..4,
         flip_position in 0usize..1 << 16,
         flip_bit in 0usize..8,
     ) {
@@ -177,7 +182,7 @@ proptest! {
             })
             .collect();
         let path = tmp("randflip");
-        write_file(&path, &[records], records_per_block, compress, true);
+        write_file(&path, &[records], records_per_block, version, true);
         let baseline = interpret(&path).expect("well-formed file must decode");
         let original = std::fs::read(&path).unwrap();
         let mut corrupted = original.clone();
@@ -258,7 +263,7 @@ proptest! {
 /// *rejected* (not merely decode differently).
 #[test]
 fn every_single_bit_flip_is_detected_or_changes_the_interpretation() {
-    for compress in [false, true] {
+    for version in [2, 3] {
         let records: Vec<MemAccess> = (0..48)
             .map(|i| MemAccess {
                 addr: 0x1000 + i * 64,
@@ -267,8 +272,8 @@ fn every_single_bit_flip_is_detected_or_changes_the_interpretation() {
                 non_mem_instrs: (i % 4) as u32,
             })
             .collect();
-        let path = tmp(if compress { "flip_v3" } else { "flip_v2" });
-        write_file(&path, &[records], 16, compress, true);
+        let path = tmp(&format!("flip_v{version}"));
+        write_file(&path, &[records], 16, version, true);
         let baseline = interpret(&path).expect("well-formed file must decode");
         let original = std::fs::read(&path).unwrap();
         let header = read_header(&path).unwrap();

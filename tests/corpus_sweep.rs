@@ -59,7 +59,7 @@ fn corpus_sweep_reproduces_the_serial_synthetic_path_bit_for_bit() {
 
     let dir = std::env::temp_dir().join("e2e_corpus_sweep");
     std::fs::remove_dir_all(&dir).ok();
-    let corpus = Corpus::materialize(
+    let (corpus, _) = Corpus::materialize(
         &dir,
         "e2e",
         &mixes,
@@ -119,7 +119,7 @@ fn constant_memory_sweep_stays_under_the_arena_cap_and_matches_the_buffered_path
 
     let dir = std::env::temp_dir().join("e2e_constant_memory_sweep");
     std::fs::remove_dir_all(&dir).ok();
-    let corpus =
+    let (corpus, _) =
         Corpus::materialize(&dir, "cm", &mixes, llc_sets, SEED, accesses_per_core).unwrap();
     let entry_path = corpus.path_for(&corpus.entries()[0]);
     let decoded_bytes = trace_io::read_header(&entry_path).unwrap().total_records()
@@ -199,7 +199,7 @@ fn double_buffered_replay_is_deterministic_across_worker_count() {
 
     let dir = std::env::temp_dir().join("e2e_double_buffer_determinism");
     std::fs::remove_dir_all(&dir).ok();
-    let corpus = Corpus::materialize(
+    let (corpus, _) = Corpus::materialize(
         &dir,
         "db",
         &mixes,
@@ -265,7 +265,7 @@ fn corpus_sweep_rejects_wrong_geometry_and_tampered_manifests() {
 
     let dir = std::env::temp_dir().join("e2e_corpus_geometry");
     std::fs::remove_dir_all(&dir).ok();
-    let corpus = Corpus::materialize(&dir, "e2e", &mixes, llc_sets * 2, SEED, 500).unwrap();
+    let (corpus, _) = Corpus::materialize(&dir, "e2e", &mixes, llc_sets * 2, SEED, 500).unwrap();
     let err = sweep_policies_on_corpus_with(
         &cfg,
         &corpus,

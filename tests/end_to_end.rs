@@ -127,7 +127,7 @@ fn baseline_factory_policies_run_in_the_full_system() {
 #[test]
 fn two_core_mix_replayed_from_a_trace_file_matches_the_live_run() {
     use adapt_llc::sim::trace::TraceSource;
-    use adapt_llc::traces::{open_all, TraceWriter};
+    use adapt_llc::traces::{capture_benchmarks, open_all, TraceCaptureOptions};
 
     let config = SystemConfig::tiny(2);
     let llc_sets = config.llc.geometry.num_sets();
@@ -135,12 +135,13 @@ fn two_core_mix_replayed_from_a_trace_file_matches_the_live_run() {
 
     // Capture a 2-core gcc+lbm mix with ample slack over the instruction budget.
     let path = std::env::temp_dir().join("e2e_two_core_replay.atrc");
-    adapt_llc::workloads::capture_benchmarks_to_file::<TraceWriter>(
+    capture_benchmarks(
         &path,
         &["gcc", "lbm"],
-        llc_sets,
         4,
         2 * instructions,
+        None,
+        TraceCaptureOptions::for_llc_sets(llc_sets),
     )
     .unwrap();
 

@@ -7,9 +7,10 @@ use proptest::prelude::*;
 
 use adapt_llc::sim::trace::{MemAccess, TraceSource};
 use adapt_llc::traces::{
-    decode_all, open_all, read_header, MappedTrace, TraceCaptureOptions, TraceError, TraceWriter,
+    capture_mix, decode_all, open_all, read_header, MappedTrace, TraceCaptureOptions, TraceError,
+    TraceWriter,
 };
-use adapt_llc::workloads::{self, all_benchmarks, generate_mixes, StudyKind};
+use adapt_llc::workloads::{all_benchmarks, generate_mixes, StudyKind};
 
 fn tmp(name: &str) -> PathBuf {
     std::env::temp_dir().join(format!("adapt_roundtrip_{name}.atrc"))
@@ -41,12 +42,20 @@ fn every_synthetic_pattern_roundtrips_exactly() {
     std::fs::remove_file(path).ok();
 }
 
-/// Whole-mix capture via `workloads::capture_to_file` round-trips stream-for-stream.
+/// Whole-mix capture via `capture_mix` round-trips stream-for-stream.
 #[test]
 fn captured_mix_decodes_to_the_live_streams() {
     let path = tmp("mix");
     let mix = generate_mixes(StudyKind::Cores4, 1, 5).remove(0);
-    workloads::capture_to_file::<TraceWriter>(&path, &mix, 64, 5, 400).unwrap();
+    capture_mix(
+        &path,
+        &mix,
+        5,
+        400,
+        None,
+        TraceCaptureOptions::for_llc_sets(64),
+    )
+    .unwrap();
 
     let header = read_header(&path).unwrap();
     assert_eq!(header.cores.len(), 4);
@@ -81,7 +90,6 @@ proptest! {
             1..300,
         ),
         block_records in 1usize..64,
-        checksums in any::<bool>(),
     ) {
         let records: Vec<MemAccess> = raw
             .iter()
@@ -93,12 +101,11 @@ proptest! {
             })
             .collect();
         let path = std::env::temp_dir().join(format!(
-            "adapt_roundtrip_prop_{block_records}_{checksums}_{}.atrc",
+            "adapt_roundtrip_prop_{block_records}_{}.atrc",
             records.len()
         ));
         let opts = TraceCaptureOptions {
             records_per_block: block_records,
-            checksums,
             ..Default::default()
         };
         let mut writer = TraceWriter::with_options(&path, 1, "prop", opts).unwrap();
@@ -118,7 +125,15 @@ proptest! {
 fn header_error_paths_are_reported() {
     let path = tmp("errors");
     let mix = generate_mixes(StudyKind::Cores4, 1, 2).remove(0);
-    workloads::capture_to_file::<TraceWriter>(&path, &mix, 64, 2, 100).unwrap();
+    capture_mix(
+        &path,
+        &mix,
+        2,
+        100,
+        None,
+        TraceCaptureOptions::for_llc_sets(64),
+    )
+    .unwrap();
     let good = std::fs::read(&path).unwrap();
 
     // Bad magic.
