@@ -60,15 +60,41 @@
 //! **The memo.** A [`SharedStage`] generates events on demand in chunks (of
 //! [`CHUNK_EVENTS`] events or [`CHUNK_RECORDS`] records, whichever comes first) behind a
 //! mutex and keeps them; any number of [`StageCursor`]s replay
-//! them without regenerating. The stage owns the live generator, so records are not
+//! them without regenerating. The stage owns the live trace source, so records are not
 //! memoized a second time. Its key is exactly what the stage reads — [`StageParams`],
 //! compared whole. A consumer never sees the difference from an inline stage; the trace
 //! source does: a shared stage may have drawn up to one chunk of events more than its
-//! furthest consumer used, on top of the driver's own `RUN_AHEAD + 1` records (only an
-//! infinite synthetic generator is ever shared, so nothing wraps because of it).
+//! furthest consumer used, on top of the driver's own `RUN_AHEAD + 1` records — fewer
+//! than `CHUNK_RECORDS + RUN_AHEAD + 1` records in all.
+//!
+//! **The memo pool and the hand-over.** The stages over one stream retain events out of
+//! one [`MemoPool`] — the stream's share of what a replayed mix's records leave of
+//! `--arena-bytes`; unbounded for a generator — and register what they hold with
+//! [`ArenaTracker`]. A stage reserves a whole chunk ([`MAX_CHUNK_BYTES`]) before it
+//! generates one and returns what the chunk did not need. When the pool cannot cover
+//! another chunk the stage stops retaining for good: the retained chunks stay a prefix
+//! every cursor replays, and a cursor that runs off it continues on a [`PrivateStage`]
+//! of its own. The first to arrive takes over the live stage, which stands exactly
+//! there; later ones build a stage over a fresh source and fast-forward it past the
+//! prefix. No cursor waits for another or fails, the events are the same whatever the
+//! pool holds, and from an empty pool every cursor simply drives its own stage, as a
+//! system built over trace sources does.
+//!
+//! **Wraps.** A finite stream is replayed in a loop. An event carries how often its
+//! records crossed the stream's end ([`Event::wraps`]); a cursor adds that up as it
+//! *moves to* an event and folds its total into the stream's counter with `fetch_max`.
+//! The counter therefore holds the most passes any one consumer completed: it does not
+//! grow with the number of cursors, does not include what a shared stage drew ahead of
+//! its furthest consumer, and is the same whatever the pool holds.
+//!
+//! **Faults.** A trace source over a corpus file reports corruption by unwinding with a
+//! typed [`ReplayFault`]. If that happens while a cursor generates a chunk, the stage
+//! remembers it — its private hierarchy stopped mid-record — and raises the same fault
+//! to every cursor that needs it afterwards, so each evaluation fails the typed way.
 
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use crate::addr::{block_of, BlockAddr};
 use crate::config::{CoreConfig, PrivateCacheConfig, SystemConfig};
@@ -76,7 +102,7 @@ use crate::core_model::CoreModel;
 use crate::prefetch::{NextLinePrefetcher, PrefetchStats};
 use crate::private_cache::{Lookup, PrivateCache, PrivateCacheStats};
 use crate::system::{LIVELOCK_STEPS, RUN_AHEAD};
-use crate::trace::TraceSource;
+use crate::trace::{raise_replay_fault, replay_fault_from, ArenaTracker, ReplayFault, TraceSource};
 
 /// Most events in one chunk of a [`SharedStage`]'s memo.
 pub const CHUNK_EVENTS: usize = 1024;
@@ -86,6 +112,12 @@ pub const CHUNK_EVENTS: usize = 1024;
 /// stage may run ahead of its furthest consumer. The event that crosses the line is
 /// completed, so a chunk draws fewer than `CHUNK_RECORDS + bound + 1` records.
 pub const CHUNK_RECORDS: u64 = 4096;
+
+/// Most bytes one chunk holds: [`CHUNK_EVENTS`] events with four write-backs each. A
+/// memo retains another chunk only if its pool covers this much, so the pool is never
+/// overdrawn and the live stage always stands at the end of what is retained.
+pub const MAX_CHUNK_BYTES: u64 =
+    (CHUNK_EVENTS * (std::mem::size_of::<Event>() + 4 * std::mem::size_of::<BlockAddr>())) as u64;
 
 /// Everything a stage reads, and therefore the key of the [`SharedStage`] memo.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -148,6 +180,9 @@ pub struct Event {
     pub gap_stall_cycles: u32,
     /// Non-memory instructions preceding the in-order record's access.
     pub non_mem_instrs: u32,
+    /// How often the event's records — the gap's and the in-order one — crossed the end
+    /// of a finite stream (module docs, "Wraps"); 0 over a generator.
+    pub wraps: u32,
     flags: u8,
     /// Write-backs the in-order record's demand access sent below the L2 (0–2).
     pub demand_writebacks: u8,
@@ -208,6 +243,9 @@ pub struct PrivateStage {
     l2_hit_stall: u64,
     records: u64,
     instructions: u64,
+    /// The trace source's [`passes`](TraceSource::passes) after the event last
+    /// produced; `None` over a source that cannot wrap, which is then never asked again.
+    passes: Option<u64>,
     /// Statistics at the record that reached the target; `Some` means finished.
     target_stats: Option<PrivateStats>,
     /// Consecutive zero-advance records since the core finished.
@@ -224,6 +262,7 @@ impl PrivateStage {
         let l2_hit_latency = params.core.l1_hit_cycles + params.l2.latency;
         PrivateStage {
             params,
+            passes: trace.passes(),
             trace,
             l1d: PrivateCache::new(params.l1d),
             l2: PrivateCache::new(params.l2),
@@ -354,6 +393,13 @@ impl PrivateStage {
                 flags |= FROZEN;
                 self.ended = true;
             }
+            let crossed = match self.passes {
+                Some(before) => {
+                    self.passes = self.trace.passes();
+                    self.passes.unwrap_or(before) - before
+                }
+                None => 0,
+            };
             self.event = Event {
                 block,
                 pc: access.pc,
@@ -362,6 +408,8 @@ impl PrivateStage {
                 gap_compute_cycles: gap_compute as u32,
                 gap_stall_cycles: gap_stall as u32,
                 non_mem_instrs: access.non_mem_instrs,
+                // At most one per record, and a gap's records fit its `u32` counters.
+                wraps: crossed.min(u64::from(u32::MAX)) as u32,
                 flags,
                 demand_writebacks: outcome.demand_writebacks,
                 prefetch_writebacks: outcome.prefetch_writebacks,
@@ -450,6 +498,36 @@ impl Outcome {
     }
 }
 
+/// The bytes the event memos of the stages over one stream may still retain (module
+/// docs, "The memo pool and the hand-over").
+#[derive(Debug)]
+pub struct MemoPool {
+    left: AtomicU64,
+}
+
+impl MemoPool {
+    /// A pool of `bytes` bytes; `u64::MAX` never runs out.
+    pub fn new(bytes: u64) -> Arc<Self> {
+        Arc::new(MemoPool {
+            left: AtomicU64::new(bytes),
+        })
+    }
+
+    /// Take `bytes` out of the pool, if it holds as much.
+    fn reserve(&self, bytes: u64) -> bool {
+        self.left
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |left| {
+                left.checked_sub(bytes)
+            })
+            .is_ok()
+    }
+
+    /// Return `bytes` of an earlier reservation.
+    fn release(&self, bytes: u64) {
+        self.left.fetch_add(bytes, Ordering::Relaxed);
+    }
+}
+
 /// One memoized run of events with their write-back side array.
 #[derive(Default)]
 struct Chunk {
@@ -457,24 +535,111 @@ struct Chunk {
     writebacks: Vec<BlockAddr>,
 }
 
+impl Chunk {
+    /// Run `stage` for the next [`CHUNK_EVENTS`] events or [`CHUNK_RECORDS`] records,
+    /// whichever comes first.
+    fn generate(stage: &mut PrivateStage) -> Chunk {
+        let mut chunk = Chunk::default();
+        let record_limit = stage.records + CHUNK_RECORDS;
+        while chunk.events.len() < CHUNK_EVENTS && stage.records < record_limit && !stage.ended {
+            chunk.events.push(*stage.next_event());
+            chunk.writebacks.extend_from_slice(&stage.writebacks);
+        }
+        assert!(
+            !chunk.events.is_empty(),
+            "the stage ended with a frozen event"
+        );
+        chunk
+    }
+
+    fn bytes(&self) -> u64 {
+        (self.events.capacity() * std::mem::size_of::<Event>()
+            + self.writebacks.capacity() * std::mem::size_of::<BlockAddr>()) as u64
+    }
+}
+
 /// What a [`SharedStage`] and its cursors share.
 struct Shared {
     params: StageParams,
     label: String,
+    /// A fresh source over the stage's stream, standing at its first record.
+    source: Box<dyn Fn() -> Box<dyn TraceSource> + Send + Sync>,
+    /// Where the memo's bytes come from.
+    pool: Arc<MemoPool>,
+    /// The stream's wrap counter (module docs, "Wraps").
+    stream_wraps: Arc<AtomicU64>,
     cursors: AtomicU64,
+    handovers: AtomicU64,
     memo: Mutex<Memo>,
 }
 
 struct Memo {
-    stage: PrivateStage,
+    /// The live stage, standing right after the last retained chunk; `None` once a
+    /// cursor that ran off a full memo has taken it over.
+    stage: Option<Box<PrivateStage>>,
+    /// The retained prefix of the stage's events.
     chunks: Vec<Arc<Chunk>>,
+    events: u64,
+    bytes: u64,
+    /// Records the live stage drew for the retained chunks.
+    records: u64,
+    /// The live stage's [`PrivateStage::target_stats`] as of the last retained chunk.
+    target_stats: Option<PrivateStats>,
+    /// No further chunk is retained: the pool could not cover the next one.
+    full: bool,
+    /// Set when the trace source unwound under the live stage, which cannot continue:
+    /// the typed fault it raised, or `None` for any other panic.
+    failed: Option<Option<ReplayFault>>,
+    tracker: ArenaTracker,
 }
 
 impl Shared {
-    fn memo(&self) -> std::sync::MutexGuard<'_, Memo> {
-        self.memo
-            .lock()
-            .expect("a thread panicked while generating this stage's events")
+    /// The memo, whatever state it is in. Every update leaves it consistent — a
+    /// generator that unwinds is recorded in `failed` first — so a poisoned lock carries
+    /// no more information than the memo itself.
+    fn lock(&self) -> MutexGuard<'_, Memo> {
+        self.memo.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The memo of a stage that can still serve events; re-raises the failure of one
+    /// that cannot (module docs, "Faults").
+    fn memo(&self) -> MutexGuard<'_, Memo> {
+        let memo = self.lock();
+        match &memo.failed {
+            None => memo,
+            Some(Some(fault)) => raise_replay_fault(&fault.stream, fault.message.clone()),
+            Some(None) => panic!(
+                "the trace source of stage {:?} panicked under another cursor",
+                self.label
+            ),
+        }
+    }
+
+    /// Generate the next chunk on the live stage and retain it; the caller has reserved
+    /// [`MAX_CHUNK_BYTES`] for it.
+    fn extend(&self, memo: &mut Memo) {
+        let stage = memo
+            .stage
+            .as_mut()
+            .expect("the live stage is taken only off a full memo");
+        let mut chunk = match catch_unwind(AssertUnwindSafe(|| Chunk::generate(stage))) {
+            Ok(chunk) => chunk,
+            Err(payload) => {
+                self.pool.release(MAX_CHUNK_BYTES);
+                memo.failed = Some(replay_fault_from(payload.as_ref()).cloned());
+                resume_unwind(payload)
+            }
+        };
+        chunk.events.shrink_to_fit();
+        chunk.writebacks.shrink_to_fit();
+        self.pool
+            .release(MAX_CHUNK_BYTES.saturating_sub(chunk.bytes()));
+        memo.events += chunk.events.len() as u64;
+        memo.bytes += chunk.bytes();
+        memo.records = stage.records;
+        memo.target_stats = stage.target_stats;
+        memo.tracker.set_bytes(memo.bytes);
+        memo.chunks.push(Arc::new(chunk));
     }
 }
 
@@ -485,8 +650,9 @@ pub struct SharedStage(Arc<Shared>);
 /// What a [`SharedStage`] has cost so far.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SharedStageUsage {
-    /// Records drawn from the trace source (the high-water mark across all cursors,
-    /// rounded up to a chunk).
+    /// Records the shared stage drew from its trace source (the high-water mark across
+    /// the cursors it served, rounded up to a chunk); a cursor that left the memo draws
+    /// its own, which are not counted here.
     pub records: u64,
     /// Events memoized.
     pub events: u64,
@@ -496,20 +662,53 @@ pub struct SharedStageUsage {
     pub memo_bytes: u64,
     /// Cursors handed out.
     pub cursors: u64,
+    /// Cursors that ran off a full memo and continued on a stage of their own.
+    pub handovers: u64,
+}
+
+impl std::iter::Sum for SharedStageUsage {
+    fn sum<I: Iterator<Item = Self>>(usages: I) -> Self {
+        usages.fold(Self::default(), |a, b| SharedStageUsage {
+            records: a.records + b.records,
+            events: a.events + b.events,
+            chunks: a.chunks + b.chunks,
+            memo_bytes: a.memo_bytes + b.memo_bytes,
+            cursors: a.cursors + b.cursors,
+            handovers: a.handovers + b.handovers,
+        })
+    }
 }
 
 impl SharedStage {
-    /// Share a stage over `trace`, which is reset first so the events describe the
-    /// initial stream.
-    pub fn new(params: StageParams, mut trace: Box<dyn TraceSource>) -> Self {
-        trace.reset();
+    /// Share a stage over the stream `source` opens: every call must return a source
+    /// standing at the stream's first record. The memo retains what `pool` covers, and
+    /// cursors fold the passes they complete into `stream_wraps` — so the sources
+    /// themselves should report to no shared counter.
+    pub fn new(
+        params: StageParams,
+        source: impl Fn() -> Box<dyn TraceSource> + Send + Sync + 'static,
+        pool: Arc<MemoPool>,
+        stream_wraps: Arc<AtomicU64>,
+    ) -> Self {
+        let trace = source();
         SharedStage(Arc::new(Shared {
             params,
             label: trace.label(),
+            source: Box::new(source),
+            pool,
+            stream_wraps,
             cursors: AtomicU64::new(0),
+            handovers: AtomicU64::new(0),
             memo: Mutex::new(Memo {
-                stage: PrivateStage::new(params, trace),
+                stage: Some(Box::new(PrivateStage::new(params, trace))),
                 chunks: Vec::new(),
+                events: 0,
+                bytes: 0,
+                records: 0,
+                target_stats: None,
+                full: false,
+                failed: None,
+                tracker: ArenaTracker::new(),
             }),
         }))
     }
@@ -527,21 +726,20 @@ impl SharedStage {
             chunks_taken: 0,
             pos: 0,
             writebacks: 0..0,
+            own: None,
+            wraps: 0,
         }
     }
 
     pub fn usage(&self) -> SharedStageUsage {
-        let memo = self.0.memo();
-        let chunk_bytes = |c: &Arc<Chunk>| {
-            c.events.capacity() * std::mem::size_of::<Event>()
-                + c.writebacks.capacity() * std::mem::size_of::<BlockAddr>()
-        };
+        let memo = self.0.lock();
         SharedStageUsage {
-            records: memo.stage.records(),
-            events: memo.chunks.iter().map(|c| c.events.len() as u64).sum(),
+            records: memo.records,
+            events: memo.events,
             chunks: memo.chunks.len() as u64,
-            memo_bytes: memo.chunks.iter().map(chunk_bytes).sum::<usize>() as u64,
+            memo_bytes: memo.bytes,
             cursors: self.0.cursors.load(Ordering::Relaxed),
+            handovers: self.0.handovers.load(Ordering::Relaxed),
         }
     }
 }
@@ -556,6 +754,12 @@ pub struct StageCursor {
     pos: usize,
     /// The last event's blocks in the chunk's write-back side array.
     writebacks: std::ops::Range<usize>,
+    /// The stage this cursor continues on once it has run off the memo's retained
+    /// prefix (module docs, "The memo pool and the hand-over"): `chunk` is then its own,
+    /// generated from here and kept by no one.
+    own: Option<Box<PrivateStage>>,
+    /// Passes over the stream completed by the events moved to so far.
+    wraps: u64,
 }
 
 impl StageCursor {
@@ -569,16 +773,21 @@ impl StageCursor {
     }
 
     /// Move to the next event; it and its [`writebacks`](Self::writebacks) are read in
-    /// place, from the memo. Panics past a [frozen](Event::frozen) event, like the stage.
+    /// place, from the chunk. Panics past a [frozen](Event::frozen) event, like the
+    /// stage.
     pub fn next_event(&mut self) -> &Event {
         if self.pos == self.chunk.events.len() {
-            self.chunk = self.take_chunk();
-            self.pos = 0;
-            self.writebacks = 0..0;
+            self.take_chunk();
         }
         let event = &self.chunk.events[self.pos];
         self.pos += 1;
         self.writebacks = self.writebacks.end..self.writebacks.end + event.writebacks();
+        if event.wraps > 0 {
+            self.wraps += u64::from(event.wraps);
+            self.shared
+                .stream_wraps
+                .fetch_max(self.wraps, Ordering::Relaxed);
+        }
         event
     }
 
@@ -592,33 +801,49 @@ impl StageCursor {
         &self.chunk.writebacks[self.writebacks.clone()]
     }
 
-    /// The stage's [`PrivateStage::target_stats`].
+    /// [`PrivateStage::target_stats`] of the stage the cursor reads: `Some` once any
+    /// consumer of it has been handed the event that reached the target.
     pub fn target_stats(&self) -> Option<PrivateStats> {
-        self.shared.memo().stage.target_stats()
+        match &self.own {
+            Some(stage) => stage.target_stats(),
+            None => self.shared.memo().target_stats,
+        }
     }
 
-    /// The next chunk of the memo, generated now if no cursor needed it before.
-    fn take_chunk(&mut self) -> Arc<Chunk> {
-        let mut memo = self.shared.memo();
-        if memo.chunks.len() == self.chunks_taken {
-            let mut chunk = Chunk::default();
-            let stage = &mut memo.stage;
-            let record_limit = stage.records + CHUNK_RECORDS;
-            while chunk.events.len() < CHUNK_EVENTS && stage.records < record_limit && !stage.ended
-            {
-                chunk.events.push(*stage.next_event());
-                chunk.writebacks.extend_from_slice(&stage.writebacks);
+    /// Move to the next chunk: of the memo — generated now if no cursor needed it before
+    /// and the pool covers it — or, off the retained prefix, of a stage of the cursor's
+    /// own.
+    fn take_chunk(&mut self) {
+        self.pos = 0;
+        self.writebacks = 0..0;
+        if self.own.is_none() {
+            let shared = &*self.shared;
+            let mut memo = shared.memo();
+            if memo.chunks.len() == self.chunks_taken && !memo.full {
+                if shared.pool.reserve(MAX_CHUNK_BYTES) {
+                    shared.extend(&mut memo);
+                } else {
+                    memo.full = true;
+                }
             }
-            assert!(
-                !chunk.events.is_empty(),
-                "the stage ended with a frozen event"
-            );
-            chunk.events.shrink_to_fit();
-            chunk.writebacks.shrink_to_fit();
-            memo.chunks.push(Arc::new(chunk));
+            if let Some(chunk) = memo.chunks.get(self.chunks_taken) {
+                self.chunk = chunk.clone();
+                self.chunks_taken += 1;
+                return;
+            }
+            shared.handovers.fetch_add(1, Ordering::Relaxed);
+            let (live, retained) = (memo.stage.take(), memo.events);
+            drop(memo);
+            self.own = Some(live.unwrap_or_else(|| {
+                let mut stage = Box::new(PrivateStage::new(shared.params, (shared.source)()));
+                for _ in 0..retained {
+                    stage.next_event();
+                }
+                stage
+            }));
         }
-        self.chunks_taken += 1;
-        memo.chunks[self.chunks_taken - 1].clone()
+        let stage = self.own.as_mut().expect("the cursor left the memo");
+        self.chunk = Arc::new(Chunk::generate(stage));
     }
 }
 
@@ -635,7 +860,7 @@ mod tests {
     }
 
     /// Reads and writes scattered over 600 blocks (more than the tiny L2 holds), so
-    /// events carry every flag and dirty victims leave the L2.
+    /// events carry every flag and dirty victims leave the L2; 5000 records, then over.
     fn source() -> Box<dyn TraceSource> {
         let records = (0..5000u64)
             .map(|i| MemAccess {
@@ -652,9 +877,18 @@ mod tests {
         ))
     }
 
+    fn unbounded(bound: u64, source: fn() -> Box<dyn TraceSource>) -> SharedStage {
+        SharedStage::new(
+            params(bound),
+            source,
+            MemoPool::new(u64::MAX),
+            Arc::default(),
+        )
+    }
+
     #[test]
     fn shared_stage_matches_an_inline_stage_and_generates_once() {
-        let shared = SharedStage::new(params(RUN_AHEAD), source());
+        let shared = unbounded(RUN_AHEAD, source);
         let (mut a, mut b) = (shared.cursor(), shared.cursor());
         assert_eq!(a.label(), source().label());
         // Drive each cursor past two chunk boundaries, beside a stage of its own.
@@ -679,7 +913,7 @@ mod tests {
         }
         // Both cursors consumed n events; the stage ran once, at most a chunk further.
         let usage = shared.usage();
-        assert_eq!(usage.cursors, 2);
+        assert_eq!((usage.cursors, usage.handovers), (2, 0));
         assert!((n as u64..n as u64 + CHUNK_EVENTS as u64).contains(&usage.events));
         assert!(usage.chunks >= 3 && usage.chunks <= usage.events);
         assert!(
@@ -689,7 +923,126 @@ mod tests {
         );
         let event_bytes = usage.events * std::mem::size_of::<Event>() as u64;
         assert!(usage.memo_bytes >= event_bytes && usage.memo_bytes < 2 * event_bytes);
+        assert!(usage.memo_bytes <= usage.chunks * MAX_CHUNK_BYTES);
         assert_eq!(std::mem::size_of::<Event>(), 40);
+    }
+
+    /// Three cursors over one stage whose pool covers nothing, one chunk, everything:
+    /// each sees an inline stage's events and write-backs, across the hand-over — the
+    /// first to run off the memo takes the live stage over, the others rebuild — and the
+    /// stream's wrap counter ends at one consumer's passes, not at three times that or
+    /// at what the shared stage drew ahead.
+    #[test]
+    fn cursors_continue_on_their_own_stage_past_a_full_memo() {
+        let n = 5 * CHUNK_EVENTS + 100;
+        let mut inline = PrivateStage::new(params(RUN_AHEAD), source());
+        let want: Vec<(Event, Vec<BlockAddr>)> = (0..n)
+            .map(|_| (*inline.next_event(), inline.writebacks().to_vec()))
+            .collect();
+        let passes: u64 = want.iter().map(|(e, _)| u64::from(e.wraps)).sum();
+        assert!(passes > 0, "the stream must wrap under the cursors");
+        let target_stats = inline.target_stats();
+        assert!(target_stats.is_some());
+
+        for (share, retained) in [(0, 0), (MAX_CHUNK_BYTES, 1), (u64::MAX, 6)] {
+            let stream_wraps = Arc::new(AtomicU64::new(0));
+            let pool = MemoPool::new(share);
+            let shared = SharedStage::new(
+                params(RUN_AHEAD),
+                source,
+                pool.clone(),
+                stream_wraps.clone(),
+            );
+            // The first cursor runs to the end alone; the other two in lock-step.
+            let mut cursors = [shared.cursor(), shared.cursor(), shared.cursor()];
+            let (first, rest) = cursors.split_at_mut(1);
+            for (i, (event, writebacks)) in want.iter().enumerate() {
+                assert_eq!(first[0].next_event(), event, "share {share}, event {i}");
+                assert_eq!(
+                    first[0].writebacks(),
+                    writebacks,
+                    "share {share}, event {i}"
+                );
+                assert_eq!(first[0].event(), event);
+            }
+            for (i, (event, writebacks)) in want.iter().enumerate() {
+                for cursor in rest.iter_mut() {
+                    assert_eq!(cursor.next_event(), event, "share {share}, event {i}");
+                    assert_eq!(cursor.writebacks(), writebacks, "share {share}, event {i}");
+                }
+            }
+            for cursor in &cursors {
+                assert_eq!(cursor.target_stats(), target_stats, "share {share}");
+            }
+            let usage = shared.usage();
+            assert_eq!(usage.chunks, retained, "share {share}");
+            assert!(usage.memo_bytes <= share);
+            if share != u64::MAX {
+                let left = pool.left.load(Ordering::Relaxed);
+                assert_eq!(left + usage.memo_bytes, share, "the pool lost bytes");
+            }
+            assert_eq!(usage.handovers, if share == u64::MAX { 0 } else { 3 });
+            assert_eq!(
+                stream_wraps.load(Ordering::Relaxed),
+                passes,
+                "share {share}"
+            );
+        }
+    }
+
+    /// Raises a typed fault at its `at`-th record, like a decoder that meets corruption.
+    struct Faulty {
+        inner: Box<dyn TraceSource>,
+        left: u64,
+    }
+
+    impl TraceSource for Faulty {
+        fn next_access(&mut self) -> MemAccess {
+            if self.left == 0 {
+                raise_replay_fault("scatter", "injected".to_string());
+            }
+            self.left -= 1;
+            self.inner.next_access()
+        }
+        fn reset(&mut self) {
+            self.inner.reset();
+        }
+    }
+
+    /// A fault under the cursor that generates reaches every other cursor as the same
+    /// typed fault, not as a poisoned lock; what was memoized before it stays readable.
+    #[test]
+    fn a_replay_fault_under_one_cursor_is_raised_to_every_cursor() {
+        let faulty = || -> Box<dyn TraceSource> {
+            Box::new(Faulty {
+                inner: source(),
+                left: CHUNK_RECORDS + 100,
+            })
+        };
+        let shared = unbounded(RUN_AHEAD, faulty);
+        let (mut a, mut b) = (shared.cursor(), shared.cursor());
+        let fault_of = |cursor: &mut StageCursor| {
+            let unwound = catch_unwind(AssertUnwindSafe(|| loop {
+                cursor.next_event();
+            }));
+            let payload = unwound.expect_err("the source faults");
+            replay_fault_from(payload.as_ref())
+                .expect("a typed replay fault")
+                .clone()
+        };
+        // `a` generates chunks until the source faults under it; `b` replays those from
+        // the memo and is told of the fault when it needs the next one.
+        for cursor in [&mut a, &mut b] {
+            let fault = fault_of(cursor);
+            assert_eq!(
+                (fault.stream.as_str(), fault.message.as_str()),
+                ("scatter", "injected")
+            );
+        }
+        let memoized = shared.usage().events;
+        assert!(memoized >= CHUNK_EVENTS as u64);
+        assert_eq!(fault_of(&mut shared.cursor()).message, "injected");
+        assert_eq!(shared.usage().events, memoized);
     }
 
     #[test]
@@ -703,8 +1056,10 @@ mod tests {
     /// ends after `CHUNK_RECORDS` records, however few events that is.
     #[test]
     fn chunks_of_a_cache_resident_core_are_bounded_in_records() {
-        let resident = Box::new(crate::trace::StridedTrace::new(0, 64, 1024, 3));
-        let shared = SharedStage::new(params(RUN_AHEAD), resident);
+        let resident = || -> Box<dyn TraceSource> {
+            Box::new(crate::trace::StridedTrace::new(0, 64, 1024, 3))
+        };
+        let shared = unbounded(RUN_AHEAD, resident);
         shared.cursor().next_event();
         let usage = shared.usage();
         assert_eq!(usage.chunks, 1);

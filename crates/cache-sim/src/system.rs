@@ -46,7 +46,8 @@
 //!
 //! The stage of a core is driven inline ([`MultiCoreSystem::new`]) or is a cursor over
 //! a stage shared with other systems ([`MultiCoreSystem::with_stages`]: the policies of
-//! a sweep simulate a mix's private hierarchy once); `run` cannot tell them apart.
+//! a sweep simulate a mix's private hierarchy once; a cursor that outruns a bounded memo
+//! continues on a stage of its own); `run` cannot tell them apart.
 //!
 //! Each core runs until it retires its per-core instruction target; cores that reach the
 //! target keep executing (their statistics are snapshotted at the target) so that the
@@ -88,8 +89,9 @@ pub const LIVELOCK_STEPS: u64 = 1 << 22;
 /// small constant bounds how far a trace cursor leads the global clock; 8, 64 and 256
 /// measured the same. An inline stage therefore over-fetches at most `RUN_AHEAD + 1`
 /// records per core; a shared stage may additionally run ahead of its furthest consumer
-/// by one chunk of events (`crate::private::CHUNK_EVENTS`), which only an infinite
-/// synthetic generator ever sees.
+/// by one chunk of events (`crate::private::CHUNK_EVENTS`). Over a finite replayed
+/// stream that draw-ahead may cross the stream's end; the wrap count a sweep reports
+/// leaves it out (`crate::private`, "Wraps").
 pub const RUN_AHEAD: u64 = 64;
 
 /// Where a core's events come from: a stage of its own, or a cursor over a shared one.

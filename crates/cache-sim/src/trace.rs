@@ -53,6 +53,14 @@ pub trait TraceSource: Send {
     fn label(&self) -> String {
         "trace".to_string()
     }
+
+    /// Full passes completed over a finite stream that is replayed in a loop (the
+    /// paper's re-execution methodology), counted eagerly: serving the last record of a
+    /// pass completes it. `None` for a source that has no end to wrap at, which a
+    /// generator is.
+    fn passes(&self) -> Option<u64> {
+        None
+    }
 }
 
 /// Receives per-core access streams during trace capture.
@@ -95,6 +103,9 @@ impl TraceSource for Box<dyn TraceSource> {
     }
     fn label(&self) -> String {
         (**self).label()
+    }
+    fn passes(&self) -> Option<u64> {
+        (**self).passes()
     }
 }
 
@@ -149,10 +160,9 @@ impl TraceSource for StridedTrace {
 /// Replays a shared, immutable access buffer in a loop, wrapping at the end (the paper's
 /// re-execution methodology) with the same eager wrap count as [`ArenaReplayTrace`].
 ///
-/// The buffer is behind an [`Arc`], so one decoded trace can back many
-/// concurrently running simulations without copying — the corpus sweep engine in
-/// `experiments::runner` materializes each workload mix once and hands every policy its
-/// own cursor over the same records.
+/// The buffer is behind an [`Arc`], so one decoded trace can back any number of cursors
+/// without copying — the corpus sweep engine in `experiments::runner` decodes each
+/// workload mix once and builds every private stage of a core over the same records.
 #[derive(Debug, Clone)]
 pub struct SharedReplayTrace {
     records: Arc<Vec<MemAccess>>,
@@ -163,12 +173,16 @@ pub struct SharedReplayTrace {
 }
 
 impl SharedReplayTrace {
-    /// Wrap a shared record buffer. Every wrap of this cursor is also added to
-    /// `stream_wraps`, the counter shared by all cursors over the same stream (never
-    /// decremented, not even by [`reset`](TraceSource::reset)), which is how the sweep
-    /// engine sees that some simulation outran the captured budget. Panics on an empty
-    /// buffer: a [`TraceSource`] must never terminate, and an empty loop cannot produce
-    /// anything.
+    /// Wrap a shared record buffer. `stream_wraps` is the counter shared by everything
+    /// that reads the same stream; it holds the most passes any one reader completed:
+    /// this cursor folds its own [`wraps`](Self::wraps) into it with `fetch_max`
+    /// as they happen (never lowering it, not even on [`reset`](TraceSource::reset)), so
+    /// the count does not grow with the number of cursors. It is how the sweep engine
+    /// sees that some simulation outran the captured budget. A cursor that feeds a
+    /// shared private stage gets a counter of its own instead — the stage draws ahead
+    /// of its consumers, and `cache_sim::private::StageCursor` folds in what each
+    /// consumer actually reached. Panics on an empty buffer: a [`TraceSource`] must
+    /// never terminate, and an empty loop cannot produce anything.
     pub fn new(
         name: impl Into<String>,
         records: Arc<Vec<MemAccess>>,
@@ -216,7 +230,7 @@ impl TraceSource for SharedReplayTrace {
         if self.pos == self.records.len() {
             self.pos = 0;
             self.wraps += 1;
-            self.stream_wraps.fetch_add(1, Ordering::Relaxed);
+            self.stream_wraps.fetch_max(self.wraps, Ordering::Relaxed);
         }
         a
     }
@@ -228,6 +242,10 @@ impl TraceSource for SharedReplayTrace {
 
     fn label(&self) -> String {
         self.name.clone()
+    }
+
+    fn passes(&self) -> Option<u64> {
+        Some(self.wraps)
     }
 }
 
@@ -381,7 +399,7 @@ pub struct ArenaReplayTrace {
 
 impl ArenaReplayTrace {
     /// Wrap `source`; no records are pulled until the first `next_access`. Wraps are
-    /// also added to `stream_wraps`, exactly as [`SharedReplayTrace::new`] describes.
+    /// folded into `stream_wraps`, exactly as [`SharedReplayTrace::new`] describes.
     pub fn new(source: Box<dyn BatchSource>, stream_wraps: Arc<AtomicU64>) -> Self {
         ArenaReplayTrace {
             source,
@@ -417,7 +435,7 @@ impl TraceSource for ArenaReplayTrace {
         self.pos += 1;
         if self.end_of_pass && self.pos == self.arena.len() {
             self.wraps += 1;
-            self.stream_wraps.fetch_add(1, Ordering::Relaxed);
+            self.stream_wraps.fetch_max(self.wraps, Ordering::Relaxed);
         }
         a
     }
@@ -432,6 +450,10 @@ impl TraceSource for ArenaReplayTrace {
 
     fn label(&self) -> String {
         self.source.label()
+    }
+
+    fn passes(&self) -> Option<u64> {
+        Some(self.wraps)
     }
 }
 
@@ -470,12 +492,13 @@ mod tests {
         a.reset();
         assert_eq!(a.wraps(), 0);
         assert_eq!(a.next_access().addr, 1);
-        // The stream counter sums every cursor's wraps and survives a reset.
+        // The stream counter holds the most passes one cursor completed — it does not
+        // add up over cursors — and survives a reset.
         for _ in 0..3 {
             b.next_access();
         }
         assert_eq!(b.wraps(), 1);
-        assert_eq!(stream_wraps.load(Ordering::Relaxed), 3);
+        assert_eq!(stream_wraps.load(Ordering::Relaxed), 2);
     }
 
     #[test]

@@ -27,10 +27,12 @@
 //!   sweep  --dir DIR [--arena-bytes N]
 //!            Run the Figure 3 policy lineup over a materialized corpus: each trace is
 //!            mapped once and the (policy x mix) grid fans out in parallel. A mix whose
-//!            decoded records fit the arena budget (default 256 MiB) is decoded once;
-//!            a larger one is streamed from the mapping in prefetched batches, with
-//!            identical results. The report includes the replay-wrap count (non-zero
-//!            when the capture budget was smaller than the run).
+//!            decoded records fit the arena budget (default 256 MiB: decode arenas +
+//!            event memo per mix) is decoded once; a larger one is streamed from the
+//!            mapping in prefetched batches, with identical results. Either way the
+//!            mix's private caches are simulated once for all policies. The report
+//!            includes the replay-wrap count in passes (non-zero when the capture
+//!            budget was smaller than the run).
 //!
 //! scaling study:
 //!   scale  [--cores 32,48,64,128,256] [--mixes N] [--flat] [--memsys]

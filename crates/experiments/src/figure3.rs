@@ -34,7 +34,9 @@ pub struct SCurveResult {
     pub study_cores: usize,
     /// Number of workload mixes evaluated.
     pub workloads: usize,
-    /// Total replay wraps reported by the sweep engine. Zero for synthetic sweeps and
+    /// Total replay wraps reported by the sweep engine, in passes: Σ over mixes and
+    /// cores of the most passes any one policy's run made over that core's stream. Zero
+    /// for synthetic sweeps and
     /// for corpora whose capture budget covered every run; non-zero means some corpus
     /// stream was re-executed (the paper's methodology for early-finishing
     /// applications) because the capture budget was smaller than the run, so results
@@ -98,8 +100,9 @@ pub fn render(r: &SCurveResult) -> String {
     ));
     if r.replay_wraps > 0 {
         out.push_str(&format!(
-            "note: corpus replay wrapped {} time(s) — capture budget smaller than the \
-             run; results follow re-execution semantics (docs/repro-guide.md)\n",
+            "note: corpus replay re-executed its streams ({} pass(es), summed over cores \
+             and mixes) — capture budget smaller than the run; results follow \
+             re-execution semantics (docs/repro-guide.md)\n",
             r.replay_wraps
         ));
     }

@@ -12,13 +12,15 @@
 //! *stream production* as well as simulation. The grid engine
 //! ([`sweep_policies_on_sources_with`], which [`evaluate_policies_on_mixes`] feeds with
 //! synthetic mixes) instead materializes each mix's streams exactly once and fans the
-//! (policy × mix) grid out across rayon workers. A mix decoded from a `.atrc` file is
-//! replayed by every policy from the same [`SharedReplayTrace`] buffers zero-copy. A
-//! synthetic mix goes one layer further: the policies of a sweep differ only at the
-//! shared LLC, and what a core's private hierarchy does is a function of its trace
-//! alone, so each core's generator feeds one shared private stage
-//! (`cache_sim::private`) — generation, L1, L2 and prefetcher run once per mix, M times
-//! per sweep instead of P × M — and every policy's system replays its memoized events.
+//! (policy × mix) grid out across rayon workers. The policies of a sweep differ only at
+//! the shared LLC, and what a core's private hierarchy does is a function of its trace
+//! alone, so each core's stream — a live generator, the decoded records of a `.atrc`
+//! file, or batches streamed from its mapping — feeds one shared private stage
+//! (`cache_sim::private`): record production, L1, L2 and prefetcher run once per mix, M
+//! times per sweep instead of P × M, and every policy's system replays the stage's
+//! memoized events. A replayed mix's memo is bounded by the same `--arena-bytes` budget
+//! as its records ([`ReplayConfig`]); an evaluation that outruns it finishes on stages
+//! of its own.
 //! Mixes are materialized in bounded windows so peak memory stays at a few mixes
 //! regardless of sweep size, and results are emitted in deterministic (mix, policy)
 //! order no matter how many workers run.
@@ -29,15 +31,15 @@
 //! sweeps a whole materialized [`Corpus`]. A replayed mix reaches the simulator one way
 //! only — [`MixSource::materialize_with`] maps it once and decodes it up front or
 //! streams it, by size alone ([`ReplayConfig`], the one replay knob), and
-//! [`evaluate_prepared`] runs a policy over the shared streams — so no file I/O sits
+//! [`evaluate_prepared`] runs a policy over the shared stages — so no file I/O sits
 //! inside the simulator loop beyond the mapping. Because capture is lossless and
 //! generators reset exactly, both provenances of the same mix produce bit-identical
 //! per-application IPC/MPKI — and the parallel grid produces bit-identical results to
 //! the serial reference path [`evaluate_policies_serial`], which the runner's tests
 //! enforce (also under the contended bank model — see `cache_sim::bank`). The one
 //! caveat is a corpus whose capture budget is smaller than the run: its streams wrap
-//! (the paper's re-execution semantics), which the engine counts
-//! ([`MaterializedMixStreams::replay_wraps`]), returns in the structured
+//! (the paper's re-execution semantics), which the engine counts in passes over each
+//! stream ([`MaterializedMixStreams::replay_wraps`]), returns in the structured
 //! [`SweepOutcome::mix_wraps`] and echoes on stderr rather than letting the divergence
 //! pass silently.
 
@@ -50,7 +52,7 @@ use parking_lot::Mutex;
 use rayon::prelude::*;
 
 use cache_sim::config::SystemConfig;
-use cache_sim::private::{SharedStage, SharedStageUsage, StageCursor, StageParams};
+use cache_sim::private::{MemoPool, SharedStage, SharedStageUsage, StageCursor, StageParams};
 use cache_sim::replacement::LlcReplacementPolicy;
 use cache_sim::single::run_alone;
 use cache_sim::stats::SystemResults;
@@ -155,26 +157,38 @@ impl MixEvaluation {
     }
 }
 
-/// The one replay knob: how much memory one replayed mix's streams may take.
+/// The one replay knob: how much memory one replayed mix may take — its records and the
+/// event memo of its shared private stages together.
 ///
 /// A mix's streams come in three kinds, chosen from what the code observes — the
 /// source's provenance and the file's decoded size — never from an option: synthetic
-/// mixes are generated on demand inside the private stages that memoize their events
-/// (`Lazy`); a replayed mix whose decoded
-/// records fit the budget is decoded from the mapping once into shared buffers
-/// (`Decoded`); a larger one is streamed from the mapping in fixed-size batches, the
-/// next batch decoding on the background pool while the simulator consumes the current
-/// one (`Streamed`, through [`PrefetchingSource`]). A streamed mix holds two rotating
-/// record buffers per core (consumer + prefetch) plus a decompression scratch, sized so
-/// their sum stays at roughly half the budget. `Decoded` and `Streamed` are
-/// bit-identical — the runner's tests and `tests/corpus_sweep.rs` enforce it — so the
-/// budget only trades memory against decode locality, never results.
+/// mixes are generated on demand (`Lazy`); a replayed mix whose decoded records fit the
+/// budget is decoded from the mapping once into shared buffers (`Decoded`); a larger one
+/// is streamed from the mapping in fixed-size batches, the next batch decoding on the
+/// background pool while the stage consumes the current one (`Streamed`, through
+/// [`PrefetchingSource`]). Whatever the kind, each core's stream feeds one shared
+/// private stage per distinct [`StageParams`], and every evaluation replays its events.
+///
+/// The budget is split per mix. A streamed mix holds two rotating record buffers per
+/// core (consumer + prefetch) plus a decompression scratch — the stage is the records'
+/// only consumer, so the batches are small ([`batch_records`](Self::batch_records)) —
+/// and a decoded mix holds its records; the event memos get what is left, an equal share
+/// per core (one `cache_sim::private::MemoPool` per stream, which the stream's stages
+/// draw on), and register what they take in the same arena accounting
+/// (`cache_sim::trace::arena_peak_bytes`). When a stream's pool runs out its stages stop
+/// retaining, and an evaluation that runs off the retained events finishes that core on
+/// a private stage of its own over a fresh cursor — for a streamed mix, with decode
+/// buffers of its own for as long as it runs, which is what every evaluation held
+/// before stages were shared. `Decoded` and `Streamed` are
+/// bit-identical at every budget — the runner's tests, `tests/corpus_sweep.rs` and
+/// `tests/reference_identity.rs` enforce it — so the budget only trades memory against
+/// work done once, never results.
 #[derive(Debug, Clone)]
 pub struct ReplayConfig {
-    /// Replay arena budget in bytes for one mix's streams (default 256 MiB). A replayed
-    /// mix whose decoded size exceeds this streams from the mapping instead of being
-    /// decoded up front, so sweeps run in constant memory on corpora far larger than
-    /// RAM.
+    /// Replay arena budget in bytes for one mix: decode arenas (or decoded records) plus
+    /// event memo (default 256 MiB). A replayed mix whose decoded size exceeds this
+    /// streams from the mapping instead of being decoded up front, so sweeps run in
+    /// constant memory on corpora far larger than RAM.
     pub arena_budget_bytes: u64,
 }
 
@@ -188,14 +202,16 @@ impl Default for ReplayConfig {
 
 impl ReplayConfig {
     /// Records per decode batch for a `cores`-wide streamed mix: two buffers per core
-    /// rotate, so `cores × 2 × batch × 16B` — half the budget — is the steady-state
-    /// arena footprint, leaving the other half for decompression scratch and slop.
+    /// rotate, so `cores × 2 × batch × 16B` stays within half the budget — and at most
+    /// 32 Ki records (512 KiB) a buffer: past that a larger batch decodes no faster, and
+    /// what it would take is worth more to the event memo.
     pub fn batch_records(&self, cores: usize) -> usize {
-        let record = std::mem::size_of::<MemAccess>() as u64;
-        let per_core = self.arena_budget_bytes / (cores.max(1) as u64 * 4 * record);
-        per_core.clamp(1024, 1 << 22) as usize
+        let per_core = self.arena_budget_bytes / (cores.max(1) as u64 * 4 * RECORD_BYTES);
+        per_core.clamp(1024, 1 << 15) as usize
     }
 }
+
+const RECORD_BYTES: u64 = std::mem::size_of::<MemAccess>() as u64;
 
 /// Where a mix's per-core access streams come from.
 ///
@@ -277,14 +293,15 @@ impl MixSource {
 
     /// Produce this mix's streams exactly once, shared across any number of policies.
     ///
-    /// A synthetic mix materializes nothing yet: each core's stream becomes the memo of
-    /// its private stage ([`SharedStage`]), built by the first [`evaluate_prepared`] —
-    /// records are generated and the L1/L2/prefetcher simulated on demand, once across
-    /// the whole sweep, and every policy replays the resulting events. A
-    /// replayed file is mapped once; if its decoded records fit `replay`'s arena budget
-    /// they are batch-decoded in one pass into shared buffers, otherwise every cursor
-    /// streams fixed-size batches from the mapping so memory stays constant however big
-    /// the corpus is (see [`ReplayConfig`]).
+    /// Nothing is simulated yet: each core's stream becomes the input of its private
+    /// stage ([`SharedStage`]), built by the first [`evaluate_prepared`] — records are
+    /// produced and the L1/L2/prefetcher simulated on demand, once across the whole
+    /// sweep, and every policy replays the resulting events. A synthetic mix's records
+    /// come from its generators. A replayed file is mapped once; if its decoded records
+    /// fit `replay`'s arena budget they are batch-decoded in one pass into shared
+    /// buffers, otherwise a stage streams fixed-size batches from the mapping so memory
+    /// stays constant however big the corpus is. The stages' event memos get what the
+    /// records leave of the budget (see [`ReplayConfig`]).
     ///
     /// A replayed file whose generators were sized for a different LLC set count would
     /// quietly realize a different workload, so a geometry mismatch is an error.
@@ -300,54 +317,67 @@ impl MixSource {
             None
         };
         let _span = sim_obs::span("sweep", "materialize");
-        let streams = match self {
-            MixSource::Synthetic(mix) => (0..mix.benchmarks.len())
-                .map(|_| MaterializedStream::Lazy {
+        // Each core's records, and the bytes that are left for the mix's event memos.
+        let (records, memo_bytes): (Vec<StreamRecords>, u64) = match self {
+            // Generators hold no records the budget speaks of: their memos keep everything.
+            MixSource::Synthetic(mix) => {
+                let mix = Arc::new(mix.clone());
+                let lazy = |slot| StreamRecords::Lazy {
+                    mix: mix.clone(),
+                    slot,
                     llc_sets,
                     seed,
-                    stages: Mutex::default(),
-                })
-                .collect(),
+                };
+                ((0..mix.benchmarks.len()).map(lazy).collect(), u64::MAX)
+            }
             MixSource::Replayed { path, .. } => {
                 let trace = Arc::new(MappedTrace::open(path)?);
                 let header = trace.header();
                 check_geometry(path, header, llc_sets)?;
-                let cores = 0..header.cores.len();
-                let decoded_bytes =
-                    header.total_records() * std::mem::size_of::<MemAccess>() as u64;
-                if decoded_bytes <= replay.arena_budget_bytes {
+                let cores = header.cores.len();
+                let decoded_bytes = header.total_records() * RECORD_BYTES;
+                let budget = replay.arena_budget_bytes;
+                if decoded_bytes <= budget {
                     let _span = sim_obs::span("sweep", "decode");
-                    cores
-                        .map(|core| {
-                            Ok(MaterializedStream::Decoded {
-                                records: Arc::new(trace.decode_core(core)?),
-                                label: header.cores[core].label.clone(),
-                                wraps: Arc::default(),
-                            })
+                    let decoded = |core: usize| {
+                        Ok(StreamRecords::Decoded {
+                            records: Arc::new(trace.decode_core(core)?),
+                            label: header.cores[core].label.clone(),
                         })
-                        .collect::<Result<_, TraceError>>()?
+                    };
+                    let records = (0..cores).map(decoded).collect::<Result<_, TraceError>>()?;
+                    (records, budget - decoded_bytes)
                 } else {
-                    let batch_records = replay.batch_records(cores.len());
-                    cores
-                        .map(|core| {
-                            // Constructing (and dropping) a cursor validates the stream
-                            // up front, keeping `sources()` infallible like the decoded
-                            // path.
-                            MappedStreamDecoder::new(trace.clone(), core, batch_records)?;
-                            Ok(MaterializedStream::Streamed {
-                                trace: trace.clone(),
-                                core,
-                                wraps: Arc::default(),
-                                batch_records,
-                            })
+                    let batch_records = replay.batch_records(cores);
+                    let streamed = |core| {
+                        // Constructing (and dropping) a cursor validates the stream up
+                        // front, keeping `sources()` infallible like the decoded path.
+                        MappedStreamDecoder::new(trace.clone(), core, batch_records)?;
+                        Ok(StreamRecords::Streamed {
+                            trace: trace.clone(),
+                            core,
+                            batch_records,
                         })
-                        .collect::<Result<_, TraceError>>()?
+                    };
+                    let records = (0..cores)
+                        .map(streamed)
+                        .collect::<Result<_, TraceError>>()?;
+                    // Two rotating buffers per core, and a decompression scratch that
+                    // holds a block's encoded records — less than a buffer.
+                    let arena_bytes = (cores * 3 * batch_records) as u64 * RECORD_BYTES;
+                    (records, budget.saturating_sub(arena_bytes))
                 }
             }
         };
+        // An equal share per core: where a stream's stages stop retaining then depends on
+        // that stream alone, not on which core's stage ran first.
+        let share = memo_bytes / records.len().max(1) as u64;
         Ok(MaterializedMixStreams {
             mix: self.mix().clone(),
-            streams,
+            streams: records
+                .into_iter()
+                .map(|records| MaterializedStream::new(records, share))
+                .collect(),
         })
     }
 }
@@ -365,40 +395,99 @@ fn check_geometry(path: &Path, header: &TraceHeader, llc_sets: usize) -> Result<
     Ok(())
 }
 
-/// One core's materialized stream (see [`MixSource::materialize_with`]).
-enum MaterializedStream {
-    /// Synthetic provenance: the core's live generator is owned by the private stage
-    /// that consumes it, and what is memoized (and shared by every policy) is that
-    /// stage's events, not the records. One stage per distinct [`StageParams`] an
-    /// evaluation asked for: configurations that differ elsewhere (`interval_misses`,
-    /// the LLC, the DRAM) share one, and a second key builds a second stage instead of
-    /// evicting the first. Never wraps.
+/// Where one core's records come from (see [`MixSource::materialize_with`]).
+#[derive(Clone)]
+enum StreamRecords {
+    /// Synthetic provenance: a live generator of the mix's core `slot` per reader. Never
+    /// wraps.
     Lazy {
+        mix: Arc<WorkloadMix>,
+        slot: usize,
         llc_sets: usize,
         seed: u64,
-        stages: Mutex<Vec<SharedStage>>,
     },
     /// Fully decoded from a corpus file (wraps at the end, counted eagerly).
     Decoded {
         records: Arc<Vec<MemAccess>>,
         label: String,
-        /// Wraps observed across every cursor handed out for this stream. A non-zero
-        /// count means some simulation outran the captured budget, i.e. the replay
-        /// followed the paper's re-execution methodology instead of being bit-identical
-        /// to an infinite generator.
-        wraps: Arc<AtomicU64>,
     },
     /// Zero-copy streamed from a shared memory-mapped corpus file in fixed-size
     /// batches, prefetched on the background pool — the constant-memory path for mixes
-    /// larger than the arena budget. Bit-identical to [`MaterializedStream::Decoded`]
-    /// (wraps eagerly the same way).
+    /// larger than the arena budget. Bit-identical to [`StreamRecords::Decoded`] (wraps
+    /// eagerly the same way).
     Streamed {
         trace: Arc<MappedTrace>,
         core: usize,
-        /// Same wrap accounting as the decoded variant.
-        wraps: Arc<AtomicU64>,
         batch_records: usize,
     },
+}
+
+impl StreamRecords {
+    /// A fresh reader over the stream, standing at its first record and folding the
+    /// passes it completes into `wraps`.
+    fn source(&self, wraps: Arc<AtomicU64>) -> Box<dyn TraceSource> {
+        match self {
+            StreamRecords::Lazy {
+                mix,
+                slot,
+                llc_sets,
+                seed,
+            } => mix.trace_source(*slot, *llc_sets, *seed),
+            StreamRecords::Decoded { records, label } => Box::new(SharedReplayTrace::new(
+                label.clone(),
+                records.clone(),
+                wraps,
+            )),
+            StreamRecords::Streamed {
+                trace,
+                core,
+                batch_records,
+            } => {
+                let decoder = MappedStreamDecoder::new(trace.clone(), *core, *batch_records)
+                    .expect("stream was validated when materialized");
+                Box::new(ArenaReplayTrace::new(
+                    Box::new(PrefetchingSource::new(decoder)),
+                    wraps,
+                ))
+            }
+        }
+    }
+}
+
+/// One core's materialized stream: its records, and the private stages every evaluation
+/// of the mix shares.
+struct MaterializedStream {
+    records: StreamRecords,
+    /// The most passes any one reader completed over this stream. A non-zero count
+    /// means some simulation outran the captured budget, i.e. the replay followed the
+    /// paper's re-execution methodology instead of being bit-identical to an infinite
+    /// generator.
+    wraps: Arc<AtomicU64>,
+    /// What the event memos of this stream's stages retain from: the stream's share of
+    /// the mix's budget (see [`ReplayConfig`]).
+    memo_pool: Arc<MemoPool>,
+    /// One stage per distinct [`StageParams`] an evaluation asked for: configurations
+    /// that differ elsewhere (`interval_misses`, the LLC, the DRAM) share one, and a
+    /// second key builds a second stage instead of evicting the first. The stage owns
+    /// the reader that feeds it, and what is memoized (and shared by every policy) is
+    /// its events, not the records.
+    stages: Mutex<Vec<SharedStage>>,
+}
+
+impl MaterializedStream {
+    fn new(records: StreamRecords, memo_share: u64) -> Self {
+        MaterializedStream {
+            records,
+            wraps: Arc::default(),
+            memo_pool: MemoPool::new(memo_share),
+            stages: Mutex::default(),
+        }
+    }
+
+    /// What this stream's stages have cost so far, summed.
+    fn stage_usage(&self) -> SharedStageUsage {
+        self.stages.lock().iter().map(SharedStage::usage).sum()
+    }
 }
 
 /// One mix's access streams, produced exactly once and shared across every policy of a
@@ -421,117 +510,85 @@ impl MaterializedMixStreams {
     pub fn records_per_core(&self) -> Vec<usize> {
         self.streams
             .iter()
-            .map(|s| match s {
-                MaterializedStream::Lazy { stages, .. } => {
-                    stages.lock().iter().map(|s| s.usage().records).sum::<u64>() as usize
-                }
-                MaterializedStream::Decoded { records, .. } => records.len(),
-                MaterializedStream::Streamed { trace, core, .. } => {
+            .map(|s| match &s.records {
+                StreamRecords::Lazy { .. } => s.stage_usage().records as usize,
+                StreamRecords::Decoded { records, .. } => records.len(),
+                StreamRecords::Streamed { trace, core, .. } => {
                     trace.header().cores[*core].records as usize
                 }
             })
             .collect()
     }
 
-    /// Total wraps observed across every cursor of every decoded stream. Zero means no
-    /// simulation ever outran the captured budget, i.e. the replay was bit-identical to
-    /// an infinite-generator run; non-zero means the paper's re-execution semantics
-    /// kicked in. Synthetic (lazy) streams never wrap.
+    /// What sharing each core's private stages has cost so far (summed over the stages
+    /// of distinct [`StageParams`]), in core order: records drawn, events and bytes
+    /// memoized, cursors handed out — one per core and evaluation — and how many of
+    /// them left a full memo.
+    pub fn stage_usage(&self) -> Vec<SharedStageUsage> {
+        self.streams.iter().map(|s| s.stage_usage()).collect()
+    }
+
+    /// Σ over cores of the most passes any one reader completed over that core's
+    /// stream — an evaluation counts a pass when it moves to the event whose records
+    /// crossed the stream's end. Zero means no simulation ever outran the captured
+    /// budget, i.e. the replay was bit-identical to an infinite-generator run; non-zero
+    /// means the paper's re-execution semantics kicked in. The count does not grow with
+    /// the number of policies evaluated, is the same for a decoded and a streamed mix at
+    /// every budget and worker count, and leaves out what a shared stage drew ahead of
+    /// its consumers. Synthetic streams never wrap.
     pub fn replay_wraps(&self) -> u64 {
         self.streams
             .iter()
-            .map(|s| match s {
-                MaterializedStream::Lazy { .. } => 0,
-                MaterializedStream::Decoded { wraps, .. }
-                | MaterializedStream::Streamed { wraps, .. } => wraps.load(Ordering::Relaxed),
-            })
+            .map(|s| s.wraps.load(Ordering::Relaxed))
             .sum()
     }
 
-    /// One trace source per core: a fresh cursor over the shared records of a replayed
-    /// mix, a fresh live generator for a synthetic one (whose memo holds events, not
-    /// records — [`evaluate_prepared`] does not come through here for it).
+    /// One trace source per core, from its first record: a fresh cursor over the records
+    /// of a replayed mix, a fresh live generator for a synthetic one. For callers that
+    /// drive the private hierarchy themselves; [`evaluate_prepared`] does not come
+    /// through here.
     pub fn sources(&self) -> Vec<Box<dyn TraceSource>> {
         self.streams
             .iter()
-            .enumerate()
-            .map(|(core, stream)| match stream {
-                MaterializedStream::Lazy { llc_sets, seed, .. } => {
-                    self.mix.trace_source(core, *llc_sets, *seed)
-                }
-                MaterializedStream::Decoded {
-                    records,
-                    label,
-                    wraps,
-                } => Box::new(SharedReplayTrace::new(
-                    label.clone(),
-                    records.clone(),
-                    wraps.clone(),
-                )),
-                MaterializedStream::Streamed {
-                    trace,
-                    core,
-                    wraps,
-                    batch_records,
-                } => {
-                    let decoder = MappedStreamDecoder::new(trace.clone(), *core, *batch_records)
-                        .expect("stream was validated when materialized");
-                    Box::new(ArenaReplayTrace::new(
-                        Box::new(PrefetchingSource::new(decoder)),
-                        wraps.clone(),
-                    ))
-                }
-            })
+            .map(|s| s.records.source(s.wraps.clone()))
             .collect()
     }
 
     /// One cursor per core over the private stages shared by every evaluation of this
-    /// mix under `params`, building the stages on first use; `None` for a replayed mix,
-    /// whose stages are driven inline, per run.
-    fn stage_cursors(&self, params: &StageParams) -> Option<Vec<StageCursor>> {
+    /// mix under `params`, building the stages on first use.
+    fn stage_cursors(&self, params: &StageParams) -> Vec<StageCursor> {
         self.streams
             .iter()
-            .enumerate()
-            .map(|(core, stream)| match stream {
-                MaterializedStream::Lazy {
-                    llc_sets,
-                    seed,
-                    stages,
-                } => {
-                    let mut stages = stages.lock();
-                    let at = stages
-                        .iter()
-                        .position(|s| s.params() == params)
-                        .unwrap_or_else(|| {
-                            let source = self.mix.trace_source(core, *llc_sets, *seed);
-                            stages.push(SharedStage::new(*params, source));
-                            stages.len() - 1
-                        });
-                    Some(stages[at].cursor())
-                }
-                _ => None,
+            .map(|stream| {
+                let mut stages = stream.stages.lock();
+                let at = stages
+                    .iter()
+                    .position(|s| s.params() == params)
+                    .unwrap_or_else(|| {
+                        // The stage's readers report to no one: its cursors fold in
+                        // the passes each consumer reached.
+                        let records = stream.records.clone();
+                        stages.push(SharedStage::new(
+                            *params,
+                            move || records.source(Arc::default()),
+                            stream.memo_pool.clone(),
+                            stream.wraps.clone(),
+                        ));
+                        stages.len() - 1
+                    });
+                stages[at].cursor()
             })
             .collect()
     }
 
-    /// What sharing the private stages of a synthetic mix cost, as `stage.*` counters
-    /// under the `mix<id>` context (`docs/observability.md`); nothing unless `sim_obs`
-    /// is recording and the mix has stages.
+    /// What sharing the mix's private stages cost, as `stage.*` counters under the
+    /// `mix<id>` context (`docs/observability.md`); nothing unless `sim_obs` is
+    /// recording and the mix has been evaluated.
     pub(crate) fn record_stage_counters(&self) {
         if !sim_obs::enabled() {
             return;
         }
-        let mut total = SharedStageUsage::default();
-        for stream in &self.streams {
-            if let MaterializedStream::Lazy { stages, .. } = stream {
-                for usage in stages.lock().iter().map(SharedStage::usage) {
-                    total.records += usage.records;
-                    total.events += usage.events;
-                    total.memo_bytes += usage.memo_bytes;
-                    total.cursors += usage.cursors;
-                }
-            }
-        }
+        let total: SharedStageUsage = self.stage_usage().into_iter().sum();
         if total.cursors == 0 {
             return;
         }
@@ -540,8 +597,9 @@ impl MaterializedMixStreams {
         sim_obs::counter("sweep", "stage.events", total.events as f64);
         sim_obs::counter("sweep", "stage.memo_bytes", total.memo_bytes as f64);
         // Every evaluation takes one cursor per core.
-        let evaluations = total.cursors / self.streams.len() as u64;
-        sim_obs::counter("sweep", "stage.cursors", evaluations as f64);
+        let cores = self.streams.len() as u64;
+        sim_obs::counter("sweep", "stage.cursors", (total.cursors / cores) as f64);
+        sim_obs::counter("sweep", "stage.handovers", total.handovers as f64);
     }
 }
 
@@ -670,10 +728,10 @@ pub fn evaluate_mix(
 
 /// Run an explicitly constructed policy over already-materialized streams — the
 /// inner step of the corpus sweep engine, also used by the ablation sweeps so every
-/// configuration variant shares one materialization of each mix. A synthetic mix's
-/// private hierarchy (generation, L1, L2, prefetcher) is simulated once per distinct
-/// [`StageParams`] and shared by every call; a replayed mix's is driven inline, per call,
-/// over a fresh cursor, so its wrap counts and arena use are one run's each.
+/// configuration variant shares one materialization of each mix. The mix's private
+/// hierarchy (record production, L1, L2, prefetcher) is simulated once per distinct
+/// [`StageParams`] and shared by every call, whatever the provenance; past a replayed
+/// mix's memo share the call finishes on stages of its own (see [`ReplayConfig`]).
 pub fn evaluate_prepared<P: LlcReplacementPolicy>(
     config: &SystemConfig,
     prepared: &MaterializedMixStreams,
@@ -682,10 +740,8 @@ pub fn evaluate_prepared<P: LlcReplacementPolicy>(
     instructions: u64,
     seed: u64,
 ) -> MixEvaluation {
-    let system = match prepared.stage_cursors(&StageParams::latch(config, instructions)) {
-        Some(stages) => MultiCoreSystem::with_stages(config.clone(), stages, built),
-        None => MultiCoreSystem::new(config.clone(), prepared.sources(), built),
-    };
+    let stages = prepared.stage_cursors(&StageParams::latch(config, instructions));
+    let system = MultiCoreSystem::with_stages(config.clone(), stages, built);
     evaluate_system(config, &prepared.mix, policy, system, instructions, seed)
 }
 
@@ -772,9 +828,10 @@ pub fn evaluate_policies_on_mixes(
 pub struct MixReplayWraps {
     /// The mix the wraps were observed on.
     pub mix_id: usize,
-    /// Total wraps across every policy's replay of this mix's streams. Zero means the
-    /// capture budget covered every simulation; non-zero means the paper's
-    /// re-execution semantics kicked in (see `MaterializedMixStreams::replay_wraps`).
+    /// Σ over cores of the most passes any one policy's evaluation completed over that
+    /// core's stream. Zero means the capture budget covered every simulation; non-zero
+    /// means the paper's re-execution semantics kicked in. The count does not grow with
+    /// the number of policies swept (see `MaterializedMixStreams::replay_wraps`).
     pub wraps: u64,
 }
 
@@ -789,7 +846,8 @@ pub struct SweepOutcome {
 }
 
 impl SweepOutcome {
-    /// Total replay wraps across every mix of the sweep.
+    /// Total replay wraps (passes, as [`MixReplayWraps::wraps`] counts them) across every
+    /// mix of the sweep.
     pub fn total_replay_wraps(&self) -> u64 {
         self.mix_wraps.iter().map(|w| w.wraps).sum()
     }
@@ -862,9 +920,9 @@ pub fn sweep_policies_on_sources_with(
             if wraps > 0 {
                 sim_obs::obs_warn!(
                     "runner",
-                    "corpus replay of mix {} wrapped {wraps} time(s): the \
-                     capture budget is smaller than the run; results follow re-execution \
-                     semantics and may differ from a live-generator sweep",
+                    "corpus replay of mix {} re-executed its streams ({wraps} pass(es) summed \
+                     over cores): the capture budget is smaller than the run; results \
+                     follow re-execution semantics and may differ from a live-generator sweep",
                     mat.mix().id
                 );
             }
@@ -1215,6 +1273,49 @@ mod tests {
     }
 
     #[test]
+    fn wrap_counts_are_passes_and_do_not_scale_with_the_policy_count() {
+        // A 64-access capture every core re-executes many times over: the reported
+        // count is Σ over cores of the most passes one evaluation made, so sweeping the
+        // same policy four times reports what sweeping it once does, and four different
+        // policies report at least the furthest of them, not their sum — decoded or
+        // streamed alike.
+        let (cfg, mixes) = smoke_setup();
+        let llc_sets = cfg.llc.geometry.num_sets();
+        let path = std::env::temp_dir().join("runner_wrap_wall.atrc");
+        capture_mix_file(&path, &mixes[0], llc_sets, 1, 64);
+        let sources = vec![MixSource::replayed(&path).unwrap()];
+        let kinds = [
+            PolicyKind::TaDrrip,
+            PolicyKind::Lru,
+            PolicyKind::Ship,
+            PolicyKind::AdaptBp32,
+        ];
+        let streamed = ReplayConfig {
+            arena_budget_bytes: 1 << 10,
+        };
+        let mut per_budget = Vec::new();
+        for replay in [ReplayConfig::default(), streamed] {
+            let wraps = |policies: &[PolicyKind]| {
+                sweep_policies_on_sources_with(&cfg, &sources, policies, 20_000, 1, &replay)
+                    .unwrap()
+                    .mix_wraps[0]
+                    .wraps
+            };
+            let singles: Vec<u64> = kinds.iter().map(|&kind| wraps(&[kind])).collect();
+            assert!(singles.iter().all(|&w| w > 0), "every run must wrap");
+            assert_eq!(wraps(&[kinds[0]; 4]), singles[0]);
+            let four = wraps(&kinds);
+            assert!(
+                (*singles.iter().max().unwrap()..singles.iter().sum()).contains(&four),
+                "four policies wrapped {four}, one at a time {singles:?}"
+            );
+            per_budget.push((singles, four));
+        }
+        assert_eq!(per_budget[0], per_budget[1], "decoded vs streamed");
+        std::fs::remove_file(path).ok();
+    }
+
+    #[test]
     fn corpus_sweep_rejects_geometry_mismatch() {
         let scale = ExperimentScale::Smoke;
         let cfg = scale.system_config(StudyKind::Cores4);
@@ -1403,7 +1504,7 @@ mod tests {
                 assert!(prepared
                     .streams
                     .iter()
-                    .all(|s| want_streamed == matches!(s, MaterializedStream::Streamed { .. })));
+                    .all(|s| want_streamed == matches!(s.records, StreamRecords::Streamed { .. })));
                 sweep_policies_on_sources_with(&cfg, &sources, &policies, instructions, 1, replay)
                     .unwrap()
             };

@@ -4,7 +4,10 @@
 //! decode (and alone-run normalization) on every invocation, while the daemon maps and
 //! materializes each corpus **once** at startup — reusing the zero-copy replay path
 //! (mmap + arena decode, [`experiments::runner::ReplayConfig`]) — and then serves any
-//! number of evaluation requests against the resident [`MaterializedMixStreams`].
+//! number of evaluation requests against the resident [`MaterializedMixStreams`], which
+//! also keep each mix's shared private stages: the L1/L2/prefetcher side of a mix is
+//! simulated by the first request that needs it and replayed by every later one, within
+//! the per-mix arena budget.
 //!
 //! Each loaded corpus carries its content hash ([`corpus_hash`]), the derived system
 //! configuration, and the recovered `sweep.progress` cells, which pre-seed the memo
@@ -15,6 +18,7 @@ use std::io::Read;
 use std::path::Path;
 use std::sync::Arc;
 
+use cache_sim::private::SharedStageUsage;
 use experiments::runner::{
     evaluate_prepared, warm_alone_cache, MaterializedMixStreams, MixSource, ReplayConfig,
 };
@@ -190,6 +194,12 @@ impl LoadedCorpus {
             seed: self.seed,
             mix_id,
         }
+    }
+
+    /// What the resident mixes' shared private stages hold, summed over mixes and cores
+    /// (`cursors` counts one per core and evaluation).
+    pub fn stage_usage(&self) -> SharedStageUsage {
+        self.prepared.iter().flat_map(|p| p.stage_usage()).sum()
     }
 
     /// Evaluate one `(policy, mix)` cell on the resident streams — the exact

@@ -781,9 +781,13 @@ fn corpora_body(shared: &Shared) -> String {
             .map(|id| id.to_string())
             .collect::<Vec<_>>()
             .join(",");
+        // What resident sharing holds: the event memos' bytes, and the evaluations that
+        // replayed (or extended) them — one cursor per core each.
+        let stages = corpus.stage_usage();
         out.push_str(&format!(
             "{{\"name\":{},\"hash\":\"{:016x}\",\"label\":{},\"cores\":{},\"llc_sets\":{},\
-             \"seed\":{},\"instructions\":{},\"mix_ids\":[{mix_ids}]}}",
+             \"seed\":{},\"instructions\":{},\"mix_ids\":[{mix_ids}],\
+             \"stage_memo_bytes\":{},\"stage_cursors\":{}}}",
             json_str(&corpus.name),
             corpus.hash,
             json_str(&corpus.corpus.meta().label),
@@ -791,6 +795,8 @@ fn corpora_body(shared: &Shared) -> String {
             corpus.config.llc.geometry.num_sets(),
             corpus.seed,
             corpus.instructions,
+            stages.memo_bytes,
+            stages.cursors / corpus.config.num_cores as u64,
         ));
     }
     out.push_str("]}");

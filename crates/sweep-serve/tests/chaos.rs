@@ -165,6 +165,71 @@ fn replay_corruption_quarantines_and_revalidate_readmits() {
     server.stop();
 }
 
+/// Two cold cells of one mix share the mix's private stages, so a decode fault under
+/// whichever request generates events reaches the other through the stage. Both must
+/// fail the typed way — a 503 with the quarantine body, never a 500 from a poisoned
+/// stage lock — the corpus is quarantined once, and `/revalidate` readmits it with
+/// fresh stages that serve the reference bytes.
+#[test]
+fn concurrent_cold_requests_on_one_mix_fail_typed_through_the_shared_stage() {
+    let guard = sim_fault::exclusive();
+    let dir = test_dir("chaos_shared_stage");
+    materialize_corpus(&dir, "chaos-s", 1);
+    // Streams from the mapping (the decoded mix is 5 MiB) and leaves the event memos a
+    // pool, so the requests meet in shared stages rather than on stages of their own.
+    let replay = ReplayConfig {
+        arena_budget_bytes: 2 << 20,
+    };
+    let policies = [PolicyKind::TaDrrip, PolicyKind::Lru];
+    let reference = reference_with(&dir, &policies, &replay);
+    let server = spawn_with(vec![("c".to_string(), dir.clone())], 2, replay);
+    let addr = server.addr();
+    let bodies: Vec<String> = policies
+        .iter()
+        .map(|p| eval_body("c", &p.label(), 0))
+        .collect();
+    let both_at_once = || -> Vec<client::HttpResponse> {
+        let start = std::sync::Barrier::new(bodies.len());
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = bodies
+                .iter()
+                .map(|body| {
+                    let start = &start;
+                    scope.spawn(move || {
+                        start.wait();
+                        client::post(addr, "/eval", body, None).expect("eval roundtrip")
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        })
+    };
+
+    guard.install(FaultPlan::new(11).always("replay.decode", FaultKind::Io));
+    for resp in both_at_once() {
+        assert_eq!(resp.status, 503, "typed failure, not a 500: {}", resp.body);
+        assert!(is_quarantined_body(&resp.body), "typed body: {}", resp.body);
+    }
+    let stats = client::get(addr, "/stats").expect("stats");
+    let stats = JsonValue::parse(&stats.body).expect("stats parses");
+    assert_eq!(health_list(&stats, "quarantined").len(), 1);
+    // The listing reads the failed stages' usage without tripping over the fault.
+    assert_eq!(client::get(addr, "/corpora").expect("corpora").status, 200);
+
+    guard.clear();
+    let resp = client::post(addr, "/revalidate", "{\"corpus\":\"c\"}", None).expect("revalidate");
+    assert_eq!(resp.status, 200, "readmitted: {}", resp.body);
+    for (resp, cell) in both_at_once().iter().zip(&reference) {
+        assert_eq!(resp.status, 200, "readmitted corpus serves: {}", resp.body);
+        assert_eq!(
+            resp.body, cell.2,
+            "{}: served bytes match `repro sweep`",
+            cell.0
+        );
+    }
+    server.stop();
+}
+
 #[test]
 fn sweep_answers_429_when_workers_never_drain_the_queue() {
     let guard = sim_fault::exclusive();

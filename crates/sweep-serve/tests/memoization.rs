@@ -7,7 +7,12 @@ mod common;
 
 use std::path::Path;
 
+use cache_sim::private::SharedStageUsage;
+use experiments::runner::ReplayConfig;
 use sim_obs::JsonValue;
+use sweep_serve::json::evaluation_json;
+use sweep_serve::memo::MemoStore;
+use sweep_serve::registry::LoadedCorpus;
 use sweep_serve::Client;
 use trace_io::corpus::MANIFEST_FILE;
 
@@ -78,7 +83,55 @@ fn hits_are_bit_identical_and_stats_count_exactly_what_clients_observed() {
         "stats: {}",
         stats.body
     );
+
+    // What resident sharing holds shows in `/corpora`: the three cold evaluations took
+    // cursors over the mixes' private stages, whose event memos stay.
+    let corpora = JsonValue::parse(&client.get("/corpora").unwrap().body).expect("corpora JSON");
+    let listed = &corpora
+        .get("corpora")
+        .and_then(JsonValue::as_array)
+        .unwrap()[0];
+    let field = |name: &str| listed.get(name).and_then(JsonValue::as_number).unwrap() as u64;
+    assert_eq!(field("stage_cursors"), 3);
+    assert!(field("stage_memo_bytes") > 0);
     handle.stop();
+}
+
+#[test]
+fn a_resident_mix_keeps_one_set_of_private_stages_across_requests() {
+    // The registry keeps each mix's `MaterializedMixStreams`, and with them the mix's
+    // shared private stages: P policies evaluated on one mix take P cursors per core
+    // over one set of stages, and the records are drawn for the first only.
+    let dir = common::test_dir("memoization_resident_stages");
+    common::materialize_corpus(&dir, "resident corpus", 1);
+    let memo = MemoStore::new();
+    let (corpus, _) = LoadedCorpus::load("c", &dir, common::SCALE, &ReplayConfig::default(), &memo)
+        .expect("load");
+    let cores = corpus.config.num_cores as u64;
+    assert_eq!(corpus.stage_usage(), SharedStageUsage::default());
+
+    let policies = common::test_policies();
+    let reference = common::reference_cells(&dir, &policies);
+    let mut drawn = 0;
+    for (served, (policy, cell)) in policies.iter().zip(&reference).enumerate() {
+        let eval = corpus.evaluate(*policy, 0).expect("mix 0 is resident");
+        assert_eq!(evaluation_json(&eval), cell.2, "{}", cell.0);
+        let usage = corpus.stage_usage();
+        assert_eq!(usage.cursors, (served as u64 + 1) * cores);
+        assert_eq!(usage.handovers, 0);
+        // Later policies may run a little further than the first; none starts over.
+        assert!(usage.records >= drawn);
+        if served > 0 {
+            assert!(
+                usage.records < drawn + drawn / 2,
+                "{}: drew {} records after {drawn}",
+                cell.0,
+                usage.records
+            );
+        }
+        drawn = usage.records;
+    }
+    assert!(drawn > 0);
 }
 
 #[test]

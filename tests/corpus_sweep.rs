@@ -6,10 +6,11 @@
 use std::collections::BTreeMap;
 use std::sync::{Mutex, OnceLock};
 
-use cache_sim::trace::{arena_peak_bytes, reset_arena_peak};
+use cache_sim::trace::{arena_current_bytes, arena_peak_bytes, reset_arena_peak};
 use experiments::runner::{
-    evaluate_policies_on_mixes, evaluate_policies_serial, sweep_policies_on_corpus_with,
-    synthetic_capture_budget, warm_alone_cache, MixEvaluation, ReplayConfig,
+    evaluate_policies_on_mixes, evaluate_policies_serial, evaluate_prepared,
+    sweep_policies_on_corpus_with, synthetic_capture_budget, warm_alone_cache, MixEvaluation,
+    MixSource, ReplayConfig,
 };
 use experiments::{ExperimentScale, PolicyKind};
 use sim_obs::{Drained, EventKind};
@@ -106,8 +107,10 @@ fn corpus_sweep_reproduces_the_serial_synthetic_path_bit_for_bit() {
 #[test]
 fn constant_memory_sweep_stays_under_the_arena_cap_and_matches_the_buffered_path() {
     // The zero-copy acceptance bar: a corpus 10x larger than the arena budget must
-    // sweep with peak replay-arena bytes under the cap, while producing results
-    // bit-identical to the fully-buffered (decode-everything-up-front) path.
+    // sweep four policies with peak replay-arena bytes — decode buffers, decompression
+    // scratch and the event memo of the shared private stages — under the cap, while
+    // producing results bit-identical to the fully-buffered (decode-everything-up-front)
+    // path.
     let _guard = global_state_lock();
     let scale = ExperimentScale::Smoke;
     let cfg = scale.system_config(StudyKind::Cores4);
@@ -129,7 +132,12 @@ fn constant_memory_sweep_stays_under_the_arena_cap_and_matches_the_buffered_path
         "corpus must be at least 10x the arena budget (got {decoded_bytes} vs {budget})"
     );
 
-    let policies = [PolicyKind::TaDrrip];
+    let policies = [
+        PolicyKind::TaDrrip,
+        PolicyKind::Lru,
+        PolicyKind::Ship,
+        PolicyKind::AdaptBp32,
+    ];
     let buffered = ReplayConfig::default();
     assert!(
         buffered.arena_budget_bytes >= decoded_bytes,
@@ -156,6 +164,27 @@ fn constant_memory_sweep_stays_under_the_arena_cap_and_matches_the_buffered_path
     );
     assert_evaluations_identical(&baseline.evaluations, &streamed.evaluations);
     assert_eq!(baseline.mix_wraps, streamed.mix_wraps);
+
+    // The event memo is in that accounting: a resident mix that has served the four
+    // policies holds it, registered, until it is dropped.
+    let idle = arena_current_bytes();
+    let prepared = MixSource::replayed_with_id(&entry_path, corpus.entries()[0].mix_id)
+        .unwrap()
+        .materialize_with(llc_sets, SEED, &constant_memory)
+        .unwrap();
+    for (policy, swept) in policies.iter().zip(&streamed.evaluations) {
+        let built = policy.build_dispatch(&cfg, &prepared.mix().thrashing_slots());
+        let resident = evaluate_prepared(&cfg, &prepared, *policy, built, INSTRUCTIONS, SEED);
+        assert_evaluations_identical(std::slice::from_ref(swept), &[resident]);
+    }
+    let memo: u64 = prepared.stage_usage().iter().map(|u| u.memo_bytes).sum();
+    assert!(memo > 0, "the policies shared no memoized event");
+    assert!(
+        arena_current_bytes() >= idle + memo,
+        "the {memo}-byte event memo is not registered"
+    );
+    drop(prepared);
+    assert_eq!(arena_current_bytes(), idle);
     std::fs::remove_dir_all(&dir).ok();
 }
 

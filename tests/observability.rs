@@ -9,9 +9,13 @@ use std::collections::BTreeMap;
 use std::sync::{Mutex, OnceLock};
 
 use cache_sim::MultiCoreSystem;
-use experiments::runner::{evaluate_policies_on_mixes, warm_alone_cache};
+use experiments::runner::{
+    evaluate_policies_on_mixes, sweep_policies_on_corpus_with, synthetic_capture_budget,
+    warm_alone_cache, ReplayConfig,
+};
 use experiments::{ExperimentScale, PolicyKind};
 use sim_obs::{Drained, EventKind};
+use trace_io::Corpus;
 use workloads::{generate_mixes, StudyKind};
 
 const INSTRUCTIONS: u64 = 20_000;
@@ -187,9 +191,9 @@ fn sampled_runs_of_one_system_emit_identical_interval_core_rows() {
     assert_eq!(plain, second);
 }
 
-/// "Was the private stage shared, and what did it cost?": every synthetic mix of a
-/// profiled sweep reports its stages once, under its own context: as many cursors as
-/// policies, over one generation.
+/// "Was the private stage shared, and what did it cost?": every mix of a profiled
+/// sweep — generated live or replayed from a corpus — reports its stages once, under
+/// its own context: as many cursors as policies, over one pass of record production.
 #[test]
 fn profiled_sweep_reports_each_mix_shared_stages_once() {
     let _guard = obs_lock();
@@ -198,38 +202,58 @@ fn profiled_sweep_reports_each_mix_shared_stages_once() {
     let mixes = generate_mixes(StudyKind::Cores4, 2, scale.seed());
     let policies = policies();
     warm_alone_cache(&cfg, &mixes, INSTRUCTIONS, SEED);
+    let dir = std::env::temp_dir().join("e2e_obs_stage_counters");
+    std::fs::remove_dir_all(&dir).ok();
+    let (corpus, _) = Corpus::materialize(
+        &dir,
+        "obs",
+        &mixes,
+        cfg.llc.geometry.num_sets(),
+        SEED,
+        synthetic_capture_budget(INSTRUCTIONS),
+    )
+    .unwrap();
 
-    sim_obs::reset();
-    sim_obs::enable();
-    let _ = evaluate_policies_on_mixes(&cfg, &mixes, &policies, INSTRUCTIONS, SEED);
-    sim_obs::disable();
-    let drained = sim_obs::drain();
+    for replayed in [false, true] {
+        sim_obs::reset();
+        sim_obs::enable();
+        if replayed {
+            let replay = ReplayConfig::default();
+            sweep_policies_on_corpus_with(&cfg, &corpus, &policies, INSTRUCTIONS, &replay).unwrap();
+        } else {
+            evaluate_policies_on_mixes(&cfg, &mixes, &policies, INSTRUCTIONS, SEED);
+        }
+        sim_obs::disable();
+        let drained = sim_obs::drain();
 
-    let mut counters: BTreeMap<(String, &'static str), Vec<f64>> = BTreeMap::new();
-    for event in drained.threads.iter().flat_map(|t| &t.events) {
-        if event.kind == EventKind::Counter && event.name.starts_with("stage.") {
-            assert_eq!(event.cat, "sweep");
-            let ctx = drained.context(event.ctx).to_string();
-            counters
-                .entry((ctx, event.name))
-                .or_default()
-                .push(event.value);
+        let mut counters: BTreeMap<(String, &'static str), Vec<f64>> = BTreeMap::new();
+        for event in drained.threads.iter().flat_map(|t| &t.events) {
+            if event.kind == EventKind::Counter && event.name.starts_with("stage.") {
+                assert_eq!(event.cat, "sweep");
+                let ctx = drained.context(event.ctx).to_string();
+                counters
+                    .entry((ctx, event.name))
+                    .or_default()
+                    .push(event.value);
+            }
+        }
+        assert_eq!(counters.len(), 5 * mixes.len(), "{counters:?}");
+        for mix in &mixes {
+            let value = |name| match counters.get(&(format!("mix{}", mix.id), name)) {
+                Some(values) if values.len() == 1 => values[0],
+                other => panic!("mix {}: {name} recorded {other:?}", mix.id),
+            };
+            assert_eq!(value("stage.cursors"), policies.len() as f64);
+            assert_eq!(value("stage.handovers"), 0.0);
+            // Stages built while the recorder is on have bound 0: every record an event.
+            let (records, events) = (value("stage.records"), value("stage.events"));
+            assert!(events > 0.0);
+            assert_eq!(events, records);
+            // 40 bytes an event, plus the write-back side arrays.
+            assert!(value("stage.memo_bytes") >= 40.0 * events);
         }
     }
-    assert_eq!(counters.len(), 4 * mixes.len(), "{counters:?}");
-    for mix in &mixes {
-        let value = |name| match counters.get(&(format!("mix{}", mix.id), name)) {
-            Some(values) if values.len() == 1 => values[0],
-            other => panic!("mix {}: {name} recorded {other:?}", mix.id),
-        };
-        assert_eq!(value("stage.cursors"), policies.len() as f64);
-        // Stages built while the recorder is on have bound 0: every record an event.
-        let (records, events) = (value("stage.records"), value("stage.events"));
-        assert!(events > 0.0);
-        assert_eq!(events, records);
-        // 40 bytes an event, plus the write-back side arrays.
-        assert!(value("stage.memo_bytes") >= 40.0 * events);
-    }
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]

@@ -23,15 +23,20 @@ mod oracle;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Barrier, Mutex, MutexGuard};
 
-use adapt_llc::experiments::runner::{evaluate_prepared, MixEvaluation, MixSource, ReplayConfig};
+use adapt_llc::experiments::runner::{
+    evaluate_prepared, synthetic_capture_budget, MixEvaluation, MixSource, ReplayConfig,
+};
 use adapt_llc::experiments::{evaluate_mix, ExperimentScale, MemSystem, PolicyKind};
 use adapt_llc::sim::config::{
     BankContentionConfig, CacheGeometry, PrivatePolicyKind, SystemConfig,
 };
-use adapt_llc::sim::private::{SharedStage, StageParams, CHUNK_RECORDS};
+use adapt_llc::sim::private::{
+    MemoPool, SharedStage, SharedStageUsage, StageParams, CHUNK_RECORDS, MAX_CHUNK_BYTES,
+};
 use adapt_llc::sim::stats::{CoreStats, SystemResults};
 use adapt_llc::sim::system::{MultiCoreSystem, RUN_AHEAD};
-use adapt_llc::sim::trace::{MemAccess, StridedTrace, TraceSource};
+use adapt_llc::sim::trace::{MemAccess, SharedReplayTrace, StridedTrace, TraceSource};
+use adapt_llc::traces::{capture_mix, MappedTrace, TraceCaptureOptions};
 use adapt_llc::workloads::{generate_mixes, StudyKind, WorkloadMix};
 use oracle::NaiveSystem;
 
@@ -297,8 +302,11 @@ fn obs_lock() -> MutexGuard<'static, ()> {
 /// oracle's while `sim_obs` sampling is on, which reads every core's clock and so
 /// turns run-ahead off. (Tests running beside the sampled leg merely get sampled too;
 /// results do not depend on it.) This is the contract of a system that drives its
-/// stages inline; a shared stage may additionally run ahead of its furthest consumer by
-/// one chunk (`shared_stages_under_concurrency_equal_inline_and_the_oracle`).
+/// stages inline; a shared stage — over generators or over a replayed corpus — may
+/// additionally run ahead of its furthest consumer by one chunk, fewer than
+/// `CHUNK_RECORDS + RUN_AHEAD + 1` records
+/// (`shared_stages_under_concurrency_equal_inline_and_the_oracle`,
+/// `replayed_mixes_share_their_stages_and_equal_the_oracle_and_the_live_generators`).
 #[test]
 fn run_ahead_overfetch_is_bounded_per_core() {
     let _obs = obs_lock();
@@ -472,10 +480,13 @@ fn shared_stages_under_concurrency_equal_inline_and_the_oracle() {
     // The simulator's own constructor over cursors, so every field can be compared.
     let params = StageParams::latch(&cfg, instructions);
     assert_eq!(params.bound, RUN_AHEAD);
-    let stages: Vec<SharedStage> = mix
-        .trace_sources(llc_sets, SEED)
-        .into_iter()
-        .map(|source| SharedStage::new(params, source))
+    let unbounded = MemoPool::new(u64::MAX);
+    let stages: Vec<SharedStage> = (0..cfg.num_cores)
+        .map(|core| {
+            let mix = mix.clone();
+            let source = move || mix.trace_source(core, llc_sets, SEED);
+            SharedStage::new(params, source, unbounded.clone(), Arc::default())
+        })
         .collect();
     let run_shared = |kind: PolicyKind| {
         let cursors = stages.iter().map(SharedStage::cursor).collect();
@@ -514,7 +525,6 @@ fn shared_stages_under_concurrency_equal_inline_and_the_oracle() {
     // (i) Sharing happened: each generator was drawn from as far as its furthest
     // consumer went (a per-record consumer's count, plus the driver's run-ahead) and at
     // most one chunk further — not once per policy.
-    let shared_bound = |furthest: u64| furthest + CHUNK_RECORDS + 2 * (RUN_AHEAD + 1);
     let furthest = |references: &[(SystemResults, Vec<u64>)]| -> Vec<u64> {
         (0..cfg.num_cores)
             .map(|core| {
@@ -572,6 +582,145 @@ fn shared_stages_under_concurrency_equal_inline_and_the_oracle() {
             "the first memo was reused"
         );
     }
+}
+
+/// Records a shared stage may have drawn when its furthest consumer — counted per
+/// record, by the oracle — used `furthest`: the driver's run-ahead, and fewer than
+/// `CHUNK_RECORDS + RUN_AHEAD + 1` records the stage drew ahead of that consumer.
+fn shared_bound(furthest: u64) -> u64 {
+    furthest + CHUNK_RECORDS + 2 * (RUN_AHEAD + 1)
+}
+
+/// A captured 16-core mix replayed through the runner, decoded up front and streamed at
+/// a budget whose memo pools run out mid-run: four policies evaluated at once on *one*
+/// materialization share one set of private stages — across the hand-over, where the
+/// pool is short — and each equals the oracle over the same records and, the capture
+/// covering the run, the live generators. Stages built straight over the decoded
+/// records, so that every `SystemResults` field can be compared, agree at every pool
+/// size too.
+#[test]
+fn replayed_mixes_share_their_stages_and_equal_the_oracle_and_the_live_generators() {
+    let _obs = obs_lock();
+    let scale = ExperimentScale::Smoke;
+    let cfg = scale.system_config(StudyKind::Cores16);
+    let mix = &generate_mixes(StudyKind::Cores16, 1, scale.seed())[0];
+    let llc_sets = cfg.llc.geometry.num_sets();
+    let slots = mix.thrashing_slots();
+    let kinds = [
+        PolicyKind::TaDrrip,
+        PolicyKind::Lru,
+        PolicyKind::Ship,
+        PolicyKind::AdaptBp32,
+    ];
+    let path = std::env::temp_dir().join("reference_identity_replayed16.atrc");
+    let accesses = synthetic_capture_budget(INSTRUCTIONS);
+    let opts = TraceCaptureOptions::for_llc_sets(llc_sets);
+    capture_mix(&path, mix, SEED, accesses, None, opts).unwrap();
+    let source = MixSource::replayed(&path).unwrap();
+    let decoded_bytes = accesses * cfg.num_cores as u64 * 16;
+
+    // The oracle over the replayed records, and the records it drew from each core.
+    let buffered = source
+        .materialize_with(llc_sets, SEED, &ReplayConfig::default())
+        .unwrap();
+    let references: Vec<(SystemResults, Vec<u64>)> = kinds
+        .iter()
+        .map(|&kind| {
+            let (sources, counts) = counted(buffered.sources());
+            let built = Box::new(kind.build_dispatch(&cfg, &slots));
+            let results = NaiveSystem::new(cfg.clone(), sources, built).run(INSTRUCTIONS);
+            let drawn = counts.iter().map(|c| c.load(Ordering::Relaxed)).collect();
+            (results, drawn)
+        })
+        .collect();
+    assert_eq!(buffered.replay_wraps(), 0, "the capture covers the run");
+
+    // Half the decoded size streams, and leaves each core's memo a chunk or so.
+    let streamed_budget = decoded_bytes / 2;
+    for (what, budget) in [
+        ("decoded", ReplayConfig::default().arena_budget_bytes),
+        ("streamed", streamed_budget),
+    ] {
+        let replay = ReplayConfig {
+            arena_budget_bytes: budget,
+        };
+        assert_eq!(what == "streamed", budget < decoded_bytes);
+        let prepared = source.materialize_with(llc_sets, SEED, &replay).unwrap();
+        let evaluations = at_once(&kinds, &|kind| {
+            let built = kind.build_dispatch(&cfg, &slots);
+            evaluate_prepared(&cfg, &prepared, kind, built, INSTRUCTIONS, SEED)
+        });
+        for ((kind, fast), (reference, _)) in kinds.iter().zip(&evaluations).zip(&references) {
+            assert_evaluation_matches(fast, reference, &format!("{what}, {kind:?}"));
+            let live = evaluate_mix(&cfg, mix, *kind, INSTRUCTIONS, SEED);
+            assert_eq!(
+                format!("{fast:?}"),
+                format!("{live:?}"),
+                "{what}, {kind:?}: the live generators"
+            );
+        }
+        assert_eq!(prepared.replay_wraps(), 0, "{what}");
+
+        let usage = prepared.stage_usage();
+        let total: SharedStageUsage = usage.iter().copied().sum();
+        assert_eq!(
+            total.cursors,
+            (kinds.len() * cfg.num_cores) as u64,
+            "{what}"
+        );
+        assert!(total.memo_bytes > 0 && total.memo_bytes <= budget, "{what}");
+        if what == "streamed" {
+            assert!(total.handovers > 0, "the pool never ran out");
+            assert!(
+                usage.iter().any(|u| u.events > 0 && u.handovers > 0),
+                "no hand-over happened mid-run: {usage:?}"
+            );
+        } else {
+            // One set of stages served all four policies: each stream was drawn from as
+            // far as its furthest consumer went and less than a chunk further.
+            assert_eq!(total.handovers, 0);
+            for (core, usage) in usage.iter().enumerate() {
+                let furthest = references.iter().map(|(_, d)| d[core]).max().unwrap();
+                assert!(
+                    (furthest..=shared_bound(furthest)).contains(&usage.records),
+                    "core {core}: drew {} records, the furthest consumer used {furthest}",
+                    usage.records
+                );
+            }
+        }
+    }
+
+    // Every field, at every pool size: stages straight over the decoded records.
+    let trace = MappedTrace::open(&path).unwrap();
+    let records: Vec<Arc<Vec<MemAccess>>> = (0..cfg.num_cores)
+        .map(|core| Arc::new(trace.decode_core(core).unwrap()))
+        .collect();
+    let params = StageParams::latch(&cfg, INSTRUCTIONS);
+    for pool_bytes in [0, 3 * cfg.num_cores as u64 * MAX_CHUNK_BYTES, u64::MAX] {
+        let pool = MemoPool::new(pool_bytes);
+        let stages: Vec<SharedStage> = records
+            .iter()
+            .zip(&mix.benchmarks)
+            .map(|(records, label)| {
+                let (records, label) = (records.clone(), label.clone());
+                let source = move || -> Box<dyn TraceSource> {
+                    let cursor =
+                        SharedReplayTrace::new(label.clone(), records.clone(), Arc::default());
+                    Box::new(cursor)
+                };
+                SharedStage::new(params, source, pool.clone(), Arc::default())
+            })
+            .collect();
+        let shared = at_once(&kinds, &|kind| {
+            let cursors = stages.iter().map(SharedStage::cursor).collect();
+            let built = kind.build_dispatch(&cfg, &slots);
+            MultiCoreSystem::with_stages(cfg.clone(), cursors, built).run(INSTRUCTIONS)
+        });
+        for ((kind, shared), (reference, _)) in kinds.iter().zip(&shared).zip(&references) {
+            assert_identical(shared, reference, &format!("pool {pool_bytes}, {kind:?}"));
+        }
+    }
+    std::fs::remove_file(path).ok();
 }
 
 /// A closed form for the private stage itself. Core 0 cycles over as many conflicting
