@@ -870,11 +870,7 @@ mod tests {
                 non_mem_instrs: (i % 4) as u32,
             })
             .collect();
-        Box::new(SharedReplayTrace::new(
-            "scatter",
-            Arc::new(records),
-            Arc::default(),
-        ))
+        Box::new(SharedReplayTrace::new("scatter", Arc::new(records)))
     }
 
     fn unbounded(bound: u64, source: fn() -> Box<dyn TraceSource>) -> SharedStage {
@@ -1080,7 +1076,7 @@ mod tests {
             };
             8
         ];
-        let trace = SharedReplayTrace::new("wide", Arc::new(records), Arc::default());
+        let trace = SharedReplayTrace::new("wide", Arc::new(records));
         let mut stage = PrivateStage::new(
             StageParams {
                 instruction_target: u64::MAX,

@@ -873,7 +873,6 @@ mod tests {
         let traces: Vec<Box<dyn TraceSource>> = vec![Box::new(SharedReplayTrace::new(
             "writes",
             std::sync::Arc::new(accesses),
-            Default::default(),
         ))];
         let mut sys = MultiCoreSystem::new(
             cfg.clone(),

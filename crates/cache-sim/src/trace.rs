@@ -160,40 +160,27 @@ impl TraceSource for StridedTrace {
 /// Replays a shared, immutable access buffer in a loop, wrapping at the end (the paper's
 /// re-execution methodology) with the same eager wrap count as [`ArenaReplayTrace`].
 ///
-/// The buffer is behind an [`Arc`], so one decoded trace can back any number of cursors
-/// without copying — the corpus sweep engine in `experiments::runner` decodes each
-/// workload mix once and builds every private stage of a core over the same records.
+/// The buffer is behind an [`Arc`], so one record vector can back any number of cursors
+/// without copying. It is the in-memory source of the simulator's tests and of the
+/// test-side references a replayed corpus is held against; the sweep engine itself
+/// replays a corpus file through [`ArenaReplayTrace`].
 #[derive(Debug, Clone)]
 pub struct SharedReplayTrace {
     records: Arc<Vec<MemAccess>>,
     pos: usize,
     wraps: u64,
-    stream_wraps: Arc<AtomicU64>,
     name: String,
 }
 
 impl SharedReplayTrace {
-    /// Wrap a shared record buffer. `stream_wraps` is the counter shared by everything
-    /// that reads the same stream; it holds the most passes any one reader completed:
-    /// this cursor folds its own [`wraps`](Self::wraps) into it with `fetch_max`
-    /// as they happen (never lowering it, not even on [`reset`](TraceSource::reset)), so
-    /// the count does not grow with the number of cursors. It is how the sweep engine
-    /// sees that some simulation outran the captured budget. A cursor that feeds a
-    /// shared private stage gets a counter of its own instead — the stage draws ahead
-    /// of its consumers, and `cache_sim::private::StageCursor` folds in what each
-    /// consumer actually reached. Panics on an empty buffer: a [`TraceSource`] must
+    /// Wrap a shared record buffer. Panics on an empty buffer: a [`TraceSource`] must
     /// never terminate, and an empty loop cannot produce anything.
-    pub fn new(
-        name: impl Into<String>,
-        records: Arc<Vec<MemAccess>>,
-        stream_wraps: Arc<AtomicU64>,
-    ) -> Self {
+    pub fn new(name: impl Into<String>, records: Arc<Vec<MemAccess>>) -> Self {
         assert!(!records.is_empty(), "shared replay trace must not be empty");
         SharedReplayTrace {
             records,
             pos: 0,
             wraps: 0,
-            stream_wraps,
             name: name.into(),
         }
     }
@@ -212,7 +199,7 @@ impl SharedReplayTrace {
                 non_mem_instrs,
             })
             .collect();
-        Self::new(name, Arc::new(accesses), Arc::default())
+        Self::new(name, Arc::new(accesses))
     }
 
     /// How many times the cursor wrapped past the end of the buffer. Zero means the
@@ -230,7 +217,6 @@ impl TraceSource for SharedReplayTrace {
         if self.pos == self.records.len() {
             self.pos = 0;
             self.wraps += 1;
-            self.stream_wraps.fetch_max(self.wraps, Ordering::Relaxed);
         }
         a
     }
@@ -280,11 +266,15 @@ pub trait BatchSource: Send {
 /// The [`TraceSource`]/[`BatchSource`] contracts are infallible by design — the
 /// simulator hot loop cannot plumb `Result` — so a decode failure discovered
 /// mid-replay can only surface as a panic. Raising it with
-/// [`raise_replay_fault`] makes the panic *typed*: an unwind boundary (sweepd's
-/// worker `catch_unwind`) downcasts the payload with [`replay_fault_from`] to
-/// tell recoverable replay corruption (quarantine the corpus, answer a typed
-/// 503) apart from arbitrary bugs (500). CLI tools that install no boundary
-/// keep plain panic-on-corruption semantics.
+/// [`raise_replay_fault`] makes the panic *typed*: an unwind boundary downcasts
+/// the payload with [`replay_fault_from`] to tell recoverable replay corruption
+/// apart from arbitrary bugs. The sweep engine
+/// (`experiments::runner::sweep_policies_on_sources_with`) is one — `repro sweep`
+/// and every corpus sweep through the library get a `TraceError` back, and any
+/// other panic is resumed; sweepd's worker `catch_unwind` is the other
+/// (quarantine the corpus and answer a typed 503, against a 500 for a bug). A
+/// caller that drives a replayed source itself installs its own boundary or
+/// keeps plain panic-on-corruption semantics.
 #[derive(Debug, Clone)]
 pub struct ReplayFault {
     /// Label of the stream that failed (see [`BatchSource::label`]).
@@ -303,14 +293,15 @@ impl std::fmt::Display for ReplayFault {
     }
 }
 
-/// Unwind with a [`ReplayFault`] payload. The message is also written to stderr
-/// first, because `panic_any` payloads render opaquely in default panic hooks.
+/// Unwind with a [`ReplayFault`] payload. The message is written to stderr here and
+/// the panic hook is passed over (`resume_unwind`): it could only render the payload
+/// as `Box<dyn Any>`, with a backtrace into code that has no bug.
 pub fn raise_replay_fault(stream: &str, message: String) -> ! {
     eprintln!("replay fault on stream {stream}: {message}");
-    std::panic::panic_any(ReplayFault {
+    std::panic::resume_unwind(Box::new(ReplayFault {
         stream: stream.to_string(),
         message,
-    })
+    }))
 }
 
 /// Downcast a `catch_unwind` payload to the [`ReplayFault`] it carries, if any.
@@ -382,6 +373,11 @@ impl Drop for ArenaTracker {
 /// Adapts a [`BatchSource`] into an infinite [`TraceSource`]: serves records from a
 /// reused fixed-size arena, refilling from the source when the arena is drained.
 ///
+/// A batch that both started and ended a pass is the whole stream: the arena then
+/// replays it in place — no refill, nothing asked of the source again until
+/// [`reset`](TraceSource::reset) — so a stream shorter than one batch loops at the cost
+/// of an index, however many passes a run makes over it.
+///
 /// Wrap counting is *eager*, exactly like [`SharedReplayTrace`]: serving the last record
 /// of a pass-ending batch increments [`wraps`](ArenaReplayTrace::wraps) immediately.
 /// Arena capacity is registered with the process-wide accounting
@@ -392,20 +388,30 @@ pub struct ArenaReplayTrace {
     pos: usize,
     /// The current arena contents end a full pass (wrap fires on its last record).
     end_of_pass: bool,
+    /// The current arena contents also started that pass: the stream is resident.
+    whole_stream: bool,
     wraps: u64,
     stream_wraps: Arc<AtomicU64>,
     tracker: ArenaTracker,
 }
 
 impl ArenaReplayTrace {
-    /// Wrap `source`; no records are pulled until the first `next_access`. Wraps are
-    /// folded into `stream_wraps`, exactly as [`SharedReplayTrace::new`] describes.
+    /// Wrap `source`; no records are pulled until the first `next_access`.
+    ///
+    /// `stream_wraps` is the counter shared by everything that reads the same stream; it
+    /// holds the most passes any one reader completed: this cursor folds its own
+    /// [`wraps`](Self::wraps) into it with `fetch_max` as they happen (never lowering it,
+    /// not even on [`reset`](TraceSource::reset)), so the count does not grow with the
+    /// number of cursors. A cursor that feeds a shared private stage gets a counter of
+    /// its own instead — the stage draws ahead of its consumers, and
+    /// `cache_sim::private::StageCursor` folds in what each consumer actually reached.
     pub fn new(source: Box<dyn BatchSource>, stream_wraps: Arc<AtomicU64>) -> Self {
         ArenaReplayTrace {
             source,
             arena: Vec::new(),
             pos: 0,
             end_of_pass: false,
+            whole_stream: false,
             wraps: 0,
             stream_wraps,
             tracker: ArenaTracker::new(),
@@ -422,13 +428,19 @@ impl ArenaReplayTrace {
 impl TraceSource for ArenaReplayTrace {
     fn next_access(&mut self) -> MemAccess {
         if self.pos >= self.arena.len() {
-            self.end_of_pass = self.source.fill(&mut self.arena);
-            assert!(
-                !self.arena.is_empty(),
-                "BatchSource::fill must produce at least one record"
-            );
-            self.tracker
-                .set_bytes((self.arena.capacity() * std::mem::size_of::<MemAccess>()) as u64);
+            if !self.whole_stream {
+                // The first batch starts a pass, and so does the one after a batch
+                // that ended one.
+                let starts_pass = self.arena.is_empty() || self.end_of_pass;
+                self.end_of_pass = self.source.fill(&mut self.arena);
+                assert!(
+                    !self.arena.is_empty(),
+                    "BatchSource::fill must produce at least one record"
+                );
+                self.whole_stream = starts_pass && self.end_of_pass;
+                self.tracker
+                    .set_bytes((self.arena.capacity() * std::mem::size_of::<MemAccess>()) as u64);
+            }
             self.pos = 0;
         }
         let a = self.arena[self.pos];
@@ -445,6 +457,7 @@ impl TraceSource for ArenaReplayTrace {
         self.arena.clear();
         self.pos = 0;
         self.end_of_pass = false;
+        self.whole_stream = false;
         self.wraps = 0;
     }
 
@@ -460,6 +473,7 @@ impl TraceSource for ArenaReplayTrace {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::AtomicUsize;
 
     #[test]
     fn strided_trace_wraps_around_region() {
@@ -480,31 +494,23 @@ mod tests {
     #[test]
     fn shared_replay_trace_wraps_and_counts() {
         let mut a = SharedReplayTrace::from_addrs("a", &[1, 2, 3], 0);
-        // A second cursor over the same buffer, reporting to the same stream counter.
-        let stream_wraps = a.stream_wraps.clone();
-        let mut b = SharedReplayTrace::new("b", a.records.clone(), stream_wraps.clone());
+        // A second cursor over the same buffer.
+        let mut b = SharedReplayTrace::new("b", a.records.clone());
         let seq: Vec<u64> = (0..7).map(|_| a.next_access().addr).collect();
         assert_eq!(seq, vec![1, 2, 3, 1, 2, 3, 1]);
-        assert_eq!(a.wraps(), 2);
+        assert_eq!((a.wraps(), a.passes()), (2, Some(2)));
         // Cursors over the same buffer are independent.
         assert_eq!(b.next_access().addr, 1);
         assert_eq!(b.wraps(), 0);
         a.reset();
         assert_eq!(a.wraps(), 0);
         assert_eq!(a.next_access().addr, 1);
-        // The stream counter holds the most passes one cursor completed — it does not
-        // add up over cursors — and survives a reset.
-        for _ in 0..3 {
-            b.next_access();
-        }
-        assert_eq!(b.wraps(), 1);
-        assert_eq!(stream_wraps.load(Ordering::Relaxed), 2);
     }
 
     #[test]
     #[should_panic]
     fn empty_shared_replay_trace_panics() {
-        let _ = SharedReplayTrace::new("empty", Arc::new(Vec::new()), Arc::default());
+        let _ = SharedReplayTrace::new("empty", Arc::new(Vec::new()));
     }
 
     /// Test double: serves a fixed record vector in batches of `batch` records.
@@ -512,13 +518,12 @@ mod tests {
         records: Vec<MemAccess>,
         batch: usize,
         pos: usize,
-        fills: std::sync::Arc<std::sync::atomic::AtomicUsize>,
+        fills: Arc<AtomicUsize>,
     }
 
     impl BatchSource for VecBatchSource {
         fn fill(&mut self, arena: &mut Vec<MemAccess>) -> bool {
-            self.fills
-                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            self.fills.fetch_add(1, Ordering::Relaxed);
             arena.clear();
             let end = (self.pos + self.batch).min(self.records.len());
             arena.extend_from_slice(&self.records[self.pos..end]);
@@ -540,7 +545,12 @@ mod tests {
         }
     }
 
-    fn batch_fixture(n: u64, batch: usize) -> (ArenaReplayTrace, SharedReplayTrace) {
+    /// An arena cursor over `n` records in batches of `batch`, the same records as a
+    /// shared cursor, and the fills the arena's source has served.
+    fn batch_fixture(
+        n: u64,
+        batch: usize,
+    ) -> (ArenaReplayTrace, SharedReplayTrace, Arc<AtomicUsize>) {
         let records: Vec<MemAccess> = (0..n)
             .map(|i| MemAccess {
                 addr: i * 64,
@@ -549,24 +559,25 @@ mod tests {
                 non_mem_instrs: (i % 5) as u32,
             })
             .collect();
+        let fills = Arc::new(AtomicUsize::new(0));
         let arena = ArenaReplayTrace::new(
             Box::new(VecBatchSource {
                 records: records.clone(),
                 batch,
                 pos: 0,
-                fills: Default::default(),
+                fills: fills.clone(),
             }),
             Arc::default(),
         );
-        let shared = SharedReplayTrace::new("vec-batch", Arc::new(records), Arc::default());
-        (arena, shared)
+        let shared = SharedReplayTrace::new("vec-batch", Arc::new(records));
+        (arena, shared, fills)
     }
 
     #[test]
     fn arena_replay_matches_shared_replay_across_wraps() {
         // Batch sizes that divide the stream, don't, and exceed it.
         for batch in [1usize, 3, 7, 10, 64] {
-            let (mut arena, mut shared) = batch_fixture(10, batch);
+            let (mut arena, mut shared, _) = batch_fixture(10, batch);
             assert_eq!(arena.label(), shared.label());
             for step in 0..53 {
                 assert_eq!(
@@ -585,8 +596,42 @@ mod tests {
     }
 
     #[test]
+    fn a_stream_that_fits_one_batch_loops_in_place() {
+        // Batch equal to the stream and larger: the one batch both starts and ends a
+        // pass, so five passes and a bit cost one fill; `reset` costs one more.
+        for batch in [10usize, 64] {
+            let (mut arena, mut shared, fills) = batch_fixture(10, batch);
+            let stream_wraps = arena.stream_wraps.clone();
+            for step in 0..53 {
+                assert_eq!(arena.next_access(), shared.next_access(), "step {step}");
+                assert_eq!(arena.wraps(), shared.wraps(), "eager at step {step}");
+            }
+            assert_eq!(fills.load(Ordering::Relaxed), 1, "batch {batch}");
+            arena.reset();
+            shared.reset();
+            assert_eq!(arena.wraps(), 0);
+            for _ in 0..25 {
+                assert_eq!(arena.next_access(), shared.next_access());
+            }
+            assert_eq!(fills.load(Ordering::Relaxed), 2, "batch {batch}: reset");
+            // The stream counter holds the most passes the cursor completed, and
+            // survives the reset.
+            assert_eq!(
+                (arena.wraps(), stream_wraps.load(Ordering::Relaxed)),
+                (2, 5)
+            );
+        }
+        // A stream longer than the batch refills all the way: 3 + 3 + 3 + 1 a pass.
+        let (mut arena, _, fills) = batch_fixture(10, 3);
+        for _ in 0..53 {
+            arena.next_access();
+        }
+        assert_eq!(fills.load(Ordering::Relaxed), 5 * 4 + 1);
+    }
+
+    #[test]
     fn arena_replay_reset_restores_the_initial_stream() {
-        let (mut arena, _) = batch_fixture(10, 4);
+        let (mut arena, _, _) = batch_fixture(10, 4);
         let first: Vec<MemAccess> = (0..17).map(|_| arena.next_access()).collect();
         arena.reset();
         assert_eq!(arena.wraps(), 0);
@@ -609,7 +654,7 @@ mod tests {
         drop(b);
         assert!(arena_current_bytes() >= 200);
         drop(a);
-        let (mut arena, _) = batch_fixture(10, 4);
+        let (mut arena, _, _) = batch_fixture(10, 4);
         arena.next_access();
         assert!(
             arena_current_bytes() >= 4 * std::mem::size_of::<MemAccess>() as u64,

@@ -26,13 +26,13 @@
 //!            capture cost on disk.
 //!   sweep  --dir DIR [--arena-bytes N]
 //!            Run the Figure 3 policy lineup over a materialized corpus: each trace is
-//!            mapped once and the (policy x mix) grid fans out in parallel. A mix whose
-//!            decoded records fit the arena budget (default 256 MiB: decode arenas +
-//!            event memo per mix) is decoded once; a larger one is streamed from the
-//!            mapping in prefetched batches, with identical results. Either way the
-//!            mix's private caches are simulated once for all policies. The report
-//!            includes the replay-wrap count in passes (non-zero when the capture
-//!            budget was smaller than the run).
+//!            mapped once and the (policy x mix) grid fans out in parallel. Every mix is
+//!            streamed from the mapping in prefetched batches within the arena budget
+//!            (default 256 MiB: decode buffers + event memo per mix), with identical
+//!            results at every budget, and its private caches are simulated once for
+//!            all policies. The report includes the replay-wrap count in passes
+//!            (non-zero when the capture budget was smaller than the run). A corrupt
+//!            block the sweep reads is an error naming file, core and offset, exit 1.
 //!
 //! scaling study:
 //!   scale  [--cores 32,48,64,128,256] [--mixes N] [--flat] [--memsys]
@@ -75,10 +75,10 @@ fn usage() -> String {
      [--arena-bytes N]\n       \
      repro scale [--cores 32,48,64,128,256] [--mixes N] [--flat] [--memsys] \
      [--paper-scale|--smoke]\n\n\
-     sweep: --arena-bytes N  replay arena budget per mix in bytes (default 256 MiB): a\n\
-                             mix that decodes to more is streamed from the mapping in\n\
-                             prefetched batches instead of decoded up front; results\n\
-                             are identical either way\n\n\
+     sweep: --arena-bytes N  replay arena budget per mix in bytes (default 256 MiB):\n\
+                             decode buffers + event memo. Every mix is streamed from\n\
+                             the mapping in prefetched batches; results are identical\n\
+                             at every N\n\n\
      scale: many-core scaling study under the cycle-accounted bank contention model\n\
      (throughput / fairness / bank-stall share / per-core stall attribution per policy;\n\
      --flat reruns the same geometry with the latency-only seed banking; --memsys runs\n\

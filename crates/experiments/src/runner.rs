@@ -14,13 +14,12 @@
 //! synthetic mixes) instead materializes each mix's streams exactly once and fans the
 //! (policy × mix) grid out across rayon workers. The policies of a sweep differ only at
 //! the shared LLC, and what a core's private hierarchy does is a function of its trace
-//! alone, so each core's stream — a live generator, the decoded records of a `.atrc`
-//! file, or batches streamed from its mapping — feeds one shared private stage
-//! (`cache_sim::private`): record production, L1, L2 and prefetcher run once per mix, M
-//! times per sweep instead of P × M, and every policy's system replays the stage's
-//! memoized events. A replayed mix's memo is bounded by the same `--arena-bytes` budget
-//! as its records ([`ReplayConfig`]); an evaluation that outruns it finishes on stages
-//! of its own.
+//! alone, so each core's stream — a live generator, or batches streamed from the mapping
+//! of a `.atrc` file — feeds one shared private stage (`cache_sim::private`): record
+//! production, L1, L2 and prefetcher run once per mix, M times per sweep instead of
+//! P × M, and every policy's system replays the stage's memoized events. A replayed
+//! mix's memo is bounded by the same `--arena-bytes` budget as its decode buffers
+//! ([`ReplayConfig`]); an evaluation that outruns it finishes on stages of its own.
 //! Mixes are materialized in bounded windows so peak memory stays at a few mixes
 //! regardless of sweep size, and results are emitted in deterministic (mix, policy)
 //! order no matter how many workers run.
@@ -29,10 +28,14 @@
 //! generators ([`MixSource::Synthetic`]) and captured binary traces replayed from disk
 //! ([`MixSource::Replayed`], backed by `trace-io`); [`sweep_policies_on_corpus_with`]
 //! sweeps a whole materialized [`Corpus`]. A replayed mix reaches the simulator one way
-//! only — [`MixSource::materialize_with`] maps it once and decodes it up front or
-//! streams it, by size alone ([`ReplayConfig`], the one replay knob), and
+//! only — [`MixSource::materialize_with`] maps it once, its stages stream it from the
+//! mapping in batches under [`ReplayConfig`] (the one replay knob), and
 //! [`evaluate_prepared`] runs a policy over the shared stages — so no file I/O sits
-//! inside the simulator loop beyond the mapping. Because capture is lossless and
+//! inside the simulator loop beyond the mapping. A block that fails its checksum while a
+//! cell replays it comes back from the sweep as a [`TraceError`]
+//! ([`sweep_policies_on_sources_with`] is the boundary): a sweep returns a typed error
+//! or the bit-identical answer. Only the blocks a run reads are verified; checking a
+//! whole file is `tracectl stats`' job. Because capture is lossless and
 //! generators reset exactly, both provenances of the same mix produce bit-identical
 //! per-application IPC/MPKI — and the parallel grid produces bit-identical results to
 //! the serial reference path [`evaluate_policies_serial`], which the runner's tests
@@ -44,6 +47,7 @@
 //! pass silently.
 
 use std::collections::HashMap;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -57,7 +61,7 @@ use cache_sim::replacement::LlcReplacementPolicy;
 use cache_sim::single::run_alone;
 use cache_sim::stats::SystemResults;
 use cache_sim::system::MultiCoreSystem;
-use cache_sim::trace::{ArenaReplayTrace, MemAccess, SharedReplayTrace, TraceSource};
+use cache_sim::trace::{replay_fault_from, ArenaReplayTrace, MemAccess, TraceSource};
 use llc_policies::TaDrripPolicy;
 use mc_metrics::MulticoreMetrics;
 use trace_io::{
@@ -157,38 +161,37 @@ impl MixEvaluation {
     }
 }
 
-/// The one replay knob: how much memory one replayed mix may take — its records and the
-/// event memo of its shared private stages together.
+/// The one replay knob: how much memory one replayed mix may take — its decode buffers
+/// and the event memo of its shared private stages together.
 ///
-/// A mix's streams come in three kinds, chosen from what the code observes — the
-/// source's provenance and the file's decoded size — never from an option: synthetic
-/// mixes are generated on demand (`Lazy`); a replayed mix whose decoded records fit the
-/// budget is decoded from the mapping once into shared buffers (`Decoded`); a larger one
-/// is streamed from the mapping in fixed-size batches, the next batch decoding on the
-/// background pool while the stage consumes the current one (`Streamed`, through
-/// [`PrefetchingSource`]). Whatever the kind, each core's stream feeds one shared
-/// private stage per distinct [`StageParams`], and every evaluation replays its events.
+/// A mix's streams come in two kinds, chosen by the source's provenance — never by an
+/// option, and never by size: synthetic mixes are generated on demand (`Lazy`); a
+/// replayed mix is streamed from its mapping in fixed-size batches, the next batch
+/// decoding on the background pool while the stage consumes the current one (`Streamed`,
+/// through [`PrefetchingSource`]). A stream that fits one batch is decoded once and
+/// loops in place (`cache_sim::trace::ArenaReplayTrace`), so a smoke-size or
+/// hand-imported corpus pays nothing per pass. Either kind, each core's stream feeds one
+/// shared private stage per distinct [`StageParams`], and every evaluation replays its
+/// events.
 ///
-/// The budget is split per mix. A streamed mix holds two rotating record buffers per
-/// core (consumer + prefetch) plus a decompression scratch — the stage is the records'
-/// only consumer, so the batches are small ([`batch_records`](Self::batch_records)) —
-/// and a decoded mix holds its records; the event memos get what is left, an equal share
-/// per core (one `cache_sim::private::MemoPool` per stream, which the stream's stages
-/// draw on), and register what they take in the same arena accounting
+/// The budget is split per mix. The mix holds two rotating record buffers per core
+/// (consumer + prefetch) plus a decompression scratch — the stage is the records' only
+/// consumer, so the batches are small ([`batch_records`](Self::batch_records)); the
+/// event memos get what is left, an equal share per core (one
+/// `cache_sim::private::MemoPool` per stream, which the stream's stages draw on), and
+/// register what they take in the same arena accounting
 /// (`cache_sim::trace::arena_peak_bytes`). When a stream's pool runs out its stages stop
 /// retaining, and an evaluation that runs off the retained events finishes that core on
-/// a private stage of its own over a fresh cursor — for a streamed mix, with decode
-/// buffers of its own for as long as it runs, which is what every evaluation held
-/// before stages were shared. `Decoded` and `Streamed` are
+/// a private stage of its own over a fresh cursor, with decode buffers of its own for as
+/// long as it runs — what every evaluation held before stages were shared. Results are
 /// bit-identical at every budget — the runner's tests, `tests/corpus_sweep.rs` and
 /// `tests/reference_identity.rs` enforce it — so the budget only trades memory against
 /// work done once, never results.
 #[derive(Debug, Clone)]
 pub struct ReplayConfig {
-    /// Replay arena budget in bytes for one mix: decode arenas (or decoded records) plus
-    /// event memo (default 256 MiB). A replayed mix whose decoded size exceeds this
-    /// streams from the mapping instead of being decoded up front, so sweeps run in
-    /// constant memory on corpora far larger than RAM.
+    /// Replay arena budget in bytes for one mix: decode buffers plus event memo (default
+    /// 256 MiB). The records themselves stay in the mapping, so sweeps run in constant
+    /// memory on corpora far larger than RAM.
     pub arena_budget_bytes: u64,
 }
 
@@ -201,7 +204,7 @@ impl Default for ReplayConfig {
 }
 
 impl ReplayConfig {
-    /// Records per decode batch for a `cores`-wide streamed mix: two buffers per core
+    /// Records per decode batch for a `cores`-wide replayed mix: two buffers per core
     /// rotate, so `cores × 2 × batch × 16B` stays within half the budget — and at most
     /// 32 Ki records (512 KiB) a buffer: past that a larger batch decodes no faster, and
     /// what it would take is worth more to the event memo.
@@ -293,15 +296,14 @@ impl MixSource {
 
     /// Produce this mix's streams exactly once, shared across any number of policies.
     ///
-    /// Nothing is simulated yet: each core's stream becomes the input of its private
-    /// stage ([`SharedStage`]), built by the first [`evaluate_prepared`] — records are
-    /// produced and the L1/L2/prefetcher simulated on demand, once across the whole
+    /// Nothing is simulated, or decoded, yet: each core's stream becomes the input of its
+    /// private stage ([`SharedStage`]), built by the first [`evaluate_prepared`] — records
+    /// are produced and the L1/L2/prefetcher simulated on demand, once across the whole
     /// sweep, and every policy replays the resulting events. A synthetic mix's records
-    /// come from its generators. A replayed file is mapped once; if its decoded records
-    /// fit `replay`'s arena budget they are batch-decoded in one pass into shared
-    /// buffers, otherwise a stage streams fixed-size batches from the mapping so memory
-    /// stays constant however big the corpus is. The stages' event memos get what the
-    /// records leave of the budget (see [`ReplayConfig`]).
+    /// come from its generators. A replayed file is mapped once (its framing checked
+    /// there) and a stage streams fixed-size batches from the mapping, so memory stays
+    /// constant however big the corpus is; the stages' event memos get what the decode
+    /// buffers leave of `replay`'s budget (see [`ReplayConfig`]).
     ///
     /// A replayed file whose generators were sized for a different LLC set count would
     /// quietly realize a different workload, so a geometry mismatch is an error.
@@ -332,41 +334,27 @@ impl MixSource {
             }
             MixSource::Replayed { path, .. } => {
                 let trace = Arc::new(MappedTrace::open(path)?);
-                let header = trace.header();
-                check_geometry(path, header, llc_sets)?;
-                let cores = header.cores.len();
-                let decoded_bytes = header.total_records() * RECORD_BYTES;
-                let budget = replay.arena_budget_bytes;
-                if decoded_bytes <= budget {
-                    let _span = sim_obs::span("sweep", "decode");
-                    let decoded = |core: usize| {
-                        Ok(StreamRecords::Decoded {
-                            records: Arc::new(trace.decode_core(core)?),
-                            label: header.cores[core].label.clone(),
-                        })
-                    };
-                    let records = (0..cores).map(decoded).collect::<Result<_, TraceError>>()?;
-                    (records, budget - decoded_bytes)
-                } else {
-                    let batch_records = replay.batch_records(cores);
-                    let streamed = |core| {
-                        // Constructing (and dropping) a cursor validates the stream up
-                        // front, keeping `sources()` infallible like the decoded path.
-                        MappedStreamDecoder::new(trace.clone(), core, batch_records)?;
-                        Ok(StreamRecords::Streamed {
-                            trace: trace.clone(),
-                            core,
-                            batch_records,
-                        })
-                    };
-                    let records = (0..cores)
-                        .map(streamed)
-                        .collect::<Result<_, TraceError>>()?;
-                    // Two rotating buffers per core, and a decompression scratch that
-                    // holds a block's encoded records — less than a buffer.
-                    let arena_bytes = (cores * 3 * batch_records) as u64 * RECORD_BYTES;
-                    (records, budget.saturating_sub(arena_bytes))
-                }
+                check_geometry(path, trace.header(), llc_sets)?;
+                let cores = trace.header().cores.len();
+                let batch_records = replay.batch_records(cores);
+                let streamed = |core| {
+                    // Constructing (and dropping) a cursor validates the stream up
+                    // front, keeping `sources()` infallible.
+                    MappedStreamDecoder::new(trace.clone(), core, batch_records)?;
+                    Ok(StreamRecords::Streamed {
+                        trace: trace.clone(),
+                        core,
+                        batch_records,
+                    })
+                };
+                let records = (0..cores)
+                    .map(streamed)
+                    .collect::<Result<_, TraceError>>()?;
+                // Two rotating buffers per core, and a decompression scratch that
+                // holds a block's encoded records — less than a buffer.
+                let arena_bytes = (cores * 3 * batch_records) as u64 * RECORD_BYTES;
+                let memo_bytes = replay.arena_budget_bytes.saturating_sub(arena_bytes);
+                (records, memo_bytes)
             }
         };
         // An equal share per core: where a stream's stages stop retaining then depends on
@@ -406,15 +394,10 @@ enum StreamRecords {
         llc_sets: usize,
         seed: u64,
     },
-    /// Fully decoded from a corpus file (wraps at the end, counted eagerly).
-    Decoded {
-        records: Arc<Vec<MemAccess>>,
-        label: String,
-    },
-    /// Zero-copy streamed from a shared memory-mapped corpus file in fixed-size
-    /// batches, prefetched on the background pool — the constant-memory path for mixes
-    /// larger than the arena budget. Bit-identical to [`StreamRecords::Decoded`] (wraps
-    /// eagerly the same way).
+    /// Replayed provenance: zero-copy streamed from a shared memory-mapped corpus file
+    /// in fixed-size batches, prefetched on the background pool, in constant memory
+    /// whatever the file's size. Wraps at the end of the stream, counted eagerly; a
+    /// stream that fits one batch is decoded once and loops in place.
     Streamed {
         trace: Arc<MappedTrace>,
         core: usize,
@@ -433,11 +416,6 @@ impl StreamRecords {
                 llc_sets,
                 seed,
             } => mix.trace_source(*slot, *llc_sets, *seed),
-            StreamRecords::Decoded { records, label } => Box::new(SharedReplayTrace::new(
-                label.clone(),
-                records.clone(),
-                wraps,
-            )),
             StreamRecords::Streamed {
                 trace,
                 core,
@@ -503,7 +481,7 @@ impl MaterializedMixStreams {
         &self.mix
     }
 
-    /// Records materialized per core so far: the decoded length for replayed streams;
+    /// Records materialized per core so far: the stream's length for replayed streams;
     /// for synthetic ones, the records the core's private stages have drawn from their
     /// generators — the furthest consumer's high-water mark (rounded up to a chunk) per
     /// stage, not the sum over consumers.
@@ -512,7 +490,6 @@ impl MaterializedMixStreams {
             .iter()
             .map(|s| match &s.records {
                 StreamRecords::Lazy { .. } => s.stage_usage().records as usize,
-                StreamRecords::Decoded { records, .. } => records.len(),
                 StreamRecords::Streamed { trace, core, .. } => {
                     trace.header().cores[*core].records as usize
                 }
@@ -533,9 +510,9 @@ impl MaterializedMixStreams {
     /// crossed the stream's end. Zero means no simulation ever outran the captured
     /// budget, i.e. the replay was bit-identical to an infinite-generator run; non-zero
     /// means the paper's re-execution semantics kicked in. The count does not grow with
-    /// the number of policies evaluated, is the same for a decoded and a streamed mix at
-    /// every budget and worker count, and leaves out what a shared stage drew ahead of
-    /// its consumers. Synthetic streams never wrap.
+    /// the number of policies evaluated, is the same at every budget and worker count,
+    /// and leaves out what a shared stage drew ahead of its consumers. Synthetic streams
+    /// never wrap.
     pub fn replay_wraps(&self) -> u64 {
         self.streams
             .iter()
@@ -582,8 +559,9 @@ impl MaterializedMixStreams {
     }
 
     /// What sharing the mix's private stages cost, as `stage.*` counters under the
-    /// `mix<id>` context (`docs/observability.md`); nothing unless `sim_obs` is
-    /// recording and the mix has been evaluated.
+    /// `mix<id>` context, and next to them what reading a replayed mix's file cost, as
+    /// `trace-io`'s `decode.*` counters (`docs/observability.md`); nothing unless
+    /// `sim_obs` is recording and the mix has been evaluated.
     pub(crate) fn record_stage_counters(&self) {
         if !sim_obs::enabled() {
             return;
@@ -600,6 +578,12 @@ impl MaterializedMixStreams {
         let cores = self.streams.len() as u64;
         sim_obs::counter("sweep", "stage.cursors", (total.cursors / cores) as f64);
         sim_obs::counter("sweep", "stage.handovers", total.handovers as f64);
+        // Every stream of a replayed mix reads the one mapping.
+        if let Some(StreamRecords::Streamed { trace, .. }) =
+            self.streams.first().map(|s| &s.records)
+        {
+            trace.emit_decode_counters();
+        }
     }
 }
 
@@ -856,10 +840,15 @@ impl SweepOutcome {
 /// The grid engine in its general form: [`evaluate_policies_on_mixes`] over arbitrary
 /// [`MixSource`]s, returning the per-mix replay-wrap counts next to the evaluations in
 /// the [`SweepOutcome`] so callers can put budget exhaustion into their structured
-/// reports (wraps are additionally echoed on stderr for interactive runs). Fails only
-/// when a replayed source cannot be decoded or its recorded geometry mismatches
-/// `config`. `replay` sets the arena budget that decides whether a replayed mix is
-/// decoded up front or streamed.
+/// reports (wraps are additionally echoed on stderr for interactive runs). `replay` sets
+/// the arena budget of each replayed mix.
+///
+/// Fails when a replayed source cannot be opened, its recorded geometry mismatches
+/// `config`, or a block fails its checksum or decode while a cell replays it: this
+/// function is the typed-fault boundary of every sweep. The replay path reports such a
+/// block by unwinding with a `cache_sim::trace::ReplayFault` out of the infallible
+/// `TraceSource`; each cell's unwind is caught here and comes back as
+/// [`TraceError::Corrupt`] naming the core and offset. Any other panic is resumed.
 pub fn sweep_policies_on_sources_with(
     config: &SystemConfig,
     sources: &[MixSource],
@@ -887,7 +876,7 @@ pub fn sweep_policies_on_sources_with(
         let pairs: Vec<(usize, usize)> = (0..prepared.len())
             .flat_map(|m| (0..policies.len()).map(move |p| (m, p)))
             .collect();
-        let evals: Vec<MixEvaluation> = pairs
+        let cells: Vec<std::thread::Result<MixEvaluation>> = pairs
             .par_iter()
             .map(|&(m, p)| {
                 let mat = &prepared[m];
@@ -901,11 +890,22 @@ pub fn sweep_policies_on_sources_with(
                     None
                 };
                 let _span = sim_obs::span("sweep", "simulate");
-                let built = policies[p].build_dispatch(config, &mat.mix().thrashing_slots());
-                evaluate_prepared(config, mat, policies[p], built, instructions, seed)
+                // Nothing a cell leaves half-done is looked at again: a fault fails
+                // the whole sweep, and the stages remember it for their other cursors.
+                catch_unwind(AssertUnwindSafe(|| {
+                    let built = policies[p].build_dispatch(config, &mat.mix().thrashing_slots());
+                    evaluate_prepared(config, mat, policies[p], built, instructions, seed)
+                }))
             })
             .collect();
-        out.extend(evals);
+        for cell in cells {
+            out.push(
+                cell.map_err(|payload| match replay_fault_from(payload.as_ref()) {
+                    Some(fault) => TraceError::Corrupt(fault.message.clone()),
+                    None => resume_unwind(payload),
+                })?,
+            );
+        }
         // A wrapped replay is the paper's re-execution semantics, not an error — but it
         // does mean the corpus was captured with too small a budget to be bit-identical
         // to live generators, so it goes into the structured outcome (and is echoed
@@ -936,7 +936,7 @@ pub fn sweep_policies_on_sources_with(
 
 /// Sweep every policy over a materialized [`Corpus`]: validate the corpus geometry
 /// against `config`, open each entry as a replayed mix (preserving manifest mix ids),
-/// decode it once, and run [`sweep_policies_on_sources_with`] under `replay`.
+/// and run [`sweep_policies_on_sources_with`] under `replay`.
 ///
 /// The seed is taken from the corpus manifest, not from the caller: the alone-run
 /// normalization must run the *same* generators the corpus was captured from, so a
@@ -1277,8 +1277,8 @@ mod tests {
         // A 64-access capture every core re-executes many times over: the reported
         // count is Σ over cores of the most passes one evaluation made, so sweeping the
         // same policy four times reports what sweeping it once does, and four different
-        // policies report at least the furthest of them, not their sum — decoded or
-        // streamed alike.
+        // policies report at least the furthest of them, not their sum — whether the
+        // memo covers the run or runs dry at once.
         let (cfg, mixes) = smoke_setup();
         let llc_sets = cfg.llc.geometry.num_sets();
         let path = std::env::temp_dir().join("runner_wrap_wall.atrc");
@@ -1290,11 +1290,11 @@ mod tests {
             PolicyKind::Ship,
             PolicyKind::AdaptBp32,
         ];
-        let streamed = ReplayConfig {
+        let dry_memo = ReplayConfig {
             arena_budget_bytes: 1 << 10,
         };
         let mut per_budget = Vec::new();
-        for replay in [ReplayConfig::default(), streamed] {
+        for replay in [ReplayConfig::default(), dry_memo] {
             let wraps = |policies: &[PolicyKind]| {
                 sweep_policies_on_sources_with(&cfg, &sources, policies, 20_000, 1, &replay)
                     .unwrap()
@@ -1311,7 +1311,10 @@ mod tests {
             );
             per_budget.push((singles, four));
         }
-        assert_eq!(per_budget[0], per_budget[1], "decoded vs streamed");
+        assert_eq!(
+            per_budget[0], per_budget[1],
+            "memo covers the run vs runs dry"
+        );
         std::fs::remove_file(path).ok();
     }
 
@@ -1459,12 +1462,11 @@ mod tests {
         // Capture at a deliberately different set count than the system uses.
         capture_mix_file(&path, &mixes[0], llc_sets * 2, 1, 100);
         let source = MixSource::replayed(&path).unwrap();
-        // Both materialization modes (decoded up front, streamed from the mapping)
-        // enforce the check.
-        let streamed = ReplayConfig {
+        // The check does not depend on the budget.
+        let nothing = ReplayConfig {
             arena_budget_bytes: 0,
         };
-        for replay in [ReplayConfig::default(), streamed] {
+        for replay in [ReplayConfig::default(), nothing] {
             let err = match source.materialize_with(llc_sets, 1, &replay) {
                 Err(e) => e,
                 Ok(_) => panic!("geometry mismatch must be rejected"),
@@ -1483,41 +1485,68 @@ mod tests {
     }
 
     #[test]
-    fn streamed_replay_is_bit_identical_to_decoded_replay() {
-        // The zero-copy acceptance bar inside the runner: a budget too small for the
-        // file puts it on the streamed path, which must reproduce the fully-decoded
-        // sweep exactly — results and wrap counts. Once with a capture that covers the
-        // run (no wraps), once with a 64-access capture every core re-executes many
-        // times over, so the shared wrap counter is compared at a non-zero value.
+    fn replay_is_bit_identical_at_every_arena_budget() {
+        // The budget trades memory against work done once, never results: with memos
+        // that keep the whole run (default) and with memos that keep nothing (64 KiB and
+        // 1 KiB leave four cores' decode buffers no remainder), a sweep equals the
+        // test-side reference — every stream decoded whole and replayed by inline
+        // systems that share nothing — and reports the same wraps. Once with a capture
+        // that covers the run (no wraps), once with a 64-access capture every core
+        // re-executes many times over: one block, looped in place.
+        use cache_sim::trace::SharedReplayTrace;
+
         let (cfg, mixes) = smoke_setup();
+        let mix = &mixes[0];
         let llc_sets = cfg.llc.geometry.num_sets();
         let instructions = 20_000u64;
         let policies = [PolicyKind::TaDrrip, PolicyKind::AdaptBp32];
         let covering = synthetic_capture_budget(instructions);
-        for (accesses, small_budget) in [(covering, 64 << 10), (64, 1 << 10)] {
-            let path =
-                std::env::temp_dir().join(format!("runner_streamed_identity_{accesses}.atrc"));
-            capture_mix_file(&path, &mixes[0], llc_sets, 1, accesses);
+        for accesses in [covering, 64] {
+            let path = std::env::temp_dir().join(format!("runner_budget_identity_{accesses}.atrc"));
+            capture_mix_file(&path, mix, llc_sets, 1, accesses);
+
+            let trace = MappedTrace::open(&path).unwrap();
+            let decoded: Vec<Arc<Vec<MemAccess>>> = (0..cfg.num_cores)
+                .map(|core| Arc::new(trace.decode_core(core).unwrap()))
+                .collect();
+            let reference: Vec<MixEvaluation> = policies
+                .iter()
+                .map(|&policy| {
+                    let traces = decoded
+                        .iter()
+                        .zip(&mix.benchmarks)
+                        .map(|(records, label)| {
+                            let cursor = SharedReplayTrace::new(label.clone(), records.clone());
+                            Box::new(cursor) as Box<dyn TraceSource>
+                        })
+                        .collect();
+                    let built = policy.build_dispatch(&cfg, &mix.thrashing_slots());
+                    let system = MultiCoreSystem::new(cfg.clone(), traces, built);
+                    evaluate_system(&cfg, mix, policy, system, instructions, 1)
+                })
+                .collect();
+
             let sources = vec![MixSource::replayed(&path).unwrap()];
-            let sweep = |replay: &ReplayConfig, want_streamed: bool| {
-                let prepared = sources[0].materialize_with(llc_sets, 1, replay).unwrap();
-                assert!(prepared
-                    .streams
-                    .iter()
-                    .all(|s| want_streamed == matches!(s.records, StreamRecords::Streamed { .. })));
-                sweep_policies_on_sources_with(&cfg, &sources, &policies, instructions, 1, replay)
+            let outcomes: Vec<SweepOutcome> = [256 << 20, 64 << 10, 1 << 10]
+                .into_iter()
+                .map(|arena_budget_bytes| {
+                    let replay = ReplayConfig { arena_budget_bytes };
+                    sweep_policies_on_sources_with(
+                        &cfg,
+                        &sources,
+                        &policies,
+                        instructions,
+                        1,
+                        &replay,
+                    )
                     .unwrap()
-            };
-            let decoded = sweep(&ReplayConfig::default(), false);
-            let streamed = sweep(
-                &ReplayConfig {
-                    arena_budget_bytes: small_budget,
-                },
-                true,
-            );
-            assert_identical(&decoded.evaluations, &streamed.evaluations);
-            assert_eq!(decoded.mix_wraps, streamed.mix_wraps);
-            assert_eq!(decoded.total_replay_wraps() > 0, accesses < covering);
+                })
+                .collect();
+            for outcome in &outcomes {
+                assert_identical(&reference, &outcome.evaluations);
+                assert_eq!(outcome.mix_wraps, outcomes[0].mix_wraps);
+                assert_eq!(outcome.total_replay_wraps() > 0, accesses < covering);
+            }
             std::fs::remove_file(path).ok();
         }
     }

@@ -1,6 +1,7 @@
 //! `repro` takes one replay flag, `--arena-bytes N`, and no format flag: the retired
 //! prefetch/spill/compress flags are rejected like any unknown flag, and a malformed
-//! budget is a parse error.
+//! budget is a parse error. Whatever the budget, a corrupt block under `repro sweep` is
+//! an error message and exit code 1, not an abort.
 
 use std::process::Command;
 
@@ -101,5 +102,57 @@ fn corpus_takes_no_format_flag_and_writes_checksummed_v3() {
         stdout.contains(&format!("{bytes} bytes on disk")),
         "printed cost is not the directory's: {stdout}"
     );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A flipped payload byte in a block the sweep reads: `repro sweep` says which file,
+/// core and offset on one `ERROR` line and exits 1 — at the default budget and at one
+/// that leaves the event memos nothing, where every cell decodes for itself on the
+/// worker pool. No panic message, no opaque `Box<dyn Any>` payload, no exit code 101.
+#[test]
+fn sweep_reports_a_corrupt_block_as_one_typed_error_at_every_budget() {
+    let dir = std::env::temp_dir().join("experiments_cli_flags_corrupt");
+    std::fs::remove_dir_all(&dir).ok();
+    let repro = |args: &[&str]| {
+        Command::new(env!("CARGO_BIN_EXE_repro"))
+            .args(args)
+            .args(["--smoke", "--dir"])
+            .arg(&dir)
+            .env_remove("REPRO_LOG")
+            .env_remove("REPRO_PROFILE")
+            .output()
+            .expect("repro must run")
+    };
+    let written = repro(&["corpus", "--study", "4", "--mixes", "1"]);
+    assert!(written.status.success());
+
+    let corpus = trace_io::Corpus::load(&dir).unwrap();
+    let path = corpus.path_for(&corpus.entries()[0]);
+    let mut bytes = std::fs::read(&path).unwrap();
+    // Past the preamble and the first chunk's 16-byte frame: core 0's first payload.
+    let payload = trace_io::read_header(&path).unwrap().preamble_len() as usize + 16;
+    bytes[payload + 3] ^= 0xff;
+    std::fs::write(&path, bytes).unwrap();
+
+    for budget in [&[][..], &["--arena-bytes", "256"]] {
+        let output = repro(&[&["sweep"], budget].concat());
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(1), "{budget:?}: {stderr}");
+        let errors: Vec<&str> = stderr
+            .lines()
+            .filter(|line| line.contains("ERROR repro] corpus sweep:"))
+            .collect();
+        assert_eq!(errors.len(), 1, "{budget:?}: {stderr}");
+        assert!(
+            errors[0].contains("checksum mismatch in core 0's stream at offset 0")
+                && errors[0].contains("mix0000.atrc"),
+            "{budget:?}: {stderr}"
+        );
+        assert!(
+            !stderr.contains("Box<dyn Any>") && !stderr.contains("panicked"),
+            "{budget:?}: {stderr}"
+        );
+        assert!(output.stdout.is_empty(), "a failed sweep printed a report");
+    }
     std::fs::remove_dir_all(&dir).ok();
 }

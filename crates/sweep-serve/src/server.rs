@@ -79,8 +79,8 @@ pub struct ServerConfig {
     pub limits: Limits,
     /// Experiment scale the corpora were materialized at (geometry + run length).
     pub scale: ExperimentScale,
-    /// Arena budget for corpus materialization: a mix whose decoded records fit stays
-    /// resident decoded, a larger one is streamed from its mapping per evaluation.
+    /// Arena budget per resident mix: the decode buffers that stream it from its mapping
+    /// plus the event memo of its shared private stages.
     pub replay: ReplayConfig,
     /// `(name, directory)` pairs of corpora to load at startup.
     pub corpora: Vec<(String, PathBuf)>,

@@ -196,23 +196,6 @@ impl Corpus {
         self.dir.join(&entry.file)
     }
 
-    /// Total decoded size of the corpus in bytes: the sum over every trace file of its
-    /// record count × `size_of::<MemAccess>()`, read from the file headers.
-    ///
-    /// This is what a sweep would materialize with an unbounded arena budget; comparing
-    /// it against `ReplayConfig::arena_budget_bytes` predicts which mixes the runner
-    /// decodes up front and which it zero-copy streams from the mapping.
-    pub fn decoded_bytes(&self) -> Result<u64, TraceError> {
-        let record = std::mem::size_of::<cache_sim::trace::MemAccess>() as u64;
-        let mut total = 0u64;
-        for entry in &self.entries {
-            let header = read_header(self.path_for(entry))?;
-            let records: u64 = header.cores.iter().map(|c| c.records).sum();
-            total += records * record;
-        }
-        Ok(total)
-    }
-
     /// Reject a consumer whose LLC set count differs from the one the corpus was
     /// captured for — replaying such a corpus would quietly realize a different
     /// workload (the generators' footprints are sized per set).
@@ -424,9 +407,6 @@ mod tests {
             loaded.validate_geometry(128),
             Err(TraceError::Manifest(_))
         ));
-        // 2 mixes × 4 cores × 300 records × 16-byte records.
-        let record = std::mem::size_of::<cache_sim::trace::MemAccess>() as u64;
-        assert_eq!(loaded.decoded_bytes().unwrap(), 2 * 4 * 300 * record);
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -18,8 +18,8 @@
 //!   generators and return the [`TraceSummary`] of what the capture cost.
 //! * [`MappedTrace`] is the one reader: it memory-maps a file once (plain read where
 //!   mapping is unavailable), rejects structural damage at `open`, and decodes from the
-//!   mapping ([`MappedTrace::decode_core`] up front, [`MappedStreamDecoder`] in bounded
-//!   batches). Checksums are validated once per block *per file* and skipped on later
+//!   mapping ([`MappedStreamDecoder`] in bounded batches — the way every replay reads —
+//!   or [`MappedTrace::decode_core`] for a whole stream at once). Checksums are validated once per block *per file* and skipped on later
 //!   passes and cursors, so repeated replays pay for integrity exactly once.
 //!   `experiments::runner` (`MixSource::materialize_with`), `sweepd` and `tracectl` all
 //!   read through it, so no file I/O runs inside the simulator loop.
@@ -29,7 +29,7 @@
 //!   file-level conveniences.
 //! * [`Corpus`] groups one `.atrc` per workload mix under a manifest recording the capture
 //!   geometry and seed — the unit `experiments::runner::sweep_policies_on_corpus_with`
-//!   sweeps, decoding each file once and fanning the (policy × mix) grid out in parallel.
+//!   sweeps, mapping each file once and fanning the (policy × mix) grid out in parallel.
 //! * The `tracectl` binary captures, inspects, and sanity-checks corpus files from the
 //!   command line.
 //!

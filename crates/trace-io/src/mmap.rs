@@ -108,23 +108,6 @@ impl DecodeTimings {
             decode_ns,
         }
     }
-
-    /// Record as the five `decode.*` sim-obs counters (category `trace-io`), tagged with
-    /// the current observation context. No-op when nothing was timed.
-    fn emit_counters(&self) {
-        if self.blocks == 0 {
-            return;
-        }
-        for (name, value) in [
-            ("decode.blocks", self.blocks as f64),
-            ("decode.payload_bytes", self.payload_bytes as f64),
-            ("decode.checksum_ms", self.checksum_ns as f64 / 1e6),
-            ("decode.decompress_ms", self.decompress_ns as f64 / 1e6),
-            ("decode.decode_ms", self.decode_ns as f64 / 1e6),
-        ] {
-            sim_obs::counter("trace-io", name, value);
-        }
-    }
 }
 
 /// A fully indexed, memory-mapped trace file shared by any number of decode cursors.
@@ -320,20 +303,41 @@ impl MappedTrace {
         Ok(())
     }
 
-    /// Decode `core`'s complete stream once. While `sim-obs` is recording, the pass's
-    /// [`DecodeTimings`] are also emitted as the five `trace-io` `decode.*` counters.
+    /// What decoding this file has cost so far — [`decode_timings`](Self::decode_timings)
+    /// summed over cores, every cursor and pass included — as the five `trace-io`
+    /// `decode.*` sim-obs counters under the current observation context. Nothing unless
+    /// `sim-obs` was recording while the blocks were decoded.
+    pub fn emit_decode_counters(&self) {
+        let over_cores = |field: usize| {
+            let cells = self.timings.iter();
+            cells.map(|core| core[field].load(Ordering::Relaxed)).sum()
+        };
+        let total = DecodeTimings::from_fields(std::array::from_fn(over_cores));
+        if total.blocks == 0 {
+            return;
+        }
+        for (name, value) in [
+            ("decode.blocks", total.blocks as f64),
+            ("decode.payload_bytes", total.payload_bytes as f64),
+            ("decode.checksum_ms", total.checksum_ns as f64 / 1e6),
+            ("decode.decompress_ms", total.decompress_ns as f64 / 1e6),
+            ("decode.decode_ms", total.decode_ns as f64 / 1e6),
+        ] {
+            sim_obs::counter("trace-io", name, value);
+        }
+    }
+
+    /// Decode `core`'s complete stream once, verifying every block's checksum on the
+    /// way: the whole-stream integrity check (`tracectl stats`) and the reference the
+    /// tests hold batch-streamed replay against.
     pub fn decode_core(&self, core: usize) -> Result<Vec<MemAccess>, TraceError> {
         let _span = sim_obs::span("trace-io", "decode_core");
-        let before = self.decode_timings(core).fields();
         let mut records = Vec::new();
         records.reserve_exact(self.replayable_records(core)? as usize);
         let mut scratch = Vec::new();
         for chunk in &self.chunks[core] {
             self.decode_chunk(core, chunk, &mut records, &mut scratch)?;
         }
-        // This pass's share of the per-core totals (all-zero unless recording).
-        let after = self.decode_timings(core).fields();
-        DecodeTimings::from_fields(std::array::from_fn(|i| after[i] - before[i])).emit_counters();
         Ok(records)
     }
 }
@@ -504,10 +508,10 @@ impl MappedStreamDecoder {
     }
 
     /// Surface decode-time corruption as a typed [`cache_sim::trace::ReplayFault`]
-    /// unwind: `fill` is infallible by trait contract, and the serving layer's
-    /// unwind boundary downcasts the payload to quarantine the corpus instead of
-    /// crashing a worker repeatedly. CLI tools (`tracectl`, `repro`) install no
-    /// boundary, so for them this keeps plain panic-on-corruption semantics.
+    /// unwind: `fill` is infallible by trait contract, and the unwind boundaries above
+    /// it downcast the payload — the sweep engine to hand `repro sweep` a
+    /// [`TraceError`], the serving layer to quarantine the corpus instead of crashing
+    /// a worker repeatedly.
     fn raise_fault(&self, e: TraceError) -> ! {
         let message = format!(
             "zero-copy replay failed for core {} of {}: {e}",
@@ -766,6 +770,68 @@ mod tests {
             }
             std::fs::remove_file(path).ok();
         }
+    }
+
+    /// Counts the batches a consumer takes from the source it wraps — what the
+    /// `zero_copy_batch` spans count in a profile.
+    struct CountedFills(PrefetchingSource, Arc<AtomicU64>);
+
+    impl BatchSource for CountedFills {
+        fn fill(&mut self, arena: &mut Vec<MemAccess>) -> bool {
+            self.1.fetch_add(1, Ordering::Relaxed);
+            self.0.fill(arena)
+        }
+        fn rewind(&mut self) {
+            self.0.rewind()
+        }
+        fn label(&self) -> String {
+            self.0.label()
+        }
+    }
+
+    #[test]
+    fn a_mapped_stream_that_fits_one_batch_is_decoded_once_and_loops_in_place() {
+        // The hand-imported corpus shape: 8 records, one block. Through the product's
+        // stack (prefetching decoder under the arena cursor) the first pass takes the
+        // one batch and validates the one checksum; fifty more take nothing, whatever
+        // the batch size above the stream's length. `reset` takes the batch again.
+        let path = tmp("resident8");
+        let written = write_trace(&path, 1, 8);
+        for batch_records in [8, 1024] {
+            let trace = Arc::new(MappedTrace::open(&path).unwrap());
+            let decoder = MappedStreamDecoder::new(trace.clone(), 0, batch_records).unwrap();
+            let fills = Arc::new(AtomicU64::new(0));
+            let counted = CountedFills(PrefetchingSource::new(decoder), fills.clone());
+            let mut cursor = ArenaReplayTrace::new(Box::new(counted), Arc::default());
+            for pass in 0..51 {
+                for want in &written[0] {
+                    assert_eq!(cursor.next_access(), *want, "pass {pass}");
+                }
+                assert_eq!(cursor.wraps(), pass + 1, "eager wrap counting");
+                assert_eq!(fills.load(Ordering::Relaxed), 1, "pass {pass}");
+                assert_eq!(trace.checksum_validations(), 1, "pass {pass}");
+            }
+            cursor.reset();
+            assert_eq!(cursor.next_access(), written[0][0]);
+            assert_eq!(fills.load(Ordering::Relaxed), 2, "reset refills once");
+            assert_eq!(trace.checksum_validations(), 1);
+        }
+        std::fs::remove_file(path).ok();
+        // A batch shorter than the stream (two blocks of 16) keeps refilling. (A file of
+        // its own: a prefetch of the cursors above may still hold the first mapping.)
+        let path = tmp("resident32");
+        let written = write_trace(&path, 1, 32);
+        let trace = Arc::new(MappedTrace::open(&path).unwrap());
+        let decoder = MappedStreamDecoder::new(trace.clone(), 0, 16).unwrap();
+        let fills = Arc::new(AtomicU64::new(0));
+        let counted = CountedFills(PrefetchingSource::new(decoder), fills.clone());
+        let mut cursor = ArenaReplayTrace::new(Box::new(counted), Arc::default());
+        for want in written[0].iter().cycle().take(3 * 32) {
+            assert_eq!(cursor.next_access(), *want);
+        }
+        assert_eq!((cursor.wraps(), fills.load(Ordering::Relaxed)), (3, 6));
+        assert_eq!(trace.checksum_validations(), 2);
+        std::fs::remove_file(path).ok();
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! End-to-end tests of the corpus-backed sweep engine: materialize a corpus on disk,
-//! sweep it, and hold the results against the serial synthetic reference path —
-//! including the zero-copy streamed replay path (constant-memory arenas, double
-//! buffering), which must be invisible in results and in the profiled logical story.
+//! sweep it, and hold the results against the serial synthetic reference path — the
+//! zero-copy replay (constant-memory arenas, double buffering) must be invisible in
+//! results at every budget and in the profiled logical story, and a corrupt block must
+//! come back as a typed error or not matter.
 
 use std::collections::BTreeMap;
 use std::sync::{Mutex, OnceLock};
@@ -109,8 +110,8 @@ fn constant_memory_sweep_stays_under_the_arena_cap_and_matches_the_buffered_path
     // The zero-copy acceptance bar: a corpus 10x larger than the arena budget must
     // sweep four policies with peak replay-arena bytes — decode buffers, decompression
     // scratch and the event memo of the shared private stages — under the cap, while
-    // producing results bit-identical to the fully-buffered (decode-everything-up-front)
-    // path.
+    // producing results bit-identical to a sweep whose budget lets the memos keep the
+    // whole run.
     let _guard = global_state_lock();
     let scale = ExperimentScale::Smoke;
     let cfg = scale.system_config(StudyKind::Cores4);
@@ -138,32 +139,26 @@ fn constant_memory_sweep_stays_under_the_arena_cap_and_matches_the_buffered_path
         PolicyKind::Ship,
         PolicyKind::AdaptBp32,
     ];
-    let buffered = ReplayConfig::default();
-    assert!(
-        buffered.arena_budget_bytes >= decoded_bytes,
-        "baseline decodes up front"
-    );
+    let memo_covers_the_run = ReplayConfig::default();
     let baseline =
-        sweep_policies_on_corpus_with(&cfg, &corpus, &policies, INSTRUCTIONS, &buffered).unwrap();
+        sweep_policies_on_corpus_with(&cfg, &corpus, &policies, INSTRUCTIONS, &memo_covers_the_run)
+            .unwrap();
 
     let constant_memory = ReplayConfig {
         arena_budget_bytes: budget,
     };
     reset_arena_peak();
-    let streamed =
+    let capped =
         sweep_policies_on_corpus_with(&cfg, &corpus, &policies, INSTRUCTIONS, &constant_memory)
             .unwrap();
     let peak = arena_peak_bytes();
-    assert!(
-        peak > 0,
-        "the streamed sweep must actually have used replay arenas"
-    );
+    assert!(peak > 0, "the sweep must actually have used replay arenas");
     assert!(
         peak <= budget,
         "peak arena bytes {peak} exceeded the {budget}-byte budget"
     );
-    assert_evaluations_identical(&baseline.evaluations, &streamed.evaluations);
-    assert_eq!(baseline.mix_wraps, streamed.mix_wraps);
+    assert_evaluations_identical(&baseline.evaluations, &capped.evaluations);
+    assert_eq!(baseline.mix_wraps, capped.mix_wraps);
 
     // The event memo is in that accounting: a resident mix that has served the four
     // policies holds it, registered, until it is dropped.
@@ -172,7 +167,7 @@ fn constant_memory_sweep_stays_under_the_arena_cap_and_matches_the_buffered_path
         .unwrap()
         .materialize_with(llc_sets, SEED, &constant_memory)
         .unwrap();
-    for (policy, swept) in policies.iter().zip(&streamed.evaluations) {
+    for (policy, swept) in policies.iter().zip(&capped.evaluations) {
         let built = policy.build_dispatch(&cfg, &prepared.mix().thrashing_slots());
         let resident = evaluate_prepared(&cfg, &prepared, *policy, built, INSTRUCTIONS, SEED);
         assert_evaluations_identical(std::slice::from_ref(swept), &[resident]);
@@ -243,7 +238,7 @@ fn double_buffered_replay_is_deterministic_across_worker_count() {
     warm_alone_cache(&cfg, &mixes, INSTRUCTIONS, SEED);
 
     let replay = ReplayConfig {
-        arena_budget_bytes: 64 << 10, // force the streamed path
+        arena_budget_bytes: 64 << 10, // small batches: several per stream
     };
     let run = |workers: usize| {
         sim_obs::reset();
@@ -261,11 +256,129 @@ fn double_buffered_replay_is_deterministic_across_worker_count() {
         serial_events
             .keys()
             .any(|(_, _, name, _)| *name == "zero_copy_batch"),
-        "streamed replay must emit consumption-side batch spans"
+        "replay must emit consumption-side batch spans"
     );
     assert_evaluations_identical(&serial.evaluations, &parallel.evaluations);
     assert_eq!(serial.mix_wraps, parallel.mix_wraps, "wrap accounting");
     assert_eq!(serial_events, parallel_events, "logical span multiset");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Payload offset and first record index of every block of a v3 file, per core, walked
+/// as `docs/atrc-format.md` lays a chunk out: core id, payload length, record count
+/// (bit 31 marks a compressed payload) and checksum, four little-endian `u32`s, then
+/// the payload.
+fn blocks_per_core(path: &std::path::Path) -> Vec<Vec<(usize, u64)>> {
+    let bytes = std::fs::read(path).unwrap();
+    let header = trace_io::read_header(path).unwrap();
+    let word = |at: usize| u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap());
+    let mut blocks = vec![Vec::new(); header.cores.len()];
+    let mut first_record = vec![0u64; header.cores.len()];
+    let mut at = header.preamble_len() as usize;
+    while at < header.data_end as usize {
+        let (core, payload_len) = (word(at) as usize, word(at + 4) as usize);
+        blocks[core].push((at + 16, first_record[core]));
+        first_record[core] += u64::from(word(at + 8) & !(1 << 31));
+        at += 16 + payload_len;
+    }
+    blocks
+}
+
+#[test]
+fn a_corrupt_block_is_a_typed_error_where_the_run_reads_it_and_invisible_where_it_does_not() {
+    // The failure contract of a sweep: a typed error or the bit-identical answer, at
+    // every budget. A flipped payload byte in a block a cell replays fails that block's
+    // checksum in the batch that decodes it, deep inside the infallible trace source;
+    // the sweep hands it back as an error naming the core and the offset, whether the
+    // memos keep the run (default budget) or nothing (each cell then decodes on its
+    // own). A flip in a block no cell ever asks for changes nothing: replay verifies
+    // what it reads, and the whole file is `tracectl stats`' to check.
+    let _guard = global_state_lock();
+    let scale = ExperimentScale::Smoke;
+    let cfg = scale.system_config(StudyKind::Cores4);
+    let llc_sets = cfg.llc.geometry.num_sets();
+    let mixes = generate_mixes(StudyKind::Cores4, 1, scale.seed());
+    let policies = policies();
+    let dir = std::env::temp_dir().join("e2e_corrupt_block_sweep");
+    std::fs::remove_dir_all(&dir).ok();
+    let accesses = synthetic_capture_budget(INSTRUCTIONS);
+    let (corpus, _) = Corpus::materialize(&dir, "cb", &mixes, llc_sets, SEED, accesses).unwrap();
+    let path = corpus.path_for(&corpus.entries()[0]);
+    let clean_bytes = std::fs::read(&path).unwrap();
+    let blocks = blocks_per_core(&path);
+
+    let budgets = [
+        ReplayConfig::default(),
+        ReplayConfig {
+            arena_budget_bytes: 1 << 10,
+        },
+    ];
+    let sweep =
+        |replay| sweep_policies_on_corpus_with(&cfg, &corpus, &policies, INSTRUCTIONS, replay);
+    let report = |outcome: &experiments::runner::SweepOutcome| {
+        format!("{:?} {:?}", outcome.evaluations, outcome.mix_wraps)
+    };
+    let clean: Vec<String> = budgets
+        .iter()
+        .map(|replay| report(&sweep(replay).unwrap()))
+        .collect();
+    assert_eq!(clean[0], clean[1]);
+
+    // How far the furthest policy read each stream (and less than a chunk further).
+    let resident = MixSource::replayed_with_id(&path, corpus.entries()[0].mix_id)
+        .unwrap()
+        .materialize_with(llc_sets, SEED, &budgets[0])
+        .unwrap();
+    for policy in policies {
+        let built = policy.build_dispatch(&cfg, &resident.mix().thrashing_slots());
+        evaluate_prepared(&cfg, &resident, policy, built, INSTRUCTIONS, SEED);
+    }
+    let drawn: Vec<u64> = resident.stage_usage().iter().map(|u| u.records).collect();
+    drop(resident);
+
+    // Replaced, not rewritten in place: a prefetch still in flight may hold the old
+    // file's mapping.
+    let flip = |at: usize| {
+        let mut bytes = clean_bytes.clone();
+        bytes[at] ^= 0xff;
+        let staged = path.with_extension("flipped");
+        std::fs::write(&staged, bytes).unwrap();
+        std::fs::rename(&staged, &path).unwrap();
+    };
+
+    // The first block of core 1: every run reads it.
+    flip(blocks[1][0].0 + 3);
+    for replay in &budgets {
+        let err = sweep(replay).expect_err("a block the run reads is corrupt");
+        let text = err.to_string();
+        assert!(
+            matches!(err, TraceError::Corrupt(_))
+                && text.contains("checksum mismatch in core 1's stream at offset 0"),
+            "budget {}: {text}",
+            replay.arena_budget_bytes
+        );
+    }
+
+    // The last block of a core whose run stops inside the first batch of the default
+    // budget (`ReplayConfig::batch_records`, block-aligned): no batch a cell takes
+    // holds it, at either budget.
+    let first_batch = ReplayConfig::default().batch_records(cfg.num_cores) as u64;
+    let (core, last) = (0..cfg.num_cores)
+        .map(|core| (core, *blocks[core].last().unwrap()))
+        .find(|&(core, (_, first_record))| {
+            drawn[core] < first_batch.min(first_record) && first_record >= first_batch
+        })
+        .unwrap_or_else(|| panic!("every core reads into its last block: {drawn:?}"));
+    flip(last.0 + 3);
+    for (replay, clean) in budgets.iter().zip(&clean) {
+        let outcome = sweep(replay).unwrap_or_else(|e| panic!("core {core}: {e}"));
+        assert_eq!(&report(&outcome), clean, "core {core}");
+    }
+    // The flip is there all the same, for the check that reads everything.
+    assert!(matches!(
+        trace_io::decode_all(&path),
+        Err(TraceError::ChecksumMismatch { .. })
+    ));
     std::fs::remove_dir_all(&dir).ok();
 }
 

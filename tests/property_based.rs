@@ -104,7 +104,7 @@ struct StageOutput {
 }
 
 fn drive_stage(params: StageParams, records: &[MemAccess]) -> StageOutput {
-    let trace = SharedReplayTrace::new("prop", records.to_vec().into(), Default::default());
+    let trace = SharedReplayTrace::new("prop", records.to_vec().into());
     let mut stage = PrivateStage::new(params, Box::new(trace));
     // An L1 miss that hits the L2, in the float form of the core model's overlap rule.
     let core = params.core;

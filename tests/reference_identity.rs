@@ -591,8 +591,8 @@ fn shared_bound(furthest: u64) -> u64 {
     furthest + CHUNK_RECORDS + 2 * (RUN_AHEAD + 1)
 }
 
-/// A captured 16-core mix replayed through the runner, decoded up front and streamed at
-/// a budget whose memo pools run out mid-run: four policies evaluated at once on *one*
+/// A captured 16-core mix replayed through the runner, at a budget whose memos keep the
+/// whole run and at one whose memo pools run out mid-run: four policies evaluated at once on *one*
 /// materialization share one set of private stages — across the hand-over, where the
 /// pool is short — and each equals the oracle over the same records and, the capture
 /// covering the run, the live generators. Stages built straight over the decoded
@@ -620,31 +620,33 @@ fn replayed_mixes_share_their_stages_and_equal_the_oracle_and_the_live_generator
     let decoded_bytes = accesses * cfg.num_cores as u64 * 16;
 
     // The oracle over the replayed records, and the records it drew from each core.
-    let buffered = source
+    let replayed = source
         .materialize_with(llc_sets, SEED, &ReplayConfig::default())
         .unwrap();
     let references: Vec<(SystemResults, Vec<u64>)> = kinds
         .iter()
         .map(|&kind| {
-            let (sources, counts) = counted(buffered.sources());
+            let (sources, counts) = counted(replayed.sources());
             let built = Box::new(kind.build_dispatch(&cfg, &slots));
             let results = NaiveSystem::new(cfg.clone(), sources, built).run(INSTRUCTIONS);
             let drawn = counts.iter().map(|c| c.load(Ordering::Relaxed)).collect();
             (results, drawn)
         })
         .collect();
-    assert_eq!(buffered.replay_wraps(), 0, "the capture covers the run");
+    assert_eq!(replayed.replay_wraps(), 0, "the capture covers the run");
 
-    // Half the decoded size streams, and leaves each core's memo a chunk or so.
-    let streamed_budget = decoded_bytes / 2;
+    // The default budget's memos keep the whole run; half the records' size leaves
+    // each core's memo a chunk or so.
     for (what, budget) in [
-        ("decoded", ReplayConfig::default().arena_budget_bytes),
-        ("streamed", streamed_budget),
+        (
+            "memo covers the run",
+            ReplayConfig::default().arena_budget_bytes,
+        ),
+        ("memo runs dry", decoded_bytes / 2),
     ] {
         let replay = ReplayConfig {
             arena_budget_bytes: budget,
         };
-        assert_eq!(what == "streamed", budget < decoded_bytes);
         let prepared = source.materialize_with(llc_sets, SEED, &replay).unwrap();
         let evaluations = at_once(&kinds, &|kind| {
             let built = kind.build_dispatch(&cfg, &slots);
@@ -669,7 +671,7 @@ fn replayed_mixes_share_their_stages_and_equal_the_oracle_and_the_live_generator
             "{what}"
         );
         assert!(total.memo_bytes > 0 && total.memo_bytes <= budget, "{what}");
-        if what == "streamed" {
+        if what == "memo runs dry" {
             assert!(total.handovers > 0, "the pool never ran out");
             assert!(
                 usage.iter().any(|u| u.events > 0 && u.handovers > 0),
@@ -704,9 +706,7 @@ fn replayed_mixes_share_their_stages_and_equal_the_oracle_and_the_live_generator
             .map(|(records, label)| {
                 let (records, label) = (records.clone(), label.clone());
                 let source = move || -> Box<dyn TraceSource> {
-                    let cursor =
-                        SharedReplayTrace::new(label.clone(), records.clone(), Arc::default());
-                    Box::new(cursor)
+                    Box::new(SharedReplayTrace::new(label.clone(), records.clone()))
                 };
                 SharedStage::new(params, source, pool.clone(), Arc::default())
             })
