@@ -70,15 +70,21 @@
 //! **The memo pool and the hand-over.** The stages over one stream retain events out of
 //! one [`MemoPool`] — the stream's share of what a replayed mix's records leave of
 //! `--arena-bytes`; unbounded for a generator — and register what they hold with
-//! [`ArenaTracker`]. A stage reserves a whole chunk ([`MAX_CHUNK_BYTES`]) before it
-//! generates one and returns what the chunk did not need. When the pool cannot cover
+//! [`ArenaTracker`]. A stage first reserves its checkpoint ([`StageState::bytes`]: the
+//! caches and counters, a few KB), then a whole chunk ([`MAX_CHUNK_BYTES`]) before it
+//! generates one, returning what the chunk did not need. When the pool cannot cover
 //! another chunk the stage stops retaining for good: the retained chunks stay a prefix
-//! every cursor replays, and a cursor that runs off it continues on a [`PrivateStage`]
-//! of its own. The first to arrive takes over the live stage, which stands exactly
-//! there; later ones build a stage over a fresh source and fast-forward it past the
-//! prefix. No cursor waits for another or fails, the events are the same whatever the
-//! pool holds, and from an empty pool every cursor simply drives its own stage, as a
-//! system built over trace sources does.
+//! every cursor replays, and the live stage becomes the **checkpoint** — its
+//! [`StageState`], kept by the memo, while its trace source (decode buffers, an
+//! in-flight prefetch) is dropped. A cursor that runs off the prefix continues on a
+//! [`PrivateStage`] of its own: a clone of the checkpoint over a fresh source that
+//! starts where the prefix ends (the stage's source factory takes that record, and a
+//! replayed stream seeks there through its file's chunk index). Every cursor, the first
+//! included, hands over this one way, at the cost of a clone and a seek whatever the
+//! prefix's length. A pool that cannot cover the checkpoint retains nothing; its
+//! checkpoint is the empty stage at record 0, so every cursor simply drives its own
+//! stage, as a system built over trace sources does. No cursor waits for another or
+//! fails, and the events are the same whatever the pool holds.
 //!
 //! **Wraps.** A finite stream is replayed in a loop. An event carries how often its
 //! records crossed the stream's end ([`Event::wraps`]); a cursor adds that up as it
@@ -231,10 +237,12 @@ pub struct PrivateStats {
     pub prefetch: PrefetchStats,
 }
 
-/// One core's private half (module docs).
-pub struct PrivateStage {
+/// The trace-independent half of a [`PrivateStage`] — the caches, the prefetcher and the
+/// counters, everything but the trace source — and so a value a memo can keep and clone:
+/// the checkpoint of module docs, "The memo pool and the hand-over".
+#[derive(Clone)]
+pub struct StageState {
     params: StageParams,
-    trace: Box<dyn TraceSource>,
     l1d: PrivateCache,
     l2: PrivateCache,
     prefetcher: NextLinePrefetcher,
@@ -251,6 +259,12 @@ pub struct PrivateStage {
     /// Consecutive zero-advance records since the core finished.
     frozen_steps: u64,
     ended: bool,
+}
+
+/// One core's private half (module docs).
+pub struct PrivateStage {
+    state: StageState,
+    trace: Box<dyn TraceSource>,
     /// The event last produced, and the write-back blocks that left the L2 for it.
     event: Event,
     writebacks: Vec<BlockAddr>,
@@ -260,33 +274,52 @@ impl PrivateStage {
     /// A stage over `trace`, which is consumed from wherever it stands.
     pub fn new(params: StageParams, trace: Box<dyn TraceSource>) -> Self {
         let l2_hit_latency = params.core.l1_hit_cycles + params.l2.latency;
-        PrivateStage {
+        let state = StageState {
             params,
-            passes: trace.passes(),
-            trace,
             l1d: PrivateCache::new(params.l1d),
             l2: PrivateCache::new(params.l2),
             prefetcher: NextLinePrefetcher::new(params.l1_next_line_prefetch),
             l2_hit_stall: CoreModel::new(params.core).advance(0, l2_hit_latency),
             records: 0,
             instructions: 0,
+            passes: trace.passes(),
             target_stats: None,
             frozen_steps: 0,
             ended: false,
+        };
+        Self::resume(state, trace)
+    }
+
+    /// Continue `state` over `trace`, which must stand where the state's stage stopped:
+    /// [`StageState::records`] into the stream, having completed as many passes.
+    pub fn resume(state: StageState, trace: Box<dyn TraceSource>) -> Self {
+        assert_eq!(
+            trace.passes(),
+            state.passes,
+            "the source does not stand where the stage stopped"
+        );
+        PrivateStage {
+            state,
+            trace,
             event: Event::default(),
             writebacks: Vec::new(),
         }
     }
 
+    /// The stage's trace-independent half, as it stands.
+    pub fn state(&self) -> &StageState {
+        &self.state
+    }
+
     pub fn params(&self) -> &StageParams {
-        &self.params
+        &self.state.params
     }
 
     /// Set the instruction target of a stage that has drawn no record yet: an inline
     /// stage is built before `run` names the target.
     pub fn set_target(&mut self, instruction_target: u64) {
-        assert_eq!(self.records, 0, "the stage has already started");
-        self.params.instruction_target = instruction_target;
+        assert_eq!(self.state.records, 0, "the stage has already started");
+        self.state.params.instruction_target = instruction_target;
     }
 
     /// Label of the trace source.
@@ -296,22 +329,18 @@ impl PrivateStage {
 
     /// Records drawn from the trace source so far.
     pub fn records(&self) -> u64 {
-        self.records
+        self.state.records
     }
 
     /// Statistics of the private levels now.
     pub fn stats(&self) -> PrivateStats {
-        PrivateStats {
-            l1d: *self.l1d.stats(),
-            l2: *self.l2.stats(),
-            prefetch: *self.prefetcher.stats(),
-        }
+        self.state.stats()
     }
 
     /// [`stats`](Self::stats) as they stood right after the record that reached the
     /// instruction target; `None` until the stage has produced that event.
     pub fn target_stats(&self) -> Option<PrivateStats> {
-        self.target_stats
+        self.state.target_stats
     }
 
     /// The event last produced (an empty one before the first).
@@ -327,31 +356,37 @@ impl PrivateStage {
     /// Produce the next event; it and its [`writebacks`](Self::writebacks) stay readable
     /// in place until the next call. Panics after a [frozen](Event::frozen) event.
     pub fn next_event(&mut self) -> &Event {
-        assert!(!self.ended, "the stage ended with a frozen event");
-        self.writebacks.clear();
+        let PrivateStage {
+            state: s,
+            trace,
+            event,
+            writebacks,
+        } = self;
+        assert!(!s.ended, "the stage ended with a frozen event");
+        writebacks.clear();
         let StageParams {
             core: CoreConfig { issue_width, .. },
             instruction_target,
             bound,
             ..
-        } = self.params;
+        } = s.params;
         let (mut gap_instructions, mut gap_compute, mut gap_stall) = (0u64, 0u64, 0u64);
         let mut coalesced = 0u64;
         loop {
-            let access = self.trace.next_access();
-            self.records += 1;
+            let access = trace.next_access();
+            s.records += 1;
             let block = block_of(access.addr);
             let non_mem = u64::from(access.non_mem_instrs);
-            let finished = self.target_stats.is_some();
-            self.instructions += non_mem + 1;
-            let reaches_target = !finished && self.instructions >= instruction_target;
+            let finished = s.target_stats.is_some();
+            s.instructions += non_mem + 1;
+            let reaches_target = !finished && s.instructions >= instruction_target;
 
             // `stall` is what the record adds to a gap, should it turn out private.
-            let (outcome, stall) = if self.l1d.access(block, access.is_write) == Lookup::Hit {
+            let (outcome, stall) = if s.l1d.access(block, access.is_write) == Lookup::Hit {
                 (Outcome::L1_HIT, 0)
             } else {
-                let outcome = self.resolve_l1_miss(block, access.is_write);
-                (outcome, self.l2_hit_stall)
+                let outcome = s.resolve_l1_miss(block, access.is_write, writebacks);
+                (outcome, s.l2_hit_stall)
             };
 
             // Livelock accounting; the record that takes the snapshot is not counted. An
@@ -359,10 +394,10 @@ impl PrivateStage {
             let mut frozen = false;
             if finished {
                 if outcome.flags == L1_HIT && non_mem == 0 {
-                    self.frozen_steps += 1;
-                    frozen = self.frozen_steps >= LIVELOCK_STEPS;
+                    s.frozen_steps += 1;
+                    frozen = s.frozen_steps >= LIVELOCK_STEPS;
                 } else {
-                    self.frozen_steps = 0;
+                    s.frozen_steps = 0;
                 }
             }
 
@@ -387,20 +422,20 @@ impl PrivateStage {
             }
             if reaches_target {
                 flags |= REACHES_TARGET;
-                self.target_stats = Some(self.stats());
+                s.target_stats = Some(s.stats());
             }
             if frozen {
                 flags |= FROZEN;
-                self.ended = true;
+                s.ended = true;
             }
-            let crossed = match self.passes {
+            let crossed = match s.passes {
                 Some(before) => {
-                    self.passes = self.trace.passes();
-                    self.passes.unwrap_or(before) - before
+                    s.passes = trace.passes();
+                    s.passes.unwrap_or(before) - before
                 }
                 None => 0,
             };
-            self.event = Event {
+            *event = Event {
                 block,
                 pc: access.pc,
                 // `fits` bounded the sums; compute cycles never exceed instructions.
@@ -414,14 +449,39 @@ impl PrivateStage {
                 demand_writebacks: outcome.demand_writebacks,
                 prefetch_writebacks: outcome.prefetch_writebacks,
             };
-            return &self.event;
+            return event;
+        }
+    }
+}
+
+impl StageState {
+    /// Records the stage has drawn: where a source that continues it must stand.
+    pub fn records(&self) -> u64 {
+        self.records
+    }
+
+    /// Bytes the state holds, caches included.
+    pub fn bytes(&self) -> u64 {
+        (std::mem::size_of::<Self>() + self.l1d.heap_bytes() + self.l2.heap_bytes()) as u64
+    }
+
+    fn stats(&self) -> PrivateStats {
+        PrivateStats {
+            l1d: *self.l1d.stats(),
+            l2: *self.l2.stats(),
+            prefetch: *self.prefetcher.stats(),
         }
     }
 
     /// The private side of a record that missed the L1 (module docs, "Order inside a
     /// record"); collects the write-backs that leave the L2.
     #[inline]
-    fn resolve_l1_miss(&mut self, block: BlockAddr, is_write: bool) -> Outcome {
+    fn resolve_l1_miss(
+        &mut self,
+        block: BlockAddr,
+        is_write: bool,
+        writebacks: &mut Vec<BlockAddr>,
+    ) -> Outcome {
         let mut outcome = Outcome::default();
         let l1d = &self.l1d;
         let candidate = self.prefetcher.on_demand_miss(block, |b| l1d.probe(b));
@@ -429,9 +489,9 @@ impl PrivateStage {
         if self.l2.access(block, false) == Lookup::Hit {
             outcome.flags |= L2_HIT;
         } else {
-            outcome.demand_writebacks += self.fill_l2(block, false);
+            outcome.demand_writebacks += self.fill_l2(block, false, writebacks);
         }
-        outcome.demand_writebacks += self.fill_l1(block, is_write, false);
+        outcome.demand_writebacks += self.fill_l1(block, is_write, false, writebacks);
 
         // The prefetch brings the line into L2 and L1 without charging the core.
         let Some(next) = candidate else {
@@ -442,18 +502,18 @@ impl PrivateStage {
         }
         if !self.l2.probe(next) {
             outcome.flags |= PREFETCH_REACHES_LLC;
-            outcome.prefetch_writebacks += self.fill_l2(next, true);
+            outcome.prefetch_writebacks += self.fill_l2(next, true, writebacks);
         }
-        outcome.prefetch_writebacks += self.fill_l1(next, false, true);
+        outcome.prefetch_writebacks += self.fill_l1(next, false, true, writebacks);
         outcome
     }
 
     /// Fill the L2; a dirty victim leaves it. Returns the write-backs collected (0 or 1).
     #[inline]
-    fn fill_l2(&mut self, block: BlockAddr, prefetch: bool) -> u8 {
+    fn fill_l2(&mut self, block: BlockAddr, prefetch: bool, writebacks: &mut Vec<BlockAddr>) -> u8 {
         match self.l2.fill(block, false, prefetch) {
             Some(victim) if victim.dirty => {
-                self.writebacks.push(victim.block);
+                writebacks.push(victim.block);
                 1
             }
             _ => 0,
@@ -463,10 +523,16 @@ impl PrivateStage {
     /// Fill the L1; a dirty victim goes to the L2, and below it if the L2 no longer
     /// holds the line. Returns the write-backs collected (0 or 1).
     #[inline]
-    fn fill_l1(&mut self, block: BlockAddr, dirty: bool, prefetch: bool) -> u8 {
+    fn fill_l1(
+        &mut self,
+        block: BlockAddr,
+        dirty: bool,
+        prefetch: bool,
+        writebacks: &mut Vec<BlockAddr>,
+    ) -> u8 {
         match self.l1d.fill(block, dirty, prefetch) {
             Some(victim) if victim.dirty && !self.l2.writeback(victim.block) => {
-                self.writebacks.push(victim.block);
+                writebacks.push(victim.block);
                 1
             }
             _ => 0,
@@ -540,8 +606,11 @@ impl Chunk {
     /// whichever comes first.
     fn generate(stage: &mut PrivateStage) -> Chunk {
         let mut chunk = Chunk::default();
-        let record_limit = stage.records + CHUNK_RECORDS;
-        while chunk.events.len() < CHUNK_EVENTS && stage.records < record_limit && !stage.ended {
+        let record_limit = stage.records() + CHUNK_RECORDS;
+        while chunk.events.len() < CHUNK_EVENTS
+            && stage.records() < record_limit
+            && !stage.state.ended
+        {
             chunk.events.push(*stage.next_event());
             chunk.writebacks.extend_from_slice(&stage.writebacks);
         }
@@ -562,8 +631,9 @@ impl Chunk {
 struct Shared {
     params: StageParams,
     label: String,
-    /// A fresh source over the stage's stream, standing at its first record.
-    source: Box<dyn Fn() -> Box<dyn TraceSource> + Send + Sync>,
+    /// A fresh source over the stage's stream, standing at the given record of the
+    /// endless stream.
+    source: Box<dyn Fn(u64) -> Box<dyn TraceSource> + Send + Sync>,
     /// Where the memo's bytes come from.
     pool: Arc<MemoPool>,
     /// The stream's wrap counter (module docs, "Wraps").
@@ -573,24 +643,47 @@ struct Shared {
     memo: Mutex<Memo>,
 }
 
+/// Where a memo's retained prefix ends.
+enum Head {
+    /// The memo retains: the live stage stands right after the last retained chunk.
+    Live(Box<PrivateStage>),
+    /// The memo retains no further chunk: the state the live stage had there, its trace
+    /// source dropped. Every cursor that runs off the prefix continues on a clone.
+    Checkpoint(Arc<StageState>),
+}
+
+impl Head {
+    fn state(&self) -> &StageState {
+        match self {
+            Head::Live(stage) => stage.state(),
+            Head::Checkpoint(state) => state,
+        }
+    }
+}
+
 struct Memo {
-    /// The live stage, standing right after the last retained chunk; `None` once a
-    /// cursor that ran off a full memo has taken it over.
-    stage: Option<Box<PrivateStage>>,
+    head: Head,
     /// The retained prefix of the stage's events.
     chunks: Vec<Arc<Chunk>>,
     events: u64,
     bytes: u64,
-    /// Records the live stage drew for the retained chunks.
-    records: u64,
-    /// The live stage's [`PrivateStage::target_stats`] as of the last retained chunk.
-    target_stats: Option<PrivateStats>,
-    /// No further chunk is retained: the pool could not cover the next one.
-    full: bool,
+    /// Bytes reserved for the checkpoint; 0 when the pool could not cover it, and then
+    /// nothing is retained.
+    checkpoint_bytes: u64,
     /// Set when the trace source unwound under the live stage, which cannot continue:
     /// the typed fault it raised, or `None` for any other panic.
     failed: Option<Option<ReplayFault>>,
     tracker: ArenaTracker,
+}
+
+impl Memo {
+    /// Retain nothing more: the live stage becomes the checkpoint, and its trace source —
+    /// decode buffers, an in-flight prefetch — is dropped.
+    fn stop_retaining(&mut self) {
+        if let Head::Live(stage) = &self.head {
+            self.head = Head::Checkpoint(Arc::new(stage.state().clone()));
+        }
+    }
 }
 
 impl Shared {
@@ -618,10 +711,9 @@ impl Shared {
     /// Generate the next chunk on the live stage and retain it; the caller has reserved
     /// [`MAX_CHUNK_BYTES`] for it.
     fn extend(&self, memo: &mut Memo) {
-        let stage = memo
-            .stage
-            .as_mut()
-            .expect("the live stage is taken only off a full memo");
+        let Head::Live(stage) = &mut memo.head else {
+            unreachable!("a memo past its checkpoint is not extended")
+        };
         let mut chunk = match catch_unwind(AssertUnwindSafe(|| Chunk::generate(stage))) {
             Ok(chunk) => chunk,
             Err(payload) => {
@@ -636,9 +728,7 @@ impl Shared {
             .release(MAX_CHUNK_BYTES.saturating_sub(chunk.bytes()));
         memo.events += chunk.events.len() as u64;
         memo.bytes += chunk.bytes();
-        memo.records = stage.records;
-        memo.target_stats = stage.target_stats;
-        memo.tracker.set_bytes(memo.bytes);
+        memo.tracker.set_bytes(memo.bytes + memo.checkpoint_bytes);
         memo.chunks.push(Arc::new(chunk));
     }
 }
@@ -660,6 +750,9 @@ pub struct SharedStageUsage {
     pub chunks: u64,
     /// Bytes the memoized chunks hold.
     pub memo_bytes: u64,
+    /// Bytes reserved for the checkpoint the memo keeps where it stops retaining (module
+    /// docs, "The memo pool and the hand-over"); 0 when its pool could not cover them.
+    pub checkpoint_bytes: u64,
     /// Cursors handed out.
     pub cursors: u64,
     /// Cursors that ran off a full memo and continued on a stage of their own.
@@ -673,6 +766,7 @@ impl std::iter::Sum for SharedStageUsage {
             events: a.events + b.events,
             chunks: a.chunks + b.chunks,
             memo_bytes: a.memo_bytes + b.memo_bytes,
+            checkpoint_bytes: a.checkpoint_bytes + b.checkpoint_bytes,
             cursors: a.cursors + b.cursors,
             handovers: a.handovers + b.handovers,
         })
@@ -680,36 +774,46 @@ impl std::iter::Sum for SharedStageUsage {
 }
 
 impl SharedStage {
-    /// Share a stage over the stream `source` opens: every call must return a source
-    /// standing at the stream's first record. The memo retains what `pool` covers, and
-    /// cursors fold the passes they complete into `stream_wraps` — so the sources
-    /// themselves should report to no shared counter.
+    /// Share a stage over the stream `source` opens: `source(at)` must return a source
+    /// standing at record `at` of the endless stream — what a source from the first
+    /// record yields after `at` records, with as many [passes](TraceSource::passes)
+    /// completed. The memo retains what `pool` covers, and cursors fold the passes they
+    /// complete into `stream_wraps` — so the sources themselves should report to no
+    /// shared counter.
     pub fn new(
         params: StageParams,
-        source: impl Fn() -> Box<dyn TraceSource> + Send + Sync + 'static,
+        source: impl Fn(u64) -> Box<dyn TraceSource> + Send + Sync + 'static,
         pool: Arc<MemoPool>,
         stream_wraps: Arc<AtomicU64>,
     ) -> Self {
-        let trace = source();
+        let stage = PrivateStage::new(params, source(0));
+        let label = stage.label();
+        let checkpoint_bytes = stage.state().bytes();
+        let mut memo = Memo {
+            head: Head::Live(Box::new(stage)),
+            chunks: Vec::new(),
+            events: 0,
+            bytes: 0,
+            checkpoint_bytes: 0,
+            failed: None,
+            tracker: ArenaTracker::new(),
+        };
+        if pool.reserve(checkpoint_bytes) {
+            memo.checkpoint_bytes = checkpoint_bytes;
+            memo.tracker.set_bytes(checkpoint_bytes);
+        } else {
+            // Every cursor continues from the empty stage at record 0.
+            memo.stop_retaining();
+        }
         SharedStage(Arc::new(Shared {
             params,
-            label: trace.label(),
+            label,
             source: Box::new(source),
             pool,
             stream_wraps,
             cursors: AtomicU64::new(0),
             handovers: AtomicU64::new(0),
-            memo: Mutex::new(Memo {
-                stage: Some(Box::new(PrivateStage::new(params, trace))),
-                chunks: Vec::new(),
-                events: 0,
-                bytes: 0,
-                records: 0,
-                target_stats: None,
-                full: false,
-                failed: None,
-                tracker: ArenaTracker::new(),
-            }),
+            memo: Mutex::new(memo),
         }))
     }
 
@@ -734,10 +838,11 @@ impl SharedStage {
     pub fn usage(&self) -> SharedStageUsage {
         let memo = self.0.lock();
         SharedStageUsage {
-            records: memo.records,
+            records: memo.head.state().records,
             events: memo.events,
             chunks: memo.chunks.len() as u64,
             memo_bytes: memo.bytes,
+            checkpoint_bytes: memo.checkpoint_bytes,
             cursors: self.0.cursors.load(Ordering::Relaxed),
             handovers: self.0.handovers.load(Ordering::Relaxed),
         }
@@ -806,24 +911,24 @@ impl StageCursor {
     pub fn target_stats(&self) -> Option<PrivateStats> {
         match &self.own {
             Some(stage) => stage.target_stats(),
-            None => self.shared.memo().target_stats,
+            None => self.shared.memo().head.state().target_stats,
         }
     }
 
     /// Move to the next chunk: of the memo — generated now if no cursor needed it before
     /// and the pool covers it — or, off the retained prefix, of a stage of the cursor's
-    /// own.
+    /// own, continued from the memo's checkpoint over a source that starts there.
     fn take_chunk(&mut self) {
         self.pos = 0;
         self.writebacks = 0..0;
         if self.own.is_none() {
             let shared = &*self.shared;
             let mut memo = shared.memo();
-            if memo.chunks.len() == self.chunks_taken && !memo.full {
+            if memo.chunks.len() == self.chunks_taken && matches!(memo.head, Head::Live(_)) {
                 if shared.pool.reserve(MAX_CHUNK_BYTES) {
                     shared.extend(&mut memo);
                 } else {
-                    memo.full = true;
+                    memo.stop_retaining();
                 }
             }
             if let Some(chunk) = memo.chunks.get(self.chunks_taken) {
@@ -831,16 +936,15 @@ impl StageCursor {
                 self.chunks_taken += 1;
                 return;
             }
-            shared.handovers.fetch_add(1, Ordering::Relaxed);
-            let (live, retained) = (memo.stage.take(), memo.events);
+            let Head::Checkpoint(checkpoint) = &memo.head else {
+                unreachable!("a live memo retains the chunk a cursor asks for")
+            };
+            let checkpoint = checkpoint.clone();
             drop(memo);
-            self.own = Some(live.unwrap_or_else(|| {
-                let mut stage = Box::new(PrivateStage::new(shared.params, (shared.source)()));
-                for _ in 0..retained {
-                    stage.next_event();
-                }
-                stage
-            }));
+            shared.handovers.fetch_add(1, Ordering::Relaxed);
+            let state = StageState::clone(&checkpoint);
+            let trace = (shared.source)(state.records());
+            self.own = Some(Box::new(PrivateStage::resume(state, trace)));
         }
         let stage = self.own.as_mut().expect("the cursor left the memo");
         self.chunk = Arc::new(Chunk::generate(stage));
@@ -861,7 +965,7 @@ mod tests {
 
     /// Reads and writes scattered over 600 blocks (more than the tiny L2 holds), so
     /// events carry every flag and dirty victims leave the L2; 5000 records, then over.
-    fn source() -> Box<dyn TraceSource> {
+    fn scatter() -> SharedReplayTrace {
         let records = (0..5000u64)
             .map(|i| MemAccess {
                 addr: (i * 7919 % 600) * 64,
@@ -870,16 +974,55 @@ mod tests {
                 non_mem_instrs: (i % 4) as u32,
             })
             .collect();
-        Box::new(SharedReplayTrace::new("scatter", Arc::new(records)))
+        SharedReplayTrace::new("scatter", Arc::new(records))
     }
 
+    fn source() -> Box<dyn TraceSource> {
+        Box::new(scatter())
+    }
+
+    /// A stage over `source` whose memo keeps everything, so it never asks for a source
+    /// standing anywhere but at the first record.
     fn unbounded(bound: u64, source: fn() -> Box<dyn TraceSource>) -> SharedStage {
         SharedStage::new(
             params(bound),
-            source,
+            move |at| {
+                assert_eq!(at, 0, "an unbounded memo never hands over");
+                source()
+            },
             MemoPool::new(u64::MAX),
             Arc::default(),
         )
+    }
+
+    /// The scatter stream from record `next` on, counting every record it serves in
+    /// `draws`, by its index in the endless stream.
+    struct Counted {
+        inner: SharedReplayTrace,
+        next: u64,
+        draws: Arc<Mutex<Vec<u32>>>,
+    }
+
+    impl TraceSource for Counted {
+        fn next_access(&mut self) -> MemAccess {
+            let mut draws = self.draws.lock().unwrap();
+            let at = self.next as usize;
+            if draws.len() <= at {
+                draws.resize(at + 1, 0);
+            }
+            draws[at] += 1;
+            self.next += 1;
+            self.inner.next_access()
+        }
+        fn reset(&mut self) {
+            unreachable!("a stage never resets its source")
+        }
+        fn label(&self) -> String {
+            self.inner.label()
+        }
+        fn passes(&self) -> Option<u64> {
+            self.inner.passes()
+        }
     }
 
     #[test]
@@ -923,11 +1066,12 @@ mod tests {
         assert_eq!(std::mem::size_of::<Event>(), 40);
     }
 
-    /// Three cursors over one stage whose pool covers nothing, one chunk, everything:
-    /// each sees an inline stage's events and write-backs, across the hand-over — the
-    /// first to run off the memo takes the live stage over, the others rebuild — and the
-    /// stream's wrap counter ends at one consumer's passes, not at three times that or
-    /// at what the shared stage drew ahead.
+    /// Three cursors over one stage whose pool covers nothing, the checkpoint and one
+    /// chunk, everything: each sees an inline stage's events and write-backs, across the
+    /// hand-over — every cursor continues from the memo's checkpoint over a source that
+    /// starts exactly where the retained prefix ends, so no record below it is drawn
+    /// twice — and the stream's wrap counter ends at one consumer's passes, not at three
+    /// times that or at what the shared stage drew ahead.
     #[test]
     fn cursors_continue_on_their_own_stage_past_a_full_memo() {
         let n = 5 * CHUNK_EVENTS + 100;
@@ -940,12 +1084,26 @@ mod tests {
         let target_stats = inline.target_stats();
         assert!(target_stats.is_some());
 
-        for (share, retained) in [(0, 0), (MAX_CHUNK_BYTES, 1), (u64::MAX, 6)] {
+        let checkpoint = inline.state().bytes();
+        for (share, retained) in [(0, 0), (checkpoint + MAX_CHUNK_BYTES, 1), (u64::MAX, 6)] {
             let stream_wraps = Arc::new(AtomicU64::new(0));
             let pool = MemoPool::new(share);
+            let asked = Arc::new(Mutex::new(Vec::new()));
+            let draws: Arc<Mutex<Vec<u32>>> = Arc::default();
+            let counted = {
+                let (asked, draws) = (asked.clone(), draws.clone());
+                move |at| -> Box<dyn TraceSource> {
+                    asked.lock().unwrap().push(at);
+                    Box::new(Counted {
+                        inner: scatter().seek(at),
+                        next: at,
+                        draws: draws.clone(),
+                    })
+                }
+            };
             let shared = SharedStage::new(
                 params(RUN_AHEAD),
-                source,
+                counted,
                 pool.clone(),
                 stream_wraps.clone(),
             );
@@ -973,11 +1131,31 @@ mod tests {
             let usage = shared.usage();
             assert_eq!(usage.chunks, retained, "share {share}");
             assert!(usage.memo_bytes <= share);
+            assert_eq!(
+                usage.checkpoint_bytes,
+                if share == 0 { 0 } else { checkpoint }
+            );
             if share != u64::MAX {
                 let left = pool.left.load(Ordering::Relaxed);
-                assert_eq!(left + usage.memo_bytes, share, "the pool lost bytes");
+                let held = usage.memo_bytes + usage.checkpoint_bytes;
+                assert_eq!(left + held, share, "the pool lost bytes");
             }
             assert_eq!(usage.handovers, if share == u64::MAX { 0 } else { 3 });
+            // The stage opened one source at the first record, and every hand-over one
+            // where the retained prefix ends; below it, only the live stage drew.
+            let handovers = usage.handovers as usize;
+            let mut want_asked = vec![usage.records; handovers + 1];
+            want_asked[0] = 0;
+            assert_eq!(*asked.lock().unwrap(), want_asked, "share {share}");
+            let draws: &[u32] = &draws.lock().unwrap();
+            for (at, &drawn) in draws.iter().enumerate() {
+                let want = if (at as u64) < usage.records {
+                    1
+                } else {
+                    handovers
+                };
+                assert_eq!(drawn as usize, want, "share {share}, record {at}");
+            }
             assert_eq!(
                 stream_wraps.load(Ordering::Relaxed),
                 passes,

@@ -186,6 +186,15 @@ impl PrivateCache {
         &self.stats
     }
 
+    /// Bytes the tag, state and replacement arrays hold on the heap.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        let words = self.tags.capacity()
+            + self.valid.capacity()
+            + self.dirty.capacity()
+            + self.stamps.capacity();
+        words * std::mem::size_of::<u64>() + self.hint.capacity() + self.rrpv.heap_bytes()
+    }
+
     /// Split a block address into (set, tag) with the precomputed shifts.
     #[inline]
     fn decompose(&self, block: BlockAddr) -> (usize, u64) {

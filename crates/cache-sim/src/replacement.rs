@@ -166,6 +166,11 @@ impl RrpvArray {
         set * self.ways + way
     }
 
+    /// Bytes the array holds on the heap.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        self.rrpv.capacity()
+    }
+
     /// RRPV of a line.
     #[inline]
     pub fn get(&self, set: usize, way: usize) -> u8 {

@@ -202,6 +202,15 @@ impl SharedReplayTrace {
         Self::new(name, Arc::new(accesses))
     }
 
+    /// This cursor standing at record `at` of the endless stream: what it serves, and
+    /// the passes it reports, are those of a cursor that has served `at` records.
+    pub fn seek(mut self, at: u64) -> Self {
+        let len = self.records.len() as u64;
+        self.pos = (at % len) as usize;
+        self.wraps = at / len;
+        self
+    }
+
     /// How many times the cursor wrapped past the end of the buffer. Zero means the
     /// consumer never outran the captured records, i.e. the replay was equivalent to an
     /// infinite source over the same prefix.
@@ -382,10 +391,18 @@ impl Drop for ArenaTracker {
 /// of a pass-ending batch increments [`wraps`](ArenaReplayTrace::wraps) immediately.
 /// Arena capacity is registered with the process-wide accounting
 /// ([`arena_peak_bytes`]) after every refill.
+///
+/// A cursor may also start mid-pass ([`resume`](Self::resume)), over a source positioned
+/// on the block that holds its first record.
 pub struct ArenaReplayTrace {
     source: Box<dyn BatchSource>,
     arena: Vec<MemAccess>,
     pos: usize,
+    /// Leading records of the next batch that are not served: the rest of the block a
+    /// resumed cursor's first record lies in. 0 after the first batch.
+    skip: usize,
+    /// The next batch starts a pass.
+    pass_starts: bool,
     /// The current arena contents end a full pass (wrap fires on its last record).
     end_of_pass: bool,
     /// The current arena contents also started that pass: the stream is resident.
@@ -407,12 +424,32 @@ impl ArenaReplayTrace {
     /// `cache_sim::private::StageCursor` folds in what each consumer actually reached.
     pub fn new(source: Box<dyn BatchSource>, stream_wraps: Arc<AtomicU64>) -> Self {
         ArenaReplayTrace {
+            pass_starts: true,
+            ..Self::resume(source, stream_wraps, 0, 0)
+        }
+    }
+
+    /// A cursor that continues mid-pass, as one that has completed `passes` passes and
+    /// served the first `skip` records of the batch `source` fills next: it serves from
+    /// there, and its [`passes`](TraceSource::passes) and eager wrap count continue from
+    /// `passes`. Its first batch does not count as starting a pass, so a stream that
+    /// fits one batch loops in place only from the first batch that both starts and
+    /// ends one.
+    pub fn resume(
+        source: Box<dyn BatchSource>,
+        stream_wraps: Arc<AtomicU64>,
+        passes: u64,
+        skip: usize,
+    ) -> Self {
+        ArenaReplayTrace {
             source,
             arena: Vec::new(),
             pos: 0,
+            skip,
+            pass_starts: false,
             end_of_pass: false,
             whole_stream: false,
-            wraps: 0,
+            wraps: passes,
             stream_wraps,
             tracker: ArenaTracker::new(),
         }
@@ -429,19 +466,19 @@ impl TraceSource for ArenaReplayTrace {
     fn next_access(&mut self) -> MemAccess {
         if self.pos >= self.arena.len() {
             if !self.whole_stream {
-                // The first batch starts a pass, and so does the one after a batch
-                // that ended one.
-                let starts_pass = self.arena.is_empty() || self.end_of_pass;
                 self.end_of_pass = self.source.fill(&mut self.arena);
                 assert!(
-                    !self.arena.is_empty(),
-                    "BatchSource::fill must produce at least one record"
+                    self.skip < self.arena.len(),
+                    "BatchSource::fill must produce at least one record, and a resumed \
+                     cursor's first batch the record it resumes at"
                 );
-                self.whole_stream = starts_pass && self.end_of_pass;
+                self.whole_stream = self.pass_starts && self.end_of_pass;
+                // The batch after one that ended a pass starts the next.
+                self.pass_starts = self.end_of_pass;
                 self.tracker
                     .set_bytes((self.arena.capacity() * std::mem::size_of::<MemAccess>()) as u64);
             }
-            self.pos = 0;
+            self.pos = std::mem::take(&mut self.skip);
         }
         let a = self.arena[self.pos];
         self.pos += 1;
@@ -456,6 +493,8 @@ impl TraceSource for ArenaReplayTrace {
         self.source.rewind();
         self.arena.clear();
         self.pos = 0;
+        self.skip = 0;
+        self.pass_starts = true;
         self.end_of_pass = false;
         self.whole_stream = false;
         self.wraps = 0;
@@ -545,20 +584,24 @@ mod tests {
         }
     }
 
-    /// An arena cursor over `n` records in batches of `batch`, the same records as a
-    /// shared cursor, and the fills the arena's source has served.
-    fn batch_fixture(
-        n: u64,
-        batch: usize,
-    ) -> (ArenaReplayTrace, SharedReplayTrace, Arc<AtomicUsize>) {
-        let records: Vec<MemAccess> = (0..n)
+    fn fixture_records(n: u64) -> Vec<MemAccess> {
+        (0..n)
             .map(|i| MemAccess {
                 addr: i * 64,
                 pc: 0x100 + i,
                 is_write: i % 3 == 0,
                 non_mem_instrs: (i % 5) as u32,
             })
-            .collect();
+            .collect()
+    }
+
+    /// An arena cursor over `n` records in batches of `batch`, the same records as a
+    /// shared cursor, and the fills the arena's source has served.
+    fn batch_fixture(
+        n: u64,
+        batch: usize,
+    ) -> (ArenaReplayTrace, SharedReplayTrace, Arc<AtomicUsize>) {
+        let records = fixture_records(n);
         let fills = Arc::new(AtomicUsize::new(0));
         let arena = ArenaReplayTrace::new(
             Box::new(VecBatchSource {
@@ -571,6 +614,60 @@ mod tests {
         );
         let shared = SharedReplayTrace::new("vec-batch", Arc::new(records));
         (arena, shared, fills)
+    }
+
+    /// [`batch_fixture`]'s arena cursor resumed at record `at` of the endless stream: its
+    /// source stands on the batch that holds record `at % n`, as a seeking decoder's
+    /// stands on the block.
+    fn resumed_fixture(n: u64, batch: usize, at: u64) -> (ArenaReplayTrace, Arc<AtomicUsize>) {
+        let offset = (at % n) as usize;
+        let fills = Arc::new(AtomicUsize::new(0));
+        let source = VecBatchSource {
+            records: fixture_records(n),
+            batch,
+            pos: offset / batch * batch,
+            fills: fills.clone(),
+        };
+        let arena =
+            ArenaReplayTrace::resume(Box::new(source), Arc::default(), at / n, offset % batch);
+        (arena, fills)
+    }
+
+    #[test]
+    fn a_resumed_cursor_continues_like_one_driven_there() {
+        // Batches smaller than, equal to and larger than the ten-record stream; `block`
+        // is the first batch boundary.
+        for batch in [3usize, 10, 64] {
+            let block = batch.min(10) as u64;
+            for at in [0, 1, block - 1, block, block + 1, 9, 10, 11, 29] {
+                let (_, mut driven, _) = batch_fixture(10, batch);
+                for _ in 0..at {
+                    driven.next_access();
+                }
+                let mut seeked =
+                    SharedReplayTrace::new("s", Arc::new(fixture_records(10))).seek(at);
+                let (mut resumed, _) = resumed_fixture(10, batch, at);
+                assert_eq!(resumed.passes(), driven.passes(), "batch {batch}, at {at}");
+                assert_eq!(seeked.passes(), driven.passes(), "batch {batch}, at {at}");
+                for step in 0..37 {
+                    let want = driven.next_access();
+                    let what = format!("batch {batch}, at {at}, step {step}");
+                    assert_eq!(resumed.next_access(), want, "{what}");
+                    assert_eq!(seeked.next_access(), want, "{what}");
+                    assert_eq!(resumed.wraps(), driven.wraps(), "{what}");
+                    assert_eq!(seeked.wraps(), driven.wraps(), "{what}");
+                }
+            }
+        }
+        // A stream that fits one batch, resumed mid-pass: the first batch did not start
+        // the pass, so the next is taken too, and that one loops in place.
+        for batch in [10usize, 64] {
+            let (mut resumed, fills) = resumed_fixture(10, batch, 3);
+            for _ in 0..53 {
+                resumed.next_access();
+            }
+            assert_eq!((resumed.wraps(), fills.load(Ordering::Relaxed)), (5, 2));
+        }
     }
 
     #[test]

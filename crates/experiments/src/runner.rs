@@ -178,12 +178,14 @@ impl MixEvaluation {
 /// (consumer + prefetch) plus a decompression scratch — the stage is the records' only
 /// consumer, so the batches are small ([`batch_records`](Self::batch_records)); the
 /// event memos get what is left, an equal share per core (one
-/// `cache_sim::private::MemoPool` per stream, which the stream's stages draw on), and
-/// register what they take in the same arena accounting
-/// (`cache_sim::trace::arena_peak_bytes`). When a stream's pool runs out its stages stop
-/// retaining, and an evaluation that runs off the retained events finishes that core on
-/// a private stage of its own over a fresh cursor, with decode buffers of its own for as
-/// long as it runs — what every evaluation held before stages were shared. Results are
+/// `cache_sim::private::MemoPool` per stream, which the stream's stages draw on — each a
+/// checkpoint of its caches first, then chunks of events), and register what they take
+/// in the same arena accounting (`cache_sim::trace::arena_peak_bytes`). When a stream's
+/// pool runs out its stages stop retaining, and an evaluation that runs off the retained
+/// events finishes that core on a private stage of its own: a clone of the stage's
+/// checkpoint over a fresh cursor that seeks to where the memo stops, with decode
+/// buffers of its own for as long as it runs. Nothing the memo holds is simulated
+/// again, however long the run. Results are
 /// bit-identical at every budget — the runner's tests, `tests/corpus_sweep.rs` and
 /// `tests/reference_identity.rs` enforce it — so the budget only trades memory against
 /// work done once, never results.
@@ -302,8 +304,11 @@ impl MixSource {
     /// sweep, and every policy replays the resulting events. A synthetic mix's records
     /// come from its generators. A replayed file is mapped once (its framing checked
     /// there) and a stage streams fixed-size batches from the mapping, so memory stays
-    /// constant however big the corpus is; the stages' event memos get what the decode
-    /// buffers leave of `replay`'s budget (see [`ReplayConfig`]).
+    /// constant however big the corpus is; the stages' event memos and checkpoints get
+    /// what the decode buffers leave of `replay`'s budget (see [`ReplayConfig`]). An
+    /// evaluation that outruns a full memo opens its own cursor where the memo stops: a
+    /// replayed stream seeks there through the file's chunk index, a generator is run
+    /// forward.
     ///
     /// A replayed file whose generators were sized for a different LLC set count would
     /// quietly realize a different workload, so a geometry mismatch is an error.
@@ -406,27 +411,37 @@ enum StreamRecords {
 }
 
 impl StreamRecords {
-    /// A fresh reader over the stream, standing at its first record and folding the
-    /// passes it completes into `wraps`.
-    fn source(&self, wraps: Arc<AtomicU64>) -> Box<dyn TraceSource> {
+    /// A fresh reader over the stream, standing at record `at` of the endless stream —
+    /// as a reader from the first record does after `at` records, passes included — and
+    /// folding the passes it completes into `wraps`. A replayed stream seeks there
+    /// through the file's chunk index; a generator, which has no index, is run forward.
+    fn source(&self, at: u64, wraps: Arc<AtomicU64>) -> Box<dyn TraceSource> {
         match self {
             StreamRecords::Lazy {
                 mix,
                 slot,
                 llc_sets,
                 seed,
-            } => mix.trace_source(*slot, *llc_sets, *seed),
+            } => {
+                let mut generator = mix.trace_source(*slot, *llc_sets, *seed);
+                for _ in 0..at {
+                    generator.next_access();
+                }
+                generator
+            }
             StreamRecords::Streamed {
                 trace,
                 core,
                 batch_records,
             } => {
-                let decoder = MappedStreamDecoder::new(trace.clone(), *core, *batch_records)
+                let mut decoder = MappedStreamDecoder::new(trace.clone(), *core, *batch_records)
                     .expect("stream was validated when materialized");
-                Box::new(ArenaReplayTrace::new(
-                    Box::new(PrefetchingSource::new(decoder)),
-                    wraps,
-                ))
+                let (passes, skip) = decoder.seek(at);
+                let batches = Box::new(PrefetchingSource::new(decoder));
+                Box::new(match at {
+                    0 => ArenaReplayTrace::new(batches, wraps),
+                    _ => ArenaReplayTrace::resume(batches, wraps, passes, skip),
+                })
             }
         }
     }
@@ -527,7 +542,7 @@ impl MaterializedMixStreams {
     pub fn sources(&self) -> Vec<Box<dyn TraceSource>> {
         self.streams
             .iter()
-            .map(|s| s.records.source(s.wraps.clone()))
+            .map(|s| s.records.source(0, s.wraps.clone()))
             .collect()
     }
 
@@ -547,7 +562,7 @@ impl MaterializedMixStreams {
                         let records = stream.records.clone();
                         stages.push(SharedStage::new(
                             *params,
-                            move || records.source(Arc::default()),
+                            move |at| records.source(at, Arc::default()),
                             stream.memo_pool.clone(),
                             stream.wraps.clone(),
                         ));

@@ -781,13 +781,14 @@ fn corpora_body(shared: &Shared) -> String {
             .map(|id| id.to_string())
             .collect::<Vec<_>>()
             .join(",");
-        // What resident sharing holds: the event memos' bytes, and the evaluations that
-        // replayed (or extended) them — one cursor per core each.
+        // What resident sharing holds: the event memos' bytes, the evaluations that
+        // replayed (or extended) them — one cursor per core each — and the cursors that
+        // ran off a full memo and continued from its checkpoint.
         let stages = corpus.stage_usage();
         out.push_str(&format!(
             "{{\"name\":{},\"hash\":\"{:016x}\",\"label\":{},\"cores\":{},\"llc_sets\":{},\
              \"seed\":{},\"instructions\":{},\"mix_ids\":[{mix_ids}],\
-             \"stage_memo_bytes\":{},\"stage_cursors\":{}}}",
+             \"stage_memo_bytes\":{},\"stage_cursors\":{},\"stage_handovers\":{}}}",
             json_str(&corpus.name),
             corpus.hash,
             json_str(&corpus.corpus.meta().label),
@@ -797,6 +798,7 @@ fn corpora_body(shared: &Shared) -> String {
             corpus.instructions,
             stages.memo_bytes,
             stages.cursors / corpus.config.num_cores as u64,
+            stages.handovers,
         ));
     }
     out.push_str("]}");

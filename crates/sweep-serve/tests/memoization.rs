@@ -94,6 +94,48 @@ fn hits_are_bit_identical_and_stats_count_exactly_what_clients_observed() {
     let field = |name: &str| listed.get(name).and_then(JsonValue::as_number).unwrap() as u64;
     assert_eq!(field("stage_cursors"), 3);
     assert!(field("stage_memo_bytes") > 0);
+    // The default budget's memos cover a smoke run: no cursor left one.
+    assert_eq!(field("stage_handovers"), 0);
+    handle.stop();
+}
+
+#[test]
+fn a_daemon_whose_memos_run_dry_reports_its_handovers_and_the_same_answers() {
+    // A budget whose memo shares cover each stream's checkpoint but not one chunk of
+    // events (3/4 of it goes to decode buffers, a sixteenth to each of the four cores):
+    // every evaluation runs off the empty prefix at once and continues from the
+    // checkpoint. `/corpora` counts those hand-overs — one per core and evaluation — and
+    // the answers do not change.
+    let dir = common::test_dir("memoization_dry_memo");
+    common::materialize_corpus(&dir, "dry memo corpus", 1);
+    let policies = common::test_policies();
+    let reference = common::reference_cells(&dir, &policies);
+    let handle = sweep_serve::Server::spawn(sweep_serve::ServerConfig {
+        workers: 1,
+        scale: common::SCALE,
+        corpora: vec![("c".to_string(), dir)],
+        replay: ReplayConfig {
+            arena_budget_bytes: 1 << 20,
+        },
+        ..sweep_serve::ServerConfig::default()
+    })
+    .expect("spawn");
+    let mut client = Client::connect(handle.addr(), None).expect("connect");
+    for (label, mix, body) in &reference {
+        let served = client.post("/eval", &eval_body("c", label, *mix)).unwrap();
+        assert_eq!(served.status, 200, "{}", served.body);
+        assert_eq!(&served.body, body, "{label}");
+    }
+    let corpora = JsonValue::parse(&client.get("/corpora").unwrap().body).expect("corpora JSON");
+    let listed = &corpora
+        .get("corpora")
+        .and_then(JsonValue::as_array)
+        .unwrap()[0];
+    let field = |name: &str| listed.get(name).and_then(JsonValue::as_number).unwrap() as u64;
+    let evaluations = policies.len() as u64;
+    assert_eq!(field("stage_cursors"), evaluations);
+    assert_eq!(field("stage_memo_bytes"), 0);
+    assert_eq!(field("stage_handovers"), evaluations * field("cores"));
     handle.stop();
 }
 

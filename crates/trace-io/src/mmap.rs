@@ -54,6 +54,9 @@ struct ChunkRef {
     payload_len: u32,
     /// Decoded record count (compressed bit stripped).
     records: u32,
+    /// Index of the block's first record in the core's stream: the prefix sum of
+    /// `records` over the blocks before it.
+    first_record: u64,
     /// Payload is `raw_len u32 || LZ4 block` rather than raw block encoding.
     compressed: bool,
     /// Stored FNV-1a of the payload, when the file carries checksums.
@@ -280,7 +283,17 @@ impl MappedTrace {
                         stream_offset: chunk.stream_offset,
                     });
                 }
-                self.validated[core].fetch_max(chunk.stream_end, Ordering::Release);
+                // The mark covers a contiguous prefix: only a block that starts inside it
+                // extends it. A block a seeking cursor reads past unvalidated ones is
+                // checked again when it is next decoded, until the prefix reaches it.
+                let _ = self.validated[core].fetch_update(
+                    Ordering::Release,
+                    Ordering::Acquire,
+                    |mark| {
+                        (chunk.stream_offset <= mark && mark < chunk.stream_end)
+                            .then_some(chunk.stream_end)
+                    },
+                );
             }
         }
         let mut start = now();
@@ -403,6 +416,7 @@ fn scan_core(bytes: &[u8], header: &TraceHeader, core: usize) -> Result<Vec<Chun
             payload_off: pos,
             payload_len: payload_len as u32,
             records: record_count as u32,
+            first_record: records_total,
             compressed: block_compressed,
             checksum,
             stream_offset: consumed,
@@ -496,6 +510,20 @@ impl MappedStreamDecoder {
     /// Restart the stream (the next fill produces the first batch again).
     pub fn rewind_stream(&mut self) {
         self.next_chunk = 0;
+    }
+
+    /// Position the cursor for record `at` of the endless stream: the next fill starts
+    /// with the block that holds record `at % len`, found in the chunk index. Returns
+    /// the passes a cursor that has served `at` records has completed, and how many of
+    /// that block's leading records come before record `at` — what
+    /// [`cache_sim::trace::ArenaReplayTrace::resume`] takes.
+    pub fn seek(&mut self, at: u64) -> (u64, usize) {
+        let chunks = &self.trace.chunks[self.core];
+        let len = self.trace.header.cores[self.core].records;
+        let offset = at % len;
+        self.next_chunk = chunks.partition_point(|chunk| chunk.first_record <= offset) - 1;
+        let skip = offset - chunks[self.next_chunk].first_record;
+        (at / len, skip as usize)
     }
 
     /// The shared mapping this cursor reads.
@@ -649,7 +677,7 @@ impl BatchSource for PrefetchingSource {
 mod tests {
     use super::*;
     use crate::reader::decode_all;
-    use crate::testutil::{cursor, tmp, write_layout, write_trace};
+    use crate::testutil::{cursor, seeked, tmp, write_layout, write_trace};
     use crate::writer::TraceWriter;
     use cache_sim::trace::{ArenaReplayTrace, TraceSource};
 
@@ -737,6 +765,87 @@ mod tests {
         std::fs::remove_file(path).ok();
     }
 
+    /// A cursor that seeks to record `at` serves the stream from `at % len` on, looped,
+    /// and counts passes and wraps as a cursor driven `at` records does — around block
+    /// edges and the stream's end, with batches smaller than, equal to and larger than
+    /// the stream.
+    #[test]
+    fn seeked_cursors_continue_like_cursors_driven_there() {
+        let path = tmp("seek_wall");
+        write_trace(&path, 2, 40); // 16 + 16 + 8 records a core
+        let trace = Arc::new(MappedTrace::open(&path).unwrap());
+        let (block, len) = (16u64, 40u64);
+        for core in 0..2 {
+            let stream = trace.decode_core(core).unwrap();
+            for batch in [12, 40, 64] {
+                for at in [
+                    0,
+                    1,
+                    block - 1,
+                    block,
+                    block + 1,
+                    len - 1,
+                    len,
+                    len + 1,
+                    3 * len - 1,
+                ] {
+                    let mut driven = cursor(&trace, core, batch);
+                    for _ in 0..at {
+                        driven.next_access();
+                    }
+                    let mut seeked = seeked(&trace, core, batch, at);
+                    let what = format!("core {core}, batch {batch}, at {at}");
+                    assert_eq!(seeked.passes(), driven.passes(), "{what}");
+                    for i in 0..2 * len + 7 {
+                        let want = stream[((at + i) % len) as usize];
+                        assert_eq!(seeked.next_access(), want, "{what}, record {i}");
+                        assert_eq!(driven.next_access(), want, "{what}, record {i}");
+                        assert_eq!(seeked.wraps(), driven.wraps(), "{what}, record {i}");
+                    }
+                }
+            }
+        }
+        std::fs::remove_file(path).ok();
+    }
+
+    /// Seeking does not weaken validate-once: a cursor that starts past a block nobody
+    /// has read validates what it reads, but the validated mark stays a contiguous
+    /// prefix, so the skipped block is still checked — and rejected — when a rewind
+    /// reaches it.
+    #[test]
+    fn a_block_a_seek_skipped_is_still_validated() {
+        let path = tmp("seek_validate");
+        write_trace(&path, 1, 64); // 4 blocks of 16
+        let flipped = {
+            let clean = MappedTrace::open(&path).unwrap();
+            clean.chunks[0][1]
+        };
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes[flipped.payload_off + 3] ^= 0xff;
+        std::fs::write(&path, bytes).unwrap();
+
+        let trace = Arc::new(MappedTrace::open(&path).unwrap());
+        let mut decoder = MappedStreamDecoder::new(trace.clone(), 0, 16).unwrap();
+        assert_eq!(decoder.seek(32), (0, 0));
+        let mut arena = Vec::new();
+        // Blocks 2 and 3, to the end of the stream.
+        assert!(!decoder.try_fill(&mut arena).unwrap());
+        assert!(decoder.try_fill(&mut arena).unwrap());
+        assert_eq!(trace.checksum_validations(), 2);
+        decoder.rewind_stream();
+        decoder.try_fill(&mut arena).unwrap();
+        let err = decoder.try_fill(&mut arena).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                TraceError::ChecksumMismatch { core: 0, stream_offset }
+                    if stream_offset == flipped.stream_offset
+            ),
+            "the flipped block must fail its checksum, got {err:?}"
+        );
+        std::fs::remove_file(path).ok();
+    }
+
     #[test]
     fn prefetching_source_is_bit_identical_to_the_direct_decoder() {
         for version in [2, 3] {
@@ -815,6 +924,19 @@ mod tests {
             assert_eq!(cursor.next_access(), written[0][0]);
             assert_eq!(fills.load(Ordering::Relaxed), 2, "reset refills once");
             assert_eq!(trace.checksum_validations(), 1);
+
+            // Resumed mid-pass, its first batch did not start the pass: the next one is
+            // taken too, and that one loops in place.
+            let mut decoder = MappedStreamDecoder::new(trace.clone(), 0, batch_records).unwrap();
+            let (passes, skip) = decoder.seek(3);
+            let fills = Arc::new(AtomicU64::new(0));
+            let counted = CountedFills(PrefetchingSource::new(decoder), fills.clone());
+            let mut cursor =
+                ArenaReplayTrace::resume(Box::new(counted), Arc::default(), passes, skip);
+            for want in written[0].iter().cycle().skip(3).take(51 * 8) {
+                assert_eq!(cursor.next_access(), *want);
+            }
+            assert_eq!((cursor.wraps(), fills.load(Ordering::Relaxed)), (51, 2));
         }
         std::fs::remove_file(path).ok();
         // A batch shorter than the stream (two blocks of 16) keeps refilling. (A file of

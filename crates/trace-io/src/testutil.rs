@@ -64,3 +64,16 @@ pub(crate) fn cursor(
     let decoder = MappedStreamDecoder::new(trace.clone(), core, batch_records).unwrap();
     ArenaReplayTrace::new(Box::new(decoder), Arc::default())
 }
+
+/// [`cursor`] standing at record `at` of the endless stream: its decoder seeks to the
+/// block that holds it, and the arena cursor resumes inside that block.
+pub(crate) fn seeked(
+    trace: &Arc<MappedTrace>,
+    core: usize,
+    batch_records: usize,
+    at: u64,
+) -> ArenaReplayTrace {
+    let mut decoder = MappedStreamDecoder::new(trace.clone(), core, batch_records).unwrap();
+    let (passes, skip) = decoder.seek(at);
+    ArenaReplayTrace::resume(Box::new(decoder), Arc::default(), passes, skip)
+}

@@ -484,7 +484,10 @@ fn shared_stages_under_concurrency_equal_inline_and_the_oracle() {
     let stages: Vec<SharedStage> = (0..cfg.num_cores)
         .map(|core| {
             let mix = mix.clone();
-            let source = move || mix.trace_source(core, llc_sets, SEED);
+            let source = move |at| {
+                assert_eq!(at, 0, "an unbounded memo never hands over");
+                mix.trace_source(core, llc_sets, SEED)
+            };
             SharedStage::new(params, source, unbounded.clone(), Arc::default())
         })
         .collect();
@@ -705,8 +708,8 @@ fn replayed_mixes_share_their_stages_and_equal_the_oracle_and_the_live_generator
             .zip(&mix.benchmarks)
             .map(|(records, label)| {
                 let (records, label) = (records.clone(), label.clone());
-                let source = move || -> Box<dyn TraceSource> {
-                    Box::new(SharedReplayTrace::new(label.clone(), records.clone()))
+                let source = move |at| -> Box<dyn TraceSource> {
+                    Box::new(SharedReplayTrace::new(label.clone(), records.clone()).seek(at))
                 };
                 SharedStage::new(params, source, pool.clone(), Arc::default())
             })
