@@ -58,14 +58,34 @@
 //! ([`Event::frozen`]).
 //!
 //! **The memo.** A [`SharedStage`] generates events on demand in chunks (of
-//! [`CHUNK_EVENTS`] events or [`CHUNK_RECORDS`] records, whichever comes first) behind a
-//! mutex and keeps them; any number of [`StageCursor`]s replay
-//! them without regenerating. The stage owns the live trace source, so records are not
-//! memoized a second time. Its key is exactly what the stage reads — [`StageParams`],
-//! compared whole. A consumer never sees the difference from an inline stage; the trace
-//! source does: a shared stage may have drawn up to one chunk of events more than its
-//! furthest consumer used, on top of the driver's own `RUN_AHEAD + 1` records — fewer
-//! than `CHUNK_RECORDS + RUN_AHEAD + 1` records in all.
+//! [`CHUNK_EVENTS`] events or [`CHUNK_RECORDS`] records, whichever comes first) and keeps
+//! them; any number of [`StageCursor`]s replay them without regenerating. A chunk is
+//! generated outside the memo's lock: the live stage leaves the memo while it works, the
+//! retained chunks — and the records drawn and the target statistics, which the memo
+//! notes at every chunk — stay readable, and a cursor that needs the chunk in flight
+//! waits for it. The stage owns the live trace source, so records are not memoized a
+//! second time. Its key is exactly what the stage reads — [`StageParams`], compared
+//! whole. A consumer never sees the difference from an inline stage; the trace source
+//! does: a shared stage may have drawn the rest of its furthest consumer's chunk and one
+//! chunk read ahead of it, on top of the driver's own `RUN_AHEAD + 1` records — fewer
+//! than `2 × (CHUNK_RECORDS + RUN_AHEAD)` records beyond that consumer.
+//!
+//! **Read-ahead.** A lone evaluation would otherwise run its halves back to back: the
+//! private stages generate a chunk, then the system replays it. When the furthest cursor
+//! of a system's stage takes the memo's last chunk, it queues the stage for the process's
+//! one read-ahead thread, which generates the next chunk while that cursor's system works
+//! through the current one, so the evaluation costs about max(private, shared) instead of
+//! their sum. The thread reserves the chunk from the memo pool first and does nothing
+//! when the pool is dry: the cursor then makes the checkpoint there, as it would without
+//! it. A stage is queued, and served, only while fewer
+//! [`MultiCoreSystem::run`](crate::system::MultiCoreSystem::run) calls are in progress
+//! than the host has hardware threads — a sweep with a cell on every worker keeps them
+//! all busy already — and never at bound 0, so the profile of a stage built while
+//! `sim_obs` records does not depend on timing. The thread is its own, never one of the
+//! decode pool's: a stage over a corpus waits in its trace source for a batch that pool
+//! decodes, and a read-ahead that held a pool worker could wait on itself. No cursor waits
+//! on a request that is only queued: one that finds neither its chunk nor a generation in
+//! flight generates inline.
 //!
 //! **The memo pool and the hand-over.** The stages over one stream retain events out of
 //! one [`MemoPool`] — the stream's share of what a replayed mix's records leave of
@@ -94,13 +114,20 @@
 //! its furthest consumer, and is the same whatever the pool holds.
 //!
 //! **Faults.** A trace source over a corpus file reports corruption by unwinding with a
-//! typed [`ReplayFault`]. If that happens while a cursor generates a chunk, the stage
-//! remembers it — its private hierarchy stopped mid-record — and raises the same fault
-//! to every cursor that needs it afterwards, so each evaluation fails the typed way.
+//! typed [`ReplayFault`]. If that happens while a chunk is generated — by a cursor or by
+//! the read-ahead thread — the memo records the fault at its frontier: its private
+//! hierarchy stopped mid-record, so no chunk follows. The retained chunks and the target
+//! statistics stay readable; the cursor that was generating raises the fault, and so
+//! does every cursor that needs the failed chunk afterwards, so each evaluation that
+//! reads the corrupt block fails the typed way, and one that stops short of it — a
+//! read-ahead may run a chunk past the end of a run — does not.
 
+use std::any::Any;
+use std::collections::VecDeque;
+use std::num::NonZeroUsize;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError, Weak};
 
 use crate::addr::{block_of, BlockAddr};
 use crate::config::{CoreConfig, PrivateCacheConfig, SystemConfig};
@@ -114,9 +141,10 @@ use crate::trace::{raise_replay_fault, replay_fault_from, ArenaTracker, ReplayFa
 pub const CHUNK_EVENTS: usize = 1024;
 
 /// Records after which a chunk ends even with fewer events: the events of a
-/// cache-resident core cover `bound + 1` records each, and a chunk is how far a shared
-/// stage may run ahead of its furthest consumer. The event that crosses the line is
-/// completed, so a chunk draws fewer than `CHUNK_RECORDS + bound + 1` records.
+/// cache-resident core cover `bound + 1` records each, and two chunks — the furthest
+/// consumer's and the one read ahead — are how far a shared stage may run ahead of that
+/// consumer. The event that crosses the line is completed, so a chunk draws fewer than
+/// `CHUNK_RECORDS + bound + 1` records.
 pub const CHUNK_RECORDS: u64 = 4096;
 
 /// Most bytes one chunk holds: [`CHUNK_EVENTS`] events with four write-backs each. A
@@ -641,24 +669,24 @@ struct Shared {
     cursors: AtomicU64,
     handovers: AtomicU64,
     memo: Mutex<Memo>,
+    /// Signalled whenever the memo's head leaves [`Head::Busy`] or its stage leaves the
+    /// read-ahead queue.
+    ready: Condvar,
 }
 
 /// Where a memo's retained prefix ends.
 enum Head {
     /// The memo retains: the live stage stands right after the last retained chunk.
     Live(Box<PrivateStage>),
+    /// The live stage is out generating the chunk after the last retained one, on a
+    /// cursor's thread or on the read-ahead thread.
+    Busy,
     /// The memo retains no further chunk: the state the live stage had there, its trace
     /// source dropped. Every cursor that runs off the prefix continues on a clone.
     Checkpoint(Arc<StageState>),
-}
-
-impl Head {
-    fn state(&self) -> &StageState {
-        match self {
-            Head::Live(stage) => stage.state(),
-            Head::Checkpoint(state) => state,
-        }
-    }
+    /// The trace source unwound under the live stage, which cannot continue: the typed
+    /// fault it raised, or `None` for any other panic (module docs, "Faults").
+    Failed(Option<ReplayFault>),
 }
 
 struct Memo {
@@ -670,9 +698,18 @@ struct Memo {
     /// Bytes reserved for the checkpoint; 0 when the pool could not cover it, and then
     /// nothing is retained.
     checkpoint_bytes: u64,
-    /// Set when the trace source unwound under the live stage, which cannot continue:
-    /// the typed fault it raised, or `None` for any other panic.
-    failed: Option<Option<ReplayFault>>,
+    /// Records the live stage had drawn, and its target statistics, after the last
+    /// retained chunk: readable while the stage is out.
+    records: u64,
+    target_stats: Option<PrivateStats>,
+    /// Chunks the furthest cursor has taken.
+    furthest: usize,
+    /// The stage waits in the read-ahead queue.
+    queued: bool,
+    /// Chunks the read-ahead thread generated.
+    read_aheads: u64,
+    /// Times a cursor found the chunk it needed in flight and waited for it.
+    waits: u64,
     tracker: ArenaTracker,
 }
 
@@ -684,52 +721,271 @@ impl Memo {
             self.head = Head::Checkpoint(Arc::new(stage.state().clone()));
         }
     }
+
+    /// Retain `chunk`, which `stage` has just generated into a [`MAX_CHUNK_BYTES`]
+    /// reservation from `pool`; what it does not need goes back.
+    fn push(&mut self, mut chunk: Chunk, stage: &PrivateStage, pool: &MemoPool) {
+        chunk.events.shrink_to_fit();
+        chunk.writebacks.shrink_to_fit();
+        pool.release(MAX_CHUNK_BYTES.saturating_sub(chunk.bytes()));
+        self.events += chunk.events.len() as u64;
+        self.bytes += chunk.bytes();
+        self.tracker.set_bytes(self.bytes + self.checkpoint_bytes);
+        self.records = stage.records();
+        self.target_stats = stage.target_stats();
+        self.chunks.push(Arc::new(chunk));
+    }
 }
 
 impl Shared {
-    /// The memo, whatever state it is in. Every update leaves it consistent — a
-    /// generator that unwinds is recorded in `failed` first — so a poisoned lock carries
-    /// no more information than the memo itself.
+    /// The memo, whatever state it is in. No update panics half-way — a generation runs
+    /// outside the lock and is recorded in the head either way — so a poisoned lock
+    /// carries no more information than the memo itself.
     fn lock(&self) -> MutexGuard<'_, Memo> {
         self.memo.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// The memo of a stage that can still serve events; re-raises the failure of one
-    /// that cannot (module docs, "Faults").
-    fn memo(&self) -> MutexGuard<'_, Memo> {
-        let memo = self.lock();
-        match &memo.failed {
-            None => memo,
-            Some(Some(fault)) => raise_replay_fault(&fault.stream, fault.message.clone()),
-            Some(None) => panic!(
-                "the trace source of stage {:?} panicked under another cursor",
-                self.label
-            ),
+    /// The memo once no chunk is in flight or queued for the read-ahead thread.
+    fn quiescent(&self) -> MutexGuard<'_, Memo> {
+        self.ready
+            .wait_while(self.lock(), |memo| {
+                memo.queued || matches!(memo.head, Head::Busy)
+            })
+            .unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Chunk `index` of the memo: retained, in flight (waited for), or generated now if
+    /// the pool covers it — or, past the retained prefix, the checkpoint to continue
+    /// from. A cursor that `reads_ahead` and is the first to take the memo's last chunk
+    /// queues the stage for the read-ahead thread. Raises a fault recorded at `index`.
+    fn next_chunk(
+        self: &Arc<Self>,
+        index: usize,
+        reads_ahead: bool,
+    ) -> Result<Arc<Chunk>, Arc<StageState>> {
+        let mut memo = self.lock();
+        let mut waited = false;
+        loop {
+            if let Some(chunk) = memo.chunks.get(index).cloned() {
+                let furthest = index >= memo.furthest;
+                memo.furthest = memo.furthest.max(index + 1);
+                let queue = furthest && reads_ahead && self.wants_read_ahead(&memo);
+                memo.queued |= queue;
+                drop(memo);
+                if queue {
+                    read_ahead_thread().queue(Arc::downgrade(self));
+                }
+                return Ok(chunk);
+            }
+            match &memo.head {
+                Head::Live(_) => {
+                    if self.pool.reserve(MAX_CHUNK_BYTES) {
+                        memo = self.generate(memo).unwrap_or_else(|p| resume_unwind(p));
+                    } else {
+                        memo.stop_retaining();
+                    }
+                }
+                Head::Busy => {
+                    memo.waits += u64::from(!waited);
+                    waited = true;
+                    memo = self
+                        .ready
+                        .wait(memo)
+                        .unwrap_or_else(PoisonError::into_inner);
+                }
+                Head::Checkpoint(checkpoint) => return Err(checkpoint.clone()),
+                Head::Failed(fault) => {
+                    let fault = fault.clone();
+                    drop(memo);
+                    match fault {
+                        Some(fault) => raise_replay_fault(&fault.stream, fault.message),
+                        None => panic!(
+                            "the trace source of stage {:?} panicked generating a chunk",
+                            self.label
+                        ),
+                    }
+                }
+            }
         }
     }
 
-    /// Generate the next chunk on the live stage and retain it; the caller has reserved
-    /// [`MAX_CHUNK_BYTES`] for it.
-    fn extend(&self, memo: &mut Memo) {
-        let Head::Live(stage) = &mut memo.head else {
-            unreachable!("a memo past its checkpoint is not extended")
+    /// Whether the read-ahead thread should generate the next chunk: the furthest cursor
+    /// has taken the last retained one, the live stage stands after it, nothing is
+    /// queued yet, the stage coalesces (bound > 0) and a hardware thread is idle.
+    fn wants_read_ahead(&self, memo: &Memo) -> bool {
+        matches!(memo.head, Head::Live(_))
+            && memo.chunks.len() == memo.furthest
+            && !memo.queued
+            && self.params.bound > 0
+            && hardware_thread_idle()
+    }
+
+    /// Generate the next chunk on the live stage outside the lock — the head is
+    /// [`Head::Busy`] meanwhile — and retain it; the caller has reserved
+    /// [`MAX_CHUNK_BYTES`] for it. If the trace source unwinds, the memo records the
+    /// fault at its frontier and the payload is handed back.
+    fn generate<'a>(
+        &'a self,
+        mut memo: MutexGuard<'a, Memo>,
+    ) -> Result<MutexGuard<'a, Memo>, Box<dyn Any + Send>> {
+        let Head::Live(mut stage) = std::mem::replace(&mut memo.head, Head::Busy) else {
+            unreachable!("only the live stage generates")
         };
-        let mut chunk = match catch_unwind(AssertUnwindSafe(|| Chunk::generate(stage))) {
-            Ok(chunk) => chunk,
+        drop(memo);
+        let generated = catch_unwind(AssertUnwindSafe(|| Chunk::generate(&mut stage)));
+        let mut memo = self.lock();
+        let generated = match generated {
+            Ok(chunk) => {
+                memo.push(chunk, &stage, &self.pool);
+                memo.head = Head::Live(stage);
+                Ok(())
+            }
             Err(payload) => {
                 self.pool.release(MAX_CHUNK_BYTES);
-                memo.failed = Some(replay_fault_from(payload.as_ref()).cloned());
-                resume_unwind(payload)
+                memo.head = Head::Failed(replay_fault_from(payload.as_ref()).cloned());
+                Err(payload)
             }
         };
-        chunk.events.shrink_to_fit();
-        chunk.writebacks.shrink_to_fit();
-        self.pool
-            .release(MAX_CHUNK_BYTES.saturating_sub(chunk.bytes()));
-        memo.events += chunk.events.len() as u64;
-        memo.bytes += chunk.bytes();
-        memo.tracker.set_bytes(memo.bytes + memo.checkpoint_bytes);
-        memo.chunks.push(Arc::new(chunk));
+        self.ready.notify_all();
+        generated.map(|()| memo)
+    }
+
+    /// The read-ahead thread's job: generate the next chunk if the stage still stands
+    /// where it was queued, a hardware thread is still idle and the pool covers it. A
+    /// fault stays recorded in the memo for the cursor that needs the chunk.
+    fn read_ahead(&self) {
+        let mut memo = self.lock();
+        memo.queued = false;
+        if self.wants_read_ahead(&memo) && self.pool.reserve(MAX_CHUNK_BYTES) {
+            match self.generate(memo) {
+                Ok(generated) => memo = generated,
+                Err(_) => return,
+            }
+            memo.read_aheads += 1;
+        }
+        drop(memo);
+        self.ready.notify_all();
+    }
+}
+
+/// `MultiCoreSystem::run` calls in progress in the process.
+static RUNNING: AtomicUsize = AtomicUsize::new(0);
+
+/// A [`crate::system::MultiCoreSystem::run`] in progress, counted for the read-ahead
+/// thread's gate while the value lives.
+pub(crate) struct Running(());
+
+impl Running {
+    pub(crate) fn enter() -> Self {
+        RUNNING.fetch_add(1, Ordering::Relaxed);
+        Running(())
+    }
+}
+
+impl Drop for Running {
+    fn drop(&mut self) {
+        RUNNING.fetch_sub(1, Ordering::Relaxed);
+    }
+}
+
+/// Fewer systems run than the host has hardware threads, so a read-ahead takes none
+/// from them.
+fn hardware_thread_idle() -> bool {
+    static THREADS: OnceLock<usize> = OnceLock::new();
+    let threads =
+        *THREADS.get_or_init(|| std::thread::available_parallelism().map_or(1, NonZeroUsize::get));
+    RUNNING.load(Ordering::Relaxed) < threads
+}
+
+/// The process's one read-ahead thread (module docs, "Read-ahead"), started on first use
+/// and parked while its queue is empty. It lives as long as the process: nothing joins
+/// it, and it holds a stage only while it serves it.
+struct ReadAhead {
+    state: Mutex<ReadAheadState>,
+    /// Signalled when a stage is queued.
+    queued: Condvar,
+    /// Signalled when the thread lets go of a stage.
+    released: Condvar,
+}
+
+#[derive(Default)]
+struct ReadAheadState {
+    queue: VecDeque<Weak<Shared>>,
+    /// The address of the stage being served.
+    serving: Option<usize>,
+}
+
+static READ_AHEAD: OnceLock<&'static ReadAhead> = OnceLock::new();
+
+fn read_ahead_thread() -> &'static ReadAhead {
+    READ_AHEAD.get_or_init(|| {
+        let thread: &'static ReadAhead = Box::leak(Box::new(ReadAhead {
+            state: Mutex::default(),
+            queued: Condvar::new(),
+            released: Condvar::new(),
+        }));
+        std::thread::Builder::new()
+            .name("stage-read-ahead".to_string())
+            .spawn(|| thread.serve())
+            .expect("spawn the read-ahead thread");
+        thread
+    })
+}
+
+impl ReadAhead {
+    /// The queue; no update panics half-way, so a poisoned lock is as good as any.
+    fn lock(&self) -> MutexGuard<'_, ReadAheadState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn queue(&self, stage: Weak<Shared>) {
+        self.lock().queue.push_back(stage);
+        self.queued.notify_one();
+    }
+
+    fn serve(&self) -> ! {
+        loop {
+            let stage = {
+                let mut state = self.lock();
+                loop {
+                    match state.queue.pop_front() {
+                        // A stage whose last handle is gone needs nothing.
+                        Some(stage) => {
+                            if let Some(stage) = stage.upgrade() {
+                                state.serving = Some(Arc::as_ptr(&stage) as usize);
+                                break stage;
+                            }
+                        }
+                        None => {
+                            state = self
+                                .queued
+                                .wait(state)
+                                .unwrap_or_else(PoisonError::into_inner)
+                        }
+                    }
+                }
+            };
+            stage.read_ahead();
+            drop(stage);
+            self.lock().serving = None;
+            self.released.notify_all();
+        }
+    }
+
+    /// Take `stage` out of the queue and wait until the thread no longer holds it: after
+    /// this the thread cannot be the one that drops it.
+    fn release(&self, stage: &Arc<Shared>) {
+        let at = Arc::as_ptr(stage);
+        let mut state = self.lock();
+        state
+            .queue
+            .retain(|queued| !std::ptr::eq(queued.as_ptr(), at));
+        while state.serving == Some(at as usize) {
+            state = self
+                .released
+                .wait(state)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
     }
 }
 
@@ -741,8 +997,8 @@ pub struct SharedStage(Arc<Shared>);
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SharedStageUsage {
     /// Records the shared stage drew from its trace source (the high-water mark across
-    /// the cursors it served, rounded up to a chunk); a cursor that left the memo draws
-    /// its own, which are not counted here.
+    /// the cursors it served, rounded up to a chunk, plus any chunk read ahead); a cursor
+    /// that left the memo draws its own, which are not counted here.
     pub records: u64,
     /// Events memoized.
     pub events: u64,
@@ -757,6 +1013,10 @@ pub struct SharedStageUsage {
     pub cursors: u64,
     /// Cursors that ran off a full memo and continued on a stage of their own.
     pub handovers: u64,
+    /// Chunks the read-ahead thread generated (module docs, "Read-ahead").
+    pub read_aheads: u64,
+    /// Times a cursor found the chunk it needed in flight and waited for it.
+    pub waits: u64,
 }
 
 impl std::iter::Sum for SharedStageUsage {
@@ -769,6 +1029,8 @@ impl std::iter::Sum for SharedStageUsage {
             checkpoint_bytes: a.checkpoint_bytes + b.checkpoint_bytes,
             cursors: a.cursors + b.cursors,
             handovers: a.handovers + b.handovers,
+            read_aheads: a.read_aheads + b.read_aheads,
+            waits: a.waits + b.waits,
         })
     }
 }
@@ -795,7 +1057,12 @@ impl SharedStage {
             events: 0,
             bytes: 0,
             checkpoint_bytes: 0,
-            failed: None,
+            records: 0,
+            target_stats: None,
+            furthest: 0,
+            queued: false,
+            read_aheads: 0,
+            waits: 0,
             tracker: ArenaTracker::new(),
         };
         if pool.reserve(checkpoint_bytes) {
@@ -814,6 +1081,7 @@ impl SharedStage {
             cursors: AtomicU64::new(0),
             handovers: AtomicU64::new(0),
             memo: Mutex::new(memo),
+            ready: Condvar::new(),
         }))
     }
 
@@ -832,19 +1100,35 @@ impl SharedStage {
             writebacks: 0..0,
             own: None,
             wraps: 0,
+            reads_ahead: false,
         }
     }
 
+    /// What the stage has cost, once no chunk is in flight or queued for the read-ahead
+    /// thread: the numbers do not move unless a cursor asks for more.
     pub fn usage(&self) -> SharedStageUsage {
-        let memo = self.0.lock();
+        let memo = self.0.quiescent();
         SharedStageUsage {
-            records: memo.head.state().records,
+            records: memo.records,
             events: memo.events,
             chunks: memo.chunks.len() as u64,
             memo_bytes: memo.bytes,
             checkpoint_bytes: memo.checkpoint_bytes,
             cursors: self.0.cursors.load(Ordering::Relaxed),
             handovers: self.0.handovers.load(Ordering::Relaxed),
+            read_aheads: memo.read_aheads,
+            waits: memo.waits,
+        }
+    }
+}
+
+impl Drop for SharedStage {
+    /// The read-ahead thread lets go of the stage first, so a stage whose cursors are
+    /// gone returns its memo's bytes before `drop` does. (Cursors that outlive it read
+    /// on, though they may no longer read ahead.)
+    fn drop(&mut self) {
+        if let Some(thread) = READ_AHEAD.get() {
+            thread.release(&self.0);
         }
     }
 }
@@ -865,11 +1149,21 @@ pub struct StageCursor {
     own: Option<Box<PrivateStage>>,
     /// Passes over the stream completed by the events moved to so far.
     wraps: u64,
+    /// The cursor feeds a system, whose replay of a chunk the read-ahead thread may
+    /// overlap with generating the next (module docs, "Read-ahead").
+    reads_ahead: bool,
 }
 
 impl StageCursor {
     pub fn params(&self) -> &StageParams {
         &self.shared.params
+    }
+
+    /// Let the read-ahead thread generate the chunk after the one this cursor takes when
+    /// it is the furthest: what a system's cursors do.
+    pub(crate) fn read_ahead(mut self) -> Self {
+        self.reads_ahead = true;
+        self
     }
 
     /// Label of the stage's trace source.
@@ -911,7 +1205,7 @@ impl StageCursor {
     pub fn target_stats(&self) -> Option<PrivateStats> {
         match &self.own {
             Some(stage) => stage.target_stats(),
-            None => self.shared.memo().head.state().target_stats,
+            None => self.shared.lock().target_stats,
         }
     }
 
@@ -922,29 +1216,19 @@ impl StageCursor {
         self.pos = 0;
         self.writebacks = 0..0;
         if self.own.is_none() {
-            let shared = &*self.shared;
-            let mut memo = shared.memo();
-            if memo.chunks.len() == self.chunks_taken && matches!(memo.head, Head::Live(_)) {
-                if shared.pool.reserve(MAX_CHUNK_BYTES) {
-                    shared.extend(&mut memo);
-                } else {
-                    memo.stop_retaining();
+            match self.shared.next_chunk(self.chunks_taken, self.reads_ahead) {
+                Ok(chunk) => {
+                    self.chunk = chunk;
+                    self.chunks_taken += 1;
+                    return;
+                }
+                Err(checkpoint) => {
+                    self.shared.handovers.fetch_add(1, Ordering::Relaxed);
+                    let state = StageState::clone(&checkpoint);
+                    let trace = (self.shared.source)(state.records());
+                    self.own = Some(Box::new(PrivateStage::resume(state, trace)));
                 }
             }
-            if let Some(chunk) = memo.chunks.get(self.chunks_taken) {
-                self.chunk = chunk.clone();
-                self.chunks_taken += 1;
-                return;
-            }
-            let Head::Checkpoint(checkpoint) = &memo.head else {
-                unreachable!("a live memo retains the chunk a cursor asks for")
-            };
-            let checkpoint = checkpoint.clone();
-            drop(memo);
-            shared.handovers.fetch_add(1, Ordering::Relaxed);
-            let state = StageState::clone(&checkpoint);
-            let trace = (shared.source)(state.records());
-            self.own = Some(Box::new(PrivateStage::resume(state, trace)));
         }
         let stage = self.own.as_mut().expect("the cursor left the memo");
         self.chunk = Arc::new(Chunk::generate(stage));
@@ -955,6 +1239,8 @@ impl StageCursor {
 mod tests {
     use super::*;
     use crate::trace::{MemAccess, SharedReplayTrace};
+    use std::sync::{mpsc, Barrier};
+    use std::time::{Duration, Instant};
 
     fn params(bound: u64) -> StageParams {
         StageParams {
@@ -981,14 +1267,15 @@ mod tests {
         Box::new(scatter())
     }
 
-    /// A stage over `source` whose memo keeps everything, so it never asks for a source
-    /// standing anywhere but at the first record.
-    fn unbounded(bound: u64, source: fn() -> Box<dyn TraceSource>) -> SharedStage {
+    /// A stage over `trace` whose memo keeps everything, so it never asks for a source
+    /// standing anywhere but at the first record, and so for no second one.
+    fn unbounded(trace: Box<dyn TraceSource>) -> SharedStage {
+        let trace = Mutex::new(Some(trace));
         SharedStage::new(
-            params(bound),
+            params(RUN_AHEAD),
             move |at| {
                 assert_eq!(at, 0, "an unbounded memo never hands over");
-                source()
+                trace.lock().unwrap().take().expect("one source")
             },
             MemoPool::new(u64::MAX),
             Arc::default(),
@@ -1027,8 +1314,8 @@ mod tests {
 
     #[test]
     fn shared_stage_matches_an_inline_stage_and_generates_once() {
-        let shared = unbounded(RUN_AHEAD, source);
-        let (mut a, mut b) = (shared.cursor(), shared.cursor());
+        let shared = unbounded(source());
+        let (mut a, mut b) = (shared.cursor().read_ahead(), shared.cursor().read_ahead());
         assert_eq!(a.label(), source().label());
         // Drive each cursor past two chunk boundaries, beside a stage of its own.
         let n = 2 * CHUNK_EVENTS + 100;
@@ -1050,13 +1337,14 @@ mod tests {
             assert!(inline.target_stats().is_some(), "target never reached");
             last_records = inline.records();
         }
-        // Both cursors consumed n events; the stage ran once, at most a chunk further.
+        // Both cursors consumed n events; the stage ran once, at most the rest of the
+        // furthest cursor's chunk and one chunk read ahead further.
         let usage = shared.usage();
         assert_eq!((usage.cursors, usage.handovers), (2, 0));
-        assert!((n as u64..n as u64 + CHUNK_EVENTS as u64).contains(&usage.events));
+        assert!((n as u64..n as u64 + 2 * CHUNK_EVENTS as u64).contains(&usage.events));
         assert!(usage.chunks >= 3 && usage.chunks <= usage.events);
         assert!(
-            (last_records..last_records + CHUNK_RECORDS + RUN_AHEAD + 1).contains(&usage.records),
+            (last_records..last_records + 2 * (CHUNK_RECORDS + RUN_AHEAD)).contains(&usage.records),
             "drew {} records for {last_records} consumed",
             usage.records
         );
@@ -1164,15 +1452,21 @@ mod tests {
         }
     }
 
-    /// Raises a typed fault at its `at`-th record, like a decoder that meets corruption.
+    /// Raises a typed fault at its `left`-th record, like a decoder that meets corruption
+    /// — having announced it on `stall` and waited to be let go, if asked to.
     struct Faulty {
         inner: Box<dyn TraceSource>,
         left: u64,
+        stall: Option<(mpsc::Sender<()>, mpsc::Receiver<()>)>,
     }
 
     impl TraceSource for Faulty {
         fn next_access(&mut self) -> MemAccess {
             if self.left == 0 {
+                if let Some((reached, release)) = &self.stall {
+                    reached.send(()).unwrap();
+                    release.recv().unwrap();
+                }
                 raise_replay_fault("scatter", "injected".to_string());
             }
             self.left -= 1;
@@ -1183,27 +1477,34 @@ mod tests {
         }
     }
 
+    fn faulty(left: u64, stall: Option<(mpsc::Sender<()>, mpsc::Receiver<()>)>) -> Box<Faulty> {
+        Box::new(Faulty {
+            inner: source(),
+            left,
+            stall,
+        })
+    }
+
+    /// The typed fault `cursor` raises when it reads on.
+    fn fault_of(cursor: &mut StageCursor) -> ReplayFault {
+        let unwound = catch_unwind(AssertUnwindSafe(|| loop {
+            cursor.next_event();
+        }));
+        let payload = unwound.expect_err("the source faults");
+        replay_fault_from(payload.as_ref())
+            .expect("a typed replay fault")
+            .clone()
+    }
+
     /// A fault under the cursor that generates reaches every other cursor as the same
     /// typed fault, not as a poisoned lock; what was memoized before it stays readable.
+    /// A fault under the read-ahead thread is recorded at the memo's frontier: cursors
+    /// that stop short of it finish, one that waits on the failing chunk wakes up to it,
+    /// and the thread goes on serving other stages.
     #[test]
     fn a_replay_fault_under_one_cursor_is_raised_to_every_cursor() {
-        let faulty = || -> Box<dyn TraceSource> {
-            Box::new(Faulty {
-                inner: source(),
-                left: CHUNK_RECORDS + 100,
-            })
-        };
-        let shared = unbounded(RUN_AHEAD, faulty);
+        let shared = unbounded(faulty(CHUNK_RECORDS + 100, None));
         let (mut a, mut b) = (shared.cursor(), shared.cursor());
-        let fault_of = |cursor: &mut StageCursor| {
-            let unwound = catch_unwind(AssertUnwindSafe(|| loop {
-                cursor.next_event();
-            }));
-            let payload = unwound.expect_err("the source faults");
-            replay_fault_from(payload.as_ref())
-                .expect("a typed replay fault")
-                .clone()
-        };
         // `a` generates chunks until the source faults under it; `b` replays those from
         // the memo and is told of the fault when it needs the next one.
         for cursor in [&mut a, &mut b] {
@@ -1217,6 +1518,148 @@ mod tests {
         assert!(memoized >= CHUNK_EVENTS as u64);
         assert_eq!(fault_of(&mut shared.cursor()).message, "injected");
         assert_eq!(shared.usage().events, memoized);
+
+        // Where the stream's first two chunks end, in records and events, and the events
+        // two cursors then read: into the second chunk, past the target.
+        let mut stage = PrivateStage::new(params(RUN_AHEAD), source());
+        let first = Chunk::generate(&mut stage).events.len();
+        let first_records = stage.records();
+        let second = Chunk::generate(&mut stage).events.len();
+        let second_records = stage.records();
+        let mut inline = PrivateStage::new(params(RUN_AHEAD), source());
+        let mut want = Vec::new();
+        while want.len() <= first || inline.target_stats().is_none() {
+            want.push(*inline.next_event());
+        }
+        assert!(
+            want.len() <= first + second,
+            "the target lies past the second chunk"
+        );
+
+        // The fault lies in the third chunk, which only the read-ahead thread generates.
+        let shared = unbounded(faulty(second_records + 1, None));
+        let mut cursors = [shared.cursor().read_ahead(), shared.cursor().read_ahead()];
+        for cursor in &mut cursors {
+            for (i, event) in want.iter().enumerate() {
+                assert_eq!(cursor.next_event(), event, "event {i}");
+            }
+        }
+        assert_eq!(shared.usage().chunks, 2);
+        assert!(
+            matches!(shared.0.lock().head, Head::Failed(Some(_))),
+            "the read-ahead thread never met the fault"
+        );
+        for cursor in &cursors {
+            assert_eq!(cursor.target_stats(), inline.target_stats());
+        }
+        assert_eq!(fault_of(&mut shared.cursor()).message, "injected");
+        let other = unbounded(source());
+        other.cursor().read_ahead().next_event();
+        assert_eq!(
+            other.usage().read_aheads,
+            1,
+            "the read-ahead thread is gone"
+        );
+
+        // The fault lies in the second chunk; the read-ahead thread stalls on it until
+        // the cursor that needs that chunk waits for it.
+        let timeout = Duration::from_secs(60);
+        let (reached, reached_rx) = mpsc::channel();
+        let (release, release_rx) = mpsc::channel();
+        let shared = unbounded(faulty(first_records + 1, Some((reached, release_rx))));
+        let mut cursor = shared.cursor().read_ahead();
+        cursor.next_event();
+        reached_rx
+            .recv_timeout(timeout)
+            .expect("the read-ahead thread generates the second chunk");
+        let (raised, raised_rx) = mpsc::channel();
+        let waiter = std::thread::spawn(move || raised.send(fault_of(&mut cursor)).unwrap());
+        let deadline = Instant::now() + timeout;
+        while shared.0.lock().waits == 0 {
+            assert!(Instant::now() < deadline, "the cursor never waited");
+            std::thread::yield_now();
+        }
+        release.send(()).unwrap();
+        let fault = raised_rx
+            .recv_timeout(timeout)
+            .expect("the waiting cursor wakes up");
+        assert_eq!(fault.message, "injected");
+        waiter.join().unwrap();
+        let usage = shared.usage();
+        assert_eq!((usage.chunks, usage.read_aheads, usage.waits), (1, 0, 1));
+    }
+
+    /// Four cursors on four threads against the read-ahead thread, at a pool of
+    /// `share` bytes: each sees an inline stage's events, write-backs and target
+    /// statistics, the pool loses no byte, and the quiescent memo holds the chunks the
+    /// furthest cursor took, or one more read ahead.
+    fn read_ahead_against_four_cursors(share: u64) {
+        let n = 5 * CHUNK_EVENTS + 100;
+        let mut inline = PrivateStage::new(params(RUN_AHEAD), source());
+        let want: Vec<(Event, Vec<BlockAddr>)> = (0..n)
+            .map(|_| (*inline.next_event(), inline.writebacks().to_vec()))
+            .collect();
+        let target_stats = inline.target_stats();
+        assert!(target_stats.is_some());
+
+        let pool = MemoPool::new(share);
+        let seek = |at| -> Box<dyn TraceSource> { Box::new(scatter().seek(at)) };
+        let shared = SharedStage::new(params(RUN_AHEAD), seek, pool.clone(), Arc::default());
+        let start = Barrier::new(4);
+        let taken: Vec<usize> = std::thread::scope(|scope| {
+            let readers: Vec<_> = (0..4)
+                .map(|reader| {
+                    let (mut cursor, want, start) = (shared.cursor().read_ahead(), &want, &start);
+                    scope.spawn(move || {
+                        start.wait();
+                        for (i, (event, writebacks)) in want.iter().enumerate() {
+                            assert_eq!(cursor.next_event(), event, "reader {reader}, event {i}");
+                            assert_eq!(
+                                cursor.writebacks(),
+                                writebacks,
+                                "reader {reader}, event {i}"
+                            );
+                        }
+                        assert_eq!(cursor.target_stats(), target_stats, "reader {reader}");
+                        cursor.chunks_taken
+                    })
+                })
+                .collect();
+            readers.into_iter().map(|r| r.join().unwrap()).collect()
+        });
+
+        let usage = shared.usage();
+        let furthest = *taken.iter().max().unwrap() as u64;
+        assert!(
+            (furthest..=furthest + 1).contains(&usage.chunks),
+            "{} chunks retained, the furthest cursor took {furthest}",
+            usage.chunks
+        );
+        assert!(usage.read_aheads < usage.chunks.max(1));
+        assert_eq!(usage.handovers, if share == u64::MAX { 0 } else { 4 });
+        if share != u64::MAX {
+            let left = pool.left.load(Ordering::Relaxed);
+            let held = usage.memo_bytes + usage.checkpoint_bytes;
+            assert_eq!(left + held, share, "the pool lost bytes");
+        }
+    }
+
+    #[test]
+    fn read_ahead_with_an_empty_pool() {
+        read_ahead_against_four_cursors(0);
+    }
+
+    #[test]
+    fn read_ahead_with_a_pool_of_the_checkpoint_and_one_chunk() {
+        let checkpoint = PrivateStage::new(params(RUN_AHEAD), source())
+            .state()
+            .bytes();
+        read_ahead_against_four_cursors(checkpoint + MAX_CHUNK_BYTES);
+    }
+
+    #[test]
+    fn read_ahead_with_an_unbounded_pool() {
+        read_ahead_against_four_cursors(u64::MAX);
     }
 
     #[test]
@@ -1233,7 +1676,7 @@ mod tests {
         let resident = || -> Box<dyn TraceSource> {
             Box::new(crate::trace::StridedTrace::new(0, 64, 1024, 3))
         };
-        let shared = unbounded(RUN_AHEAD, resident);
+        let shared = unbounded(resident());
         shared.cursor().next_event();
         let usage = shared.usage();
         assert_eq!(usage.chunks, 1);

@@ -60,7 +60,7 @@ use crate::config::SystemConfig;
 use crate::core_model::CoreModel;
 use crate::dram::Dram;
 use crate::llc::{LlcGlobalStats, SharedLlc};
-use crate::private::{Event, PrivateStage, PrivateStats, StageCursor, StageParams};
+use crate::private::{Event, PrivateStage, PrivateStats, Running, StageCursor, StageParams};
 use crate::replacement::{
     AccessContext, InsertionDecision, LineView, LlcReplacementPolicy, RrpvArray,
 };
@@ -89,7 +89,8 @@ pub const LIVELOCK_STEPS: u64 = 1 << 22;
 /// small constant bounds how far a trace cursor leads the global clock; 8, 64 and 256
 /// measured the same. An inline stage therefore over-fetches at most `RUN_AHEAD + 1`
 /// records per core; a shared stage may additionally run ahead of its furthest consumer
-/// by one chunk of events (`crate::private::CHUNK_EVENTS`). Over a finite replayed
+/// by the rest of that consumer's chunk and one chunk read ahead
+/// (`crate::private::CHUNK_RECORDS`). Over a finite replayed
 /// stream that draw-ahead may cross the stream's end; the wrap count a sweep reports
 /// leaves it out (`crate::private`, "Wraps").
 pub const RUN_AHEAD: u64 = 64;
@@ -256,14 +257,14 @@ impl<P: LlcReplacementPolicy> MultiCoreSystem<P> {
     /// Build a system whose cores replay the events of shared private stages (one cursor
     /// per core, in core order) instead of simulating their private hierarchies. The
     /// stages must model `config`'s private hierarchy and carry the instruction target
-    /// `run` is then called with.
+    /// `run` is then called with. While the system replays a chunk, the stage's next one
+    /// may be generated on the read-ahead thread (`crate::private`, "Read-ahead").
     pub fn with_stages(config: SystemConfig, stages: Vec<StageCursor>, policy: P) -> Self {
         config.validate().expect("invalid system configuration");
-        Self::from_feeds(
-            config,
-            stages.into_iter().map(Feed::Shared).collect(),
-            policy,
-        )
+        let feeds = stages
+            .into_iter()
+            .map(|cursor| Feed::Shared(cursor.read_ahead()));
+        Self::from_feeds(config, feeds.collect(), policy)
     }
 
     fn from_feeds(config: SystemConfig, feeds: Vec<Feed>, policy: P) -> Self {
@@ -317,6 +318,8 @@ impl<P: LlcReplacementPolicy> MultiCoreSystem<P> {
             self.cores.iter().all(|c| c.snapshot.is_none()),
             "`run` may be called once per system"
         );
+        // A run occupies a hardware thread: the read-ahead thread counts the runs.
+        let _running = Running::enter();
         for core in &mut self.cores {
             if let Feed::Inline(stage) = &mut core.feed {
                 stage.set_target(instructions_per_core);

@@ -514,8 +514,9 @@ impl MaterializedMixStreams {
 
     /// What sharing each core's private stages has cost so far (summed over the stages
     /// of distinct [`StageParams`]), in core order: records drawn, events and bytes
-    /// memoized, cursors handed out — one per core and evaluation — and how many of
-    /// them left a full memo.
+    /// memoized, cursors handed out — one per core and evaluation — how many of them
+    /// left a full memo, the chunks read ahead and the waits for a chunk in flight. Each
+    /// stage is read once nothing is in flight or queued (see [`SharedStage::usage`]).
     pub fn stage_usage(&self) -> Vec<SharedStageUsage> {
         self.streams.iter().map(|s| s.stage_usage()).collect()
     }
@@ -1446,7 +1447,8 @@ mod tests {
         let inline = MultiCoreSystem::new(cfg.clone(), counted, build()).run(20_000);
 
         // Evaluations share one stage per core: generation happens once, and nothing
-        // beyond the consumed prefix plus one chunk is drawn.
+        // beyond the consumed prefix, the rest of its chunk and one chunk read ahead is
+        // drawn.
         let first = evaluate_prepared(&cfg, &prepared, policy, build(), 20_000, 7);
         let drawn = prepared.records_per_core();
         for _ in 0..2 {
@@ -1463,7 +1465,8 @@ mod tests {
             let consumed = consumed.load(Ordering::Relaxed);
             let slack = RUN_AHEAD + 1;
             assert!(
-                (consumed - slack..=consumed + CHUNK_RECORDS + slack).contains(&(drawn as u64)),
+                (consumed - slack..=consumed + 2 * (CHUNK_RECORDS + slack))
+                    .contains(&(drawn as u64)),
                 "drew {drawn} records for {consumed} consumed"
             );
         }

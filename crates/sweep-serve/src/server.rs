@@ -782,13 +782,15 @@ fn corpora_body(shared: &Shared) -> String {
             .collect::<Vec<_>>()
             .join(",");
         // What resident sharing holds: the event memos' bytes, the evaluations that
-        // replayed (or extended) them — one cursor per core each — and the cursors that
-        // ran off a full memo and continued from its checkpoint.
+        // replayed (or extended) them — one cursor per core each — the cursors that ran
+        // off a full memo and continued from its checkpoint, the chunks read ahead and
+        // the waits for a chunk in flight.
         let stages = corpus.stage_usage();
         out.push_str(&format!(
             "{{\"name\":{},\"hash\":\"{:016x}\",\"label\":{},\"cores\":{},\"llc_sets\":{},\
              \"seed\":{},\"instructions\":{},\"mix_ids\":[{mix_ids}],\
-             \"stage_memo_bytes\":{},\"stage_cursors\":{},\"stage_handovers\":{}}}",
+             \"stage_memo_bytes\":{},\"stage_cursors\":{},\"stage_handovers\":{},\
+             \"stage_read_aheads\":{},\"stage_waits\":{}}}",
             json_str(&corpus.name),
             corpus.hash,
             json_str(&corpus.corpus.meta().label),
@@ -799,6 +801,8 @@ fn corpora_body(shared: &Shared) -> String {
             stages.memo_bytes,
             stages.cursors / corpus.config.num_cores as u64,
             stages.handovers,
+            stages.read_aheads,
+            stages.waits,
         ));
     }
     out.push_str("]}");

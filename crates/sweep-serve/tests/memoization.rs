@@ -96,6 +96,9 @@ fn hits_are_bit_identical_and_stats_count_exactly_what_clients_observed() {
     assert!(field("stage_memo_bytes") > 0);
     // The default budget's memos cover a smoke run: no cursor left one.
     assert_eq!(field("stage_handovers"), 0);
+    // One worker runs one evaluation at a time, so a cursor waits only for a chunk the
+    // read-ahead thread is generating: never more often than that thread generated one.
+    assert!(field("stage_waits") <= field("stage_read_aheads"));
     handle.stop();
 }
 
@@ -136,6 +139,8 @@ fn a_daemon_whose_memos_run_dry_reports_its_handovers_and_the_same_answers() {
     assert_eq!(field("stage_cursors"), evaluations);
     assert_eq!(field("stage_memo_bytes"), 0);
     assert_eq!(field("stage_handovers"), evaluations * field("cores"));
+    // A pool that cannot cover a chunk leaves the read-ahead thread nothing to do.
+    assert_eq!((field("stage_read_aheads"), field("stage_waits")), (0, 0));
     handle.stop();
 }
 

@@ -303,8 +303,8 @@ fn obs_lock() -> MutexGuard<'static, ()> {
 /// turns run-ahead off. (Tests running beside the sampled leg merely get sampled too;
 /// results do not depend on it.) This is the contract of a system that drives its
 /// stages inline; a shared stage — over generators or over a replayed corpus — may
-/// additionally run ahead of its furthest consumer by one chunk, fewer than
-/// `CHUNK_RECORDS + RUN_AHEAD + 1` records
+/// additionally run ahead of its furthest consumer by the rest of that consumer's chunk
+/// and one chunk read ahead, fewer than `2 × (CHUNK_RECORDS + RUN_AHEAD)` records
 /// (`shared_stages_under_concurrency_equal_inline_and_the_oracle`,
 /// `replayed_mixes_share_their_stages_and_equal_the_oracle_and_the_live_generators`).
 #[test]
@@ -527,7 +527,7 @@ fn shared_stages_under_concurrency_equal_inline_and_the_oracle() {
 
     // (i) Sharing happened: each generator was drawn from as far as its furthest
     // consumer went (a per-record consumer's count, plus the driver's run-ahead) and at
-    // most one chunk further — not once per policy.
+    // most the rest of its chunk and one chunk read ahead further — not once per policy.
     let furthest = |references: &[(SystemResults, Vec<u64>)]| -> Vec<u64> {
         (0..cfg.num_cores)
             .map(|core| {
@@ -589,9 +589,10 @@ fn shared_stages_under_concurrency_equal_inline_and_the_oracle() {
 
 /// Records a shared stage may have drawn when its furthest consumer — counted per
 /// record, by the oracle — used `furthest`: the driver's run-ahead, and fewer than
-/// `CHUNK_RECORDS + RUN_AHEAD + 1` records the stage drew ahead of that consumer.
+/// `2 × (CHUNK_RECORDS + RUN_AHEAD)` records the stage drew ahead of that consumer —
+/// the rest of the consumer's chunk and one chunk read ahead.
 fn shared_bound(furthest: u64) -> u64 {
-    furthest + CHUNK_RECORDS + 2 * (RUN_AHEAD + 1)
+    furthest + RUN_AHEAD + 1 + 2 * (CHUNK_RECORDS + RUN_AHEAD)
 }
 
 /// A captured 16-core mix replayed through the runner, at a budget whose memos keep the
@@ -682,7 +683,7 @@ fn replayed_mixes_share_their_stages_and_equal_the_oracle_and_the_live_generator
             );
         } else {
             // One set of stages served all four policies: each stream was drawn from as
-            // far as its furthest consumer went and less than a chunk further.
+            // far as its furthest consumer went and less than two chunks further.
             assert_eq!(total.handovers, 0);
             for (core, usage) in usage.iter().enumerate() {
                 let furthest = references.iter().map(|(_, d)| d[core]).max().unwrap();
