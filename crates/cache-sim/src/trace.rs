@@ -65,9 +65,8 @@ pub trait TraceSource: Send {
 
 /// Receives per-core access streams during trace capture.
 ///
-/// Implemented by `trace_io::TraceWriter` (binary corpus files) and by test doubles; the
-/// capture entry points in `workloads` are generic over this trait so the synthetic
-/// generators never depend on a concrete on-disk format.
+/// Implemented by `trace_io::TraceWriter` (binary corpus files) and by test doubles;
+/// [`capture_into`] drains one source into it.
 pub trait TraceSink {
     /// Announce (or rename) the application captured on `core`.
     fn begin_core(&mut self, core: usize, label: &str) -> std::io::Result<()>;

@@ -15,7 +15,10 @@
 //!   layout is specified in `docs/atrc-format.md`; [`mod@format`] and [`header`]
 //!   implement it.
 //! * [`capture_mix`] and [`capture_benchmarks`] put a file around the `workloads`
-//!   generators and return the [`TraceSummary`] of what the capture cost.
+//!   generators and return the [`TraceSummary`] of what the capture cost. They share one
+//!   capture path, which generates and encodes every core's stream on its own hardware
+//!   thread and writes the chunks in a fixed round-robin order, so a file's bytes do not
+//!   depend on the thread count ([`mod@capture`]).
 //! * [`MappedTrace`] is the one reader: it memory-maps a file once (plain read where
 //!   mapping is unavailable), rejects structural damage at `open`, and decodes from the
 //!   mapping ([`MappedStreamDecoder`] in bounded batches — the way every replay reads —
@@ -33,9 +36,8 @@
 //! * The `tracectl` binary captures, inspects, and sanity-checks corpus files from the
 //!   command line.
 //!
-//! `workloads` only drains generators into a [`cache_sim::trace::TraceSink`]
-//! (`WorkloadMix::capture`, `BenchmarkSpec::capture`) and knows no file format;
-//! `experiments::runner` accepts replayed mixes through its `MixSource` enum. Round-trips
+//! `workloads` only builds the generators (`WorkloadMix::trace_sources`) and knows no
+//! file format; `experiments::runner` accepts replayed mixes through its `MixSource` enum. Round-trips
 //! are lossless, so replaying a captured mix through the runner reproduces the live
 //! generators' per-app IPC/MPKI bit-for-bit.
 //!

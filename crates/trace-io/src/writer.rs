@@ -8,9 +8,14 @@
 //! The writer is *streaming*: a block is framed as a chunk (`core_id`, length, record
 //! count, checksum) and written to disk the moment it fills, so resident memory stays
 //! bounded by `records_per_block × num_cores` regardless of capture length — captures
-//! larger than RAM work. The per-core directory is written as a footer by
-//! [`finish`](TraceWriter::finish); a file without its footer is invalid by construction,
-//! which makes interrupted captures detectable.
+//! larger than RAM work. The parallel capture behind [`crate::capture_mix`]
+//! ([`mod@crate::capture`]) encodes blocks on worker threads and hands them to the writer
+//! through one bounded channel per core, so there the bound is `channel depth (32) ×
+//! records_per_block × num_cores`, still independent of capture length. Either way every
+//! chunk reaches the file through one method on the thread that owns the writer, which
+//! is also where the `atrc.write` fault site fires. The per-core directory is written as
+//! a footer by [`finish`](TraceWriter::finish); a file without its footer is invalid by
+//! construction, which makes interrupted captures detectable.
 
 use std::fs::File;
 use std::io::{self, BufWriter, Write};
@@ -50,6 +55,46 @@ impl TraceCaptureOptions {
             llc_sets: llc_sets.try_into().unwrap_or(u32::MAX),
             ..Default::default()
         }
+    }
+}
+
+/// One block framed as a chunk, ready to write: the frame (`core_id`, payload length,
+/// record-count field, checksum) followed by the payload as stored.
+pub(crate) struct Chunk {
+    core: usize,
+    bytes: Vec<u8>,
+    records: u64,
+    instructions: u64,
+}
+
+/// Length of a chunk's frame: four `u32` words.
+const FRAME_BYTES: usize = 16;
+
+/// Encode `records` as `core`'s next chunk, using `raw` as scratch. The raw payload is
+/// swapped for `raw_len || LZ4(payload)` when that is smaller, signaled by
+/// [`BLOCK_COMPRESSED_BIT`] in the record-count field; the checksum covers the bytes as
+/// stored, so integrity is checked *before* decompression. Pure: the one encoder both
+/// [`TraceWriter::push`] and the parallel capture workers use.
+pub(crate) fn encode_chunk(core: usize, records: &[MemAccess], raw: &mut Vec<u8>) -> Chunk {
+    raw.clear();
+    encode_block_payload(records, raw);
+    let mut record_field = records.len() as u32;
+    let compressed = compress_payload(raw);
+    if compressed.is_some() {
+        record_field |= BLOCK_COMPRESSED_BIT;
+    }
+    let payload = compressed.as_deref().unwrap_or(raw);
+    let mut bytes = Vec::with_capacity(FRAME_BYTES + payload.len());
+    put_u32(&mut bytes, core as u32);
+    put_u32(&mut bytes, payload.len() as u32);
+    put_u32(&mut bytes, record_field);
+    put_u32(&mut bytes, fnv1a32(payload));
+    bytes.extend_from_slice(payload);
+    Chunk {
+        core,
+        bytes,
+        records: records.len() as u64,
+        instructions: records.iter().map(MemAccess::instructions).sum(),
     }
 }
 
@@ -102,7 +147,6 @@ pub struct TraceWriter {
     /// Absolute offset the next write lands on.
     offset: u64,
     scratch: Vec<u8>,
-    frame: Vec<u8>,
 }
 
 impl TraceWriter {
@@ -157,7 +201,6 @@ impl TraceWriter {
             cores,
             offset: 0,
             scratch: Vec::new(),
-            frame: Vec::new(),
         };
         let preamble = writer.header().encode_preamble();
         writer.out.write_all(&preamble)?;
@@ -201,33 +244,32 @@ impl TraceWriter {
             .ok_or_else(|| core_out_of_range(core, n))
     }
 
-    /// Frame and write `core`'s pending records as one chunk. The raw payload is swapped
-    /// for `raw_len || LZ4(payload)` when that is smaller, signaled by
-    /// [`BLOCK_COMPRESSED_BIT`] in the record-count field; the checksum covers the bytes
-    /// as stored, so integrity is checked *before* decompression.
+    /// Records per chunk this writer frames.
+    pub(crate) fn records_per_block(&self) -> usize {
+        self.opts.records_per_block
+    }
+
+    /// Encode and write `core`'s pending records as one chunk.
     fn flush_chunk(&mut self, core: usize) -> io::Result<()> {
         if self.cores[core].pending.is_empty() {
             return Ok(());
         }
-        self.scratch.clear();
-        self.frame.clear();
-        encode_block_payload(&self.cores[core].pending, &mut self.scratch);
-        let mut record_field = self.cores[core].pending.len() as u32;
-        if let Some(disk) = compress_payload(&self.scratch) {
-            self.scratch = disk;
-            record_field |= BLOCK_COMPRESSED_BIT;
-        }
-        put_u32(&mut self.frame, core as u32);
-        put_u32(&mut self.frame, self.scratch.len() as u32);
-        put_u32(&mut self.frame, record_field);
-        put_u32(&mut self.frame, fnv1a32(&self.scratch));
+        let chunk = encode_chunk(core, &self.cores[core].pending, &mut self.scratch);
+        self.cores[core].pending.clear();
+        self.write_chunk(&chunk)
+    }
+
+    /// Append an encoded chunk at the end of the data region and account for it in its
+    /// core's directory entry. The `atrc.write` fault site fires here, once per chunk in
+    /// file order, on whichever thread owns the writer.
+    pub(crate) fn write_chunk(&mut self, chunk: &Chunk) -> io::Result<()> {
         match sim_fault::fire("atrc.write") {
             Some(sim_fault::FaultKind::TornWrite) => {
                 // A torn write reaches disk as a prefix of the chunk: the frame lands
                 // but the payload is cut short, then the device errors.
-                self.out.write_all(&self.frame)?;
+                let payload = chunk.bytes.len() - FRAME_BYTES;
                 self.out
-                    .write_all(&self.scratch[..self.scratch.len() / 2])?;
+                    .write_all(&chunk.bytes[..FRAME_BYTES + payload / 2])?;
                 let _ = self.out.flush();
                 return Err(sim_fault::injected_io_error(
                     sim_fault::FaultKind::TornWrite,
@@ -237,13 +279,13 @@ impl TraceWriter {
             Some(kind) => sim_fault::apply_io(kind, "atrc.write")?,
             None => {}
         }
-        self.out.write_all(&self.frame)?;
-        self.out.write_all(&self.scratch)?;
-        let total = (self.frame.len() + self.scratch.len()) as u64;
-        let enc = &mut self.cores[core];
+        self.out.write_all(&chunk.bytes)?;
+        let total = chunk.bytes.len() as u64;
+        let enc = &mut self.cores[chunk.core];
         enc.first_chunk_offset.get_or_insert(self.offset);
         enc.bytes += total;
-        enc.pending.clear();
+        enc.records += chunk.records;
+        enc.instructions += chunk.instructions;
         self.offset += total;
         Ok(())
     }
@@ -253,8 +295,6 @@ impl TraceWriter {
         let records_per_block = self.opts.records_per_block;
         let enc = self.core_mut(core)?;
         enc.pending.push(access);
-        enc.records += 1;
-        enc.instructions += access.instructions();
         if enc.pending.len() >= records_per_block {
             self.flush_chunk(core)?;
         }

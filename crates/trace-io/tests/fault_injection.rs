@@ -14,13 +14,13 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use cache_sim::trace::{replay_fault_from, BatchSource, MemAccess};
+use cache_sim::trace::{replay_fault_from, BatchSource, MemAccess, TraceSink};
 use sim_fault::{FaultKind, FaultPlan};
 use trace_io::{
-    decode_all, read_header, Corpus, MappedStreamDecoder, MappedTrace, PrefetchingSource,
-    TraceCaptureOptions, TraceError, TraceWriter,
+    capture_mix, decode_all, read_header, Corpus, MappedStreamDecoder, MappedTrace,
+    PrefetchingSource, TraceCaptureOptions, TraceError, TraceWriter,
 };
-use workloads::{generate_mixes, StudyKind};
+use workloads::{generate_mixes, StudyKind, WorkloadMix};
 
 const CORES: usize = 2;
 const RECORDS: u64 = 200;
@@ -51,6 +51,52 @@ fn capture(path: &Path) -> std::io::Result<()> {
         }
     }
     w.finish().map(|_| ())
+}
+
+/// Blocks of 16 over 2000 records: 125 chunks per core, far more than a capture
+/// worker's channel holds, so a write error finds the workers mid-stream.
+const MIX_RECORDS: u64 = 2000;
+const MIX_OPTS: TraceCaptureOptions = TraceCaptureOptions {
+    records_per_block: 16,
+    llc_sets: 64,
+};
+
+fn mix() -> WorkloadMix {
+    generate_mixes(StudyKind::Cores4, 1, 7).remove(0)
+}
+
+/// Capture a 4-core mix through the parallel capture path.
+fn capture_mix_wall(path: &Path) -> std::io::Result<()> {
+    capture_mix(path, &mix(), 7, MIX_RECORDS, Some("fault-wall"), MIX_OPTS).map(|_| ())
+}
+
+/// The same mix pushed into a writer one record per core, round robin, on this thread:
+/// the single-threaded reference for [`capture_mix_wall`].
+fn push_mix_wall(path: &Path) -> std::io::Result<()> {
+    let mut sources = mix().trace_sources(64, 7);
+    let mut w = TraceWriter::with_options(path, sources.len(), "fault-wall", MIX_OPTS)?;
+    for (core, source) in sources.iter_mut().enumerate() {
+        TraceSink::begin_core(&mut w, core, &source.label())?;
+    }
+    for _ in 0..MIX_RECORDS {
+        for (core, source) in sources.iter_mut().enumerate() {
+            w.push(core, source.next_access())?;
+        }
+    }
+    w.finish().map(|_| ())
+}
+
+/// Names of this process's live capture workers (read from `/proc`, so empty where
+/// there is none).
+fn capture_workers() -> Vec<String> {
+    let Ok(tasks) = std::fs::read_dir("/proc/self/task") else {
+        return Vec::new();
+    };
+    tasks
+        .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
+        .map(|name| name.trim().to_string())
+        .filter(|name| name.starts_with("atrc-capture"))
+        .collect()
 }
 
 fn reference(guard: &sim_fault::FaultGuard, name: &str) -> (PathBuf, Vec<u8>, Vec<Vec<MemAccess>>) {
@@ -179,28 +225,98 @@ fn decode_faults_unwind_as_typed_replay_faults_through_fill() {
 #[test]
 fn identical_plans_replay_identical_fault_schedules() {
     let guard = sim_fault::exclusive();
-    let plan = FaultPlan::new(9)
-        .rule("atrc.write", FaultKind::TornWrite, 60, 0)
-        .rule("atrc.sync", FaultKind::Io, 300, 0);
-    let run = |path: &Path| {
+    let plans = [
+        FaultPlan::new(9)
+            .rule("atrc.write", FaultKind::TornWrite, 60, 0)
+            .rule("atrc.sync", FaultKind::Io, 300, 0),
+        // Rare enough that some captures reach `finish` and fail at the sync.
+        FaultPlan::new(3)
+            .rule("atrc.write", FaultKind::DiskFull, 2, 0)
+            .rule("atrc.sync", FaultKind::Io, 1000, 0),
+    ];
+    type Capture = fn(&Path) -> std::io::Result<()>;
+    let run = |plan: &FaultPlan, capture: Capture, name: &str| {
+        let path = tmp(name);
         guard.install(plan.clone());
-        let outcome = capture(path).map_err(|e| e.to_string());
+        let outcome = capture(&path).map_err(|e| e.to_string());
         let fires = (
             sim_fault::fired_count("atrc.write"),
             sim_fault::fired_count("atrc.sync"),
         );
         guard.clear();
-        let bytes = std::fs::read(path).unwrap_or_default();
+        let bytes = std::fs::read(&path).unwrap_or_default();
+        std::fs::remove_file(&path).ok();
         (outcome, fires, bytes)
     };
-    let a = run(&tmp("det_a"));
-    let b = run(&tmp("det_b"));
-    assert_eq!(
-        a, b,
-        "the same plan must produce the same outcome, fire counts, and bytes"
-    );
-    std::fs::remove_file(tmp("det_a")).ok();
-    std::fs::remove_file(tmp("det_b")).ok();
+    for plan in &plans {
+        let a = run(plan, capture, "det_a");
+        let b = run(plan, capture, "det_b");
+        assert_eq!(
+            a, b,
+            "the same plan must produce the same outcome, fire counts, and bytes"
+        );
+        // `capture_mix` writes on the calling thread, chunk by chunk in the order a
+        // single-threaded round-robin push does, so however many workers encoded the
+        // chunks, the plan sees the same hits: same outcome, fire counts and bytes.
+        let parallel = run(plan, capture_mix_wall, "det_mix");
+        assert!(parallel.1 != (0, 0), "the plan never fired on capture_mix");
+        assert_eq!(parallel, run(plan, capture_mix_wall, "det_mix_again"));
+        assert_eq!(
+            parallel,
+            run(plan, push_mix_wall, "det_mix_push"),
+            "capture_mix under a fault plan differs from the single-threaded push"
+        );
+    }
+}
+
+#[test]
+fn a_write_error_stops_the_capture_workers_and_is_returned_typed() {
+    let guard = sim_fault::exclusive();
+    guard.clear();
+    let clean = tmp("stop_ref");
+    capture_mix_wall(&clean).expect("fault-free capture");
+    let clean_bytes = std::fs::read(&clean).unwrap();
+    std::fs::remove_file(&clean).ok();
+    let plans = [
+        (
+            "torn",
+            FaultPlan::new(1).rule("atrc.write", FaultKind::TornWrite, 1000, 1),
+        ),
+        (
+            "io",
+            FaultPlan::new(2).rule("atrc.write", FaultKind::Io, 20, 1),
+        ),
+        ("sync", FaultPlan::new(3).always("atrc.sync", FaultKind::Io)),
+    ];
+    for (name, plan) in plans {
+        let path = tmp(&format!("stop_{name}"));
+        guard.install(plan);
+        let (tx, rx) = std::sync::mpsc::channel();
+        let capture = {
+            let path = path.clone();
+            std::thread::spawn(move || tx.send(capture_mix_wall(&path).map_err(|e| e.to_string())))
+        };
+        let result = rx
+            .recv_timeout(std::time::Duration::from_secs(60))
+            .unwrap_or_else(|_| panic!("{name}: the capture hung or panicked"));
+        let sent = capture.join().expect("the capture thread ends");
+        sent.expect("the result was received");
+        guard.clear();
+        let err = result.expect_err("an always-firing fault fails the capture");
+        assert!(err.contains("injected"), "{name}: typed error, got {err}");
+        assert_eq!(
+            capture_workers(),
+            Vec::<String>::new(),
+            "{name}: workers left"
+        );
+        if name == "sync" {
+            // Everything was written before the sync failed.
+            assert_eq!(std::fs::read(&path).unwrap(), clean_bytes, "{name}");
+        } else {
+            assert!(read_header(&path).is_err(), "{name}: the file has a footer");
+        }
+        std::fs::remove_file(&path).ok();
+    }
 }
 
 #[test]

@@ -20,14 +20,12 @@
 //! contains at least two benchmarks from every memory-intensity class), seeded and
 //! deterministic.
 
-pub mod capture;
 pub mod classify;
 pub mod mix;
 pub mod patterns;
 pub mod table4;
 
-pub use capture::corpus_file_name;
 pub use classify::{classify, MemIntensity};
-pub use mix::{generate_mixes, StudyKind, WorkloadMix};
+pub use mix::{corpus_file_name, generate_mixes, StudyKind, WorkloadMix};
 pub use patterns::{PatternSpec, SyntheticTrace};
 pub use table4::{all_benchmarks, benchmark_by_name, BenchmarkSpec, Suite};

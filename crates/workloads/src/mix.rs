@@ -207,6 +207,11 @@ impl WorkloadMix {
     }
 }
 
+/// File-name convention for a mix's trace inside a corpus directory.
+pub fn corpus_file_name(mix_id: usize) -> String {
+    format!("mix{mix_id:04}.atrc")
+}
+
 /// Generate `count` workload mixes for a study, deterministically from `seed`.
 ///
 /// Panics if a composition rule cannot be satisfied (cannot happen with the Table 4 roster).

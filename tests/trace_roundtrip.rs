@@ -24,7 +24,8 @@ fn every_synthetic_pattern_roundtrips_exactly() {
     let path = tmp("all_patterns");
     for (i, bench) in all_benchmarks().iter().enumerate() {
         let mut writer = TraceWriter::create(&path, 1, bench.name).unwrap();
-        bench.capture(&mut writer, 0, 128, 7 + i as u64, N).unwrap();
+        let mut source = bench.trace(0, 128, 7 + i as u64);
+        writer.capture_source(0, &mut source, N).unwrap();
         writer.finish().unwrap();
 
         let mut replay = open_all(&path).unwrap().remove(0);
@@ -196,7 +197,9 @@ fn replay_survives_many_wraps_without_drift() {
     let path = tmp("wraps");
     let bench = adapt_llc::workloads::benchmark_by_name("gcc").unwrap();
     let mut writer = TraceWriter::create(&path, 1, "gcc").unwrap();
-    bench.capture(&mut writer, 0, 64, 3, 257).unwrap();
+    writer
+        .capture_source(0, &mut bench.trace(0, 64, 3), 257)
+        .unwrap();
     writer.finish().unwrap();
 
     let mut replay = open_all(&path).unwrap().remove(0);
