@@ -82,10 +82,11 @@
 //! than the host has hardware threads — a sweep with a cell on every worker keeps them
 //! all busy already — and never at bound 0, so the profile of a stage built while
 //! `sim_obs` records does not depend on timing. The thread is its own, never one of the
-//! decode pool's: a stage over a corpus waits in its trace source for a batch that pool
-//! decodes, and a read-ahead that held a pool worker could wait on itself. No cursor waits
-//! on a request that is only queued: one that finds neither its chunk nor a generation in
-//! flight generates inline.
+//! sweep workers: each of those drives a cell's cursors, which wait on a generation in
+//! flight, so a read-ahead that held a worker could wait on itself. It decodes a corpus
+//! stage's next batch, too: the trace source decodes on the thread that reads it. No
+//! cursor waits on a request that is only queued: one that finds neither its chunk nor a
+//! generation in flight generates inline.
 //!
 //! **The memo pool and the hand-over.** The stages over one stream retain events out of
 //! one [`MemoPool`] — the stream's share of what a replayed mix's records leave of
@@ -95,11 +96,11 @@
 //! generates one, returning what the chunk did not need. When the pool cannot cover
 //! another chunk the stage stops retaining for good: the retained chunks stay a prefix
 //! every cursor replays, and the live stage becomes the **checkpoint** — its
-//! [`StageState`], kept by the memo, while its trace source (decode buffers, an
-//! in-flight prefetch) is dropped. A cursor that runs off the prefix continues on a
-//! [`PrivateStage`] of its own: a clone of the checkpoint over a fresh source that
-//! starts where the prefix ends (the stage's source factory takes that record, and a
-//! replayed stream seeks there through its file's chunk index). Every cursor, the first
+//! [`StageState`], kept by the memo, while its trace source (its decode buffer) is
+//! dropped. A cursor that runs off the prefix continues on a [`PrivateStage`] of its
+//! own: a clone of the checkpoint over a fresh source that starts where the prefix ends
+//! (the stage's source factory takes that record, and a replayed stream seeks there
+//! through its file's chunk index). Every cursor, the first
 //! included, hands over this one way, at the cost of a clone and a seek whatever the
 //! prefix's length. A pool that cannot cover the checkpoint retains nothing; its
 //! checkpoint is the empty stage at record 0, so every cursor simply drives its own
@@ -715,7 +716,7 @@ struct Memo {
 
 impl Memo {
     /// Retain nothing more: the live stage becomes the checkpoint, and its trace source —
-    /// decode buffers, an in-flight prefetch — is dropped.
+    /// its decode buffer — is dropped.
     fn stop_retaining(&mut self) {
         if let Head::Live(stage) = &self.head {
             self.head = Head::Checkpoint(Arc::new(stage.state().clone()));

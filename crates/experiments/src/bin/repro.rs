@@ -27,7 +27,7 @@
 //!   sweep  --dir DIR [--arena-bytes N]
 //!            Run the Figure 3 policy lineup over a materialized corpus: each trace is
 //!            mapped once and the (policy x mix) grid fans out in parallel. Every mix is
-//!            streamed from the mapping in prefetched batches within the arena budget
+//!            streamed from the mapping in fixed-size batches within the arena budget
 //!            (default 256 MiB: decode buffers + event memo per mix), with identical
 //!            results at every budget, and its private caches are simulated once for
 //!            all policies. The report includes the replay-wrap count in passes
@@ -77,7 +77,7 @@ fn usage() -> String {
      [--paper-scale|--smoke]\n\n\
      sweep: --arena-bytes N  replay arena budget per mix in bytes (default 256 MiB):\n\
                              decode buffers + event memo. Every mix is streamed from\n\
-                             the mapping in prefetched batches; results are identical\n\
+                             the mapping in fixed-size batches; results are identical\n\
                              at every N\n\n\
      scale: many-core scaling study under the cycle-accounted bank contention model\n\
      (throughput / fairness / bank-stall share / per-core stall attribution per policy;\n\

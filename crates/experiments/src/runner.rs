@@ -64,9 +64,7 @@ use cache_sim::system::MultiCoreSystem;
 use cache_sim::trace::{replay_fault_from, ArenaReplayTrace, MemAccess, TraceSource};
 use llc_policies::TaDrripPolicy;
 use mc_metrics::MulticoreMetrics;
-use trace_io::{
-    Corpus, MappedStreamDecoder, MappedTrace, PrefetchingSource, TraceError, TraceHeader,
-};
+use trace_io::{Corpus, MappedStreamDecoder, MappedTrace, TraceError, TraceHeader};
 use workloads::{benchmark_by_name, StudyKind, WorkloadMix};
 
 use crate::policies::PolicyKind;
@@ -166,17 +164,18 @@ impl MixEvaluation {
 ///
 /// A mix's streams come in two kinds, chosen by the source's provenance — never by an
 /// option, and never by size: synthetic mixes are generated on demand (`Lazy`); a
-/// replayed mix is streamed from its mapping in fixed-size batches, the next batch
-/// decoding on the background pool while the stage consumes the current one (`Streamed`,
-/// through [`PrefetchingSource`]). A stream that fits one batch is decoded once and
-/// loops in place (`cache_sim::trace::ArenaReplayTrace`), so a smoke-size or
-/// hand-imported corpus pays nothing per pass. Either kind, each core's stream feeds one
+/// replayed mix is streamed from its mapping in fixed-size batches (`Streamed`: a
+/// [`MappedStreamDecoder`] under `cache_sim::trace::ArenaReplayTrace`), each batch
+/// decoding on whichever thread drives the stage — its read-ahead thread for a lone
+/// evaluation, the sweep's worker otherwise. A stream that fits one batch is decoded
+/// once and loops in place, so a smoke-size or hand-imported corpus pays nothing per
+/// pass. Either kind, each core's stream feeds one
 /// shared private stage per distinct [`StageParams`], and every evaluation replays its
 /// events.
 ///
-/// The budget is split per mix. The mix holds two rotating record buffers per core
-/// (consumer + prefetch) plus a decompression scratch — the stage is the records' only
-/// consumer, so the batches are small ([`batch_records`](Self::batch_records)); the
+/// The budget is split per mix. The mix holds one record buffer per core plus its
+/// decompression scratch — the stage is the records' only consumer, so the batches are
+/// small ([`batch_records`](Self::batch_records)); the
 /// event memos get what is left, an equal share per core (one
 /// `cache_sim::private::MemoPool` per stream, which the stream's stages draw on — each a
 /// checkpoint of its caches first, then chunks of events), and register what they take
@@ -206,10 +205,10 @@ impl Default for ReplayConfig {
 }
 
 impl ReplayConfig {
-    /// Records per decode batch for a `cores`-wide replayed mix: two buffers per core
-    /// rotate, so `cores × 2 × batch × 16B` stays within half the budget — and at most
-    /// 32 Ki records (512 KiB) a buffer: past that a larger batch decodes no faster, and
-    /// what it would take is worth more to the event memo.
+    /// Records per decode batch for a `cores`-wide replayed mix: a buffer and a
+    /// decompression scratch per core, so `cores × 2 × batch × 16B` stays within half the
+    /// budget — and at most 32 Ki records (512 KiB) a buffer: past that a larger batch
+    /// decodes no faster, and what it would take is worth more to the event memo.
     pub fn batch_records(&self, cores: usize) -> usize {
         let per_core = self.arena_budget_bytes / (cores.max(1) as u64 * 4 * RECORD_BYTES);
         per_core.clamp(1024, 1 << 15) as usize
@@ -355,9 +354,9 @@ impl MixSource {
                 let records = (0..cores)
                     .map(streamed)
                     .collect::<Result<_, TraceError>>()?;
-                // Two rotating buffers per core, and a decompression scratch that
-                // holds a block's encoded records — less than a buffer.
-                let arena_bytes = (cores * 3 * batch_records) as u64 * RECORD_BYTES;
+                // One buffer per core, and a decompression scratch that holds a
+                // block's encoded records — less than a buffer.
+                let arena_bytes = (cores * 2 * batch_records) as u64 * RECORD_BYTES;
                 let memo_bytes = replay.arena_budget_bytes.saturating_sub(arena_bytes);
                 (records, memo_bytes)
             }
@@ -400,7 +399,7 @@ enum StreamRecords {
         seed: u64,
     },
     /// Replayed provenance: zero-copy streamed from a shared memory-mapped corpus file
-    /// in fixed-size batches, prefetched on the background pool, in constant memory
+    /// in fixed-size batches, decoded on the thread that reads them, in constant memory
     /// whatever the file's size. Wraps at the end of the stream, counted eagerly; a
     /// stream that fits one batch is decoded once and loops in place.
     Streamed {
@@ -437,7 +436,7 @@ impl StreamRecords {
                 let mut decoder = MappedStreamDecoder::new(trace.clone(), *core, *batch_records)
                     .expect("stream was validated when materialized");
                 let (passes, skip) = decoder.seek(at);
-                let batches = Box::new(PrefetchingSource::new(decoder));
+                let batches = Box::new(decoder);
                 Box::new(match at {
                     0 => ArenaReplayTrace::new(batches, wraps),
                     _ => ArenaReplayTrace::resume(batches, wraps, passes, skip),

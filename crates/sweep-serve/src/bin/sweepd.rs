@@ -12,7 +12,7 @@
 //!                        (default scaled; sets geometry and run length)
 //!   --arena-bytes N      replay arena budget per mix in bytes (default 256 MiB):
 //!                        decode buffers + event memo. Every mix is streamed from
-//!                        its mapping in prefetched batches; served results are
+//!                        its mapping in fixed-size batches; served results are
 //!                        identical at every N
 //! ```
 //!

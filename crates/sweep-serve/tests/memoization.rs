@@ -105,7 +105,7 @@ fn hits_are_bit_identical_and_stats_count_exactly_what_clients_observed() {
 #[test]
 fn a_daemon_whose_memos_run_dry_reports_its_handovers_and_the_same_answers() {
     // A budget whose memo shares cover each stream's checkpoint but not one chunk of
-    // events (3/4 of it goes to decode buffers, a sixteenth to each of the four cores):
+    // events (half of it goes to decode buffers, an eighth to each of the four cores):
     // every evaluation runs off the empty prefix at once and continues from the
     // checkpoint. `/corpora` counts those hand-overs — one per core and evaluation — and
     // the answers do not change.
@@ -118,7 +118,7 @@ fn a_daemon_whose_memos_run_dry_reports_its_handovers_and_the_same_answers() {
         scale: common::SCALE,
         corpora: vec![("c".to_string(), dir)],
         replay: ReplayConfig {
-            arena_budget_bytes: 1 << 20,
+            arena_budget_bytes: 512 << 10,
         },
         ..sweep_serve::ServerConfig::default()
     })

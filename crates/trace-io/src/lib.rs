@@ -82,8 +82,6 @@ pub use corpus::{Corpus, CorpusEntry, CorpusMeta};
 pub use error::TraceError;
 pub use header::{CoreStreamInfo, TraceHeader};
 pub use import::{import_into_corpus, import_to_file, ImportFormat, ImportOptions, ImportStats};
-pub use mmap::{
-    DecodeTimings, MappedStreamDecoder, MappedTrace, PrefetchingSource, DEFAULT_BATCH_RECORDS,
-};
+pub use mmap::{DecodeTimings, MappedStreamDecoder, MappedTrace, DEFAULT_BATCH_RECORDS};
 pub use reader::{compression_stats, decode_all, open_all, read_header, CompressionInfo};
 pub use writer::{TraceCaptureOptions, TraceSummary, TraceWriter};

@@ -12,9 +12,10 @@
 //! Decoding then never copies payload bytes into an intermediate buffer:
 //! [`MappedStreamDecoder`] batch-decodes blocks directly from the mapping into a reusable
 //! caller-owned arena ([`cache_sim::trace::BatchSource`]), using the word-at-a-time
-//! appending decoder in [`crate::format`]. [`PrefetchingSource`] double-buffers on top:
-//! while the simulator consumes one arena, the next batch decodes on the shared `rayon`
-//! background pool, and the two buffers rotate with no allocation in steady state.
+//! appending decoder in [`crate::format`]. The runner puts it straight under
+//! [`cache_sim::trace::ArenaReplayTrace`], so a batch decodes on whichever thread reads
+//! the stream — a shared private stage's read-ahead thread, or the sweep worker that
+//! drives it — into the one buffer the cursor reuses, with no allocation in steady state.
 //!
 //! # Integrity
 //!
@@ -30,7 +31,7 @@ use std::fs::File;
 use std::io::Cursor;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::Arc;
 
 use cache_sim::trace::{raise_replay_fault, ArenaTracker, BatchSource, MemAccess};
 
@@ -507,11 +508,6 @@ impl MappedStreamDecoder {
         }
     }
 
-    /// Restart the stream (the next fill produces the first batch again).
-    pub fn rewind_stream(&mut self) {
-        self.next_chunk = 0;
-    }
-
     /// Position the cursor for record `at` of the endless stream: the next fill starts
     /// with the block that holds record `at % len`, found in the chunk index. Returns
     /// the passes a cursor that has served `at` records has completed, and how many of
@@ -525,151 +521,36 @@ impl MappedStreamDecoder {
         let skip = offset - chunks[self.next_chunk].first_record;
         (at / len, skip as usize)
     }
+}
 
-    /// The shared mapping this cursor reads.
-    pub fn trace(&self) -> &Arc<MappedTrace> {
-        &self.trace
-    }
-
-    fn stream_label(&self) -> String {
-        self.trace.header.cores[self.core].label.clone()
-    }
-
-    /// Surface decode-time corruption as a typed [`cache_sim::trace::ReplayFault`]
-    /// unwind: `fill` is infallible by trait contract, and the unwind boundaries above
-    /// it downcast the payload — the sweep engine to hand `repro sweep` a
-    /// [`TraceError`], the serving layer to quarantine the corpus instead of crashing
-    /// a worker repeatedly.
-    fn raise_fault(&self, e: TraceError) -> ! {
+impl BatchSource for MappedStreamDecoder {
+    /// Infallible by trait contract, like `TraceSource::next_access`: an error here
+    /// means the file changed or was corrupted after `open` succeeded, and unwinds
+    /// with a typed [`cache_sim::trace::ReplayFault`] payload. The unwind boundaries
+    /// above downcast it — the sweep engine to hand `repro sweep` a [`TraceError`], the
+    /// serving layer to quarantine the corpus instead of crashing a worker repeatedly.
+    fn fill(&mut self, arena: &mut Vec<MemAccess>) -> bool {
+        let _span = sim_obs::span("trace-io", "zero_copy_batch");
+        let e = match self.try_fill(arena) {
+            Ok(ended_pass) => return ended_pass,
+            Err(e) => e,
+        };
         let message = format!(
             "zero-copy replay failed for core {} of {}: {e}",
             self.core,
             self.trace.path.display()
         );
         sim_obs::obs_error!("trace-io", "{message}");
-        raise_replay_fault(&self.stream_label(), message)
-    }
-}
-
-impl BatchSource for MappedStreamDecoder {
-    /// Infallible by trait contract, like `TraceSource::next_access`: an error here
-    /// means the file changed or was corrupted after `open` succeeded, and unwinds
-    /// with a typed `ReplayFault` payload (`cache_sim::trace::raise_replay_fault`)
-    /// so the consumer's `catch_unwind` can recover the failure.
-    fn fill(&mut self, arena: &mut Vec<MemAccess>) -> bool {
-        let _span = sim_obs::span("trace-io", "zero_copy_batch");
-        match self.try_fill(arena) {
-            Ok(ended_pass) => ended_pass,
-            Err(e) => self.raise_fault(e),
-        }
+        raise_replay_fault(&self.label(), message)
     }
 
+    /// Restart the stream (the next fill produces the first batch again).
     fn rewind(&mut self) {
-        self.rewind_stream();
+        self.next_chunk = 0;
     }
 
     fn label(&self) -> String {
-        self.stream_label()
-    }
-}
-
-/// What a prefetch task hands back: the cursor, the arena it filled, and the outcome.
-struct PrefetchSlot {
-    decoder: MappedStreamDecoder,
-    arena: Vec<MemAccess>,
-    outcome: Result<bool, TraceError>,
-}
-
-/// Double-buffering wrapper around a [`MappedStreamDecoder`]: while the consumer works
-/// through one arena, the next batch decodes on the shared `rayon` background pool.
-///
-/// Exactly two record buffers circulate per stream — the consumer's and the one in
-/// flight — so memory stays bounded by `2 × batch` regardless of stream length. The
-/// consumption-side span (`trace-io/zero_copy_batch`, one per delivered batch) is
-/// emitted here, never inside the background task, so profiled span multisets are
-/// identical with prefetch on or off.
-pub struct PrefetchingSource {
-    label: String,
-    /// Receiver for the batch currently decoding in the background. Always `Some`
-    /// between calls (a fresh decode is dispatched before `fill` returns).
-    slot_rx: Option<mpsc::Receiver<PrefetchSlot>>,
-    /// Accounts the in-flight buffer's bytes in the arena accounting.
-    buffer_tracker: ArenaTracker,
-}
-
-impl PrefetchingSource {
-    /// Wrap `decoder` and immediately start decoding its first batch in the background.
-    pub fn new(decoder: MappedStreamDecoder) -> PrefetchingSource {
-        let mut source = PrefetchingSource {
-            label: decoder.stream_label(),
-            slot_rx: None,
-            buffer_tracker: ArenaTracker::new(),
-        };
-        source.dispatch(decoder, Vec::new());
-        source
-    }
-
-    /// Send `decoder` + `buffer` to the background pool to decode the next batch.
-    fn dispatch(&mut self, mut decoder: MappedStreamDecoder, mut buffer: Vec<MemAccess>) {
-        self.buffer_tracker
-            .set_bytes((buffer.capacity() * std::mem::size_of::<MemAccess>()) as u64);
-        let (tx, rx) = mpsc::channel();
-        rayon::spawn(move || {
-            let outcome = decoder.try_fill(&mut buffer);
-            let _ = tx.send(PrefetchSlot {
-                decoder,
-                arena: buffer,
-                outcome,
-            });
-        });
-        self.slot_rx = Some(rx);
-    }
-
-    /// Block for the in-flight batch. A worker that died without reporting (its
-    /// decode panicked outright, rather than returning an error) is surfaced as a
-    /// typed replay fault, not an opaque `expect`.
-    fn await_slot(&mut self) -> PrefetchSlot {
-        let rx = self.slot_rx.take().expect("a prefetch is always in flight");
-        match rx.recv() {
-            Ok(slot) => slot,
-            Err(_) => raise_replay_fault(
-                &self.label,
-                format!(
-                    "prefetch worker for stream {} dropped its result \
-                     (background decode panicked)",
-                    self.label
-                ),
-            ),
-        }
-    }
-}
-
-impl BatchSource for PrefetchingSource {
-    fn fill(&mut self, arena: &mut Vec<MemAccess>) -> bool {
-        let _span = sim_obs::span("trace-io", "zero_copy_batch");
-        let slot = self.await_slot();
-        let ended_pass = match slot.outcome {
-            Ok(ended_pass) => ended_pass,
-            Err(e) => slot.decoder.raise_fault(e),
-        };
-        // Hand the decoded arena to the caller; its drained buffer becomes the next
-        // decode target.
-        let spare = std::mem::replace(arena, slot.arena);
-        self.dispatch(slot.decoder, spare);
-        ended_pass
-    }
-
-    fn rewind(&mut self) {
-        let slot = self.await_slot();
-        let mut decoder = slot.decoder;
-        // The in-flight batch (and any error it hit — the rewound stream will surface
-        // it again if it is real) is discarded; its buffer is reused.
-        decoder.rewind_stream();
-        self.dispatch(decoder, slot.arena);
-    }
-
-    fn label(&self) -> String {
-        self.label.clone()
+        self.trace.header.cores[self.core].label.clone()
     }
 }
 
@@ -832,7 +713,7 @@ mod tests {
         assert!(!decoder.try_fill(&mut arena).unwrap());
         assert!(decoder.try_fill(&mut arena).unwrap());
         assert_eq!(trace.checksum_validations(), 2);
-        decoder.rewind_stream();
+        decoder.rewind();
         decoder.try_fill(&mut arena).unwrap();
         let err = decoder.try_fill(&mut arena).unwrap_err();
         assert!(
@@ -846,44 +727,9 @@ mod tests {
         std::fs::remove_file(path).ok();
     }
 
-    #[test]
-    fn prefetching_source_is_bit_identical_to_the_direct_decoder() {
-        for version in [2, 3] {
-            let path = tmp(&format!("prefetch_v{version}"));
-            write_layout(&path, 2, 90, version, true);
-            let trace = Arc::new(MappedTrace::open(&path).unwrap());
-            for core in 0..2 {
-                let mut direct = cursor(&trace, core, 24);
-                let prefetched = PrefetchingSource::new(
-                    MappedStreamDecoder::new(trace.clone(), core, 24).unwrap(),
-                );
-                let mut prefetched = ArenaReplayTrace::new(Box::new(prefetched), Arc::default());
-                assert_eq!(direct.label(), prefetched.label());
-                for i in 0..300 {
-                    assert_eq!(
-                        direct.next_access(),
-                        prefetched.next_access(),
-                        "diverged at record {i} (core {core}, v{version})"
-                    );
-                    assert_eq!(direct.wraps(), prefetched.wraps());
-                }
-                prefetched.reset();
-                direct.reset();
-                for i in 0..50 {
-                    assert_eq!(
-                        direct.next_access(),
-                        prefetched.next_access(),
-                        "post-reset divergence at record {i}"
-                    );
-                }
-            }
-            std::fs::remove_file(path).ok();
-        }
-    }
-
     /// Counts the batches a consumer takes from the source it wraps — what the
     /// `zero_copy_batch` spans count in a profile.
-    struct CountedFills(PrefetchingSource, Arc<AtomicU64>);
+    struct CountedFills(MappedStreamDecoder, Arc<AtomicU64>);
 
     impl BatchSource for CountedFills {
         fn fill(&mut self, arena: &mut Vec<MemAccess>) -> bool {
@@ -898,20 +744,25 @@ mod tests {
         }
     }
 
+    /// `decoder` behind a fill counter, and the count of the batches taken through it.
+    fn counted(decoder: MappedStreamDecoder) -> (Box<CountedFills>, Arc<AtomicU64>) {
+        let fills = Arc::new(AtomicU64::new(0));
+        (Box::new(CountedFills(decoder, fills.clone())), fills)
+    }
+
     #[test]
     fn a_mapped_stream_that_fits_one_batch_is_decoded_once_and_loops_in_place() {
         // The hand-imported corpus shape: 8 records, one block. Through the product's
-        // stack (prefetching decoder under the arena cursor) the first pass takes the
+        // stack (the decoder under the arena cursor) the first pass takes the
         // one batch and validates the one checksum; fifty more take nothing, whatever
         // the batch size above the stream's length. `reset` takes the batch again.
-        let path = tmp("resident8");
+        let path = tmp("resident");
         let written = write_trace(&path, 1, 8);
         for batch_records in [8, 1024] {
             let trace = Arc::new(MappedTrace::open(&path).unwrap());
             let decoder = MappedStreamDecoder::new(trace.clone(), 0, batch_records).unwrap();
-            let fills = Arc::new(AtomicU64::new(0));
-            let counted = CountedFills(PrefetchingSource::new(decoder), fills.clone());
-            let mut cursor = ArenaReplayTrace::new(Box::new(counted), Arc::default());
+            let (source, fills) = counted(decoder);
+            let mut cursor = ArenaReplayTrace::new(source, Arc::default());
             for pass in 0..51 {
                 for want in &written[0] {
                     assert_eq!(cursor.next_access(), *want, "pass {pass}");
@@ -929,25 +780,22 @@ mod tests {
             // taken too, and that one loops in place.
             let mut decoder = MappedStreamDecoder::new(trace.clone(), 0, batch_records).unwrap();
             let (passes, skip) = decoder.seek(3);
-            let fills = Arc::new(AtomicU64::new(0));
-            let counted = CountedFills(PrefetchingSource::new(decoder), fills.clone());
-            let mut cursor =
-                ArenaReplayTrace::resume(Box::new(counted), Arc::default(), passes, skip);
+            let (source, fills) = counted(decoder);
+            let mut resumed = ArenaReplayTrace::resume(source, Arc::default(), passes, skip);
             for want in written[0].iter().cycle().skip(3).take(51 * 8) {
-                assert_eq!(cursor.next_access(), *want);
+                assert_eq!(resumed.next_access(), *want);
             }
-            assert_eq!((cursor.wraps(), fills.load(Ordering::Relaxed)), (51, 2));
+            assert_eq!((resumed.wraps(), fills.load(Ordering::Relaxed)), (51, 2));
+            // Decoding happens on the caller's thread: dropping the cursors releases
+            // every hold on the mapping at once.
+            drop((cursor, resumed));
+            assert_eq!(Arc::strong_count(&trace), 1);
         }
-        std::fs::remove_file(path).ok();
-        // A batch shorter than the stream (two blocks of 16) keeps refilling. (A file of
-        // its own: a prefetch of the cursors above may still hold the first mapping.)
-        let path = tmp("resident32");
+        // A batch shorter than the stream (two blocks of 16) keeps refilling.
         let written = write_trace(&path, 1, 32);
         let trace = Arc::new(MappedTrace::open(&path).unwrap());
-        let decoder = MappedStreamDecoder::new(trace.clone(), 0, 16).unwrap();
-        let fills = Arc::new(AtomicU64::new(0));
-        let counted = CountedFills(PrefetchingSource::new(decoder), fills.clone());
-        let mut cursor = ArenaReplayTrace::new(Box::new(counted), Arc::default());
+        let (source, fills) = counted(MappedStreamDecoder::new(trace.clone(), 0, 16).unwrap());
+        let mut cursor = ArenaReplayTrace::new(source, Arc::default());
         for want in written[0].iter().cycle().take(3 * 32) {
             assert_eq!(cursor.next_access(), *want);
         }

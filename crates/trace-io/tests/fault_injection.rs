@@ -14,11 +14,13 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use cache_sim::trace::{replay_fault_from, BatchSource, MemAccess, TraceSink};
+use cache_sim::trace::{
+    replay_fault_from, ArenaReplayTrace, BatchSource, MemAccess, TraceSink, TraceSource,
+};
 use sim_fault::{FaultKind, FaultPlan};
 use trace_io::{
     capture_mix, decode_all, read_header, Corpus, MappedStreamDecoder, MappedTrace,
-    PrefetchingSource, TraceCaptureOptions, TraceError, TraceWriter,
+    TraceCaptureOptions, TraceError, TraceWriter,
 };
 use workloads::{generate_mixes, StudyKind, WorkloadMix};
 
@@ -87,16 +89,25 @@ fn push_mix_wall(path: &Path) -> std::io::Result<()> {
 }
 
 /// Names of this process's live capture workers (read from `/proc`, so empty where
-/// there is none).
+/// there is none), once they are gone or 10 s have passed. A joined worker has run to
+/// its end, but its thread can stay listed a moment longer while the kernel tears it
+/// down; one still blocked on a send never leaves.
 fn capture_workers() -> Vec<String> {
-    let Ok(tasks) = std::fs::read_dir("/proc/self/task") else {
-        return Vec::new();
-    };
-    tasks
-        .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
-        .map(|name| name.trim().to_string())
-        .filter(|name| name.starts_with("atrc-capture"))
-        .collect()
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+    loop {
+        let Ok(tasks) = std::fs::read_dir("/proc/self/task") else {
+            return Vec::new();
+        };
+        let workers: Vec<String> = tasks
+            .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
+            .map(|name| name.trim().to_string())
+            .filter(|name| name.starts_with("atrc-capture"))
+            .collect();
+        if workers.is_empty() || std::time::Instant::now() > deadline {
+            return workers;
+        }
+        std::thread::sleep(std::time::Duration::from_millis(1));
+    }
 }
 
 fn reference(guard: &sim_fault::FaultGuard, name: &str) -> (PathBuf, Vec<u8>, Vec<Vec<MemAccess>>) {
@@ -207,17 +218,15 @@ fn decode_faults_unwind_as_typed_replay_faults_through_fill() {
     assert!(fault.message.contains("injected"), "{}", fault.message);
     guard.clear();
 
-    // The same corruption surfaced through the double-buffered prefetch path must
-    // carry the identical typed payload.
+    // The same corruption surfaced through the stack the runner builds — the decoder
+    // under the arena cursor — must carry the identical typed payload.
     let decoder = MappedStreamDecoder::new(trace, 0, 64).expect("decoder");
     guard.install(FaultPlan::new(5).always("replay.decode", FaultKind::Io));
     let payload = catch_unwind(AssertUnwindSafe(|| {
-        let mut source = PrefetchingSource::new(decoder);
-        let mut arena = Vec::new();
-        source.fill(&mut arena);
+        ArenaReplayTrace::new(Box::new(decoder), Arc::default()).next_access();
     }))
-    .expect_err("prefetched decode fault must unwind");
-    let fault = replay_fault_from(payload.as_ref()).expect("typed ReplayFault via prefetch");
+    .expect_err("a decode fault under the arena cursor must unwind");
+    let fault = replay_fault_from(payload.as_ref()).expect("typed ReplayFault via the cursor");
     assert!(fault.message.contains("injected"), "{}", fault.message);
     guard.clear();
 }

@@ -1,8 +1,8 @@
 //! End-to-end tests of the corpus-backed sweep engine: materialize a corpus on disk,
 //! sweep it, and hold the results against the serial synthetic reference path — the
-//! zero-copy replay (constant-memory arenas, double buffering) must be invisible in
-//! results at every budget and in the profiled logical story, and a corrupt block must
-//! come back as a typed error or not matter.
+//! zero-copy replay (constant-memory arenas, batches decoded by their reader) must be
+//! invisible in results at every budget and in the profiled logical story, and a corrupt
+//! block must come back as a typed error or not matter.
 
 use std::collections::BTreeMap;
 use std::sync::{Mutex, OnceLock};
@@ -209,23 +209,23 @@ fn logical_events(
 }
 
 #[test]
-fn double_buffered_replay_is_deterministic_across_worker_count() {
-    // Serial or parallel workers (and with them, whether a prefetched batch is ready
-    // or awaited) is a pure scheduling choice: both must produce identical per-core
-    // IPC/MPKI and the identical logical span multiset — the consumption-side
-    // `zero_copy_batch` spans included, which pins down that batches are consumed in
-    // the same order and number everywhere.
+fn replay_is_deterministic_across_worker_count() {
+    // Serial or parallel workers (and with them, which thread decodes a stage's next
+    // batch) is a pure scheduling choice: both must produce identical per-core
+    // IPC/MPKI and the identical logical span multiset — the `zero_copy_batch` spans
+    // included, which pins down that batches are decoded in the same order and number
+    // everywhere.
     let _guard = global_state_lock();
     let scale = ExperimentScale::Smoke;
     let cfg = scale.system_config(StudyKind::Cores4);
     let llc_sets = cfg.llc.geometry.num_sets();
     let mixes = generate_mixes(StudyKind::Cores4, 1, scale.seed());
 
-    let dir = std::env::temp_dir().join("e2e_double_buffer_determinism");
+    let dir = std::env::temp_dir().join("e2e_replay_determinism");
     std::fs::remove_dir_all(&dir).ok();
     let (corpus, _) = Corpus::materialize(
         &dir,
-        "db",
+        "det",
         &mixes,
         llc_sets,
         SEED,
@@ -256,7 +256,7 @@ fn double_buffered_replay_is_deterministic_across_worker_count() {
         serial_events
             .keys()
             .any(|(_, _, name, _)| *name == "zero_copy_batch"),
-        "replay must emit consumption-side batch spans"
+        "replay must emit batch spans"
     );
     assert_evaluations_identical(&serial.evaluations, &parallel.evaluations);
     assert_eq!(serial.mix_wraps, parallel.mix_wraps, "wrap accounting");

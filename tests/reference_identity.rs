@@ -639,14 +639,14 @@ fn replayed_mixes_share_their_stages_and_equal_the_oracle_and_the_live_generator
         .collect();
     assert_eq!(replayed.replay_wraps(), 0, "the capture covers the run");
 
-    // The default budget's memos keep the whole run; half the records' size leaves
-    // each core's memo a chunk or so.
+    // The default budget's memos keep the whole run; a quarter of the records' size
+    // leaves each core's memo a chunk or so.
     for (what, budget) in [
         (
             "memo covers the run",
             ReplayConfig::default().arena_budget_bytes,
         ),
-        ("memo runs dry", decoded_bytes / 2),
+        ("memo runs dry", decoded_bytes / 4),
     ] {
         let replay = ReplayConfig {
             arena_budget_bytes: budget,
