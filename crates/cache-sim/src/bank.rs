@@ -61,12 +61,10 @@
 
 use std::collections::VecDeque;
 
-use serde::{Deserialize, Serialize};
-
 use crate::config::{BankContentionConfig, RowModelConfig};
 
 /// Occupancy/stall statistics for one bank.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BankStats {
     /// Requests served by this bank.
     pub requests: u64,
@@ -139,7 +137,7 @@ pub struct BankRequest {
 }
 
 /// Row-buffer outcome of a scheduled request (see the module docs).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RowClass {
     /// The request hit the bank's open row.
     Hit,
@@ -166,7 +164,7 @@ impl RowClass {
 /// The deltas are exactly the amounts simultaneously added to the global
 /// [`BankStats`], so summing this vector over cores reproduces the global
 /// accounting bit-for-bit.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CoreBankStalls {
     /// Cycles this core's requests spent admitted but waiting for a free port.
     pub queue_cycles: u64,

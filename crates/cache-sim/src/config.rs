@@ -5,14 +5,12 @@
 //! workload mix on a software simulator — [`SystemConfig::scaled`] provides a proportionally
 //! scaled configuration (same associativity, same core count, smaller set counts and shorter
 //! traces) that preserves the `#cores >= #llc_ways` regime the paper studies, and
-//! [`SystemConfig::tiny`] an even smaller one for unit tests and Criterion benches.
-
-use serde::{Deserialize, Serialize};
+//! [`SystemConfig::tiny`] an even smaller one for unit tests.
 
 use crate::addr::BLOCK_BYTES;
 
 /// Geometry of a set-associative cache.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheGeometry {
     /// Total capacity in bytes.
     pub size_bytes: u64,
@@ -73,7 +71,7 @@ impl CacheGeometry {
 /// queue, which is algebraically identical to the seed's latency-only `busy_until`
 /// banking — zero-contention configurations therefore reproduce the flat-latency model
 /// exactly (regression-tested in `crate::bank` and `crate::llc`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BankContentionConfig {
     /// Parallel service ports per bank (>= 1). One port serializes every request.
     pub ports: usize,
@@ -131,7 +129,7 @@ impl Default for BankContentionConfig {
 ///
 /// The default is **disabled**, which leaves the bank model's arithmetic bit-identical
 /// to the seed's FCFS banking (regression-tested in `crate::bank` and `crate::dram`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RowModelConfig {
     /// Enable row-buffer-aware FR-FCFS scheduling in the DRAM bank model.
     pub enabled: bool,
@@ -193,7 +191,7 @@ impl Default for RowModelConfig {
 /// (see [`mesh_side`]); a request pays [`NucaConfig::hop_cycles`] per Manhattan hop
 /// between the requesting core's tile and the bank's tile ([`mesh_hops`]). The
 /// default of 0 hop cycles disables the model and adds exactly zero latency.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct NucaConfig {
     /// Cycles added per mesh hop between requester tile and bank tile; 0 disables.
     pub hop_cycles: u64,
@@ -242,7 +240,7 @@ pub fn mesh_hops(core: usize, num_cores: usize, bank: usize, num_banks: usize) -
 }
 
 /// Configuration of a private cache level (L1D or L2).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PrivateCacheConfig {
     pub geometry: CacheGeometry,
     /// Access (hit) latency in cycles.
@@ -256,7 +254,7 @@ pub struct PrivateCacheConfig {
 /// The shared LLC uses the pluggable [`crate::replacement::LlcReplacementPolicy`] trait
 /// instead; private levels are not the object of study so a compact built-in set suffices
 /// (the paper's Table 3 uses LRU at L1 and DRRIP at L2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PrivatePolicyKind {
     Lru,
     Srrip,
@@ -265,7 +263,7 @@ pub enum PrivatePolicyKind {
 }
 
 /// Configuration of the shared last-level cache.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LlcConfig {
     pub geometry: CacheGeometry,
     /// Access (hit) latency in cycles (paper: 24).
@@ -290,7 +288,7 @@ pub struct LlcConfig {
 }
 
 /// DDR2-style memory model configuration (paper Table 3).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DramConfig {
     /// Latency of an access that hits the open row (paper: 180 cycles).
     pub row_hit_cycles: u64,
@@ -313,7 +311,7 @@ pub struct DramConfig {
 }
 
 /// Approximate out-of-order core model configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CoreConfig {
     /// Issue/retire width in instructions per cycle (paper: 4-way OoO).
     pub issue_width: u64,
@@ -330,7 +328,7 @@ pub struct CoreConfig {
 }
 
 /// Full multi-core system configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SystemConfig {
     pub num_cores: usize,
     pub core: CoreConfig,

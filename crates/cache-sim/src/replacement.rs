@@ -18,8 +18,6 @@
 //! RRPV conventions follow the RRIP papers and the ADAPT paper: 0 = re-used in the
 //! near-immediate future, 3 = distant future (eviction candidate).
 
-use serde::{Deserialize, Serialize};
-
 /// The largest re-reference prediction value (2-bit RRPV, so 3 = distant).
 pub const RRPV_MAX: u8 = 3;
 
@@ -42,7 +40,7 @@ pub struct AccessContext {
 }
 
 /// What to do with a line that missed in the LLC.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum InsertionDecision {
     /// Allocate the line and set its re-reference prediction value.
     Insert {

@@ -7,8 +7,6 @@
 //! (i.e. demand accesses arriving at the LLC) per kilo-instruction, and `LLC-MPKI` is the
 //! number of demand misses at the shared LLC per kilo-instruction.
 
-use serde::{Deserialize, Serialize};
-
 use crate::bank::BankStats;
 use crate::dram::DramStats;
 use crate::llc::{LlcCoreStats, LlcGlobalStats};
@@ -76,7 +74,7 @@ impl CoreStats {
 /// accounting ([`LlcGlobalStats`], [`crate::bank::BankStats`], [`DramStats`]), so the
 /// per-core vectors sum exactly to the global totals — the conservation law enforced
 /// by `tests/scaling_study.rs`.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CoreStallAttribution {
     pub core_id: usize,
     /// Cycles this core's LLC requests waited for a bank port
@@ -193,7 +191,7 @@ pub fn geometric_mean(values: &[f64]) -> f64 {
 }
 
 /// Serializable summary row used by experiment reports.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CoreSummaryRow {
     pub core_id: usize,
     pub label: String,

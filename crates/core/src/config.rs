@@ -6,10 +6,8 @@
 //! probabilistic-insertion throttles. Every knob the paper sweeps (or that
 //! `docs/policies.md` lists for ablation) is exposed.
 
-use serde::{Deserialize, Serialize};
-
 /// How Least-priority (thrashing / cache-filling) applications are treated.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LeastPriorityMode {
     /// ADAPT_ins: always install, at distant priority (RRPV 3).
     InsertDistant,
@@ -19,7 +17,7 @@ pub enum LeastPriorityMode {
 }
 
 /// Sampling mode of the Footprint-number monitor.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SamplingMode {
     /// Sample `sampled_sets` sets spread uniformly over the index space (paper: 40).
     Sampled,
@@ -28,7 +26,7 @@ pub enum SamplingMode {
 }
 
 /// Full ADAPT configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AdaptConfig {
     /// Number of monitored sets per application (paper §3.1: 40 suffice).
     pub sampled_sets: usize,

@@ -15,8 +15,6 @@
 //! [`table2_rows`]; the EAF and SHiP entries follow the paper's published figures since
 //! their exact internal breakdown is taken from the respective original papers.
 
-use serde::{Deserialize, Serialize};
-
 use crate::config::AdaptConfig;
 
 /// Storage, in bits, of one monitored-set sampler array.
@@ -58,7 +56,7 @@ pub fn ship_cost_bytes() -> u64 {
 }
 
 /// One row of the Table 2 comparison.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct HardwareCostRow {
     pub policy: String,
     pub storage_rule: String,

@@ -10,14 +10,12 @@
 //! The probabilistic 1/16 and 1/32 choices are realized with small per-level counters
 //! ("three more counters each of size one byte" — §3.3), so behaviour is deterministic.
 
-use serde::{Deserialize, Serialize};
-
 use cache_sim::replacement::{InsertionDecision, RRPV_MAX};
 
 use crate::config::{AdaptConfig, LeastPriorityMode};
 
 /// Discrete application priority classes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PriorityLevel {
     High,
     Medium,
@@ -65,7 +63,7 @@ pub fn classify(config: &AdaptConfig, footprint: f64) -> PriorityLevel {
 /// Holds the per-level throttle counters that realize the probabilistic insertions of
 /// Table 1. One instance per application (the counters are per-application state in the
 /// paper's cost accounting).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct InsertionPriorityPredictor {
     config: AdaptConfig,
     priority: PriorityLevel,

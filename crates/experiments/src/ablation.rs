@@ -4,7 +4,7 @@
 //! LLC misses, chosen from {0.25M..4M}), 40 sampled sets, the Table 1 priority ranges
 //! (chosen from 36 range combinations) and the 1/32 bypass ratio. These functions rerun
 //! the corresponding sweeps on our substrate so the sensitivity of each choice can be
-//! inspected; the `ablations` Criterion bench and `repro ablation` drive them.
+//! inspected; `repro ablation` drives them.
 //!
 //! The sweeps run on the corpus engine: each mix's access streams are materialized once
 //! and shared (zero-copy) across the TA-DRRIP baseline and every configuration variant,
@@ -15,7 +15,6 @@ use std::collections::HashMap;
 
 use adapt_core::{AdaptConfig, AdaptPolicy};
 use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
 use workloads::{generate_mixes, StudyKind, WorkloadMix};
 
 use cache_sim::config::SystemConfig;
@@ -26,7 +25,7 @@ use crate::runner::{evaluate_prepared, warm_alone_cache, MixSource, ReplayConfig
 use crate::scale::ExperimentScale;
 
 /// One ablation data point: a configuration label and its mean speedup over TA-DRRIP.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct AblationPoint {
     /// Human-readable variant description (e.g. `"bypass 1/32"`).
     pub label: String,
@@ -233,12 +232,25 @@ mod tests {
 
     #[test]
     fn bypass_ratio_sweep_produces_one_point_per_ratio() {
-        let points = bypass_ratio_sweep(ExperimentScale::Smoke, 1);
-        assert_eq!(points.len(), 5);
-        for p in &points {
-            assert!(p.speedup_over_tadrrip > 0.0);
+        type Sweep = fn(ExperimentScale, usize) -> Vec<AblationPoint>;
+        let sweeps: [(Sweep, &str); 3] = [
+            (interval_sweep, "interval x1"),
+            (sampled_sets_sweep, "40 sampled sets"),
+            (bypass_ratio_sweep, "bypass 1/32"),
+        ];
+        for (sweep, paper_setting) in sweeps {
+            let points = sweep(ExperimentScale::Smoke, 1);
+            assert_eq!(points.len(), 5, "{paper_setting}");
+            for p in &points {
+                assert!(
+                    p.speedup_over_tadrrip.is_finite() && p.speedup_over_tadrrip > 0.0,
+                    "{}: {}",
+                    p.label,
+                    p.speedup_over_tadrrip
+                );
+            }
+            assert!(render("ablation", &points).contains(paper_setting));
         }
-        assert!(render("bypass", &points).contains("bypass 1/32"));
     }
 
     #[test]

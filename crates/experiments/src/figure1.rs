@@ -9,7 +9,6 @@
 //! for art). Figure 1a also shows the result is insensitive to the number of dueling sets
 //! (SD = 64 vs 128).
 
-use serde::{Deserialize, Serialize};
 use workloads::{generate_mixes, StudyKind};
 
 use crate::policies::PolicyKind;
@@ -18,7 +17,7 @@ use crate::runner::{evaluate_policies_on_mixes, speedups_over_baseline, MixEvalu
 use crate::scale::ExperimentScale;
 
 /// Per-benchmark MPKI reduction (percent, positive = fewer misses) under forced BRRIP.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct MpkiReduction {
     /// Benchmark name (Table 4 identifier).
     pub benchmark: String,
@@ -27,7 +26,7 @@ pub struct MpkiReduction {
 }
 
 /// Figure 1 results.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Figure1Result {
     /// Mean weighted-speedup ratio over baseline TA-DRRIP with set-dueling over 64 sets.
     pub speedup_sd64: f64,

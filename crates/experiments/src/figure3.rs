@@ -6,7 +6,6 @@
 //! TA-DRRIP baseline. Results are presented as an s-curve: per-workload speedups relative
 //! to TA-DRRIP, sorted ascending.
 
-use serde::{Deserialize, Serialize};
 use workloads::{generate_mixes, StudyKind};
 
 use crate::policies::PolicyKind;
@@ -15,7 +14,7 @@ use crate::runner::{evaluate_policies_on_mixes, speedups_over_baseline, MixEvalu
 use crate::scale::ExperimentScale;
 
 /// One policy's s-curve plus its average speedup over the baseline.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PolicyCurve {
     /// Display name of the policy.
     pub policy: String,
@@ -28,7 +27,7 @@ pub struct PolicyCurve {
 }
 
 /// Figure 3 (and, reused by Figure 8, any per-study s-curve panel).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SCurveResult {
     /// Cores in the study (= applications per mix).
     pub study_cores: usize,

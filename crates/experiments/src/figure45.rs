@@ -7,7 +7,6 @@
 //! thrashing applications (cactusADM being the exception) while substantially improving the
 //! cache-friendly ones.
 
-use serde::{Deserialize, Serialize};
 use workloads::{generate_mixes, StudyKind};
 
 use crate::policies::PolicyKind;
@@ -16,7 +15,7 @@ use crate::runner::{evaluate_policies_on_mixes, MixEvaluation};
 use crate::scale::ExperimentScale;
 
 /// Per-benchmark, per-policy aggregate.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct AppPolicyImpact {
     /// Benchmark name (Table 4 identifier).
     pub benchmark: String,
@@ -29,7 +28,7 @@ pub struct AppPolicyImpact {
 }
 
 /// Figures 4 (thrashing) and 5 (non-thrashing).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Figure45Result {
     /// Figure 4: impact on thrashing applications.
     pub thrashing: Vec<AppPolicyImpact>,

@@ -6,7 +6,6 @@
 //! few distant predictions are mostly wrong). LRU has no distant insertions, so it has no
 //! bypass variant.
 
-use serde::{Deserialize, Serialize};
 use workloads::{generate_mixes, StudyKind};
 
 use crate::policies::PolicyKind;
@@ -15,7 +14,7 @@ use crate::runner::{evaluate_policies_on_mixes, speedups_over_baseline};
 use crate::scale::ExperimentScale;
 
 /// Insertion-vs-bypass comparison for one policy family.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct BypassImpact {
     /// Policy family name (e.g. "ADAPT", "DRRIP").
     pub family: String,
@@ -26,7 +25,7 @@ pub struct BypassImpact {
 }
 
 /// Figure 6 result.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Figure6Result {
     /// One insertion-vs-bypass comparison per policy family.
     pub impacts: Vec<BypassImpact>,

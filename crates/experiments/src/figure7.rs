@@ -6,7 +6,6 @@
 //! so the Footprint-number based priority assignment designed for 16-way caches carries
 //! over to higher associativities.
 
-use serde::{Deserialize, Serialize};
 use workloads::{generate_mixes, StudyKind};
 
 use crate::policies::PolicyKind;
@@ -15,7 +14,7 @@ use crate::runner::{evaluate_policies_on_mixes, speedups_over_baseline};
 use crate::scale::ExperimentScale;
 
 /// One bar of Figure 7: a (core count, LLC configuration) pair.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct LargeCachePoint {
     /// Core count of the study.
     pub cores: usize,
@@ -26,7 +25,7 @@ pub struct LargeCachePoint {
 }
 
 /// Figure 7 result.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Figure7Result {
     /// One bar per (core count, LLC configuration) pair.
     pub points: Vec<LargeCachePoint>,

@@ -6,14 +6,13 @@
 //! 5.8% / 5.9% on average at 20 / 24 cores (which share the 16 MB, 16-way LLC, i.e. the
 //! `#cores >= #ways` regime).
 
-use serde::{Deserialize, Serialize};
 use workloads::StudyKind;
 
 use crate::figure3::{render as render_curves, run_study, SCurveResult};
 use crate::scale::ExperimentScale;
 
 /// Figure 8: one s-curve panel per study.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Figure8Result {
     /// One s-curve panel per study (4/8/20/24 cores).
     pub panels: Vec<SCurveResult>,

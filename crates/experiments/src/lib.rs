@@ -8,7 +8,7 @@
 //! Each `figure*` / `table*` module exposes a `run(&ExperimentScale) -> ...Result` function
 //! returning plain data plus a `render` helper that prints the same rows/series the paper
 //! reports. The `repro` binary (in `src/bin/repro.rs`) wires them to a command-line
-//! interface; the `adapt-bench` crate wraps them in Criterion benchmarks.
+//! interface.
 //!
 //! [`policies`] is the single home of policy naming, construction and dispatch:
 //! [`PolicyKind`] names a policy and `PolicyKind::build_dispatch` builds it as the

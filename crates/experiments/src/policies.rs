@@ -17,7 +17,6 @@ use llc_policies::{
     BrripPolicy, BypassDistant, DrripPolicy, EafPolicy, LruPolicy, ShipPolicy, SrripPolicy,
     TaDrripPolicy,
 };
-use serde::{Deserialize, Serialize};
 
 /// Largest `SD=` operand [`PolicyKind::parse`] accepts. The paper sweeps 32/64/128, and
 /// with half the sets kept as followers no shipped `SystemConfig` can host more than 256
@@ -104,7 +103,7 @@ impl LlcReplacementPolicy for AnyPolicy {
 }
 
 /// A policy an experiment can ask for.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PolicyKind {
     /// True least-recently-used replacement.
     Lru,

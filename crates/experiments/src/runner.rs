@@ -50,9 +50,8 @@ use std::collections::HashMap;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
-use parking_lot::Mutex;
 use rayon::prelude::*;
 
 use cache_sim::config::SystemConfig;
@@ -478,7 +477,12 @@ impl MaterializedStream {
 
     /// What this stream's stages have cost so far, summed.
     fn stage_usage(&self) -> SharedStageUsage {
-        self.stages.lock().iter().map(SharedStage::usage).sum()
+        self.stages
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .iter()
+            .map(SharedStage::usage)
+            .sum()
     }
 }
 
@@ -552,7 +556,7 @@ impl MaterializedMixStreams {
         self.streams
             .iter()
             .map(|stream| {
-                let mut stages = stream.stages.lock();
+                let mut stages = stream.stages.lock().unwrap_or_else(PoisonError::into_inner);
                 let at = stages
                     .iter()
                     .position(|s| s.params() == params)
@@ -665,6 +669,7 @@ fn alone_cache() -> &'static Mutex<AloneCache> {
 fn alone_ipc(scope: &AloneScope, benchmark: &str) -> f64 {
     let cached = alone_cache()
         .lock()
+        .unwrap_or_else(PoisonError::into_inner)
         .iter()
         .find(|(s, _)| s == scope)
         .and_then(|(_, ipcs)| ipcs.get(benchmark).copied());
@@ -683,7 +688,7 @@ fn alone_ipc(scope: &AloneScope, benchmark: &str) -> f64 {
     let trace = Box::new(spec.trace(0, llc_sets, scope.seed));
     let policy = TaDrripPolicy::new(llc_sets, geometry.ways, 1);
     let ipc = run_alone(&scope.config, trace, policy, scope.instructions).ipc();
-    let mut cache = alone_cache().lock();
+    let mut cache = alone_cache().lock().unwrap_or_else(PoisonError::into_inner);
     let slot = cache
         .iter()
         .position(|(s, _)| s == scope)
@@ -823,7 +828,7 @@ pub fn evaluate_policies_on_mixes(
 }
 
 /// Replay wraps observed for one mix during a sweep (see [`SweepOutcome::mix_wraps`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MixReplayWraps {
     /// The mix the wraps were observed on.
     pub mix_id: usize,

@@ -9,10 +9,9 @@
 //! * [`ExperimentScale::Scaled`] — the default: proportionally smaller caches (same
 //!   associativities, so the `#cores >= #ways` regime is preserved), shorter traces and
 //!   fewer mixes; every figure regenerates in minutes on a laptop.
-//! * [`ExperimentScale::Smoke`] — tiny configuration for unit tests and Criterion benches.
+//! * [`ExperimentScale::Smoke`] — tiny configuration for unit tests and `--smoke` runs.
 
 use cache_sim::config::SystemConfig;
-use serde::{Deserialize, Serialize};
 use workloads::StudyKind;
 
 /// Which memory-system model the many-core scaling study runs under. The three
@@ -26,7 +25,7 @@ use workloads::StudyKind;
 /// * [`MemSystem::FrFcfsNuca`] — the contended model plus row-buffer-aware
 ///   FR-FCFS scheduling (distinct row-hit/miss/conflict latencies, starvation
 ///   cap) and mesh-NUCA distance-dependent LLC bank latency.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MemSystem {
     /// Infinite bandwidth, no row model, zero distance.
     Flat,
@@ -57,13 +56,13 @@ impl MemSystem {
 }
 
 /// How big the experiments should be.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExperimentScale {
     /// The paper's cache sizes, instruction counts and mix counts (hours).
     Paper,
     /// Proportionally smaller caches/traces/mix counts; every figure in minutes.
     Scaled,
-    /// Tiny configuration for unit tests and Criterion benches (seconds).
+    /// Tiny configuration for unit tests and `--smoke` runs (seconds).
     Smoke,
 }
 

@@ -21,7 +21,6 @@
 //! drives this from the command line; `--flat` re-runs the same geometry under the
 //! seed's latency-only banking for an A/B comparison.
 
-use serde::{Deserialize, Serialize};
 use workloads::{generate_mixes, StudyKind};
 
 use crate::policies::PolicyKind;
@@ -30,7 +29,7 @@ use crate::runner::{self, MixEvaluation, MixSource, ReplayConfig};
 use crate::scale::{ExperimentScale, MemSystem};
 
 /// One policy's scores at one core count.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PolicyScalingRow {
     /// Display name of the policy.
     pub policy: String,
@@ -50,7 +49,7 @@ pub struct PolicyScalingRow {
 /// Attributed memory-system stall cycles of one core, aggregated over a study's
 /// baseline-policy runs (the per-core view `cache_sim::stats::CoreStallAttribution`
 /// provides per run).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CoreStallSummary {
     /// Core index.
     pub core: usize,
@@ -75,7 +74,7 @@ impl CoreStallSummary {
 }
 
 /// Aggregated occupancy/stall picture of one LLC bank across a study's runs.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct BankSummary {
     /// Bank index.
     pub bank: usize,
@@ -90,7 +89,7 @@ pub struct BankSummary {
 }
 
 /// The study's results at one core count.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ScalingPoint {
     /// Cores (= applications per mix).
     pub cores: usize,
@@ -113,7 +112,7 @@ pub struct ScalingPoint {
 }
 
 /// The full scaling study: one [`ScalingPoint`] per requested core count.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ScalingStudyResult {
     /// Scale the study ran at (`smoke`/`scaled`/`paper`).
     pub scale: String,
@@ -168,33 +167,7 @@ fn build_point(
     let baseline = policies[0];
     let rows = policies
         .iter()
-        .map(|&p| {
-            let of_policy: Vec<&MixEvaluation> = evals.iter().filter(|e| e.policy == p).collect();
-            let speedups = runner::speedups_over_baseline(evals, p, baseline);
-            PolicyScalingRow {
-                policy: p.label(),
-                mean_weighted_speedup: amean(
-                    &of_policy
-                        .iter()
-                        .map(|e| e.weighted_speedup())
-                        .collect::<Vec<_>>(),
-                ),
-                speedup_over_baseline: gmean(&speedups),
-                mean_fairness: amean(&of_policy.iter().map(|e| e.fairness()).collect::<Vec<_>>()),
-                mean_bank_stall_share: amean(
-                    &of_policy
-                        .iter()
-                        .map(|e| e.bank_stall_share())
-                        .collect::<Vec<_>>(),
-                ),
-                mean_stall_imbalance: amean(
-                    &of_policy
-                        .iter()
-                        .map(|e| e.stall_imbalance())
-                        .collect::<Vec<_>>(),
-                ),
-            }
-        })
+        .map(|&p| policy_row(evals, p, baseline))
         .collect();
 
     // Per-bank aggregation over the baseline policy's runs.
@@ -268,6 +241,39 @@ fn build_point(
     }
 }
 
+/// One policy's scores over a sweep's evaluations, its speedups taken over `baseline`
+/// in the same sweep.
+fn policy_row(
+    evals: &[MixEvaluation],
+    policy: PolicyKind,
+    baseline: PolicyKind,
+) -> PolicyScalingRow {
+    let of_policy: Vec<&MixEvaluation> = evals.iter().filter(|e| e.policy == policy).collect();
+    let mean = |metric: fn(&MixEvaluation) -> f64| {
+        amean(&of_policy.iter().map(|&e| metric(e)).collect::<Vec<_>>())
+    };
+    PolicyScalingRow {
+        policy: policy.label(),
+        mean_weighted_speedup: mean(MixEvaluation::weighted_speedup),
+        speedup_over_baseline: gmean(&runner::speedups_over_baseline(evals, policy, baseline)),
+        mean_fairness: mean(MixEvaluation::fairness),
+        mean_bank_stall_share: mean(MixEvaluation::bank_stall_share),
+        mean_stall_imbalance: mean(MixEvaluation::stall_imbalance),
+    }
+}
+
+/// The study of each core count, or an error naming the first count no study has.
+fn studies(core_counts: &[usize]) -> Result<Vec<StudyKind>, String> {
+    core_counts
+        .iter()
+        .map(|&cores| {
+            StudyKind::by_cores(cores).ok_or_else(|| {
+                format!("no study with {cores} cores (4/8/16/20/24/32/48/64/128/256)")
+            })
+        })
+        .collect()
+}
+
 /// Run the study over `core_counts` (each must name a known study; 32/48/64 are the
 /// intended values, but any Table 6 core count works for comparison points).
 pub fn run(
@@ -276,20 +282,36 @@ pub fn run(
     contention: bool,
     mixes_override: Option<usize>,
 ) -> Result<ScalingStudyResult, String> {
-    let points = core_counts
-        .iter()
-        .map(|&cores| {
-            let study = StudyKind::by_cores(cores).ok_or_else(|| {
-                format!("no study with {cores} cores (4/8/16/20/24/32/48/64/128/256)")
-            })?;
-            Ok(run_point(scale, study, contention, mixes_override))
-        })
-        .collect::<Result<Vec<_>, String>>()?;
+    let points = studies(core_counts)?
+        .into_iter()
+        .map(|study| run_point(scale, study, contention, mixes_override))
+        .collect();
     Ok(ScalingStudyResult {
         scale: scale.label().to_string(),
         contention,
         points,
     })
+}
+
+/// The table columns of a [`PolicyScalingRow`], in [`row_cells`] order.
+const ROW_COLUMNS: [&str; 6] = [
+    "policy",
+    "wt.speedup",
+    "vs TA-DRRIP",
+    "fairness",
+    "bank-stall share",
+    "stall imbalance",
+];
+
+fn row_cells(row: &PolicyScalingRow) -> Vec<String> {
+    vec![
+        row.policy.clone(),
+        format!("{:.4}", row.mean_weighted_speedup),
+        pct(row.speedup_over_baseline - 1.0),
+        format!("{:.4}", row.mean_fairness),
+        format!("{:.4}", row.mean_bank_stall_share),
+        format!("{:.2}", row.mean_stall_imbalance),
+    ]
 }
 
 /// Render the study as text tables (one policy table + one bank table per core count).
@@ -314,27 +336,8 @@ pub fn render(r: &ScalingStudyResult) -> String {
         }
         out.push_str(" ==\n");
         out.push_str(&render_table(
-            &[
-                "policy",
-                "wt.speedup",
-                "vs TA-DRRIP",
-                "fairness",
-                "bank-stall share",
-                "stall imbalance",
-            ],
-            &p.rows
-                .iter()
-                .map(|row| {
-                    vec![
-                        row.policy.clone(),
-                        format!("{:.4}", row.mean_weighted_speedup),
-                        pct(row.speedup_over_baseline - 1.0),
-                        format!("{:.4}", row.mean_fairness),
-                        format!("{:.4}", row.mean_bank_stall_share),
-                        format!("{:.2}", row.mean_stall_imbalance),
-                    ]
-                })
-                .collect::<Vec<_>>(),
+            &ROW_COLUMNS,
+            &p.rows.iter().map(row_cells).collect::<Vec<_>>(),
         ));
         out.push_str("\nPer-bank occupancy/stalls (TA-DRRIP runs):\n");
         out.push_str(&render_table(
@@ -392,28 +395,18 @@ pub fn render(r: &ScalingStudyResult) -> String {
 }
 
 /// One (memory system, policy) cell of the head-to-head study.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct MemsysPolicyRow {
     /// Memory-system label (`flat` / `fcfs` / `frfcfs+nuca`).
     pub memsys: String,
-    /// Display name of the policy.
-    pub policy: String,
-    /// Arithmetic mean of the per-mix weighted speedups.
-    pub mean_weighted_speedup: f64,
-    /// Geometric mean of the per-mix weighted-speedup ratios over TA-DRRIP under the
-    /// *same* memory system (each variant is its own baseline frame).
-    pub speedup_over_baseline: f64,
-    /// Arithmetic mean of the per-mix fairness scores.
-    pub mean_fairness: f64,
-    /// Arithmetic mean of the per-mix LLC bank-stall shares.
-    pub mean_bank_stall_share: f64,
-    /// Arithmetic mean of the per-mix per-core stall imbalance.
-    pub mean_stall_imbalance: f64,
+    /// The policy's scores under this memory system; its speedup is over TA-DRRIP
+    /// under the *same* memory system (each variant is its own baseline frame).
+    pub row: PolicyScalingRow,
 }
 
 /// The memory-system head-to-head at one core count: every policy of the lineup
 /// evaluated under every [`MemSystem`] variant on the same mixes.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct MemsysPoint {
     /// Cores (= applications per mix).
     pub cores: usize,
@@ -425,7 +418,7 @@ pub struct MemsysPoint {
 }
 
 /// The full memory-system head-to-head study.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct MemsysStudyResult {
     /// Scale the study ran at.
     pub scale: String,
@@ -460,34 +453,10 @@ pub fn run_memsys_point(
             &ReplayConfig::default(),
         )
         .expect("synthetic sweeps cannot fail to materialize");
-        let evals = &outcome.evaluations;
-        for &p in &policies {
-            let of_policy: Vec<&MixEvaluation> = evals.iter().filter(|e| e.policy == p).collect();
-            rows.push(MemsysPolicyRow {
-                memsys: memsys.label().to_string(),
-                policy: p.label(),
-                mean_weighted_speedup: amean(
-                    &of_policy
-                        .iter()
-                        .map(|e| e.weighted_speedup())
-                        .collect::<Vec<_>>(),
-                ),
-                speedup_over_baseline: gmean(&runner::speedups_over_baseline(evals, p, baseline)),
-                mean_fairness: amean(&of_policy.iter().map(|e| e.fairness()).collect::<Vec<_>>()),
-                mean_bank_stall_share: amean(
-                    &of_policy
-                        .iter()
-                        .map(|e| e.bank_stall_share())
-                        .collect::<Vec<_>>(),
-                ),
-                mean_stall_imbalance: amean(
-                    &of_policy
-                        .iter()
-                        .map(|e| e.stall_imbalance())
-                        .collect::<Vec<_>>(),
-                ),
-            });
-        }
+        rows.extend(policies.iter().map(|&p| MemsysPolicyRow {
+            memsys: memsys.label().to_string(),
+            row: policy_row(&outcome.evaluations, p, baseline),
+        }));
     }
     MemsysPoint {
         cores: study.num_cores(),
@@ -502,15 +471,10 @@ pub fn run_memsys(
     core_counts: &[usize],
     mixes_override: Option<usize>,
 ) -> Result<MemsysStudyResult, String> {
-    let points = core_counts
-        .iter()
-        .map(|&cores| {
-            let study = StudyKind::by_cores(cores).ok_or_else(|| {
-                format!("no study with {cores} cores (4/8/16/20/24/32/48/64/128/256)")
-            })?;
-            Ok(run_memsys_point(scale, study, mixes_override))
-        })
-        .collect::<Result<Vec<_>, String>>()?;
+    let points = studies(core_counts)?
+        .into_iter()
+        .map(|study| run_memsys_point(scale, study, mixes_override))
+        .collect();
     Ok(MemsysStudyResult {
         scale: scale.label().to_string(),
         points,
@@ -530,27 +494,13 @@ pub fn render_memsys(r: &MemsysStudyResult) -> String {
             p.cores, p.workloads
         ));
         out.push_str(&render_table(
-            &[
-                "memsys",
-                "policy",
-                "wt.speedup",
-                "vs TA-DRRIP",
-                "fairness",
-                "bank-stall share",
-                "stall imbalance",
-            ],
+            &[&["memsys"][..], &ROW_COLUMNS].concat(),
             &p.rows
                 .iter()
-                .map(|row| {
-                    vec![
-                        row.memsys.clone(),
-                        row.policy.clone(),
-                        format!("{:.4}", row.mean_weighted_speedup),
-                        pct(row.speedup_over_baseline - 1.0),
-                        format!("{:.4}", row.mean_fairness),
-                        format!("{:.4}", row.mean_bank_stall_share),
-                        format!("{:.2}", row.mean_stall_imbalance),
-                    ]
+                .map(|MemsysPolicyRow { memsys, row }| {
+                    let mut cells = vec![memsys.clone()];
+                    cells.extend(row_cells(row));
+                    cells
                 })
                 .collect::<Vec<_>>(),
         ));
@@ -628,13 +578,13 @@ mod tests {
             let group = &point.rows[i * lineup..(i + 1) * lineup];
             assert!(group.iter().all(|r| r.memsys == memsys.label()));
             // TA-DRRIP is its own baseline within each memory-system frame.
-            assert!((group[0].speedup_over_baseline - 1.0).abs() < 1e-12);
-            assert!(group.iter().all(|r| r.mean_weighted_speedup > 0.0));
+            assert!((group[0].row.speedup_over_baseline - 1.0).abs() < 1e-12);
+            assert!(group.iter().all(|r| r.row.mean_weighted_speedup > 0.0));
         }
         // Shares are well-formed fractions; the flat variant has no admission
         // stalls to attribute, so its imbalance is either 0 (nothing stalled) or
         // a proper max/mean ratio >= 1.
-        for r in &point.rows {
+        for MemsysPolicyRow { row: r, .. } in &point.rows {
             assert!((0.0..=1.0).contains(&r.mean_bank_stall_share));
             assert!(r.mean_stall_imbalance == 0.0 || r.mean_stall_imbalance >= 1.0);
         }

@@ -4,14 +4,13 @@
 //! 24 applications, and renders it in the same layout as the paper.
 
 use adapt_core::{table2_rows, AdaptConfig, HardwareCostRow};
-use serde::{Deserialize, Serialize};
 
 use crate::report::render_table;
 use crate::scale::ExperimentScale;
 use workloads::StudyKind;
 
 /// Table 2 result.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Table2Result {
     /// Number of applications (cores) the costs are computed for.
     pub num_apps: usize,

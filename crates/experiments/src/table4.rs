@@ -13,7 +13,6 @@
 //! The render compares each measured value with the paper's published value.
 
 use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
 
 use adapt_core::{AdaptConfig, FootprintMonitor};
 use cache_sim::addr::block_of;
@@ -25,7 +24,7 @@ use crate::report::render_table;
 use crate::scale::ExperimentScale;
 
 /// One row of the regenerated Table 4.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Table4Row {
     /// Benchmark name.
     pub name: String,
@@ -48,7 +47,7 @@ pub struct Table4Row {
 }
 
 /// Table 4 result.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Table4Result {
     /// One row per Table 4 benchmark.
     pub rows: Vec<Table4Row>,

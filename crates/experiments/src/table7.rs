@@ -4,7 +4,6 @@
 //! TA-DRRIP on weighted speedup, the harmonic mean of normalized IPCs, and the geometric /
 //! harmonic / arithmetic means of raw IPCs.
 
-use serde::{Deserialize, Serialize};
 use workloads::{generate_mixes, StudyKind};
 
 use crate::policies::PolicyKind;
@@ -13,7 +12,7 @@ use crate::runner::{evaluate_policies_on_mixes, group_by_policy};
 use crate::scale::ExperimentScale;
 
 /// ADAPT-vs-TA-DRRIP improvements (fractions) for one study.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct StudyMetrics {
     /// Core count of the study.
     pub cores: usize,
@@ -30,7 +29,7 @@ pub struct StudyMetrics {
 }
 
 /// Table 7 result.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Table7Result {
     /// One row per study, in core-count order.
     pub studies: Vec<StudyMetrics>,

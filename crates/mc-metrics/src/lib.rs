@@ -13,8 +13,6 @@
 //! All functions are pure and panic on length mismatches, which always indicate a harness
 //! bug rather than a recoverable condition.
 
-use serde::{Deserialize, Serialize};
-
 /// Weighted speedup: `Σ_i shared_i / alone_i`.
 ///
 /// A workload of N applications that are all unaffected by sharing scores N.
@@ -132,7 +130,7 @@ pub fn mpki_reduction_percent(mpki: f64, baseline_mpki: f64) -> f64 {
 }
 
 /// The full set of Table 7 metrics for one workload under one policy.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MulticoreMetrics {
     pub weighted_speedup: f64,
     pub harmonic_mean_normalized: f64,

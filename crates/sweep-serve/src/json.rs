@@ -1,8 +1,8 @@
 //! Canonical JSON serialization for the serving layer.
 //!
-//! The workspace's `serde` stand-in does not serialize, so the wire format is
-//! hand-rolled, like `sim-obs`'s exporters and the corpus manifest. Two properties
-//! matter here beyond well-formedness:
+//! The workspace has no serialization framework, so the wire format is hand-rolled,
+//! like `sim-obs`'s exporters and the corpus manifest. Two properties matter here
+//! beyond well-formedness:
 //!
 //! * **Byte determinism.** [`evaluation_json`] is the *only* serializer for a served
 //!   result cell, and every float goes through [`fmt_f64`] (Rust's shortest-roundtrip

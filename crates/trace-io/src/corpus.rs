@@ -10,8 +10,8 @@
 //!
 //! # Manifest format (`corpus.manifest`)
 //!
-//! A deliberately simple line-oriented text file (the workspace's `serde` stand-in does
-//! not serialize, so the format is hand-rolled and versioned):
+//! A deliberately simple line-oriented text file (the workspace has no serialization
+//! framework, so the format is hand-rolled and versioned):
 //!
 //! ```text
 //! atrc-corpus 1

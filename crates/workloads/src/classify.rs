@@ -11,10 +11,8 @@
 //! | >= 16            | [5, 25)   | High (H) |
 //! | >= 16            | > 25      | Very High (VH) |
 
-use serde::{Deserialize, Serialize};
-
 /// Memory-intensity class of a benchmark (paper Table 5).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum MemIntensity {
     VeryLow,
     Low,

@@ -27,7 +27,6 @@
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 use cache_sim::trace::TraceSource;
 
@@ -35,7 +34,7 @@ use crate::classify::MemIntensity;
 use crate::table4::{all_benchmarks, benchmark_by_name, benchmarks_in_class, BenchmarkSpec};
 
 /// Which multi-core study a mix belongs to (paper Table 6 rows).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum StudyKind {
     Cores4,
     Cores8,
@@ -166,7 +165,7 @@ impl StudyKind {
 }
 
 /// One multi-programmed workload: an ordered list of benchmark names (core i runs entry i).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WorkloadMix {
     pub id: usize,
     pub study: StudyKind,
