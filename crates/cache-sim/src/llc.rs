@@ -19,7 +19,7 @@ use crate::addr::BlockAddr;
 use crate::bank::{BankModel, BankStats};
 use crate::config::LlcConfig;
 use crate::mshr::OccupancyWindow;
-use crate::replacement::{AccessContext, LineView, LlcReplacementPolicy};
+use crate::replacement::{AccessContext, LlcReplacementPolicy};
 
 /// Outcome of an LLC lookup.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -128,9 +128,6 @@ pub struct SharedLlc<P: LlcReplacementPolicy> {
     hint: Vec<u8>,
     /// Inserting core per line, `num_sets * ways`.
     owners: Vec<u32>,
-    /// Reusable victim-view buffer handed to `choose_victim` — assembled per eviction
-    /// without heap allocation (the seed collected a fresh `Vec` per eviction).
-    views_buf: Vec<LineView>,
     policy: P,
     banks: BankModel,
     mshr: OccupancyWindow,
@@ -184,7 +181,6 @@ impl<P: LlcReplacementPolicy> SharedLlc<P> {
             dirty: vec![0; num_sets],
             hint: vec![0; num_sets],
             owners: vec![0; num_sets * ways],
-            views_buf: Vec::with_capacity(ways),
             policy,
             banks: BankModel::new(config.banks, config.contention),
             mshr: OccupancyWindow::new(config.mshr_entries),
@@ -458,24 +454,11 @@ impl<P: LlcReplacementPolicy> SharedLlc<P> {
             // Lowest invalid way, matching the original first-invalid scan.
             (invalid.trailing_zeros() as usize, None)
         } else {
-            // Victim views are assembled into a reusable buffer: choose_victim gets the
-            // same `&[LineView]` it always did, without a per-eviction heap allocation.
-            let mut views = std::mem::take(&mut self.views_buf);
-            views.clear();
-            let dirty_mask = self.dirty[set];
-            for w in 0..self.ways {
-                views.push(LineView {
-                    valid: true,
-                    owner: self.owners[base + w] as usize,
-                    block_addr: (self.tags[base + w] << self.set_shift) | set as u64,
-                    dirty: (dirty_mask >> w) & 1 == 1,
-                });
-            }
-            let w = self.policy.choose_victim(&ctx, &views);
-            self.views_buf = views;
+            // Every policy keeps its own per-way state, so none is handed the set's lines.
+            let w = self.policy.choose_victim(&ctx, &[]);
             assert!(w < self.ways, "policy returned out-of-range victim way {w}");
             let victim_owner = self.owners[base + w] as usize;
-            let victim_dirty = (dirty_mask >> w) & 1 == 1;
+            let victim_dirty = (self.dirty[set] >> w) & 1 == 1;
             let victim_block = BlockAddr((self.tags[base + w] << self.set_shift) | set as u64);
             self.policy.on_evict(&ctx, victim_block.0, victim_owner);
             self.per_core[victim_owner].lines_evicted += 1;
@@ -588,7 +571,7 @@ impl<P: LlcReplacementPolicy> SharedLlc<P> {
 mod tests {
     use super::*;
     use crate::config::CacheGeometry;
-    use crate::replacement::{InsertionDecision, RrpvArray};
+    use crate::replacement::{InsertionDecision, LineView, RrpvArray};
 
     /// Minimal SRRIP policy used only by these unit tests (the real baselines live in the
     /// `llc-policies` crate, which depends on this one).

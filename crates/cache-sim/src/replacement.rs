@@ -94,7 +94,11 @@ pub trait LlcReplacementPolicy: Send {
     /// Decide whether/with what priority to insert a missing line.
     fn insertion_decision(&mut self, ctx: &AccessContext) -> InsertionDecision;
 
-    /// Choose a victim way; every entry of `lines` is valid when this is called.
+    /// Choose a victim way of the full set `ctx.set_index` from the policy's own state.
+    ///
+    /// `lines` is empty when [`crate::llc::SharedLlc`] calls: no policy reads it. Only
+    /// the test oracle fills it with the set's lines, and the parameter stays only
+    /// because the benchmark's policy wrapper forwards it.
     fn choose_victim(&mut self, ctx: &AccessContext, lines: &[LineView]) -> usize;
 
     /// A line was evicted from the cache (not called for bypassed fills).

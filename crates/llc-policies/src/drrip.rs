@@ -445,19 +445,10 @@ mod tests {
     #[test]
     fn victim_selection_follows_rrip_aging() {
         let mut p = TaDrripPolicy::new(16, 4, 2);
-        let lines = vec![
-            LineView {
-                valid: true,
-                owner: 0,
-                block_addr: 0,
-                dirty: false
-            };
-            4
-        ];
         for w in 0..4 {
             p.on_fill(&ctx(0, 0), w, &InsertionDecision::insert(2));
         }
         p.on_hit(&ctx(0, 0), 3);
-        assert_eq!(p.choose_victim(&ctx(0, 0), &lines), 0);
+        assert_eq!(p.choose_victim(&ctx(0, 0), &[]), 0);
     }
 }

@@ -140,17 +140,8 @@ mod tests {
         }
         p.on_hit(&ctx(0), 0);
         p.on_hit(&ctx(0), 1);
-        let lines = vec![
-            LineView {
-                valid: true,
-                owner: 0,
-                block_addr: 0,
-                dirty: false
-            };
-            4
-        ];
         // Ways 2 and 3 are at RRPV 2; after aging they reach 3 and way 2 is picked first.
-        assert_eq!(p.choose_victim(&ctx(0), &lines), 2);
+        assert_eq!(p.choose_victim(&ctx(0), &[]), 2);
     }
 
     #[test]

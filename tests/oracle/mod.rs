@@ -12,15 +12,17 @@
 //!   leader sets and PSEL arithmetic are written out from the paper's constants;
 //! * NUCA wire delay is computed per request from `config::mesh_hops`;
 //! * core timing is the float form of the overlap rule on four plain `u64` counters;
+//! * MSHR and write-back occupancy is a `Vec` of completion cycles, pruned by `retain`
+//!   and searched by `min`;
 //! * the driver steps the unretired core with the smallest `(cycle, id)` one trace
 //!   record at a time: a linear min-scan, no scheduler structure, nothing retired out
 //!   of global order.
 //!
 //! What it shares with the product is only what has a wall of its own: the bank queue
-//! model (`bank.rs::FlatReference`, `frfcfs_properties.rs`), `OccupancyWindow` and `Dram`
-//! (their unit tests), the next-line prefetcher, `stats::assemble_core_stalls`, the
-//! `LIVELOCK_STEPS` constant, the configuration/statistics/result types and the
-//! `LlcReplacementPolicy` trait the policies under test implement.
+//! model (`bank.rs::FlatReference`, `frfcfs_properties.rs`), `Dram` (its unit tests),
+//! the next-line prefetcher, `stats::assemble_core_stalls`, the `LIVELOCK_STEPS`
+//! constant, the configuration/statistics/result types and the `LlcReplacementPolicy`
+//! trait the policies under test implement.
 #![allow(dead_code)] // each test binary drives its own part of the model
 
 use adapt_llc::sim::addr::{block_of, BlockAddr};
@@ -30,7 +32,6 @@ use adapt_llc::sim::config::{
 };
 use adapt_llc::sim::dram::Dram;
 use adapt_llc::sim::llc::{LlcCoreStats, LlcEvicted, LlcFill, LlcGlobalStats, LlcLookup};
-use adapt_llc::sim::mshr::OccupancyWindow;
 use adapt_llc::sim::prefetch::NextLinePrefetcher;
 use adapt_llc::sim::private_cache::{EvictedLine, Lookup, PrivateCacheStats};
 use adapt_llc::sim::replacement::{AccessContext, LineView, LlcReplacementPolicy};
@@ -200,14 +201,56 @@ impl NaivePrivateCache {
     }
 }
 
+/// The MSHRs or the write-back buffer: the completion cycles of the entries in flight.
+/// A request that finds every entry taken waits for the earliest one to retire.
+struct NaiveWindow {
+    capacity: usize,
+    completions: Vec<u64>,
+}
+
+impl NaiveWindow {
+    fn new(capacity: usize) -> Self {
+        NaiveWindow {
+            capacity: capacity.max(1),
+            completions: Vec::new(),
+        }
+    }
+
+    /// Wait at `now` for a free entry without taking it; returns the wait.
+    fn acquire(&mut self, now: u64) -> u64 {
+        self.completions.retain(|&c| c > now);
+        if self.completions.len() < self.capacity {
+            return 0;
+        }
+        let earliest = *self
+            .completions
+            .iter()
+            .min()
+            .expect("a full window holds entries");
+        self.completions.retain(|&c| c > earliest);
+        earliest - now
+    }
+
+    fn insert(&mut self, completion: u64) {
+        self.completions.push(completion);
+    }
+
+    /// Take an entry at `now` for `latency` cycles after any wait; returns the wait.
+    fn reserve(&mut self, now: u64, latency: u64) -> u64 {
+        let wait = self.acquire(now);
+        self.insert(now + wait + latency);
+        wait
+    }
+}
+
 /// The shared LLC: lines and statistics here, every replacement decision in `policy`.
 pub struct NaiveLlc {
     config: LlcConfig,
     sets: Sets,
     policy: Box<dyn LlcReplacementPolicy>,
     pub banks: BankModel,
-    mshr: OccupancyWindow,
-    wb_buffer: OccupancyWindow,
+    mshr: NaiveWindow,
+    wb_buffer: NaiveWindow,
     pub per_core: Vec<LlcCoreStats>,
     pub global: LlcGlobalStats,
     mshr_core_stalls: Vec<u64>,
@@ -227,8 +270,8 @@ impl NaiveLlc {
             sets: vec![vec![None; config.geometry.ways]; config.geometry.num_sets()],
             policy,
             banks: BankModel::new(config.banks, config.contention),
-            mshr: OccupancyWindow::new(config.mshr_entries),
-            wb_buffer: OccupancyWindow::new(config.wb_entries),
+            mshr: NaiveWindow::new(config.mshr_entries),
+            wb_buffer: NaiveWindow::new(config.wb_entries),
             per_core: vec![LlcCoreStats::default(); num_cores],
             global: LlcGlobalStats::default(),
             mshr_core_stalls: vec![0; num_cores],
@@ -372,7 +415,7 @@ impl NaiveLlc {
             self.per_core[victim.owner].lines_evicted += 1;
             if victim.dirty {
                 self.global.dirty_evictions += 1;
-                self.global.wb_stall_cycles += self.wb_buffer.reserve(now, self.config.latency).0;
+                self.global.wb_stall_cycles += self.wb_buffer.reserve(now, self.config.latency);
             }
             outcome.evicted = Some(LlcEvicted {
                 block: BlockAddr(victim.block),
@@ -578,7 +621,7 @@ impl NaiveSystem {
         } else {
             let issue = now + lookup.latency;
             let memory = self.dram.access(block, issue, false, id).latency;
-            (llc.mshr.reserve(now, lookup.latency + memory).0, memory)
+            (llc.mshr.reserve(now, lookup.latency + memory), memory)
         };
         llc.global.mshr_stall_cycles += stall;
         llc.global.mshr_full_events += u64::from(stall > 0);

@@ -22,7 +22,7 @@ use adapt_llc::sim::llc::SharedLlc;
 use adapt_llc::sim::private::{PrivateStage, PrivateStats, StageParams};
 use adapt_llc::sim::private_cache::{Lookup, PrivateCache};
 use adapt_llc::sim::replacement::{
-    AccessContext, InsertionDecision, LineView, LlcReplacementPolicy, RrpvArray,
+    AccessContext, InsertionDecision, LlcReplacementPolicy, RrpvArray,
 };
 use adapt_llc::sim::system::RUN_AHEAD;
 use adapt_llc::sim::trace::{MemAccess, SharedReplayTrace};
@@ -274,12 +274,11 @@ proptest! {
     ) {
         let mut lru = LruPolicy::new(16, 16);
         let mut srrip = SrripPolicy::new(16, 16);
-        let lines = vec![LineView { valid: true, owner: 0, block_addr: 0, dirty: false }; 16];
         for (set, way) in hits {
             lru.on_hit(&ctx(0, set, way as u64), way);
             srrip.on_hit(&ctx(0, set, way as u64), way);
-            prop_assert!(lru.choose_victim(&ctx(0, set, 0), &lines) < 16);
-            prop_assert!(srrip.choose_victim(&ctx(0, set, 0), &lines) < 16);
+            prop_assert!(lru.choose_victim(&ctx(0, set, 0), &[]) < 16);
+            prop_assert!(srrip.choose_victim(&ctx(0, set, 0), &[]) < 16);
         }
     }
 

@@ -193,6 +193,38 @@ fn contended_banks_stay_bit_identical_to_the_reference_engine() {
     }
 }
 
+/// Two MSHRs and two write-back entries keep both windows full, so every miss waits on
+/// the earliest completion: the engine's heap and the oracle's scan must agree on it.
+#[test]
+fn full_mshr_and_write_back_windows_stay_bit_identical_to_the_reference_engine() {
+    let scale = ExperimentScale::Smoke;
+    let mix = &generate_mixes(StudyKind::Cores4, 1, scale.seed())[0];
+    for contention in [
+        BankContentionConfig::flat(),
+        BankContentionConfig::contended(2, 4),
+    ] {
+        let mut cfg = scale.system_config(StudyKind::Cores4);
+        cfg.llc.mshr_entries = 2;
+        cfg.llc.wb_entries = 2;
+        cfg.llc.contention = contention;
+        cfg.dram.contention = contention;
+        for kind in [
+            PolicyKind::TaDrrip,
+            PolicyKind::Lru,
+            PolicyKind::Eaf,
+            PolicyKind::AdaptBp32,
+        ] {
+            let what = format!("2 MSHRs, {contention:?}, {kind:?}");
+            let (fast, reference) = run_both(&cfg, mix, kind);
+            assert_identical(&fast, &reference, &what);
+            assert!(
+                fast.llc_global.mshr_full_events > 0,
+                "{what}: MSHRs never filled"
+            );
+        }
+    }
+}
+
 #[test]
 fn eight_core_mix_is_bit_identical_to_the_reference_engine() {
     let scale = ExperimentScale::Smoke;
