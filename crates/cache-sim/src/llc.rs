@@ -96,16 +96,41 @@ pub(crate) fn way_mask(ways: usize) -> u64 {
     }
 }
 
+/// Bit `w` set where way `w` holds `tag`: the one tag-match kernel of every cache level.
+///
+/// Whole groups of 8 ways are compared branch-free at a compile-time width, so the
+/// compiler unrolls them; a remainder is compared way by way. The caller masks off
+/// invalid ways; lowest set bit is the lowest matching way.
+#[inline]
+pub fn tag_matches(tags: &[u64], tag: u64) -> u64 {
+    const GROUP: usize = 8;
+    debug_assert!(tags.len() <= MAX_WAYS);
+    let (groups, rest) = tags.as_chunks::<GROUP>();
+    let mut matches = 0u64;
+    for (g, group) in groups.iter().enumerate() {
+        let mut bits = 0u64;
+        for (w, &t) in group.iter().enumerate() {
+            bits |= u64::from(t == tag) << w;
+        }
+        matches |= bits << (g * GROUP);
+    }
+    let base = tags.len() - rest.len();
+    for (w, &t) in rest.iter().enumerate() {
+        matches |= u64::from(t == tag) << (base + w);
+    }
+    matches
+}
+
 /// The shared last-level cache.
 ///
 /// Line metadata is stored structure-of-arrays: one contiguous `u64` tag array indexed by
 /// `set * ways + way`, plus one packed valid bitmask and one packed dirty bitmask per set
 /// and a compact `u32` owner array. A lookup therefore scans a single cache-line-sized
-/// slice of tags with a branch-free match mask instead of striding over 32-byte line
-/// structs, and set/tag extraction uses shifts precomputed from the power-of-two
-/// geometry. Generic over the replacement policy: the experiment drivers instantiate it
-/// with the `experiments::policies::AnyPolicy` dispatch enum, so per-access policy
-/// callbacks compile to direct calls.
+/// slice of tags with the branch-free match mask of [`tag_matches`] instead of striding
+/// over 32-byte line structs, and set/tag extraction uses shifts precomputed from the
+/// power-of-two geometry. Generic over the replacement policy: the experiment drivers
+/// instantiate it with the `experiments::policies::AnyPolicy` dispatch enum, so
+/// per-access policy callbacks compile to direct calls.
 pub struct SharedLlc<P: LlcReplacementPolicy> {
     config: LlcConfig,
     num_sets: usize,
@@ -277,21 +302,13 @@ impl<P: LlcReplacementPolicy> SharedLlc<P> {
         req.delay + nuca
     }
 
-    /// Way lookup over the set's contiguous tag slice: iterate the valid bitmask in way
-    /// order (lowest way wins, like the original per-way scan), comparing only tags
-    /// that hold lines. Invalid ways cost nothing and the first match exits.
+    /// Way lookup over the set's contiguous tag slice (lowest valid match wins, like
+    /// the original per-way scan).
     #[inline]
     fn scan_ways(&self, set: usize, tag: u64) -> Option<usize> {
         let base = set * self.ways;
-        let mut remaining = self.valid[set];
-        while remaining != 0 {
-            let w = remaining.trailing_zeros() as usize;
-            if self.tags[base + w] == tag {
-                return Some(w);
-            }
-            remaining &= remaining - 1;
-        }
-        None
+        let matches = tag_matches(&self.tags[base..base + self.ways], tag) & self.valid[set];
+        (matches != 0).then(|| matches.trailing_zeros() as usize)
     }
 
     /// [`SharedLlc::scan_ways`] with the way-prediction shortcut: check the set's last
@@ -765,6 +782,32 @@ mod tests {
         assert_eq!(occ[0], 10);
         assert_eq!(occ[1], 5);
         assert_eq!(llc.occupancy(), 15);
+    }
+
+    /// The kernel against a naive loop at every width, both through whole groups of 8
+    /// and the remainder: duplicate tags set every matching bit, and once invalid ways
+    /// are masked off the lowest valid match is the one a scan would find first.
+    #[test]
+    fn tag_matches_equals_a_naive_loop_at_every_width() {
+        for ways in 1..=MAX_WAYS {
+            for seed in 0..8u64 {
+                // Tags drawn from a small alphabet, so duplicates are common.
+                let tags: Vec<u64> = (0..ways as u64).map(|w| (w * 7 + seed * 13) % 5).collect();
+                let valid = way_mask(ways) & (u64::MAX / 3).rotate_left(seed as u32);
+                for tag in 0..6 {
+                    let naive = tags
+                        .iter()
+                        .enumerate()
+                        .filter(|&(_, &t)| t == tag)
+                        .fold(0u64, |m, (w, _)| m | 1 << w);
+                    assert_eq!(tag_matches(&tags, tag), naive, "{ways} ways, tag {tag}");
+                    let first_valid = (0..ways).find(|&w| tags[w] == tag && valid >> w & 1 == 1);
+                    let masked = tag_matches(&tags, tag) & valid;
+                    let lowest = (masked != 0).then(|| masked.trailing_zeros() as usize);
+                    assert_eq!(lowest, first_valid, "{ways} ways, tag {tag}");
+                }
+            }
+        }
     }
 
     #[test]

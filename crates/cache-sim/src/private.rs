@@ -29,13 +29,15 @@
 //!
 //! **Order inside a record.** The stage performs the private side in the order a
 //! per-record engine does: prefetcher consult (L1 probe of `block.next()`) → L2 access →
-//! L2 fill (miss only) → L1 fill → `l2.writeback` of the dirty L1 victim → prefetch: L1
-//! probe → L2 probe → L2 fill → L1 fill → `l2.writeback`. None of it reads a shared
-//! outcome. The event records what the shared side must do, in its own fixed order: LLC
-//! demand access (skipped on an L2 hit) → the demand's write-backs (L2 victim, then L1
-//! victim) → LLC prefetch access of `block.next()` → the prefetch's write-backs → the
-//! core's clock. Write-back blocks (0–4 per event) live in a side array next to the
-//! events.
+//! L2 fill (miss only) → L1 fill → `l2.writeback` of the dirty L1 victim → prefetch: L2
+//! probe → L2 fill → L1 fill → `l2.writeback`. The prefetch does not probe the L1 again:
+//! the consult just found `block.next()` absent there, and the demand fills in between
+//! insert only `block`. Every fill is therefore of a block its level has just seen miss,
+//! which [`PrivateCache::fill`] requires. None of it reads a shared outcome. The event
+//! records what the shared side must do, in its own fixed order: LLC demand access
+//! (skipped on an L2 hit) → the demand's write-backs (L2 victim, then L1 victim) → LLC
+//! prefetch access of `block.next()` → the prefetch's write-backs → the core's clock.
+//! Write-back blocks (0–4 per event) live in a side array next to the events.
 //!
 //! **The bound.** A gap ends after [`StageParams::bound`] private records and the next
 //! record executes in order whatever it is: a finished core whose stream is
@@ -526,9 +528,8 @@ impl StageState {
         let Some(next) = candidate else {
             return outcome;
         };
-        if self.l1d.probe(next) {
-            return outcome;
-        }
+        // The consult found `next` absent, and the demand fills inserted only `block`.
+        debug_assert!(!self.l1d.probe(next), "prefetch of a present block");
         if !self.l2.probe(next) {
             outcome.flags |= PREFETCH_REACHES_LLC;
             outcome.prefetch_writebacks += self.fill_l2(next, true, writebacks);

@@ -7,6 +7,7 @@
 
 use crate::addr::BlockAddr;
 use crate::config::{PrivateCacheConfig, PrivatePolicyKind};
+use crate::llc::tag_matches;
 use crate::replacement::{RrpvArray, RRPV_MAX};
 
 /// Result of a tag lookup.
@@ -46,13 +47,18 @@ impl PrivateCacheStats {
 }
 
 /// DRRIP set-dueling state for a private cache (single thread, so one PSEL counter).
+///
+/// With fewer than 128 sets the leader period is 2, so every set leads and none follows
+/// PSEL: the scaled configurations' 32-set L2 runs as half SRRIP, half BRRIP, where the
+/// paper's 256-set L2 lets 6 sets in 8 follow.
 #[derive(Debug, Clone)]
 struct DuelState {
     /// 10-bit policy-selection counter; >= 512 selects BRRIP, otherwise SRRIP (paper §2).
     psel: u16,
     /// Bimodal throttle counter for BRRIP insertions (1/32 inserted at long re-reference).
     brip_ctr: u32,
-    num_sets: usize,
+    /// Leader period minus one; the period is a power of two.
+    period_mask: usize,
 }
 
 impl DuelState {
@@ -66,15 +72,14 @@ impl DuelState {
         DuelState {
             psel: Self::PSEL_THRESHOLD,
             brip_ctr: 0,
-            num_sets,
+            period_mask: (num_sets / Self::LEADER_PERIOD).max(2) - 1,
         }
     }
 
-    /// Leader-set classification: every `num_sets / 32`-th set leads SRRIP, the set right
-    /// after it leads BRRIP. Follower sets follow PSEL.
+    /// Leader-set classification: every `num_sets / 32`-th set (at least every 2nd) leads
+    /// SRRIP, the set right after it leads BRRIP. Follower sets follow PSEL.
     fn leader(&self, set: usize) -> Option<bool> {
-        let period = (self.num_sets / Self::LEADER_PERIOD).max(2);
-        match set % period {
+        match set & self.period_mask {
             0 => Some(true),  // SRRIP leader
             1 => Some(false), // BRRIP leader
             _ => None,
@@ -110,11 +115,24 @@ impl DuelState {
     }
 }
 
+/// A level's replacement state: only what its policy reads.
+#[derive(Debug, Clone)]
+enum Replacement {
+    /// Per-line timestamps of the last hit or fill, from a clock ticked by each.
+    Lru {
+        stamps: Vec<u64>,
+        clock: u64,
+    },
+    Srrip(RrpvArray),
+    Drrip(RrpvArray, DuelState),
+}
+
 /// A private, set-associative, write-back cache level.
 ///
 /// Like the shared LLC, line metadata is structure-of-arrays: a contiguous per-set tag
-/// array plus packed valid/dirty bitmasks, so the per-access tag scan touches one short
-/// `u64` slice instead of striding over line structs. Associativity is bounded by
+/// array plus packed valid/dirty bitmasks, so a lookup is one [`tag_matches`] over a
+/// short `u64` slice instead of a walk over line structs, and the level keeps only its
+/// own policy's replacement state. Associativity is bounded by
 /// [`crate::llc::MAX_WAYS`].
 #[derive(Debug, Clone)]
 pub struct PrivateCache {
@@ -132,11 +150,7 @@ pub struct PrivateCache {
     /// a set, so confirming the hinted tag yields the same way the full scan would —
     /// a pure shortcut, invisible to results.
     hint: Vec<u8>,
-    /// LRU timestamps (monotonic counter per access).
-    stamps: Vec<u64>,
-    stamp_clock: u64,
-    rrpv: RrpvArray,
-    duel: Option<DuelState>,
+    repl: Replacement,
     stats: PrivateCacheStats,
 }
 
@@ -154,9 +168,15 @@ impl PrivateCache {
             "associativity must be in 1..={}",
             crate::llc::MAX_WAYS
         );
-        let duel = match config.policy {
-            PrivatePolicyKind::Drrip => Some(DuelState::new(num_sets)),
-            _ => None,
+        let repl = match config.policy {
+            PrivatePolicyKind::Lru => Replacement::Lru {
+                stamps: vec![0; num_sets * ways],
+                clock: 0,
+            },
+            PrivatePolicyKind::Srrip => Replacement::Srrip(RrpvArray::new(num_sets, ways)),
+            PrivatePolicyKind::Drrip => {
+                Replacement::Drrip(RrpvArray::new(num_sets, ways), DuelState::new(num_sets))
+            }
         };
         PrivateCache {
             config,
@@ -168,10 +188,7 @@ impl PrivateCache {
             valid: vec![0; num_sets],
             dirty: vec![0; num_sets],
             hint: vec![0; num_sets],
-            stamps: vec![0; num_sets * ways],
-            stamp_clock: 0,
-            rrpv: RrpvArray::new(num_sets, ways),
-            duel,
+            repl,
             stats: PrivateCacheStats::default(),
         }
     }
@@ -188,11 +205,12 @@ impl PrivateCache {
 
     /// Bytes the tag, state and replacement arrays hold on the heap.
     pub(crate) fn heap_bytes(&self) -> usize {
-        let words = self.tags.capacity()
-            + self.valid.capacity()
-            + self.dirty.capacity()
-            + self.stamps.capacity();
-        words * std::mem::size_of::<u64>() + self.hint.capacity() + self.rrpv.heap_bytes()
+        let (stamps, rrpv) = match &self.repl {
+            Replacement::Lru { stamps, .. } => (stamps.capacity(), 0),
+            Replacement::Srrip(rrpv) | Replacement::Drrip(rrpv, _) => (0, rrpv.heap_bytes()),
+        };
+        let words = self.tags.capacity() + self.valid.capacity() + self.dirty.capacity() + stamps;
+        words * std::mem::size_of::<u64>() + self.hint.capacity() + rrpv
     }
 
     /// Split a block address into (set, tag) with the precomputed shifts.
@@ -204,21 +222,12 @@ impl PrivateCache {
         )
     }
 
-    /// Branch-light way lookup over the set's contiguous tag slice (lowest way wins).
+    /// Way lookup over the set's contiguous tag slice (lowest valid match wins).
     #[inline]
     fn scan_ways(&self, set: usize, tag: u64) -> Option<usize> {
         let base = set * self.ways;
-        let tags = &self.tags[base..base + self.ways];
-        let mut matches = 0u64;
-        for (w, &t) in tags.iter().enumerate() {
-            matches |= u64::from(t == tag) << w;
-        }
-        matches &= self.valid[set];
-        if matches != 0 {
-            Some(matches.trailing_zeros() as usize)
-        } else {
-            None
-        }
+        let matches = tag_matches(&self.tags[base..base + self.ways], tag) & self.valid[set];
+        (matches != 0).then(|| matches.trailing_zeros() as usize)
     }
 
     /// [`PrivateCache::scan_ways`] with the way-prediction shortcut: check the set's
@@ -241,16 +250,20 @@ impl PrivateCache {
         if let Some(way) = self.find_way(set, tag) {
             self.stats.hits += 1;
             self.hint[set] = way as u8;
-            self.stamp_clock += 1;
-            self.stamps[set * self.ways + way] = self.stamp_clock;
-            self.rrpv.promote(set, way);
+            match &mut self.repl {
+                Replacement::Lru { stamps, clock } => {
+                    *clock += 1;
+                    stamps[set * self.ways + way] = *clock;
+                }
+                Replacement::Srrip(rrpv) | Replacement::Drrip(rrpv, _) => rrpv.promote(set, way),
+            }
             if is_write {
                 self.dirty[set] |= 1 << way;
             }
             return Lookup::Hit;
         }
         self.stats.misses += 1;
-        if let Some(duel) = &mut self.duel {
+        if let Replacement::Drrip(_, duel) = &mut self.repl {
             duel.on_miss(set);
         }
         Lookup::Miss
@@ -262,21 +275,17 @@ impl PrivateCache {
         self.find_way(set, tag).is_some()
     }
 
-    /// Fill a block (after a miss was resolved below), possibly evicting a line.
+    /// Fill a block that is absent (it has just missed here), possibly evicting a line.
     ///
     /// `dirty` marks the fill as modified (write-allocate). `prefetch` fills are inserted at
     /// distant priority under RRIP policies so that useless prefetches leave quickly.
     pub fn fill(&mut self, block: BlockAddr, dirty: bool, prefetch: bool) -> Option<EvictedLine> {
         let (set, tag) = self.decompose(block);
         let base = set * self.ways;
-
-        // Already present (e.g. a racing prefetch filled it): just update state.
-        if let Some(way) = self.find_way(set, tag) {
-            if dirty {
-                self.dirty[set] |= 1 << way;
-            }
-            return None;
-        }
+        debug_assert!(
+            self.find_way(set, tag).is_none(),
+            "fill of a present block {block:?}"
+        );
 
         if prefetch {
             self.stats.prefetch_fills += 1;
@@ -287,19 +296,12 @@ impl PrivateCache {
         let (way, evicted) = if invalid != 0 {
             (invalid.trailing_zeros() as usize, None)
         } else {
-            let way = match self.config.policy {
-                PrivatePolicyKind::Lru => {
-                    let mut victim = 0;
-                    let mut oldest = u64::MAX;
-                    for w in 0..self.ways {
-                        if self.stamps[base + w] < oldest {
-                            oldest = self.stamps[base + w];
-                            victim = w;
-                        }
-                    }
-                    victim
-                }
-                PrivatePolicyKind::Srrip | PrivatePolicyKind::Drrip => self.rrpv.find_victim(set),
+            let way = match &mut self.repl {
+                // The oldest stamp; the lowest way among equals.
+                Replacement::Lru { stamps, .. } => (0..self.ways)
+                    .min_by_key(|&w| stamps[base + w])
+                    .expect("at least one way"),
+                Replacement::Srrip(rrpv) | Replacement::Drrip(rrpv, _) => rrpv.find_victim(set),
             };
             let line_dirty = (self.dirty[set] >> way) & 1 == 1;
             self.stats.evictions += 1;
@@ -324,26 +326,23 @@ impl PrivateCache {
         } else {
             self.dirty[set] &= !(1 << way);
         }
-        self.stamp_clock += 1;
-        self.stamps[base + way] = self.stamp_clock;
-        let insert_rrpv = match self.config.policy {
-            PrivatePolicyKind::Lru => 0,
-            PrivatePolicyKind::Srrip => {
-                if prefetch {
+        match &mut self.repl {
+            Replacement::Lru { stamps, clock } => {
+                *clock += 1;
+                stamps[base + way] = *clock;
+            }
+            Replacement::Srrip(rrpv) => {
+                rrpv.set(set, way, if prefetch { RRPV_MAX } else { RRPV_MAX - 1 });
+            }
+            Replacement::Drrip(rrpv, duel) => {
+                let insert = if prefetch {
                     RRPV_MAX
                 } else {
-                    RRPV_MAX - 1
-                }
+                    duel.insertion_rrpv(set)
+                };
+                rrpv.set(set, way, insert);
             }
-            PrivatePolicyKind::Drrip => {
-                if prefetch {
-                    RRPV_MAX
-                } else {
-                    self.duel.as_mut().expect("drrip state").insertion_rrpv(set)
-                }
-            }
-        };
-        self.rrpv.set(set, way, insert_rrpv);
+        }
         evicted
     }
 
@@ -492,15 +491,32 @@ mod tests {
         assert!(c.stats().misses > 0);
     }
 
+    /// `fill` requires an absent block: every caller fills what has just missed.
+    #[cfg(debug_assertions)]
     #[test]
-    fn duplicate_fill_does_not_duplicate_lines() {
+    #[should_panic(expected = "fill of a present block")]
+    fn fill_of_a_present_block_panics() {
         let mut c = PrivateCache::new(cfg(PrivatePolicyKind::Lru));
         let b = BlockAddr(7);
         c.access(b, false);
         c.fill(b, false, false);
         c.fill(b, true, false);
-        assert_eq!(c.occupancy(), 1);
-        assert_eq!(c.access(b, false), Lookup::Hit);
+    }
+
+    /// Today's leader classification. At 32 sets (the scaled L2) the period is 2, so
+    /// every set leads and none follows PSEL; at the paper's 256 sets 6 sets in 8 follow.
+    #[test]
+    fn duel_leaders_at_the_scaled_and_the_paper_l2() {
+        let scaled = DuelState::new(32);
+        for set in 0..32 {
+            assert_eq!(scaled.leader(set), Some(set % 2 == 0), "set {set}");
+        }
+        let paper = DuelState::new(256);
+        let followers = (0..256).filter(|&s| paper.leader(s).is_none()).count();
+        assert_eq!(followers, 256 * 6 / 8);
+        assert_eq!(paper.leader(8), Some(true));
+        assert_eq!(paper.leader(9), Some(false));
+        assert_eq!(paper.leader(10), None);
     }
 
     #[test]

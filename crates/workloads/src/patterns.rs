@@ -105,8 +105,11 @@ pub struct SyntheticTrace {
     /// is touched far more often); a purely uniform cyclic sweep would make line retention
     /// worthless whenever the aggregate working set exceeds the cache.
     hot_every: u64,
-    /// Size of the hot subset as a fraction of the working set (denominator, e.g. 8 = 1/8).
-    hot_divisor: u64,
+    /// Size of the hot subset in blocks: the working set's first `1/divisor` (default
+    /// 8), at least one.
+    hot_blocks: u64,
+    /// Accesses since the last hot one, counted up to `hot_every`.
+    hot_phase: u64,
     hot_cursor: u64,
 }
 
@@ -156,7 +159,8 @@ impl SyntheticTrace {
             rng: SmallRng::seed_from_u64(hashed_seed),
             seed: hashed_seed,
             hot_every: 0,
-            hot_divisor: 8,
+            hot_blocks: (region_blocks / 8).max(1),
+            hot_phase: 0,
             hot_cursor: 0,
         }
     }
@@ -166,7 +170,7 @@ impl SyntheticTrace {
     /// no-op when `every` is 0.
     pub fn with_hot_region(mut self, every: u32, divisor: u32) -> Self {
         self.hot_every = u64::from(every);
-        self.hot_divisor = u64::from(divisor.max(1));
+        self.hot_blocks = (self.region_blocks / u64::from(divisor.max(1))).max(1);
         self
     }
 
@@ -211,7 +215,8 @@ impl SyntheticTrace {
 
     fn current_block_index(&mut self) -> u64 {
         match self.spec {
-            PatternSpec::CyclicSweep { .. } => self.cursor % self.region_blocks,
+            // `advance_block` keeps both cursors inside their range.
+            PatternSpec::CyclicSweep { .. } => self.cursor,
             PatternSpec::Streaming { .. } => self.scan_cursor % (1 << 30),
             PatternSpec::RandomInRegion { .. } => self.cursor,
             PatternSpec::MixedScan {
@@ -219,7 +224,7 @@ impl SyntheticTrace {
                 scan_blocks,
                 ..
             } => match self.mixed_phase {
-                MixedPhase::Recency { idx, .. } => idx % recency_blocks.max(1),
+                MixedPhase::Recency { idx, .. } => idx,
                 MixedPhase::Scan { idx } => {
                     recency_blocks + (self.scan_cursor * scan_blocks.max(1) + idx) % (1 << 28)
                 }
@@ -230,7 +235,10 @@ impl SyntheticTrace {
     fn advance_block(&mut self) {
         match self.spec {
             PatternSpec::CyclicSweep { .. } => {
-                self.cursor = (self.cursor + 1) % self.region_blocks;
+                self.cursor += 1;
+                if self.cursor == self.region_blocks {
+                    self.cursor = 0;
+                }
             }
             PatternSpec::Streaming { .. } => {
                 self.scan_cursor = self.scan_cursor.wrapping_add(1);
@@ -281,13 +289,20 @@ impl SyntheticTrace {
 impl TraceSource for SyntheticTrace {
     fn next_access(&mut self) -> MemAccess {
         self.access_counter += 1;
-        let hot_blocks = (self.region_blocks / self.hot_divisor).max(1);
-        let block = if self.hot_every > 0
-            && self.region_blocks > hot_blocks
-            && self.access_counter.is_multiple_of(self.hot_every)
-        {
+        // Every `hot_every`-th access, counted without dividing `access_counter`.
+        let hot_turn = self.hot_every > 0 && {
+            self.hot_phase += 1;
+            if self.hot_phase == self.hot_every {
+                self.hot_phase = 0;
+            }
+            self.hot_phase == 0
+        };
+        let block = if hot_turn && self.region_blocks > self.hot_blocks {
             // Skewed reuse: revisit the hot subset without advancing the main pattern.
-            self.hot_cursor = (self.hot_cursor + 1) % hot_blocks;
+            self.hot_cursor += 1;
+            if self.hot_cursor == self.hot_blocks {
+                self.hot_cursor = 0;
+            }
             self.hot_cursor
         } else {
             self.next_block_index()
@@ -310,6 +325,7 @@ impl TraceSource for SyntheticTrace {
         self.scan_cursor = 0;
         self.mixed_phase = MixedPhase::Recency { pass: 0, idx: 0 };
         self.rng = SmallRng::seed_from_u64(self.seed);
+        self.hot_phase = 0;
         self.hot_cursor = 0;
     }
 

@@ -348,7 +348,7 @@ proptest! {
     #[test]
     fn soa_llc_is_bit_identical_to_reference(
         set_exp in 3u32..7,
-        ways in 1usize..17,
+        ways in 1usize..34,
         banks in 1usize..6,
         cores_minus_one in 0usize..4,
         contended in any::<bool>(),
@@ -439,7 +439,7 @@ proptest! {
     #[test]
     fn soa_private_cache_is_bit_identical_to_reference(
         set_exp in 2u32..6,
-        ways in 1usize..9,
+        ways in 1usize..21,
         policy_idx in 0usize..3,
         ops in proptest::collection::vec((0u64..1024, any::<bool>(), 0usize..8), 1..400),
     ) {

@@ -171,6 +171,38 @@ fn every_policy_kind_is_bit_identical_to_the_reference_engine() {
     }
 }
 
+/// Every pair of private policies, prefetcher on and off. The engine's levels keep only
+/// their own policy's replacement state and fill without re-checking presence; the
+/// oracle keeps every policy's state, probes the L1 again before a prefetch and checks
+/// presence on every fill, so a pair where either shortcut is inexact shows here.
+#[test]
+fn every_private_policy_pair_is_bit_identical_to_the_reference_engine() {
+    let scale = ExperimentScale::Smoke;
+    let mix = &generate_mixes(StudyKind::Cores4, 1, scale.seed())[0];
+    let policies = [
+        PrivatePolicyKind::Lru,
+        PrivatePolicyKind::Srrip,
+        PrivatePolicyKind::Drrip,
+    ];
+    for l1d in policies {
+        for l2 in policies {
+            for prefetch in [true, false] {
+                let mut cfg = scale.system_config(StudyKind::Cores4);
+                cfg.l1d.policy = l1d;
+                cfg.l2.policy = l2;
+                cfg.l1_next_line_prefetch = prefetch;
+                for kind in [PolicyKind::TaDrrip, PolicyKind::AdaptBp32] {
+                    let what = format!("L1 {l1d:?}, L2 {l2:?}, prefetch {prefetch}, {kind:?}");
+                    let (fast, reference) = run_both(&cfg, mix, kind);
+                    assert_identical(&fast, &reference, &what);
+                    let prefetches: u64 = fast.per_core.iter().map(|c| c.prefetch.issued).sum();
+                    assert_eq!(prefetches > 0, prefetch, "{what}");
+                }
+            }
+        }
+    }
+}
+
 #[test]
 fn contended_banks_stay_bit_identical_to_the_reference_engine() {
     let scale = ExperimentScale::Smoke;
