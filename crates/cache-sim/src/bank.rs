@@ -9,7 +9,7 @@
 //! * **Finite service ports.** Each bank owns [`BankContentionConfig::ports`] parallel
 //!   service ports. A request starts service on the earliest-free port (ties broken by
 //!   the lowest port index, so retirement order is deterministic) and occupies it for
-//!   the service window.
+//!   the model's service window.
 //! * **Finite request queues.** Each bank admits at most
 //!   [`BankContentionConfig::queue_depth`] waiting requests. When the queue is full, a
 //!   new request stalls *before admission* until an earlier request starts service and
@@ -20,16 +20,45 @@
 //!   admission ([`BankStats::admission_stall_cycles`]), how many cycles its ports were
 //!   occupied ([`BankStats::busy_cycles`]) and the peak number of simultaneous waiters.
 //!
-//! With the default configuration ([`BankContentionConfig::flat`]: one port, unbounded
-//! queue) the model is *algebraically identical* to the seed's `busy_until` arithmetic,
-//! which is what keeps every zero-contention configuration bit-for-bit compatible with
-//! the flat-latency model — a property enforced by the regression tests in this module
-//! and in `llc.rs`.
+//! The service window is a property of the model: every bank of a model is busy for
+//! the same `service_cycles` per request (the configuration's `bank_busy_cycles`).
+//!
+//! # A flat bank is a register
+//!
+//! The default configuration ([`BankContentionConfig::flat`]: one port, unbounded
+//! queue) with no row model is the seed's `busy_until` arithmetic, and that is all it
+//! keeps — three values per bank and no queue:
+//!
+//! * `busy_until`, when the port frees up: a request starts at `max(now, busy_until)`
+//!   and moves it to `start + service`;
+//! * `seen`, the latest request time the bank has seen (times step back, see below);
+//! * the threshold `peak_waiting × service`.
+//!
+//! The peak is exact in closed form. Every request that waited starts exactly one
+//! service window after its predecessor, so the requests still waiting when a request
+//! queues form a chain `service` apart that ends at its `start`. Requests that did not
+//! wait started at their own arrival, at or before `seen`; so the chain is exactly the
+//! starts in `(seen, start]`, and after the first request `busy_until > seen`, so it has
+//! at least one member. Its length is `⌈(start − seen) / service⌉`, and it raises the
+//! peak exactly when `start − seen` exceeds the threshold — the only time the division
+//! runs. A zero-cycle service window stacks starts on one cycle; such a model keeps a
+//! queue instead (below).
+//!
+//! # A contended bank keeps one queue
+//!
+//! Every other configuration — several ports, a bounded queue, or a row model — keeps
+//! per bank one queue of the requests admitted but not yet started, each entry its
+//! start, its row and its bypass count, and the bank's port free times (one flat
+//! `banks × ports` array). A request drops the entries that have started by its arrival
+//! from the front, is refused admission until the entry `queue_depth` from the back
+//! starts when the queue is full, and queues on the earliest-free port. The queue keeps
+//! call order, not start order: two ports and times that step back leave its starts
+//! unsorted, and the drain, the admission slot and the peak's bisection read it as it
+//! is.
 //!
 //! # Row-buffer-aware FR-FCFS scheduling
 //!
-//! When constructed with an enabled [`RowModelConfig`] (see
-//! [`BankModel::with_row_model`]), each bank additionally keeps a row register and
+//! With an enabled [`RowModelConfig`], each bank additionally keeps a row register and
 //! [`BankModel::schedule`] classifies every request FR-FCFS style:
 //!
 //! * a request to the **open row** is *ready* and is granted the row-hit latency —
@@ -42,22 +71,30 @@
 //! [`RowModelConfig::starvation_cap`] times, the bank reverts to oldest-first — later
 //! ready arrivals lose their priority and are charged the conflict latency (by the
 //! time the aged request has been served, it has changed the open row), until the aged
-//! request drains. Retirement order remains the deterministic arrival order of the
-//! FCFS skeleton (ties broken by port index): FR-FCFS here is a *latency-class*
-//! model layered on the cycle-accounted queue, not an out-of-order replay of it —
-//! the approximation is documented in `docs/architecture.md`. With the row model
-//! disabled, `schedule` is bit-identical to [`BankModel::request`], which the
-//! property wall in `crates/cache-sim/tests/frfcfs_properties.rs` enforces.
+//! request drains. A bank counts its entries at the cap: no entry passes it, because
+//! ready grants stop as soon as one reaches it. Retirement order remains the
+//! deterministic arrival order of the FCFS skeleton (ties broken by port index):
+//! FR-FCFS here is a *latency-class* model layered on the cycle-accounted queue, not an
+//! out-of-order replay of it — the approximation is documented in
+//! `docs/architecture.md`. With the row model disabled, `schedule` is bit-identical to
+//! [`BankModel::request`], which the property wall in
+//! `crates/cache-sim/tests/frfcfs_properties.rs` enforces.
 //!
 //! # Per-core stall attribution
 //!
-//! [`BankModel::request_from`] and [`BankModel::schedule`] take the requesting core
-//! and charge the same queue/admission cycle deltas that flow into [`BankStats`] to a
-//! per-core [`CoreBankStalls`] vector, so `Σ_core` attribution equals the global bank
-//! accounting exactly (the conservation law tested in `tests/scaling_study.rs`).
+//! Both entry points take the requesting core and charge the same queue/admission
+//! cycle deltas that flow into [`BankStats`] to a per-core [`CoreBankStalls`] vector,
+//! so `Σ_core` attribution equals the global bank accounting exactly (the conservation
+//! law tested in `tests/scaling_study.rs`).
 //!
-//! The model relies on request times being non-decreasing across calls, which the
-//! multi-core driver guarantees by advancing cores in global (cycle, core) order.
+//! # Request order
+//!
+//! Banks serve FCFS in *call* order. The LLC's request times never decrease, but the
+//! DRAM's do: a demand read is issued after the LLC lookup (`now + latency`, plus any
+//! MSHR stall) while a write-back is issued at `now`. A request whose time steps back
+//! behind one the bank has already seen queues behind it — the model does not reorder
+//! by time. `tests/reference_identity.rs` pins that a contended run's DRAM sees such
+//! steps.
 
 use std::collections::VecDeque;
 
@@ -130,6 +167,9 @@ pub fn aggregate_stall_share<'a>(banks: impl IntoIterator<Item = &'a BankStats>)
 pub struct BankRequest {
     /// Cycles the request waited before starting service (admission stall + port wait).
     pub delay: u64,
+    /// The part of `delay` spent refused admission by a full queue; the rest waited for
+    /// a port. Always zero on an unbounded queue.
+    pub admission_stall: u64,
     /// Absolute cycle at which service started.
     pub start: u64,
     /// Absolute cycle at which service completed (`start + service_cycles`).
@@ -192,90 +232,173 @@ pub struct BankSchedule {
     pub class_cycles: u64,
 }
 
-/// Per-bank state: port free times plus the admitted-but-unstarted request queue.
-#[derive(Debug, Clone)]
-struct Bank {
-    /// When each service port becomes free.
-    port_free: Vec<u64>,
-    /// Start times of requests that have been admitted but have not begun service,
-    /// in non-decreasing order (request times are non-decreasing, see module docs).
-    waiting: VecDeque<u64>,
+/// A flat bank's registers (see the module docs).
+#[derive(Debug, Clone, Copy, Default)]
+struct FlatBank {
+    /// When the port frees up.
+    busy_until: u64,
+    /// The latest request time this bank has seen.
+    seen: u64,
+    /// `peak_waiting × service`: how far past `seen` a queued start must lie to raise
+    /// the peak.
+    peak_span: u64,
 }
 
-/// A queued request tracked by the row scheduler: when it starts service, which row
-/// it targets, and how many times a ready request has been granted ahead of it.
+/// A request admitted to a contended bank that has not started service yet.
 #[derive(Debug, Clone, Copy)]
-struct PendingRow {
+struct Waiting {
     start: u64,
+    /// The DRAM row it targets (unused without a row model).
     row: u64,
+    /// Ready grants made ahead of it, at most the starvation cap (row model only).
     bypassed: u32,
 }
 
-/// Row-buffer state of one bank: the open-row register plus the bypass-tracked
-/// queue of admitted-but-unstarted requests.
+/// A contended bank: its queue and, under a row model, its row register.
 #[derive(Debug, Clone, Default)]
-struct RowState {
+struct QueuedBank {
+    /// Admitted, unstarted requests in call order.
+    queue: VecDeque<Waiting>,
+    /// Entries of `queue` bypassed up to the starvation cap; while non-zero the bank
+    /// serves oldest-first.
+    at_cap: u32,
+    /// The row left open by the last request that started service.
     open_row: Option<u64>,
-    pending: VecDeque<PendingRow>,
+}
+
+/// Contended banks: port free times, `banks × ports`, plus one queue per bank.
+#[derive(Debug, Clone)]
+struct QueuedBanks {
+    ports: usize,
+    queue_depth: usize,
+    port_free: Vec<u64>,
+    banks: Vec<QueuedBank>,
+}
+
+impl QueuedBanks {
+    /// The FCFS skeleton: drop started entries, admit, take the earliest-free port, and
+    /// queue the request (tagged with `row`) if it has to wait. Returns when the request
+    /// was admitted and when it starts (two registers, not a struct in memory). Kept out
+    /// of line: [`BankModel::request`] is inlined into every caller, flat or not.
+    #[inline(never)]
+    fn serve(
+        &mut self,
+        bank: usize,
+        now: u64,
+        service: u64,
+        row: u64,
+        st: &mut BankStats,
+    ) -> (u64, u64) {
+        let b = &mut self.banks[bank];
+        while b.queue.front().is_some_and(|e| e.start <= now) {
+            b.queue.pop_front();
+        }
+
+        // Admission: a full finite queue delays the request until enough earlier
+        // requests start service that a slot frees up.
+        let mut admit = now;
+        if self.queue_depth > 0 && b.queue.len() >= self.queue_depth {
+            admit = b.queue[b.queue.len() - self.queue_depth].start;
+        }
+
+        // Service starts on the earliest-free port (lowest index on ties).
+        let ports = &mut self.port_free[bank * self.ports..(bank + 1) * self.ports];
+        let mut port = 0;
+        for (i, &free) in ports.iter().enumerate().skip(1) {
+            if free < ports[port] {
+                port = i;
+            }
+        }
+        let start = admit.max(ports[port]);
+        ports[port] = start + service;
+
+        st.requests += 1;
+        st.busy_cycles += service;
+        st.admission_stall_cycles += admit - now;
+        if start > now {
+            st.queued_requests += 1;
+            st.queue_cycles += start - admit;
+            b.queue.push_back(Waiting {
+                start,
+                row,
+                bypassed: 0,
+            });
+            // Entries that will still be waiting while this request waits: the queue
+            // population at `admit`, by bisection over the starts as they lie.
+            let (mut lo, mut hi) = (0, b.queue.len());
+            while lo < hi {
+                let mid = (lo + hi) / 2;
+                if b.queue[mid].start <= admit {
+                    lo = mid + 1;
+                } else {
+                    hi = mid;
+                }
+            }
+            st.peak_waiting = st.peak_waiting.max(b.queue.len() - lo);
+        }
+        (admit, start)
+    }
+}
+
+/// Per-bank state: registers for flat banks, queues for contended ones.
+#[derive(Debug, Clone)]
+enum Banks {
+    Flat(Vec<FlatBank>),
+    Queued(QueuedBanks),
 }
 
 /// A group of cycle-accounted banks (see the module documentation).
 #[derive(Debug, Clone)]
 pub struct BankModel {
-    config: BankContentionConfig,
-    banks: Vec<Bank>,
-    stats: Vec<BankStats>,
+    /// Cycles a request occupies a port.
+    service: u64,
     /// FR-FCFS row model; `None` keeps the seed's pure FCFS behaviour.
     row_model: Option<RowModelConfig>,
-    /// Row-buffer state, one per bank (empty when the row model is disabled).
-    rows: Vec<RowState>,
+    banks: Banks,
+    stats: Vec<BankStats>,
     /// Stall attribution per requesting core, grown on demand.
     core_stalls: Vec<CoreBankStalls>,
 }
 
 impl BankModel {
-    /// Create `num_banks` banks governed by `config` (no row model — the seed's
-    /// FCFS behaviour).
-    pub fn new(num_banks: usize, config: BankContentionConfig) -> Self {
-        Self::with_row_model(num_banks, config, RowModelConfig::disabled())
-    }
-
-    /// Create `num_banks` banks with an explicit row-buffer scheduling model. A
-    /// disabled `row_model` is bit-identical to [`BankModel::new`].
-    pub fn with_row_model(
+    /// Create `num_banks` banks governed by `contention`, each busy for
+    /// `service_cycles` per request, with the FR-FCFS row model `row_model` (a
+    /// disabled one keeps the seed's FCFS behaviour).
+    pub fn new(
         num_banks: usize,
-        config: BankContentionConfig,
+        service_cycles: u64,
+        contention: BankContentionConfig,
         row_model: RowModelConfig,
     ) -> Self {
-        assert!(config.ports >= 1, "banks need at least one service port");
-        let enabled = row_model.enabled;
-        if enabled {
-            assert!(row_model.starvation_cap >= 1, "starvation cap must be >= 1");
+        assert!(
+            contention.ports >= 1,
+            "banks need at least one service port"
+        );
+        let row_model = row_model.enabled.then_some(row_model);
+        if let Some(rm) = row_model {
+            assert!(rm.starvation_cap >= 1, "starvation cap must be >= 1");
         }
+        let register = contention.ports == 1
+            && contention.queue_depth == 0
+            && row_model.is_none()
+            && service_cycles > 0;
+        let banks = if register {
+            Banks::Flat(vec![FlatBank::default(); num_banks])
+        } else {
+            Banks::Queued(QueuedBanks {
+                ports: contention.ports,
+                queue_depth: contention.queue_depth,
+                port_free: vec![0; num_banks * contention.ports],
+                banks: vec![QueuedBank::default(); num_banks],
+            })
+        };
         BankModel {
-            banks: vec![
-                Bank {
-                    port_free: vec![0; config.ports],
-                    waiting: VecDeque::new(),
-                };
-                num_banks
-            ],
+            service: service_cycles,
+            row_model,
+            banks,
             stats: vec![BankStats::default(); num_banks],
-            row_model: enabled.then_some(row_model),
-            rows: vec![RowState::default(); if enabled { num_banks } else { 0 }],
             core_stalls: Vec::new(),
-            config,
         }
-    }
-
-    /// Number of banks.
-    pub fn num_banks(&self) -> usize {
-        self.banks.len()
-    }
-
-    /// The contention configuration governing every bank.
-    pub fn config(&self) -> &BankContentionConfig {
-        &self.config
     }
 
     /// Per-bank statistics, indexed by bank.
@@ -283,88 +406,76 @@ impl BankModel {
         &self.stats
     }
 
-    /// Stall cycles attributed per requesting core. The vector covers cores
-    /// `0..=max core seen` on the attributed entry points ([`BankModel::request_from`]
-    /// and [`BankModel::schedule`]); anonymous [`BankModel::request`] calls are not
-    /// attributed.
+    /// Stall cycles attributed per requesting core, covering cores `0..=max core seen`.
     pub fn core_stalls(&self) -> &[CoreBankStalls] {
         &self.core_stalls
     }
 
-    /// Issue a request to `bank` at absolute cycle `now`, occupying a service port for
-    /// `service_cycles`. Returns when the request started and completed; the queuing
-    /// delay (`start - now`) is what the caller charges on top of its service latency.
-    pub fn request(&mut self, bank: usize, now: u64, service_cycles: u64) -> BankRequest {
-        self.request_inner(bank, now, service_cycles, None)
+    /// Issue a request from `core` to `bank` at absolute cycle `now`. Returns when the
+    /// request started and completed; the queuing delay (`start - now`) is what the
+    /// caller charges on top of its service latency, and it is also charged to `core`.
+    /// A model with a row model takes its requests through [`BankModel::schedule`].
+    ///
+    /// Always inlined: a flat request is a handful of instructions, and a call would
+    /// hand its result back through memory.
+    #[inline(always)]
+    pub fn request(&mut self, bank: usize, now: u64, core: usize) -> BankRequest {
+        debug_assert!(
+            self.row_model.is_none(),
+            "a bank with a row model is scheduled, not requested"
+        );
+        let st = &mut self.stats[bank];
+        let (admit, start) = match &mut self.banks {
+            Banks::Flat(banks) => (now, flat_request(&mut banks[bank], now, self.service, st)),
+            Banks::Queued(queued) => queued.serve(bank, now, self.service, 0, st),
+        };
+        self.charge(core, now, admit, start)
     }
 
-    /// [`BankModel::request`] with per-core stall attribution: the queue/admission
-    /// cycles this request contributes to [`BankStats`] are also charged to `core`.
-    pub fn request_from(
-        &mut self,
-        bank: usize,
-        now: u64,
-        service_cycles: u64,
-        core: usize,
-    ) -> BankRequest {
-        self.request_inner(bank, now, service_cycles, Some(core))
-    }
-
-    /// Schedule a request against `bank`'s row buffer (FR-FCFS, see module docs) and
-    /// the cycle-accounted queue. `row` is the DRAM row the request targets; `core`
-    /// receives the stall attribution. With the row model disabled this is exactly
-    /// [`BankModel::request_from`] with `class: None`.
-    pub fn schedule(
-        &mut self,
-        bank: usize,
-        now: u64,
-        service_cycles: u64,
-        core: usize,
-        row: u64,
-    ) -> BankSchedule {
+    /// Schedule a request from `core` against `bank`'s row buffer (FR-FCFS, see module
+    /// docs) and the cycle-accounted queue. `row` is the DRAM row the request targets.
+    /// With the row model disabled this is exactly [`BankModel::request`] with
+    /// `class: None`.
+    pub fn schedule(&mut self, bank: usize, now: u64, core: usize, row: u64) -> BankSchedule {
         let Some(rm) = self.row_model else {
             return BankSchedule {
-                request: self.request_inner(bank, now, service_cycles, Some(core)),
+                request: self.request(bank, now, core),
                 class: None,
                 class_cycles: 0,
             };
         };
-
-        {
-            // Requests that have started service no longer constrain the scheduler;
-            // each one moves the row register to its row as it goes (the register
-            // tracks *served* requests, so a queued conflict does not clobber the
-            // open row before its service actually begins).
-            let rs = &mut self.rows[bank];
-            while let Some(&e) = rs.pending.front() {
-                if e.start > now {
-                    break;
-                }
-                rs.pending.pop_front();
-                rs.open_row = if rm.closed_page { None } else { Some(e.row) };
+        let Banks::Queued(queued) = &mut self.banks else {
+            unreachable!("a bank with a row model keeps a queue")
+        };
+        let st = &mut self.stats[bank];
+        let b = &mut queued.banks[bank];
+        // Requests that have started service no longer constrain the scheduler; each
+        // one moves the row register to its row as it goes (the register tracks
+        // *served* requests, so a queued conflict does not clobber the open row before
+        // its service actually begins).
+        while let Some(&e) = b.queue.front() {
+            if e.start > now {
+                break;
             }
+            b.queue.pop_front();
+            b.at_cap -= u32::from(e.bypassed == rm.starvation_cap);
+            b.open_row = if rm.closed_page { None } else { Some(e.row) };
         }
 
-        // Oldest-first pin: once any queued request has been bypassed to the cap, the
-        // bank stops granting ready-first priority until that request drains.
-        let pinned = self.rows[bank]
-            .pending
-            .iter()
-            .any(|e| e.bypassed >= rm.starvation_cap);
-        let ready = self.rows[bank].open_row == Some(row);
-        let class = if ready && !pinned {
+        // Oldest-first pin: while a queued request has been bypassed to the cap, the
+        // bank grants no ready-first priority.
+        let ready = b.open_row == Some(row);
+        let class = if ready && b.at_cap == 0 {
             RowClass::Hit
         } else if ready {
             // Demoted: by the time the aged request has been served ahead of us, it
             // will have changed the open row, so the former hit pays a conflict.
             RowClass::Conflict
-        } else if self.rows[bank].open_row.is_none() {
+        } else if b.open_row.is_none() {
             RowClass::Miss
         } else {
             RowClass::Conflict
         };
-
-        let st = &mut self.stats[bank];
         match class {
             RowClass::Hit => st.row_hits += 1,
             RowClass::Miss => st.row_misses += 1,
@@ -372,115 +483,76 @@ impl BankModel {
         }
         if class == RowClass::Hit {
             // A ready grant bypasses every queued request to another row.
-            let rs = &mut self.rows[bank];
-            for e in rs.pending.iter_mut() {
-                if e.row != row {
-                    e.bypassed += 1;
-                    if e.bypassed == rm.starvation_cap {
-                        st.starvation_pins += 1;
-                    }
-                    st.max_bypass = st.max_bypass.max(e.bypassed);
+            for e in b.queue.iter_mut().filter(|e| e.row != row) {
+                e.bypassed += 1;
+                if e.bypassed == rm.starvation_cap {
+                    st.starvation_pins += 1;
+                    b.at_cap += 1;
                 }
+                st.max_bypass = st.max_bypass.max(e.bypassed);
             }
         }
-        let request = self.request_inner(bank, now, service_cycles, Some(core));
-        if request.start > now {
-            // Queued: the row register moves to this request's row when its service
-            // begins (handled by the drain loop above on a later call).
-            self.rows[bank].pending.push_back(PendingRow {
-                start: request.start,
-                row,
-                bypassed: 0,
-            });
-        } else {
-            // Service begins immediately: the row opens (or closes again) now.
-            self.rows[bank].open_row = if rm.closed_page { None } else { Some(row) };
+
+        // A queued request moves the row register when its service begins (the drain
+        // above, on a later call); one served at once opens (or closes) its row now.
+        let (admit, start) = queued.serve(bank, now, self.service, row, st);
+        if start <= now {
+            queued.banks[bank].open_row = if rm.closed_page { None } else { Some(row) };
         }
         BankSchedule {
-            request,
+            request: self.charge(core, now, admit, start),
             class: Some(class),
             class_cycles: class.cycles(&rm),
         }
     }
 
-    /// The seed-exact FCFS arithmetic shared by every entry point. `core`, when
-    /// present, receives exactly the stall deltas added to the global stats.
-    fn request_inner(
-        &mut self,
-        bank: usize,
-        now: u64,
-        service_cycles: u64,
-        core: Option<usize>,
-    ) -> BankRequest {
-        let b = &mut self.banks[bank];
-        let st = &mut self.stats[bank];
-        st.requests += 1;
-
-        // Requests whose service already started are no longer waiting.
-        while b.waiting.front().is_some_and(|&s| s <= now) {
-            b.waiting.pop_front();
+    /// The outcome of a request from `core` that arrived at `now`, was admitted at
+    /// `admit` and starts at `start`; `core` is charged exactly the stall cycles its
+    /// bank's stats received.
+    #[inline(always)]
+    fn charge(&mut self, core: usize, now: u64, admit: u64, start: u64) -> BankRequest {
+        if core >= self.core_stalls.len() {
+            self.grow_core_stalls(core);
         }
-
-        // Admission: a full finite queue delays the request until enough earlier
-        // requests start service that a slot frees up.
-        let mut admit = now;
-        if self.config.queue_depth > 0 && b.waiting.len() >= self.config.queue_depth {
-            admit = b.waiting[b.waiting.len() - self.config.queue_depth];
-            st.admission_stall_cycles += admit - now;
-        }
-
-        // Service starts on the earliest-free port (lowest index on ties).
-        let (port, free) = b
-            .port_free
-            .iter()
-            .copied()
-            .enumerate()
-            .min_by_key(|&(i, f)| (f, i))
-            .expect("at least one port");
-        let start = admit.max(free);
-        b.port_free[port] = start + service_cycles;
-        st.busy_cycles += service_cycles;
-
-        if start > now {
-            st.queued_requests += 1;
-            st.queue_cycles += start - admit;
-            b.waiting.push_back(start);
-            // Entries that will still be waiting while this request waits, i.e. the
-            // instantaneous queue population at `admit` (binary search: `waiting` is
-            // sorted non-decreasing).
-            let mut lo = 0;
-            let mut hi = b.waiting.len();
-            while lo < hi {
-                let mid = (lo + hi) / 2;
-                if b.waiting[mid] <= admit {
-                    lo = mid + 1;
-                } else {
-                    hi = mid;
-                }
-            }
-            st.peak_waiting = st.peak_waiting.max(b.waiting.len() - lo);
-        }
-
-        if let Some(core) = core {
-            if core >= self.core_stalls.len() {
-                self.core_stalls.resize(core + 1, CoreBankStalls::default());
-            }
-            let cs = &mut self.core_stalls[core];
-            // Mirror the global increments exactly: `admit - now` is zero unless the
-            // admission branch fired, and queue cycles accrue only when the request
-            // actually waited — so summing over cores reproduces the bank totals.
-            cs.admission_stall_cycles += admit - now;
-            if start > now {
-                cs.queue_cycles += start - admit;
-            }
-        }
-
+        let cs = &mut self.core_stalls[core];
+        cs.admission_stall_cycles += admit - now;
+        cs.queue_cycles += start - admit;
         BankRequest {
             delay: start - now,
+            admission_stall: admit - now,
             start,
-            completion: start + service_cycles,
+            completion: start + self.service,
         }
     }
+
+    /// Extend the attribution to `core`, seen for the first time.
+    #[cold]
+    #[inline(never)]
+    fn grow_core_stalls(&mut self, core: usize) {
+        self.core_stalls.resize(core + 1, CoreBankStalls::default());
+    }
+}
+
+/// One request to a flat bank (see "A flat bank is a register" in the module docs);
+/// returns when it starts.
+#[inline(always)]
+fn flat_request(b: &mut FlatBank, now: u64, service: u64, st: &mut BankStats) -> u64 {
+    let start = now.max(b.busy_until);
+    b.busy_until = start + service;
+    b.seen = b.seen.max(now);
+    st.requests += 1;
+    st.busy_cycles += service;
+    if start > now {
+        st.queued_requests += 1;
+        st.queue_cycles += start - now;
+        let ahead = start - b.seen;
+        if ahead > b.peak_span {
+            let peak = ahead.div_ceil(service);
+            st.peak_waiting = peak as usize;
+            b.peak_span = peak * service;
+        }
+    }
+    start
 }
 
 #[cfg(test)]
@@ -489,6 +561,10 @@ mod tests {
 
     fn flat() -> BankContentionConfig {
         BankContentionConfig::flat()
+    }
+
+    fn fcfs(banks: usize, service: u64, contention: BankContentionConfig) -> BankModel {
+        BankModel::new(banks, service, contention, RowModelConfig::disabled())
     }
 
     /// The seed's latency-only bank: a single `busy_until` timestamp per bank.
@@ -513,19 +589,23 @@ mod tests {
 
     #[test]
     fn flat_config_reproduces_the_seed_busy_until_model_exactly() {
-        // Deterministic pseudo-random request pattern with non-decreasing times.
-        let mut model = BankModel::new(4, flat());
+        // Deterministic pseudo-random request pattern whose times also step back.
+        let mut model = fcfs(4, 7, flat());
         let mut reference = FlatReference::new(4, 7);
-        let mut now = 0u64;
+        let mut now = 100u64;
         let mut x = 0x9e3779b97f4a7c15u64;
         for _ in 0..10_000 {
             x ^= x << 13;
             x ^= x >> 7;
             x ^= x << 17;
-            now += x % 5;
+            now = if x.is_multiple_of(7) {
+                now.saturating_sub(x % 40)
+            } else {
+                now + x % 5
+            };
             let bank = (x >> 8) as usize % 4;
             let expected = reference.access(bank, now);
-            let got = model.request(bank, now, 7);
+            let got = model.request(bank, now, 0);
             assert_eq!(got.delay, expected);
             assert_eq!(got.completion, now + expected + 7);
         }
@@ -536,9 +616,33 @@ mod tests {
     }
 
     #[test]
+    fn flat_peak_counts_the_chain_above_the_latest_time_seen() {
+        let mut m = fcfs(1, 10, flat());
+        m.request(0, 100, 0); // serves [100, 110)
+        assert_eq!(m.request(0, 50, 0).start, 110, "a step back queues behind");
+        assert_eq!(m.stats()[0].peak_waiting, 1);
+        // At 105 the starts 110 and 120 are both still ahead.
+        assert_eq!(m.request(0, 105, 0).start, 120);
+        assert_eq!(m.stats()[0].peak_waiting, 2);
+        // At 115 only 120 and this request's 130 are: the peak holds at 2.
+        assert_eq!(m.request(0, 115, 0).start, 130);
+        assert_eq!(m.stats()[0].peak_waiting, 2);
+    }
+
+    #[test]
+    fn zero_service_window_keeps_a_queue_and_counts_stacked_starts() {
+        let mut m = fcfs(1, 0, flat());
+        m.request(0, 100, 0);
+        // Two step-backs both start at 100, and wait there together.
+        assert_eq!(m.request(0, 40, 0).delay, 60);
+        assert_eq!(m.request(0, 50, 0).delay, 50);
+        assert_eq!(m.stats()[0].peak_waiting, 2);
+    }
+
+    #[test]
     fn idle_bank_adds_no_delay() {
-        let mut m = BankModel::new(2, BankContentionConfig::contended(2, 4));
-        let r = m.request(0, 100, 10);
+        let mut m = fcfs(2, 10, BankContentionConfig::contended(2, 4));
+        let r = m.request(0, 100, 0);
         assert_eq!(r.delay, 0);
         assert_eq!(r.start, 100);
         assert_eq!(r.completion, 110);
@@ -547,10 +651,10 @@ mod tests {
 
     #[test]
     fn two_ports_serve_two_concurrent_requests_without_queuing() {
-        let mut m = BankModel::new(1, BankContentionConfig::contended(2, 8));
-        let a = m.request(0, 0, 10);
-        let b = m.request(0, 0, 10);
-        let c = m.request(0, 0, 10);
+        let mut m = fcfs(1, 10, BankContentionConfig::contended(2, 8));
+        let a = m.request(0, 0, 0);
+        let b = m.request(0, 0, 0);
+        let c = m.request(0, 0, 0);
         assert_eq!(a.delay, 0);
         assert_eq!(b.delay, 0, "second port absorbs the second request");
         assert_eq!(c.delay, 10, "third request waits for a port");
@@ -562,13 +666,13 @@ mod tests {
     fn full_queue_stalls_admission() {
         // One port, queue depth 1: the third concurrent request cannot even be
         // admitted until the second one starts service.
-        let mut m = BankModel::new(1, BankContentionConfig::contended(1, 1));
-        let a = m.request(0, 0, 10); // serves [0, 10)
-        let b = m.request(0, 0, 10); // waits, starts at 10
-        let c = m.request(0, 0, 10); // queue full: admitted at 10, starts at 20
+        let mut m = fcfs(1, 10, BankContentionConfig::contended(1, 1));
+        let a = m.request(0, 0, 0); // serves [0, 10)
+        let b = m.request(0, 0, 0); // waits, starts at 10
+        let c = m.request(0, 0, 0); // queue full: admitted at 10, starts at 20
         assert_eq!(a.delay, 0);
         assert_eq!(b.delay, 10);
-        assert_eq!(c.delay, 20);
+        assert_eq!((c.delay, c.admission_stall), (20, 10));
         let st = &m.stats()[0];
         assert_eq!(st.admission_stall_cycles, 10);
         assert_eq!(st.queue_cycles, 10 + 10);
@@ -577,38 +681,39 @@ mod tests {
 
     #[test]
     fn unbounded_queue_never_stalls_admission() {
-        let mut m = BankModel::new(1, flat());
+        let mut m = fcfs(1, 5, flat());
         for _ in 0..100 {
-            m.request(0, 0, 5);
+            m.request(0, 0, 0);
         }
         let st = &m.stats()[0];
         assert_eq!(st.admission_stall_cycles, 0);
         assert_eq!(st.queued_requests, 99);
+        assert_eq!(st.peak_waiting, 99);
         // Request i waits i * 5 cycles.
         assert_eq!(st.queue_cycles, (0..100u64).map(|i| i * 5).sum::<u64>());
     }
 
     #[test]
     fn waiters_drain_as_time_advances() {
-        let mut m = BankModel::new(1, BankContentionConfig::contended(1, 2));
-        m.request(0, 0, 10);
-        m.request(0, 0, 10);
-        m.request(0, 0, 10);
+        let mut m = fcfs(1, 10, BankContentionConfig::contended(1, 2));
+        m.request(0, 0, 0);
+        m.request(0, 0, 0);
+        m.request(0, 0, 0);
         // At cycle 40 everything has retired: a fresh request is served immediately.
-        let r = m.request(0, 40, 10);
+        let r = m.request(0, 40, 0);
         assert_eq!(r.delay, 0);
         assert_eq!(m.stats()[0].requests, 4);
     }
 
     #[test]
     fn stall_share_reflects_queue_pressure() {
-        let mut idle = BankModel::new(1, flat());
-        idle.request(0, 0, 10);
+        let mut idle = fcfs(1, 10, flat());
+        idle.request(0, 0, 0);
         assert_eq!(idle.stats()[0].stall_share(), 0.0);
 
-        let mut busy = BankModel::new(1, flat());
-        busy.request(0, 0, 10);
-        busy.request(0, 0, 10); // waits 10, serves 10
+        let mut busy = fcfs(1, 10, flat());
+        busy.request(0, 0, 0);
+        busy.request(0, 0, 0); // waits 10, serves 10
         let share = busy.stats()[0].stall_share();
         assert!((share - 10.0 / 30.0).abs() < 1e-12, "share {share}");
     }
@@ -619,12 +724,9 @@ mod tests {
 
     #[test]
     fn disabled_row_model_schedules_bit_identically_to_fcfs_request() {
-        let mut fcfs = BankModel::new(4, BankContentionConfig::contended(2, 4));
-        let mut sched = BankModel::with_row_model(
-            4,
-            BankContentionConfig::contended(2, 4),
-            RowModelConfig::disabled(),
-        );
+        let contention = BankContentionConfig::contended(2, 4);
+        let mut fcfs = fcfs(4, 9, contention);
+        let mut sched = BankModel::new(4, 9, contention, RowModelConfig::disabled());
         let mut now = 0u64;
         let mut x = 0xdead_beef_cafe_f00du64;
         for _ in 0..5_000 {
@@ -633,25 +735,27 @@ mod tests {
             x ^= x << 17;
             now += x % 4;
             let bank = (x >> 8) as usize % 4;
-            let expected = fcfs.request(bank, now, 9);
-            let got = sched.schedule(bank, now, 9, (x >> 16) as usize % 8, x % 64);
+            let core = (x >> 16) as usize % 8;
+            let expected = fcfs.request(bank, now, core);
+            let got = sched.schedule(bank, now, core, x % 64);
             assert_eq!(got.request, expected);
             assert_eq!(got.class, None);
             assert_eq!(got.class_cycles, 0);
         }
         assert_eq!(fcfs.stats(), sched.stats());
+        assert_eq!(fcfs.core_stalls(), sched.core_stalls());
     }
 
     #[test]
     fn row_register_classifies_hit_miss_conflict() {
-        let mut m = BankModel::with_row_model(1, flat(), frfcfs(4));
-        let a = m.schedule(0, 0, 4, 0, 7);
+        let mut m = BankModel::new(1, 4, flat(), frfcfs(4));
+        let a = m.schedule(0, 0, 0, 7);
         assert_eq!(a.class, Some(RowClass::Miss), "idle bank activates only");
         assert_eq!(a.class_cycles, 260);
-        let b = m.schedule(0, 100, 4, 0, 7);
+        let b = m.schedule(0, 100, 0, 7);
         assert_eq!(b.class, Some(RowClass::Hit));
         assert_eq!(b.class_cycles, 180);
-        let c = m.schedule(0, 200, 4, 0, 9);
+        let c = m.schedule(0, 200, 0, 9);
         assert_eq!(c.class, Some(RowClass::Conflict));
         assert_eq!(c.class_cycles, 340);
         let st = &m.stats()[0];
@@ -662,9 +766,9 @@ mod tests {
     fn closed_page_policy_never_hits() {
         let mut rm = frfcfs(4);
         rm.closed_page = true;
-        let mut m = BankModel::with_row_model(1, flat(), rm);
+        let mut m = BankModel::new(1, 4, flat(), rm);
         for i in 0..10 {
-            let s = m.schedule(0, i * 1000, 4, 0, 7);
+            let s = m.schedule(0, i * 1000, 0, 7);
             assert_eq!(s.class, Some(RowClass::Miss));
         }
         assert_eq!(m.stats()[0].row_hits, 0);
@@ -674,14 +778,14 @@ mod tests {
     fn starvation_cap_demotes_ready_requests_until_aged_request_drains() {
         // Cap 2: queue a conflicting request behind a stream of row hits. After two
         // bypasses the bank pins; further would-be hits are demoted to conflicts.
-        let mut m = BankModel::with_row_model(1, flat(), frfcfs(2));
-        m.schedule(0, 0, 100, 0, 7); // opens row 7, serves [0, 100)
-        let aged = m.schedule(0, 1, 100, 1, 9); // queued for row 9, starts at 100
+        let mut m = BankModel::new(1, 100, flat(), frfcfs(2));
+        m.schedule(0, 0, 0, 7); // opens row 7, serves [0, 100)
+        let aged = m.schedule(0, 1, 1, 9); // queued for row 9, starts at 100
         assert_eq!(aged.class, Some(RowClass::Conflict));
-        assert_eq!(m.schedule(0, 2, 100, 0, 7).class, Some(RowClass::Hit));
-        assert_eq!(m.schedule(0, 3, 100, 0, 7).class, Some(RowClass::Hit));
+        assert_eq!(m.schedule(0, 2, 0, 7).class, Some(RowClass::Hit));
+        assert_eq!(m.schedule(0, 3, 0, 7).class, Some(RowClass::Hit));
         // The aged request has now been bypassed twice (== cap): pinned.
-        let demoted = m.schedule(0, 4, 100, 0, 7);
+        let demoted = m.schedule(0, 4, 0, 7);
         assert_eq!(
             demoted.class,
             Some(RowClass::Conflict),
@@ -691,13 +795,13 @@ mod tests {
         assert_eq!(st.starvation_pins, 1);
         assert_eq!(st.max_bypass, 2);
         // Once time passes the aged request's start, the pin lifts.
-        let later = m.schedule(0, 5_000, 100, 0, 7);
+        let later = m.schedule(0, 5_000, 0, 7);
         assert_eq!(later.class, Some(RowClass::Hit));
     }
 
     #[test]
     fn per_core_stalls_sum_to_global_accounting() {
-        let mut m = BankModel::new(2, BankContentionConfig::contended(1, 2));
+        let mut m = fcfs(2, 6, BankContentionConfig::contended(1, 2));
         let mut now = 0u64;
         let mut x = 0x1234_5678_9abc_def0u64;
         for _ in 0..4_000 {
@@ -705,7 +809,7 @@ mod tests {
             x ^= x >> 7;
             x ^= x << 17;
             now += x % 3;
-            m.request_from((x >> 4) as usize % 2, now, 6, (x >> 9) as usize % 5);
+            m.request((x >> 4) as usize % 2, now, (x >> 9) as usize % 5);
         }
         let global_queue: u64 = m.stats().iter().map(|s| s.queue_cycles).sum();
         let global_adm: u64 = m.stats().iter().map(|s| s.admission_stall_cycles).sum();
@@ -723,15 +827,17 @@ mod tests {
 
     #[test]
     fn determinism_identical_sequences_yield_identical_stats() {
-        let run = || {
-            let mut m = BankModel::new(4, BankContentionConfig::contended(2, 4));
+        let run = |contention| {
+            let mut m = BankModel::new(4, 6, contention, frfcfs(3));
             let mut now = 0;
             for i in 0..5_000u64 {
                 now += i % 3;
-                m.request((i % 4) as usize, now, 4 + i % 9);
+                m.schedule((i % 4) as usize, now, (i % 5) as usize, i % 7);
             }
-            m.stats().to_vec()
+            (m.stats().to_vec(), m.core_stalls().to_vec())
         };
-        assert_eq!(run(), run());
+        for contention in [flat(), BankContentionConfig::contended(2, 4)] {
+            assert_eq!(run(contention), run(contention));
+        }
     }
 }

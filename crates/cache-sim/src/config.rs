@@ -296,7 +296,8 @@ pub struct DramConfig {
     pub row_conflict_cycles: u64,
     /// Number of DRAM banks (paper: 8).
     pub banks: usize,
-    /// Row (page) size in bytes (paper: 4 KB).
+    /// Row (page) size in bytes (paper: 4 KB): a power of two of at least one block, so
+    /// a block's row is its address shifted right.
     pub row_bytes: u64,
     /// Use permutation-based (XOR-mapped) page interleaving (paper cites Zhang et al.).
     pub xor_mapping: bool,
@@ -515,6 +516,13 @@ impl SystemConfig {
         // The XOR bank mapping masks with `banks - 1`.
         if self.dram.banks == 0 || !self.dram.banks.is_power_of_two() {
             return Err("DRAM bank count must be a power of two".into());
+        }
+        // A block's DRAM row is its address shifted right, so a row is a power of two
+        // of whole blocks.
+        if !self.dram.row_bytes.is_power_of_two() || self.dram.row_bytes < BLOCK_BYTES {
+            return Err(format!(
+                "DRAM row_bytes must be a power of two of at least {BLOCK_BYTES}"
+            ));
         }
         if self.llc.contention.ports == 0 || self.dram.contention.ports == 0 {
             return Err("bank contention models need at least one service port".into());
@@ -766,6 +774,22 @@ mod tests {
         assert!(!contended.is_flat());
         assert_eq!(contended.ports, 2);
         assert_eq!(contended.queue_depth, 16);
+    }
+
+    #[test]
+    fn validate_rejects_dram_rows_that_are_not_whole_power_of_two_blocks() {
+        // 32 B rows hold no whole block; 3000 B rows are no power of two, so no shift
+        // maps a block to its row.
+        for row_bytes in [32, 3000] {
+            let mut cfg = SystemConfig::tiny(2);
+            cfg.dram.row_bytes = row_bytes;
+            assert!(cfg.validate().unwrap_err().contains("row_bytes"));
+        }
+        for row_bytes in [BLOCK_BYTES, 2048, 4096, 8192] {
+            let mut cfg = SystemConfig::tiny(2);
+            cfg.dram.row_bytes = row_bytes;
+            cfg.validate().unwrap();
+        }
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //! stay bit-identical), while any other fault kind panics and is surfaced by the serving
 //! layer as a typed error.
 
-use crate::addr::{BlockAddr, BLOCK_SHIFT};
+use crate::addr::{BlockAddr, BLOCK_BYTES, BLOCK_SHIFT};
 use crate::bank::{BankModel, BankStats, CoreBankStalls, RowClass};
 use crate::config::DramConfig;
 
@@ -52,6 +52,8 @@ pub struct DramStats {
 #[derive(Debug, Clone)]
 pub struct Dram {
     config: DramConfig,
+    /// A block's row is its address shifted right by this: `log2(row_bytes / BLOCK_BYTES)`.
+    row_shift: u32,
     /// Open row per bank (row-buffer state of the legacy two-way classifier; unused
     /// when the FR-FCFS row model owns the row registers).
     open_rows: Vec<Option<u64>>,
@@ -62,10 +64,22 @@ pub struct Dram {
 }
 
 impl Dram {
+    /// A DRAM model over `config`, whose rows must be a power of two of at least one
+    /// block (what [`crate::config::SystemConfig::validate`] checks).
     pub fn new(config: DramConfig) -> Self {
+        assert!(
+            config.row_bytes.is_power_of_two() && config.row_bytes >= BLOCK_BYTES,
+            "DRAM rows must be a power of two of at least one block"
+        );
         Dram {
+            row_shift: (config.row_bytes >> BLOCK_SHIFT).trailing_zeros(),
             open_rows: vec![None; config.banks],
-            model: BankModel::with_row_model(config.banks, config.contention, config.row_model),
+            model: BankModel::new(
+                config.banks,
+                config.bank_busy_cycles,
+                config.contention,
+                config.row_model,
+            ),
             config,
             stats: DramStats::default(),
         }
@@ -73,20 +87,17 @@ impl Dram {
 
     /// Row index of a block address (rows are `row_bytes` wide).
     fn row_of(&self, block: BlockAddr) -> u64 {
-        block.byte_addr() / self.config.row_bytes
+        block.0 >> self.row_shift
     }
 
-    /// Bank index, optionally permuted with higher row bits (XOR mapping, Zhang et al.).
-    fn bank_of(&self, block: BlockAddr) -> usize {
-        let bank_bits = self.config.banks.trailing_zeros();
-        let blocks_per_row = self.config.row_bytes >> BLOCK_SHIFT;
-        let row = block.0 / blocks_per_row;
-        let naive_bank = (row as usize) & (self.config.banks - 1);
+    /// Bank of a row, optionally permuted with higher row bits (XOR mapping, Zhang et al.).
+    fn bank_of(&self, row: u64) -> usize {
+        let mask = self.config.banks - 1;
+        let bank = row as usize & mask;
         if self.config.xor_mapping {
-            let perm = (row >> bank_bits) as usize & (self.config.banks - 1);
-            naive_bank ^ perm
+            bank ^ ((row >> self.config.banks.trailing_zeros()) as usize & mask)
         } else {
-            naive_bank
+            bank
         }
     }
 
@@ -108,13 +119,11 @@ impl Dram {
             }
         }
 
-        let bank_idx = self.bank_of(block);
         let row = self.row_of(block);
+        let bank_idx = self.bank_of(row);
 
         let (row_hit, service, queue_delay) = if self.config.row_model.enabled {
-            let sched = self
-                .model
-                .schedule(bank_idx, now, self.config.bank_busy_cycles, core, row);
+            let sched = self.model.schedule(bank_idx, now, core, row);
             let class = sched.class.expect("row model enabled");
             match class {
                 RowClass::Hit => self.stats.row_hits += 1,
@@ -139,10 +148,7 @@ impl Dram {
             } else {
                 self.stats.row_conflicts += 1;
             }
-            let queue_delay = self
-                .model
-                .request_from(bank_idx, now, self.config.bank_busy_cycles, core)
-                .delay;
+            let queue_delay = self.model.request(bank_idx, now, core).delay;
             (row_hit, service, queue_delay)
         };
 
@@ -252,9 +258,33 @@ mod tests {
         let blocks_per_row = 4096 / 64;
         let mut banks = std::collections::HashSet::new();
         for row in 0..64u64 {
-            banks.insert(d.bank_of(BlockAddr(row * blocks_per_row)));
+            banks.insert(d.bank_of(d.row_of(BlockAddr(row * blocks_per_row))));
         }
         assert_eq!(banks.len(), 8, "all banks should be used");
+    }
+
+    #[test]
+    fn rows_by_shift_equal_rows_by_division_at_every_row_size() {
+        for row_bytes in [64, 128, 4096, 8192] {
+            for xor_mapping in [false, true] {
+                let d = Dram::new(DramConfig {
+                    row_bytes,
+                    xor_mapping,
+                    ..cfg()
+                });
+                for block in (0..50_000u64).map(|i| BlockAddr(i * 37)) {
+                    let row = block.byte_addr() / row_bytes;
+                    assert_eq!(d.row_of(block), row);
+                    let (banks, bank) = (8, row as usize % 8);
+                    let perm = if xor_mapping {
+                        row as usize / banks % banks
+                    } else {
+                        0
+                    };
+                    assert_eq!(d.bank_of(row), bank ^ perm);
+                }
+            }
+        }
     }
 
     #[test]

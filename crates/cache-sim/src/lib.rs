@@ -66,11 +66,12 @@ pub mod system;
 pub mod trace;
 
 pub use addr::{block_of, BlockAddr, BLOCK_BYTES, BLOCK_SHIFT};
-pub use bank::{BankModel, BankStats, CoreBankStalls, RowClass};
+pub use bank::{BankModel, BankRequest, BankStats, CoreBankStalls, RowClass};
 pub use config::{
     BankContentionConfig, CacheGeometry, CoreConfig, DramConfig, LlcConfig, NucaConfig,
     RowModelConfig, SystemConfig,
 };
+pub use dram::DramStats;
 pub use replacement::{AccessContext, InsertionDecision, LineView, LlcReplacementPolicy};
 pub use stats::{CoreStallAttribution, CoreStats, LlcStats, SystemResults};
 pub use system::MultiCoreSystem;

@@ -17,7 +17,7 @@
 
 use crate::addr::BlockAddr;
 use crate::bank::{BankModel, BankStats};
-use crate::config::LlcConfig;
+use crate::config::{LlcConfig, RowModelConfig};
 use crate::mshr::OccupancyWindow;
 use crate::replacement::{AccessContext, LlcReplacementPolicy};
 
@@ -207,7 +207,12 @@ impl<P: LlcReplacementPolicy> SharedLlc<P> {
             hint: vec![0; num_sets],
             owners: vec![0; num_sets * ways],
             policy,
-            banks: BankModel::new(config.banks, config.contention),
+            banks: BankModel::new(
+                config.banks,
+                config.bank_busy_cycles,
+                config.contention,
+                RowModelConfig::disabled(),
+            ),
             mshr: OccupancyWindow::new(config.mshr_entries),
             wb_buffer: OccupancyWindow::new(config.wb_entries),
             per_core: vec![LlcCoreStats::default(); num_cores],
@@ -286,13 +291,9 @@ impl<P: LlcReplacementPolicy> SharedLlc<P> {
     /// empty, keeping this function bit-identical to the seed's arithmetic).
     fn bank_delay(&mut self, core_id: usize, set: usize, now: u64) -> u64 {
         let bank = self.bank_of(set);
-        let before = self.banks.stats()[bank].admission_stall_cycles;
-        let req = self
-            .banks
-            .request_from(bank, now, self.config.bank_busy_cycles, core_id);
-        let admission = self.banks.stats()[bank].admission_stall_cycles - before;
-        self.global.bank_queue_cycles += req.delay - admission;
-        self.global.bank_admission_stall_cycles += admission;
+        let req = self.banks.request(bank, now, core_id);
+        self.global.bank_queue_cycles += req.delay - req.admission_stall;
+        self.global.bank_admission_stall_cycles += req.admission_stall;
         let nuca = if self.nuca.is_empty() {
             0
         } else {
@@ -954,9 +955,10 @@ mod tests {
 
         // Direct peak accounting at 96 banks: k same-cycle requests to one bank leave
         // k-1 of them simultaneously waiting.
-        let mut m = BankModel::new(96, crate::config::BankContentionConfig::flat());
+        let flat = crate::config::BankContentionConfig::flat();
+        let mut m = BankModel::new(96, 10, flat, RowModelConfig::disabled());
         for _ in 0..7 {
-            m.request(95, 0, 10);
+            m.request(95, 0, 0);
         }
         assert_eq!(m.stats()[95].peak_waiting, 6);
         assert!(m.stats()[..95].iter().all(|s| s.peak_waiting == 0));

@@ -21,12 +21,6 @@ use std::collections::BinaryHeap;
 pub struct OccupancyWindow {
     capacity: usize,
     completions: BinaryHeap<Reverse<u64>>,
-    /// Total cycles requests were delayed because the window was full.
-    pub stall_cycles: u64,
-    /// Number of requests that found the window full.
-    pub full_events: u64,
-    /// Peak simultaneous occupancy observed.
-    pub peak_occupancy: usize,
 }
 
 impl OccupancyWindow {
@@ -34,9 +28,6 @@ impl OccupancyWindow {
         OccupancyWindow {
             capacity: capacity.max(1),
             completions: BinaryHeap::with_capacity(capacity.max(1)),
-            stall_cycles: 0,
-            full_events: 0,
-            peak_occupancy: 0,
         }
     }
 
@@ -65,8 +56,6 @@ impl OccupancyWindow {
             // Stall until the earliest outstanding entry retires.
             let Reverse(earliest) = *self.completions.peek().expect("non-empty when full");
             extra = earliest.saturating_sub(now);
-            self.full_events += 1;
-            self.stall_cycles += extra;
             self.prune(earliest);
         }
         extra
@@ -76,7 +65,6 @@ impl OccupancyWindow {
     /// (or be issued when occupancy is known to be below capacity).
     pub fn insert(&mut self, completion: u64) {
         self.completions.push(Reverse(completion));
-        self.peak_occupancy = self.peak_occupancy.max(self.completions.len());
     }
 
     /// Reserve an entry for a request issued at `now` that will complete at
@@ -117,8 +105,6 @@ mod tests {
         let (extra, done) = w.reserve(10, 50);
         assert_eq!(extra, 90); // waits until cycle 100
         assert_eq!(done, 150);
-        assert_eq!(w.full_events, 1);
-        assert_eq!(w.stall_cycles, 90);
 
         // Completions inserted out of order still retire earliest first.
         let mut w = OccupancyWindow::new(3);
@@ -127,7 +113,6 @@ mod tests {
         w.insert(200);
         assert_eq!(w.reserve(10, 1000), (90, 1100)); // waits for the entry at 100
         assert_eq!(w.reserve(10, 5), (190, 205)); // then for the one at 200
-        assert_eq!(w.full_events, 2);
     }
 
     #[test]
@@ -138,15 +123,6 @@ mod tests {
         // At time 20 both have retired; a new reservation must not stall.
         let (extra, _) = w.reserve(20, 10);
         assert_eq!(extra, 0);
-    }
-
-    #[test]
-    fn peak_occupancy_is_tracked() {
-        let mut w = OccupancyWindow::new(8);
-        for _ in 0..5 {
-            w.reserve(0, 1000);
-        }
-        assert_eq!(w.peak_occupancy, 5);
     }
 
     #[test]
@@ -161,10 +137,8 @@ mod tests {
             b.insert(done_b);
             assert_eq!(extra_a, extra_b);
             assert_eq!(done_a, done_b);
+            assert_eq!(a.occupancy(now), b.occupancy(now));
         }
-        assert_eq!(a.stall_cycles, b.stall_cycles);
-        assert_eq!(a.full_events, b.full_events);
-        assert_eq!(a.peak_occupancy, b.peak_occupancy);
     }
 
     #[test]

@@ -11,34 +11,38 @@
 //!    seed's FCFS `request` path — the flat-default equivalence the existing
 //!    bit-identity walls rely on.
 //!
-//! Request times are non-decreasing within a generated sequence, matching the
-//! global (cycle, core) order the multi-core driver guarantees.
+//! Request times step back as well as forward, as the DRAM's do: a demand read is
+//! issued after its LLC lookup, a write-back at the requesting core's cycle. Banks
+//! serve in call order whatever the times. The service window is one per model.
 
 use cache_sim::bank::{BankModel, BankSchedule, RowClass};
 use cache_sim::config::{BankContentionConfig, RowModelConfig};
 use proptest::prelude::*;
 
-/// One generated request: which bank, how long after the previous request it
-/// arrives, its service length, and a packed (core, row) pair — the vendored
-/// proptest stand-in generates tuples up to arity 4, so core and row share a slot
-/// (core = packed % 8, row = packed / 8, giving 8 cores x 4 rows).
-type RawOp = (usize, u64, u64, usize);
+/// One generated request: which bank, a time step (see [`advance`]), the requesting
+/// core (of 8) and the row (of 4).
+type RawOp = (usize, u64, usize, u64);
 
 /// The generator tuple mirroring [`RawOp`]: one range strategy per element.
 type RawOpStrategy = (
     std::ops::Range<usize>,
     std::ops::Range<u64>,
-    std::ops::Range<u64>,
     std::ops::Range<usize>,
+    std::ops::Range<u64>,
 );
 
 fn ops(max_banks: usize, len: usize) -> proptest::collection::VecStrategy<RawOpStrategy> {
-    proptest::collection::vec((0..max_banks, 0u64..40, 1u64..30, 0usize..32), 1..len)
+    proptest::collection::vec((0..max_banks, 0u64..64, 0usize..8, 0u64..4), 1..len)
 }
 
-fn unpack(op: RawOp) -> (usize, u64, u64, usize, u64) {
-    let (bank, gap, service, packed) = op;
-    (bank, gap, service, packed % 8, (packed / 8) as u64)
+/// The next request time: steps below 48 move forward by that many cycles, the rest
+/// (a quarter) move back by up to 300.
+fn advance(now: u64, step: u64) -> u64 {
+    if step < 48 {
+        now + step
+    } else {
+        now.saturating_sub((step - 48) * 20)
+    }
 }
 
 fn contention(ports: usize, depth: usize) -> BankContentionConfig {
@@ -54,9 +58,9 @@ fn drive(model: &mut BankModel, ops: &[RawOp]) -> Vec<BankSchedule> {
     let mut now = 0;
     ops.iter()
         .map(|&op| {
-            let (bank, gap, service, core, row) = unpack(op);
-            now += gap;
-            model.schedule(bank, now, service, core, row)
+            let (bank, step, core, row) = op;
+            now = advance(now, step);
+            model.schedule(bank, now, core, row)
         })
         .collect()
 }
@@ -71,11 +75,12 @@ proptest! {
         ports in 0usize..3,
         depth in 0usize..5,
         cap in 1u32..6,
+        service in 1u64..30,
         closed_page in any::<bool>(),
     ) {
         let mut rm = RowModelConfig::frfcfs(10, 20, 30, cap);
         rm.closed_page = closed_page;
-        let make = || BankModel::with_row_model(4, contention(ports, depth), rm);
+        let make = || BankModel::new(4, service, contention(ports, depth), rm);
         let (mut a, mut b) = (make(), make());
         let ga = drive(&mut a, &ops);
         let gb = drive(&mut b, &ops);
@@ -92,9 +97,10 @@ proptest! {
         ports in 1usize..3,
         depth in 0usize..4,
         cap in 1u32..5,
+        service in 1u64..30,
     ) {
         let rm = RowModelConfig::frfcfs(10, 20, 30, cap);
-        let mut model = BankModel::with_row_model(2, contention(ports, depth), rm);
+        let mut model = BankModel::new(2, service, contention(ports, depth), rm);
         drive(&mut model, &ops);
         for st in model.stats() {
             prop_assert!(
@@ -115,15 +121,16 @@ proptest! {
         miss_extra in 0u64..50,
         conflict_extra in 0u64..50,
         cap in 1u32..5,
+        service in 1u64..30,
     ) {
         let rm =
             RowModelConfig::frfcfs(hit, hit + miss_extra, hit + miss_extra + conflict_extra, cap);
-        let mut model = BankModel::with_row_model(3, contention(2, 4), rm);
+        let mut model = BankModel::new(3, service, contention(2, 4), rm);
         let mut now = 0;
         for &op in &ops {
-            let (bank, gap, service, core, row) = unpack(op);
-            now += gap;
-            let sched = model.schedule(bank % 3, now, service, core, row);
+            let (bank, step, core, row) = op;
+            now = advance(now, step);
+            let sched = model.schedule(bank % 3, now, core, row);
             let class = sched.class.expect("row model is enabled");
             prop_assert_eq!(sched.class_cycles, class.cycles(&rm));
             prop_assert!(RowClass::Hit.cycles(&rm) <= RowClass::Miss.cycles(&rm));
@@ -131,6 +138,7 @@ proptest! {
             prop_assert!(sched.request.start >= now);
             prop_assert_eq!(sched.request.completion, sched.request.start + service);
             prop_assert_eq!(sched.request.delay, sched.request.start - now);
+            prop_assert!(sched.request.admission_stall <= sched.request.delay);
         }
         let st = model.stats();
         let classified: u64 = st.iter().map(|s| s.row_hits + s.row_misses + s.row_conflicts).sum();
@@ -145,16 +153,17 @@ proptest! {
         ops in ops(4, 300),
         ports in 0usize..3,
         depth in 0usize..5,
+        service in 1u64..30,
     ) {
         let cfg = contention(ports, depth);
-        let mut frfcfs = BankModel::with_row_model(4, cfg, RowModelConfig::disabled());
-        let mut fcfs = BankModel::new(4, cfg);
+        let mut frfcfs = BankModel::new(4, service, cfg, RowModelConfig::disabled());
+        let mut fcfs = BankModel::new(4, service, cfg, RowModelConfig::disabled());
         let mut now = 0;
         for &op in &ops {
-            let (bank, gap, service, core, row) = unpack(op);
-            now += gap;
-            let sched = frfcfs.schedule(bank, now, service, core, row);
-            let req = fcfs.request_from(bank, now, service, core);
+            let (bank, step, core, row) = op;
+            now = advance(now, step);
+            let sched = frfcfs.schedule(bank, now, core, row);
+            let req = fcfs.request(bank, now, core);
             prop_assert_eq!(sched.request, req);
             prop_assert_eq!(sched.class, None);
             prop_assert_eq!(sched.class_cycles, 0);

@@ -14,23 +14,30 @@
 //! * core timing is the float form of the overlap rule on four plain `u64` counters;
 //! * MSHR and write-back occupancy is a `Vec` of completion cycles, pruned by `retain`
 //!   and searched by `min`;
+//! * a bank is [`NaiveBanks`]' queues: a `Vec` of port free times scanned for the
+//!   earliest, a deque of waiting starts, and for FR-FCFS a second deque of the same
+//!   requests with their rows and bypass counts, scanned for one at the starvation cap
+//!   (the engine keeps a register per flat bank and one queue per contended bank);
+//! * DRAM ([`NaiveDram`]) divides the byte address by the row size and permutes banks
+//!   with `%` and `/`, and keeps an open-row register per bank;
 //! * the driver steps the unretired core with the smallest `(cycle, id)` one trace
 //!   record at a time: a linear min-scan, no scheduler structure, nothing retired out
 //!   of global order.
 //!
-//! What it shares with the product is only what has a wall of its own: the bank queue
-//! model (`bank.rs::FlatReference`, `frfcfs_properties.rs`), `Dram` (its unit tests),
-//! the next-line prefetcher, `stats::assemble_core_stalls`, the `LIVELOCK_STEPS`
-//! constant, the configuration/statistics/result types and the `LlcReplacementPolicy`
-//! trait the policies under test implement.
+//! What it shares with the product is only what has a wall of its own: the next-line
+//! prefetcher, `stats::assemble_core_stalls`, the `LIVELOCK_STEPS` constant, the
+//! configuration/statistics/result types (a bank's `BankRequest`, `BankStats`,
+//! `CoreBankStalls` and `RowClass`, the DRAM's `DramStats`) and the
+//! `LlcReplacementPolicy` trait the policies under test implement.
 #![allow(dead_code)] // each test binary drives its own part of the model
 
+use std::collections::VecDeque;
+
 use adapt_llc::sim::addr::{block_of, BlockAddr};
-use adapt_llc::sim::bank::BankModel;
 use adapt_llc::sim::config::{
-    mesh_hops, LlcConfig, PrivateCacheConfig, PrivatePolicyKind, SystemConfig,
+    mesh_hops, BankContentionConfig, DramConfig, LlcConfig, PrivateCacheConfig, PrivatePolicyKind,
+    RowModelConfig, SystemConfig,
 };
-use adapt_llc::sim::dram::Dram;
 use adapt_llc::sim::llc::{LlcCoreStats, LlcEvicted, LlcFill, LlcGlobalStats, LlcLookup};
 use adapt_llc::sim::prefetch::NextLinePrefetcher;
 use adapt_llc::sim::private_cache::{EvictedLine, Lookup, PrivateCacheStats};
@@ -38,6 +45,7 @@ use adapt_llc::sim::replacement::{AccessContext, LineView, LlcReplacementPolicy}
 use adapt_llc::sim::stats::{assemble_core_stalls, CoreStats, SystemResults};
 use adapt_llc::sim::system::LIVELOCK_STEPS;
 use adapt_llc::sim::trace::TraceSource;
+use adapt_llc::sim::{BankRequest, BankStats, CoreBankStalls, DramStats, RowClass};
 
 /// 2-bit re-reference predictions: 3 is "distant" (the eviction candidate), 2 "long".
 const DISTANT: u8 = 3;
@@ -243,12 +251,245 @@ impl NaiveWindow {
     }
 }
 
+/// A queued request as FR-FCFS sees it: when it starts, its row, and how many ready
+/// requests have been granted ahead of it.
+#[derive(Debug, Clone, Copy)]
+struct Pending {
+    start: u64,
+    row: u64,
+    bypassed: u32,
+}
+
+/// One bank: when each port frees up, the starts of the requests admitted but not yet
+/// started, and — under a row model — the open row and those same requests again with
+/// their rows and bypass counts.
+#[derive(Debug, Clone, Default)]
+struct NaiveBank {
+    port_free: Vec<u64>,
+    waiting: VecDeque<u64>,
+    open_row: Option<u64>,
+    pending: VecDeque<Pending>,
+    /// The latest request time seen.
+    latest: u64,
+}
+
+/// A group of banks as queues: FCFS on the earliest-free port, a waiting queue that a
+/// full bounded queue refuses admission to, and FR-FCFS's queue of pending rows. Every
+/// request is charged to its core.
+pub struct NaiveBanks {
+    service: u64,
+    contention: BankContentionConfig,
+    row_model: Option<RowModelConfig>,
+    banks: Vec<NaiveBank>,
+    pub stats: Vec<BankStats>,
+    pub core_stalls: Vec<CoreBankStalls>,
+    /// Requests that arrived earlier than one their bank had already seen.
+    pub step_backs: u64,
+}
+
+impl NaiveBanks {
+    pub fn new(
+        banks: usize,
+        service: u64,
+        contention: BankContentionConfig,
+        row_model: RowModelConfig,
+    ) -> Self {
+        let bank = NaiveBank {
+            port_free: vec![0; contention.ports],
+            ..NaiveBank::default()
+        };
+        NaiveBanks {
+            service,
+            contention,
+            row_model: row_model.enabled.then_some(row_model),
+            banks: vec![bank; banks],
+            stats: vec![BankStats::default(); banks],
+            core_stalls: Vec::new(),
+            step_backs: 0,
+        }
+    }
+
+    /// A request from `core` to `bank` at `now`, first come first served.
+    pub fn request(&mut self, bank: usize, now: u64, core: usize) -> BankRequest {
+        let b = &mut self.banks[bank];
+        let st = &mut self.stats[bank];
+        st.requests += 1;
+        self.step_backs += u64::from(now < b.latest);
+        b.latest = b.latest.max(now);
+        while b.waiting.front().is_some_and(|&start| start <= now) {
+            b.waiting.pop_front();
+        }
+        // A full queue admits the request when the entry `queue_depth` from its back
+        // starts.
+        let depth = self.contention.queue_depth;
+        let admit = if depth > 0 && b.waiting.len() >= depth {
+            b.waiting[b.waiting.len() - depth]
+        } else {
+            now
+        };
+        let port = (0..b.port_free.len())
+            .min_by_key(|&p| (b.port_free[p], p))
+            .expect("a bank has a port");
+        let start = admit.max(b.port_free[port]);
+        b.port_free[port] = start + self.service;
+        st.busy_cycles += self.service;
+        st.admission_stall_cycles += admit - now;
+        if start > now {
+            st.queued_requests += 1;
+            st.queue_cycles += start - admit;
+            b.waiting.push_back(start);
+            // The waiting population at `admit`: bisect the starts for the first one
+            // past it, probing them as they lie (two ports and times that step back
+            // leave them unsorted).
+            let (mut lo, mut hi) = (0, b.waiting.len());
+            while lo < hi {
+                let mid = (lo + hi) / 2;
+                if b.waiting[mid] <= admit {
+                    lo = mid + 1;
+                } else {
+                    hi = mid;
+                }
+            }
+            st.peak_waiting = st.peak_waiting.max(b.waiting.len() - lo);
+        }
+        if self.core_stalls.len() <= core {
+            self.core_stalls.resize(core + 1, CoreBankStalls::default());
+        }
+        let charged = &mut self.core_stalls[core];
+        charged.admission_stall_cycles += admit - now;
+        charged.queue_cycles += start - admit;
+        BankRequest {
+            delay: start - now,
+            admission_stall: admit - now,
+            start,
+            completion: start + self.service,
+        }
+    }
+
+    /// A request for `row`: its FR-FCFS class against the bank's open row, then its
+    /// place in the queue. Without a row model this is [`NaiveBanks::request`].
+    pub fn schedule(
+        &mut self,
+        bank: usize,
+        now: u64,
+        core: usize,
+        row: u64,
+    ) -> (BankRequest, Option<RowClass>) {
+        let Some(rm) = self.row_model else {
+            return (self.request(bank, now, core), None);
+        };
+        let open = |row| if rm.closed_page { None } else { Some(row) };
+        let b = &mut self.banks[bank];
+        while b.pending.front().is_some_and(|p| p.start <= now) {
+            let served = b.pending.pop_front().expect("a front");
+            b.open_row = open(served.row);
+        }
+        let pinned = b.pending.iter().any(|p| p.bypassed >= rm.starvation_cap);
+        let class = match b.open_row {
+            Some(open) if open == row && !pinned => RowClass::Hit,
+            None => RowClass::Miss,
+            Some(_) => RowClass::Conflict,
+        };
+        let st = &mut self.stats[bank];
+        match class {
+            RowClass::Hit => st.row_hits += 1,
+            RowClass::Miss => st.row_misses += 1,
+            RowClass::Conflict => st.row_conflicts += 1,
+        }
+        if class == RowClass::Hit {
+            for p in b.pending.iter_mut().filter(|p| p.row != row) {
+                p.bypassed += 1;
+                st.starvation_pins += u64::from(p.bypassed == rm.starvation_cap);
+                st.max_bypass = st.max_bypass.max(p.bypassed);
+            }
+        }
+        let request = self.request(bank, now, core);
+        let b = &mut self.banks[bank];
+        if request.start > now {
+            b.pending.push_back(Pending {
+                start: request.start,
+                row,
+                bypassed: 0,
+            });
+        } else {
+            b.open_row = open(row);
+        }
+        (request, Some(class))
+    }
+}
+
+/// Main memory: rows of `row_bytes` bytes, XOR-permuted over the banks, each bank with
+/// an open-row register that classifies a request as a row hit or a conflict — unless
+/// the banks schedule rows FR-FCFS themselves.
+pub struct NaiveDram {
+    config: DramConfig,
+    pub banks: NaiveBanks,
+    open_rows: Vec<Option<u64>>,
+    pub stats: DramStats,
+}
+
+impl NaiveDram {
+    pub fn new(config: DramConfig) -> Self {
+        NaiveDram {
+            banks: NaiveBanks::new(
+                config.banks,
+                config.bank_busy_cycles,
+                config.contention,
+                config.row_model,
+            ),
+            open_rows: vec![None; config.banks],
+            config,
+            stats: DramStats::default(),
+        }
+    }
+
+    /// A read (or a write-back) of `block` from `core` at `now`; returns its latency.
+    pub fn access(&mut self, block: BlockAddr, now: u64, is_write: bool, core: usize) -> u64 {
+        let row = block.byte_addr() / self.config.row_bytes;
+        let banks = self.config.banks as u64;
+        let mut bank = row % banks;
+        if self.config.xor_mapping {
+            bank ^= row / banks % banks;
+        }
+        let bank = bank as usize;
+        let stats = &mut self.stats;
+        let (class_cycles, delay) = if self.config.row_model.enabled {
+            let (request, class) = self.banks.schedule(bank, now, core, row);
+            let class = class.expect("the row model is on");
+            match class {
+                RowClass::Hit => stats.row_hits += 1,
+                RowClass::Miss => stats.row_misses += 1,
+                RowClass::Conflict => stats.row_conflicts += 1,
+            }
+            (class.cycles(&self.config.row_model), request.delay)
+        } else {
+            let hit = self.open_rows[bank] == Some(row);
+            self.open_rows[bank] = Some(row);
+            let cycles = if hit {
+                stats.row_hits += 1;
+                self.config.row_hit_cycles
+            } else {
+                stats.row_conflicts += 1;
+                self.config.row_conflict_cycles
+            };
+            (cycles, self.banks.request(bank, now, core).delay)
+        };
+        if is_write {
+            stats.writes += 1;
+        } else {
+            stats.reads += 1;
+        }
+        stats.queue_cycles += delay;
+        delay + class_cycles
+    }
+}
+
 /// The shared LLC: lines and statistics here, every replacement decision in `policy`.
 pub struct NaiveLlc {
     config: LlcConfig,
     sets: Sets,
     policy: Box<dyn LlcReplacementPolicy>,
-    pub banks: BankModel,
+    pub banks: NaiveBanks,
     mshr: NaiveWindow,
     wb_buffer: NaiveWindow,
     pub per_core: Vec<LlcCoreStats>,
@@ -269,7 +510,12 @@ impl NaiveLlc {
             config,
             sets: vec![vec![None; config.geometry.ways]; config.geometry.num_sets()],
             policy,
-            banks: BankModel::new(config.banks, config.contention),
+            banks: NaiveBanks::new(
+                config.banks,
+                config.bank_busy_cycles,
+                config.contention,
+                RowModelConfig::disabled(),
+            ),
             mshr: NaiveWindow::new(config.mshr_entries),
             wb_buffer: NaiveWindow::new(config.wb_entries),
             per_core: vec![LlcCoreStats::default(); num_cores],
@@ -302,10 +548,9 @@ impl NaiveLlc {
     /// it; the LLC's global queue/admission totals are whatever the bank says it added.
     fn bank_delay(&mut self, core: usize, set: usize, now: u64) -> u64 {
         let bank = set % self.config.banks;
-        let before = self.banks.stats()[bank];
-        let busy = self.config.bank_busy_cycles;
-        let queued = self.banks.request_from(bank, now, busy, core).delay;
-        let after = self.banks.stats()[bank];
+        let before = self.banks.stats[bank];
+        let queued = self.banks.request(bank, now, core).delay;
+        let after = self.banks.stats[bank];
         self.global.bank_queue_cycles += after.queue_cycles - before.queue_cycles;
         self.global.bank_admission_stall_cycles +=
             after.admission_stall_cycles - before.admission_stall_cycles;
@@ -477,7 +722,7 @@ pub struct NaiveSystem {
     config: SystemConfig,
     cores: Vec<NaiveCore>,
     llc: NaiveLlc,
-    dram: Dram,
+    dram: NaiveDram,
 }
 
 impl NaiveSystem {
@@ -501,10 +746,16 @@ impl NaiveSystem {
             .collect();
         NaiveSystem {
             llc: NaiveLlc::new(config.llc, config.num_cores, config.interval_misses, policy),
-            dram: Dram::new(config.dram),
+            dram: NaiveDram::new(config.dram),
             cores,
             config,
         }
+    }
+
+    /// Requests that reached an LLC bank and a DRAM bank earlier than one that bank had
+    /// already seen, so far.
+    pub fn step_backs(&self) -> (u64, u64) {
+        (self.llc.banks.step_backs, self.dram.banks.step_backs)
     }
 
     /// Run until every core has retired `target` instructions; statistics are those at
@@ -545,13 +796,13 @@ impl NaiveSystem {
             final_cycle: per_core.iter().map(|c| c.cycles).max().unwrap_or(0),
             per_core,
             llc_global: self.llc.global,
-            llc_banks: self.llc.banks.stats().to_vec(),
-            dram: *self.dram.stats(),
+            llc_banks: self.llc.banks.stats.clone(),
+            dram: self.dram.stats,
             core_stalls: assemble_core_stalls(
                 n,
-                self.llc.banks.core_stalls(),
+                &self.llc.banks.core_stalls,
                 &self.llc.mshr_core_stalls,
-                self.dram.core_stalls(),
+                &self.dram.banks.core_stalls,
             ),
         }
     }
@@ -615,12 +866,12 @@ impl NaiveSystem {
         let (stall, memory) = if llc.config.contention.mshr_backpressure {
             let stall = llc.mshr.acquire(now);
             let issue = now + lookup.latency + stall;
-            let memory = self.dram.access(block, issue, false, id).latency;
+            let memory = self.dram.access(block, issue, false, id);
             llc.mshr.insert(issue + memory);
             (stall, memory)
         } else {
             let issue = now + lookup.latency;
-            let memory = self.dram.access(block, issue, false, id).latency;
+            let memory = self.dram.access(block, issue, false, id);
             (llc.mshr.reserve(now, lookup.latency + memory), memory)
         };
         llc.global.mshr_stall_cycles += stall;

@@ -14,9 +14,10 @@ use adapt_llc::policies::{
     TaDrripPolicy,
 };
 use adapt_llc::sim::addr::BlockAddr;
+use adapt_llc::sim::bank::BankModel;
 use adapt_llc::sim::config::{
     BankContentionConfig, CacheGeometry, LlcConfig, PrivateCacheConfig, PrivatePolicyKind,
-    SystemConfig,
+    RowModelConfig, SystemConfig,
 };
 use adapt_llc::sim::llc::SharedLlc;
 use adapt_llc::sim::private::{PrivateStage, PrivateStats, StageParams};
@@ -27,7 +28,7 @@ use adapt_llc::sim::replacement::{
 use adapt_llc::sim::system::RUN_AHEAD;
 use adapt_llc::sim::trace::{MemAccess, SharedReplayTrace};
 use adapt_llc::workloads::{classify, generate_mixes, MemIntensity, StudyKind};
-use oracle::{NaiveLlc, NaivePrivateCache};
+use oracle::{NaiveBanks, NaiveLlc, NaivePrivateCache};
 
 /// Every [`PolicyKind`], with one representative `SD=` count.
 const ALL_POLICY_KINDS: [PolicyKind; 14] = [
@@ -427,11 +428,47 @@ proptest! {
             for core in 0..num_cores {
                 prop_assert_eq!(fast.core_stats(core), &reference.per_core[core]);
             }
-            prop_assert_eq!(fast.bank_stats(), reference.banks.stats());
+            prop_assert_eq!(fast.bank_stats(), &reference.banks.stats[..]);
             let lines_by_core = reference.occupancy_by_core();
             prop_assert_eq!(fast.occupancy(), lines_by_core.iter().sum::<usize>());
             prop_assert_eq!(fast.occupancy_by_core(), lines_by_core);
         }
+    }
+
+    /// The engine's banks — a register per flat bank, one queue per contended bank — are
+    /// bit-identical to the oracle's queue formulation (`NaiveBanks`) for 1–3 ports,
+    /// queue depths 0, 1 and 16, the row model off, on and on with closed pages, 1–96
+    /// banks and service windows 1–30, over request times that step back by up to 300
+    /// cycles as the DRAM's do: every request, row class, per-bank statistic and per-core
+    /// stall must agree.
+    #[test]
+    fn bank_model_is_bit_identical_to_the_naive_banks(
+        ports in 1usize..4,
+        depth_sel in 0usize..3,
+        rows_sel in 0usize..3,
+        banks in 1usize..97,
+        service in 1u64..31,
+        cap in 1u32..6,
+        ops in proptest::collection::vec((0usize..96, 0u64..64, 0usize..8, 0u64..6), 1..400),
+    ) {
+        let contention = BankContentionConfig::contended(ports, [0, 1, 16][depth_sel]);
+        let mut row_model = RowModelConfig::frfcfs(10, 20, 30, cap);
+        row_model.enabled = rows_sel > 0;
+        row_model.closed_page = rows_sel == 2;
+        let mut fast = BankModel::new(banks, service, contention, row_model);
+        let mut reference = NaiveBanks::new(banks, service, contention, row_model);
+        let mut now = 1_000u64;
+        for (i, &(bank, step, core, row)) in ops.iter().enumerate() {
+            // A quarter of the steps go back, by up to 300 cycles.
+            now = if step < 48 { now + step } else { now.saturating_sub((step - 48) * 20) };
+            let bank = bank % banks;
+            let got = fast.schedule(bank, now, core, row);
+            let (request, class) = reference.schedule(bank, now, core, row);
+            prop_assert_eq!(got.request, request, "request {} diverged", i);
+            prop_assert_eq!(got.class, class, "request {} classed differently", i);
+        }
+        prop_assert_eq!(fast.stats(), &reference.stats[..]);
+        prop_assert_eq!(fast.core_stalls(), &reference.core_stalls[..]);
     }
 
     /// The structure-of-arrays private cache is bit-identical to the oracle's naive one

@@ -225,6 +225,34 @@ fn contended_banks_stay_bit_identical_to_the_reference_engine() {
     }
 }
 
+/// The banks' request-order contract: the LLC's request times never decrease, but the
+/// DRAM's step back — a demand read is issued after its LLC lookup, a write-back at the
+/// core's cycle — and a bank serves in call order regardless. A contended smoke run
+/// shows such steps in the oracle, whose DRAM sees exactly the engine's requests, and
+/// the engine still equals it.
+#[test]
+fn dram_request_times_step_back_in_a_contended_smoke_run() {
+    let scale = ExperimentScale::Smoke;
+    let mut cfg = scale.system_config(StudyKind::Cores4);
+    cfg.llc.contention = BankContentionConfig::contended(2, 4);
+    cfg.dram.contention = BankContentionConfig::contended(2, 4);
+    let mix = &generate_mixes(StudyKind::Cores4, 1, scale.seed())[0];
+    let slots = mix.thrashing_slots();
+    let sources = || mix.trace_sources(cfg.llc.geometry.num_sets(), SEED);
+    let build = || PolicyKind::TaDrrip.build_dispatch(&cfg, &slots);
+    let fast = MultiCoreSystem::new(cfg.clone(), sources(), build()).run(INSTRUCTIONS);
+    let mut oracle = NaiveSystem::new(cfg.clone(), sources(), Box::new(build()));
+    let reference = oracle.run(INSTRUCTIONS);
+    assert_identical(&fast, &reference, "contended TaDrrip");
+    let (llc_steps, dram_steps) = oracle.step_backs();
+    assert_eq!(llc_steps, 0, "an LLC request arrived before an earlier one");
+    assert!(
+        dram_steps > 0,
+        "no DRAM request stepped back in {} requests",
+        reference.dram.reads + reference.dram.writes
+    );
+}
+
 /// Two MSHRs and two write-back entries keep both windows full, so every miss waits on
 /// the earliest completion: the engine's heap and the oracle's scan must agree on it.
 #[test]
