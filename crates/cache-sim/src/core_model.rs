@@ -22,6 +22,9 @@ pub struct CoreModel {
     /// overlap division then runs as an integer halving instead of an f64
     /// divide-and-round, producing the identical result for any realistic latency.
     halve_overlap: bool,
+    /// Cycles of latency the ROB can hide behind the following instructions:
+    /// `rob_size / issue_width`, divided once here instead of once per record.
+    rob_hide_bound: u64,
     /// Current absolute cycle of this core.
     pub cycle: u64,
     /// Instructions retired so far.
@@ -36,6 +39,7 @@ impl CoreModel {
     pub fn new(config: CoreConfig) -> Self {
         CoreModel {
             halve_overlap: config.mlp_overlap == 2.0,
+            rob_hide_bound: config.rob_size / config.issue_width,
             config,
             cycle: 0,
             instructions: 0,
@@ -65,8 +69,7 @@ impl CoreModel {
         };
         // A 128-entry ROB can hide at most ~rob_size/issue_width cycles of latency behind
         // the following instructions; do not hide more latency than that bound allows.
-        let rob_hide_bound = self.config.rob_size / self.config.issue_width;
-        let stall = overlapped.max(exposed.saturating_sub(rob_hide_bound));
+        let stall = overlapped.max(exposed.saturating_sub(self.rob_hide_bound));
 
         self.cycle += compute + stall;
         self.compute_cycles += compute;

@@ -74,21 +74,38 @@
 //!
 //! **Read-ahead.** A lone evaluation would otherwise run its halves back to back: the
 //! private stages generate a chunk, then the system replays it. When the furthest cursor
-//! of a system's stage takes the memo's last chunk, it queues the stage for the process's
-//! one read-ahead thread, which generates the next chunk while that cursor's system works
-//! through the current one, so the evaluation costs about max(private, shared) instead of
-//! their sum. The thread reserves the chunk from the memo pool first and does nothing
-//! when the pool is dry: the cursor then makes the checkpoint there, as it would without
-//! it. A stage is queued, and served, only while fewer
-//! [`MultiCoreSystem::run`](crate::system::MultiCoreSystem::run) calls are in progress
-//! than the host has hardware threads — a sweep with a cell on every worker keeps them
-//! all busy already — and never at bound 0, so the profile of a stage built while
-//! `sim_obs` records does not depend on timing. The thread is its own, never one of the
-//! sweep workers: each of those drives a cell's cursors, which wait on a generation in
-//! flight, so a read-ahead that held a worker could wait on itself. It decodes a corpus
-//! stage's next batch, too: the trace source decodes on the thread that reads it. No
-//! cursor waits on a request that is only queued: one that finds neither its chunk nor a
-//! generation in flight generates inline.
+//! of a system's stage takes the memo's last chunk, it queues the stage in the process's
+//! read-ahead queue, and whoever serves the stage generates the next chunk while that
+//! cursor's system works through the current one, so the evaluation costs about
+//! max(private, shared) instead of their sum. Two kinds of thread serve the queue, one
+//! chunk per stage they take out of it:
+//!
+//! * the process's one read-ahead thread, while fewer
+//!   [`MultiCoreSystem::run`](crate::system::MultiCoreSystem::run) calls are in progress
+//!   than the host has hardware threads; a run that ends wakes it;
+//! * a **helper**: a cursor that finds the chunk it needs in flight serves one queued
+//!   stage on its own thread, then looks again, and sleeps only when the queue is empty.
+//!   A sweep with a cell on every worker runs the cells of a mix in lockstep over the
+//!   same stages, so instead of sleeping while another worker generates the chunk they
+//!   both need, a worker generates a chunk one of them will need next.
+//!
+//! The idle-thread gate therefore sits where the thread serves, not where a stage is
+//! queued: a queued stage costs nothing until someone takes it, and an idle hardware
+//! thread is a question only for the read-ahead thread, which would take one. A helper
+//! holds one already, which would otherwise sleep. Whoever serves generates only if the
+//! stage's furthest cursor still stands at the memo's end — so no stage runs more than
+//! one chunk ahead of it — and the pool covers the chunk; when the pool is dry the cursor
+//! makes the checkpoint there, as it would without a read-ahead. A stage of bound 0 is
+//! never queued, so the profile of a stage built while `sim_obs` records does not depend
+//! on timing. A helper cannot wait on itself: it lets go of its memo's lock before it
+//! serves, and a generation never waits — it runs from a live stage to the end of its
+//! chunk on the thread that started it — so the chunk the helper's cursor needs is
+//! completed by the thread generating it whatever the helper serves meanwhile.
+//! [`SharedStage::usage`] and dropping a [`SharedStage`] take the stage out of the queue
+//! and wait only for the threads serving it, so neither depends on an idle hardware
+//! thread. A corpus stage's next batch is decoded there too: the trace source decodes on
+//! the thread that reads it. No cursor waits on a request that is only queued: one that
+//! finds neither its chunk nor a generation in flight generates inline.
 //!
 //! **The memo pool and the hand-over.** The stages over one stream retain events out of
 //! one [`MemoPool`] — the stream's share of what a replayed mix's records leave of
@@ -117,11 +134,12 @@
 //! its furthest consumer, and is the same whatever the pool holds.
 //!
 //! **Faults.** A trace source over a corpus file reports corruption by unwinding with a
-//! typed [`ReplayFault`]. If that happens while a chunk is generated — by a cursor or by
-//! the read-ahead thread — the memo records the fault at its frontier: its private
-//! hierarchy stopped mid-record, so no chunk follows. The retained chunks and the target
-//! statistics stay readable; the cursor that was generating raises the fault, and so
-//! does every cursor that needs the failed chunk afterwards, so each evaluation that
+//! typed [`ReplayFault`]. If that happens while a chunk is generated — by a cursor, a
+//! helper or the read-ahead thread — the memo records the fault at its frontier: its
+//! private hierarchy stopped mid-record, so no chunk follows. The retained chunks and the
+//! target statistics stay readable; a cursor that was generating its own chunk raises
+//! the fault (a helper does not), and so does every cursor that needs the failed chunk
+//! afterwards, so each evaluation that
 //! reads the corrupt block fails the typed way, and one that stops short of it — a
 //! read-ahead may run a chunk past the end of a run — does not.
 
@@ -681,7 +699,7 @@ enum Head {
     /// The memo retains: the live stage stands right after the last retained chunk.
     Live(Box<PrivateStage>),
     /// The live stage is out generating the chunk after the last retained one, on a
-    /// cursor's thread or on the read-ahead thread.
+    /// cursor's thread, a helper's or the read-ahead thread.
     Busy,
     /// The memo retains no further chunk: the state the live stage had there, its trace
     /// source dropped. Every cursor that runs off the prefix continues on a clone.
@@ -710,6 +728,8 @@ struct Memo {
     queued: bool,
     /// Chunks the read-ahead thread generated.
     read_aheads: u64,
+    /// Chunks a cursor of another stage generated while it waited for its own.
+    helps: u64,
     /// Times a cursor found the chunk it needed in flight and waited for it.
     waits: u64,
     tracker: ArenaTracker,
@@ -747,19 +767,24 @@ impl Shared {
         self.memo.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// The memo once no chunk is in flight or queued for the read-ahead thread.
-    fn quiescent(&self) -> MutexGuard<'_, Memo> {
-        self.ready
-            .wait_while(self.lock(), |memo| {
-                memo.queued || matches!(memo.head, Head::Busy)
-            })
-            .unwrap_or_else(PoisonError::into_inner)
+    /// The memo once the stage is out of the read-ahead queue and no chunk is in flight.
+    fn quiescent(self: &Arc<Self>) -> MutexGuard<'_, Memo> {
+        let unqueued = READ_AHEAD.get().is_some_and(|queue| queue.release(self));
+        let mut memo = self
+            .ready
+            .wait_while(self.lock(), |memo| matches!(memo.head, Head::Busy))
+            .unwrap_or_else(PoisonError::into_inner);
+        // Taken out of the queue unserved: a cursor may queue it again.
+        if unqueued {
+            memo.queued = false;
+        }
+        memo
     }
 
     /// Chunk `index` of the memo: retained, in flight (waited for), or generated now if
     /// the pool covers it — or, past the retained prefix, the checkpoint to continue
     /// from. A cursor that `reads_ahead` and is the first to take the memo's last chunk
-    /// queues the stage for the read-ahead thread. Raises a fault recorded at `index`.
+    /// queues the stage for read-ahead. Raises a fault recorded at `index`.
     fn next_chunk(
         self: &Arc<Self>,
         index: usize,
@@ -790,10 +815,7 @@ impl Shared {
                 Head::Busy => {
                     memo.waits += u64::from(!waited);
                     waited = true;
-                    memo = self
-                        .ready
-                        .wait(memo)
-                        .unwrap_or_else(PoisonError::into_inner);
+                    memo = self.help_or_wait(memo);
                 }
                 Head::Checkpoint(checkpoint) => return Err(checkpoint.clone()),
                 Head::Failed(fault) => {
@@ -811,15 +833,32 @@ impl Shared {
         }
     }
 
-    /// Whether the read-ahead thread should generate the next chunk: the furthest cursor
-    /// has taken the last retained one, the live stage stands after it, nothing is
-    /// queued yet, the stage coalesces (bound > 0) and a hardware thread is idle.
+    /// The chunk a cursor needs is in flight: serve one stage of the read-ahead queue on
+    /// this thread meanwhile, or, if the queue is empty, sleep until the memo changes
+    /// (module docs, "Read-ahead"). Out of line: it is rare, and `next_event` is inlined
+    /// into the driver's loop.
+    #[cold]
+    #[inline(never)]
+    fn help_or_wait<'a>(&'a self, memo: MutexGuard<'a, Memo>) -> MutexGuard<'a, Memo> {
+        drop(memo);
+        let helped = READ_AHEAD.get().is_some_and(|queue| queue.help());
+        let memo = self.lock();
+        if helped || !matches!(memo.head, Head::Busy) {
+            return memo;
+        }
+        self.ready
+            .wait(memo)
+            .unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Whether a read-ahead should generate the next chunk: the furthest cursor has
+    /// taken the last retained one, the live stage stands after it, nothing is queued
+    /// yet and the stage coalesces (bound > 0).
     fn wants_read_ahead(&self, memo: &Memo) -> bool {
         matches!(memo.head, Head::Live(_))
             && memo.chunks.len() == memo.furthest
             && !memo.queued
             && self.params.bound > 0
-            && hardware_thread_idle()
     }
 
     /// Generate the next chunk on the live stage outside the lock — the head is
@@ -852,10 +891,11 @@ impl Shared {
         generated.map(|()| memo)
     }
 
-    /// The read-ahead thread's job: generate the next chunk if the stage still stands
-    /// where it was queued, a hardware thread is still idle and the pool covers it. A
-    /// fault stays recorded in the memo for the cursor that needs the chunk.
-    fn read_ahead(&self) {
+    /// Serve the stage out of the read-ahead queue, on the read-ahead thread or as a
+    /// `helper`: generate the next chunk if the stage still stands where it was queued
+    /// and the pool covers it. A fault stays recorded in the memo for the cursor that
+    /// needs the chunk; it is not raised here.
+    fn read_ahead(&self, helper: bool) {
         let mut memo = self.lock();
         memo.queued = false;
         if self.wants_read_ahead(&memo) && self.pool.reserve(MAX_CHUNK_BYTES) {
@@ -863,7 +903,11 @@ impl Shared {
                 Ok(generated) => memo = generated,
                 Err(_) => return,
             }
-            memo.read_aheads += 1;
+            if helper {
+                memo.helps += 1;
+            } else {
+                memo.read_aheads += 1;
+            }
         }
         drop(memo);
         self.ready.notify_all();
@@ -874,7 +918,7 @@ impl Shared {
 static RUNNING: AtomicUsize = AtomicUsize::new(0);
 
 /// A [`crate::system::MultiCoreSystem::run`] in progress, counted for the read-ahead
-/// thread's gate while the value lives.
+/// thread's gate while the value lives; the thread is woken when one ends.
 pub(crate) struct Running(());
 
 impl Running {
@@ -887,11 +931,17 @@ impl Running {
 impl Drop for Running {
     fn drop(&mut self) {
         RUNNING.fetch_sub(1, Ordering::Relaxed);
+        if let Some(queue) = READ_AHEAD.get() {
+            // Under the queue's lock, so the thread cannot miss it between checking the
+            // count and parking.
+            let _state = queue.lock();
+            queue.queued.notify_one();
+        }
     }
 }
 
-/// Fewer systems run than the host has hardware threads, so a read-ahead takes none
-/// from them.
+/// Fewer systems run than the host has hardware threads, so the read-ahead thread takes
+/// none from them.
 fn hardware_thread_idle() -> bool {
     static THREADS: OnceLock<usize> = OnceLock::new();
     let threads =
@@ -899,22 +949,38 @@ fn hardware_thread_idle() -> bool {
     RUNNING.load(Ordering::Relaxed) < threads
 }
 
-/// The process's one read-ahead thread (module docs, "Read-ahead"), started on first use
-/// and parked while its queue is empty. It lives as long as the process: nothing joins
-/// it, and it holds a stage only while it serves it.
+/// The process's read-ahead queue and its one thread (module docs, "Read-ahead"),
+/// started on first use. The thread parks while the queue is empty or no hardware thread
+/// is idle; it lives as long as the process: nothing joins it. The thread and helpers
+/// hold a stage only while they serve it.
 struct ReadAhead {
     state: Mutex<ReadAheadState>,
-    /// Signalled when a stage is queued.
+    /// Signalled when a stage is queued or a run ends.
     queued: Condvar,
-    /// Signalled when the thread lets go of a stage.
+    /// Signalled when a thread lets go of a stage.
     released: Condvar,
 }
 
 #[derive(Default)]
 struct ReadAheadState {
     queue: VecDeque<Weak<Shared>>,
-    /// The address of the stage being served.
-    serving: Option<usize>,
+    /// The addresses of the stages being served, once per thread serving one: the
+    /// read-ahead thread and a helper may both hold a stage.
+    serving: Vec<usize>,
+}
+
+impl ReadAheadState {
+    /// Take the first queued stage whose handles are not all gone (one that is needs
+    /// nothing) and note that it is being served.
+    fn take(&mut self) -> Option<Arc<Shared>> {
+        while let Some(stage) = self.queue.pop_front() {
+            if let Some(stage) = stage.upgrade() {
+                self.serving.push(Arc::as_ptr(&stage) as usize);
+                return Some(stage);
+            }
+        }
+        None
+    }
 }
 
 static READ_AHEAD: OnceLock<&'static ReadAhead> = OnceLock::new();
@@ -945,49 +1011,69 @@ impl ReadAhead {
         self.queued.notify_one();
     }
 
+    /// The read-ahead thread: serve the queue while a hardware thread is idle.
     fn serve(&self) -> ! {
         loop {
             let stage = {
                 let mut state = self.lock();
                 loop {
-                    match state.queue.pop_front() {
-                        // A stage whose last handle is gone needs nothing.
-                        Some(stage) => {
-                            if let Some(stage) = stage.upgrade() {
-                                state.serving = Some(Arc::as_ptr(&stage) as usize);
-                                break stage;
-                            }
-                        }
-                        None => {
-                            state = self
-                                .queued
-                                .wait(state)
-                                .unwrap_or_else(PoisonError::into_inner)
+                    if hardware_thread_idle() {
+                        if let Some(stage) = state.take() {
+                            break stage;
                         }
                     }
+                    state = self
+                        .queued
+                        .wait(state)
+                        .unwrap_or_else(PoisonError::into_inner);
                 }
             };
-            stage.read_ahead();
-            drop(stage);
-            self.lock().serving = None;
-            self.released.notify_all();
+            stage.read_ahead(false);
+            self.let_go(stage);
         }
     }
 
-    /// Take `stage` out of the queue and wait until the thread no longer holds it: after
-    /// this the thread cannot be the one that drops it.
-    fn release(&self, stage: &Arc<Shared>) {
+    /// Serve one queued stage on the calling thread, a cursor's that would otherwise
+    /// wait; false if the queue is empty.
+    fn help(&self) -> bool {
+        let Some(stage) = self.lock().take() else {
+            return false;
+        };
+        stage.read_ahead(true);
+        self.let_go(stage);
+        true
+    }
+
+    /// Stop serving `stage`.
+    fn let_go(&self, stage: Arc<Shared>) {
+        let at = Arc::as_ptr(&stage) as usize;
+        drop(stage);
+        let mut state = self.lock();
+        let serving = state.serving.iter().position(|&s| s == at);
+        state
+            .serving
+            .swap_remove(serving.expect("the stage is being served"));
+        drop(state);
+        self.released.notify_all();
+    }
+
+    /// Take `stage` out of the queue and wait until no thread serves it: after this no
+    /// server can be the one that drops it. Whether it was queued.
+    fn release(&self, stage: &Arc<Shared>) -> bool {
         let at = Arc::as_ptr(stage);
         let mut state = self.lock();
+        let queued = state.queue.len();
         state
             .queue
             .retain(|queued| !std::ptr::eq(queued.as_ptr(), at));
-        while state.serving == Some(at as usize) {
+        let unqueued = state.queue.len() < queued;
+        while state.serving.contains(&(at as usize)) {
             state = self
                 .released
                 .wait(state)
                 .unwrap_or_else(PoisonError::into_inner);
         }
+        unqueued
     }
 }
 
@@ -1017,6 +1103,9 @@ pub struct SharedStageUsage {
     pub handovers: u64,
     /// Chunks the read-ahead thread generated (module docs, "Read-ahead").
     pub read_aheads: u64,
+    /// Chunks a cursor of another stage generated while the chunk it needed was in
+    /// flight (module docs, "Read-ahead").
+    pub helps: u64,
     /// Times a cursor found the chunk it needed in flight and waited for it.
     pub waits: u64,
 }
@@ -1032,6 +1121,7 @@ impl std::iter::Sum for SharedStageUsage {
             cursors: a.cursors + b.cursors,
             handovers: a.handovers + b.handovers,
             read_aheads: a.read_aheads + b.read_aheads,
+            helps: a.helps + b.helps,
             waits: a.waits + b.waits,
         })
     }
@@ -1064,6 +1154,7 @@ impl SharedStage {
             furthest: 0,
             queued: false,
             read_aheads: 0,
+            helps: 0,
             waits: 0,
             tracker: ArenaTracker::new(),
         };
@@ -1106,8 +1197,8 @@ impl SharedStage {
         }
     }
 
-    /// What the stage has cost, once no chunk is in flight or queued for the read-ahead
-    /// thread: the numbers do not move unless a cursor asks for more.
+    /// What the stage has cost, once it is out of the read-ahead queue and no chunk is in
+    /// flight: the numbers do not move unless a cursor asks for more.
     pub fn usage(&self) -> SharedStageUsage {
         let memo = self.0.quiescent();
         SharedStageUsage {
@@ -1119,18 +1210,19 @@ impl SharedStage {
             cursors: self.0.cursors.load(Ordering::Relaxed),
             handovers: self.0.handovers.load(Ordering::Relaxed),
             read_aheads: memo.read_aheads,
+            helps: memo.helps,
             waits: memo.waits,
         }
     }
 }
 
 impl Drop for SharedStage {
-    /// The read-ahead thread lets go of the stage first, so a stage whose cursors are
-    /// gone returns its memo's bytes before `drop` does. (Cursors that outlive it read
-    /// on, though they may no longer read ahead.)
+    /// The stage leaves the read-ahead queue and every thread serving it lets go of it
+    /// first, so a stage whose cursors are gone returns its memo's bytes before `drop`
+    /// does. (Cursors that outlive it read on, though they may no longer read ahead.)
     fn drop(&mut self) {
-        if let Some(thread) = READ_AHEAD.get() {
-            thread.release(&self.0);
+        if let Some(queue) = READ_AHEAD.get() {
+            queue.release(&self.0);
         }
     }
 }
@@ -1151,8 +1243,8 @@ pub struct StageCursor {
     own: Option<Box<PrivateStage>>,
     /// Passes over the stream completed by the events moved to so far.
     wraps: u64,
-    /// The cursor feeds a system, whose replay of a chunk the read-ahead thread may
-    /// overlap with generating the next (module docs, "Read-ahead").
+    /// The cursor feeds a system, whose replay of a chunk a read-ahead may overlap with
+    /// generating the next (module docs, "Read-ahead").
     reads_ahead: bool,
 }
 
@@ -1161,7 +1253,7 @@ impl StageCursor {
         &self.shared.params
     }
 
-    /// Let the read-ahead thread generate the chunk after the one this cursor takes when
+    /// Queue the stage for read-ahead of the chunk after the one this cursor takes when
     /// it is the furthest: what a system's cursors do.
     pub(crate) fn read_ahead(mut self) -> Self {
         self.reads_ahead = true;
@@ -1454,24 +1546,31 @@ mod tests {
         }
     }
 
-    /// Raises a typed fault at its `left`-th record, like a decoder that meets corruption
-    /// — having announced it on `stall` and waited to be let go, if asked to.
+    type Stall = (mpsc::Sender<()>, mpsc::Receiver<()>);
+
+    /// The scatter stream, which at its `left`-th record announces it on `stall` and
+    /// waits to be let go, if asked to, and then raises a typed fault, like a decoder that
+    /// meets corruption — or, if not `fault`, reads on.
     struct Faulty {
         inner: Box<dyn TraceSource>,
         left: u64,
-        stall: Option<(mpsc::Sender<()>, mpsc::Receiver<()>)>,
+        stall: Option<Stall>,
+        fault: bool,
     }
 
     impl TraceSource for Faulty {
         fn next_access(&mut self) -> MemAccess {
             if self.left == 0 {
-                if let Some((reached, release)) = &self.stall {
+                if let Some((reached, release)) = self.stall.take() {
                     reached.send(()).unwrap();
                     release.recv().unwrap();
                 }
-                raise_replay_fault("scatter", "injected".to_string());
+                if self.fault {
+                    raise_replay_fault("scatter", "injected".to_string());
+                }
+            } else {
+                self.left -= 1;
             }
-            self.left -= 1;
             self.inner.next_access()
         }
         fn reset(&mut self) {
@@ -1479,12 +1578,65 @@ mod tests {
         }
     }
 
-    fn faulty(left: u64, stall: Option<(mpsc::Sender<()>, mpsc::Receiver<()>)>) -> Box<Faulty> {
+    fn faulty(left: u64, stall: Option<Stall>) -> Box<Faulty> {
         Box::new(Faulty {
             inner: source(),
             left,
             stall,
+            fault: true,
         })
+    }
+
+    /// The scatter stream, pausing at its `left`-th record until let go.
+    fn parked(left: u64, stall: Stall) -> Box<Faulty> {
+        Box::new(Faulty {
+            stall: Some(stall),
+            fault: false,
+            ..*faulty(left, None)
+        })
+    }
+
+    /// Lets a parked source go when dropped.
+    struct LetGo(mpsc::Sender<()>);
+
+    impl Drop for LetGo {
+        fn drop(&mut self) {
+            // A source that met no stall has hung up.
+            let _ = self.0.send(());
+        }
+    }
+
+    /// Every hardware thread counted as running a system while the guards live: the
+    /// read-ahead thread leaves the queue alone, to helpers.
+    fn occupy_hardware_threads() -> Vec<Running> {
+        let threads = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
+        (0..threads).map(|_| Running::enter()).collect()
+    }
+
+    /// `stage`, whose furthest cursor has just taken the memo's first chunk, is in the
+    /// read-ahead queue, or a helper of a test running beside this one has taken it out.
+    fn queued_or_served(stage: &SharedStage) -> bool {
+        let memo = stage.0.lock();
+        memo.queued || memo.chunks.len() > 1 || !matches!(memo.head, Head::Live(_))
+    }
+
+    /// Poll `done` until it holds, for at most a minute.
+    fn eventually(what: &str, mut done: impl FnMut() -> bool) {
+        let deadline = Instant::now() + Duration::from_secs(60);
+        while !done() {
+            assert!(Instant::now() < deadline, "{what}");
+            std::thread::yield_now();
+        }
+    }
+
+    /// The records the first chunk over the scatter stream draws, and the events of its
+    /// first two chunks.
+    fn first_two_chunks() -> (u64, Vec<Event>) {
+        let mut stage = PrivateStage::new(params(RUN_AHEAD), source());
+        let mut events = Chunk::generate(&mut stage).events;
+        let first_records = stage.records();
+        events.extend(Chunk::generate(&mut stage).events);
+        (first_records, events)
     }
 
     /// The typed fault `cursor` raises when it reads on.
@@ -1538,7 +1690,7 @@ mod tests {
             "the target lies past the second chunk"
         );
 
-        // The fault lies in the third chunk, which only the read-ahead thread generates.
+        // The fault lies in the third chunk, which only a read-ahead generates.
         let shared = unbounded(faulty(second_records + 1, None));
         let mut cursors = [shared.cursor().read_ahead(), shared.cursor().read_ahead()];
         for cursor in &mut cursors {
@@ -1546,22 +1698,20 @@ mod tests {
                 assert_eq!(cursor.next_event(), event, "event {i}");
             }
         }
+        eventually("no read-ahead met the fault", || {
+            matches!(shared.0.lock().head, Head::Failed(Some(_)))
+        });
         assert_eq!(shared.usage().chunks, 2);
-        assert!(
-            matches!(shared.0.lock().head, Head::Failed(Some(_))),
-            "the read-ahead thread never met the fault"
-        );
         for cursor in &cursors {
             assert_eq!(cursor.target_stats(), inline.target_stats());
         }
         assert_eq!(fault_of(&mut shared.cursor()).message, "injected");
         let other = unbounded(source());
         other.cursor().read_ahead().next_event();
-        assert_eq!(
-            other.usage().read_aheads,
-            1,
-            "the read-ahead thread is gone"
-        );
+        eventually("the read-ahead queue is no longer served", || {
+            let memo = other.0.lock();
+            memo.read_aheads + memo.helps == 1
+        });
 
         // The fault lies in the second chunk; the read-ahead thread stalls on it until
         // the cursor that needs that chunk waits for it.
@@ -1588,11 +1738,140 @@ mod tests {
         assert_eq!(fault.message, "injected");
         waiter.join().unwrap();
         let usage = shared.usage();
-        assert_eq!((usage.chunks, usage.read_aheads, usage.waits), (1, 0, 1));
+        assert_eq!(
+            (usage.chunks, usage.read_aheads, usage.helps, usage.waits),
+            (1, 0, 0, 1)
+        );
     }
 
-    /// Four cursors on four threads against the read-ahead thread, at a pool of
-    /// `share` bytes: each sees an inline stage's events, write-backs and target
+    /// While a cursor of stage A generates A's second chunk, parked, a second cursor of A
+    /// needs that chunk and serves the read-ahead queue instead of sleeping: it generates
+    /// the next chunk of `b`, which a read-ahead cursor has just queued (the gate keeps
+    /// the read-ahead thread off). Returns that cursor, standing in `b`'s first chunk,
+    /// once the chunk is generated or has failed; A's cursors have each seen an inline
+    /// stage's events by then.
+    fn help_while_parked(b: &SharedStage) -> StageCursor {
+        let _busy = occupy_hardware_threads();
+        let (first_records, want) = first_two_chunks();
+        let (reached, reached_rx) = mpsc::channel();
+        let (release, release_rx) = mpsc::channel();
+        let a = unbounded(parked(first_records + 1, (reached, release_rx)));
+        let read = |mut cursor: StageCursor, want: &[Event]| {
+            for (i, event) in want.iter().enumerate() {
+                assert_eq!(cursor.next_event(), event, "event {i} of A");
+            }
+        };
+
+        let mut queued = b.cursor().read_ahead();
+        queued.next_event();
+        assert!(queued_or_served(b), "a busy host still queues");
+        std::thread::scope(|scope| {
+            // Lets A's generation go however the checks below end, so the scope can join.
+            let release = LetGo(release);
+            let generating = scope.spawn(|| read(a.cursor(), &want));
+            reached_rx
+                .recv_timeout(Duration::from_secs(60))
+                .expect("a cursor of A generates its second chunk");
+            let helping = scope.spawn(|| read(a.cursor(), &want));
+            eventually("the second cursor of A never waited", || {
+                a.0.lock().waits == 1
+            });
+            eventually("no cursor served the queued stage", || {
+                let memo = b.0.lock();
+                memo.helps == 1 || matches!(memo.head, Head::Failed(_))
+            });
+            assert!(
+                matches!(a.0.lock().head, Head::Busy),
+                "A's generation moved on"
+            );
+            drop(release);
+            generating.join().unwrap();
+            helping.join().unwrap();
+        });
+        let usage = a.usage();
+        assert_eq!((usage.chunks, usage.read_aheads, usage.helps), (2, 0, 0));
+        queued
+    }
+
+    #[test]
+    fn read_ahead_by_a_cursor_waiting_on_another_stage() {
+        let b = unbounded(source());
+        let mut cursor = help_while_parked(&b);
+        let usage = b.usage();
+        assert_eq!((usage.chunks, usage.read_aheads, usage.helps), (2, 0, 1));
+        let mut inline = PrivateStage::new(params(RUN_AHEAD), source());
+        assert_eq!(cursor.event(), inline.next_event());
+        for i in 1..3 * CHUNK_EVENTS {
+            assert_eq!(cursor.next_event(), inline.next_event(), "event {i} of B");
+            assert_eq!(cursor.writebacks(), inline.writebacks(), "event {i} of B");
+        }
+    }
+
+    /// The helper that meets a fault goes on waiting for its own chunk; the fault is
+    /// recorded in the helped stage and raised, typed, to the cursor that needs the
+    /// failed chunk — and to no cursor that stops short of it.
+    #[test]
+    fn read_ahead_fault_under_a_helper_reaches_only_the_cursor_that_needs_it() {
+        let (first_records, want) = first_two_chunks();
+        let b = unbounded(faulty(first_records + 1, None));
+        let mut cursor = help_while_parked(&b);
+        assert!(matches!(b.0.lock().head, Head::Failed(Some(_))));
+        let usage = b.usage();
+        assert_eq!((usage.chunks, usage.read_aheads, usage.helps), (1, 0, 0));
+        let first = usage.events as usize;
+        let mut short = b.cursor();
+        for (i, event) in want[..first].iter().enumerate() {
+            assert_eq!(short.next_event(), event, "event {i} of B");
+        }
+        for event in &want[1..first] {
+            assert_eq!(cursor.next_event(), event);
+        }
+        let fault = fault_of(&mut cursor);
+        assert_eq!(
+            (fault.stream.as_str(), fault.message.as_str()),
+            ("scatter", "injected")
+        );
+    }
+
+    /// `usage` takes a queued stage out of the queue rather than wait for the read-ahead
+    /// thread, which the gate keeps off while every hardware thread runs a system; the
+    /// stage is queued again when its furthest cursor takes the memo's last chunk.
+    #[test]
+    fn read_ahead_queue_holds_up_no_usage_on_a_busy_host() {
+        let busy = occupy_hardware_threads();
+        let shared = unbounded(source());
+        let mut cursor = shared.cursor().read_ahead();
+        cursor.next_event();
+        assert!(queued_or_served(&shared), "a busy host still queues");
+        let (done, done_rx) = mpsc::channel();
+        let reader = std::thread::spawn(move || {
+            let usage = shared.usage();
+            done.send((shared, usage)).unwrap();
+        });
+        let (shared, usage) = done_rx
+            .recv_timeout(Duration::from_secs(60))
+            .expect("usage returns on a busy host");
+        reader.join().unwrap();
+        // A helper of a test running beside this one may have served the stage.
+        assert_eq!((usage.chunks, usage.read_aheads), (1 + usage.helps, 0));
+        assert!(!shared.0.lock().queued);
+
+        // Through the first chunk, and one event into the second.
+        let first = Chunk::generate(&mut PrivateStage::new(params(RUN_AHEAD), source()))
+            .events
+            .len();
+        for _ in 0..first {
+            cursor.next_event();
+        }
+        eventually("the stage is not queued again", || {
+            let memo = shared.0.lock();
+            memo.queued || memo.chunks.len() > memo.furthest
+        });
+        drop(busy);
+    }
+
+    /// Four cursors on four threads against the read-ahead thread and one another as
+    /// helpers, at a pool of `share` bytes: each sees an inline stage's events, write-backs and target
     /// statistics, the pool loses no byte, and the quiescent memo holds the chunks the
     /// furthest cursor took, or one more read ahead.
     fn read_ahead_against_four_cursors(share: u64) {
@@ -1637,7 +1916,8 @@ mod tests {
             "{} chunks retained, the furthest cursor took {furthest}",
             usage.chunks
         );
-        assert!(usage.read_aheads < usage.chunks.max(1));
+        // The first chunk is generated by a cursor: nothing is queued before it exists.
+        assert!(usage.read_aheads + usage.helps < usage.chunks.max(1));
         assert_eq!(usage.handovers, if share == u64::MAX { 0 } else { 4 });
         if share != u64::MAX {
             let left = pool.left.load(Ordering::Relaxed);

@@ -13,6 +13,12 @@
 //! is padded to a power of two with `u64::MAX` keys; padding sits to the right of every
 //! real core, so it can never beat one — not even a retired core that also holds
 //! `u64::MAX`.
+//!
+//! Which child wins is data-dependent at every level, and the driver re-keys the core it
+//! just advanced, whose new key lands anywhere among the others: a branch on the compare
+//! mispredicts about as often as it is taken either way. [`WinnerTree::update`] therefore
+//! picks each level's winner with a select (`cmov`) rather than a branch, so replaying a
+//! path costs log₂(cores) dependent compares and no pipeline flush.
 
 /// Tournament tree over `n` cores' keys; see the module docs.
 pub(crate) struct WinnerTree {
@@ -51,9 +57,9 @@ impl WinnerTree {
     /// Set `core`'s key and replay its leaf-to-root path.
     ///
     /// The path's running winner is carried in registers and played against each
-    /// sibling, so a level's loads never wait on the previous level's stores.
-    /// `(key, id)` compares lexicographically: ids grow left to right, so this is the
-    /// same tie-goes-left rule as [`WinnerTree::play`].
+    /// sibling, so a level's loads never wait on the previous level's stores, and picked
+    /// without a branch (module docs). `(key, id)` compares lexicographically: ids grow
+    /// left to right, so this is the same tie-goes-left rule as [`WinnerTree::play`].
     #[inline]
     pub(crate) fn update(&mut self, core: usize, key: u64) {
         let mut node = self.leaves + core;
@@ -61,7 +67,7 @@ impl WinnerTree {
         let mut winner = (key, core as u32);
         while node > 1 {
             let sibling = (self.key[node ^ 1], self.id[node ^ 1]);
-            winner = winner.min(sibling);
+            winner = std::hint::select_unpredictable(sibling < winner, sibling, winner);
             node >>= 1;
             (self.key[node], self.id[node]) = winner;
         }
@@ -107,7 +113,7 @@ mod tests {
 
     #[test]
     fn matches_a_naive_min_scan_under_random_updates() {
-        for n in [1usize, 2, 3, 5, 16, 24, 128] {
+        for n in [1usize, 2, 3, 5, 16, 24, 128, 256, 1000] {
             let mut rng = 0x9e37_79b9_7f4a_7c15 ^ n as u64;
             let mut tree = WinnerTree::new(n);
             let mut keys = vec![0u64; n];

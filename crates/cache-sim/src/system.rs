@@ -258,7 +258,7 @@ impl<P: LlcReplacementPolicy> MultiCoreSystem<P> {
     /// per core, in core order) instead of simulating their private hierarchies. The
     /// stages must model `config`'s private hierarchy and carry the instruction target
     /// `run` is then called with. While the system replays a chunk, the stage's next one
-    /// may be generated on the read-ahead thread (`crate::private`, "Read-ahead").
+    /// may be generated ahead by another thread (`crate::private`, "Read-ahead").
     pub fn with_stages(config: SystemConfig, stages: Vec<StageCursor>, policy: P) -> Self {
         config.validate().expect("invalid system configuration");
         let feeds = stages

@@ -166,9 +166,9 @@ impl MixEvaluation {
 /// replayed mix is streamed from its mapping in fixed-size batches (`Streamed`: a
 /// [`MappedStreamDecoder`] under `cache_sim::trace::ArenaReplayTrace`), each batch
 /// decoding on whichever thread drives the stage — its read-ahead thread for a lone
-/// evaluation, the sweep's worker otherwise. A stream that fits one batch is decoded
-/// once and loops in place, so a smoke-size or hand-imported corpus pays nothing per
-/// pass. Either kind, each core's stream feeds one
+/// evaluation, a sweep worker otherwise (for its own cell or, as a helper, for another).
+/// A stream that fits one batch is decoded once and loops in place, so a smoke-size or
+/// hand-imported corpus pays nothing per pass. Either kind, each core's stream feeds one
 /// shared private stage per distinct [`StageParams`], and every evaluation replays its
 /// events.
 ///

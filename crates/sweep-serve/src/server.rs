@@ -783,14 +783,15 @@ fn corpora_body(shared: &Shared) -> String {
             .join(",");
         // What resident sharing holds: the event memos' bytes, the evaluations that
         // replayed (or extended) them — one cursor per core each — the cursors that ran
-        // off a full memo and continued from its checkpoint, the chunks read ahead and
-        // the waits for a chunk in flight.
+        // off a full memo and continued from its checkpoint, the chunks read ahead, those
+        // a waiting cursor generated for another stage and the waits for a chunk in
+        // flight.
         let stages = corpus.stage_usage();
         out.push_str(&format!(
             "{{\"name\":{},\"hash\":\"{:016x}\",\"label\":{},\"cores\":{},\"llc_sets\":{},\
              \"seed\":{},\"instructions\":{},\"mix_ids\":[{mix_ids}],\
              \"stage_memo_bytes\":{},\"stage_cursors\":{},\"stage_handovers\":{},\
-             \"stage_read_aheads\":{},\"stage_waits\":{}}}",
+             \"stage_read_aheads\":{},\"stage_helps\":{},\"stage_waits\":{}}}",
             json_str(&corpus.name),
             corpus.hash,
             json_str(&corpus.corpus.meta().label),
@@ -802,6 +803,7 @@ fn corpora_body(shared: &Shared) -> String {
             stages.cursors / corpus.config.num_cores as u64,
             stages.handovers,
             stages.read_aheads,
+            stages.helps,
             stages.waits,
         ));
     }

@@ -139,8 +139,15 @@ fn a_daemon_whose_memos_run_dry_reports_its_handovers_and_the_same_answers() {
     assert_eq!(field("stage_cursors"), evaluations);
     assert_eq!(field("stage_memo_bytes"), 0);
     assert_eq!(field("stage_handovers"), evaluations * field("cores"));
-    // A pool that cannot cover a chunk leaves the read-ahead thread nothing to do.
-    assert_eq!((field("stage_read_aheads"), field("stage_waits")), (0, 0));
+    // A pool that cannot cover a chunk leaves a read-ahead nothing to do.
+    assert_eq!(
+        (
+            field("stage_read_aheads"),
+            field("stage_helps"),
+            field("stage_waits")
+        ),
+        (0, 0, 0)
+    );
     handle.stop();
 }
 
