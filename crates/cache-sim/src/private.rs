@@ -6,15 +6,16 @@
 //! half of a core — trace source, L1D, L2, next-line prefetcher and the private part of
 //! the core timing — and turns the trace into a stream of [`Event`]s for
 //! [`crate::system::MultiCoreSystem::run`], which owns the other half (LLC, DRAM, the
-//! cores' clocks). A sweep evaluates P policies on one mix: a [`SharedStage`] simulates
-//! the private half once and every policy's system replays its events.
+//! cores' clocks). Every system replays a [`SharedStage`]'s events: the P policies of a
+//! sweep share one per core, so the private half is simulated once; a system built over
+//! trace sources reads a sole stage of its own.
 //!
 //! ```text
 //!   TraceSource ─► L1D ─► L2 ─► prefetcher          LLC ─► MSHR ─► DRAM ─► CoreModel
 //!   └────────────── PrivateStage ──────────────┘    └──── MultiCoreSystem::run ────┘
 //!                        │   Event: gap + one in-order record    ▲
-//!                        └───────────────────────────────────────┘
-//!            inline (one consumer)  or  SharedStage memo ─► StageCursor × P
+//!                        └─► SharedStage memo (chunks) ─► StageCursor × P
+//!                            or a sole stage's one cursor, released behind it
 //! ```
 //!
 //! **Events.** An event is a coalesced run of *private-only* records — the **gap**: Σ
@@ -67,10 +68,22 @@
 //! notes at every chunk — stay readable, and a cursor that needs the chunk in flight
 //! waits for it. The stage owns the live trace source, so records are not memoized a
 //! second time. Its key is exactly what the stage reads — [`StageParams`], compared
-//! whole. A consumer never sees the difference from an inline stage; the trace source
-//! does: a shared stage may have drawn the rest of its furthest consumer's chunk and one
-//! chunk read ahead of it, on top of the driver's own `RUN_AHEAD + 1` records — fewer
-//! than `2 × (CHUNK_RECORDS + RUN_AHEAD)` records beyond that consumer.
+//! whole. A consumer never sees the chunks; the trace source does: a stage may have
+//! drawn the rest of its furthest consumer's chunk and one chunk read ahead of it, on
+//! top of the driver's own `RUN_AHEAD + 1` records — fewer than
+//! `2 × (CHUNK_RECORDS + RUN_AHEAD)` beyond that consumer. Two rules spare a lone run
+//! more: (a) a chunk ends after the event that reaches the instruction target, and (b)
+//! `run` fetches nothing after its last snapshot; a one-core run no one reads ahead
+//! draws exactly the records a per-record engine consumes.
+//!
+//! **Release-behind.** A sole stage ([`SharedStage::sole`]) hands out one cursor and
+//! keeps no prefix: its memo drops each chunk the cursor leaves and generates the next
+//! one into that chunk's buffer, so it holds two chunk buffers at most — the one being
+//! read and the one being generated — and shrinks none. It draws on no pool and never
+//! stops retaining. Dropping the cursor takes the stage out of the read-ahead queue and
+//! waits for every thread serving it, so the trace source is gone when `drop` returns.
+//! [`MultiCoreSystem::run`](crate::system::MultiCoreSystem::run) builds one per trace
+//! source, and a hand-over continues on one.
 //!
 //! **Read-ahead.** A lone evaluation would otherwise run its halves back to back: the
 //! private stages generate a chunk, then the system replays it. When the furthest cursor
@@ -116,15 +129,15 @@
 //! another chunk the stage stops retaining for good: the retained chunks stay a prefix
 //! every cursor replays, and the live stage becomes the **checkpoint** — its
 //! [`StageState`], kept by the memo, while its trace source (its decode buffer) is
-//! dropped. A cursor that runs off the prefix continues on a [`PrivateStage`] of its
-//! own: a clone of the checkpoint over a fresh source that starts where the prefix ends
-//! (the stage's source factory takes that record, and a replayed stream seeks there
-//! through its file's chunk index). Every cursor, the first
+//! dropped. A cursor that runs off the prefix continues on a sole stage of its own,
+//! read ahead like the memo: a clone of the checkpoint over a fresh source that starts
+//! where the prefix ends (the stage's source factory takes that record, and a replayed
+//! stream seeks there through its file's chunk index). Every cursor, the first
 //! included, hands over this one way, at the cost of a clone and a seek whatever the
 //! prefix's length. A pool that cannot cover the checkpoint retains nothing; its
-//! checkpoint is the empty stage at record 0, so every cursor simply drives its own
-//! stage, as a system built over trace sources does. No cursor waits for another or
-//! fails, and the events are the same whatever the pool holds.
+//! checkpoint is the empty stage at record 0, so every cursor reads a sole stage from
+//! the first record, as a system built over trace sources does. No cursor waits for
+//! another or fails, and the events are the same whatever the pool holds.
 //!
 //! **Wraps.** A finite stream is replayed in a loop. An event carries how often its
 //! records crossed the stream's end ([`Event::wraps`]); a cursor adds that up as it
@@ -165,7 +178,8 @@ pub const CHUNK_EVENTS: usize = 1024;
 /// cache-resident core cover `bound + 1` records each, and two chunks — the furthest
 /// consumer's and the one read ahead — are how far a shared stage may run ahead of that
 /// consumer. The event that crosses the line is completed, so a chunk draws fewer than
-/// `CHUNK_RECORDS + bound + 1` records.
+/// `CHUNK_RECORDS + bound + 1` records. A chunk also ends after the event that reaches
+/// the instruction target (module docs, rule (a)).
 pub const CHUNK_RECORDS: u64 = 4096;
 
 /// Most bytes one chunk holds: [`CHUNK_EVENTS`] events with four write-backs each. A
@@ -314,9 +328,6 @@ pub struct StageState {
 pub struct PrivateStage {
     state: StageState,
     trace: Box<dyn TraceSource>,
-    /// The event last produced, and the write-back blocks that left the L2 for it.
-    event: Event,
-    writebacks: Vec<BlockAddr>,
 }
 
 impl PrivateStage {
@@ -347,12 +358,7 @@ impl PrivateStage {
             state.passes,
             "the source does not stand where the stage stopped"
         );
-        PrivateStage {
-            state,
-            trace,
-            event: Event::default(),
-            writebacks: Vec::new(),
-        }
+        PrivateStage { state, trace }
     }
 
     /// The stage's trace-independent half, as it stands.
@@ -362,13 +368,6 @@ impl PrivateStage {
 
     pub fn params(&self) -> &StageParams {
         &self.state.params
-    }
-
-    /// Set the instruction target of a stage that has drawn no record yet: an inline
-    /// stage is built before `run` names the target.
-    pub fn set_target(&mut self, instruction_target: u64) {
-        assert_eq!(self.state.records, 0, "the stage has already started");
-        self.state.params.instruction_target = instruction_target;
     }
 
     /// Label of the trace source.
@@ -381,38 +380,17 @@ impl PrivateStage {
         self.state.records
     }
 
-    /// Statistics of the private levels now.
-    pub fn stats(&self) -> PrivateStats {
-        self.state.stats()
-    }
-
-    /// [`stats`](Self::stats) as they stood right after the record that reached the
-    /// instruction target; `None` until the stage has produced that event.
+    /// Statistics of the private levels as they stood right after the record that
+    /// reached the instruction target; `None` until the stage has produced that event.
     pub fn target_stats(&self) -> Option<PrivateStats> {
         self.state.target_stats
     }
 
-    /// The event last produced (an empty one before the first).
-    pub fn event(&self) -> &Event {
-        &self.event
-    }
-
-    /// Write-back blocks of the event last produced: the demand's, then the prefetch's.
-    pub fn writebacks(&self) -> &[BlockAddr] {
-        &self.writebacks
-    }
-
-    /// Produce the next event; it and its [`writebacks`](Self::writebacks) stay readable
-    /// in place until the next call. Panics after a [frozen](Event::frozen) event.
-    pub fn next_event(&mut self) -> &Event {
-        let PrivateStage {
-            state: s,
-            trace,
-            event,
-            writebacks,
-        } = self;
+    /// Produce the next event, appending the blocks its record wrote back below the L2
+    /// to `writebacks`. Panics after a [frozen](Event::frozen) event.
+    fn next_event(&mut self, writebacks: &mut Vec<BlockAddr>) -> Event {
+        let PrivateStage { state: s, trace } = self;
         assert!(!s.ended, "the stage ended with a frozen event");
-        writebacks.clear();
         let StageParams {
             core: CoreConfig { issue_width, .. },
             instruction_target,
@@ -484,7 +462,7 @@ impl PrivateStage {
                 }
                 None => 0,
             };
-            *event = Event {
+            return Event {
                 block,
                 pc: access.pc,
                 // `fits` bounded the sums; compute cycles never exceed instructions.
@@ -498,7 +476,6 @@ impl PrivateStage {
                 demand_writebacks: outcome.demand_writebacks,
                 prefetch_writebacks: outcome.prefetch_writebacks,
             };
-            return event;
         }
     }
 }
@@ -650,23 +627,26 @@ struct Chunk {
 }
 
 impl Chunk {
-    /// Run `stage` for the next [`CHUNK_EVENTS`] events or [`CHUNK_RECORDS`] records,
-    /// whichever comes first.
-    fn generate(stage: &mut PrivateStage) -> Chunk {
-        let mut chunk = Chunk::default();
+    /// Replace the chunk's events with `stage`'s next [`CHUNK_EVENTS`] events or
+    /// [`CHUNK_RECORDS`] records, whichever come first, ending early at the target (rule (a)).
+    fn generate(&mut self, stage: &mut PrivateStage) {
+        self.events.clear();
+        self.writebacks.clear();
         let record_limit = stage.records() + CHUNK_RECORDS;
-        while chunk.events.len() < CHUNK_EVENTS
+        while self.events.len() < CHUNK_EVENTS
             && stage.records() < record_limit
             && !stage.state.ended
         {
-            chunk.events.push(*stage.next_event());
-            chunk.writebacks.extend_from_slice(&stage.writebacks);
+            let event = stage.next_event(&mut self.writebacks);
+            self.events.push(event);
+            if event.reaches_target() {
+                break;
+            }
         }
         assert!(
-            !chunk.events.is_empty(),
+            !self.events.is_empty(),
             "the stage ended with a frozen event"
         );
-        chunk
     }
 
     fn bytes(&self) -> u64 {
@@ -679,11 +659,8 @@ impl Chunk {
 struct Shared {
     params: StageParams,
     label: String,
-    /// A fresh source over the stage's stream, standing at the given record of the
-    /// endless stream.
-    source: Box<dyn Fn(u64) -> Box<dyn TraceSource> + Send + Sync>,
-    /// Where the memo's bytes come from.
-    pool: Arc<MemoPool>,
+    /// `None` for a sole stage (module docs, "Release-behind").
+    retain: Option<Retain>,
     /// The stream's wrap counter (module docs, "Wraps").
     stream_wraps: Arc<AtomicU64>,
     cursors: AtomicU64,
@@ -694,12 +671,22 @@ struct Shared {
     ready: Condvar,
 }
 
+/// What a memo that retains a prefix draws on (module docs, "The memo pool and the
+/// hand-over"): fresh sources over its stream, standing at a given record of the endless
+/// stream, and the pool its bytes come from.
+struct Retain {
+    source: Box<dyn Fn(u64) -> Box<dyn TraceSource> + Send + Sync>,
+    pool: Arc<MemoPool>,
+}
+
 /// Where a memo's retained prefix ends.
+#[derive(Default)]
 enum Head {
     /// The memo retains: the live stage stands right after the last retained chunk.
     Live(Box<PrivateStage>),
     /// The live stage is out generating the chunk after the last retained one, on a
     /// cursor's thread, a helper's or the read-ahead thread.
+    #[default]
     Busy,
     /// The memo retains no further chunk: the state the live stage had there, its trace
     /// source dropped. Every cursor that runs off the prefix continues on a clone.
@@ -709,10 +696,14 @@ enum Head {
     Failed(Option<ReplayFault>),
 }
 
+#[derive(Default)]
 struct Memo {
     head: Head,
-    /// The retained prefix of the stage's events.
+    /// The retained chunks, from chunk `first` on: the prefix, or those a sole cursor has not left.
     chunks: Vec<Arc<Chunk>>,
+    first: usize,
+    /// A sole stage's chunk its cursor has left: the buffer the next generation fills.
+    spare: Option<Chunk>,
     events: u64,
     bytes: u64,
     /// Bytes reserved for the checkpoint; 0 when the pool could not cover it, and then
@@ -745,21 +736,73 @@ impl Memo {
     }
 
     /// Retain `chunk`, which `stage` has just generated into a [`MAX_CHUNK_BYTES`]
-    /// reservation from `pool`; what it does not need goes back.
-    fn push(&mut self, mut chunk: Chunk, stage: &PrivateStage, pool: &MemoPool) {
-        chunk.events.shrink_to_fit();
-        chunk.writebacks.shrink_to_fit();
-        pool.release(MAX_CHUNK_BYTES.saturating_sub(chunk.bytes()));
+    /// reservation from `pool`, if it has one; what the chunk does not need goes back.
+    fn push(&mut self, mut chunk: Chunk, stage: &PrivateStage, pool: Option<&MemoPool>) {
+        if let Some(pool) = pool {
+            chunk.events.shrink_to_fit();
+            chunk.writebacks.shrink_to_fit();
+            pool.release(MAX_CHUNK_BYTES.saturating_sub(chunk.bytes()));
+            self.bytes += chunk.bytes();
+            self.tracker.set_bytes(self.bytes + self.checkpoint_bytes);
+        }
         self.events += chunk.events.len() as u64;
-        self.bytes += chunk.bytes();
-        self.tracker.set_bytes(self.bytes + self.checkpoint_bytes);
         self.records = stage.records();
         self.target_stats = stage.target_stats();
         self.chunks.push(Arc::new(chunk));
     }
+
+    /// Drop the chunks behind a sole stage's cursor, which asks for chunk `index`, and
+    /// keep `left`, the chunk it has read, as the buffer of the next generation.
+    fn release_behind(&mut self, index: usize, left: Arc<Chunk>) {
+        self.chunks.drain(..index - self.first);
+        self.first = index;
+        if let Ok(chunk) = Arc::try_unwrap(left) {
+            self.spare = Some(chunk);
+        }
+    }
 }
 
 impl Shared {
+    /// A stage over `stage` that retains as `retain` says, or a sole one; its cursors
+    /// fold the passes they complete into `stream_wraps`.
+    fn new(stage: PrivateStage, retain: Option<Retain>, stream_wraps: Arc<AtomicU64>) -> Arc<Self> {
+        let (params, label) = (*stage.params(), stage.label());
+        let checkpoint_bytes = stage.state().bytes();
+        let mut memo = Memo {
+            records: stage.records(),
+            target_stats: stage.target_stats(),
+            head: Head::Live(Box::new(stage)),
+            ..Memo::default()
+        };
+        match &retain {
+            // Every cursor continues from the empty stage at record 0.
+            Some(retain) if !retain.pool.reserve(checkpoint_bytes) => memo.stop_retaining(),
+            Some(_) => {
+                memo.checkpoint_bytes = checkpoint_bytes;
+                memo.tracker.set_bytes(checkpoint_bytes);
+            }
+            None => {}
+        }
+        Arc::new(Shared {
+            params,
+            label,
+            retain,
+            stream_wraps,
+            cursors: AtomicU64::new(0),
+            handovers: AtomicU64::new(0),
+            memo: Mutex::new(memo),
+            ready: Condvar::new(),
+        })
+    }
+
+    /// Take a chunk's worth of bytes out of the pool before generating one; a sole stage
+    /// draws on none.
+    fn reserve_chunk(&self) -> bool {
+        self.retain
+            .as_ref()
+            .is_none_or(|retain| retain.pool.reserve(MAX_CHUNK_BYTES))
+    }
+
     /// The memo, whatever state it is in. No update panics half-way — a generation runs
     /// outside the lock and is recorded in the head either way — so a poisoned lock
     /// carries no more information than the memo itself.
@@ -781,19 +824,24 @@ impl Shared {
         memo
     }
 
-    /// Chunk `index` of the memo: retained, in flight (waited for), or generated now if
-    /// the pool covers it — or, past the retained prefix, the checkpoint to continue
-    /// from. A cursor that `reads_ahead` and is the first to take the memo's last chunk
-    /// queues the stage for read-ahead. Raises a fault recorded at `index`.
+    /// Chunk `index` of the memo, for a cursor that has read `left`: retained, in flight
+    /// (waited for), or generated now if the pool covers it — or, past the retained
+    /// prefix, the checkpoint to continue from. A cursor that `reads_ahead` and is the
+    /// first to take the memo's last chunk queues the stage for read-ahead. Raises a
+    /// fault recorded at `index`.
     fn next_chunk(
         self: &Arc<Self>,
         index: usize,
         reads_ahead: bool,
+        left: Arc<Chunk>,
     ) -> Result<Arc<Chunk>, Arc<StageState>> {
         let mut memo = self.lock();
+        if self.retain.is_none() {
+            memo.release_behind(index, left);
+        }
         let mut waited = false;
         loop {
-            if let Some(chunk) = memo.chunks.get(index).cloned() {
+            if let Some(chunk) = memo.chunks.get(index - memo.first).cloned() {
                 let furthest = index >= memo.furthest;
                 memo.furthest = memo.furthest.max(index + 1);
                 let queue = furthest && reads_ahead && self.wants_read_ahead(&memo);
@@ -806,7 +854,7 @@ impl Shared {
             }
             match &memo.head {
                 Head::Live(_) => {
-                    if self.pool.reserve(MAX_CHUNK_BYTES) {
+                    if self.reserve_chunk() {
                         memo = self.generate(memo).unwrap_or_else(|p| resume_unwind(p));
                     } else {
                         memo.stop_retaining();
@@ -856,7 +904,7 @@ impl Shared {
     /// yet and the stage coalesces (bound > 0).
     fn wants_read_ahead(&self, memo: &Memo) -> bool {
         matches!(memo.head, Head::Live(_))
-            && memo.chunks.len() == memo.furthest
+            && memo.first + memo.chunks.len() == memo.furthest
             && !memo.queued
             && self.params.bound > 0
     }
@@ -872,17 +920,21 @@ impl Shared {
         let Head::Live(mut stage) = std::mem::replace(&mut memo.head, Head::Busy) else {
             unreachable!("only the live stage generates")
         };
+        let mut chunk = memo.spare.take().unwrap_or_default();
         drop(memo);
-        let generated = catch_unwind(AssertUnwindSafe(|| Chunk::generate(&mut stage)));
+        let generated = catch_unwind(AssertUnwindSafe(|| chunk.generate(&mut stage)));
         let mut memo = self.lock();
+        let pool = self.retain.as_ref().map(|retain| &*retain.pool);
         let generated = match generated {
-            Ok(chunk) => {
-                memo.push(chunk, &stage, &self.pool);
+            Ok(()) => {
+                memo.push(chunk, &stage, pool);
                 memo.head = Head::Live(stage);
                 Ok(())
             }
             Err(payload) => {
-                self.pool.release(MAX_CHUNK_BYTES);
+                if let Some(pool) = pool {
+                    pool.release(MAX_CHUNK_BYTES);
+                }
                 memo.head = Head::Failed(replay_fault_from(payload.as_ref()).cloned());
                 Err(payload)
             }
@@ -898,7 +950,7 @@ impl Shared {
     fn read_ahead(&self, helper: bool) {
         let mut memo = self.lock();
         memo.queued = false;
-        if self.wants_read_ahead(&memo) && self.pool.reserve(MAX_CHUNK_BYTES) {
+        if self.wants_read_ahead(&memo) && self.reserve_chunk() {
             match self.generate(memo) {
                 Ok(generated) => memo = generated,
                 Err(_) => return,
@@ -1099,7 +1151,7 @@ pub struct SharedStageUsage {
     pub checkpoint_bytes: u64,
     /// Cursors handed out.
     pub cursors: u64,
-    /// Cursors that ran off a full memo and continued on a stage of their own.
+    /// Cursors that ran off a full memo and continued on a sole stage of their own.
     pub handovers: u64,
     /// Chunks the read-ahead thread generated (module docs, "Read-ahead").
     pub read_aheads: u64,
@@ -1141,41 +1193,11 @@ impl SharedStage {
         stream_wraps: Arc<AtomicU64>,
     ) -> Self {
         let stage = PrivateStage::new(params, source(0));
-        let label = stage.label();
-        let checkpoint_bytes = stage.state().bytes();
-        let mut memo = Memo {
-            head: Head::Live(Box::new(stage)),
-            chunks: Vec::new(),
-            events: 0,
-            bytes: 0,
-            checkpoint_bytes: 0,
-            records: 0,
-            target_stats: None,
-            furthest: 0,
-            queued: false,
-            read_aheads: 0,
-            helps: 0,
-            waits: 0,
-            tracker: ArenaTracker::new(),
-        };
-        if pool.reserve(checkpoint_bytes) {
-            memo.checkpoint_bytes = checkpoint_bytes;
-            memo.tracker.set_bytes(checkpoint_bytes);
-        } else {
-            // Every cursor continues from the empty stage at record 0.
-            memo.stop_retaining();
-        }
-        SharedStage(Arc::new(Shared {
-            params,
-            label,
+        let retain = Retain {
             source: Box::new(source),
             pool,
-            stream_wraps,
-            cursors: AtomicU64::new(0),
-            handovers: AtomicU64::new(0),
-            memo: Mutex::new(memo),
-            ready: Condvar::new(),
-        }))
+        };
+        SharedStage(Shared::new(stage, Some(retain), stream_wraps))
     }
 
     pub fn params(&self) -> &StageParams {
@@ -1191,10 +1213,17 @@ impl SharedStage {
             chunks_taken: 0,
             pos: 0,
             writebacks: 0..0,
-            own: None,
             wraps: 0,
             reads_ahead: false,
         }
+    }
+
+    /// The one cursor of a stage over `trace` that can never hand out another: its memo
+    /// keeps no prefix, only the chunk being read and the one being generated (module
+    /// docs, "Release-behind"). Dropping the cursor drops `trace`.
+    pub fn sole(params: StageParams, trace: Box<dyn TraceSource>) -> StageCursor {
+        let stage = PrivateStage::new(params, trace);
+        SharedStage(Shared::new(stage, None, Arc::default())).cursor()
     }
 
     /// What the stage has cost, once it is out of the read-ahead queue and no chunk is in
@@ -1237,10 +1266,6 @@ pub struct StageCursor {
     pos: usize,
     /// The last event's blocks in the chunk's write-back side array.
     writebacks: std::ops::Range<usize>,
-    /// The stage this cursor continues on once it has run off the memo's retained
-    /// prefix (module docs, "The memo pool and the hand-over"): `chunk` is then its own,
-    /// generated from here and kept by no one.
-    own: Option<Box<PrivateStage>>,
     /// Passes over the stream completed by the events moved to so far.
     wraps: u64,
     /// The cursor feeds a system, whose replay of a chunk a read-ahead may overlap with
@@ -1297,35 +1322,46 @@ impl StageCursor {
     /// [`PrivateStage::target_stats`] of the stage the cursor reads: `Some` once any
     /// consumer of it has been handed the event that reached the target.
     pub fn target_stats(&self) -> Option<PrivateStats> {
-        match &self.own {
-            Some(stage) => stage.target_stats(),
-            None => self.shared.lock().target_stats,
-        }
+        self.shared.lock().target_stats
     }
 
     /// Move to the next chunk: of the memo — generated now if no cursor needed it before
-    /// and the pool covers it — or, off the retained prefix, of a stage of the cursor's
-    /// own, continued from the memo's checkpoint over a source that starts there.
+    /// and the pool covers it — or, off the retained prefix, of a sole stage of the
+    /// cursor's own, continued from the memo's checkpoint over a source that starts there.
     fn take_chunk(&mut self) {
         self.pos = 0;
         self.writebacks = 0..0;
-        if self.own.is_none() {
-            match self.shared.next_chunk(self.chunks_taken, self.reads_ahead) {
-                Ok(chunk) => {
-                    self.chunk = chunk;
-                    self.chunks_taken += 1;
-                    return;
-                }
-                Err(checkpoint) => {
-                    self.shared.handovers.fetch_add(1, Ordering::Relaxed);
-                    let state = StageState::clone(&checkpoint);
-                    let trace = (self.shared.source)(state.records());
-                    self.own = Some(Box::new(PrivateStage::resume(state, trace)));
-                }
+        let left = std::mem::take(&mut self.chunk);
+        match self
+            .shared
+            .next_chunk(self.chunks_taken, self.reads_ahead, left)
+        {
+            Ok(chunk) => {
+                self.chunk = chunk;
+                self.chunks_taken += 1;
+            }
+            Err(checkpoint) => {
+                let retain = self.shared.retain.as_ref();
+                let source = &retain.expect("a sole stage never stops retaining").source;
+                let state = StageState::clone(&checkpoint);
+                let trace = source(state.records());
+                self.shared.handovers.fetch_add(1, Ordering::Relaxed);
+                let stream_wraps = self.shared.stream_wraps.clone();
+                self.shared = Shared::new(PrivateStage::resume(state, trace), None, stream_wraps);
+                self.chunks_taken = 0;
+                self.take_chunk();
             }
         }
-        let stage = self.own.as_mut().expect("the cursor left the memo");
-        self.chunk = Arc::new(Chunk::generate(stage));
+    }
+}
+
+impl Drop for StageCursor {
+    /// A sole stage's cursor is its only handle: it releases the stage as dropping a
+    /// [`SharedStage`] does, so the trace source is gone when `drop` returns.
+    fn drop(&mut self) {
+        if let (None, Some(queue)) = (&self.shared.retain, READ_AHEAD.get()) {
+            queue.release(&self.shared);
+        }
     }
 }
 
@@ -1361,12 +1397,29 @@ mod tests {
         Box::new(scatter())
     }
 
+    /// The next event of `stage` and its write-back blocks.
+    fn step(stage: &mut PrivateStage) -> (Event, Vec<BlockAddr>) {
+        let mut writebacks = Vec::new();
+        (stage.next_event(&mut writebacks), writebacks)
+    }
+
+    /// The next chunk of `stage`.
+    fn chunk_of(stage: &mut PrivateStage) -> Chunk {
+        let mut chunk = Chunk::default();
+        chunk.generate(stage);
+        chunk
+    }
+
     /// A stage over `trace` whose memo keeps everything, so it never asks for a source
     /// standing anywhere but at the first record, and so for no second one.
     fn unbounded(trace: Box<dyn TraceSource>) -> SharedStage {
+        unbounded_at(params(RUN_AHEAD), trace)
+    }
+
+    fn unbounded_at(params: StageParams, trace: Box<dyn TraceSource>) -> SharedStage {
         let trace = Mutex::new(Some(trace));
         SharedStage::new(
-            params(RUN_AHEAD),
+            params,
             move |at| {
                 assert_eq!(at, 0, "an unbounded memo never hands over");
                 trace.lock().unwrap().take().expect("one source")
@@ -1418,9 +1471,9 @@ mod tests {
             let mut inline = PrivateStage::new(params(RUN_AHEAD), source());
             let mut seen_writebacks = 0;
             for i in 0..n {
-                let want = *inline.next_event();
+                let (want, writebacks) = step(&mut inline);
                 assert_eq!(*cursor.next_event(), want, "event {i}");
-                assert_eq!(cursor.writebacks(), inline.writebacks(), "event {i}");
+                assert_eq!(cursor.writebacks(), writebacks, "event {i}");
                 seen_writebacks += cursor.writebacks().len();
                 if want.reaches_target() {
                     assert_eq!(cursor.target_stats(), inline.target_stats());
@@ -1458,9 +1511,7 @@ mod tests {
     fn cursors_continue_on_their_own_stage_past_a_full_memo() {
         let n = 5 * CHUNK_EVENTS + 100;
         let mut inline = PrivateStage::new(params(RUN_AHEAD), source());
-        let want: Vec<(Event, Vec<BlockAddr>)> = (0..n)
-            .map(|_| (*inline.next_event(), inline.writebacks().to_vec()))
-            .collect();
+        let want: Vec<(Event, Vec<BlockAddr>)> = (0..n).map(|_| step(&mut inline)).collect();
         let passes: u64 = want.iter().map(|(e, _)| u64::from(e.wraps)).sum();
         assert!(passes > 0, "the stream must wrap under the cursors");
         let target_stats = inline.target_stats();
@@ -1633,9 +1684,9 @@ mod tests {
     /// first two chunks.
     fn first_two_chunks() -> (u64, Vec<Event>) {
         let mut stage = PrivateStage::new(params(RUN_AHEAD), source());
-        let mut events = Chunk::generate(&mut stage).events;
+        let mut events = chunk_of(&mut stage).events;
         let first_records = stage.records();
-        events.extend(Chunk::generate(&mut stage).events);
+        events.extend(chunk_of(&mut stage).events);
         (first_records, events)
     }
 
@@ -1676,14 +1727,14 @@ mod tests {
         // Where the stream's first two chunks end, in records and events, and the events
         // two cursors then read: into the second chunk, past the target.
         let mut stage = PrivateStage::new(params(RUN_AHEAD), source());
-        let first = Chunk::generate(&mut stage).events.len();
+        let first = chunk_of(&mut stage).events.len();
         let first_records = stage.records();
-        let second = Chunk::generate(&mut stage).events.len();
+        let second = chunk_of(&mut stage).events.len();
         let second_records = stage.records();
         let mut inline = PrivateStage::new(params(RUN_AHEAD), source());
         let mut want = Vec::new();
         while want.len() <= first || inline.target_stats().is_none() {
-            want.push(*inline.next_event());
+            want.push(step(&mut inline).0);
         }
         assert!(
             want.len() <= first + second,
@@ -1800,10 +1851,11 @@ mod tests {
         let usage = b.usage();
         assert_eq!((usage.chunks, usage.read_aheads, usage.helps), (2, 0, 1));
         let mut inline = PrivateStage::new(params(RUN_AHEAD), source());
-        assert_eq!(cursor.event(), inline.next_event());
+        assert_eq!(*cursor.event(), step(&mut inline).0);
         for i in 1..3 * CHUNK_EVENTS {
-            assert_eq!(cursor.next_event(), inline.next_event(), "event {i} of B");
-            assert_eq!(cursor.writebacks(), inline.writebacks(), "event {i} of B");
+            let (event, writebacks) = step(&mut inline);
+            assert_eq!(*cursor.next_event(), event, "event {i} of B");
+            assert_eq!(cursor.writebacks(), writebacks, "event {i} of B");
         }
     }
 
@@ -1833,6 +1885,160 @@ mod tests {
         );
     }
 
+    /// Chunk buffers a sole stage holds: the retained chunks (the one its cursor reads,
+    /// and one read ahead), the spare, and the one in flight.
+    fn buffers(cursor: &StageCursor) -> usize {
+        let memo = cursor.shared.lock();
+        memo.chunks.len()
+            + usize::from(memo.spare.is_some())
+            + usize::from(matches!(memo.head, Head::Busy))
+    }
+
+    /// Over a long generator, a sole stage's memo keeps the chunk its cursor reads and
+    /// at most one more buffer — the chunk read ahead, the spare or the one in flight —
+    /// and its cursor sees the stage's events.
+    #[test]
+    fn read_ahead_of_a_sole_stage_holds_at_most_two_chunk_buffers() {
+        let mut inline = PrivateStage::new(params(RUN_AHEAD), source());
+        let mut cursor = SharedStage::sole(params(RUN_AHEAD), source()).read_ahead();
+        let mut most = 0;
+        for i in 0..40 * CHUNK_EVENTS {
+            let (event, writebacks) = step(&mut inline);
+            assert_eq!(*cursor.next_event(), event, "event {i}");
+            assert_eq!(cursor.writebacks(), writebacks, "event {i}");
+            most = most.max(buffers(&cursor));
+        }
+        assert!(most <= 2, "a sole stage held {most} chunk buffers");
+        assert!(
+            cursor.chunks_taken > 40,
+            "the stream ran over {} chunks",
+            cursor.chunks_taken
+        );
+        let memo = cursor.shared.lock();
+        assert_eq!(
+            memo.first + 1,
+            cursor.chunks_taken,
+            "a chunk behind the cursor is kept"
+        );
+        assert_eq!(
+            (memo.bytes, memo.checkpoint_bytes),
+            (0, 0),
+            "a sole stage drew on a pool"
+        );
+    }
+
+    /// Lets `dropped` know when the source is dropped.
+    struct Watched {
+        inner: Box<dyn TraceSource>,
+        dropped: Arc<std::sync::atomic::AtomicBool>,
+    }
+
+    impl TraceSource for Watched {
+        fn next_access(&mut self) -> MemAccess {
+            self.inner.next_access()
+        }
+        fn reset(&mut self) {
+            self.inner.reset();
+        }
+    }
+
+    impl Drop for Watched {
+        fn drop(&mut self) {
+            self.dropped.store(true, Ordering::SeqCst);
+        }
+    }
+
+    /// A one-core system whose run ends inside its stage's first chunk, with the second
+    /// chunk's read-ahead parked in its source: dropping the system waits for the thread
+    /// serving the stage, so the source has been dropped by the time `drop` returns.
+    #[test]
+    fn read_ahead_parked_under_a_dropped_system_lets_go_of_its_source_first() {
+        // A target inside the first chunk, which therefore ends at it.
+        let params = StageParams {
+            instruction_target: 1_000,
+            ..params(RUN_AHEAD)
+        };
+        let mut stage = PrivateStage::new(params, source());
+        let first = chunk_of(&mut stage);
+        assert!(first.events.last().unwrap().reaches_target());
+        let first_records = stage.records();
+        let (reached, reached_rx) = mpsc::channel();
+        let (release, release_rx) = mpsc::channel();
+        let dropped = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let source = Watched {
+            inner: parked(first_records + 1, (reached, release_rx)),
+            dropped: dropped.clone(),
+        };
+        let config = SystemConfig::tiny(1);
+
+        let policy = crate::system::DefaultSrripPolicy::new(
+            config.llc.geometry.num_sets(),
+            config.llc.geometry.ways,
+        );
+        let mut system = crate::system::MultiCoreSystem::with_stages(
+            config,
+            vec![SharedStage::sole(params, Box::new(source))],
+            policy,
+        );
+        // Lets the parked generation go however the checks below end, before the system
+        // is dropped.
+        let release = LetGo(release);
+        system.run(params.instruction_target);
+        // The read-ahead thread or a helper serves the queued stage and parks.
+        reached_rx
+            .recv_timeout(Duration::from_secs(60))
+            .expect("a read-ahead generates the second chunk");
+        let (done, done_rx) = mpsc::channel();
+        let dropping = std::thread::spawn({
+            let dropped = dropped.clone();
+            move || {
+                drop(system);
+                done.send(dropped.load(Ordering::SeqCst)).unwrap();
+            }
+        });
+        // The serving thread holds the stage until it is let go.
+        assert!(
+            !dropped.load(Ordering::SeqCst),
+            "the parked source was dropped"
+        );
+        drop(release);
+        let source_dropped = done_rx
+            .recv_timeout(Duration::from_secs(60))
+            .expect("the drop returns once the read-ahead lets go");
+        assert!(source_dropped, "the system's source outlived its drop");
+        dropping.join().unwrap();
+    }
+
+    /// A cursor that runs off a one-chunk memo continues on a sole stage of its own,
+    /// which is read ahead like the memo was: its second chunk is generated while the
+    /// cursor reads the first.
+    #[test]
+    fn read_ahead_of_a_cursor_that_handed_over() {
+        let checkpoint = PrivateStage::new(params(RUN_AHEAD), source())
+            .state()
+            .bytes();
+        let seek = |at| -> Box<dyn TraceSource> { Box::new(scatter().seek(at)) };
+        let pool = MemoPool::new(checkpoint + MAX_CHUNK_BYTES);
+        let shared = SharedStage::new(params(RUN_AHEAD), seek, pool, Arc::default());
+        let mut inline = PrivateStage::new(params(RUN_AHEAD), source());
+        let mut cursor = shared.cursor().read_ahead();
+        let mut i = 0;
+        while Arc::ptr_eq(&cursor.shared, &shared.0) {
+            assert_eq!(*cursor.next_event(), step(&mut inline).0, "event {i}");
+            i += 1;
+        }
+        assert_eq!((shared.usage().chunks, shared.usage().handovers), (1, 1));
+        eventually("the sole stage's second chunk is not read ahead", || {
+            let memo = cursor.shared.lock();
+            memo.read_aheads + memo.helps == 1
+        });
+        for i in i..i + 3 * CHUNK_EVENTS {
+            let (event, writebacks) = step(&mut inline);
+            assert_eq!(*cursor.next_event(), event, "event {i}");
+            assert_eq!(cursor.writebacks(), writebacks, "event {i}");
+        }
+    }
+
     /// `usage` takes a queued stage out of the queue rather than wait for the read-ahead
     /// thread, which the gate keeps off while every hardware thread runs a system; the
     /// stage is queued again when its furthest cursor takes the memo's last chunk.
@@ -1857,7 +2063,7 @@ mod tests {
         assert!(!shared.0.lock().queued);
 
         // Through the first chunk, and one event into the second.
-        let first = Chunk::generate(&mut PrivateStage::new(params(RUN_AHEAD), source()))
+        let first = chunk_of(&mut PrivateStage::new(params(RUN_AHEAD), source()))
             .events
             .len();
         for _ in 0..first {
@@ -1877,17 +2083,15 @@ mod tests {
     fn read_ahead_against_four_cursors(share: u64) {
         let n = 5 * CHUNK_EVENTS + 100;
         let mut inline = PrivateStage::new(params(RUN_AHEAD), source());
-        let want: Vec<(Event, Vec<BlockAddr>)> = (0..n)
-            .map(|_| (*inline.next_event(), inline.writebacks().to_vec()))
-            .collect();
+        let want: Vec<(Event, Vec<BlockAddr>)> = (0..n).map(|_| step(&mut inline)).collect();
         let target_stats = inline.target_stats();
         assert!(target_stats.is_some());
 
         let pool = MemoPool::new(share);
         let seek = |at| -> Box<dyn TraceSource> { Box::new(scatter().seek(at)) };
         let shared = SharedStage::new(params(RUN_AHEAD), seek, pool.clone(), Arc::default());
-        let start = Barrier::new(4);
-        let taken: Vec<usize> = std::thread::scope(|scope| {
+        let (start, memo) = (Barrier::new(4), &shared.0);
+        let taken: Vec<Option<usize>> = std::thread::scope(|scope| {
             let readers: Vec<_> = (0..4)
                 .map(|reader| {
                     let (mut cursor, want, start) = (shared.cursor().read_ahead(), &want, &start);
@@ -1902,7 +2106,9 @@ mod tests {
                             );
                         }
                         assert_eq!(cursor.target_stats(), target_stats, "reader {reader}");
-                        cursor.chunks_taken
+                        // A cursor that handed over took every retained chunk.
+                        let on_memo = Arc::ptr_eq(&cursor.shared, memo);
+                        on_memo.then_some(cursor.chunks_taken)
                     })
                 })
                 .collect();
@@ -1910,7 +2116,11 @@ mod tests {
         });
 
         let usage = shared.usage();
-        let furthest = *taken.iter().max().unwrap() as u64;
+        let furthest = taken
+            .iter()
+            .map(|&taken| taken.map_or(usage.chunks, |taken| taken as u64))
+            .max()
+            .unwrap();
         assert!(
             (furthest..=furthest + 1).contains(&usage.chunks),
             "{} chunks retained, the furthest cursor took {furthest}",
@@ -1952,13 +2162,18 @@ mod tests {
     }
 
     /// A stream that stays in the L1 forms no event of its own accord; a chunk still
-    /// ends after `CHUNK_RECORDS` records, however few events that is.
+    /// ends after `CHUNK_RECORDS` records, however few events that is (the target lies
+    /// beyond them).
     #[test]
     fn chunks_of_a_cache_resident_core_are_bounded_in_records() {
         let resident = || -> Box<dyn TraceSource> {
             Box::new(crate::trace::StridedTrace::new(0, 64, 1024, 3))
         };
-        let shared = unbounded(resident());
+        let params = StageParams {
+            instruction_target: u64::MAX,
+            ..params(RUN_AHEAD)
+        };
+        let shared = unbounded_at(params, resident());
         shared.cursor().next_event();
         let usage = shared.usage();
         assert_eq!(usage.chunks, 1);
@@ -1987,9 +2202,9 @@ mod tests {
             },
             Box::new(trace),
         );
-        let miss = *stage.next_event();
+        let miss = step(&mut stage).0;
         assert!(!miss.l1_hit() && miss.gap_instructions == 0);
-        let hit = *stage.next_event();
+        let hit = step(&mut stage).0;
         assert!(hit.l1_hit());
         assert_eq!(hit.gap_instructions, 0, "one record fills the counter");
         assert_eq!(stage.records(), 2);

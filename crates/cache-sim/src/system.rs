@@ -38,16 +38,17 @@
 //! core's private-only records early removes them from the merge without reordering
 //! the records that remain, each of which still executes at the same core cycle against
 //! the same private state. Only the trace sources can tell: by the time `run` returns a
-//! source may have been asked for up to `RUN_AHEAD + 1` more records than a
-//! per-record driver would have consumed. Interval sampling reads *every* core's clock
-//! at each LLC interval rollover, so a stage built while `sim_obs` records has bound 0:
+//! source may have been asked for more records than a per-record driver would have
+//! consumed — the driver's `RUN_AHEAD + 1`, and what the stage drew in chunks ahead of
+//! it (`crate::private`, "The memo"). Interval sampling reads *every* core's clock at
+//! each LLC interval rollover, so a stage built while `sim_obs` records has bound 0:
 //! every record is its own event, fetched when its turn comes, and the run observes
 //! exactly the per-record order.
 //!
-//! The stage of a core is driven inline ([`MultiCoreSystem::new`]) or is a cursor over
-//! a stage shared with other systems ([`MultiCoreSystem::with_stages`]: the policies of
-//! a sweep simulate a mix's private hierarchy once; a cursor that outruns a bounded memo
-//! continues on a stage of its own); `run` cannot tell them apart.
+//! Every core reads its events through a cursor: over a stage shared with other systems
+//! ([`MultiCoreSystem::with_stages`]: a sweep's policies simulate a mix's private
+//! hierarchy once) or over a sole stage of its own ([`MultiCoreSystem::new`]); `run`
+//! cannot tell them apart.
 //!
 //! Each core runs until it retires its per-core instruction target; cores that reach the
 //! target keep executing (their statistics are snapshotted at the target) so that the
@@ -60,7 +61,7 @@ use crate::config::SystemConfig;
 use crate::core_model::CoreModel;
 use crate::dram::Dram;
 use crate::llc::{LlcGlobalStats, SharedLlc};
-use crate::private::{Event, PrivateStage, PrivateStats, Running, StageCursor, StageParams};
+use crate::private::{Event, Running, SharedStage, StageCursor, StageParams};
 use crate::replacement::{
     AccessContext, InsertionDecision, LineView, LlcReplacementPolicy, RrpvArray,
 };
@@ -87,69 +88,16 @@ pub const LIVELOCK_STEPS: u64 = 1 << 22;
 /// Most private-only records a stage coalesces into one event's gap, i.e. retires out of
 /// global order after one in-order step (stop condition (c) of the module docs). Any
 /// small constant bounds how far a trace cursor leads the global clock; 8, 64 and 256
-/// measured the same. An inline stage therefore over-fetches at most `RUN_AHEAD + 1`
-/// records per core; a shared stage may additionally run ahead of its furthest consumer
-/// by the rest of that consumer's chunk and one chunk read ahead
-/// (`crate::private::CHUNK_RECORDS`). Over a finite replayed
-/// stream that draw-ahead may cross the stream's end; the wrap count a sweep reports
-/// leaves it out (`crate::private`, "Wraps").
+/// measured the same. The driver therefore over-fetches at most `RUN_AHEAD + 1` records
+/// per core, on top of what its stage draws in chunks (`crate::private`, "The memo";
+/// the wrap count a sweep reports leaves that out, "Wraps").
 pub const RUN_AHEAD: u64 = 64;
 
-/// Where a core's events come from: a stage of its own, or a cursor over a shared one.
-enum Feed {
-    Inline(Box<PrivateStage>),
-    Shared(StageCursor),
-}
-
-impl Feed {
-    fn params(&self) -> &StageParams {
-        match self {
-            Feed::Inline(stage) => stage.params(),
-            Feed::Shared(cursor) => cursor.params(),
-        }
-    }
-
-    fn label(&self) -> String {
-        match self {
-            Feed::Inline(stage) => stage.label(),
-            Feed::Shared(cursor) => cursor.label().to_string(),
-        }
-    }
-
-    /// Move to the next event.
-    #[inline]
-    fn next_event(&mut self) -> &Event {
-        match self {
-            Feed::Inline(stage) => stage.next_event(),
-            Feed::Shared(cursor) => cursor.next_event(),
-        }
-    }
-
-    /// The event last moved to, read in place, and its write-back blocks (the demand's,
-    /// then the prefetch's).
-    #[inline]
-    fn event(&self) -> (&Event, &[BlockAddr]) {
-        match self {
-            Feed::Inline(stage) => (stage.event(), stage.writebacks()),
-            Feed::Shared(cursor) => (cursor.event(), cursor.writebacks()),
-        }
-    }
-
-    /// Private statistics at the record that reached the instruction target.
-    fn target_stats(&self) -> PrivateStats {
-        match self {
-            Feed::Inline(stage) => stage.target_stats(),
-            Feed::Shared(cursor) => cursor.target_stats(),
-        }
-        .expect("the stage produced the event that reached the target")
-    }
-}
-
-/// One core: its clock and counters, and the feed of its private stage's events.
+/// One core: its clock and counters, and the cursor over its private stage's events.
 struct CoreNode {
     model: CoreModel,
-    feed: Feed,
-    /// The feed stands at an event fetched after the previous in-order step: its gap is
+    cursor: StageCursor,
+    /// The cursor stands at an event fetched after the previous in-order step: its gap is
     /// retired and its in-order record waits for the core's turn. Never set at bound 0.
     fetched: bool,
     dram_reads: u64,
@@ -157,10 +105,11 @@ struct CoreNode {
 }
 
 impl CoreNode {
-    fn new(config: &SystemConfig, feed: Feed) -> Self {
+    /// A core over `cursor`, read ahead (`crate::private`, "Read-ahead").
+    fn new(config: &SystemConfig, cursor: StageCursor) -> Self {
         CoreNode {
             model: CoreModel::new(config.core),
-            feed,
+            cursor: cursor.read_ahead(),
             fetched: false,
             dram_reads: 0,
             snapshot: None,
@@ -171,7 +120,7 @@ impl CoreNode {
     /// the event's in-order record.
     #[inline]
     fn fetch(&mut self) {
-        let event = self.feed.next_event();
+        let event = self.cursor.next_event();
         self.model.retire_gap(
             u64::from(event.gap_instructions),
             u64::from(event.gap_compute_cycles),
@@ -187,6 +136,9 @@ impl CoreNode {
 /// `experiments::policies::AnyPolicy` dispatch enum).
 pub struct MultiCoreSystem<P: LlcReplacementPolicy> {
     config: SystemConfig,
+    /// The trace sources of a system built by [`new`](Self::new), and the bound latched
+    /// then: `run` builds a sole stage over each once it knows the instruction target.
+    unstaged: Option<(u64, Vec<Box<dyn TraceSource>>)>,
     cores: Vec<CoreNode>,
     llc: SharedLlc<P>,
     dram: Dram,
@@ -238,53 +190,44 @@ impl MultiCoreSystem<DefaultSrripPolicy> {
 }
 
 impl<P: LlcReplacementPolicy> MultiCoreSystem<P> {
-    /// Build a system with an explicit LLC replacement policy; each core's private stage
-    /// is driven inline, over its trace.
+    /// Build a system with an explicit LLC replacement policy over one trace per core,
+    /// which `run` reads through a sole stage (`crate::private`, "Release-behind").
     ///
     /// The policy may be any [`LlcReplacementPolicy`] value — a concrete policy type, the
     /// `experiments::policies::AnyPolicy` dispatch enum, or a boxed policy (through the
     /// blanket impl in [`crate::replacement`]).
     pub fn new(config: SystemConfig, traces: Vec<Box<dyn TraceSource>>, policy: P) -> Self {
-        config.validate().expect("invalid system configuration");
-        // The instruction target is a stage parameter `run` supplies.
-        let params = StageParams::latch(&config, u64::MAX);
-        let feeds = traces
-            .into_iter()
-            .map(|trace| Feed::Inline(Box::new(PrivateStage::new(params, trace))));
-        Self::from_feeds(config, feeds.collect(), policy)
+        assert_eq!(
+            traces.len(),
+            config.num_cores,
+            "need exactly one trace source per core"
+        );
+        let bound = StageParams::latch(&config, 0).bound;
+        MultiCoreSystem {
+            unstaged: Some((bound, traces)),
+            ..Self::with_stages(config, Vec::new(), policy)
+        }
     }
 
     /// Build a system whose cores replay the events of shared private stages (one cursor
     /// per core, in core order) instead of simulating their private hierarchies. The
     /// stages must model `config`'s private hierarchy and carry the instruction target
-    /// `run` is then called with. While the system replays a chunk, the stage's next one
-    /// may be generated ahead by another thread (`crate::private`, "Read-ahead").
+    /// `run` is then called with.
     pub fn with_stages(config: SystemConfig, stages: Vec<StageCursor>, policy: P) -> Self {
         config.validate().expect("invalid system configuration");
-        let feeds = stages
-            .into_iter()
-            .map(|cursor| Feed::Shared(cursor.read_ahead()));
-        Self::from_feeds(config, feeds.collect(), policy)
-    }
-
-    fn from_feeds(config: SystemConfig, feeds: Vec<Feed>, policy: P) -> Self {
-        assert_eq!(
-            feeds.len(),
-            config.num_cores,
-            "need exactly one trace source per core"
-        );
         assert!(
-            feeds.iter().all(|feed| feed.params().models(&config)),
+            stages.iter().all(|cursor| cursor.params().models(&config)),
             "a private stage models another hierarchy than the configuration's"
         );
         let llc = SharedLlc::new(config.llc, config.num_cores, config.interval_misses, policy);
         let dram = Dram::new(config.dram);
-        let cores = feeds
+        let cores = stages
             .into_iter()
-            .map(|feed| CoreNode::new(&config, feed))
+            .map(|cursor| CoreNode::new(&config, cursor))
             .collect();
         MultiCoreSystem {
             config,
+            unstaged: None,
             cores,
             llc,
             dram,
@@ -318,14 +261,27 @@ impl<P: LlcReplacementPolicy> MultiCoreSystem<P> {
             self.cores.iter().all(|c| c.snapshot.is_none()),
             "`run` may be called once per system"
         );
+        if let Some((bound, traces)) = self.unstaged.take() {
+            let params = StageParams {
+                bound,
+                ..StageParams::latch(&self.config, instructions_per_core)
+            };
+            let config = &self.config;
+            self.cores = traces
+                .into_iter()
+                .map(|trace| CoreNode::new(config, SharedStage::sole(params, trace)))
+                .collect();
+        }
+        assert_eq!(
+            self.cores.len(),
+            self.config.num_cores,
+            "need exactly one trace source per core"
+        );
         // A run occupies a hardware thread: the read-ahead thread counts the runs.
         let _running = Running::enter();
-        for core in &mut self.cores {
-            if let Feed::Inline(stage) = &mut core.feed {
-                stage.set_target(instructions_per_core);
-            }
+        for core in &self.cores {
             assert_eq!(
-                core.feed.params().instruction_target,
+                core.cursor.params().instruction_target,
                 instructions_per_core,
                 "the private stage was built for another instruction target"
             );
@@ -353,6 +309,7 @@ impl<P: LlcReplacementPolicy> MultiCoreSystem<P> {
                 cores,
                 llc,
                 dram,
+                ..
             } = self;
             let core = &mut cores[core_id];
             if !std::mem::take(&mut core.fetched) {
@@ -376,8 +333,11 @@ impl<P: LlcReplacementPolicy> MultiCoreSystem<P> {
             } else {
                 // The bound is the stage's: with one, fetch now, so the key is the start
                 // of the next in-order record; at bound 0 the next record is fetched
-                // when its turn comes, and no source is asked for a record early.
-                if core.feed.params().bound > 0 {
+                // when its turn comes, and no source is asked for a record early. Nothing
+                // is fetched after the last snapshot: the results come from snapshots,
+                // and a fetch would only move this core's clock (`crate::private`, rule
+                // (b)).
+                if core.cursor.params().bound > 0 && remaining > 0 {
                     core.fetch();
                     core.fetched = true;
                 }
@@ -568,10 +528,13 @@ fn snapshot_core<P: LlcReplacementPolicy>(
     core: &CoreNode,
     llc: &SharedLlc<P>,
 ) -> CoreStats {
-    let private = core.feed.target_stats();
+    let private = core
+        .cursor
+        .target_stats()
+        .expect("the stage produced the event that reached the target");
     CoreStats {
         core_id,
-        label: core.feed.label(),
+        label: core.cursor.label().to_string(),
         instructions: core.model.instructions,
         cycles: core.model.cycle,
         compute_cycles: core.model.compute_cycles,
@@ -584,7 +547,7 @@ fn snapshot_core<P: LlcReplacementPolicy>(
     }
 }
 
-/// Execute the in-order record of the event `core_id`'s feed stands at, at the core's
+/// Execute the in-order record of the event `core_id`'s cursor stands at, at the core's
 /// current cycle: the shared side of the record, from the event alone and in the order
 /// `crate::private` fixes, then the core's clock. Returns the event.
 ///
@@ -598,7 +561,7 @@ fn step_in_order<'a, P: LlcReplacementPolicy>(
     dram: &mut Dram,
     core_id: usize,
 ) -> &'a Event {
-    let (event, writebacks) = core.feed.event();
+    let (event, writebacks) = (core.cursor.event(), core.cursor.writebacks());
     let non_mem = u64::from(event.non_mem_instrs);
     let l1_latency = config.core.l1_hit_cycles;
     if event.l1_hit() {

@@ -119,9 +119,10 @@ mod tests {
         assert_eq!(by_name("TA-DRRIP"), 48); // "48 Bytes"
         assert_eq!(by_name("EAF-RRIP"), 256 * 1024); // "256KB"
         assert_eq!(by_name("SHiP"), (65.875 * 1024.0) as u64); // "65.875KB"
-        let adapt = by_name("ADAPT");
-        // "24KB appx"
-        assert!((23_000..=26_000).contains(&adapt), "ADAPT bytes = {adapt}");
+
+        // "24KB appx": §3.3's 8200 bits per application, for 24 applications.
+        assert_eq!(adapt_cost_bytes(&AdaptConfig::paper(), 24), 8200 * 24 / 8);
+        assert_eq!(by_name("ADAPT"), 24_600);
     }
 
     #[test]

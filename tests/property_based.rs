@@ -2,6 +2,9 @@
 
 mod oracle;
 
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+
 use proptest::prelude::*;
 
 use adapt_llc::adapt::{
@@ -20,13 +23,13 @@ use adapt_llc::sim::config::{
     RowModelConfig, SystemConfig,
 };
 use adapt_llc::sim::llc::SharedLlc;
-use adapt_llc::sim::private::{PrivateStage, PrivateStats, StageParams};
+use adapt_llc::sim::private::{PrivateStats, SharedStage, StageParams};
 use adapt_llc::sim::private_cache::{Lookup, PrivateCache};
 use adapt_llc::sim::replacement::{
     AccessContext, InsertionDecision, LlcReplacementPolicy, RrpvArray,
 };
 use adapt_llc::sim::system::RUN_AHEAD;
-use adapt_llc::sim::trace::{MemAccess, SharedReplayTrace};
+use adapt_llc::sim::trace::{MemAccess, SharedReplayTrace, TraceSource};
 use adapt_llc::workloads::{classify, generate_mixes, MemIntensity, StudyKind};
 use oracle::{NaiveBanks, NaiveLlc, NaivePrivateCache};
 
@@ -104,9 +107,27 @@ struct StageOutput {
     events: usize,
 }
 
+/// `records`, looped, counting the records drawn.
+struct Drawn(SharedReplayTrace, Arc<AtomicU64>);
+
+impl TraceSource for Drawn {
+    fn next_access(&mut self) -> MemAccess {
+        self.1.fetch_add(1, Ordering::Relaxed);
+        self.0.next_access()
+    }
+    fn reset(&mut self) {
+        self.0.reset();
+    }
+}
+
+/// A stage over `records` read through its sole cursor.
 fn drive_stage(params: StageParams, records: &[MemAccess]) -> StageOutput {
-    let trace = SharedReplayTrace::new("prop", records.to_vec().into());
-    let mut stage = PrivateStage::new(params, Box::new(trace));
+    let drawn = Arc::new(AtomicU64::new(0));
+    let trace = Drawn(
+        SharedReplayTrace::new("prop", records.to_vec().into()),
+        drawn.clone(),
+    );
+    let mut cursor = SharedStage::sole(params, Box::new(trace));
     // An L1 miss that hits the L2, in the float form of the core model's overlap rule.
     let core = params.core;
     let exposed = params.l2.latency;
@@ -120,8 +141,8 @@ fn drive_stage(params: StageParams, records: &[MemAccess]) -> StageOutput {
         events: 0,
     };
     loop {
-        let event = *stage.next_event();
-        let writebacks = stage.writebacks();
+        let event = *cursor.next_event();
+        let writebacks = cursor.writebacks();
         out.events += 1;
         out.private_timing[0] += u64::from(event.gap_instructions);
         out.private_timing[1] += u64::from(event.gap_compute_cycles);
@@ -151,9 +172,9 @@ fn drive_stage(params: StageParams, records: &[MemAccess]) -> StageOutput {
         }
         assert!(!event.frozen(), "an unfinished core cannot freeze");
         if event.reaches_target() {
-            assert_eq!(stage.records(), records.len() as u64);
-            assert_eq!(stage.target_stats(), Some(stage.stats()));
-            out.stats = stage.stats();
+            // The chunk ends at the target, and no read-ahead draws past it.
+            assert_eq!(drawn.load(Ordering::Relaxed), records.len() as u64);
+            out.stats = cursor.target_stats().expect("the target was reached");
             return out;
         }
     }
