@@ -405,10 +405,9 @@ impl SystemConfig {
     /// Proportionally scaled-down configuration used by the default experiment runs.
     ///
     /// Keeps the paper's associativities (so `#cores >= #llc_ways` still holds at 16+ cores)
-    /// and latencies, but shrinks set counts ~16x so a workload mix simulates in seconds.
-    /// The footprint interval is scaled to twice the number of LLC blocks, mirroring the
-    /// paper's choice of an interval roughly 4x the block count of a 16-way 16 MB cache
-    /// shared by 16 cores.
+    /// and latencies, but shrinks set counts (the LLC has 32x fewer sets) so a workload
+    /// mix simulates in seconds. The footprint interval is 24x the number of LLC blocks;
+    /// the paper's 1M misses are about 4x the block count of its 16-way 16 MB LLC.
     pub fn scaled(num_cores: usize) -> Self {
         let mut cfg = Self::paper_baseline(num_cores);
         cfg.l1d.geometry = CacheGeometry::new(8 * 1024, 8);

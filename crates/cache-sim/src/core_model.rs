@@ -22,6 +22,10 @@ pub struct CoreModel {
     /// overlap division then runs as an integer halving instead of an f64
     /// divide-and-round, producing the identical result for any realistic latency.
     halve_overlap: bool,
+    /// `log2(issue_width)` when the width is a power of two (every shipped
+    /// configuration): the per-record compute rounding then runs as a shift instead of
+    /// an integer division, with the identical result.
+    issue_shift: Option<u32>,
     /// Cycles of latency the ROB can hide behind the following instructions:
     /// `rob_size / issue_width`, divided once here instead of once per record.
     rob_hide_bound: u64,
@@ -39,6 +43,10 @@ impl CoreModel {
     pub fn new(config: CoreConfig) -> Self {
         CoreModel {
             halve_overlap: config.mlp_overlap == 2.0,
+            issue_shift: config
+                .issue_width
+                .is_power_of_two()
+                .then(|| config.issue_width.trailing_zeros()),
             rob_hide_bound: config.rob_size / config.issue_width,
             config,
             cycle: 0,
@@ -53,8 +61,14 @@ impl CoreModel {
     ///
     /// Returns the number of cycles the core advanced.
     pub fn advance(&mut self, non_mem_instrs: u64, mem_latency: u64) -> u64 {
-        // Compute portion: issue-width-limited retirement (round up).
-        let compute = non_mem_instrs.div_ceil(self.config.issue_width);
+        // Compute portion: issue-width-limited retirement (round up). For a width of
+        // `1 << shift` that is the quotient plus one if any low bit is left over.
+        let compute = match self.issue_shift {
+            Some(shift) => {
+                (non_mem_instrs >> shift) + u64::from(non_mem_instrs & ((1 << shift) - 1) != 0)
+            }
+            None => non_mem_instrs.div_ceil(self.config.issue_width),
+        };
 
         // Memory portion: the L1 hit latency is hidden by the pipeline; anything longer is
         // exposed but partially overlapped with independent work in the ROB.
@@ -172,6 +186,25 @@ mod tests {
                 (exposed as f64 / 2.0).round() as u64,
                 "exposed {exposed}"
             );
+        }
+    }
+
+    /// The latched shift rounds up exactly as the division does, at power-of-two and
+    /// other widths alike.
+    #[test]
+    fn issue_width_shift_matches_division() {
+        for issue_width in 1..=9 {
+            let config = CoreConfig {
+                issue_width,
+                ..cfg()
+            };
+            let big = [u64::from(u32::MAX), (1 << 40) - 1, (1 << 40) + 3];
+            for n in (0..300).chain(big) {
+                let mut model = CoreModel::new(config);
+                model.advance(n, 1);
+                let expected = n.div_ceil(issue_width);
+                assert_eq!(model.compute_cycles, expected, "width {issue_width}, n {n}");
+            }
         }
     }
 

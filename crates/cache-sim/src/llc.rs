@@ -98,13 +98,68 @@ pub(crate) fn way_mask(ways: usize) -> u64 {
 
 /// Bit `w` set where way `w` holds `tag`: the one tag-match kernel of every cache level.
 ///
-/// Whole groups of 8 ways are compared branch-free at a compile-time width, so the
-/// compiler unrolls them; a remainder is compared way by way. The caller masks off
-/// invalid ways; lowest set bit is the lowest matching way.
+/// The caller masks off invalid ways; the lowest set bit is the lowest matching way. One
+/// body per target, equal bit for bit: SSE2 on `x86_64`, where it is part of the baseline
+/// (no runtime detection), and a portable body everywhere else.
 #[inline]
 pub fn tag_matches(tags: &[u64], tag: u64) -> u64 {
-    const GROUP: usize = 8;
     debug_assert!(tags.len() <= MAX_WAYS);
+    #[cfg(target_arch = "x86_64")]
+    {
+        tag_matches_sse2(tags, tag)
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        tag_matches_portable(tags, tag)
+    }
+}
+
+/// [`tag_matches`] two ways per SSE2 step. Baseline x86-64 has no 64-bit lane compare
+/// (`pcmpeqq` is SSE4.1), so a step compares 32-bit halves (`pcmpeqd`), swaps the halves
+/// of each lane (`pshufd`) and ANDs the two (`pand`): a lane is all ones where its way
+/// matches. Two steps pack into one mask of four ways (`packssdw`, `movmskps`); a
+/// leftover pair takes `movmskpd`, and an odd last way is compared alone.
+#[cfg(target_arch = "x86_64")]
+#[inline]
+fn tag_matches_sse2(tags: &[u64], tag: u64) -> u64 {
+    use std::arch::x86_64::{
+        _mm_and_si128, _mm_castsi128_pd, _mm_castsi128_ps, _mm_cmpeq_epi32, _mm_loadu_si128,
+        _mm_movemask_pd, _mm_movemask_ps, _mm_packs_epi32, _mm_set1_epi64x, _mm_shuffle_epi32,
+    };
+    let (pairs, last) = tags.as_chunks::<2>();
+    let (quads, pair) = pairs.as_chunks::<2>();
+    let mut matches = 0u64;
+    // SAFETY: SSE2 is part of the x86_64 baseline, so every intrinsic here is available
+    // on every x86_64 host; each load reads one in-bounds pair, and `loadu` has no
+    // alignment requirement.
+    unsafe {
+        let needle = _mm_set1_epi64x(tag as i64);
+        let step = |pair: &[u64; 2]| {
+            let halves = _mm_cmpeq_epi32(_mm_loadu_si128(pair.as_ptr().cast()), needle);
+            _mm_and_si128(halves, _mm_shuffle_epi32::<0b10_11_00_01>(halves))
+        };
+        for (q, [lo, hi]) in quads.iter().enumerate() {
+            let lanes = _mm_packs_epi32(step(lo), step(hi));
+            matches |= (_mm_movemask_ps(_mm_castsi128_ps(lanes)) as u64) << (4 * q);
+        }
+        if let [pair] = pair {
+            let lanes = _mm_castsi128_pd(step(pair));
+            matches |= (_mm_movemask_pd(lanes) as u64) << (4 * quads.len());
+        }
+    }
+    if let [last] = last {
+        matches |= u64::from(*last == tag) << (tags.len() - 1);
+    }
+    matches
+}
+
+/// [`tag_matches`] on every target but `x86_64`. Whole groups of 8 ways are compared
+/// branch-free at a compile-time width, so the compiler unrolls them; a remainder is
+/// compared way by way. Test builds compile it on every target, so x86 CI tests it too.
+#[cfg(any(test, not(target_arch = "x86_64")))]
+#[inline]
+fn tag_matches_portable(tags: &[u64], tag: u64) -> u64 {
+    const GROUP: usize = 8;
     let (groups, rest) = tags.as_chunks::<GROUP>();
     let mut matches = 0u64;
     for (g, group) in groups.iter().enumerate() {
@@ -147,10 +202,6 @@ pub struct SharedLlc<P: LlcReplacementPolicy> {
     valid: Vec<u64>,
     /// Per-set dirty bitmask.
     dirty: Vec<u64>,
-    /// Per-set way of the last hit/fill (way prediction). Valid tags are unique within
-    /// a set, so confirming the hinted tag yields the same way the full scan would —
-    /// a pure shortcut, invisible to results.
-    hint: Vec<u8>,
     /// Inserting core per line, `num_sets * ways`.
     owners: Vec<u32>,
     policy: P,
@@ -204,7 +255,6 @@ impl<P: LlcReplacementPolicy> SharedLlc<P> {
             tags: vec![0; num_sets * ways],
             valid: vec![0; num_sets],
             dirty: vec![0; num_sets],
-            hint: vec![0; num_sets],
             owners: vec![0; num_sets * ways],
             policy,
             banks: BankModel::new(
@@ -304,25 +354,13 @@ impl<P: LlcReplacementPolicy> SharedLlc<P> {
     }
 
     /// Way lookup over the set's contiguous tag slice (lowest valid match wins, like
-    /// the original per-way scan).
+    /// the original per-way scan). No way-prediction hint: at the LLC it confirmed too
+    /// few probes to pay for itself.
     #[inline]
-    fn scan_ways(&self, set: usize, tag: u64) -> Option<usize> {
+    fn find_way(&self, set: usize, tag: u64) -> Option<usize> {
         let base = set * self.ways;
         let matches = tag_matches(&self.tags[base..base + self.ways], tag) & self.valid[set];
         (matches != 0).then(|| matches.trailing_zeros() as usize)
-    }
-
-    /// [`SharedLlc::scan_ways`] with the way-prediction shortcut: check the set's last
-    /// hit/fill way first. Tags are unique among a set's valid ways, so a hint
-    /// confirmation returns exactly what the scan would.
-    #[inline]
-    fn find_way(&self, set: usize, tag: u64) -> Option<usize> {
-        let hint = self.hint[set] as usize;
-        let base = set * self.ways;
-        if (self.valid[set] >> hint) & 1 == 1 && self.tags[base + hint] == tag {
-            return Some(hint);
-        }
-        self.scan_ways(set, tag)
     }
 
     /// Demand or prefetch lookup.
@@ -344,7 +382,6 @@ impl<P: LlcReplacementPolicy> SharedLlc<P> {
             return match self.find_way(set, tag) {
                 Some(way) => {
                     self.per_core[core_id].prefetch_hits += 1;
-                    self.hint[set] = way as u8;
                     if is_write {
                         self.dirty[set] |= 1 << way;
                     }
@@ -367,7 +404,6 @@ impl<P: LlcReplacementPolicy> SharedLlc<P> {
         match self.find_way(set, tag) {
             Some(way) => {
                 self.per_core[core_id].demand_hits += 1;
-                self.hint[set] = way as u8;
                 self.policy.on_hit(&ctx, way);
                 if is_write {
                     self.dirty[set] |= 1 << way;
@@ -435,8 +471,10 @@ impl<P: LlcReplacementPolicy> SharedLlc<P> {
         self.mshr.insert(completion);
     }
 
-    /// Fill a demand miss. The policy decides between allocation (possibly evicting) and
-    /// bypassing. Returns what happened so the caller can issue any required write-back.
+    /// Fill a demand miss: the block must be absent (it has just missed here, and every
+    /// caller fills right after that miss). The policy decides between allocation
+    /// (possibly evicting) and bypassing. Returns what happened so the caller can issue
+    /// any required write-back.
     pub fn fill(
         &mut self,
         core_id: usize,
@@ -447,14 +485,10 @@ impl<P: LlcReplacementPolicy> SharedLlc<P> {
     ) -> LlcFill {
         let (set, tag) = self.decompose(block);
         let ctx = self.ctx_at(core_id, pc, block, set, true, is_write);
-
-        // A racing fill may have already inserted the block.
-        if self.find_way(set, tag).is_some() {
-            return LlcFill {
-                bypassed: false,
-                evicted: None,
-            };
-        }
+        debug_assert!(
+            self.find_way(set, tag).is_none(),
+            "fill of a present block {block:?}"
+        );
 
         let decision = self.policy.insertion_decision(&ctx);
         if decision.is_bypass() {
@@ -498,7 +532,6 @@ impl<P: LlcReplacementPolicy> SharedLlc<P> {
         self.tags[base + way] = tag;
         self.owners[base + way] = core_id as u32;
         self.valid[set] |= 1 << way;
-        self.hint[set] = way as u8;
         if is_write {
             self.dirty[set] |= 1 << way;
         } else {
@@ -518,7 +551,6 @@ impl<P: LlcReplacementPolicy> SharedLlc<P> {
         self.per_core[core_id].writebacks_in += 1;
         let _ = self.bank_delay(core_id, set, now);
         if let Some(way) = self.find_way(set, tag) {
-            self.hint[set] = way as u8;
             self.dirty[set] |= 1 << way;
             true
         } else {
@@ -811,16 +843,54 @@ mod tests {
         }
     }
 
+    /// The target's body of [`tag_matches`] (SSE2 on `x86_64`) equals the portable body,
+    /// which x86 builds would otherwise never run: every width from 1 to 64 ways, odd ones
+    /// included, with stale copies of the tag left in ways the valid mask drops.
     #[test]
-    fn duplicate_fill_is_a_no_op() {
+    fn tag_match_bodies_agree_at_every_width() {
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        for ways in 1..=MAX_WAYS {
+            for round in 0..64 {
+                // Random 64-bit tags, then copies of the needle in about a quarter of the
+                // ways; only one of them counts as valid below.
+                let mut tags = Vec::with_capacity(ways);
+                for _ in 0..ways {
+                    x ^= x << 13;
+                    x ^= x >> 7;
+                    x ^= x << 17;
+                    tags.push(x);
+                }
+                let tag = tags[round % ways] | (round as u64) << 60;
+                for (w, t) in tags.iter_mut().enumerate() {
+                    if (x >> w) & 3 == 0 || w == round % ways {
+                        *t = tag;
+                    }
+                }
+                // A near miss in one half only: equal low or equal high 32 bits.
+                if ways > 1 {
+                    tags[(round + 1) % ways] = tag ^ (1 << (round % 64));
+                }
+                let got = tag_matches(&tags, tag);
+                assert_eq!(got, tag_matches_portable(&tags, tag), "{ways} ways");
+                let live = way_mask(ways) & x.rotate_left(round as u32);
+                let first = (0..ways).find(|&w| tags[w] == tag && live >> w & 1 == 1);
+                let masked = got & live;
+                let lowest = (masked != 0).then(|| masked.trailing_zeros() as usize);
+                assert_eq!(lowest, first, "{ways} ways, round {round}");
+            }
+        }
+    }
+
+    /// `fill` requires an absent block: every caller fills what has just missed.
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "fill of a present block")]
+    fn fill_of_a_present_block_panics() {
         let mut llc = make_llc();
         let b = BlockAddr(77);
         llc.access(0, 0, b, true, false, 0);
         llc.fill(0, 0, b, false, 0);
-        let again = llc.fill(0, 0, b, false, 0);
-        assert!(!again.bypassed);
-        assert!(again.evicted.is_none());
-        assert_eq!(llc.occupancy(), 1);
+        llc.fill(0, 0, b, false, 0);
     }
 
     #[test]

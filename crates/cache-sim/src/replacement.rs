@@ -193,20 +193,29 @@ impl RrpvArray {
         self.set(set, way, 0);
     }
 
-    /// SRRIP-style victim search: find a way at RRPV 3, aging the whole set until one exists.
-    /// Returns the chosen way. Deterministic: the lowest way index at RRPV_MAX wins.
+    /// SRRIP-style victim search: the lowest way at RRPV 3, after aging the whole set
+    /// until one exists. Returns the chosen way.
+    ///
+    /// One pass: aging `k` times raises every way by `k`, and the first way to reach 3 is
+    /// the lowest one at the set's maximum, so the set ages once by `RRPV_MAX - max`.
+    /// Equal, victim and RRPVs alike, to re-scanning after each aging step.
+    #[inline]
     pub fn find_victim(&mut self, set: usize) -> usize {
-        loop {
-            let base = set * self.ways;
-            for way in 0..self.ways {
-                if self.rrpv[base + way] == RRPV_MAX {
-                    return way;
-                }
-            }
-            for way in 0..self.ways {
-                self.rrpv[base + way] += 1;
+        let base = set * self.ways;
+        let rrpv = &mut self.rrpv[base..base + self.ways];
+        // A fold, not `Iterator::max`, so the maximum compiles to byte-wide vector maxima.
+        let max = rrpv.iter().fold(0, |max, &r| max.max(r));
+        let victim = rrpv
+            .iter()
+            .position(|&r| r == max)
+            .expect("a set has at least one way");
+        let age = RRPV_MAX - max;
+        if age != 0 {
+            for r in rrpv.iter_mut() {
+                *r += age;
             }
         }
+        victim
     }
 
     /// Number of ways per set.
@@ -218,6 +227,43 @@ impl RrpvArray {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The victim search as it was before the one-pass form: scan for a way at
+    /// `RRPV_MAX`, age the whole set by one if there is none, repeat.
+    fn find_victim_iteratively(rrpv: &mut [u8]) -> usize {
+        loop {
+            if let Some(way) = rrpv.iter().position(|&r| r == RRPV_MAX) {
+                return way;
+            }
+            for r in rrpv.iter_mut() {
+                *r += 1;
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2048))]
+
+        /// The one-pass search picks the victim the iterative aging loop picks and leaves
+        /// the same RRPVs behind, in the searched set and (untouched) in its neighbours.
+        #[test]
+        fn one_pass_find_victim_equals_iterative_aging(
+            rrpvs in collection::vec(0u8..RRPV_MAX + 1, 3..193),
+            ways in 1usize..65,
+            set in 0usize..3,
+        ) {
+            let sets = 3;
+            let mut arr = RrpvArray::new(sets, ways);
+            for (i, &r) in rrpvs.iter().cycle().take(sets * ways).enumerate() {
+                arr.set(i / ways, i % ways, r);
+            }
+            let mut expected: Vec<u8> = arr.rrpv.clone();
+            let victim = find_victim_iteratively(&mut expected[set * ways..(set + 1) * ways]);
+            prop_assert_eq!(arr.find_victim(set), victim, "{} ways", ways);
+            prop_assert_eq!(&arr.rrpv, &expected, "{} ways", ways);
+        }
+    }
 
     #[test]
     fn insertion_decision_clamps_rrpv() {

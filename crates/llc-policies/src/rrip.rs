@@ -109,6 +109,9 @@ impl LlcReplacementPolicy for BrripPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cache_sim::addr::{BlockAddr, BLOCK_BYTES};
+    use cache_sim::config::{CacheGeometry, SystemConfig};
+    use cache_sim::llc::SharedLlc;
 
     fn ctx(set: usize) -> AccessContext {
         AccessContext {
@@ -172,6 +175,90 @@ mod tests {
                 .collect::<Vec<u8>>()
         };
         assert_eq!(run(), run());
+    }
+
+    /// Inserts every line at distant (RRPV 3), so only a hit keeps a line.
+    struct AlwaysDistant(RrpvArray);
+
+    impl LlcReplacementPolicy for AlwaysDistant {
+        fn name(&self) -> String {
+            "always-distant".into()
+        }
+        fn on_hit(&mut self, ctx: &AccessContext, way: usize) {
+            self.0.promote(ctx.set_index, way);
+        }
+        fn insertion_decision(&mut self, _ctx: &AccessContext) -> InsertionDecision {
+            InsertionDecision::insert(RRPV_MAX)
+        }
+        fn choose_victim(&mut self, ctx: &AccessContext, _lines: &[LineView]) -> usize {
+            self.0.find_victim(ctx.set_index)
+        }
+        fn on_fill(&mut self, ctx: &AccessContext, way: usize, decision: &InsertionDecision) {
+            if let InsertionDecision::Insert { rrpv } = decision {
+                self.0.set(ctx.set_index, way, *rrpv);
+            }
+        }
+    }
+
+    /// Hits in each pass of a cyclic loop over `ways + 1` blocks through a one-set
+    /// [`SharedLlc`], driven as the system drives it: a demand access, then a fill on a
+    /// miss.
+    fn cyclic_hits<P: LlcReplacementPolicy>(ways: usize, passes: usize, policy: P) -> Vec<u64> {
+        let mut config = SystemConfig::tiny(1).llc;
+        config.geometry = CacheGeometry::new(BLOCK_BYTES * ways as u64, ways);
+        let mut llc = SharedLlc::new(config, 1, u64::MAX, policy);
+        assert_eq!(llc.num_sets(), 1);
+        let mut now = 0;
+        (0..passes)
+            .map(|_| {
+                let before = llc.core_stats(0).demand_hits;
+                for b in 0..=ways as u64 {
+                    now += 1_000;
+                    if !llc.access(0, 0, BlockAddr(b), true, false, now).hit {
+                        llc.fill(0, 0, BlockAddr(b), false, now);
+                    }
+                }
+                llc.core_stats(0).demand_hits - before
+            })
+            .collect()
+    }
+
+    /// RRIP closed forms for a cyclic loop over blocks `b0 ..= bW` in one set of
+    /// `W = ways` ways (the analytic multi-level/LLC replacement review in PAPERS.md).
+    /// Pass 1 fills ways `0..W` with `b0 .. bW-1` in order, and `bW` evicts way 0.
+    ///
+    /// - **SRRIP: 0 hits.** Every line enters at RRPV 2, and aging lifts the set as a
+    ///   whole, so the lowest way at the set's maximum is always the line inserted
+    ///   longest ago, which is the next one the loop needs. That is LRU on this loop.
+    /// - **Always distant: `W - 1` hits per pass after the first.** `bW` enters way 0 at
+    ///   RRPV 3. Then `b0` evicts it from way 0, `b1 .. bW-1` hit and drop to RRPV 0, and
+    ///   `bW` evicts way 0 again, the only line at RRPV 3.
+    /// - **BRRIP: also `W - 1` hits per pass after the first.** Its throttle inserts
+    ///   every 32nd fill at RRPV 2 instead of 3, and at these sizes that does not change
+    ///   the count. Pass 1 makes fills `1 ..= W + 1`, so its 32nd fill, if any, is `b31`
+    ///   in way 31 (at 32 ways), and `bW` still evicts `b0` from way 0. In pass 2, `b0`
+    ///   finds way 0 at RRPV 3, the lowest way at the set's maximum, and evicts it. From
+    ///   then on, every miss finds ways `1 .. W` hit since their last aging (so at RRPV
+    ///   0 or 1) and way 0 holding the last fill at RRPV 2 or 3. Way 0 is the set's
+    ///   unique maximum, so it is the victim, as under always distant.
+    #[test]
+    fn a_cyclic_ways_plus_one_loop_meets_the_rrip_closed_forms() {
+        const PASSES: usize = 100;
+        for ways in [4, 8, 16, 32] {
+            let what = format!("{ways} ways");
+            let srrip = cyclic_hits(ways, PASSES, SrripPolicy::new(1, ways));
+            assert_eq!(srrip, vec![0; PASSES], "SRRIP, {what}");
+            let reuse = |first: u64| {
+                let mut hits = vec![ways as u64 - 1; PASSES];
+                hits[0] = first;
+                hits
+            };
+            let distant = cyclic_hits(ways, PASSES, AlwaysDistant(RrpvArray::new(1, ways)));
+            assert_eq!(distant, reuse(0), "always distant, {what}");
+            // 100 passes make 2 * 99 + ways + 1 fills: the throttle fires at least 6 times.
+            let brrip = cyclic_hits(ways, PASSES, BrripPolicy::new(1, ways));
+            assert_eq!(brrip, reuse(0), "BRRIP, {what}");
+        }
     }
 
     #[test]
