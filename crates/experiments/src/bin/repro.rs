@@ -3,20 +3,11 @@
 //! ```text
 //! repro <experiment> [--paper-scale | --smoke]
 //!
-//! experiments:
-//!   fig1     Figure 1  : forced BRRIP motivation experiment
-//!   fig3     Figure 3  : 16-core weighted-speedup s-curves
-//!   fig45    Figures 4 & 5 : per-application MPKI / IPC impact
-//!   fig6     Figure 6  : insertion vs bypass ablation
-//!   fig7     Figure 7  : larger caches (24 MB / 32 MB)
-//!   fig8     Figure 8  : 4/8/20/24-core scalability s-curves
-//!   table2   Table 2   : hardware cost comparison
-//!   table4   Table 4   : benchmark classification, paper vs measured
-//!   table7   Table 7   : alternative multi-core metrics
-//!   ablation Design-parameter sweeps (interval, sampled sets, bypass ratio, ranges)
+//! experiments: every entry of `experiments::experiment::registry` (`repro --help` lists
+//!   them with their titles), plus
 //!   mixes    Print the generated workload mixes (Table 6)
 //!   diag     Per-application TA-DRRIP vs ADAPT diagnostic on one 16-core mix
-//!   all      Everything above, in order
+//!   all      Every experiment on the paper's studies, in registry order
 //!
 //! corpus mode:
 //!   corpus --dir DIR [--study 4|8|...|64] [--mixes N]
@@ -62,52 +53,66 @@ use std::env;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use experiments::runner::{sweep_policies_on_corpus_with, synthetic_capture_budget, ReplayConfig};
-use experiments::{ablation, figure1, figure3, figure45, figure6, figure7, figure8, scaling};
-use experiments::{table2, table4, table7, ExperimentScale, PolicyKind};
+use experiments::experiment::{self, find, registry, Experiment, Mixes, Sources, Summary, Variant};
+use experiments::report::render;
+use experiments::runner::{synthetic_capture_budget, ReplayConfig};
+use experiments::{ExperimentScale, MemSystem};
 use trace_io::Corpus;
 use workloads::{generate_mixes, StudyKind};
 
 fn usage() -> String {
-    "usage: repro <fig1|fig3|fig45|fig6|fig7|fig8|table2|table4|table7|ablation|mixes|diag|all> \
-     [--paper-scale|--smoke]\n       repro corpus --dir DIR [--study 4|8|...|64] [--mixes N] \
-     [--paper-scale|--smoke]\n       repro sweep --dir DIR [--paper-scale|--smoke]\n         \
-     [--arena-bytes N]\n       \
-     repro scale [--cores 32,48,64,128,256] [--mixes N] [--flat] [--memsys] \
-     [--paper-scale|--smoke]\n\n\
-     sweep: --arena-bytes N  replay arena budget per mix in bytes (default 256 MiB):\n\
-                             decode buffers + event memo. Every mix is streamed from\n\
-                             the mapping in fixed-size batches; results are identical\n\
-                             at every N\n\n\
-     scale: many-core scaling study under the cycle-accounted bank contention model\n\
-     (throughput / fairness / bank-stall share / per-core stall attribution per policy;\n\
-     --flat reruns the same geometry with the latency-only seed banking; --memsys runs\n\
-     the flat vs FCFS vs FR-FCFS+NUCA memory-system head-to-head instead)\n\n\
-     global: --profile [DIR]   record a sim-obs profile and export trace.json /\n\
-                               intervals.csv / summary.txt into DIR (default 'profile';\n\
-                               REPRO_PROFILE=1 does the same)\n\
-             --log-level LVL   error|warn|info|debug|trace|off (default info; REPRO_LOG)"
-        .to_string()
+    let paper = registry()
+        .into_iter()
+        .filter(|e| e.in_paper())
+        .map(|e| e.name);
+    let names: Vec<&str> = paper.chain(["mixes", "diag", "all"]).collect();
+    let list: String = registry()
+        .iter()
+        .map(|e| format!("  {:<9}{}\n", e.name, e.title))
+        .collect();
+    format!(
+        "usage: repro <{}> [--paper-scale|--smoke]\n       repro corpus --dir DIR [--study \
+         4|8|...|64] [--mixes N] [--paper-scale|--smoke]\n       repro sweep --dir DIR \
+         [--paper-scale|--smoke]\n         [--arena-bytes N]\n       \
+         repro scale [--cores 32,48,64,128,256] [--mixes N] [--flat] [--memsys] \
+         [--paper-scale|--smoke]\n\nexperiments:\n{list}  \
+         mixes    Print the generated workload mixes (Table 6)\n  \
+         diag     Per-application TA-DRRIP vs ADAPT diagnostic on one 16-core mix\n  \
+         all      Every experiment above but scale, in order\n\n\
+         sweep: --arena-bytes N  replay arena budget per mix in bytes (default 256 MiB):\n\
+                                 decode buffers + event memo. Every mix is streamed from\n\
+                                 the mapping in fixed-size batches; results are identical\n\
+                                 at every N\n\n\
+         scale: many-core scaling study under the cycle-accounted bank contention model\n\
+         (throughput / fairness / bank-stall share / per-core stall attribution per policy;\n\
+         --flat reruns the same geometry with the latency-only seed banking; --memsys runs\n\
+         the flat vs FCFS vs FR-FCFS+NUCA memory-system head-to-head instead)\n\n\
+         global: --profile [DIR]   record a sim-obs profile and export trace.json /\n\
+                                   intervals.csv / summary.txt into DIR (default 'profile';\n\
+                                   REPRO_PROFILE=1 does the same)\n\
+                 --log-level LVL   error|warn|info|debug|trace|off (default info; REPRO_LOG)",
+        names.join("|")
+    )
 }
 
-fn parse_study(cores: &str) -> Result<StudyKind, String> {
-    cores
-        .parse::<usize>()
-        .ok()
-        .and_then(StudyKind::by_cores)
-        .ok_or_else(|| {
-            format!("--study must be one of 4|8|16|20|24|32|48|64|128|256, got {cores:?}")
-        })
+/// Whether `name` is a subcommand — so `--profile`'s optional DIR operand is not
+/// mistaken for one.
+fn is_command(name: &str) -> bool {
+    find(name).is_some() || ["mixes", "diag", "all", "corpus", "sweep"].contains(&name)
 }
 
-fn parse_cores_list(list: &str) -> Result<Vec<usize>, String> {
-    list.split(',')
-        .map(|c| {
-            c.trim()
-                .parse::<usize>()
-                .map_err(|e| format!("--cores: {c:?}: {e}"))
-        })
-        .collect()
+/// The study `flag`'s operand names by its core count.
+fn parse_study(flag: &str, cores: &str) -> Result<StudyKind, String> {
+    let parsed = cores.trim().parse::<usize>();
+    let cores = parsed.map_err(|e| format!("{flag}: {cores:?}: {e}"))?;
+    StudyKind::by_cores(cores).map_err(|e| format!("{flag}: {e}"))
+}
+
+/// Run an experiment on generated mixes and print its tables.
+fn print_experiment(exp: &Experiment, scale: ExperimentScale) {
+    let tables = experiment::run(exp, scale, &Sources::Generated)
+        .expect("generated mixes always materialize");
+    print!("{}", render(&tables, exp.layout()));
 }
 
 /// Materialize a study's mixes as an on-disk corpus at this scale.
@@ -145,70 +150,15 @@ fn corpus_cmd(
     Ok(())
 }
 
-/// Run the Figure 3 policy lineup over a materialized corpus.
+/// Run Figure 3's experiment over a materialized corpus.
 fn sweep_cmd(scale: ExperimentScale, dir: &PathBuf, replay: &ReplayConfig) -> Result<(), String> {
     let corpus = Corpus::load(dir).map_err(|e| format!("loading corpus: {e}"))?;
-    let first = corpus
-        .entries()
-        .first()
-        .ok_or_else(|| "corpus has no mixes".to_string())?;
-    let cores = first.benchmarks.len();
-    let study = StudyKind::all()
-        .into_iter()
-        .find(|s| s.num_cores() == cores)
-        .ok_or_else(|| format!("corpus mixes have {cores} cores, matching no study"))?;
-    let config = scale.system_config(study);
-    let mut policies = vec![PolicyKind::TaDrrip];
-    policies.extend(PolicyKind::figure3_lineup());
-    sim_obs::obs_info!(
-        "repro",
-        "corpus sweep: {} policies x {} mixes from {}",
-        policies.len(),
-        corpus.entries().len(),
-        dir.display()
-    );
+    let fig3 = find("fig3").expect("Figure 3 is registered");
     // The sweep seed comes from the corpus manifest, so the alone-run normalization
     // matches the generators the traces were captured from.
-    let outcome = sweep_policies_on_corpus_with(
-        &config,
-        &corpus,
-        &policies,
-        scale.instructions_per_core(),
-        replay,
-    )
-    .map_err(|e| format!("corpus sweep: {e}"))?;
-    let result = figure3::SCurveResult {
-        study_cores: study.num_cores(),
-        workloads: corpus.entries().len(),
-        replay_wraps: outcome.total_replay_wraps(),
-        curves: figure3::build_curves(&outcome.evaluations),
-    };
-    print!("{}", figure3::render(&result));
-    Ok(())
-}
-
-/// Run the many-core scaling study (see `experiments::scaling`). With `memsys` the
-/// flat vs FCFS-contended vs FR-FCFS+NUCA head-to-head replaces the single-model study.
-fn scale_cmd(
-    scale: ExperimentScale,
-    cores: &[usize],
-    contention: bool,
-    memsys: bool,
-    mixes_override: Option<usize>,
-) -> Result<(), String> {
-    if memsys {
-        sim_obs::obs_info!("repro", "memory-system head-to-head over {cores:?} cores");
-        let result = scaling::run_memsys(scale, cores, mixes_override)?;
-        print!("{}", scaling::render_memsys(&result));
-        return Ok(());
-    }
-    sim_obs::obs_info!(
-        "repro",
-        "scaling study over {cores:?} cores ({} banking)",
-        if contention { "contended" } else { "flat" }
-    );
-    let result = scaling::run(scale, cores, contention, mixes_override)?;
-    print!("{}", scaling::render(&result));
+    let tables = experiment::run(&fig3, scale, &Sources::Corpus(&corpus, replay))
+        .map_err(|e| format!("corpus sweep: {e}"))?;
+    print!("{}", render(&tables, fig3.layout()));
     Ok(())
 }
 
@@ -237,20 +187,8 @@ fn diag(scale: ExperimentScale) {
     let config = scale.system_config(study);
     let mix = generate_mixes(study, 1, scale.seed()).remove(0);
     let instructions = scale.instructions_per_core();
-    let base = evaluate_mix(
-        &config,
-        &mix,
-        PolicyKind::TaDrrip,
-        instructions,
-        scale.seed(),
-    );
-    let adapt = evaluate_mix(
-        &config,
-        &mix,
-        PolicyKind::AdaptBp32,
-        instructions,
-        scale.seed(),
-    );
+    let [base, adapt] = [PolicyKind::TaDrrip, PolicyKind::AdaptBp32]
+        .map(|policy| evaluate_mix(&config, &mix, policy, instructions, scale.seed()));
     println!(
         "weighted speedup: TA-DRRIP {:.4}  ADAPT_bp32 {:.4}  ratio {:.4}",
         base.weighted_speedup(),
@@ -275,75 +213,6 @@ fn diag(scale: ExperimentScale) {
         );
     }
 }
-
-fn run_one(name: &str, scale: ExperimentScale) -> Result<(), String> {
-    match name {
-        "fig1" => print!("{}", figure1::render(&figure1::run(scale))),
-        "fig3" => print!("{}", figure3::render(&figure3::run(scale))),
-        "fig45" => print!("{}", figure45::render(&figure45::run(scale))),
-        "fig6" => print!("{}", figure6::render(&figure6::run(scale))),
-        "fig7" => print!("{}", figure7::render(&figure7::run(scale))),
-        "fig8" => print!("{}", figure8::render(&figure8::run(scale))),
-        "table2" => {
-            print!("{}", table2::render(&table2::run_paper_exact()));
-            print!("{}", table2::render(&table2::run(scale)));
-        }
-        "table4" => print!("{}", table4::render(&table4::run(scale))),
-        "table7" => print!("{}", table7::render(&table7::run(scale))),
-        "ablation" => {
-            let mixes = 4;
-            print!(
-                "{}",
-                ablation::render(
-                    "Interval-length sweep",
-                    &ablation::interval_sweep(scale, mixes)
-                )
-            );
-            print!(
-                "{}",
-                ablation::render(
-                    "Sampled-sets sweep",
-                    &ablation::sampled_sets_sweep(scale, mixes)
-                )
-            );
-            print!(
-                "{}",
-                ablation::render(
-                    "Bypass-ratio sweep",
-                    &ablation::bypass_ratio_sweep(scale, mixes)
-                )
-            );
-            print!(
-                "{}",
-                ablation::render(
-                    "Priority-range sweep",
-                    &ablation::priority_range_sweep(scale, mixes)
-                )
-            );
-        }
-        "mixes" => print_mixes(scale),
-        "diag" => diag(scale),
-        "all" => {
-            for exp in [
-                "table2", "table4", "fig1", "fig3", "fig45", "fig6", "fig7", "fig8", "table7",
-                "ablation",
-            ] {
-                println!("==== {exp} ====");
-                run_one(exp, scale)?;
-                println!();
-            }
-        }
-        other => return Err(format!("unknown experiment '{other}'\n{}", usage())),
-    }
-    Ok(())
-}
-
-/// Subcommand names, used to disambiguate `--profile`'s optional DIR operand from the
-/// positional experiment name.
-const EXPERIMENTS: &[&str] = &[
-    "fig1", "fig3", "fig45", "fig6", "fig7", "fig8", "table2", "table4", "table7", "ablation",
-    "mixes", "diag", "all", "corpus", "sweep", "scale",
-];
 
 /// Resolve the profile directory: the `--profile` flag wins, then `REPRO_PROFILE`
 /// (`1`/`true` mean the default `profile/` directory, anything else is the directory).
@@ -371,7 +240,7 @@ fn main() -> ExitCode {
         // Optional DIR operand: consume the next token unless it is a flag or the
         // experiment name itself.
         let dir = match args.get(pos) {
-            Some(next) if !next.starts_with('-') && !EXPERIMENTS.contains(&next.as_str()) => {
+            Some(next) if !next.starts_with('-') && !is_command(next) => {
                 PathBuf::from(args.remove(pos))
             }
             _ => PathBuf::from("profile"),
@@ -406,7 +275,7 @@ fn main() -> ExitCode {
     let mut dir: Option<PathBuf> = None;
     let mut study = StudyKind::Cores16;
     let mut mixes_override: Option<usize> = None;
-    let mut cores_list: Vec<usize> = vec![32, 48, 64];
+    let mut cores_list: Option<Vec<StudyKind>> = None;
     let mut flat = false;
     let mut memsys = false;
     let mut replay = ReplayConfig::default();
@@ -431,8 +300,15 @@ fn main() -> ExitCode {
                 Ok(())
             }
             "--dir" => value("--dir").map(|v| dir = Some(PathBuf::from(v))),
-            "--study" => value("--study").and_then(|v| parse_study(v).map(|s| study = s)),
-            "--cores" => value("--cores").and_then(|v| parse_cores_list(v).map(|c| cores_list = c)),
+            "--study" => {
+                value("--study").and_then(|v| parse_study("--study", v).map(|s| study = s))
+            }
+            "--cores" => value("--cores").and_then(|v| {
+                let studies = v.split(',').map(|c| parse_study("--cores", c));
+                studies
+                    .collect::<Result<_, _>>()
+                    .map(|c| cores_list = Some(c))
+            }),
             "--flat" => {
                 flat = true;
                 Ok(())
@@ -489,8 +365,48 @@ fn main() -> ExitCode {
                 sweep_cmd(scale, &dir, &replay)
             }
         }
-        "scale" => scale_cmd(scale, &cores_list, !flat, memsys, mixes_override),
-        name => run_one(name, scale),
+        "mixes" => {
+            print_mixes(scale);
+            Ok(())
+        }
+        "diag" => {
+            diag(scale);
+            Ok(())
+        }
+        "all" => {
+            for exp in registry().iter().filter(|e| e.in_paper()) {
+                println!("==== {} ====", exp.name);
+                print_experiment(exp, scale);
+                println!();
+            }
+            Ok(())
+        }
+        name => match find(name) {
+            Some(exp) => {
+                // The scaling study's own flags pick its core counts, mixes and memory
+                // systems.
+                let exp = match name {
+                    "scale" => {
+                        let (systems, summary) = match (memsys, flat) {
+                            (true, _) => (MemSystem::all().to_vec(), Summary::HeadToHead),
+                            (false, true) => (vec![MemSystem::Flat], Summary::Scaling),
+                            (false, false) => (vec![MemSystem::FcfsContended], Summary::Scaling),
+                        };
+                        Experiment {
+                            studies: cores_list.unwrap_or(exp.studies),
+                            variant: Variant::MemSys(systems),
+                            summaries: vec![summary],
+                            mixes: mixes_override.map_or(exp.mixes, Mixes::Exactly),
+                            ..exp
+                        }
+                    }
+                    _ => exp,
+                };
+                print_experiment(&exp, scale);
+                Ok(())
+            }
+            None => Err(format!("unknown experiment '{name}'\n{}", usage())),
+        },
     };
     // Export the profile even when the experiment failed: the partial timeline is
     // usually exactly what explains the failure.

@@ -1,39 +1,104 @@
-//! Plain-text rendering helpers for experiment results.
+//! The one printer of experiment results.
 //!
-//! Every figure/table driver returns structured data; these helpers render the rows/series
-//! the paper reports as aligned text tables or CSV so the output of `repro` can be eyeballed
-//! against the paper (`docs/repro-guide.md` has the expected excerpts).
+//! Every experiment returns [`Table`]s; [`render`] prints them — each through
+//! [`render_table`], its s-curve through [`render_series_csv`] — so the output of `repro`
+//! can be eyeballed against the paper (`docs/repro-guide.md` has the expected excerpts).
 
-/// Render a table with a header row; columns are padded to the widest cell.
-pub fn render_table(headers: &[&str], rows: &[Vec<String>]) -> String {
-    let ncols = headers.len();
-    let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();
-    for row in rows {
-        for (i, cell) in row.iter().enumerate().take(ncols) {
-            widths[i] = widths[i].max(cell.len());
+/// One printed result: a title, notes, an aligned table and an optional CSV series.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct Table {
+    /// Heading line(s) above the table; empty prints none.
+    pub title: String,
+    /// Lines between the title and the table (caveats about how it was measured).
+    pub notes: Vec<String>,
+    /// Column names; a table without columns is a heading only.
+    pub header: Vec<String>,
+    /// One row of cells per line, in column order.
+    pub rows: Vec<Vec<String>>,
+    /// A per-workload series printed as CSV after the table (an s-curve).
+    pub series: Option<Series>,
+}
+
+impl Table {
+    /// A table with a title, columns and rows, and no notes or series.
+    pub fn new<H: Into<String>>(
+        title: impl Into<String>,
+        header: impl IntoIterator<Item = H>,
+        rows: Vec<Vec<String>>,
+    ) -> Self {
+        Table {
+            title: title.into(),
+            header: header.into_iter().map(Into::into).collect(),
+            rows,
+            ..Table::default()
         }
     }
+}
+
+/// Named columns of values, printed by [`render_series_csv`] under their own heading.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Series {
+    /// Heading line above the CSV.
+    pub title: String,
+    /// One named column per curve.
+    pub columns: Vec<(String, Vec<f64>)>,
+}
+
+/// How an experiment's tables follow one another on the page.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Layout {
+    /// Back to back.
+    Packed,
+    /// A blank line between tables.
+    Spaced,
+    /// A blank line after every table, the last one included (Figure 8's panels).
+    Panels,
+}
+
+/// Print an experiment's tables in its layout.
+pub fn render(tables: &[Table], layout: Layout) -> String {
+    let parts: Vec<String> = tables.iter().map(render_table).collect();
+    match layout {
+        Layout::Packed => parts.concat(),
+        Layout::Spaced => parts.join("\n"),
+        Layout::Panels => parts.iter().map(|p| p.clone() + "\n").collect(),
+    }
+}
+
+/// Print one table: its title and notes, the columns padded to the widest cell under a
+/// header row, then its series.
+pub fn render_table(table: &Table) -> String {
     let mut out = String::new();
-    let render_row = |cells: &[String], widths: &[usize]| -> String {
-        let mut line = String::new();
-        for (i, cell) in cells.iter().enumerate() {
-            line.push_str(&format!("{:width$}  ", cell, width = widths[i]));
-        }
-        line.trim_end().to_string()
-    };
-    out.push_str(&render_row(
-        &headers.iter().map(|s| s.to_string()).collect::<Vec<_>>(),
-        &widths,
-    ));
-    out.push('\n');
-    out.push_str(&render_row(
-        &widths.iter().map(|w| "-".repeat(*w)).collect::<Vec<_>>(),
-        &widths,
-    ));
-    out.push('\n');
-    for row in rows {
-        out.push_str(&render_row(row, &widths));
+    for line in std::iter::once(&table.title)
+        .filter(|t| !t.is_empty())
+        .chain(&table.notes)
+    {
+        out.push_str(line);
         out.push('\n');
+    }
+    if !table.header.is_empty() {
+        let mut widths: Vec<usize> = table.header.iter().map(|h| h.len()).collect();
+        for row in &table.rows {
+            for (width, cell) in widths.iter_mut().zip(row) {
+                *width = (*width).max(cell.len());
+            }
+        }
+        let separator: Vec<String> = widths.iter().map(|w| "-".repeat(*w)).collect();
+        for cells in [&table.header, &separator].into_iter().chain(&table.rows) {
+            let line: String = cells
+                .iter()
+                .zip(&widths)
+                .map(|(cell, width)| format!("{cell:width$}  "))
+                .collect();
+            out.push_str(line.trim_end());
+            out.push('\n');
+        }
+    }
+    if let Some(series) = &table.series {
+        out.push('\n');
+        out.push_str(&series.title);
+        out.push('\n');
+        out.push_str(&render_series_csv(&series.columns));
     }
     out
 }
@@ -90,19 +155,30 @@ mod tests {
 
     #[test]
     fn table_is_aligned_and_contains_all_cells() {
-        let out = render_table(
-            &["policy", "speedup"],
-            &[
+        let table = Table::new(
+            "speedups",
+            ["policy", "speedup"],
+            vec![
                 vec!["ADAPT".into(), "1.047".into()],
                 vec!["TA-DRRIP".into(), "1.000".into()],
             ],
         );
+        let out = render_table(&table);
         assert!(out.contains("ADAPT"));
         assert!(out.contains("1.047"));
-        assert_eq!(out.lines().count(), 4);
+        assert_eq!(out.lines().count(), 5);
         // Header and separator align.
         let lines: Vec<&str> = out.lines().collect();
-        assert!(lines[1].starts_with("--"));
+        assert_eq!(lines[0], "speedups");
+        assert_eq!(lines[1], "policy    speedup");
+        assert!(lines[2].starts_with("--"));
+        // A heading-only table prints its title; layouts place the blank lines.
+        let heading = Table::new("heading", Vec::<String>::new(), vec![]);
+        assert_eq!(render_table(&heading), "heading\n");
+        let pair = [heading.clone(), heading];
+        assert_eq!(render(&pair, Layout::Packed), "heading\nheading\n");
+        assert_eq!(render(&pair, Layout::Spaced), "heading\n\nheading\n");
+        assert_eq!(render(&pair, Layout::Panels), "heading\n\nheading\n\n");
     }
 
     #[test]

@@ -54,6 +54,7 @@ use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 use rayon::prelude::*;
 
+use adapt_core::{AdaptConfig, AdaptPolicy};
 use cache_sim::config::SystemConfig;
 use cache_sim::private::{MemoPool, SharedStage, SharedStageUsage, StageCursor, StageParams};
 use cache_sim::replacement::LlcReplacementPolicy;
@@ -66,7 +67,7 @@ use mc_metrics::MulticoreMetrics;
 use trace_io::{Corpus, MappedStreamDecoder, MappedTrace, TraceError, TraceHeader};
 use workloads::{benchmark_by_name, StudyKind, WorkloadMix};
 
-use crate::policies::PolicyKind;
+use crate::policies::{AnyPolicy, PolicyKind};
 
 /// Outcome for one application inside one evaluated mix.
 #[derive(Debug, Clone)]
@@ -140,21 +141,12 @@ impl MixEvaluation {
         cache_sim::bank::aggregate_stall_share(&self.llc_banks)
     }
 
-    /// Total attributed memory-system stall cycles per core, indexed by core
-    /// (LLC bank queue/admission + MSHR + DRAM bank queue/admission).
-    pub fn core_stall_totals(&self) -> Vec<u64> {
-        self.core_stalls.iter().map(|c| c.total()).collect()
-    }
-
-    /// Max/mean imbalance of the per-core attributed stall cycles
-    /// ([`mc_metrics::stall_imbalance`]); 1.0 means perfectly balanced.
+    /// Max/mean imbalance ([`mc_metrics::stall_imbalance`]) of the per-core attributed
+    /// stall cycles (LLC bank queue/admission, MSHR, DRAM bank queue/admission); 1.0
+    /// means perfectly balanced.
     pub fn stall_imbalance(&self) -> f64 {
-        mc_metrics::stall_imbalance(&self.core_stall_totals())
-    }
-
-    /// Look up an application's outcome by benchmark name (first occurrence).
-    pub fn app(&self, name: &str) -> Option<&PerAppOutcome> {
-        self.per_app.iter().find(|a| a.name == name)
+        let totals: Vec<u64> = self.core_stalls.iter().map(|c| c.total()).collect();
+        mc_metrics::stall_imbalance(&totals)
     }
 }
 
@@ -257,11 +249,7 @@ impl MixSource {
         let path = path.as_ref().to_path_buf();
         let header = trace_io::read_header(&path)?;
         let cores = header.cores.len();
-        let study = StudyKind::by_cores(cores).ok_or_else(|| {
-            TraceError::Corrupt(format!(
-                "trace has {cores} cores, which matches no study (4/8/16/20/24/32/48/64/128/256)"
-            ))
-        })?;
+        let study = StudyKind::by_cores(cores).map_err(TraceError::Corrupt)?;
         for core in &header.cores {
             if benchmark_by_name(&core.label).is_none() {
                 return Err(TraceError::Corrupt(format!(
@@ -581,7 +569,7 @@ impl MaterializedMixStreams {
     /// `mix<id>` context, and next to them what reading a replayed mix's file cost, as
     /// `trace-io`'s `decode.*` counters (`docs/observability.md`); nothing unless
     /// `sim_obs` is recording and the mix has been evaluated.
-    pub(crate) fn record_stage_counters(&self) {
+    fn record_stage_counters(&self) {
         if !sim_obs::enabled() {
             return;
         }
@@ -811,20 +799,11 @@ pub fn evaluate_policies_on_mixes(
     instructions: u64,
     seed: u64,
 ) -> Vec<MixEvaluation> {
-    let sources: Vec<MixSource> = mixes
-        .iter()
-        .map(|m| MixSource::Synthetic(m.clone()))
-        .collect();
-    sweep_policies_on_sources_with(
-        config,
-        &sources,
-        policies,
-        instructions,
-        seed,
-        &ReplayConfig::default(),
-    )
-    .expect("synthetic sweeps cannot fail to materialize")
-    .evaluations
+    let sources: Vec<MixSource> = mixes.iter().cloned().map(MixSource::Synthetic).collect();
+    let replay = ReplayConfig::default();
+    sweep_policies_on_sources_with(config, &sources, policies, instructions, seed, &replay)
+        .expect("synthetic sweeps cannot fail to materialize")
+        .evaluations
 }
 
 /// Replay wraps observed for one mix during a sweep (see [`SweepOutcome::mix_wraps`]).
@@ -857,7 +836,7 @@ impl SweepOutcome {
     }
 }
 
-/// The grid engine in its general form: [`evaluate_policies_on_mixes`] over arbitrary
+/// The grid engine over one configuration: [`evaluate_policies_on_mixes`] over arbitrary
 /// [`MixSource`]s, returning the per-mix replay-wrap counts next to the evaluations in
 /// the [`SweepOutcome`] so callers can put budget exhaustion into their structured
 /// reports (wraps are additionally echoed on stderr for interactive runs). `replay` sets
@@ -877,11 +856,59 @@ pub fn sweep_policies_on_sources_with(
     seed: u64,
     replay: &ReplayConfig,
 ) -> Result<SweepOutcome, TraceError> {
+    let cells: Vec<Cell> = policies
+        .iter()
+        .map(|&policy| Cell {
+            config: 0,
+            policy,
+            adapt: None,
+        })
+        .collect();
+    sweep_grid(
+        std::slice::from_ref(config),
+        &cells,
+        sources,
+        instructions,
+        seed,
+        replay,
+    )
+}
+
+/// One column of a sweep grid: `policy` under the grid's `config`-th system
+/// configuration, built by [`PolicyKind::build_dispatch`] — or, for ADAPT under a
+/// configuration of its own (an ablation variant), from `adapt`, keeping `policy`'s
+/// label.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct Cell {
+    pub config: usize,
+    pub policy: PolicyKind,
+    pub adapt: Option<AdaptConfig>,
+}
+
+/// [`sweep_policies_on_sources_with`] over any set of cells: every cell of a mix,
+/// whatever its configuration, replays the one materialization of that mix — configs
+/// that share the private hierarchy share its stages too. The evaluations come back in
+/// (mix, cell) order. Every config must have the same LLC set count, which sizes the
+/// generators.
+pub(crate) fn sweep_grid(
+    configs: &[SystemConfig],
+    cells: &[Cell],
+    sources: &[MixSource],
+    instructions: u64,
+    seed: u64,
+    replay: &ReplayConfig,
+) -> Result<SweepOutcome, TraceError> {
     let mixes: Vec<WorkloadMix> = sources.iter().map(|s| s.mix().clone()).collect();
-    warm_alone_cache(config, &mixes, instructions, seed);
-    let llc_sets = config.llc.geometry.num_sets();
-    let window = sweep_window(policies.len());
-    let mut out = Vec::with_capacity(sources.len() * policies.len());
+    for config in configs {
+        warm_alone_cache(config, &mixes, instructions, seed);
+    }
+    let llc_sets = configs[0].llc.geometry.num_sets();
+    // One materialization sizes its generators for one LLC set count.
+    assert!(configs
+        .iter()
+        .all(|c| c.llc.geometry.num_sets() == llc_sets));
+    let window = sweep_window(cells.len());
+    let mut out = Vec::with_capacity(sources.len() * cells.len());
     let mut mix_wraps = Vec::with_capacity(sources.len());
     for chunk in sources.chunks(window) {
         // Materialize this window's mixes once each, in parallel.
@@ -891,34 +918,42 @@ pub fn sweep_policies_on_sources_with(
             .collect::<Vec<Result<_, _>>>()
             .into_iter()
             .collect::<Result<_, _>>()?;
-        // Fan the (mix, policy) grid out; order-preserving collect keeps the result
+        // Fan the (mix, cell) grid out; order-preserving collect keeps the result
         // deterministic whatever the worker count.
-        let pairs: Vec<(usize, usize)> = (0..prepared.len())
-            .flat_map(|m| (0..policies.len()).map(move |p| (m, p)))
+        let pairs: Vec<(usize, &Cell)> = (0..prepared.len())
+            .flat_map(|m| cells.iter().map(move |cell| (m, cell)))
             .collect();
-        let cells: Vec<std::thread::Result<MixEvaluation>> = pairs
+        let evaluated: Vec<std::thread::Result<MixEvaluation>> = pairs
             .par_iter()
-            .map(|&(m, p)| {
+            .map(|&(m, cell)| {
                 let mat = &prepared[m];
                 let _ctx = if sim_obs::enabled() {
                     Some(sim_obs::push_context(&format!(
                         "mix{}/{}",
                         mat.mix().id,
-                        policies[p].label()
+                        cell.policy.label()
                     )))
                 } else {
                     None
                 };
                 let _span = sim_obs::span("sweep", "simulate");
+                let config = &configs[cell.config];
                 // Nothing a cell leaves half-done is looked at again: a fault fails
                 // the whole sweep, and the stages remember it for their other cursors.
                 catch_unwind(AssertUnwindSafe(|| {
-                    let built = policies[p].build_dispatch(config, &mat.mix().thrashing_slots());
-                    evaluate_prepared(config, mat, policies[p], built, instructions, seed)
+                    let built = match cell.adapt {
+                        Some(adapt) => {
+                            AnyPolicy::Adapt(AdaptPolicy::new(adapt, &config.llc, config.num_cores))
+                        }
+                        None => cell
+                            .policy
+                            .build_dispatch(config, &mat.mix().thrashing_slots()),
+                    };
+                    evaluate_prepared(config, mat, cell.policy, built, instructions, seed)
                 }))
             })
             .collect();
-        for cell in cells {
+        for cell in evaluated {
             out.push(
                 cell.map_err(|payload| match replay_fault_from(payload.as_ref()) {
                     Some(fault) => TraceError::Corrupt(fault.message.clone()),
@@ -969,12 +1004,7 @@ pub fn sweep_policies_on_corpus_with(
     instructions: u64,
     replay: &ReplayConfig,
 ) -> Result<SweepOutcome, TraceError> {
-    corpus.validate_geometry(config.llc.geometry.num_sets())?;
-    let sources: Vec<MixSource> = corpus
-        .entries()
-        .iter()
-        .map(|e| MixSource::replayed_with_id(corpus.path_for(e), e.mix_id))
-        .collect::<Result<_, _>>()?;
+    let sources = corpus_sources(corpus, config.llc.geometry.num_sets())?;
     sweep_policies_on_sources_with(
         config,
         &sources,
@@ -983,6 +1013,20 @@ pub fn sweep_policies_on_corpus_with(
         corpus.meta().seed,
         replay,
     )
+}
+
+/// Every mix of `corpus` as a replayed source under its manifest id, once the corpus
+/// geometry is checked against a system with `llc_sets` LLC sets.
+pub(crate) fn corpus_sources(
+    corpus: &Corpus,
+    llc_sets: usize,
+) -> Result<Vec<MixSource>, TraceError> {
+    corpus.validate_geometry(llc_sets)?;
+    corpus
+        .entries()
+        .iter()
+        .map(|e| MixSource::replayed_with_id(corpus.path_for(e), e.mix_id))
+        .collect()
 }
 
 /// The serial reference sweep: regenerate every mix for every policy, one evaluation at
@@ -1004,17 +1048,6 @@ pub fn evaluate_policies_serial(
         }
     }
     out
-}
-
-/// Group evaluations by policy, preserving mix order: `result[policy_index][mix_index]`.
-pub fn group_by_policy(
-    evals: &[MixEvaluation],
-    policies: &[PolicyKind],
-) -> Vec<Vec<MixEvaluation>> {
-    policies
-        .iter()
-        .map(|p| evals.iter().filter(|e| e.policy == *p).cloned().collect())
-        .collect()
 }
 
 /// Per-mix speedup of `policy` over `baseline` on the weighted-speedup metric.
@@ -1146,8 +1179,8 @@ mod tests {
         assert_eq!(evals.len(), mixes.len() * policies.len());
         assert_eq!(evals[0].policy, PolicyKind::TaDrrip);
         assert_eq!(evals[1].policy, PolicyKind::AdaptBp32);
-        let grouped = group_by_policy(&evals, &policies);
-        assert_eq!(grouped[0].len(), mixes.len());
+        let baseline_runs = evals.iter().filter(|e| e.policy == PolicyKind::TaDrrip);
+        assert_eq!(baseline_runs.count(), mixes.len());
         let speedups = speedups_over_baseline(&evals, PolicyKind::AdaptBp32, PolicyKind::TaDrrip);
         assert_eq!(speedups.len(), mixes.len());
         assert!(speedups[0] > 0.0);

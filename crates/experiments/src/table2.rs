@@ -3,44 +3,33 @@
 //! Wraps `adapt_core::cost::table2_rows` for the paper's 16 MB / 16-way LLC shared by
 //! 24 applications, and renders it in the same layout as the paper.
 
-use adapt_core::{table2_rows, AdaptConfig, HardwareCostRow};
-
-use crate::report::render_table;
-use crate::scale::ExperimentScale;
+use adapt_core::{table2_rows, AdaptConfig};
 use workloads::StudyKind;
 
-/// Table 2 result.
-#[derive(Debug, Clone)]
-pub struct Table2Result {
-    /// Number of applications (cores) the costs are computed for.
-    pub num_apps: usize,
-    /// Number of blocks in the LLC the costs are computed for.
-    pub llc_blocks: usize,
-    /// One row per compared policy.
-    pub rows: Vec<HardwareCostRow>,
-}
+use crate::report::Table;
+use crate::scale::ExperimentScale;
 
-/// Regenerate Table 2 for the given scale's 24-core configuration (the paper's N = 24).
-pub fn run(scale: ExperimentScale) -> Table2Result {
-    let cfg = scale.system_config(StudyKind::Cores24);
-    let llc_blocks = cfg.llc.geometry.num_blocks();
-    let num_apps = cfg.num_cores;
-    Table2Result {
-        num_apps,
-        llc_blocks,
-        rows: table2_rows(&AdaptConfig::paper(), llc_blocks, num_apps),
-    }
-}
-
-/// Regenerate Table 2 exactly as printed in the paper (16 MB LLC, 24 applications),
-/// independent of the experiment scale.
-pub fn run_paper_exact() -> Table2Result {
-    let llc_blocks = 16 * 1024 * 1024 / 64;
-    Table2Result {
-        num_apps: 24,
-        llc_blocks,
-        rows: table2_rows(&AdaptConfig::paper(), llc_blocks, 24),
-    }
+/// Table 2 exactly as printed in the paper (16 MB LLC, 24 applications), then for
+/// `study`'s configuration at `scale` (the registry asks for the paper's N = 24).
+pub(crate) fn tables(scale: ExperimentScale, study: StudyKind) -> Vec<Table> {
+    let cfg = scale.system_config(study);
+    let paper_blocks = 16 * 1024 * 1024 / 64;
+    [
+        (paper_blocks, 24),
+        (cfg.llc.geometry.num_blocks(), cfg.num_cores),
+    ]
+    .into_iter()
+    .map(|(llc_blocks, apps)| {
+        let rows = table2_rows(&AdaptConfig::paper(), llc_blocks, apps)
+            .into_iter()
+            .map(|row| vec![row.policy, row.storage_rule, human_bytes(row.total_bytes)]);
+        Table::new(
+            format!("Table 2: hardware cost (LLC blocks = {llc_blocks}, N = {apps} applications)"),
+            ["policy", "storage rule", "total"],
+            rows.collect(),
+        )
+    })
+    .collect()
 }
 
 fn human_bytes(bytes: u64) -> String {
@@ -53,37 +42,17 @@ fn human_bytes(bytes: u64) -> String {
     }
 }
 
-/// Render the table.
-pub fn render(r: &Table2Result) -> String {
-    let mut out = format!(
-        "Table 2: hardware cost (LLC blocks = {}, N = {} applications)\n",
-        r.llc_blocks, r.num_apps
-    );
-    out.push_str(&render_table(
-        &["policy", "storage rule", "total"],
-        &r.rows
-            .iter()
-            .map(|row| {
-                vec![
-                    row.policy.clone(),
-                    row.storage_rule.clone(),
-                    human_bytes(row.total_bytes),
-                ]
-            })
-            .collect::<Vec<_>>(),
-    ));
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report::render_table;
 
     #[test]
     fn paper_exact_table_matches_published_numbers() {
-        let r = run_paper_exact();
-        assert_eq!(r.rows.len(), 4);
-        let text = render(&r);
+        let paper = &tables(ExperimentScale::Smoke, StudyKind::Cores24)[0];
+        assert_eq!(paper.rows.len(), 4);
+        let text = render_table(paper);
+        assert!(text.contains("LLC blocks = 262144, N = 24"));
         assert!(text.contains("TA-DRRIP"));
         assert!(text.contains("48 B"));
         assert!(text.contains("256.00 KB"));
@@ -92,8 +61,16 @@ mod tests {
 
     #[test]
     fn scaled_table_uses_the_scaled_llc() {
-        let r = run(ExperimentScale::Scaled);
-        assert_eq!(r.num_apps, 24);
-        assert!(r.llc_blocks < 256 * 1024);
+        let scaled = &tables(ExperimentScale::Scaled, StudyKind::Cores24)[1];
+        let blocks = ExperimentScale::Scaled
+            .system_config(StudyKind::Cores24)
+            .llc
+            .geometry
+            .num_blocks();
+        assert!(blocks < 256 * 1024);
+        assert_eq!(
+            scaled.title,
+            format!("Table 2: hardware cost (LLC blocks = {blocks}, N = 24 applications)")
+        );
     }
 }

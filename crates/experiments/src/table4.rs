@@ -20,38 +20,8 @@ use cache_sim::single::profile_alone;
 use cache_sim::trace::TraceSource;
 use workloads::{all_benchmarks, classify, MemIntensity, StudyKind};
 
-use crate::report::render_table;
+use crate::report::Table;
 use crate::scale::ExperimentScale;
-
-/// One row of the regenerated Table 4.
-#[derive(Debug, Clone)]
-pub struct Table4Row {
-    /// Benchmark name.
-    pub name: String,
-    /// Footprint-number over all sets as published in the paper.
-    pub paper_fpn_all: f64,
-    /// Footprint-number over all sets measured on our synthetic model.
-    pub measured_fpn_all: f64,
-    /// Footprint-number over the 40 sampled sets as published.
-    pub paper_fpn_sampled: f64,
-    /// Footprint-number over the sampled sets measured on our model.
-    pub measured_fpn_sampled: f64,
-    /// L2 MPKI as published.
-    pub paper_l2_mpki: f64,
-    /// L2 MPKI measured on our model.
-    pub measured_l2_mpki: f64,
-    /// Memory-intensity class as published.
-    pub paper_class: String,
-    /// Memory-intensity class our classifier assigns.
-    pub measured_class: String,
-}
-
-/// Table 4 result.
-#[derive(Debug, Clone)]
-pub struct Table4Result {
-    /// One row per Table 4 benchmark.
-    pub rows: Vec<Table4Row>,
-}
 
 /// Measure a benchmark's Footprint-number by streaming its address stream into the monitor.
 fn measure_footprint(
@@ -86,9 +56,9 @@ fn measure_footprint(
     monitor.mean_footprint_of(0)
 }
 
-/// Regenerate Table 4.
-pub fn run(scale: ExperimentScale) -> Table4Result {
-    let config = scale.system_config(StudyKind::Cores16);
+/// Table 4 on `study`'s LLC at `scale`: each benchmark's paper values next to ours.
+pub(crate) fn tables(scale: ExperimentScale, study: StudyKind) -> Vec<Table> {
+    let config = scale.system_config(study);
     let llc_sets = config.llc.geometry.num_sets();
     // Enough accesses for several interval boundaries over the sampled sets.
     let (accesses, interval) = match scale {
@@ -98,7 +68,7 @@ pub fn run(scale: ExperimentScale) -> Table4Result {
     };
     let instructions = scale.instructions_per_core();
 
-    let mut rows: Vec<Table4Row> = all_benchmarks()
+    let mut rows: Vec<Vec<String>> = all_benchmarks()
         .par_iter()
         .map(|b| {
             let fpn_all = measure_footprint(b, llc_sets, true, accesses, interval, scale.seed());
@@ -110,28 +80,24 @@ pub fn run(scale: ExperimentScale) -> Table4Result {
                 instructions,
             );
             let measured_class: MemIntensity = classify(fpn_all, profile.l2_mpki);
-            Table4Row {
-                name: b.name.to_string(),
-                paper_fpn_all: b.paper_fpn_all,
-                measured_fpn_all: fpn_all,
-                paper_fpn_sampled: b.paper_fpn_sampled,
-                measured_fpn_sampled: fpn_sampled,
-                paper_l2_mpki: b.paper_l2_mpki,
-                measured_l2_mpki: profile.l2_mpki,
-                paper_class: b.paper_class.label().to_string(),
-                measured_class: measured_class.label().to_string(),
-            }
+            let values = [
+                b.paper_fpn_all,
+                fpn_all,
+                b.paper_fpn_sampled,
+                fpn_sampled,
+                b.paper_l2_mpki,
+                profile.l2_mpki,
+            ];
+            std::iter::once(b.name.to_string())
+                .chain(values.iter().map(|v| format!("{v:.2}")))
+                .chain([b.paper_class.label(), measured_class.label()].map(String::from))
+                .collect()
         })
         .collect();
-    rows.sort_by(|a, b| a.name.cmp(&b.name));
-    Table4Result { rows }
-}
-
-/// Render the paper-vs-measured comparison.
-pub fn render(r: &Table4Result) -> String {
-    let mut out = String::from("Table 4: benchmark classification (paper vs measured)\n");
-    out.push_str(&render_table(
-        &[
+    rows.sort_by(|a, b| a[0].cmp(&b[0]));
+    vec![Table::new(
+        "Table 4: benchmark classification (paper vs measured)",
+        [
             "benchmark",
             "Fpn(A) paper",
             "Fpn(A) meas",
@@ -142,24 +108,8 @@ pub fn render(r: &Table4Result) -> String {
             "class paper",
             "class meas",
         ],
-        &r.rows
-            .iter()
-            .map(|row| {
-                vec![
-                    row.name.clone(),
-                    format!("{:.2}", row.paper_fpn_all),
-                    format!("{:.2}", row.measured_fpn_all),
-                    format!("{:.2}", row.paper_fpn_sampled),
-                    format!("{:.2}", row.measured_fpn_sampled),
-                    format!("{:.2}", row.paper_l2_mpki),
-                    format!("{:.2}", row.measured_l2_mpki),
-                    row.paper_class.clone(),
-                    row.measured_class.clone(),
-                ]
-            })
-            .collect::<Vec<_>>(),
-    ));
-    out
+        rows,
+    )]
 }
 
 #[cfg(test)]
@@ -190,9 +140,9 @@ mod tests {
 
     #[test]
     fn smoke_table_has_a_row_per_benchmark() {
-        let r = run(ExperimentScale::Smoke);
-        assert_eq!(r.rows.len(), all_benchmarks().len());
-        let text = render(&r);
+        let table = &tables(ExperimentScale::Smoke, StudyKind::Cores16)[0];
+        assert_eq!(table.rows.len(), all_benchmarks().len());
+        let text = crate::report::render_table(table);
         assert!(text.contains("benchmark"));
         assert!(text.contains("lbm"));
     }

@@ -98,9 +98,7 @@ impl LoadedCorpus {
             .first()
             .ok_or_else(|| format!("corpus {name:?} has no mixes"))?;
         let cores = first.benchmarks.len();
-        let study = StudyKind::by_cores(cores).ok_or_else(|| {
-            format!("corpus {name:?} mixes have {cores} cores, matching no study")
-        })?;
+        let study = StudyKind::by_cores(cores).map_err(|e| format!("corpus {name:?}: {e}"))?;
         let config = scale.system_config(study);
         let llc_sets = config.llc.geometry.num_sets();
         corpus

@@ -74,17 +74,10 @@ struct CaptureArgs {
 }
 
 fn parse_study(cores: &str) -> Result<StudyKind, String> {
-    cores
+    let cores = cores
         .parse()
-        .ok()
-        .and_then(StudyKind::by_cores)
-        .ok_or_else(|| {
-            let valid: Vec<String> = StudyKind::all()
-                .iter()
-                .map(|study| study.num_cores().to_string())
-                .collect();
-            format!("--study must be one of {}, got {cores:?}", valid.join("|"))
-        })
+        .map_err(|e| format!("--study: {cores:?}: {e}"))?;
+    StudyKind::by_cores(cores).map_err(|e| format!("--study: {e}"))
 }
 
 fn parse_capture(args: &[String]) -> Result<CaptureArgs, String> {

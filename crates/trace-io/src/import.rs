@@ -640,13 +640,9 @@ pub fn import_into_corpus(
             )));
         }
     }
-    if StudyKind::by_cores(opts.core_labels.len()).is_none() {
-        return Err(TraceError::Manifest(format!(
-            "{} cores matches no study (4/8/16/20/24/32/48/64); the sweep engine \
-             could not consume this mix",
-            opts.core_labels.len()
-        )));
-    }
+    StudyKind::by_cores(opts.core_labels.len()).map_err(|e| {
+        TraceError::Manifest(format!("{e}; the sweep engine could not consume this mix"))
+    })?;
     std::fs::create_dir_all(dir).map_err(TraceError::Io)?;
 
     // Everything about the existing corpus is validated BEFORE any file is touched —
@@ -1005,7 +1001,14 @@ mod tests {
             1,
         )
         .unwrap_err();
-        assert!(matches!(err, TraceError::Manifest(_)));
+        // The message lists every core count a study has, the many-core ones included.
+        let TraceError::Manifest(message) = err else {
+            panic!("{err:?}")
+        };
+        assert!(
+            message.contains("1 cores") && message.contains("|128|256"),
+            "{message}"
+        );
         std::fs::remove_dir_all(dir).ok();
     }
 

@@ -158,9 +158,21 @@ impl StudyKind {
         ]
     }
 
-    /// Look a study up by its core count.
-    pub fn by_cores(num_cores: usize) -> Option<StudyKind> {
-        Self::all().into_iter().find(|s| s.num_cores() == num_cores)
+    /// Look a study up by its core count; the error names every count a study has.
+    pub fn by_cores(num_cores: usize) -> Result<StudyKind, String> {
+        Self::all()
+            .into_iter()
+            .find(|s| s.num_cores() == num_cores)
+            .ok_or_else(|| {
+                let counts: Vec<String> = Self::all()
+                    .iter()
+                    .map(|s| s.num_cores().to_string())
+                    .collect();
+                format!(
+                    "no study has {num_cores} cores (one of {})",
+                    counts.join("|")
+                )
+            })
     }
 }
 
@@ -318,12 +330,15 @@ mod tests {
         assert_eq!(StudyKind::Cores64.min_per_class(), 6);
         assert!(StudyKind::Cores48.is_scaling());
         assert!(!StudyKind::Cores24.is_scaling());
-        assert_eq!(StudyKind::by_cores(48), Some(StudyKind::Cores48));
-        assert_eq!(StudyKind::by_cores(12), None);
+        assert_eq!(StudyKind::by_cores(48), Ok(StudyKind::Cores48));
+        assert_eq!(
+            StudyKind::by_cores(12),
+            Err("no study has 12 cores (one of 4|8|16|20|24|32|48|64|128|256)".into())
+        );
         assert_eq!(StudyKind::paper_studies().len() + 5, StudyKind::all().len());
         assert_eq!(StudyKind::Cores128.min_per_class(), 8);
         assert_eq!(StudyKind::Cores256.min_per_class(), 10);
-        assert_eq!(StudyKind::by_cores(256), Some(StudyKind::Cores256));
+        assert_eq!(StudyKind::by_cores(256), Ok(StudyKind::Cores256));
         for m in generate_mixes(StudyKind::Cores32, 5, 17) {
             for class in MemIntensity::all() {
                 let n = m.specs().iter().filter(|s| s.paper_class == class).count();

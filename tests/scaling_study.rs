@@ -10,8 +10,10 @@ use cache_sim::addr::BlockAddr;
 use cache_sim::config::SystemConfig;
 use cache_sim::llc::SharedLlc;
 use cache_sim::system::DefaultSrripPolicy;
+use experiments::experiment::{self, Experiment, Mixes, Sources};
+use experiments::report::{render, Layout};
 use experiments::runner::{evaluate_mix, evaluate_policies_on_mixes, evaluate_policies_serial};
-use experiments::{scaling, ExperimentScale, MemSystem, PolicyKind};
+use experiments::{ExperimentScale, MemSystem, PolicyKind};
 use workloads::{generate_mixes, StudyKind};
 
 const INSTRUCTIONS: u64 = 20_000;
@@ -62,16 +64,32 @@ fn sixty_four_core_run_completes_with_bank_metrics_and_engine_bit_identity() {
     }
 }
 
+/// The registry's scaling study at smoke scale, one mix per core count.
+fn scaling_study(cores: &[StudyKind]) -> Vec<experiments::report::Table> {
+    let exp = Experiment {
+        studies: cores.to_vec(),
+        mixes: Mixes::Exactly(1),
+        ..experiment::find("scale").unwrap()
+    };
+    experiment::run(&exp, ExperimentScale::Smoke, &Sources::Generated).unwrap()
+}
+
 #[test]
 fn scaling_study_renders_throughput_fairness_and_bank_stalls_at_64_cores() {
-    let result = scaling::run(ExperimentScale::Smoke, &[64], true, Some(1)).unwrap();
-    assert_eq!(result.points.len(), 1);
-    let point = &result.points[0];
-    assert_eq!(point.cores, 64);
-    assert_eq!(point.per_bank.len(), point.banks);
-    assert!(point.rows.len() >= 2);
-    assert!(point.rows.iter().all(|r| r.mean_weighted_speedup > 0.0));
-    let text = scaling::render(&result);
+    let tables = scaling_study(&[StudyKind::Cores64]);
+    let banks = ExperimentScale::Smoke
+        .system_config(StudyKind::Cores64)
+        .llc
+        .banks;
+    let (policies, per_bank) = (&tables[1], &tables[2]);
+    assert!(policies.title.starts_with("== 64 cores"));
+    assert_eq!(per_bank.rows.len(), banks);
+    assert!(policies.rows.len() >= 2);
+    assert!(policies
+        .rows
+        .iter()
+        .all(|r| r[1].parse::<f64>().unwrap() > 0.0));
+    let text = render(&tables, Layout::Spaced);
     assert!(text.contains("64 cores"));
     assert!(text.contains("bank-stall share"));
     assert!(text.contains("Per-bank occupancy/stalls"));
@@ -79,21 +97,7 @@ fn scaling_study_renders_throughput_fairness_and_bank_stalls_at_64_cores() {
 
 #[test]
 fn scaling_study_is_deterministic_across_repeated_runs() {
-    let run = || {
-        let point = scaling::run_point(ExperimentScale::Smoke, StudyKind::Cores32, true, Some(1));
-        point
-            .rows
-            .iter()
-            .map(|r| {
-                (
-                    r.policy.clone(),
-                    r.mean_weighted_speedup,
-                    r.mean_fairness,
-                    r.mean_bank_stall_share,
-                )
-            })
-            .collect::<Vec<_>>()
-    };
+    let run = || scaling_study(&[StudyKind::Cores32]);
     assert_eq!(run(), run());
 }
 
