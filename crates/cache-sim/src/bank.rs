@@ -58,7 +58,7 @@
 //!
 //! # Row-buffer-aware FR-FCFS scheduling
 //!
-//! With an enabled [`RowModelConfig`], each bank additionally keeps a row register and
+//! With a [`RowModelConfig`], each bank additionally keeps an open-page row register and
 //! [`BankModel::schedule`] classifies every request FR-FCFS style:
 //!
 //! * a request to the **open row** is *ready* and is granted the row-hit latency —
@@ -362,19 +362,18 @@ pub struct BankModel {
 
 impl BankModel {
     /// Create `num_banks` banks governed by `contention`, each busy for
-    /// `service_cycles` per request, with the FR-FCFS row model `row_model` (a
-    /// disabled one keeps the seed's FCFS behaviour).
+    /// `service_cycles` per request, with the FR-FCFS row model `row_model` (`None`
+    /// keeps the seed's FCFS behaviour).
     pub fn new(
         num_banks: usize,
         service_cycles: u64,
         contention: BankContentionConfig,
-        row_model: RowModelConfig,
+        row_model: Option<RowModelConfig>,
     ) -> Self {
         assert!(
             contention.ports >= 1,
             "banks need at least one service port"
         );
-        let row_model = row_model.enabled.then_some(row_model);
         if let Some(rm) = row_model {
             assert!(rm.starvation_cap >= 1, "starvation cap must be >= 1");
         }
@@ -459,7 +458,7 @@ impl BankModel {
             }
             b.queue.pop_front();
             b.at_cap -= u32::from(e.bypassed == rm.starvation_cap);
-            b.open_row = if rm.closed_page { None } else { Some(e.row) };
+            b.open_row = Some(e.row);
         }
 
         // Oldest-first pin: while a queued request has been bypassed to the cap, the
@@ -494,10 +493,10 @@ impl BankModel {
         }
 
         // A queued request moves the row register when its service begins (the drain
-        // above, on a later call); one served at once opens (or closes) its row now.
+        // above, on a later call); one served at once opens its row now.
         let (admit, start) = queued.serve(bank, now, self.service, row, st);
         if start <= now {
-            queued.banks[bank].open_row = if rm.closed_page { None } else { Some(row) };
+            queued.banks[bank].open_row = Some(row);
         }
         BankSchedule {
             request: self.charge(core, now, admit, start),
@@ -564,7 +563,7 @@ mod tests {
     }
 
     fn fcfs(banks: usize, service: u64, contention: BankContentionConfig) -> BankModel {
-        BankModel::new(banks, service, contention, RowModelConfig::disabled())
+        BankModel::new(banks, service, contention, None)
     }
 
     /// The seed's latency-only bank: a single `busy_until` timestamp per bank.
@@ -718,15 +717,15 @@ mod tests {
         assert!((share - 10.0 / 30.0).abs() < 1e-12, "share {share}");
     }
 
-    fn frfcfs(cap: u32) -> RowModelConfig {
-        RowModelConfig::frfcfs(180, 260, 340, cap)
+    fn frfcfs(cap: u32) -> Option<RowModelConfig> {
+        Some(RowModelConfig::frfcfs(180, 260, 340, cap))
     }
 
     #[test]
     fn disabled_row_model_schedules_bit_identically_to_fcfs_request() {
         let contention = BankContentionConfig::contended(2, 4);
         let mut fcfs = fcfs(4, 9, contention);
-        let mut sched = BankModel::new(4, 9, contention, RowModelConfig::disabled());
+        let mut sched = BankModel::new(4, 9, contention, None);
         let mut now = 0u64;
         let mut x = 0xdead_beef_cafe_f00du64;
         for _ in 0..5_000 {
@@ -760,18 +759,6 @@ mod tests {
         assert_eq!(c.class_cycles, 340);
         let st = &m.stats()[0];
         assert_eq!((st.row_hits, st.row_misses, st.row_conflicts), (1, 1, 1));
-    }
-
-    #[test]
-    fn closed_page_policy_never_hits() {
-        let mut rm = frfcfs(4);
-        rm.closed_page = true;
-        let mut m = BankModel::new(1, 4, flat(), rm);
-        for i in 0..10 {
-            let s = m.schedule(0, i * 1000, 0, 7);
-            assert_eq!(s.class, Some(RowClass::Miss));
-        }
-        assert_eq!(m.stats()[0].row_hits, 0);
     }
 
     #[test]

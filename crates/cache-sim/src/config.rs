@@ -9,25 +9,19 @@
 
 use crate::addr::BLOCK_BYTES;
 
-/// Geometry of a set-associative cache.
+/// Geometry of a set-associative cache of [`BLOCK_BYTES`] lines.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheGeometry {
     /// Total capacity in bytes.
     pub size_bytes: u64,
     /// Associativity (number of ways).
     pub ways: usize,
-    /// Line size in bytes. All levels use 64 B.
-    pub line_bytes: u64,
 }
 
 impl CacheGeometry {
     /// Create a geometry; panics if the parameters do not describe a power-of-two set count.
     pub fn new(size_bytes: u64, ways: usize) -> Self {
-        let g = CacheGeometry {
-            size_bytes,
-            ways,
-            line_bytes: BLOCK_BYTES,
-        };
+        let g = CacheGeometry { size_bytes, ways };
         assert!(
             g.num_sets().is_power_of_two(),
             "set count must be a power of two"
@@ -37,12 +31,12 @@ impl CacheGeometry {
 
     /// Number of sets.
     pub fn num_sets(&self) -> usize {
-        (self.size_bytes / (self.line_bytes * self.ways as u64)) as usize
+        (self.size_bytes / (BLOCK_BYTES * self.ways as u64)) as usize
     }
 
     /// Number of cache lines (blocks) the cache can hold.
     pub fn num_blocks(&self) -> usize {
-        (self.size_bytes / self.line_bytes) as usize
+        (self.size_bytes / BLOCK_BYTES) as usize
     }
 
     /// Geometry from an explicit set count; panics unless `sets` is a power of two.
@@ -51,7 +45,6 @@ impl CacheGeometry {
         CacheGeometry {
             size_bytes: sets as u64 * ways as u64 * BLOCK_BYTES,
             ways,
-            line_bytes: BLOCK_BYTES,
         }
     }
 
@@ -70,37 +63,30 @@ impl CacheGeometry {
 /// The default ([`BankContentionConfig::flat`]) is one service port with an unbounded
 /// queue, which is algebraically identical to the seed's latency-only `busy_until`
 /// banking — zero-contention configurations therefore reproduce the flat-latency model
-/// exactly (regression-tested in `crate::bank` and `crate::llc`).
+/// exactly (regression-tested in `crate::bank` and `crate::llc`). An LLC whose banks are
+/// not flat also applies MSHR back-pressure: a full MSHR delays the *issue* of the DRAM
+/// access itself instead of only charging the stall to the requesting core after the
+/// access has been timed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BankContentionConfig {
     /// Parallel service ports per bank (>= 1). One port serializes every request.
     pub ports: usize,
     /// Waiting-request slots per bank; `0` means unbounded (no admission stalls).
     pub queue_depth: usize,
-    /// When true, a full MSHR delays the *issue* of the DRAM access itself
-    /// (back-pressure) instead of only charging the stall to the requesting core after
-    /// the access has already been timed. Only meaningful on the LLC's configuration.
-    pub mshr_backpressure: bool,
 }
 
 impl BankContentionConfig {
-    /// The seed behaviour: one port, unbounded queue, no MSHR back-pressure.
+    /// The seed behaviour: one port, unbounded queue (and so no MSHR back-pressure).
     pub fn flat() -> Self {
         BankContentionConfig {
             ports: 1,
             queue_depth: 0,
-            mshr_backpressure: false,
         }
     }
 
-    /// Contended banks: `ports` parallel ports, a finite `queue_depth`-entry queue and
-    /// MSHR back-pressure enabled.
+    /// Contended banks: `ports` parallel ports and a finite `queue_depth`-entry queue.
     pub fn contended(ports: usize, queue_depth: usize) -> Self {
-        BankContentionConfig {
-            ports,
-            queue_depth,
-            mshr_backpressure: true,
-        }
+        BankContentionConfig { ports, queue_depth }
     }
 
     /// True when this configuration reproduces the seed's flat-latency model.
@@ -117,7 +103,7 @@ impl Default for BankContentionConfig {
 
 /// Row-buffer scheduling model for DRAM banks (see [`crate::bank`]).
 ///
-/// When enabled, each DRAM bank keeps a row register and the bank model schedules
+/// Each DRAM bank keeps an open-page row register and the bank model schedules
 /// requests FR-FCFS style: requests to the open row are served with the row-hit
 /// latency ahead of queued requests to other rows (each such pass increments the
 /// queued request's bypass count), a request to a closed row pays the row-miss
@@ -127,40 +113,23 @@ impl Default for BankContentionConfig {
 /// priority (they are charged the conflict latency, since the aged request will
 /// have changed the row by the time they are served) until the aged request starts.
 ///
-/// The default is **disabled**, which leaves the bank model's arithmetic bit-identical
-/// to the seed's FCFS banking (regression-tested in `crate::bank` and `crate::dram`).
+/// [`DramConfig::row_model`] is `None` by default, which leaves the bank model's
+/// arithmetic bit-identical to the seed's FCFS banking (regression-tested in
+/// `crate::bank` and `crate::dram`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RowModelConfig {
-    /// Enable row-buffer-aware FR-FCFS scheduling in the DRAM bank model.
-    pub enabled: bool,
     /// Latency of a request that hits the bank's open row.
     pub row_hit_cycles: u64,
     /// Latency of a request to a bank whose row buffer is closed (activate only).
     pub row_miss_cycles: u64,
     /// Latency of a request that must precharge another row first.
     pub row_conflict_cycles: u64,
-    /// Close the row buffer after every access (closed-page policy): every request
-    /// is then a row miss, trading hit locality for conflict immunity.
-    pub closed_page: bool,
     /// Maximum times a queued request may be bypassed by row hits before the bank
-    /// reverts to oldest-first arbitration (>= 1 when enabled).
+    /// reverts to oldest-first arbitration (>= 1).
     pub starvation_cap: u32,
 }
 
 impl RowModelConfig {
-    /// The seed behaviour: no row model in the bank scheduler (the legacy open-row
-    /// register in [`crate::dram`] still provides hit/conflict latencies).
-    pub fn disabled() -> Self {
-        RowModelConfig {
-            enabled: false,
-            row_hit_cycles: 180,
-            row_miss_cycles: 260,
-            row_conflict_cycles: 340,
-            closed_page: false,
-            starvation_cap: 4,
-        }
-    }
-
     /// FR-FCFS open-page scheduling with explicit latency classes and starvation cap.
     pub fn frfcfs(
         row_hit_cycles: u64,
@@ -169,19 +138,11 @@ impl RowModelConfig {
         starvation_cap: u32,
     ) -> Self {
         RowModelConfig {
-            enabled: true,
             row_hit_cycles,
             row_miss_cycles,
             row_conflict_cycles,
-            closed_page: false,
             starvation_cap,
         }
-    }
-}
-
-impl Default for RowModelConfig {
-    fn default() -> Self {
-        Self::disabled()
     }
 }
 
@@ -243,7 +204,8 @@ pub fn mesh_hops(core: usize, num_cores: usize, bank: usize, num_banks: usize) -
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PrivateCacheConfig {
     pub geometry: CacheGeometry,
-    /// Access (hit) latency in cycles.
+    /// Access (hit) latency in cycles. The core hides the L1D's behind its pipeline
+    /// ([`crate::core_model`]), so only the L2's reaches the clock.
     pub latency: u64,
     /// Replacement policy used by this private level.
     pub policy: PrivatePolicyKind,
@@ -287,7 +249,8 @@ pub struct LlcConfig {
     pub nuca: NucaConfig,
 }
 
-/// DDR2-style memory model configuration (paper Table 3).
+/// DDR2-style memory model configuration (paper Table 3). Pages are interleaved over
+/// the banks by permutation (XOR mapping, Zhang et al.) and rows stay open.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DramConfig {
     /// Latency of an access that hits the open row (paper: 180 cycles).
@@ -299,40 +262,19 @@ pub struct DramConfig {
     /// Row (page) size in bytes (paper: 4 KB): a power of two of at least one block, so
     /// a block's row is its address shifted right.
     pub row_bytes: u64,
-    /// Use permutation-based (XOR-mapped) page interleaving (paper cites Zhang et al.).
-    pub xor_mapping: bool,
     /// Cycles a bank is busy per request (bandwidth / serialization model).
     pub bank_busy_cycles: u64,
-    /// Cycle-accounted bank contention model. `mshr_backpressure` is ignored here (the
-    /// MSHRs belong to the LLC); defaults to the seed's flat banking.
+    /// Cycle-accounted bank contention model; defaults to the seed's flat banking.
     pub contention: BankContentionConfig,
-    /// Row-buffer-aware FR-FCFS bank scheduling; [`RowModelConfig::disabled`] (the
-    /// default) keeps the seed's FCFS banking and legacy open-row latency classes.
-    pub row_model: RowModelConfig,
-}
-
-/// Approximate out-of-order core model configuration.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CoreConfig {
-    /// Issue/retire width in instructions per cycle (paper: 4-way OoO).
-    pub issue_width: u64,
-    /// Reorder-buffer size (paper: 128). Bounds how much latency can be hidden.
-    pub rob_size: u64,
-    /// Memory-level-parallelism overlap factor applied to off-core miss latency.
-    ///
-    /// BADCO models a full OoO core where independent misses overlap inside the ROB; we
-    /// approximate this by dividing exposed miss latency by this factor (see
-    /// [`crate::core_model`]).
-    pub mlp_overlap: f64,
-    /// Latency of an L1 hit in cycles (effectively hidden by the pipeline when 1).
-    pub l1_hit_cycles: u64,
+    /// Row-buffer-aware FR-FCFS bank scheduling; `None` (the default) keeps the seed's
+    /// FCFS banking and two-way open-row latency classes.
+    pub row_model: Option<RowModelConfig>,
 }
 
 /// Full multi-core system configuration.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SystemConfig {
     pub num_cores: usize,
-    pub core: CoreConfig,
     pub l1d: PrivateCacheConfig,
     pub l2: PrivateCacheConfig,
     pub llc: LlcConfig,
@@ -353,12 +295,6 @@ impl SystemConfig {
     pub fn paper_baseline(num_cores: usize) -> Self {
         SystemConfig {
             num_cores,
-            core: CoreConfig {
-                issue_width: 4,
-                rob_size: 128,
-                mlp_overlap: 2.0,
-                l1_hit_cycles: 1,
-            },
             l1d: PrivateCacheConfig {
                 geometry: CacheGeometry::new(32 * 1024, 8),
                 latency: 1,
@@ -384,10 +320,9 @@ impl SystemConfig {
                 row_conflict_cycles: 340,
                 banks: 8,
                 row_bytes: 4096,
-                xor_mapping: true,
                 bank_busy_cycles: 16,
                 contention: BankContentionConfig::flat(),
-                row_model: RowModelConfig::disabled(),
+                row_model: None,
             },
             l1_next_line_prefetch: true,
             interval_misses: 1_000_000,
@@ -445,8 +380,8 @@ impl SystemConfig {
     /// Apply the core-count-generic many-core shape to `self`: per-core LLC capacity
     /// (set count rounded up to a power of two, so 48-core systems work), bank counts,
     /// MSHR/write-back capacities and DRAM banks scaled with the core count, and the
-    /// cycle-accounted contention model enabled (2 ports, 16-entry queues per bank,
-    /// MSHR back-pressure).
+    /// cycle-accounted contention model enabled (2 ports, 16-entry queues per bank, and
+    /// with them MSHR back-pressure).
     fn make_many_core(mut self, per_core_llc_bytes: u64) -> Self {
         let n = self.num_cores;
         self.llc.geometry = CacheGeometry::per_core(n, per_core_llc_bytes, 16);
@@ -483,7 +418,8 @@ impl SystemConfig {
     pub fn with_frfcfs_nuca(mut self, hop_cycles: u64) -> Self {
         let hit = self.dram.row_hit_cycles;
         let conflict = self.dram.row_conflict_cycles;
-        self.dram.row_model = RowModelConfig::frfcfs(hit, (hit + conflict) / 2, conflict, 4);
+        let miss = (hit + conflict) / 2;
+        self.dram.row_model = Some(RowModelConfig::frfcfs(hit, miss, conflict, 4));
         self.llc.nuca = NucaConfig::mesh(hop_cycles);
         self
     }
@@ -526,8 +462,7 @@ impl SystemConfig {
         if self.llc.contention.ports == 0 || self.dram.contention.ports == 0 {
             return Err("bank contention models need at least one service port".into());
         }
-        if self.dram.row_model.enabled {
-            let rm = self.dram.row_model;
+        if let Some(rm) = self.dram.row_model {
             if rm.row_hit_cycles == 0 {
                 return Err("row model row_hit_cycles must be > 0".into());
             }
@@ -542,12 +477,6 @@ impl SystemConfig {
         }
         if self.interval_misses == 0 {
             return Err("interval_misses must be > 0".into());
-        }
-        if self.core.issue_width == 0 {
-            return Err("issue width must be > 0".into());
-        }
-        if self.core.mlp_overlap < 1.0 {
-            return Err("mlp_overlap must be >= 1.0".into());
         }
         for (name, g) in [
             ("L1D", self.l1d.geometry),
@@ -571,13 +500,8 @@ impl SystemConfig {
         }
         // The private stage's livelock accounting counts only L1 hits as zero-advance
         // steps; every L1 miss costs at least an L2 hit.
-        let l2_hit_latency = self.core.l1_hit_cycles + self.l2.latency;
-        if crate::core_model::CoreModel::new(self.core).advance(0, l2_hit_latency) == 0 {
-            return Err(
-                "an L1 miss that hits the L2 must advance the clock (l2.latency too small \
-                 for mlp_overlap)"
-                    .into(),
-            );
+        if self.l2.latency == 0 {
+            return Err("an L1 miss that hits the L2 must advance the clock (l2.latency 0)".into());
         }
         Ok(())
     }
@@ -605,8 +529,6 @@ mod tests {
         assert_eq!(cfg.dram.banks, 8);
         assert_eq!(cfg.dram.row_bytes, 4096);
         assert_eq!(cfg.interval_misses, 1_000_000);
-        assert_eq!(cfg.core.issue_width, 4);
-        assert_eq!(cfg.core.rob_size, 128);
         cfg.validate().unwrap();
     }
 
@@ -653,25 +575,34 @@ mod tests {
         cfg.validate().unwrap();
         cfg = cfg.with_frfcfs_nuca(2);
         cfg.validate().unwrap();
-        assert!(cfg.dram.row_model.enabled);
-        assert_eq!(cfg.dram.row_model.row_hit_cycles, 180);
-        assert_eq!(cfg.dram.row_model.row_miss_cycles, 260);
-        assert_eq!(cfg.dram.row_model.row_conflict_cycles, 340);
+        let rm = cfg.dram.row_model.expect("the row model is on");
+        assert_eq!(rm.row_hit_cycles, 180);
+        assert_eq!(rm.row_miss_cycles, 260);
+        assert_eq!(rm.row_conflict_cycles, 340);
         assert_eq!(cfg.llc.nuca.hop_cycles, 2);
 
-        let mut bad = cfg.clone();
-        bad.dram.row_model.row_miss_cycles = 100; // < hit
+        let with = |rm| SystemConfig {
+            dram: DramConfig {
+                row_model: Some(rm),
+                ..cfg.dram
+            },
+            ..cfg.clone()
+        };
+        let bad = with(RowModelConfig {
+            row_miss_cycles: 100, // < hit
+            ..rm
+        });
         assert!(bad.validate().is_err());
-        let mut bad = cfg.clone();
-        bad.dram.row_model.starvation_cap = 0;
+        let bad = with(RowModelConfig {
+            starvation_cap: 0,
+            ..rm
+        });
         assert!(bad.validate().is_err());
-        let mut bad = cfg.clone();
-        bad.dram.row_model.row_hit_cycles = 0;
+        let bad = with(RowModelConfig {
+            row_hit_cycles: 0,
+            ..rm
+        });
         assert!(bad.validate().is_err());
-        // Disabled row models are never validated for latency ordering.
-        let mut flat = SystemConfig::tiny(4);
-        flat.dram.row_model.row_miss_cycles = 0;
-        flat.validate().unwrap();
     }
 
     #[test]
@@ -699,10 +630,6 @@ mod tests {
         cfg.interval_misses = 0;
         assert!(cfg.validate().is_err());
 
-        let mut cfg = SystemConfig::tiny(2);
-        cfg.core.mlp_overlap = 0.5;
-        assert!(cfg.validate().is_err());
-
         // Any positive LLC bank count is a machine the model runs (`set % banks`);
         // the DRAM's XOR mapping still needs a power of two.
         let mut cfg = SystemConfig::tiny(2);
@@ -727,9 +654,6 @@ mod tests {
         let mut cfg = SystemConfig::tiny(2);
         cfg.l2.latency = 0;
         assert!(cfg.validate().unwrap_err().contains("advance the clock"));
-        let mut cfg = SystemConfig::tiny(2);
-        cfg.core.mlp_overlap = 1e6;
-        assert!(cfg.validate().unwrap_err().contains("advance the clock"));
     }
 
     #[test]
@@ -745,7 +669,6 @@ mod tests {
                 assert!(cfg.llc.geometry.num_sets().is_power_of_two());
                 assert_eq!(cfg.llc.mshr_entries, 16 * n);
                 assert!(!cfg.llc.contention.is_flat());
-                assert!(cfg.llc.contention.mshr_backpressure);
             }
         }
         // Non-power-of-two core counts round the set count up, never down.

@@ -7,7 +7,7 @@
 //! rows across banks. Each bank additionally serializes requests through a busy window so
 //! that bandwidth contention from many cores is visible.
 //!
-//! With [`crate::config::RowModelConfig`] enabled, classification moves into the bank
+//! With a [`crate::config::RowModelConfig`], classification moves into the bank
 //! scheduler ([`crate::bank::BankModel::schedule`]): FR-FCFS row-buffer dynamics with a
 //! three-way hit/miss/conflict latency split and a starvation cap. The legacy two-way
 //! open-row register above remains the default and is bit-identical to the seed.
@@ -90,15 +90,10 @@ impl Dram {
         block.0 >> self.row_shift
     }
 
-    /// Bank of a row, optionally permuted with higher row bits (XOR mapping, Zhang et al.).
+    /// Bank of a row, permuted with higher row bits (XOR mapping, Zhang et al.).
     fn bank_of(&self, row: u64) -> usize {
         let mask = self.config.banks - 1;
-        let bank = row as usize & mask;
-        if self.config.xor_mapping {
-            bank ^ ((row >> self.config.banks.trailing_zeros()) as usize & mask)
-        } else {
-            bank
-        }
+        (row as usize & mask) ^ ((row >> self.config.banks.trailing_zeros()) as usize & mask)
     }
 
     /// Issue a demand read (or a write-back when `is_write`) from `core` at absolute
@@ -122,7 +117,7 @@ impl Dram {
         let row = self.row_of(block);
         let bank_idx = self.bank_of(row);
 
-        let (row_hit, service, queue_delay) = if self.config.row_model.enabled {
+        let (row_hit, service, queue_delay) = if self.config.row_model.is_some() {
             let sched = self.model.schedule(bank_idx, now, core, row);
             let class = sched.class.expect("row model enabled");
             match class {
@@ -198,10 +193,9 @@ mod tests {
             row_conflict_cycles: 340,
             banks: 8,
             row_bytes: 4096,
-            xor_mapping: true,
             bank_busy_cycles: 16,
             contention: crate::config::BankContentionConfig::flat(),
-            row_model: RowModelConfig::disabled(),
+            row_model: None,
         }
     }
 
@@ -227,14 +221,11 @@ mod tests {
 
     #[test]
     fn different_rows_on_same_bank_conflict() {
-        let mut d = Dram::new(DramConfig {
-            xor_mapping: false,
-            ..cfg()
-        });
+        let mut d = Dram::new(cfg());
         let blocks_per_row = 4096 / 64;
         let a = BlockAddr(0);
-        // 8 banks apart => same bank, different row (no xor mapping).
-        let b = BlockAddr(8 * blocks_per_row);
+        // Row 9 maps to bank 1 ^ 1 = 0 under the XOR mapping: same bank, different row.
+        let b = BlockAddr(9 * blocks_per_row);
         d.access(a, 0, false, 0);
         let out = d.access(b, 10_000, false, 0);
         assert!(!out.row_hit);
@@ -266,23 +257,13 @@ mod tests {
     #[test]
     fn rows_by_shift_equal_rows_by_division_at_every_row_size() {
         for row_bytes in [64, 128, 4096, 8192] {
-            for xor_mapping in [false, true] {
-                let d = Dram::new(DramConfig {
-                    row_bytes,
-                    xor_mapping,
-                    ..cfg()
-                });
-                for block in (0..50_000u64).map(|i| BlockAddr(i * 37)) {
-                    let row = block.byte_addr() / row_bytes;
-                    assert_eq!(d.row_of(block), row);
-                    let (banks, bank) = (8, row as usize % 8);
-                    let perm = if xor_mapping {
-                        row as usize / banks % banks
-                    } else {
-                        0
-                    };
-                    assert_eq!(d.bank_of(row), bank ^ perm);
-                }
+            let d = Dram::new(DramConfig { row_bytes, ..cfg() });
+            for block in (0..50_000u64).map(|i| BlockAddr(i * 37)) {
+                let row = block.byte_addr() / row_bytes;
+                assert_eq!(d.row_of(block), row);
+                let (banks, bank) = (8, row as usize % 8);
+                let perm = row as usize / banks % banks;
+                assert_eq!(d.bank_of(row), bank ^ perm);
             }
         }
     }
@@ -299,7 +280,7 @@ mod tests {
     #[test]
     fn frfcfs_path_uses_three_way_latency_classes() {
         let mut c = cfg();
-        c.row_model = RowModelConfig::frfcfs(180, 260, 340, 4);
+        c.row_model = Some(RowModelConfig::frfcfs(180, 260, 340, 4));
         let mut d = Dram::new(c);
         // Idle bank: row miss (activate only).
         let first = d.access(BlockAddr(0), 0, false, 0);
@@ -309,8 +290,6 @@ mod tests {
         let second = d.access(BlockAddr(1), 10_000, false, 1);
         assert!(second.row_hit);
         assert_eq!(second.latency, 180);
-        // Same bank, different row: conflict. With XOR mapping off this would be
-        // bank 0 row 8; keep the default mapping and find a conflicting block.
         let stats = *d.stats();
         assert_eq!((stats.row_misses, stats.row_hits), (1, 1));
     }
@@ -318,7 +297,7 @@ mod tests {
     #[test]
     fn frfcfs_attributes_queue_delay_to_the_requesting_core() {
         let mut c = cfg();
-        c.row_model = RowModelConfig::frfcfs(180, 260, 340, 4);
+        c.row_model = Some(RowModelConfig::frfcfs(180, 260, 340, 4));
         let mut d = Dram::new(c);
         d.access(BlockAddr(0), 0, false, 0); // occupies the bank for 16 cycles
         d.access(BlockAddr(1), 0, false, 3); // queued behind it, charged to core 3

@@ -31,10 +31,38 @@
 //!
 //! ## Quick example
 //!
+//! The study's LLC policies live in the `llc-policies` crate; any
+//! [`LlcReplacementPolicy`] runs, such as this bare SRRIP.
+//!
 //! ```
 //! use cache_sim::config::SystemConfig;
+//! use cache_sim::replacement::{AccessContext, InsertionDecision, LineView, RrpvArray};
 //! use cache_sim::system::MultiCoreSystem;
 //! use cache_sim::trace::{StridedTrace, TraceSource};
+//! use cache_sim::LlcReplacementPolicy;
+//!
+//! /// Insert every line at RRPV 2, promote it on a hit, evict a distant one.
+//! struct Srrip(RrpvArray);
+//!
+//! impl LlcReplacementPolicy for Srrip {
+//!     fn name(&self) -> String {
+//!         "SRRIP".into()
+//!     }
+//!     fn on_hit(&mut self, ctx: &AccessContext, way: usize) {
+//!         self.0.promote(ctx.set_index, way);
+//!     }
+//!     fn insertion_decision(&mut self, _ctx: &AccessContext) -> InsertionDecision {
+//!         InsertionDecision::insert(2)
+//!     }
+//!     fn choose_victim(&mut self, ctx: &AccessContext, _lines: &[LineView]) -> usize {
+//!         self.0.find_victim(ctx.set_index)
+//!     }
+//!     fn on_fill(&mut self, ctx: &AccessContext, way: usize, decision: &InsertionDecision) {
+//!         if let InsertionDecision::Insert { rrpv } = decision {
+//!             self.0.set(ctx.set_index, way, *rrpv);
+//!         }
+//!     }
+//! }
 //!
 //! // Two cores streaming over small arrays, tiny cache configuration.
 //! let config = SystemConfig::tiny(2);
@@ -42,7 +70,9 @@
 //!     Box::new(StridedTrace::new(0x1000_0000, 64, 4096, 3)),
 //!     Box::new(StridedTrace::new(0x2000_0000, 64, 4096, 3)),
 //! ];
-//! let mut system = MultiCoreSystem::with_default_policy(config, traces);
+//! let llc = config.llc.geometry;
+//! let policy = Srrip(RrpvArray::new(llc.num_sets(), llc.ways));
+//! let mut system = MultiCoreSystem::new(config, traces, policy);
 //! let results = system.run(10_000);
 //! assert_eq!(results.per_core.len(), 2);
 //! assert!(results.per_core[0].instructions >= 10_000);
@@ -68,11 +98,11 @@ pub mod trace;
 pub use addr::{block_of, BlockAddr, BLOCK_BYTES, BLOCK_SHIFT};
 pub use bank::{BankModel, BankRequest, BankStats, CoreBankStalls, RowClass};
 pub use config::{
-    BankContentionConfig, CacheGeometry, CoreConfig, DramConfig, LlcConfig, NucaConfig,
-    RowModelConfig, SystemConfig,
+    BankContentionConfig, CacheGeometry, DramConfig, LlcConfig, NucaConfig, RowModelConfig,
+    SystemConfig,
 };
 pub use dram::DramStats;
 pub use replacement::{AccessContext, InsertionDecision, LineView, LlcReplacementPolicy};
-pub use stats::{CoreStallAttribution, CoreStats, LlcStats, SystemResults};
+pub use stats::{CoreStallAttribution, CoreStats, SystemResults};
 pub use system::MultiCoreSystem;
 pub use trace::{capture_into, MemAccess, TraceSink, TraceSource};

@@ -17,7 +17,7 @@
 
 use crate::addr::BlockAddr;
 use crate::bank::{BankModel, BankStats};
-use crate::config::{LlcConfig, RowModelConfig};
+use crate::config::LlcConfig;
 use crate::mshr::OccupancyWindow;
 use crate::replacement::{AccessContext, LlcReplacementPolicy};
 
@@ -261,7 +261,7 @@ impl<P: LlcReplacementPolicy> SharedLlc<P> {
                 config.banks,
                 config.bank_busy_cycles,
                 config.contention,
-                RowModelConfig::disabled(),
+                None,
             ),
             mshr: OccupancyWindow::new(config.mshr_entries),
             wb_buffer: OccupancyWindow::new(config.wb_entries),
@@ -453,9 +453,9 @@ impl<P: LlcReplacementPolicy> SharedLlc<P> {
     /// Back-pressure form of MSHR allocation: wait for a free entry at `now` (returning
     /// the stall) **without** occupying it, so the caller can delay the downstream DRAM
     /// issue by the stall and then record the true completion via
-    /// [`SharedLlc::complete_mshr`]. Used when
-    /// [`crate::config::BankContentionConfig::mshr_backpressure`] is enabled. The
-    /// stall is attributed to `core_id`.
+    /// [`SharedLlc::complete_mshr`]. Used when the LLC's
+    /// [`crate::config::BankContentionConfig`] is not flat. The stall is attributed to
+    /// `core_id`.
     pub fn begin_mshr(&mut self, core_id: usize, now: u64) -> u64 {
         let extra = self.mshr.acquire(now);
         self.global.mshr_stall_cycles += extra;
@@ -583,6 +583,11 @@ impl<P: LlcReplacementPolicy> SharedLlc<P> {
         self.policy.name()
     }
 
+    /// The installed replacement policy, for reading its state after a run.
+    pub fn policy(&self) -> &P {
+        &self.policy
+    }
+
     /// Occupancy (valid lines) per core — used to inspect cache sharing behaviour in tests
     /// and experiments.
     pub fn occupancy_by_core(&self) -> Vec<usize> {
@@ -618,19 +623,19 @@ impl<P: LlcReplacementPolicy> SharedLlc<P> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::config::CacheGeometry;
     use crate::replacement::{InsertionDecision, LineView, RrpvArray};
 
-    /// Minimal SRRIP policy used only by these unit tests (the real baselines live in the
-    /// `llc-policies` crate, which depends on this one).
-    struct TestSrrip {
+    /// Minimal SRRIP policy used only by the crate's unit tests (the real baselines live
+    /// in the `llc-policies` crate, which depends on this one).
+    pub(crate) struct TestSrrip {
         rrpv: RrpvArray,
     }
 
     impl TestSrrip {
-        fn new(sets: usize, ways: usize) -> Self {
+        pub(crate) fn new(sets: usize, ways: usize) -> Self {
             TestSrrip {
                 rrpv: RrpvArray::new(sets, ways),
             }
@@ -1026,7 +1031,7 @@ mod tests {
         // Direct peak accounting at 96 banks: k same-cycle requests to one bank leave
         // k-1 of them simultaneously waiting.
         let flat = crate::config::BankContentionConfig::flat();
-        let mut m = BankModel::new(96, 10, flat, RowModelConfig::disabled());
+        let mut m = BankModel::new(96, 10, flat, None);
         for _ in 0..7 {
             m.request(95, 0, 0);
         }

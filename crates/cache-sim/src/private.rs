@@ -40,13 +40,12 @@
 //! prefetch access of `block.next()` → the prefetch's write-backs → the core's clock.
 //! Write-back blocks (0–4 per event) live in a side array next to the events.
 //!
-//! **The bound.** A gap ends after [`StageParams::bound`] private records and the next
-//! record executes in order whatever it is: a finished core whose stream is
-//! cache-resident *with* instruction gaps would otherwise never produce an event. The
-//! bound is latched when the stage is built — [`RUN_AHEAD`], or 0 while `sim_obs` is
-//! recording, because an interval sample reads every core's per-record clock — and the
-//! driver reads it from the stage. At bound 0 events are 1 : 1 with records. The gap
-//! counters are `u32`; a gap also ends early rather than overflow one.
+//! **The bound.** A gap ends after [`RUN_AHEAD`] private records and the next record
+//! executes in order whatever it is: a finished core whose stream is cache-resident
+//! *with* instruction gaps would otherwise never produce an event. Every stage coalesces
+//! so, whether or not `sim_obs` records: an interval sample reads each core as of its
+//! last in-order record ([`crate::system`]). The gap counters are `u32`; a gap also ends
+//! early rather than overflow one.
 //!
 //! **Target and snapshot.** The record that takes a core to its instruction target is
 //! always in order and flagged ([`Event::reaches_target`]). The stage runs ahead of its
@@ -108,12 +107,11 @@
 //! holds one already, which would otherwise sleep. Whoever serves generates only if the
 //! stage's furthest cursor still stands at the memo's end — so no stage runs more than
 //! one chunk ahead of it — and the pool covers the chunk; when the pool is dry the cursor
-//! makes the checkpoint there, as it would without a read-ahead. A stage of bound 0 is
-//! never queued, so the profile of a stage built while `sim_obs` records does not depend
-//! on timing. A helper cannot wait on itself: it lets go of its memo's lock before it
-//! serves, and a generation never waits — it runs from a live stage to the end of its
-//! chunk on the thread that started it — so the chunk the helper's cursor needs is
-//! completed by the thread generating it whatever the helper serves meanwhile.
+//! makes the checkpoint there, as it would without a read-ahead. A helper cannot wait on
+//! itself: it lets go of its memo's lock before it serves, and a generation never waits
+//! — it runs from a live stage to the end of its chunk on the thread that started it —
+//! so the chunk the helper's cursor needs is completed by the thread generating it
+//! whatever the helper serves meanwhile.
 //! [`SharedStage::usage`] and dropping a [`SharedStage`] take the stage out of the queue
 //! and wait only for the threads serving it, so neither depends on an idle hardware
 //! thread. A corpus stage's next batch is decoded there too: the trace source decodes on
@@ -164,8 +162,8 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError, Weak};
 
 use crate::addr::{block_of, BlockAddr};
-use crate::config::{CoreConfig, PrivateCacheConfig, SystemConfig};
-use crate::core_model::CoreModel;
+use crate::config::{PrivateCacheConfig, SystemConfig};
+use crate::core_model::{compute_cycles, stall_cycles};
 use crate::prefetch::{NextLinePrefetcher, PrefetchStats};
 use crate::private_cache::{Lookup, PrivateCache, PrivateCacheStats};
 use crate::system::{LIVELOCK_STEPS, RUN_AHEAD};
@@ -175,11 +173,11 @@ use crate::trace::{raise_replay_fault, replay_fault_from, ArenaTracker, ReplayFa
 pub const CHUNK_EVENTS: usize = 1024;
 
 /// Records after which a chunk ends even with fewer events: the events of a
-/// cache-resident core cover `bound + 1` records each, and two chunks — the furthest
+/// cache-resident core cover `RUN_AHEAD + 1` records each, and two chunks — the furthest
 /// consumer's and the one read ahead — are how far a shared stage may run ahead of that
 /// consumer. The event that crosses the line is completed, so a chunk draws fewer than
-/// `CHUNK_RECORDS + bound + 1` records. A chunk also ends after the event that reaches
-/// the instruction target (module docs, rule (a)).
+/// `CHUNK_RECORDS + RUN_AHEAD + 1` records. A chunk also ends after the event that
+/// reaches the instruction target (module docs, rule (a)).
 pub const CHUNK_RECORDS: u64 = 4096;
 
 /// Most bytes one chunk holds: [`CHUNK_EVENTS`] events with four write-backs each. A
@@ -193,36 +191,25 @@ pub const MAX_CHUNK_BYTES: u64 =
 pub struct StageParams {
     pub l1d: PrivateCacheConfig,
     pub l2: PrivateCacheConfig,
-    pub core: CoreConfig,
     pub l1_next_line_prefetch: bool,
     /// Instructions after which the core's statistics are snapshotted.
     pub instruction_target: u64,
-    /// Most private records coalesced into one gap (module docs, "The bound").
-    pub bound: u64,
 }
 
 impl StageParams {
-    /// The parameters of a stage built now for `config`: the bound is [`RUN_AHEAD`], or
-    /// 0 while `sim_obs` is recording.
+    /// The parameters of a stage for `config`'s private hierarchy.
     pub fn latch(config: &SystemConfig, instruction_target: u64) -> Self {
         StageParams {
             l1d: config.l1d,
             l2: config.l2,
-            core: config.core,
             l1_next_line_prefetch: config.l1_next_line_prefetch,
             instruction_target,
-            bound: if sim_obs::enabled() { 0 } else { RUN_AHEAD },
         }
     }
 
     /// Whether a stage with these parameters models the private hierarchy of `config`.
     pub fn models(&self, config: &SystemConfig) -> bool {
-        *self
-            == StageParams {
-                instruction_target: self.instruction_target,
-                bound: self.bound,
-                ..Self::latch(config, 0)
-            }
+        *self == Self::latch(config, self.instruction_target)
     }
 }
 
@@ -333,13 +320,12 @@ pub struct PrivateStage {
 impl PrivateStage {
     /// A stage over `trace`, which is consumed from wherever it stands.
     pub fn new(params: StageParams, trace: Box<dyn TraceSource>) -> Self {
-        let l2_hit_latency = params.core.l1_hit_cycles + params.l2.latency;
         let state = StageState {
             params,
             l1d: PrivateCache::new(params.l1d),
             l2: PrivateCache::new(params.l2),
             prefetcher: NextLinePrefetcher::new(params.l1_next_line_prefetch),
-            l2_hit_stall: CoreModel::new(params.core).advance(0, l2_hit_latency),
+            l2_hit_stall: stall_cycles(params.l2.latency),
             records: 0,
             instructions: 0,
             passes: trace.passes(),
@@ -391,12 +377,7 @@ impl PrivateStage {
     fn next_event(&mut self, writebacks: &mut Vec<BlockAddr>) -> Event {
         let PrivateStage { state: s, trace } = self;
         assert!(!s.ended, "the stage ended with a frozen event");
-        let StageParams {
-            core: CoreConfig { issue_width, .. },
-            instruction_target,
-            bound,
-            ..
-        } = s.params;
+        let instruction_target = s.params.instruction_target;
         let (mut gap_instructions, mut gap_compute, mut gap_stall) = (0u64, 0u64, 0u64);
         let mut coalesced = 0u64;
         loop {
@@ -432,12 +413,12 @@ impl PrivateStage {
             if outcome.is_private()
                 && !reaches_target
                 && !frozen
-                && coalesced < bound
+                && coalesced < RUN_AHEAD
                 && fits(gap_instructions, non_mem + 1)
                 && fits(gap_stall, stall)
             {
                 gap_instructions += non_mem + 1;
-                gap_compute += non_mem.div_ceil(issue_width);
+                gap_compute += compute_cycles(non_mem);
                 gap_stall += stall;
                 coalesced += 1;
                 continue;
@@ -751,6 +732,15 @@ impl Memo {
         self.chunks.push(Arc::new(chunk));
     }
 
+    /// Whether a read-ahead should generate the next chunk: the furthest cursor has
+    /// taken the last retained one, the live stage stands after it and nothing is queued
+    /// yet.
+    fn wants_read_ahead(&self) -> bool {
+        matches!(self.head, Head::Live(_))
+            && self.first + self.chunks.len() == self.furthest
+            && !self.queued
+    }
+
     /// Drop the chunks behind a sole stage's cursor, which asks for chunk `index`, and
     /// keep `left`, the chunk it has read, as the buffer of the next generation.
     fn release_behind(&mut self, index: usize, left: Arc<Chunk>) {
@@ -844,7 +834,7 @@ impl Shared {
             if let Some(chunk) = memo.chunks.get(index - memo.first).cloned() {
                 let furthest = index >= memo.furthest;
                 memo.furthest = memo.furthest.max(index + 1);
-                let queue = furthest && reads_ahead && self.wants_read_ahead(&memo);
+                let queue = furthest && reads_ahead && memo.wants_read_ahead();
                 memo.queued |= queue;
                 drop(memo);
                 if queue {
@@ -899,16 +889,6 @@ impl Shared {
             .unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Whether a read-ahead should generate the next chunk: the furthest cursor has
-    /// taken the last retained one, the live stage stands after it, nothing is queued
-    /// yet and the stage coalesces (bound > 0).
-    fn wants_read_ahead(&self, memo: &Memo) -> bool {
-        matches!(memo.head, Head::Live(_))
-            && memo.first + memo.chunks.len() == memo.furthest
-            && !memo.queued
-            && self.params.bound > 0
-    }
-
     /// Generate the next chunk on the live stage outside the lock — the head is
     /// [`Head::Busy`] meanwhile — and retain it; the caller has reserved
     /// [`MAX_CHUNK_BYTES`] for it. If the trace source unwinds, the memo records the
@@ -950,7 +930,7 @@ impl Shared {
     fn read_ahead(&self, helper: bool) {
         let mut memo = self.lock();
         memo.queued = false;
-        if self.wants_read_ahead(&memo) && self.reserve_chunk() {
+        if memo.wants_read_ahead() && self.reserve_chunk() {
             match self.generate(memo) {
                 Ok(generated) => memo = generated,
                 Err(_) => return,
@@ -1372,11 +1352,8 @@ mod tests {
     use std::sync::{mpsc, Barrier};
     use std::time::{Duration, Instant};
 
-    fn params(bound: u64) -> StageParams {
-        StageParams {
-            bound,
-            ..StageParams::latch(&SystemConfig::tiny(1), 3_000)
-        }
+    fn params() -> StageParams {
+        StageParams::latch(&SystemConfig::tiny(1), 3_000)
     }
 
     /// Reads and writes scattered over 600 blocks (more than the tiny L2 holds), so
@@ -1413,7 +1390,7 @@ mod tests {
     /// A stage over `trace` whose memo keeps everything, so it never asks for a source
     /// standing anywhere but at the first record, and so for no second one.
     fn unbounded(trace: Box<dyn TraceSource>) -> SharedStage {
-        unbounded_at(params(RUN_AHEAD), trace)
+        unbounded_at(params(), trace)
     }
 
     fn unbounded_at(params: StageParams, trace: Box<dyn TraceSource>) -> SharedStage {
@@ -1468,7 +1445,7 @@ mod tests {
         let n = 2 * CHUNK_EVENTS + 100;
         let mut last_records = 0;
         for cursor in [&mut a, &mut b] {
-            let mut inline = PrivateStage::new(params(RUN_AHEAD), source());
+            let mut inline = PrivateStage::new(params(), source());
             let mut seen_writebacks = 0;
             for i in 0..n {
                 let (want, writebacks) = step(&mut inline);
@@ -1510,7 +1487,7 @@ mod tests {
     #[test]
     fn cursors_continue_on_their_own_stage_past_a_full_memo() {
         let n = 5 * CHUNK_EVENTS + 100;
-        let mut inline = PrivateStage::new(params(RUN_AHEAD), source());
+        let mut inline = PrivateStage::new(params(), source());
         let want: Vec<(Event, Vec<BlockAddr>)> = (0..n).map(|_| step(&mut inline)).collect();
         let passes: u64 = want.iter().map(|(e, _)| u64::from(e.wraps)).sum();
         assert!(passes > 0, "the stream must wrap under the cursors");
@@ -1534,12 +1511,7 @@ mod tests {
                     })
                 }
             };
-            let shared = SharedStage::new(
-                params(RUN_AHEAD),
-                counted,
-                pool.clone(),
-                stream_wraps.clone(),
-            );
+            let shared = SharedStage::new(params(), counted, pool.clone(), stream_wraps.clone());
             // The first cursor runs to the end alone; the other two in lock-step.
             let mut cursors = [shared.cursor(), shared.cursor(), shared.cursor()];
             let (first, rest) = cursors.split_at_mut(1);
@@ -1683,7 +1655,7 @@ mod tests {
     /// The records the first chunk over the scatter stream draws, and the events of its
     /// first two chunks.
     fn first_two_chunks() -> (u64, Vec<Event>) {
-        let mut stage = PrivateStage::new(params(RUN_AHEAD), source());
+        let mut stage = PrivateStage::new(params(), source());
         let mut events = chunk_of(&mut stage).events;
         let first_records = stage.records();
         events.extend(chunk_of(&mut stage).events);
@@ -1726,12 +1698,12 @@ mod tests {
 
         // Where the stream's first two chunks end, in records and events, and the events
         // two cursors then read: into the second chunk, past the target.
-        let mut stage = PrivateStage::new(params(RUN_AHEAD), source());
+        let mut stage = PrivateStage::new(params(), source());
         let first = chunk_of(&mut stage).events.len();
         let first_records = stage.records();
         let second = chunk_of(&mut stage).events.len();
         let second_records = stage.records();
-        let mut inline = PrivateStage::new(params(RUN_AHEAD), source());
+        let mut inline = PrivateStage::new(params(), source());
         let mut want = Vec::new();
         while want.len() <= first || inline.target_stats().is_none() {
             want.push(step(&mut inline).0);
@@ -1850,7 +1822,7 @@ mod tests {
         let mut cursor = help_while_parked(&b);
         let usage = b.usage();
         assert_eq!((usage.chunks, usage.read_aheads, usage.helps), (2, 0, 1));
-        let mut inline = PrivateStage::new(params(RUN_AHEAD), source());
+        let mut inline = PrivateStage::new(params(), source());
         assert_eq!(*cursor.event(), step(&mut inline).0);
         for i in 1..3 * CHUNK_EVENTS {
             let (event, writebacks) = step(&mut inline);
@@ -1899,8 +1871,8 @@ mod tests {
     /// and its cursor sees the stage's events.
     #[test]
     fn read_ahead_of_a_sole_stage_holds_at_most_two_chunk_buffers() {
-        let mut inline = PrivateStage::new(params(RUN_AHEAD), source());
-        let mut cursor = SharedStage::sole(params(RUN_AHEAD), source()).read_ahead();
+        let mut inline = PrivateStage::new(params(), source());
+        let mut cursor = SharedStage::sole(params(), source()).read_ahead();
         let mut most = 0;
         for i in 0..40 * CHUNK_EVENTS {
             let (event, writebacks) = step(&mut inline);
@@ -1956,7 +1928,7 @@ mod tests {
         // A target inside the first chunk, which therefore ends at it.
         let params = StageParams {
             instruction_target: 1_000,
-            ..params(RUN_AHEAD)
+            ..params()
         };
         let mut stage = PrivateStage::new(params, source());
         let first = chunk_of(&mut stage);
@@ -1971,7 +1943,7 @@ mod tests {
         };
         let config = SystemConfig::tiny(1);
 
-        let policy = crate::system::DefaultSrripPolicy::new(
+        let policy = crate::llc::tests::TestSrrip::new(
             config.llc.geometry.num_sets(),
             config.llc.geometry.ways,
         );
@@ -2014,13 +1986,11 @@ mod tests {
     /// cursor reads the first.
     #[test]
     fn read_ahead_of_a_cursor_that_handed_over() {
-        let checkpoint = PrivateStage::new(params(RUN_AHEAD), source())
-            .state()
-            .bytes();
+        let checkpoint = PrivateStage::new(params(), source()).state().bytes();
         let seek = |at| -> Box<dyn TraceSource> { Box::new(scatter().seek(at)) };
         let pool = MemoPool::new(checkpoint + MAX_CHUNK_BYTES);
-        let shared = SharedStage::new(params(RUN_AHEAD), seek, pool, Arc::default());
-        let mut inline = PrivateStage::new(params(RUN_AHEAD), source());
+        let shared = SharedStage::new(params(), seek, pool, Arc::default());
+        let mut inline = PrivateStage::new(params(), source());
         let mut cursor = shared.cursor().read_ahead();
         let mut i = 0;
         while Arc::ptr_eq(&cursor.shared, &shared.0) {
@@ -2063,7 +2033,7 @@ mod tests {
         assert!(!shared.0.lock().queued);
 
         // Through the first chunk, and one event into the second.
-        let first = chunk_of(&mut PrivateStage::new(params(RUN_AHEAD), source()))
+        let first = chunk_of(&mut PrivateStage::new(params(), source()))
             .events
             .len();
         for _ in 0..first {
@@ -2082,14 +2052,14 @@ mod tests {
     /// furthest cursor took, or one more read ahead.
     fn read_ahead_against_four_cursors(share: u64) {
         let n = 5 * CHUNK_EVENTS + 100;
-        let mut inline = PrivateStage::new(params(RUN_AHEAD), source());
+        let mut inline = PrivateStage::new(params(), source());
         let want: Vec<(Event, Vec<BlockAddr>)> = (0..n).map(|_| step(&mut inline)).collect();
         let target_stats = inline.target_stats();
         assert!(target_stats.is_some());
 
         let pool = MemoPool::new(share);
         let seek = |at| -> Box<dyn TraceSource> { Box::new(scatter().seek(at)) };
-        let shared = SharedStage::new(params(RUN_AHEAD), seek, pool.clone(), Arc::default());
+        let shared = SharedStage::new(params(), seek, pool.clone(), Arc::default());
         let (start, memo) = (Barrier::new(4), &shared.0);
         let taken: Vec<Option<usize>> = std::thread::scope(|scope| {
             let readers: Vec<_> = (0..4)
@@ -2143,9 +2113,7 @@ mod tests {
 
     #[test]
     fn read_ahead_with_a_pool_of_the_checkpoint_and_one_chunk() {
-        let checkpoint = PrivateStage::new(params(RUN_AHEAD), source())
-            .state()
-            .bytes();
+        let checkpoint = PrivateStage::new(params(), source()).state().bytes();
         read_ahead_against_four_cursors(checkpoint + MAX_CHUNK_BYTES);
     }
 
@@ -2171,7 +2139,7 @@ mod tests {
         };
         let params = StageParams {
             instruction_target: u64::MAX,
-            ..params(RUN_AHEAD)
+            ..params()
         };
         let shared = unbounded_at(params, resident());
         shared.cursor().next_event();
@@ -2198,7 +2166,7 @@ mod tests {
         let mut stage = PrivateStage::new(
             StageParams {
                 instruction_target: u64::MAX,
-                ..params(RUN_AHEAD)
+                ..params()
             },
             Box::new(trace),
         );

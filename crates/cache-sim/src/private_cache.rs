@@ -136,7 +136,6 @@ enum Replacement {
 /// [`crate::llc::MAX_WAYS`].
 #[derive(Debug, Clone)]
 pub struct PrivateCache {
-    config: PrivateCacheConfig,
     num_sets: usize,
     ways: usize,
     set_mask: u64,
@@ -179,7 +178,6 @@ impl PrivateCache {
             }
         };
         PrivateCache {
-            config,
             num_sets,
             ways,
             set_mask: num_sets as u64 - 1,
@@ -191,11 +189,6 @@ impl PrivateCache {
             repl,
             stats: PrivateCacheStats::default(),
         }
-    }
-
-    /// Hit latency of this level in cycles.
-    pub fn latency(&self) -> u64 {
-        self.config.latency
     }
 
     /// Statistics accumulated so far.

@@ -57,15 +57,6 @@ impl CoreStats {
             self.llc.demand_misses as f64 * 1000.0 / self.instructions as f64
         }
     }
-
-    /// LLC demand hit ratio.
-    pub fn llc_hit_ratio(&self) -> f64 {
-        if self.llc.demand_accesses == 0 {
-            0.0
-        } else {
-            self.llc.demand_hits as f64 / self.llc.demand_accesses as f64
-        }
-    }
 }
 
 /// Stall cycles attributed to one requesting core across the whole memory system.
@@ -147,16 +138,6 @@ pub struct SystemResults {
 }
 
 impl SystemResults {
-    /// Vector of per-core IPCs in core order.
-    pub fn ipcs(&self) -> Vec<f64> {
-        self.per_core.iter().map(|c| c.ipc()).collect()
-    }
-
-    /// Vector of per-core LLC MPKIs in core order.
-    pub fn llc_mpkis(&self) -> Vec<f64> {
-        self.per_core.iter().map(|c| c.llc_mpki()).collect()
-    }
-
     /// Total demand misses observed at the LLC across all cores (at snapshot time).
     pub fn total_llc_demand_misses(&self) -> u64 {
         self.per_core.iter().map(|c| c.llc.demand_misses).sum()
@@ -166,49 +147,6 @@ impl SystemResults {
     /// `stall / (stall + busy)` over all banks. Zero when the LLC saw no traffic.
     pub fn bank_stall_share(&self) -> f64 {
         crate::bank::aggregate_stall_share(&self.llc_banks)
-    }
-}
-
-/// Convenience alias re-exported at the crate root.
-pub type LlcStats = LlcGlobalStats;
-
-/// Summary statistics helper (mean over a slice).
-pub fn mean(values: &[f64]) -> f64 {
-    if values.is_empty() {
-        0.0
-    } else {
-        values.iter().sum::<f64>() / values.len() as f64
-    }
-}
-
-/// Geometric mean over a slice of positive values (0 if empty).
-pub fn geometric_mean(values: &[f64]) -> f64 {
-    if values.is_empty() {
-        return 0.0;
-    }
-    let log_sum: f64 = values.iter().map(|v| v.max(f64::MIN_POSITIVE).ln()).sum();
-    (log_sum / values.len() as f64).exp()
-}
-
-/// Serializable summary row used by experiment reports.
-#[derive(Debug, Clone)]
-pub struct CoreSummaryRow {
-    pub core_id: usize,
-    pub label: String,
-    pub ipc: f64,
-    pub l2_mpki: f64,
-    pub llc_mpki: f64,
-}
-
-impl From<&CoreStats> for CoreSummaryRow {
-    fn from(c: &CoreStats) -> Self {
-        CoreSummaryRow {
-            core_id: c.core_id,
-            label: c.label.clone(),
-            ipc: c.ipc(),
-            l2_mpki: c.l2_mpki(),
-            llc_mpki: c.llc_mpki(),
-        }
     }
 }
 
@@ -234,7 +172,6 @@ mod tests {
         assert!((s.ipc() - 2.0).abs() < 1e-12);
         assert!((s.l2_mpki() - 20.0).abs() < 1e-12);
         assert!((s.llc_mpki() - 5.0).abs() < 1e-12);
-        assert!((s.llc_hit_ratio() - 0.75).abs() < 1e-12);
     }
 
     #[test]
@@ -243,7 +180,6 @@ mod tests {
         assert_eq!(s.ipc(), 0.0);
         assert_eq!(s.l2_mpki(), 0.0);
         assert_eq!(s.llc_mpki(), 0.0);
-        assert_eq!(s.llc_hit_ratio(), 0.0);
     }
 
     #[test]
@@ -253,18 +189,7 @@ mod tests {
             per_core: vec![stats_with(1000, 500, 10, 4), stats_with(1000, 1000, 20, 6)],
             ..Default::default()
         };
-        assert_eq!(r.ipcs(), vec![2.0, 1.0]);
         assert_eq!(r.total_llc_demand_misses(), 10);
-        assert_eq!(r.llc_mpkis().len(), 2);
-    }
-
-    #[test]
-    fn geometric_mean_matches_hand_computation() {
-        let g = geometric_mean(&[1.0, 4.0]);
-        assert!((g - 2.0).abs() < 1e-12);
-        assert_eq!(geometric_mean(&[]), 0.0);
-        assert!((mean(&[1.0, 3.0]) - 2.0).abs() < 1e-12);
-        assert_eq!(mean(&[]), 0.0);
     }
 
     #[test]
@@ -294,16 +219,5 @@ mod tests {
                 ..Default::default()
             }
         );
-    }
-
-    #[test]
-    fn summary_row_mirrors_core_stats() {
-        let mut c = stats_with(2000, 1000, 40, 10);
-        c.label = "mcf".into();
-        c.core_id = 3;
-        let row = CoreSummaryRow::from(&c);
-        assert_eq!(row.core_id, 3);
-        assert_eq!(row.label, "mcf");
-        assert!((row.ipc - 2.0).abs() < 1e-12);
     }
 }

@@ -40,10 +40,12 @@
 //! the same private state. Only the trace sources can tell: by the time `run` returns a
 //! source may have been asked for more records than a per-record driver would have
 //! consumed — the driver's `RUN_AHEAD + 1`, and what the stage drew in chunks ahead of
-//! it (`crate::private`, "The memo"). Interval sampling reads *every* core's clock at
-//! each LLC interval rollover, so a stage built while `sim_obs` records has bound 0:
-//! every record is its own event, fetched when its turn comes, and the run observes
-//! exactly the per-record order.
+//! it (`crate::private`, "The memo").
+//!
+//! Interval sampling, while `sim_obs` records, reads *every* core at each LLC interval
+//! rollover. It reads each as of its last in-order record: a core that has already
+//! fetched its next event has retired that event's gap, which the sample subtracts. So
+//! a profiled run is the run that ships, and its samples are a pure function of it.
 //!
 //! Every core reads its events through a cursor: over a stage shared with other systems
 //! ([`MultiCoreSystem::with_stages`]: a sweep's policies simulate a mix's private
@@ -62,9 +64,7 @@ use crate::core_model::CoreModel;
 use crate::dram::Dram;
 use crate::llc::{LlcGlobalStats, SharedLlc};
 use crate::private::{Event, Running, SharedStage, StageCursor, StageParams};
-use crate::replacement::{
-    AccessContext, InsertionDecision, LineView, LlcReplacementPolicy, RrpvArray,
-};
+use crate::replacement::LlcReplacementPolicy;
 use crate::sched::WinnerTree;
 use crate::stats::{CoreStats, SystemResults};
 use crate::trace::TraceSource;
@@ -98,7 +98,7 @@ struct CoreNode {
     model: CoreModel,
     cursor: StageCursor,
     /// The cursor stands at an event fetched after the previous in-order step: its gap is
-    /// retired and its in-order record waits for the core's turn. Never set at bound 0.
+    /// retired and its in-order record waits for the core's turn.
     fetched: bool,
     dram_reads: u64,
     snapshot: Option<CoreStats>,
@@ -106,9 +106,9 @@ struct CoreNode {
 
 impl CoreNode {
     /// A core over `cursor`, read ahead (`crate::private`, "Read-ahead").
-    fn new(config: &SystemConfig, cursor: StageCursor) -> Self {
+    fn new(cursor: StageCursor) -> Self {
         CoreNode {
-            model: CoreModel::new(config.core),
+            model: CoreModel::default(),
             cursor: cursor.read_ahead(),
             fetched: false,
             dram_reads: 0,
@@ -127,6 +127,20 @@ impl CoreNode {
             u64::from(event.gap_stall_cycles),
         );
     }
+
+    /// Instructions retired and the clock as of the last in-order record: without the
+    /// gap of an event fetched since.
+    fn in_order(&self) -> (u64, u64) {
+        let (instructions, cycle) = (self.model.instructions, self.model.cycle);
+        if !self.fetched {
+            return (instructions, cycle);
+        }
+        let gap = self.cursor.event();
+        (
+            instructions - u64::from(gap.gap_instructions),
+            cycle - u64::from(gap.gap_compute_cycles) - u64::from(gap.gap_stall_cycles),
+        )
+    }
 }
 
 /// The simulated multi-core system.
@@ -136,57 +150,12 @@ impl CoreNode {
 /// `experiments::policies::AnyPolicy` dispatch enum).
 pub struct MultiCoreSystem<P: LlcReplacementPolicy> {
     config: SystemConfig,
-    /// The trace sources of a system built by [`new`](Self::new), and the bound latched
-    /// then: `run` builds a sole stage over each once it knows the instruction target.
-    unstaged: Option<(u64, Vec<Box<dyn TraceSource>>)>,
+    /// The trace sources of a system built by [`new`](Self::new): `run` builds a sole
+    /// stage over each once it knows the instruction target.
+    unstaged: Vec<Box<dyn TraceSource>>,
     cores: Vec<CoreNode>,
     llc: SharedLlc<P>,
     dram: Dram,
-}
-
-/// A simple SRRIP policy used as the default when callers do not care which policy runs
-/// (examples, smoke tests). The study's baselines live in the `llc-policies` crate.
-pub struct DefaultSrripPolicy {
-    rrpv: RrpvArray,
-}
-
-impl DefaultSrripPolicy {
-    pub fn new(num_sets: usize, ways: usize) -> Self {
-        DefaultSrripPolicy {
-            rrpv: RrpvArray::new(num_sets, ways),
-        }
-    }
-}
-
-impl LlcReplacementPolicy for DefaultSrripPolicy {
-    fn name(&self) -> String {
-        "SRRIP(default)".into()
-    }
-    fn on_hit(&mut self, ctx: &AccessContext, way: usize) {
-        self.rrpv.promote(ctx.set_index, way);
-    }
-    fn insertion_decision(&mut self, _ctx: &AccessContext) -> InsertionDecision {
-        InsertionDecision::insert(2)
-    }
-    fn choose_victim(&mut self, ctx: &AccessContext, _lines: &[LineView]) -> usize {
-        self.rrpv.find_victim(ctx.set_index)
-    }
-    fn on_fill(&mut self, ctx: &AccessContext, way: usize, decision: &InsertionDecision) {
-        if let InsertionDecision::Insert { rrpv } = decision {
-            if way != usize::MAX {
-                self.rrpv.set(ctx.set_index, way, *rrpv);
-            }
-        }
-    }
-}
-
-impl MultiCoreSystem<DefaultSrripPolicy> {
-    /// Build a system with the built-in default SRRIP policy.
-    pub fn with_default_policy(config: SystemConfig, traces: Vec<Box<dyn TraceSource>>) -> Self {
-        let policy =
-            DefaultSrripPolicy::new(config.llc.geometry.num_sets(), config.llc.geometry.ways);
-        Self::new(config, traces, policy)
-    }
 }
 
 impl<P: LlcReplacementPolicy> MultiCoreSystem<P> {
@@ -202,9 +171,8 @@ impl<P: LlcReplacementPolicy> MultiCoreSystem<P> {
             config.num_cores,
             "need exactly one trace source per core"
         );
-        let bound = StageParams::latch(&config, 0).bound;
         MultiCoreSystem {
-            unstaged: Some((bound, traces)),
+            unstaged: traces,
             ..Self::with_stages(config, Vec::new(), policy)
         }
     }
@@ -221,13 +189,10 @@ impl<P: LlcReplacementPolicy> MultiCoreSystem<P> {
         );
         let llc = SharedLlc::new(config.llc, config.num_cores, config.interval_misses, policy);
         let dram = Dram::new(config.dram);
-        let cores = stages
-            .into_iter()
-            .map(|cursor| CoreNode::new(&config, cursor))
-            .collect();
+        let cores = stages.into_iter().map(CoreNode::new).collect();
         MultiCoreSystem {
             config,
-            unstaged: None,
+            unstaged: Vec::new(),
             cores,
             llc,
             dram,
@@ -261,15 +226,11 @@ impl<P: LlcReplacementPolicy> MultiCoreSystem<P> {
             self.cores.iter().all(|c| c.snapshot.is_none()),
             "`run` may be called once per system"
         );
-        if let Some((bound, traces)) = self.unstaged.take() {
-            let params = StageParams {
-                bound,
-                ..StageParams::latch(&self.config, instructions_per_core)
-            };
-            let config = &self.config;
-            self.cores = traces
+        if !self.unstaged.is_empty() {
+            let params = StageParams::latch(&self.config, instructions_per_core);
+            self.cores = std::mem::take(&mut self.unstaged)
                 .into_iter()
-                .map(|trace| CoreNode::new(config, SharedStage::sole(params, trace)))
+                .map(|trace| CoreNode::new(SharedStage::sole(params, trace)))
                 .collect();
         }
         assert_eq!(
@@ -293,9 +254,7 @@ impl<P: LlcReplacementPolicy> MultiCoreSystem<P> {
         // (`intervals_completed`) so it only ever *reads* statistics the simulation
         // already maintains — results are bit-identical with sampling on or off. The
         // enabled check is latched once per run; in the disabled state the per-step
-        // cost is a branch on a local `Option`. A sample reads every core's clock, which
-        // is its per-record clock only at bound 0 — what a stage built while `sim_obs`
-        // records has.
+        // cost is a branch on a local `Option`.
         let mut sampler = if sim_obs::enabled() {
             Some(IntervalSampler::new(&self.cores, &self.llc))
         } else {
@@ -331,13 +290,11 @@ impl<P: LlcReplacementPolicy> MultiCoreSystem<P> {
             let key = if frozen {
                 u64::MAX
             } else {
-                // The bound is the stage's: with one, fetch now, so the key is the start
-                // of the next in-order record; at bound 0 the next record is fetched
-                // when its turn comes, and no source is asked for a record early. Nothing
-                // is fetched after the last snapshot: the results come from snapshots,
-                // and a fetch would only move this core's clock (`crate::private`, rule
-                // (b)).
-                if core.cursor.params().bound > 0 && remaining > 0 {
+                // Fetch now, so the key is the start of the next in-order record.
+                // Nothing is fetched after the last snapshot: the results come from
+                // snapshots, and a fetch would only move this core's clock
+                // (`crate::private`, rule (b)).
+                if remaining > 0 {
                     core.fetch();
                     core.fetched = true;
                 }
@@ -447,8 +404,7 @@ impl IntervalSampler {
 
         let occupancy = llc.occupancy_by_core();
         for (i, core) in cores.iter().enumerate() {
-            let instructions = core.model.instructions;
-            let cycles = core.model.cycle;
+            let (instructions, cycles) = core.in_order();
             let misses = llc.core_stats(i).demand_misses;
             let d_instr = instructions.saturating_sub(self.prev_instructions[i]);
             let d_cycles = cycles.saturating_sub(self.prev_cycles[i]);
@@ -563,13 +519,13 @@ fn step_in_order<'a, P: LlcReplacementPolicy>(
 ) -> &'a Event {
     let (event, writebacks) = (core.cursor.event(), core.cursor.writebacks());
     let non_mem = u64::from(event.non_mem_instrs);
-    let l1_latency = config.core.l1_hit_cycles;
     if event.l1_hit() {
-        core.model.advance(non_mem, l1_latency);
+        core.model.advance(non_mem, 0);
         return event;
     }
     let now = core.model.cycle;
-    let mut latency = l1_latency + config.l2.latency;
+    // The L1D's latency is hidden (`crate::core_model`); what lies below it is exposed.
+    let mut latency = config.l2.latency;
     if !event.l2_hit() {
         latency += demand_below_l2(config, &mut core.dram_reads, llc, dram, core_id, event, now);
     }
@@ -611,11 +567,11 @@ fn demand_below_l2<P: LlcReplacementPolicy>(
     if llc_lookup.hit {
         return llc_lookup.latency;
     }
-    // LLC miss: DRAM, tracked by an MSHR entry. With back-pressure a full MSHR delays
-    // the DRAM issue itself, so the memory system sees the request at the cycle it
-    // could actually be tracked; the flat seed path times the DRAM access first and
-    // charges the stall afterwards.
-    let (mshr_stall, dram_latency) = if config.llc.contention.mshr_backpressure {
+    // LLC miss: DRAM, tracked by an MSHR entry. Behind contended banks a full MSHR
+    // delays the DRAM issue itself (back-pressure), so the memory system sees the
+    // request at the cycle it could actually be tracked; the flat seed path times the
+    // DRAM access first and charges the stall afterwards.
+    let (mshr_stall, dram_latency) = if !config.llc.contention.is_flat() {
         let stall = llc.begin_mshr(core_id, now);
         let issue = now + llc_lookup.latency + stall;
         let dram_out = dram.access(block, issue, false, core_id);
@@ -656,7 +612,17 @@ fn writeback_from_l2<P: LlcReplacementPolicy>(
 mod tests {
     use super::*;
     use crate::config::SystemConfig;
+    use crate::llc::tests::TestSrrip;
     use crate::trace::{SharedReplayTrace, StridedTrace};
+
+    /// A system over `traces` whose LLC runs the crate's test SRRIP.
+    fn srrip_system(
+        config: SystemConfig,
+        traces: Vec<Box<dyn TraceSource>>,
+    ) -> MultiCoreSystem<TestSrrip> {
+        let policy = TestSrrip::new(config.llc.geometry.num_sets(), config.llc.geometry.ways);
+        MultiCoreSystem::new(config, traces, policy)
+    }
 
     fn strided_traces(n: usize, region: u64) -> Vec<Box<dyn TraceSource>> {
         (0..n)
@@ -671,8 +637,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "`run` may be called once per system")]
     fn running_a_system_twice_panics() {
-        let mut sys =
-            MultiCoreSystem::with_default_policy(SystemConfig::tiny(2), strided_traces(2, 4096));
+        let mut sys = srrip_system(SystemConfig::tiny(2), strided_traces(2, 4096));
         sys.run(1_000);
         sys.run(1_000);
     }
@@ -682,7 +647,7 @@ mod tests {
         let cfg = SystemConfig::tiny(1);
         // Working set of 1 KB fits easily in the 2 KB L1.
         let traces = strided_traces(1, 1024);
-        let mut sys = MultiCoreSystem::with_default_policy(cfg, traces);
+        let mut sys = srrip_system(cfg, traces);
         let res = sys.run(50_000);
         let c = &res.per_core[0];
         assert!(c.instructions >= 50_000);
@@ -699,7 +664,7 @@ mod tests {
         let cfg = SystemConfig::tiny(1);
         // 16 MB streaming region: misses everywhere.
         let traces = strided_traces(1, 16 * 1024 * 1024);
-        let mut sys = MultiCoreSystem::with_default_policy(cfg, traces);
+        let mut sys = srrip_system(cfg, traces);
         let res = sys.run(50_000);
         let c = &res.per_core[0];
         assert!(c.llc.demand_misses > 0);
@@ -713,7 +678,7 @@ mod tests {
         let run = || {
             let cfg = SystemConfig::tiny(2);
             let traces = strided_traces(2, 256 * 1024);
-            let mut sys = MultiCoreSystem::with_default_policy(cfg, traces);
+            let mut sys = srrip_system(cfg, traces);
             let r = sys.run(20_000);
             (
                 r.per_core[0].cycles,
@@ -728,7 +693,7 @@ mod tests {
     fn all_cores_reach_instruction_target() {
         let cfg = SystemConfig::tiny(4);
         let traces = strided_traces(4, 64 * 1024);
-        let mut sys = MultiCoreSystem::with_default_policy(cfg, traces);
+        let mut sys = srrip_system(cfg, traces);
         let res = sys.run(10_000);
         assert_eq!(res.per_core.len(), 4);
         for c in &res.per_core {
@@ -747,7 +712,7 @@ mod tests {
             let cfg = SystemConfig::tiny(1);
             let traces: Vec<Box<dyn TraceSource>> =
                 vec![Box::new(StridedTrace::new(0, 64, victim_region, 4))];
-            let mut sys = MultiCoreSystem::with_default_policy(cfg, traces);
+            let mut sys = srrip_system(cfg, traces);
             sys.run(40_000).per_core[0].llc_mpki()
         };
         let shared = {
@@ -756,7 +721,7 @@ mod tests {
                 Box::new(StridedTrace::new(0, 64, victim_region, 4)),
                 Box::new(StridedTrace::new(1 << 32, 64, 8 * 1024 * 1024, 4)),
             ];
-            let mut sys = MultiCoreSystem::with_default_policy(cfg, traces);
+            let mut sys = srrip_system(cfg, traces);
             sys.run(40_000).per_core[0].llc_mpki()
         };
         assert!(
@@ -772,7 +737,7 @@ mod tests {
             cfg.llc.contention = crate::config::BankContentionConfig::contended(2, 4);
             cfg.dram.contention = crate::config::BankContentionConfig::contended(2, 4);
             let traces = strided_traces(4, 4 * 1024 * 1024);
-            let mut sys = MultiCoreSystem::with_default_policy(cfg, traces);
+            let mut sys = srrip_system(cfg, traces);
             let r = sys.run(20_000);
             (
                 r.per_core.iter().map(|c| c.cycles).collect::<Vec<_>>(),
@@ -796,15 +761,18 @@ mod tests {
     #[test]
     fn mshr_backpressure_accounts_stalls_and_stays_consistent_with_flat() {
         // With a single MSHR entry shared by two streaming cores both issue orders
-        // saturate the MSHR; back-pressure shifts *when* DRAM sees each request (so
-        // row-buffer outcomes may differ slightly) but the overall timing must agree
-        // to first order with the charge-after-the-fact flat accounting.
+        // saturate the MSHR; back-pressure — which an LLC behind contended banks
+        // applies — shifts *when* DRAM sees each request (so row-buffer outcomes may
+        // differ slightly) but the overall timing must agree to first order with the
+        // charge-after-the-fact flat accounting.
         let run = |backpressure: bool| {
             let mut cfg = SystemConfig::tiny(2);
             cfg.llc.mshr_entries = 1;
-            cfg.llc.contention.mshr_backpressure = backpressure;
+            if backpressure {
+                cfg.llc.contention = crate::config::BankContentionConfig::contended(1, 1 << 20);
+            }
             let traces = strided_traces(2, 16 * 1024 * 1024);
-            let mut sys = MultiCoreSystem::with_default_policy(cfg, traces);
+            let mut sys = srrip_system(cfg, traces);
             let r = sys.run(20_000);
             (
                 r.per_core.iter().map(|c| c.cycles).max().unwrap(),
@@ -840,11 +808,7 @@ mod tests {
             "writes",
             std::sync::Arc::new(accesses),
         ))];
-        let mut sys = MultiCoreSystem::new(
-            cfg.clone(),
-            traces,
-            DefaultSrripPolicy::new(cfg.llc.geometry.num_sets(), cfg.llc.geometry.ways),
-        );
+        let mut sys = srrip_system(cfg, traces);
         let res = sys.run(30_000);
         assert!(res.dram.writes > 0, "dirty evictions must reach memory");
     }
@@ -859,7 +823,7 @@ mod tests {
         let run = || {
             let cfg = SystemConfig::tiny(2);
             let traces = strided_traces(2, 4 * 1024 * 1024);
-            let mut sys = MultiCoreSystem::with_default_policy(cfg, traces);
+            let mut sys = srrip_system(cfg, traces);
             sys.run(20_000)
         };
         let baseline = run();
@@ -900,6 +864,6 @@ mod tests {
     fn trace_count_mismatch_panics() {
         let cfg = SystemConfig::tiny(2);
         let traces = strided_traces(1, 1024);
-        let _ = MultiCoreSystem::with_default_policy(cfg, traces);
+        let _ = srrip_system(cfg, traces);
     }
 }

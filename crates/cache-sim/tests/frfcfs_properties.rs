@@ -76,11 +76,9 @@ proptest! {
         depth in 0usize..5,
         cap in 1u32..6,
         service in 1u64..30,
-        closed_page in any::<bool>(),
     ) {
-        let mut rm = RowModelConfig::frfcfs(10, 20, 30, cap);
-        rm.closed_page = closed_page;
-        let make = || BankModel::new(4, service, contention(ports, depth), rm);
+        let rm = RowModelConfig::frfcfs(10, 20, 30, cap);
+        let make = || BankModel::new(4, service, contention(ports, depth), Some(rm));
         let (mut a, mut b) = (make(), make());
         let ga = drive(&mut a, &ops);
         let gb = drive(&mut b, &ops);
@@ -100,7 +98,7 @@ proptest! {
         service in 1u64..30,
     ) {
         let rm = RowModelConfig::frfcfs(10, 20, 30, cap);
-        let mut model = BankModel::new(2, service, contention(ports, depth), rm);
+        let mut model = BankModel::new(2, service, contention(ports, depth), Some(rm));
         drive(&mut model, &ops);
         for st in model.stats() {
             prop_assert!(
@@ -125,7 +123,7 @@ proptest! {
     ) {
         let rm =
             RowModelConfig::frfcfs(hit, hit + miss_extra, hit + miss_extra + conflict_extra, cap);
-        let mut model = BankModel::new(3, service, contention(2, 4), rm);
+        let mut model = BankModel::new(3, service, contention(2, 4), Some(rm));
         let mut now = 0;
         for &op in &ops {
             let (bank, step, core, row) = op;
@@ -156,8 +154,8 @@ proptest! {
         service in 1u64..30,
     ) {
         let cfg = contention(ports, depth);
-        let mut frfcfs = BankModel::new(4, service, cfg, RowModelConfig::disabled());
-        let mut fcfs = BankModel::new(4, service, cfg, RowModelConfig::disabled());
+        let mut frfcfs = BankModel::new(4, service, cfg, None);
+        let mut fcfs = BankModel::new(4, service, cfg, None);
         let mut now = 0;
         for &op in &ops {
             let (bank, step, core, row) = op;

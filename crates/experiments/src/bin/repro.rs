@@ -6,7 +6,7 @@
 //! experiments: every entry of `experiments::experiment::registry` (`repro --help` lists
 //!   them with their titles), plus
 //!   mixes    Print the generated workload mixes (Table 6)
-//!   diag     Per-application TA-DRRIP vs ADAPT diagnostic on one 16-core mix
+//!   diag     Per-application TA-DRRIP vs ADAPT (and SHiP) diagnostic on one 16-core mix
 //!   all      Every experiment on the paper's studies, in registry order
 //!
 //! corpus mode:
@@ -77,7 +77,7 @@ fn usage() -> String {
          repro scale [--cores 32,48,64,128,256] [--mixes N] [--flat] [--memsys] \
          [--paper-scale|--smoke]\n\nexperiments:\n{list}  \
          mixes    Print the generated workload mixes (Table 6)\n  \
-         diag     Per-application TA-DRRIP vs ADAPT diagnostic on one 16-core mix\n  \
+         diag     Per-application TA-DRRIP vs ADAPT (and SHiP) diagnostic on one 16-core mix\n  \
          all      Every experiment above but scale, in order\n\n\
          sweep: --arena-bytes N  replay arena budget per mix in bytes (default 256 MiB):\n\
                                  decode buffers + event memo. Every mix is streamed from\n\
@@ -178,17 +178,22 @@ fn print_mixes(scale: ExperimentScale) {
     }
 }
 
-/// Diagnostic: run one 16-core mix under TA-DRRIP and ADAPT and print each application's
-/// view (accesses, misses, bypasses, IPC) side by side, plus interval statistics.
+/// Diagnostic: run one 16-core mix under TA-DRRIP, ADAPT and SHiP and print each
+/// application's view (MPKI, IPC, normalized IPC) side by side; then, per application,
+/// ADAPT's final priority, Footprint-number, bypasses and installs, its interval count,
+/// and SHiP's share of distant insertions.
 fn diag(scale: ExperimentScale) {
-    use experiments::{evaluate_mix, PolicyKind};
+    use experiments::policies::AnyPolicy;
+    use experiments::runner::evaluate_mix_system;
+    use experiments::PolicyKind;
 
     let study = StudyKind::Cores16;
     let config = scale.system_config(study);
     let mix = generate_mixes(study, 1, scale.seed()).remove(0);
     let instructions = scale.instructions_per_core();
-    let [base, adapt] = [PolicyKind::TaDrrip, PolicyKind::AdaptBp32]
-        .map(|policy| evaluate_mix(&config, &mix, policy, instructions, scale.seed()));
+    let [(base, _), (adapt, adapt_system), (ship, ship_system)] =
+        [PolicyKind::TaDrrip, PolicyKind::AdaptBp32, PolicyKind::Ship]
+            .map(|policy| evaluate_mix_system(&config, &mix, policy, instructions, scale.seed()));
     println!(
         "weighted speedup: TA-DRRIP {:.4}  ADAPT_bp32 {:.4}  ratio {:.4}",
         base.weighted_speedup(),
@@ -212,6 +217,33 @@ fn diag(scale: ExperimentScale) {
             a.normalized_ipc()
         );
     }
+    let AnyPolicy::Adapt(policy) = adapt_system.llc().policy() else {
+        unreachable!("ADAPT_bp32 builds ADAPT")
+    };
+    println!("\nADAPT_bp32 after {} intervals:", policy.intervals());
+    println!(
+        "{:<8} {:>8} {:>9} {:>10} {:>10}",
+        "app", "priority", "footprint", "bypasses", "installs"
+    );
+    for (app, a) in adapt.per_app.iter().enumerate() {
+        let (bypasses, installs) = policy.insertion_counts(app);
+        println!(
+            "{:<8} {:>8} {:>9.2} {:>10} {:>10}",
+            a.name,
+            policy.priority_of(app).label(),
+            policy.footprint_of(app),
+            bypasses,
+            installs
+        );
+    }
+    let AnyPolicy::Ship(policy) = ship_system.llc().policy() else {
+        unreachable!("SHiP builds SHiP")
+    };
+    println!(
+        "\nSHiP: weighted speedup {:.4}  distant insertions {:.4}",
+        ship.weighted_speedup(),
+        policy.distant_fraction()
+    );
 }
 
 /// Resolve the profile directory: the `--profile` flag wins, then `REPRO_PROFILE`

@@ -712,10 +712,23 @@ pub fn evaluate_mix(
     instructions: u64,
     seed: u64,
 ) -> MixEvaluation {
+    evaluate_mix_system(config, mix, policy, instructions, seed).0
+}
+
+/// [`evaluate_mix`], also handing back the system it ran, whose policy state can be
+/// read after the run (`SharedLlc::policy`).
+pub fn evaluate_mix_system(
+    config: &SystemConfig,
+    mix: &WorkloadMix,
+    policy: PolicyKind,
+    instructions: u64,
+    seed: u64,
+) -> (MixEvaluation, MultiCoreSystem<AnyPolicy>) {
     let built = policy.build_dispatch(config, &mix.thrashing_slots());
     let traces = mix.trace_sources(config.llc.geometry.num_sets(), seed);
-    let system = MultiCoreSystem::new(config.clone(), traces, built);
-    evaluate_system(config, mix, policy, system, instructions, seed)
+    let mut system = MultiCoreSystem::new(config.clone(), traces, built);
+    let evaluation = evaluate_system(config, mix, policy, &mut system, instructions, seed);
+    (evaluation, system)
 }
 
 /// Run an explicitly constructed policy over already-materialized streams — the
@@ -733,8 +746,15 @@ pub fn evaluate_prepared<P: LlcReplacementPolicy>(
     seed: u64,
 ) -> MixEvaluation {
     let stages = prepared.stage_cursors(&StageParams::latch(config, instructions));
-    let system = MultiCoreSystem::with_stages(config.clone(), stages, built);
-    evaluate_system(config, &prepared.mix, policy, system, instructions, seed)
+    let mut system = MultiCoreSystem::with_stages(config.clone(), stages, built);
+    evaluate_system(
+        config,
+        &prepared.mix,
+        policy,
+        &mut system,
+        instructions,
+        seed,
+    )
 }
 
 /// Shared tail of every evaluation: run `system` and summarize against the alone-run
@@ -745,7 +765,7 @@ fn evaluate_system<P: LlcReplacementPolicy>(
     config: &SystemConfig,
     mix: &WorkloadMix,
     policy: PolicyKind,
-    mut system: MultiCoreSystem<P>,
+    system: &mut MultiCoreSystem<P>,
     instructions: u64,
     seed: u64,
 ) -> MixEvaluation {
@@ -1575,8 +1595,8 @@ mod tests {
                         })
                         .collect();
                     let built = policy.build_dispatch(&cfg, &mix.thrashing_slots());
-                    let system = MultiCoreSystem::new(cfg.clone(), traces, built);
-                    evaluate_system(&cfg, mix, policy, system, instructions, 1)
+                    let mut system = MultiCoreSystem::new(cfg.clone(), traces, built);
+                    evaluate_system(&cfg, mix, policy, &mut system, instructions, 1)
                 })
                 .collect();
 

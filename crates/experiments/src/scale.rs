@@ -251,14 +251,14 @@ mod tests {
                 let flat = scale.scaling_config_memsys(cores, MemSystem::Flat);
                 assert_eq!(flat, scale.scaling_config(cores, false));
                 assert!(flat.llc.nuca.is_disabled());
-                assert!(!flat.dram.row_model.enabled);
+                assert!(flat.dram.row_model.is_none());
 
                 let fcfs = scale.scaling_config_memsys(cores, MemSystem::FcfsContended);
                 assert_eq!(fcfs, scale.scaling_config(cores, true));
 
                 let frfcfs = scale.scaling_config_memsys(cores, MemSystem::FrFcfsNuca);
                 frfcfs.validate().unwrap();
-                assert!(frfcfs.dram.row_model.enabled);
+                assert!(frfcfs.dram.row_model.is_some());
                 assert_eq!(frfcfs.llc.nuca.hop_cycles, 2);
                 assert!(frfcfs.nuca_delay(cores - 1, 0) > 0);
             }
@@ -281,7 +281,6 @@ mod tests {
                 cfg.validate().unwrap();
                 assert_eq!(cfg.num_cores, study.num_cores());
                 assert!(!cfg.llc.contention.is_flat(), "{study:?} must be contended");
-                assert!(cfg.llc.contention.mshr_backpressure);
                 // The flat variant of the same geometry, for A/B comparisons.
                 let flat = scale.scaling_config(study.num_cores(), false);
                 assert!(flat.llc.contention.is_flat());

@@ -16,8 +16,9 @@ use rayon::prelude::*;
 
 use adapt_core::{AdaptConfig, FootprintMonitor};
 use cache_sim::addr::block_of;
-use cache_sim::single::profile_alone;
+use cache_sim::single::run_alone;
 use cache_sim::trace::TraceSource;
+use llc_policies::SrripPolicy;
 use workloads::{all_benchmarks, classify, MemIntensity, StudyKind};
 
 use crate::report::Table;
@@ -74,19 +75,17 @@ pub(crate) fn tables(scale: ExperimentScale, study: StudyKind) -> Vec<Table> {
             let fpn_all = measure_footprint(b, llc_sets, true, accesses, interval, scale.seed());
             let fpn_sampled =
                 measure_footprint(b, llc_sets, false, accesses, interval, scale.seed());
-            let profile = profile_alone(
-                &config,
-                Box::new(b.trace(0, llc_sets, scale.seed())),
-                instructions,
-            );
-            let measured_class: MemIntensity = classify(fpn_all, profile.l2_mpki);
+            let trace = Box::new(b.trace(0, llc_sets, scale.seed()));
+            let srrip = SrripPolicy::new(llc_sets, config.llc.geometry.ways);
+            let l2_mpki = run_alone(&config, trace, srrip, instructions).l2_mpki();
+            let measured_class: MemIntensity = classify(fpn_all, l2_mpki);
             let values = [
                 b.paper_fpn_all,
                 fpn_all,
                 b.paper_fpn_sampled,
                 fpn_sampled,
                 b.paper_l2_mpki,
-                profile.l2_mpki,
+                l2_mpki,
             ];
             std::iter::once(b.name.to_string())
                 .chain(values.iter().map(|v| format!("{v:.2}")))

@@ -183,9 +183,11 @@ fn constant_memory_sweep_stays_under_the_arena_cap_and_matches_the_buffered_path
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// The logical event multiset of a profiled sweep: sweep spans, zero-copy batch spans
-/// and simulator samples, keyed with context. Worker ids, timestamps and scheduling are
-/// excluded — they legitimately differ across worker counts.
+/// The logical event multiset of a profiled sweep: sweep spans and simulator samples,
+/// keyed with context. Worker ids, timestamps and scheduling are excluded — they
+/// legitimately differ across worker counts — and so are the zero-copy batch spans: a
+/// read-ahead decodes on whichever thread serves it, and may decode a batch past the
+/// run's end.
 fn logical_events(
     drained: &Drained,
 ) -> BTreeMap<(String, &'static str, &'static str, String), usize> {
@@ -193,7 +195,7 @@ fn logical_events(
     for thread in &drained.threads {
         for event in &thread.events {
             let keep = match event.kind {
-                EventKind::Span => event.cat == "sweep" || event.name == "zero_copy_batch",
+                EventKind::Span => event.cat == "sweep",
                 EventKind::Sample => event.cat == "sim",
                 _ => false,
             };
@@ -212,9 +214,9 @@ fn logical_events(
 fn replay_is_deterministic_across_worker_count() {
     // Serial or parallel workers (and with them, which thread decodes a stage's next
     // batch) is a pure scheduling choice: both must produce identical per-core
-    // IPC/MPKI and the identical logical span multiset — the `zero_copy_batch` spans
-    // included, which pins down that batches are decoded in the same order and number
-    // everywhere.
+    // IPC/MPKI, wraps and the identical multiset of sweep spans and samples.
+    // `tests/reference_identity.rs` bounds what the decodes draw
+    // (`run_ahead_overfetch_is_bounded_per_core`).
     let _guard = global_state_lock();
     let scale = ExperimentScale::Smoke;
     let cfg = scale.system_config(StudyKind::Cores4);
@@ -248,16 +250,14 @@ fn replay_is_deterministic_across_worker_count() {
         })
         .unwrap();
         sim_obs::disable();
-        (outcome, logical_events(&sim_obs::drain()))
+        let drained = sim_obs::drain();
+        let batches = drained.threads.iter().flat_map(|t| &t.events);
+        let batches = batches.filter(|e| e.name == "zero_copy_batch").count();
+        (outcome, logical_events(&drained), batches)
     };
-    let (serial, serial_events) = run(1);
-    let (parallel, parallel_events) = run(4);
-    assert!(
-        serial_events
-            .keys()
-            .any(|(_, _, name, _)| *name == "zero_copy_batch"),
-        "replay must emit batch spans"
-    );
+    let (serial, serial_events, serial_batches) = run(1);
+    let (parallel, parallel_events, _) = run(4);
+    assert!(serial_batches > 0, "replay must emit batch spans");
     assert_evaluations_identical(&serial.evaluations, &parallel.evaluations);
     assert_eq!(serial.mix_wraps, parallel.mix_wraps, "wrap accounting");
     assert_eq!(serial_events, parallel_events, "logical span multiset");

@@ -97,7 +97,9 @@ fn occupy_hardware_threads() -> Occupied {
         };
         occupied.runs.push(std::thread::spawn(move || {
             let traces: Vec<Box<dyn TraceSource>> = vec![Box::new(parked)];
-            MultiCoreSystem::with_default_policy(SystemConfig::tiny(1), traces).run(1_000);
+            let config = SystemConfig::tiny(1);
+            let policy = PolicyKind::Srrip.build_dispatch(&config, &[]);
+            MultiCoreSystem::new(config, traces, policy).run(1_000);
         }));
         occupied.release.push(release);
         reached_rx.recv().expect("the run reaches its first record");
@@ -105,8 +107,9 @@ fn occupy_hardware_threads() -> Occupied {
     occupied
 }
 
-/// Each application of an 8-core mix alone, at the unsampled bound and at bound 0: the
-/// system's results are the oracle's and it drew exactly the records the oracle did.
+/// Each application of an 8-core mix alone, built while `sim_obs` records and while it
+/// does not: the system's results are the oracle's and it drew exactly the records the
+/// oracle did.
 #[test]
 fn a_lone_core_draws_exactly_the_records_the_oracle_consumes() {
     let _busy = occupy_hardware_threads();

@@ -10,8 +10,8 @@ use std::sync::{Mutex, OnceLock};
 
 use cache_sim::MultiCoreSystem;
 use experiments::runner::{
-    evaluate_policies_on_mixes, sweep_policies_on_corpus_with, synthetic_capture_budget,
-    warm_alone_cache, ReplayConfig,
+    evaluate_policies_on_mixes, evaluate_prepared, sweep_policies_on_corpus_with,
+    synthetic_capture_budget, warm_alone_cache, MixSource, ReplayConfig,
 };
 use experiments::{ExperimentScale, PolicyKind};
 use sim_obs::{Drained, EventKind};
@@ -146,10 +146,8 @@ fn serial_and_parallel_profiled_sweeps_tell_the_same_story() {
     );
 }
 
-/// A sample reads every core's clock at each LLC interval rollover, so a sampled run
-/// keeps all cores in per-record order (the driver's run-ahead is off while the sampler
-/// is latched on; `tests/reference_identity.rs` holds its record fetches to the
-/// reference engine's). Two sampled runs of the same system emit the same
+/// A sample reads every core at each LLC interval rollover, as of its last in-order
+/// record, from the run that ships: two sampled runs of the same system emit the same
 /// `interval.core` rows, value for value, with the results of an unsampled run.
 #[test]
 fn sampled_runs_of_one_system_emit_identical_interval_core_rows() {
@@ -245,15 +243,52 @@ fn profiled_sweep_reports_each_mix_shared_stages_once() {
             };
             assert_eq!(value("stage.cursors"), policies.len() as f64);
             assert_eq!(value("stage.handovers"), 0.0);
-            // Stages built while the recorder is on have bound 0: every record an event.
+            // The recorder changes no stage: events coalesce records as they do unprofiled.
             let (records, events) = (value("stage.records"), value("stage.events"));
-            assert!(events > 0.0);
-            assert_eq!(events, records);
+            assert!(0.0 < events && events <= records);
             // 40 bytes an event, plus the write-back side arrays.
             assert!(value("stage.memo_bytes") >= 40.0 * events);
         }
     }
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The recorder is not part of a stage's key: one materialized mix evaluated unprofiled
+/// and then profiled builds one stage per stream, which the profiled evaluation replays
+/// without drawing a record more.
+#[test]
+fn a_half_profiled_process_builds_one_stage_per_stream() {
+    let _guard = obs_lock();
+    let scale = ExperimentScale::Smoke;
+    let cfg = scale.system_config(StudyKind::Cores4);
+    let mix = generate_mixes(StudyKind::Cores4, 1, scale.seed()).remove(0);
+    warm_alone_cache(&cfg, std::slice::from_ref(&mix), INSTRUCTIONS, SEED);
+    let prepared = MixSource::synthetic(mix)
+        .materialize_with(cfg.llc.geometry.num_sets(), SEED, &ReplayConfig::default())
+        .unwrap();
+    let evaluate = || {
+        let kind = PolicyKind::TaDrrip;
+        let built = kind.build_dispatch(&cfg, &prepared.mix().thrashing_slots());
+        evaluate_prepared(&cfg, &prepared, kind, built, INSTRUCTIONS, SEED)
+    };
+
+    sim_obs::reset();
+    let plain = evaluate();
+    let unprofiled = prepared.stage_usage();
+    sim_obs::enable();
+    let profiled = evaluate();
+    sim_obs::disable();
+    sim_obs::reset();
+
+    assert_eq!(plain.final_cycle, profiled.final_cycle);
+    for (before, after) in unprofiled.iter().zip(prepared.stage_usage()) {
+        assert_eq!(after.cursors, 2, "one cursor per evaluation");
+        assert_eq!(
+            (after.records, after.events, after.chunks),
+            (before.records, before.events, before.chunks),
+            "the profiled evaluation built a second stage"
+        );
+    }
 }
 
 #[test]

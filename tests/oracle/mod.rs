@@ -11,7 +11,8 @@
 //! * the RRIP victim is "age every line by `3 − max rrpv`, take the first at 3"; DRRIP's
 //!   leader sets and PSEL arithmetic are written out from the paper's constants;
 //! * NUCA wire delay is computed per request from `config::mesh_hops`;
-//! * core timing is the float form of the overlap rule on four plain `u64` counters;
+//! * core timing is the float form of the overlap rule, `(x as f64 / 2.0).round()`, on
+//!   four plain `u64` counters, with the 4-wide issue and 128-entry ROB as literals;
 //! * MSHR and write-back occupancy is a `Vec` of completion cycles, pruned by `retain`
 //!   and searched by `min`;
 //! * a bank is [`NaiveBanks`]' queues: a `Vec` of port free times scanned for the
@@ -19,7 +20,8 @@
 //!   requests with their rows and bypass counts, scanned for one at the starvation cap
 //!   (the engine keeps a register per flat bank and one queue per contended bank);
 //! * DRAM ([`NaiveDram`]) divides the byte address by the row size and permutes banks
-//!   with `%` and `/`, and keeps an open-row register per bank;
+//!   with `%` and `/` (XOR mapping), and keeps an open-row register per bank: pages stay
+//!   open;
 //! * the driver steps the unretired core with the smallest `(cycle, id)` one trace
 //!   record at a time: a linear min-scan, no scheduler structure, nothing retired out
 //!   of global order.
@@ -44,7 +46,7 @@ use adapt_llc::sim::private_cache::{EvictedLine, Lookup, PrivateCacheStats};
 use adapt_llc::sim::replacement::{AccessContext, LineView, LlcReplacementPolicy};
 use adapt_llc::sim::stats::{assemble_core_stalls, CoreStats, SystemResults};
 use adapt_llc::sim::system::LIVELOCK_STEPS;
-use adapt_llc::sim::trace::TraceSource;
+use adapt_llc::sim::trace::{MemAccess, TraceSource};
 use adapt_llc::sim::{BankRequest, BankStats, CoreBankStalls, DramStats, RowClass};
 
 /// 2-bit re-reference predictions: 3 is "distant" (the eviction candidate), 2 "long".
@@ -292,7 +294,7 @@ impl NaiveBanks {
         banks: usize,
         service: u64,
         contention: BankContentionConfig,
-        row_model: RowModelConfig,
+        row_model: Option<RowModelConfig>,
     ) -> Self {
         let bank = NaiveBank {
             port_free: vec![0; contention.ports],
@@ -301,7 +303,7 @@ impl NaiveBanks {
         NaiveBanks {
             service,
             contention,
-            row_model: row_model.enabled.then_some(row_model),
+            row_model,
             banks: vec![bank; banks],
             stats: vec![BankStats::default(); banks],
             core_stalls: Vec::new(),
@@ -378,11 +380,10 @@ impl NaiveBanks {
         let Some(rm) = self.row_model else {
             return (self.request(bank, now, core), None);
         };
-        let open = |row| if rm.closed_page { None } else { Some(row) };
         let b = &mut self.banks[bank];
         while b.pending.front().is_some_and(|p| p.start <= now) {
             let served = b.pending.pop_front().expect("a front");
-            b.open_row = open(served.row);
+            b.open_row = Some(served.row);
         }
         let pinned = b.pending.iter().any(|p| p.bypassed >= rm.starvation_cap);
         let class = match b.open_row {
@@ -412,7 +413,7 @@ impl NaiveBanks {
                 bypassed: 0,
             });
         } else {
-            b.open_row = open(row);
+            b.open_row = Some(row);
         }
         (request, Some(class))
     }
@@ -447,13 +448,9 @@ impl NaiveDram {
     pub fn access(&mut self, block: BlockAddr, now: u64, is_write: bool, core: usize) -> u64 {
         let row = block.byte_addr() / self.config.row_bytes;
         let banks = self.config.banks as u64;
-        let mut bank = row % banks;
-        if self.config.xor_mapping {
-            bank ^= row / banks % banks;
-        }
-        let bank = bank as usize;
+        let bank = ((row % banks) ^ (row / banks % banks)) as usize;
         let stats = &mut self.stats;
-        let (class_cycles, delay) = if self.config.row_model.enabled {
+        let (class_cycles, delay) = if let Some(rm) = self.config.row_model {
             let (request, class) = self.banks.schedule(bank, now, core, row);
             let class = class.expect("the row model is on");
             match class {
@@ -461,7 +458,7 @@ impl NaiveDram {
                 RowClass::Miss => stats.row_misses += 1,
                 RowClass::Conflict => stats.row_conflicts += 1,
             }
-            (class.cycles(&self.config.row_model), request.delay)
+            (class.cycles(&rm), request.delay)
         } else {
             let hit = self.open_rows[bank] == Some(row);
             self.open_rows[bank] = Some(row);
@@ -514,7 +511,7 @@ impl NaiveLlc {
                 config.banks,
                 config.bank_busy_cycles,
                 config.contention,
-                RowModelConfig::disabled(),
+                None,
             ),
             mshr: NaiveWindow::new(config.mshr_entries),
             wb_buffer: NaiveWindow::new(config.wb_entries),
@@ -699,11 +696,119 @@ impl NaiveLlc {
     }
 }
 
-/// One core: two private levels, a prefetcher, a trace and its counters.
+/// What a core's private levels send below the L2, in the order they send it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Below {
+    /// A demand that missed both levels, answered with its latency below the L2.
+    Demand {
+        pc: u64,
+        block: BlockAddr,
+        is_write: bool,
+    },
+    /// A next-line prefetch that missed both levels; it charges the core nothing.
+    Prefetch { pc: u64, block: BlockAddr },
+    /// A dirty line leaving the L2, or falling through it.
+    Writeback(BlockAddr),
+}
+
+/// One core's private half: its two private levels and the prefetcher, stepped one
+/// trace record at a time.
+pub struct NaivePrivate {
+    pub l1d: NaivePrivateCache,
+    pub l2: NaivePrivateCache,
+    pub prefetcher: NextLinePrefetcher,
+}
+
+impl NaivePrivate {
+    pub fn new(config: &SystemConfig) -> Self {
+        NaivePrivate {
+            l1d: NaivePrivateCache::new(config.l1d),
+            l2: NaivePrivateCache::new(config.l2),
+            prefetcher: NextLinePrefetcher::new(config.l1_next_line_prefetch),
+        }
+    }
+
+    /// Resolve one record's access through the private levels and issue the next-line
+    /// prefetch it triggered, handing `below` whatever leaves them; returns the access's
+    /// latency, the L1D's included.
+    pub fn access(&mut self, access: &MemAccess, below: &mut impl FnMut(Below) -> u64) -> u64 {
+        let block = block_of(access.addr);
+        let mut latency = self.l1d.config.latency;
+        if self.l1d.access(block, access.is_write) == Lookup::Hit {
+            return latency;
+        }
+        let l1d = &self.l1d;
+        let next_line = self.prefetcher.on_demand_miss(block, |b| l1d.probe(b));
+        latency += self.l2.config.latency;
+        if self.l2.access(block, false) == Lookup::Miss {
+            let (pc, is_write) = (access.pc, access.is_write);
+            latency += below(Below::Demand {
+                pc,
+                block,
+                is_write,
+            });
+            self.install_in_l2(block, false, below);
+        }
+        self.install_in_l1(block, access.is_write, false, below);
+        if let Some(next_line) = next_line {
+            self.prefetch(access.pc, next_line, below);
+        }
+        latency
+    }
+
+    /// Bring the next line into L2 and L1 without charging the core.
+    fn prefetch(&mut self, pc: u64, block: BlockAddr, below: &mut impl FnMut(Below) -> u64) {
+        if self.l1d.probe(block) {
+            return;
+        }
+        if !self.l2.probe(block) {
+            below(Below::Prefetch { pc, block });
+            self.install_in_l2(block, true, below);
+        }
+        self.install_in_l1(block, false, true, below);
+    }
+
+    fn install_in_l1(
+        &mut self,
+        block: BlockAddr,
+        dirty: bool,
+        prefetch: bool,
+        below: &mut impl FnMut(Below) -> u64,
+    ) {
+        if let Some(victim) = self.l1d.fill(block, dirty, prefetch) {
+            if victim.dirty && !self.l2.writeback(victim.block) {
+                below(Below::Writeback(victim.block));
+            }
+        }
+    }
+
+    fn install_in_l2(
+        &mut self,
+        block: BlockAddr,
+        prefetch: bool,
+        below: &mut impl FnMut(Below) -> u64,
+    ) {
+        if let Some(victim) = self.l2.fill(block, false, prefetch) {
+            if victim.dirty {
+                below(Below::Writeback(victim.block));
+            }
+        }
+    }
+}
+
+/// What a record costs the core, `(compute, stall)` cycles: its `non_mem` non-memory
+/// instructions retire 4 a cycle, and the latency its access `exposed` beyond the
+/// L1D's is overlapped with other misses (halved) by the ROB, which hides no more than
+/// the 128 / 4 cycles of work it holds.
+pub fn core_timing(non_mem: u64, exposed: u64) -> (u64, u64) {
+    let compute = non_mem.div_ceil(4);
+    let overlapped = (exposed as f64 / 2.0).round() as u64;
+    (compute, overlapped.max(exposed.saturating_sub(128 / 4)))
+}
+
+/// One core: its private half, a trace and its counters.
 struct NaiveCore {
-    l1d: NaivePrivateCache,
-    l2: NaivePrivateCache,
-    prefetcher: NextLinePrefetcher,
+    private: NaivePrivate,
     trace: Box<dyn TraceSource>,
     /// The core's own counters, live: `cycles` is its clock, and `instructions`,
     /// `compute_cycles`, `mem_stall_cycles` and `dram_reads` count as it goes. The
@@ -735,9 +840,7 @@ impl NaiveSystem {
         let cores = traces
             .into_iter()
             .map(|trace| NaiveCore {
-                l1d: NaivePrivateCache::new(config.l1d),
-                l2: NaivePrivateCache::new(config.l2),
-                prefetcher: NextLinePrefetcher::new(config.l1_next_line_prefetch),
+                private: NaivePrivate::new(&config),
                 trace,
                 stats: CoreStats::default(),
                 snapshot: None,
@@ -780,10 +883,10 @@ impl NaiveSystem {
                 core.snapshot = Some(CoreStats {
                     core_id: id,
                     label: core.trace.label(),
-                    l1d: core.l1d.stats,
-                    l2: core.l2.stats,
+                    l1d: core.private.l1d.stats,
+                    l2: core.private.l2.stats,
                     llc: self.llc.per_core[id],
-                    prefetch: *core.prefetcher.stats(),
+                    prefetch: *core.private.prefetcher.stats(),
                     ..core.stats.clone()
                 });
                 unfinished -= 1;
@@ -811,128 +914,92 @@ impl NaiveSystem {
     /// at the core's current cycle, issue the next-line prefetch it triggered, then
     /// charge the core.
     fn step(&mut self, id: usize) {
-        let access = self.cores[id].trace.next_access();
-        let block = block_of(access.addr);
-        let now = self.cores[id].stats.cycles;
-        let mut latency = self.config.core.l1_hit_cycles;
-        if self.cores[id].l1d.access(block, access.is_write) == Lookup::Miss {
-            let core = &mut self.cores[id];
-            let l1d = &core.l1d;
-            let next_line = core.prefetcher.on_demand_miss(block, |b| l1d.probe(b));
-            latency += core.l2.config.latency;
-            if core.l2.access(block, false) == Lookup::Miss {
-                latency += self.demand_below_l2(id, access.pc, block, access.is_write, now);
-                self.install_in_l2(id, block, false, now);
+        let NaiveSystem {
+            config,
+            cores,
+            llc,
+            dram,
+        } = self;
+        let core = &mut cores[id];
+        let access = core.trace.next_access();
+        let now = core.stats.cycles;
+        let dram_reads = &mut core.stats.dram_reads;
+        let latency = core.private.access(&access, &mut |below| match below {
+            Below::Demand {
+                pc,
+                block,
+                is_write,
+            } => demand_below_l2(llc, dram, dram_reads, id, pc, block, is_write, now),
+            Below::Prefetch { pc, block } => {
+                // A prefetch that misses the LLC goes to memory and does not allocate
+                // in the LLC.
+                let lookup = llc.access(id, pc, block, false, false, now);
+                if !lookup.hit {
+                    dram.access(block, now + lookup.latency, false, id);
+                    *dram_reads += 1;
+                }
+                0
             }
-            self.install_in_l1(id, block, access.is_write, false, now);
-            if let Some(next_line) = next_line {
-                self.prefetch(id, access.pc, next_line, now);
+            Below::Writeback(block) => {
+                // Dirty data leaving the private levels: the LLC if it holds the line,
+                // else memory.
+                if !llc.writeback(id, block, now) {
+                    dram.access(block, now, true, id);
+                }
+                0
             }
-        }
-
-        // Non-memory instructions retire `issue_width` a cycle. Latency beyond the L1's
-        // is exposed: the ROB overlaps it with other misses (the `mlp_overlap` divisor)
-        // but hides no more than the `rob_size / issue_width` cycles of work it holds.
-        let cfg = self.config.core;
-        let gap = u64::from(access.non_mem_instrs);
-        let compute = gap.div_ceil(cfg.issue_width);
-        let exposed = latency.saturating_sub(cfg.l1_hit_cycles);
-        let overlapped = (exposed as f64 / cfg.mlp_overlap).round() as u64;
-        let stall = overlapped.max(exposed.saturating_sub(cfg.rob_size / cfg.issue_width));
-        let counters = &mut self.cores[id].stats;
+        });
+        let exposed = latency - config.l1d.latency;
+        let (compute, stall) = core_timing(u64::from(access.non_mem_instrs), exposed);
+        let counters = &mut core.stats;
         counters.cycles += compute + stall;
         counters.compute_cycles += compute;
         counters.mem_stall_cycles += stall;
-        counters.instructions += gap + 1;
+        counters.instructions += u64::from(access.non_mem_instrs) + 1;
     }
+}
 
-    /// A demand access that missed both private levels; returns the latency below the L2.
-    fn demand_below_l2(
-        &mut self,
-        id: usize,
-        pc: u64,
-        block: BlockAddr,
-        is_write: bool,
-        now: u64,
-    ) -> u64 {
-        let lookup = self.llc.access(id, pc, block, true, is_write, now);
-        if lookup.hit {
-            return lookup.latency;
-        }
-        // The miss holds an MSHR entry until memory answers. With back-pressure a full
-        // MSHR file delays the DRAM request itself; without it the request is timed
-        // first and the stall charged on top.
-        let llc = &mut self.llc;
-        let (stall, memory) = if llc.config.contention.mshr_backpressure {
-            let stall = llc.mshr.acquire(now);
-            let issue = now + lookup.latency + stall;
-            let memory = self.dram.access(block, issue, false, id);
-            llc.mshr.insert(issue + memory);
-            (stall, memory)
-        } else {
-            let issue = now + lookup.latency;
-            let memory = self.dram.access(block, issue, false, id);
-            (llc.mshr.reserve(now, lookup.latency + memory), memory)
-        };
-        llc.global.mshr_stall_cycles += stall;
-        llc.global.mshr_full_events += u64::from(stall > 0);
-        llc.mshr_core_stalls[id] += stall;
-        self.cores[id].stats.dram_reads += 1;
-        // The line comes back clean (the store dirties the L1 copy); a dirty victim
-        // drains to memory in the background, costing bandwidth only.
-        if let Some(victim) = self.llc.fill(id, pc, block, false, now).evicted {
-            if victim.dirty {
-                self.dram.access(victim.block, now, true, id);
-            }
-        }
-        lookup.latency + stall + memory
+/// A demand access of core `id` that missed both private levels; returns the latency
+/// below the L2.
+#[allow(clippy::too_many_arguments)]
+fn demand_below_l2(
+    llc: &mut NaiveLlc,
+    dram: &mut NaiveDram,
+    dram_reads: &mut u64,
+    id: usize,
+    pc: u64,
+    block: BlockAddr,
+    is_write: bool,
+    now: u64,
+) -> u64 {
+    let lookup = llc.access(id, pc, block, true, is_write, now);
+    if lookup.hit {
+        return lookup.latency;
     }
-
-    /// Bring the next line into L2 and L1 without charging the core; a prefetch that
-    /// misses the LLC goes to memory and does not allocate in the LLC.
-    fn prefetch(&mut self, id: usize, pc: u64, block: BlockAddr, now: u64) {
-        if self.cores[id].l1d.probe(block) {
-            return;
-        }
-        if !self.cores[id].l2.probe(block) {
-            let lookup = self.llc.access(id, pc, block, false, false, now);
-            if !lookup.hit {
-                self.dram.access(block, now + lookup.latency, false, id);
-                self.cores[id].stats.dram_reads += 1;
-            }
-            self.install_in_l2(id, block, true, now);
-        }
-        self.install_in_l1(id, block, false, true, now);
-    }
-
-    fn install_in_l1(
-        &mut self,
-        id: usize,
-        block: BlockAddr,
-        dirty: bool,
-        prefetch: bool,
-        now: u64,
-    ) {
-        let core = &mut self.cores[id];
-        if let Some(victim) = core.l1d.fill(block, dirty, prefetch) {
-            if victim.dirty && !core.l2.writeback(victim.block) {
-                self.writeback_below_l2(id, victim.block, now);
-            }
+    // The miss holds an MSHR entry until memory answers. Behind contended banks a full
+    // MSHR file delays the DRAM request itself; behind flat ones the request is timed
+    // first and the stall charged on top.
+    let (stall, memory) = if llc.config.contention != BankContentionConfig::flat() {
+        let stall = llc.mshr.acquire(now);
+        let issue = now + lookup.latency + stall;
+        let memory = dram.access(block, issue, false, id);
+        llc.mshr.insert(issue + memory);
+        (stall, memory)
+    } else {
+        let issue = now + lookup.latency;
+        let memory = dram.access(block, issue, false, id);
+        (llc.mshr.reserve(now, lookup.latency + memory), memory)
+    };
+    llc.global.mshr_stall_cycles += stall;
+    llc.global.mshr_full_events += u64::from(stall > 0);
+    llc.mshr_core_stalls[id] += stall;
+    *dram_reads += 1;
+    // The line comes back clean (the store dirties the L1 copy); a dirty victim drains
+    // to memory in the background, costing bandwidth only.
+    if let Some(victim) = llc.fill(id, pc, block, false, now).evicted {
+        if victim.dirty {
+            dram.access(victim.block, now, true, id);
         }
     }
-
-    fn install_in_l2(&mut self, id: usize, block: BlockAddr, prefetch: bool, now: u64) {
-        if let Some(victim) = self.cores[id].l2.fill(block, false, prefetch) {
-            if victim.dirty {
-                self.writeback_below_l2(id, victim.block, now);
-            }
-        }
-    }
-
-    /// Dirty data leaving the private levels: the LLC if it holds the line, else memory.
-    fn writeback_below_l2(&mut self, id: usize, block: BlockAddr, now: u64) {
-        if !self.llc.writeback(id, block, now) {
-            self.dram.access(block, now, true, id);
-        }
-    }
+    lookup.latency + stall + memory
 }

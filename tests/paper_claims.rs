@@ -8,7 +8,9 @@
 //! cost ordering of Table 2 holds.
 
 use adapt_llc::adapt::{adapt_cost_bytes, AdaptConfig};
-use adapt_llc::experiments::{evaluate_mix, PolicyKind};
+use adapt_llc::experiments::{evaluate_mix, ExperimentScale, PolicyKind};
+use adapt_llc::policies::ShipPolicy;
+use adapt_llc::sim::system::MultiCoreSystem;
 use adapt_llc::workloads::{benchmark_by_name, generate_mixes, StudyKind};
 
 /// A small but non-trivial configuration: larger than Smoke so the monitoring interval
@@ -108,6 +110,29 @@ fn adapt_improves_over_tadrrip_on_a_contended_mix() {
         adapt.weighted_speedup(),
         base.weighted_speedup()
     );
+}
+
+/// A divergence, pinned: §5.1 reports that SHiP predicts distant re-reference for about
+/// 3 % of its insertions; here it does so for most of them. Three smoke 16-core mixes
+/// measured 0.815, 0.831 and 0.845; the floor is the smallest rounded down to 0.05.
+#[test]
+fn ship_predicts_distant_for_most_insertions_where_the_paper_reports_3_percent() {
+    let scale = ExperimentScale::Smoke;
+    let config = scale.system_config(StudyKind::Cores16);
+    let llc = config.llc.geometry;
+    let fractions: Vec<f64> = generate_mixes(StudyKind::Cores16, 3, scale.seed())
+        .iter()
+        .map(|mix| {
+            let traces = mix.trace_sources(llc.num_sets(), scale.seed());
+            let ship = ShipPolicy::new(llc.num_sets(), llc.ways, config.num_cores);
+            let mut system = MultiCoreSystem::new(config.clone(), traces, ship);
+            system.run(scale.instructions_per_core());
+            system.llc().policy().distant_fraction()
+        })
+        .collect();
+    for fraction in fractions {
+        assert!(fraction >= 0.80, "distant share {fraction:.3}");
+    }
 }
 
 #[test]

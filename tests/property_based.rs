@@ -16,7 +16,7 @@ use adapt_llc::policies::{
     BrripPolicy, BypassDistant, DrripPolicy, EafPolicy, LruPolicy, ShipPolicy, SrripPolicy,
     TaDrripPolicy,
 };
-use adapt_llc::sim::addr::BlockAddr;
+use adapt_llc::sim::addr::{block_of, BlockAddr};
 use adapt_llc::sim::bank::BankModel;
 use adapt_llc::sim::config::{
     BankContentionConfig, CacheGeometry, LlcConfig, PrivateCacheConfig, PrivatePolicyKind,
@@ -28,10 +28,9 @@ use adapt_llc::sim::private_cache::{Lookup, PrivateCache};
 use adapt_llc::sim::replacement::{
     AccessContext, InsertionDecision, LlcReplacementPolicy, RrpvArray,
 };
-use adapt_llc::sim::system::RUN_AHEAD;
 use adapt_llc::sim::trace::{MemAccess, SharedReplayTrace, TraceSource};
 use adapt_llc::workloads::{classify, generate_mixes, MemIntensity, StudyKind};
-use oracle::{NaiveBanks, NaiveLlc, NaivePrivateCache};
+use oracle::{core_timing, Below, NaiveBanks, NaiveLlc, NaivePrivate, NaivePrivateCache};
 
 /// Every [`PolicyKind`], with one representative `SD=` count.
 const ALL_POLICY_KINDS: [PolicyKind; 14] = [
@@ -92,19 +91,44 @@ fn policy_by_hand(
 }
 
 /// What a private stage hands the shared side while it consumes `records` once, up to
-/// the record that reaches the instruction target (always the last one, and in order
-/// under every bound, so every bound stops on the same record).
+/// the record that reaches the instruction target (always the last one, and in order,
+/// so a stage and the per-record oracle stop on the same record).
 #[derive(Debug, PartialEq)]
 struct StageOutput {
-    /// Everything the LLC or the DRAM is asked to do, in order: per record that leaves
-    /// the private levels `[block, pc, write, L2 hit, non-memory instructions]`, its
-    /// demand's write-back blocks, `[prefetched block]` if the prefetch leaves them too,
-    /// and the prefetch's write-back blocks.
-    shared_ops: Vec<Vec<u64>>,
+    /// Everything the LLC or the DRAM is asked to do, in order: each record that leaves
+    /// the private levels, then what it sends below the L2.
+    shared_ops: Vec<SharedOp>,
     /// Σ instructions, compute cycles, stall cycles of every record that does not.
     private_timing: [u64; 3],
     stats: PrivateStats,
     events: usize,
+}
+
+#[derive(Debug, PartialEq)]
+enum SharedOp {
+    /// A record that leaves the private levels: block, PC, store, non-memory instructions.
+    Record(u64, u64, bool, u32),
+    Below(Below),
+}
+
+impl StageOutput {
+    fn new() -> Self {
+        StageOutput {
+            shared_ops: Vec::new(),
+            private_timing: [0; 3],
+            stats: PrivateStats::default(),
+            events: 0,
+        }
+    }
+
+    /// A private-only record: `non_mem` instructions ahead of an access that exposed
+    /// `exposed` cycles beyond the L1D, charged as the oracle charges it.
+    fn retire_private(&mut self, non_mem: u64, exposed: u64) {
+        let (compute, stall) = core_timing(non_mem, exposed);
+        self.private_timing[0] += non_mem + 1;
+        self.private_timing[1] += compute;
+        self.private_timing[2] += stall;
+    }
 }
 
 /// `records`, looped, counting the records drawn.
@@ -128,18 +152,7 @@ fn drive_stage(params: StageParams, records: &[MemAccess]) -> StageOutput {
         drawn.clone(),
     );
     let mut cursor = SharedStage::sole(params, Box::new(trace));
-    // An L1 miss that hits the L2, in the float form of the core model's overlap rule.
-    let core = params.core;
-    let exposed = params.l2.latency;
-    let overlapped = (exposed as f64 / core.mlp_overlap).round() as u64;
-    let l2_hit_stall = overlapped.max(exposed.saturating_sub(core.rob_size / core.issue_width));
-
-    let mut out = StageOutput {
-        shared_ops: Vec::new(),
-        private_timing: [0; 3],
-        stats: PrivateStats::default(),
-        events: 0,
-    };
+    let mut out = StageOutput::new();
     loop {
         let event = *cursor.next_event();
         let writebacks = cursor.writebacks();
@@ -152,23 +165,33 @@ fn drive_stage(params: StageParams, records: &[MemAccess]) -> StageOutput {
         let leaves = !event.l1_hit()
             && (!event.l2_hit() || event.prefetch_reaches_llc() || !writebacks.is_empty());
         if leaves {
-            let (demand, prefetch) = writebacks.split_at(usize::from(event.demand_writebacks));
-            out.shared_ops.push(vec![
-                event.block.0,
-                event.pc,
-                u64::from(event.is_write()),
-                u64::from(event.l2_hit()),
-                non_mem,
-            ]);
-            out.shared_ops.push(demand.iter().map(|b| b.0).collect());
-            if event.prefetch_reaches_llc() {
-                out.shared_ops.push(vec![event.block.next().0]);
+            let (block, pc) = (event.block, event.pc);
+            let ops = &mut out.shared_ops;
+            ops.push(SharedOp::Record(
+                block.0,
+                pc,
+                event.is_write(),
+                event.non_mem_instrs,
+            ));
+            if !event.l2_hit() {
+                let is_write = event.is_write();
+                ops.push(SharedOp::Below(Below::Demand {
+                    pc,
+                    block,
+                    is_write,
+                }));
             }
-            out.shared_ops.push(prefetch.iter().map(|b| b.0).collect());
+            let (demand, prefetch) = writebacks.split_at(usize::from(event.demand_writebacks));
+            let writeback = |&b: &BlockAddr| SharedOp::Below(Below::Writeback(b));
+            ops.extend(demand.iter().map(writeback));
+            if event.prefetch_reaches_llc() {
+                let block = block.next();
+                ops.push(SharedOp::Below(Below::Prefetch { pc, block }));
+            }
+            ops.extend(prefetch.iter().map(writeback));
         } else {
-            out.private_timing[0] += non_mem + 1;
-            out.private_timing[1] += non_mem.div_ceil(core.issue_width);
-            out.private_timing[2] += if event.l1_hit() { 0 } else { l2_hit_stall };
+            let exposed = if event.l1_hit() { 0 } else { params.l2.latency };
+            out.retire_private(non_mem, exposed);
         }
         assert!(!event.frozen(), "an unfinished core cannot freeze");
         if event.reaches_target() {
@@ -178,6 +201,37 @@ fn drive_stage(params: StageParams, records: &[MemAccess]) -> StageOutput {
             return out;
         }
     }
+}
+
+/// The oracle's private half (`tests/oracle/`) over `records`, one record at a time:
+/// what a stage must hand the shared side, one event per record.
+fn per_record(config: &SystemConfig, records: &[MemAccess]) -> StageOutput {
+    let mut private = NaivePrivate::new(config);
+    let mut out = StageOutput::new();
+    for access in records {
+        let mut below = Vec::new();
+        let latency = private.access(access, &mut |op| {
+            below.push(op);
+            0
+        });
+        let non_mem = u64::from(access.non_mem_instrs);
+        if below.is_empty() {
+            out.retire_private(non_mem, latency - config.l1d.latency);
+        } else {
+            let block = block_of(access.addr).0;
+            let record = SharedOp::Record(block, access.pc, access.is_write, access.non_mem_instrs);
+            out.shared_ops.push(record);
+            out.shared_ops
+                .extend(below.into_iter().map(SharedOp::Below));
+        }
+        out.events += 1;
+    }
+    out.stats = PrivateStats {
+        l1d: private.l1d.stats,
+        l2: private.l2.stats,
+        prefetch: *private.prefetcher.stats(),
+    };
+    out
 }
 
 fn ctx(core: usize, set: usize, block: u64) -> AccessContext {
@@ -458,7 +512,7 @@ proptest! {
 
     /// The engine's banks — a register per flat bank, one queue per contended bank — are
     /// bit-identical to the oracle's queue formulation (`NaiveBanks`) for 1–3 ports,
-    /// queue depths 0, 1 and 16, the row model off, on and on with closed pages, 1–96
+    /// queue depths 0, 1 and 16, the row model off and on, 1–96
     /// banks and service windows 1–30, over request times that step back by up to 300
     /// cycles as the DRAM's do: every request, row class, per-bank statistic and per-core
     /// stall must agree.
@@ -466,16 +520,14 @@ proptest! {
     fn bank_model_is_bit_identical_to_the_naive_banks(
         ports in 1usize..4,
         depth_sel in 0usize..3,
-        rows_sel in 0usize..3,
+        rows in any::<bool>(),
         banks in 1usize..97,
         service in 1u64..31,
         cap in 1u32..6,
         ops in proptest::collection::vec((0usize..96, 0u64..64, 0usize..8, 0u64..6), 1..400),
     ) {
         let contention = BankContentionConfig::contended(ports, [0, 1, 16][depth_sel]);
-        let mut row_model = RowModelConfig::frfcfs(10, 20, 30, cap);
-        row_model.enabled = rows_sel > 0;
-        row_model.closed_page = rows_sel == 2;
+        let row_model = rows.then(|| RowModelConfig::frfcfs(10, 20, 30, cap));
         let mut fast = BankModel::new(banks, service, contention, row_model);
         let mut reference = NaiveBanks::new(banks, service, contention, row_model);
         let mut now = 1_000u64;
@@ -546,13 +598,12 @@ proptest! {
     }
 
     /// The private stage's output does not depend on how many private-only records it
-    /// coalesces per event. Bound 0 is the per-record order the oracle implements (one
-    /// event per record; `tests/reference_identity.rs` holds it to `NaiveSystem` through
-    /// its sampled runs), so this pins every other bound to it: the same operations
-    /// reach the shared side in the same order, the records that do not reach it retire
-    /// the same instructions and cycles, and the private levels end in the same state —
-    /// over streams whose small address space makes both levels conflict and write
-    /// back, with runs of gapless records, prefetcher on and off, every private policy.
+    /// coalesces per event: it equals the oracle's private half stepped one record at a
+    /// time. The same operations reach the shared side in the same order, the records
+    /// that do not reach it retire the same instructions and cycles, and the private
+    /// levels end in the same state — over streams whose small address space makes both
+    /// levels conflict and write back, with runs of gapless records, prefetcher on and
+    /// off, every private policy.
     #[test]
     fn private_stage_output_is_invariant_under_the_bound(
         l1_policy in 0usize..3,
@@ -588,25 +639,14 @@ proptest! {
             })
             .collect();
         let instructions = records.iter().map(MemAccess::instructions).sum();
-        let drive = |bound| {
-            let params = StageParams {
-                bound,
-                ..StageParams::latch(&config, instructions)
-            };
-            drive_stage(params, &records)
-        };
 
-        let per_record = drive(0);
-        prop_assert_eq!(per_record.events, records.len());
+        let per_record = per_record(&config, &records);
         prop_assert_eq!(per_record.stats.l1d.accesses, records.len() as u64);
-        for bound in [1, RUN_AHEAD, 4096] {
-            let coalesced = drive(bound);
-            prop_assert!(coalesced.events <= per_record.events);
-            prop_assert_eq!(
-                StageOutput { events: per_record.events, ..coalesced },
-                per_record,
-                "bound {}", bound
-            );
-        }
+        let coalesced = drive_stage(StageParams::latch(&config, instructions), &records);
+        prop_assert!(coalesced.events <= per_record.events);
+        prop_assert_eq!(
+            StageOutput { events: per_record.events, ..coalesced },
+            per_record
+        );
     }
 }

@@ -380,9 +380,8 @@ fn counted(sources: Vec<Box<dyn TraceSource>>) -> (Vec<Box<dyn TraceSource>>, Ve
     (wrapped, counters)
 }
 
-/// The `sim_obs` recorder is process-global and decides the bound of every stage built
-/// while it is on; tests that turn it on, or count records drawn at the unsampled bound,
-/// take this lock.
+/// The `sim_obs` recorder is process-global; tests that turn it on, or count records
+/// drawn, take this lock.
 fn obs_lock() -> MutexGuard<'static, ()> {
     static LOCK: Mutex<()> = Mutex::new(());
     LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
@@ -392,10 +391,10 @@ fn obs_lock() -> MutexGuard<'static, ()> {
 /// has been asked for at least the records the per-record oracle consumed and at most
 /// [`shared_bound`] of them — `RUN_AHEAD` retired hits plus one parked record, and the
 /// rest of the consumer's chunk and one chunk read ahead — whether or not `sim_obs`
-/// sampling is on, which reads every core's clock and so turns run-ahead off but not
-/// chunking. (Tests running beside the sampled leg merely get sampled too; results do
-/// not depend on it.) Every system reads its stages through cursors, so this is the
-/// bound of shared stages too (`shared_stages_under_concurrency_equal_inline_and_the_oracle`,
+/// sampling is on, which only reads the cores. (Tests running beside the sampled leg
+/// merely get sampled too; results do not depend on it.) Every system reads its stages
+/// through cursors, so this is the bound of shared stages too
+/// (`shared_stages_under_concurrency_equal_inline_and_the_oracle`,
 /// `replayed_mixes_share_their_stages_and_equal_the_oracle_and_the_live_generators`);
 /// `tests/draw_contract.rs` holds a lone one-core system to exactly the oracle's count.
 #[test]
@@ -572,7 +571,6 @@ fn shared_stages_under_concurrency_equal_inline_and_the_oracle() {
 
     // The simulator's own constructor over cursors, so every field can be compared.
     let params = StageParams::latch(&cfg, instructions);
-    assert_eq!(params.bound, RUN_AHEAD);
     let unbounded = MemoPool::new(u64::MAX);
     let stages: Vec<SharedStage> = (0..cfg.num_cores)
         .map(|core| {
@@ -593,8 +591,7 @@ fn shared_stages_under_concurrency_equal_inline_and_the_oracle() {
     for ((kind, shared), (reference, _)) in kinds.iter().zip(&shared).zip(&references) {
         assert_identical(shared, reference, &format!("shared stages, {kind:?}"));
     }
-    // The memo was built at `RUN_AHEAD`; a sampled run over it must still take the
-    // bound from the stage, not from its sampler.
+    // The memo was built unsampled; a sampled run over it reads the same events.
     sim_obs::enable();
     let sampled = run_shared(kinds[0]);
     sim_obs::disable();

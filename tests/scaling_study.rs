@@ -9,11 +9,11 @@
 use cache_sim::addr::BlockAddr;
 use cache_sim::config::SystemConfig;
 use cache_sim::llc::SharedLlc;
-use cache_sim::system::DefaultSrripPolicy;
 use experiments::experiment::{self, Experiment, Mixes, Sources};
 use experiments::report::{render, Layout};
 use experiments::runner::{evaluate_mix, evaluate_policies_on_mixes, evaluate_policies_serial};
 use experiments::{ExperimentScale, MemSystem, PolicyKind};
+use llc_policies::SrripPolicy;
 use workloads::{generate_mixes, StudyKind};
 
 const INSTRUCTIONS: u64 = 20_000;
@@ -165,7 +165,7 @@ fn per_core_stall_attribution_is_conserved_at_128_cores_serial_and_parallel() {
     let scale = ExperimentScale::Smoke;
     let cfg = scale.scaling_config_memsys(128, experiments::scale::MemSystem::FrFcfsNuca);
     assert_eq!(cfg.num_cores, 128);
-    assert!(cfg.dram.row_model.enabled);
+    assert!(cfg.dram.row_model.is_some());
     let mixes = generate_mixes(StudyKind::Cores128, 1, scale.seed());
     let policies = [PolicyKind::TaDrrip];
     let serial = evaluate_policies_serial(&cfg, &mixes, &policies, INSTRUCTIONS, scale.seed());
@@ -201,7 +201,7 @@ fn zero_contention_config_reproduces_the_flat_model_latencies_exactly() {
     let banks = cfg.llc.banks;
     let hit_latency = cfg.llc.latency;
     let busy = cfg.llc.bank_busy_cycles;
-    let mut llc = SharedLlc::new(cfg.llc, 4, 1_000_000, DefaultSrripPolicy::new(sets, ways));
+    let mut llc = SharedLlc::new(cfg.llc, 4, 1_000_000, SrripPolicy::new(sets, ways));
 
     let mut busy_until = vec![0u64; banks];
     let mut x = 0x2545f4914f6cdd1du64;
