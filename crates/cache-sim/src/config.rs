@@ -219,7 +219,6 @@ pub struct PrivateCacheConfig {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PrivatePolicyKind {
     Lru,
-    Srrip,
     /// Set-dueling DRRIP (single-threaded, as the level is private).
     Drrip,
 }

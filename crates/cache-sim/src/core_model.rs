@@ -30,7 +30,7 @@ pub fn compute_cycles(instructions: u64) -> u64 {
 /// Cycles the core stalls on a memory access whose latency beyond the L1D's is
 /// `exposed`: half of it overlaps with other misses — `(x + 1) >> 1`, which is
 /// `(x as f64 / 2.0).round()` for every latency the hierarchy can produce — but the ROB
-/// hides no more than [`ROB_HIDE_BOUND`] cycles of it.
+/// hides no more than `ROB_HIDE_BOUND` (128 / 4) cycles of it.
 #[inline]
 pub fn stall_cycles(exposed: u64) -> u64 {
     ((exposed + 1) >> 1).max(exposed.saturating_sub(ROB_HIDE_BOUND))

@@ -295,26 +295,15 @@ impl<P: LlcReplacementPolicy> SharedLlc<P> {
         )
     }
 
-    /// Build the policy context for an access whose set index is already known. Called
-    /// only on paths that actually invoke the policy: prefetch accesses and write-backs
-    /// never construct a context.
+    /// Build the policy context for a demand access whose set index is already known.
+    /// Prefetch accesses and write-backs call no policy hook, so they never build one.
     #[inline]
-    fn ctx_at(
-        &self,
-        core_id: usize,
-        pc: u64,
-        block: BlockAddr,
-        set: usize,
-        is_demand: bool,
-        is_write: bool,
-    ) -> AccessContext {
+    fn ctx_at(&self, core_id: usize, pc: u64, block: BlockAddr, set: usize) -> AccessContext {
         AccessContext {
             core_id,
             pc,
             block_addr: block.0,
             set_index: set,
-            is_demand,
-            is_write,
         }
     }
 
@@ -369,12 +358,12 @@ impl<P: LlcReplacementPolicy> SharedLlc<P> {
         core_id: usize,
         pc: u64,
         block: BlockAddr,
-        is_demand: bool,
+        demand: bool,
         is_write: bool,
         now: u64,
     ) -> LlcLookup {
         let (set, tag) = self.decompose(block);
-        if !is_demand {
+        if !demand {
             // Prefetch path: no policy involvement at all, so no context is built.
             self.per_core[core_id].prefetch_accesses += 1;
             let delay = self.bank_delay(core_id, set, now);
@@ -395,7 +384,7 @@ impl<P: LlcReplacementPolicy> SharedLlc<P> {
         }
 
         self.per_core[core_id].demand_accesses += 1;
-        let ctx = self.ctx_at(core_id, pc, block, set, true, is_write);
+        let ctx = self.ctx_at(core_id, pc, block, set);
         self.policy.on_access(&ctx);
 
         let delay = self.bank_delay(core_id, set, now);
@@ -473,8 +462,8 @@ impl<P: LlcReplacementPolicy> SharedLlc<P> {
 
     /// Fill a demand miss: the block must be absent (it has just missed here, and every
     /// caller fills right after that miss). The policy decides between allocation
-    /// (possibly evicting) and bypassing. Returns what happened so the caller can issue
-    /// any required write-back.
+    /// (possibly evicting) and bypassing; a bypass calls no further hook. Returns what
+    /// happened so the caller can issue any required write-back.
     pub fn fill(
         &mut self,
         core_id: usize,
@@ -484,7 +473,7 @@ impl<P: LlcReplacementPolicy> SharedLlc<P> {
         now: u64,
     ) -> LlcFill {
         let (set, tag) = self.decompose(block);
-        let ctx = self.ctx_at(core_id, pc, block, set, true, is_write);
+        let ctx = self.ctx_at(core_id, pc, block, set);
         debug_assert!(
             self.find_way(set, tag).is_none(),
             "fill of a present block {block:?}"
@@ -493,7 +482,6 @@ impl<P: LlcReplacementPolicy> SharedLlc<P> {
         let decision = self.policy.insertion_decision(&ctx);
         if decision.is_bypass() {
             self.per_core[core_id].bypassed_fills += 1;
-            self.policy.on_fill(&ctx, usize::MAX, &decision);
             return LlcFill {
                 bypassed: true,
                 evicted: None,
@@ -657,9 +645,7 @@ pub(crate) mod tests {
         }
         fn on_fill(&mut self, ctx: &AccessContext, way: usize, decision: &InsertionDecision) {
             if let InsertionDecision::Insert { rrpv } = decision {
-                if way != usize::MAX {
-                    self.rrpv.set(ctx.set_index, way, *rrpv);
-                }
+                self.rrpv.set(ctx.set_index, way, *rrpv);
             }
         }
     }
@@ -790,6 +776,69 @@ pub(crate) mod tests {
         assert_eq!(llc.core_stats(0).prefetch_accesses, 1);
         assert_eq!(llc.core_stats(0).demand_accesses, 0);
         assert_eq!(llc.global_stats().total_demand_misses, 0);
+    }
+
+    /// [`TestSrrip`] that counts every hook the LLC calls.
+    struct CountingPolicy {
+        inner: TestSrrip,
+        calls: u64,
+    }
+
+    impl LlcReplacementPolicy for CountingPolicy {
+        fn name(&self) -> String {
+            "counting".into()
+        }
+        fn on_access(&mut self, _ctx: &AccessContext) {
+            self.calls += 1;
+        }
+        fn on_hit(&mut self, ctx: &AccessContext, way: usize) {
+            self.calls += 1;
+            self.inner.on_hit(ctx, way);
+        }
+        fn insertion_decision(&mut self, ctx: &AccessContext) -> InsertionDecision {
+            self.calls += 1;
+            self.inner.insertion_decision(ctx)
+        }
+        fn choose_victim(&mut self, ctx: &AccessContext, lines: &[LineView]) -> usize {
+            self.calls += 1;
+            self.inner.choose_victim(ctx, lines)
+        }
+        fn on_evict(&mut self, _ctx: &AccessContext, _evicted_block: u64, _owner: usize) {
+            self.calls += 1;
+        }
+        fn on_fill(&mut self, ctx: &AccessContext, way: usize, decision: &InsertionDecision) {
+            self.calls += 1;
+            self.inner.on_fill(ctx, way, decision);
+        }
+        fn on_interval(&mut self) {
+            self.calls += 1;
+        }
+    }
+
+    #[test]
+    fn a_prefetch_access_and_a_write_back_call_no_policy_hook() {
+        let cfg = llc_config();
+        let (sets, ways) = (cfg.geometry.num_sets(), cfg.geometry.ways);
+        let inner = TestSrrip::new(sets, ways);
+        let mut llc = SharedLlc::new(cfg, 1, 1, CountingPolicy { inner, calls: 0 });
+        let present = BlockAddr(3);
+        llc.access(0, 0, present, true, false, 0);
+        llc.fill(0, 0, present, false, 0);
+        // A demand miss and its fill: on_access, on_interval (one miss ends an interval
+        // here), insertion_decision and on_fill.
+        assert_eq!(llc.policy().calls, 4);
+        for block in [present, BlockAddr(4)] {
+            llc.access(0, 0, block, false, false, 10);
+            llc.access(0, 0, block, false, true, 20);
+            llc.writeback(0, block, 30);
+        }
+        assert_eq!(
+            llc.policy().calls,
+            4,
+            "prefetches and write-backs reach no hook"
+        );
+        assert_eq!(llc.core_stats(0).prefetch_hits, 2);
+        assert_eq!(llc.core_stats(0).writebacks_in, 2);
     }
 
     #[test]

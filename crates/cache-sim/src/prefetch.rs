@@ -1,9 +1,9 @@
 //! Next-line L1 prefetcher (paper Table 3: "next-line prefetch" at L1).
 //!
 //! On every demand L1 miss the prefetcher requests the next sequential block. Prefetch
-//! requests travel down the hierarchy like demand requests but are tagged `is_demand =
-//! false`, so they neither update LLC recency state nor get sampled by ADAPT's monitor
-//! (paper §3.1: "Only demand accesses update the recency state").
+//! requests travel down the hierarchy like demand requests, but the LLC calls no policy
+//! hook for them, so they neither update LLC recency state nor get sampled by ADAPT's
+//! monitor (paper §3.1: "Only demand accesses update the recency state").
 
 use crate::addr::BlockAddr;
 

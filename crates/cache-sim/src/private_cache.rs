@@ -1,7 +1,7 @@
 //! Private per-core cache levels (L1D, L2).
 //!
 //! These levels are not the object of study in the paper, so they use compact built-in
-//! replacement policies (LRU, SRRIP or single-set-dueling DRRIP per Table 3) rather than the
+//! replacement policies (LRU or single-set-dueling DRRIP, per Table 3) rather than the
 //! pluggable trait used by the shared LLC. The hierarchy is non-inclusive and write-back
 //! (paper §4.1).
 
@@ -123,7 +123,6 @@ enum Replacement {
         stamps: Vec<u64>,
         clock: u64,
     },
-    Srrip(RrpvArray),
     Drrip(RrpvArray, DuelState),
 }
 
@@ -172,7 +171,6 @@ impl PrivateCache {
                 stamps: vec![0; num_sets * ways],
                 clock: 0,
             },
-            PrivatePolicyKind::Srrip => Replacement::Srrip(RrpvArray::new(num_sets, ways)),
             PrivatePolicyKind::Drrip => {
                 Replacement::Drrip(RrpvArray::new(num_sets, ways), DuelState::new(num_sets))
             }
@@ -200,7 +198,7 @@ impl PrivateCache {
     pub(crate) fn heap_bytes(&self) -> usize {
         let (stamps, rrpv) = match &self.repl {
             Replacement::Lru { stamps, .. } => (stamps.capacity(), 0),
-            Replacement::Srrip(rrpv) | Replacement::Drrip(rrpv, _) => (0, rrpv.heap_bytes()),
+            Replacement::Drrip(rrpv, _) => (0, rrpv.heap_bytes()),
         };
         let words = self.tags.capacity() + self.valid.capacity() + self.dirty.capacity() + stamps;
         words * std::mem::size_of::<u64>() + self.hint.capacity() + rrpv
@@ -248,7 +246,7 @@ impl PrivateCache {
                     *clock += 1;
                     stamps[set * self.ways + way] = *clock;
                 }
-                Replacement::Srrip(rrpv) | Replacement::Drrip(rrpv, _) => rrpv.promote(set, way),
+                Replacement::Drrip(rrpv, _) => rrpv.promote(set, way),
             }
             if is_write {
                 self.dirty[set] |= 1 << way;
@@ -271,7 +269,7 @@ impl PrivateCache {
     /// Fill a block that is absent (it has just missed here), possibly evicting a line.
     ///
     /// `dirty` marks the fill as modified (write-allocate). `prefetch` fills are inserted at
-    /// distant priority under RRIP policies so that useless prefetches leave quickly.
+    /// distant priority under DRRIP so that useless prefetches leave quickly.
     pub fn fill(&mut self, block: BlockAddr, dirty: bool, prefetch: bool) -> Option<EvictedLine> {
         let (set, tag) = self.decompose(block);
         let base = set * self.ways;
@@ -294,7 +292,7 @@ impl PrivateCache {
                 Replacement::Lru { stamps, .. } => (0..self.ways)
                     .min_by_key(|&w| stamps[base + w])
                     .expect("at least one way"),
-                Replacement::Srrip(rrpv) | Replacement::Drrip(rrpv, _) => rrpv.find_victim(set),
+                Replacement::Drrip(rrpv, _) => rrpv.find_victim(set),
             };
             let line_dirty = (self.dirty[set] >> way) & 1 == 1;
             self.stats.evictions += 1;
@@ -323,9 +321,6 @@ impl PrivateCache {
             Replacement::Lru { stamps, clock } => {
                 *clock += 1;
                 stamps[base + way] = *clock;
-            }
-            Replacement::Srrip(rrpv) => {
-                rrpv.set(set, way, if prefetch { RRPV_MAX } else { RRPV_MAX - 1 });
             }
             Replacement::Drrip(rrpv, duel) => {
                 let insert = if prefetch {
@@ -440,7 +435,8 @@ mod tests {
 
     #[test]
     fn srrip_prefetch_fills_are_distant() {
-        let mut c = PrivateCache::new(cfg(PrivatePolicyKind::Srrip));
+        // Set 0 leads SRRIP under DRRIP: its demand fills insert at SRRIP's long RRPV.
+        let mut c = PrivateCache::new(cfg(PrivatePolicyKind::Drrip));
         let demand = BlockAddr(0);
         let prefetched = BlockAddr(16);
         c.access(demand, false);

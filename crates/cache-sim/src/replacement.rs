@@ -2,16 +2,18 @@
 //!
 //! The LLC owns the tag array and valid/dirty bits; a policy owns all of its own
 //! replacement state (RRPVs, recency stacks, set-dueling counters, samplers, ...). The LLC
-//! drives a policy through the following call sequence for every demand or prefetch access:
+//! drives a policy through the following call sequence for every demand access; prefetch
+//! accesses and write-backs call no hook at all:
 //!
-//! 1. [`LlcReplacementPolicy::on_access`] — observation hook fired for every access before
-//!    it is resolved; ADAPT's Footprint-number monitor samples here.
+//! 1. [`LlcReplacementPolicy::on_access`] — observation hook fired for every demand access
+//!    before it is resolved; ADAPT's Footprint-number monitor samples here.
 //! 2. On a **hit**: [`LlcReplacementPolicy::on_hit`].
 //! 3. On a **miss**: [`LlcReplacementPolicy::insertion_decision`] decides between inserting
 //!    (with a 0..=3 re-reference prediction value) and bypassing the LLC entirely.
-//!    If inserting and the set is full, [`LlcReplacementPolicy::choose_victim`] picks the
-//!    way to evict, [`LlcReplacementPolicy::on_evict`] reports the eviction (EAF consumes
-//!    this), and [`LlcReplacementPolicy::on_fill`] reports the completed fill.
+//!    A bypass ends the miss there: it calls neither `on_evict` nor `on_fill`. An
+//!    insertion into a full set calls [`LlcReplacementPolicy::choose_victim`] to pick the
+//!    way to evict and [`LlcReplacementPolicy::on_evict`] to report the eviction (EAF
+//!    consumes this); every insertion ends with [`LlcReplacementPolicy::on_fill`].
 //! 4. Every `interval_misses` LLC misses, [`LlcReplacementPolicy::on_interval`] fires
 //!    (ADAPT recomputes Footprint-numbers and re-derives priorities there).
 //!
@@ -21,7 +23,8 @@
 /// The largest re-reference prediction value (2-bit RRPV, so 3 = distant).
 pub const RRPV_MAX: u8 = 3;
 
-/// Per-access context handed to the replacement policy.
+/// Per-access context handed to the replacement policy. The LLC builds one only for a
+/// demand access, so every context is a demand.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AccessContext {
     /// Requesting core (one application per core, per the paper).
@@ -32,11 +35,6 @@ pub struct AccessContext {
     pub block_addr: u64,
     /// LLC set index of the access.
     pub set_index: usize,
-    /// True for demand accesses; false for prefetches and write-backs.
-    /// Only demand accesses update recency state and are sampled by monitors (paper §3.1).
-    pub is_demand: bool,
-    /// True if the access is a store.
-    pub is_write: bool,
 }
 
 /// What to do with a line that missed in the LLC.
@@ -101,10 +99,12 @@ pub trait LlcReplacementPolicy: Send {
     /// because the benchmark's policy wrapper forwards it.
     fn choose_victim(&mut self, ctx: &AccessContext, lines: &[LineView]) -> usize;
 
-    /// A line was evicted from the cache (not called for bypassed fills).
+    /// A line was evicted from the cache to make room for an insertion.
     fn on_evict(&mut self, _ctx: &AccessContext, _evicted_block: u64, _owner: usize) {}
 
-    /// The missing line has been filled into `way` with the given decision.
+    /// The missing line has been installed in `way` under `decision`, which is always an
+    /// [`InsertionDecision::Insert`]: a bypassed miss installs nothing and calls no
+    /// `on_fill`.
     fn on_fill(&mut self, ctx: &AccessContext, way: usize, decision: &InsertionDecision);
 
     /// Fired every `interval_misses` LLC misses (paper: 1M), for interval-based adaptation.
@@ -143,8 +143,8 @@ impl<P: LlcReplacementPolicy + ?Sized> LlcReplacementPolicy for Box<P> {
     }
 }
 
-/// Per-line RRPV state shared by every RRIP-family policy (SRRIP, BRRIP, DRRIP, TA-DRRIP,
-/// SHiP, EAF and ADAPT all manage victims identically; only insertion values differ).
+/// Per-line RRPV state shared by every RRIP-family policy (SRRIP, BRRIP, TA-DRRIP, SHiP,
+/// EAF and ADAPT all manage victims identically; only insertion values differ).
 ///
 /// Provided here so both `llc-policies` and `adapt-core` reuse one audited implementation.
 #[derive(Debug, Clone)]

@@ -1,10 +1,22 @@
 //! ADAPT configuration.
 //!
-//! Defaults follow the paper exactly: 40 sampled sets per application, 16-entry sampler
-//! arrays storing 10-bit partial tags, an interval of 1M LLC misses (the interval itself is
-//! owned by the simulator configuration), the Table 1 priority ranges and the 1/16 and 1/32
-//! probabilistic-insertion throttles. Every knob the paper sweeps (or that
-//! `docs/policies.md` lists for ablation) is exposed.
+//! Defaults follow the paper exactly: 40 sampled sets per application, an interval of 1M
+//! LLC misses (the interval itself is owned by the simulator configuration), the Table 1
+//! priority ranges and the 1/32 bypass throttle. [`AdaptConfig`] exposes only what the
+//! experiments sweep (the ablation study, Table 4's all-sets profiler and the ADAPT_ins
+//! variant); the hardware the paper fixes and Table 2 costs is the constants below.
+
+/// Entries per sampler array (paper §3.3: the associativity, 16).
+pub const SAMPLER_ENTRIES: usize = 16;
+/// Partial-tag width stored per sampler entry (paper §3.3: 10 bits).
+pub const PARTIAL_TAG_BITS: u32 = 10;
+/// Exclusive upper bound of the Low-priority Footprint-number range; at or above this
+/// value an application is Least priority (paper: 16, the LLC associativity).
+pub const LOW_MAX: f64 = 16.0;
+/// Medium priority: one out of `MEDIUM_THROTTLE` insertions goes to Low priority.
+pub const MEDIUM_THROTTLE: u32 = 16;
+/// Low priority: one out of `LOW_THROTTLE` insertions goes to Medium priority.
+pub const LOW_THROTTLE: u32 = 16;
 
 /// How Least-priority (thrashing / cache-filling) applications are treated.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -25,36 +37,21 @@ pub enum SamplingMode {
     AllSets,
 }
 
-/// Full ADAPT configuration.
+/// The ADAPT settings the experiments vary.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AdaptConfig {
     /// Number of monitored sets per application (paper §3.1: 40 suffice).
     pub sampled_sets: usize,
-    /// Entries per sampler array (paper §3.3: the associativity, 16).
-    pub sampler_entries: usize,
-    /// Partial-tag width stored per sampler entry (paper §3.3: 10 bits).
-    pub partial_tag_bits: u32,
-    /// Saturation value of the per-set unique-access counter (Table 4 caps at 32).
-    pub footprint_saturation: u32,
     /// Sampled vs. all-sets monitoring.
     pub sampling: SamplingMode,
     /// Inclusive upper bound of the High-priority Footprint-number range (paper: 3).
     pub high_max: f64,
     /// Inclusive upper bound of the Medium-priority range (paper: 12).
     pub medium_max: f64,
-    /// Exclusive upper bound of the Low-priority range; at or above this value an
-    /// application is Least priority (paper: 16, the LLC associativity).
-    pub low_max: f64,
-    /// Medium priority: one out of `medium_throttle` insertions goes to Low priority.
-    pub medium_throttle: u32,
-    /// Low priority: one out of `low_throttle` insertions goes to Medium priority.
-    pub low_throttle: u32,
     /// Least priority: one out of `bypass_ratio` accesses is installed (rest bypass).
     pub bypass_ratio: u32,
     /// Treatment of Least-priority applications.
     pub least_mode: LeastPriorityMode,
-    /// Priority level assumed for every application before the first interval completes.
-    pub initial_priority_is_medium: bool,
 }
 
 impl AdaptConfig {
@@ -62,22 +59,11 @@ impl AdaptConfig {
     pub fn paper() -> Self {
         AdaptConfig {
             sampled_sets: 40,
-            sampler_entries: 16,
-            partial_tag_bits: 10,
-            footprint_saturation: 32,
             sampling: SamplingMode::Sampled,
             high_max: 3.0,
             medium_max: 12.0,
-            low_max: 16.0,
-            medium_throttle: 16,
-            low_throttle: 16,
             bypass_ratio: 32,
             least_mode: LeastPriorityMode::Bypass,
-            // Before the first interval completes nothing is known about any application;
-            // Low priority (RRPV 2) makes the cold-start behave exactly like SRRIP, the
-            // baseline's insertion policy, so ADAPT never regresses during warm-up. (The
-            // paper does not specify the pre-classification default.)
-            initial_priority_is_medium: false,
         }
     }
 
@@ -110,17 +96,11 @@ impl AdaptConfig {
         if self.sampled_sets == 0 && self.sampling == SamplingMode::Sampled {
             return Err("sampled_sets must be > 0 in Sampled mode".into());
         }
-        if self.sampler_entries == 0 {
-            return Err("sampler_entries must be > 0".into());
-        }
-        if self.partial_tag_bits == 0 || self.partial_tag_bits > 64 {
-            return Err("partial_tag_bits must be in 1..=64".into());
-        }
-        if !(self.high_max < self.medium_max && self.medium_max < self.low_max) {
+        if !(self.high_max < self.medium_max && self.medium_max < LOW_MAX) {
             return Err("priority ranges must be strictly ordered".into());
         }
-        if self.medium_throttle == 0 || self.low_throttle == 0 || self.bypass_ratio == 0 {
-            return Err("throttles must be non-zero".into());
+        if self.bypass_ratio == 0 {
+            return Err("bypass_ratio must be non-zero".into());
         }
         Ok(())
     }
@@ -140,13 +120,13 @@ mod tests {
     fn paper_config_matches_section3() {
         let c = AdaptConfig::paper();
         assert_eq!(c.sampled_sets, 40);
-        assert_eq!(c.sampler_entries, 16);
-        assert_eq!(c.partial_tag_bits, 10);
+        assert_eq!(SAMPLER_ENTRIES, 16);
+        assert_eq!(PARTIAL_TAG_BITS, 10);
         assert_eq!(c.high_max, 3.0);
         assert_eq!(c.medium_max, 12.0);
-        assert_eq!(c.low_max, 16.0);
-        assert_eq!(c.medium_throttle, 16);
-        assert_eq!(c.low_throttle, 16);
+        assert_eq!(LOW_MAX, 16.0);
+        assert_eq!(MEDIUM_THROTTLE, 16);
+        assert_eq!(LOW_THROTTLE, 16);
         assert_eq!(c.bypass_ratio, 32);
         assert_eq!(c.least_mode, LeastPriorityMode::Bypass);
         assert_eq!(c.label(), "ADAPT_bp32");
@@ -170,9 +150,6 @@ mod tests {
         assert!(c.validate().is_err());
         let mut c = AdaptConfig::paper();
         c.bypass_ratio = 0;
-        assert!(c.validate().is_err());
-        let mut c = AdaptConfig::paper();
-        c.partial_tag_bits = 0;
         assert!(c.validate().is_err());
     }
 

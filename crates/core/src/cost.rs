@@ -15,19 +15,19 @@
 //! [`table2_rows`]; the EAF and SHiP entries follow the paper's published figures since
 //! their exact internal breakdown is taken from the respective original papers.
 
-use crate::config::AdaptConfig;
+use crate::config::{AdaptConfig, PARTIAL_TAG_BITS, SAMPLER_ENTRIES};
 
 /// Storage, in bits, of one monitored-set sampler array.
-pub fn sampler_set_bits(config: &AdaptConfig) -> u64 {
-    let entry_bits = config.partial_tag_bits as u64 + 2; // partial tag + 2 bookkeeping bits
+pub fn sampler_set_bits() -> u64 {
+    let entry_bits = PARTIAL_TAG_BITS as u64 + 2; // partial tag + 2 bookkeeping bits
     let head_tail_bits = 8; // 4-bit head + 4-bit tail pointer
     let misc_bits = 4; // set-level bookkeeping, per the paper's 204-bit total
-    config.sampler_entries as u64 * entry_bits + head_tail_bits + misc_bits
+    SAMPLER_ENTRIES as u64 * entry_bits + head_tail_bits + misc_bits
 }
 
 /// Storage, in bits, of one application's complete ADAPT state.
 pub fn adapt_bits_per_app(config: &AdaptConfig) -> u64 {
-    let sampler_bits = sampler_set_bits(config) * config.sampled_sets as u64;
+    let sampler_bits = sampler_set_bits() * config.sampled_sets as u64;
     let footprint_and_priority_bits = 16; // 1 byte Footprint-number + 1 byte priority
     let throttle_counter_bits = 24; // three 1-byte probabilistic-insertion counters
     sampler_bits + footprint_and_priority_bits + throttle_counter_bits
@@ -100,7 +100,7 @@ mod tests {
 
     #[test]
     fn per_set_cost_matches_paper_204_bits() {
-        assert_eq!(sampler_set_bits(&AdaptConfig::paper()), 204);
+        assert_eq!(sampler_set_bits(), 204);
     }
 
     #[test]

@@ -8,8 +8,8 @@
 //! sampled sets, and the samplers are cleared so the next interval observes the
 //! application's current behaviour (the "sliding" Footprint-number of §3.1).
 
-use crate::config::{AdaptConfig, SamplingMode};
-use crate::footprint::SamplerSet;
+use crate::config::{AdaptConfig, SamplingMode, PARTIAL_TAG_BITS, SAMPLER_ENTRIES};
+use crate::footprint::{SamplerSet, FOOTPRINT_SATURATION};
 
 /// Per-application sampling state plus the last computed Footprint-numbers.
 pub struct FootprintMonitor {
@@ -40,11 +40,7 @@ impl FootprintMonitor {
             .map(|_| {
                 (0..monitored)
                     .map(|_| {
-                        SamplerSet::new(
-                            config.sampler_entries,
-                            config.partial_tag_bits,
-                            config.footprint_saturation,
-                        )
+                        SamplerSet::new(SAMPLER_ENTRIES, PARTIAL_TAG_BITS, FOOTPRINT_SATURATION)
                     })
                     .collect()
             })

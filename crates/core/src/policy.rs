@@ -93,11 +93,9 @@ impl LlcReplacementPolicy for AdaptPolicy {
 
     fn on_access(&mut self, ctx: &AccessContext) {
         // Figure 2a: the test logic forwards only demand accesses belonging to monitored
-        // sets to the application sampler.
-        if ctx.is_demand {
-            self.monitor
-                .observe(ctx.core_id, ctx.set_index, ctx.block_addr);
-        }
+        // sets to the application sampler; the LLC calls this hook for demands only.
+        self.monitor
+            .observe(ctx.core_id, ctx.set_index, ctx.block_addr);
     }
 
     fn on_hit(&mut self, ctx: &AccessContext, way: usize) {
@@ -122,9 +120,7 @@ impl LlcReplacementPolicy for AdaptPolicy {
 
     fn on_fill(&mut self, ctx: &AccessContext, way: usize, decision: &InsertionDecision) {
         if let InsertionDecision::Insert { rrpv } = decision {
-            if way != usize::MAX {
-                self.rrpv.set(ctx.set_index, way, *rrpv);
-            }
+            self.rrpv.set(ctx.set_index, way, *rrpv);
         }
     }
 
@@ -151,8 +147,6 @@ mod tests {
             pc: 0,
             block_addr: block,
             set_index: set,
-            is_demand: true,
-            is_write: false,
         }
     }
 
@@ -234,21 +228,6 @@ mod tests {
         let (b, ins) = p.insertion_counts(0);
         assert_eq!(b, 310);
         assert_eq!(ins, 10);
-    }
-
-    #[test]
-    fn prefetch_accesses_are_not_sampled() {
-        let mut p = tiny_policy(1);
-        let monitored = (0..64).find(|&s| p.monitor().is_monitored(s)).unwrap();
-        let mut c = ctx(0, monitored, 1);
-        c.is_demand = false;
-        p.on_access(&c);
-        p.on_interval();
-        assert_eq!(
-            p.footprint_of(0),
-            0.0,
-            "prefetches must not contribute to the footprint"
-        );
     }
 
     #[test]

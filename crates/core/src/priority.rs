@@ -12,7 +12,7 @@
 
 use cache_sim::replacement::{InsertionDecision, RRPV_MAX};
 
-use crate::config::{AdaptConfig, LeastPriorityMode};
+use crate::config::{AdaptConfig, LeastPriorityMode, LOW_MAX, LOW_THROTTLE, MEDIUM_THROTTLE};
 
 /// Discrete application priority classes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -37,21 +37,17 @@ impl PriorityLevel {
 
 /// Classify a Footprint-number into a priority level using the configured ranges.
 ///
-/// Applications whose Footprint-number has not been measured yet (NaN) are treated as
-/// Medium priority when `initial_priority_is_medium` is set, Low otherwise.
+/// An application whose Footprint-number has not been measured yet (NaN) is Low
+/// priority: before the first interval completes nothing is known about any application,
+/// and Low priority (RRPV 2) makes the cold start behave exactly like SRRIP, the
+/// baseline's insertion policy, so ADAPT never regresses during warm-up. (The paper does
+/// not specify the pre-classification default.)
 pub fn classify(config: &AdaptConfig, footprint: f64) -> PriorityLevel {
-    if footprint.is_nan() {
-        return if config.initial_priority_is_medium {
-            PriorityLevel::Medium
-        } else {
-            PriorityLevel::Low
-        };
-    }
     if footprint <= config.high_max {
         PriorityLevel::High
     } else if footprint <= config.medium_max {
         PriorityLevel::Medium
-    } else if footprint < config.low_max {
+    } else if footprint < LOW_MAX || footprint.is_nan() {
         PriorityLevel::Low
     } else {
         PriorityLevel::Least
@@ -105,7 +101,7 @@ impl InsertionPriorityPredictor {
             PriorityLevel::High => InsertionDecision::insert(0),
             PriorityLevel::Medium => {
                 self.medium_ctr = self.medium_ctr.wrapping_add(1);
-                if self.medium_ctr.is_multiple_of(self.config.medium_throttle) {
+                if self.medium_ctr.is_multiple_of(MEDIUM_THROTTLE) {
                     InsertionDecision::insert(2)
                 } else {
                     InsertionDecision::insert(1)
@@ -113,7 +109,7 @@ impl InsertionPriorityPredictor {
             }
             PriorityLevel::Low => {
                 self.low_ctr = self.low_ctr.wrapping_add(1);
-                if self.low_ctr.is_multiple_of(self.config.low_throttle) {
+                if self.low_ctr.is_multiple_of(LOW_THROTTLE) {
                     InsertionDecision::insert(1)
                 } else {
                     InsertionDecision::insert(2)
@@ -160,11 +156,6 @@ mod tests {
     #[test]
     fn unknown_footprint_defaults_to_low() {
         assert_eq!(classify(&cfg(), f64::NAN), PriorityLevel::Low);
-        let medium_default = AdaptConfig {
-            initial_priority_is_medium: true,
-            ..cfg()
-        };
-        assert_eq!(classify(&medium_default, f64::NAN), PriorityLevel::Medium);
     }
 
     #[test]

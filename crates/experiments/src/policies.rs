@@ -14,8 +14,7 @@ use adapt_core::{AdaptConfig, AdaptPolicy};
 use cache_sim::config::SystemConfig;
 use cache_sim::replacement::{AccessContext, InsertionDecision, LineView, LlcReplacementPolicy};
 use llc_policies::{
-    BrripPolicy, BypassDistant, DrripPolicy, EafPolicy, LruPolicy, ShipPolicy, SrripPolicy,
-    TaDrripPolicy,
+    BrripPolicy, BypassDistant, EafPolicy, LruPolicy, ShipPolicy, SrripPolicy, TaDrripPolicy,
 };
 
 /// Largest `SD=` operand [`PolicyKind::parse`] accepts. The paper sweeps 32/64/128, and
@@ -32,9 +31,8 @@ pub enum AnyPolicy {
     Srrip(SrripPolicy),
     /// Bimodal RRIP.
     Brrip(BrripPolicy),
-    /// Set-dueling DRRIP.
-    Drrip(DrripPolicy),
-    /// Thread-aware DRRIP (the paper's baseline; also the SD and forced variants).
+    /// Thread-aware DRRIP: the paper's baseline, its SD and forced variants, and DRRIP
+    /// (one thread).
     TaDrrip(TaDrripPolicy),
     /// SHiP-PC signature-based hit prediction.
     Ship(ShipPolicy),
@@ -56,7 +54,6 @@ macro_rules! each_variant {
             AnyPolicy::Lru($p) => $body,
             AnyPolicy::Srrip($p) => $body,
             AnyPolicy::Brrip($p) => $body,
-            AnyPolicy::Drrip($p) => $body,
             AnyPolicy::TaDrrip($p) => $body,
             AnyPolicy::Ship($p) => $body,
             AnyPolicy::Eaf($p) => $body,
@@ -111,7 +108,7 @@ pub enum PolicyKind {
     Srrip,
     /// Bimodal RRIP (mostly distant insertions).
     Brrip,
-    /// Dynamic RRIP (set-dueling between SRRIP and BRRIP).
+    /// Dynamic RRIP (set-dueling between SRRIP and BRRIP): TA-DRRIP with one thread.
     Drrip,
     /// The paper's baseline (thread-aware DRRIP with 32 dueling sets per policy).
     TaDrrip,
@@ -210,7 +207,7 @@ impl PolicyKind {
             PolicyKind::Lru => AnyPolicy::Lru(LruPolicy::new(sets, ways)),
             PolicyKind::Srrip => AnyPolicy::Srrip(SrripPolicy::new(sets, ways)),
             PolicyKind::Brrip => AnyPolicy::Brrip(BrripPolicy::new(sets, ways)),
-            PolicyKind::Drrip => AnyPolicy::Drrip(DrripPolicy::new(sets, ways)),
+            PolicyKind::Drrip => AnyPolicy::TaDrrip(TaDrripPolicy::new(sets, ways, 1)),
             PolicyKind::TaDrrip => AnyPolicy::TaDrrip(TaDrripPolicy::new(sets, ways, cores)),
             PolicyKind::TaDrripSd(n) => {
                 AnyPolicy::TaDrrip(TaDrripPolicy::with_dueling_sets(sets, ways, cores, *n))
@@ -220,7 +217,7 @@ impl PolicyKind {
                 p.force_brrip_for(thrashing_slots);
                 AnyPolicy::TaDrrip(p)
             }
-            PolicyKind::Ship => AnyPolicy::Ship(ShipPolicy::new(sets, ways, cores)),
+            PolicyKind::Ship => AnyPolicy::Ship(ShipPolicy::new(sets, ways)),
             PolicyKind::Eaf => AnyPolicy::Eaf(EafPolicy::new(sets, ways)),
             PolicyKind::AdaptIns => AnyPolicy::Adapt(AdaptPolicy::new(
                 AdaptConfig::paper_insert_only(),
@@ -234,7 +231,7 @@ impl PolicyKind {
                 AnyPolicy::TaDrripBypass(BypassDistant::new(TaDrripPolicy::new(sets, ways, cores)))
             }
             PolicyKind::ShipBypass => {
-                AnyPolicy::ShipBypass(BypassDistant::new(ShipPolicy::new(sets, ways, cores)))
+                AnyPolicy::ShipBypass(BypassDistant::new(ShipPolicy::new(sets, ways)))
             }
             PolicyKind::EafBypass => {
                 AnyPolicy::EafBypass(BypassDistant::new(EafPolicy::new(sets, ways)))

@@ -11,7 +11,7 @@
 //!   fewer mixes; every figure regenerates in minutes on a laptop.
 //! * [`ExperimentScale::Smoke`] — tiny configuration for unit tests and `--smoke` runs.
 
-use cache_sim::config::SystemConfig;
+use cache_sim::config::{BankContentionConfig, SystemConfig};
 use workloads::StudyKind;
 
 /// Which memory-system model the many-core scaling study runs under. The three
@@ -69,11 +69,11 @@ pub enum ExperimentScale {
 impl ExperimentScale {
     /// System configuration for a study at this scale. The many-core scaling studies
     /// (32/48/64 cores) use the core-count-generic geometry with the cycle-accounted
-    /// bank contention model enabled; see [`ExperimentScale::scaling_config`].
+    /// bank contention model enabled; see [`ExperimentScale::scaling_config_memsys`].
     pub fn system_config(&self, study: StudyKind) -> SystemConfig {
         let cores = study.num_cores();
         if study.is_scaling() {
-            return self.scaling_config(cores, true);
+            return self.scaling_config_memsys(cores, MemSystem::FcfsContended);
         }
         match self {
             ExperimentScale::Paper => {
@@ -93,38 +93,32 @@ impl ExperimentScale {
         }
     }
 
-    /// Core-count-generic configuration for the many-core scaling study: per-core LLC
-    /// provisioning, bank/MSHR counts scaled with the core count and — unless `flat` is
-    /// requested via `contention = false` — the cycle-accounted bank contention model
-    /// (finite service ports, bounded per-bank queues, MSHR back-pressure).
-    pub fn scaling_config(&self, cores: usize, contention: bool) -> SystemConfig {
+    /// Core-count-generic configuration for a given memory-system variant of the many-core
+    /// scaling study: per-core LLC provisioning and bank/MSHR counts scaled with the core
+    /// count. `Flat` keeps the flat bank model; `FcfsContended` enables the cycle-accounted
+    /// bank contention model (finite service ports, bounded per-bank queues, MSHR
+    /// back-pressure); `FrFcfsNuca` layers the FR-FCFS row model and a 2-cycle-per-hop mesh
+    /// NUCA on the contended configuration.
+    pub fn scaling_config_memsys(&self, cores: usize, memsys: MemSystem) -> SystemConfig {
         let mut cfg = match self {
             ExperimentScale::Paper => SystemConfig::paper_many_core(cores),
             ExperimentScale::Scaled => SystemConfig::scaled_many_core(cores),
             ExperimentScale::Smoke => {
                 let mut cfg = SystemConfig::tiny(cores);
                 cfg.llc.banks = SystemConfig::many_core_llc_banks(cores);
-                cfg.llc.contention = cache_sim::config::BankContentionConfig::contended(2, 16);
-                cfg.dram.contention = cache_sim::config::BankContentionConfig::contended(2, 16);
+                cfg.llc.contention = BankContentionConfig::contended(2, 16);
+                cfg.dram.contention = BankContentionConfig::contended(2, 16);
                 cfg
             }
         };
-        if !contention {
-            cfg.llc.contention = cache_sim::config::BankContentionConfig::flat();
-            cfg.dram.contention = cache_sim::config::BankContentionConfig::flat();
-        }
-        cfg
-    }
-
-    /// Core-count-generic configuration for a given memory-system variant of the
-    /// scaling study. `Flat` and `FcfsContended` match `scaling_config(cores, false)`
-    /// and `scaling_config(cores, true)` exactly; `FrFcfsNuca` layers the FR-FCFS row
-    /// model and a 2-cycle-per-hop mesh NUCA on the contended configuration.
-    pub fn scaling_config_memsys(&self, cores: usize, memsys: MemSystem) -> SystemConfig {
         match memsys {
-            MemSystem::Flat => self.scaling_config(cores, false),
-            MemSystem::FcfsContended => self.scaling_config(cores, true),
-            MemSystem::FrFcfsNuca => self.scaling_config(cores, true).with_frfcfs_nuca(2),
+            MemSystem::Flat => {
+                cfg.llc.contention = BankContentionConfig::flat();
+                cfg.dram.contention = BankContentionConfig::flat();
+                cfg
+            }
+            MemSystem::FcfsContended => cfg,
+            MemSystem::FrFcfsNuca => cfg.with_frfcfs_nuca(2),
         }
     }
 
@@ -248,15 +242,20 @@ mod tests {
     fn memsys_variants_validate_and_match_their_base_configs() {
         for scale in [ExperimentScale::Scaled, ExperimentScale::Smoke] {
             for cores in [32, 64, 128, 256] {
+                let fcfs = scale.scaling_config_memsys(cores, MemSystem::FcfsContended);
+                assert!(!fcfs.llc.contention.is_flat());
+                assert!(!fcfs.dram.contention.is_flat());
+
                 let flat = scale.scaling_config_memsys(cores, MemSystem::Flat);
-                assert_eq!(flat, scale.scaling_config(cores, false));
+                let mut flattened = fcfs.clone();
+                flattened.llc.contention = BankContentionConfig::flat();
+                flattened.dram.contention = BankContentionConfig::flat();
+                assert_eq!(flat, flattened);
                 assert!(flat.llc.nuca.is_disabled());
                 assert!(flat.dram.row_model.is_none());
 
-                let fcfs = scale.scaling_config_memsys(cores, MemSystem::FcfsContended);
-                assert_eq!(fcfs, scale.scaling_config(cores, true));
-
                 let frfcfs = scale.scaling_config_memsys(cores, MemSystem::FrFcfsNuca);
+                assert_eq!(frfcfs, fcfs.with_frfcfs_nuca(2));
                 frfcfs.validate().unwrap();
                 assert!(frfcfs.dram.row_model.is_some());
                 assert_eq!(frfcfs.llc.nuca.hop_cycles, 2);
@@ -282,7 +281,7 @@ mod tests {
                 assert_eq!(cfg.num_cores, study.num_cores());
                 assert!(!cfg.llc.contention.is_flat(), "{study:?} must be contended");
                 // The flat variant of the same geometry, for A/B comparisons.
-                let flat = scale.scaling_config(study.num_cores(), false);
+                let flat = scale.scaling_config_memsys(study.num_cores(), MemSystem::Flat);
                 assert!(flat.llc.contention.is_flat());
                 assert_eq!(flat.llc.geometry, cfg.llc.geometry);
             }

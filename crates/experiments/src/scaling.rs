@@ -239,7 +239,10 @@ mod tests {
             &[MemSystem::FcfsContended],
             Summary::Scaling,
         );
-        let banks = ExperimentScale::Smoke.scaling_config(32, true).llc.banks;
+        let banks = ExperimentScale::Smoke
+            .scaling_config_memsys(32, MemSystem::FcfsContended)
+            .llc
+            .banks;
         let (policies, per_bank) = (&tables[1], &tables[2]);
         assert_eq!(
             policies.title,

@@ -87,8 +87,6 @@ mod tests {
             pc: 0,
             block_addr: 0,
             set_index: set,
-            is_demand: true,
-            is_write: false,
         }
     }
 

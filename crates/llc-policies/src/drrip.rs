@@ -1,4 +1,4 @@
-//! Dynamic RRIP (DRRIP) and Thread-Aware DRRIP (TA-DRRIP).
+//! Thread-Aware Dynamic RRIP (TA-DRRIP), and DRRIP as its one-thread case.
 //!
 //! DRRIP uses set dueling to choose between SRRIP and BRRIP: a small pool of "leader" sets
 //! always uses SRRIP, another pool always uses BRRIP, and a saturating policy-selection
@@ -7,10 +7,10 @@
 //!
 //! TA-DRRIP is the paper's baseline: each hardware thread (core/application) duels
 //! independently with its own PSEL counter and its own leader sets, so each application
-//! learns its own insertion policy. The paper's Figure 1 additionally evaluates a variant
-//! where applications known to thrash are *forced* to use BRRIP
-//! ([`TaDrripPolicy::force_brrip_for`]), and sweeps the number of dueling sets
-//! (SD = 64/128), both of which are supported here.
+//! learns its own insertion policy. With one thread, every core shares one duel, which is
+//! DRRIP. The paper's Figure 1 additionally evaluates a variant where applications known
+//! to thrash are *forced* to use BRRIP ([`TaDrripPolicy::force_brrip_for`]), and sweeps
+//! the number of dueling sets (SD = 64/128), both of which are supported here.
 
 use cache_sim::replacement::{
     AccessContext, InsertionDecision, LineView, LlcReplacementPolicy, RrpvArray, RRPV_MAX,
@@ -22,13 +22,6 @@ const PSEL_BITS: u32 = 10;
 const PSEL_MAX: u32 = (1 << PSEL_BITS) - 1;
 const PSEL_THRESHOLD: u32 = 1 << (PSEL_BITS - 1);
 
-/// Which insertion sub-policy a set/thread pair should use.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum SubPolicy {
-    Srrip,
-    Brrip,
-}
-
 /// Leader-set ownership: which core's SDM a set belongs to, and for which sub-policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Leader {
@@ -37,7 +30,7 @@ enum Leader {
     Brrip(usize),
 }
 
-/// Shared leader-set map used by DRRIP (1 "thread") and TA-DRRIP (N threads).
+/// Leader-set map over every thread's duel.
 ///
 /// Leader sets are spread uniformly over the index space, interleaving cores so no core's
 /// monitors cluster in one region. If the requested number of dueling sets does not fit the
@@ -114,16 +107,6 @@ impl ThreadDuel {
         }
     }
 
-    fn follower_policy(&self) -> SubPolicy {
-        if self.forced_brrip {
-            SubPolicy::Brrip
-        } else if self.psel < PSEL_THRESHOLD {
-            SubPolicy::Srrip
-        } else {
-            SubPolicy::Brrip
-        }
-    }
-
     fn brrip_insertion(&mut self) -> u8 {
         self.brip_throttle = self.brip_throttle.wrapping_add(1);
         if self.brip_throttle.is_multiple_of(BRRIP_THROTTLE) {
@@ -134,130 +117,21 @@ impl ThreadDuel {
     }
 }
 
-/// Common machinery shared by DRRIP and TA-DRRIP.
-struct DuelingRrip {
+/// Thread-aware DRRIP: the paper's baseline policy, and DRRIP when built with one thread.
+///
+/// Core `c` duels as thread `c.min(threads - 1)`, so with one thread every core shares one
+/// PSEL and one pool of leader sets.
+pub struct TaDrripPolicy {
     rrpv: RrpvArray,
     leaders: LeaderMap,
     threads: Vec<ThreadDuel>,
-    /// Maps a core id to a dueling thread (identity for TA-DRRIP, all-zero for DRRIP).
-    thread_of_core: Box<dyn Fn(usize) -> usize + Send>,
-}
-
-impl DuelingRrip {
-    fn new(
-        num_sets: usize,
-        ways: usize,
-        num_threads: usize,
-        dueling_sets_per_policy: usize,
-        thread_of_core: Box<dyn Fn(usize) -> usize + Send>,
-    ) -> Self {
-        DuelingRrip {
-            rrpv: RrpvArray::new(num_sets, ways),
-            leaders: LeaderMap::new(num_sets, num_threads, dueling_sets_per_policy),
-            threads: (0..num_threads).map(|_| ThreadDuel::new()).collect(),
-            thread_of_core,
-        }
-    }
-
-    fn on_hit(&mut self, ctx: &AccessContext, way: usize) {
-        self.rrpv.promote(ctx.set_index, way);
-    }
-
-    fn insertion_decision(&mut self, ctx: &AccessContext) -> InsertionDecision {
-        let thread = (self.thread_of_core)(ctx.core_id).min(self.threads.len() - 1);
-
-        // PSEL update: a miss in a leader set owned by this thread votes against that
-        // leader's policy (misses in SRRIP leaders increment, misses in BRRIP leaders
-        // decrement — paper §2 description of set-dueling).
-        match self.leaders.leader(ctx.set_index) {
-            Leader::Srrip(owner) if owner == thread => {
-                let t = &mut self.threads[thread];
-                t.psel = (t.psel + 1).min(PSEL_MAX);
-            }
-            Leader::Brrip(owner) if owner == thread => {
-                let t = &mut self.threads[thread];
-                t.psel = t.psel.saturating_sub(1);
-            }
-            _ => {}
-        }
-
-        let t = &mut self.threads[thread];
-        let policy = if t.forced_brrip {
-            SubPolicy::Brrip
-        } else {
-            match self.leaders.leader(ctx.set_index) {
-                Leader::Srrip(owner) if owner == thread => SubPolicy::Srrip,
-                Leader::Brrip(owner) if owner == thread => SubPolicy::Brrip,
-                _ => t.follower_policy(),
-            }
-        };
-        let rrpv = match policy {
-            SubPolicy::Srrip => SRRIP_INSERT_RRPV,
-            SubPolicy::Brrip => t.brrip_insertion(),
-        };
-        InsertionDecision::insert(rrpv)
-    }
-
-    fn choose_victim(&mut self, ctx: &AccessContext) -> usize {
-        self.rrpv.find_victim(ctx.set_index)
-    }
-
-    fn on_fill(&mut self, ctx: &AccessContext, way: usize, decision: &InsertionDecision) {
-        if let InsertionDecision::Insert { rrpv } = decision {
-            if way != usize::MAX {
-                self.rrpv.set(ctx.set_index, way, *rrpv);
-            }
-        }
-    }
-}
-
-/// Single-PSEL DRRIP (thread-oblivious).
-pub struct DrripPolicy {
-    inner: DuelingRrip,
-}
-
-impl DrripPolicy {
-    pub fn new(num_sets: usize, ways: usize) -> Self {
-        Self::with_dueling_sets(num_sets, ways, 32)
-    }
-
-    /// Construct with an explicit number of dueling sets per policy.
-    pub fn with_dueling_sets(num_sets: usize, ways: usize, dueling_sets: usize) -> Self {
-        DrripPolicy {
-            inner: DuelingRrip::new(num_sets, ways, 1, dueling_sets, Box::new(|_| 0)),
-        }
-    }
-}
-
-impl LlcReplacementPolicy for DrripPolicy {
-    fn name(&self) -> String {
-        "DRRIP".into()
-    }
-    fn on_hit(&mut self, ctx: &AccessContext, way: usize) {
-        self.inner.on_hit(ctx, way);
-    }
-    fn insertion_decision(&mut self, ctx: &AccessContext) -> InsertionDecision {
-        self.inner.insertion_decision(ctx)
-    }
-    fn choose_victim(&mut self, ctx: &AccessContext, _lines: &[LineView]) -> usize {
-        self.inner.choose_victim(ctx)
-    }
-    fn on_fill(&mut self, ctx: &AccessContext, way: usize, decision: &InsertionDecision) {
-        self.inner.on_fill(ctx, way, decision);
-    }
-}
-
-/// Thread-aware DRRIP: the paper's baseline policy.
-pub struct TaDrripPolicy {
-    inner: DuelingRrip,
-    dueling_sets: usize,
     forced_label: bool,
 }
 
 impl TaDrripPolicy {
     /// Default construction with 32 dueling sets per policy per thread.
-    pub fn new(num_sets: usize, ways: usize, num_cores: usize) -> Self {
-        Self::with_dueling_sets(num_sets, ways, num_cores, 32)
+    pub fn new(num_sets: usize, ways: usize, num_threads: usize) -> Self {
+        Self::with_dueling_sets(num_sets, ways, num_threads, 32)
     }
 
     /// Construct with an explicit number of dueling sets per policy per thread
@@ -265,18 +139,14 @@ impl TaDrripPolicy {
     pub fn with_dueling_sets(
         num_sets: usize,
         ways: usize,
-        num_cores: usize,
+        num_threads: usize,
         dueling_sets: usize,
     ) -> Self {
+        let num_threads = num_threads.max(1);
         TaDrripPolicy {
-            inner: DuelingRrip::new(
-                num_sets,
-                ways,
-                num_cores.max(1),
-                dueling_sets,
-                Box::new(|core| core),
-            ),
-            dueling_sets,
+            rrpv: RrpvArray::new(num_sets, ways),
+            leaders: LeaderMap::new(num_sets, num_threads, dueling_sets),
+            threads: (0..num_threads).map(|_| ThreadDuel::new()).collect(),
             forced_label: false,
         }
     }
@@ -286,8 +156,8 @@ impl TaDrripPolicy {
     /// BRRIP regardless of what set dueling would have learned).
     pub fn force_brrip_for(&mut self, cores: &[usize]) {
         for &c in cores {
-            if c < self.inner.threads.len() {
-                self.inner.threads[c].forced_brrip = true;
+            if c < self.threads.len() {
+                self.threads[c].forced_brrip = true;
                 self.forced_label = true;
             }
         }
@@ -295,17 +165,12 @@ impl TaDrripPolicy {
 
     /// Number of dueling sets per policy actually in use (after fitting to the cache).
     pub fn effective_dueling_sets(&self) -> usize {
-        self.inner.leaders.sets_per_policy()
-    }
-
-    /// Requested number of dueling sets per policy.
-    pub fn requested_dueling_sets(&self) -> usize {
-        self.dueling_sets
+        self.leaders.sets_per_policy()
     }
 
     /// Current PSEL value for a core (inspection helper for tests/experiments).
     pub fn psel_of(&self, core: usize) -> u32 {
-        self.inner.threads[core].psel
+        self.threads[core].psel
     }
 }
 
@@ -313,21 +178,52 @@ impl LlcReplacementPolicy for TaDrripPolicy {
     fn name(&self) -> String {
         if self.forced_label {
             "TA-DRRIP(forced)".into()
+        } else if self.threads.len() == 1 {
+            "DRRIP".into()
         } else {
             "TA-DRRIP".into()
         }
     }
+
     fn on_hit(&mut self, ctx: &AccessContext, way: usize) {
-        self.inner.on_hit(ctx, way);
+        self.rrpv.promote(ctx.set_index, way);
     }
+
     fn insertion_decision(&mut self, ctx: &AccessContext) -> InsertionDecision {
-        self.inner.insertion_decision(ctx)
+        let thread = ctx.core_id.min(self.threads.len() - 1);
+        let t = &mut self.threads[thread];
+
+        // PSEL update: a miss in a leader set owned by this thread votes against that
+        // leader's policy (misses in SRRIP leaders increment, misses in BRRIP leaders
+        // decrement — paper §2 description of set-dueling). Leader sets use their own
+        // policy and followers the winning one, unless the thread is forced to BRRIP.
+        let brrip = match self.leaders.leader(ctx.set_index) {
+            Leader::Srrip(owner) if owner == thread => {
+                t.psel = (t.psel + 1).min(PSEL_MAX);
+                false
+            }
+            Leader::Brrip(owner) if owner == thread => {
+                t.psel = t.psel.saturating_sub(1);
+                true
+            }
+            _ => t.psel >= PSEL_THRESHOLD,
+        };
+        let rrpv = if brrip || t.forced_brrip {
+            t.brrip_insertion()
+        } else {
+            SRRIP_INSERT_RRPV
+        };
+        InsertionDecision::insert(rrpv)
     }
+
     fn choose_victim(&mut self, ctx: &AccessContext, _lines: &[LineView]) -> usize {
-        self.inner.choose_victim(ctx)
+        self.rrpv.find_victim(ctx.set_index)
     }
+
     fn on_fill(&mut self, ctx: &AccessContext, way: usize, decision: &InsertionDecision) {
-        self.inner.on_fill(ctx, way, decision);
+        if let InsertionDecision::Insert { rrpv } = decision {
+            self.rrpv.set(ctx.set_index, way, *rrpv);
+        }
     }
 }
 
@@ -341,8 +237,6 @@ mod tests {
             pc: 0,
             block_addr: 0,
             set_index: set,
-            is_demand: true,
-            is_write: false,
         }
     }
 
@@ -403,7 +297,7 @@ mod tests {
         // Use a follower set (find one that is not a leader by probing a few).
         let mut follower = None;
         for s in 0..256 {
-            if matches!(p.inner.leaders.leader(s), Leader::None) {
+            if matches!(p.leaders.leader(s), Leader::None) {
                 follower = Some(s);
                 break;
             }
@@ -421,7 +315,7 @@ mod tests {
         let start = p.psel_of(0);
         // Find core 0's SRRIP leader sets and hammer misses into them.
         let srrip_leaders: Vec<usize> = (0..1024)
-            .filter(|&s| matches!(p.inner.leaders.leader(s), Leader::Srrip(0)))
+            .filter(|&s| matches!(p.leaders.leader(s), Leader::Srrip(0)))
             .collect();
         assert!(!srrip_leaders.is_empty());
         for _ in 0..10 {
@@ -436,7 +330,8 @@ mod tests {
 
     #[test]
     fn drrip_uses_a_single_duel_for_all_cores() {
-        let mut p = DrripPolicy::new(256, 16);
+        let mut p = TaDrripPolicy::new(256, 16, 1);
+        assert_eq!(p.name(), "DRRIP");
         // Any core id maps to thread 0; this must not panic even for large core ids.
         let _ = p.insertion_decision(&ctx(7, 3));
         let _ = p.insertion_decision(&ctx(15, 250));

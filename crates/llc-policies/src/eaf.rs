@@ -104,9 +104,7 @@ impl LlcReplacementPolicy for EafPolicy {
 
     fn on_fill(&mut self, ctx: &AccessContext, way: usize, decision: &InsertionDecision) {
         if let InsertionDecision::Insert { rrpv } = decision {
-            if way != usize::MAX {
-                self.rrpv.set(ctx.set_index, way, *rrpv);
-            }
+            self.rrpv.set(ctx.set_index, way, *rrpv);
         }
     }
 }
@@ -121,8 +119,6 @@ mod tests {
             pc: 0,
             block_addr: block,
             set_index: set,
-            is_demand: true,
-            is_write: false,
         }
     }
 

@@ -6,10 +6,10 @@
 //! * [`LruPolicy`] — classic least-recently-used (insert at MRU).
 //! * [`SrripPolicy`] / [`BrripPolicy`] — static/bimodal re-reference interval prediction
 //!   (Jaleel et al., ISCA 2010).
-//! * [`DrripPolicy`] — set-dueling DRRIP (single PSEL counter).
 //! * [`TaDrripPolicy`] — thread-aware DRRIP, the paper's baseline; supports the
 //!   "forced BRRIP for thrashing applications" mode used by the paper's Figure 1 and a
-//!   configurable number of dueling sets (SD=64/128 in Figure 1a).
+//!   configurable number of dueling sets (SD=64/128 in Figure 1a). Built with one thread,
+//!   it is set-dueling DRRIP (one PSEL counter for every core).
 //! * [`ShipPolicy`] — SHiP-PC, signature-based hit prediction (Wu et al., MICRO 2011).
 //! * [`EafPolicy`] — the Evicted-Address Filter (Seshadri et al., PACT 2012).
 //! * [`BypassDistant`] — a wrapper, generic over its inner policy, that converts
@@ -32,7 +32,7 @@ pub mod rrip;
 pub mod ship;
 
 pub use bypass::BypassDistant;
-pub use drrip::{DrripPolicy, TaDrripPolicy};
+pub use drrip::TaDrripPolicy;
 pub use eaf::EafPolicy;
 pub use lru::LruPolicy;
 pub use rrip::{BrripPolicy, SrripPolicy};

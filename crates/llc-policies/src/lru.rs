@@ -72,10 +72,8 @@ impl LlcReplacementPolicy for LruPolicy {
         victim
     }
 
-    fn on_fill(&mut self, ctx: &AccessContext, way: usize, decision: &InsertionDecision) {
-        if way != usize::MAX && !decision.is_bypass() {
-            self.touch(ctx.set_index, way);
-        }
+    fn on_fill(&mut self, ctx: &AccessContext, way: usize, _decision: &InsertionDecision) {
+        self.touch(ctx.set_index, way);
     }
 }
 
@@ -89,8 +87,6 @@ mod tests {
             pc: 0,
             block_addr: 0,
             set_index: set,
-            is_demand: true,
-            is_write: false,
         }
     }
 

@@ -53,9 +53,7 @@ impl LlcReplacementPolicy for SrripPolicy {
 
     fn on_fill(&mut self, ctx: &AccessContext, way: usize, decision: &InsertionDecision) {
         if let InsertionDecision::Insert { rrpv } = decision {
-            if way != usize::MAX {
-                self.rrpv.set(ctx.set_index, way, *rrpv);
-            }
+            self.rrpv.set(ctx.set_index, way, *rrpv);
         }
     }
 }
@@ -99,9 +97,7 @@ impl LlcReplacementPolicy for BrripPolicy {
 
     fn on_fill(&mut self, ctx: &AccessContext, way: usize, decision: &InsertionDecision) {
         if let InsertionDecision::Insert { rrpv } = decision {
-            if way != usize::MAX {
-                self.rrpv.set(ctx.set_index, way, *rrpv);
-            }
+            self.rrpv.set(ctx.set_index, way, *rrpv);
         }
     }
 }
@@ -119,8 +115,6 @@ mod tests {
             pc: 0,
             block_addr: 0,
             set_index: set,
-            is_demand: true,
-            is_write: false,
         }
     }
 
@@ -261,13 +255,39 @@ mod tests {
         }
     }
 
+    /// SRRIP that bypasses every miss, and would mark any way it were told was filled.
+    struct BypassAll(SrripPolicy);
+
+    impl LlcReplacementPolicy for BypassAll {
+        fn name(&self) -> String {
+            "bypass-all".into()
+        }
+        fn on_hit(&mut self, ctx: &AccessContext, way: usize) {
+            self.0.on_hit(ctx, way);
+        }
+        fn insertion_decision(&mut self, _ctx: &AccessContext) -> InsertionDecision {
+            InsertionDecision::Bypass
+        }
+        fn choose_victim(&mut self, ctx: &AccessContext, lines: &[LineView]) -> usize {
+            self.0.choose_victim(ctx, lines)
+        }
+        fn on_fill(&mut self, ctx: &AccessContext, way: usize, _decision: &InsertionDecision) {
+            self.0.on_fill(ctx, way, &InsertionDecision::insert(0));
+        }
+    }
+
     #[test]
     fn bypass_fills_do_not_touch_rrpv_state() {
-        let mut p = SrripPolicy::new(1, 4);
-        p.on_fill(&ctx(0), usize::MAX, &InsertionDecision::insert(0));
-        // All lines still at the initial distant value.
+        let mut config = SystemConfig::tiny(1).llc;
+        config.geometry = CacheGeometry::new(BLOCK_BYTES * 4, 4);
+        let mut llc = SharedLlc::new(config, 1, u64::MAX, BypassAll(SrripPolicy::new(1, 4)));
+        for b in 0..8 {
+            assert!(!llc.access(0, 0, BlockAddr(b), true, false, b).hit);
+            assert!(llc.fill(0, 0, BlockAddr(b), false, b).bypassed);
+        }
+        // A bypass reaches no `on_fill`: all lines still at the initial distant value.
         for w in 0..4 {
-            assert_eq!(p.rrpv_of(0, w), 3);
+            assert_eq!(llc.policy().0.rrpv_of(0, w), 3);
         }
     }
 }

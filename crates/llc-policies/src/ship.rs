@@ -47,9 +47,9 @@ pub struct ShipPolicy {
 }
 
 impl ShipPolicy {
-    /// `_num_cores` is accepted for interface symmetry with the other thread-aware
-    /// policies; signatures are already disambiguated per core via `Self::signature`.
-    pub fn new(num_sets: usize, ways: usize, _num_cores: usize) -> Self {
+    /// Signatures are disambiguated per core by `Self::signature`, so SHiP needs no core
+    /// count.
+    pub fn new(num_sets: usize, ways: usize) -> Self {
         ShipPolicy {
             rrpv: RrpvArray::new(num_sets, ways),
             ways,
@@ -114,18 +114,7 @@ impl LlcReplacementPolicy for ShipPolicy {
         self.rrpv.find_victim(ctx.set_index)
     }
 
-    fn on_evict(&mut self, ctx: &AccessContext, _evicted_block: u64, _owner: usize) {
-        // The victim way is the one chosen by choose_victim for this same ctx; the LLC calls
-        // on_evict before on_fill, so we can locate the victim through its metadata when
-        // on_fill overwrites it. To keep the bookkeeping local we instead decrement lazily in
-        // on_fill, where the way index is known. Nothing to do here.
-        let _ = ctx;
-    }
-
     fn on_fill(&mut self, ctx: &AccessContext, way: usize, decision: &InsertionDecision) {
-        if way == usize::MAX || decision.is_bypass() {
-            return;
-        }
         let idx = self.meta_idx(ctx.set_index, way);
         // Train down the signature of the line we are overwriting if it was never reused.
         if self.meta[idx].valid && !self.meta[idx].outcome {
@@ -153,14 +142,12 @@ mod tests {
             pc,
             block_addr: 0,
             set_index: set,
-            is_demand: true,
-            is_write: false,
         }
     }
 
     #[test]
     fn cold_signatures_insert_intermediate() {
-        let mut p = ShipPolicy::new(16, 4, 2);
+        let mut p = ShipPolicy::new(16, 4);
         match p.insertion_decision(&ctx(0, 0x400123, 3)) {
             InsertionDecision::Insert { rrpv } => assert_eq!(rrpv, SRRIP_INSERT_RRPV),
             other => panic!("unexpected {other:?}"),
@@ -169,7 +156,7 @@ mod tests {
 
     #[test]
     fn signatures_with_no_reuse_become_distant() {
-        let mut p = ShipPolicy::new(16, 4, 2);
+        let mut p = ShipPolicy::new(16, 4);
         let c = ctx(0, 0xdead, 0);
         // Insert and overwrite (never reused) enough times to drive the SHCT entry to zero.
         for i in 0..(SHCT_INIT as usize + 2) {
@@ -188,7 +175,7 @@ mod tests {
 
     #[test]
     fn reused_signatures_recover_intermediate_priority() {
-        let mut p = ShipPolicy::new(16, 4, 2);
+        let mut p = ShipPolicy::new(16, 4);
         let c = ctx(1, 0xbeef, 1);
         // Drive the counter to zero with unreused fills.
         for _ in 0..8 {
@@ -209,7 +196,7 @@ mod tests {
 
     #[test]
     fn different_cores_with_same_pc_use_different_signatures() {
-        let p = ShipPolicy::new(16, 4, 4);
+        let p = ShipPolicy::new(16, 4);
         let s0 = p.signature(&ctx(0, 0x1234, 0));
         let s1 = p.signature(&ctx(1, 0x1234, 0));
         assert_ne!(s0, s1);
@@ -217,7 +204,7 @@ mod tests {
 
     #[test]
     fn hit_sets_outcome_only_once() {
-        let mut p = ShipPolicy::new(4, 2, 1);
+        let mut p = ShipPolicy::new(4, 2);
         let c = ctx(0, 0x77, 0);
         let d = p.insertion_decision(&c);
         p.on_fill(&c, 0, &d);

@@ -44,7 +44,7 @@
 
 use std::cell::{Cell, UnsafeCell};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
@@ -127,7 +127,6 @@ impl Event {
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
 static NEXT_TID: AtomicU32 = AtomicU32::new(1);
-static RING_CAPACITY: AtomicUsize = AtomicUsize::new(DEFAULT_RING_CAPACITY);
 
 /// Default per-thread ring capacity (events). ~64K events ≈ a full profiled
 /// acceptance-grid sweep with generous headroom.
@@ -159,12 +158,6 @@ pub fn enable() {
 /// Turn recording off. Already-recorded events stay in their rings until [`drain`].
 pub fn disable() {
     ENABLED.store(false, Ordering::SeqCst);
-}
-
-/// Set the per-thread ring capacity (rounded up to a power of two). Affects rings
-/// allocated after the call; intended to be set once before enabling.
-pub fn set_ring_capacity(capacity: usize) {
-    RING_CAPACITY.store(capacity.next_power_of_two().max(16), Ordering::SeqCst);
 }
 
 // ---------------------------------------------------------------------------
@@ -317,9 +310,8 @@ fn with_ring(f: impl FnOnce(&Ring)) {
     THREAD_RING.with(|cell| {
         let ring = cell.get_or_init(|| {
             let tid = NEXT_TID.fetch_add(1, Ordering::Relaxed);
-            let capacity = RING_CAPACITY.load(Ordering::Relaxed);
             let name = std::thread::current().name().unwrap_or("").to_string();
-            let ring = Arc::new(Ring::new(tid, capacity, name));
+            let ring = Arc::new(Ring::new(tid, DEFAULT_RING_CAPACITY, name));
             registry()
                 .lock()
                 .expect("ring registry poisoned")

@@ -17,7 +17,7 @@
 //! The calling thread writes **chunk `j` of every core, in core order, before chunk
 //! `j + 1` of any core**: exactly what a [`TraceWriter`] fed one record per core, round
 //! robin, writes, so the file's bytes do not depend on the worker count. With one worker
-//! nothing is spawned. The workers are plain scoped threads, never rayon's sweep
+//! nothing is spawned. The workers are plain scoped threads, never the sweep's pool
 //! workers: a worker blocks whenever the writer is behind.
 //!
 //! Faults and errors belong to the calling thread: `atrc.write` fires once per chunk in

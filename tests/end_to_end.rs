@@ -4,6 +4,8 @@
 //! scale, and check structural properties that must hold regardless of absolute numbers.
 
 use adapt_llc::adapt::{AdaptConfig, AdaptPolicy, PriorityLevel};
+use adapt_llc::experiments::policies::AnyPolicy;
+use adapt_llc::experiments::runner::evaluate_mix_system;
 use adapt_llc::experiments::{
     evaluate_mix, evaluate_policies_on_mixes, ExperimentScale, PolicyKind,
 };
@@ -70,6 +72,44 @@ fn adapt_bypasses_thrashing_applications_but_not_friendly_ones() {
         thrasher_bypasses > friendly_bypasses,
         "thrasher bypasses ({thrasher_bypasses}) must exceed friendly bypasses ({friendly_bypasses})"
     );
+}
+
+/// In a whole 16-core run, the LLC bypasses exactly the fills ADAPT_bp32 decides to
+/// bypass, core by core, and nothing under ADAPT_ins or TA-DRRIP.
+#[test]
+fn the_llc_bypasses_exactly_the_fills_adapt_bypasses() {
+    let (mut config, mix) = smoke_mix(StudyKind::Cores16);
+    // The smoke interval (2048 misses over 64 sets, shared by 16 cores) is too short for
+    // any application to reach 16 unique blocks per sampled set, so none is ever Least
+    // priority; twice that, over four intervals, makes the mix's thrashers Least.
+    config.interval_misses = 4096;
+    for kind in [
+        PolicyKind::AdaptBp32,
+        PolicyKind::AdaptIns,
+        PolicyKind::TaDrrip,
+    ] {
+        let (_, system) = evaluate_mix_system(&config, &mix, kind, 100_000, 3);
+        let llc = system.llc();
+        let mut total = 0;
+        for core in 0..16 {
+            let bypassed = llc.core_stats(core).bypassed_fills;
+            match llc.policy() {
+                AnyPolicy::Adapt(adapt) => {
+                    assert_eq!(
+                        bypassed,
+                        adapt.insertion_counts(core).0,
+                        "{kind:?} core {core}"
+                    )
+                }
+                _ => assert_eq!(kind, PolicyKind::TaDrrip),
+            }
+            total += bypassed;
+        }
+        match kind {
+            PolicyKind::AdaptBp32 => assert!(total > 0, "a smoke mix has Least-priority apps"),
+            _ => assert_eq!(total, 0, "{kind:?}"),
+        }
+    }
 }
 
 #[test]

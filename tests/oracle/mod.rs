@@ -156,7 +156,6 @@ impl NaivePrivateCache {
         let rrpv = match policy {
             PrivatePolicyKind::Lru => 0,
             _ if prefetch => DISTANT,
-            PrivatePolicyKind::Srrip => LONG,
             PrivatePolicyKind::Drrip if self.leader(set).unwrap_or(self.psel < 512) => LONG,
             PrivatePolicyKind::Drrip => {
                 self.brrip_fills = self.brrip_fills.wrapping_add(1);
@@ -173,7 +172,7 @@ impl NaivePrivateCache {
         // "distant" once every line has aged by what the oldest lacks.
         let way = free.or_else(|| match policy {
             PrivatePolicyKind::Lru => (0..lines.len()).min_by_key(|&w| lines[w].map(|l| l.stamp)),
-            PrivatePolicyKind::Srrip | PrivatePolicyKind::Drrip => {
+            PrivatePolicyKind::Drrip => {
                 let oldest = lines.iter().flatten().map(|l| l.rrpv).max()?;
                 for line in lines.iter_mut().flatten() {
                     line.rrpv += DISTANT - oldest;
@@ -523,21 +522,12 @@ impl NaiveLlc {
         }
     }
 
-    fn ctx(
-        &self,
-        core: usize,
-        pc: u64,
-        block: BlockAddr,
-        is_demand: bool,
-        is_write: bool,
-    ) -> AccessContext {
+    fn ctx(&self, core: usize, pc: u64, block: BlockAddr) -> AccessContext {
         AccessContext {
             core_id: core,
             pc,
             block_addr: block.0,
             set_index: set_of(&self.sets, block),
-            is_demand,
-            is_write,
         }
     }
 
@@ -564,12 +554,12 @@ impl NaiveLlc {
         core: usize,
         pc: u64,
         block: BlockAddr,
-        is_demand: bool,
+        demand: bool,
         is_write: bool,
         now: u64,
     ) -> LlcLookup {
-        let ctx = self.ctx(core, pc, block, is_demand, is_write);
-        if is_demand {
+        let ctx = self.ctx(core, pc, block);
+        if demand {
             self.per_core[core].demand_accesses += 1;
             self.policy.on_access(&ctx);
         } else {
@@ -580,7 +570,7 @@ impl NaiveLlc {
         let stats = &mut self.per_core[core];
         match way {
             Some(way) => {
-                if is_demand {
+                if demand {
                     stats.demand_hits += 1;
                     self.policy.on_hit(&ctx, way);
                 } else {
@@ -590,7 +580,7 @@ impl NaiveLlc {
                     line.dirty |= is_write;
                 }
             }
-            None if is_demand => {
+            None if demand => {
                 stats.demand_misses += 1;
                 self.global.total_demand_misses += 1;
                 self.misses_in_interval += 1;
@@ -612,8 +602,9 @@ impl NaiveLlc {
         }
     }
 
-    /// Fill a demand miss: the policy inserts or bypasses, and picks the victim of a
-    /// full set. A dirty victim takes a write-back buffer entry for one LLC latency.
+    /// Fill a demand miss: the policy inserts or bypasses (and hears nothing more), and
+    /// picks the victim of a full set. A dirty victim takes a write-back buffer entry for
+    /// one LLC latency.
     pub fn fill(
         &mut self,
         core: usize,
@@ -622,7 +613,7 @@ impl NaiveLlc {
         is_write: bool,
         now: u64,
     ) -> LlcFill {
-        let ctx = self.ctx(core, pc, block, true, is_write);
+        let ctx = self.ctx(core, pc, block);
         let set = ctx.set_index;
         let mut outcome = LlcFill {
             bypassed: false,
@@ -634,7 +625,6 @@ impl NaiveLlc {
         let decision = self.policy.insertion_decision(&ctx);
         if decision.is_bypass() {
             self.per_core[core].bypassed_fills += 1;
-            self.policy.on_fill(&ctx, usize::MAX, &decision);
             outcome.bypassed = true;
             return outcome;
         }

@@ -124,7 +124,7 @@ fn ship_predicts_distant_for_most_insertions_where_the_paper_reports_3_percent()
         .iter()
         .map(|mix| {
             let traces = mix.trace_sources(llc.num_sets(), scale.seed());
-            let ship = ShipPolicy::new(llc.num_sets(), llc.ways, config.num_cores);
+            let ship = ShipPolicy::new(llc.num_sets(), llc.ways);
             let mut system = MultiCoreSystem::new(config.clone(), traces, ship);
             system.run(scale.instructions_per_core());
             system.llc().policy().distant_fraction()

@@ -8,13 +8,13 @@ use std::sync::Arc;
 use proptest::prelude::*;
 
 use adapt_llc::adapt::{
-    AdaptConfig, AdaptPolicy, FootprintMonitor, InsertionPriorityPredictor, PriorityLevel,
+    AdaptConfig, AdaptPolicy, FootprintMonitor, InsertionPriorityPredictor, LeastPriorityMode,
+    PriorityLevel,
 };
-use adapt_llc::experiments::PolicyKind;
+use adapt_llc::experiments::{ablation, ExperimentScale, PolicyKind};
 use adapt_llc::metrics as mc;
 use adapt_llc::policies::{
-    BrripPolicy, BypassDistant, DrripPolicy, EafPolicy, LruPolicy, ShipPolicy, SrripPolicy,
-    TaDrripPolicy,
+    BrripPolicy, BypassDistant, EafPolicy, LruPolicy, ShipPolicy, SrripPolicy, TaDrripPolicy,
 };
 use adapt_llc::sim::addr::{block_of, BlockAddr};
 use adapt_llc::sim::bank::BankModel;
@@ -64,7 +64,7 @@ fn policy_by_hand(
         PolicyKind::Lru => Box::new(LruPolicy::new(sets, ways)),
         PolicyKind::Srrip => Box::new(SrripPolicy::new(sets, ways)),
         PolicyKind::Brrip => Box::new(BrripPolicy::new(sets, ways)),
-        PolicyKind::Drrip => Box::new(DrripPolicy::new(sets, ways)),
+        PolicyKind::Drrip => Box::new(TaDrripPolicy::new(sets, ways, 1)),
         PolicyKind::TaDrrip => Box::new(TaDrripPolicy::new(sets, ways, cores)),
         PolicyKind::TaDrripSd(n) => {
             Box::new(TaDrripPolicy::with_dueling_sets(sets, ways, cores, n))
@@ -74,7 +74,7 @@ fn policy_by_hand(
             p.force_brrip_for(thrashing_slots);
             Box::new(p)
         }
-        PolicyKind::Ship => Box::new(ShipPolicy::new(sets, ways, cores)),
+        PolicyKind::Ship => Box::new(ShipPolicy::new(sets, ways)),
         PolicyKind::Eaf => Box::new(EafPolicy::new(sets, ways)),
         PolicyKind::AdaptIns => Box::new(AdaptPolicy::new(
             AdaptConfig::paper_insert_only(),
@@ -85,7 +85,7 @@ fn policy_by_hand(
         PolicyKind::TaDrripBypass => {
             Box::new(BypassDistant::new(TaDrripPolicy::new(sets, ways, cores)))
         }
-        PolicyKind::ShipBypass => Box::new(BypassDistant::new(ShipPolicy::new(sets, ways, cores))),
+        PolicyKind::ShipBypass => Box::new(BypassDistant::new(ShipPolicy::new(sets, ways))),
         PolicyKind::EafBypass => Box::new(BypassDistant::new(EafPolicy::new(sets, ways))),
     }
 }
@@ -240,8 +240,6 @@ fn ctx(core: usize, set: usize, block: u64) -> AccessContext {
         pc: 0,
         block_addr: block,
         set_index: set,
-        is_demand: true,
-        is_write: false,
     }
 }
 
@@ -343,6 +341,60 @@ proptest! {
         }
     }
 
+    /// Under Footprint-numbers that move between decisions, a bypass is decided only at
+    /// Least priority, of every 32 consecutive Least decisions exactly one installs, every
+    /// Least install is at RRPV 3, and ADAPT_ins never bypasses.
+    #[test]
+    fn bypass_installs_exactly_one_least_fill_in_32(
+        steps in proptest::collection::vec((0.0f64..40.0, 0usize..40), 1..60),
+    ) {
+        for config in [AdaptConfig::paper(), AdaptConfig::paper_insert_only()] {
+            let mut p = InsertionPriorityPredictor::new(config);
+            // Whether each Least decision installed, in order.
+            let mut least_installs = Vec::new();
+            for &(fpn, decisions) in &steps {
+                p.update(fpn);
+                for _ in 0..decisions {
+                    let decision = p.decide();
+                    if p.priority() == PriorityLevel::Least {
+                        prop_assert!(
+                            decision.is_bypass() || decision == InsertionDecision::Insert { rrpv: 3 },
+                            "{:?} at Least", decision
+                        );
+                        least_installs.push(!decision.is_bypass());
+                    } else {
+                        prop_assert!(!decision.is_bypass(), "bypass at {:?}", p.priority());
+                    }
+                }
+            }
+            if config.least_mode == LeastPriorityMode::InsertDistant {
+                prop_assert!(least_installs.iter().all(|&installed| installed));
+            } else {
+                for window in least_installs.windows(32) {
+                    prop_assert_eq!(window.iter().filter(|&&installed| installed).count(), 1);
+                }
+            }
+        }
+    }
+
+    /// An access to an unmonitored set changes no Footprint-number.
+    #[test]
+    fn unmonitored_sets_change_no_footprint_number(
+        accesses in proptest::collection::vec((0usize..512, 0u64..64, 0usize..2), 1..800),
+    ) {
+        let config = AdaptConfig::paper();
+        let mut every_access = FootprintMonitor::new(config, 512, 2);
+        let mut monitored_only = FootprintMonitor::new(config, 512, 2);
+        for &(set, tag, app) in &accesses {
+            let block = (tag << 9) | set as u64;
+            every_access.observe(app, set, block);
+            if monitored_only.is_monitored(set) {
+                monitored_only.observe(app, set, block);
+            }
+        }
+        prop_assert_eq!(every_access.end_interval(), monitored_only.end_interval());
+    }
+
     /// LRU and SRRIP victim selection always returns an in-range way.
     #[test]
     fn llc_policies_return_valid_victims(
@@ -405,6 +457,53 @@ proptest! {
         let four = generate_mixes(StudyKind::Cores4, 2, seed);
         for m in &four {
             prop_assert!(!m.thrashing_slots().is_empty());
+        }
+    }
+}
+
+/// A Footprint monitor samples exactly the configured sets.
+/// At the scaled and the paper LLC, and at every sampled-set count the ablation sweeps, it
+/// monitors `min(n, sets)` sets spread at one stride over the index space; `AllSets`
+/// monitors every set. Every ablation point reaches the monitor of the policy it builds,
+/// so the sweep's flat result comes from the workloads, not from a lost setting.
+#[test]
+fn footprint_monitors_sample_exactly_the_configured_sets() {
+    let scaled = ExperimentScale::Scaled
+        .system_config(StudyKind::Cores16)
+        .llc;
+    let paper = SystemConfig::paper_baseline(16).llc;
+    assert_eq!(scaled.geometry.num_sets(), 512);
+    assert_eq!(paper.geometry.num_sets(), 16384);
+    for llc in [&scaled, &paper] {
+        let sets = llc.geometry.num_sets();
+        for n in [8, 16, 40, 64, 128] {
+            let config = AdaptConfig {
+                sampled_sets: n,
+                ..AdaptConfig::paper()
+            };
+            let monitor = FootprintMonitor::new(config, sets, 1);
+            let count = n.min(sets);
+            let stride = sets / count;
+            let monitored: Vec<usize> = (0..sets).filter(|&s| monitor.is_monitored(s)).collect();
+            assert_eq!(monitor.monitored_sets(), count, "{n} of {sets} sets");
+            assert_eq!(
+                monitored,
+                (0..count).map(|i| i * stride).collect::<Vec<_>>(),
+                "{n} of {sets} sets"
+            );
+        }
+        let all = FootprintMonitor::new(AdaptConfig::all_sets_profiler(), sets, 1);
+        assert_eq!(all.monitored_sets(), sets);
+        assert!((0..sets).all(|s| all.is_monitored(s)));
+    }
+    for sweep in ablation::sweeps() {
+        for (label, config, _) in &sweep.points {
+            let policy = AdaptPolicy::new(*config, &scaled, 16);
+            assert_eq!(
+                policy.monitor().monitored_sets(),
+                config.sampled_sets.min(512),
+                "{label}"
+            );
         }
     }
 }
@@ -550,14 +649,10 @@ proptest! {
     fn soa_private_cache_is_bit_identical_to_reference(
         set_exp in 2u32..6,
         ways in 1usize..21,
-        policy_idx in 0usize..3,
+        policy_idx in 0usize..2,
         ops in proptest::collection::vec((0u64..1024, any::<bool>(), 0usize..8), 1..400),
     ) {
-        let policy = [
-            PrivatePolicyKind::Lru,
-            PrivatePolicyKind::Srrip,
-            PrivatePolicyKind::Drrip,
-        ][policy_idx];
+        let policy = [PrivatePolicyKind::Lru, PrivatePolicyKind::Drrip][policy_idx];
         let cfg = PrivateCacheConfig {
             geometry: CacheGeometry::with_sets(1 << set_exp, ways),
             latency: 2,
@@ -606,8 +701,8 @@ proptest! {
     /// off, every private policy.
     #[test]
     fn private_stage_output_is_invariant_under_the_bound(
-        l1_policy in 0usize..3,
-        l2_policy in 0usize..3,
+        l1_policy in 0usize..2,
+        l2_policy in 0usize..2,
         prefetch in any::<bool>(),
         blocks in 8u64..96,
         stream in proptest::collection::vec(
@@ -615,11 +710,7 @@ proptest! {
             1..600,
         ),
     ) {
-        let policies = [
-            PrivatePolicyKind::Lru,
-            PrivatePolicyKind::Srrip,
-            PrivatePolicyKind::Drrip,
-        ];
+        let policies = [PrivatePolicyKind::Lru, PrivatePolicyKind::Drrip];
         let mut config = SystemConfig::tiny(1);
         config.l1d.geometry = CacheGeometry::with_sets(4, 2);
         config.l1d.policy = policies[l1_policy];

@@ -179,11 +179,7 @@ fn every_policy_kind_is_bit_identical_to_the_reference_engine() {
 fn every_private_policy_pair_is_bit_identical_to_the_reference_engine() {
     let scale = ExperimentScale::Smoke;
     let mix = &generate_mixes(StudyKind::Cores4, 1, scale.seed())[0];
-    let policies = [
-        PrivatePolicyKind::Lru,
-        PrivatePolicyKind::Srrip,
-        PrivatePolicyKind::Drrip,
-    ];
+    let policies = [PrivatePolicyKind::Lru, PrivatePolicyKind::Drrip];
     for l1d in policies {
         for l2 in policies {
             for prefetch in [true, false] {
@@ -303,7 +299,7 @@ fn odd_core_counts_are_bit_identical_to_the_reference_engine() {
         (StudyKind::Cores8, 5),
         (StudyKind::Cores32, 24),
     ] {
-        let cfg = scale.scaling_config(cores, true);
+        let cfg = scale.scaling_config_memsys(cores, MemSystem::FcfsContended);
         let mix = truncated_mix(study, cores);
         for kind in [PolicyKind::TaDrrip, PolicyKind::AdaptBp32] {
             let (fast, reference) = run_both(&cfg, &mix, kind);

@@ -138,7 +138,7 @@ fn assert_stall_conservation(evals: &[experiments::runner::MixEvaluation], num_c
 #[test]
 fn per_core_stall_attribution_is_conserved_at_4_cores_serial_and_parallel() {
     let scale = ExperimentScale::Smoke;
-    let cfg = scale.scaling_config(4, true);
+    let cfg = scale.scaling_config_memsys(4, MemSystem::FcfsContended);
     let mixes = generate_mixes(StudyKind::Cores4, 1, scale.seed());
     let policies = [PolicyKind::TaDrrip, PolicyKind::AdaptBp32];
     let serial = evaluate_policies_serial(&cfg, &mixes, &policies, INSTRUCTIONS, scale.seed());
