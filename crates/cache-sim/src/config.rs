@@ -1,11 +1,9 @@
-//! Simulator configuration.
+//! Simulator configuration: the types that describe a machine.
 //!
-//! [`SystemConfig::paper_baseline`] reproduces the paper's Table 3 parameters. Because the
-//! paper simulates 300M instructions per application on a 16 MB LLC — several CPU-hours per
-//! workload mix on a software simulator — [`SystemConfig::scaled`] provides a proportionally
-//! scaled configuration (same associativity, same core count, smaller set counts and shorter
-//! traces) that preserves the `#cores >= #llc_ways` regime the paper studies, and
-//! [`SystemConfig::tiny`] an even smaller one for unit tests.
+//! [`SystemConfig::paper_baseline`] is the paper's Table 3 machine and
+//! [`SystemConfig::tiny`] a much smaller one for unit tests. Which machine a study runs —
+//! the caches shrunk per scale, the LLC and banks grown per core count, the memory
+//! system — is decided in `experiments::scale`, not here.
 
 use crate::addr::BLOCK_BYTES;
 
@@ -46,15 +44,6 @@ impl CacheGeometry {
             size_bytes: sets as u64 * ways as u64 * BLOCK_BYTES,
             ways,
         }
-    }
-
-    /// Core-count-generic geometry: `per_core_bytes` of capacity per core at the given
-    /// associativity, with the set count rounded **up** to the nearest power of two so
-    /// any core count (including non-powers-of-two like 48) yields a valid geometry.
-    pub fn per_core(num_cores: usize, per_core_bytes: u64, ways: usize) -> Self {
-        let target_bytes = per_core_bytes * num_cores as u64;
-        let sets = (target_bytes / (BLOCK_BYTES * ways as u64)).max(1) as usize;
-        Self::with_sets(sets.next_power_of_two(), ways)
     }
 }
 
@@ -328,107 +317,6 @@ impl SystemConfig {
         }
     }
 
-    /// Paper baseline with a different LLC capacity/associativity (Figure 7 sensitivity:
-    /// 24 MB/24-way and 32 MB/32-way keep the set count constant and grow associativity).
-    pub fn paper_with_llc(num_cores: usize, llc_bytes: u64, llc_ways: usize) -> Self {
-        let mut cfg = Self::paper_baseline(num_cores);
-        cfg.llc.geometry = CacheGeometry::new(llc_bytes, llc_ways);
-        cfg
-    }
-
-    /// Proportionally scaled-down configuration used by the default experiment runs.
-    ///
-    /// Keeps the paper's associativities (so `#cores >= #llc_ways` still holds at 16+ cores)
-    /// and latencies, but shrinks set counts (the LLC has 32x fewer sets) so a workload
-    /// mix simulates in seconds. The footprint interval is 24x the number of LLC blocks;
-    /// the paper's 1M misses are about 4x the block count of its 16-way 16 MB LLC.
-    pub fn scaled(num_cores: usize) -> Self {
-        let mut cfg = Self::paper_baseline(num_cores);
-        cfg.l1d.geometry = CacheGeometry::new(8 * 1024, 8);
-        cfg.l2.geometry = CacheGeometry::new(32 * 1024, 16);
-        cfg.llc.geometry = CacheGeometry::new(512 * 1024, 16);
-        // Long enough that a thrashing application accumulates >= associativity unique
-        // blocks per monitored set within one interval (the property the paper's 1M-miss
-        // interval provides at full scale), short enough that several intervals complete in
-        // a scaled-down run.
-        cfg.interval_misses = (cfg.llc.geometry.num_blocks() as u64) * 24;
-        cfg
-    }
-
-    /// Scaled configuration with an alternative LLC (scaled analogue of Figure 7).
-    pub fn scaled_with_llc(num_cores: usize, llc_bytes: u64, llc_ways: usize) -> Self {
-        let mut cfg = Self::scaled(num_cores);
-        cfg.llc.geometry = CacheGeometry::new(llc_bytes, llc_ways);
-        cfg.interval_misses = (cfg.llc.geometry.num_blocks() as u64) * 24;
-        cfg
-    }
-
-    /// Number of LLC banks for a core-count-generic many-core system: one bank per
-    /// eight cores, rounded up to a power of two, clamped to `[4, 32]` (the paper's
-    /// 16-core machine uses 4 banks).
-    pub fn many_core_llc_banks(num_cores: usize) -> usize {
-        (num_cores / 8).next_power_of_two().clamp(4, 32)
-    }
-
-    /// Number of DRAM banks for a many-core system: one per two cores, rounded up to a
-    /// power of two, clamped to `[8, 64]` (the paper's 16-core machine uses 8 banks).
-    pub fn many_core_dram_banks(num_cores: usize) -> usize {
-        (num_cores / 2).next_power_of_two().clamp(8, 64)
-    }
-
-    /// Apply the core-count-generic many-core shape to `self`: per-core LLC capacity
-    /// (set count rounded up to a power of two, so 48-core systems work), bank counts,
-    /// MSHR/write-back capacities and DRAM banks scaled with the core count, and the
-    /// cycle-accounted contention model enabled (2 ports, 16-entry queues per bank, and
-    /// with them MSHR back-pressure).
-    fn make_many_core(mut self, per_core_llc_bytes: u64) -> Self {
-        let n = self.num_cores;
-        self.llc.geometry = CacheGeometry::per_core(n, per_core_llc_bytes, 16);
-        self.llc.banks = Self::many_core_llc_banks(n);
-        self.llc.mshr_entries = 16 * n;
-        self.llc.wb_entries = 8 * n;
-        self.llc.contention = BankContentionConfig::contended(2, 16);
-        self.dram.banks = Self::many_core_dram_banks(n);
-        self.dram.contention = BankContentionConfig::contended(2, 16);
-        self
-    }
-
-    /// Paper-shaped many-core configuration for the scaling study beyond the paper's
-    /// 24 cores: the Table 3 hierarchy with the paper's 1 MB-per-core LLC provisioning
-    /// (16 MB / 16 cores), contended banks and scaled MSHR/bank counts.
-    pub fn paper_many_core(num_cores: usize) -> Self {
-        Self::paper_baseline(num_cores).make_many_core(1024 * 1024)
-    }
-
-    /// Scaled-down many-core configuration (the default for `repro scale`): same shape
-    /// as [`SystemConfig::paper_many_core`] on the [`SystemConfig::scaled`] hierarchy,
-    /// 32 KB of LLC per core (512 KB / 16 cores, matching `scaled()`).
-    pub fn scaled_many_core(num_cores: usize) -> Self {
-        let mut cfg = Self::scaled(num_cores).make_many_core(32 * 1024);
-        cfg.interval_misses = (cfg.llc.geometry.num_blocks() as u64) * 24;
-        cfg
-    }
-
-    /// Enable the realistic memory system on `self`: FR-FCFS row-buffer scheduling in
-    /// the DRAM banks (row-hit latency from the DDR2 table, row-miss halfway between
-    /// hit and conflict, conflict from the table, starvation cap of 4) and mesh NUCA
-    /// with the given per-hop wire latency on the LLC banks. With `hop_cycles == 0`
-    /// only the row model is enabled.
-    pub fn with_frfcfs_nuca(mut self, hop_cycles: u64) -> Self {
-        let hit = self.dram.row_hit_cycles;
-        let conflict = self.dram.row_conflict_cycles;
-        let miss = (hit + conflict) / 2;
-        self.dram.row_model = Some(RowModelConfig::frfcfs(hit, miss, conflict, 4));
-        self.llc.nuca = NucaConfig::mesh(hop_cycles);
-        self
-    }
-
-    /// NUCA wire delay in cycles for a request from `core` to LLC bank `bank` under
-    /// this configuration's mesh topology (0 when NUCA is disabled).
-    pub fn nuca_delay(&self, core: usize, bank: usize) -> u64 {
-        self.llc.nuca.hop_cycles * mesh_hops(core, self.num_cores, bank, self.llc.banks)
-    }
-
     /// Very small configuration for unit tests and micro-benchmarks.
     pub fn tiny(num_cores: usize) -> Self {
         let mut cfg = Self::paper_baseline(num_cores);
@@ -540,13 +428,15 @@ mod tests {
 
     #[test]
     fn figure7_llc_variants_grow_associativity() {
-        let c24 = SystemConfig::paper_with_llc(20, 24 * 1024 * 1024, 24);
-        let c32 = SystemConfig::paper_with_llc(24, 32 * 1024 * 1024, 32);
-        assert_eq!(c24.llc.geometry.ways, 24);
-        assert_eq!(c32.llc.geometry.ways, 32);
-        // Set count stays at the 16 MB/16-way baseline's 16K sets.
-        assert_eq!(c24.llc.geometry.num_sets(), 16 * 1024);
-        assert_eq!(c32.llc.geometry.num_sets(), 16 * 1024);
+        // Figure 7's 24 MB/24-way and 32 MB/32-way LLCs on the Table 3 machine.
+        for (cores, mb, ways) in [(20, 24, 24), (24, 32, 32)] {
+            let mut cfg = SystemConfig::paper_baseline(cores);
+            cfg.llc.geometry = CacheGeometry::new(mb * 1024 * 1024, ways);
+            assert_eq!(cfg.llc.geometry.ways, ways);
+            // Set count stays at the 16 MB/16-way baseline's 16K sets.
+            assert_eq!(cfg.llc.geometry.num_sets(), 16 * 1024);
+            cfg.validate().unwrap();
+        }
     }
 
     #[test]
@@ -570,16 +460,8 @@ mod tests {
 
     #[test]
     fn validate_rejects_inconsistent_row_models() {
-        let mut cfg = SystemConfig::tiny(4);
+        let cfg = SystemConfig::tiny(4);
         cfg.validate().unwrap();
-        cfg = cfg.with_frfcfs_nuca(2);
-        cfg.validate().unwrap();
-        let rm = cfg.dram.row_model.expect("the row model is on");
-        assert_eq!(rm.row_hit_cycles, 180);
-        assert_eq!(rm.row_miss_cycles, 260);
-        assert_eq!(rm.row_conflict_cycles, 340);
-        assert_eq!(cfg.llc.nuca.hop_cycles, 2);
-
         let with = |rm| SystemConfig {
             dram: DramConfig {
                 row_model: Some(rm),
@@ -587,6 +469,8 @@ mod tests {
             },
             ..cfg.clone()
         };
+        let rm = RowModelConfig::frfcfs(180, 260, 340, 4);
+        with(rm).validate().unwrap();
         let bad = with(RowModelConfig {
             row_miss_cycles: 100, // < hit
             ..rm
@@ -606,10 +490,20 @@ mod tests {
 
     #[test]
     fn scaled_keeps_associativity_and_validates() {
+        // Shrinking every cache of Table 3 by set count alone keeps the paper's
+        // associativities and a valid machine at every studied core count.
         for n in [4, 8, 16, 20, 24] {
-            let cfg = SystemConfig::scaled(n);
+            let mut cfg = SystemConfig::paper_baseline(n);
+            for g in [
+                &mut cfg.l1d.geometry,
+                &mut cfg.l2.geometry,
+                &mut cfg.llc.geometry,
+            ] {
+                *g = CacheGeometry::with_sets(g.num_sets() / 32, g.ways);
+            }
             assert_eq!(cfg.llc.geometry.ways, 16);
             assert_eq!(cfg.l2.geometry.ways, 16);
+            assert_eq!(cfg.llc.geometry.size_bytes, 512 * 1024);
             cfg.validate().unwrap();
         }
     }
@@ -657,29 +551,25 @@ mod tests {
 
     #[test]
     fn many_core_configs_validate_and_scale_with_cores() {
-        for n in [32, 48, 64] {
-            for cfg in [
-                SystemConfig::paper_many_core(n),
-                SystemConfig::scaled_many_core(n),
-            ] {
-                cfg.validate().unwrap();
-                assert_eq!(cfg.num_cores, n);
-                assert_eq!(cfg.llc.geometry.ways, 16);
-                assert!(cfg.llc.geometry.num_sets().is_power_of_two());
-                assert_eq!(cfg.llc.mshr_entries, 16 * n);
-                assert!(!cfg.llc.contention.is_flat());
-            }
+        // Banks, MSHRs and write-back entries grown with the core count, contended.
+        for n in [32, 48, 64, 128, 256] {
+            let mut cfg = SystemConfig::paper_baseline(n);
+            // 1 MB per core: 1024 sets of 16 ways each, rounded up to a power of two.
+            cfg.llc.geometry = CacheGeometry::with_sets((1024 * n).next_power_of_two(), 16);
+            cfg.llc.banks = (n / 8).next_power_of_two().clamp(4, 32);
+            cfg.llc.mshr_entries = 16 * n;
+            cfg.llc.wb_entries = 8 * n;
+            cfg.llc.contention = BankContentionConfig::contended(2, 16);
+            cfg.dram.contention = BankContentionConfig::contended(2, 16);
+            // One DRAM bank per two cores is no power of two at 48 cores: the XOR bank
+            // mapping needs it rounded up.
+            cfg.dram.banks = n / 2;
+            assert_eq!(cfg.validate().is_ok(), (n / 2).is_power_of_two());
+            cfg.dram.banks = (n / 2).next_power_of_two().clamp(8, 64);
+            cfg.validate().unwrap();
+            assert_eq!(cfg.num_cores, n);
+            assert!(!cfg.llc.contention.is_flat());
         }
-        // Non-power-of-two core counts round the set count up, never down.
-        let c48 = SystemConfig::scaled_many_core(48);
-        assert!(c48.llc.geometry.size_bytes >= 48 * 32 * 1024);
-        // Bank counts follow the documented clamps.
-        assert_eq!(SystemConfig::many_core_llc_banks(32), 4);
-        assert_eq!(SystemConfig::many_core_llc_banks(48), 8);
-        assert_eq!(SystemConfig::many_core_llc_banks(64), 8);
-        assert_eq!(SystemConfig::many_core_dram_banks(32), 16);
-        assert_eq!(SystemConfig::many_core_dram_banks(48), 32);
-        assert_eq!(SystemConfig::many_core_dram_banks(64), 32);
     }
 
     #[test]
@@ -722,16 +612,22 @@ mod tests {
 
     #[test]
     fn per_core_geometry_rounds_sets_up_to_a_power_of_two() {
-        let g = CacheGeometry::per_core(48, 32 * 1024, 16);
-        assert_eq!(g.num_sets(), 2048); // 1536 rounded up
-        let exact = CacheGeometry::per_core(32, 32 * 1024, 16);
-        assert_eq!(exact.num_sets(), 1024);
-        assert_eq!(CacheGeometry::with_sets(64, 16).num_blocks(), 1024);
+        // 48 cores x 32 KB at 16 ways is 1536 sets: no mask selects a set among them.
+        let mut cfg = SystemConfig::paper_baseline(48);
+        cfg.llc.geometry.size_bytes = 48 * 32 * 1024;
+        assert_eq!(cfg.llc.geometry.num_sets(), 1536);
+        assert!(cfg.validate().unwrap_err().contains("power of two"));
+        // Rounded up, never down: the LLC keeps at least its per-core capacity.
+        cfg.llc.geometry = CacheGeometry::with_sets(1536usize.next_power_of_two(), 16);
+        assert_eq!(cfg.llc.geometry.num_sets(), 2048);
+        assert!(cfg.llc.geometry.size_bytes >= 48 * 32 * 1024);
+        cfg.validate().unwrap();
     }
 
     #[test]
     fn geometry_counts_are_consistent() {
         let g = CacheGeometry::new(16 * 1024 * 1024, 16);
         assert_eq!(g.num_blocks(), g.num_sets() * g.ways);
+        assert_eq!(CacheGeometry::with_sets(64, 16).num_blocks(), 1024);
     }
 }

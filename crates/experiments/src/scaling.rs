@@ -2,11 +2,11 @@
 //!
 //! The paper stops at 24 cores ("the number of cores is equal to or greater than the
 //! associativity" being the regime of interest); this module extends the comparison to
-//! 32/48/64 cores on the core-count-generic geometry of
-//! [`cache_sim::config::SystemConfig::scaled_many_core`] with the cycle-accounted bank
-//! contention model of `cache_sim::bank` enabled — finite service ports, bounded
-//! per-bank queues and MSHR back-pressure — so policies are differentiated not only by
-//! hit rates but by the bank pressure they induce. Following fairness-oriented LLC
+//! 32 to 256 cores on the core-count-generic machines of
+//! [`ExperimentScale::scaling_config_memsys`] with the cycle-accounted bank contention
+//! model of `cache_sim::bank` enabled — finite service ports, bounded per-bank queues and
+//! MSHR back-pressure — so policies are differentiated not only by hit rates but by the
+//! bank pressure they induce. Following fairness-oriented LLC
 //! management work (LFOC/LFOC+, Saez et al.), each policy is scored on three axes:
 //!
 //! * **throughput** — mean weighted speedup over the workload mixes, plus the geometric

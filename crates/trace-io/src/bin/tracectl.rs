@@ -47,8 +47,8 @@ use cache_sim::trace::MemAccess;
 use sim_obs::json_escape;
 use trace_io::import::{self, ImportFormat, ImportOptions};
 use trace_io::{
-    capture_benchmarks, capture_mix, compression_stats, read_header, MappedStreamDecoder,
-    MappedTrace, TraceCaptureOptions, DEFAULT_BATCH_RECORDS,
+    capture_benchmarks, capture_mix, compression_stats, MappedStreamDecoder, MappedTrace,
+    TraceCaptureOptions, DEFAULT_BATCH_RECORDS,
 };
 use workloads::{generate_mixes, StudyKind};
 
@@ -197,10 +197,7 @@ fn parse_import(args: &[String]) -> Result<ImportArgs, String> {
         mix_id: 0,
         inputs: Vec::new(),
         seed: 1,
-        options: ImportOptions {
-            progress_every: Some(1_000_000),
-            ..Default::default()
-        },
+        options: ImportOptions::default(),
     };
     let mut it = args.iter();
     while let Some(flag) = it.next() {
@@ -312,7 +309,8 @@ fn import_cmd(args: ImportArgs) -> Result<(), String> {
         stats.summary.file_bytes,
         stats.summary.bytes_per_record()
     );
-    let info = compression_stats(&stats.summary.path).map_err(|e| e.to_string())?;
+    let trace = MappedTrace::open(&stats.summary.path).map_err(|e| e.to_string())?;
+    let info = compression_stats(&trace).map_err(|e| e.to_string())?;
     if info.compressed_blocks > 0 {
         println!(
             "  compression: {}/{} blocks, ratio {:.2}x ({} payload bytes saved)",
@@ -346,15 +344,16 @@ fn decode_pass(
     }
 }
 
-/// Decode every core once, from a fresh mapping (so every checksum is validated) with
-/// sim-obs recording on, and report where the time went.
-fn decode_timings_per_core(path: &Path) -> Result<Vec<trace_io::DecodeTimings>, String> {
-    let trace = Arc::new(MappedTrace::open(path).map_err(|e| e.to_string())?);
+/// Decode every core of `trace` once with sim-obs recording on, and report where the time
+/// went. Every checksum is validated as long as the mapping has decoded nothing before.
+fn decode_timings_per_core(
+    trace: &Arc<MappedTrace>,
+) -> Result<Vec<trace_io::DecodeTimings>, String> {
     let was_enabled = sim_obs::enabled();
     sim_obs::enable();
     let result = (0..trace.header().cores.len())
         .map(|core| {
-            decode_pass(&trace, core, |_| {})?;
+            decode_pass(trace, core, |_| {})?;
             Ok(trace.decode_timings(core))
         })
         .collect();
@@ -365,14 +364,17 @@ fn decode_timings_per_core(path: &Path) -> Result<Vec<trace_io::DecodeTimings>, 
 }
 
 fn inspect(path: &Path, json: bool, timings: bool) -> Result<(), String> {
-    let header = read_header(path).map_err(|e| e.to_string())?;
+    // One mapping serves the header, the compression fold and the timed pass; the fold
+    // validates no checksum, so the timed pass still validates them all.
+    let trace = Arc::new(MappedTrace::open(path).map_err(|e| e.to_string())?);
+    let header = trace.header();
     let compression = if header.compressed {
-        Some(compression_stats(path).map_err(|e| e.to_string())?)
+        Some(compression_stats(&trace).map_err(|e| e.to_string())?)
     } else {
         None
     };
     let decode = if timings {
-        Some(decode_timings_per_core(path)?)
+        Some(decode_timings_per_core(&trace)?)
     } else {
         None
     };

@@ -35,6 +35,10 @@ use crate::error::TraceError;
 use crate::header::MAX_LABEL_BYTES;
 use crate::writer::{TraceCaptureOptions, TraceSummary, TraceWriter};
 
+/// An import logs a progress line every this many records transcoded (imports can be
+/// long).
+const PROGRESS_EVERY_RECORDS: u64 = 1_000_000;
+
 /// Size of one ChampSim-style binary instruction record.
 pub const CHAMPSIM_RECORD_BYTES: usize = 64;
 /// Destination (written) memory-operand slots per ChampSim record.
@@ -164,9 +168,6 @@ pub struct ImportOptions {
     /// Stop each core's stream after this many records (caps transcoding cost on
     /// arbitrarily large inputs).
     pub limit: Option<u64>,
-    /// Print a progress line to stderr every this many records (imports can be long;
-    /// `None` stays quiet for tests and scripting).
-    pub progress_every: Option<u64>,
 }
 
 /// Per-core outcome of an import.
@@ -246,11 +247,9 @@ impl CoreFeed {
     }
 }
 
-fn progress_tick(opts: &ImportOptions, total_records: u64) {
-    if let Some(every) = opts.progress_every {
-        if every > 0 && total_records.is_multiple_of(every) {
-            sim_obs::obs_info!("import", "{total_records} records transcoded...");
-        }
+fn progress_tick(total_records: u64) {
+    if total_records.is_multiple_of(PROGRESS_EVERY_RECORDS) {
+        sim_obs::obs_info!("import", "{total_records} records transcoded...");
     }
 }
 
@@ -431,7 +430,7 @@ fn import_champsim_core(
             }
             feed.push(writer, core, addr, instr.ip, is_write)?;
             had_access = true;
-            progress_tick(opts, feed.records);
+            progress_tick(feed.records);
         }
         if !had_access {
             feed.non_mem_instruction();
@@ -547,7 +546,7 @@ fn import_csv(
         feed.pending_non_mem = record.non_mem;
         feed.push(writer, record.core, record.addr, record.pc, record.is_write)?;
         total += 1;
-        progress_tick(opts, total);
+        progress_tick(total);
     }
     Ok((bytes, skipped))
 }

@@ -28,8 +28,8 @@
 //!   read through it, so no file I/O runs inside the simulator loop.
 //! * [`open_all`] yields one [`cache_sim::trace::TraceSource`] per core over a shared
 //!   mapping, restarting each stream at its end exactly like the paper's re-execution
-//!   methodology; [`decode_all`], [`read_header`] and [`compression_stats`] are the other
-//!   file-level conveniences.
+//!   methodology; [`decode_all`] and [`read_header`] are the other file-level conveniences,
+//!   and [`compression_stats`] folds a mapping's chunk index.
 //! * [`Corpus`] groups one `.atrc` per workload mix under a manifest recording the capture
 //!   geometry and seed — the unit `experiments::runner::sweep_policies_on_corpus_with`
 //!   sweeps, mapping each file once and fanning the (policy × mix) grid out in parallel.

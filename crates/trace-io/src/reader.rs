@@ -78,11 +78,11 @@ impl CompressionInfo {
     }
 }
 
-/// Report a trace file's compression accounting without decoding any records: a fold
+/// Report a mapped trace's compression accounting without decoding any records: a fold
 /// over the chunk index, compressed blocks contributing their declared raw length from
-/// the payload prefix. Works on every format version; v1/v2 files report a 1.0 ratio.
-pub fn compression_stats(path: impl AsRef<Path>) -> Result<CompressionInfo, TraceError> {
-    let trace = MappedTrace::open(path)?;
+/// the payload prefix. Validates no checksum. Works on every format version; v1/v2
+/// files report a 1.0 ratio.
+pub fn compression_stats(trace: &MappedTrace) -> Result<CompressionInfo, TraceError> {
     let mut info = CompressionInfo::default();
     for (payload, compressed) in trace.stored_blocks() {
         info.blocks += 1;
@@ -263,11 +263,13 @@ mod tests {
             packed_bytes < plain_bytes,
             "strided records must compress: v3 {packed_bytes} vs v2 {plain_bytes} bytes"
         );
-        let info = compression_stats(&packed).unwrap();
+        let info = compression_stats(&MappedTrace::open(&packed).unwrap()).unwrap();
         assert!(info.compressed_blocks > 0);
         assert!(info.ratio() > 1.0);
         assert_eq!(
-            compression_stats(plain).unwrap().compressed_blocks,
+            compression_stats(&MappedTrace::open(plain).unwrap())
+                .unwrap()
+                .compressed_blocks,
             0,
             "v2 files report no compressed blocks"
         );

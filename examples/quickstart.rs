@@ -7,16 +7,16 @@
 //! Run with: `cargo run --release --example quickstart`
 
 use adapt_llc::adapt::{AdaptConfig, AdaptPolicy};
+use adapt_llc::experiments::ExperimentScale;
 use adapt_llc::metrics::MulticoreMetrics;
-use adapt_llc::sim::config::SystemConfig;
 use adapt_llc::sim::single::run_alone;
 use adapt_llc::sim::system::MultiCoreSystem;
 use adapt_llc::sim::trace::TraceSource;
-use adapt_llc::workloads::benchmark_by_name;
+use adapt_llc::workloads::{benchmark_by_name, StudyKind};
 
 fn main() {
-    // A scaled-down version of the paper's Table 3 system with 4 cores.
-    let config = SystemConfig::scaled(4);
+    // A scaled-down version of the paper's Table 3 system with 4 cores and its 16 MB LLC.
+    let config = ExperimentScale::Scaled.system_config_with_llc(StudyKind::Cores4, 16 << 20, 16);
     let llc_sets = config.llc.geometry.num_sets();
     let instructions = 200_000;
 

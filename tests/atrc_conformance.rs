@@ -388,7 +388,8 @@ fn v3_fixture_layout_matches_the_spec() {
     );
 
     // Core 1's noise blocks must be stored raw: same framing as v2, bit 31 clear.
-    let info = compression_stats(fixture_path("v3-compressed.atrc")).unwrap();
+    let info =
+        compression_stats(&MappedTrace::open(fixture_path("v3-compressed.atrc")).unwrap()).unwrap();
     assert!(
         info.compressed_blocks > 0 && info.compressed_blocks < info.blocks,
         "{SPEC} {s}: fixture must exercise both block forms, got {}/{} compressed",
@@ -490,9 +491,6 @@ fn fixtures_verify_clean() {
             );
         }
         assert_eq!(trace.checksum_validations(), blocks, "{name}");
-        assert_eq!(
-            compression_stats(fixture_path(name)).unwrap().blocks,
-            blocks
-        );
+        assert_eq!(compression_stats(&trace).unwrap().blocks, blocks);
     }
 }

@@ -20,7 +20,7 @@ fn test_scale_config() -> (
     adapt_llc::workloads::WorkloadMix,
     u64,
 ) {
-    let config = adapt_llc::sim::config::SystemConfig::scaled_with_llc(16, 256 * 1024, 16);
+    let config = ExperimentScale::Scaled.system_config_with_llc(StudyKind::Cores16, 8 << 20, 16);
     let mix = generate_mixes(StudyKind::Cores16, 1, 0xC0FFEE).remove(0);
     (config, mix, 600_000)
 }
