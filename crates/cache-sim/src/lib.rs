@@ -105,4 +105,4 @@ pub use dram::DramStats;
 pub use replacement::{AccessContext, InsertionDecision, LineView, LlcReplacementPolicy};
 pub use stats::{CoreStallAttribution, CoreStats, SystemResults};
 pub use system::MultiCoreSystem;
-pub use trace::{capture_into, MemAccess, TraceSink, TraceSource};
+pub use trace::{MemAccess, TraceSource};

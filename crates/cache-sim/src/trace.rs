@@ -63,36 +63,6 @@ pub trait TraceSource: Send {
     }
 }
 
-/// Receives per-core access streams during trace capture.
-///
-/// Implemented by `trace_io::TraceWriter` (binary corpus files) and by test doubles;
-/// [`capture_into`] drains one source into it.
-pub trait TraceSink {
-    /// Announce (or rename) the application captured on `core`.
-    fn begin_core(&mut self, core: usize, label: &str) -> std::io::Result<()>;
-
-    /// Append one access to `core`'s stream.
-    fn record(&mut self, core: usize, access: MemAccess) -> std::io::Result<()>;
-}
-
-/// Drain `accesses` accesses from `source` into `sink` under core index `core`.
-///
-/// The source is reset first so captures always start from the initial stream, keeping a
-/// captured corpus equivalent to a freshly constructed generator.
-pub fn capture_into(
-    source: &mut dyn TraceSource,
-    sink: &mut dyn TraceSink,
-    core: usize,
-    accesses: u64,
-) -> std::io::Result<()> {
-    source.reset();
-    sink.begin_core(core, &source.label())?;
-    for _ in 0..accesses {
-        sink.record(core, source.next_access())?;
-    }
-    Ok(())
-}
-
 impl TraceSource for Box<dyn TraceSource> {
     fn next_access(&mut self) -> MemAccess {
         (**self).next_access()
@@ -757,39 +727,6 @@ mod tests {
             "a filled arena must register its capacity"
         );
         drop(arena);
-    }
-
-    /// Sink that records everything in memory, for testing the capture plumbing.
-    struct VecSink {
-        labels: Vec<String>,
-        streams: Vec<Vec<MemAccess>>,
-    }
-
-    impl TraceSink for VecSink {
-        fn begin_core(&mut self, core: usize, label: &str) -> std::io::Result<()> {
-            self.labels[core] = label.to_string();
-            Ok(())
-        }
-
-        fn record(&mut self, core: usize, access: MemAccess) -> std::io::Result<()> {
-            self.streams[core].push(access);
-            Ok(())
-        }
-    }
-
-    #[test]
-    fn capture_into_resets_then_drains_the_source() {
-        let mut src = SharedReplayTrace::from_addrs("app", &[1, 2, 3], 2);
-        src.next_access(); // capture must not start mid-stream
-        let mut sink = VecSink {
-            labels: vec![String::new()],
-            streams: vec![vec![]],
-        };
-        capture_into(&mut src, &mut sink, 0, 5).unwrap();
-        assert_eq!(sink.labels[0], "app");
-        let addrs: Vec<u64> = sink.streams[0].iter().map(|a| a.addr).collect();
-        assert_eq!(addrs, vec![1, 2, 3, 1, 2]);
-        assert_eq!(sink.streams[0][0].instructions(), 3);
     }
 
     #[test]

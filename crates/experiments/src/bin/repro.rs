@@ -1,10 +1,10 @@
 //! `repro` — regenerate the ADAPT paper's figures and tables from the command line.
 //!
 //! ```text
-//! repro <experiment> [--paper-scale | --smoke]
+//! repro <experiment> [--paper-scale | --smoke] [--mixes N]
 //!
 //! experiments: every entry of `experiments::experiment::registry` (`repro --help` lists
-//!   them with their titles), plus
+//!   them with their titles; `--mixes N` runs exactly N mixes per study), plus
 //!   mixes    Print the generated workload mixes (Table 6)
 //!   diag     Per-application TA-DRRIP vs ADAPT (and SHiP) diagnostic on one 16-core mix
 //!   all      Every experiment on the paper's studies, in registry order
@@ -35,7 +35,9 @@
 //! ```
 //!
 //! The default scale is `scaled` (minutes); `--paper-scale` selects the paper's full
-//! parameters (hours); `--smoke` is a seconds-long sanity run. Corpus mode must load a
+//! parameters (hours); `--smoke` is a seconds-long sanity run. A study flag (`--dir`,
+//! `--study`, `--cores`, `--flat`, `--memsys`, `--mixes`, `--arena-bytes`) given to a
+//! command that does not read it is an error. Corpus mode must load a
 //! corpus materialized at the same scale (the manifest's geometry is validated).
 //!
 //! # Profiling and logging
@@ -71,8 +73,8 @@ fn usage() -> String {
         .map(|e| format!("  {:<9}{}\n", e.name, e.title))
         .collect();
     format!(
-        "usage: repro <{}> [--paper-scale|--smoke]\n       repro corpus --dir DIR [--study \
-         4|8|...|64] [--mixes N] [--paper-scale|--smoke]\n       repro sweep --dir DIR \
+        "usage: repro <{}> [--paper-scale|--smoke] [--mixes N]\n       repro corpus --dir DIR \
+         [--study 4|8|...|64] [--mixes N] [--paper-scale|--smoke]\n       repro sweep --dir DIR \
          [--paper-scale|--smoke]\n         [--arena-bytes N]\n       \
          repro scale [--cores 32,48,64,128,256] [--mixes N] [--flat] [--memsys] \
          [--paper-scale|--smoke]\n\nexperiments:\n{list}  \
@@ -99,6 +101,20 @@ fn usage() -> String {
 /// mistaken for one.
 fn is_command(name: &str) -> bool {
     find(name).is_some() || ["mixes", "diag", "all", "corpus", "sweep"].contains(&name)
+}
+
+/// The study flags `command` reads; one given to a command that does not read it is an
+/// error rather than silently ignored. `all` and every registry experiment that runs
+/// policies read `--mixes`.
+fn flags_read_by(command: &str) -> &'static [&'static str] {
+    match command {
+        "corpus" => &["--dir", "--study", "--mixes"],
+        "sweep" => &["--dir", "--arena-bytes"],
+        "scale" => &["--cores", "--flat", "--memsys", "--mixes"],
+        "mixes" | "diag" => &[],
+        name if find(name).is_some_and(|e| e.policies.is_empty()) => &[],
+        _ => &["--mixes"],
+    }
 }
 
 /// The study `flag`'s operand names by its core count.
@@ -181,19 +197,28 @@ fn print_mixes(scale: ExperimentScale) {
 /// Diagnostic: run one 16-core mix under TA-DRRIP, ADAPT and SHiP and print each
 /// application's view (MPKI, IPC, normalized IPC) side by side; then, per application,
 /// ADAPT's final priority, Footprint-number, bypasses and installs, its interval count,
-/// and SHiP's share of distant insertions.
+/// and SHiP's share of distant insertions. The mix is materialized once: its private
+/// hierarchy is simulated for the first policy and replayed for the other two, as in
+/// every sweep.
 fn diag(scale: ExperimentScale) {
     use experiments::policies::AnyPolicy;
-    use experiments::runner::evaluate_mix_system;
-    use experiments::PolicyKind;
+    use experiments::runner::evaluate_prepared_system;
+    use experiments::{MixSource, PolicyKind};
 
     let study = StudyKind::Cores16;
     let config = scale.system_config(study);
-    let mix = generate_mixes(study, 1, scale.seed()).remove(0);
-    let instructions = scale.instructions_per_core();
+    let (instructions, seed) = (scale.instructions_per_core(), scale.seed());
+    let mix = generate_mixes(study, 1, seed).remove(0);
+    let llc_sets = config.llc.geometry.num_sets();
+    let prepared = MixSource::synthetic(mix)
+        .materialize_with(llc_sets, seed, &ReplayConfig::default())
+        .expect("generated mixes always materialize");
+    let slots = prepared.mix().thrashing_slots();
     let [(base, _), (adapt, adapt_system), (ship, ship_system)] =
-        [PolicyKind::TaDrrip, PolicyKind::AdaptBp32, PolicyKind::Ship]
-            .map(|policy| evaluate_mix_system(&config, &mix, policy, instructions, scale.seed()));
+        [PolicyKind::TaDrrip, PolicyKind::AdaptBp32, PolicyKind::Ship].map(|policy| {
+            let built = policy.build_dispatch(&config, &slots);
+            evaluate_prepared_system(&config, &prepared, policy, built, instructions, seed)
+        });
     println!(
         "weighted speedup: TA-DRRIP {:.4}  ADAPT_bp32 {:.4}  ratio {:.4}",
         base.weighted_speedup(),
@@ -311,8 +336,14 @@ fn main() -> ExitCode {
     let mut flat = false;
     let mut memsys = false;
     let mut replay = ReplayConfig::default();
+    let mut study_flags: Vec<&str> = Vec::new();
     let mut it = args.iter();
     while let Some(a) = it.next() {
+        // Every study flag is read by `corpus`, `sweep` or `scale`.
+        let reads = |command: &&str| flags_read_by(command).contains(&a.as_str());
+        if ["corpus", "sweep", "scale"].iter().any(reads) {
+            study_flags.push(a);
+        }
         let mut value = |flag: &str| {
             it.next()
                 .map(String::as_str)
@@ -378,6 +409,16 @@ fn main() -> ExitCode {
         eprintln!("{}", usage());
         return ExitCode::FAILURE;
     };
+    let read = flags_read_by(&experiment);
+    if let Some(flag) = study_flags.iter().find(|f| !read.contains(f)) {
+        eprintln!("'{experiment}' does not take {flag}\n{}", usage());
+        return ExitCode::FAILURE;
+    }
+    // `--mixes N` evaluates exactly N mixes per study, whatever the experiment.
+    let with_mixes = |exp: Experiment| Experiment {
+        mixes: mixes_override.map_or(exp.mixes, Mixes::Exactly),
+        ..exp
+    };
     let profile = profile_dir(profile_flag);
     if let Some(dir) = &profile {
         sim_obs::enable();
@@ -406,17 +447,16 @@ fn main() -> ExitCode {
             Ok(())
         }
         "all" => {
-            for exp in registry().iter().filter(|e| e.in_paper()) {
+            for exp in registry().into_iter().filter(|e| e.in_paper()) {
                 println!("==== {} ====", exp.name);
-                print_experiment(exp, scale);
+                print_experiment(&with_mixes(exp), scale);
                 println!();
             }
             Ok(())
         }
         name => match find(name) {
             Some(exp) => {
-                // The scaling study's own flags pick its core counts, mixes and memory
-                // systems.
+                // The scaling study's own flags pick its core counts and memory systems.
                 let exp = match name {
                     "scale" => {
                         let (systems, summary) = match (memsys, flat) {
@@ -428,13 +468,12 @@ fn main() -> ExitCode {
                             studies: cores_list.unwrap_or(exp.studies),
                             variant: Variant::MemSys(systems),
                             summaries: vec![summary],
-                            mixes: mixes_override.map_or(exp.mixes, Mixes::Exactly),
                             ..exp
                         }
                     }
                     _ => exp,
                 };
-                print_experiment(&exp, scale);
+                print_experiment(&with_mixes(exp), scale);
                 Ok(())
             }
             None => Err(format!("unknown experiment '{name}'\n{}", usage())),

@@ -19,7 +19,7 @@ use std::collections::BTreeMap;
 
 use adapt_core::AdaptConfig;
 use cache_sim::config::SystemConfig;
-use mc_metrics::MulticoreMetrics;
+use mc_metrics::{relative_improvement, MulticoreMetrics};
 use trace_io::{Corpus, TraceError};
 use workloads::{generate_mixes, StudyKind};
 
@@ -554,9 +554,8 @@ fn summarize(
             // Per mix: the second policy's value over the baseline's, less one.
             let improvement = |run: &StudyRun, metric: Metric| {
                 let by_mix = run.variants[0].1.chunks(exp.policies.len());
-                let per_mix = by_mix.map(|mix| match metric(&mix[0].metrics) {
-                    base if base > 0.0 => metric(&mix[1].metrics) / base - 1.0,
-                    _ => 0.0,
+                let per_mix = by_mix.map(|mix| {
+                    relative_improvement(metric(&mix[1].metrics), metric(&mix[0].metrics))
                 });
                 amean(&per_mix.collect::<Vec<_>>())
             };
@@ -585,10 +584,8 @@ fn s_curve(exp: &Experiment, run: &StudyRun, panel: bool) -> Table {
     let curves: Vec<(String, f64, Vec<f64>)> = exp.policies[1..]
         .iter()
         .map(|&p| {
-            let mut speedups = runner::speedups_over_baseline(evals, p, exp.policies[0]);
-            let mean = amean(&speedups);
-            speedups.sort_by(|a, b| a.partial_cmp(b).expect("no NaN speedups"));
-            (p.label(), mean, speedups)
+            let speedups = runner::speedups_over_baseline(evals, p, exp.policies[0]);
+            (p.label(), amean(&speedups), mc_metrics::s_curve(&speedups))
         })
         .collect();
     let cores = run.study.num_cores();

@@ -43,10 +43,7 @@ mod table2;
 mod table4;
 
 pub use policies::PolicyKind;
-pub use runner::{
-    evaluate_mix, evaluate_policies_on_mixes, evaluate_policies_serial, MixEvaluation, MixSource,
-    PerAppOutcome, SweepOutcome,
-};
+pub use runner::{MixEvaluation, MixSource, PerAppOutcome, SweepOutcome};
 pub use scale::{ExperimentScale, MemSystem};
 
 // The paper artifacts' smoke tests, under the figure or table each one reproduces. Each

@@ -10,9 +10,9 @@
 //! A sweep evaluates P policies over M mixes. The naive path regenerates (or re-reads
 //! and re-decodes) every mix's access streams P times, so sweep cost grows as P × M in
 //! *stream production* as well as simulation. The grid engine
-//! ([`sweep_policies_on_sources_with`], which [`evaluate_policies_on_mixes`] feeds with
-//! synthetic mixes) instead materializes each mix's streams exactly once and fans the
-//! (policy × mix) grid out across rayon workers. The policies of a sweep differ only at
+//! ([`sweep_policies_on_sources_with`], fed synthetic or replayed mixes alike) instead
+//! materializes each mix's streams exactly once and fans the (policy × mix) grid out
+//! across rayon workers. The policies of a sweep differ only at
 //! the shared LLC, and what a core's private hierarchy does is a function of its trace
 //! alone, so each core's stream — a live generator, or batches streamed from the mapping
 //! of a `.atrc` file — feeds one shared private stage (`cache_sim::private`): record
@@ -25,24 +25,27 @@
 //! order no matter how many workers run.
 //!
 //! Workloads come from two provenances, unified by [`MixSource`]: live synthetic
-//! generators ([`MixSource::Synthetic`]) and captured binary traces replayed from disk
-//! ([`MixSource::Replayed`], backed by `trace-io`); [`sweep_policies_on_corpus_with`]
-//! sweeps a whole materialized [`Corpus`]. A replayed mix reaches the simulator one way
-//! only — [`MixSource::materialize_with`] maps it once, its stages stream it from the
-//! mapping in batches under [`ReplayConfig`] (the one replay knob), and
-//! [`evaluate_prepared`] runs a policy over the shared stages — so no file I/O sits
-//! inside the simulator loop beyond the mapping. A block that fails its checksum while a
-//! cell replays it comes back from the sweep as a [`TraceError`]
-//! ([`sweep_policies_on_sources_with`] is the boundary): a sweep returns a typed error
-//! or the bit-identical answer. Only the blocks a run reads are verified; checking a
-//! whole file is `tracectl stats`' job. Because capture is lossless and
-//! generators reset exactly, both provenances of the same mix produce bit-identical
-//! per-application IPC/MPKI — and the parallel grid produces bit-identical results to
-//! the serial reference path [`evaluate_policies_serial`], which the runner's tests
-//! enforce (also under the contended bank model — see `cache_sim::bank`). The one
-//! caveat is a corpus whose capture budget is smaller than the run: its streams wrap
-//! (the paper's re-execution semantics), which the engine counts in passes over each
-//! stream ([`MaterializedMixStreams::replay_wraps`]), returns in the structured
+//! generators ([`MixSource::synthetic`]) and captured binary traces replayed from disk
+//! ([`MixSource::replayed_with_id`], backed by `trace-io`);
+//! [`sweep_policies_on_corpus_with`] sweeps a whole materialized [`Corpus`]. Every
+//! evaluation reaches the simulator one way only — [`MixSource::materialize_with`]
+//! prepares the mix once (a replayed mix's stages stream it from the mapping in batches
+//! under [`ReplayConfig`], the one replay knob), and [`evaluate_prepared`] (or
+//! [`evaluate_prepared_system`], which also hands back the system) runs a policy over
+//! the shared stages — so no file I/O sits inside the simulator loop beyond the mapping,
+//! and no evaluation simulates again a private hierarchy that another evaluation of the
+//! same mix has simulated. A block that fails its checksum while a cell replays it comes
+//! back from the sweep as a [`TraceError`] ([`sweep_policies_on_sources_with`] is the
+//! boundary): a sweep returns a typed error or the bit-identical answer. Only the blocks
+//! a run reads are verified; checking a whole file is `tracectl stats`' job. Because
+//! capture is lossless and generators reset exactly, both provenances of the same mix
+//! produce bit-identical per-application IPC/MPKI — and the parallel grid produces
+//! bit-identical results to lone systems that share nothing (each built over fresh
+//! generators and run one at a time), which the workspace tests enforce (also under
+//! the contended bank model — see `cache_sim::bank`). The one caveat is a corpus whose
+//! capture budget is smaller than the run: its streams wrap (the paper's re-execution
+//! semantics), which the engine counts in passes over each stream
+//! ([`MaterializedMixStreams::replay_wraps`]), returns in the structured
 //! [`SweepOutcome::mix_wraps`] and echoes on stderr rather than letting the divergence
 //! pass silently.
 
@@ -233,18 +236,13 @@ impl MixSource {
         MixSource::Synthetic(mix)
     }
 
-    /// Open a captured trace file as a mix source (mix id 0).
+    /// Open a captured trace file as a mix source under `mix_id`, preserved into
+    /// [`MixEvaluation::mix_id`] — corpus sweeps use the manifest's ids so per-mix
+    /// baselines line up across policies; a lone file takes 0.
     ///
     /// The file's core labels must name Table 4 benchmarks (which `tracectl capture` and
     /// `trace_io::capture_mix` guarantee) and the core count must match one of the
     /// paper's studies, so that alone-run normalization has a generator to run.
-    pub fn replayed(path: impl AsRef<Path>) -> Result<Self, TraceError> {
-        Self::replayed_with_id(path, 0)
-    }
-
-    /// [`replayed`](MixSource::replayed) with an explicit mix id, preserved into
-    /// [`MixEvaluation::mix_id`] — corpus sweeps use the manifest's ids so per-mix
-    /// baselines line up across policies.
     pub fn replayed_with_id(path: impl AsRef<Path>, mix_id: usize) -> Result<Self, TraceError> {
         let path = path.as_ref().to_path_buf();
         let header = trace_io::read_header(&path)?;
@@ -704,33 +702,6 @@ pub fn warm_alone_cache(
     });
 }
 
-/// Run one policy on one mix and summarize.
-pub fn evaluate_mix(
-    config: &SystemConfig,
-    mix: &WorkloadMix,
-    policy: PolicyKind,
-    instructions: u64,
-    seed: u64,
-) -> MixEvaluation {
-    evaluate_mix_system(config, mix, policy, instructions, seed).0
-}
-
-/// [`evaluate_mix`], also handing back the system it ran, whose policy state can be
-/// read after the run (`SharedLlc::policy`).
-pub fn evaluate_mix_system(
-    config: &SystemConfig,
-    mix: &WorkloadMix,
-    policy: PolicyKind,
-    instructions: u64,
-    seed: u64,
-) -> (MixEvaluation, MultiCoreSystem<AnyPolicy>) {
-    let built = policy.build_dispatch(config, &mix.thrashing_slots());
-    let traces = mix.trace_sources(config.llc.geometry.num_sets(), seed);
-    let mut system = MultiCoreSystem::new(config.clone(), traces, built);
-    let evaluation = evaluate_system(config, mix, policy, &mut system, instructions, seed);
-    (evaluation, system)
-}
-
 /// Run an explicitly constructed policy over already-materialized streams — the
 /// inner step of the corpus sweep engine, also used by the ablation sweeps so every
 /// configuration variant shares one materialization of each mix. The mix's private
@@ -745,32 +716,38 @@ pub fn evaluate_prepared<P: LlcReplacementPolicy>(
     instructions: u64,
     seed: u64,
 ) -> MixEvaluation {
-    let stages = prepared.stage_cursors(&StageParams::latch(config, instructions));
-    let mut system = MultiCoreSystem::with_stages(config.clone(), stages, built);
-    evaluate_system(
-        config,
-        &prepared.mix,
-        policy,
-        &mut system,
-        instructions,
-        seed,
-    )
+    evaluate_prepared_system(config, prepared, policy, built, instructions, seed).0
 }
 
-/// Shared tail of every evaluation: run `system` and summarize against the alone-run
-/// cache. Its cores may be fed by live generators, replayed corpora or shared private
-/// stages. Monomorphized per policy type, so enum-dispatched sweeps never touch a vtable
-/// on the per-access path.
-fn evaluate_system<P: LlcReplacementPolicy>(
+/// [`evaluate_prepared`], also handing back the system it ran, whose policy state can be
+/// read after the run (`SharedLlc::policy`). Every evaluation builds its system here,
+/// over the mix's shared private stages. Monomorphized per policy type, so
+/// enum-dispatched sweeps never touch a vtable on the per-access path.
+pub fn evaluate_prepared_system<P: LlcReplacementPolicy>(
+    config: &SystemConfig,
+    prepared: &MaterializedMixStreams,
+    policy: PolicyKind,
+    built: P,
+    instructions: u64,
+    seed: u64,
+) -> (MixEvaluation, MultiCoreSystem<P>) {
+    let stages = prepared.stage_cursors(&StageParams::latch(config, instructions));
+    let mut system = MultiCoreSystem::with_stages(config.clone(), stages, built);
+    let results = system.run(instructions);
+    let evaluation = summarize(config, &prepared.mix, policy, results, instructions, seed);
+    (evaluation, system)
+}
+
+/// What a run of `mix` under `policy` reports: per-application IPC and MPKI against the
+/// alone-run cache, and the multi-programmed metrics.
+fn summarize(
     config: &SystemConfig,
     mix: &WorkloadMix,
     policy: PolicyKind,
-    system: &mut MultiCoreSystem<P>,
+    results: SystemResults,
     instructions: u64,
     seed: u64,
 ) -> MixEvaluation {
-    let results: SystemResults = system.run(instructions);
-
     let specs = mix.specs();
     let scope = AloneScope::new(config, instructions, seed);
     let per_app: Vec<PerAppOutcome> = results
@@ -805,27 +782,6 @@ fn evaluate_system<P: LlcReplacementPolicy>(
     }
 }
 
-/// Evaluate each policy on each mix with the corpus-backed parallel grid. Results are
-/// ordered by (mix, policy) so callers can index deterministically.
-///
-/// Each mix's streams are materialized exactly once (shared in-memory capture) and every
-/// policy replays them zero-copy; the (policy × mix) grid is fanned out across rayon
-/// workers in bounded windows of mixes. Output is bit-identical to
-/// [`evaluate_policies_serial`] regardless of worker count.
-pub fn evaluate_policies_on_mixes(
-    config: &SystemConfig,
-    mixes: &[WorkloadMix],
-    policies: &[PolicyKind],
-    instructions: u64,
-    seed: u64,
-) -> Vec<MixEvaluation> {
-    let sources: Vec<MixSource> = mixes.iter().cloned().map(MixSource::Synthetic).collect();
-    let replay = ReplayConfig::default();
-    sweep_policies_on_sources_with(config, &sources, policies, instructions, seed, &replay)
-        .expect("synthetic sweeps cannot fail to materialize")
-        .evaluations
-}
-
 /// Replay wraps observed for one mix during a sweep (see [`SweepOutcome::mix_wraps`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MixReplayWraps {
@@ -856,11 +812,12 @@ impl SweepOutcome {
     }
 }
 
-/// The grid engine over one configuration: [`evaluate_policies_on_mixes`] over arbitrary
-/// [`MixSource`]s, returning the per-mix replay-wrap counts next to the evaluations in
-/// the [`SweepOutcome`] so callers can put budget exhaustion into their structured
-/// reports (wraps are additionally echoed on stderr for interactive runs). `replay` sets
-/// the arena budget of each replayed mix.
+/// The grid engine over one configuration: every policy over every [`MixSource`], each
+/// mix materialized once, in deterministic (mix, policy) order whatever the worker
+/// count. The per-mix replay-wrap counts come back next to the evaluations in the
+/// [`SweepOutcome`] so callers can put budget exhaustion into their structured reports
+/// (wraps are additionally echoed on stderr for interactive runs). `replay` sets the
+/// arena budget of each replayed mix.
 ///
 /// Fails when a replayed source cannot be opened, its recorded geometry mismatches
 /// `config`, or a block fails its checksum or decode while a cell replays it: this
@@ -1049,27 +1006,6 @@ pub(crate) fn corpus_sources(
         .collect()
 }
 
-/// The serial reference sweep: regenerate every mix for every policy, one evaluation at
-/// a time, in (mix, policy) order.
-///
-/// This is the seed behaviour and the ground truth the parallel grid must reproduce
-/// bit-for-bit.
-pub fn evaluate_policies_serial(
-    config: &SystemConfig,
-    mixes: &[WorkloadMix],
-    policies: &[PolicyKind],
-    instructions: u64,
-    seed: u64,
-) -> Vec<MixEvaluation> {
-    let mut out = Vec::with_capacity(mixes.len() * policies.len());
-    for mix in mixes {
-        for &policy in policies {
-            out.push(evaluate_mix(config, mix, policy, instructions, seed));
-        }
-    }
-    out
-}
-
 /// Per-mix speedup of `policy` over `baseline` on the weighted-speedup metric.
 pub fn speedups_over_baseline(
     evals: &[MixEvaluation],
@@ -1118,6 +1054,48 @@ mod tests {
         (cfg, mixes)
     }
 
+    /// One evaluation on the shipped path: `mix` materialized from its generators.
+    fn evaluate(
+        cfg: &SystemConfig,
+        mix: &WorkloadMix,
+        policy: PolicyKind,
+        instructions: u64,
+        seed: u64,
+    ) -> MixEvaluation {
+        let prepared = MixSource::synthetic(mix.clone())
+            .materialize_with(cfg.llc.geometry.num_sets(), seed, &ReplayConfig::default())
+            .unwrap();
+        let built = policy.build_dispatch(cfg, &mix.thrashing_slots());
+        evaluate_prepared(cfg, &prepared, policy, built, instructions, seed)
+    }
+
+    /// The reference a sweep must reproduce: each (mix, policy) pair on a lone system
+    /// over fresh generators that shares nothing, one at a time, in (mix, policy) order.
+    fn lone_systems(
+        cfg: &SystemConfig,
+        mixes: &[WorkloadMix],
+        policies: &[PolicyKind],
+        instructions: u64,
+        seed: u64,
+    ) -> Vec<MixEvaluation> {
+        let llc_sets = cfg.llc.geometry.num_sets();
+        let pairs = mixes
+            .iter()
+            .flat_map(|mix| policies.iter().map(move |&p| (mix, p)));
+        pairs
+            .map(|(mix, policy)| {
+                let built = policy.build_dispatch(cfg, &mix.thrashing_slots());
+                let traces = mix.trace_sources(llc_sets, seed);
+                let results = MultiCoreSystem::new(cfg.clone(), traces, built).run(instructions);
+                summarize(cfg, mix, policy, results, instructions, seed)
+            })
+            .collect()
+    }
+
+    fn synthetic(mixes: &[WorkloadMix]) -> Vec<MixSource> {
+        mixes.iter().cloned().map(MixSource::synthetic).collect()
+    }
+
     fn assert_identical(a: &[MixEvaluation], b: &[MixEvaluation]) {
         assert_eq!(a.len(), b.len());
         for (x, y) in a.iter().zip(b) {
@@ -1149,7 +1127,7 @@ mod tests {
     #[test]
     fn evaluate_mix_produces_per_app_outcomes() {
         let (cfg, mixes) = smoke_setup();
-        let eval = evaluate_mix(&cfg, &mixes[0], PolicyKind::TaDrrip, 20_000, 1);
+        let eval = evaluate(&cfg, &mixes[0], PolicyKind::TaDrrip, 20_000, 1);
         assert_eq!(eval.per_app.len(), 4);
         assert!(eval.weighted_speedup() > 0.0);
         for app in &eval.per_app {
@@ -1175,7 +1153,7 @@ mod tests {
         };
         assert!(mix.thrashing_slots().is_empty());
         for kind in crate::policies::all_kinds() {
-            let eval = evaluate_mix(&cfg, &mix, kind, 2_000, 1);
+            let eval = evaluate(&cfg, &mix, kind, 2_000, 1);
             assert_eq!(eval.policy_label, kind.label());
             assert_eq!(PolicyKind::parse(&eval.policy_label), Some(kind));
         }
@@ -1195,7 +1173,10 @@ mod tests {
     fn parallel_sweep_covers_every_pair_in_order() {
         let (cfg, mixes) = smoke_setup();
         let policies = [PolicyKind::TaDrrip, PolicyKind::AdaptBp32];
-        let evals = evaluate_policies_on_mixes(&cfg, &mixes, &policies, 20_000, 1);
+        let replay = ReplayConfig::default();
+        let outcome =
+            sweep_policies_on_sources_with(&cfg, &synthetic(&mixes), &policies, 20_000, 1, &replay);
+        let evals = outcome.unwrap().evaluations;
         assert_eq!(evals.len(), mixes.len() * policies.len());
         assert_eq!(evals[0].policy, PolicyKind::TaDrrip);
         assert_eq!(evals[1].policy, PolicyKind::AdaptBp32);
@@ -1204,55 +1185,6 @@ mod tests {
         let speedups = speedups_over_baseline(&evals, PolicyKind::AdaptBp32, PolicyKind::TaDrrip);
         assert_eq!(speedups.len(), mixes.len());
         assert!(speedups[0] > 0.0);
-    }
-
-    #[test]
-    fn corpus_engine_is_bit_identical_to_the_serial_path() {
-        // The acceptance bar for the sweep engine: materialize-once + parallel grid must
-        // reproduce the serial regenerate-per-pair reference exactly, in the same order.
-        let scale = ExperimentScale::Smoke;
-        let cfg = scale.system_config(StudyKind::Cores4);
-        let mixes = generate_mixes(StudyKind::Cores4, 3, scale.seed());
-        let policies = [PolicyKind::TaDrrip, PolicyKind::AdaptBp32, PolicyKind::Eaf];
-        let serial = evaluate_policies_serial(&cfg, &mixes, &policies, 20_000, 1);
-        let grid = evaluate_policies_on_mixes(&cfg, &mixes, &policies, 20_000, 1);
-        assert_identical(&serial, &grid);
-    }
-
-    #[test]
-    fn corpus_file_sweep_is_bit_identical_to_the_serial_path() {
-        // Same bar, with the grid fed from a materialized on-disk corpus.
-        let scale = ExperimentScale::Smoke;
-        let cfg = scale.system_config(StudyKind::Cores4);
-        let llc_sets = cfg.llc.geometry.num_sets();
-        let instructions = 20_000u64;
-        let seed = 1u64;
-        let mixes = generate_mixes(StudyKind::Cores4, 2, scale.seed());
-        let policies = [PolicyKind::TaDrrip, PolicyKind::AdaptBp32];
-
-        let dir = std::env::temp_dir().join("runner_corpus_sweep");
-        std::fs::remove_dir_all(&dir).ok();
-        let (corpus, _) = Corpus::materialize(
-            &dir,
-            "test",
-            &mixes,
-            llc_sets,
-            seed,
-            synthetic_capture_budget(instructions),
-        )
-        .unwrap();
-
-        let serial = evaluate_policies_serial(&cfg, &mixes, &policies, instructions, seed);
-        let from_corpus = sweep_policies_on_corpus_with(
-            &cfg,
-            &corpus,
-            &policies,
-            instructions,
-            &ReplayConfig::default(),
-        )
-        .unwrap();
-        assert_identical(&serial, &from_corpus.evaluations);
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -1265,7 +1197,7 @@ mod tests {
         let path = std::env::temp_dir().join("runner_undersized_corpus.atrc");
         // Far fewer accesses than the run consumes.
         capture_mix_file(&path, &mixes[0], llc_sets, 1, 64);
-        let source = MixSource::replayed(&path).unwrap();
+        let source = MixSource::replayed_with_id(&path, 0).unwrap();
         let prepared = source
             .materialize_with(llc_sets, 1, &ReplayConfig::default())
             .unwrap();
@@ -1294,8 +1226,11 @@ mod tests {
         cfg.dram.contention = cache_sim::config::BankContentionConfig::contended(2, 4);
         let mixes = generate_mixes(StudyKind::Cores4, 2, scale.seed());
         let policies = [PolicyKind::TaDrrip, PolicyKind::AdaptBp32];
-        let serial = evaluate_policies_serial(&cfg, &mixes, &policies, 20_000, 1);
-        let grid = evaluate_policies_on_mixes(&cfg, &mixes, &policies, 20_000, 1);
+        let serial = lone_systems(&cfg, &mixes, &policies, 20_000, 1);
+        let replay = ReplayConfig::default();
+        let outcome =
+            sweep_policies_on_sources_with(&cfg, &synthetic(&mixes), &policies, 20_000, 1, &replay);
+        let grid = outcome.unwrap().evaluations;
         assert_identical(&serial, &grid);
         // The contended model actually produced per-bank statistics.
         assert!(grid
@@ -1311,7 +1246,7 @@ mod tests {
         let llc_sets = cfg.llc.geometry.num_sets();
         let path = std::env::temp_dir().join("runner_sweep_outcome_wraps.atrc");
         capture_mix_file(&path, &mixes[0], llc_sets, 1, 64);
-        let sources = vec![MixSource::replayed(&path).unwrap()];
+        let sources = vec![MixSource::replayed_with_id(&path, 0).unwrap()];
         let replay = ReplayConfig::default();
         let outcome = sweep_policies_on_sources_with(
             &cfg,
@@ -1356,7 +1291,7 @@ mod tests {
         let llc_sets = cfg.llc.geometry.num_sets();
         let path = std::env::temp_dir().join("runner_wrap_wall.atrc");
         capture_mix_file(&path, &mixes[0], llc_sets, 1, 64);
-        let sources = vec![MixSource::replayed(&path).unwrap()];
+        let sources = vec![MixSource::replayed_with_id(&path, 0).unwrap()];
         let kinds = [
             PolicyKind::TaDrrip,
             PolicyKind::Lru,
@@ -1426,8 +1361,8 @@ mod tests {
         let path = std::env::temp_dir().join("runner_replay_equivalence.atrc");
         capture_mix_file(&path, &mix, llc_sets, seed, 2 * instructions);
 
-        let live = evaluate_mix(&cfg, &mix, PolicyKind::TaDrrip, instructions, seed);
-        let source = MixSource::replayed(&path).unwrap();
+        let live = evaluate(&cfg, &mix, PolicyKind::TaDrrip, instructions, seed);
+        let source = MixSource::replayed_with_id(&path, 0).unwrap();
         assert_eq!(source.mix().benchmarks, mix.benchmarks);
         let prepared = source
             .materialize_with(llc_sets, seed, &ReplayConfig::default())
@@ -1535,7 +1470,7 @@ mod tests {
         let path = std::env::temp_dir().join("runner_replay_geometry.atrc");
         // Capture at a deliberately different set count than the system uses.
         capture_mix_file(&path, &mixes[0], llc_sets * 2, 1, 100);
-        let source = MixSource::replayed(&path).unwrap();
+        let source = MixSource::replayed_with_id(&path, 0).unwrap();
         // The check does not depend on the budget.
         let nothing = ReplayConfig {
             arena_budget_bytes: 0,
@@ -1554,7 +1489,7 @@ mod tests {
     fn replayed_mix_source_rejects_garbage_files() {
         let path = std::env::temp_dir().join("runner_replay_garbage.atrc");
         std::fs::write(&path, b"not a trace at all").unwrap();
-        assert!(MixSource::replayed(&path).is_err());
+        assert!(MixSource::replayed_with_id(&path, 0).is_err());
         std::fs::remove_file(path).ok();
     }
 
@@ -1595,12 +1530,13 @@ mod tests {
                         })
                         .collect();
                     let built = policy.build_dispatch(&cfg, &mix.thrashing_slots());
-                    let mut system = MultiCoreSystem::new(cfg.clone(), traces, built);
-                    evaluate_system(&cfg, mix, policy, &mut system, instructions, 1)
+                    let results =
+                        MultiCoreSystem::new(cfg.clone(), traces, built).run(instructions);
+                    summarize(&cfg, mix, policy, results, instructions, 1)
                 })
                 .collect();
 
-            let sources = vec![MixSource::replayed(&path).unwrap()];
+            let sources = vec![MixSource::replayed_with_id(&path, 0).unwrap()];
             let outcomes: Vec<SweepOutcome> = [256 << 20, 64 << 10, 1 << 10]
                 .into_iter()
                 .map(|arena_budget_bytes| {
@@ -1628,8 +1564,8 @@ mod tests {
     #[test]
     fn evaluation_is_deterministic() {
         let (cfg, mixes) = smoke_setup();
-        let a = evaluate_mix(&cfg, &mixes[0], PolicyKind::Eaf, 15_000, 9);
-        let b = evaluate_mix(&cfg, &mixes[0], PolicyKind::Eaf, 15_000, 9);
+        let a = evaluate(&cfg, &mixes[0], PolicyKind::Eaf, 15_000, 9);
+        let b = evaluate(&cfg, &mixes[0], PolicyKind::Eaf, 15_000, 9);
         assert_eq!(a.weighted_speedup(), b.weighted_speedup());
         assert_eq!(a.per_app.len(), b.per_app.len());
         for (x, y) in a.per_app.iter().zip(&b.per_app) {

@@ -156,3 +156,48 @@ fn sweep_reports_a_corrupt_block_as_one_typed_error_at_every_budget() {
     }
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// `--mixes N` reaches every registry experiment, not only the scaling study: Figure 3
+/// at smoke scale evaluates exactly the two mixes asked for.
+#[test]
+fn mixes_reaches_every_registry_experiment() {
+    let output = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(["fig3", "--smoke", "--mixes", "2"])
+        .env("REPRO_LOG", "off")
+        .output()
+        .expect("repro must run");
+    let stdout = String::from_utf8_lossy(&output.stdout);
+    assert!(
+        output.status.success(),
+        "{}",
+        String::from_utf8_lossy(&output.stderr)
+    );
+    assert!(stdout.contains("2 workloads"), "{stdout}");
+}
+
+/// A study flag given to a command that does not read it is refused, not ignored.
+#[test]
+fn study_flags_are_refused_where_they_are_not_read() {
+    let cases: [&[&str]; 5] = [
+        &["fig3", "--flat"],
+        &["fig3", "--study", "4"],
+        &["sweep", "--dir", "d", "--cores", "32"],
+        &["diag", "--mixes", "2"],
+        &["table2", "--mixes", "2"],
+    ];
+    for args in cases {
+        let output = Command::new(env!("CARGO_BIN_EXE_repro"))
+            .args(args)
+            .arg("--smoke")
+            .env("REPRO_LOG", "off")
+            .output()
+            .expect("repro must run");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(
+            stderr.contains("does not take") && stderr.contains("usage: repro"),
+            "{args:?}: {stderr}"
+        );
+        assert!(output.stdout.is_empty(), "{args:?} ran anyway");
+    }
+}

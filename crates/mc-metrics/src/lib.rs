@@ -153,33 +153,6 @@ impl MulticoreMetrics {
             fairness: fairness(ipc_shared, ipc_alone),
         }
     }
-
-    /// Relative improvement of each metric over a baseline's metrics, as fractions.
-    pub fn improvement_over(&self, baseline: &MulticoreMetrics) -> MulticoreMetrics {
-        MulticoreMetrics {
-            weighted_speedup: relative_improvement(
-                self.weighted_speedup,
-                baseline.weighted_speedup,
-            ),
-            harmonic_mean_normalized: relative_improvement(
-                self.harmonic_mean_normalized,
-                baseline.harmonic_mean_normalized,
-            ),
-            geometric_mean_ipc: relative_improvement(
-                self.geometric_mean_ipc,
-                baseline.geometric_mean_ipc,
-            ),
-            harmonic_mean_ipc: relative_improvement(
-                self.harmonic_mean_ipc,
-                baseline.harmonic_mean_ipc,
-            ),
-            arithmetic_mean_ipc: relative_improvement(
-                self.arithmetic_mean_ipc,
-                baseline.arithmetic_mean_ipc,
-            ),
-            fairness: relative_improvement(self.fairness, baseline.fairness),
-        }
-    }
 }
 
 /// Max/mean imbalance of per-core stall cycles: `max_i(stalls_i) / mean(stalls)`.
@@ -267,16 +240,6 @@ mod tests {
         assert!((mpki_reduction_percent(5.0, 10.0) - 50.0).abs() < 1e-12);
         assert!((mpki_reduction_percent(12.0, 10.0) + 20.0).abs() < 1e-12);
         assert_eq!(mpki_reduction_percent(1.0, 0.0), 0.0);
-    }
-
-    #[test]
-    fn metrics_bundle_improvement_is_componentwise() {
-        let alone = [1.0, 1.0];
-        let base = MulticoreMetrics::compute(&[0.5, 0.5], &alone);
-        let better = MulticoreMetrics::compute(&[0.55, 0.55], &alone);
-        let imp = better.improvement_over(&base);
-        assert!((imp.weighted_speedup - 0.1).abs() < 1e-9);
-        assert!((imp.arithmetic_mean_ipc - 0.1).abs() < 1e-9);
     }
 
     #[test]

@@ -21,8 +21,8 @@
 //!
 //! `capture --benchmarks` records the named Table 4 synthetic models (one per core, in
 //! order); `capture --study` records a whole generated workload mix, so the resulting file
-//! replays through `experiments::runner::MixSource::replayed`. Both are the library's
-//! `trace_io::capture_benchmarks` / `trace_io::capture_mix`. Every capture and import is
+//! replays through `experiments::runner::MixSource::replayed_with_id`. Both are the
+//! library's `trace_io::capture_benchmarks` / `trace_io::capture_mix`. Every capture and import is
 //! written as checksummed `.atrc` v3 (LZ4-compressed blocks, streamed, so it works at
 //! any size) and no flag changes that; `inspect` and `stats` read every format version
 //! through the one reader, `trace_io::MappedTrace`: a fresh mapping per file (so every

@@ -31,7 +31,7 @@ use std::path::Path;
 use std::sync::mpsc::{sync_channel, SyncSender};
 use std::thread;
 
-use cache_sim::trace::{TraceSink, TraceSource};
+use cache_sim::trace::TraceSource;
 use workloads::{benchmark_by_name, BenchmarkSpec, WorkloadMix};
 
 use crate::writer::{encode_chunk, Chunk, TraceCaptureOptions, TraceSummary, TraceWriter};

@@ -35,9 +35,10 @@ use crate::error::TraceError;
 use crate::header::MAX_LABEL_BYTES;
 use crate::writer::{TraceCaptureOptions, TraceSummary, TraceWriter};
 
-/// An import logs a progress line every this many records transcoded (imports can be
-/// long).
-const PROGRESS_EVERY_RECORDS: u64 = 1_000_000;
+/// An import logs a progress line every this many records transcoded, counted over every
+/// core (imports can be long). The unit tests report every 100 records, so that a small
+/// import shows what the reports count.
+const PROGRESS_EVERY_RECORDS: u64 = if cfg!(test) { 100 } else { 1_000_000 };
 
 /// Size of one ChampSim-style binary instruction record.
 pub const CHAMPSIM_RECORD_BYTES: usize = 64;
@@ -206,7 +207,7 @@ impl ImportStats {
     }
 }
 
-/// Track pending non-memory instructions and progress while feeding one core.
+/// Track pending non-memory instructions and totals while feeding one core.
 struct CoreFeed {
     pending_non_mem: u32,
     records: u64,
@@ -225,31 +226,38 @@ impl CoreFeed {
     fn non_mem_instruction(&mut self) {
         self.pending_non_mem = self.pending_non_mem.saturating_add(1);
     }
+}
 
-    fn push(
-        &mut self,
-        writer: &mut TraceWriter,
-        core: usize,
-        addr: u64,
-        pc: u64,
-        is_write: bool,
-    ) -> Result<(), TraceError> {
+/// An import in flight: the writer, each core's feed, and the records transcoded so far
+/// over every core, which the progress line reports.
+struct Transcoder {
+    writer: TraceWriter,
+    feeds: Vec<CoreFeed>,
+    records: u64,
+}
+
+impl Transcoder {
+    /// Append one access to `core`'s stream, carrying the core's pending non-memory
+    /// instructions, and count it toward the core's totals and the import's progress.
+    fn push(&mut self, core: usize, addr: u64, pc: u64, is_write: bool) -> Result<(), TraceError> {
+        let feed = &mut self.feeds[core];
         let access = MemAccess {
             addr,
             pc,
             is_write,
-            non_mem_instrs: self.pending_non_mem,
+            non_mem_instrs: feed.pending_non_mem,
         };
-        self.pending_non_mem = 0;
+        feed.pending_non_mem = 0;
+        feed.records += 1;
+        feed.instructions += access.instructions();
+        self.writer.push(core, access).map_err(TraceError::Io)?;
         self.records += 1;
-        self.instructions += access.instructions();
-        writer.push(core, access).map_err(TraceError::Io)
-    }
-}
-
-fn progress_tick(total_records: u64) {
-    if total_records.is_multiple_of(PROGRESS_EVERY_RECORDS) {
-        sim_obs::obs_info!("import", "{total_records} records transcoded...");
+        if self.records.is_multiple_of(PROGRESS_EVERY_RECORDS) {
+            sim_obs::obs_info!("import", "{} records transcoded...", self.records);
+            #[cfg(test)]
+            tests::PROGRESS.with_borrow_mut(|reported| reported.push(self.records));
+        }
+        Ok(())
     }
 }
 
@@ -318,7 +326,6 @@ pub fn import_to_file(
     let mut writer =
         TraceWriter::with_options(out, num_cores, &label, opts.capture).map_err(TraceError::Io)?;
     for (core, core_label) in labels.iter().enumerate() {
-        use cache_sim::trace::TraceSink;
         writer
             .begin_core(core, core_label)
             .map_err(TraceError::Io)?;
@@ -326,20 +333,24 @@ pub fn import_to_file(
 
     let mut input_bytes = 0u64;
     let mut skipped_lines = 0u64;
-    let mut feeds: Vec<CoreFeed> = (0..num_cores).map(|_| CoreFeed::new()).collect();
+    let mut transcoder = Transcoder {
+        writer,
+        feeds: (0..num_cores).map(|_| CoreFeed::new()).collect(),
+        records: 0,
+    };
     match format {
         ImportFormat::ChampSim => {
             for (core, path) in inputs.iter().enumerate() {
-                input_bytes +=
-                    import_champsim_core(path, core, &mut writer, &mut feeds[core], opts)?;
+                input_bytes += import_champsim_core(path, core, &mut transcoder, opts)?;
             }
         }
         ImportFormat::Csv => {
-            let (bytes, skipped) = import_csv(&inputs[0], &mut writer, &mut feeds, opts)?;
+            let (bytes, skipped) = import_csv(&inputs[0], &mut transcoder, opts)?;
             input_bytes = bytes;
             skipped_lines = skipped;
         }
     }
+    let Transcoder { writer, feeds, .. } = transcoder;
     for (core, feed) in feeds.iter().enumerate() {
         if feed.records == 0 {
             return Err(TraceError::Corrupt(format!(
@@ -379,16 +390,19 @@ fn file_stem_label(path: &Path) -> String {
 fn import_champsim_core(
     path: &Path,
     core: usize,
-    writer: &mut TraceWriter,
-    feed: &mut CoreFeed,
+    out: &mut Transcoder,
     opts: &ImportOptions,
 ) -> Result<u64, TraceError> {
     let file = File::open(path).map_err(TraceError::Io)?;
     let mut reader = BufReader::new(file);
     let mut buf = [0u8; CHAMPSIM_RECORD_BYTES];
     let mut bytes = 0u64;
+    let capped = |out: &Transcoder| {
+        opts.limit
+            .is_some_and(|limit| out.feeds[core].records >= limit)
+    };
     loop {
-        if opts.limit.is_some_and(|limit| feed.records >= limit) {
+        if capped(out) {
             return Ok(bytes);
         }
         match reader.read_exact(&mut buf) {
@@ -420,20 +434,19 @@ fn import_champsim_core(
         let instr = ChampSimInstr::from_bytes(&buf);
         let mut had_access = false;
         for (addr, is_write) in instr.accesses() {
-            if opts.limit.is_some_and(|limit| feed.records >= limit) {
+            if capped(out) {
                 break;
             }
             // Only the instruction's first access carries the pending non-mem count;
             // later operands of the same instruction represent zero extra instructions.
             if had_access {
-                feed.pending_non_mem = 0;
+                out.feeds[core].pending_non_mem = 0;
             }
-            feed.push(writer, core, addr, instr.ip, is_write)?;
+            out.push(core, addr, instr.ip, is_write)?;
             had_access = true;
-            progress_tick(feed.records);
         }
         if !had_access {
-            feed.non_mem_instruction();
+            out.feeds[core].non_mem_instruction();
         }
     }
 }
@@ -517,14 +530,12 @@ fn parse_u64_field(s: &str) -> Option<u64> {
 /// Stream one CSV file into the writer. Returns (bytes consumed, lines skipped).
 fn import_csv(
     path: &Path,
-    writer: &mut TraceWriter,
-    feeds: &mut [CoreFeed],
+    out: &mut Transcoder,
     opts: &ImportOptions,
 ) -> Result<(u64, u64), TraceError> {
     let file = File::open(path).map_err(TraceError::Io)?;
     let mut bytes = 0u64;
     let mut skipped = 0u64;
-    let mut total = 0u64;
     for (idx, line) in BufReader::new(file).lines().enumerate() {
         let line = line.map_err(TraceError::Io)?;
         bytes += line.len() as u64 + 1;
@@ -532,8 +543,8 @@ fn import_csv(
             skipped += 1;
             continue;
         };
-        let num_feeds = feeds.len();
-        let feed = feeds.get_mut(record.core).ok_or_else(|| {
+        let num_feeds = out.feeds.len();
+        let feed = out.feeds.get_mut(record.core).ok_or_else(|| {
             TraceError::Corrupt(format!(
                 "CSV line {}: core {} out of range for {num_feeds} streams",
                 idx + 1,
@@ -544,9 +555,7 @@ fn import_csv(
             continue;
         }
         feed.pending_non_mem = record.non_mem;
-        feed.push(writer, record.core, record.addr, record.pc, record.is_write)?;
-        total += 1;
-        progress_tick(total);
+        out.push(record.core, record.addr, record.pc, record.is_write)?;
     }
     Ok((bytes, skipped))
 }
@@ -895,6 +904,42 @@ mod tests {
             .unwrap_err();
             assert!(matches!(err, TraceError::Corrupt(_)), "{name}: {err}");
         }
+        std::fs::remove_dir_all(dir).ok();
+    }
+
+    thread_local! {
+        /// The totals this thread's imports reported, in order.
+        pub(super) static PROGRESS: std::cell::RefCell<Vec<u64>> = const {
+            std::cell::RefCell::new(Vec::new())
+        };
+    }
+
+    #[test]
+    fn champsim_progress_counts_every_core_once() {
+        // Two cores of 300 records each, reported every 100: one running total over both
+        // cores, never restarting when the second core's file begins, ending at the
+        // import's total.
+        let dir = tmp_dir("champsim_progress");
+        let inputs: Vec<PathBuf> = (0..2)
+            .map(|c| {
+                let p = dir.join(format!("core{c}.champsim"));
+                std::fs::write(&p, export_champsim(&sample_records(300, c)).unwrap()).unwrap();
+                p
+            })
+            .collect();
+        PROGRESS.take();
+        let out = dir.join("imported.atrc");
+        let stats = import_to_file(
+            &inputs,
+            ImportFormat::ChampSim,
+            &out,
+            &ImportOptions::default(),
+        )
+        .unwrap();
+        let reported = PROGRESS.take();
+        assert!(reported.windows(2).all(|w| w[0] < w[1]), "{reported:?}");
+        assert_eq!(reported, [100, 200, 300, 400, 500, 600]);
+        assert_eq!(reported.last(), Some(&stats.records()));
         std::fs::remove_dir_all(dir).ok();
     }
 

@@ -21,7 +21,7 @@ use std::fs::File;
 use std::io::{self, BufWriter, Write};
 use std::path::{Path, PathBuf};
 
-use cache_sim::trace::{MemAccess, TraceSink, TraceSource};
+use cache_sim::trace::{MemAccess, TraceSource};
 
 use crate::format::{
     compress_payload, encode_block_payload, fnv1a32, put_u32, BLOCK_COMPRESSED_BIT,
@@ -290,6 +290,13 @@ impl TraceWriter {
         Ok(())
     }
 
+    /// Announce (or rename) the application captured on `core`.
+    pub fn begin_core(&mut self, core: usize, label: &str) -> io::Result<()> {
+        validate_label(label)?;
+        self.core_mut(core)?.label = label.to_string();
+        Ok(())
+    }
+
     /// Append one access to `core`'s stream, spilling a full chunk to disk.
     pub fn push(&mut self, core: usize, access: MemAccess) -> io::Result<()> {
         let records_per_block = self.opts.records_per_block;
@@ -301,15 +308,21 @@ impl TraceWriter {
         Ok(())
     }
 
-    /// Capture `accesses` accesses from `source` into `core`'s stream (resets the source
-    /// first; see [`cache_sim::trace::capture_into`]).
+    /// Capture `accesses` accesses from `source` into `core`'s stream, labeled with the
+    /// source's label. The source is reset first, so a capture always starts from the
+    /// initial stream and a captured corpus equals a freshly constructed generator.
     pub fn capture_source(
         &mut self,
         core: usize,
         source: &mut dyn TraceSource,
         accesses: u64,
     ) -> io::Result<()> {
-        cache_sim::trace::capture_into(source, self, core, accesses)
+        source.reset();
+        self.begin_core(core, &source.label())?;
+        for _ in 0..accesses {
+            self.push(core, source.next_access())?;
+        }
+        Ok(())
     }
 
     /// Flush pending chunks, write the directory footer, and return a capture summary.
@@ -357,18 +370,6 @@ fn validate_label(label: &str) -> io::Result<()> {
     Ok(())
 }
 
-impl TraceSink for TraceWriter {
-    fn begin_core(&mut self, core: usize, label: &str) -> io::Result<()> {
-        validate_label(label)?;
-        self.core_mut(core)?.label = label.to_string();
-        Ok(())
-    }
-
-    fn record(&mut self, core: usize, access: MemAccess) -> io::Result<()> {
-        self.push(core, access)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -391,8 +392,8 @@ mod tests {
         assert!(TraceWriter::create(dir.join("z.atrc"), 1, &long).is_err());
         let path = dir.join("trace_io_writer_longcore.atrc");
         let mut w = TraceWriter::create(&path, 1, "ok").unwrap();
-        assert!(TraceSink::begin_core(&mut w, 0, &long).is_err());
-        assert!(TraceSink::begin_core(&mut w, 0, "fine").is_ok());
+        assert!(w.begin_core(0, &long).is_err());
+        assert!(w.begin_core(0, "fine").is_ok());
         std::fs::remove_file(path).ok();
     }
 
@@ -433,6 +434,31 @@ mod tests {
         assert!(summary.bytes_per_record() > 0.0);
         let on_disk = std::fs::metadata(&path).unwrap().len();
         assert_eq!(on_disk, summary.file_bytes);
+        std::fs::remove_file(path).ok();
+    }
+
+    #[test]
+    fn capture_source_resets_then_drains_the_source() {
+        use cache_sim::trace::SharedReplayTrace;
+        let records: Vec<MemAccess> = (1..=3)
+            .map(|addr| MemAccess {
+                addr,
+                pc: 4,
+                is_write: false,
+                non_mem_instrs: 2,
+            })
+            .collect();
+        let mut source = SharedReplayTrace::new("app", std::sync::Arc::new(records));
+        source.next_access(); // a capture must not start mid-stream
+        let path = std::env::temp_dir().join("trace_io_writer_capture_source.atrc");
+        let mut w = TraceWriter::create(&path, 1, "t").unwrap();
+        w.capture_source(0, &mut source, 5).unwrap();
+        let summary = w.finish().unwrap();
+        assert_eq!(summary.per_core, vec![("app".to_string(), 5)]);
+        let decoded = crate::reader::decode_all(&path).unwrap();
+        let addrs: Vec<u64> = decoded[0].iter().map(|a| a.addr).collect();
+        assert_eq!(addrs, vec![1, 2, 3, 1, 2]);
+        assert_eq!(decoded[0][0].instructions(), 3);
         std::fs::remove_file(path).ok();
     }
 

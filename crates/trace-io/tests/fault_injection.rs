@@ -14,9 +14,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use cache_sim::trace::{
-    replay_fault_from, ArenaReplayTrace, BatchSource, MemAccess, TraceSink, TraceSource,
-};
+use cache_sim::trace::{replay_fault_from, ArenaReplayTrace, BatchSource, MemAccess, TraceSource};
 use sim_fault::{FaultKind, FaultPlan};
 use trace_io::{
     capture_mix, decode_all, read_header, Corpus, MappedStreamDecoder, MappedTrace,
@@ -78,7 +76,7 @@ fn push_mix_wall(path: &Path) -> std::io::Result<()> {
     let mut sources = mix().trace_sources(64, 7);
     let mut w = TraceWriter::with_options(path, sources.len(), "fault-wall", MIX_OPTS)?;
     for (core, source) in sources.iter_mut().enumerate() {
-        TraceSink::begin_core(&mut w, core, &source.label())?;
+        w.begin_core(core, &source.label())?;
     }
     for _ in 0..MIX_RECORDS {
         for (core, source) in sources.iter_mut().enumerate() {

@@ -6,7 +6,7 @@
 //! cargo run --release --example capture_replay
 //! ```
 
-use adapt_llc::experiments::runner::{evaluate_mix, evaluate_prepared, MixSource, ReplayConfig};
+use adapt_llc::experiments::runner::{evaluate_prepared, MixSource, ReplayConfig};
 use adapt_llc::experiments::{ExperimentScale, PolicyKind};
 use adapt_llc::traces::{capture_mix, TraceCaptureOptions};
 use adapt_llc::workloads::{generate_mixes, StudyKind};
@@ -37,28 +37,26 @@ fn main() {
         captured.bytes_per_record()
     );
 
-    // 2. Evaluate the same mix from both provenances.
-    let live = evaluate_mix(
-        &config,
-        &mix,
-        PolicyKind::AdaptBp32,
-        instructions,
-        scale.seed(),
-    );
-    // The replayed side takes the path every sweep takes: decode the file once into
-    // shared streams, then run the policy over them.
-    let prepared = MixSource::replayed(&path)
-        .expect("open corpus")
-        .materialize_with(llc_sets, scale.seed(), &ReplayConfig::default())
-        .expect("materialize corpus");
-    let replay = evaluate_prepared(
-        &config,
-        &prepared,
-        PolicyKind::AdaptBp32,
-        PolicyKind::AdaptBp32.build_dispatch(&config, &mix.thrashing_slots()),
-        instructions,
-        scale.seed(),
-    );
+    // 2. Evaluate the same mix from both provenances. Each side takes the path every
+    //    sweep takes: materialize the mix once — its live generators, or the file mapped
+    //    and streamed in batches — then run the policy over the shared streams.
+    let policy = PolicyKind::AdaptBp32;
+    let evaluate = |source: MixSource| {
+        let prepared = source
+            .materialize_with(llc_sets, scale.seed(), &ReplayConfig::default())
+            .expect("materialize");
+        let built = policy.build_dispatch(&config, &mix.thrashing_slots());
+        evaluate_prepared(
+            &config,
+            &prepared,
+            policy,
+            built,
+            instructions,
+            scale.seed(),
+        )
+    };
+    let live = evaluate(MixSource::synthetic(mix.clone()));
+    let replay = evaluate(MixSource::replayed_with_id(&path, 0).expect("open corpus"));
 
     println!(
         "\n{:<8} {:>10} {:>10} {:>12} {:>12}",

@@ -10,7 +10,8 @@
 //!
 //! Run with: `cargo run --release --example consolidation_fairness`
 
-use adapt_llc::experiments::{evaluate_mix, ExperimentScale, PolicyKind};
+use adapt_llc::experiments::runner::{sweep_policies_on_sources_with, ReplayConfig};
+use adapt_llc::experiments::{ExperimentScale, MixSource, PolicyKind};
 use adapt_llc::workloads::{StudyKind, WorkloadMix};
 
 fn main() {
@@ -33,21 +34,19 @@ fn main() {
             .collect(),
     };
 
-    let instructions = scale.instructions_per_core();
-    let baseline = evaluate_mix(
+    // Both policies over one materialization of the mix, in parallel.
+    let outcome = sweep_policies_on_sources_with(
         &config,
-        &mix,
-        PolicyKind::TaDrrip,
-        instructions,
+        &[MixSource::synthetic(mix)],
+        &[PolicyKind::TaDrrip, PolicyKind::AdaptBp32],
+        scale.instructions_per_core(),
         scale.seed(),
-    );
-    let adapt = evaluate_mix(
-        &config,
-        &mix,
-        PolicyKind::AdaptBp32,
-        instructions,
-        scale.seed(),
-    );
+        &ReplayConfig::default(),
+    )
+    .expect("generated mixes always materialize");
+    let [baseline, adapt] = &outcome.evaluations[..] else {
+        unreachable!("one mix, two policies")
+    };
 
     let group_summary = |eval: &adapt_llc::experiments::MixEvaluation, names: &[&str]| {
         let apps: Vec<_> = eval
@@ -66,8 +65,8 @@ fn main() {
         batch.len()
     );
     for (label, names) in [("services", &services[..]), ("batch", &batch[..])] {
-        let (ipc_b, mpki_b) = group_summary(&baseline, names);
-        let (ipc_a, mpki_a) = group_summary(&adapt, names);
+        let (ipc_b, mpki_b) = group_summary(baseline, names);
+        let (ipc_a, mpki_a) = group_summary(adapt, names);
         println!("{label} group:");
         println!(
             "  TA-DRRIP  : mean IPC {:.3}, mean LLC MPKI {:.2}",

@@ -7,7 +7,8 @@
 //!
 //! Run with: `cargo run --release --example policy_comparison`
 
-use adapt_llc::experiments::{evaluate_mix, ExperimentScale, PolicyKind};
+use adapt_llc::experiments::runner::{sweep_policies_on_sources_with, ReplayConfig};
+use adapt_llc::experiments::{ExperimentScale, MixSource, PolicyKind};
 use adapt_llc::workloads::{generate_mixes, StudyKind};
 
 fn main() {
@@ -29,15 +30,20 @@ fn main() {
     let mut policies = vec![PolicyKind::TaDrrip];
     policies.extend(PolicyKind::figure3_lineup());
 
+    // Every policy over one materialization of the mix: its private caches are simulated
+    // once, and the policies run in parallel.
+    let outcome = sweep_policies_on_sources_with(
+        &config,
+        &[MixSource::synthetic(mix.clone())],
+        &policies,
+        scale.instructions_per_core(),
+        scale.seed(),
+        &ReplayConfig::default(),
+    )
+    .expect("generated mixes always materialize");
+
     let mut baseline_ws = None;
-    for kind in policies {
-        let eval = evaluate_mix(
-            &config,
-            &mix,
-            kind,
-            scale.instructions_per_core(),
-            scale.seed(),
-        );
+    for (&kind, eval) in policies.iter().zip(&outcome.evaluations) {
         let ws = eval.weighted_speedup();
         if kind == PolicyKind::TaDrrip {
             baseline_ws = Some(ws);

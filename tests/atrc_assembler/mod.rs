@@ -18,7 +18,7 @@
 
 use std::path::Path;
 
-use cache_sim::trace::{MemAccess, TraceSink};
+use cache_sim::trace::MemAccess;
 use trace_io::format::{encode_block_payload, fnv1a32, put_u32};
 use trace_io::header::{CoreStreamInfo, TraceHeader};
 use trace_io::{TraceCaptureOptions, TraceWriter};

@@ -1,19 +1,21 @@
 //! End-to-end tests of the corpus-backed sweep engine: materialize a corpus on disk,
-//! sweep it, and hold the results against the serial synthetic reference path — the
+//! sweep it, and hold the results against lone systems over the live generators — the
 //! zero-copy replay (constant-memory arenas, batches decoded by their reader) must be
 //! invisible in results at every budget and in the profiled logical story, and a corrupt
 //! block must come back as a typed error or not matter.
+
+mod lone_system;
 
 use std::collections::BTreeMap;
 use std::sync::{Mutex, OnceLock};
 
 use cache_sim::trace::{arena_current_bytes, arena_peak_bytes, reset_arena_peak};
 use experiments::runner::{
-    evaluate_policies_on_mixes, evaluate_policies_serial, evaluate_prepared,
-    sweep_policies_on_corpus_with, synthetic_capture_budget, warm_alone_cache, MixEvaluation,
-    MixSource, ReplayConfig,
+    evaluate_prepared, sweep_policies_on_corpus_with, synthetic_capture_budget, warm_alone_cache,
+    MixEvaluation, MixSource, ReplayConfig,
 };
 use experiments::{ExperimentScale, PolicyKind};
+use lone_system::assert_sweep_matches_lone_runs;
 use sim_obs::{Drained, EventKind};
 use trace_io::{Corpus, TraceError};
 use workloads::{generate_mixes, StudyKind};
@@ -71,8 +73,7 @@ fn corpus_sweep_reproduces_the_serial_synthetic_path_bit_for_bit() {
     )
     .unwrap();
 
-    let serial = evaluate_policies_serial(&cfg, &mixes, &policies, INSTRUCTIONS, SEED);
-    let grid = evaluate_policies_on_mixes(&cfg, &mixes, &policies, INSTRUCTIONS, SEED);
+    let grid = lone_system::grid(&cfg, &mixes, &policies, INSTRUCTIONS, SEED);
     let from_disk = sweep_policies_on_corpus_with(
         &cfg,
         &corpus,
@@ -83,25 +84,9 @@ fn corpus_sweep_reproduces_the_serial_synthetic_path_bit_for_bit() {
     .unwrap()
     .evaluations;
 
-    assert_eq!(serial.len(), mixes.len() * policies.len());
-    assert_eq!(grid.len(), serial.len());
-    assert_eq!(from_disk.len(), serial.len());
-    for ((s, g), d) in serial.iter().zip(&grid).zip(&from_disk) {
-        // Deterministic (mix, policy) ordering across all three engines.
-        assert_eq!(s.mix_id, g.mix_id);
-        assert_eq!(s.policy, g.policy);
-        assert_eq!(s.mix_id, d.mix_id);
-        assert_eq!(s.policy, d.policy);
-        // Bit-identical metrics.
-        assert_eq!(s.weighted_speedup(), g.weighted_speedup());
-        assert_eq!(s.weighted_speedup(), d.weighted_speedup());
-        for ((a, b), c) in s.per_app.iter().zip(&g.per_app).zip(&d.per_app) {
-            assert_eq!(a.ipc, b.ipc, "{}: grid IPC differs", a.name);
-            assert_eq!(a.ipc, c.ipc, "{}: corpus IPC differs", a.name);
-            assert_eq!(a.llc_mpki, b.llc_mpki);
-            assert_eq!(a.llc_mpki, c.llc_mpki);
-        }
-    }
+    // Both engines, in deterministic (mix, policy) order, against lone systems.
+    assert_sweep_matches_lone_runs(&cfg, &mixes, &policies, INSTRUCTIONS, SEED, &grid);
+    assert_sweep_matches_lone_runs(&cfg, &mixes, &policies, INSTRUCTIONS, SEED, &from_disk);
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -389,8 +374,8 @@ fn corpus_sweep_is_deterministic_across_runs() {
     let cfg = scale.system_config(StudyKind::Cores4);
     let mixes = generate_mixes(StudyKind::Cores4, 2, scale.seed());
     let policies = policies();
-    let a = evaluate_policies_on_mixes(&cfg, &mixes, &policies, INSTRUCTIONS, SEED);
-    let b = evaluate_policies_on_mixes(&cfg, &mixes, &policies, INSTRUCTIONS, SEED);
+    let a = lone_system::grid(&cfg, &mixes, &policies, INSTRUCTIONS, SEED);
+    let b = lone_system::grid(&cfg, &mixes, &policies, INSTRUCTIONS, SEED);
     for (x, y) in a.iter().zip(&b) {
         assert_eq!(x.mix_id, y.mix_id);
         assert_eq!(x.policy, y.policy);

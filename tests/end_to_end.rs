@@ -3,12 +3,14 @@
 //! These tests exercise the whole pipeline the way the experiment harness does, at smoke
 //! scale, and check structural properties that must hold regardless of absolute numbers.
 
+mod lone_system;
+
 use adapt_llc::adapt::{AdaptConfig, AdaptPolicy, PriorityLevel};
 use adapt_llc::experiments::policies::AnyPolicy;
-use adapt_llc::experiments::runner::evaluate_mix_system;
-use adapt_llc::experiments::{
-    evaluate_mix, evaluate_policies_on_mixes, ExperimentScale, PolicyKind,
+use adapt_llc::experiments::runner::{
+    evaluate_prepared, evaluate_prepared_system, MaterializedMixStreams, ReplayConfig,
 };
+use adapt_llc::experiments::{ExperimentScale, MixSource, PolicyKind};
 use adapt_llc::sim::config::SystemConfig;
 use adapt_llc::sim::system::MultiCoreSystem;
 use adapt_llc::workloads::{generate_mixes, StudyKind};
@@ -18,6 +20,18 @@ fn smoke_mix(study: StudyKind) -> (SystemConfig, adapt_llc::workloads::WorkloadM
     let config = scale.system_config(study);
     let mix = generate_mixes(study, 1, scale.seed()).remove(0);
     (config, mix)
+}
+
+/// `mix`'s streams, materialized once for every policy a test evaluates on them.
+fn prepare(
+    config: &SystemConfig,
+    mix: &adapt_llc::workloads::WorkloadMix,
+    seed: u64,
+) -> MaterializedMixStreams {
+    let llc_sets = config.llc.geometry.num_sets();
+    MixSource::synthetic(mix.clone())
+        .materialize_with(llc_sets, seed, &ReplayConfig::default())
+        .unwrap()
 }
 
 #[test]
@@ -31,8 +45,10 @@ fn sixteen_core_mix_runs_under_every_policy() {
         PolicyKind::AdaptIns,
         PolicyKind::AdaptBp32,
     ];
+    let prepared = prepare(&config, &mix, 3);
     for kind in policies {
-        let eval = evaluate_mix(&config, &mix, kind, 30_000, 3);
+        let built = kind.build_dispatch(&config, &mix.thrashing_slots());
+        let eval = evaluate_prepared(&config, &prepared, kind, built, 30_000, 3);
         assert_eq!(eval.per_app.len(), 16, "{:?}", kind);
         assert!(eval.weighted_speedup() > 0.0, "{:?}", kind);
         assert!(
@@ -83,12 +99,14 @@ fn the_llc_bypasses_exactly_the_fills_adapt_bypasses() {
     // any application to reach 16 unique blocks per sampled set, so none is ever Least
     // priority; twice that, over four intervals, makes the mix's thrashers Least.
     config.interval_misses = 4096;
+    let prepared = prepare(&config, &mix, 3);
     for kind in [
         PolicyKind::AdaptBp32,
         PolicyKind::AdaptIns,
         PolicyKind::TaDrrip,
     ] {
-        let (_, system) = evaluate_mix_system(&config, &mix, kind, 100_000, 3);
+        let built = kind.build_dispatch(&config, &mix.thrashing_slots());
+        let (_, system) = evaluate_prepared_system(&config, &prepared, kind, built, 100_000, 3);
         let llc = system.llc();
         let mut total = 0;
         for core in 0..16 {
@@ -241,7 +259,7 @@ fn parallel_sweep_is_deterministic_across_invocations() {
     let mixes = generate_mixes(StudyKind::Cores8, 2, 5);
     let policies = [PolicyKind::TaDrrip, PolicyKind::AdaptBp32];
     let run = || {
-        evaluate_policies_on_mixes(&config, &mixes, &policies, 25_000, 5)
+        lone_system::grid(&config, &mixes, &policies, 25_000, 5)
             .iter()
             .map(|e| (e.mix_id, e.policy_label.clone(), e.weighted_speedup()))
             .collect::<Vec<_>>()
@@ -253,7 +271,7 @@ fn parallel_sweep_is_deterministic_across_invocations() {
 fn weighted_speedup_never_exceeds_core_count_by_much() {
     for study in [StudyKind::Cores4, StudyKind::Cores8] {
         let (config, mix) = smoke_mix(study);
-        let eval = evaluate_mix(&config, &mix, PolicyKind::TaDrrip, 25_000, 1);
+        let eval = lone_system::evaluate(&config, &mix, PolicyKind::TaDrrip, 25_000, 1);
         let n = study.num_cores() as f64;
         assert!(
             eval.weighted_speedup() <= n * 1.05,

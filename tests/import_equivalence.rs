@@ -7,14 +7,16 @@
 //! IPC/MPKI to evaluating the generators directly. Same bar as the capture↔replay
 //! equivalence the native path is held to.
 
+mod lone_system;
+
 use std::path::PathBuf;
 
 use adapt_llc::sim::trace::MemAccess;
 use experiments::runner::{
-    evaluate_mix, evaluate_policies_serial, evaluate_prepared, sweep_policies_on_corpus_with,
-    MixSource, ReplayConfig,
+    evaluate_prepared, sweep_policies_on_corpus_with, MixSource, ReplayConfig,
 };
 use experiments::{ExperimentScale, PolicyKind};
+use lone_system::{assert_evaluation_matches, assert_sweep_matches_lone_runs, lone_run};
 use trace_io::import::{export_champsim, import_to_file, ImportFormat, ImportOptions};
 use trace_io::{Corpus, TraceCaptureOptions};
 use workloads::{generate_mixes, StudyKind, WorkloadMix};
@@ -109,26 +111,6 @@ fn import_options(mix: &WorkloadMix, llc_sets: usize) -> ImportOptions {
     }
 }
 
-#[track_caller]
-fn assert_bit_identical(
-    label: &str,
-    direct: &experiments::runner::MixEvaluation,
-    imported: &experiments::runner::MixEvaluation,
-) {
-    assert_eq!(direct.policy, imported.policy);
-    assert_eq!(
-        direct.weighted_speedup(),
-        imported.weighted_speedup(),
-        "{label}: weighted speedup diverged"
-    );
-    assert_eq!(direct.final_cycle, imported.final_cycle, "{label}");
-    for (a, b) in direct.per_app.iter().zip(&imported.per_app) {
-        assert_eq!(a.name, b.name);
-        assert_eq!(a.ipc, b.ipc, "{label}: {} IPC diverged", a.name);
-        assert_eq!(a.llc_mpki, b.llc_mpki, "{label}: {} MPKI diverged", a.name);
-    }
-}
-
 #[test]
 fn champsim_import_sweeps_bit_identical_to_the_direct_path() {
     let scale = ExperimentScale::Smoke;
@@ -179,10 +161,10 @@ fn champsim_import_sweeps_bit_identical_to_the_direct_path() {
         .materialize_with(llc_sets, SEED, &ReplayConfig::default())
         .unwrap();
     for policy in policies() {
-        let direct = evaluate_mix(&cfg, &mix, policy, INSTRUCTIONS, SEED);
+        let direct = lone_run(&cfg, &mix, policy, INSTRUCTIONS, SEED);
         let built = policy.build_dispatch(&cfg, &mix.thrashing_slots());
         let imported = evaluate_prepared(&cfg, &prepared, policy, built, INSTRUCTIONS, SEED);
-        assert_bit_identical("champsim", &direct, &imported);
+        assert_evaluation_matches(&imported, &direct, "champsim");
     }
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -233,17 +215,17 @@ fn csv_import_sweeps_bit_identical_to_the_direct_path() {
         .materialize_with(llc_sets, SEED, &ReplayConfig::default())
         .unwrap();
     for policy in policies() {
-        let direct = evaluate_mix(&cfg, &mix, policy, INSTRUCTIONS, SEED);
+        let direct = lone_run(&cfg, &mix, policy, INSTRUCTIONS, SEED);
         let built = policy.build_dispatch(&cfg, &mix.thrashing_slots());
         let imported = evaluate_prepared(&cfg, &prepared, policy, built, INSTRUCTIONS, SEED);
-        assert_bit_identical("csv", &direct, &imported);
+        assert_evaluation_matches(&imported, &direct, "csv");
     }
     std::fs::remove_dir_all(&dir).ok();
 }
 
 /// The acceptance sweep for the written format: a materialized corpus (v3, compressed
-/// blocks) must sweep bit-identically to the serial synthetic reference, through the
-/// parallel grid engine, without wrapping. That legacy v2 bytes decode to the same records
+/// blocks) must sweep bit-identically to lone systems over the live generators, through
+/// the parallel grid engine, without wrapping. That legacy v2 bytes decode to the same records
 /// is held at the record level by the golden `tests/data/v2-chunked.atrc` and the
 /// assembler-fed legs of `tests/atrc_fuzz.rs`.
 #[test]
@@ -263,9 +245,7 @@ fn corpus_sweeps_bit_identical_to_the_serial_synthetic_reference() {
         assert!(header.version == 3 && header.compressed && header.checksums);
     }
 
-    // Serial reference (regenerates every mix per policy) vs the corpus through the
-    // parallel grid engine.
-    let serial = evaluate_policies_serial(&cfg, &mixes, &policies, INSTRUCTIONS, SEED);
+    // The corpus through the parallel grid engine vs a lone system per (mix, policy).
     let replay = ReplayConfig::default();
     let from_corpus =
         sweep_policies_on_corpus_with(&cfg, &corpus, &policies, INSTRUCTIONS, &replay).unwrap();
@@ -274,10 +254,7 @@ fn corpus_sweeps_bit_identical_to_the_serial_synthetic_reference() {
         0,
         "budget must cover the run"
     );
-    assert_eq!(serial.len(), from_corpus.evaluations.len());
-    for (s, c) in serial.iter().zip(&from_corpus.evaluations) {
-        assert_eq!(s.mix_id, c.mix_id);
-        assert_bit_identical("corpus vs serial", s, c);
-    }
+    let evaluations = &from_corpus.evaluations;
+    assert_sweep_matches_lone_runs(&cfg, &mixes, &policies, INSTRUCTIONS, SEED, evaluations);
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -5,13 +5,15 @@
 //! The flight recorder is process-global, so every test takes [`obs_lock`] and starts
 //! from [`sim_obs::reset`].
 
+mod lone_system;
+
 use std::collections::BTreeMap;
 use std::sync::{Mutex, OnceLock};
 
 use cache_sim::MultiCoreSystem;
 use experiments::runner::{
-    evaluate_policies_on_mixes, evaluate_prepared, sweep_policies_on_corpus_with,
-    synthetic_capture_budget, warm_alone_cache, MixSource, ReplayConfig,
+    evaluate_prepared, sweep_policies_on_corpus_with, synthetic_capture_budget, warm_alone_cache,
+    MixSource, ReplayConfig,
 };
 use experiments::{ExperimentScale, PolicyKind};
 use sim_obs::{Drained, EventKind};
@@ -68,10 +70,10 @@ fn profiling_does_not_change_sweep_results() {
     warm_alone_cache(&cfg, &mixes, INSTRUCTIONS, SEED);
 
     sim_obs::reset();
-    let plain = evaluate_policies_on_mixes(&cfg, &mixes, &policies, INSTRUCTIONS, SEED);
+    let plain = lone_system::grid(&cfg, &mixes, &policies, INSTRUCTIONS, SEED);
 
     sim_obs::enable();
-    let profiled = evaluate_policies_on_mixes(&cfg, &mixes, &policies, INSTRUCTIONS, SEED);
+    let profiled = lone_system::grid(&cfg, &mixes, &policies, INSTRUCTIONS, SEED);
     sim_obs::disable();
     let drained = sim_obs::drain();
 
@@ -113,7 +115,7 @@ fn serial_and_parallel_profiled_sweeps_tell_the_same_story() {
     sim_obs::reset();
     sim_obs::enable();
     let serial = rayon::with_worker_limit(1, || {
-        evaluate_policies_on_mixes(&cfg, &mixes, &policies, INSTRUCTIONS, SEED)
+        lone_system::grid(&cfg, &mixes, &policies, INSTRUCTIONS, SEED)
     });
     sim_obs::disable();
     let serial_events = logical_events(&sim_obs::drain());
@@ -121,7 +123,7 @@ fn serial_and_parallel_profiled_sweeps_tell_the_same_story() {
     sim_obs::reset();
     sim_obs::enable();
     let parallel = rayon::with_worker_limit(4, || {
-        evaluate_policies_on_mixes(&cfg, &mixes, &policies, INSTRUCTIONS, SEED)
+        lone_system::grid(&cfg, &mixes, &policies, INSTRUCTIONS, SEED)
     });
     sim_obs::disable();
     let parallel_events = logical_events(&sim_obs::drain());
@@ -219,7 +221,7 @@ fn profiled_sweep_reports_each_mix_shared_stages_once() {
             let replay = ReplayConfig::default();
             sweep_policies_on_corpus_with(&cfg, &corpus, &policies, INSTRUCTIONS, &replay).unwrap();
         } else {
-            evaluate_policies_on_mixes(&cfg, &mixes, &policies, INSTRUCTIONS, SEED);
+            lone_system::grid(&cfg, &mixes, &policies, INSTRUCTIONS, SEED);
         }
         sim_obs::disable();
         let drained = sim_obs::drain();
@@ -305,7 +307,7 @@ fn exported_profile_is_perfetto_loadable_and_complete() {
 
     sim_obs::reset();
     sim_obs::enable();
-    let _ = evaluate_policies_on_mixes(&cfg, &mixes, &policies, INSTRUCTIONS, SEED);
+    let _ = lone_system::grid(&cfg, &mixes, &policies, INSTRUCTIONS, SEED);
     sim_obs::disable();
     let report = sim_obs::export_profile(&dir).expect("profile export");
     assert!(report.events > 0);

@@ -8,7 +8,8 @@
 //! cost ordering of Table 2 holds.
 
 use adapt_llc::adapt::{adapt_cost_bytes, AdaptConfig};
-use adapt_llc::experiments::{evaluate_mix, ExperimentScale, PolicyKind};
+use adapt_llc::experiments::runner::{evaluate_prepared, ReplayConfig};
+use adapt_llc::experiments::{ExperimentScale, MixEvaluation, MixSource, PolicyKind};
 use adapt_llc::policies::ShipPolicy;
 use adapt_llc::sim::system::MultiCoreSystem;
 use adapt_llc::workloads::{benchmark_by_name, generate_mixes, StudyKind};
@@ -23,6 +24,22 @@ fn test_scale_config() -> (
     let config = ExperimentScale::Scaled.system_config_with_llc(StudyKind::Cores16, 8 << 20, 16);
     let mix = generate_mixes(StudyKind::Cores16, 1, 0xC0FFEE).remove(0);
     (config, mix, 600_000)
+}
+
+/// Each of `policies` evaluated over one materialization of `mix`.
+fn evaluate_all<const N: usize>(
+    config: &adapt_llc::sim::config::SystemConfig,
+    mix: &adapt_llc::workloads::WorkloadMix,
+    policies: [PolicyKind; N],
+    instrs: u64,
+) -> [MixEvaluation; N] {
+    let prepared = MixSource::synthetic(mix.clone())
+        .materialize_with(config.llc.geometry.num_sets(), 1, &ReplayConfig::default())
+        .unwrap();
+    policies.map(|policy| {
+        let built = policy.build_dispatch(config, &mix.thrashing_slots());
+        evaluate_prepared(config, &prepared, policy, built, instrs, 1)
+    })
 }
 
 #[test]
@@ -58,8 +75,8 @@ fn forced_brrip_on_thrashers_does_not_hurt_weighted_speedup() {
     // Figure 1's motivation: pinning thrashing applications to BRRIP should not lose
     // performance relative to letting TA-DRRIP learn SRRIP for them.
     let (config, mix, instrs) = test_scale_config();
-    let base = evaluate_mix(&config, &mix, PolicyKind::TaDrrip, instrs, 1);
-    let forced = evaluate_mix(&config, &mix, PolicyKind::TaDrripForced, instrs, 1);
+    let policies = [PolicyKind::TaDrrip, PolicyKind::TaDrripForced];
+    let [base, forced] = evaluate_all(&config, &mix, policies, instrs);
     assert!(
         forced.weighted_speedup() >= base.weighted_speedup() * 0.99,
         "forced {:.4} vs baseline {:.4}",
@@ -73,9 +90,9 @@ fn adapt_bypass_helps_non_thrashing_applications_relative_to_insertion() {
     // Figure 4/5's core claim: bypassing the Least-priority lines leaves more space for the
     // cache-friendly applications than inserting them at distant priority.
     let (config, mix, instrs) = test_scale_config();
-    let ins = evaluate_mix(&config, &mix, PolicyKind::AdaptIns, instrs, 1);
-    let byp = evaluate_mix(&config, &mix, PolicyKind::AdaptBp32, instrs, 1);
-    let friendly_mpki = |e: &adapt_llc::experiments::MixEvaluation| -> f64 {
+    let policies = [PolicyKind::AdaptIns, PolicyKind::AdaptBp32];
+    let [ins, byp] = evaluate_all(&config, &mix, policies, instrs);
+    let friendly_mpki = |e: &MixEvaluation| -> f64 {
         let apps: Vec<f64> = e
             .per_app
             .iter()
@@ -102,8 +119,8 @@ fn adapt_bypass_helps_non_thrashing_applications_relative_to_insertion() {
 fn adapt_improves_over_tadrrip_on_a_contended_mix() {
     // The headline direction of Figure 3 on one deterministic 16-core mix.
     let (config, mix, instrs) = test_scale_config();
-    let base = evaluate_mix(&config, &mix, PolicyKind::TaDrrip, instrs, 1);
-    let adapt = evaluate_mix(&config, &mix, PolicyKind::AdaptBp32, instrs, 1);
+    let policies = [PolicyKind::TaDrrip, PolicyKind::AdaptBp32];
+    let [base, adapt] = evaluate_all(&config, &mix, policies, instrs);
     assert!(
         adapt.weighted_speedup() >= base.weighted_speedup() * 0.98,
         "ADAPT {:.4} should not lose to TA-DRRIP {:.4} beyond noise",

@@ -18,15 +18,16 @@
 //! set one block larger than a set under LRU; working sets that fit a level) tie both
 //! engines to answers that come from outside the repository.
 
+mod lone_system;
 mod oracle;
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Barrier, Mutex, MutexGuard};
 
 use adapt_llc::experiments::runner::{
-    evaluate_prepared, synthetic_capture_budget, MixEvaluation, MixSource, ReplayConfig,
+    evaluate_prepared, synthetic_capture_budget, MixSource, ReplayConfig,
 };
-use adapt_llc::experiments::{evaluate_mix, ExperimentScale, MemSystem, PolicyKind};
+use adapt_llc::experiments::{ExperimentScale, MemSystem, PolicyKind};
 use adapt_llc::sim::config::{
     BankContentionConfig, CacheGeometry, PrivatePolicyKind, SystemConfig,
 };
@@ -38,6 +39,7 @@ use adapt_llc::sim::system::{MultiCoreSystem, RUN_AHEAD};
 use adapt_llc::sim::trace::{MemAccess, SharedReplayTrace, StridedTrace, TraceSource};
 use adapt_llc::traces::{capture_mix, MappedTrace, TraceCaptureOptions};
 use adapt_llc::workloads::{generate_mixes, StudyKind, WorkloadMix};
+use lone_system::{assert_evaluation_matches, lone_run};
 use oracle::NaiveSystem;
 
 const INSTRUCTIONS: u64 = 20_000;
@@ -501,22 +503,6 @@ fn finished_cache_resident_core_cannot_livelock_the_run() {
     }
 }
 
-/// What a `MixEvaluation` carries of a run, held to the oracle's `SystemResults`.
-fn assert_evaluation_matches(fast: &MixEvaluation, reference: &SystemResults, what: &str) {
-    assert_eq!(fast.per_app.len(), reference.per_core.len(), "{what}");
-    for (app, core) in fast.per_app.iter().zip(&reference.per_core) {
-        assert_eq!(app.name, core.label, "{what}");
-        assert_eq!(app.core_id, core.core_id, "{what}: {}", app.name);
-        assert_eq!(app.ipc, core.ipc(), "{what}: {} IPC", app.name);
-        assert_eq!(app.l2_mpki, core.l2_mpki(), "{what}: {} L2 MPKI", app.name);
-        assert_eq!(app.llc_mpki, core.llc_mpki(), "{what}: {} MPKI", app.name);
-    }
-    assert_eq!(fast.llc_global, reference.llc_global, "{what}");
-    assert_eq!(fast.llc_banks, reference.llc_banks, "{what}");
-    assert_eq!(fast.core_stalls, reference.core_stalls, "{what}");
-    assert_eq!(fast.final_cycle, reference.final_cycle, "{what}");
-}
-
 /// `run` every kind on a thread of its own, all released together.
 fn at_once<T: Send>(kinds: &[PolicyKind], run: &(dyn Fn(PolicyKind) -> T + Sync)) -> Vec<T> {
     let start = Barrier::new(kinds.len());
@@ -706,7 +692,7 @@ fn replayed_mixes_share_their_stages_and_equal_the_oracle_and_the_live_generator
     let accesses = synthetic_capture_budget(INSTRUCTIONS);
     let opts = TraceCaptureOptions::for_llc_sets(llc_sets);
     capture_mix(&path, mix, SEED, accesses, None, opts).unwrap();
-    let source = MixSource::replayed(&path).unwrap();
+    let source = MixSource::replayed_with_id(&path, 0).unwrap();
     let decoded_bytes = accesses * cfg.num_cores as u64 * 16;
 
     // The oracle over the replayed records, and the records it drew from each core.
@@ -744,12 +730,9 @@ fn replayed_mixes_share_their_stages_and_equal_the_oracle_and_the_live_generator
         });
         for ((kind, fast), (reference, _)) in kinds.iter().zip(&evaluations).zip(&references) {
             assert_evaluation_matches(fast, reference, &format!("{what}, {kind:?}"));
-            let live = evaluate_mix(&cfg, mix, *kind, INSTRUCTIONS, SEED);
-            assert_eq!(
-                format!("{fast:?}"),
-                format!("{live:?}"),
-                "{what}, {kind:?}: the live generators"
-            );
+            let live = lone_run(&cfg, mix, *kind, INSTRUCTIONS, SEED);
+            let against = format!("{what}, {kind:?}: the live generators");
+            assert_evaluation_matches(fast, &live, &against);
         }
         assert_eq!(prepared.replay_wraps(), 0, "{what}");
 
@@ -857,15 +840,19 @@ fn l2_resident_finished_core_reaches_the_llc_once_per_block_and_the_run_terminat
     );
 }
 
-/// The runner's entry point reports what the oracle computes: `evaluate_mix` builds the
-/// policy and the sources itself, so this also holds the path from a `PolicyKind` and
-/// a mix to a `MixEvaluation` to the independent model.
+/// The runner's entry point reports what the oracle computes: every evaluation takes
+/// this path — a mix materialized from its generators once, then each `PolicyKind`
+/// built and run over its shared stages — so this holds the path from a `PolicyKind`
+/// and a mix to a `MixEvaluation` to the independent model.
 #[test]
-fn evaluate_mix_is_bit_identical_to_the_reference_engine() {
+fn evaluate_prepared_is_bit_identical_to_the_reference_engine() {
     let scale = ExperimentScale::Smoke;
     let cfg = scale.system_config(StudyKind::Cores4);
     let llc_sets = cfg.llc.geometry.num_sets();
     for mix in &generate_mixes(StudyKind::Cores4, 2, scale.seed()) {
+        let prepared = MixSource::synthetic(mix.clone())
+            .materialize_with(llc_sets, SEED, &ReplayConfig::default())
+            .unwrap();
         for kind in [
             PolicyKind::TaDrrip,
             PolicyKind::AdaptBp32,
@@ -876,7 +863,8 @@ fn evaluate_mix_is_bit_identical_to_the_reference_engine() {
             let sources = mix.trace_sources(llc_sets, SEED);
             let reference =
                 NaiveSystem::new(cfg.clone(), sources, Box::new(built)).run(INSTRUCTIONS);
-            let fast = evaluate_mix(&cfg, mix, kind, INSTRUCTIONS, SEED);
+            let built = kind.build_dispatch(&cfg, &mix.thrashing_slots());
+            let fast = evaluate_prepared(&cfg, &prepared, kind, built, INSTRUCTIONS, SEED);
             let what = format!("mix {} {kind:?}", mix.id);
             assert_evaluation_matches(&fast, &reference, &what);
             assert!(fast.llc_global.total_demand_misses > 0, "{what}: idle LLC");

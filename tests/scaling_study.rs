@@ -1,19 +1,22 @@
 //! End-to-end tests of the many-core scaling study and the cycle-accounted bank
 //! contention model: a 64-core run completes through the corpus sweep engine with
-//! per-bank occupancy/stall metrics, serial and parallel engines stay bit-identical
-//! under contention, per-core stall attribution sums exactly to the global
-//! accounting (serial and parallel, at 4 and 128 cores), zero-contention
+//! per-bank occupancy/stall metrics, the parallel grid stays bit-identical to lone
+//! systems under contention, per-core stall attribution sums exactly to the global
+//! accounting (at 4 and 128 cores), zero-contention
 //! configurations reproduce the seed's flat-latency banking exactly, and the alone-run
 //! normalization follows the memory system and seed actually evaluated.
+
+mod lone_system;
 
 use cache_sim::addr::BlockAddr;
 use cache_sim::config::SystemConfig;
 use cache_sim::llc::SharedLlc;
 use experiments::experiment::{self, Experiment, Mixes, Sources};
 use experiments::report::{render, Layout};
-use experiments::runner::{evaluate_mix, evaluate_policies_on_mixes, evaluate_policies_serial};
+use experiments::runner::MixEvaluation;
 use experiments::{ExperimentScale, MemSystem, PolicyKind};
 use llc_policies::SrripPolicy;
+use lone_system::assert_sweep_matches_lone_runs;
 use workloads::{generate_mixes, StudyKind};
 
 const INSTRUCTIONS: u64 = 20_000;
@@ -22,7 +25,7 @@ const INSTRUCTIONS: u64 = 20_000;
 fn sixty_four_core_run_completes_with_bank_metrics_and_engine_bit_identity() {
     // The acceptance bar: a 64-core run under the contention model completes via the
     // scaling study's path, reports per-bank occupancy/stall metrics, and the parallel
-    // grid reproduces the serial reference bit-for-bit.
+    // grid reproduces lone systems bit-for-bit.
     let scale = ExperimentScale::Smoke;
     let study = StudyKind::Cores64;
     let cfg = scale.system_config(study);
@@ -34,26 +37,8 @@ fn sixty_four_core_run_completes_with_bank_metrics_and_engine_bit_identity() {
 
     let mixes = generate_mixes(study, 1, scale.seed());
     let policies = [PolicyKind::TaDrrip, PolicyKind::AdaptBp32];
-    let serial = evaluate_policies_serial(&cfg, &mixes, &policies, INSTRUCTIONS, scale.seed());
-    let grid = evaluate_policies_on_mixes(&cfg, &mixes, &policies, INSTRUCTIONS, scale.seed());
-
-    assert_eq!(serial.len(), grid.len());
-    for (s, g) in serial.iter().zip(&grid) {
-        assert_eq!(s.mix_id, g.mix_id);
-        assert_eq!(s.policy, g.policy);
-        assert_eq!(s.weighted_speedup(), g.weighted_speedup());
-        assert_eq!(s.llc_global, g.llc_global, "global LLC stats must match");
-        assert_eq!(s.llc_banks, g.llc_banks, "per-bank stats must match");
-        assert_eq!(
-            s.core_stalls, g.core_stalls,
-            "per-core stall attribution must match"
-        );
-        assert_eq!(s.final_cycle, g.final_cycle);
-        for (a, b) in s.per_app.iter().zip(&g.per_app) {
-            assert_eq!(a.ipc, b.ipc);
-            assert_eq!(a.llc_mpki, b.llc_mpki);
-        }
-    }
+    let grid = lone_system::grid(&cfg, &mixes, &policies, INSTRUCTIONS, scale.seed());
+    assert_sweep_matches_lone_runs(&cfg, &mixes, &policies, INSTRUCTIONS, scale.seed(), &grid);
     // Per-bank occupancy/stall metrics are present and the banks saw traffic.
     for eval in &grid {
         assert_eq!(eval.per_app.len(), 64);
@@ -104,7 +89,7 @@ fn scaling_study_is_deterministic_across_repeated_runs() {
 /// Per-core stall attribution must sum exactly to the global accounting: LLC bank
 /// queue/admission and MSHR stalls against `LlcGlobalStats`, DRAM queue+admission
 /// against `DramStats.queue_cycles` (whose delay is the sum of both phases).
-fn assert_stall_conservation(evals: &[experiments::runner::MixEvaluation], num_cores: usize) {
+fn assert_stall_conservation(evals: &[MixEvaluation], num_cores: usize) {
     for e in evals {
         assert_eq!(e.core_stalls.len(), num_cores);
         let llc_queue: u64 = e.core_stalls.iter().map(|c| c.llc_queue_cycles).sum();
@@ -141,17 +126,12 @@ fn per_core_stall_attribution_is_conserved_at_4_cores_serial_and_parallel() {
     let cfg = scale.scaling_config_memsys(4, MemSystem::FcfsContended);
     let mixes = generate_mixes(StudyKind::Cores4, 1, scale.seed());
     let policies = [PolicyKind::TaDrrip, PolicyKind::AdaptBp32];
-    let serial = evaluate_policies_serial(&cfg, &mixes, &policies, INSTRUCTIONS, scale.seed());
-    let grid = evaluate_policies_on_mixes(&cfg, &mixes, &policies, INSTRUCTIONS, scale.seed());
-    assert_stall_conservation(&serial, 4);
+    let grid = lone_system::grid(&cfg, &mixes, &policies, INSTRUCTIONS, scale.seed());
     assert_stall_conservation(&grid, 4);
-    for (s, g) in serial.iter().zip(&grid) {
-        assert_eq!(s.core_stalls, g.core_stalls);
-    }
+    assert_sweep_matches_lone_runs(&cfg, &mixes, &policies, INSTRUCTIONS, scale.seed(), &grid);
     // A contended 4-core run actually attributes something.
     assert!(
-        serial
-            .iter()
+        grid.iter()
             .any(|e| e.core_stalls.iter().any(|c| c.total() > 0)),
         "contended runs must attribute stall cycles to cores"
     );
@@ -168,20 +148,11 @@ fn per_core_stall_attribution_is_conserved_at_128_cores_serial_and_parallel() {
     assert!(cfg.dram.row_model.is_some());
     let mixes = generate_mixes(StudyKind::Cores128, 1, scale.seed());
     let policies = [PolicyKind::TaDrrip];
-    let serial = evaluate_policies_serial(&cfg, &mixes, &policies, INSTRUCTIONS, scale.seed());
-    let grid = evaluate_policies_on_mixes(&cfg, &mixes, &policies, INSTRUCTIONS, scale.seed());
-    assert_stall_conservation(&serial, 128);
+    let grid = lone_system::grid(&cfg, &mixes, &policies, INSTRUCTIONS, scale.seed());
     assert_stall_conservation(&grid, 128);
-    for (s, g) in serial.iter().zip(&grid) {
-        assert_eq!(
-            s.core_stalls, g.core_stalls,
-            "128-core grid must stay bit-identical"
-        );
-        assert_eq!(s.llc_global, g.llc_global);
-        assert_eq!(s.final_cycle, g.final_cycle);
-    }
+    assert_sweep_matches_lone_runs(&cfg, &mixes, &policies, INSTRUCTIONS, scale.seed(), &grid);
     // The realistic memory system classified rows and accumulated NUCA cycles.
-    for e in &serial {
+    for e in &grid {
         assert!(
             e.llc_global.nuca_cycles > 0,
             "mesh NUCA must add wire latency"
@@ -253,7 +224,7 @@ fn alone_normalization_follows_the_memory_system_and_the_seed() {
         .map(|&(memsys, seed)| {
             let cfg = scale.scaling_config_memsys(study.num_cores(), memsys);
             let geometry = cfg.llc.geometry;
-            let eval = evaluate_mix(&cfg, mix, PolicyKind::TaDrrip, INSTRUCTIONS, seed);
+            let eval = lone_system::evaluate(&cfg, mix, PolicyKind::TaDrrip, INSTRUCTIONS, seed);
             for (app, spec) in eval.per_app.iter().zip(mix.specs()) {
                 let direct = cache_sim::single::run_alone(
                     &cfg,
