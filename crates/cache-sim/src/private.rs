@@ -119,8 +119,8 @@
 //! finds neither its chunk nor a generation in flight generates inline.
 //!
 //! **The memo pool and the hand-over.** The stages over one stream retain events out of
-//! one [`MemoPool`] — the stream's share of what a replayed mix's records leave of
-//! `--arena-bytes`; unbounded for a generator — and register what they hold with
+//! one [`MemoPool`] — the stream's share of what the mix's decode buffers (none for a
+//! generator) leave of its memory budget — and register what they hold with
 //! [`ArenaTracker`]. A stage first reserves its checkpoint ([`StageState::bytes`]: the
 //! caches and counters, a few KB), then a whole chunk ([`MAX_CHUNK_BYTES`]) before it
 //! generates one, returning what the chunk did not need. When the pool cannot cover
@@ -578,7 +578,7 @@ pub struct MemoPool {
 }
 
 impl MemoPool {
-    /// A pool of `bytes` bytes; `u64::MAX` never runs out.
+    /// A pool of `bytes` bytes.
     pub fn new(bytes: u64) -> Arc<Self> {
         Arc::new(MemoPool {
             left: AtomicU64::new(bytes),

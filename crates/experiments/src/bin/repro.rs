@@ -18,8 +18,9 @@
 //!   sweep  --dir DIR [--arena-bytes N]
 //!            Run the Figure 3 policy lineup over a materialized corpus: each trace is
 //!            mapped once and the (policy x mix) grid fans out in parallel. Every mix is
-//!            streamed from the mapping in fixed-size batches within the arena budget
-//!            (default 256 MiB: decode buffers + event memo per mix), with identical
+//!            streamed from the mapping in fixed-size batches within the memory budget
+//!            of a materialized mix (default 256 MiB: decode buffers + event memo; every
+//!            other command materializes at the default), with identical
 //!            results at every budget, and its private caches are simulated once for
 //!            all policies. The report includes the replay-wrap count in passes
 //!            (non-zero when the capture budget was smaller than the run). A corrupt
@@ -81,10 +82,10 @@ fn usage() -> String {
          mixes    Print the generated workload mixes (Table 6)\n  \
          diag     Per-application TA-DRRIP vs ADAPT (and SHiP) diagnostic on one 16-core mix\n  \
          all      Every experiment above but scale, in order\n\n\
-         sweep: --arena-bytes N  replay arena budget per mix in bytes (default 256 MiB):\n\
-                                 decode buffers + event memo. Every mix is streamed from\n\
-                                 the mapping in fixed-size batches; results are identical\n\
-                                 at every N\n\n\
+         sweep: --arena-bytes N  memory budget of a materialized mix in bytes (default\n\
+                                 256 MiB): decode buffers + event memo. Every mix is\n\
+                                 streamed from the mapping in fixed-size batches; results\n\
+                                 are identical at every N\n\n\
          scale: many-core scaling study under the cycle-accounted bank contention model\n\
          (throughput / fairness / bank-stall share / per-core stall attribution per policy;\n\
          --flat reruns the same geometry with the latency-only seed banking; --memsys runs\n\

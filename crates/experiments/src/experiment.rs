@@ -19,13 +19,13 @@ use std::collections::BTreeMap;
 
 use adapt_core::AdaptConfig;
 use cache_sim::config::SystemConfig;
-use mc_metrics::{relative_improvement, MulticoreMetrics};
+use mc_metrics::{arithmetic_mean, relative_improvement, MulticoreMetrics};
 use trace_io::{Corpus, TraceError};
 use workloads::{generate_mixes, StudyKind};
 
 use crate::ablation::Sweep;
 use crate::policies::PolicyKind;
-use crate::report::{amean, pct, Layout, Series, Table};
+use crate::report::{pct, Layout, Series, Table};
 use crate::runner::{self, Cell, MixEvaluation, MixSource, ReplayConfig};
 use crate::scale::{ExperimentScale, MemSystem};
 use crate::{scaling, table2, table4};
@@ -436,7 +436,7 @@ fn summarize(
     runs: &[StudyRun],
 ) -> Vec<Table> {
     let mean = |evals: &[MixEvaluation], policy| {
-        amean(&runner::speedups_over_baseline(
+        arithmetic_mean(&runner::speedups_over_baseline(
             evals,
             policy,
             exp.policies[0],
@@ -557,7 +557,7 @@ fn summarize(
                 let per_mix = by_mix.map(|mix| {
                     relative_improvement(metric(&mix[1].metrics), metric(&mix[0].metrics))
                 });
-                amean(&per_mix.collect::<Vec<_>>())
+                arithmetic_mean(&per_mix.collect::<Vec<_>>())
             };
             let studies = runs.iter().map(|r| format!("{}-core", r.study.num_cores()));
             let rows = metrics.iter().map(|&(name, metric)| {
@@ -585,7 +585,11 @@ fn s_curve(exp: &Experiment, run: &StudyRun, panel: bool) -> Table {
         .iter()
         .map(|&p| {
             let speedups = runner::speedups_over_baseline(evals, p, exp.policies[0]);
-            (p.label(), amean(&speedups), mc_metrics::s_curve(&speedups))
+            (
+                p.label(),
+                arithmetic_mean(&speedups),
+                mc_metrics::s_curve(&speedups),
+            )
         })
         .collect();
     let cores = run.study.num_cores();

@@ -131,24 +131,6 @@ pub fn pct(value: f64) -> String {
     format!("{:+.2}%", value * 100.0)
 }
 
-/// Geometric mean of a slice (0 if empty) — convenience used by figure summaries.
-pub fn gmean(values: &[f64]) -> f64 {
-    if values.is_empty() {
-        return 0.0;
-    }
-    let s: f64 = values.iter().map(|v| v.max(f64::MIN_POSITIVE).ln()).sum();
-    (s / values.len() as f64).exp()
-}
-
-/// Arithmetic mean of a slice (0 if empty).
-pub fn amean(values: &[f64]) -> f64 {
-    if values.is_empty() {
-        0.0
-    } else {
-        values.iter().sum::<f64>() / values.len() as f64
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -191,12 +173,8 @@ mod tests {
     }
 
     #[test]
-    fn pct_and_means() {
+    fn pct_is_signed_with_two_decimals() {
         assert_eq!(pct(0.047), "+4.70%");
         assert_eq!(pct(-0.011), "-1.10%");
-        assert!((gmean(&[1.0, 4.0]) - 2.0).abs() < 1e-12);
-        assert!((amean(&[1.0, 3.0]) - 2.0).abs() < 1e-12);
-        assert_eq!(gmean(&[]), 0.0);
-        assert_eq!(amean(&[]), 0.0);
     }
 }

@@ -17,8 +17,8 @@
 //! alone, so each core's stream — a live generator, or batches streamed from the mapping
 //! of a `.atrc` file — feeds one shared private stage (`cache_sim::private`): record
 //! production, L1, L2 and prefetcher run once per mix, M times per sweep instead of
-//! P × M, and every policy's system replays the stage's memoized events. A replayed
-//! mix's memo is bounded by the same `--arena-bytes` budget as its decode buffers
+//! P × M, and every policy's system replays the stage's memoized events. Every mix's
+//! memo, with a replayed mix's decode buffers, stays within one budget
 //! ([`ReplayConfig`]); an evaluation that outruns it finishes on stages of its own.
 //! Mixes are materialized in bounded windows so peak memory stays at a few mixes
 //! regardless of sweep size, and results are emitted in deterministic (mix, policy)
@@ -153,8 +153,8 @@ impl MixEvaluation {
     }
 }
 
-/// The one replay knob: how much memory one replayed mix may take — its decode buffers
-/// and the event memo of its shared private stages together.
+/// The memory budget of a materialized mix, whatever its provenance: the event memo of
+/// its shared private stages and, for a replayed mix, its decode buffers together.
 ///
 /// A mix's streams come in two kinds, chosen by the source's provenance — never by an
 /// option, and never by size: synthetic mixes are generated on demand (`Lazy`); a
@@ -167,26 +167,28 @@ impl MixEvaluation {
 /// shared private stage per distinct [`StageParams`], and every evaluation replays its
 /// events.
 ///
-/// The budget is split per mix. The mix holds one record buffer per core plus its
+/// The budget is split per mix. A replayed mix holds one record buffer per core plus its
 /// decompression scratch — the stage is the records' only consumer, so the batches are
-/// small ([`batch_records`](Self::batch_records)); the
-/// event memos get what is left, an equal share per core (one
+/// small ([`batch_records`](Self::batch_records)); a generator holds none. The event
+/// memos get what is left, an equal share per core (one
 /// `cache_sim::private::MemoPool` per stream, which the stream's stages draw on — each a
 /// checkpoint of its caches first, then chunks of events), and register what they take
 /// in the same arena accounting (`cache_sim::trace::arena_peak_bytes`). When a stream's
 /// pool runs out its stages stop retaining, and an evaluation that runs off the retained
 /// events finishes that core on a sole stage of its own: a clone of the stage's
-/// checkpoint over a fresh cursor that seeks to where the memo stops, with decode
-/// buffers of its own for as long as it runs. Nothing the memo holds is simulated
-/// again, however long the run. Results are
+/// checkpoint over a fresh source that starts where the memo stops — a replayed stream
+/// seeks there, a generator is run forward — with decode buffers of its own for as long
+/// as it runs. Nothing the memo holds is simulated again, however long the run; what
+/// lies past it is simulated again by every evaluation that reaches it. Results are
 /// bit-identical at every budget — the runner's tests, `tests/corpus_sweep.rs` and
 /// `tests/reference_identity.rs` enforce it — so the budget only trades memory against
 /// work done once, never results.
 #[derive(Debug, Clone)]
 pub struct ReplayConfig {
-    /// Replay arena budget in bytes for one mix: decode buffers plus event memo (default
-    /// 256 MiB). The records themselves stay in the mapping, so sweeps run in constant
-    /// memory on corpora far larger than RAM.
+    /// Memory budget in bytes of one materialized mix: event memo plus, for a replayed
+    /// mix, decode buffers (default 256 MiB). A corpus's records stay in the mapping and a
+    /// generator's are never stored, so sweeps run in constant memory however long the
+    /// run and however large the corpus.
     pub arena_budget_bytes: u64,
 }
 
@@ -288,11 +290,11 @@ impl MixSource {
     /// sweep, and every policy replays the resulting events. A synthetic mix's records
     /// come from its generators. A replayed file is mapped once (its framing checked
     /// there) and a stage streams fixed-size batches from the mapping, so memory stays
-    /// constant however big the corpus is; the stages' event memos and checkpoints get
-    /// what the decode buffers leave of `replay`'s budget (see [`ReplayConfig`]). An
-    /// evaluation that outruns a full memo opens its own cursor where the memo stops: a
-    /// replayed stream seeks there through the file's chunk index, a generator is run
-    /// forward.
+    /// constant however big the corpus is. Either way the stages' event memos and
+    /// checkpoints get what the decode buffers (none for a generator) leave of
+    /// `replay`'s budget (see [`ReplayConfig`]). An evaluation that outruns a full memo
+    /// opens its own cursor where the memo stops: a replayed stream seeks there through
+    /// the file's chunk index, a generator is run forward.
     ///
     /// A replayed file whose generators were sized for a different LLC set count would
     /// quietly realize a different workload, so a geometry mismatch is an error.
@@ -308,9 +310,9 @@ impl MixSource {
             None
         };
         let _span = sim_obs::span("sweep", "materialize");
-        // Each core's records, and the bytes that are left for the mix's event memos.
-        let (records, memo_bytes): (Vec<StreamRecords>, u64) = match self {
-            // Generators hold no records the budget speaks of: their memos keep everything.
+        // Each core's records, and the bytes their decode buffers take of the budget.
+        let (records, buffer_bytes): (Vec<StreamRecords>, u64) = match self {
+            // A generator decodes nothing: its memo gets the whole budget.
             MixSource::Synthetic(mix) => {
                 let mix = Arc::new(mix.clone());
                 let lazy = |slot| StreamRecords::Lazy {
@@ -319,7 +321,7 @@ impl MixSource {
                     llc_sets,
                     seed,
                 };
-                ((0..mix.benchmarks.len()).map(lazy).collect(), u64::MAX)
+                ((0..mix.benchmarks.len()).map(lazy).collect(), 0)
             }
             MixSource::Replayed { path, .. } => {
                 let trace = Arc::new(MappedTrace::open(path)?);
@@ -341,13 +343,13 @@ impl MixSource {
                     .collect::<Result<_, TraceError>>()?;
                 // One buffer per core, and a decompression scratch that holds a
                 // block's encoded records — less than a buffer.
-                let arena_bytes = (cores * 2 * batch_records) as u64 * RECORD_BYTES;
-                let memo_bytes = replay.arena_budget_bytes.saturating_sub(arena_bytes);
-                (records, memo_bytes)
+                (records, (cores * 2 * batch_records) as u64 * RECORD_BYTES)
             }
         };
-        // An equal share per core: where a stream's stages stop retaining then depends on
-        // that stream alone, not on which core's stage ran first.
+        // The event memos get what the decode buffers leave, an equal share per core:
+        // where a stream's stages stop retaining then depends on that stream alone, not
+        // on which core's stage ran first.
+        let memo_bytes = replay.arena_budget_bytes.saturating_sub(buffer_bytes);
         let share = memo_bytes / records.len().max(1) as u64;
         Ok(MaterializedMixStreams {
             mix: self.mix().clone(),
@@ -486,9 +488,10 @@ impl MaterializedMixStreams {
     }
 
     /// Records materialized per core so far: the stream's length for replayed streams;
-    /// for synthetic ones, the records the core's private stages have drawn from their
-    /// generators — the furthest consumer's high-water mark (rounded up to a chunk) per
-    /// stage, not the sum over consumers.
+    /// for synthetic ones, the records the core's shared private stages have drawn from
+    /// their generators — the furthest consumer's high-water mark (rounded up to a chunk)
+    /// per stage, not the sum over consumers. A cursor handed over past a full memo draws
+    /// from a generator of its own, which is not counted here.
     pub fn records_per_core(&self) -> Vec<usize> {
         self.streams
             .iter()
@@ -608,7 +611,8 @@ pub fn synthetic_capture_budget(instructions: u64) -> u64 {
 /// occupy every worker (`window × policies >= threads`), few enough that peak memory
 /// stays bounded at a handful of mixes. The cap of 8 only costs occupancy on hosts with
 /// more than 8× as many threads as swept policies — rare for the 4-6 policy lineups the
-/// figures use — while one materialized 16-core mix can run to hundreds of MB.
+/// figures use — while one materialized mix can take up to its whole budget
+/// ([`ReplayConfig`]).
 fn sweep_window(num_policies: usize) -> usize {
     let threads = std::thread::available_parallelism()
         .map(|n| n.get())
@@ -817,7 +821,7 @@ impl SweepOutcome {
 /// count. The per-mix replay-wrap counts come back next to the evaluations in the
 /// [`SweepOutcome`] so callers can put budget exhaustion into their structured reports
 /// (wraps are additionally echoed on stderr for interactive runs). `replay` sets the
-/// arena budget of each replayed mix.
+/// memory budget of each materialized mix.
 ///
 /// Fails when a replayed source cannot be opened, its recorded geometry mismatches
 /// `config`, or a block fails its checksum or decode while a cell replays it: this

@@ -27,9 +27,11 @@
 //! `--memsys` runs every [`MemSystem`] on the same mixes instead, one
 //! head-to-head table per core count.
 
+use mc_metrics::{arithmetic_mean, geometric_mean};
+
 use crate::experiment::{Experiment, StudyRun, Variant};
 use crate::policies::PolicyKind;
-use crate::report::{amean, gmean, pct, Table};
+use crate::report::{pct, Table};
 use crate::runner::{self, MixEvaluation};
 use crate::scale::{ExperimentScale, MemSystem};
 
@@ -50,9 +52,9 @@ const ROW_COLUMNS: [&str; 6] = [
 fn policy_row(evals: &[MixEvaluation], policy: PolicyKind, baseline: PolicyKind) -> Vec<String> {
     let of_policy: Vec<&MixEvaluation> = evals.iter().filter(|e| e.policy == policy).collect();
     let mean = |metric: fn(&MixEvaluation) -> f64| {
-        amean(&of_policy.iter().map(|&e| metric(e)).collect::<Vec<_>>())
+        arithmetic_mean(&of_policy.iter().map(|&e| metric(e)).collect::<Vec<_>>())
     };
-    let speedup = gmean(&runner::speedups_over_baseline(evals, policy, baseline));
+    let speedup = geometric_mean(&runner::speedups_over_baseline(evals, policy, baseline));
     vec![
         policy.label(),
         format!("{:.4}", mean(MixEvaluation::weighted_speedup)),

@@ -51,35 +51,35 @@ pub fn harmonic_mean_normalized(ipc_shared: &[f64], ipc_alone: &[f64]) -> f64 {
     }
 }
 
-/// Arithmetic mean of raw IPCs.
-pub fn arithmetic_mean_ipc(ipcs: &[f64]) -> f64 {
-    if ipcs.is_empty() {
+/// Arithmetic mean (0 if empty): of raw IPCs, or of speedups.
+pub fn arithmetic_mean(values: &[f64]) -> f64 {
+    if values.is_empty() {
         0.0
     } else {
-        ipcs.iter().sum::<f64>() / ipcs.len() as f64
+        values.iter().sum::<f64>() / values.len() as f64
     }
 }
 
-/// Geometric mean of raw IPCs.
-pub fn geometric_mean_ipc(ipcs: &[f64]) -> f64 {
-    if ipcs.is_empty() {
+/// Geometric mean (0 if empty): of raw IPCs, or of speedups.
+pub fn geometric_mean(values: &[f64]) -> f64 {
+    if values.is_empty() {
         return 0.0;
     }
-    let log_sum: f64 = ipcs.iter().map(|&v| v.max(f64::MIN_POSITIVE).ln()).sum();
-    (log_sum / ipcs.len() as f64).exp()
+    let log_sum: f64 = values.iter().map(|&v| v.max(f64::MIN_POSITIVE).ln()).sum();
+    (log_sum / values.len() as f64).exp()
 }
 
-/// Harmonic mean of raw IPCs.
-pub fn harmonic_mean_ipc(ipcs: &[f64]) -> f64 {
-    if ipcs.is_empty() {
+/// Harmonic mean (0 if empty or if any value is 0): of raw IPCs, or of speedups.
+pub fn harmonic_mean(values: &[f64]) -> f64 {
+    if values.is_empty() {
         return 0.0;
     }
-    let denom: f64 = ipcs
+    let denom: f64 = values
         .iter()
         .map(|&v| if v > 0.0 { 1.0 / v } else { f64::INFINITY })
         .sum();
     if denom.is_finite() {
-        ipcs.len() as f64 / denom
+        values.len() as f64 / denom
     } else {
         0.0
     }
@@ -147,9 +147,9 @@ impl MulticoreMetrics {
         MulticoreMetrics {
             weighted_speedup: weighted_speedup(ipc_shared, ipc_alone),
             harmonic_mean_normalized: harmonic_mean_normalized(ipc_shared, ipc_alone),
-            geometric_mean_ipc: geometric_mean_ipc(ipc_shared),
-            harmonic_mean_ipc: harmonic_mean_ipc(ipc_shared),
-            arithmetic_mean_ipc: arithmetic_mean_ipc(ipc_shared),
+            geometric_mean_ipc: geometric_mean(ipc_shared),
+            harmonic_mean_ipc: harmonic_mean(ipc_shared),
+            arithmetic_mean_ipc: arithmetic_mean(ipc_shared),
             fairness: fairness(ipc_shared, ipc_alone),
         }
     }
@@ -211,24 +211,25 @@ mod tests {
     #[test]
     fn zero_shared_ipc_gives_zero_harmonic_mean() {
         assert_eq!(harmonic_mean_normalized(&[0.0, 1.0], &[1.0, 1.0]), 0.0);
-        assert_eq!(harmonic_mean_ipc(&[0.0, 1.0]), 0.0);
+        assert_eq!(harmonic_mean(&[0.0, 1.0]), 0.0);
     }
 
     #[test]
     fn mean_family_orderings_hold() {
         let ipcs = [0.5, 1.0, 2.0, 4.0];
-        let am = arithmetic_mean_ipc(&ipcs);
-        let gm = geometric_mean_ipc(&ipcs);
-        let hm = harmonic_mean_ipc(&ipcs);
+        let am = arithmetic_mean(&ipcs);
+        let gm = geometric_mean(&ipcs);
+        let hm = harmonic_mean(&ipcs);
         assert!(hm <= gm && gm <= am, "HM <= GM <= AM must hold");
         assert!((am - 1.875).abs() < 1e-12);
+        assert!((gm - 2f64.sqrt()).abs() < 1e-12);
     }
 
     #[test]
     fn empty_inputs_are_zero() {
-        assert_eq!(arithmetic_mean_ipc(&[]), 0.0);
-        assert_eq!(geometric_mean_ipc(&[]), 0.0);
-        assert_eq!(harmonic_mean_ipc(&[]), 0.0);
+        assert_eq!(arithmetic_mean(&[]), 0.0);
+        assert_eq!(geometric_mean(&[]), 0.0);
+        assert_eq!(harmonic_mean(&[]), 0.0);
         assert_eq!(weighted_speedup(&[], &[]), 0.0);
         assert_eq!(harmonic_mean_normalized(&[], &[]), 0.0);
     }

@@ -10,10 +10,10 @@
 //!   --paper-scale|--scaled|--smoke
 //!                        experiment scale the corpora were materialized at
 //!                        (default scaled; sets geometry and run length)
-//!   --arena-bytes N      replay arena budget per mix in bytes (default 256 MiB):
-//!                        decode buffers + event memo. Every mix is streamed from
-//!                        its mapping in fixed-size batches; served results are
-//!                        identical at every N
+//!   --arena-bytes N      memory budget of a materialized mix in bytes (default
+//!                        256 MiB): decode buffers + event memo. Every mix is
+//!                        streamed from its mapping in fixed-size batches; served
+//!                        results are identical at every N
 //! ```
 //!
 //! The daemon serves until `POST /shutdown` (see `sweepctl shutdown`).

@@ -7,7 +7,7 @@
 //! number of evaluation requests against the resident [`MaterializedMixStreams`], which
 //! also keep each mix's shared private stages: the L1/L2/prefetcher side of a mix is
 //! simulated by the first request that needs it and replayed by every later one, within
-//! the per-mix arena budget.
+//! each mix's memory budget.
 //!
 //! Each loaded corpus carries its content hash ([`corpus_hash`]), the derived system
 //! configuration, and the recovered `sweep.progress` cells, which pre-seed the memo

@@ -7,11 +7,11 @@
 //! tracectl import  --format champsim|csv (--out FILE | --corpus DIR --mix-id K)
 //!                  [--benchmarks A,B,..] [--llc-sets N] [--seed N] [--label S]
 //!                  [--limit N] [--block-records N] IN [IN..]
-//! tracectl inspect FILE [--json] [--timings]
-//!                                  print the header, directory, and compression ratio;
-//!                                  --timings decodes everything and attributes time to
-//!                                  checksum/decompress/decode per core
-//! tracectl stats FILE [--json]     decode everything: per-core stats + decode throughput
+//! tracectl inspect FILE [--json]   print the header, directory, and compression ratio;
+//!                                  decodes nothing
+//! tracectl stats FILE [--json]     decode everything: per-core stats, where the verifying
+//!                                  pass's time went (checksum/decompress/decode) and
+//!                                  steady-state decode throughput
 //! ```
 //!
 //! `--json` prints machine-readable output (hand-rolled, like the sim-obs exporters).
@@ -47,8 +47,8 @@ use cache_sim::trace::MemAccess;
 use sim_obs::json_escape;
 use trace_io::import::{self, ImportFormat, ImportOptions};
 use trace_io::{
-    capture_benchmarks, capture_mix, compression_stats, MappedStreamDecoder, MappedTrace,
-    TraceCaptureOptions, DEFAULT_BATCH_RECORDS,
+    capture_benchmarks, capture_mix, compression_stats, DecodeTimings, MappedStreamDecoder,
+    MappedTrace, TraceCaptureOptions, DEFAULT_BATCH_RECORDS,
 };
 use workloads::{generate_mixes, StudyKind};
 
@@ -58,7 +58,7 @@ fn usage() -> &'static str {
      tracectl import --format champsim|csv (--out FILE | --corpus DIR --mix-id K)\n  \
      [--benchmarks A,B,..] [--llc-sets N] [--seed N] [--label S] [--limit N]\n  \
      [--block-records N] IN [IN..]\n  \
-     tracectl inspect FILE [--json] [--timings]\n  tracectl stats FILE [--json]\n\
+     tracectl inspect FILE [--json]\n  tracectl stats FILE [--json]\n\
      global: --log-level error|warn|info|debug|trace|off (default info; REPRO_LOG)"
 }
 
@@ -344,37 +344,12 @@ fn decode_pass(
     }
 }
 
-/// Decode every core of `trace` once with sim-obs recording on, and report where the time
-/// went. Every checksum is validated as long as the mapping has decoded nothing before.
-fn decode_timings_per_core(
-    trace: &Arc<MappedTrace>,
-) -> Result<Vec<trace_io::DecodeTimings>, String> {
-    let was_enabled = sim_obs::enabled();
-    sim_obs::enable();
-    let result = (0..trace.header().cores.len())
-        .map(|core| {
-            decode_pass(trace, core, |_| {})?;
-            Ok(trace.decode_timings(core))
-        })
-        .collect();
-    if !was_enabled {
-        sim_obs::disable();
-    }
-    result
-}
-
-fn inspect(path: &Path, json: bool, timings: bool) -> Result<(), String> {
-    // One mapping serves the header, the compression fold and the timed pass; the fold
-    // validates no checksum, so the timed pass still validates them all.
-    let trace = Arc::new(MappedTrace::open(path).map_err(|e| e.to_string())?);
+fn inspect(path: &Path, json: bool) -> Result<(), String> {
+    // The header, the directory and the compression fold: nothing is decoded.
+    let trace = MappedTrace::open(path).map_err(|e| e.to_string())?;
     let header = trace.header();
     let compression = if header.compressed {
         Some(compression_stats(&trace).map_err(|e| e.to_string())?)
-    } else {
-        None
-    };
-    let decode = if timings {
-        Some(decode_timings_per_core(&trace)?)
     } else {
         None
     };
@@ -415,29 +390,13 @@ fn inspect(path: &Path, json: bool, timings: bool) -> Result<(), String> {
         for (i, core) in header.cores.iter().enumerate() {
             out.push_str(&format!(
                 "    {{ \"core\": {i}, \"label\": \"{}\", \"records\": {}, \
-                 \"instructions\": {}, \"bytes\": {}",
+                 \"instructions\": {}, \"bytes\": {} }}{}\n",
                 json_escape(&core.label),
                 core.records,
                 core.instructions,
-                core.bytes
+                core.bytes,
+                if i + 1 < header.cores.len() { "," } else { "" }
             ));
-            if let Some(timings) = &decode {
-                let t = timings[i];
-                out.push_str(&format!(
-                    ", \"timings\": {{ \"blocks\": {}, \"payload_bytes\": {}, \
-                     \"checksum_ms\": {:.3}, \"decompress_ms\": {:.3}, \"decode_ms\": {:.3} }}",
-                    t.blocks,
-                    t.payload_bytes,
-                    t.checksum_ns as f64 / 1e6,
-                    t.decompress_ns as f64 / 1e6,
-                    t.decode_ns as f64 / 1e6
-                ));
-            }
-            out.push_str(if i + 1 < header.cores.len() {
-                " },\n"
-            } else {
-                " }\n"
-            });
         }
         out.push_str("  ]\n}");
         println!("{out}");
@@ -486,24 +445,6 @@ fn inspect(path: &Path, json: bool, timings: bool) -> Result<(), String> {
             core.bytes as f64 / core.records.max(1) as f64
         );
     }
-    if let Some(timings) = &decode {
-        println!("  decode timings (full pass, checksums re-validated):");
-        println!(
-            "  {:<5} {:>8} {:>14} {:>12} {:>14} {:>10}",
-            "core", "blocks", "payload bytes", "checksum ms", "decompress ms", "decode ms"
-        );
-        for (i, t) in timings.iter().enumerate() {
-            println!(
-                "  {:<5} {:>8} {:>14} {:>12.3} {:>14.3} {:>10.3}",
-                i,
-                t.blocks,
-                t.payload_bytes,
-                t.checksum_ns as f64 / 1e6,
-                t.decompress_ns as f64 / 1e6,
-                t.decode_ns as f64 / 1e6
-            );
-        }
-    }
     Ok(())
 }
 
@@ -514,6 +455,8 @@ struct CoreStats {
     unique_blocks: u64,
     non_mem: u64,
     verify_secs: f64,
+    /// Where the verifying pass's time went.
+    verify_split: DecodeTimings,
     decode_secs: f64,
     validations: u64,
 }
@@ -523,12 +466,22 @@ fn stats(path: &Path, json: bool) -> Result<(), String> {
     // block checksum; the second is the steady-state decode the rate is quoted for.
     let trace = Arc::new(MappedTrace::open(path).map_err(|e| e.to_string())?);
     let header = trace.header();
+    let observing = sim_obs::enabled();
     let mut cores = Vec::with_capacity(header.cores.len());
     for (core, info) in header.cores.iter().enumerate() {
         let validated_before = trace.checksum_validations();
+        // Recording is on for the verifying pass only, so the mapping attributes that
+        // pass's time to checksum / decompress / decode and the second pays no clock
+        // reads.
+        sim_obs::enable();
         let start = Instant::now();
-        decode_pass(&trace, core, |_| {})?;
+        let verified = decode_pass(&trace, core, |_| {});
         let verify_secs = start.elapsed().as_secs_f64();
+        if !observing {
+            sim_obs::disable();
+        }
+        verified?;
+        let verify_split = trace.decode_timings(core);
 
         let mut writes = 0u64;
         let mut unique = std::collections::HashSet::new();
@@ -548,6 +501,7 @@ fn stats(path: &Path, json: bool) -> Result<(), String> {
             unique_blocks: unique.len() as u64,
             non_mem,
             verify_secs,
+            verify_split,
             decode_secs: start.elapsed().as_secs_f64(),
             validations: trace.checksum_validations() - validated_before,
         });
@@ -570,7 +524,8 @@ fn stats(path: &Path, json: bool) -> Result<(), String> {
             out.push_str(&format!(
                 "    {{ \"core\": {i}, \"label\": \"{}\", \"records\": {}, \
                  \"write_fraction\": {:.6}, \"unique_blocks\": {}, \"mean_gap\": {:.4}, \
-                 \"verify_ms\": {:.3}, \"decode_records_per_s\": {:.1}, \
+                 \"verify_ms\": {:.3}, \"checksum_ms\": {:.3}, \"decompress_ms\": {:.3}, \
+                 \"decode_ms\": {:.3}, \"decode_records_per_s\": {:.1}, \
                  \"checksum_validations\": {} }}{}\n",
                 json_escape(&c.label),
                 c.records,
@@ -578,6 +533,9 @@ fn stats(path: &Path, json: bool) -> Result<(), String> {
                 c.unique_blocks,
                 c.non_mem as f64 / c.records.max(1) as f64,
                 c.verify_secs * 1e3,
+                ms(c.verify_split.checksum_ns),
+                ms(c.verify_split.decompress_ns),
+                ms(c.verify_split.decode_ns),
                 c.records as f64 / c.decode_secs.max(1e-12),
                 c.validations,
                 if i + 1 < cores.len() { "," } else { "" }
@@ -607,9 +565,12 @@ fn stats(path: &Path, json: bool) -> Result<(), String> {
             c.non_mem as f64 / c.records.max(1) as f64
         );
         println!(
-            "    verify {:.0} ms, decode {:.3e} records/s ({} checksum validations, \
-             re-decode skipped them)",
+            "    verify {:.0} ms (checksum {:.3} ms, decompress {:.3} ms, decode {:.3} ms), \
+             decode {:.3e} records/s ({} checksum validations, re-decode skipped them)",
             c.verify_secs * 1e3,
+            ms(c.verify_split.checksum_ns),
+            ms(c.verify_split.decompress_ns),
+            ms(c.verify_split.decode_ns),
             c.records as f64 / c.decode_secs.max(1e-12),
             c.validations
         );
@@ -620,32 +581,34 @@ fn stats(path: &Path, json: bool) -> Result<(), String> {
     Ok(())
 }
 
-/// Split `FILE [--json] [--timings]`-style argument lists: returns the positional path
-/// plus which of the allowed flags were present.
-fn parse_inspect_args<'a>(
-    cmd: &str,
-    args: &'a [String],
-    allow_timings: bool,
-) -> Result<(&'a str, bool, bool), String> {
+/// Nanoseconds as milliseconds.
+fn ms(ns: u64) -> f64 {
+    ns as f64 / 1e6
+}
+
+/// Split a `FILE [--json]` argument list: returns the positional path and whether
+/// `--json` was present. A refusal carries the usage.
+fn parse_inspect_args<'a>(cmd: &str, args: &'a [String]) -> Result<(&'a str, bool), String> {
+    let refuse = |why: String| Err(format!("{why}\n{}", usage()));
     let mut path = None;
     let mut json = false;
-    let mut timings = false;
     for arg in args {
         match arg.as_str() {
             "--json" => json = true,
-            "--timings" if allow_timings => timings = true,
             other if other.starts_with("--") => {
-                return Err(format!("unknown {cmd} flag {other:?}"))
+                return refuse(format!("unknown {cmd} flag {other:?}"))
             }
             positional => {
                 if path.replace(positional).is_some() {
-                    return Err(format!("{cmd} takes exactly one FILE"));
+                    return refuse(format!("{cmd} takes exactly one FILE"));
                 }
             }
         }
     }
-    let path = path.ok_or_else(|| format!("{cmd} takes exactly one FILE"))?;
-    Ok((path, json, timings))
+    match path {
+        Some(path) => Ok((path, json)),
+        None => refuse(format!("{cmd} takes exactly one FILE")),
+    }
 }
 
 fn run() -> Result<(), String> {
@@ -672,11 +635,11 @@ fn run() -> Result<(), String> {
         Some("capture") => capture(parse_capture(&args[1..])?),
         Some("import") => import_cmd(parse_import(&args[1..])?),
         Some("inspect") => {
-            let (path, json, timings) = parse_inspect_args("inspect", &args[1..], true)?;
-            inspect(Path::new(path), json, timings)
+            let (path, json) = parse_inspect_args("inspect", &args[1..])?;
+            inspect(Path::new(path), json)
         }
         Some("stats") => {
-            let (path, json, _) = parse_inspect_args("stats", &args[1..], false)?;
+            let (path, json) = parse_inspect_args("stats", &args[1..])?;
             stats(Path::new(path), json)
         }
         Some("help") | Some("--help") | Some("-h") | None => {

@@ -69,8 +69,8 @@ struct ChunkRef {
 }
 
 /// Where one core's block-decode time went, accumulated across every cursor and pass of
-/// a [`MappedTrace`] — but only while `sim-obs` recording is enabled (`tracectl inspect
-/// --timings`, profiled sweeps). All fields are zero otherwise: the decode hot path never
+/// a [`MappedTrace`] — but only while `sim-obs` recording is enabled (`tracectl stats`'
+/// verifying pass, profiled sweeps). All fields are zero otherwise: the decode hot path never
 /// pays for the clock reads.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DecodeTimings {

@@ -75,3 +75,29 @@ fn retired_format_flags_are_rejected() {
         assert!(!path.exists(), "{flag}: a refused command wrote a file");
     }
 }
+
+/// One command decodes a whole file: `inspect` decodes nothing and refuses the retired
+/// `--timings` with the usage, and `stats` reports where each core's verifying pass
+/// spent its time.
+#[test]
+fn stats_splits_the_verifying_pass_and_inspect_decodes_nothing() {
+    let path = std::env::temp_dir().join("trace_io_tracectl_cli_stats.atrc");
+    let captured = tracectl("capture --study 4 --accesses 4096 --out", &path);
+    assert!(captured.status.success());
+
+    let refused = tracectl("inspect --timings", &path);
+    let stderr = String::from_utf8_lossy(&refused.stderr);
+    assert!(!refused.status.success(), "inspect --timings was accepted");
+    assert!(
+        stderr.contains("unknown inspect flag \"--timings\"") && stderr.contains("usage:"),
+        "{stderr}"
+    );
+
+    let stats = tracectl("stats --json", &path);
+    assert!(stats.status.success());
+    let json = String::from_utf8_lossy(&stats.stdout);
+    for field in ["checksum_ms", "decompress_ms", "decode_ms"] {
+        assert_eq!(json.matches(&format!("\"{field}\": ")).count(), 4, "{json}");
+    }
+    std::fs::remove_file(&path).ok();
+}

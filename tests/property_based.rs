@@ -243,6 +243,25 @@ fn ctx(core: usize, set: usize, block: u64) -> AccessContext {
     }
 }
 
+/// A Footprint-number in Table 1 bucket `level` (0 High `[0, 3]`, 1 Medium `(3, 12]`,
+/// 2 Low `(12, 16)`, 3 Least `>= 16`): `pick` 0 and 1 take the bucket's lowest and highest
+/// double, 2 takes NaN in the Low bucket, and otherwise the point `at` ∈ [0, 1) of the way
+/// between them.
+fn fpn_in(level: usize, pick: usize, at: f64) -> f64 {
+    let (lo, hi) = [
+        (0.0, 3.0),
+        (3.0f64.next_up(), 12.0),
+        (12.0f64.next_up(), 16.0f64.next_down()),
+        (16.0, 40.0),
+    ][level];
+    match pick {
+        0 => lo,
+        1 => hi,
+        2 if level == 2 => f64::NAN,
+        _ => lo + (hi - lo) * at,
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -324,6 +343,40 @@ proptest! {
             PriorityLevel::Least => 3,
         };
         prop_assert!(rank(pa.priority()) <= rank(pb.priority()));
+    }
+
+    /// Priority is a pure, discrete function of the Footprint-number's Table 1 bucket: two
+    /// predictors fed different Footprint-numbers from the same buckets — the edges 3, 12
+    /// and 16 themselves, the doubles just past them, and NaN (not yet measured: Low)
+    /// among them — with any number of decisions between updates, decide alike.
+    #[test]
+    fn priority_depends_only_on_the_footprint_bucket(
+        steps in proptest::collection::vec(
+            (0usize..4, (0usize..4, 0.0f64..1.0), (0usize..4, 0.0f64..1.0), 0usize..80),
+            1..40,
+        ),
+    ) {
+        use adapt_llc::adapt::priority::classify as bucket;
+        const LEVELS: [PriorityLevel; 4] = [
+            PriorityLevel::High,
+            PriorityLevel::Medium,
+            PriorityLevel::Low,
+            PriorityLevel::Least,
+        ];
+        for config in [AdaptConfig::paper(), AdaptConfig::paper_insert_only()] {
+            let mut a = InsertionPriorityPredictor::new(config);
+            let mut b = InsertionPriorityPredictor::new(config);
+            for &(level, (pick_a, at_a), (pick_b, at_b), decisions) in &steps {
+                let (fa, fb) = (fpn_in(level, pick_a, at_a), fpn_in(level, pick_b, at_b));
+                prop_assert_eq!(bucket(&config, fa), LEVELS[level], "Fpn {}", fa);
+                prop_assert_eq!(bucket(&config, fb), LEVELS[level], "Fpn {}", fb);
+                a.update(fa);
+                b.update(fb);
+                for _ in 0..decisions {
+                    prop_assert_eq!(a.decide(), b.decide());
+                }
+            }
+        }
     }
 
     /// Insertion decisions always carry a legal RRPV and only Least priority may bypass.
@@ -423,9 +476,9 @@ proptest! {
         let ws = mc::weighted_speedup(&shared, alone);
         prop_assert!(ws <= n as f64 + 1e-9);
         prop_assert!(ws >= 0.0);
-        let hm = mc::harmonic_mean_ipc(&shared);
-        let gm = mc::geometric_mean_ipc(&shared);
-        let am = mc::arithmetic_mean_ipc(&shared);
+        let hm = mc::harmonic_mean(&shared);
+        let gm = mc::geometric_mean(&shared);
+        let am = mc::arithmetic_mean(&shared);
         prop_assert!(hm <= gm + 1e-9 && gm <= am + 1e-9);
         let hmn = mc::harmonic_mean_normalized(&shared, alone);
         prop_assert!(hmn <= 1.0 + 1e-9);

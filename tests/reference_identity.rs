@@ -667,15 +667,16 @@ fn shared_bound(furthest: u64) -> u64 {
     furthest + RUN_AHEAD + 1 + 2 * (CHUNK_RECORDS + RUN_AHEAD)
 }
 
-/// A captured 16-core mix replayed through the runner, at a budget whose memos keep the
-/// whole run and at one whose memo pools run out mid-run: four policies evaluated at once on *one*
-/// materialization share one set of private stages — across the hand-over, where the
-/// pool is short — and each equals the oracle over the same records and, the capture
-/// covering the run, the live generators. Stages built straight over the decoded
-/// records, so that every `SystemResults` field can be compared, agree at every pool
-/// size too.
+/// A 16-core mix, captured and replayed through the runner and live from its generators,
+/// at a budget whose memos keep the whole run and at one whose memo pools run out
+/// mid-run: whatever the provenance, the one budget bounds the memo, four policies
+/// evaluated at once on *one* materialization share one set of private stages — across
+/// the hand-over, where the pool is short — and each equals the oracle over the same
+/// records and, the capture covering the run, the live generators. Stages built
+/// straight over the decoded records, so that every `SystemResults` field can be
+/// compared, agree at every pool size too.
 #[test]
-fn replayed_mixes_share_their_stages_and_equal_the_oracle_and_the_live_generators() {
+fn synthetic_and_replayed_mixes_share_their_stages_and_equal_the_oracle_and_the_live_generators() {
     let _obs = obs_lock();
     let scale = ExperimentScale::Smoke;
     let cfg = scale.system_config(StudyKind::Cores16);
@@ -692,75 +693,101 @@ fn replayed_mixes_share_their_stages_and_equal_the_oracle_and_the_live_generator
     let accesses = synthetic_capture_budget(INSTRUCTIONS);
     let opts = TraceCaptureOptions::for_llc_sets(llc_sets);
     capture_mix(&path, mix, SEED, accesses, None, opts).unwrap();
-    let source = MixSource::replayed_with_id(&path, 0).unwrap();
     let decoded_bytes = accesses * cfg.num_cores as u64 * 16;
-
-    // The oracle over the replayed records, and the records it drew from each core.
-    let replayed = source
-        .materialize_with(llc_sets, SEED, &ReplayConfig::default())
-        .unwrap();
-    let references: Vec<(SystemResults, Vec<u64>)> = kinds
+    let lone: Vec<SystemResults> = kinds
         .iter()
-        .map(|&kind| {
-            let (sources, counts) = counted(replayed.sources());
-            let built = Box::new(kind.build_dispatch(&cfg, &slots));
-            let results = NaiveSystem::new(cfg.clone(), sources, built).run(INSTRUCTIONS);
-            let drawn = counts.iter().map(|c| c.load(Ordering::Relaxed)).collect();
-            (results, drawn)
-        })
+        .map(|&kind| lone_run(&cfg, mix, kind, INSTRUCTIONS, SEED))
         .collect();
-    assert_eq!(replayed.replay_wraps(), 0, "the capture covers the run");
 
-    // The default budget's memos keep the whole run; a quarter of the records' size
-    // leaves each core's memo a chunk or so.
-    for (what, budget) in [
-        (
-            "memo covers the run",
-            ReplayConfig::default().arena_budget_bytes,
-        ),
-        ("memo runs dry", decoded_bytes / 4),
+    // The oracle's results and draws, per provenance; the two agree, and the last serves
+    // the pool sizes below.
+    let mut references = Vec::new();
+    // An eighth of the records' size leaves each core's memo a chunk or so. A corpus's
+    // decode buffers take as much again: half of a budget whose batches are not clamped
+    // (`ReplayConfig::batch_records`). A generator has none.
+    let dry_memo = decoded_bytes / 8;
+    for (source, decode_buffers) in [
+        (MixSource::replayed_with_id(&path, 0).unwrap(), dry_memo),
+        (MixSource::synthetic(mix.clone()), 0),
     ] {
-        let replay = ReplayConfig {
-            arena_budget_bytes: budget,
-        };
-        let prepared = source.materialize_with(llc_sets, SEED, &replay).unwrap();
-        let evaluations = at_once(&kinds, &|kind| {
-            let built = kind.build_dispatch(&cfg, &slots);
-            evaluate_prepared(&cfg, &prepared, kind, built, INSTRUCTIONS, SEED)
-        });
-        for ((kind, fast), (reference, _)) in kinds.iter().zip(&evaluations).zip(&references) {
-            assert_evaluation_matches(fast, reference, &format!("{what}, {kind:?}"));
-            let live = lone_run(&cfg, mix, *kind, INSTRUCTIONS, SEED);
-            let against = format!("{what}, {kind:?}: the live generators");
-            assert_evaluation_matches(fast, &live, &against);
-        }
-        assert_eq!(prepared.replay_wraps(), 0, "{what}");
+        let provenance = source.provenance();
+        // The oracle over the mix's records, and the records it drew from each core.
+        let prepared = source
+            .materialize_with(llc_sets, SEED, &ReplayConfig::default())
+            .unwrap();
+        references = kinds
+            .iter()
+            .map(|&kind| {
+                let (sources, counts) = counted(prepared.sources());
+                let built = Box::new(kind.build_dispatch(&cfg, &slots));
+                let results = NaiveSystem::new(cfg.clone(), sources, built).run(INSTRUCTIONS);
+                let drawn: Vec<u64> = counts.iter().map(|c| c.load(Ordering::Relaxed)).collect();
+                (results, drawn)
+            })
+            .collect();
+        assert_eq!(prepared.replay_wraps(), 0, "the capture covers the run");
 
-        let usage = prepared.stage_usage();
-        let total: SharedStageUsage = usage.iter().copied().sum();
-        assert_eq!(
-            total.cursors,
-            (kinds.len() * cfg.num_cores) as u64,
-            "{what}"
-        );
-        assert!(total.memo_bytes > 0 && total.memo_bytes <= budget, "{what}");
-        if what == "memo runs dry" {
-            assert!(total.handovers > 0, "the pool never ran out");
-            assert!(
-                usage.iter().any(|u| u.events > 0 && u.handovers > 0),
-                "no hand-over happened mid-run: {usage:?}"
+        // The default budget's memos keep the whole run.
+        for (what, budget) in [
+            (
+                "memo covers the run",
+                ReplayConfig::default().arena_budget_bytes,
+            ),
+            ("memo runs dry", decode_buffers + dry_memo),
+        ] {
+            let what = format!("{provenance}, {what}");
+            let replay = ReplayConfig {
+                arena_budget_bytes: budget,
+            };
+            let prepared = source.materialize_with(llc_sets, SEED, &replay).unwrap();
+            let evaluations = at_once(&kinds, &|kind| {
+                let built = kind.build_dispatch(&cfg, &slots);
+                evaluate_prepared(&cfg, &prepared, kind, built, INSTRUCTIONS, SEED)
+            });
+            for (((kind, fast), (reference, _)), live) in
+                kinds.iter().zip(&evaluations).zip(&references).zip(&lone)
+            {
+                assert_evaluation_matches(fast, reference, &format!("{what}, {kind:?}"));
+                let against = format!("{what}, {kind:?}: the live generators");
+                assert_evaluation_matches(fast, live, &against);
+            }
+            assert_eq!(prepared.replay_wraps(), 0, "{what}");
+
+            let usage = prepared.stage_usage();
+            let total: SharedStageUsage = usage.iter().copied().sum();
+            assert_eq!(
+                total.cursors,
+                (kinds.len() * cfg.num_cores) as u64,
+                "{what}"
             );
-        } else {
-            // One set of stages served all four policies: each stream was drawn from as
-            // far as its furthest consumer went and less than two chunks further.
-            assert_eq!(total.handovers, 0);
-            for (core, usage) in usage.iter().enumerate() {
-                let furthest = references.iter().map(|(_, d)| d[core]).max().unwrap();
+            // Each core's memo and checkpoint stay within its equal share of the budget.
+            let share = budget / cfg.num_cores as u64;
+            assert!(total.memo_bytes > 0, "{what}: nothing was memoized");
+            assert!(
+                usage
+                    .iter()
+                    .all(|u| u.memo_bytes + u.checkpoint_bytes <= share),
+                "{what}: a memo outgrew its core's share, {share} bytes: {usage:?}"
+            );
+            if what.ends_with("memo runs dry") {
+                assert!(total.handovers > 0, "{what}: the pool never ran out");
                 assert!(
-                    (furthest..=shared_bound(furthest)).contains(&usage.records),
-                    "core {core}: drew {} records, the furthest consumer used {furthest}",
-                    usage.records
+                    usage.iter().any(|u| u.events > 0 && u.handovers > 0),
+                    "{what}: no hand-over happened mid-run: {usage:?}"
                 );
+            } else {
+                // One set of stages served all four policies: each stream was drawn from
+                // as far as its furthest consumer went and less than two chunks further.
+                assert_eq!(total.handovers, 0, "{what}");
+                for (core, usage) in usage.iter().enumerate() {
+                    let furthest = references.iter().map(|(_, d)| d[core]).max().unwrap();
+                    assert!(
+                        (furthest..=shared_bound(furthest)).contains(&usage.records),
+                        "{what}, core {core}: drew {} records, the furthest consumer used \
+                         {furthest}",
+                        usage.records
+                    );
+                }
             }
         }
     }
