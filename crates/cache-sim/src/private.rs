@@ -19,14 +19,15 @@
 //! ```
 //!
 //! **Events.** An event is a coalesced run of *private-only* records — the **gap**: Σ
-//! instructions, Σ compute cycles, Σ stall cycles — followed by exactly one record the
-//! driver executes in global order. A record is private-only when it hits the L1, or
-//! misses the L1, hits the L2 and neither its prefetch candidate nor a dirty victim
-//! leaves the L2: nothing the LLC, the DRAM or another core can observe. The driver
-//! applies the gap when it fetches the event, so the core's scheduling key is the start
-//! cycle of the in-order record; this is exact for the reason given in
-//! [`crate::system`] (removing private-only records from the k-way merge does not
-//! reorder the rest).
+//! instructions, Σ compute cycles and how many of them missed the L1 (each such record
+//! hit the L2 and stalls the core by the same cycles, [`StageParams::l2_hit_stall`]) —
+//! followed by exactly one record the driver executes in global order. A record is
+//! private-only when it hits the L1, or misses the L1, hits the L2 and neither its
+//! prefetch candidate nor a dirty victim leaves the L2: nothing the LLC, the DRAM or
+//! another core can observe. The driver applies the gap when it fetches the event, so
+//! the core's scheduling key is the start cycle of the in-order record; this is exact
+//! for the reason given in [`crate::system`] (removing private-only records from the
+//! k-way merge does not reorder the rest).
 //!
 //! **Order inside a record.** The stage performs the private side in the order a
 //! per-record engine does: prefetcher consult (L1 probe of `block.next()`) → L2 access →
@@ -44,8 +45,9 @@
 //! executes in order whatever it is: a finished core whose stream is cache-resident
 //! *with* instruction gaps would otherwise never produce an event. Every stage coalesces
 //! so, whether or not `sim_obs` records: an interval sample reads each core as of its
-//! last in-order record ([`crate::system`]). The gap counters are `u32`; a gap also ends
-//! early rather than overflow one.
+//! last in-order record ([`crate::system`]). The gap's instruction and compute counters
+//! are `u32`, and a gap ends early rather than overflow them; its L2 hits and an event's
+//! wraps are counted in a byte, which the bound keeps from overflowing.
 //!
 //! **Target and snapshot.** The record that takes a core to its instruction target is
 //! always in order and flagged ([`Event::reaches_target`]). The stage runs ahead of its
@@ -118,24 +120,26 @@
 //! the thread that reads it. No cursor waits on a request that is only queued: one that
 //! finds neither its chunk nor a generation in flight generates inline.
 //!
-//! **The memo pool and the hand-over.** The stages over one stream retain events out of
-//! one [`MemoPool`] — the stream's share of what the mix's decode buffers (none for a
-//! generator) leave of its memory budget — and register what they hold with
-//! [`ArenaTracker`]. A stage first reserves its checkpoint ([`StageState::bytes`]: the
-//! caches and counters, a few KB), then a whole chunk ([`MAX_CHUNK_BYTES`]) before it
-//! generates one, returning what the chunk did not need. When the pool cannot cover
-//! another chunk the stage stops retaining for good: the retained chunks stay a prefix
-//! every cursor replays, and the live stage becomes the **checkpoint** — its
-//! [`StageState`], kept by the memo, while its trace source (its decode buffer) is
-//! dropped. A cursor that runs off the prefix continues on a sole stage of its own,
-//! read ahead like the memo: a clone of the checkpoint over a fresh source that starts
-//! where the prefix ends (the stage's source factory takes that record, and a replayed
-//! stream seeks there through its file's chunk index). Every cursor, the first
-//! included, hands over this one way, at the cost of a clone and a seek whatever the
-//! prefix's length. A pool that cannot cover the checkpoint retains nothing; its
-//! checkpoint is the empty stage at record 0, so every cursor reads a sole stage from
-//! the first record, as a system built over trace sources does. No cursor waits for
-//! another or fails, and the events are the same whatever the pool holds.
+//! **The memo pool and the hand-over.** The stages over every stream of a mix retain
+//! events out of one [`MemoPool`] — what the mix's decode buffers (none for a
+//! generator) leave of its memory budget — in the order they need it, and register what
+//! they hold with [`ArenaTracker`]. A stage first reserves its checkpoint
+//! ([`StageState::bytes`]: the caches and counters, a few KB), then a whole chunk
+//! ([`MAX_CHUNK_BYTES`]) before it generates one, returning what the chunk did not
+//! need. When the pool cannot cover another chunk the stage stops retaining for good —
+//! where that happens depends on which stages drew on the pool first, so on thread
+//! timing; what any cursor sees does not: the retained chunks stay a prefix every
+//! cursor replays, and the live stage becomes the **checkpoint** — its [`StageState`],
+//! kept by the memo, while its trace source (its decode buffer) is dropped. A cursor
+//! that runs off the prefix continues on a sole stage of its own, read ahead like the
+//! memo: a clone of the checkpoint over a fresh source that starts where the prefix
+//! ends (the stage's source factory takes that record, and a replayed stream seeks
+//! there through its file's chunk index). Every cursor, the first included, hands over
+//! this one way, at the cost of a clone and a seek whatever the prefix's length. A pool
+//! that cannot cover the checkpoint retains nothing; its checkpoint is the empty stage
+//! at record 0, so every cursor reads a sole stage from the first record, as a system
+//! built over trace sources does. No cursor waits for another or fails, and the events
+//! are the same whatever the pool holds.
 //!
 //! **Wraps.** A finite stream is replayed in a loop. An event carries how often its
 //! records crossed the stream's end ([`Event::wraps`]); a cursor adds that up as it
@@ -180,9 +184,10 @@ pub const CHUNK_EVENTS: usize = 1024;
 /// reaches the instruction target (module docs, rule (a)).
 pub const CHUNK_RECORDS: u64 = 4096;
 
-/// Most bytes one chunk holds: [`CHUNK_EVENTS`] events with four write-backs each. A
-/// memo retains another chunk only if its pool covers this much, so the pool is never
-/// overdrawn and the live stage always stands at the end of what is retained.
+/// Most bytes one chunk holds: [`CHUNK_EVENTS`] 32-byte events with four write-backs
+/// each, 64 KiB. A memo retains another chunk only if its pool covers this much, so the
+/// pool is never overdrawn and the live stage always stands at the end of what is
+/// retained.
 pub const MAX_CHUNK_BYTES: u64 =
     (CHUNK_EVENTS * (std::mem::size_of::<Event>() + 4 * std::mem::size_of::<BlockAddr>())) as u64;
 
@@ -211,6 +216,12 @@ impl StageParams {
     pub fn models(&self, config: &SystemConfig) -> bool {
         *self == Self::latch(config, self.instruction_target)
     }
+
+    /// Cycles the clock advances for an L1 miss that hits the L2, beyond its compute
+    /// cycles: what each of a gap's [L2 hits](Event::gap_l2_hits) adds to it.
+    pub fn l2_hit_stall(&self) -> u64 {
+        stall_cycles(self.l2.latency)
+    }
 }
 
 const WRITE: u8 = 1;
@@ -221,7 +232,7 @@ const REACHES_TARGET: u8 = 1 << 4;
 const FROZEN: u8 = 1 << 5;
 
 /// A gap of private-only records followed by one record to execute in global order
-/// (module docs, "Events").
+/// (module docs, "Events"). 32 bytes: a chunk of them is what a memo retains.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Event {
     /// Block the in-order record accesses.
@@ -232,20 +243,23 @@ pub struct Event {
     pub gap_instructions: u32,
     /// Compute cycles of the gap's records.
     pub gap_compute_cycles: u32,
-    /// Memory-stall cycles of the gap's records (L1 misses that hit the L2).
-    pub gap_stall_cycles: u32,
     /// Non-memory instructions preceding the in-order record's access.
     pub non_mem_instrs: u32,
+    /// The gap's L1 misses, each of which hit the L2 and stalls the core by the same
+    /// cycles ([`gap_stall_cycles`](Self::gap_stall_cycles)); at most [`RUN_AHEAD`].
+    pub gap_l2_hits: u8,
     /// How often the event's records — the gap's and the in-order one — crossed the end
-    /// of a finite stream (module docs, "Wraps"); 0 over a generator.
-    pub wraps: u32,
+    /// of a finite stream (module docs, "Wraps"): at most once each, so at most
+    /// `RUN_AHEAD + 1`; 0 over a generator.
+    pub wraps: u8,
     flags: u8,
-    /// Write-backs the in-order record's demand access sent below the L2 (0–2).
-    pub demand_writebacks: u8,
-    /// Write-backs its prefetch sent below the L2 (0–2); they follow the demand's in the
-    /// side array.
-    pub prefetch_writebacks: u8,
+    /// Write-backs the in-order record's demand access (low nibble) and its prefetch
+    /// (high nibble) sent below the L2, 0–2 each.
+    writebacks: u8,
 }
+
+const _: () = assert!(std::mem::size_of::<Event>() == 32);
+const _: () = assert!(RUN_AHEAD < u8::MAX as u64, "a gap's counts must fit a byte");
 
 impl Event {
     /// The in-order record is a store.
@@ -273,9 +287,24 @@ impl Event {
     pub fn frozen(&self) -> bool {
         self.flags & FROZEN != 0
     }
+    /// Memory-stall cycles of the gap's records, given the stall of one private L2 hit
+    /// ([`StageParams::l2_hit_stall`] of the stage that produced the event).
+    #[inline]
+    pub fn gap_stall_cycles(&self, l2_hit_stall: u64) -> u64 {
+        u64::from(self.gap_l2_hits) * l2_hit_stall
+    }
+    /// Write-backs the in-order record's demand access sent below the L2 (0–2).
+    pub fn demand_writebacks(&self) -> usize {
+        usize::from(self.writebacks & 0xf)
+    }
+    /// Write-backs its prefetch sent below the L2 (0–2); they follow the demand's in the
+    /// side array.
+    pub fn prefetch_writebacks(&self) -> usize {
+        usize::from(self.writebacks >> 4)
+    }
     /// Write-back blocks this event owns in the side array.
     pub fn writebacks(&self) -> usize {
-        usize::from(self.demand_writebacks) + usize::from(self.prefetch_writebacks)
+        self.demand_writebacks() + self.prefetch_writebacks()
     }
 }
 
@@ -296,9 +325,6 @@ pub struct StageState {
     l1d: PrivateCache,
     l2: PrivateCache,
     prefetcher: NextLinePrefetcher,
-    /// Cycles the clock advances for an L1 miss that hits the L2, beyond its compute
-    /// cycles: what a private L2 hit adds to the gap.
-    l2_hit_stall: u64,
     records: u64,
     instructions: u64,
     /// The trace source's [`passes`](TraceSource::passes) after the event last
@@ -325,7 +351,6 @@ impl PrivateStage {
             l1d: PrivateCache::new(params.l1d),
             l2: PrivateCache::new(params.l2),
             prefetcher: NextLinePrefetcher::new(params.l1_next_line_prefetch),
-            l2_hit_stall: stall_cycles(params.l2.latency),
             records: 0,
             instructions: 0,
             passes: trace.passes(),
@@ -378,8 +403,8 @@ impl PrivateStage {
         let PrivateStage { state: s, trace } = self;
         assert!(!s.ended, "the stage ended with a frozen event");
         let instruction_target = s.params.instruction_target;
-        let (mut gap_instructions, mut gap_compute, mut gap_stall) = (0u64, 0u64, 0u64);
-        let mut coalesced = 0u64;
+        let (mut gap_instructions, mut gap_compute) = (0u64, 0u64);
+        let (mut coalesced, mut gap_l2_hits) = (0u64, 0u8);
         loop {
             let access = trace.next_access();
             s.records += 1;
@@ -389,12 +414,10 @@ impl PrivateStage {
             s.instructions += non_mem + 1;
             let reaches_target = !finished && s.instructions >= instruction_target;
 
-            // `stall` is what the record adds to a gap, should it turn out private.
-            let (outcome, stall) = if s.l1d.access(block, access.is_write) == Lookup::Hit {
-                (Outcome::L1_HIT, 0)
+            let outcome = if s.l1d.access(block, access.is_write) == Lookup::Hit {
+                Outcome::L1_HIT
             } else {
-                let outcome = s.resolve_l1_miss(block, access.is_write, writebacks);
-                (outcome, s.l2_hit_stall)
+                s.resolve_l1_miss(block, access.is_write, writebacks)
             };
 
             // Livelock accounting; the record that takes the snapshot is not counted. An
@@ -409,17 +432,15 @@ impl PrivateStage {
                 }
             }
 
-            let fits = |sum: u64, add: u64| sum + add <= u64::from(u32::MAX);
             if outcome.is_private()
                 && !reaches_target
                 && !frozen
                 && coalesced < RUN_AHEAD
-                && fits(gap_instructions, non_mem + 1)
-                && fits(gap_stall, stall)
+                && gap_instructions + non_mem < u64::from(u32::MAX)
             {
                 gap_instructions += non_mem + 1;
                 gap_compute += compute_cycles(non_mem);
-                gap_stall += stall;
+                gap_l2_hits += u8::from(outcome.flags == L2_HIT);
                 coalesced += 1;
                 continue;
             }
@@ -446,16 +467,16 @@ impl PrivateStage {
             return Event {
                 block,
                 pc: access.pc,
-                // `fits` bounded the sums; compute cycles never exceed instructions.
+                // The gap's instructions were bounded above; compute cycles never exceed
+                // them.
                 gap_instructions: gap_instructions as u32,
                 gap_compute_cycles: gap_compute as u32,
-                gap_stall_cycles: gap_stall as u32,
                 non_mem_instrs: access.non_mem_instrs,
-                // At most one per record, and a gap's records fit its `u32` counters.
-                wraps: crossed.min(u64::from(u32::MAX)) as u32,
+                gap_l2_hits,
+                wraps: u8::try_from(crossed)
+                    .expect("a record crosses the stream's end at most once"),
                 flags,
-                demand_writebacks: outcome.demand_writebacks,
-                prefetch_writebacks: outcome.prefetch_writebacks,
+                writebacks: outcome.demand_writebacks | outcome.prefetch_writebacks << 4,
             };
         }
     }
@@ -570,8 +591,9 @@ impl Outcome {
     }
 }
 
-/// The bytes the event memos of the stages over one stream may still retain (module
-/// docs, "The memo pool and the hand-over").
+/// The bytes the event memos of the stages that share it may still retain — in a sweep,
+/// the stages of every core of one mix (module docs, "The memo pool and the
+/// hand-over").
 #[derive(Debug)]
 pub struct MemoPool {
     left: AtomicU64,
@@ -1475,7 +1497,6 @@ mod tests {
         let event_bytes = usage.events * std::mem::size_of::<Event>() as u64;
         assert!(usage.memo_bytes >= event_bytes && usage.memo_bytes < 2 * event_bytes);
         assert!(usage.memo_bytes <= usage.chunks * MAX_CHUNK_BYTES);
-        assert_eq!(std::mem::size_of::<Event>(), 40);
     }
 
     /// Three cursors over one stage whose pool covers nothing, the checkpoint and one
@@ -2176,5 +2197,47 @@ mod tests {
         assert!(hit.l1_hit());
         assert_eq!(hit.gap_instructions, 0, "one record fills the counter");
         assert_eq!(stage.records(), 2);
+    }
+
+    /// A one-record stream loops on every record — a tiny imported trace — so an event
+    /// of a full gap crosses the stream's end `RUN_AHEAD + 1` times, the most its wrap
+    /// byte holds. Each event carries exactly the passes its records completed, and
+    /// those add up to the source's passes, directly and through a cursor.
+    #[test]
+    fn events_of_a_one_record_stream_carry_every_pass() {
+        let record = MemAccess {
+            addr: 0x40,
+            pc: 0x400,
+            is_write: false,
+            non_mem_instrs: 2,
+        };
+        let one = move || SharedReplayTrace::new("one", Arc::new(vec![record]));
+        let mut stage = PrivateStage::new(params(), Box::new(one()));
+        let mut want = Vec::new();
+        while want.len() < 3 * CHUNK_EVENTS {
+            let (records, passes) = (stage.records(), stage.trace.passes().unwrap());
+            let event = step(&mut stage).0;
+            let completed = stage.trace.passes().unwrap() - passes;
+            assert_eq!(completed, stage.records() - records, "a pass per record");
+            assert_eq!(u64::from(event.wraps), completed, "event {}", want.len());
+            want.push(event);
+        }
+        let wraps: Vec<u64> = want.iter().map(|e| u64::from(e.wraps)).collect();
+        assert_eq!(wraps.iter().max(), Some(&(RUN_AHEAD + 1)), "no full gap");
+        let passes = stage.trace.passes().unwrap();
+        assert_eq!(wraps.iter().sum::<u64>(), passes);
+
+        let stream_wraps = Arc::new(AtomicU64::new(0));
+        let shared = SharedStage::new(
+            params(),
+            move |at| -> Box<dyn TraceSource> { Box::new(one().seek(at)) },
+            MemoPool::new(u64::MAX),
+            stream_wraps.clone(),
+        );
+        let mut cursor = shared.cursor();
+        for (i, event) in want.iter().enumerate() {
+            assert_eq!(cursor.next_event(), event, "event {i}");
+        }
+        assert_eq!(stream_wraps.load(Ordering::Relaxed), passes);
     }
 }

@@ -97,6 +97,8 @@ pub const RUN_AHEAD: u64 = 64;
 struct CoreNode {
     model: CoreModel,
     cursor: StageCursor,
+    /// What each of a gap's L2 hits stalls the core ([`StageParams::l2_hit_stall`]).
+    l2_hit_stall: u64,
     /// The cursor stands at an event fetched after the previous in-order step: its gap is
     /// retired and its in-order record waits for the core's turn.
     fetched: bool,
@@ -109,6 +111,7 @@ impl CoreNode {
     fn new(cursor: StageCursor) -> Self {
         CoreNode {
             model: CoreModel::default(),
+            l2_hit_stall: cursor.params().l2_hit_stall(),
             cursor: cursor.read_ahead(),
             fetched: false,
             dram_reads: 0,
@@ -124,7 +127,7 @@ impl CoreNode {
         self.model.retire_gap(
             u64::from(event.gap_instructions),
             u64::from(event.gap_compute_cycles),
-            u64::from(event.gap_stall_cycles),
+            event.gap_stall_cycles(self.l2_hit_stall),
         );
     }
 
@@ -138,7 +141,7 @@ impl CoreNode {
         let gap = self.cursor.event();
         (
             instructions - u64::from(gap.gap_instructions),
-            cycle - u64::from(gap.gap_compute_cycles) - u64::from(gap.gap_stall_cycles),
+            cycle - u64::from(gap.gap_compute_cycles) - gap.gap_stall_cycles(self.l2_hit_stall),
         )
     }
 }
@@ -529,8 +532,7 @@ fn step_in_order<'a, P: LlcReplacementPolicy>(
     if !event.l2_hit() {
         latency += demand_below_l2(config, &mut core.dram_reads, llc, dram, core_id, event, now);
     }
-    let (demand_writebacks, prefetch_writebacks) =
-        writebacks.split_at(usize::from(event.demand_writebacks));
+    let (demand_writebacks, prefetch_writebacks) = writebacks.split_at(event.demand_writebacks());
     for &block in demand_writebacks {
         writeback_from_l2(llc, dram, core_id, block, now);
     }

@@ -170,19 +170,20 @@ impl MixEvaluation {
 /// The budget is split per mix. A replayed mix holds one record buffer per core plus its
 /// decompression scratch — the stage is the records' only consumer, so the batches are
 /// small ([`batch_records`](Self::batch_records)); a generator holds none. The event
-/// memos get what is left, an equal share per core (one
-/// `cache_sim::private::MemoPool` per stream, which the stream's stages draw on — each a
-/// checkpoint of its caches first, then chunks of events), and register what they take
-/// in the same arena accounting (`cache_sim::trace::arena_peak_bytes`). When a stream's
-/// pool runs out its stages stop retaining, and an evaluation that runs off the retained
-/// events finishes that core on a sole stage of its own: a clone of the stage's
-/// checkpoint over a fresh source that starts where the memo stops — a replayed stream
-/// seeks there, a generator is run forward — with decode buffers of its own for as long
-/// as it runs. Nothing the memo holds is simulated again, however long the run; what
-/// lies past it is simulated again by every evaluation that reaches it. Results are
-/// bit-identical at every budget — the runner's tests, `tests/corpus_sweep.rs` and
-/// `tests/reference_identity.rs` enforce it — so the budget only trades memory against
-/// work done once, never results.
+/// memos get what is left, as one `cache_sim::private::MemoPool` per mix that the stages
+/// of every core draw on in the order they need it — each a checkpoint of its caches
+/// first, then chunks of events — so a streaming core may take what a cache-resident one
+/// leaves; they register what they take in the same arena accounting
+/// (`cache_sim::trace::arena_peak_bytes`). When the pool runs out, at a point in the
+/// run's global time, the stage that finds it dry stops retaining, and an evaluation
+/// that runs off that stage's retained events finishes its core on a sole stage of its
+/// own: a clone of the stage's checkpoint over a fresh source that starts where the memo
+/// stops — a replayed stream seeks there, a generator is run forward — with decode
+/// buffers of its own for as long as it runs. Nothing the memo holds is simulated
+/// again, however long the run; what lies past it is simulated again by every
+/// evaluation that reaches it. Results are bit-identical at every budget — the runner's
+/// tests, `tests/corpus_sweep.rs` and `tests/reference_identity.rs` enforce it — so the
+/// budget only trades memory against work done once, never results.
 #[derive(Debug, Clone)]
 pub struct ReplayConfig {
     /// Memory budget in bytes of one materialized mix: event memo plus, for a replayed
@@ -346,17 +347,14 @@ impl MixSource {
                 (records, (cores * 2 * batch_records) as u64 * RECORD_BYTES)
             }
         };
-        // The event memos get what the decode buffers leave, an equal share per core:
-        // where a stream's stages stop retaining then depends on that stream alone, not
-        // on which core's stage ran first.
-        let memo_bytes = replay.arena_budget_bytes.saturating_sub(buffer_bytes);
-        let share = memo_bytes / records.len().max(1) as u64;
+        // The event memos get what the decode buffers leave, as one pool every core's
+        // stages draw on as they need it: a hungry stream may take what a light one
+        // leaves, and where the pool runs dry is a point in the run's global time.
+        let memo_pool = MemoPool::new(replay.arena_budget_bytes.saturating_sub(buffer_bytes));
         Ok(MaterializedMixStreams {
             mix: self.mix().clone(),
-            streams: records
-                .into_iter()
-                .map(|records| MaterializedStream::new(records, share))
-                .collect(),
+            memo_pool,
+            streams: records.into_iter().map(MaterializedStream::new).collect(),
         })
     }
 }
@@ -442,9 +440,6 @@ struct MaterializedStream {
     /// paper's re-execution methodology instead of being bit-identical to an infinite
     /// generator.
     wraps: Arc<AtomicU64>,
-    /// What the event memos of this stream's stages retain from: the stream's share of
-    /// the mix's budget (see [`ReplayConfig`]).
-    memo_pool: Arc<MemoPool>,
     /// One stage per distinct [`StageParams`] an evaluation asked for: configurations
     /// that differ elsewhere (`interval_misses`, the LLC, the DRAM) share one, and a
     /// second key builds a second stage instead of evicting the first. The stage owns
@@ -454,11 +449,10 @@ struct MaterializedStream {
 }
 
 impl MaterializedStream {
-    fn new(records: StreamRecords, memo_share: u64) -> Self {
+    fn new(records: StreamRecords) -> Self {
         MaterializedStream {
             records,
             wraps: Arc::default(),
-            memo_pool: MemoPool::new(memo_share),
             stages: Mutex::default(),
         }
     }
@@ -478,6 +472,9 @@ impl MaterializedStream {
 /// sweep (see [`MixSource::materialize_with`]).
 pub struct MaterializedMixStreams {
     mix: WorkloadMix,
+    /// What the event memos of every stream's stages retain from: what the decode
+    /// buffers leave of the mix's budget (see [`ReplayConfig`]).
+    memo_pool: Arc<MemoPool>,
     streams: Vec<MaterializedStream>,
 }
 
@@ -556,7 +553,7 @@ impl MaterializedMixStreams {
                         stages.push(SharedStage::new(
                             *params,
                             move |at| records.source(at, Arc::default()),
-                            stream.memo_pool.clone(),
+                            self.memo_pool.clone(),
                             stream.wraps.clone(),
                         ));
                         stages.len() - 1
@@ -710,8 +707,9 @@ pub fn warm_alone_cache(
 /// inner step of the corpus sweep engine, also used by the ablation sweeps so every
 /// configuration variant shares one materialization of each mix. The mix's private
 /// hierarchy (record production, L1, L2, prefetcher) is simulated once per distinct
-/// [`StageParams`] and shared by every call, whatever the provenance; past a replayed
-/// mix's memo share the call finishes on stages of its own (see [`ReplayConfig`]).
+/// [`StageParams`] and shared by every call, whatever the provenance; past what a core's
+/// stage retained of the mix's memo pool the call finishes that core on a stage of its
+/// own (see [`ReplayConfig`]).
 pub fn evaluate_prepared<P: LlcReplacementPolicy>(
     config: &SystemConfig,
     prepared: &MaterializedMixStreams,

@@ -159,7 +159,7 @@ fn drive_stage(params: StageParams, records: &[MemAccess]) -> StageOutput {
         out.events += 1;
         out.private_timing[0] += u64::from(event.gap_instructions);
         out.private_timing[1] += u64::from(event.gap_compute_cycles);
-        out.private_timing[2] += u64::from(event.gap_stall_cycles);
+        out.private_timing[2] += event.gap_stall_cycles(params.l2_hit_stall());
         assert_eq!(writebacks.len(), event.writebacks());
         let non_mem = u64::from(event.non_mem_instrs);
         let leaves = !event.l1_hit()
@@ -181,7 +181,7 @@ fn drive_stage(params: StageParams, records: &[MemAccess]) -> StageOutput {
                     is_write,
                 }));
             }
-            let (demand, prefetch) = writebacks.split_at(usize::from(event.demand_writebacks));
+            let (demand, prefetch) = writebacks.split_at(event.demand_writebacks());
             let writeback = |&b: &BlockAddr| SharedOp::Below(Below::Writeback(b));
             ops.extend(demand.iter().map(writeback));
             if event.prefetch_reaches_llc() {

@@ -667,8 +667,13 @@ fn shared_bound(furthest: u64) -> u64 {
     furthest + RUN_AHEAD + 1 + 2 * (CHUNK_RECORDS + RUN_AHEAD)
 }
 
+/// Instructions per core of the memo-pool test: long enough that the hungriest stream's
+/// memo outweighs a chunk of slack per core and generating thread.
+const POOL_INSTRUCTIONS: u64 = 5 * INSTRUCTIONS;
+
 /// A 16-core mix, captured and replayed through the runner and live from its generators,
-/// at a budget whose memos keep the whole run and at one whose memo pools run out
+/// at a budget whose memo keeps the whole run, at one whose pool covers the mix only if
+/// the hungriest core takes what the light ones leave, and at one whose pool runs out
 /// mid-run: whatever the provenance, the one budget bounds the memo, four policies
 /// evaluated at once on *one* materialization share one set of private stages — across
 /// the hand-over, where the pool is short — and each equals the oracle over the same
@@ -690,27 +695,42 @@ fn synthetic_and_replayed_mixes_share_their_stages_and_equal_the_oracle_and_the_
         PolicyKind::AdaptBp32,
     ];
     let path = std::env::temp_dir().join("reference_identity_replayed16.atrc");
-    let accesses = synthetic_capture_budget(INSTRUCTIONS);
+    let accesses = synthetic_capture_budget(POOL_INSTRUCTIONS);
     let opts = TraceCaptureOptions::for_llc_sets(llc_sets);
     capture_mix(&path, mix, SEED, accesses, None, opts).unwrap();
-    let decoded_bytes = accesses * cfg.num_cores as u64 * 16;
     let lone: Vec<SystemResults> = kinds
         .iter()
-        .map(|&kind| lone_run(&cfg, mix, kind, INSTRUCTIONS, SEED))
+        .map(|&kind| lone_run(&cfg, mix, kind, POOL_INSTRUCTIONS, SEED))
         .collect();
 
     // The oracle's results and draws, per provenance; the two agree, and the last serves
     // the pool sizes below.
     let mut references = Vec::new();
-    // An eighth of the records' size leaves each core's memo a chunk or so. A corpus's
-    // decode buffers take as much again: half of a budget whose batches are not clamped
-    // (`ReplayConfig::batch_records`). A generator has none.
-    let dry_memo = decoded_bytes / 8;
-    for (source, decode_buffers) in [
-        (MixSource::replayed_with_id(&path, 0).unwrap(), dry_memo),
-        (MixSource::synthetic(mix.clone()), 0),
+    for source in [
+        MixSource::replayed_with_id(&path, 0).unwrap(),
+        MixSource::synthetic(mix.clone()),
     ] {
         let provenance = source.provenance();
+        // What a budget leaves the mix's one memo pool: the budget less a corpus's
+        // decode buffers, one batch and one decompression scratch per core; a generator
+        // has none.
+        let replayed = matches!(source, MixSource::Replayed { .. });
+        let buffers = |budget: u64| {
+            let replay = ReplayConfig {
+                arena_budget_bytes: budget,
+            };
+            let batch = replay.batch_records(cfg.num_cores) as u64;
+            let record = std::mem::size_of::<MemAccess>() as u64;
+            u64::from(replayed) * cfg.num_cores as u64 * 2 * batch * record
+        };
+        let memo_pool = |budget: u64| budget.saturating_sub(buffers(budget));
+        // A budget that leaves the pool at least `pool` bytes: unclamped batches
+        // (`ReplayConfig::batch_records`) take at most half of it, and the smallest take
+        // what they take at a budget of 0.
+        let budget_for = |pool: u64| match replayed {
+            true => (2 * pool).max(pool + buffers(0)),
+            false => pool,
+        };
         // The oracle over the mix's records, and the records it drew from each core.
         let prepared = source
             .materialize_with(llc_sets, SEED, &ReplayConfig::default())
@@ -720,21 +740,16 @@ fn synthetic_and_replayed_mixes_share_their_stages_and_equal_the_oracle_and_the_
             .map(|&kind| {
                 let (sources, counts) = counted(prepared.sources());
                 let built = Box::new(kind.build_dispatch(&cfg, &slots));
-                let results = NaiveSystem::new(cfg.clone(), sources, built).run(INSTRUCTIONS);
+                let results = NaiveSystem::new(cfg.clone(), sources, built).run(POOL_INSTRUCTIONS);
                 let drawn: Vec<u64> = counts.iter().map(|c| c.load(Ordering::Relaxed)).collect();
                 (results, drawn)
             })
             .collect();
         assert_eq!(prepared.replay_wraps(), 0, "the capture covers the run");
 
-        // The default budget's memos keep the whole run.
-        for (what, budget) in [
-            (
-                "memo covers the run",
-                ReplayConfig::default().arena_budget_bytes,
-            ),
-            ("memo runs dry", decode_buffers + dry_memo),
-        ] {
+        // Four policies at once on one materialization at `budget`, each against the
+        // oracle and the live generators; what the stages of each core cost.
+        let evaluate_at = |what: &str, budget: u64| -> Vec<SharedStageUsage> {
             let what = format!("{provenance}, {what}");
             let replay = ReplayConfig {
                 arena_budget_bytes: budget,
@@ -742,7 +757,7 @@ fn synthetic_and_replayed_mixes_share_their_stages_and_equal_the_oracle_and_the_
             let prepared = source.materialize_with(llc_sets, SEED, &replay).unwrap();
             let evaluations = at_once(&kinds, &|kind| {
                 let built = kind.build_dispatch(&cfg, &slots);
-                evaluate_prepared(&cfg, &prepared, kind, built, INSTRUCTIONS, SEED)
+                evaluate_prepared(&cfg, &prepared, kind, built, POOL_INSTRUCTIONS, SEED)
             });
             for (((kind, fast), (reference, _)), live) in
                 kinds.iter().zip(&evaluations).zip(&references).zip(&lone)
@@ -760,36 +775,73 @@ fn synthetic_and_replayed_mixes_share_their_stages_and_equal_the_oracle_and_the_
                 (kinds.len() * cfg.num_cores) as u64,
                 "{what}"
             );
-            // Each core's memo and checkpoint stay within its equal share of the budget.
-            let share = budget / cfg.num_cores as u64;
+            // The memos and checkpoints of every core draw on one pool, whatever each
+            // core takes of it.
+            let pool = memo_pool(budget);
             assert!(total.memo_bytes > 0, "{what}: nothing was memoized");
             assert!(
-                usage
-                    .iter()
-                    .all(|u| u.memo_bytes + u.checkpoint_bytes <= share),
-                "{what}: a memo outgrew its core's share, {share} bytes: {usage:?}"
+                total.memo_bytes + total.checkpoint_bytes <= pool,
+                "{what}: the memos outgrew the mix's pool, {pool} bytes: {usage:?}"
             );
-            if what.ends_with("memo runs dry") {
-                assert!(total.handovers > 0, "{what}: the pool never ran out");
-                assert!(
-                    usage.iter().any(|u| u.events > 0 && u.handovers > 0),
-                    "{what}: no hand-over happened mid-run: {usage:?}"
-                );
-            } else {
-                // One set of stages served all four policies: each stream was drawn from
-                // as far as its furthest consumer went and less than two chunks further.
-                assert_eq!(total.handovers, 0, "{what}");
-                for (core, usage) in usage.iter().enumerate() {
-                    let furthest = references.iter().map(|(_, d)| d[core]).max().unwrap();
-                    assert!(
-                        (furthest..=shared_bound(furthest)).contains(&usage.records),
-                        "{what}, core {core}: drew {} records, the furthest consumer used \
-                         {furthest}",
-                        usage.records
-                    );
-                }
-            }
+            usage
+        };
+
+        // The default budget's memos keep the whole run. One set of stages served all
+        // four policies: each stream was drawn from as far as its furthest consumer went
+        // and less than two chunks further.
+        let what = "memo covers the run";
+        let usage = evaluate_at(what, ReplayConfig::default().arena_budget_bytes);
+        let handovers: u64 = usage.iter().map(|u| u.handovers).sum();
+        assert_eq!(handovers, 0, "{provenance}, {what}");
+        for (core, usage) in usage.iter().enumerate() {
+            let furthest = references.iter().map(|(_, d)| d[core]).max().unwrap();
+            assert!(
+                (furthest..=shared_bound(furthest)).contains(&usage.records),
+                "{provenance}, {what}, core {core}: drew {} records, the furthest consumer \
+                 used {furthest}",
+                usage.records
+            );
         }
+
+        // A pool that covers what the mix held — a chunk more per core, which a read-ahead
+        // may have generated in one run and not in the other, and a chunk's reservation
+        // per thread generating one (a policy's or the read-ahead thread) — but that,
+        // split equally, would leave the hungriest core less than it held: the light
+        // cores' leftovers go to it, and nothing is handed over.
+        let held = |u: &SharedStageUsage| u.memo_bytes + u.checkpoint_bytes;
+        let mix_held: u64 = usage.iter().map(held).sum();
+        let hungriest = usage.iter().map(held).max().unwrap();
+        let slack = (cfg.num_cores + kinds.len() + 1) as u64 * MAX_CHUNK_BYTES;
+        let pool = mix_held + slack;
+        let budget = budget_for(pool);
+        let what = "one pool covers the mix";
+        let covering = memo_pool(budget);
+        assert!(
+            covering >= pool,
+            "{provenance}, {what}: {covering} < {pool}"
+        );
+        assert!(
+            covering < cfg.num_cores as u64 * hungriest,
+            "{provenance}, {what}: an equal split of {covering} bytes would cover every \
+             core's {hungriest}-byte memo"
+        );
+        let usage = evaluate_at(what, budget);
+        let handovers: u64 = usage.iter().map(|u| u.handovers).sum();
+        assert_eq!(handovers, 0, "{provenance}, {what}: {usage:?}");
+
+        // A pool a quarter of what the mix held — less than it holds in any run, a chunk
+        // per core fewer included — runs out mid-run.
+        let what = "memo runs dry";
+        let budget = budget_for(mix_held / 4);
+        let usage = evaluate_at(what, budget);
+        assert!(
+            usage.iter().any(|u| u.handovers > 0),
+            "{provenance}, {what}: the pool never ran out"
+        );
+        assert!(
+            usage.iter().any(|u| u.events > 0 && u.handovers > 0),
+            "{provenance}, {what}: no hand-over happened mid-run: {usage:?}"
+        );
     }
 
     // Every field, at every pool size: stages straight over the decoded records.
@@ -797,7 +849,7 @@ fn synthetic_and_replayed_mixes_share_their_stages_and_equal_the_oracle_and_the_
     let records: Vec<Arc<Vec<MemAccess>>> = (0..cfg.num_cores)
         .map(|core| Arc::new(trace.decode_core(core).unwrap()))
         .collect();
-    let params = StageParams::latch(&cfg, INSTRUCTIONS);
+    let params = StageParams::latch(&cfg, POOL_INSTRUCTIONS);
     for pool_bytes in [0, 3 * cfg.num_cores as u64 * MAX_CHUNK_BYTES, u64::MAX] {
         let pool = MemoPool::new(pool_bytes);
         let stages: Vec<SharedStage> = records
@@ -814,7 +866,7 @@ fn synthetic_and_replayed_mixes_share_their_stages_and_equal_the_oracle_and_the_
         let shared = at_once(&kinds, &|kind| {
             let cursors = stages.iter().map(SharedStage::cursor).collect();
             let built = kind.build_dispatch(&cfg, &slots);
-            MultiCoreSystem::with_stages(cfg.clone(), cursors, built).run(INSTRUCTIONS)
+            MultiCoreSystem::with_stages(cfg.clone(), cursors, built).run(POOL_INSTRUCTIONS)
         });
         for ((kind, shared), (reference, _)) in kinds.iter().zip(&shared).zip(&references) {
             assert_identical(shared, reference, &format!("pool {pool_bytes}, {kind:?}"));
