@@ -68,13 +68,14 @@
 //! retained chunks — and the records drawn and the target statistics, which the memo
 //! notes at every chunk — stay readable, and a cursor that needs the chunk in flight
 //! waits for it. The stage owns the live trace source, so records are not memoized a
-//! second time. Its key is exactly what the stage reads — [`StageParams`], compared
-//! whole. A consumer never sees the chunks; the trace source does: a stage may have
-//! drawn the rest of its furthest consumer's chunk and one chunk read ahead of it, on
-//! top of the driver's own `RUN_AHEAD + 1` records — fewer than
-//! `2 × (CHUNK_RECORDS + RUN_AHEAD)` beyond that consumer. Two rules spare a lone run
-//! more: (a) a chunk ends after the event that reaches the instruction target, and (b)
-//! `run` fetches nothing after its last snapshot; a one-core run no one reads ahead
+//! second time. Its events depend on its trace and its [`StageParams`] alone — not on the
+//! LLC, the DRAM or the policy — so every system with that private hierarchy and
+//! instruction target may replay them. A consumer never sees the chunks; the trace
+//! source does: a stage may have drawn the rest of its furthest consumer's chunk and one
+//! chunk read ahead of it, on top of the driver's own `RUN_AHEAD + 1` records — fewer
+//! than `2 × (CHUNK_RECORDS + RUN_AHEAD)` beyond that consumer. Two rules spare a lone
+//! run more: (a) a chunk ends after the event that reaches the instruction target, and
+//! (b) `run` fetches nothing after its last snapshot; a one-core run no one reads ahead
 //! draws exactly the records a per-record engine consumes.
 //!
 //! **Release-behind.** A sole stage ([`SharedStage::sole`]) hands out one cursor and
@@ -191,7 +192,8 @@ pub const CHUNK_RECORDS: u64 = 4096;
 pub const MAX_CHUNK_BYTES: u64 =
     (CHUNK_EVENTS * (std::mem::size_of::<Event>() + 4 * std::mem::size_of::<BlockAddr>())) as u64;
 
-/// Everything a stage reads, and therefore the key of the [`SharedStage`] memo.
+/// Everything a stage reads: a [`SharedStage`]'s events serve every system whose private
+/// hierarchy and instruction target these are.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StageParams {
     pub l1d: PrivateCacheConfig,

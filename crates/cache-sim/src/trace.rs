@@ -24,6 +24,9 @@ pub struct MemAccess {
     pub non_mem_instrs: u32,
 }
 
+// What a decode buffer holds per record, which sizes replay batches against their budget.
+const _: () = assert!(std::mem::size_of::<MemAccess>() == 24);
+
 impl MemAccess {
     /// Instructions this access accounts for: the memory instruction itself plus the
     /// non-memory instructions preceding it.

@@ -43,8 +43,8 @@
 //!
 //! # Profiling and logging
 //!
-//! `--profile [DIR]` (or `REPRO_PROFILE=1`, directory `profile/`) turns on the sim-obs
-//! flight recorder for the run and exports `trace.json` (Chrome trace-event format —
+//! `--profile [DIR]` (directory `profile/` by default) turns on the sim-obs flight
+//! recorder for the run and exports `trace.json` (Chrome trace-event format —
 //! load it in Perfetto), `intervals.csv` (per-interval core/bank/LLC time-series) and
 //! `summary.txt` into DIR. Profiling never changes simulation results: the recorder
 //! samples at interval rollovers the simulator already performs.
@@ -91,8 +91,7 @@ fn usage() -> String {
          --flat reruns the same geometry with the latency-only seed banking; --memsys runs\n\
          the flat vs FCFS vs FR-FCFS+NUCA memory-system head-to-head instead)\n\n\
          global: --profile [DIR]   record a sim-obs profile and export trace.json /\n\
-                                   intervals.csv / summary.txt into DIR (default 'profile';\n\
-                                   REPRO_PROFILE=1 does the same)\n\
+                                   intervals.csv / summary.txt into DIR (default 'profile')\n\
                  --log-level LVL   error|warn|info|debug|trace|off (default info; REPRO_LOG)",
         names.join("|")
     )
@@ -272,19 +271,6 @@ fn diag(scale: ExperimentScale) {
     );
 }
 
-/// Resolve the profile directory: the `--profile` flag wins, then `REPRO_PROFILE`
-/// (`1`/`true` mean the default `profile/` directory, anything else is the directory).
-fn profile_dir(flag: Option<PathBuf>) -> Option<PathBuf> {
-    if flag.is_some() {
-        return flag;
-    }
-    match env::var("REPRO_PROFILE").ok().as_deref() {
-        None | Some("") | Some("0") => None,
-        Some("1") | Some("true") => Some(PathBuf::from("profile")),
-        Some(dir) => Some(PathBuf::from(dir)),
-    }
-}
-
 fn main() -> ExitCode {
     let mut args: Vec<String> = env::args().skip(1).collect();
     if args.is_empty() {
@@ -292,7 +278,7 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
     // Global flags, extracted up front so they work in any position.
-    let mut profile_flag: Option<PathBuf> = None;
+    let mut profile: Option<PathBuf> = None;
     if let Some(pos) = args.iter().position(|a| a == "--profile") {
         args.remove(pos);
         // Optional DIR operand: consume the next token unless it is a flag or the
@@ -303,7 +289,7 @@ fn main() -> ExitCode {
             }
             _ => PathBuf::from("profile"),
         };
-        profile_flag = Some(dir);
+        profile = Some(dir);
     }
     // Default to `info` so the progress lines stay; an explicit --log-level wins over
     // REPRO_LOG, which wins over the default (left to the library's lazy init).
@@ -420,7 +406,6 @@ fn main() -> ExitCode {
         mixes: mixes_override.map_or(exp.mixes, Mixes::Exactly),
         ..exp
     };
-    let profile = profile_dir(profile_flag);
     if let Some(dir) = &profile {
         sim_obs::enable();
         sim_obs::set_thread_name("main");

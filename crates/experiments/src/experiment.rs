@@ -294,11 +294,7 @@ pub fn run(
 ) -> Result<Vec<Table>, TraceError> {
     let studies = match sources {
         Sources::Generated => exp.studies.clone(),
-        Sources::Corpus(corpus, _) => {
-            let no_mixes = || TraceError::Manifest("corpus has no mixes".into());
-            let first = corpus.entries().first().ok_or_else(no_mixes)?;
-            vec![StudyKind::by_cores(first.benchmarks.len()).map_err(TraceError::Manifest)?]
-        }
+        Sources::Corpus(corpus, _) => vec![runner::corpus_study(corpus)?],
     };
     let runs = if exp.policies.is_empty() {
         Vec::new()
@@ -687,6 +683,36 @@ pub(crate) mod tests {
         }
         assert!(!render(&tables, exp.layout()).is_empty());
         (exp, tables)
+    }
+
+    /// A corpus's study is the one its first mix's core count names
+    /// (`runner::corpus_study`, which `sweepd` shares): a corpus of 3-core mixes is
+    /// refused before anything runs, and an empty manifest never loads.
+    #[test]
+    fn a_corpus_whose_mixes_name_no_study_is_refused() {
+        let scale = ExperimentScale::Smoke;
+        let dir = std::env::temp_dir().join("experiment_corpus_without_study");
+        std::fs::remove_dir_all(&dir).ok();
+        let three = workloads::WorkloadMix {
+            id: 0,
+            study: StudyKind::Cores4,
+            benchmarks: ["gcc", "mcf", "art"].map(String::from).to_vec(),
+        };
+        let sets = scale
+            .system_config(StudyKind::Cores4)
+            .llc
+            .geometry
+            .num_sets();
+        let (corpus, _) = Corpus::materialize(&dir, "three", &[three], sets, 1, 1000).unwrap();
+        let replay = ReplayConfig::default();
+        let fig3 = find("fig3").unwrap();
+        let err = run(&fig3, scale, &Sources::Corpus(&corpus, &replay)).unwrap_err();
+        assert!(err.to_string().contains("no study has 3 cores"), "{err}");
+        let manifest = trace_io::corpus::render_manifest(corpus.meta(), &[]);
+        std::fs::write(dir.join(trace_io::corpus::MANIFEST_FILE), manifest).unwrap();
+        let err = Corpus::load(&dir).unwrap_err();
+        assert!(err.to_string().contains("no mixes"), "{err}");
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     /// What a registered experiment's smoke tables must show.

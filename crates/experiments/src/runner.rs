@@ -164,8 +164,8 @@ impl MixEvaluation {
 /// evaluation, a sweep worker otherwise (for its own cell or, as a helper, for another).
 /// A stream that fits one batch is decoded once and loops in place, so a smoke-size or
 /// hand-imported corpus pays nothing per pass. Either kind, each core's stream feeds one
-/// shared private stage per distinct [`StageParams`], and every evaluation replays its
-/// events.
+/// shared private stage, built by the first evaluation, and every evaluation replays its
+/// events: a materialization serves one machine ([`StageParams`]).
 ///
 /// The budget is split per mix. A replayed mix holds one record buffer per core plus its
 /// decompression scratch — the stage is the records' only consumer, so the batches are
@@ -203,9 +203,10 @@ impl Default for ReplayConfig {
 
 impl ReplayConfig {
     /// Records per decode batch for a `cores`-wide replayed mix: a buffer and a
-    /// decompression scratch per core, so `cores × 2 × batch × 16B` stays within half the
-    /// budget — and at most 32 Ki records (512 KiB) a buffer: past that a larger batch
-    /// decodes no faster, and what it would take is worth more to the event memo.
+    /// decompression scratch per core, so `cores × 2 × batch ×` 24 B (a [`MemAccess`])
+    /// stays within half the budget — and at most 32 Ki records (768 KiB) a buffer: past
+    /// that a larger batch decodes no faster, and what it would take is worth more to the
+    /// event memo.
     pub fn batch_records(&self, cores: usize) -> usize {
         let per_core = self.arena_budget_bytes / (cores.max(1) as u64 * 4 * RECORD_BYTES);
         per_core.clamp(1024, 1 << 15) as usize
@@ -431,7 +432,7 @@ impl StreamRecords {
     }
 }
 
-/// One core's materialized stream: its records, and the private stages every evaluation
+/// One core's materialized stream: its records, and the private stage every evaluation
 /// of the mix shares.
 struct MaterializedStream {
     records: StreamRecords,
@@ -440,12 +441,11 @@ struct MaterializedStream {
     /// paper's re-execution methodology instead of being bit-identical to an infinite
     /// generator.
     wraps: Arc<AtomicU64>,
-    /// One stage per distinct [`StageParams`] an evaluation asked for: configurations
-    /// that differ elsewhere (`interval_misses`, the LLC, the DRAM) share one, and a
-    /// second key builds a second stage instead of evicting the first. The stage owns
-    /// the reader that feeds it, and what is memoized (and shared by every policy) is
-    /// its events, not the records.
-    stages: Mutex<Vec<SharedStage>>,
+    /// The one private stage, built by the first evaluation: configurations that differ
+    /// only where it does not read (`interval_misses`, the LLC, the DRAM) share it. It
+    /// owns the reader that feeds it, and what is memoized (and shared by every policy)
+    /// is its events, not the records.
+    stage: OnceLock<SharedStage>,
 }
 
 impl MaterializedStream {
@@ -453,18 +453,13 @@ impl MaterializedStream {
         MaterializedStream {
             records,
             wraps: Arc::default(),
-            stages: Mutex::default(),
+            stage: OnceLock::new(),
         }
     }
 
-    /// What this stream's stages have cost so far, summed.
+    /// What this stream's stage has cost so far (nothing before the first evaluation).
     fn stage_usage(&self) -> SharedStageUsage {
-        self.stages
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .iter()
-            .map(SharedStage::usage)
-            .sum()
+        self.stage.get().map(SharedStage::usage).unwrap_or_default()
     }
 }
 
@@ -485,10 +480,10 @@ impl MaterializedMixStreams {
     }
 
     /// Records materialized per core so far: the stream's length for replayed streams;
-    /// for synthetic ones, the records the core's shared private stages have drawn from
-    /// their generators — the furthest consumer's high-water mark (rounded up to a chunk)
-    /// per stage, not the sum over consumers. A cursor handed over past a full memo draws
-    /// from a generator of its own, which is not counted here.
+    /// for synthetic ones, the records the core's shared private stage has drawn from its
+    /// generator — the furthest consumer's high-water mark (rounded up to a chunk), not
+    /// the sum over consumers. A cursor handed over past a full memo draws from a
+    /// generator of its own, which is not counted here.
     pub fn records_per_core(&self) -> Vec<usize> {
         self.streams
             .iter()
@@ -501,11 +496,11 @@ impl MaterializedMixStreams {
             .collect()
     }
 
-    /// What sharing each core's private stages has cost so far (summed over the stages
-    /// of distinct [`StageParams`]), in core order: records drawn, events and bytes
-    /// memoized, cursors handed out — one per core and evaluation — how many of them
-    /// left a full memo, the chunks read ahead and the waits for a chunk in flight. Each
-    /// stage is read once nothing is in flight or queued (see [`SharedStage::usage`]).
+    /// What sharing each core's private stage has cost so far, in core order: records
+    /// drawn, events and bytes memoized, cursors handed out — one per core and
+    /// evaluation — how many of them left a full memo, the chunks read ahead and the
+    /// waits for a chunk in flight. Each stage is read once nothing is in flight or
+    /// queued (see [`SharedStage::usage`]).
     pub fn stage_usage(&self) -> Vec<SharedStageUsage> {
         self.streams.iter().map(|s| s.stage_usage()).collect()
     }
@@ -536,29 +531,31 @@ impl MaterializedMixStreams {
             .collect()
     }
 
-    /// One cursor per core over the private stages shared by every evaluation of this
-    /// mix under `params`, building the stages on first use.
+    /// One cursor per core over the stage every evaluation of this mix shares, built
+    /// under `params` on first use; panics if it was built under other `params`.
     fn stage_cursors(&self, params: &StageParams) -> Vec<StageCursor> {
         self.streams
             .iter()
             .map(|stream| {
-                let mut stages = stream.stages.lock().unwrap_or_else(PoisonError::into_inner);
-                let at = stages
-                    .iter()
-                    .position(|s| s.params() == params)
-                    .unwrap_or_else(|| {
-                        // The stage's readers report to no one: its cursors fold in
-                        // the passes each consumer reached.
-                        let records = stream.records.clone();
-                        stages.push(SharedStage::new(
-                            *params,
-                            move |at| records.source(at, Arc::default()),
-                            self.memo_pool.clone(),
-                            stream.wraps.clone(),
-                        ));
-                        stages.len() - 1
-                    });
-                stages[at].cursor()
+                let stage = stream.stage.get_or_init(|| {
+                    // The stage's readers report to no one: its cursors fold in the
+                    // passes each consumer reached.
+                    let records = stream.records.clone();
+                    SharedStage::new(
+                        *params,
+                        move |at| records.source(at, Arc::default()),
+                        self.memo_pool.clone(),
+                        stream.wraps.clone(),
+                    )
+                });
+                assert!(
+                    stage.params() == params,
+                    "mix {} was materialized for one machine: its stages model {:?}, this \
+                     evaluation asks for {params:?}",
+                    self.mix.id,
+                    stage.params()
+                );
+                stage.cursor()
             })
             .collect()
     }
@@ -706,10 +703,11 @@ pub fn warm_alone_cache(
 /// Run an explicitly constructed policy over already-materialized streams — the
 /// inner step of the corpus sweep engine, also used by the ablation sweeps so every
 /// configuration variant shares one materialization of each mix. The mix's private
-/// hierarchy (record production, L1, L2, prefetcher) is simulated once per distinct
-/// [`StageParams`] and shared by every call, whatever the provenance; past what a core's
-/// stage retained of the mix's memo pool the call finishes that core on a stage of its
-/// own (see [`ReplayConfig`]).
+/// hierarchy (record production, L1, L2, prefetcher) is simulated once and shared by
+/// every call, whatever the provenance; past what a core's stage retained of the mix's
+/// memo pool the call finishes that core on a stage of its own (see [`ReplayConfig`]).
+/// Panics if `config`'s private hierarchy or `instructions` ([`StageParams`]) differ
+/// from the first call's: a materialization serves one machine.
 pub fn evaluate_prepared<P: LlcReplacementPolicy>(
     config: &SystemConfig,
     prepared: &MaterializedMixStreams,
@@ -865,10 +863,10 @@ pub(crate) struct Cell {
 }
 
 /// [`sweep_policies_on_sources_with`] over any set of cells: every cell of a mix,
-/// whatever its configuration, replays the one materialization of that mix — configs
-/// that share the private hierarchy share its stages too. The evaluations come back in
-/// (mix, cell) order. Every config must have the same LLC set count, which sizes the
-/// generators.
+/// whatever its configuration, replays the one materialization of that mix and its one
+/// set of private stages. The evaluations come back in (mix, cell) order. Every config
+/// must have the same private hierarchy, which the stages model, and the same LLC set
+/// count, which sizes the generators.
 pub(crate) fn sweep_grid(
     configs: &[SystemConfig],
     cells: &[Cell],
@@ -994,12 +992,18 @@ pub fn sweep_policies_on_corpus_with(
     )
 }
 
+/// The study a corpus's mixes belong to: the one its first entry's core count names. An
+/// empty corpus is an error. `repro`'s corpus experiments and `sweepd` both size their
+/// machine by this one rule.
+pub fn corpus_study(corpus: &Corpus) -> Result<StudyKind, TraceError> {
+    let no_mixes = || TraceError::Manifest("corpus has no mixes".into());
+    let first = corpus.entries().first().ok_or_else(no_mixes)?;
+    StudyKind::by_cores(first.benchmarks.len()).map_err(TraceError::Manifest)
+}
+
 /// Every mix of `corpus` as a replayed source under its manifest id, once the corpus
 /// geometry is checked against a system with `llc_sets` LLC sets.
-pub(crate) fn corpus_sources(
-    corpus: &Corpus,
-    llc_sets: usize,
-) -> Result<Vec<MixSource>, TraceError> {
+pub fn corpus_sources(corpus: &Corpus, llc_sets: usize) -> Result<Vec<MixSource>, TraceError> {
     corpus.validate_geometry(llc_sets)?;
     corpus
         .entries()
@@ -1463,6 +1467,27 @@ mod tests {
                 "drew {drawn} records, a system over sole stages {consumed}"
             );
         }
+    }
+
+    /// A materialization serves one machine: an evaluation under another private
+    /// hierarchy — here a half-size L2 — is refused instead of given a second set of
+    /// stages.
+    #[test]
+    #[should_panic(expected = "was materialized for one machine")]
+    fn a_second_private_hierarchy_on_one_materialization_panics() {
+        let (cfg, mixes) = smoke_setup();
+        let prepared = MixSource::synthetic(mixes[0].clone())
+            .materialize_with(cfg.llc.geometry.num_sets(), 1, &ReplayConfig::default())
+            .unwrap();
+        let evaluate = |cfg: &SystemConfig| {
+            let built = PolicyKind::TaDrrip.build_dispatch(cfg, &mixes[0].thrashing_slots());
+            evaluate_prepared(cfg, &prepared, PolicyKind::TaDrrip, built, 20_000, 1)
+        };
+        evaluate(&cfg);
+        let mut half_l2 = cfg.clone();
+        half_l2.l2.geometry =
+            cache_sim::config::CacheGeometry::new(cfg.l2.geometry.size_bytes / 2, 8);
+        evaluate(&half_l2);
     }
 
     #[test]

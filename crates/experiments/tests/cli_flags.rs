@@ -119,7 +119,6 @@ fn sweep_reports_a_corrupt_block_as_one_typed_error_at_every_budget() {
             .args(["--smoke", "--dir"])
             .arg(&dir)
             .env_remove("REPRO_LOG")
-            .env_remove("REPRO_PROFILE")
             .output()
             .expect("repro must run")
     };

@@ -12,7 +12,6 @@ fn repro_all_smoke_matches_the_golden_report() {
     let output = Command::new(env!("CARGO_BIN_EXE_repro"))
         .args(["all", "--smoke"])
         .env("REPRO_LOG", "off")
-        .env_remove("REPRO_PROFILE")
         .output()
         .expect("repro must run");
     assert!(

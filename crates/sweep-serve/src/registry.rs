@@ -20,7 +20,7 @@ use std::sync::Arc;
 
 use cache_sim::private::SharedStageUsage;
 use experiments::runner::{
-    evaluate_prepared, warm_alone_cache, MaterializedMixStreams, MixSource, ReplayConfig,
+    self, evaluate_prepared, warm_alone_cache, MaterializedMixStreams, ReplayConfig,
 };
 use experiments::{ExperimentScale, PolicyKind};
 use trace_io::corpus::MANIFEST_FILE;
@@ -93,16 +93,10 @@ impl LoadedCorpus {
         memo: &MemoStore,
     ) -> Result<(LoadedCorpus, usize), String> {
         let corpus = Corpus::load(dir).map_err(|e| format!("loading corpus {name:?}: {e}"))?;
-        let first = corpus
-            .entries()
-            .first()
-            .ok_or_else(|| format!("corpus {name:?} has no mixes"))?;
-        let cores = first.benchmarks.len();
-        let study = StudyKind::by_cores(cores).map_err(|e| format!("corpus {name:?}: {e}"))?;
+        let study = runner::corpus_study(&corpus).map_err(|e| format!("corpus {name:?}: {e}"))?;
         let config = scale.system_config(study);
         let llc_sets = config.llc.geometry.num_sets();
-        corpus
-            .validate_geometry(llc_sets)
+        let sources = runner::corpus_sources(&corpus, llc_sets)
             .map_err(|e| format!("corpus {name:?}: {e}"))?;
         let hash = corpus_hash(&corpus).map_err(|e| format!("hashing corpus {name:?}: {e}"))?;
         let seed = corpus.meta().seed;
@@ -111,15 +105,14 @@ impl LoadedCorpus {
         // Materialize every mix once for the daemon's lifetime — the amortized decode
         // that makes serving cheap — and warm the alone-run cache so the first request
         // doesn't pay the normalization runs inside its latency budget.
-        let mut prepared = Vec::with_capacity(corpus.entries().len());
+        let mut prepared = Vec::with_capacity(sources.len());
         let mut mix_index = HashMap::new();
-        for entry in corpus.entries() {
-            let source = MixSource::replayed_with_id(corpus.path_for(entry), entry.mix_id)
-                .map_err(|e| format!("corpus {name:?} mix {}: {e}", entry.mix_id))?;
+        for source in &sources {
+            let mix_id = source.mix().id;
             let streams = source
                 .materialize_with(llc_sets, seed, replay)
-                .map_err(|e| format!("materializing corpus {name:?} mix {}: {e}", entry.mix_id))?;
-            mix_index.insert(entry.mix_id, prepared.len());
+                .map_err(|e| format!("materializing corpus {name:?} mix {mix_id}: {e}"))?;
+            mix_index.insert(mix_id, prepared.len());
             prepared.push(streams);
         }
         let mixes: Vec<workloads::WorkloadMix> = prepared.iter().map(|p| p.mix().clone()).collect();
@@ -128,7 +121,7 @@ impl LoadedCorpus {
         let header = ProgressHeader {
             corpus_hash: hash,
             llc_sets: llc_sets as u32,
-            cores: cores as u32,
+            cores: config.num_cores as u32,
             seed,
         };
         // An unwritable progress file costs resumability, not serving: degrade to

@@ -25,9 +25,12 @@ use sim_fault::{FaultKind, FaultPlan};
 use sim_obs::JsonValue;
 use sweep_serve::client;
 use sweep_serve::json::json_str;
-use sweep_serve::memo::{ProgressHeader, ProgressWriter};
+use sweep_serve::memo::{MemoStore, ProgressHeader, ProgressWriter};
+use sweep_serve::registry::LoadedCorpus;
 use sweep_serve::{Client, Server, ServerConfig, ServerHandle};
-use workloads::StudyKind;
+use trace_io::corpus::{render_manifest, MANIFEST_FILE};
+use trace_io::Corpus;
+use workloads::{StudyKind, WorkloadMix};
 
 /// A replay config whose arena budget forces every mix to stream from the mapping,
 /// so the `replay.decode` fault site sits on the request path (not only startup).
@@ -576,5 +579,44 @@ fn server_spawn_fails_typed_when_the_mapping_cannot_open() {
     assert!(
         err.contains("injected"),
         "the startup error names the injected fault: {err}"
+    );
+}
+
+/// Every corpus is sized by one rule (`experiments::runner::corpus_study`, which
+/// `repro`'s corpus experiments share): a corpus whose first mix names no study, or an
+/// empty manifest, is refused at load with an error that names the corpus.
+#[test]
+fn loading_refuses_a_corpus_that_names_no_study() {
+    let _guard = sim_fault::exclusive();
+    let dir = test_dir("chaos_no_study");
+    let three = WorkloadMix {
+        id: 0,
+        study: StudyKind::Cores4,
+        benchmarks: ["gcc", "mcf", "art"].map(String::from).to_vec(),
+    };
+    let sets = SCALE
+        .system_config(StudyKind::Cores4)
+        .llc
+        .geometry
+        .num_sets();
+    let (corpus, _) = Corpus::materialize(&dir, "three", &[three], sets, 1, 1000).unwrap();
+    let load = || {
+        let replay = ReplayConfig::default();
+        match LoadedCorpus::load("odd", &dir, SCALE, &replay, &MemoStore::new()) {
+            Ok(_) => panic!("a corpus that names no study loaded"),
+            Err(e) => e,
+        }
+    };
+    let err = load();
+    assert!(
+        err.contains("corpus \"odd\"") && err.contains("no study has 3 cores"),
+        "{err}"
+    );
+    let manifest = render_manifest(corpus.meta(), &[]);
+    std::fs::write(dir.join(MANIFEST_FILE), manifest).unwrap();
+    let err = load();
+    assert!(
+        err.contains("corpus \"odd\"") && err.contains("no mixes"),
+        "{err}"
     );
 }

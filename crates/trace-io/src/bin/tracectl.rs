@@ -3,10 +3,9 @@
 //! ```text
 //! tracectl capture --out FILE (--benchmarks A,B,.. | --study CORES [--mix-id K])
 //!                  [--accesses N] [--llc-sets N] [--seed N] [--label S]
-//!                  [--block-records N]
 //! tracectl import  --format champsim|csv (--out FILE | --corpus DIR --mix-id K)
 //!                  [--benchmarks A,B,..] [--llc-sets N] [--seed N] [--label S]
-//!                  [--limit N] [--block-records N] IN [IN..]
+//!                  [--limit N] IN [IN..]
 //! tracectl inspect FILE [--json]   print the header, directory, and compression ratio;
 //!                                  decodes nothing
 //! tracectl stats FILE [--json]     decode everything: per-core stats, where the verifying
@@ -54,10 +53,9 @@ use workloads::{generate_mixes, StudyKind};
 
 fn usage() -> &'static str {
     "usage:\n  tracectl capture --out FILE (--benchmarks A,B,.. | --study CORES [--mix-id K])\n  \
-     [--accesses N] [--llc-sets N] [--seed N] [--label S] [--block-records N]\n  \
+     [--accesses N] [--llc-sets N] [--seed N] [--label S]\n  \
      tracectl import --format champsim|csv (--out FILE | --corpus DIR --mix-id K)\n  \
-     [--benchmarks A,B,..] [--llc-sets N] [--seed N] [--label S] [--limit N]\n  \
-     [--block-records N] IN [IN..]\n  \
+     [--benchmarks A,B,..] [--llc-sets N] [--seed N] [--label S] [--limit N] IN [IN..]\n  \
      tracectl inspect FILE [--json]\n  tracectl stats FILE [--json]\n\
      global: --log-level error|warn|info|debug|trace|off (default info; REPRO_LOG)"
 }
@@ -133,11 +131,6 @@ fn parse_capture(args: &[String]) -> Result<CaptureArgs, String> {
                     .map_err(|e| format!("--seed: {e}"))?
             }
             "--label" => parsed.label = Some(value("--label")?.to_string()),
-            "--block-records" => {
-                parsed.options.records_per_block = value("--block-records")?
-                    .parse()
-                    .map_err(|e| format!("--block-records: {e}"))?
-            }
             other => return Err(format!("unknown capture flag {other:?}")),
         }
     }
@@ -244,11 +237,6 @@ fn parse_import(args: &[String]) -> Result<ImportArgs, String> {
                         .parse()
                         .map_err(|e| format!("--limit: {e}"))?,
                 )
-            }
-            "--block-records" => {
-                parsed.options.capture.records_per_block = value("--block-records")?
-                    .parse()
-                    .map_err(|e| format!("--block-records: {e}"))?
             }
             other if other.starts_with("--") => {
                 return Err(format!("unknown import flag {other:?}"))

@@ -42,8 +42,8 @@ use crate::format::{
 };
 use crate::header::TraceHeader;
 
-/// Default records per decode batch when no arena budget dictates one (512 KiB of
-/// records at 16 bytes each).
+/// Default records per decode batch when no arena budget dictates one (768 KiB of
+/// records at 24 bytes each).
 pub const DEFAULT_BATCH_RECORDS: usize = 1 << 15;
 
 /// One block of one core's stream, as located by the open-time scan.

@@ -103,7 +103,8 @@ fn constant_memory_sweep_stays_under_the_arena_cap_and_matches_the_buffered_path
     let llc_sets = cfg.llc.geometry.num_sets();
     let mixes = generate_mixes(StudyKind::Cores4, 1, scale.seed());
     let budget: u64 = 2 << 20;
-    // 4 cores x 16-byte records: ~20 MiB decoded, 10x the 2 MiB budget.
+    // 327 680 records per core x 4 cores x `size_of::<MemAccess>()` (24 B): ~30 MiB
+    // decoded, 15x the 2 MiB budget.
     let accesses_per_core = 10 * budget / (4 * 16);
 
     let dir = std::env::temp_dir().join("e2e_constant_memory_sweep");
