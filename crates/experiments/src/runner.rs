@@ -992,13 +992,11 @@ pub fn sweep_policies_on_corpus_with(
     )
 }
 
-/// The study a corpus's mixes belong to: the one its first entry's core count names. An
-/// empty corpus is an error. `repro`'s corpus experiments and `sweepd` both size their
+/// The study a corpus's mixes belong to: the one its first entry's core count names (a
+/// [`Corpus`] is never empty). `repro`'s corpus experiments and `sweepd` both size their
 /// machine by this one rule.
 pub fn corpus_study(corpus: &Corpus) -> Result<StudyKind, TraceError> {
-    let no_mixes = || TraceError::Manifest("corpus has no mixes".into());
-    let first = corpus.entries().first().ok_or_else(no_mixes)?;
-    StudyKind::by_cores(first.benchmarks.len()).map_err(TraceError::Manifest)
+    StudyKind::by_cores(corpus.entries()[0].benchmarks.len()).map_err(TraceError::Manifest)
 }
 
 /// Every mix of `corpus` as a replayed source under its manifest id, once the corpus

@@ -266,19 +266,6 @@ impl Registry {
             .cloned()
     }
 
-    /// Registry names, sorted for deterministic listings.
-    pub fn names(&self) -> Vec<String> {
-        let mut names: Vec<String> = self
-            .corpora
-            .read()
-            .unwrap_or_else(|e| e.into_inner())
-            .keys()
-            .cloned()
-            .collect();
-        names.sort_unstable();
-        names
-    }
-
     /// All loaded corpora, sorted by name.
     pub fn iter(&self) -> Vec<Arc<LoadedCorpus>> {
         let mut all: Vec<Arc<LoadedCorpus>> = self

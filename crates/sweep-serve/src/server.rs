@@ -19,12 +19,16 @@
 //! than through the scheduler. Handler and worker bodies are wrapped in
 //! `catch_unwind`: a panicking request answers 500 and never wedges a worker.
 //!
-//! # Backpressure
+//! # One cell path
 //!
-//! `/eval` uses [`FairQueue::try_push`]: a full queue answers `429 Too Many Requests`
-//! with `Retry-After`, making overload explicit instead of queueing unboundedly.
-//! `/sweep` — a bulk producer by design — uses [`FairQueue::push_blocking`] so grids
-//! larger than the queue drain through it, still bounded by the push timeout.
+//! `/eval` and `/sweep` parse their bodies into a list of `(policy, mix)` cells of one
+//! corpus and hand it to `answer_cells`: memo probe, enqueue of every miss, and one
+//! awaited reply per enqueued cell. They differ only in how a miss is enqueued and in
+//! the body they wrap the cells in. `/eval` uses [`FairQueue::try_push`]: a full queue
+//! answers `429 Too Many Requests` with `Retry-After`, making overload explicit instead
+//! of queueing unboundedly. `/sweep` — a bulk producer by design — uses
+//! [`FairQueue::push_blocking`] so grids larger than the queue drain through it, still
+//! bounded by the push timeout.
 
 use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -289,14 +293,16 @@ fn connection_loop(shared: &Arc<Shared>, stream: TcpStream) {
                     // failure, never silently wrong bytes.
                     return;
                 }
-                let headers: Vec<(&str, String)> =
-                    resp.headers.iter().map(|(n, v)| (*n, v.clone())).collect();
-                if write_response(&mut writer, resp.status, &headers, &resp.body, req.close)
-                    .is_err()
-                {
+                let Response {
+                    status,
+                    headers,
+                    body,
+                    shutdown,
+                } = resp;
+                if write_response(&mut writer, status, &headers, &body, req.close).is_err() {
                     return;
                 }
-                if resp.shutdown {
+                if shutdown {
                     initiate_shutdown(shared);
                     return;
                 }
@@ -407,14 +413,14 @@ impl Response {
 }
 
 fn route(shared: &Arc<Shared>, req: &crate::http::Request) -> Response {
-    let client = req.header("x-client").unwrap_or("anon").to_string();
+    let client = req.header("x-client").unwrap_or("anon");
     match (req.method.as_str(), req.path.as_str()) {
         ("GET", "/healthz") => Response::ok("{\"status\":\"ok\"}".to_string()),
         ("GET", "/stats") => Response::ok(stats_body(shared)),
         ("GET", "/corpora") => Response::ok(corpora_body(shared)),
-        ("POST", "/eval") => eval_endpoint(shared, &client, &req.body),
-        ("POST", "/sweep") => sweep_endpoint(shared, &client, &req.body),
-        ("POST", "/revalidate") => revalidate_endpoint(shared, &req.body),
+        ("POST", "/eval") => eval_endpoint(shared, client, &req.body).unwrap_or_else(|e| e),
+        ("POST", "/sweep") => sweep_endpoint(shared, client, &req.body).unwrap_or_else(|e| e),
+        ("POST", "/revalidate") => revalidate_endpoint(shared, &req.body).unwrap_or_else(|e| e),
         ("POST", "/shutdown") => Response {
             status: 200,
             headers: Vec::new(),
@@ -444,41 +450,40 @@ fn quarantined_response(name: &str, reason: &str) -> Response {
     }
 }
 
-/// Parse and validate the common `(corpus, policy, mix_id)` request triple.
-fn parse_cell(
-    shared: &Shared,
-    body: &JsonValue,
-) -> Result<(Arc<LoadedCorpus>, PolicyKind), Response> {
-    let corpus_name = body
-        .get("corpus")
+fn string_field<'a>(body: &'a JsonValue, name: &str) -> Result<&'a str, Response> {
+    body.get(name)
         .and_then(JsonValue::as_str)
-        .ok_or_else(|| Response::error(400, "missing string field \"corpus\""))?;
-    let corpus = shared
-        .registry
-        .get(corpus_name)
-        .ok_or_else(|| Response::error(404, &format!("no corpus named {corpus_name:?}")))?;
-    if let Some(reason) = shared.registry.quarantine_reason(corpus_name) {
-        return Err(quarantined_response(corpus_name, &reason));
-    }
-    let policy_label = body
-        .get("policy")
-        .and_then(JsonValue::as_str)
-        .ok_or_else(|| Response::error(400, "missing string field \"policy\""))?;
-    let policy = PolicyKind::parse(policy_label)
-        .ok_or_else(|| Response::error(400, &format!("unknown policy {policy_label:?}")))?;
-    Ok((corpus, policy))
+        .ok_or_else(|| Response::error(400, &format!("missing string field {name:?}")))
 }
 
-fn parse_mix_id(body: &JsonValue, corpus: &LoadedCorpus) -> Result<usize, Response> {
-    let raw = body
-        .get("mix_id")
-        .and_then(JsonValue::as_number)
-        .ok_or_else(|| Response::error(400, "missing numeric field \"mix_id\""))?;
+/// The corpus a request body names in `"corpus"`, quarantined or not.
+fn find_corpus(shared: &Shared, body: &JsonValue) -> Result<Arc<LoadedCorpus>, Response> {
+    let name = string_field(body, "corpus")?;
+    shared
+        .registry
+        .get(name)
+        .ok_or_else(|| Response::error(404, &format!("no corpus named {name:?}")))
+}
+
+/// [`find_corpus`], refused with the typed 503 while the corpus is quarantined.
+fn serving_corpus(shared: &Shared, body: &JsonValue) -> Result<Arc<LoadedCorpus>, Response> {
+    let corpus = find_corpus(shared, body)?;
+    match shared.registry.quarantine_reason(&corpus.name) {
+        Some(reason) => Err(quarantined_response(&corpus.name, &reason)),
+        None => Ok(corpus),
+    }
+}
+
+fn parse_policy(label: &str) -> Result<PolicyKind, Response> {
+    PolicyKind::parse(label)
+        .ok_or_else(|| Response::error(400, &format!("unknown policy {label:?}")))
+}
+
+/// `raw` as a mix id of `corpus`: a 400 with `malformed` unless it is a non-negative
+/// integer, a 404 unless the corpus holds that mix.
+fn parse_mix_id(corpus: &LoadedCorpus, raw: f64, malformed: &str) -> Result<usize, Response> {
     if raw < 0.0 || raw.fract() != 0.0 {
-        return Err(Response::error(
-            400,
-            "\"mix_id\" must be a non-negative integer",
-        ));
+        return Err(Response::error(400, malformed));
     }
     let mix_id = raw as usize;
     if corpus.prepared(mix_id).is_none() {
@@ -496,215 +501,167 @@ fn parse_json_body(body: &[u8]) -> Result<JsonValue, Response> {
     JsonValue::parse(text).map_err(|e| Response::error(400, &format!("malformed JSON body: {e}")))
 }
 
+/// Answer `cells` of `corpus` in order. A memo hit is answered in place; a miss becomes
+/// a [`Job`] handed to `push`, and a full queue answers 429 with `full` (and
+/// `Retry-After`), a closed one 503. Every enqueued cell's reply is then awaited once.
+/// Returns the bodies in cell order and how many were memo hits.
+fn answer_cells(
+    shared: &Shared,
+    corpus: &Arc<LoadedCorpus>,
+    cells: &[(PolicyKind, usize)],
+    full: &str,
+    mut push: impl FnMut(Job) -> Result<(), PushError>,
+) -> Result<(Vec<Arc<String>>, u64), Response> {
+    enum Slot {
+        Hit(Arc<String>),
+        Pending(mpsc::Receiver<WorkerReply>),
+    }
+    // Probing counts: each cell is one observed request.
+    let mut slots = Vec::with_capacity(cells.len());
+    let mut hits = 0u64;
+    for &(policy, mix_id) in cells {
+        let key = corpus.memo_key(&policy.label(), mix_id);
+        if let Some(hit) = shared.memo.lookup(&key) {
+            hits += 1;
+            slots.push(Slot::Hit(hit));
+            continue;
+        }
+        let (reply, rx) = mpsc::channel();
+        let job = Job {
+            corpus: corpus.clone(),
+            policy,
+            key,
+            reply,
+        };
+        match push(job) {
+            Ok(()) => slots.push(Slot::Pending(rx)),
+            Err(PushError::Full) => {
+                return Err(Response::error(429, full).with_header("Retry-After", "1".to_string()))
+            }
+            Err(PushError::Closed) => return Err(Response::error(503, "server is shutting down")),
+        }
+    }
+    let bodies = slots
+        .into_iter()
+        .map(|slot| match slot {
+            Slot::Hit(json) => Ok(json),
+            Slot::Pending(rx) => match rx.recv_timeout(REPLY_TIMEOUT) {
+                Ok(WorkerReply::Done(json)) => Ok(json),
+                Ok(WorkerReply::Panicked) => Err(Response::error(500, "evaluation panicked")),
+                Ok(WorkerReply::Faulted(reason)) => {
+                    Err(quarantined_response(&corpus.name, &reason))
+                }
+                Err(_) => Err(Response::error(503, "server is shutting down")),
+            },
+        })
+        .collect::<Result<_, _>>()?;
+    Ok((bodies, hits))
+}
+
 /// `POST /eval` — one `(corpus, policy, mix)` cell. Memo hits answer immediately
 /// (`X-Memo: hit`); misses enqueue fail-fast and answer 429 under backpressure.
-fn eval_endpoint(shared: &Arc<Shared>, client: &str, raw_body: &[u8]) -> Response {
-    let body = match parse_json_body(raw_body) {
-        Ok(v) => v,
-        Err(resp) => return resp,
-    };
-    let (corpus, policy) = match parse_cell(shared, &body) {
-        Ok(v) => v,
-        Err(resp) => return resp,
-    };
-    let mix_id = match parse_mix_id(&body, &corpus) {
-        Ok(v) => v,
-        Err(resp) => return resp,
-    };
-    let key = corpus.memo_key(&policy.label(), mix_id);
-    if let Some(hit) = shared.memo.lookup(&key) {
-        return Response::ok(hit.as_str().to_string()).with_header("X-Memo", "hit".to_string());
-    }
-    let (tx, rx) = mpsc::channel();
-    let job = Job {
-        corpus: corpus.clone(),
-        policy,
-        key,
-        reply: tx,
-    };
-    match shared.queue.try_push(client, job) {
-        Ok(()) => {}
-        Err(PushError::Full) => {
-            return Response::error(429, "evaluation queue is full")
-                .with_header("Retry-After", "1".to_string())
-        }
-        Err(PushError::Closed) => return Response::error(503, "server is shutting down"),
-    }
-    match rx.recv_timeout(REPLY_TIMEOUT) {
-        Ok(WorkerReply::Done(json)) => {
-            Response::ok(json.as_str().to_string()).with_header("X-Memo", "miss".to_string())
-        }
-        Ok(WorkerReply::Panicked) => Response::error(500, "evaluation panicked"),
-        Ok(WorkerReply::Faulted(reason)) => quarantined_response(&corpus.name, &reason),
-        Err(_) => Response::error(503, "server is shutting down"),
-    }
+fn eval_endpoint(shared: &Shared, client: &str, raw_body: &[u8]) -> Result<Response, Response> {
+    let body = parse_json_body(raw_body)?;
+    let corpus = serving_corpus(shared, &body)?;
+    let policy = parse_policy(string_field(&body, "policy")?)?;
+    let raw = body
+        .get("mix_id")
+        .and_then(JsonValue::as_number)
+        .ok_or_else(|| Response::error(400, "missing numeric field \"mix_id\""))?;
+    let mix_id = parse_mix_id(&corpus, raw, "\"mix_id\" must be a non-negative integer")?;
+    let push = |job| shared.queue.try_push(client, job);
+    let (bodies, hits) = answer_cells(
+        shared,
+        &corpus,
+        &[(policy, mix_id)],
+        "evaluation queue is full",
+        push,
+    )?;
+    let memo = if hits == 1 { "hit" } else { "miss" };
+    Ok(Response::ok(bodies[0].as_str().to_string()).with_header("X-Memo", memo.to_string()))
 }
 
 /// `POST /sweep` — a full `(policies × mixes)` grid over one corpus, in the exact
-/// `(mix outer, policy inner)` order `repro sweep` evaluates. Memo hits are served
-/// in place; misses drain through the bounded queue (blocking push). The response's
-/// `results` array concatenates the canonical per-cell JSON bodies, so each element
-/// is byte-identical to the corresponding `/eval` response.
-fn sweep_endpoint(shared: &Arc<Shared>, client: &str, raw_body: &[u8]) -> Response {
-    let body = match parse_json_body(raw_body) {
-        Ok(v) => v,
-        Err(resp) => return resp,
-    };
-    let corpus_name = match body.get("corpus").and_then(JsonValue::as_str) {
-        Some(name) => name,
-        None => return Response::error(400, "missing string field \"corpus\""),
-    };
-    let Some(corpus) = shared.registry.get(corpus_name) else {
-        return Response::error(404, &format!("no corpus named {corpus_name:?}"));
-    };
-    if let Some(reason) = shared.registry.quarantine_reason(corpus_name) {
-        return quarantined_response(corpus_name, &reason);
-    }
+/// `(mix outer, policy inner)` order `repro sweep` evaluates. Misses drain through the
+/// bounded queue (blocking push). The response's `results` array concatenates the
+/// canonical per-cell JSON bodies, so each element is byte-identical to the
+/// corresponding `/eval` response.
+fn sweep_endpoint(shared: &Shared, client: &str, raw_body: &[u8]) -> Result<Response, Response> {
+    let body = parse_json_body(raw_body)?;
+    let corpus = serving_corpus(shared, &body)?;
     // Default lineup = `repro sweep`'s: TA-DRRIP plus the Figure 3 legend.
     let policies: Vec<PolicyKind> = match body.get("policies") {
-        None => {
-            let mut p = vec![PolicyKind::TaDrrip];
-            p.extend(PolicyKind::figure3_lineup());
-            p
-        }
+        None => std::iter::once(PolicyKind::TaDrrip)
+            .chain(PolicyKind::figure3_lineup())
+            .collect(),
         Some(v) => {
-            let Some(items) = v.as_array() else {
-                return Response::error(400, "\"policies\" must be an array of labels");
-            };
-            let mut out = Vec::with_capacity(items.len());
-            for item in items {
-                let Some(label) = item.as_str() else {
-                    return Response::error(400, "\"policies\" must be an array of labels");
-                };
-                let Some(kind) = PolicyKind::parse(label) else {
-                    return Response::error(400, &format!("unknown policy {label:?}"));
-                };
-                out.push(kind);
-            }
-            out
+            let not_labels = || Response::error(400, "\"policies\" must be an array of labels");
+            let items = v.as_array().ok_or_else(not_labels)?;
+            items
+                .iter()
+                .map(|item| parse_policy(item.as_str().ok_or_else(not_labels)?))
+                .collect::<Result<_, _>>()?
         }
     };
     let mix_ids: Vec<usize> = match body.get("mix_ids") {
         None => corpus.mix_ids(),
         Some(v) => {
-            let Some(items) = v.as_array() else {
-                return Response::error(400, "\"mix_ids\" must be an array of integers");
-            };
-            let mut out = Vec::with_capacity(items.len());
-            for item in items {
-                let Some(raw) = item.as_number() else {
-                    return Response::error(400, "\"mix_ids\" must be an array of integers");
-                };
-                if raw < 0.0 || raw.fract() != 0.0 {
-                    return Response::error(400, "\"mix_ids\" must be an array of integers");
-                }
-                let mix_id = raw as usize;
-                if corpus.prepared(mix_id).is_none() {
-                    return Response::error(
-                        404,
-                        &format!("corpus {corpus_name:?} has no mix {mix_id}"),
-                    );
-                }
-                out.push(mix_id);
-            }
-            out
+            let not_integers = "\"mix_ids\" must be an array of integers";
+            let items = v
+                .as_array()
+                .ok_or_else(|| Response::error(400, not_integers))?;
+            items
+                .iter()
+                .map(|item| {
+                    let raw = item
+                        .as_number()
+                        .ok_or_else(|| Response::error(400, not_integers))?;
+                    parse_mix_id(&corpus, raw, not_integers)
+                })
+                .collect::<Result<_, _>>()?
         }
     };
     if policies.is_empty() || mix_ids.is_empty() {
-        return Response::error(400, "sweep grid is empty");
+        return Err(Response::error(400, "sweep grid is empty"));
     }
-
-    // First pass: probe the memo (counting — each cell is one observed request),
-    // enqueue every miss. Cells stay in (mix, policy) order throughout.
-    enum Slot {
-        Hit(Arc<String>),
-        Pending(mpsc::Receiver<WorkerReply>),
-    }
-    let mut slots = Vec::with_capacity(mix_ids.len() * policies.len());
-    let mut hits = 0u64;
-    for &mix_id in &mix_ids {
-        for &policy in &policies {
-            let key = corpus.memo_key(&policy.label(), mix_id);
-            if let Some(hit) = shared.memo.lookup(&key) {
-                hits += 1;
-                slots.push(Slot::Hit(hit));
-                continue;
-            }
-            let (tx, rx) = mpsc::channel();
-            let job = Job {
-                corpus: corpus.clone(),
-                policy,
-                key,
-                reply: tx,
-            };
-            match shared
-                .queue
-                .push_blocking(client, job, shared.sweep_push_timeout)
-            {
-                Ok(()) => slots.push(Slot::Pending(rx)),
-                Err(PushError::Full) => {
-                    return Response::error(429, "evaluation queue is saturated")
-                        .with_header("Retry-After", "1".to_string())
-                }
-                Err(PushError::Closed) => return Response::error(503, "server is shutting down"),
-            }
-        }
-    }
-
-    // Second pass: collect, preserving order.
-    let mut results = Vec::with_capacity(slots.len());
-    for slot in slots {
-        match slot {
-            Slot::Hit(json) => results.push(json),
-            Slot::Pending(rx) => match rx.recv_timeout(REPLY_TIMEOUT) {
-                Ok(WorkerReply::Done(json)) => results.push(json),
-                Ok(WorkerReply::Panicked) => return Response::error(500, "evaluation panicked"),
-                Ok(WorkerReply::Faulted(reason)) => {
-                    return quarantined_response(corpus_name, &reason)
-                }
-                Err(_) => return Response::error(503, "server is shutting down"),
-            },
-        }
-    }
-
-    let mut out = String::with_capacity(64 + results.iter().map(|r| r.len() + 1).sum::<usize>());
-    out.push_str(&format!(
-        "{{\"corpus\":{},\"cells\":{},\"results\":[",
-        json_str(corpus_name),
-        results.len()
-    ));
-    for (i, cell) in results.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(cell);
-    }
-    out.push_str("]}");
-    Response::ok(out).with_header("X-Memo-Hits", hits.to_string())
+    let cells: Vec<(PolicyKind, usize)> = mix_ids
+        .iter()
+        .flat_map(|&mix_id| policies.iter().map(move |&policy| (policy, mix_id)))
+        .collect();
+    let timeout = shared.sweep_push_timeout;
+    let push = |job| shared.queue.push_blocking(client, job, timeout);
+    let (results, hits) = answer_cells(
+        shared,
+        &corpus,
+        &cells,
+        "evaluation queue is saturated",
+        push,
+    )?;
+    let results: Vec<&str> = results.iter().map(|r| r.as_str()).collect();
+    Ok(Response::ok(format!(
+        "{{\"corpus\":{},\"cells\":{},\"results\":[{}]}}",
+        json_str(&corpus.name),
+        results.len(),
+        results.join(",")
+    ))
+    .with_header("X-Memo-Hits", hits.to_string()))
 }
 
 /// `POST /revalidate` — reload a (typically quarantined) corpus from disk and
 /// readmit it without a restart. Answers 200 with the number of progress cells
 /// recovered, or the typed quarantine 503 if the reload failed (the corpus stays
 /// out of service with the fresh reason).
-fn revalidate_endpoint(shared: &Arc<Shared>, raw_body: &[u8]) -> Response {
-    let body = match parse_json_body(raw_body) {
-        Ok(v) => v,
-        Err(resp) => return resp,
-    };
-    let Some(name) = body.get("corpus").and_then(JsonValue::as_str) else {
-        return Response::error(400, "missing string field \"corpus\"");
-    };
-    if shared.registry.get(name).is_none() {
-        return Response::error(404, &format!("no corpus named {name:?}"));
-    }
-    match shared.registry.revalidate(name, &shared.memo) {
-        Ok(recovered) => Response::ok(format!(
-            "{{\"status\":\"readmitted\",\"corpus\":{},\"recovered\":{recovered}}}",
-            json_str(name)
-        )),
-        Err(reason) => quarantined_response(name, &reason),
-    }
+fn revalidate_endpoint(shared: &Shared, raw_body: &[u8]) -> Result<Response, Response> {
+    let body = parse_json_body(raw_body)?;
+    let name = &find_corpus(shared, &body)?.name;
+    let recovered = shared
+        .registry
+        .revalidate(name, &shared.memo)
+        .map_err(|reason| quarantined_response(name, &reason))?;
+    Ok(Response::ok(format!(
+        "{{\"status\":\"readmitted\",\"corpus\":{},\"recovered\":{recovered}}}",
+        json_str(name)
+    )))
 }
 
 fn stats_body(shared: &Shared) -> String {

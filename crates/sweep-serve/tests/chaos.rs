@@ -133,10 +133,14 @@ fn replay_corruption_quarantines_and_revalidate_readmits() {
     );
     assert!(is_quarantined_body(&resp.body), "typed body: {}", resp.body);
 
-    // Follow-up requests refuse fast at the routing layer — no repeated panics.
+    // Follow-up requests refuse fast at the routing layer — no repeated panics — and
+    // `/sweep` refuses the quarantined corpus with the same bytes as `/eval`.
     let resp = client::post(addr, "/eval", &body, None).expect("eval roundtrip");
     assert_eq!(resp.status, 503);
     assert!(is_quarantined_body(&resp.body));
+    let sweep = client::post(addr, "/sweep", "{\"corpus\":\"c\"}", None).expect("sweep roundtrip");
+    assert_eq!(sweep.status, 503, "quarantined sweep: {}", sweep.body);
+    assert_eq!(sweep.body, resp.body, "/sweep and /eval refuse alike");
 
     // The daemon is alive and flags the quarantine in /stats.
     let stats = client::get(addr, "/stats").expect("stats");

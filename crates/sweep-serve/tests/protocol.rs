@@ -241,6 +241,54 @@ fn hostile_payloads_get_clean_errors_and_never_wedge_the_daemon() {
     handle.stop();
 }
 
+/// `/eval` and `/sweep` answer cells through one path: the same bad cell is refused
+/// with the same status and bytes on both, and a cell `/eval` computed is a memo hit
+/// for `/sweep`, byte for byte.
+#[test]
+fn eval_and_sweep_refuse_alike_and_share_the_memo() {
+    let dir = common::test_dir("protocol_one_path");
+    common::materialize_corpus(&dir, "one-path corpus", 1);
+    let handle = common::spawn_server(vec![("c".to_string(), dir)], 1);
+    let addr = handle.addr();
+    let eval = |corpus: &str, policy: &str, mix_id: usize| {
+        let body =
+            format!("{{\"corpus\":\"{corpus}\",\"policy\":\"{policy}\",\"mix_id\":{mix_id}}}");
+        client::post(addr, "/eval", &body, None).expect("/eval roundtrip")
+    };
+    let sweep = |corpus: &str, policy: &str, mix_id: usize| {
+        let body = format!(
+            "{{\"corpus\":\"{corpus}\",\"policies\":[\"{policy}\"],\"mix_ids\":[{mix_id}]}}"
+        );
+        client::post(addr, "/sweep", &body, None).expect("/sweep roundtrip")
+    };
+
+    for (name, corpus, policy, mix_id, status) in [
+        ("unknown corpus", "ghost", "LRU", 0, 404),
+        ("unknown policy", "c", "MAGIC", 0, 400),
+        ("absent mix id", "c", "LRU", 99, 404),
+    ] {
+        let (e, s) = (eval(corpus, policy, mix_id), sweep(corpus, policy, mix_id));
+        assert_eq!(e.status, status, "{name}: /eval answered {}", e.body);
+        assert_eq!(s.status, status, "{name}: /sweep answered {}", s.body);
+        assert_eq!(e.body, s.body, "{name}: the error bodies differ");
+    }
+
+    let cold = eval("c", "LRU", 0);
+    assert_eq!(cold.status, 200, "cold /eval: {}", cold.body);
+    assert_eq!(cold.header("x-memo"), Some("miss"));
+    let grid = sweep("c", "LRU", 0);
+    assert_eq!(grid.status, 200, "one-cell /sweep: {}", grid.body);
+    assert_eq!(grid.header("x-memo-hits"), Some("1"));
+    assert_eq!(
+        grid.body,
+        format!(
+            "{{\"corpus\":\"c\",\"cells\":1,\"results\":[{}]}}",
+            cold.body
+        )
+    );
+    handle.stop();
+}
+
 #[test]
 fn keep_alive_connections_survive_many_requests_and_pipeline_cleanly() {
     let dir = common::test_dir("protocol_keepalive");

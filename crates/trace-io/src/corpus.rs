@@ -67,6 +67,9 @@ pub struct CorpusEntry {
 }
 
 /// A directory of `.atrc` trace files described by a [`CorpusMeta`] manifest.
+///
+/// A `Corpus` is never empty: both constructors, [`materialize`](Corpus::materialize)
+/// and [`load`](Corpus::load), refuse a corpus without mixes, and the fields are private.
 #[derive(Debug, Clone)]
 pub struct Corpus {
     dir: PathBuf,
@@ -186,7 +189,7 @@ impl Corpus {
         &self.meta
     }
 
-    /// Captured mixes, in sweep order.
+    /// Captured mixes, in sweep order; never empty.
     pub fn entries(&self) -> &[CorpusEntry] {
         &self.entries
     }
