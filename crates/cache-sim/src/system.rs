@@ -22,9 +22,10 @@
 //!   leaf-to-root path (log₂ cores compares), and ties go to the lower core id, so the
 //!   pop order is exactly the oracle's min-scan `(cycle, core id)` order at every core
 //!   count.
-//! * **Apply the gap.** After a core's in-order step the driver fetches that core's
-//!   next event and retires its gap on the spot, so the core's key is the start cycle of
-//!   the event's in-order record, which waits in the core node for its turn. The stage
+//! * **Apply the gap.** A core's clock stands at its last in-order record. After a
+//!   core's in-order step the driver moves its cursor to the next event and keys the core
+//!   by the start cycle of that event's in-order record: the clock plus the gap. When the
+//!   core's turn comes, its step retires the gap, then runs the in-order record. The stage
 //!   ends a gap at the first record that (a) reaches the LLC or the DRAM — a demand that
 //!   misses the L2, a prefetch that does, a write-back that leaves it — whose
 //!   `now`-ordered interleaving must not change; (b) takes an unfinished core to its
@@ -43,9 +44,9 @@
 //! it (`crate::private`, "The memo").
 //!
 //! Interval sampling, while `sim_obs` records, reads *every* core at each LLC interval
-//! rollover. It reads each as of its last in-order record: a core that has already
-//! fetched its next event has retired that event's gap, which the sample subtracts. So
-//! a profiled run is the run that ships, and its samples are a pure function of it.
+//! rollover. Every core's clock and counters stand at its last in-order record, so the
+//! sample reads them as they are, like the snapshot at the target. So a profiled run is
+//! the run that ships, and its samples are a pure function of it.
 //!
 //! Every core reads its events through a cursor: over a stage shared with other systems
 //! ([`MultiCoreSystem::with_stages`]: a sweep's policies simulate a mix's private
@@ -99,9 +100,6 @@ struct CoreNode {
     cursor: StageCursor,
     /// What each of a gap's L2 hits stalls the core ([`StageParams::l2_hit_stall`]).
     l2_hit_stall: u64,
-    /// The cursor stands at an event fetched after the previous in-order step: its gap is
-    /// retired and its in-order record waits for the core's turn.
-    fetched: bool,
     dram_reads: u64,
     snapshot: Option<CoreStats>,
 }
@@ -113,36 +111,19 @@ impl CoreNode {
             model: CoreModel::default(),
             l2_hit_stall: cursor.params().l2_hit_stall(),
             cursor: cursor.read_ahead(),
-            fetched: false,
             dram_reads: 0,
             snapshot: None,
         }
     }
 
-    /// Fetch the next event and retire its gap: the clock then stands at the start of
-    /// the event's in-order record.
+    /// The cycle the in-order record of the event the cursor stands at starts: the clock
+    /// plus the event's gap, which its in-order step retires first.
     #[inline]
-    fn fetch(&mut self) {
-        let event = self.cursor.next_event();
-        self.model.retire_gap(
-            u64::from(event.gap_instructions),
-            u64::from(event.gap_compute_cycles),
-            event.gap_stall_cycles(self.l2_hit_stall),
-        );
-    }
-
-    /// Instructions retired and the clock as of the last in-order record: without the
-    /// gap of an event fetched since.
-    fn in_order(&self) -> (u64, u64) {
-        let (instructions, cycle) = (self.model.instructions, self.model.cycle);
-        if !self.fetched {
-            return (instructions, cycle);
-        }
-        let gap = self.cursor.event();
-        (
-            instructions - u64::from(gap.gap_instructions),
-            cycle - u64::from(gap.gap_compute_cycles) - gap.gap_stall_cycles(self.l2_hit_stall),
-        )
+    fn start_cycle(&self) -> u64 {
+        let event = self.cursor.event();
+        self.model.cycle
+            + u64::from(event.gap_compute_cycles)
+            + event.gap_stall_cycles(self.l2_hit_stall)
     }
 }
 
@@ -243,15 +224,17 @@ impl<P: LlcReplacementPolicy> MultiCoreSystem<P> {
         );
         // A run occupies a hardware thread: the read-ahead thread counts the runs.
         let _running = Running::enter();
-        for core in &self.cores {
+        let n = self.cores.len();
+        let mut sched = WinnerTree::new(n);
+        for (core_id, core) in self.cores.iter_mut().enumerate() {
             assert_eq!(
                 core.cursor.params().instruction_target,
                 instructions_per_core,
                 "the private stage was built for another instruction target"
             );
+            core.cursor.next_event();
+            sched.update(core_id, core.start_cycle());
         }
-        let n = self.cores.len();
-        let mut sched = WinnerTree::new(n);
         let mut remaining = n;
         // Opt-in per-interval sampling, keyed off the LLC's existing interval rollover
         // (`intervals_completed`) so it only ever *reads* statistics the simulation
@@ -274,9 +257,6 @@ impl<P: LlcReplacementPolicy> MultiCoreSystem<P> {
                 ..
             } = self;
             let core = &mut cores[core_id];
-            if !std::mem::take(&mut core.fetched) {
-                core.fetch();
-            }
             let event = step_in_order(config, core, llc, dram, core_id);
             let (reaches_target, frozen) = (event.reaches_target(), event.frozen());
             if reaches_target {
@@ -290,20 +270,15 @@ impl<P: LlcReplacementPolicy> MultiCoreSystem<P> {
             // every unfinished core. Its stage ends the stream with a frozen event;
             // retire the core from scheduling — its remaining "contribution" would be
             // infinitely many accesses on one frozen cycle.
-            let key = if frozen {
-                u64::MAX
-            } else {
-                // Fetch now, so the key is the start of the next in-order record.
+            if frozen {
+                sched.update(core_id, u64::MAX);
+            } else if remaining > 0 {
+                // Move on to the next event, keyed by the start of its in-order record.
                 // Nothing is fetched after the last snapshot: the results come from
-                // snapshots, and a fetch would only move this core's clock
-                // (`crate::private`, rule (b)).
-                if remaining > 0 {
-                    core.fetch();
-                    core.fetched = true;
-                }
-                core.model.cycle
-            };
-            sched.update(core_id, key);
+                // snapshots, and the run ends here (`crate::private`, rule (b)).
+                core.cursor.next_event();
+                sched.update(core_id, core.start_cycle());
+            }
             if let Some(sampler) = sampler.as_mut() {
                 sampler.observe(&self.cores, &self.llc);
             }
@@ -407,7 +382,7 @@ impl IntervalSampler {
 
         let occupancy = llc.occupancy_by_core();
         for (i, core) in cores.iter().enumerate() {
-            let (instructions, cycles) = core.in_order();
+            let (instructions, cycles) = (core.model.instructions, core.model.cycle);
             let misses = llc.core_stats(i).demand_misses;
             let d_instr = instructions.saturating_sub(self.prev_instructions[i]);
             let d_cycles = cycles.saturating_sub(self.prev_cycles[i]);
@@ -506,9 +481,9 @@ fn snapshot_core<P: LlcReplacementPolicy>(
     }
 }
 
-/// Execute the in-order record of the event `core_id`'s cursor stands at, at the core's
-/// current cycle: the shared side of the record, from the event alone and in the order
-/// `crate::private` fixes, then the core's clock. Returns the event.
+/// Execute the event `core_id`'s cursor stands at: retire its gap, then run its in-order
+/// record at the cycle the gap ends on — the shared side of the record, from the event
+/// alone and in the order `crate::private` fixes, then the core's clock. Returns the event.
 ///
 /// The node, LLC and DRAM are borrowed once (disjoint fields) and threaded through, so
 /// the hot path carries no repeated `cores[core_id]` bounds-checked indexing.
@@ -521,6 +496,11 @@ fn step_in_order<'a, P: LlcReplacementPolicy>(
     core_id: usize,
 ) -> &'a Event {
     let (event, writebacks) = (core.cursor.event(), core.cursor.writebacks());
+    core.model.retire_gap(
+        u64::from(event.gap_instructions),
+        u64::from(event.gap_compute_cycles),
+        event.gap_stall_cycles(core.l2_hit_stall),
+    );
     let non_mem = u64::from(event.non_mem_instrs);
     if event.l1_hit() {
         core.model.advance(non_mem, 0);

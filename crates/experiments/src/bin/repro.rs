@@ -60,6 +60,7 @@ use experiments::experiment::{self, find, registry, Experiment, Mixes, Sources, 
 use experiments::report::render;
 use experiments::runner::{synthetic_capture_budget, ReplayConfig};
 use experiments::{ExperimentScale, MemSystem};
+use sim_obs::log::{take_level_flag, LevelFlagError};
 use trace_io::Corpus;
 use workloads::{generate_mixes, StudyKind};
 
@@ -115,13 +116,6 @@ fn flags_read_by(command: &str) -> &'static [&'static str] {
         name if find(name).is_some_and(|e| e.policies.is_empty()) => &[],
         _ => &["--mixes"],
     }
-}
-
-/// The study `flag`'s operand names by its core count.
-fn parse_study(flag: &str, cores: &str) -> Result<StudyKind, String> {
-    let parsed = cores.trim().parse::<usize>();
-    let cores = parsed.map_err(|e| format!("{flag}: {cores:?}: {e}"))?;
-    StudyKind::by_cores(cores).map_err(|e| format!("{flag}: {e}"))
 }
 
 /// Run an experiment on generated mixes and print its tables.
@@ -291,28 +285,13 @@ fn main() -> ExitCode {
         };
         profile = Some(dir);
     }
-    // Default to `info` so the progress lines stay; an explicit --log-level wins over
-    // REPRO_LOG, which wins over the default (left to the library's lazy init).
-    let mut log_setting = Some(Some(sim_obs::Level::Info));
-    if let Some(pos) = args.iter().position(|a| a == "--log-level") {
-        if pos + 1 >= args.len() {
-            eprintln!("--log-level needs a value\n{}", usage());
-            return ExitCode::FAILURE;
+    // Default to `info` so the progress lines stay.
+    if let Err(e) = take_level_flag(&mut args, sim_obs::Level::Info) {
+        match e {
+            LevelFlagError::MissingValue => eprintln!("{e}\n{}", usage()),
+            LevelFlagError::Unknown(_) => eprintln!("{e}"),
         }
-        let value = args.remove(pos + 1);
-        args.remove(pos);
-        match sim_obs::Level::parse(&value) {
-            Some(setting) => log_setting = Some(setting),
-            None => {
-                eprintln!("--log-level: unknown level {value:?}");
-                return ExitCode::FAILURE;
-            }
-        }
-    } else if env::var_os("REPRO_LOG").is_some() {
-        log_setting = None;
-    }
-    if let Some(setting) = log_setting {
-        sim_obs::set_log_level(setting);
+        return ExitCode::FAILURE;
     }
     let mut scale = ExperimentScale::Scaled;
     let mut experiment = None;
@@ -350,11 +329,10 @@ fn main() -> ExitCode {
                 Ok(())
             }
             "--dir" => value("--dir").map(|v| dir = Some(PathBuf::from(v))),
-            "--study" => {
-                value("--study").and_then(|v| parse_study("--study", v).map(|s| study = s))
-            }
+            "--study" => value("--study")
+                .and_then(|v| StudyKind::parse_operand("--study", v).map(|s| study = s)),
             "--cores" => value("--cores").and_then(|v| {
-                let studies = v.split(',').map(|c| parse_study("--cores", c));
+                let studies = v.split(',').map(|c| StudyKind::parse_operand("--cores", c));
                 studies
                     .collect::<Result<_, _>>()
                     .map(|c| cores_list = Some(c))

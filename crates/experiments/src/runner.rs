@@ -26,8 +26,8 @@
 //!
 //! Workloads come from two provenances, unified by [`MixSource`]: live synthetic
 //! generators ([`MixSource::synthetic`]) and captured binary traces replayed from disk
-//! ([`MixSource::replayed_with_id`], backed by `trace-io`);
-//! [`sweep_policies_on_corpus_with`] sweeps a whole materialized [`Corpus`]. Every
+//! ([`MixSource::replayed_with_id`], backed by `trace-io`); [`corpus_sources`] opens a
+//! whole materialized [`Corpus`] as such sources. Every
 //! evaluation reaches the simulator one way only — [`MixSource::materialize_with`]
 //! prepares the mix once (a replayed mix's stages stream it from the mapping in batches
 //! under [`ReplayConfig`], the one replay knob), and [`evaluate_prepared`] (or
@@ -966,32 +966,6 @@ pub(crate) fn sweep_grid(
     })
 }
 
-/// Sweep every policy over a materialized [`Corpus`]: validate the corpus geometry
-/// against `config`, open each entry as a replayed mix (preserving manifest mix ids),
-/// and run [`sweep_policies_on_sources_with`] under `replay`.
-///
-/// The seed is taken from the corpus manifest, not from the caller: the alone-run
-/// normalization must run the *same* generators the corpus was captured from, so a
-/// caller-supplied seed could silently normalize every result against the wrong alone
-/// IPCs.
-pub fn sweep_policies_on_corpus_with(
-    config: &SystemConfig,
-    corpus: &Corpus,
-    policies: &[PolicyKind],
-    instructions: u64,
-    replay: &ReplayConfig,
-) -> Result<SweepOutcome, TraceError> {
-    let sources = corpus_sources(corpus, config.llc.geometry.num_sets())?;
-    sweep_policies_on_sources_with(
-        config,
-        &sources,
-        policies,
-        instructions,
-        corpus.meta().seed,
-        replay,
-    )
-}
-
 /// The study a corpus's mixes belong to: the one its first entry's core count names (a
 /// [`Corpus`] is never empty). `repro`'s corpus experiments and `sweepd` both size their
 /// machine by this one rule.
@@ -1001,6 +975,11 @@ pub fn corpus_study(corpus: &Corpus) -> Result<StudyKind, TraceError> {
 
 /// Every mix of `corpus` as a replayed source under its manifest id, once the corpus
 /// geometry is checked against a system with `llc_sets` LLC sets.
+///
+/// A sweep of these sources takes its seed from the corpus manifest
+/// (`corpus.meta().seed`), not from its caller: the alone-run normalization must run the
+/// *same* generators the corpus was captured from, so any other seed would silently
+/// normalize every result against the wrong alone IPCs.
 pub fn corpus_sources(corpus: &Corpus, llc_sets: usize) -> Result<Vec<MixSource>, TraceError> {
     corpus.validate_geometry(llc_sets)?;
     corpus
@@ -1340,14 +1319,7 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
         // Captured for twice the set count the system has.
         let (corpus, _) = Corpus::materialize(&dir, "test", &mixes, llc_sets * 2, 1, 500).unwrap();
-        let err = sweep_policies_on_corpus_with(
-            &cfg,
-            &corpus,
-            &[PolicyKind::TaDrrip],
-            10_000,
-            &ReplayConfig::default(),
-        )
-        .unwrap_err();
+        let err = corpus_sources(&corpus, llc_sets).unwrap_err();
         assert!(err.to_string().contains("LLC sets"), "got: {err}");
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -9,26 +9,29 @@ use cache_sim::trace::TraceSource;
 
 #[test]
 fn removed_and_malformed_replay_flags_are_rejected() {
-    let cases = [
-        ("--prefetch", "on", "unknown flag"),
-        ("--spill-dir", "x", "unknown flag"),
-        ("--spill-accesses", "1", "unknown flag"),
-        ("--arena-bytes", "256M", "invalid digit"),
+    let cases: [(&[&str], &str); 6] = [
+        (&["--prefetch", "on"], "unknown flag"),
+        (&["--spill-dir", "x"], "unknown flag"),
+        (&["--spill-accesses", "1"], "unknown flag"),
+        (&["--arena-bytes", "256M"], "invalid digit"),
+        (&["--log-level", "loud"], "unknown level \"loud\""),
+        (&["--log-level"], "needs a value"),
     ];
-    for (flag, value, diagnostic) in cases {
+    for (flag_and_value, diagnostic) in cases {
         let output = Command::new(env!("CARGO_BIN_EXE_repro"))
             .args(["sweep", "--dir", "d"])
-            .args([flag, value])
+            .args(flag_and_value)
             .env("REPRO_LOG", "off")
             .output()
             .expect("repro must run");
         let stderr = String::from_utf8_lossy(&output.stderr);
-        assert!(!output.status.success(), "{flag} {value} was accepted");
+        let flag = flag_and_value[0];
+        assert!(!output.status.success(), "{flag_and_value:?} was accepted");
         assert!(
             stderr.contains(flag) && stderr.contains(diagnostic),
-            "{flag} {value}: {stderr}"
+            "{flag_and_value:?}: {stderr}"
         );
-        if diagnostic == "unknown flag" {
+        if diagnostic == "unknown flag" || diagnostic == "needs a value" {
             assert!(stderr.contains("usage: repro"), "{flag}: {stderr}");
         }
     }

@@ -36,7 +36,7 @@ fn us(ns: u64) -> f64 {
 
 /// Render a drained snapshot as Chrome trace-event JSON (an array of events).
 ///
-/// Spans become `"X"` complete events, instants `"i"`, counters `"C"`, samples one
+/// Spans become `"X"` complete events, counters `"C"`, samples one
 /// multi-series `"C"` counter event per row, and log lines `"i"` markers carrying the
 /// message. Each recording thread gets a `thread_name` metadata event. Open the
 /// result in <https://ui.perfetto.dev> or `chrome://tracing`.
@@ -60,12 +60,6 @@ pub fn chrome_trace(drained: &Drained) -> String {
                     event.cat,
                     us(event.ts_ns),
                     us(event.dur_ns),
-                ),
-                EventKind::Instant => format!(
-                    r#"{{"ph":"i","pid":0,"tid":{tid},"name":"{}","cat":"{}","ts":{:.3},"s":"t","args":{{"ctx":"{ctx}"}}}}"#,
-                    event.name,
-                    event.cat,
-                    us(event.ts_ns),
                 ),
                 EventKind::Counter => format!(
                     r#"{{"ph":"C","pid":0,"tid":{tid},"name":"{}","cat":"{}","ts":{:.3},"args":{{"value":{}}}}}"#,
@@ -352,15 +346,10 @@ mod tests {
         samp.vals[0] = 2.0;
         samp.vals[1] = 0.75;
         samp.n_vals = 2;
-        let drained = drained_with(vec![
-            span,
-            event(EventKind::Instant, "marker"),
-            event(EventKind::Counter, "evals"),
-            samp,
-        ]);
+        let drained = drained_with(vec![span, event(EventKind::Counter, "evals"), samp]);
         let json = chrome_trace(&drained);
         let count = crate::validate_chrome_trace(&json).expect("schema-valid");
-        assert_eq!(count, 5, "4 events + 1 thread_name metadata record");
+        assert_eq!(count, 4, "3 events + 1 thread_name metadata record");
         let doc = crate::JsonValue::parse(&json).unwrap();
         let events = doc.as_array().unwrap();
         let span_ev = events

@@ -2,7 +2,7 @@
 //!
 //! A dependency-free, vendored-style observability layer (same pattern as the
 //! `rayon`/`proptest` stand-ins) providing a `tracing`-flavoured API of **spans**,
-//! **counters**, **instant events** and **interval samples**, recorded into lock-free
+//! **counters**, **interval samples** and **log lines**, recorded into lock-free
 //! per-thread flight-recorder ring buffers and drained into three exporters: Chrome
 //! trace-event JSON (loads directly in Perfetto / `chrome://tracing`), a CSV interval
 //! time-series, and a human-readable end-of-run summary.
@@ -69,8 +69,6 @@ pub const NO_CONTEXT: u32 = u32::MAX;
 pub enum EventKind {
     /// A completed span: `ts_ns` is the start, `dur_ns` the duration.
     Span,
-    /// A point-in-time marker.
-    Instant,
     /// A named scalar (`value`) at a point in time.
     Counter,
     /// One row of a named time-series: `cols` names the fields, `vals[..n_vals]` holds them.
@@ -105,9 +103,10 @@ pub struct Event {
 }
 
 impl Event {
+    /// A zero counter with no name, which each recording entry point overwrites.
     fn blank() -> Self {
         Event {
-            kind: EventKind::Instant,
+            kind: EventKind::Counter,
             name: "",
             cat: "",
             ctx: NO_CONTEXT,
@@ -411,22 +410,6 @@ pub fn counter(cat: &'static str, name: &'static str, value: f64) {
     });
 }
 
-/// Record a point-in-time marker.
-#[inline]
-pub fn instant(cat: &'static str, name: &'static str) {
-    if !enabled() {
-        return;
-    }
-    record(Event {
-        kind: EventKind::Instant,
-        name,
-        cat,
-        ctx: current_context(),
-        ts_ns: now_ns(),
-        ..Event::blank()
-    });
-}
-
 /// Record one row of the time-series `name`, with `cols` naming the fields of
 /// `vals`. At most [`SAMPLE_WIDTH`] fields are kept. Rows land in `intervals.csv`.
 #[inline]
@@ -561,7 +544,6 @@ mod tests {
         reset();
         let _s = span("t", "should-not-appear");
         counter("t", "nope", 1.0);
-        instant("t", "nope");
         sample("t", "nope", &["a"], &[1.0]);
         drop(_s);
         let d = drain();
@@ -630,10 +612,10 @@ mod tests {
         let _g = test_lock();
         reset();
         enable();
-        instant("t", "one");
+        counter("t", "one", 1.0);
         let first = drain();
         assert_eq!(first.total_events(), 1);
-        instant("t", "two");
+        counter("t", "two", 2.0);
         disable();
         let second = drain();
         assert_eq!(

@@ -2,7 +2,7 @@
 //!
 //! Replaces the workspace's ad-hoc `eprintln!` diagnostics: every line goes through
 //! one filter ([`Level`] ordering, configured via `REPRO_LOG` or a CLI `--log-level`
-//! flag calling [`set_log_level`]) and is prefixed with a monotonic timestamp and the
+//! flag read by [`take_level_flag`]) and is prefixed with a monotonic timestamp and the
 //! level/target, so interleaved parallel output stays attributable. When flight
 //! recording is [enabled](crate::enabled), each emitted line is additionally recorded
 //! as an [`EventKind::Log`](crate::EventKind::Log) event and lands in `trace.json`.
@@ -93,6 +93,42 @@ pub fn set_log_level(level: Option<Level>) {
         level.map(|l| l as u8).unwrap_or(LEVEL_OFF),
         Ordering::Relaxed,
     );
+}
+
+/// Why a command line's `--log-level` could not be read; the message is the one both
+/// command-line tools print.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum LevelFlagError {
+    /// The flag is the last argument.
+    MissingValue,
+    /// Its operand names no level.
+    Unknown(String),
+}
+
+impl fmt::Display for LevelFlagError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            LevelFlagError::MissingValue => write!(f, "--log-level needs a value"),
+            LevelFlagError::Unknown(value) => write!(f, "--log-level: unknown level {value:?}"),
+        }
+    }
+}
+
+/// Take a global `--log-level LEVEL` out of `args`, from any position, and set the
+/// filter: the flag wins over `REPRO_LOG`, which wins over `default` (the lazy
+/// `REPRO_LOG` read decides when the variable is set).
+pub fn take_level_flag(args: &mut Vec<String>, default: Level) -> Result<(), LevelFlagError> {
+    if let Some(pos) = args.iter().position(|a| a == "--log-level") {
+        if pos + 1 >= args.len() {
+            return Err(LevelFlagError::MissingValue);
+        }
+        let value = args.remove(pos + 1);
+        args.remove(pos);
+        set_log_level(Level::parse(&value).ok_or(LevelFlagError::Unknown(value))?);
+    } else if std::env::var_os("REPRO_LOG").is_none() {
+        set_log_level(Some(default));
+    }
+    Ok(())
 }
 
 /// Would a line at `level` currently be emitted?

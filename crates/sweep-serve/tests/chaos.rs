@@ -15,10 +15,9 @@
 mod common;
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::Path;
 use std::time::Duration;
 
-use common::{materialize_corpus, test_dir, SCALE};
+use common::{materialize_corpus, reference_cells_with, test_dir, SCALE};
 use experiments::runner::ReplayConfig;
 use experiments::PolicyKind;
 use sim_fault::{FaultKind, FaultPlan};
@@ -38,37 +37,6 @@ fn streamed_replay() -> ReplayConfig {
     ReplayConfig {
         arena_budget_bytes: 1,
     }
-}
-
-/// Serial fault-free reference computed with the *same* replay config the server
-/// under test uses, so "bit-identical" compares like with like.
-fn reference_with(
-    dir: &Path,
-    policies: &[PolicyKind],
-    replay: &ReplayConfig,
-) -> Vec<(String, usize, String)> {
-    use experiments::runner::sweep_policies_on_corpus_with;
-    let corpus = trace_io::Corpus::load(dir).expect("load corpus for reference");
-    let config = SCALE.system_config(StudyKind::Cores4);
-    let outcome = sweep_policies_on_corpus_with(
-        &config,
-        &corpus,
-        policies,
-        SCALE.instructions_per_core(),
-        replay,
-    )
-    .expect("reference sweep");
-    outcome
-        .evaluations
-        .iter()
-        .map(|e| {
-            (
-                e.policy_label.clone(),
-                e.mix_id,
-                sweep_serve::json::evaluation_json(e),
-            )
-        })
-        .collect()
 }
 
 fn spawn_with(
@@ -117,7 +85,7 @@ fn replay_corruption_quarantines_and_revalidate_readmits() {
     let dir = test_dir("chaos_quarantine");
     materialize_corpus(&dir, "chaos-q", 1);
     let replay = streamed_replay();
-    let reference = reference_with(&dir, &[PolicyKind::TaDrrip], &replay);
+    let reference = reference_cells_with(&dir, &[PolicyKind::TaDrrip], &replay);
     let server = spawn_with(vec![("c".to_string(), dir.clone())], 2, replay);
     let addr = server.addr();
 
@@ -188,7 +156,7 @@ fn concurrent_cold_requests_on_one_mix_fail_typed_through_the_shared_stage() {
         arena_budget_bytes: 2 << 20,
     };
     let policies = [PolicyKind::TaDrrip, PolicyKind::Lru];
-    let reference = reference_with(&dir, &policies, &replay);
+    let reference = reference_cells_with(&dir, &policies, &replay);
     let server = spawn_with(vec![("c".to_string(), dir.clone())], 2, replay);
     let addr = server.addr();
     let bodies: Vec<String> = policies
@@ -274,7 +242,7 @@ fn progress_write_faults_degrade_to_memo_only_and_restart_resumes() {
     let dir = test_dir("chaos_degraded");
     materialize_corpus(&dir, "chaos-d", 1);
     let policies = [PolicyKind::TaDrrip, PolicyKind::Lru];
-    let reference = reference_with(&dir, &policies, &ReplayConfig::default());
+    let reference = reference_cells_with(&dir, &policies, &ReplayConfig::default());
     let expected_sweep = format!(
         "{{\"corpus\":\"c\",\"cells\":2,\"results\":[{},{}]}}",
         reference[0].2, reference[1].2
@@ -359,7 +327,7 @@ fn chaos_wall_requests_are_bit_identical_or_typed_errors() {
     materialize_corpus(&dir, "chaos-w", 1);
     let replay = streamed_replay();
     let policies = [PolicyKind::TaDrrip, PolicyKind::Lru];
-    let reference = reference_with(&dir, &policies, &replay);
+    let reference = reference_cells_with(&dir, &policies, &replay);
     let server = spawn_with(vec![("c".to_string(), dir)], 2, replay);
     let addr = server.addr();
 
@@ -461,7 +429,7 @@ fn faulted_bank_scheduler_never_wedges_a_sweep() {
     materialize_corpus(&dir, "chaos-b", 1);
     let replay = streamed_replay();
     let policies = [PolicyKind::TaDrrip, PolicyKind::Lru];
-    let reference = reference_with(&dir, &policies, &replay);
+    let reference = reference_cells_with(&dir, &policies, &replay);
     let server = spawn_with(vec![("c".to_string(), dir)], 2, replay);
     let addr = server.addr();
 

@@ -5,7 +5,9 @@
 
 use std::path::{Path, PathBuf};
 
-use experiments::runner::{sweep_policies_on_corpus_with, synthetic_capture_budget, ReplayConfig};
+use experiments::runner::{
+    corpus_sources, sweep_policies_on_sources_with, synthetic_capture_budget, ReplayConfig,
+};
 use experiments::{ExperimentScale, PolicyKind};
 use sweep_serve::json::evaluation_json;
 use sweep_serve::{Server, ServerConfig, ServerHandle};
@@ -66,14 +68,26 @@ pub fn test_policy_labels() -> Vec<String> {
 /// `dir`, returning `(policy_label, mix_id, canonical_json)` per cell in the
 /// server's `(mix outer, policy inner)` order.
 pub fn reference_cells(dir: &Path, policies: &[PolicyKind]) -> Vec<(String, usize, String)> {
+    reference_cells_with(dir, policies, &ReplayConfig::default())
+}
+
+/// [`reference_cells`] under `replay`: the same replay config the server under test
+/// uses, so "bit-identical" compares like with like.
+pub fn reference_cells_with(
+    dir: &Path,
+    policies: &[PolicyKind],
+    replay: &ReplayConfig,
+) -> Vec<(String, usize, String)> {
     let corpus = Corpus::load(dir).expect("load corpus for reference");
     let config = SCALE.system_config(StudyKind::Cores4);
-    let outcome = sweep_policies_on_corpus_with(
+    let sources = corpus_sources(&corpus, config.llc.geometry.num_sets()).expect("corpus sources");
+    let outcome = sweep_policies_on_sources_with(
         &config,
-        &corpus,
+        &sources,
         policies,
         SCALE.instructions_per_core(),
-        &ReplayConfig::default(),
+        corpus.meta().seed,
+        replay,
     )
     .expect("reference sweep");
     // The runner's grid is (mix outer, policy inner) — same as the serving order.

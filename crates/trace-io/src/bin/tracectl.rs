@@ -71,13 +71,6 @@ struct CaptureArgs {
     options: TraceCaptureOptions,
 }
 
-fn parse_study(cores: &str) -> Result<StudyKind, String> {
-    let cores = cores
-        .parse()
-        .map_err(|e| format!("--study: {cores:?}: {e}"))?;
-    StudyKind::by_cores(cores).map_err(|e| format!("--study: {e}"))
-}
-
 fn parse_capture(args: &[String]) -> Result<CaptureArgs, String> {
     let mut parsed = CaptureArgs {
         out: PathBuf::new(),
@@ -109,7 +102,9 @@ fn parse_capture(args: &[String]) -> Result<CaptureArgs, String> {
                         .collect(),
                 )
             }
-            "--study" => parsed.study = Some(parse_study(value("--study")?)?),
+            "--study" => {
+                parsed.study = Some(StudyKind::parse_operand("--study", value("--study")?)?)
+            }
             "--mix-id" => {
                 parsed.mix_id = value("--mix-id")?
                     .parse()
@@ -601,24 +596,8 @@ fn parse_inspect_args<'a>(cmd: &str, args: &'a [String]) -> Result<(&'a str, boo
 
 fn run() -> Result<(), String> {
     let mut args: Vec<String> = env::args().skip(1).collect();
-    // Global --log-level: extractable from any position; CLI tools default to `info`
-    // (overridable by the flag, which also beats REPRO_LOG).
-    let mut log_setting = Some(Some(sim_obs::Level::Info));
-    if let Some(pos) = args.iter().position(|a| a == "--log-level") {
-        if pos + 1 >= args.len() {
-            return Err("--log-level needs a value".into());
-        }
-        let value = args.remove(pos + 1);
-        args.remove(pos);
-        log_setting = Some(
-            sim_obs::Level::parse(&value).ok_or(format!("--log-level: unknown level {value:?}"))?,
-        );
-    } else if std::env::var_os("REPRO_LOG").is_some() {
-        log_setting = None; // let the library's lazy REPRO_LOG init decide
-    }
-    if let Some(setting) = log_setting {
-        sim_obs::set_log_level(setting);
-    }
+    // Global --log-level, from any position; CLI tools default to `info`.
+    sim_obs::log::take_level_flag(&mut args, sim_obs::Level::Info).map_err(|e| e.to_string())?;
     match args.first().map(String::as_str) {
         Some("capture") => capture(parse_capture(&args[1..])?),
         Some("import") => import_cmd(parse_import(&args[1..])?),

@@ -5,8 +5,9 @@
 //! that set durable: each mix is captured exactly once ([`Corpus::materialize`], a loop
 //! over [`crate::capture_mix`]), and the manifest records the capture parameters
 //! (LLC geometry, seed, accesses per core) so a sweep can refuse a corpus that was
-//! captured for a different system. `experiments::runner::sweep_policies_on_corpus_with`
-//! decodes each file once and fans the (policy × mix) grid out in parallel.
+//! captured for a different system. `experiments::runner::corpus_sources` opens each file
+//! as a replayed mix, which the runner's sweep decodes once and fans the (policy × mix)
+//! grid out over in parallel.
 //!
 //! # Manifest format (`corpus.manifest`)
 //!

@@ -613,7 +613,7 @@ pub struct CorpusImportOutcome {
 
 /// Import external traces directly into a corpus directory as mix `mix_id`
 /// (`mix{id:04}.atrc`) and create or update `corpus.manifest` so the result sweeps via
-/// `repro sweep --dir` / `sweep_policies_on_corpus_with` unchanged.
+/// `repro sweep --dir` unchanged.
 ///
 /// Sweepability is validated up front rather than at sweep time:
 ///

@@ -31,8 +31,9 @@
 //!   methodology; [`decode_all`] and [`read_header`] are the other file-level conveniences,
 //!   and [`compression_stats`] folds a mapping's chunk index.
 //! * [`Corpus`] groups one `.atrc` per workload mix under a manifest recording the capture
-//!   geometry and seed — the unit `experiments::runner::sweep_policies_on_corpus_with`
-//!   sweeps, mapping each file once and fanning the (policy × mix) grid out in parallel.
+//!   geometry and seed — the unit `repro sweep` sweeps through
+//!   `experiments::runner::corpus_sources`, mapping each file once and fanning the
+//!   (policy × mix) grid out in parallel.
 //! * The `tracectl` binary captures, inspects, and sanity-checks corpus files from the
 //!   command line.
 //!

@@ -74,6 +74,31 @@ fn retired_format_flags_are_rejected() {
         );
         assert!(!path.exists(), "{flag}: a refused command wrote a file");
     }
+
+    // The global `--log-level` refuses an unknown level and a missing one.
+    let missing_level = Command::new(env!("CARGO_BIN_EXE_tracectl"))
+        .args(["capture", "--log-level"])
+        .output()
+        .expect("tracectl must run");
+    let refusals = [
+        (
+            tracectl(
+                "capture --study 4 --accesses 64 --log-level loud --out",
+                &path,
+            ),
+            "--log-level: unknown level \"loud\"",
+        ),
+        (missing_level, "--log-level needs a value"),
+    ];
+    for (refused, diagnostic) in refusals {
+        let stderr = String::from_utf8_lossy(&refused.stderr);
+        assert!(!refused.status.success(), "{diagnostic}: accepted");
+        assert!(stderr.contains(diagnostic), "{diagnostic}: {stderr}");
+        assert!(
+            !path.exists(),
+            "{diagnostic}: a refused command wrote a file"
+        );
+    }
 }
 
 /// One command decodes a whole file: `inspect` decodes nothing and refuses the retired

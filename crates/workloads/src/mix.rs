@@ -174,6 +174,14 @@ impl StudyKind {
                 )
             })
     }
+
+    /// The study a command-line flag's operand names by its core count, surrounding
+    /// whitespace ignored; the error starts with `flag`.
+    pub fn parse_operand(flag: &str, cores: &str) -> Result<StudyKind, String> {
+        let parsed = cores.trim().parse::<usize>();
+        let num_cores = parsed.map_err(|e| format!("{flag}: {cores:?}: {e}"))?;
+        Self::by_cores(num_cores).map_err(|e| format!("{flag}: {e}"))
+    }
 }
 
 /// One multi-programmed workload: an ordered list of benchmark names (core i runs entry i).

@@ -11,8 +11,8 @@ use std::sync::{Mutex, OnceLock};
 
 use cache_sim::trace::{arena_current_bytes, arena_peak_bytes, reset_arena_peak};
 use experiments::runner::{
-    evaluate_prepared, sweep_policies_on_corpus_with, synthetic_capture_budget, warm_alone_cache,
-    MixEvaluation, MixSource, ReplayConfig,
+    evaluate_prepared, synthetic_capture_budget, warm_alone_cache, MixEvaluation, MixSource,
+    ReplayConfig,
 };
 use experiments::{ExperimentScale, PolicyKind};
 use lone_system::assert_sweep_matches_lone_runs;
@@ -74,7 +74,7 @@ fn corpus_sweep_reproduces_the_serial_synthetic_path_bit_for_bit() {
     .unwrap();
 
     let grid = lone_system::grid(&cfg, &mixes, &policies, INSTRUCTIONS, SEED);
-    let from_disk = sweep_policies_on_corpus_with(
+    let from_disk = lone_system::corpus_grid(
         &cfg,
         &corpus,
         &policies,
@@ -127,7 +127,7 @@ fn constant_memory_sweep_stays_under_the_arena_cap_and_matches_the_buffered_path
     ];
     let memo_covers_the_run = ReplayConfig::default();
     let baseline =
-        sweep_policies_on_corpus_with(&cfg, &corpus, &policies, INSTRUCTIONS, &memo_covers_the_run)
+        lone_system::corpus_grid(&cfg, &corpus, &policies, INSTRUCTIONS, &memo_covers_the_run)
             .unwrap();
 
     let constant_memory = ReplayConfig {
@@ -135,8 +135,7 @@ fn constant_memory_sweep_stays_under_the_arena_cap_and_matches_the_buffered_path
     };
     reset_arena_peak();
     let capped =
-        sweep_policies_on_corpus_with(&cfg, &corpus, &policies, INSTRUCTIONS, &constant_memory)
-            .unwrap();
+        lone_system::corpus_grid(&cfg, &corpus, &policies, INSTRUCTIONS, &constant_memory).unwrap();
     let peak = arena_peak_bytes();
     assert!(peak > 0, "the sweep must actually have used replay arenas");
     assert!(
@@ -232,7 +231,7 @@ fn replay_is_deterministic_across_worker_count() {
         sim_obs::reset();
         sim_obs::enable();
         let outcome = rayon::with_worker_limit(workers, || {
-            sweep_policies_on_corpus_with(&cfg, &corpus, &policies, INSTRUCTIONS, &replay)
+            lone_system::corpus_grid(&cfg, &corpus, &policies, INSTRUCTIONS, &replay)
         })
         .unwrap();
         sim_obs::disable();
@@ -299,8 +298,7 @@ fn a_corrupt_block_is_a_typed_error_where_the_run_reads_it_and_invisible_where_i
             arena_budget_bytes: 1 << 10,
         },
     ];
-    let sweep =
-        |replay| sweep_policies_on_corpus_with(&cfg, &corpus, &policies, INSTRUCTIONS, replay);
+    let sweep = |replay| lone_system::corpus_grid(&cfg, &corpus, &policies, INSTRUCTIONS, replay);
     let report = |outcome: &experiments::runner::SweepOutcome| {
         format!("{:?} {:?}", outcome.evaluations, outcome.mix_wraps)
     };
@@ -394,7 +392,7 @@ fn corpus_sweep_rejects_wrong_geometry_and_tampered_manifests() {
     let dir = std::env::temp_dir().join("e2e_corpus_geometry");
     std::fs::remove_dir_all(&dir).ok();
     let (corpus, _) = Corpus::materialize(&dir, "e2e", &mixes, llc_sets * 2, SEED, 500).unwrap();
-    let err = sweep_policies_on_corpus_with(
+    let err = lone_system::corpus_grid(
         &cfg,
         &corpus,
         &policies(),

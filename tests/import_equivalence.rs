@@ -12,9 +12,7 @@ mod lone_system;
 use std::path::PathBuf;
 
 use adapt_llc::sim::trace::MemAccess;
-use experiments::runner::{
-    evaluate_prepared, sweep_policies_on_corpus_with, MixSource, ReplayConfig,
-};
+use experiments::runner::{evaluate_prepared, MixSource, ReplayConfig};
 use experiments::{ExperimentScale, PolicyKind};
 use lone_system::{assert_evaluation_matches, assert_sweep_matches_lone_runs, lone_run};
 use trace_io::import::{export_champsim, import_to_file, ImportFormat, ImportOptions};
@@ -248,7 +246,7 @@ fn corpus_sweeps_bit_identical_to_the_serial_synthetic_reference() {
     // The corpus through the parallel grid engine vs a lone system per (mix, policy).
     let replay = ReplayConfig::default();
     let from_corpus =
-        sweep_policies_on_corpus_with(&cfg, &corpus, &policies, INSTRUCTIONS, &replay).unwrap();
+        lone_system::corpus_grid(&cfg, &corpus, &policies, INSTRUCTIONS, &replay).unwrap();
     assert_eq!(
         from_corpus.total_replay_wraps(),
         0,

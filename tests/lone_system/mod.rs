@@ -9,12 +9,14 @@
 #![allow(dead_code)] // each test binary uses its own part
 
 use adapt_llc::experiments::runner::{
-    evaluate_prepared, sweep_policies_on_sources_with, MixEvaluation, MixSource, ReplayConfig,
+    corpus_sources, evaluate_prepared, sweep_policies_on_sources_with, MixEvaluation, MixSource,
+    ReplayConfig, SweepOutcome,
 };
 use adapt_llc::experiments::PolicyKind;
 use adapt_llc::sim::config::SystemConfig;
 use adapt_llc::sim::stats::SystemResults;
 use adapt_llc::sim::system::MultiCoreSystem;
+use adapt_llc::traces::{Corpus, TraceError};
 use adapt_llc::workloads::WorkloadMix;
 
 /// `mix` under `policy` on a lone system over fresh generators: no materialization, no
@@ -65,6 +67,20 @@ pub fn grid(
     sweep_policies_on_sources_with(config, &sources, policies, instructions, seed, &replay)
         .expect("generated mixes always materialize")
         .evaluations
+}
+
+/// `policies` over every mix of `corpus` on the parallel grid, as `repro sweep` runs
+/// them: the corpus's replayed sources under the seed its manifest records.
+pub fn corpus_grid(
+    config: &SystemConfig,
+    corpus: &Corpus,
+    policies: &[PolicyKind],
+    instructions: u64,
+    replay: &ReplayConfig,
+) -> Result<SweepOutcome, TraceError> {
+    let sources = corpus_sources(corpus, config.llc.geometry.num_sets())?;
+    let seed = corpus.meta().seed;
+    sweep_policies_on_sources_with(config, &sources, policies, instructions, seed, replay)
 }
 
 /// What a `MixEvaluation` carries of a run, held to a reference's `SystemResults`.

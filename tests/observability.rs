@@ -12,8 +12,7 @@ use std::sync::{Mutex, OnceLock};
 
 use cache_sim::MultiCoreSystem;
 use experiments::runner::{
-    evaluate_prepared, sweep_policies_on_corpus_with, synthetic_capture_budget, warm_alone_cache,
-    MixSource, ReplayConfig,
+    evaluate_prepared, synthetic_capture_budget, warm_alone_cache, MixSource, ReplayConfig,
 };
 use experiments::{ExperimentScale, PolicyKind};
 use sim_obs::{Drained, EventKind};
@@ -219,7 +218,7 @@ fn profiled_sweep_reports_each_mix_shared_stages_once() {
         sim_obs::enable();
         if replayed {
             let replay = ReplayConfig::default();
-            sweep_policies_on_corpus_with(&cfg, &corpus, &policies, INSTRUCTIONS, &replay).unwrap();
+            lone_system::corpus_grid(&cfg, &corpus, &policies, INSTRUCTIONS, &replay).unwrap();
         } else {
             lone_system::grid(&cfg, &mixes, &policies, INSTRUCTIONS, SEED);
         }
