@@ -431,12 +431,7 @@ impl<P: LlcReplacementPolicy> SharedLlc<P> {
     /// were full; the stall is attributed to `core_id`.
     pub fn reserve_mshr(&mut self, core_id: usize, now: u64, fill_latency: u64) -> u64 {
         let (extra, _) = self.mshr.reserve(now, fill_latency);
-        self.global.mshr_stall_cycles += extra;
-        self.mshr_core_stalls[core_id] += extra;
-        if extra > 0 {
-            self.global.mshr_full_events += 1;
-        }
-        extra
+        self.charge_mshr_stall(core_id, extra)
     }
 
     /// Back-pressure form of MSHR allocation: wait for a free entry at `now` (returning
@@ -447,6 +442,11 @@ impl<P: LlcReplacementPolicy> SharedLlc<P> {
     /// `core_id`.
     pub fn begin_mshr(&mut self, core_id: usize, now: u64) -> u64 {
         let extra = self.mshr.acquire(now);
+        self.charge_mshr_stall(core_id, extra)
+    }
+
+    /// Account an MSHR stall of `extra` cycles to `core_id` and return it.
+    fn charge_mshr_stall(&mut self, core_id: usize, extra: u64) -> u64 {
         self.global.mshr_stall_cycles += extra;
         self.mshr_core_stalls[core_id] += extra;
         if extra > 0 {

@@ -24,10 +24,11 @@
 //! followed by exactly one record the driver executes in global order. A record is
 //! private-only when it hits the L1, or misses the L1, hits the L2 and neither its
 //! prefetch candidate nor a dirty victim leaves the L2: nothing the LLC, the DRAM or
-//! another core can observe. The driver applies the gap when it fetches the event, so
-//! the core's scheduling key is the start cycle of the in-order record; this is exact
-//! for the reason given in [`crate::system`] (removing private-only records from the
-//! k-way merge does not reorder the rest).
+//! another core can observe. When the driver moves a core's cursor to an event it keys
+//! the core by the start cycle of the in-order record (the core's clock plus the gap),
+//! and the core's in-order step retires the gap before running that record; this is
+//! exact for the reason given in [`crate::system`] (removing private-only records from
+//! the k-way merge does not reorder the rest).
 //!
 //! **Order inside a record.** The stage performs the private side in the order a
 //! per-record engine does: prefetcher consult (L1 probe of `block.next()`) → L2 access →

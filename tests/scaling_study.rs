@@ -2,9 +2,10 @@
 //! contention model: a 64-core run completes through the corpus sweep engine with
 //! per-bank occupancy/stall metrics, the parallel grid stays bit-identical to lone
 //! systems under contention, per-core stall attribution sums exactly to the global
-//! accounting (at 4 and 128 cores), zero-contention
-//! configurations reproduce the seed's flat-latency banking exactly, and the alone-run
-//! normalization follows the memory system and seed actually evaluated.
+//! accounting (at 4 and 128 cores), blocking cores never fill the scaled MSHRs or
+//! write-back buffers, zero-contention configurations reproduce the seed's flat-latency
+//! banking exactly, and the alone-run normalization follows the memory system and seed
+//! actually evaluated.
 
 mod lone_system;
 
@@ -156,6 +157,41 @@ fn per_core_stall_attribution_is_conserved_at_128_cores_serial_and_parallel() {
         assert!(
             e.llc_global.nuca_cycles > 0,
             "mesh NUCA must add wire latency"
+        );
+    }
+}
+
+#[test]
+fn blocking_cores_never_fill_the_scaled_mshrs_or_write_back_buffers() {
+    // A core stalls for all but at most 32 cycles of a miss (the core model's ROB
+    // bound), so it keeps few misses and write-backs in flight: far fewer than the 16
+    // MSHRs and 8 write-back entries per core of these machines (Table 3's 256 and 128
+    // at 16 cores). Unlike the paper's out-of-order cores, they never fill a window.
+    let scale = ExperimentScale::Scaled;
+    let machines = [
+        (StudyKind::Cores16, scale.system_config(StudyKind::Cores16)),
+        (
+            StudyKind::Cores128,
+            scale.scaling_config_memsys(128, MemSystem::FcfsContended),
+        ),
+        (
+            StudyKind::Cores128,
+            scale.scaling_config_memsys(128, MemSystem::FrFcfsNuca),
+        ),
+    ];
+    for (study, cfg) in machines {
+        let mix = &generate_mixes(study, 1, scale.seed())[0];
+        let results =
+            lone_system::lone_run(&cfg, mix, PolicyKind::TaDrrip, INSTRUCTIONS, scale.seed());
+        let llc = &results.llc_global;
+        assert!(llc.total_demand_misses > 0 && llc.dirty_evictions > 0);
+        assert_eq!(
+            (llc.mshr_full_events, llc.wb_stall_cycles),
+            (0, 0),
+            "{} cores, {} MSHRs, {} write-back entries",
+            cfg.num_cores,
+            cfg.llc.mshr_entries,
+            cfg.llc.wb_entries
         );
     }
 }
