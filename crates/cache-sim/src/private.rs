@@ -118,7 +118,7 @@
 //! whatever the helper serves meanwhile.
 //! [`SharedStage::usage`] and dropping a [`SharedStage`] take the stage out of the queue
 //! and wait only for the threads serving it, so neither depends on an idle hardware
-//! thread. A corpus stage's next batch is decoded there too: the trace source decodes on
+//! thread. A corpus stage's next block is decoded there too: the trace source decodes on
 //! the thread that reads it. No cursor waits on a request that is only queued: one that
 //! finds neither its chunk nor a generation in flight generates inline.
 //!
@@ -608,6 +608,11 @@ impl MemoPool {
         Arc::new(MemoPool {
             left: AtomicU64::new(bytes),
         })
+    }
+
+    /// The bytes the pool holds now.
+    pub fn bytes_left(&self) -> u64 {
+        self.left.load(Ordering::Relaxed)
     }
 
     /// Take `bytes` out of the pool, if it holds as much.

@@ -24,7 +24,8 @@ pub struct MemAccess {
     pub non_mem_instrs: u32,
 }
 
-// What a decode buffer holds per record, which sizes replay batches against their budget.
+// What a decode buffer holds per record, which sizes replay's decode buffers against their
+// budget.
 const _: () = assert!(std::mem::size_of::<MemAccess>() == 24);
 
 impl MemAccess {
@@ -357,7 +358,8 @@ impl Drop for ArenaTracker {
 /// A batch that both started and ended a pass is the whole stream: the arena then
 /// replays it in place — no refill, nothing asked of the source again until
 /// [`reset`](TraceSource::reset) — so a stream shorter than one batch loops at the cost
-/// of an index, however many passes a run makes over it.
+/// of an index, however many passes a run makes over it. Over `trace_io`'s decoder,
+/// which fills one block at a time, that is a stream of one block.
 ///
 /// Wrap counting is *eager*, exactly like [`SharedReplayTrace`]: serving the last record
 /// of a pass-ending batch increments [`wraps`](ArenaReplayTrace::wraps) immediately.

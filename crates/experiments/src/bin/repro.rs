@@ -1,7 +1,7 @@
 //! `repro` — regenerate the ADAPT paper's figures and tables from the command line.
 //!
 //! ```text
-//! repro <experiment> [--paper-scale | --smoke] [--mixes N]
+//! repro <experiment> [--scaled | --paper-scale | --smoke] [--mixes N]
 //!
 //! experiments: every entry of `experiments::experiment::registry` (`repro --help` lists
 //!   them with their titles; `--mixes N` runs exactly N mixes per study), plus
@@ -18,7 +18,7 @@
 //!   sweep  --dir DIR [--arena-bytes N]
 //!            Run the Figure 3 policy lineup over a materialized corpus: each trace is
 //!            mapped once and the (policy x mix) grid fans out in parallel. Every mix is
-//!            streamed from the mapping in fixed-size batches within the memory budget
+//!            streamed from the mapping one block at a time within the memory budget
 //!            of a materialized mix (default 256 MiB: decode buffers + event memo; every
 //!            other command materializes at the default), with identical
 //!            results at every budget, and its private caches are simulated once for
@@ -35,7 +35,7 @@
 //!            the same geometry with the seed's latency-only banking.
 //! ```
 //!
-//! The default scale is `scaled` (minutes); `--paper-scale` selects the paper's full
+//! The default scale is `--scaled` (minutes); `--paper-scale` selects the paper's full
 //! parameters (hours); `--smoke` is a seconds-long sanity run. A study flag (`--dir`,
 //! `--study`, `--cores`, `--flat`, `--memsys`, `--mixes`, `--arena-bytes`) given to a
 //! command that does not read it is an error. Corpus mode must load a
@@ -64,6 +64,9 @@ use sim_obs::log::{take_level_flag, LevelFlagError};
 use trace_io::Corpus;
 use workloads::{generate_mixes, StudyKind};
 
+/// The scale flags every command takes; `--scaled` is the default.
+const SCALES: &str = "[--scaled|--paper-scale|--smoke]";
+
 fn usage() -> String {
     let paper = registry()
         .into_iter()
@@ -75,17 +78,17 @@ fn usage() -> String {
         .map(|e| format!("  {:<9}{}\n", e.name, e.title))
         .collect();
     format!(
-        "usage: repro <{}> [--paper-scale|--smoke] [--mixes N]\n       repro corpus --dir DIR \
-         [--study 4|8|...|64] [--mixes N] [--paper-scale|--smoke]\n       repro sweep --dir DIR \
-         [--paper-scale|--smoke]\n         [--arena-bytes N]\n       \
+        "usage: repro <{}> {SCALES} [--mixes N]\n       repro corpus --dir DIR \
+         [--study 4|8|...|64] [--mixes N] {SCALES}\n       repro sweep --dir DIR \
+         {SCALES}\n         [--arena-bytes N]\n       \
          repro scale [--cores 32,48,64,128,256] [--mixes N] [--flat] [--memsys] \
-         [--paper-scale|--smoke]\n\nexperiments:\n{list}  \
+         {SCALES}\n\nexperiments:\n{list}  \
          mixes    Print the generated workload mixes (Table 6)\n  \
          diag     Per-application TA-DRRIP vs ADAPT (and SHiP) diagnostic on one 16-core mix\n  \
          all      Every experiment above but scale, in order\n\n\
          sweep: --arena-bytes N  memory budget of a materialized mix in bytes (default\n\
                                  256 MiB): decode buffers + event memo. Every mix is\n\
-                                 streamed from the mapping in fixed-size batches; results\n\
+                                 streamed from the mapping one block at a time; results\n\
                                  are identical at every N\n\n\
          scale: many-core scaling study under the cycle-accounted bank contention model\n\
          (throughput / fairness / bank-stall share / per-core stall attribution per policy;\n\

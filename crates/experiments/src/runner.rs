@@ -14,7 +14,7 @@
 //! materializes each mix's streams exactly once and fans the (policy × mix) grid out
 //! across rayon workers. The policies of a sweep differ only at
 //! the shared LLC, and what a core's private hierarchy does is a function of its trace
-//! alone, so each core's stream — a live generator, or batches streamed from the mapping
+//! alone, so each core's stream — a live generator, or blocks streamed from the mapping
 //! of a `.atrc` file — feeds one shared private stage (`cache_sim::private`): record
 //! production, L1, L2 and prefetcher run once per mix, M times per sweep instead of
 //! P × M, and every policy's system replays the stage's memoized events. Every mix's
@@ -29,8 +29,8 @@
 //! ([`MixSource::replayed_with_id`], backed by `trace-io`); [`corpus_sources`] opens a
 //! whole materialized [`Corpus`] as such sources. Every
 //! evaluation reaches the simulator one way only — [`MixSource::materialize_with`]
-//! prepares the mix once (a replayed mix's stages stream it from the mapping in batches
-//! under [`ReplayConfig`], the one replay knob), and [`evaluate_prepared`] (or
+//! prepares the mix once (a replayed mix's stages stream it from the mapping a block at
+//! a time under [`ReplayConfig`], the one replay knob), and [`evaluate_prepared`] (or
 //! [`evaluate_prepared_system`], which also hands back the system) runs a policy over
 //! the shared stages — so no file I/O sits inside the simulator loop beyond the mapping,
 //! and no evaluation simulates again a private hierarchy that another evaluation of the
@@ -158,22 +158,23 @@ impl MixEvaluation {
 ///
 /// A mix's streams come in two kinds, chosen by the source's provenance — never by an
 /// option, and never by size: synthetic mixes are generated on demand (`Lazy`); a
-/// replayed mix is streamed from its mapping in fixed-size batches (`Streamed`: a
-/// [`MappedStreamDecoder`] under `cache_sim::trace::ArenaReplayTrace`), each batch
+/// replayed mix is streamed from its mapping one block at a time (`Streamed`: a
+/// [`MappedStreamDecoder`] under `cache_sim::trace::ArenaReplayTrace`), each block
 /// decoding on whichever thread drives the stage — its read-ahead thread for a lone
 /// evaluation, a sweep worker otherwise (for its own cell or, as a helper, for another).
-/// A stream that fits one batch is decoded once and loops in place, so a smoke-size or
-/// hand-imported corpus pays nothing per pass. Either kind, each core's stream feeds one
-/// shared private stage, built by the first evaluation, and every evaluation replays its
-/// events: a materialization serves one machine ([`StageParams`]).
+/// A stream of one block is decoded once and loops in place, so a hand-imported corpus
+/// pays nothing per pass. Either kind, each core's stream feeds one shared private
+/// stage, built by the first evaluation, and every evaluation replays its events: a
+/// materialization serves one machine ([`StageParams`]).
 ///
-/// The budget is split per mix. A replayed mix holds one record buffer per core plus its
-/// decompression scratch — the stage is the records' only consumer, so the batches are
-/// small ([`batch_records`](Self::batch_records)); a generator holds none. The event
-/// memos get what is left, as one `cache_sim::private::MemoPool` per mix that the stages
-/// of every core draw on in the order they need it — each a checkpoint of its caches
-/// first, then chunks of events — so a streaming core may take what a cache-resident one
-/// leaves; they register what they take in the same arena accounting
+/// The budget is split per mix. A replayed mix holds one decoded block per core plus its
+/// decompression scratch — the stage is the records' only consumer, and reads them a
+/// chunk of events at a time — charged at twice the core's largest block (24 B a
+/// [`MemAccess`]) whatever the budget; a generator holds none. The event memos get what
+/// is left, as one `cache_sim::private::MemoPool` per mix that the stages of every core
+/// draw on in the order they need it — each a checkpoint of its caches first, then
+/// chunks of events — so a streaming core may take what a cache-resident one leaves;
+/// they register what they take in the same arena accounting
 /// (`cache_sim::trace::arena_peak_bytes`). When the pool runs out, at a point in the
 /// run's global time, the stage that finds it dry stops retaining, and an evaluation
 /// that runs off that stage's retained events finishes its core on a sole stage of its
@@ -201,19 +202,16 @@ impl Default for ReplayConfig {
     }
 }
 
-impl ReplayConfig {
-    /// Records per decode batch for a `cores`-wide replayed mix: a buffer and a
-    /// decompression scratch per core, so `cores × 2 × batch ×` 24 B (a [`MemAccess`])
-    /// stays within half the budget — and at most 32 Ki records (768 KiB) a buffer: past
-    /// that a larger batch decodes no faster, and what it would take is worth more to the
-    /// event memo.
-    pub fn batch_records(&self, cores: usize) -> usize {
-        let per_core = self.arena_budget_bytes / (cores.max(1) as u64 * 4 * RECORD_BYTES);
-        per_core.clamp(1024, 1 << 15) as usize
-    }
-}
-
 const RECORD_BYTES: u64 = std::mem::size_of::<MemAccess>() as u64;
+
+/// What `trace`'s decode buffers take of a mix's budget: per core, one block of its
+/// largest and a decompression scratch that holds a block's encoded records — less than
+/// a block — charged as a second block.
+fn decode_buffer_bytes(trace: &MappedTrace) -> u64 {
+    let cores = 0..trace.header().cores.len();
+    let records: usize = cores.map(|core| trace.largest_block_records(core)).sum();
+    2 * records as u64 * RECORD_BYTES
+}
 
 /// Where a mix's per-core access streams come from.
 ///
@@ -291,8 +289,8 @@ impl MixSource {
     /// are produced and the L1/L2/prefetcher simulated on demand, once across the whole
     /// sweep, and every policy replays the resulting events. A synthetic mix's records
     /// come from its generators. A replayed file is mapped once (its framing checked
-    /// there) and a stage streams fixed-size batches from the mapping, so memory stays
-    /// constant however big the corpus is. Either way the stages' event memos and
+    /// there) and a stage decodes it one block at a time from the mapping, so memory
+    /// stays constant however big the corpus is. Either way the stages' event memos and
     /// checkpoints get what the decode buffers (none for a generator) leave of
     /// `replay`'s budget (see [`ReplayConfig`]). An evaluation that outruns a full memo
     /// opens its own cursor where the memo stops: a replayed stream seeks there through
@@ -328,24 +326,17 @@ impl MixSource {
             MixSource::Replayed { path, .. } => {
                 let trace = Arc::new(MappedTrace::open(path)?);
                 check_geometry(path, trace.header(), llc_sets)?;
-                let cores = trace.header().cores.len();
-                let batch_records = replay.batch_records(cores);
                 let streamed = |core| {
                     // Constructing (and dropping) a cursor validates the stream up
                     // front, keeping `sources()` infallible.
-                    MappedStreamDecoder::new(trace.clone(), core, batch_records)?;
-                    Ok(StreamRecords::Streamed {
-                        trace: trace.clone(),
-                        core,
-                        batch_records,
-                    })
+                    MappedStreamDecoder::new(trace.clone(), core)?;
+                    let trace = trace.clone();
+                    Ok(StreamRecords::Streamed { trace, core })
                 };
-                let records = (0..cores)
+                let records = (0..trace.header().cores.len())
                     .map(streamed)
                     .collect::<Result<_, TraceError>>()?;
-                // One buffer per core, and a decompression scratch that holds a
-                // block's encoded records — less than a buffer.
-                (records, (cores * 2 * batch_records) as u64 * RECORD_BYTES)
+                (records, decode_buffer_bytes(&trace))
             }
         };
         // The event memos get what the decode buffers leave, as one pool every core's
@@ -385,13 +376,12 @@ enum StreamRecords {
         seed: u64,
     },
     /// Replayed provenance: zero-copy streamed from a shared memory-mapped corpus file
-    /// in fixed-size batches, decoded on the thread that reads them, in constant memory
+    /// one block at a time, decoded on the thread that reads it, in constant memory
     /// whatever the file's size. Wraps at the end of the stream, counted eagerly; a
-    /// stream that fits one batch is decoded once and loops in place.
+    /// stream of one block is decoded once and loops in place.
     Streamed {
         trace: Arc<MappedTrace>,
         core: usize,
-        batch_records: usize,
     },
 }
 
@@ -414,18 +404,14 @@ impl StreamRecords {
                 }
                 generator
             }
-            StreamRecords::Streamed {
-                trace,
-                core,
-                batch_records,
-            } => {
-                let mut decoder = MappedStreamDecoder::new(trace.clone(), *core, *batch_records)
+            StreamRecords::Streamed { trace, core } => {
+                let mut decoder = MappedStreamDecoder::new(trace.clone(), *core)
                     .expect("stream was validated when materialized");
                 let (passes, skip) = decoder.seek(at);
-                let batches = Box::new(decoder);
+                let blocks = Box::new(decoder);
                 Box::new(match at {
-                    0 => ArenaReplayTrace::new(batches, wraps),
-                    _ => ArenaReplayTrace::resume(batches, wraps, passes, skip),
+                    0 => ArenaReplayTrace::new(blocks, wraps),
+                    _ => ArenaReplayTrace::resume(blocks, wraps, passes, skip),
                 })
             }
         }
@@ -1493,12 +1479,13 @@ mod tests {
     #[test]
     fn replay_is_bit_identical_at_every_arena_budget() {
         // The budget trades memory against work done once, never results: with memos
-        // that keep the whole run (default) and with memos that keep nothing (64 KiB and
-        // 1 KiB leave four cores' decode buffers no remainder), a sweep equals the
-        // test-side reference — every stream decoded whole and replayed by lone
-        // systems that share nothing — and reports the same wraps. Once with a capture
-        // that covers the run (no wraps), once with a 64-access capture every core
-        // re-executes many times over: one block, looped in place.
+        // that keep the whole run (default) and with memos that keep no chunk of events
+        // (64 KiB and 1 KiB leave less than the 64 KiB a chunk reserves once the four
+        // cores' decode buffers are charged), a sweep equals the test-side reference —
+        // every stream decoded whole and replayed by lone systems that share nothing —
+        // and reports the same wraps. Once with a capture that covers the run (no
+        // wraps), once with a 64-access capture every core re-executes many times over:
+        // one block, looped in place.
         use cache_sim::trace::SharedReplayTrace;
 
         let (cfg, mixes) = smoke_setup();
@@ -1556,6 +1543,46 @@ mod tests {
             }
             std::fs::remove_file(path).ok();
         }
+    }
+
+    #[test]
+    fn a_replayed_mix_charges_two_of_its_largest_blocks_a_core_and_pools_the_rest() {
+        // Each core decodes one block at a time, whatever the budget: the memo pool gets
+        // the budget less `cores × 2 ×` the largest block's records `×` 24 B, at 16 and
+        // at 128 cores, and nothing once the decode buffers take it all.
+        use trace_io::format::DEFAULT_BLOCK_RECORDS;
+
+        let block = DEFAULT_BLOCK_RECORDS as u64;
+        let default = ReplayConfig::default().arena_budget_bytes;
+        for study in [StudyKind::Cores16, StudyKind::Cores128] {
+            let mix = &generate_mixes(study, 1, 1)[0];
+            let cores = study.num_cores() as u64;
+            let path = std::env::temp_dir().join(format!("runner_decode_charge_{cores}.atrc"));
+            capture_mix_file(&path, mix, 64, 1, block + 100);
+            let source = MixSource::replayed_with_id(&path, 0).unwrap();
+            let buffers = cores * 2 * block * 24;
+            for arena_budget_bytes in [default, buffers + 1, buffers, buffers / 2] {
+                let replay = ReplayConfig { arena_budget_bytes };
+                let prepared = source.materialize_with(64, 1, &replay).unwrap();
+                assert_eq!(
+                    prepared.memo_pool.bytes_left(),
+                    arena_budget_bytes.saturating_sub(buffers),
+                    "{cores} cores, budget {arena_budget_bytes}"
+                );
+            }
+            std::fs::remove_file(path).ok();
+        }
+        // A stream shorter than a block is charged its one block.
+        let (cfg, mixes) = smoke_setup();
+        let path = std::env::temp_dir().join("runner_decode_charge_short.atrc");
+        let llc_sets = cfg.llc.geometry.num_sets();
+        capture_mix_file(&path, &mixes[0], llc_sets, 1, 64);
+        let prepared = MixSource::replayed_with_id(&path, 0)
+            .unwrap()
+            .materialize_with(llc_sets, 1, &ReplayConfig::default())
+            .unwrap();
+        assert_eq!(prepared.memo_pool.bytes_left(), default - 4 * 2 * 64 * 24);
+        std::fs::remove_file(path).ok();
     }
 
     #[test]

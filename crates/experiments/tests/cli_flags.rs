@@ -159,6 +159,27 @@ fn sweep_reports_a_corrupt_block_as_one_typed_error_at_every_budget() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Every usage form names the three scales, the default `--scaled` included, and the
+/// budget's help says how a mix is streamed.
+#[test]
+fn the_usage_names_every_scale_in_every_form() {
+    let output = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .arg("--help")
+        .output()
+        .expect("repro must run");
+    assert!(output.status.success());
+    let stdout = String::from_utf8_lossy(&output.stdout);
+    let forms: Vec<&str> = stdout
+        .lines()
+        .filter(|l| l.starts_with("usage: repro") || l.trim_start().starts_with("repro "))
+        .collect();
+    assert_eq!(forms.len(), 4, "{stdout}");
+    for form in forms {
+        assert!(form.contains("[--scaled|--paper-scale|--smoke]"), "{form}");
+    }
+    assert!(stdout.contains("one block at a time"), "{stdout}");
+}
+
 /// `--mixes N` reaches every registry experiment, not only the scaling study: Figure 3
 /// at smoke scale evaluates exactly the two mixes asked for.
 #[test]

@@ -12,7 +12,7 @@
 //!                        (default scaled; sets geometry and run length)
 //!   --arena-bytes N      memory budget of a materialized mix in bytes (default
 //!                        256 MiB): decode buffers + event memo. Every mix is
-//!                        streamed from its mapping in fixed-size batches; served
+//!                        streamed from its mapping one block at a time; served
 //!                        results are identical at every N
 //! ```
 //!

@@ -105,7 +105,7 @@ fn hits_are_bit_identical_and_stats_count_exactly_what_clients_observed() {
 #[test]
 fn a_daemon_whose_memos_run_dry_reports_its_handovers_and_the_same_answers() {
     // A budget whose memo pool covers the four streams' checkpoints but not one chunk of
-    // events: the smallest decode batches, 1024 records a core, take 192 KiB of it, and
+    // events: the decode buffers, two 4096-record blocks a core, take 768 KiB of it, and
     // the 48 KiB left hold the checkpoints (a few KB each) but not the 64 KiB a stage
     // reserves before it generates a chunk (`MAX_CHUNK_BYTES`). Every evaluation runs off
     // the empty prefix at once and continues from the checkpoint. `/corpora` counts those
@@ -119,7 +119,7 @@ fn a_daemon_whose_memos_run_dry_reports_its_handovers_and_the_same_answers() {
         scale: common::SCALE,
         corpora: vec![("c".to_string(), dir)],
         replay: ReplayConfig {
-            arena_budget_bytes: (192 + 48) << 10,
+            arena_budget_bytes: (768 + 48) << 10,
         },
         ..sweep_serve::ServerConfig::default()
     })

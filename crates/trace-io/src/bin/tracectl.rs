@@ -25,7 +25,7 @@
 //! written as checksummed `.atrc` v3 (LZ4-compressed blocks, streamed, so it works at
 //! any size) and no flag changes that; `inspect` and `stats` read every format version
 //! through the one reader, `trace_io::MappedTrace`: a fresh mapping per file (so every
-//! checksum is verified), decoded in bounded batches — a capture larger than RAM can
+//! checksum is verified), decoded one block at a time — a capture larger than RAM can
 //! still be checked.
 //!
 //! `import` transcodes external traces: ChampSim-style 64-byte binary records (one input
@@ -47,7 +47,7 @@ use sim_obs::json_escape;
 use trace_io::import::{self, ImportFormat, ImportOptions};
 use trace_io::{
     capture_benchmarks, capture_mix, compression_stats, DecodeTimings, MappedStreamDecoder,
-    MappedTrace, TraceCaptureOptions, DEFAULT_BATCH_RECORDS,
+    MappedTrace, TraceCaptureOptions,
 };
 use workloads::{generate_mixes, StudyKind};
 
@@ -306,21 +306,20 @@ fn import_cmd(args: ImportArgs) -> Result<(), String> {
     Ok(())
 }
 
-/// One full pass over `core`'s stream in [`DEFAULT_BATCH_RECORDS`]-sized batches, each
-/// handed to `visit` — decoded-record memory stays O(batch) whatever the stream's length.
+/// One full pass over `core`'s stream, one block at a time, each handed to `visit` —
+/// decoded-record memory stays one block whatever the stream's length.
 fn decode_pass(
     trace: &Arc<MappedTrace>,
     core: usize,
     mut visit: impl FnMut(&[MemAccess]),
 ) -> Result<(), String> {
-    let mut decoder = MappedStreamDecoder::new(trace.clone(), core, DEFAULT_BATCH_RECORDS)
-        .map_err(|e| e.to_string())?;
-    let mut batch = Vec::new();
+    let mut decoder = MappedStreamDecoder::new(trace.clone(), core).map_err(|e| e.to_string())?;
+    let mut block = Vec::new();
     loop {
         let ended_pass = decoder
-            .try_fill(&mut batch)
+            .try_fill(&mut block)
             .map_err(|e| format!("core {core}: {e}"))?;
-        visit(&batch);
+        visit(&block);
         if ended_pass {
             return Ok(());
         }
@@ -470,8 +469,8 @@ fn stats(path: &Path, json: bool) -> Result<(), String> {
         let mut unique = std::collections::HashSet::new();
         let mut non_mem = 0u64;
         let start = Instant::now();
-        decode_pass(&trace, core, |batch| {
-            for a in batch {
+        decode_pass(&trace, core, |block| {
+            for a in block {
                 writes += u64::from(a.is_write);
                 non_mem += u64::from(a.non_mem_instrs);
                 unique.insert(a.addr >> 6);

@@ -171,12 +171,13 @@ pub fn decode_block_payload(
 
 /// Decode a block payload holding exactly `record_count` records, *appending* to `out`.
 ///
-/// This is the reader's batch decoder: unlike [`decode_block_payload`] it does not clear
-/// `out` (several blocks accumulate into one arena), reserves exactly (so a reused
-/// arena's capacity tracks the configured batch size instead of doubling), and reads
-/// varints a word at a time. It accepts exactly the payloads [`decode_block_payload`]
-/// accepts and produces identical records — the fuzz wall in `tests/atrc_fuzz.rs` and the
-/// unit tests below hold the two decoders bit-identical, on corrupt payloads too.
+/// This is the reader's decoder: unlike [`decode_block_payload`] it does not clear `out`
+/// (a whole-stream decode accumulates every block into one vector), reserves exactly (so
+/// a reused replay arena's capacity tracks the stream's largest block instead of
+/// doubling), and reads varints a word at a time. It accepts exactly the payloads
+/// [`decode_block_payload`] accepts and produces identical records — the fuzz wall in
+/// `tests/atrc_fuzz.rs` and the unit tests below hold the two decoders bit-identical, on
+/// corrupt payloads too.
 pub fn decode_block_payload_append(
     payload: &[u8],
     record_count: usize,

@@ -21,9 +21,11 @@
 //!   depend on the thread count ([`mod@capture`]).
 //! * [`MappedTrace`] is the one reader: it memory-maps a file once (plain read where
 //!   mapping is unavailable), rejects structural damage at `open`, and decodes from the
-//!   mapping ([`MappedStreamDecoder`] in bounded batches — the way every replay reads —
-//!   or [`MappedTrace::decode_core`] for a whole stream at once). Checksums are validated once per block *per file* and skipped on later
-//!   passes and cursors, so repeated replays pay for integrity exactly once.
+//!   mapping ([`MappedStreamDecoder`] one block at a time — the way every replay reads,
+//!   so a replayed core holds one decoded block — or [`MappedTrace::decode_core`] for a
+//!   whole stream at once). Checksums are validated once per block *per file* and
+//!   skipped on later passes and cursors, so repeated replays pay for integrity exactly
+//!   once.
 //!   `experiments::runner` (`MixSource::materialize_with`), `sweepd` and `tracectl` all
 //!   read through it, so no file I/O runs inside the simulator loop.
 //! * [`open_all`] yields one [`cache_sim::trace::TraceSource`] per core over a shared
@@ -83,6 +85,6 @@ pub use corpus::{Corpus, CorpusEntry, CorpusMeta};
 pub use error::TraceError;
 pub use header::{CoreStreamInfo, TraceHeader};
 pub use import::{import_into_corpus, import_to_file, ImportFormat, ImportOptions, ImportStats};
-pub use mmap::{DecodeTimings, MappedStreamDecoder, MappedTrace, DEFAULT_BATCH_RECORDS};
+pub use mmap::{DecodeTimings, MappedStreamDecoder, MappedTrace};
 pub use reader::{compression_stats, decode_all, open_all, read_header, CompressionInfo};
 pub use writer::{TraceCaptureOptions, TraceSummary, TraceWriter};

@@ -10,12 +10,15 @@
 //! `tracectl`) reads its index.
 //!
 //! Decoding then never copies payload bytes into an intermediate buffer:
-//! [`MappedStreamDecoder`] batch-decodes blocks directly from the mapping into a reusable
-//! caller-owned arena ([`cache_sim::trace::BatchSource`]), using the word-at-a-time
-//! appending decoder in [`crate::format`]. The runner puts it straight under
-//! [`cache_sim::trace::ArenaReplayTrace`], so a batch decodes on whichever thread reads
+//! [`MappedStreamDecoder`] decodes one block at a time, the file's unit of framing,
+//! directly from the mapping into a reusable caller-owned arena
+//! ([`cache_sim::trace::BatchSource`]), using the word-at-a-time appending decoder in
+//! [`crate::format`]. The runner puts it straight under
+//! [`cache_sim::trace::ArenaReplayTrace`], so a block decodes on whichever thread reads
 //! the stream — a shared private stage's read-ahead thread, or the sweep worker that
 //! drives it — into the one buffer the cursor reuses, with no allocation in steady state.
+//! A replayed core holds one decoded block and one decompression scratch, whatever the
+//! stream's length and whatever the memory budget.
 //!
 //! # Integrity
 //!
@@ -41,10 +44,6 @@ use crate::format::{
     MAX_BLOCK_PAYLOAD, MAX_BLOCK_RECORDS,
 };
 use crate::header::TraceHeader;
-
-/// Default records per decode batch when no arena budget dictates one (768 KiB of
-/// records at 24 bytes each).
-pub const DEFAULT_BATCH_RECORDS: usize = 1 << 15;
 
 /// One block of one core's stream, as located by the open-time scan.
 #[derive(Debug, Clone, Copy)]
@@ -194,6 +193,16 @@ impl MappedTrace {
         self.chunks.get(core).map_or(0, Vec::len)
     }
 
+    /// Records in the largest block of `core`'s stream (0 for an out-of-range `core`):
+    /// the most a [`MappedStreamDecoder`] over it holds decoded at once.
+    pub fn largest_block_records(&self, core: usize) -> usize {
+        let chunks = self.chunks.get(core).into_iter().flatten();
+        chunks
+            .map(|chunk| chunk.records as usize)
+            .max()
+            .unwrap_or(0)
+    }
+
     /// Total FNV validations performed across all cursors of this mapping. Stops
     /// growing once every block has been seen once — the validate-once guarantee.
     pub fn checksum_validations(&self) -> u64 {
@@ -245,7 +254,7 @@ impl MappedTrace {
 
     /// Decode one chunk, appending its records to `arena`: validate-once FNV over the
     /// stored bytes (so corruption is rejected *before* decompression), then decompress
-    /// if the block is compressed, then batch varint decode.
+    /// if the block is compressed, then varint decode.
     fn decode_chunk(
         &self,
         core: usize,
@@ -343,7 +352,7 @@ impl MappedTrace {
 
     /// Decode `core`'s complete stream once, verifying every block's checksum on the
     /// way: the whole-stream integrity check (`tracectl stats`) and the reference the
-    /// tests hold batch-streamed replay against.
+    /// tests hold block-streamed replay against.
     pub fn decode_core(&self, core: usize) -> Result<Vec<MemAccess>, TraceError> {
         let _span = sim_obs::span("trace-io", "decode_core");
         let mut records = Vec::new();
@@ -446,72 +455,62 @@ fn read_u32_at(bytes: &[u8], pos: &mut usize) -> Result<u32, TraceError> {
     ))
 }
 
-/// A batch-decode cursor over one core of a [`MappedTrace`].
+/// A block-at-a-time decode cursor over one core of a [`MappedTrace`].
 ///
-/// Implements [`BatchSource`]: each [`fill`](BatchSource::fill) decodes whole blocks
-/// from the mapping into the caller's arena until `batch_records` is reached (never
-/// splitting a block, and never exceeding `max(batch_records, largest block)` records),
-/// wrapping to the first block at end of stream (the paper's re-execution methodology).
+/// Implements [`BatchSource`]: each [`fill`](BatchSource::fill) decodes exactly the next
+/// block from the mapping into the caller's arena, wrapping to the first block after the
+/// last (the paper's re-execution methodology). A stream of one block therefore fills
+/// with the whole stream, which [`cache_sim::trace::ArenaReplayTrace`] then loops in
+/// place.
 pub struct MappedStreamDecoder {
     trace: Arc<MappedTrace>,
     core: usize,
     next_chunk: usize,
-    batch_records: usize,
     /// Reused decompression buffer for v3 blocks (registered with arena accounting).
     scratch: Vec<u8>,
     scratch_tracker: ArenaTracker,
 }
 
 impl MappedStreamDecoder {
-    /// A cursor at the start of `core`'s stream, batching roughly `batch_records`
-    /// records per fill (clamped to at least 1).
-    pub fn new(
-        trace: Arc<MappedTrace>,
-        core: usize,
-        batch_records: usize,
-    ) -> Result<MappedStreamDecoder, TraceError> {
+    /// A cursor at the start of `core`'s stream.
+    pub fn new(trace: Arc<MappedTrace>, core: usize) -> Result<MappedStreamDecoder, TraceError> {
         trace.replayable_records(core)?;
         Ok(MappedStreamDecoder {
             trace,
             core,
             next_chunk: 0,
-            batch_records: batch_records.max(1),
             scratch: Vec::new(),
             scratch_tracker: ArenaTracker::new(),
         })
     }
 
-    /// Fallible fill: replace `arena`'s contents with the next batch, reporting whether
-    /// the batch ends a full pass over the stream. Errors are decode-time corruption
-    /// (checksum mismatch, bad varints) — structural problems were already rejected at
-    /// [`MappedTrace::open`].
+    /// Fallible fill: replace `arena`'s contents with the next block, reporting whether
+    /// it is the stream's last (the block ends a full pass). Errors are decode-time
+    /// corruption (checksum mismatch, bad varints) — structural problems were already
+    /// rejected at [`MappedTrace::open`] — and leave the cursor on the failed block.
     pub fn try_fill(&mut self, arena: &mut Vec<MemAccess>) -> Result<bool, TraceError> {
         arena.clear();
-        let trace = &*self.trace;
-        let chunks = &trace.chunks[self.core];
-        loop {
-            let chunk = &chunks[self.next_chunk];
-            if !arena.is_empty() && arena.len() + chunk.records as usize > self.batch_records {
-                return Ok(false);
-            }
-            trace.decode_chunk(self.core, chunk, arena, &mut self.scratch)?;
-            self.scratch_tracker
-                .set_bytes(self.scratch.capacity() as u64);
-            self.next_chunk += 1;
-            if self.next_chunk == chunks.len() {
-                self.next_chunk = 0;
-                return Ok(true);
-            }
-            if arena.len() >= self.batch_records {
-                return Ok(false);
-            }
+        let chunks = &self.trace.chunks[self.core];
+        self.trace.decode_chunk(
+            self.core,
+            &chunks[self.next_chunk],
+            arena,
+            &mut self.scratch,
+        )?;
+        self.scratch_tracker
+            .set_bytes(self.scratch.capacity() as u64);
+        self.next_chunk += 1;
+        let ended_pass = self.next_chunk == chunks.len();
+        if ended_pass {
+            self.next_chunk = 0;
         }
+        Ok(ended_pass)
     }
 
-    /// Position the cursor for record `at` of the endless stream: the next fill starts
-    /// with the block that holds record `at % len`, found in the chunk index. Returns
-    /// the passes a cursor that has served `at` records has completed, and how many of
-    /// that block's leading records come before record `at` — what
+    /// Position the cursor for record `at` of the endless stream: the next fill decodes
+    /// the block that holds record `at % len`, found in the chunk index. Returns the
+    /// passes a cursor that has served `at` records has completed, and how many of that
+    /// block's leading records come before record `at` — what
     /// [`cache_sim::trace::ArenaReplayTrace::resume`] takes.
     pub fn seek(&mut self, at: u64) -> (u64, usize) {
         let chunks = &self.trace.chunks[self.core];
@@ -544,7 +543,7 @@ impl BatchSource for MappedStreamDecoder {
         raise_replay_fault(&self.label(), message)
     }
 
-    /// Restart the stream (the next fill produces the first batch again).
+    /// Restart the stream (the next fill decodes the first block again).
     fn rewind(&mut self) {
         self.next_chunk = 0;
     }
@@ -578,7 +577,7 @@ mod tests {
         let written = write_trace(&path, 2, 40);
         let trace = Arc::new(MappedTrace::open(&path).unwrap());
         for (core, pushed) in written.iter().enumerate() {
-            let mut cursor = cursor(&trace, core, 12);
+            let mut cursor = cursor(&trace, core);
             assert_eq!(cursor.label(), trace.header().cores[core].label);
             for pass in 0..3 {
                 for (i, want) in pushed.iter().enumerate() {
@@ -607,7 +606,7 @@ mod tests {
             0,
             "open must not validate checksums (validation is lazy)"
         );
-        let mut a = cursor(&trace, 0, 16);
+        let mut a = cursor(&trace, 0);
         for _ in 0..64 {
             a.next_access();
         }
@@ -630,7 +629,7 @@ mod tests {
             "reset must not re-validate"
         );
         // A second cursor over the same mapping inherits the validated state.
-        let mut b = cursor(&trace, 0, 16);
+        let mut b = cursor(&trace, 0);
         for _ in 0..64 {
             b.next_access();
         }
@@ -646,43 +645,76 @@ mod tests {
         std::fs::remove_file(path).ok();
     }
 
+    /// Records around block edges and the stream's end, for a 40-record stream of
+    /// 16-record blocks.
+    const EDGES: [u64; 9] = [0, 1, 15, 16, 17, 39, 40, 41, 3 * 40 - 1];
+
+    /// Each fill decodes exactly the next block of the chunk index — its records, no
+    /// more — and says it ended a pass on the last block only; the fill after that
+    /// decodes block 0 again. A decoder that seeks to record `at` decodes the block that
+    /// holds it next.
+    #[test]
+    fn each_fill_decodes_exactly_the_next_block_and_wraps_after_the_last() {
+        let path = tmp("one_block_per_fill");
+        let written = write_trace(&path, 2, 40); // 16 + 16 + 8 records a core
+        let trace = Arc::new(MappedTrace::open(&path).unwrap());
+        for (core, pushed) in written.iter().enumerate() {
+            let chunks = &trace.chunks[core];
+            assert_eq!(chunks.len(), 3);
+            assert_eq!(trace.largest_block_records(core), 16);
+            let block_of = |chunk: &ChunkRef| {
+                let first = chunk.first_record as usize;
+                &pushed[first..first + chunk.records as usize]
+            };
+            let mut decoder = MappedStreamDecoder::new(trace.clone(), core).unwrap();
+            let mut arena = Vec::new();
+            for pass in 0..3 {
+                for (i, chunk) in chunks.iter().enumerate() {
+                    let ended_pass = decoder.try_fill(&mut arena).unwrap();
+                    let what = format!("core {core}, pass {pass}, block {i}");
+                    assert_eq!(arena, block_of(chunk), "{what}");
+                    assert_eq!(ended_pass, i == chunks.len() - 1, "{what}");
+                }
+            }
+            for at in EDGES {
+                let (passes, skip) = decoder.seek(at);
+                decoder.try_fill(&mut arena).unwrap();
+                let offset = (at % 40) as usize;
+                let first = offset - skip;
+                assert_eq!(passes, at / 40, "at {at}");
+                assert_eq!(first % 16, 0, "at {at}: a block starts at {first}");
+                assert_eq!(arena[skip], pushed[offset], "at {at}");
+                assert_eq!(arena, pushed[first..(first + 16).min(40)], "at {at}");
+            }
+        }
+        assert_eq!(trace.largest_block_records(2), 0, "no such core");
+        std::fs::remove_file(path).ok();
+    }
+
     /// A cursor that seeks to record `at` serves the stream from `at % len` on, looped,
     /// and counts passes and wraps as a cursor driven `at` records does — around block
-    /// edges and the stream's end, with batches smaller than, equal to and larger than
-    /// the stream.
+    /// edges and the stream's end.
     #[test]
     fn seeked_cursors_continue_like_cursors_driven_there() {
         let path = tmp("seek_wall");
         write_trace(&path, 2, 40); // 16 + 16 + 8 records a core
         let trace = Arc::new(MappedTrace::open(&path).unwrap());
-        let (block, len) = (16u64, 40u64);
+        let len = 40u64;
         for core in 0..2 {
             let stream = trace.decode_core(core).unwrap();
-            for batch in [12, 40, 64] {
-                for at in [
-                    0,
-                    1,
-                    block - 1,
-                    block,
-                    block + 1,
-                    len - 1,
-                    len,
-                    len + 1,
-                    3 * len - 1,
-                ] {
-                    let mut driven = cursor(&trace, core, batch);
-                    for _ in 0..at {
-                        driven.next_access();
-                    }
-                    let mut seeked = seeked(&trace, core, batch, at);
-                    let what = format!("core {core}, batch {batch}, at {at}");
-                    assert_eq!(seeked.passes(), driven.passes(), "{what}");
-                    for i in 0..2 * len + 7 {
-                        let want = stream[((at + i) % len) as usize];
-                        assert_eq!(seeked.next_access(), want, "{what}, record {i}");
-                        assert_eq!(driven.next_access(), want, "{what}, record {i}");
-                        assert_eq!(seeked.wraps(), driven.wraps(), "{what}, record {i}");
-                    }
+            for at in EDGES {
+                let mut driven = cursor(&trace, core);
+                for _ in 0..at {
+                    driven.next_access();
+                }
+                let mut seeked = seeked(&trace, core, at);
+                let what = format!("core {core}, at {at}");
+                assert_eq!(seeked.passes(), driven.passes(), "{what}");
+                for i in 0..2 * len + 7 {
+                    let want = stream[((at + i) % len) as usize];
+                    assert_eq!(seeked.next_access(), want, "{what}, record {i}");
+                    assert_eq!(driven.next_access(), want, "{what}, record {i}");
+                    assert_eq!(seeked.wraps(), driven.wraps(), "{what}, record {i}");
                 }
             }
         }
@@ -706,7 +738,7 @@ mod tests {
         std::fs::write(&path, bytes).unwrap();
 
         let trace = Arc::new(MappedTrace::open(&path).unwrap());
-        let mut decoder = MappedStreamDecoder::new(trace.clone(), 0, 16).unwrap();
+        let mut decoder = MappedStreamDecoder::new(trace.clone(), 0).unwrap();
         assert_eq!(decoder.seek(32), (0, 0));
         let mut arena = Vec::new();
         // Blocks 2 and 3, to the end of the stream.
@@ -727,8 +759,8 @@ mod tests {
         std::fs::remove_file(path).ok();
     }
 
-    /// Counts the batches a consumer takes from the source it wraps — what the
-    /// `zero_copy_batch` spans count in a profile.
+    /// Counts the fills — one block each — a consumer takes from the source it wraps:
+    /// what the `zero_copy_batch` spans count in a profile.
     struct CountedFills(MappedStreamDecoder, Arc<AtomicU64>);
 
     impl BatchSource for CountedFills {
@@ -744,7 +776,7 @@ mod tests {
         }
     }
 
-    /// `decoder` behind a fill counter, and the count of the batches taken through it.
+    /// `decoder` behind a fill counter, and the count of the fills taken through it.
     fn counted(decoder: MappedStreamDecoder) -> (Box<CountedFills>, Arc<AtomicU64>) {
         let fills = Arc::new(AtomicU64::new(0));
         (Box::new(CountedFills(decoder, fills.clone())), fills)
@@ -753,48 +785,47 @@ mod tests {
     #[test]
     fn a_mapped_stream_that_fits_one_batch_is_decoded_once_and_loops_in_place() {
         // The hand-imported corpus shape: 8 records, one block. Through the product's
-        // stack (the decoder under the arena cursor) the first pass takes the
-        // one batch and validates the one checksum; fifty more take nothing, whatever
-        // the batch size above the stream's length. `reset` takes the batch again.
+        // stack (the decoder under the arena cursor) the first pass takes the one block
+        // and validates the one checksum; fifty more take nothing. `reset` takes the
+        // block again.
         let path = tmp("resident");
         let written = write_trace(&path, 1, 8);
-        for batch_records in [8, 1024] {
-            let trace = Arc::new(MappedTrace::open(&path).unwrap());
-            let decoder = MappedStreamDecoder::new(trace.clone(), 0, batch_records).unwrap();
-            let (source, fills) = counted(decoder);
-            let mut cursor = ArenaReplayTrace::new(source, Arc::default());
-            for pass in 0..51 {
-                for want in &written[0] {
-                    assert_eq!(cursor.next_access(), *want, "pass {pass}");
-                }
-                assert_eq!(cursor.wraps(), pass + 1, "eager wrap counting");
-                assert_eq!(fills.load(Ordering::Relaxed), 1, "pass {pass}");
-                assert_eq!(trace.checksum_validations(), 1, "pass {pass}");
+        let trace = Arc::new(MappedTrace::open(&path).unwrap());
+        let decoder = MappedStreamDecoder::new(trace.clone(), 0).unwrap();
+        let (source, fills) = counted(decoder);
+        let mut cursor = ArenaReplayTrace::new(source, Arc::default());
+        for pass in 0..51 {
+            for want in &written[0] {
+                assert_eq!(cursor.next_access(), *want, "pass {pass}");
             }
-            cursor.reset();
-            assert_eq!(cursor.next_access(), written[0][0]);
-            assert_eq!(fills.load(Ordering::Relaxed), 2, "reset refills once");
-            assert_eq!(trace.checksum_validations(), 1);
-
-            // Resumed mid-pass, its first batch did not start the pass: the next one is
-            // taken too, and that one loops in place.
-            let mut decoder = MappedStreamDecoder::new(trace.clone(), 0, batch_records).unwrap();
-            let (passes, skip) = decoder.seek(3);
-            let (source, fills) = counted(decoder);
-            let mut resumed = ArenaReplayTrace::resume(source, Arc::default(), passes, skip);
-            for want in written[0].iter().cycle().skip(3).take(51 * 8) {
-                assert_eq!(resumed.next_access(), *want);
-            }
-            assert_eq!((resumed.wraps(), fills.load(Ordering::Relaxed)), (51, 2));
-            // Decoding happens on the caller's thread: dropping the cursors releases
-            // every hold on the mapping at once.
-            drop((cursor, resumed));
-            assert_eq!(Arc::strong_count(&trace), 1);
+            assert_eq!(cursor.wraps(), pass + 1, "eager wrap counting");
+            assert_eq!(fills.load(Ordering::Relaxed), 1, "pass {pass}");
+            assert_eq!(trace.checksum_validations(), 1, "pass {pass}");
         }
-        // A batch shorter than the stream (two blocks of 16) keeps refilling.
+        cursor.reset();
+        assert_eq!(cursor.next_access(), written[0][0]);
+        assert_eq!(fills.load(Ordering::Relaxed), 2, "reset refills once");
+        assert_eq!(trace.checksum_validations(), 1);
+
+        // Resumed mid-pass, its first fill did not start the pass: the next one is taken
+        // too, and that one loops in place.
+        let mut decoder = MappedStreamDecoder::new(trace.clone(), 0).unwrap();
+        let (passes, skip) = decoder.seek(3);
+        let (source, fills) = counted(decoder);
+        let mut resumed = ArenaReplayTrace::resume(source, Arc::default(), passes, skip);
+        for want in written[0].iter().cycle().skip(3).take(51 * 8) {
+            assert_eq!(resumed.next_access(), *want);
+        }
+        assert_eq!((resumed.wraps(), fills.load(Ordering::Relaxed)), (51, 2));
+        // Decoding happens on the caller's thread: dropping the cursors releases every
+        // hold on the mapping at once.
+        drop((cursor, resumed));
+        assert_eq!(Arc::strong_count(&trace), 1);
+
+        // A stream of two blocks of 16 keeps refilling, one block a fill.
         let written = write_trace(&path, 1, 32);
         let trace = Arc::new(MappedTrace::open(&path).unwrap());
-        let (source, fills) = counted(MappedStreamDecoder::new(trace.clone(), 0, 16).unwrap());
+        let (source, fills) = counted(MappedStreamDecoder::new(trace.clone(), 0).unwrap());
         let mut cursor = ArenaReplayTrace::new(source, Arc::default());
         for want in written[0].iter().cycle().take(3 * 32) {
             assert_eq!(cursor.next_access(), *want);
@@ -845,7 +876,7 @@ mod tests {
         w.finish().unwrap();
         assert!(matches!(decode_all(&path), Err(TraceError::Corrupt(_))));
         let trace = Arc::new(MappedTrace::open(&path).unwrap());
-        assert!(MappedStreamDecoder::new(trace, 0, 16).is_err());
+        assert!(MappedStreamDecoder::new(trace, 0).is_err());
         std::fs::remove_file(path).ok();
     }
 

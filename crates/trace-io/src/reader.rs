@@ -12,7 +12,7 @@ use cache_sim::trace::{ArenaReplayTrace, MemAccess};
 
 use crate::error::TraceError;
 use crate::header::TraceHeader;
-use crate::mmap::{MappedStreamDecoder, MappedTrace, DEFAULT_BATCH_RECORDS};
+use crate::mmap::{MappedStreamDecoder, MappedTrace};
 
 /// Parse the header of the trace file at `path` (any format version) without touching
 /// the chunk region.
@@ -32,7 +32,7 @@ pub fn decode_all(path: impl AsRef<Path>) -> Result<Vec<Vec<MemAccess>>, TraceEr
 
 /// One wrapping replay cursor per core of the file — the replay-side counterpart of
 /// `WorkloadMix::trace_sources`. The cursors share one mapping (and its validate-once
-/// checksum state) and decode [`DEFAULT_BATCH_RECORDS`] records at a time; when a stream
+/// checksum state) and decode one block at a time; when a stream
 /// is exhausted it restarts from its first block, mirroring the paper's re-execution of
 /// an application that finishes before its co-runners, and
 /// [`wraps`](ArenaReplayTrace::wraps) counts how often that happened.
@@ -40,7 +40,7 @@ pub fn open_all(path: impl AsRef<Path>) -> Result<Vec<ArenaReplayTrace>, TraceEr
     let trace = Arc::new(MappedTrace::open(path)?);
     (0..trace.header().cores.len())
         .map(|core| {
-            let decoder = MappedStreamDecoder::new(trace.clone(), core, DEFAULT_BATCH_RECORDS)?;
+            let decoder = MappedStreamDecoder::new(trace.clone(), core)?;
             Ok(ArenaReplayTrace::new(Box::new(decoder), Arc::default()))
         })
         .collect()
@@ -137,14 +137,14 @@ mod tests {
         let path = tmp("reader_partial_validate");
         write_trace(&path, 1, 64); // 4 blocks of 16
         let trace = Arc::new(MappedTrace::open(&path).unwrap());
-        let mut a = cursor(&trace, 0, 16);
+        let mut a = cursor(&trace, 0);
         for _ in 0..20 {
             a.next_access(); // blocks 0 and 1 seen
         }
         assert_eq!(trace.checksum_validations(), 2);
         // The mark is per file: a reset cursor and a second one both pick it up.
         a.reset();
-        let mut b = cursor(&trace, 0, 16);
+        let mut b = cursor(&trace, 0);
         for _ in 0..64 {
             a.next_access();
             b.next_access();
@@ -194,7 +194,7 @@ mod tests {
         let trace = Arc::new(MappedTrace::open(&path).unwrap());
         assert!(matches!(trace.decode_core(1), Err(TraceError::Corrupt(_))));
         assert!(matches!(
-            MappedStreamDecoder::new(trace, 1, 16),
+            MappedStreamDecoder::new(trace, 1),
             Err(TraceError::Corrupt(_))
         ));
         std::fs::remove_file(&path).ok();

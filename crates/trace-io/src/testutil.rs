@@ -55,25 +55,16 @@ pub(crate) fn write_trace(path: &Path, cores: usize, records: u64) -> Vec<Vec<Me
     write_layout(path, cores, records, 3, true)
 }
 
-/// A wrapping replay cursor over `core`, decoding `batch_records` at a time.
-pub(crate) fn cursor(
-    trace: &Arc<MappedTrace>,
-    core: usize,
-    batch_records: usize,
-) -> ArenaReplayTrace {
-    let decoder = MappedStreamDecoder::new(trace.clone(), core, batch_records).unwrap();
+/// A wrapping replay cursor over `core`, decoding one block at a time.
+pub(crate) fn cursor(trace: &Arc<MappedTrace>, core: usize) -> ArenaReplayTrace {
+    let decoder = MappedStreamDecoder::new(trace.clone(), core).unwrap();
     ArenaReplayTrace::new(Box::new(decoder), Arc::default())
 }
 
 /// [`cursor`] standing at record `at` of the endless stream: its decoder seeks to the
 /// block that holds it, and the arena cursor resumes inside that block.
-pub(crate) fn seeked(
-    trace: &Arc<MappedTrace>,
-    core: usize,
-    batch_records: usize,
-    at: u64,
-) -> ArenaReplayTrace {
-    let mut decoder = MappedStreamDecoder::new(trace.clone(), core, batch_records).unwrap();
+pub(crate) fn seeked(trace: &Arc<MappedTrace>, core: usize, at: u64) -> ArenaReplayTrace {
+    let mut decoder = MappedStreamDecoder::new(trace.clone(), core).unwrap();
     let (passes, skip) = decoder.seek(at);
     ArenaReplayTrace::resume(Box::new(decoder), Arc::default(), passes, skip)
 }

@@ -205,7 +205,7 @@ fn decode_faults_unwind_as_typed_replay_faults_through_fill() {
     let trace = Arc::new(MappedTrace::open(&clean).expect("open clean trace"));
 
     // Direct decoder path.
-    let mut decoder = MappedStreamDecoder::new(trace.clone(), 0, 64).expect("decoder");
+    let mut decoder = MappedStreamDecoder::new(trace.clone(), 0).expect("decoder");
     guard.install(FaultPlan::new(5).always("replay.decode", FaultKind::Io));
     let payload = catch_unwind(AssertUnwindSafe(|| {
         let mut arena = Vec::new();
@@ -218,7 +218,7 @@ fn decode_faults_unwind_as_typed_replay_faults_through_fill() {
 
     // The same corruption surfaced through the stack the runner builds — the decoder
     // under the arena cursor — must carry the identical typed payload.
-    let decoder = MappedStreamDecoder::new(trace, 0, 64).expect("decoder");
+    let decoder = MappedStreamDecoder::new(trace, 0).expect("decoder");
     guard.install(FaultPlan::new(5).always("replay.decode", FaultKind::Io));
     let payload = catch_unwind(AssertUnwindSafe(|| {
         ArenaReplayTrace::new(Box::new(decoder), Arc::default()).next_access();

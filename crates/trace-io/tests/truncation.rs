@@ -155,7 +155,7 @@ fn mapped_reader_detects_missing_footer_and_torn_final_block() {
 
 #[test]
 fn mapped_reader_survives_arbitrary_tail_cuts_without_partial_records() {
-    // Tail-cut sweep on the mapped path, including cuts that land mid-batch inside the
+    // Tail-cut sweep on the mapped path, including cuts that land mid-block inside the
     // data region: every truncated file must fail at open or decode with a typed error.
     // `decode_all` returning Ok would mean partial records were surfaced.
     for version in [2, 3] {

@@ -39,7 +39,7 @@ fn main() {
 
     // 2. Evaluate the same mix from both provenances. Each side takes the path every
     //    sweep takes: materialize the mix once — its live generators, or the file mapped
-    //    and streamed in batches — then run the policy over the shared streams.
+    //    and streamed a block at a time — then run the policy over the shared streams.
     let policy = PolicyKind::AdaptBp32;
     let evaluate = |source: MixSource| {
         let prepared = source

@@ -8,8 +8,8 @@
 //!   boundaries × every layout the readers accept (v2 and v3, with and without
 //!   checksums: the writer's own v3 for the checksummed v3 leg, `atrc_assembler` for the
 //!   three it cannot write) must decode back to exactly the pushed
-//!   records, both decoded up front and batch-streamed at a random batch size (where
-//!   wrapped replay must repeat the identical stream). Runs under the default proptest
+//!   records, both decoded up front and streamed one block at a time (where wrapped
+//!   replay must repeat the identical stream). Runs under the default proptest
 //!   case count, which CI bumps via `PROPTEST_CASES`.
 //! * **Single-bit-flip corruption** — for small v2 and v3 files, every bit of every
 //!   byte (preamble, chunk frames, payloads, footer directory, trailing offset) is
@@ -114,7 +114,6 @@ proptest! {
         split in 0usize..7,
         version in 2u16..4,
         checksums in any::<bool>(),
-        batch_records in 1usize..96,
     ) {
         let records: Vec<MemAccess> = raw
             .iter()
@@ -139,12 +138,12 @@ proptest! {
         prop_assert_eq!((header.version, header.checksums), (version, checksums));
         prop_assert_eq!(&decoded, &streams);
 
-        // A batch-streamed cursor over the mapping (random batch size) must reproduce
-        // the pushed records too, and wrapped replay repeats the identical stream.
+        // A block-streamed cursor over the mapping must reproduce the pushed records
+        // too, and wrapped replay repeats the identical stream.
         let trace = Arc::new(MappedTrace::open(&path).unwrap());
         prop_assert_eq!(trace.header(), &header);
         for (core, expected) in streams.iter().enumerate() {
-            let decoder = MappedStreamDecoder::new(trace.clone(), core, batch_records).unwrap();
+            let decoder = MappedStreamDecoder::new(trace.clone(), core).unwrap();
             let mut cursor = ArenaReplayTrace::new(Box::new(decoder), Arc::default());
             for pass in 0..2u64 {
                 for (i, want) in expected.iter().enumerate() {

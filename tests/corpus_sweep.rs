@@ -1,6 +1,6 @@
 //! End-to-end tests of the corpus-backed sweep engine: materialize a corpus on disk,
 //! sweep it, and hold the results against lone systems over the live generators — the
-//! zero-copy replay (constant-memory arenas, batches decoded by their reader) must be
+//! zero-copy replay (constant-memory arenas, blocks decoded by their reader) must be
 //! invisible in results at every budget and in the profiled logical story, and a corrupt
 //! block must come back as a typed error or not matter.
 
@@ -102,9 +102,10 @@ fn constant_memory_sweep_stays_under_the_arena_cap_and_matches_the_buffered_path
     let cfg = scale.system_config(StudyKind::Cores4);
     let llc_sets = cfg.llc.geometry.num_sets();
     let mixes = generate_mixes(StudyKind::Cores4, 1, scale.seed());
-    let budget: u64 = 2 << 20;
-    // 327 680 records per core x 4 cores x `size_of::<MemAccess>()` (24 B): ~30 MiB
-    // decoded, 15x the 2 MiB budget.
+    let budget: u64 = 1 << 20;
+    // 163 840 records per core x 4 cores x `size_of::<MemAccess>()` (24 B): ~15 MiB
+    // decoded, 15x the 1 MiB budget, of which the four cores' decode buffers are
+    // charged 768 KiB (two 4096-record blocks each) and the memo pool gets the rest.
     let accesses_per_core = 10 * budget / (4 * 16);
 
     let dir = std::env::temp_dir().join("e2e_constant_memory_sweep");
@@ -170,8 +171,8 @@ fn constant_memory_sweep_stays_under_the_arena_cap_and_matches_the_buffered_path
 
 /// The logical event multiset of a profiled sweep: sweep spans and simulator samples,
 /// keyed with context. Worker ids, timestamps and scheduling are excluded — they
-/// legitimately differ across worker counts — and so are the zero-copy batch spans: a
-/// read-ahead decodes on whichever thread serves it, and may decode a batch past the
+/// legitimately differ across worker counts — and so are the zero-copy block spans: a
+/// read-ahead decodes on whichever thread serves it, and may decode a block past the
 /// run's end.
 fn logical_events(
     drained: &Drained,
@@ -198,7 +199,7 @@ fn logical_events(
 #[test]
 fn replay_is_deterministic_across_worker_count() {
     // Serial or parallel workers (and with them, which thread decodes a stage's next
-    // batch) is a pure scheduling choice: both must produce identical per-core
+    // block) is a pure scheduling choice: both must produce identical per-core
     // IPC/MPKI, wraps and the identical multiset of sweep spans and samples.
     // `tests/reference_identity.rs` bounds what the decodes draw
     // (`run_ahead_overfetch_is_bounded_per_core`).
@@ -224,8 +225,10 @@ fn replay_is_deterministic_across_worker_count() {
     // configuration alone carries `alone_run` spans unless another test got there first.
     warm_alone_cache(&cfg, &mixes, INSTRUCTIONS, SEED);
 
+    // Less than the decode buffers' charge: the memos keep nothing, so no read-ahead
+    // runs and every evaluation decodes the blocks it reads on its own thread.
     let replay = ReplayConfig {
-        arena_budget_bytes: 64 << 10, // small batches: several per stream
+        arena_budget_bytes: 64 << 10,
     };
     let run = |workers: usize| {
         sim_obs::reset();
@@ -236,13 +239,19 @@ fn replay_is_deterministic_across_worker_count() {
         .unwrap();
         sim_obs::disable();
         let drained = sim_obs::drain();
-        let batches = drained.threads.iter().flat_map(|t| &t.events);
-        let batches = batches.filter(|e| e.name == "zero_copy_batch").count();
-        (outcome, logical_events(&drained), batches)
+        let events = || drained.threads.iter().flat_map(|t| &t.events);
+        let fills = events().filter(|e| e.name == "zero_copy_batch").count();
+        let blocks: f64 = events()
+            .filter(|e| matches!(e.kind, EventKind::Counter) && e.name == "decode.blocks")
+            .map(|e| e.value)
+            .sum();
+        // One fill decodes one block: the spans count what the mappings decoded.
+        assert_eq!(fills as f64, blocks, "{workers} workers");
+        (outcome, logical_events(&drained), fills)
     };
-    let (serial, serial_events, serial_batches) = run(1);
+    let (serial, serial_events, serial_fills) = run(1);
     let (parallel, parallel_events, _) = run(4);
-    assert!(serial_batches > 0, "replay must emit batch spans");
+    assert!(serial_fills > 0, "replay must emit block spans");
     assert_evaluations_identical(&serial.evaluations, &parallel.evaluations);
     assert_eq!(serial.mix_wraps, parallel.mix_wraps, "wrap accounting");
     assert_eq!(serial_events, parallel_events, "logical span multiset");
@@ -273,7 +282,7 @@ fn blocks_per_core(path: &std::path::Path) -> Vec<Vec<(usize, u64)>> {
 fn a_corrupt_block_is_a_typed_error_where_the_run_reads_it_and_invisible_where_it_does_not() {
     // The failure contract of a sweep: a typed error or the bit-identical answer, at
     // every budget. A flipped payload byte in a block a cell replays fails that block's
-    // checksum in the batch that decodes it, deep inside the infallible trace source;
+    // checksum in the fill that decodes it, deep inside the infallible trace source;
     // the sweep hands it back as an error naming the core and the offset, whether the
     // memos keep the run (default budget) or nothing (each cell then decodes on its
     // own). A flip in a block no cell ever asks for changes nothing: replay verifies
@@ -343,16 +352,13 @@ fn a_corrupt_block_is_a_typed_error_where_the_run_reads_it_and_invisible_where_i
         );
     }
 
-    // The last block of a core whose run stops inside the first batch of the default
-    // budget (`ReplayConfig::batch_records`, block-aligned): no batch a cell takes
-    // holds it, at either budget.
-    let first_batch = ReplayConfig::default().batch_records(cfg.num_cores) as u64;
+    // The last block of a core whose run stops a whole block short of it: replay
+    // decodes one block at a time, so no cell decodes it, at either budget.
     let (core, last) = (0..cfg.num_cores)
-        .map(|core| (core, *blocks[core].last().unwrap()))
-        .find(|&(core, (_, first_record))| {
-            drawn[core] < first_batch.min(first_record) && first_record >= first_batch
-        })
-        .unwrap_or_else(|| panic!("every core reads into its last block: {drawn:?}"));
+        .map(|core| (core, &blocks[core]))
+        .find(|&(core, blocks)| drawn[core] < blocks[blocks.len() - 2].1)
+        .map(|(core, blocks)| (core, *blocks.last().unwrap()))
+        .unwrap_or_else(|| panic!("every core reads into its last two blocks: {drawn:?}"));
     flip(last.0 + 3);
     for (replay, clean) in budgets.iter().zip(&clean) {
         let outcome = sweep(replay).unwrap_or_else(|e| panic!("core {core}: {e}"));

@@ -683,6 +683,7 @@ fn synthetic_and_replayed_mixes_share_their_stages_and_equal_the_oracle_and_the_
         .map(|&kind| lone_run(&cfg, mix, kind, POOL_INSTRUCTIONS, SEED))
         .collect();
 
+    let trace = MappedTrace::open(&path).unwrap();
     // The oracle's results and draws, per provenance; the two agree, and the last serves
     // the pool sizes below.
     let mut references = Vec::new();
@@ -692,25 +693,20 @@ fn synthetic_and_replayed_mixes_share_their_stages_and_equal_the_oracle_and_the_
     ] {
         let provenance = source.provenance();
         // What a budget leaves the mix's one memo pool: the budget less a corpus's
-        // decode buffers, one batch and one decompression scratch per core; a generator
-        // has none.
+        // decode buffers, one block of the core's largest and one decompression scratch
+        // charged as a second block per core, whatever the budget; a generator has none.
         let replayed = matches!(source, MixSource::Replayed { .. });
-        let buffers = |budget: u64| {
-            let replay = ReplayConfig {
-                arena_budget_bytes: budget,
-            };
-            let batch = replay.batch_records(cfg.num_cores) as u64;
-            let record = std::mem::size_of::<MemAccess>() as u64;
-            u64::from(replayed) * cfg.num_cores as u64 * 2 * batch * record
+        let buffers = match replayed {
+            true => {
+                let blocks = (0..cfg.num_cores).map(|core| trace.largest_block_records(core));
+                let record = std::mem::size_of::<MemAccess>();
+                (2 * blocks.sum::<usize>() * record) as u64
+            }
+            false => 0,
         };
-        let memo_pool = |budget: u64| budget.saturating_sub(buffers(budget));
-        // A budget that leaves the pool at least `pool` bytes: unclamped batches
-        // (`ReplayConfig::batch_records`) take at most half of it, and the smallest take
-        // what they take at a budget of 0.
-        let budget_for = |pool: u64| match replayed {
-            true => (2 * pool).max(pool + buffers(0)),
-            false => pool,
-        };
+        let memo_pool = |budget: u64| budget.saturating_sub(buffers);
+        // The budget that leaves the pool exactly `pool` bytes.
+        let budget_for = |pool: u64| pool + buffers;
         // The oracle over the mix's records, and the records it drew from each core.
         let prepared = source
             .materialize_with(llc_sets, SEED, &ReplayConfig::default())
@@ -793,27 +789,20 @@ fn synthetic_and_replayed_mixes_share_their_stages_and_equal_the_oracle_and_the_
         let hungriest = usage.iter().map(held).max().unwrap();
         let slack = (cfg.num_cores + kinds.len() + 1) as u64 * MAX_CHUNK_BYTES;
         let pool = mix_held + slack;
-        let budget = budget_for(pool);
         let what = "one pool covers the mix";
-        let covering = memo_pool(budget);
         assert!(
-            covering >= pool,
-            "{provenance}, {what}: {covering} < {pool}"
-        );
-        assert!(
-            covering < cfg.num_cores as u64 * hungriest,
-            "{provenance}, {what}: an equal split of {covering} bytes would cover every \
+            pool < cfg.num_cores as u64 * hungriest,
+            "{provenance}, {what}: an equal split of {pool} bytes would cover every \
              core's {hungriest}-byte memo"
         );
-        let usage = evaluate_at(what, budget);
+        let usage = evaluate_at(what, budget_for(pool));
         let handovers: u64 = usage.iter().map(|u| u.handovers).sum();
         assert_eq!(handovers, 0, "{provenance}, {what}: {usage:?}");
 
         // A pool a quarter of what the mix held — less than it holds in any run, a chunk
         // per core fewer included — runs out mid-run.
         let what = "memo runs dry";
-        let budget = budget_for(mix_held / 4);
-        let usage = evaluate_at(what, budget);
+        let usage = evaluate_at(what, budget_for(mix_held / 4));
         assert!(
             usage.iter().any(|u| u.handovers > 0),
             "{provenance}, {what}: the pool never ran out"
@@ -825,7 +814,6 @@ fn synthetic_and_replayed_mixes_share_their_stages_and_equal_the_oracle_and_the_
     }
 
     // Every field, at every pool size: stages straight over the decoded records.
-    let trace = MappedTrace::open(&path).unwrap();
     let records: Vec<Arc<Vec<MemAccess>>> = (0..cfg.num_cores)
         .map(|core| Arc::new(trace.decode_core(core).unwrap()))
         .collect();
