@@ -79,12 +79,28 @@
 //! (b) `run` fetches nothing after its last snapshot; a one-core run no one reads ahead
 //! draws exactly the records a per-record engine consumes.
 //!
+//! That over-draw is what the chunk size buys down: a 128-core scaled run consumes about
+//! 8.6 k records a core, and chunks of [`CHUNK_RECORDS`] = 1024 records bound it at
+//! 2 176 records a core, where 4096-record chunks drew 59 % more records than the run
+//! consumed. A smaller chunk costs more hand-offs, each under 0.5 % of a chunk's work
+//! ([`CHUNK_EVENTS`]).
+//!
+//! **Exact-size retention.** A retaining memo generates every chunk into one scratch
+//! chunk of [`MAX_CHUNK_BYTES`], allocated with the memo, and retains an exact-size copy
+//! of it: a retained chunk's buffers hold its events and write-backs and nothing more,
+//! and the scratch is reused for the next chunk. The scratch is one buffer per stage,
+//! charged to the pool and to [`ArenaTracker`] like the checkpoint. A fresh chunk grown
+//! by doubling and shrunk to fit, on whichever thread generated it, cost more: with
+//! 256-event chunks it raised a 16-core sweep's peak RSS by a quarter (`paper16_live`,
+//! 21.0 → 26.2 MB).
+//!
 //! **Release-behind.** A sole stage ([`SharedStage::sole`]) hands out one cursor and
 //! keeps no prefix: its memo drops each chunk the cursor leaves and generates the next
 //! one into that chunk's buffer, so it holds two chunk buffers at most — the one being
-//! read and the one being generated — and shrinks none. It draws on no pool and never
-//! stops retaining. Dropping the cursor takes the stage out of the read-ahead queue and
-//! waits for every thread serving it, so the trace source is gone when `drop` returns.
+//! read and the one being generated — and copies none: the buffer it generated is the
+//! one its cursor reads. It draws on no pool and never stops retaining. Dropping the
+//! cursor takes the stage out of the read-ahead queue and waits for every thread
+//! serving it, so the trace source is gone when `drop` returns.
 //! [`MultiCoreSystem::run`](crate::system::MultiCoreSystem::run) builds one per trace
 //! source, and a hand-over continues on one.
 //!
@@ -110,7 +126,8 @@
 //! thread is a question only for the read-ahead thread, which would take one. A helper
 //! holds one already, which would otherwise sleep. Whoever serves generates only if the
 //! stage's furthest cursor still stands at the memo's end — so no stage runs more than
-//! one chunk ahead of it — and the pool covers the chunk; when the pool is dry the cursor
+//! one chunk ahead of it — the stage has not ended with a frozen event (nothing follows
+//! one), and the pool covers the chunk; when the pool is dry the cursor
 //! makes the checkpoint there, as it would without a read-ahead. A helper cannot wait on
 //! itself: it lets go of its memo's lock before it serves, and a generation never waits
 //! — it runs from a live stage to the end of its chunk on the thread that started it —
@@ -126,11 +143,12 @@
 //! events out of one [`MemoPool`] — what the mix's decode buffers (none for a
 //! generator) leave of its memory budget — in the order they need it, and register what
 //! they hold with [`ArenaTracker`]. A stage first reserves its checkpoint
-//! ([`StageState::bytes`]: the caches and counters, a few KB), then a whole chunk
-//! ([`MAX_CHUNK_BYTES`]) before it generates one, returning what the chunk did not
-//! need. When the pool cannot cover another chunk the stage stops retaining for good —
-//! where that happens depends on which stages drew on the pool first, so on thread
-//! timing; what any cursor sees does not: the retained chunks stay a prefix every
+//! ([`StageState::bytes`]: the caches and counters, a few KB) and its scratch chunk,
+//! then a whole chunk ([`MAX_CHUNK_BYTES`]) before it generates one, returning what the
+//! exact-size copy did not need. When the pool cannot cover another chunk the stage
+//! stops retaining for good and returns its scratch chunk to the pool — where that
+//! happens depends on which stages drew on the pool first, so on thread timing; what
+//! any cursor sees does not: the retained chunks stay a prefix every
 //! cursor replays, and the live stage becomes the **checkpoint** — its [`StageState`],
 //! kept by the memo, while its trace source (its decode buffer) is dropped. A cursor
 //! that runs off the prefix continues on a sole stage of its own, read ahead like the
@@ -138,7 +156,8 @@
 //! ends (the stage's source factory takes that record, and a replayed stream seeks
 //! there through its file's chunk index). Every cursor, the first included, hands over
 //! this one way, at the cost of a clone and a seek whatever the prefix's length. A pool
-//! that cannot cover the checkpoint retains nothing; its checkpoint is the empty stage
+//! that cannot cover the checkpoint and the scratch chunk retains nothing, and reserves
+//! nothing; its checkpoint is the empty stage
 //! at record 0, so every cursor reads a sole stage from the first record, as a system
 //! built over trace sources does. No cursor waits for another or fails, and the events
 //! are the same whatever the pool holds.
@@ -176,22 +195,38 @@ use crate::system::{LIVELOCK_STEPS, RUN_AHEAD};
 use crate::trace::{raise_replay_fault, replay_fault_from, ArenaTracker, ReplayFault, TraceSource};
 
 /// Most events in one chunk of a [`SharedStage`]'s memo.
-pub const CHUNK_EVENTS: usize = 1024;
+///
+/// A chunk is the unit a cursor takes under the memo's lock and a read-ahead generates,
+/// so its size trades hand-offs against over-draw. One hand-off costs about 0.4 µs (a
+/// lone 128-core cell ran 97 ms with 256-event chunks and 508 ms with 1-event chunks,
+/// over 1.1 M records): under 0.5 % of what generating 256 events costs. What a larger
+/// chunk costs instead is records drawn past the furthest consumer — two chunks' worth
+/// (module docs, "The memo") — which at 128 cores, where a scaled core runs about 8.6 k
+/// records, was +59 % of the records a run consumed with 1024-event chunks.
+pub const CHUNK_EVENTS: usize = 256;
 
 /// Records after which a chunk ends even with fewer events: the events of a
 /// cache-resident core cover `RUN_AHEAD + 1` records each, and two chunks — the furthest
 /// consumer's and the one read ahead — are how far a shared stage may run ahead of that
 /// consumer. The event that crosses the line is completed, so a chunk draws fewer than
 /// `CHUNK_RECORDS + RUN_AHEAD + 1` records. A chunk also ends after the event that
-/// reaches the instruction target (module docs, rule (a)).
-pub const CHUNK_RECORDS: u64 = 4096;
+/// reaches the instruction target (module docs, rule (a)). A stage therefore draws
+/// fewer than `2 × (CHUNK_RECORDS + RUN_AHEAD)` = 2 176 records past its furthest
+/// consumer.
+pub const CHUNK_RECORDS: u64 = 1024;
 
 /// Most bytes one chunk holds: [`CHUNK_EVENTS`] 32-byte events with four write-backs
-/// each, 64 KiB. A memo retains another chunk only if its pool covers this much, so the
-/// pool is never overdrawn and the live stage always stands at the end of what is
-/// retained.
-pub const MAX_CHUNK_BYTES: u64 =
-    (CHUNK_EVENTS * (std::mem::size_of::<Event>() + 4 * std::mem::size_of::<BlockAddr>())) as u64;
+/// each, 16 KiB — the size of a retaining memo's scratch chunk, which every generation
+/// fills. A memo retains another chunk only if its pool covers this much, so the pool
+/// is never overdrawn and the live stage always stands at the end of what is retained;
+/// the chunk it retains is an exact-size copy, and what that does not need goes back.
+pub const MAX_CHUNK_BYTES: u64 = (CHUNK_EVENTS
+    * (std::mem::size_of::<Event>() + EVENT_WRITEBACKS * std::mem::size_of::<BlockAddr>()))
+    as u64;
+
+/// Most write-back blocks one event carries: two of its demand access, two of its
+/// prefetch.
+const EVENT_WRITEBACKS: usize = 4;
 
 /// Everything a stage reads: a [`SharedStage`]'s events serve every system whose private
 /// hierarchy and instruction target these are.
@@ -638,6 +673,23 @@ struct Chunk {
 }
 
 impl Chunk {
+    /// An empty chunk with room for the largest one, [`MAX_CHUNK_BYTES`]: the scratch a
+    /// retaining memo generates every chunk into.
+    fn scratch() -> Self {
+        Chunk {
+            events: Vec::with_capacity(CHUNK_EVENTS),
+            writebacks: Vec::with_capacity(CHUNK_EVENTS * EVENT_WRITEBACKS),
+        }
+    }
+
+    /// A copy whose buffers hold exactly the chunk's events and write-backs.
+    fn exact_copy(&self) -> Self {
+        Chunk {
+            events: self.events.to_vec(),
+            writebacks: self.writebacks.to_vec(),
+        }
+    }
+
     /// Replace the chunk's events with `stage`'s next [`CHUNK_EVENTS`] events or
     /// [`CHUNK_RECORDS`] records, whichever come first, ending early at the target (rule (a)).
     fn generate(&mut self, stage: &mut PrivateStage) {
@@ -660,6 +712,7 @@ impl Chunk {
         );
     }
 
+    /// Bytes the chunk's buffers hold, used or not.
     fn bytes(&self) -> u64 {
         (self.events.capacity() * std::mem::size_of::<Event>()
             + self.writebacks.capacity() * std::mem::size_of::<BlockAddr>()) as u64
@@ -713,13 +766,17 @@ struct Memo {
     /// The retained chunks, from chunk `first` on: the prefix, or those a sole cursor has not left.
     chunks: Vec<Arc<Chunk>>,
     first: usize,
-    /// A sole stage's chunk its cursor has left: the buffer the next generation fills.
+    /// The buffer the next generation fills: a retaining memo's scratch chunk, or a sole
+    /// stage's chunk its cursor has left.
     spare: Option<Chunk>,
     events: u64,
+    /// Bytes the retained chunks hold.
     bytes: u64,
-    /// Bytes reserved for the checkpoint; 0 when the pool could not cover it, and then
-    /// nothing is retained.
+    /// Bytes reserved for the checkpoint; 0 when the pool could not cover it with the
+    /// scratch chunk, and then nothing is retained.
     checkpoint_bytes: u64,
+    /// Bytes reserved for the scratch chunk, [`MAX_CHUNK_BYTES`], while the memo retains.
+    scratch_bytes: u64,
     /// Records the live stage had drawn, and its target statistics, after the last
     /// retained chunk: readable while the stage is out.
     records: u64,
@@ -738,23 +795,31 @@ struct Memo {
 }
 
 impl Memo {
-    /// Retain nothing more: the live stage becomes the checkpoint, and its trace source —
-    /// its decode buffer — is dropped.
-    fn stop_retaining(&mut self) {
+    /// Bytes the memo holds out of its pool: the retained chunks, the checkpoint and the
+    /// scratch chunk.
+    fn held(&self) -> u64 {
+        self.bytes + self.checkpoint_bytes + self.scratch_bytes
+    }
+
+    /// Retain nothing more: the live stage becomes the checkpoint, its trace source — its
+    /// decode buffer — is dropped, and the scratch chunk goes back to `pool`.
+    fn stop_retaining(&mut self, pool: &MemoPool) {
         if let Head::Live(stage) = &self.head {
             self.head = Head::Checkpoint(Arc::new(stage.state().clone()));
         }
+        self.spare = None;
+        pool.release(std::mem::take(&mut self.scratch_bytes));
+        self.tracker.set_bytes(self.held());
     }
 
-    /// Retain `chunk`, which `stage` has just generated into a [`MAX_CHUNK_BYTES`]
-    /// reservation from `pool`, if it has one; what the chunk does not need goes back.
-    fn push(&mut self, mut chunk: Chunk, stage: &PrivateStage, pool: Option<&MemoPool>) {
+    /// Retain `chunk`, which `stage` has just generated: for a memo that draws on
+    /// `pool`, an exact-size copy of its scratch chunk, generated into a
+    /// [`MAX_CHUNK_BYTES`] reservation of which what the copy does not need goes back.
+    fn push(&mut self, chunk: Chunk, stage: &PrivateStage, pool: Option<&MemoPool>) {
         if let Some(pool) = pool {
-            chunk.events.shrink_to_fit();
-            chunk.writebacks.shrink_to_fit();
             pool.release(MAX_CHUNK_BYTES.saturating_sub(chunk.bytes()));
             self.bytes += chunk.bytes();
-            self.tracker.set_bytes(self.bytes + self.checkpoint_bytes);
+            self.tracker.set_bytes(self.held());
         }
         self.events += chunk.events.len() as u64;
         self.records = stage.records();
@@ -763,10 +828,10 @@ impl Memo {
     }
 
     /// Whether a read-ahead should generate the next chunk: the furthest cursor has
-    /// taken the last retained one, the live stage stands after it and nothing is queued
-    /// yet.
+    /// taken the last retained one, the live stage stands after it and has not ended
+    /// with a frozen event, and nothing is queued yet.
     fn wants_read_ahead(&self) -> bool {
-        matches!(self.head, Head::Live(_))
+        matches!(&self.head, Head::Live(stage) if !stage.state.ended)
             && self.first + self.chunks.len() == self.furthest
             && !self.queued
     }
@@ -796,10 +861,14 @@ impl Shared {
         };
         match &retain {
             // Every cursor continues from the empty stage at record 0.
-            Some(retain) if !retain.pool.reserve(checkpoint_bytes) => memo.stop_retaining(),
+            Some(retain) if !retain.pool.reserve(checkpoint_bytes + MAX_CHUNK_BYTES) => {
+                memo.stop_retaining(&retain.pool)
+            }
             Some(_) => {
                 memo.checkpoint_bytes = checkpoint_bytes;
-                memo.tracker.set_bytes(checkpoint_bytes);
+                memo.scratch_bytes = MAX_CHUNK_BYTES;
+                memo.spare = Some(Chunk::scratch());
+                memo.tracker.set_bytes(memo.held());
             }
             None => {}
         }
@@ -815,12 +884,9 @@ impl Shared {
         })
     }
 
-    /// Take a chunk's worth of bytes out of the pool before generating one; a sole stage
-    /// draws on none.
-    fn reserve_chunk(&self) -> bool {
-        self.retain
-            .as_ref()
-            .is_none_or(|retain| retain.pool.reserve(MAX_CHUNK_BYTES))
+    /// The pool a retaining memo draws on; `None` for a sole stage.
+    fn pool(&self) -> Option<&MemoPool> {
+        self.retain.as_ref().map(|retain| &*retain.pool)
     }
 
     /// The memo, whatever state it is in. No update panics half-way — a generation runs
@@ -873,13 +939,10 @@ impl Shared {
                 return Ok(chunk);
             }
             match &memo.head {
-                Head::Live(_) => {
-                    if self.reserve_chunk() {
-                        memo = self.generate(memo).unwrap_or_else(|p| resume_unwind(p));
-                    } else {
-                        memo.stop_retaining();
-                    }
-                }
+                Head::Live(_) => match self.pool() {
+                    Some(pool) if !pool.reserve(MAX_CHUNK_BYTES) => memo.stop_retaining(pool),
+                    _ => memo = self.generate(memo).unwrap_or_else(|p| resume_unwind(p)),
+                },
                 Head::Busy => {
                     memo.waits += u64::from(!waited);
                     waited = true;
@@ -920,9 +983,11 @@ impl Shared {
     }
 
     /// Generate the next chunk on the live stage outside the lock — the head is
-    /// [`Head::Busy`] meanwhile — and retain it; the caller has reserved
-    /// [`MAX_CHUNK_BYTES`] for it. If the trace source unwinds, the memo records the
-    /// fault at its frontier and the payload is handed back.
+    /// [`Head::Busy`] meanwhile — into the spare buffer, and retain it; the caller has
+    /// reserved [`MAX_CHUNK_BYTES`] for it. A retaining memo keeps an exact-size copy and
+    /// the scratch for the next chunk; a sole stage hands the buffer itself to its cursor.
+    /// If the trace source unwinds, the memo records the fault at its frontier and the
+    /// payload is handed back.
     fn generate<'a>(
         &'a self,
         mut memo: MutexGuard<'a, Memo>,
@@ -932,12 +997,23 @@ impl Shared {
         };
         let mut chunk = memo.spare.take().unwrap_or_default();
         drop(memo);
-        let generated = catch_unwind(AssertUnwindSafe(|| chunk.generate(&mut stage)));
+        let pool = self.pool();
+        let generated = catch_unwind(AssertUnwindSafe(|| {
+            chunk.generate(&mut stage);
+            // What a retaining memo keeps; its scratch stays for the next chunk.
+            pool.map(|_| chunk.exact_copy())
+        }));
         let mut memo = self.lock();
-        let pool = self.retain.as_ref().map(|retain| &*retain.pool);
         let generated = match generated {
-            Ok(()) => {
-                memo.push(chunk, &stage, pool);
+            Ok(copy) => {
+                let retained = match copy {
+                    Some(copy) => {
+                        memo.spare = Some(chunk);
+                        copy
+                    }
+                    None => chunk,
+                };
+                memo.push(retained, &stage, pool);
                 memo.head = Head::Live(stage);
                 Ok(())
             }
@@ -945,6 +1021,7 @@ impl Shared {
                 if let Some(pool) = pool {
                     pool.release(MAX_CHUNK_BYTES);
                 }
+                memo.spare = Some(chunk);
                 memo.head = Head::Failed(replay_fault_from(payload.as_ref()).cloned());
                 Err(payload)
             }
@@ -960,7 +1037,9 @@ impl Shared {
     fn read_ahead(&self, helper: bool) {
         let mut memo = self.lock();
         memo.queued = false;
-        if memo.wants_read_ahead() && self.reserve_chunk() {
+        // A chunk's worth of bytes comes out of the pool before the chunk is generated; a
+        // sole stage draws on none.
+        if memo.wants_read_ahead() && self.pool().is_none_or(|pool| pool.reserve(MAX_CHUNK_BYTES)) {
             match self.generate(memo) {
                 Ok(generated) => memo = generated,
                 Err(_) => return,
@@ -1157,8 +1236,12 @@ pub struct SharedStageUsage {
     /// Bytes the memoized chunks hold.
     pub memo_bytes: u64,
     /// Bytes reserved for the checkpoint the memo keeps where it stops retaining (module
-    /// docs, "The memo pool and the hand-over"); 0 when its pool could not cover them.
+    /// docs, "The memo pool and the hand-over"); 0 when its pool could not cover them
+    /// and the scratch chunk.
     pub checkpoint_bytes: u64,
+    /// Bytes reserved for the scratch chunk every generation fills, [`MAX_CHUNK_BYTES`]
+    /// while the memo retains; 0 once it stops.
+    pub scratch_bytes: u64,
     /// Cursors handed out.
     pub cursors: u64,
     /// Cursors that ran off a full memo and continued on a sole stage of their own.
@@ -1180,6 +1263,7 @@ impl std::iter::Sum for SharedStageUsage {
             chunks: a.chunks + b.chunks,
             memo_bytes: a.memo_bytes + b.memo_bytes,
             checkpoint_bytes: a.checkpoint_bytes + b.checkpoint_bytes,
+            scratch_bytes: a.scratch_bytes + b.scratch_bytes,
             cursors: a.cursors + b.cursors,
             handovers: a.handovers + b.handovers,
             read_aheads: a.read_aheads + b.read_aheads,
@@ -1246,6 +1330,7 @@ impl SharedStage {
             chunks: memo.chunks.len() as u64,
             memo_bytes: memo.bytes,
             checkpoint_bytes: memo.checkpoint_bytes,
+            scratch_bytes: memo.scratch_bytes,
             cursors: self.0.cursors.load(Ordering::Relaxed),
             handovers: self.0.handovers.load(Ordering::Relaxed),
             read_aheads: memo.read_aheads,
@@ -1382,14 +1467,16 @@ mod tests {
     use std::sync::{mpsc, Barrier};
     use std::time::{Duration, Instant};
 
+    /// A target in the scatter stream's second chunk.
     fn params() -> StageParams {
-        StageParams::latch(&SystemConfig::tiny(1), 3_000)
+        StageParams::latch(&SystemConfig::tiny(1), 3 * CHUNK_EVENTS as u64)
     }
 
     /// Reads and writes scattered over 600 blocks (more than the tiny L2 holds), so
-    /// events carry every flag and dirty victims leave the L2; 5000 records, then over.
+    /// events carry every flag and dirty victims leave the L2; five chunks' worth of
+    /// events at most, `5 × CHUNK_EVENTS` records, then over.
     fn scatter() -> SharedReplayTrace {
-        let records = (0..5000u64)
+        let records = (0..5 * CHUNK_EVENTS as u64)
             .map(|i| MemAccess {
                 addr: (i * 7919 % 600) * 64,
                 pc: 0x400 + i % 13 * 4,
@@ -1524,7 +1611,16 @@ mod tests {
         assert!(target_stats.is_some());
 
         let checkpoint = inline.state().bytes();
-        for (share, retained) in [(0, 0), (checkpoint + MAX_CHUNK_BYTES, 1), (u64::MAX, 6)] {
+        // The chunks that hold the `n` events, all of which an unbounded memo retains.
+        let mut chunked = PrivateStage::new(params(), source());
+        let (mut all, mut events) = (0, 0);
+        while events < n {
+            events += chunk_of(&mut chunked).events.len();
+            all += 1;
+        }
+        // Nothing; the checkpoint, the scratch chunk and one chunk; everything.
+        let one_chunk = checkpoint + 2 * MAX_CHUNK_BYTES;
+        for (share, retained) in [(0, 0), (one_chunk, 1), (u64::MAX, all)] {
             let stream_wraps = Arc::new(AtomicU64::new(0));
             let pool = MemoPool::new(share);
             let asked = Arc::new(Mutex::new(Vec::new()));
@@ -1569,9 +1665,16 @@ mod tests {
                 usage.checkpoint_bytes,
                 if share == 0 { 0 } else { checkpoint }
             );
+            // A memo that stopped retaining returned its scratch chunk.
+            let scratch = if share == u64::MAX {
+                MAX_CHUNK_BYTES
+            } else {
+                0
+            };
+            assert_eq!(usage.scratch_bytes, scratch, "share {share}");
             if share != u64::MAX {
                 let left = pool.left.load(Ordering::Relaxed);
-                let held = usage.memo_bytes + usage.checkpoint_bytes;
+                let held = usage.memo_bytes + usage.checkpoint_bytes + usage.scratch_bytes;
                 assert_eq!(left + held, share, "the pool lost bytes");
             }
             assert_eq!(usage.handovers, if share == u64::MAX { 0 } else { 3 });
@@ -1922,8 +2025,8 @@ mod tests {
             "a chunk behind the cursor is kept"
         );
         assert_eq!(
-            (memo.bytes, memo.checkpoint_bytes),
-            (0, 0),
+            (memo.bytes, memo.checkpoint_bytes, memo.scratch_bytes),
+            (0, 0, 0),
             "a sole stage drew on a pool"
         );
     }
@@ -1954,9 +2057,10 @@ mod tests {
     /// serving the stage, so the source has been dropped by the time `drop` returns.
     #[test]
     fn read_ahead_parked_under_a_dropped_system_lets_go_of_its_source_first() {
-        // A target inside the first chunk, which therefore ends at it.
+        // A target inside the first chunk, which therefore ends at it: its events cover
+        // at least one instruction each.
         let params = StageParams {
-            instruction_target: 1_000,
+            instruction_target: CHUNK_EVENTS as u64,
             ..params()
         };
         let mut stage = PrivateStage::new(params, source());
@@ -2017,7 +2121,8 @@ mod tests {
     fn read_ahead_of_a_cursor_that_handed_over() {
         let checkpoint = PrivateStage::new(params(), source()).state().bytes();
         let seek = |at| -> Box<dyn TraceSource> { Box::new(scatter().seek(at)) };
-        let pool = MemoPool::new(checkpoint + MAX_CHUNK_BYTES);
+        // The checkpoint, the scratch chunk and one chunk.
+        let pool = MemoPool::new(checkpoint + 2 * MAX_CHUNK_BYTES);
         let shared = SharedStage::new(params(), seek, pool, Arc::default());
         let mut inline = PrivateStage::new(params(), source());
         let mut cursor = shared.cursor().read_ahead();
@@ -2130,7 +2235,7 @@ mod tests {
         assert_eq!(usage.handovers, if share == u64::MAX { 0 } else { 4 });
         if share != u64::MAX {
             let left = pool.left.load(Ordering::Relaxed);
-            let held = usage.memo_bytes + usage.checkpoint_bytes;
+            let held = usage.memo_bytes + usage.checkpoint_bytes + usage.scratch_bytes;
             assert_eq!(left + held, share, "the pool lost bytes");
         }
     }
@@ -2142,8 +2247,9 @@ mod tests {
 
     #[test]
     fn read_ahead_with_a_pool_of_the_checkpoint_and_one_chunk() {
+        // The checkpoint and the scratch chunk, reserved with the memo, and one chunk.
         let checkpoint = PrivateStage::new(params(), source()).state().bytes();
-        read_ahead_against_four_cursors(checkpoint + MAX_CHUNK_BYTES);
+        read_ahead_against_four_cursors(checkpoint + 2 * MAX_CHUNK_BYTES);
     }
 
     #[test]
@@ -2156,6 +2262,93 @@ mod tests {
         fn assert_send<T: Send>() {}
         assert_send::<StageCursor>();
         assert_send::<SharedStage>();
+    }
+
+    /// A retaining memo generates every chunk into the one scratch chunk it was built
+    /// with, charged to its pool and to the arena accounting beside the checkpoint, and
+    /// retains exact-size copies: the memo's bytes are 32 B an event and 8 B a
+    /// write-back, and what the copies did not need went back to the pool.
+    #[test]
+    fn a_retaining_memo_fills_one_scratch_chunk_and_retains_exact_copies() {
+        let share = 1 << 30;
+        let pool = MemoPool::new(share);
+        let trace = Mutex::new(Some(source()));
+        let shared = SharedStage::new(
+            params(),
+            move |_| trace.lock().unwrap().take().expect("one source"),
+            pool.clone(),
+            Arc::default(),
+        );
+        let scratch_of = |memo: &Memo| {
+            let scratch = memo
+                .spare
+                .as_ref()
+                .expect("a retaining memo keeps its scratch");
+            assert_eq!(scratch.bytes(), MAX_CHUNK_BYTES);
+            (scratch.events.as_ptr(), scratch.writebacks.as_ptr())
+        };
+        let scratch = scratch_of(&shared.0.lock());
+        // A cursor that reads no further ahead than itself generates every chunk inline.
+        let mut cursor = shared.cursor();
+        for _ in 0..10 * CHUNK_EVENTS {
+            cursor.next_event();
+            assert_eq!(
+                scratch_of(&shared.0.lock()),
+                scratch,
+                "a second scratch chunk"
+            );
+        }
+        let usage = shared.usage();
+        let memo = shared.0.lock();
+        assert!(memo.chunks.len() > 10, "{} chunks", memo.chunks.len());
+        let mut writebacks = 0;
+        for chunk in &memo.chunks {
+            assert_eq!(chunk.events.capacity(), chunk.events.len());
+            assert_eq!(chunk.writebacks.capacity(), chunk.writebacks.len());
+            writebacks += chunk.writebacks.len() as u64;
+        }
+        assert!(writebacks > 0, "no dirty victim left the L2");
+        let event = std::mem::size_of::<Event>() as u64;
+        let block = std::mem::size_of::<BlockAddr>() as u64;
+        assert_eq!((event, block), (32, 8));
+        assert_eq!(usage.memo_bytes, usage.events * event + writebacks * block);
+        assert_eq!(usage.scratch_bytes, MAX_CHUNK_BYTES);
+        let held = usage.memo_bytes + usage.checkpoint_bytes + usage.scratch_bytes;
+        assert_eq!(pool.bytes_left() + held, share, "the pool lost bytes");
+        assert!(crate::trace::arena_peak_bytes() >= held);
+    }
+
+    /// A stage whose stream freezes ends with a frozen event, and nothing follows it: a
+    /// read-ahead asked for the chunk after it — by the read-ahead thread or a helper —
+    /// generates nothing and leaves the memo live.
+    #[test]
+    fn read_ahead_of_a_stage_that_ended_generates_nothing() {
+        // One L1-resident block with no instruction gaps: every record past the target
+        // is a zero-advance step, and the stage ends after `LIVELOCK_STEPS` of them.
+        let record = MemAccess {
+            addr: 0x40,
+            pc: 0x400,
+            is_write: false,
+            non_mem_instrs: 0,
+        };
+        let frozen = SharedReplayTrace::new("frozen", Arc::new(vec![record]));
+        let params = StageParams {
+            instruction_target: 10,
+            ..params()
+        };
+        let shared = unbounded_at(params, Box::new(frozen));
+        // The cursor queues nothing; the read-ahead is asked for below.
+        let mut cursor = shared.cursor();
+        while !cursor.next_event().frozen() {}
+        let chunks = shared.usage().chunks;
+        shared.0.read_ahead(true);
+        let usage = shared.usage();
+        assert_eq!((usage.chunks, usage.helps), (chunks, 0));
+        let memo = shared.0.lock();
+        assert!(
+            matches!(&memo.head, Head::Live(stage) if stage.state.ended),
+            "a read-ahead generated past the frozen event"
+        );
     }
 
     /// A stream that stays in the L1 forms no event of its own accord; a chunk still

@@ -1425,6 +1425,48 @@ mod tests {
         }
     }
 
+    /// What a shared stage draws past its consumer is the chunk size's to bound, and a
+    /// 128-core mix pays it 128 times: a lone evaluation draws per core at most the
+    /// records a system over sole stages consumes, the driver's run-ahead and two
+    /// chunks — the rest of the furthest cursor's and one read ahead.
+    #[test]
+    fn a_lone_128_core_evaluation_draws_at_most_two_chunks_past_what_it_consumes() {
+        use cache_sim::private::CHUNK_RECORDS;
+        use cache_sim::system::RUN_AHEAD;
+
+        let scale = ExperimentScale::Smoke;
+        let cfg = scale.system_config(StudyKind::Cores128);
+        let mix = &generate_mixes(StudyKind::Cores128, 1, scale.seed())[0];
+        let llc_sets = cfg.llc.geometry.num_sets();
+        let instructions = scale.instructions_per_core();
+        let prepared = MixSource::synthetic(mix.clone())
+            .materialize_with(llc_sets, 7, &ReplayConfig::default())
+            .unwrap();
+        let policy = PolicyKind::TaDrrip;
+        let build = || policy.build_dispatch(&cfg, &mix.thrashing_slots());
+
+        let counters: Vec<Arc<AtomicU64>> = (0..cfg.num_cores).map(|_| Arc::default()).collect();
+        let counted = prepared
+            .sources()
+            .into_iter()
+            .zip(&counters)
+            .map(|(s, c)| Box::new(Counted(s, c.clone())) as Box<dyn TraceSource>)
+            .collect();
+        let lone = MultiCoreSystem::new(cfg.clone(), counted, build()).run(instructions);
+
+        let evaluation = evaluate_prepared(&cfg, &prepared, policy, build(), instructions, 7);
+        assert_eq!(evaluation.final_cycle, lone.final_cycle);
+        let slack = RUN_AHEAD + 1 + 2 * (CHUNK_RECORDS + RUN_AHEAD);
+        let drawn = prepared.records_per_core();
+        for (core, (&drawn, consumed)) in drawn.iter().zip(&counters).enumerate() {
+            let consumed = consumed.load(Ordering::Relaxed);
+            assert!(
+                drawn as u64 <= consumed + slack,
+                "core {core}: drew {drawn} records, a system over sole stages {consumed}"
+            );
+        }
+    }
+
     /// A materialization serves one machine: an evaluation under another private
     /// hierarchy — here a half-size L2 — is refused instead of given a second set of
     /// stages.
@@ -1479,13 +1521,18 @@ mod tests {
     #[test]
     fn replay_is_bit_identical_at_every_arena_budget() {
         // The budget trades memory against work done once, never results: with memos
-        // that keep the whole run (default) and with memos that keep no chunk of events
-        // (64 KiB and 1 KiB leave less than the 64 KiB a chunk reserves once the four
-        // cores' decode buffers are charged), a sweep equals the test-side reference —
+        // that keep the whole run (default) and with memos that keep no chunk of events,
+        // a sweep equals the test-side reference —
         // every stream decoded whole and replayed by lone systems that share nothing —
         // and reports the same wraps. Once with a capture that covers the run (no
         // wraps), once with a 64-access capture every core re-executes many times over:
-        // one block, looped in place.
+        // one block, looped in place. Once the four cores' decode buffers are charged
+        // (768 KiB for the covering capture, 12 KiB for the 64-access one), 32 KiB and
+        // 1 KiB leave the pool less than two stages' checkpoints (a few KB each) and
+        // scratch chunks (`MAX_CHUNK_BYTES`, 16 KiB each), and less than one stage's
+        // checkpoint, scratch chunk and chunk: at most one memo reserves a scratch chunk,
+        // and none retains a chunk. (At 64 KiB one memo of the 64-access capture would
+        // retain its whole run.)
         use cache_sim::trace::SharedReplayTrace;
 
         let (cfg, mixes) = smoke_setup();
@@ -1521,7 +1568,7 @@ mod tests {
                 .collect();
 
             let sources = vec![MixSource::replayed_with_id(&path, 0).unwrap()];
-            let outcomes: Vec<SweepOutcome> = [256 << 20, 64 << 10, 1 << 10]
+            let outcomes: Vec<SweepOutcome> = [256 << 20, 32 << 10, 1 << 10]
                 .into_iter()
                 .map(|arena_budget_bytes| {
                     let replay = ReplayConfig { arena_budget_bytes };
