@@ -85,14 +85,16 @@
 //! consumed. A smaller chunk costs more hand-offs, each under 0.5 % of a chunk's work
 //! ([`CHUNK_EVENTS`]).
 //!
-//! **Exact-size retention.** A retaining memo generates every chunk into one scratch
-//! chunk of [`MAX_CHUNK_BYTES`], allocated with the memo, and retains an exact-size copy
-//! of it: a retained chunk's buffers hold its events and write-backs and nothing more,
-//! and the scratch is reused for the next chunk. The scratch is one buffer per stage,
-//! charged to the pool and to [`ArenaTracker`] like the checkpoint. A fresh chunk grown
-//! by doubling and shrunk to fit, on whichever thread generated it, cost more: with
-//! 256-event chunks it raised a 16-core sweep's peak RSS by a quarter (`paper16_live`,
-//! 21.0 → 26.2 MB).
+//! **Exact-size retention.** A retaining memo generates each chunk into a scratch chunk
+//! of [`MAX_CHUNK_BYTES`] — the reservation the chunk was generated under covers it —
+//! and retains an exact-size copy: a retained chunk's buffers hold its events and
+//! write-backs and nothing more. The scratch is dropped before the memo's lock is taken
+//! again. Two other ways cost more peak RSS. A fresh chunk grown by doubling and shrunk
+//! to fit raised a 16-core sweep's by a quarter with 256-event chunks (`paper16_live`,
+//! 21.0 → 26.2 MB). One scratch chunk kept by every stage for the life of its memo, 16
+//! KiB a stage whether a generation is in flight or not, raised a 128-core sweep's by a
+//! tenth (`many128_memsys`, 46.4 → 51.6 MB, medians of 10 alternating 10 s runs on a
+//! 2-thread Xeon) at the same speed.
 //!
 //! **Release-behind.** A sole stage ([`SharedStage::sole`]) hands out one cursor and
 //! keeps no prefix: its memo drops each chunk the cursor leaves and generates the next
@@ -143,12 +145,11 @@
 //! events out of one [`MemoPool`] — what the mix's decode buffers (none for a
 //! generator) leave of its memory budget — in the order they need it, and register what
 //! they hold with [`ArenaTracker`]. A stage first reserves its checkpoint
-//! ([`StageState::bytes`]: the caches and counters, a few KB) and its scratch chunk,
-//! then a whole chunk ([`MAX_CHUNK_BYTES`]) before it generates one, returning what the
-//! exact-size copy did not need. When the pool cannot cover another chunk the stage
-//! stops retaining for good and returns its scratch chunk to the pool — where that
-//! happens depends on which stages drew on the pool first, so on thread timing; what
-//! any cursor sees does not: the retained chunks stay a prefix every
+//! ([`StageState::bytes`]: the caches and counters, a few KB), then a whole chunk
+//! ([`MAX_CHUNK_BYTES`]) before it generates one, returning what the exact-size copy did
+//! not need. When the pool cannot cover another chunk the stage stops retaining for good
+//! — where that happens depends on which stages drew on the pool first, so on thread
+//! timing; what any cursor sees does not: the retained chunks stay a prefix every
 //! cursor replays, and the live stage becomes the **checkpoint** — its [`StageState`],
 //! kept by the memo, while its trace source (its decode buffer) is dropped. A cursor
 //! that runs off the prefix continues on a sole stage of its own, read ahead like the
@@ -156,8 +157,7 @@
 //! ends (the stage's source factory takes that record, and a replayed stream seeks
 //! there through its file's chunk index). Every cursor, the first included, hands over
 //! this one way, at the cost of a clone and a seek whatever the prefix's length. A pool
-//! that cannot cover the checkpoint and the scratch chunk retains nothing, and reserves
-//! nothing; its checkpoint is the empty stage
+//! that cannot cover the checkpoint retains nothing; its checkpoint is the empty stage
 //! at record 0, so every cursor reads a sole stage from the first record, as a system
 //! built over trace sources does. No cursor waits for another or fails, and the events
 //! are the same whatever the pool holds.
@@ -216,10 +216,10 @@ pub const CHUNK_EVENTS: usize = 256;
 pub const CHUNK_RECORDS: u64 = 1024;
 
 /// Most bytes one chunk holds: [`CHUNK_EVENTS`] 32-byte events with four write-backs
-/// each, 16 KiB — the size of a retaining memo's scratch chunk, which every generation
-/// fills. A memo retains another chunk only if its pool covers this much, so the pool
-/// is never overdrawn and the live stage always stands at the end of what is retained;
-/// the chunk it retains is an exact-size copy, and what that does not need goes back.
+/// each, 16 KiB — the size of the scratch chunk a retaining memo generates into. A memo
+/// retains another chunk only if its pool covers this much, so the pool is never
+/// overdrawn and the live stage always stands at the end of what is retained; the chunk
+/// it retains is an exact-size copy, and what that does not need goes back.
 pub const MAX_CHUNK_BYTES: u64 = (CHUNK_EVENTS
     * (std::mem::size_of::<Event>() + EVENT_WRITEBACKS * std::mem::size_of::<BlockAddr>()))
     as u64;
@@ -674,7 +674,7 @@ struct Chunk {
 
 impl Chunk {
     /// An empty chunk with room for the largest one, [`MAX_CHUNK_BYTES`]: the scratch a
-    /// retaining memo generates every chunk into.
+    /// retaining memo generates a chunk into.
     fn scratch() -> Self {
         Chunk {
             events: Vec::with_capacity(CHUNK_EVENTS),
@@ -766,17 +766,14 @@ struct Memo {
     /// The retained chunks, from chunk `first` on: the prefix, or those a sole cursor has not left.
     chunks: Vec<Arc<Chunk>>,
     first: usize,
-    /// The buffer the next generation fills: a retaining memo's scratch chunk, or a sole
-    /// stage's chunk its cursor has left.
+    /// A sole stage's chunk its cursor has left: the buffer the next generation fills.
     spare: Option<Chunk>,
     events: u64,
     /// Bytes the retained chunks hold.
     bytes: u64,
-    /// Bytes reserved for the checkpoint; 0 when the pool could not cover it with the
-    /// scratch chunk, and then nothing is retained.
+    /// Bytes reserved for the checkpoint; 0 when the pool could not cover it, and then
+    /// nothing is retained.
     checkpoint_bytes: u64,
-    /// Bytes reserved for the scratch chunk, [`MAX_CHUNK_BYTES`], while the memo retains.
-    scratch_bytes: u64,
     /// Records the live stage had drawn, and its target statistics, after the last
     /// retained chunk: readable while the stage is out.
     records: u64,
@@ -795,31 +792,22 @@ struct Memo {
 }
 
 impl Memo {
-    /// Bytes the memo holds out of its pool: the retained chunks, the checkpoint and the
-    /// scratch chunk.
-    fn held(&self) -> u64 {
-        self.bytes + self.checkpoint_bytes + self.scratch_bytes
-    }
-
-    /// Retain nothing more: the live stage becomes the checkpoint, its trace source — its
-    /// decode buffer — is dropped, and the scratch chunk goes back to `pool`.
-    fn stop_retaining(&mut self, pool: &MemoPool) {
+    /// Retain nothing more: the live stage becomes the checkpoint, and its trace source —
+    /// its decode buffer — is dropped.
+    fn stop_retaining(&mut self) {
         if let Head::Live(stage) = &self.head {
             self.head = Head::Checkpoint(Arc::new(stage.state().clone()));
         }
-        self.spare = None;
-        pool.release(std::mem::take(&mut self.scratch_bytes));
-        self.tracker.set_bytes(self.held());
     }
 
     /// Retain `chunk`, which `stage` has just generated: for a memo that draws on
-    /// `pool`, an exact-size copy of its scratch chunk, generated into a
-    /// [`MAX_CHUNK_BYTES`] reservation of which what the copy does not need goes back.
+    /// `pool`, an exact-size copy of a chunk generated under a [`MAX_CHUNK_BYTES`]
+    /// reservation, of which what the copy does not need goes back.
     fn push(&mut self, chunk: Chunk, stage: &PrivateStage, pool: Option<&MemoPool>) {
         if let Some(pool) = pool {
             pool.release(MAX_CHUNK_BYTES.saturating_sub(chunk.bytes()));
             self.bytes += chunk.bytes();
-            self.tracker.set_bytes(self.held());
+            self.tracker.set_bytes(self.bytes + self.checkpoint_bytes);
         }
         self.events += chunk.events.len() as u64;
         self.records = stage.records();
@@ -861,14 +849,10 @@ impl Shared {
         };
         match &retain {
             // Every cursor continues from the empty stage at record 0.
-            Some(retain) if !retain.pool.reserve(checkpoint_bytes + MAX_CHUNK_BYTES) => {
-                memo.stop_retaining(&retain.pool)
-            }
+            Some(retain) if !retain.pool.reserve(checkpoint_bytes) => memo.stop_retaining(),
             Some(_) => {
                 memo.checkpoint_bytes = checkpoint_bytes;
-                memo.scratch_bytes = MAX_CHUNK_BYTES;
-                memo.spare = Some(Chunk::scratch());
-                memo.tracker.set_bytes(memo.held());
+                memo.tracker.set_bytes(checkpoint_bytes);
             }
             None => {}
         }
@@ -887,6 +871,12 @@ impl Shared {
     /// The pool a retaining memo draws on; `None` for a sole stage.
     fn pool(&self) -> Option<&MemoPool> {
         self.retain.as_ref().map(|retain| &*retain.pool)
+    }
+
+    /// Take a chunk's worth of bytes out of the pool before generating one; a sole stage
+    /// draws on none.
+    fn reserve_chunk(&self) -> bool {
+        self.pool().is_none_or(|pool| pool.reserve(MAX_CHUNK_BYTES))
     }
 
     /// The memo, whatever state it is in. No update panics half-way — a generation runs
@@ -939,10 +929,13 @@ impl Shared {
                 return Ok(chunk);
             }
             match &memo.head {
-                Head::Live(_) => match self.pool() {
-                    Some(pool) if !pool.reserve(MAX_CHUNK_BYTES) => memo.stop_retaining(pool),
-                    _ => memo = self.generate(memo).unwrap_or_else(|p| resume_unwind(p)),
-                },
+                Head::Live(_) => {
+                    if self.reserve_chunk() {
+                        memo = self.generate(memo).unwrap_or_else(|p| resume_unwind(p));
+                    } else {
+                        memo.stop_retaining();
+                    }
+                }
                 Head::Busy => {
                     memo.waits += u64::from(!waited);
                     waited = true;
@@ -983,11 +976,11 @@ impl Shared {
     }
 
     /// Generate the next chunk on the live stage outside the lock — the head is
-    /// [`Head::Busy`] meanwhile — into the spare buffer, and retain it; the caller has
-    /// reserved [`MAX_CHUNK_BYTES`] for it. A retaining memo keeps an exact-size copy and
-    /// the scratch for the next chunk; a sole stage hands the buffer itself to its cursor.
-    /// If the trace source unwinds, the memo records the fault at its frontier and the
-    /// payload is handed back.
+    /// [`Head::Busy`] meanwhile — and retain it; the caller has reserved
+    /// [`MAX_CHUNK_BYTES`] for it. A retaining memo generates into a scratch chunk and
+    /// keeps an exact-size copy; a sole stage generates into the chunk its cursor left and
+    /// hands that buffer itself to the cursor. If the trace source unwinds, the memo
+    /// records the fault at its frontier and the payload is handed back.
     fn generate<'a>(
         &'a self,
         mut memo: MutexGuard<'a, Memo>,
@@ -995,25 +988,22 @@ impl Shared {
         let Head::Live(mut stage) = std::mem::replace(&mut memo.head, Head::Busy) else {
             unreachable!("only the live stage generates")
         };
-        let mut chunk = memo.spare.take().unwrap_or_default();
-        drop(memo);
         let pool = self.pool();
-        let generated = catch_unwind(AssertUnwindSafe(|| {
-            chunk.generate(&mut stage);
-            // What a retaining memo keeps; its scratch stays for the next chunk.
-            pool.map(|_| chunk.exact_copy())
-        }));
+        let mut chunk = match pool {
+            Some(_) => Chunk::scratch(),
+            None => memo.spare.take().unwrap_or_default(),
+        };
+        drop(memo);
+        let generated = catch_unwind(AssertUnwindSafe(|| chunk.generate(&mut stage)))
+            // What a retaining memo keeps; its scratch is dropped here, outside the lock.
+            .map(|()| match pool {
+                Some(_) => chunk.exact_copy(),
+                None => chunk,
+            });
         let mut memo = self.lock();
         let generated = match generated {
-            Ok(copy) => {
-                let retained = match copy {
-                    Some(copy) => {
-                        memo.spare = Some(chunk);
-                        copy
-                    }
-                    None => chunk,
-                };
-                memo.push(retained, &stage, pool);
+            Ok(chunk) => {
+                memo.push(chunk, &stage, pool);
                 memo.head = Head::Live(stage);
                 Ok(())
             }
@@ -1021,7 +1011,6 @@ impl Shared {
                 if let Some(pool) = pool {
                     pool.release(MAX_CHUNK_BYTES);
                 }
-                memo.spare = Some(chunk);
                 memo.head = Head::Failed(replay_fault_from(payload.as_ref()).cloned());
                 Err(payload)
             }
@@ -1037,9 +1026,7 @@ impl Shared {
     fn read_ahead(&self, helper: bool) {
         let mut memo = self.lock();
         memo.queued = false;
-        // A chunk's worth of bytes comes out of the pool before the chunk is generated; a
-        // sole stage draws on none.
-        if memo.wants_read_ahead() && self.pool().is_none_or(|pool| pool.reserve(MAX_CHUNK_BYTES)) {
+        if memo.wants_read_ahead() && self.reserve_chunk() {
             match self.generate(memo) {
                 Ok(generated) => memo = generated,
                 Err(_) => return,
@@ -1236,12 +1223,8 @@ pub struct SharedStageUsage {
     /// Bytes the memoized chunks hold.
     pub memo_bytes: u64,
     /// Bytes reserved for the checkpoint the memo keeps where it stops retaining (module
-    /// docs, "The memo pool and the hand-over"); 0 when its pool could not cover them
-    /// and the scratch chunk.
+    /// docs, "The memo pool and the hand-over"); 0 when its pool could not cover them.
     pub checkpoint_bytes: u64,
-    /// Bytes reserved for the scratch chunk every generation fills, [`MAX_CHUNK_BYTES`]
-    /// while the memo retains; 0 once it stops.
-    pub scratch_bytes: u64,
     /// Cursors handed out.
     pub cursors: u64,
     /// Cursors that ran off a full memo and continued on a sole stage of their own.
@@ -1263,7 +1246,6 @@ impl std::iter::Sum for SharedStageUsage {
             chunks: a.chunks + b.chunks,
             memo_bytes: a.memo_bytes + b.memo_bytes,
             checkpoint_bytes: a.checkpoint_bytes + b.checkpoint_bytes,
-            scratch_bytes: a.scratch_bytes + b.scratch_bytes,
             cursors: a.cursors + b.cursors,
             handovers: a.handovers + b.handovers,
             read_aheads: a.read_aheads + b.read_aheads,
@@ -1330,7 +1312,6 @@ impl SharedStage {
             chunks: memo.chunks.len() as u64,
             memo_bytes: memo.bytes,
             checkpoint_bytes: memo.checkpoint_bytes,
-            scratch_bytes: memo.scratch_bytes,
             cursors: self.0.cursors.load(Ordering::Relaxed),
             handovers: self.0.handovers.load(Ordering::Relaxed),
             read_aheads: memo.read_aheads,
@@ -1511,14 +1492,23 @@ mod tests {
     }
 
     fn unbounded_at(params: StageParams, trace: Box<dyn TraceSource>) -> SharedStage {
+        retaining(params, trace, MemoPool::new(u64::MAX))
+    }
+
+    /// A stage over `trace` whose memo retains out of `pool`; it never hands over.
+    fn retaining(
+        params: StageParams,
+        trace: Box<dyn TraceSource>,
+        pool: Arc<MemoPool>,
+    ) -> SharedStage {
         let trace = Mutex::new(Some(trace));
         SharedStage::new(
             params,
             move |at| {
-                assert_eq!(at, 0, "an unbounded memo never hands over");
+                assert_eq!(at, 0, "the memo never hands over");
                 trace.lock().unwrap().take().expect("one source")
             },
-            MemoPool::new(u64::MAX),
+            pool,
             Arc::default(),
         )
     }
@@ -1618,8 +1608,8 @@ mod tests {
             events += chunk_of(&mut chunked).events.len();
             all += 1;
         }
-        // Nothing; the checkpoint, the scratch chunk and one chunk; everything.
-        let one_chunk = checkpoint + 2 * MAX_CHUNK_BYTES;
+        // Nothing; the checkpoint and one chunk; everything.
+        let one_chunk = checkpoint + MAX_CHUNK_BYTES;
         for (share, retained) in [(0, 0), (one_chunk, 1), (u64::MAX, all)] {
             let stream_wraps = Arc::new(AtomicU64::new(0));
             let pool = MemoPool::new(share);
@@ -1665,16 +1655,9 @@ mod tests {
                 usage.checkpoint_bytes,
                 if share == 0 { 0 } else { checkpoint }
             );
-            // A memo that stopped retaining returned its scratch chunk.
-            let scratch = if share == u64::MAX {
-                MAX_CHUNK_BYTES
-            } else {
-                0
-            };
-            assert_eq!(usage.scratch_bytes, scratch, "share {share}");
             if share != u64::MAX {
                 let left = pool.left.load(Ordering::Relaxed);
-                let held = usage.memo_bytes + usage.checkpoint_bytes + usage.scratch_bytes;
+                let held = usage.memo_bytes + usage.checkpoint_bytes;
                 assert_eq!(left + held, share, "the pool lost bytes");
             }
             assert_eq!(usage.handovers, if share == u64::MAX { 0 } else { 3 });
@@ -2025,8 +2008,8 @@ mod tests {
             "a chunk behind the cursor is kept"
         );
         assert_eq!(
-            (memo.bytes, memo.checkpoint_bytes, memo.scratch_bytes),
-            (0, 0, 0),
+            (memo.bytes, memo.checkpoint_bytes),
+            (0, 0),
             "a sole stage drew on a pool"
         );
     }
@@ -2121,8 +2104,7 @@ mod tests {
     fn read_ahead_of_a_cursor_that_handed_over() {
         let checkpoint = PrivateStage::new(params(), source()).state().bytes();
         let seek = |at| -> Box<dyn TraceSource> { Box::new(scatter().seek(at)) };
-        // The checkpoint, the scratch chunk and one chunk.
-        let pool = MemoPool::new(checkpoint + 2 * MAX_CHUNK_BYTES);
+        let pool = MemoPool::new(checkpoint + MAX_CHUNK_BYTES);
         let shared = SharedStage::new(params(), seek, pool, Arc::default());
         let mut inline = PrivateStage::new(params(), source());
         let mut cursor = shared.cursor().read_ahead();
@@ -2235,7 +2217,7 @@ mod tests {
         assert_eq!(usage.handovers, if share == u64::MAX { 0 } else { 4 });
         if share != u64::MAX {
             let left = pool.left.load(Ordering::Relaxed);
-            let held = usage.memo_bytes + usage.checkpoint_bytes + usage.scratch_bytes;
+            let held = usage.memo_bytes + usage.checkpoint_bytes;
             assert_eq!(left + held, share, "the pool lost bytes");
         }
     }
@@ -2247,9 +2229,8 @@ mod tests {
 
     #[test]
     fn read_ahead_with_a_pool_of_the_checkpoint_and_one_chunk() {
-        // The checkpoint and the scratch chunk, reserved with the memo, and one chunk.
         let checkpoint = PrivateStage::new(params(), source()).state().bytes();
-        read_ahead_against_four_cursors(checkpoint + 2 * MAX_CHUNK_BYTES);
+        read_ahead_against_four_cursors(checkpoint + MAX_CHUNK_BYTES);
     }
 
     #[test]
@@ -2264,39 +2245,21 @@ mod tests {
         assert_send::<SharedStage>();
     }
 
-    /// A retaining memo generates every chunk into the one scratch chunk it was built
-    /// with, charged to its pool and to the arena accounting beside the checkpoint, and
-    /// retains exact-size copies: the memo's bytes are 32 B an event and 8 B a
-    /// write-back, and what the copies did not need went back to the pool.
+    /// A retaining memo generates each chunk into a scratch chunk that the chunk's
+    /// reservation covers, and holds nothing between generations but its checkpoint and
+    /// exact-size copies: the memo's bytes are 32 B an event and 8 B a write-back, the
+    /// pool got back what the copies did not need, and the arena accounting covers them.
     #[test]
-    fn a_retaining_memo_fills_one_scratch_chunk_and_retains_exact_copies() {
+    fn a_retaining_memo_generates_into_a_scratch_chunk_and_retains_exact_copies() {
+        assert_eq!(Chunk::scratch().bytes(), MAX_CHUNK_BYTES);
         let share = 1 << 30;
         let pool = MemoPool::new(share);
-        let trace = Mutex::new(Some(source()));
-        let shared = SharedStage::new(
-            params(),
-            move |_| trace.lock().unwrap().take().expect("one source"),
-            pool.clone(),
-            Arc::default(),
-        );
-        let scratch_of = |memo: &Memo| {
-            let scratch = memo
-                .spare
-                .as_ref()
-                .expect("a retaining memo keeps its scratch");
-            assert_eq!(scratch.bytes(), MAX_CHUNK_BYTES);
-            (scratch.events.as_ptr(), scratch.writebacks.as_ptr())
-        };
-        let scratch = scratch_of(&shared.0.lock());
+        let shared = retaining(params(), source(), pool.clone());
         // A cursor that reads no further ahead than itself generates every chunk inline.
         let mut cursor = shared.cursor();
         for _ in 0..10 * CHUNK_EVENTS {
             cursor.next_event();
-            assert_eq!(
-                scratch_of(&shared.0.lock()),
-                scratch,
-                "a second scratch chunk"
-            );
+            assert!(shared.0.lock().spare.is_none(), "a scratch chunk was kept");
         }
         let usage = shared.usage();
         let memo = shared.0.lock();
@@ -2312,10 +2275,26 @@ mod tests {
         let block = std::mem::size_of::<BlockAddr>() as u64;
         assert_eq!((event, block), (32, 8));
         assert_eq!(usage.memo_bytes, usage.events * event + writebacks * block);
-        assert_eq!(usage.scratch_bytes, MAX_CHUNK_BYTES);
-        let held = usage.memo_bytes + usage.checkpoint_bytes + usage.scratch_bytes;
+        let held = usage.memo_bytes + usage.checkpoint_bytes;
         assert_eq!(pool.bytes_left() + held, share, "the pool lost bytes");
         assert!(crate::trace::arena_peak_bytes() >= held);
+    }
+
+    /// A retaining memo whose trace source faults mid-chunk gives the chunk's reservation
+    /// back and keeps no buffer: what it still holds out of the pool is what it retained.
+    #[test]
+    fn a_fault_under_a_retaining_memo_returns_the_chunk_it_reserved() {
+        let share = 1 << 30;
+        let pool = MemoPool::new(share);
+        let shared = retaining(params(), faulty(CHUNK_RECORDS + 100, None), pool.clone());
+        assert_eq!(fault_of(&mut shared.cursor()).message, "injected");
+        let usage = shared.usage();
+        assert!(usage.chunks >= 1, "the fault lies past the first chunk");
+        let held = usage.memo_bytes + usage.checkpoint_bytes;
+        assert_eq!(pool.bytes_left() + held, share, "the pool lost bytes");
+        let memo = shared.0.lock();
+        assert!(matches!(memo.head, Head::Failed(Some(_))));
+        assert!(memo.spare.is_none(), "a failed stage kept a buffer");
     }
 
     /// A stage whose stream freezes ends with a frozen event, and nothing follows it: a

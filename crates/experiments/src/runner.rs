@@ -1527,12 +1527,10 @@ mod tests {
         // and reports the same wraps. Once with a capture that covers the run (no
         // wraps), once with a 64-access capture every core re-executes many times over:
         // one block, looped in place. Once the four cores' decode buffers are charged
-        // (768 KiB for the covering capture, 12 KiB for the 64-access one), 32 KiB and
-        // 1 KiB leave the pool less than two stages' checkpoints (a few KB each) and
-        // scratch chunks (`MAX_CHUNK_BYTES`, 16 KiB each), and less than one stage's
-        // checkpoint, scratch chunk and chunk: at most one memo reserves a scratch chunk,
-        // and none retains a chunk. (At 64 KiB one memo of the 64-access capture would
-        // retain its whole run.)
+        // (768 KiB for the covering capture, 12 KiB for the 64-access one), 24 KiB and
+        // 1 KiB leave the pool less than the 16 KiB a stage reserves before it generates
+        // a chunk (`MAX_CHUNK_BYTES`), whichever stage asks first: the memos keep at
+        // most their checkpoints (a few KB each), and none retains a chunk.
         use cache_sim::trace::SharedReplayTrace;
 
         let (cfg, mixes) = smoke_setup();
@@ -1568,7 +1566,7 @@ mod tests {
                 .collect();
 
             let sources = vec![MixSource::replayed_with_id(&path, 0).unwrap()];
-            let outcomes: Vec<SweepOutcome> = [256 << 20, 32 << 10, 1 << 10]
+            let outcomes: Vec<SweepOutcome> = [256 << 20, 24 << 10, 1 << 10]
                 .into_iter()
                 .map(|arena_budget_bytes| {
                     let replay = ReplayConfig { arena_budget_bytes };

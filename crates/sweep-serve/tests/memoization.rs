@@ -104,15 +104,12 @@ fn hits_are_bit_identical_and_stats_count_exactly_what_clients_observed() {
 
 #[test]
 fn a_daemon_whose_memos_run_dry_reports_its_handovers_and_the_same_answers() {
-    // A budget whose memo pool covers one stream's checkpoint and scratch chunk but not
-    // one chunk of events: the decode buffers, two 4096-record blocks a core, take
-    // 768 KiB of it, and the 24 KiB left hold one checkpoint (a few KB) and its 16 KiB
-    // scratch chunk, but neither a second stream's nor the 16 KiB a stage reserves before
-    // it generates a chunk (`MAX_CHUNK_BYTES`) — not even once that stage has stopped
-    // retaining and returned its scratch, as the other stages never reserved one. Every
-    // evaluation runs off the empty prefix at once and continues from the checkpoint.
-    // `/corpora` counts those hand-overs — one per core and evaluation — and the answers
-    // do not change.
+    // A budget whose memo pool covers the four streams' checkpoints but not one chunk of
+    // events: the decode buffers, two 4096-record blocks a core, take 768 KiB of it, and
+    // the 16 KiB left hold the checkpoints (a few KB each) but never the 16 KiB a stage
+    // reserves before it generates a chunk (`MAX_CHUNK_BYTES`). Every evaluation runs off
+    // the empty prefix at once and continues from the checkpoint. `/corpora` counts those
+    // hand-overs — one per core and evaluation — and the answers do not change.
     let dir = common::test_dir("memoization_dry_memo");
     common::materialize_corpus(&dir, "dry memo corpus", 1);
     let policies = common::test_policies();
@@ -122,7 +119,7 @@ fn a_daemon_whose_memos_run_dry_reports_its_handovers_and_the_same_answers() {
         scale: common::SCALE,
         corpora: vec![("c".to_string(), dir)],
         replay: ReplayConfig {
-            arena_budget_bytes: (768 + 24) << 10,
+            arena_budget_bytes: (768 + 16) << 10,
         },
         ..sweep_serve::ServerConfig::default()
     })

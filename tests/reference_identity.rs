@@ -751,12 +751,12 @@ fn synthetic_and_replayed_mixes_share_their_stages_and_equal_the_oracle_and_the_
                 (kinds.len() * cfg.num_cores) as u64,
                 "{what}"
             );
-            // The memos, checkpoints and scratch chunks of every core draw on one pool,
-            // whatever each core takes of it.
+            // The memos and checkpoints of every core draw on one pool, whatever each
+            // core takes of it.
             let pool = memo_pool(budget);
             assert!(total.memo_bytes > 0, "{what}: nothing was memoized");
             assert!(
-                total.memo_bytes + total.checkpoint_bytes + total.scratch_bytes <= pool,
+                total.memo_bytes + total.checkpoint_bytes <= pool,
                 "{what}: the memos outgrew the mix's pool, {pool} bytes: {usage:?}"
             );
             usage
@@ -784,7 +784,7 @@ fn synthetic_and_replayed_mixes_share_their_stages_and_equal_the_oracle_and_the_
         // per thread generating one (a policy's or the read-ahead thread) — but that,
         // split equally, would leave the hungriest core less than it held: the light
         // cores' leftovers go to it, and nothing is handed over.
-        let held = |u: &SharedStageUsage| u.memo_bytes + u.checkpoint_bytes + u.scratch_bytes;
+        let held = |u: &SharedStageUsage| u.memo_bytes + u.checkpoint_bytes;
         let mix_held: u64 = usage.iter().map(held).sum();
         let hungriest = usage.iter().map(held).max().unwrap();
         let slack = (cfg.num_cores + kinds.len() + 1) as u64 * MAX_CHUNK_BYTES;
@@ -818,7 +818,7 @@ fn synthetic_and_replayed_mixes_share_their_stages_and_equal_the_oracle_and_the_
         .map(|core| Arc::new(trace.decode_core(core).unwrap()))
         .collect();
     let params = StageParams::latch(&cfg, POOL_INSTRUCTIONS);
-    for pool_bytes in [0, 3 * cfg.num_cores as u64 * MAX_CHUNK_BYTES, u64::MAX] {
+    for pool_bytes in [0, 2 * cfg.num_cores as u64 * MAX_CHUNK_BYTES, u64::MAX] {
         let pool = MemoPool::new(pool_bytes);
         let stages: Vec<SharedStage> = records
             .iter()
@@ -839,8 +839,8 @@ fn synthetic_and_replayed_mixes_share_their_stages_and_equal_the_oracle_and_the_
         for ((kind, shared), (reference, _)) in kinds.iter().zip(&shared).zip(&references) {
             assert_identical(shared, reference, &format!("pool {pool_bytes}, {kind:?}"));
         }
-        // Three chunks a core cover each core's checkpoint, its scratch chunk and a
-        // chunk or two of events: the memos run dry mid-run.
+        // Two chunks a core cover each core's checkpoint and a chunk or so of events: the
+        // memos run dry mid-run.
         let usage: Vec<SharedStageUsage> = stages.iter().map(SharedStage::usage).collect();
         let mid_run = usage.iter().any(|u| u.events > 0 && u.handovers > 0);
         assert_eq!(
