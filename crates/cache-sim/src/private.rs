@@ -63,9 +63,10 @@
 //! ([`Event::frozen`]).
 //!
 //! **The memo.** A [`SharedStage`] generates events on demand in chunks (of
-//! [`CHUNK_EVENTS`] events or [`CHUNK_RECORDS`] records, whichever comes first) and keeps
-//! them; any number of [`StageCursor`]s replay them without regenerating. A chunk is
-//! generated outside the memo's lock: the live stage leaves the memo while it works, the
+//! [`CHUNK_EVENTS`] events or [`CHUNK_RECORDS`] records, whichever comes first, each
+//! times the stage's [`chunk_scale`](StageParams::chunk_scale)) and keeps them; any
+//! number of [`StageCursor`]s replay them without regenerating. A chunk is generated
+//! outside the memo's lock: the live stage leaves the memo while it works, the
 //! retained chunks — and the records drawn and the target statistics, which the memo
 //! notes at every chunk — stay readable, and a cursor that needs the chunk in flight
 //! waits for it. The stage owns the live trace source, so records are not memoized a
@@ -74,20 +75,27 @@
 //! instruction target may replay them. A consumer never sees the chunks; the trace
 //! source does: a stage may have drawn the rest of its furthest consumer's chunk and one
 //! chunk read ahead of it, on top of the driver's own `RUN_AHEAD + 1` records — fewer
-//! than `2 × (CHUNK_RECORDS + RUN_AHEAD)` beyond that consumer. Two rules spare a lone
-//! run more: (a) a chunk ends after the event that reaches the instruction target, and
-//! (b) `run` fetches nothing after its last snapshot; a one-core run no one reads ahead
-//! draws exactly the records a per-record engine consumes.
+//! than `2 × (CHUNK_RECORDS × scale + RUN_AHEAD)` beyond that consumer. Two rules
+//! spare a lone run more: (a) a chunk ends after the event that reaches the instruction
+//! target, and (b) `run` fetches nothing after its last snapshot; a one-core run no one
+//! reads ahead draws exactly the records a per-record engine consumes.
 //!
 //! That over-draw is what the chunk size buys down: a 128-core scaled run consumes about
 //! 8.6 k records a core, and chunks of [`CHUNK_RECORDS`] = 1024 records bound it at
 //! 2 176 records a core, where 4096-record chunks drew 59 % more records than the run
 //! consumed. A smaller chunk costs more hand-offs, each under 0.5 % of a chunk's work
-//! ([`CHUNK_EVENTS`]).
+//! alone ([`CHUNK_EVENTS`]) but more when the cells of a mix replay its stages in
+//! lockstep on several threads. The over-draw is a fixed count per stage and the
+//! hand-offs a fixed share of every chunk, so the chunk grows with the instruction
+//! target, up to four times: a 150 k- or 500 k-instruction run keeps 1024-record chunks
+//! and a 3 M-instruction sweep takes 4096-record ones. With 1024-record chunks a 16-core
+//! daemon's cells of 3 M instructions took 4–5 % longer than with 4096-record ones
+//! (`sweepd_mixed`, two sets of 10 alternating 10 s runs on a 2-thread Xeon).
 //!
 //! **Exact-size retention.** A retaining memo generates each chunk into a scratch chunk
-//! of [`MAX_CHUNK_BYTES`] — the reservation the chunk was generated under covers it —
-//! and retains an exact-size copy: a retained chunk's buffers hold its events and
+//! of [`MAX_CHUNK_BYTES`] times its chunk scale — the reservation the chunk was
+//! generated under covers it, and [`ArenaTracker`] counts it while it is filled — and
+//! retains an exact-size copy: a retained chunk's buffers hold its events and
 //! write-backs and nothing more. The scratch is dropped before the memo's lock is taken
 //! again. Two other ways cost more peak RSS. A fresh chunk grown by doubling and shrunk
 //! to fit raised a 16-core sweep's by a quarter with 256-event chunks (`paper16_live`,
@@ -146,21 +154,21 @@
 //! generator) leave of its memory budget — in the order they need it, and register what
 //! they hold with [`ArenaTracker`]. A stage first reserves its checkpoint
 //! ([`StageState::bytes`]: the caches and counters, a few KB), then a whole chunk
-//! ([`MAX_CHUNK_BYTES`]) before it generates one, returning what the exact-size copy did
-//! not need. When the pool cannot cover another chunk the stage stops retaining for good
-//! — where that happens depends on which stages drew on the pool first, so on thread
-//! timing; what any cursor sees does not: the retained chunks stay a prefix every
-//! cursor replays, and the live stage becomes the **checkpoint** — its [`StageState`],
-//! kept by the memo, while its trace source (its decode buffer) is dropped. A cursor
-//! that runs off the prefix continues on a sole stage of its own, read ahead like the
-//! memo: a clone of the checkpoint over a fresh source that starts where the prefix
-//! ends (the stage's source factory takes that record, and a replayed stream seeks
-//! there through its file's chunk index). Every cursor, the first included, hands over
-//! this one way, at the cost of a clone and a seek whatever the prefix's length. A pool
-//! that cannot cover the checkpoint retains nothing; its checkpoint is the empty stage
-//! at record 0, so every cursor reads a sole stage from the first record, as a system
-//! built over trace sources does. No cursor waits for another or fails, and the events
-//! are the same whatever the pool holds.
+//! ([`MAX_CHUNK_BYTES`] times its chunk scale) before it generates one, returning what
+//! the exact-size copy did not need. When the pool cannot cover another chunk the stage
+//! stops retaining for good — where that happens depends on which stages drew on the
+//! pool first, so on thread timing; what any cursor sees does not: the retained chunks
+//! stay a prefix every cursor replays, and the live stage becomes the **checkpoint** —
+//! its [`StageState`], kept by the memo, while its trace source (its decode buffer) is
+//! dropped. A cursor that runs off the prefix continues on a sole stage of its own,
+//! read ahead like the memo: a clone of the checkpoint over a fresh source that starts
+//! where the prefix ends (the stage's source factory takes that record, and a replayed
+//! stream seeks there through its file's chunk index). Every cursor, the first
+//! included, hands over this one way, at the cost of a clone and a seek whatever the
+//! prefix's length. A pool that cannot cover the checkpoint retains nothing; its
+//! checkpoint is the empty stage at record 0, so every cursor reads a sole stage from
+//! the first record, as a system built over trace sources does. No cursor waits for
+//! another or fails, and the events are the same whatever the pool holds.
 //!
 //! **Wraps.** A finite stream is replayed in a loop. An event carries how often its
 //! records crossed the stream's end ([`Event::wraps`]); a cursor adds that up as it
@@ -194,7 +202,9 @@ use crate::private_cache::{Lookup, PrivateCache, PrivateCacheStats};
 use crate::system::{LIVELOCK_STEPS, RUN_AHEAD};
 use crate::trace::{raise_replay_fault, replay_fault_from, ArenaTracker, ReplayFault, TraceSource};
 
-/// Most events in one chunk of a [`SharedStage`]'s memo.
+/// Most events in one chunk of a [`SharedStage`]'s memo whose instruction target is
+/// short; a longer target takes chunks of up to four times as many
+/// ([`StageParams::chunk_scale`]).
 ///
 /// A chunk is the unit a cursor takes under the memo's lock and a read-ahead generates,
 /// so its size trades hand-offs against over-draw. One hand-off costs about 0.4 µs (a
@@ -205,24 +215,35 @@ use crate::trace::{raise_replay_fault, replay_fault_from, ArenaTracker, ReplayFa
 /// records, was +59 % of the records a run consumed with 1024-event chunks.
 pub const CHUNK_EVENTS: usize = 256;
 
-/// Records after which a chunk ends even with fewer events: the events of a
+/// Records after which a chunk of a stage with a short instruction target ends even with
+/// fewer events; a longer target scales it as it does [`CHUNK_EVENTS`]. The events of a
 /// cache-resident core cover `RUN_AHEAD + 1` records each, and two chunks — the furthest
 /// consumer's and the one read ahead — are how far a shared stage may run ahead of that
 /// consumer. The event that crosses the line is completed, so a chunk draws fewer than
-/// `CHUNK_RECORDS + RUN_AHEAD + 1` records. A chunk also ends after the event that
-/// reaches the instruction target (module docs, rule (a)). A stage therefore draws
-/// fewer than `2 × (CHUNK_RECORDS + RUN_AHEAD)` = 2 176 records past its furthest
-/// consumer.
+/// `CHUNK_RECORDS × scale + RUN_AHEAD + 1` records. A chunk also ends after the event
+/// that reaches the instruction target (module docs, rule (a)). A stage therefore draws
+/// fewer than `2 × (CHUNK_RECORDS × scale + RUN_AHEAD)` records past its furthest
+/// consumer: 2 176 at scale 1.
 pub const CHUNK_RECORDS: u64 = 1024;
 
-/// Most bytes one chunk holds: [`CHUNK_EVENTS`] 32-byte events with four write-backs
-/// each, 16 KiB — the size of the scratch chunk a retaining memo generates into. A memo
-/// retains another chunk only if its pool covers this much, so the pool is never
-/// overdrawn and the live stage always stands at the end of what is retained; the chunk
-/// it retains is an exact-size copy, and what that does not need goes back.
+/// Most bytes one chunk of a stage with a short instruction target holds:
+/// [`CHUNK_EVENTS`] 32-byte events with four write-backs each, 16 KiB; a longer target
+/// scales it as it does [`CHUNK_EVENTS`]. That many bytes is the scratch chunk a
+/// retaining memo generates into. A memo retains another chunk only if its pool covers
+/// them, so the pool is never overdrawn and the live stage always stands at the end of
+/// what is retained; the chunk it retains is an exact-size copy, and what that does not
+/// need goes back.
 pub const MAX_CHUNK_BYTES: u64 = (CHUNK_EVENTS
     * (std::mem::size_of::<Event>() + EVENT_WRITEBACKS * std::mem::size_of::<BlockAddr>()))
     as u64;
+
+/// Instructions of the target per step of [`StageParams::chunk_scale`]: a stage's chunk
+/// grows by one [`CHUNK_RECORDS`] per 512 Ki instructions, so its over-draw bound stays
+/// under about 1/256 of its target once the target passes 1 Mi instructions.
+const INSTRUCTIONS_PER_CHUNK_SCALE: u64 = 1 << 19;
+
+/// Largest [`StageParams::chunk_scale`]: chunks of 1024 events or 4096 records.
+const MAX_CHUNK_SCALE: u64 = 4;
 
 /// Most write-back blocks one event carries: two of its demand access, two of its
 /// prefetch.
@@ -259,6 +280,16 @@ impl StageParams {
     /// cycles: what each of a gap's [L2 hits](Event::gap_l2_hits) adds to it.
     pub fn l2_hit_stall(&self) -> u64 {
         stall_cycles(self.l2.latency)
+    }
+
+    /// How many times [`CHUNK_EVENTS`], [`CHUNK_RECORDS`] and [`MAX_CHUNK_BYTES`] one
+    /// chunk of this stage spans: 1 below 1 Mi instructions of target, one more per
+    /// 512 Ki instructions, at most 4. A hand-off costs the same share of every chunk of
+    /// one size, while the over-draw is a fixed count per stage, a small share of a long
+    /// run: with several threads replaying one mix in lockstep, 256-event chunks cost a
+    /// 3 M-instruction sweep about 5 % more time per cell than 1024-event ones.
+    pub fn chunk_scale(&self) -> u64 {
+        (self.instruction_target / INSTRUCTIONS_PER_CHUNK_SCALE).clamp(1, MAX_CHUNK_SCALE)
     }
 }
 
@@ -673,12 +704,14 @@ struct Chunk {
 }
 
 impl Chunk {
-    /// An empty chunk with room for the largest one, [`MAX_CHUNK_BYTES`]: the scratch a
-    /// retaining memo generates a chunk into.
-    fn scratch() -> Self {
+    /// An empty chunk with room for the largest one of a stage whose
+    /// [`chunk_scale`](StageParams::chunk_scale) is `scale`, `scale × MAX_CHUNK_BYTES`:
+    /// the scratch a retaining memo generates a chunk into.
+    fn scratch(scale: u64) -> Self {
+        let events = CHUNK_EVENTS * scale as usize;
         Chunk {
-            events: Vec::with_capacity(CHUNK_EVENTS),
-            writebacks: Vec::with_capacity(CHUNK_EVENTS * EVENT_WRITEBACKS),
+            events: Vec::with_capacity(events),
+            writebacks: Vec::with_capacity(events * EVENT_WRITEBACKS),
         }
     }
 
@@ -691,12 +724,16 @@ impl Chunk {
     }
 
     /// Replace the chunk's events with `stage`'s next [`CHUNK_EVENTS`] events or
-    /// [`CHUNK_RECORDS`] records, whichever come first, ending early at the target (rule (a)).
+    /// [`CHUNK_RECORDS`] records, each times the stage's
+    /// [`chunk_scale`](StageParams::chunk_scale), whichever come first, ending early at
+    /// the target (rule (a)).
     fn generate(&mut self, stage: &mut PrivateStage) {
         self.events.clear();
         self.writebacks.clear();
-        let record_limit = stage.records() + CHUNK_RECORDS;
-        while self.events.len() < CHUNK_EVENTS
+        let scale = stage.params().chunk_scale();
+        let event_limit = CHUNK_EVENTS * scale as usize;
+        let record_limit = stage.records() + CHUNK_RECORDS * scale;
+        while self.events.len() < event_limit
             && stage.records() < record_limit
             && !stage.state.ended
         {
@@ -792,6 +829,12 @@ struct Memo {
 }
 
 impl Memo {
+    /// Bytes the memo holds out of its pool between generations: the retained chunks and
+    /// the checkpoint.
+    fn held(&self) -> u64 {
+        self.bytes + self.checkpoint_bytes
+    }
+
     /// Retain nothing more: the live stage becomes the checkpoint, and its trace source —
     /// its decode buffer — is dropped.
     fn stop_retaining(&mut self) {
@@ -801,13 +844,13 @@ impl Memo {
     }
 
     /// Retain `chunk`, which `stage` has just generated: for a memo that draws on
-    /// `pool`, an exact-size copy of a chunk generated under a [`MAX_CHUNK_BYTES`]
-    /// reservation, of which what the copy does not need goes back.
-    fn push(&mut self, chunk: Chunk, stage: &PrivateStage, pool: Option<&MemoPool>) {
+    /// `pool`, an exact-size copy of a chunk generated under a reservation of
+    /// `reserved` bytes, of which what the copy does not need goes back.
+    fn push(&mut self, chunk: Chunk, stage: &PrivateStage, pool: Option<&MemoPool>, reserved: u64) {
         if let Some(pool) = pool {
-            pool.release(MAX_CHUNK_BYTES.saturating_sub(chunk.bytes()));
+            pool.release(reserved.saturating_sub(chunk.bytes()));
             self.bytes += chunk.bytes();
-            self.tracker.set_bytes(self.bytes + self.checkpoint_bytes);
+            self.tracker.set_bytes(self.held());
         }
         self.events += chunk.events.len() as u64;
         self.records = stage.records();
@@ -873,10 +916,17 @@ impl Shared {
         self.retain.as_ref().map(|retain| &*retain.pool)
     }
 
+    /// Most bytes one chunk of the stage holds: what a retaining memo reserves before it
+    /// generates one, and the scratch it generates into.
+    fn chunk_bytes(&self) -> u64 {
+        MAX_CHUNK_BYTES * self.params.chunk_scale()
+    }
+
     /// Take a chunk's worth of bytes out of the pool before generating one; a sole stage
     /// draws on none.
     fn reserve_chunk(&self) -> bool {
-        self.pool().is_none_or(|pool| pool.reserve(MAX_CHUNK_BYTES))
+        self.pool()
+            .is_none_or(|pool| pool.reserve(self.chunk_bytes()))
     }
 
     /// The memo, whatever state it is in. No update panics half-way — a generation runs
@@ -977,10 +1027,10 @@ impl Shared {
 
     /// Generate the next chunk on the live stage outside the lock — the head is
     /// [`Head::Busy`] meanwhile — and retain it; the caller has reserved
-    /// [`MAX_CHUNK_BYTES`] for it. A retaining memo generates into a scratch chunk and
-    /// keeps an exact-size copy; a sole stage generates into the chunk its cursor left and
-    /// hands that buffer itself to the cursor. If the trace source unwinds, the memo
-    /// records the fault at its frontier and the payload is handed back.
+    /// [`chunk_bytes`](Self::chunk_bytes) for it. A retaining memo generates into a
+    /// scratch chunk and keeps an exact-size copy; a sole stage generates into the chunk
+    /// its cursor left and hands that buffer itself to the cursor. If the trace source
+    /// unwinds, the memo records the fault at its frontier and the payload is handed back.
     fn generate<'a>(
         &'a self,
         mut memo: MutexGuard<'a, Memo>,
@@ -990,7 +1040,12 @@ impl Shared {
         };
         let pool = self.pool();
         let mut chunk = match pool {
-            Some(_) => Chunk::scratch(),
+            Some(_) => {
+                // Registered while it is filled, under the chunk's reservation.
+                let filling = memo.held() + self.chunk_bytes();
+                memo.tracker.set_bytes(filling);
+                Chunk::scratch(self.params.chunk_scale())
+            }
             None => memo.spare.take().unwrap_or_default(),
         };
         drop(memo);
@@ -1003,13 +1058,15 @@ impl Shared {
         let mut memo = self.lock();
         let generated = match generated {
             Ok(chunk) => {
-                memo.push(chunk, &stage, pool);
+                memo.push(chunk, &stage, pool, self.chunk_bytes());
                 memo.head = Head::Live(stage);
                 Ok(())
             }
             Err(payload) => {
                 if let Some(pool) = pool {
-                    pool.release(MAX_CHUNK_BYTES);
+                    pool.release(self.chunk_bytes());
+                    let held = memo.held();
+                    memo.tracker.set_bytes(held);
                 }
                 memo.head = Head::Failed(replay_fault_from(payload.as_ref()).cloned());
                 Err(payload)
@@ -2248,10 +2305,14 @@ mod tests {
     /// A retaining memo generates each chunk into a scratch chunk that the chunk's
     /// reservation covers, and holds nothing between generations but its checkpoint and
     /// exact-size copies: the memo's bytes are 32 B an event and 8 B a write-back, the
-    /// pool got back what the copies did not need, and the arena accounting covers them.
+    /// pool got back what the copies did not need, and the arena accounting covers the
+    /// copies and the scratch.
     #[test]
     fn a_retaining_memo_generates_into_a_scratch_chunk_and_retains_exact_copies() {
-        assert_eq!(Chunk::scratch().bytes(), MAX_CHUNK_BYTES);
+        assert_eq!(
+            Chunk::scratch(params().chunk_scale()).bytes(),
+            MAX_CHUNK_BYTES
+        );
         let share = 1 << 30;
         let pool = MemoPool::new(share);
         let shared = retaining(params(), source(), pool.clone());
@@ -2277,7 +2338,9 @@ mod tests {
         assert_eq!(usage.memo_bytes, usage.events * event + writebacks * block);
         let held = usage.memo_bytes + usage.checkpoint_bytes;
         assert_eq!(pool.bytes_left() + held, share, "the pool lost bytes");
-        assert!(crate::trace::arena_peak_bytes() >= held);
+        // The last generation registered what the memo held before it and the scratch.
+        let last = memo.chunks.last().expect("chunks").bytes();
+        assert!(crate::trace::arena_peak_bytes() >= held - last + MAX_CHUNK_BYTES);
     }
 
     /// A retaining memo whose trace source faults mid-chunk gives the chunk's reservation
@@ -2331,23 +2394,73 @@ mod tests {
     }
 
     /// A stream that stays in the L1 forms no event of its own accord; a chunk still
-    /// ends after `CHUNK_RECORDS` records, however few events that is (the target lies
-    /// beyond them).
+    /// ends after `CHUNK_RECORDS` records times the stage's chunk scale, however few
+    /// events that is (the target lies beyond them).
     #[test]
     fn chunks_of_a_cache_resident_core_are_bounded_in_records() {
         let resident = || -> Box<dyn TraceSource> {
             Box::new(crate::trace::StridedTrace::new(0, 64, 1024, 3))
         };
-        let params = StageParams {
-            instruction_target: u64::MAX,
+        for (instruction_target, scale) in [(1 << 19, 1), (u64::MAX, MAX_CHUNK_SCALE)] {
+            let params = StageParams {
+                instruction_target,
+                ..params()
+            };
+            assert_eq!(params.chunk_scale(), scale);
+            let shared = unbounded_at(params, resident());
+            shared.cursor().next_event();
+            let usage = shared.usage();
+            assert_eq!(usage.chunks, 1);
+            assert!(usage.events < CHUNK_EVENTS as u64);
+            let records = CHUNK_RECORDS * scale;
+            assert!((records..records + RUN_AHEAD + 1).contains(&usage.records));
+        }
+    }
+
+    /// A chunk spans one `CHUNK_EVENTS` of events per step of the chunk scale: a step
+    /// per 512 Ki instructions of the target, 1 below 1 Mi, at most 4. A stage whose
+    /// target is long forms chunks of up to four times as many events, and its memo
+    /// reserves and retains them out of its pool.
+    #[test]
+    fn chunks_grow_with_the_instruction_target() {
+        let scale_at = |instruction_target| {
+            StageParams {
+                instruction_target,
+                ..params()
+            }
+            .chunk_scale()
+        };
+        let targets = [
+            0,
+            150_000,
+            500_000,
+            (1 << 20) - 1,
+            1 << 20,
+            3 << 19,
+            3_000_000,
+        ];
+        let scales: Vec<u64> = targets.into_iter().map(scale_at).collect();
+        assert_eq!(scales, [1, 1, 1, 1, 2, 3, 4]);
+        assert_eq!(scale_at(u64::MAX), MAX_CHUNK_SCALE);
+
+        let long = StageParams {
+            instruction_target: 3_000_000,
             ..params()
         };
-        let shared = unbounded_at(params, resident());
+        let share = 1 << 30;
+        let pool = MemoPool::new(share);
+        let shared = retaining(long, source(), pool.clone());
         shared.cursor().next_event();
         let usage = shared.usage();
         assert_eq!(usage.chunks, 1);
-        assert!(usage.events < CHUNK_EVENTS as u64);
-        assert!((CHUNK_RECORDS..CHUNK_RECORDS + RUN_AHEAD + 1).contains(&usage.records));
+        let events = CHUNK_EVENTS as u64;
+        assert!(
+            (events + 1..=4 * events).contains(&usage.events),
+            "{usage:?}"
+        );
+        let held = usage.memo_bytes + usage.checkpoint_bytes;
+        assert_eq!(pool.bytes_left() + held, share, "the pool lost bytes");
+        assert_eq!(Chunk::scratch(4).bytes(), 4 * MAX_CHUNK_BYTES);
     }
 
     #[test]

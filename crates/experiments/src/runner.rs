@@ -1431,7 +1431,7 @@ mod tests {
     /// chunks — the rest of the furthest cursor's and one read ahead.
     #[test]
     fn a_lone_128_core_evaluation_draws_at_most_two_chunks_past_what_it_consumes() {
-        use cache_sim::private::CHUNK_RECORDS;
+        use cache_sim::private::{StageParams, CHUNK_RECORDS};
         use cache_sim::system::RUN_AHEAD;
 
         let scale = ExperimentScale::Smoke;
@@ -1456,7 +1456,8 @@ mod tests {
 
         let evaluation = evaluate_prepared(&cfg, &prepared, policy, build(), instructions, 7);
         assert_eq!(evaluation.final_cycle, lone.final_cycle);
-        let slack = RUN_AHEAD + 1 + 2 * (CHUNK_RECORDS + RUN_AHEAD);
+        let chunk = CHUNK_RECORDS * StageParams::latch(&cfg, instructions).chunk_scale();
+        let slack = RUN_AHEAD + 1 + 2 * (chunk + RUN_AHEAD);
         let drawn = prepared.records_per_core();
         for (core, (&drawn, consumed)) in drawn.iter().zip(&counters).enumerate() {
             let consumed = consumed.load(Ordering::Relaxed);
